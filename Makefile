@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale bench bench-json
+.PHONY: all build test race vet fmt check sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale
 
 all: check
 
@@ -50,14 +50,7 @@ sweep-serve-scale:
 
 # Strong-scaling curves 64 -> 1024 nodes on the paper's SOR grid:
 # speedup, traffic split, home hot-spot skew, and protocol memory per
-# protocol, appended to BENCH_sim.json as a "scale" entry.
+# protocol, with the grid also written as JSON.
 sweep-scale:
-	$(GO) run ./cmd/svmbench -scale -size paper -scale-json BENCH_sim.json
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Append one perf-trajectory entry (micro-benchmarks + sweep wall clock)
-# to BENCH_sim.json; compare entries across commits to catch regressions.
-bench-json:
-	$(GO) run ./cmd/svmperf -out BENCH_sim.json
+	mkdir -p out
+	$(GO) run ./cmd/svmbench -scale -size paper -scale-json out/scale.json

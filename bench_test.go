@@ -149,7 +149,7 @@ func BenchmarkFig4_PerProcPhases(b *testing.B) {
 					b.Fatal(err)
 				}
 				res, err := gosvm.RunWithPhases(gosvm.Options{
-					Protocol: proto, NumProcs: 8, PageBytes: 1024,
+					Protocol: proto, Machine: gosvm.Machine{Nodes: 8}, PageBytes: 1024,
 				}, app)
 				if err != nil {
 					b.Fatal(err)

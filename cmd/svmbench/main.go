@@ -36,7 +36,7 @@ func main() {
 		mf         = cliflags.AddMachineList(flag.CommandLine, "8,32,64", 8192)
 		scale      = flag.Bool("scale", false, "run the machine-size scaling sweep (fixed-size SOR, speedup/traffic/hot-spot skew vs node count)")
 		scaleNodes = flag.String("scale-nodes", "", "node counts for -scale (default 64,128,256,512,1024)")
-		scaleJSON  = flag.String("scale-json", "", "append the -scale grid to this JSON trajectory file (conventionally BENCH_sim.json)")
+		scaleJSON  = flag.String("scale-json", "", "write the -scale grid to this JSON file")
 		faults     = flag.String("faults", "", "comma-separated fault profiles to sweep (lossy, hostile, crash, crash-mgr)")
 		rtoAbl     = flag.String("rto-ablation", "", "run the fixed-vs-adaptive RTO ablation on the mesh for these fault profiles (e.g. lossy,hostile)")
 		seed       = flag.Int64("seed", 1, "seed for the -faults and -rto-ablation plans")

@@ -35,7 +35,6 @@ func main() {
 		parallel = cliflags.AddParallel(flag.CommandLine)
 		runWkrs  = cliflags.AddRunWorkers(flag.CommandLine)
 	)
-	mf.AddMeshAlias(flag.CommandLine)
 	flag.Parse()
 
 	proto, err := gosvm.ParseProtocol(*protoStr)

@@ -27,7 +27,7 @@ func (a *sumApp) Worker(c *gosvm.Ctx, id int) {
 	c.Barrier(0)
 	if id == 0 {
 		sum := 0.0
-		for i := 0; i < c.NumProcs(); i++ {
+		for i := 0; i < c.Nodes(); i++ {
 			sum += c.Load(a.cells + gosvm.Addr(i))
 		}
 		c.Store(a.total, sum)
@@ -43,7 +43,7 @@ func (a *sumApp) Gather(c *gosvm.Ctx) []float64 {
 func Example() {
 	res, err := gosvm.Run(gosvm.Options{
 		Protocol:  gosvm.HLRC,
-		NumProcs:  4,
+		Machine:   gosvm.Machine{Nodes: 4},
 		PageBytes: 4096,
 	}, &sumApp{})
 	if err != nil {
@@ -58,7 +58,7 @@ func Example_protocols() {
 	for _, proto := range gosvm.Protocols {
 		res, err := gosvm.Run(gosvm.Options{
 			Protocol:  proto,
-			NumProcs:  4,
+			Machine:   gosvm.Machine{Nodes: 4},
 			PageBytes: 4096,
 		}, &sumApp{})
 		if err != nil {
@@ -77,7 +77,7 @@ func Example_protocols() {
 func ExampleOptions_traceLimit() {
 	res, err := gosvm.Run(gosvm.Options{
 		Protocol:   gosvm.HLRC,
-		NumProcs:   4,
+		Machine:    gosvm.Machine{Nodes: 4},
 		PageBytes:  4096,
 		TraceLimit: -1,
 	}, &sumApp{})

@@ -47,7 +47,7 @@ func (a *falseSharing) Init(w *gosvm.Init) {
 }
 
 func (a *falseSharing) Worker(c *gosvm.Ctx, id int) {
-	p := c.NumProcs()
+	p := c.Nodes()
 	bar := 0
 	for r := 0; r < a.rounds; r++ {
 		// Write phase: word-interleaved, so every page has p writers.

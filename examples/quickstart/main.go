@@ -37,7 +37,7 @@ func (a *piApp) Init(w *gosvm.Init) {
 
 // Worker is the parallel body, executed by every processor.
 func (a *piApp) Worker(c *gosvm.Ctx, id int) {
-	p := c.NumProcs()
+	p := c.Nodes()
 	h := 1.0 / float64(a.steps)
 	sum := 0.0
 	for i := id; i < a.steps; i += p {

@@ -67,7 +67,7 @@ func (a *stencil) band(id, p int) (int, int) {
 }
 
 func (a *stencil) Worker(c *gosvm.Ctx, id int) {
-	p := c.NumProcs()
+	p := c.Nodes()
 	lo, hi := a.band(id, p)
 	up := make([]float64, a.w)
 	mid := make([]float64, a.w)

@@ -73,8 +73,8 @@ func (a *taskfarm) pop(c *gosvm.Ctx, q int) int {
 func (a *taskfarm) Worker(c *gosvm.Ctx, id int) {
 	tilesX := side / tile
 	row := make([]float64, tile)
-	for probe := 0; probe < c.NumProcs(); {
-		t := a.pop(c, (id+probe)%c.NumProcs())
+	for probe := 0; probe < c.Nodes(); {
+		t := a.pop(c, (id+probe)%c.Nodes())
 		if t < 0 {
 			probe++
 			continue

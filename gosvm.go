@@ -226,8 +226,7 @@ type MachineOption func(*Machine)
 
 // NewMachine builds a Machine of the given size, applying opts. Unset
 // fields keep their zero values and are defaulted at run time (crossbar
-// topology, Paragon costs, auto barrier selection), so a NewMachine
-// result composes cleanly with the Options-level WithCosts.
+// topology, Paragon costs, auto barrier selection).
 func NewMachine(nodes int, opts ...MachineOption) Machine {
 	m := Machine{Nodes: nodes}
 	for _, fn := range opts {
@@ -281,24 +280,12 @@ func NewOptions(p Protocol, opts ...Option) Options {
 	return o
 }
 
-// WithMachine installs a Machine configuration (see NewMachine). It is
-// the preferred way to size and shape the simulated machine; explicitly
-// set Machine fields override the legacy WithProcs/WithMesh/WithCosts
-// settings.
+// WithMachine installs a Machine configuration (see NewMachine): the
+// one way to size and shape the simulated machine.
 func WithMachine(m Machine) Option { return func(o *Options) { o.Machine = m } }
-
-// WithProcs sets the machine size (number of nodes).
-//
-// Deprecated: use WithMachine(NewMachine(n)). Kept as a thin wrapper
-// over the legacy Options.NumProcs field, which Options.Defaults
-// reconciles into Options.Machine.
-func WithProcs(n int) Option { return func(o *Options) { o.NumProcs = n } }
 
 // WithPageBytes sets the SVM page size in bytes.
 func WithPageBytes(n int) Option { return func(o *Options) { o.PageBytes = n } }
-
-// WithCosts replaces the machine cost model.
-func WithCosts(c Costs) Option { return func(o *Options) { o.Costs = c } }
 
 // WithGCThreshold sets the homeless protocols' garbage-collection
 // trigger (bytes of protocol memory per node).
@@ -309,15 +296,6 @@ func WithGCThreshold(bytes int64) Option {
 // WithFaults installs a deterministic fault plan (message loss,
 // duplication, delay, node slowdowns, crashes).
 func WithFaults(p FaultPlan) Option { return func(o *Options) { o.Fault = p } }
-
-// WithMesh models the Paragon's 2-D wormhole mesh at link granularity
-// (XY routing, per-hop latency, per-link occupancy) instead of the
-// default crossbar. Plans with link-level faults (FaultPlan.LinkDrop,
-// LinkJitter, LinkFails) enable the mesh automatically.
-//
-// Deprecated: use WithMachine(NewMachine(n, WithTopology(TopoMesh))).
-// Kept as a thin wrapper over the legacy Options.Mesh field.
-func WithMesh() Option { return func(o *Options) { o.Mesh = true } }
 
 // WithReplication mirrors each home's page state onto its k successor
 // nodes so a crashed home's pages can be re-homed (home-based protocols
@@ -418,7 +396,7 @@ func NewServeApp(cfg ServeConfig, procs int) (*ServeApp, error) {
 // RunStats.WriteJSON as the "serve" object).
 func Serve(opts Options, cfg ServeConfig) (*Result, error) {
 	opts.Defaults()
-	kv, err := serve.New(cfg, opts.NumProcs)
+	kv, err := serve.New(cfg, opts.Machine.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +406,7 @@ func Serve(opts Options, cfg ServeConfig) (*Result, error) {
 // Sequential measures the sequential execution of app: the speedup
 // baseline. The page size only affects layout, not timing.
 func Sequential(app App, pageBytes int) (*Result, error) {
-	return core.Run(Options{Protocol: Seq, NumProcs: 1, PageBytes: pageBytes}, app, false)
+	return core.Run(Options{Protocol: Seq, Machine: Machine{Nodes: 1}, PageBytes: pageBytes}, app, false)
 }
 
 // Speedup runs app sequentially and in parallel and returns the ratio of
@@ -438,9 +416,8 @@ func Sequential(app App, pageBytes int) (*Result, error) {
 func Speedup(opts Options, mk func() App) (float64, *Result, *Result, error) {
 	seq, err := core.Run(Options{
 		Protocol:  Seq,
-		NumProcs:  1,
 		PageBytes: opts.PageBytes,
-		Costs:     opts.Costs,
+		Machine:   Machine{Nodes: 1, Costs: opts.Machine.Costs},
 	}, mk(), false)
 	if err != nil {
 		return 0, nil, nil, err

@@ -52,14 +52,14 @@ func TestNewOptionsFunctional(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := gosvm.NewOptions(gosvm.HLRC,
-		gosvm.WithProcs(8),
+		gosvm.WithMachine(gosvm.NewMachine(8)),
 		gosvm.WithPageBytes(2048),
 		gosvm.WithGCThreshold(1<<20),
 		gosvm.WithFaults(plan),
 		gosvm.WithReplication(2),
 		gosvm.WithCheckpointEvery(gosvm.Millisecond),
 	)
-	if opts.Protocol != gosvm.HLRC || opts.NumProcs != 8 || opts.PageBytes != 2048 {
+	if opts.Protocol != gosvm.HLRC || opts.Machine.Nodes != 8 || opts.PageBytes != 2048 {
 		t.Fatalf("basic options not applied: %+v", opts)
 	}
 	if opts.GCThreshold != 1<<20 {
@@ -84,7 +84,7 @@ func TestRunWithOptionsAndCrash(t *testing.T) {
 		},
 	}
 	res, err := gosvm.Run(gosvm.NewOptions(gosvm.OHLRC,
-		gosvm.WithProcs(4),
+		gosvm.WithMachine(gosvm.NewMachine(4)),
 		gosvm.WithPageBytes(512),
 		gosvm.WithFaults(plan),
 		gosvm.WithReplication(1),
@@ -106,7 +106,7 @@ func TestStructuredErrorsExported(t *testing.T) {
 		Crashes: []gosvm.Crash{{Node: 1, At: 200 * gosvm.Microsecond}},
 	}
 	_, err := gosvm.Run(gosvm.NewOptions(gosvm.HLRC,
-		gosvm.WithProcs(4),
+		gosvm.WithMachine(gosvm.NewMachine(4)),
 		gosvm.WithPageBytes(512),
 		gosvm.WithFaults(plan),
 	), &counter{})
@@ -120,13 +120,13 @@ func TestStructuredErrorsExported(t *testing.T) {
 }
 
 // Speedup measures its sequential baseline under the same cost model as
-// the parallel run (regression: it used to drop opts.Costs). The
+// the parallel run (regression: it used to drop the cost model). The
 // baseline is pure computation, so a slower network must lower the
 // speedup through the parallel side only — and the reported ratio must
 // be exactly the two elapsed times' quotient.
 func TestSpeedupCostModelContract(t *testing.T) {
 	mk := func() gosvm.App { return &counter{} }
-	base := gosvm.NewOptions(gosvm.HLRC, gosvm.WithProcs(2), gosvm.WithPageBytes(512))
+	base := gosvm.NewOptions(gosvm.HLRC, gosvm.WithMachine(gosvm.NewMachine(2)), gosvm.WithPageBytes(512))
 	s0, seq0, par0, err := gosvm.Speedup(base, mk)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestSpeedupCostModelContract(t *testing.T) {
 	slow.MsgLatency *= 10
 	slow.ReceiveInterrupt *= 10
 	s1, seq1, par1, err := gosvm.Speedup(gosvm.NewOptions(gosvm.HLRC,
-		gosvm.WithProcs(2), gosvm.WithPageBytes(512), gosvm.WithCosts(slow)), mk)
+		gosvm.WithMachine(gosvm.NewMachine(2, gosvm.WithCostProfile(slow))), gosvm.WithPageBytes(512)), mk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 func seqRun(t *testing.T, app core.App) *core.Result {
 	t.Helper()
-	res, err := core.Run(core.Options{Protocol: core.ProtoSeq, NumProcs: 1, PageBytes: 1024}, app, false)
+	res, err := core.Run(core.Options{Protocol: core.ProtoSeq, Machine: core.Machine{Nodes: 1}, PageBytes: 1024}, app, false)
 	if err != nil {
 		t.Fatalf("seq %s: %v", app.Name(), err)
 	}
@@ -19,7 +19,7 @@ func seqRun(t *testing.T, app core.App) *core.Result {
 
 func parRun(t *testing.T, app core.App, proto core.Protocol, p int) *core.Result {
 	t.Helper()
-	res, err := core.Run(core.Options{Protocol: proto, NumProcs: p, PageBytes: 1024}, app, false)
+	res, err := core.Run(core.Options{Protocol: proto, Machine: core.Machine{Nodes: p}, PageBytes: 1024}, app, false)
 	if err != nil {
 		t.Fatalf("%s/%s/p%d: %v", app.Name(), proto, p, err)
 	}

@@ -39,7 +39,7 @@ func TestAppsSurviveHomeCrash(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", a.name, proto, label), func(t *testing.T) {
 					opts := core.Options{
 						Protocol:  proto,
-						NumProcs:  4,
+						Machine:   core.Machine{Nodes: 4},
 						PageBytes: 1024,
 						Fault: fault.Plan{
 							Seed: 1,
@@ -91,7 +91,7 @@ func TestAppsUnderFaultProfiles(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", a.name, proto, profile), func(t *testing.T) {
 					opts := core.Options{
 						Protocol:  proto,
-						NumProcs:  4,
+						Machine:   core.Machine{Nodes: 4},
 						PageBytes: 1024,
 						Fault:     plan,
 					}

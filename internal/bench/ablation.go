@@ -7,7 +7,6 @@ import (
 
 	"gosvm/internal/apps"
 	"gosvm/internal/core"
-	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
 )
@@ -27,19 +26,9 @@ func (r *Runner) runWith(app string, opts core.Options) *core.Result {
 	return res
 }
 
-func (r *Runner) baseOpts(proto core.Protocol, procs int) core.Options {
-	return core.Options{
-		Protocol:    proto,
-		NumProcs:    procs,
-		PageBytes:   r.PageBytes,
-		GCThreshold: r.GCThreshold,
-		RunWorkers:  r.RunWorkers,
-	}
-}
-
 // AblationEagerDiff compares lazy vs eager diff creation under LRC.
 func (r *Runner) AblationEagerDiff(w io.Writer, app string, procs int) (lazy, eager sim.Time) {
-	opts := r.baseOpts(core.ProtoLRC, procs)
+	opts := r.cellOpts(core.ProtoLRC, procs)
 	opts.EagerDiff = true
 	r.inParallel(
 		func() { lazy = r.Run(app, core.ProtoLRC, procs).Stats.Elapsed },
@@ -53,7 +42,7 @@ func (r *Runner) AblationEagerDiff(w io.Writer, app string, procs int) (lazy, ea
 // AblationHomePlacement compares application-directed home placement with
 // blind round-robin under HLRC.
 func (r *Runner) AblationHomePlacement(w io.Writer, app string, procs int) (directed, roundRobin sim.Time) {
-	opts := r.baseOpts(core.ProtoHLRC, procs)
+	opts := r.cellOpts(core.ProtoHLRC, procs)
 	opts.HomeRoundRobin = true
 	r.inParallel(
 		func() { directed = r.Run(app, core.ProtoHLRC, procs).Stats.Elapsed },
@@ -75,18 +64,14 @@ func (r *Runner) AblationInterruptCost(w io.Writer, app string, procs int) {
 	ls := make([]sim.Time, len(intrs))
 	hs := make([]sim.Time, len(intrs))
 	r.forEach(2*len(intrs), func(i int) {
-		intr := intrs[i/2]
-		costs := paragon.DefaultCosts()
-		costs.ReceiveInterrupt = intr * sim.Microsecond
-		if i%2 == 0 {
-			opts := r.baseOpts(core.ProtoLRC, procs)
-			opts.Costs = costs
-			ls[i/2] = r.runWith(app, opts).Stats.Elapsed
-		} else {
-			opts := r.baseOpts(core.ProtoHLRC, procs)
-			opts.Costs = costs
-			hs[i/2] = r.runWith(app, opts).Stats.Elapsed
+		proto, out := core.ProtoLRC, ls
+		if i%2 == 1 {
+			proto, out = core.ProtoHLRC, hs
 		}
+		opts := r.cellOpts(proto, procs)
+		opts.Machine.Defaults() // resolve the cost profile before overriding one entry
+		opts.Machine.Costs.ReceiveInterrupt = intrs[i/2] * sim.Microsecond
+		out[i/2] = r.runWith(app, opts).Stats.Elapsed
 	})
 	for i, intr := range intrs {
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%.1f%%\n",
@@ -107,7 +92,7 @@ func (r *Runner) AblationPageSize(w io.Writer, app string, procs int) {
 		if i%2 == 1 {
 			proto = core.ProtoHLRC
 		}
-		opts := r.baseOpts(proto, procs)
+		opts := r.cellOpts(proto, procs)
 		opts.PageBytes = pbs[i/2]
 		times[i] = r.runWith(app, opts).Stats.Elapsed
 	})
@@ -126,7 +111,7 @@ func (r *Runner) AblationGCThreshold(w io.Writer, app string, procs int) {
 	thrs := []int64{1 << 20, 8 << 20, 256 << 20}
 	ress := make([]*core.Result, len(thrs))
 	r.forEach(len(thrs), func(i int) {
-		opts := r.baseOpts(core.ProtoLRC, procs)
+		opts := r.cellOpts(core.ProtoLRC, procs)
 		opts.GCThreshold = thrs[i]
 		ress[i] = r.runWith(app, opts)
 	})
@@ -147,7 +132,7 @@ func (r *Runner) AblationGCThreshold(w io.Writer, app string, procs int) {
 // AblationOverlapLocks measures the §4.3 extension: synchronization
 // serviced by the co-processor under OHLRC.
 func (r *Runner) AblationOverlapLocks(w io.Writer, app string, procs int) (base, overlapped sim.Time) {
-	opts := r.baseOpts(core.ProtoOHLRC, procs)
+	opts := r.cellOpts(core.ProtoOHLRC, procs)
 	opts.OverlapLocks = true
 	r.inParallel(
 		func() { base = r.Run(app, core.ProtoOHLRC, procs).Stats.Elapsed },
@@ -161,8 +146,8 @@ func (r *Runner) AblationOverlapLocks(w io.Writer, app string, procs int) (base,
 // AblationMesh compares the crossbar network model with the link-level
 // 2-D wormhole mesh under HLRC.
 func (r *Runner) AblationMesh(w io.Writer, app string, procs int) (crossbar, meshTime sim.Time) {
-	opts := r.baseOpts(core.ProtoHLRC, procs)
-	opts.Mesh = true
+	opts := r.cellOpts(core.ProtoHLRC, procs)
+	opts.Machine.Topology = core.TopoMesh
 	r.inParallel(
 		func() { crossbar = r.Run(app, core.ProtoHLRC, procs).Stats.Elapsed },
 		func() { meshTime = r.runWith(app, opts).Stats.Elapsed },
@@ -183,7 +168,7 @@ func (r *Runner) AblationAURC(w io.Writer, app string, procs int) {
 	ress := make([]*core.Result, len(protos))
 	r.forEach(len(protos), func(i int) {
 		if protos[i] == core.ProtoAURC {
-			ress[i] = r.runWith(app, r.baseOpts(protos[i], procs))
+			ress[i] = r.runWith(app, r.cellOpts(protos[i], procs))
 		} else {
 			ress[i] = r.Run(app, protos[i], procs)
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,8 @@ import (
 
 	"gosvm/internal/apps"
 	"gosvm/internal/core"
+	"gosvm/internal/fault"
+	"gosvm/internal/paragon"
 )
 
 func testRunner() *Runner {
@@ -170,6 +173,56 @@ func TestAblationsSmoke(t *testing.T) {
 	for _, want := range []string{"eager diffs", "home placement", "interrupt cost", "page size", "GC threshold", "lock service", "AURC", "network model"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("ablation output missing %q", want)
+		}
+	}
+}
+
+// TestTreatmentArmsFollowRunnerMachine pins the one-machine rule: the
+// Runner's machine shape reaches the treatment arm of every comparison
+// (uncached runs with an ablation knob, a fault plan, the mesh, or phase
+// capture), not only the memoized control arm.
+func TestTreatmentArmsFollowRunnerMachine(t *testing.T) {
+	lossy, err := fault.Profile(fault.ProfileLossy, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := func(res *core.Result, err error) float64 {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(res.Stats.Elapsed)
+	}
+	cases := []struct {
+		name      string
+		treatment func(r *Runner) float64 // simulated time of the treatment arm
+	}{
+		{"eager diffs", func(r *Runner) float64 {
+			_, eager := r.AblationEagerDiff(io.Discard, "water-nsq", 4)
+			return float64(eager)
+		}},
+		{"round-robin homes", func(r *Runner) float64 {
+			_, rr := r.AblationHomePlacement(io.Discard, "sor", 4)
+			return float64(rr)
+		}},
+		{"faulted cell", func(r *Runner) float64 {
+			return elapsed(r.runFaulted("sor", core.ProtoHLRC, 4, lossy))
+		}},
+		{"mesh faulted cell", func(r *Runner) float64 {
+			return elapsed(r.runMeshFaulted("sor", core.ProtoHLRC, 4, lossy))
+		}},
+		{"figure 4 rows", func(r *Runner) float64 {
+			var sum float64
+			for _, row := range r.Fig4Data() {
+				sum += row.Compute + row.Data + row.Lock + row.Protocol
+			}
+			return sum
+		}},
+	}
+	for _, c := range cases {
+		modern := testRunner()
+		modern.Machine.Costs = paragon.ModernCosts()
+		if def, got := c.treatment(testRunner()), c.treatment(modern); got == def {
+			t.Errorf("%s: treatment arm takes %v under both Paragon and modern costs", c.name, def)
 		}
 	}
 }

@@ -139,16 +139,8 @@ func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir s
 				}
 				if jsonDir != "" {
 					name := fmt.Sprintf("fault-%s-%s-%s-p%d.json", profile, app, proto, procs)
-					f, err := os.Create(filepath.Join(jsonDir, name))
-					if err != nil {
+					if err := writeFile(filepath.Join(jsonDir, name), res.Stats.WriteJSON); err != nil {
 						return err
-					}
-					werr := res.Stats.WriteJSON(f)
-					if cerr := f.Close(); werr == nil {
-						werr = cerr
-					}
-					if werr != nil {
-						return werr
 					}
 				}
 			}
@@ -171,13 +163,8 @@ func (r *Runner) runFaulted(app string, proto core.Protocol, procs int, plan fau
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{
-		Protocol:    proto,
-		NumProcs:    procs,
-		PageBytes:   r.PageBytes,
-		GCThreshold: r.GCThreshold,
-		Fault:       plan,
-	}
+	opts := r.cellOpts(proto, procs)
+	opts.Fault = plan
 	if len(plan.Crashes) > 0 {
 		opts.Recovery = core.Recovery{Replicas: 1}
 	}

@@ -110,12 +110,7 @@ func (r *Runner) Fig4Data() []Fig4Row {
 		}
 		r.acquire()
 		defer r.release()
-		res, err := core.Run(core.Options{
-			Protocol:    cfgs[i].proto,
-			NumProcs:    cfgs[i].procs,
-			PageBytes:   r.PageBytes,
-			GCThreshold: r.GCThreshold,
-		}, a, true)
+		res, err := core.Run(r.cellOpts(cfgs[i].proto, cfgs[i].procs), a, true)
 		if err != nil {
 			panic(err)
 		}

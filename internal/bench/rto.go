@@ -131,16 +131,8 @@ func (r *Runner) rtoTable(out io.Writer, profile string, seed int64, jsonDir str
 					fmt.Fprintf(tw, "\t%d\t%d\t%.2f", retries, dups, recovery)
 					if jsonDir != "" {
 						name := fmt.Sprintf("rto-%s-%s-%s-%s-p%d.json", profile, mode, app, proto, procs)
-						f, err := os.Create(filepath.Join(jsonDir, name))
-						if err != nil {
+						if err := writeFile(filepath.Join(jsonDir, name), res.Stats.WriteJSON); err != nil {
 							return err
-						}
-						werr := res.Stats.WriteJSON(f)
-						if cerr := f.Close(); werr == nil {
-							werr = cerr
-						}
-						if werr != nil {
-							return werr
 						}
 					}
 				}
@@ -163,14 +155,9 @@ func (r *Runner) runMeshFaulted(app string, proto core.Protocol, procs int, plan
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{
-		Protocol:    proto,
-		NumProcs:    procs,
-		PageBytes:   r.PageBytes,
-		GCThreshold: r.GCThreshold,
-		Fault:       plan,
-		Mesh:        true,
-	}
+	opts := r.cellOpts(proto, procs)
+	opts.Fault = plan
+	opts.Machine.Topology = core.TopoMesh
 	r.acquire()
 	start := time.Now()
 	res, err := core.Run(opts, a, false)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -75,8 +76,8 @@ type ScaleCell struct {
 	PeakProtoMB float64 `json:"peak_proto_mb"`
 }
 
-// ScaleEntry is the JSON block one ScaleSweep appends to the trajectory
-// file: the grid shape plus every cell.
+// ScaleEntry is the JSON document one ScaleSweep writes: the grid shape
+// plus every cell.
 type ScaleEntry struct {
 	Kind       string      `json:"kind"` // "scale"
 	H          int         `json:"h"`
@@ -92,8 +93,7 @@ type ScaleEntry struct {
 // skew (max/mean unsolicited messages serviced per node), and peak
 // protocol memory. Cells fan out across host cores like every other
 // sweep; rendering reads completed cells in fixed grid order. When
-// jsonPath is non-empty the full grid is appended there as a ScaleEntry
-// (see AppendJSON; BENCH_sim.json is the conventional target).
+// jsonPath is non-empty the full grid is written there as one ScaleEntry.
 func (r *Runner) ScaleSweep(out io.Writer, o ScaleOpts, jsonPath string) error {
 	o.defaults()
 	for _, n := range o.Nodes {
@@ -164,10 +164,14 @@ func (r *Runner) ScaleSweep(out io.Writer, o ScaleOpts, jsonPath string) error {
 	}
 	tw.Flush()
 
-	if jsonPath != "" {
-		return AppendJSON(jsonPath, entry)
+	if jsonPath == "" {
+		return nil
 	}
-	return nil
+	return writeFile(jsonPath, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(entry)
+	})
 }
 
 // hotSpotSkew returns max/mean of per-node MsgsIn, or 0 when no node

@@ -40,12 +40,8 @@ func TestScaleSweepDeterministic(t *testing.T) {
 	}
 }
 
-func TestScaleSweepJSONAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "traj.json")
-	// A foreign entry must survive the append untouched.
-	if err := os.WriteFile(path, []byte(`[{"kind":"perf","note":"keep me"}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+func TestScaleSweepJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scale.json")
 	r := NewRunner(apps.SizeTest)
 	if err := r.ScaleSweep(&bytes.Buffer{}, smallScale(), path); err != nil {
 		t.Fatal(err)
@@ -54,18 +50,8 @@ func TestScaleSweepJSONAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []json.RawMessage
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatalf("trajectory not a JSON array: %v", err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(entries))
-	}
-	if !strings.Contains(string(entries[0]), "keep me") {
-		t.Fatalf("foreign entry clobbered: %s", entries[0])
-	}
 	var e ScaleEntry
-	if err := json.Unmarshal(entries[1], &e); err != nil {
+	if err := json.Unmarshal(data, &e); err != nil {
 		t.Fatal(err)
 	}
 	if e.Kind != "scale" || e.H != 64 || len(e.Cells) != 4 {

@@ -182,7 +182,7 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 				tag = "-" + c.mode
 			}
 			name := fmt.Sprintf("serve-%s-%s-p%d-l%.0f%s.json", profile, c.proto, c.procs, c.load, tag)
-			if err := writeCellJSON(filepath.Join(jsonDir, name), res); err != nil {
+			if err := writeFile(filepath.Join(jsonDir, name), res.Stats.WriteJSON); err != nil {
 				return err
 			}
 		}
@@ -256,7 +256,7 @@ func (r *Runner) closedSweep(out io.Writer, o ServeSweepOpts, protos []core.Prot
 				tag = "-" + c.mode
 			}
 			name := fmt.Sprintf("serve-closed-%s-%s-p%d-c%d%s.json", profile, c.proto, c.procs, c.clients, tag)
-			if err := writeCellJSON(filepath.Join(jsonDir, name), res); err != nil {
+			if err := writeFile(filepath.Join(jsonDir, name), res.Stats.WriteJSON); err != nil {
 				return err
 			}
 		}
@@ -327,13 +327,14 @@ func (r *Runner) runServe(base serve.Config, load float64, proto core.Protocol, 
 // ms renders simulated time in milliseconds.
 func ms(t sim.Time) float64 { return t.Micros() / 1e3 }
 
-// writeCellJSON writes one cell's run statistics to path.
-func writeCellJSON(path string, res *core.Result) error {
+// writeFile creates path, fills it through write, and closes it,
+// returning the first error.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := res.Stats.WriteJSON(f)
+	werr := write(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

@@ -2,8 +2,8 @@
 // machine shape, fault injection, execution control, and list parsing —
 // so a configuration means the same thing in every tool: -procs,
 // -topology, -costs, -barrier, -faults, and -seed are spelled and
-// interpreted identically in svmrun, svmbench, svmserve, svmperf,
-// svmtrace, and svmcosts.
+// interpreted identically in svmrun, svmbench, svmserve, svmtrace, and
+// svmcosts.
 package cliflags
 
 import (
@@ -30,9 +30,6 @@ type MachineFlags struct {
 	Barrier   string
 	Radix     int
 	Page      int
-	// Mesh is the deprecated boolean spelling of -topology mesh,
-	// registered only by AddMeshAlias.
-	Mesh bool
 }
 
 // AddMachine registers the single-machine flag group on fs: -procs,
@@ -68,12 +65,6 @@ func (m *MachineFlags) addShape(fs *flag.FlagSet, defPage int) {
 	fs.IntVar(&m.Page, "page", defPage, "page size in bytes")
 }
 
-// AddMeshAlias registers the deprecated -mesh boolean for tools that
-// documented it before -topology existed.
-func (m *MachineFlags) AddMeshAlias(fs *flag.FlagSet) {
-	fs.BoolVar(&m.Mesh, "mesh", false, "deprecated: alias for -topology mesh")
-}
-
 // Shape returns the size-independent machine configuration (topology,
 // cost profile, barrier algorithm). Nodes is left zero so sweep tools
 // can stamp it per cell.
@@ -85,9 +76,6 @@ func (m *MachineFlags) Shape() (core.Machine, error) {
 			return mc, err
 		}
 		mc.Topology = t
-	}
-	if m.Mesh && mc.Topology == "" {
-		mc.Topology = core.TopoMesh
 	}
 	if m.MeshDims != "" {
 		rows, cols, err := parseDims(m.MeshDims)

@@ -96,16 +96,16 @@ func (b *base) init(sys *System, self int, co coherence) {
 	b.node = sys.M.Nodes[self]
 	b.self = self
 	b.co = co
-	b.clock = vc.New(sys.Opts.NumProcs)
+	b.clock = vc.New(sys.Opts.Machine.Nodes)
 	b.pt = sys.Tables[self]
-	b.log = make([][]*IntervalRec, sys.Opts.NumProcs)
+	b.log = make([][]*IntervalRec, sys.Opts.Machine.Nodes)
 	b.locks = make(map[int]*lockState)
 	b.lockOwner = make(map[int]int)
 	if self == barrierManager {
-		b.bmgr = newBarrierMgr(sys.Opts.NumProcs)
+		b.bmgr = newBarrierMgr(sys.Opts.Machine.Nodes)
 	}
 	if sys.Opts.Machine.TreeBarrier() {
-		b.tree = newTreeBarrier(self, sys.Opts.Machine.BarrierRadix, sys.Opts.NumProcs)
+		b.tree = newTreeBarrier(self, sys.Opts.Machine.BarrierRadix, sys.Opts.Machine.Nodes)
 	}
 	// Buffer recycling is per node so concurrent lanes never share a free
 	// list. Pool contents are never observable (every consumer overwrites
@@ -113,13 +113,13 @@ func (b *base) init(sys *System, self int, co coherence) {
 	b.memPool = mem.NewPool(sys.Space.PageWords)
 }
 
-func (b *base) costs() *paragon.Costs { return &b.sys.Opts.Costs }
+func (b *base) costs() *paragon.Costs { return &b.sys.Opts.Machine.Costs }
 
 // vecBytes is the protocol-memory charge for one per-page vector. The
 // accounting models the dense reservation (as the paper's prototypes
 // allocate) regardless of the host representation, so memory-triggered GC
 // behaves identically under vc.ForceDense.
-func (b *base) vecBytes() int64 { return int64(4 * b.sys.Opts.NumProcs) }
+func (b *base) vecBytes() int64 { return int64(4 * b.sys.Opts.Machine.Nodes) }
 func (b *base) pool() *mem.Pool { return b.memPool }
 func (b *base) st() *stats.Node { return b.node.Stats }
 func (b *base) app() *sim.Proc  { return b.sys.appProcs[b.self] }
@@ -277,7 +277,7 @@ func (b *base) applyGrant(g grantInfo) {
 // Locks
 
 // lockMgrNode is the node currently serving lock-manager duty for lock:
-// the natural manager (lock % NumProcs) unless a crash promoted one of
+// the natural manager (lock % Machine.Nodes) unless a crash promoted one of
 // its backups (see mgr.go).
 func (b *base) lockMgrNode(lock int) int { return b.sys.lockMgrOf(lock) }
 

@@ -23,7 +23,6 @@ import (
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
-	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/vc"
 )
@@ -92,16 +91,10 @@ func (r *Recovery) Enabled() bool { return r.Replicas > 0 || r.CheckpointEvery >
 // Options configures a run.
 type Options struct {
 	Protocol  Protocol
-	NumProcs  int
 	PageBytes int
-	Costs     paragon.Costs
 
 	// Machine describes the simulated multicomputer: size, topology,
-	// cost profile, and barrier algorithm. It is the preferred way to
-	// configure the machine; the flat NumProcs/Mesh/Costs fields above
-	// remain as a legacy view. Defaults reconciles the two: explicitly
-	// set Machine fields win, unset ones inherit the flat fields, and
-	// the result is mirrored back so both views agree.
+	// cost profile, and barrier algorithm.
 	Machine Machine
 
 	// GCThreshold is the per-node protocol memory (bytes) above which the
@@ -124,10 +117,6 @@ type Options struct {
 	// service were moved to the co-processor") but did not implement.
 	// Ignored for the non-overlapped protocols.
 	OverlapLocks bool
-
-	// Mesh models the Paragon's 2-D wormhole mesh at link granularity
-	// (XY routing, per-link occupancy) instead of the default crossbar.
-	Mesh bool
 
 	// TraceLimit enables protocol event tracing, retaining up to this
 	// many events (negative = unlimited). Zero disables tracing.
@@ -156,25 +145,12 @@ type Options struct {
 	RunWorkers int
 }
 
-// Defaults fills unset fields and reconciles the Machine block with the
-// legacy flat machine fields (NumProcs, Mesh, Costs).
+// Defaults fills unset fields.
 func (o *Options) Defaults() {
 	if o.Protocol == "" {
 		o.Protocol = ProtoHLRC
 	}
-	if o.Machine.Nodes == 0 {
-		o.Machine.Nodes = o.NumProcs
-	}
-	if o.Machine.Topology == "" && o.Mesh {
-		o.Machine.Topology = TopoMesh
-	}
-	if o.Machine.Costs == (paragon.Costs{}) {
-		o.Machine.Costs = o.Costs
-	}
 	o.Machine.Defaults()
-	o.NumProcs = o.Machine.Nodes
-	o.Mesh = o.Machine.Topology == TopoMesh
-	o.Costs = o.Machine.Costs
 	if o.PageBytes == 0 {
 		o.PageBytes = 4096
 	}

@@ -26,14 +26,14 @@ func (a *testApp) Worker(c *Ctx, id int)   { a.worker(c, id) }
 func (a *testApp) Gather(c *Ctx) []float64 { return a.gather(c) }
 
 func testOpts(proto Protocol, p int) Options {
-	return Options{Protocol: proto, NumProcs: p, PageBytes: 512}
+	return Options{Protocol: proto, Machine: Machine{Nodes: p}, PageBytes: 512}
 }
 
 func runOrFail(t *testing.T, opts Options, app App) *Result {
 	t.Helper()
 	res, err := Run(opts, app, false)
 	if err != nil {
-		t.Fatalf("%s/%s/p%d: %v", app.Name(), opts.Protocol, opts.NumProcs, err)
+		t.Fatalf("%s/%s/p%d: %v", app.Name(), opts.Protocol, opts.Machine.Nodes, err)
 	}
 	return res
 }
@@ -117,7 +117,7 @@ func barrierVisApp(words int) *testApp {
 			c.Barrier(1)
 		},
 		gather: func(c *Ctx) []float64 {
-			out := make([]float64, c.NumProcs())
+			out := make([]float64, c.Nodes())
 			for i := range out {
 				out[i] = c.Load(sum + mem.Addr(i))
 			}
@@ -155,13 +155,13 @@ func multiWriterApp() *testApp {
 		worker: func(c *Ctx, id int) {
 			c.Barrier(0)
 			// All procs write disjoint words of the same page concurrently.
-			for i := id; i < 64; i += c.NumProcs() {
+			for i := id; i < 64; i += c.Nodes() {
 				c.Store(addr+mem.Addr(i), float64(100*id+i))
 			}
 			c.Barrier(1)
 			// Every proc must observe every other proc's words.
 			for i := 0; i < 64; i++ {
-				want := float64(100*(i%c.NumProcs()) + i)
+				want := float64(100*(i%c.Nodes()) + i)
 				if got := c.Load(addr + mem.Addr(i)); got != want {
 					panic(fmt.Sprintf("proc %d: word %d = %v, want %v", id, i, got, want))
 				}
@@ -319,7 +319,7 @@ func TestGCPreservesData(t *testing.T) {
 			app.worker = func(c *Ctx, id int) {
 				for round := 0; round < 4; round++ {
 					c.Barrier(2 * round)
-					for i := id; i < words; i += c.NumProcs() {
+					for i := id; i < words; i += c.Nodes() {
 						c.Store(addr+mem.Addr(i), c.Load(addr+mem.Addr(i))+float64(id+1))
 					}
 					c.Barrier(2*round + 1)
@@ -469,7 +469,7 @@ func TestSequentialBaseline(t *testing.T) {
 }
 
 func TestSeqRequiresOneProc(t *testing.T) {
-	_, err := Run(Options{Protocol: ProtoSeq, NumProcs: 2, PageBytes: 512}, counterApp(1), false)
+	_, err := Run(Options{Protocol: ProtoSeq, Machine: Machine{Nodes: 2}, PageBytes: 512}, counterApp(1), false)
 	if err == nil {
 		t.Fatal("seq with 2 procs did not error")
 	}
@@ -486,7 +486,7 @@ func TestEmbarrassinglyParallelSpeedup(t *testing.T) {
 			setup: func(s *Setup) { addr = s.Alloc(64) },
 			init:  func(w *Init) { w.Store(addr, 0) },
 			worker: func(c *Ctx, id int) {
-				n := 100 / c.NumProcs()
+				n := 100 / c.Nodes()
 				for i := 0; i < n; i++ {
 					c.Compute(sim.Millisecond)
 				}
@@ -700,7 +700,7 @@ func TestAURCWriteThroughTraffic(t *testing.T) {
 // contention.
 func TestMeshOptionCorrectness(t *testing.T) {
 	opts := testOpts(ProtoHLRC, 8)
-	opts.Mesh = true
+	opts.Machine.Topology = TopoMesh
 	res := runOrFail(t, opts, multiWriterApp())
 	for i, v := range res.Data {
 		want := float64(100*(i%8) + i)
@@ -720,7 +720,7 @@ func TestMeshOptionCorrectness(t *testing.T) {
 // the page, so the home must park the fetch on the pending list until
 // the diff lands (and must not serve a stale copy).
 func TestOHLRCFetchWaitsForDiff(t *testing.T) {
-	opts := Options{Protocol: ProtoOHLRC, NumProcs: 3, PageBytes: 65536}
+	opts := Options{Protocol: ProtoOHLRC, Machine: Machine{Nodes: 3}, PageBytes: 65536}
 	var addr mem.Addr
 	app := &testApp{
 		name: "pendingfetch",

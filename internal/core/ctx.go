@@ -35,8 +35,8 @@ func newCtx(sys *System, id int, p *sim.Proc) *Ctx {
 // ID returns this processor's index.
 func (c *Ctx) ID() int { return c.id }
 
-// NumProcs returns the machine size.
-func (c *Ctx) NumProcs() int { return c.sys.Opts.NumProcs }
+// Nodes returns the machine size.
+func (c *Ctx) Nodes() int { return c.sys.Opts.Machine.Nodes }
 
 // Now returns the current simulated time.
 func (c *Ctx) Now() sim.Time { return c.proc.Now() }

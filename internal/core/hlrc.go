@@ -145,7 +145,7 @@ func (e *hlrcEngine) dataTarget() paragon.Target {
 func (e *hlrcEngine) seenOf(page int) *vc.Sparse {
 	m := e.pages.at(page)
 	if m.seen == nil {
-		m.seen = vc.NewSparse(e.sys.Opts.NumProcs)
+		m.seen = vc.NewSparse(e.sys.Opts.Machine.Nodes)
 		e.st().MemAlloc(e.vecBytes())
 	}
 	return m.seen
@@ -154,7 +154,7 @@ func (e *hlrcEngine) seenOf(page int) *vc.Sparse {
 func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
 	m := e.pages.at(page)
 	if m.flushVC == nil {
-		m.flushVC = vc.NewSparse(e.sys.Opts.NumProcs)
+		m.flushVC = vc.NewSparse(e.sys.Opts.Machine.Nodes)
 		e.st().MemAlloc(e.vecBytes())
 	}
 	return m.flushVC
@@ -331,7 +331,7 @@ func (e *hlrcEngine) closeCommit() {
 		m := e.pages.at(pg)
 		dep := e.pages.at(pg).seen.Copy() // nil-safe: Copy of nil is nil (all-zero)
 		if dep == nil {
-			dep = vc.NewSparse(e.sys.Opts.NumProcs)
+			dep = vc.NewSparse(e.sys.Opts.Machine.Nodes)
 		}
 		seen := e.seenOf(pg)
 		if e.home(pg) == e.self {

@@ -12,7 +12,7 @@ import (
 // sequential kernel (where worker-count identity is trivial).
 func TestLPParallelGate(t *testing.T) {
 	base := func() Options {
-		o := Options{Protocol: ProtoHLRC, NumProcs: 4, RunWorkers: 4}
+		o := Options{Protocol: ProtoHLRC, Machine: Machine{Nodes: 4}, RunWorkers: 4}
 		o.Defaults()
 		return o
 	}
@@ -21,9 +21,9 @@ func TestLPParallelGate(t *testing.T) {
 	}
 	deny := map[string]func(*Options) bool{
 		"workers=1":  func(o *Options) bool { o.RunWorkers = 1; return lpParallel(o, false) },
-		"one node":   func(o *Options) bool { o.NumProcs = 1; o.Machine.Nodes = 1; return lpParallel(o, false) },
+		"one node":   func(o *Options) bool { o.Machine.Nodes = 1; return lpParallel(o, false) },
 		"seq proto":  func(o *Options) bool { o.Protocol = ProtoSeq; return lpParallel(o, false) },
-		"mesh":       func(o *Options) bool { o.Mesh = true; return lpParallel(o, false) },
+		"mesh":       func(o *Options) bool { o.Machine.Topology = TopoMesh; return lpParallel(o, false) },
 		"faults":     func(o *Options) bool { p, _ := fault.Profile("lossy", 1); o.Fault = p; return lpParallel(o, false) },
 		"recovery":   func(o *Options) bool { o.Recovery.Replicas = 1; return lpParallel(o, false) },
 		"tracing":    func(o *Options) bool { o.TraceLimit = 100; return lpParallel(o, false) },

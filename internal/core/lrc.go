@@ -272,7 +272,7 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 	m := e.pages.at(page)
 	holder := e.holderOf(page)
 	for tries := 0; ; tries++ {
-		if tries > 2*e.sys.Opts.NumProcs {
+		if tries > 2*e.sys.Opts.Machine.Nodes {
 			panic(fmt.Sprintf("core: node %d cannot locate a copy of page %d", e.self, page))
 		}
 		t0 := e.app().Now()
@@ -307,7 +307,7 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 func (e *lrcEngine) ensureAppliedVC(page int) {
 	m := e.pages.at(page)
 	if m.appliedVC == nil {
-		m.appliedVC = vc.NewSparse(e.sys.Opts.NumProcs)
+		m.appliedVC = vc.NewSparse(e.sys.Opts.Machine.Nodes)
 		e.st().MemAlloc(e.vecBytes())
 	}
 }

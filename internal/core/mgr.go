@@ -28,10 +28,10 @@ import (
 // visible to any third node before its mirror is on the wire.
 
 // lockMgrOf returns the node currently holding lock-manager duty for
-// lock: the natural manager (lock % NumProcs) unless a crash promoted a
+// lock: the natural manager (lock % Machine.Nodes) unless a crash promoted a
 // backup.
 func (s *System) lockMgrOf(lock int) int {
-	nat := lock % s.Opts.NumProcs
+	nat := lock % s.Opts.Machine.Nodes
 	if s.syncMgr == nil {
 		return nat
 	}
@@ -178,7 +178,7 @@ func (b *base) deliverAdoptedRelease(node int, g *grantInfo) {
 // by node, in slot order.
 func (s *System) lockSlotsOf(node int) []int {
 	var slots []int
-	for nat := 0; nat < s.Opts.NumProcs; nat++ {
+	for nat := 0; nat < s.Opts.Machine.Nodes; nat++ {
 		if s.lockMgrOf(nat) == node {
 			slots = append(slots, nat)
 		}
@@ -246,7 +246,7 @@ func (s *System) aliveMgrSuccessor(dead int) int {
 func (s *System) failoverManagers(dead int, now sim.Time) {
 	r := s.rec
 	slots := s.lockSlotsOf(dead)
-	barRole := s.bmgrNode() == dead && s.Opts.NumProcs > 1
+	barRole := s.bmgrNode() == dead && s.Opts.Machine.Nodes > 1
 
 	fail := func(role, reason string) {
 		c, _ := r.crashOf(dead, now)
@@ -326,7 +326,7 @@ func (s *System) failoverManagers(dead int, now sim.Time) {
 // reseedReplicas does for adopted pages.
 func (s *System) promoteLockMgr(dead, succ int, slots []int) {
 	if s.syncMgr == nil {
-		s.syncMgr = make([]int, s.Opts.NumProcs)
+		s.syncMgr = make([]int, s.Opts.Machine.Nodes)
 		for i := range s.syncMgr {
 			s.syncMgr[i] = i
 		}
@@ -375,7 +375,7 @@ func (s *System) promoteLockMgr(dead, succ int, slots []int) {
 		}
 	}
 	sb.st().Counts.MgrsRehomed += int64(len(slots))
-	s.M.Nodes[succ].CPU.Steal(s.Opts.Costs.LockHandling * sim.Time(len(slots)))
+	s.M.Nodes[succ].CPU.Steal(s.Opts.Machine.Costs.LockHandling * sim.Time(len(slots)))
 }
 
 // promoteBarrierMgr moves the centralized barrier to succ, re-registering
@@ -389,7 +389,7 @@ func (s *System) promoteBarrierMgr(dead, succ int) {
 	sb := s.engineBase(succ)
 	s.bmNode = succ
 	if sb.bmgr == nil {
-		sb.bmgr = newBarrierMgr(s.Opts.NumProcs)
+		sb.bmgr = newBarrierMgr(s.Opts.Machine.Nodes)
 	}
 	adopted := 0
 	if db.bmgr != nil {
@@ -406,7 +406,7 @@ func (s *System) promoteBarrierMgr(dead, succ int) {
 	}
 	sb.mshadow.barArrived = 0
 	sb.st().Counts.MgrsRehomed++
-	s.M.Nodes[succ].CPU.Steal(s.Opts.Costs.LockHandling * sim.Time(adopted+1))
+	s.M.Nodes[succ].CPU.Steal(s.Opts.Machine.Costs.LockHandling * sim.Time(adopted+1))
 }
 
 // reclaimLocks revokes free lock tokens stranded on the dead node: for

@@ -29,7 +29,7 @@ func runJSON(t *testing.T, opts core.Options, app core.App) (string, []float64) 
 }
 
 func matrixOpts(proto core.Protocol, procs int, profile string, workers int) core.Options {
-	opts := core.Options{Protocol: proto, NumProcs: procs, RunWorkers: workers}
+	opts := core.Options{Protocol: proto, Machine: core.Machine{Nodes: procs}, RunWorkers: workers}
 	opts.Defaults()
 	if profile != "none" {
 		plan, err := fault.Profile(profile, 1)

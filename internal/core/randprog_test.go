@@ -181,7 +181,7 @@ func TestRandomProgramsAllProtocols(t *testing.T) {
 			for _, proto := range protocols {
 				opts := Options{
 					Protocol:  proto,
-					NumProcs:  rp.procs,
+					Machine:   Machine{Nodes: rp.procs},
 					PageBytes: rp.pageSize,
 				}
 				if rng.Intn(2) == 0 {
@@ -223,7 +223,7 @@ func TestRandomProgramsUnderFaults(t *testing.T) {
 				for _, proto := range Protocols {
 					opts := Options{
 						Protocol:  proto,
-						NumProcs:  rp.procs,
+						Machine:   Machine{Nodes: rp.procs},
 						PageBytes: rp.pageSize,
 						Fault:     plan,
 					}

@@ -79,13 +79,13 @@ func (s *System) initRecovery() error {
 	if r.CheckpointEvery > 0 && r.Replicas == 0 {
 		return fmt.Errorf("core: Recovery.CheckpointEvery requires Replicas >= 1")
 	}
-	if r.Replicas >= opts.NumProcs {
-		return fmt.Errorf("core: Recovery.Replicas=%d needs at least %d nodes, have %d",
-			r.Replicas, r.Replicas+1, opts.NumProcs)
+	if r.Replicas >= opts.Machine.Nodes {
+		return fmt.Errorf("core: Recovery.Replicas=%d needs Machine.Nodes >= %d, have %d",
+			r.Replicas, r.Replicas+1, opts.Machine.Nodes)
 	}
 	for _, c := range opts.Fault.Crashes {
-		if c.Node < 0 || c.Node >= opts.NumProcs {
-			return fmt.Errorf("core: crash of node %d outside machine of %d nodes", c.Node, opts.NumProcs)
+		if c.Node < 0 || c.Node >= opts.Machine.Nodes {
+			return fmt.Errorf("core: crash of node %d outside Machine.Nodes=%d", c.Node, opts.Machine.Nodes)
 		}
 		if c.At <= 0 || (!c.Permanent() && c.RestartAt <= c.At) {
 			return fmt.Errorf("core: crash of node %d has invalid schedule [%v, %v)", c.Node, c.At, c.RestartAt)
@@ -105,7 +105,7 @@ func (s *System) initRecovery() error {
 // replicasOf returns the nodes mirroring home h: the next k nodes in
 // home-assignment order.
 func (s *System) replicasOf(h int) []int {
-	n := s.Opts.NumProcs
+	n := s.Opts.Machine.Nodes
 	out := make([]int, 0, s.rec.k)
 	for i := 1; i <= s.rec.k; i++ {
 		out = append(out, (h+i)%n)
@@ -247,7 +247,7 @@ func (s *System) rehomePages(dead int, now sim.Time) {
 		s.homes[pg] = succ
 		ne.adoptPage(pg, de)
 		ne.st().Counts.PagesRehomed++
-		promoteCost += s.Opts.Costs.TwinCost(s.Space.PageBytes())
+		promoteCost += s.Opts.Machine.Costs.TwinCost(s.Space.PageBytes())
 	}
 	// Promotion work competes with whatever the new home was computing.
 	s.M.Nodes[succ].CPU.Steal(promoteCost)
@@ -425,7 +425,7 @@ func (e *hlrcEngine) handleMirror(m paragon.Msg) (sim.Time, func()) {
 
 func (e *hlrcEngine) mirrorVC(mp *mirrorPage) *vc.Sparse {
 	if mp.vc == nil {
-		mp.vc = vc.NewSparse(e.sys.Opts.NumProcs)
+		mp.vc = vc.NewSparse(e.sys.Opts.Machine.Nodes)
 	}
 	return mp.vc
 }
@@ -613,7 +613,7 @@ func (e *hlrcEngine) shipCheckpoint() {
 	for i := range note.Entries {
 		size += 4 + note.Entries[i].VC.WireSize()
 	}
-	for n := 0; n < e.sys.Opts.NumProcs; n++ {
+	for n := 0; n < e.sys.Opts.Machine.Nodes; n++ {
 		if n == e.self {
 			continue
 		}
@@ -675,7 +675,7 @@ func (e *hlrcEngine) broadcastPull(pages []int) {
 		pull.Entries = append(pull.Entries, ckptEntry{Page: pg, VC: f})
 		size += 4 + f.WireSize()
 	}
-	for n := 0; n < e.sys.Opts.NumProcs; n++ {
+	for n := 0; n < e.sys.Opts.Machine.Nodes; n++ {
 		if n == e.self {
 			continue
 		}

@@ -138,14 +138,14 @@ type Result struct {
 // byte-identity at any -run-workers value holds trivially.
 func lpParallel(opts *Options, capturePhases bool) bool {
 	return opts.RunWorkers >= 2 &&
-		opts.NumProcs > 1 &&
+		opts.Machine.Nodes > 1 &&
 		opts.Protocol != ProtoSeq &&
-		!opts.Mesh &&
+		opts.Machine.Topology != TopoMesh &&
 		!opts.Fault.Active() &&
 		!opts.Recovery.Enabled() &&
 		opts.TraceLimit == 0 &&
 		!capturePhases &&
-		opts.Costs.Lookahead() > 0
+		opts.Machine.Costs.Lookahead() > 0
 }
 
 // Run executes app under opts and returns the gathered results and
@@ -155,8 +155,9 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	if err := opts.Machine.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Protocol == ProtoSeq && opts.NumProcs != 1 {
-		return nil, fmt.Errorf("core: sequential runs require NumProcs=1, got %d", opts.NumProcs)
+	n := opts.Machine.Nodes
+	if opts.Protocol == ProtoSeq && n != 1 {
+		return nil, fmt.Errorf("core: sequential runs require Machine.Nodes=1, got %d", n)
 	}
 
 	k := sim.NewKernel()
@@ -165,10 +166,10 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		// inside a conservative window bounded by the minimum cross-node
 		// message latency. Must happen before paragon.New spawns the
 		// dispatcher procs onto their lanes.
-		k.Partition(opts.NumProcs, opts.Costs.Lookahead(), opts.RunWorkers)
+		k.Partition(n, opts.Machine.Costs.Lookahead(), opts.RunWorkers)
 	}
-	machine := paragon.New(k, opts.NumProcs, opts.Costs)
-	if opts.Mesh || opts.Fault.LinkLevel() {
+	machine := paragon.New(k, n, opts.Machine.Costs)
+	if opts.Machine.Topology == TopoMesh || opts.Fault.LinkLevel() {
 		// Link-level faults are defined on mesh links, so they imply the
 		// link-granularity network model.
 		if opts.Machine.MeshRows > 0 {
@@ -206,7 +207,7 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	}
 
 	// Phase 1: allocation.
-	app.Setup(&Setup{Space: space, P: opts.NumProcs})
+	app.Setup(&Setup{Space: space, P: n})
 	npages := space.NumPages()
 	if npages == 0 {
 		return nil, fmt.Errorf("core: app %q allocated no shared memory", app.Name())
@@ -217,20 +218,20 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	sys.staging = make([]float64, npages*space.PageWords)
 	sys.homes = make([]int, npages)
 	for pg := range sys.homes {
-		sys.homes[pg] = pg % opts.NumProcs
+		sys.homes[pg] = pg % n
 	}
-	app.Init(&Init{sys: sys, P: opts.NumProcs})
+	app.Init(&Init{sys: sys, P: n})
 
 	// Phase 3: page tables and engines.
 	// Page tables and protocol state materialize lazily on first touch
 	// (chunked storage, stable entry pointers): at 1024 nodes each node
 	// references only its sliver of the address space, and allocating
 	// n_nodes * n_pages entries eagerly would dominate host memory.
-	sys.Tables = make([]*mem.Table, opts.NumProcs)
+	sys.Tables = make([]*mem.Table, n)
 	for i := range sys.Tables {
 		sys.Tables[i] = mem.NewTable(space)
 	}
-	sys.Engines = make([]Engine, opts.NumProcs)
+	sys.Engines = make([]Engine, n)
 	for i := range sys.Engines {
 		switch opts.Protocol {
 		case ProtoSeq:
@@ -268,9 +269,9 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	var phases []stats.Phase
 	var lastSnap []stats.Node
 	if capturePhases {
-		lastSnap = make([]stats.Node, opts.NumProcs)
+		lastSnap = make([]stats.Node, n)
 		sys.onBarrier = func(episode int) {
-			ph := stats.Phase{Barrier: episode, PerNode: make([]stats.Node, opts.NumProcs)}
+			ph := stats.Phase{Barrier: episode, PerNode: make([]stats.Node, n)}
 			for i, nd := range machine.Nodes {
 				snap := nd.Stats.Snapshot()
 				ph.PerNode[i] = snap.Sub(lastSnap[i])
@@ -281,12 +282,12 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	}
 
 	// Phase 5: run workers.
-	sys.appProcs = make([]*sim.Proc, opts.NumProcs)
-	sys.liveWorkers.Store(int32(opts.NumProcs))
-	perProcEnd := make([]sim.Time, opts.NumProcs)
-	endStats := make([]stats.Node, opts.NumProcs)
+	sys.appProcs = make([]*sim.Proc, n)
+	sys.liveWorkers.Store(int32(n))
+	perProcEnd := make([]sim.Time, n)
+	endStats := make([]stats.Node, n)
 	var gathered []float64
-	for i := 0; i < opts.NumProcs; i++ {
+	for i := 0; i < n; i++ {
 		i := i
 		sys.appProcs[i] = k.SpawnOn(i, fmt.Sprintf("app%d", i), 0, func(p *sim.Proc) {
 			machine.Nodes[i].CPU.Bind(p)

@@ -259,7 +259,7 @@ func (a *tornApp) Gather(c *core.Ctx) []float64 {
 // mechanism DESIGN.md §14's correctness argument rests on.
 func TestSeqlockTornRead(t *testing.T) {
 	app := &tornApp{}
-	res, err := core.Run(core.Options{Protocol: core.ProtoHLRC, NumProcs: 2}, app, false)
+	res, err := core.Run(core.Options{Protocol: core.ProtoHLRC, Machine: core.Machine{Nodes: 2}}, app, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -588,13 +588,13 @@ func (kv *KV) Stats() *stats.ServeStats {
 
 // Run executes the workload under opts, attaches the serve statistics
 // block to the result, and validates the final store contents against
-// the trace. opts.NumProcs must match the procs the workload was built
-// for.
+// the trace. opts.Machine.Nodes must match the procs the workload was
+// built for.
 func Run(opts core.Options, kv *KV) (*core.Result, error) {
 	opts.Defaults()
-	if opts.NumProcs != kv.procs {
+	if opts.Machine.Nodes != kv.procs {
 		return nil, fmt.Errorf("serve: workload built for %d procs, options say %d",
-			kv.procs, opts.NumProcs)
+			kv.procs, opts.Machine.Nodes)
 	}
 	res, err := core.Run(opts, kv, false)
 	if err != nil {

@@ -26,7 +26,7 @@ func runServe(t *testing.T, cfg Config, proto core.Protocol, procs int, opts cor
 		t.Fatal(err)
 	}
 	opts.Protocol = proto
-	opts.NumProcs = procs
+	opts.Machine.Nodes = procs
 	res, err := Run(opts, kv)
 	if err != nil {
 		t.Fatalf("%s/p%d: %v", proto, procs, err)
@@ -261,7 +261,7 @@ func TestProcsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{Protocol: core.ProtoHLRC, NumProcs: 8}
+	opts := core.Options{Protocol: core.ProtoHLRC, Machine: core.Machine{Nodes: 8}}
 	if _, err := Run(opts, kv); err == nil {
 		t.Error("Run accepted a procs mismatch")
 	}

@@ -6,87 +6,84 @@ import (
 	"testing"
 )
 
+// mix is the splitmix64 finalizer over an event's identity. Deriving each
+// hop's destination and delay from (trial, origin lane, hop) rather than
+// from a shared generator keeps the workload a pure function of the
+// events themselves: lanes run concurrently, so draw order would not be.
+func mix(trial, origin, hop int) uint64 {
+	z := uint64(trial)<<32 ^ uint64(origin)<<16 ^ uint64(hop)
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
 // TestWindowMergeOrder is the property test for the windowed scheduler's
 // merge step: for random workloads of cross-lane posts, every lane
-// executes its events in nondecreasing (time, creator rank, creation
-// index) order — the deterministic merge order — no matter how the
-// handoffs interleave across windows, and the execution is identical at
-// 1 worker and many.
+// executes its events in nondecreasing time order and in the same
+// (time, creator rank, creation index) merge order no matter how the
+// handoffs interleave across windows — the per-lane execution log is
+// identical at 1 worker and many.
 func TestWindowMergeOrder(t *testing.T) {
 	const lanes = 5
+	const hops = 12
 	const lookahead = Time(40)
+	// step is one executed event: which chain it belongs to, how far
+	// along, and when its lane ran it.
+	type step struct {
+		origin, hop int
+		at          Time
+	}
 	for trial := 0; trial < 20; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			exec := func(workers int) []string {
-				var order []string
-				lastKey := make([]event, lanes)
+			exec := func(workers int) [][]step {
+				// One log per lane: a lane's events run on one worker at a
+				// time, so each slice has a single writer.
+				logs := make([][]step, lanes)
 				k := NewKernel()
 				k.Partition(lanes, lookahead, workers)
-				rng := rand.New(rand.NewSource(int64(trial) + 1))
-				// Seed each lane with a chain of events that randomly post
-				// forward in time to other lanes, always >= lookahead ahead.
-				var chain func(self int, hops int) func()
-				chain = func(self int, hops int) func() {
+				// Each lane starts a chain of events that hop pseudo-randomly
+				// to other lanes, always >= lookahead ahead in time.
+				var chain func(origin, self, hop int) func()
+				chain = func(origin, self, hop int) func() {
 					return func() {
-						l := k.lanes[self]
-						ev := l.events // popped already; inspect executed head via now
-						_ = ev
-						order = append(order, fmt.Sprintf("l%d@%d", self, l.now))
-						// Ordering property within the lane: the key of the
-						// event being executed must not precede the previous
-						// one. We reconstruct it from lane state: at = now.
-						cur := event{at: l.now}
-						if cur.at < lastKey[self].at {
-							t.Errorf("lane %d time went backwards: %d after %d", self, cur.at, lastKey[self].at)
-						}
-						lastKey[self] = cur
-						if hops == 0 {
+						now := k.LaneNow(self)
+						logs[self] = append(logs[self], step{origin, hop, now})
+						if hop == hops {
 							return
 						}
-						dst := rng.Intn(lanes)
-						delay := lookahead + Time(rng.Intn(60))
-						k.Post(self, dst, l.now+delay, chain(dst, hops-1))
+						r := mix(trial, origin, hop)
+						dst := int(r % lanes)
+						delay := lookahead + Time(r>>8%60)
+						k.Post(self, dst, now+delay, chain(origin, dst, hop+1))
 					}
 				}
 				for i := 0; i < lanes; i++ {
-					at := Time(rng.Intn(30))
 					// Setup-style seeding: rank -1 creators with kernel-wide
 					// creation indices, exactly what schedule stamps pre-Run.
-					k.lanes[i].push(event{at: at, prank: -1, cidx: int64(i), kind: evFn,
-						fn: chain(i, 12)})
+					k.lanes[i].push(event{at: Time(mix(trial, i, hops+1) % 30), prank: -1,
+						cidx: int64(i), kind: evFn, fn: chain(i, i, 0)})
 				}
 				if err := k.Run(); err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				return order
+				return logs
 			}
-			seqOrder := exec(1)
-			parOrder := exec(4)
-			if len(seqOrder) != len(parOrder) {
-				t.Fatalf("executed %d events at 1 worker, %d at 4", len(seqOrder), len(parOrder))
-			}
+			seq, par := exec(1), exec(4)
 			// Workers only change host-thread placement: each lane's own
-			// subsequence must be identical. (The interleaving across lanes
-			// in the flat trace may differ; per-lane projections may not.)
-			proj := func(order []string, lane int) []string {
-				var p []string
-				prefix := fmt.Sprintf("l%d@", lane)
-				for _, s := range order {
-					if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-						p = append(p, s)
-					}
-				}
-				return p
-			}
+			// execution sequence must be identical.
 			for l := 0; l < lanes; l++ {
-				a, b := proj(seqOrder, l), proj(parOrder, l)
+				a, b := seq[l], par[l]
 				if len(a) != len(b) {
 					t.Fatalf("lane %d: %d events at 1 worker, %d at 4", l, len(a), len(b))
 				}
 				for i := range a {
 					if a[i] != b[i] {
-						t.Fatalf("lane %d event %d: %q at 1 worker, %q at 4", l, i, a[i], b[i])
+						t.Fatalf("lane %d event %d: %+v at 1 worker, %+v at 4", l, i, a[i], b[i])
+					}
+					if i > 0 && b[i].at < b[i-1].at {
+						t.Errorf("lane %d time went backwards: %d after %d", l, b[i].at, b[i-1].at)
 					}
 				}
 			}
