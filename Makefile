@@ -17,6 +17,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet .
 
 # fmt fails if any file needs reformatting (same gate as CI).
 fmt:

@@ -159,7 +159,7 @@ const (
 // Structured errors. Use errors.As to detect them under the wrapping
 // applied by Run.
 type (
-	// DeadlockError reports a simulation deadlock: every non-daemon
+	// DeadlockError reports a simulation deadlock: every unfinished
 	// process is blocked. Its Blocked field lists who waits on what.
 	DeadlockError = sim.DeadlockError
 	// HangError wraps a DeadlockError when fault injection permanently

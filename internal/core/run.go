@@ -161,11 +161,13 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	}
 
 	k := sim.NewKernel()
+	// One exit for the success, error and panic paths alike: whatever
+	// procs are still parked when Run leaves are unwound, not leaked.
+	defer k.Shutdown()
 	if lpParallel(&opts, capturePhases) {
 		// One lane per node: each node's dispatchers and worker advance
 		// inside a conservative window bounded by the minimum cross-node
-		// message latency. Must happen before paragon.New spawns the
-		// dispatcher procs onto their lanes.
+		// message latency. Must happen before anything is scheduled.
 		k.Partition(n, opts.Machine.Costs.Lookahead(), opts.RunWorkers)
 	}
 	machine := paragon.New(k, n, opts.Machine.Costs)
@@ -311,7 +313,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		err = sys.fatal
 	}
 	if err != nil {
-		k.Shutdown()
 		if inj != nil && sys.fatal == nil {
 			// Attribute the hang to any permanently lost messages before
 			// surfacing it.
@@ -319,7 +320,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		}
 		return nil, fmt.Errorf("core: %s/%s: %w", app.Name(), opts.Protocol, err)
 	}
-	k.Shutdown()
 
 	var elapsed sim.Time
 	for _, t := range perProcEnd {

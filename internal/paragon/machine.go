@@ -49,23 +49,17 @@ type Machine struct {
 	OnSuspect func(dead, reporter int)
 }
 
-// New builds an n-node machine on kernel k and starts the per-node
-// dispatcher daemons.
+// New builds an n-node machine on kernel k. It spawns no procs: each
+// node's two dispatchers are event callbacks on the node's lane.
 func New(k *sim.Kernel, n int, costs Costs) *Machine {
 	m := &Machine{K: k, Costs: costs}
 	for i := 0; i < n; i++ {
-		nd := &Node{
-			ID:       i,
-			M:        m,
-			Stats:    &stats.Node{},
-			computeQ: sim.NewChan[Msg](fmt.Sprintf("n%d.compute", i)),
-			coprocQ:  sim.NewChan[Msg](fmt.Sprintf("n%d.coproc", i)),
-		}
+		nd := &Node{ID: i, M: m, Stats: &stats.Node{}}
 		nd.crashReason = fmt.Sprintf("n%d crashed", i)
-		nd.coprocCrashReason = fmt.Sprintf("n%d coproc crashed", i)
 		nd.CPU = &CPU{node: nd}
+		nd.compute.init(nd, true)
+		nd.coproc.init(nd, false)
 		m.Nodes = append(m.Nodes, nd)
-		nd.startDispatchers()
 	}
 	// Per-source rows materialize on first ordered send (see sendTime):
 	// most (src,dst) pairs never communicate at scale.
@@ -151,63 +145,86 @@ type Node struct {
 	CPU   *CPU
 	Stats *stats.Node
 
-	computeQ *sim.Chan[Msg]
-	coprocQ  *sim.Chan[Msg]
-	computeH Handler
-	coprocH  Handler
+	compute dispatcher // requests serviced under a receive interrupt
+	coproc  dispatcher // the co-processor's polling dispatch loop
 
-	// crashReason is prebuilt: crashed procs park in a loop and must not
-	// allocate a fresh reason string per wakeup.
-	crashReason       string
-	coprocCrashReason string
+	// crashReason is prebuilt: a crashed application proc parks in a loop
+	// and must not allocate a fresh reason string per wakeup.
+	crashReason string
 }
 
 // InstallCompute sets the handler for messages targeted at the compute
 // processor (serviced under a receive interrupt).
-func (n *Node) InstallCompute(h Handler) { n.computeH = h }
+func (n *Node) InstallCompute(h Handler) { n.compute.h = h }
 
 // InstallCoproc sets the handler run by the co-processor dispatch loop.
-func (n *Node) InstallCoproc(h Handler) { n.coprocH = h }
+func (n *Node) InstallCoproc(h Handler) { n.coproc.h = h }
 
-func (n *Node) startDispatchers() {
-	k := n.M.K
-	k.SpawnOn(n.ID, fmt.Sprintf("n%d.intr", n.ID), 0, func(p *sim.Proc) {
-		for {
-			m := n.computeQ.Recv(p)
-			work, effect := n.computeH(m)
-			service := n.M.scale(n.ID, n.M.Costs.ReceiveInterrupt+work)
-			// A crash freezes the processor mid-service: the work resumes
-			// after the restart (its effect — already-acknowledged state —
-			// still applies), or never on a permanent failure.
-			service, dead := n.M.outage(n.ID, service)
-			for dead {
-				p.Park(n.crashReason)
-			}
+// dispatcher serializes one processor's request service: pop a message,
+// call the handler, hold the processor for the service time, apply the
+// effect, repeat. A handler never blocks mid-service, so the loop needs no
+// proc of its own; it runs to completion inside two events on the node's
+// lane — serve when a push finds it idle, complete one service time later —
+// created exactly where a dispatcher proc's unpark and sleep wake-ups
+// would be, which keeps the event order of such a proc bit for bit.
+type dispatcher struct {
+	n      *Node
+	h      Handler
+	intr   bool // compute processor: pay the receive interrupt, steal from the app
+	queue  sim.Chan[Msg]
+	busy   bool   // a serve or complete event is pending, or the node died mid-service
+	effect func() // of the message in service
+	// serve and complete are built once so posting them allocates nothing.
+	serve, complete func()
+}
+
+func (d *dispatcher) init(n *Node, intr bool) {
+	d.n, d.intr = n, intr
+	d.serve = func() {
+		msg, _ := d.queue.TryRecv()
+		work, effect := d.h(msg)
+		if d.intr {
+			work += n.M.Costs.ReceiveInterrupt
+		}
+		// A crash freezes the processor mid-service: the work resumes
+		// after the restart (its effect — already-acknowledged state —
+		// still applies), or never on a permanent failure, which leaves
+		// the dispatcher busy forever and later messages queued.
+		service, dead := n.M.outage(n.ID, n.M.scale(n.ID, work))
+		if dead {
+			return
+		}
+		if d.intr {
 			// The interrupt runs on the compute processor: it both
-			// occupies this service loop (serializing back-to-back
-			// requests into hot spots) and steals the time from whatever
-			// the application was doing.
+			// occupies this dispatcher (serializing back-to-back requests
+			// into hot spots) and steals the time from whatever the
+			// application was doing.
 			n.CPU.Steal(service)
-			p.Sleep(service)
-			if effect != nil {
-				effect()
-			}
 		}
-	}).SetDaemon()
-	k.SpawnOn(n.ID, fmt.Sprintf("n%d.coproc", n.ID), 0, func(p *sim.Proc) {
-		for {
-			m := n.coprocQ.Recv(p)
-			work, effect := n.coprocH(m)
-			service, dead := n.M.outage(n.ID, n.M.scale(n.ID, work))
-			for dead {
-				p.Park(n.coprocCrashReason)
-			}
-			p.Sleep(service)
-			if effect != nil {
-				effect()
-			}
+		d.effect = effect
+		n.M.K.Post(n.ID, n.ID, n.M.K.LaneNow(n.ID)+service, d.complete)
+	}
+	d.complete = func() {
+		if effect := d.effect; effect != nil {
+			d.effect = nil
+			effect()
 		}
-	}).SetDaemon()
+		if d.queue.Len() > 0 {
+			d.serve()
+		} else {
+			d.busy = false
+		}
+	}
+}
+
+// push queues msg and, if the processor is idle, wakes it at the current
+// instant.
+func (d *dispatcher) push(msg Msg) {
+	d.queue.Push(msg)
+	if !d.busy {
+		d.busy = true
+		d.n.M.K.Post(d.n.ID, d.n.ID, d.n.M.K.LaneNow(d.n.ID), d.serve)
+	}
 }
 
 // arrivalTime computes when a payload of size bytes sent now arrives at
@@ -252,9 +269,9 @@ func (n *Node) enqueue(msg Msg) {
 	n.Stats.MsgsIn++
 	switch msg.Target {
 	case ToCompute:
-		n.computeQ.Push(msg)
+		n.compute.push(msg)
 	case ToCoproc:
-		n.coprocQ.Push(msg)
+		n.coproc.push(msg)
 	}
 }
 
@@ -313,14 +330,14 @@ func (n *Node) Respond(req Msg, resp Msg) {
 func (n *Node) PostCoproc(p *sim.Proc, msg Msg) {
 	msg.From = n.ID
 	n.CPU.Use(p, n.M.Costs.CoprocPost, stats.CatProtocol)
-	n.coprocQ.Push(msg)
+	n.coproc.push(msg)
 }
 
 // InjectCoproc queues a message on the local co-processor from a handler
 // effect (no proc context to charge).
 func (n *Node) InjectCoproc(msg Msg) {
 	msg.From = n.ID
-	n.coprocQ.Push(msg)
+	n.coproc.push(msg)
 }
 
 // CPU models the compute processor as seen by the application process:

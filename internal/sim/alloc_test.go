@@ -7,7 +7,7 @@ import "testing"
 // reasons are stored unformatted. These tests run thousands of operations
 // inside one AllocsPerRun body and bound the total, so per-op allocation
 // regressions (a closure, a Sprintf, event boxing) fail loudly while
-// one-time setup (goroutine, channels, heap growth) stays within budget.
+// one-time setup (coroutine, queue and heap growth) stays within budget.
 
 const allocIters = 10000
 
@@ -77,6 +77,34 @@ func TestParkUnparkAllocFree(t *testing.T) {
 	})
 	if allocs > allocBudget {
 		t.Errorf("%d park/unpark handshakes cost %.0f allocs, want < %.0f total (0 per op)",
+			allocIters, allocs, allocBudget)
+	}
+}
+
+// A Chan in its steady state — pushed to, received from, drained — keeps
+// its backing arrays: neither the value queue nor the waiter list may
+// reallocate once per message.
+func TestChanPushRecvAllocFree(t *testing.T) {
+	allocs := testing.AllocsPerRun(1, func() {
+		k := NewKernel()
+		c := NewChan[[4]int64]("c")
+		k.Spawn("recv", 0, func(p *Proc) {
+			for i := 0; i < allocIters; i++ {
+				c.Recv(p)
+			}
+		})
+		k.Spawn("send", 0, func(p *Proc) {
+			for i := 0; i < allocIters; i++ {
+				c.Push([4]int64{int64(i)})
+				p.Sleep(1) // the receiver drains the queue and blocks again
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs > allocBudget {
+		t.Errorf("%d Push/Recv pairs cost %.0f allocs, want < %.0f total (0 per op)",
 			allocIters, allocs, allocBudget)
 	}
 }

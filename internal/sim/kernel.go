@@ -2,7 +2,7 @@
 // simulation kernel.
 //
 // A Kernel owns a virtual clock and an event queue. Simulated processes
-// (Proc) are goroutines that run one at a time under the kernel's control:
+// (Proc) are coroutines that run one at a time under the kernel's control:
 // a process runs until it blocks on a kernel primitive (Sleep, Park, or a
 // Chan receive), at which point control returns to the scheduler. Events
 // with equal timestamps fire in the order they were scheduled, so a given
@@ -367,7 +367,7 @@ func (k *Kernel) Run() error {
 func (k *Kernel) drainCheck(at Time) error {
 	var blocked []string
 	for _, p := range k.procs {
-		if !p.done && p.started && !p.daemon {
+		if !p.done && p.started {
 			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.blockedDesc()))
 		}
 	}

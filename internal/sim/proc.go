@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -16,10 +19,18 @@ const noArg int64 = -1 << 63
 // duration and is rendered as "sleep(<duration>)" in deadlock reports.
 const sleepReason = "sleep"
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with other processes under kernel control. Exactly one proc (or event
 // callback) executes at a time, so proc code needs no locking and the
 // whole simulation is deterministic.
+//
+// The coroutine is an iter.Pull: resuming and parking a proc hands the OS
+// thread straight from one goroutine to the other (runtime.coroswitch) —
+// no run queue, no idle-thread wake-up — and carries the race detector's
+// happens-before edge, so a proc may be resumed by a different window
+// worker each window. iter.Pull is why this file needs Go 1.23 (the build
+// tag raises its language version; go.mod stays at the line benchmark/
+// shares).
 //
 // All Proc methods must be called from the proc's own goroutine, except
 // Unpark, which is called from another proc or an event callback.
@@ -29,14 +40,13 @@ type Proc struct {
 	id   int   // spawn index, stable across runs; orders deadlock reports
 	name string
 
-	resume  chan struct{} // scheduler -> proc: run
-	yielded chan struct{} // proc -> scheduler: parked or done
+	next func() (struct{}, bool) // scheduler -> proc: run until it parks or returns
+	park func(struct{}) bool     // proc -> scheduler: parked; false means Shutdown
+	stop func()                  // unwinds a parked proc, discards an unstarted one
 
-	started  bool
-	done     bool
-	daemon   bool
-	permit   bool // an Unpark arrived while the proc was runnable
-	poisoned bool // Shutdown requested; unwind on next resume
+	started bool
+	done    bool
+	permit  bool // an Unpark arrived while the proc was runnable
 
 	// Block reasons are stored unformatted — a static kind string plus an
 	// optional numeric argument — and rendered only when a deadlock report
@@ -67,13 +77,11 @@ func (k *Kernel) SpawnOn(laneIdx int, name string, at Time, fn func(p *Proc)) *P
 		ln:         k.laneFor(laneIdx),
 		id:         len(k.procs),
 		name:       name,
-		resume:     make(chan struct{}),
-		yielded:    make(chan struct{}),
 		blockedArg: noArg,
 	}
 	k.procs = append(k.procs, p)
-	go func() {
-		<-p.resume
+	p.next, p.stop = iter.Pull(func(park func(struct{}) bool) {
+		p.park = park
 		defer func() {
 			if r := recover(); r != nil {
 				if _, killed := r.(procKilled); !killed {
@@ -83,12 +91,9 @@ func (k *Kernel) SpawnOn(laneIdx int, name string, at Time, fn func(p *Proc)) *P
 				}
 			}
 			p.done = true
-			p.yielded <- struct{}{}
 		}()
-		if !p.poisoned {
-			fn(p)
-		}
-	}()
+		fn(p)
+	})
 	k.atRun(at, p)
 	return p
 }
@@ -104,10 +109,6 @@ func (p *Proc) Now() Time { return p.ln.now }
 
 // Done reports whether the proc body has returned.
 func (p *Proc) Done() bool { return p.done }
-
-// SetDaemon marks the proc as a service loop: it is expected to be
-// blocked when the simulation ends and is excluded from deadlock reports.
-func (p *Proc) SetDaemon() *Proc { p.daemon = true; return p }
 
 // blockedDesc formats the block reason for a deadlock report.
 func (p *Proc) blockedDesc() string {
@@ -129,8 +130,7 @@ func (p *Proc) run() {
 	}
 	p.started = true
 	p.ln.current = p
-	p.resume <- struct{}{}
-	<-p.yielded
+	p.next()
 	p.ln.current = nil
 	if p.panicked != nil {
 		r := p.panicked
@@ -144,9 +144,7 @@ func (p *Proc) run() {
 func (p *Proc) yield(reason string, arg int64) {
 	p.blockedOn = reason
 	p.blockedArg = arg
-	p.yielded <- struct{}{}
-	<-p.resume
-	if p.poisoned {
+	if !p.park(struct{}{}) {
 		panic(procKilled{})
 	}
 	p.blockedOn = ""
@@ -203,20 +201,14 @@ func (p *Proc) Unpark() {
 }
 
 // Shutdown unwinds every live process so their goroutines exit. Call after
-// Run returns (normally or with a deadlock) when the kernel is no longer
-// needed; the kernel must not be used afterwards.
+// Run returns (normally, with a deadlock, or by panicking) when the kernel
+// is no longer needed; the kernel must not be used afterwards. Calling it
+// again is a no-op.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
-		if p.done {
-			continue
+		if !p.done {
+			p.stop()
+			p.done = true // the body of a never-started proc never ran
 		}
-		p.poisoned = true
-		if !p.started {
-			// The goroutine is still waiting for its first resume; wake it
-			// so the poisoned check runs and the wrapper exits.
-			p.started = true
-		}
-		p.resume <- struct{}{}
-		<-p.yielded
 	}
 }
