@@ -30,7 +30,6 @@ func main() {
 		gcThr    = flag.Int64("gc-threshold", 8<<20, "homeless GC trigger, bytes of protocol memory per node")
 		noSeq    = flag.Bool("noseq", false, "skip the sequential baseline run")
 		replicas = flag.Int("replicas", 0, "home-state replicas per home (required to survive crashes; hlrc/ohlrc only)")
-		ckpt     = flag.Duration("ckpt", 0, "checkpoint period in simulated time (0 = eager mirroring; requires -replicas)")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON statistics instead of text")
 		parallel = cliflags.AddParallel(flag.CommandLine)
 		runWkrs  = cliflags.AddRunWorkers(flag.CommandLine)
@@ -68,7 +67,6 @@ func main() {
 		gosvm.WithGCThreshold(*gcThr),
 		gosvm.WithFaults(plan),
 		gosvm.WithReplication(*replicas),
-		gosvm.WithCheckpointEvery(gosvm.Time(ckpt.Nanoseconds())),
 		gosvm.WithRunWorkers(*runWkrs),
 	)
 	workers := *parallel

@@ -128,9 +128,9 @@ type (
 	Crash = fault.Crash
 	// Recovery configures home-state replication and re-homing for the
 	// home-based protocols (see Options.Recovery, WithReplication). The
-	// same backups also shadow each node's synchronization-manager state
-	// (lock-owner tables, barrier arrivals), so manager roles fail over
-	// with the pages.
+	// same backups are also sent each node's synchronization-manager
+	// updates (lock-owner tables, barrier arrivals), so manager roles
+	// fail over with the pages.
 	Recovery = core.Recovery
 	// ServeConfig parameterizes the open-loop request-serving workload:
 	// key-value store shape (keys, shards, op mix, Zipf skew), arrival
@@ -299,21 +299,14 @@ func WithFaults(p FaultPlan) Option { return func(o *Options) { o.Fault = p } }
 
 // WithReplication mirrors each home's page state onto its k successor
 // nodes so a crashed home's pages can be re-homed (home-based protocols
-// only). The same backups shadow the node's synchronization-manager
-// state, so its lock-manager and barrier-manager roles fail over too:
+// only). The same backups are sent the node's synchronization-manager
+// updates, so its lock-manager and barrier-manager roles fail over too:
 // the lowest-id live backup is promoted, stranded free lock tokens are
 // reclaimed, and in-flight synchronization traffic is redirected.
 // Without replication, a permanent crash of a node whose pages or
 // manager roles are in use is fatal.
 func WithReplication(k int) Option {
 	return func(o *Options) { o.Recovery.Replicas = k }
-}
-
-// WithCheckpointEvery switches replication from eager diff mirroring to
-// periodic checkpointing every d of simulated time (requires
-// WithReplication).
-func WithCheckpointEvery(d Time) Option {
-	return func(o *Options) { o.Recovery.CheckpointEvery = d }
 }
 
 // WithRunWorkers sets the number of host threads driving one simulation

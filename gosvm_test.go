@@ -57,7 +57,6 @@ func TestNewOptionsFunctional(t *testing.T) {
 		gosvm.WithGCThreshold(1<<20),
 		gosvm.WithFaults(plan),
 		gosvm.WithReplication(2),
-		gosvm.WithCheckpointEvery(gosvm.Millisecond),
 	)
 	if opts.Protocol != gosvm.HLRC || opts.Machine.Nodes != 8 || opts.PageBytes != 2048 {
 		t.Fatalf("basic options not applied: %+v", opts)
@@ -68,7 +67,7 @@ func TestNewOptionsFunctional(t *testing.T) {
 	if opts.Fault.Drop == 0 || opts.Fault.Seed != 3 {
 		t.Fatalf("fault plan not applied: %+v", opts.Fault)
 	}
-	if opts.Recovery.Replicas != 2 || opts.Recovery.CheckpointEvery != gosvm.Millisecond {
+	if opts.Recovery.Replicas != 2 {
 		t.Fatalf("recovery options not applied: %+v", opts.Recovery)
 	}
 }

@@ -9,68 +9,125 @@ import (
 	"gosvm/internal/sim"
 )
 
-// SOR and LU must validate against the sequential reference under the
-// lossy and hostile fault profiles for all four protocols — the
-// acceptance bar for the reliability layer on real workloads.
-// SOR and LU must also survive a mid-run home crash under the
-// home-based protocols when replication is on: node 1's pages are
-// re-homed and the results still match the sequential reference
-// bitwise. The crash times are derived from the fault-free run so one
-// lands mid-interval (during a compute phase) and one right around the
-// barrier crunch, wherever the app's phase boundaries fall.
+// knownCrashFailures lists the crash-matrix cells that do not yet
+// recover correctly (DESIGN.md §8, "Known failures"): recovery of
+// lock-based applications at 8 nodes or 2 replicas returns wrong water
+// results or deadlocks in these cells. They are skipped, not fixed here;
+// a name that no longer matches a cell fails the test.
+var knownCrashFailures = map[string]bool{
+	"water-nsq/hlrc/n4/k2/node1@1/3":  true,
+	"water-nsq/hlrc/n8/k1/node0@1/3":  true,
+	"water-nsq/hlrc/n8/k1/node6@1/5":  true,
+	"water-nsq/hlrc/n8/k2/node0@1/5":  true,
+	"water-nsq/hlrc/n8/k2/node1@1/5":  true,
+	"water-nsq/hlrc/n8/k2/node6@1/5":  true,
+	"water-nsq/ohlrc/n4/k2/node2@1/3": true,
+	"water-nsq/ohlrc/n8/k1/node7@1/5": true,
+	"water-nsq/ohlrc/n8/k1/node7@1/3": true,
+	"water-nsq/ohlrc/n8/k2/node6@1/5": true,
+	"water-nsq/ohlrc/n8/k2/node7@1/5": true, // DeadlockError
+	"water-sp/hlrc/n8/k1/node0@1/5":   true,
+	"water-sp/hlrc/n8/k2/node0@1/5":   true,
+	"water-sp/ohlrc/n8/k1/node0@1/5":  true,
+	"water-sp/ohlrc/n8/k2/node0@1/5":  true,
+	"water-sp/ohlrc/n8/k2/node0@1/3":  true, // DeadlockError
+	"water-sp/ohlrc/n8/k2/node7@1/3":  true,
+}
+
+// crashRun runs app on n nodes with k replicas per home while victim is
+// down for 5 ms from at.
+func crashRun(app core.App, proto core.Protocol, n, k, victim int, at sim.Time) (*core.Result, error) {
+	return core.Run(core.Options{
+		Protocol:  proto,
+		Machine:   core.Machine{Nodes: n},
+		PageBytes: 1024,
+		Fault: fault.Plan{
+			Seed: 1,
+			// Short RTO: suspicion (3 attempts) fires well inside the
+			// outage. The outage stays shorter than the retry layer's
+			// give-up horizon so traffic still chasing the restarting
+			// node (e.g. a pinned held lock token) survives it.
+			RTO:     100 * sim.Microsecond,
+			Crashes: []fault.Crash{{Node: victim, At: at, RestartAt: at + 5*sim.Millisecond}},
+		},
+		Recovery: core.Recovery{Replicas: k},
+	}, app, false)
+}
+
+// Every application must survive a mid-run crash of a node that homes
+// pages (and manages locks and, for node 0, the barrier) under the
+// home-based protocols when replication is on: the victim's roles move
+// to a backup and the result still matches the sequential reference —
+// bitwise, or to 1e-9 for the two water codes, whose lock-ordered
+// floating-point sums legitimately reassociate. The crash times are
+// fractions of the fault-free run, so they land wherever that app's
+// compute phases, lock traffic and barrier crunches fall.
 func TestAppsSurviveHomeCrash(t *testing.T) {
 	apps := []struct {
 		name string
+		tol  float64
 		mk   func() core.App
 	}{
-		{"sor", func() core.App { return NewSOR(SizeTest, false) }},
-		{"lu", func() core.App { return NewLU(SizeTest) }},
+		{"sor", 0, func() core.App { return NewSOR(SizeTest, false) }},
+		{"lu", 0, func() core.App { return NewLU(SizeTest) }},
+		{"raytrace", 0, func() core.App { return NewRaytrace(SizeTest) }},
+		{"water-nsq", 1e-9, func() core.App { return NewWaterNsq(SizeTest) }},
+		{"water-sp", 1e-9, func() core.App { return NewWaterSp(SizeTest) }},
 	}
+	fractions := []struct {
+		label    string
+		num, den sim.Time
+	}{{"1/5", 1, 5}, {"1/3", 1, 3}, {"1/2", 1, 2}, {"2/3", 2, 3}}
+	// The eight cells this test ran before it grew into a matrix keep
+	// their subtest names, and the assertion that a crash costs time.
+	legacy := map[string]string{"1/3": "mid-interval", "2/3": "at-barrier"}
+
+	cells := make(map[string]bool)
 	for _, a := range apps {
 		seq := seqRun(t, a.mk())
 		for _, proto := range []core.Protocol{core.ProtoHLRC, core.ProtoOHLRC} {
-			free := parRun(t, a.mk(), proto, 4)
-			elapsed := free.Stats.Elapsed
-			for label, at := range map[string]sim.Time{
-				"mid-interval": elapsed / 3,
-				"at-barrier":   2 * elapsed / 3,
-			} {
-				a, proto, label, at := a, proto, label, at
-				t.Run(fmt.Sprintf("%s/%s/%s", a.name, proto, label), func(t *testing.T) {
-					opts := core.Options{
-						Protocol:  proto,
-						Machine:   core.Machine{Nodes: 4},
-						PageBytes: 1024,
-						Fault: fault.Plan{
-							Seed: 1,
-							// Short RTO: suspicion (3 attempts) fires well
-							// inside the outage. The outage stays shorter
-							// than the retry layer's give-up horizon so
-							// traffic still chasing the restarting node
-							// (e.g. a pinned held lock token) survives it.
-							RTO: 100 * sim.Microsecond,
-							Crashes: []fault.Crash{
-								{Node: 1, At: at, RestartAt: at + 5*sim.Millisecond},
-							},
-						},
-						Recovery: core.Recovery{Replicas: 1},
+			for _, n := range []int{4, 8} {
+				elapsed := parRun(t, a.mk(), proto, n).Stats.Elapsed
+				for _, k := range []int{1, 2} {
+					for _, victim := range []int{0, 1, n - 2, n - 1} {
+						for _, f := range fractions {
+							at := elapsed * f.num / f.den
+							name := fmt.Sprintf("%s/%s/n%d/k%d/node%d@%s", a.name, proto, n, k, victim, f.label)
+							old := (a.name == "sor" || a.name == "lu") && n == 4 && k == 1 && victim == 1 && legacy[f.label] != ""
+							if old {
+								name = fmt.Sprintf("%s/%s/%s", a.name, proto, legacy[f.label])
+							}
+							cells[name] = true
+							t.Run(name, func(t *testing.T) {
+								if knownCrashFailures[name] {
+									t.Skip("known recovery failure, see DESIGN.md §8")
+								}
+								res, err := crashRun(a.mk(), proto, n, k, victim, at)
+								if err != nil {
+									t.Fatal(err)
+								}
+								checkMatch(t, name, seq.Data, res.Data, a.tol)
+								if old && res.Stats.Elapsed <= elapsed {
+									t.Fatalf("crash run finished in %v, not slower than fault-free %v",
+										res.Stats.Elapsed, elapsed)
+								}
+							})
+						}
 					}
-					res, err := core.Run(opts, a.mk(), false)
-					if err != nil {
-						t.Fatalf("%s/%s/%s: %v", a.name, proto, label, err)
-					}
-					checkMatch(t, fmt.Sprintf("%s/%s/%s", a.name, proto, label),
-						seq.Data, res.Data, 0)
-					if res.Stats.Elapsed <= elapsed {
-						t.Fatalf("crash run finished in %v, not slower than fault-free %v",
-							res.Stats.Elapsed, elapsed)
-					}
-				})
+				}
 			}
+		}
+	}
+	for name := range knownCrashFailures {
+		if !cells[name] {
+			t.Errorf("knownCrashFailures names %q, which is not a cell of the matrix", name)
 		}
 	}
 }
 
+// SOR and LU must validate against the sequential reference under the
+// lossy and hostile fault profiles for all four protocols — the
+// acceptance bar for the reliability layer on real workloads.
 func TestAppsUnderFaultProfiles(t *testing.T) {
 	apps := []struct {
 		name string

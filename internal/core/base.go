@@ -65,11 +65,6 @@ type base struct {
 
 	bmgr *barrierMgr // non-nil on the barrier manager node
 
-	// mshadow is the backup-side copy of manager state mirrored to this
-	// node by the managers it backs (kMgrMirror, mgr.go). Zero unless
-	// Recovery.Replicas > 0.
-	mshadow mgrShadow
-
 	// synthClosed is set when lock reclamation closed this crashed
 	// node's open interval on paper (synthCloseOpen); the restart makes
 	// the close real so parked fetches waiting on its writes can drain.
@@ -271,6 +266,30 @@ func (b *base) applyGrant(g grantInfo) {
 	}
 	b.clock.MaxWith(g.VC)
 	b.use(cost, stats.CatProtocol)
+}
+
+// handleSync dispatches the message kinds every engine serves the same
+// way: synchronization requests (on the compute processor, or on the
+// co-processor under the OverlapLocks extension, §4.3's "moved to the
+// co-processor") and mirrored manager state.
+func (b *base) handleSync(m paragon.Msg) (sim.Time, func()) {
+	switch m.Kind {
+	case kLockAcq:
+		return b.handleLockAcq(m)
+	case kLockFwd:
+		return b.handleLockFwd(m)
+	case kBarrier:
+		return b.handleBarrier(m)
+	case kBarrierUp:
+		return b.handleBarrierUp(m)
+	case kBarrierDown:
+		return b.handleBarrierDown(m)
+	case kGCDone:
+		return b.handleGCDone(m)
+	case kMgrMirror:
+		return b.handleMgrMirror(m)
+	}
+	return badKind(m.Kind)
 }
 
 // ---------------------------------------------------------------------------
@@ -618,7 +637,7 @@ func (b *base) bmgrArrive(rep *barrierReport, req paragon.Msg) *grantInfo {
 		}
 	}
 	mgr.arrivals = append(mgr.arrivals, bmgrArrival{rep: rep, req: req})
-	// Keep the backups' shadow in step before any release can be sent.
+	// Mirror the arrival to the backups before any release can be sent.
 	b.mirrorBarrierArrival(rep)
 	if len(mgr.arrivals) < mgr.nproc {
 		return nil

@@ -70,23 +70,17 @@ var Protocols = []Protocol{ProtoLRC, ProtoOLRC, ProtoHLRC, ProtoOHLRC}
 // can be re-homed onto a survivor.
 type Recovery struct {
 	// Replicas is the number of mirror nodes (the K next nodes in home
-	// order) holding a recoverable copy of each home's page state. Zero
-	// disables replication: a crash of a node that homes pages is then
-	// unrecoverable and the run fails with a NodeDeadError.
+	// order) holding a recoverable copy of each home's page state and of
+	// its synchronization-manager state: every diff and every manager
+	// update is forwarded to them on receipt, before any send that
+	// depends on it. Zero disables replication: a crash of a node that
+	// homes pages is then unrecoverable and the run fails with a
+	// NodeDeadError.
 	Replicas int
-
-	// CheckpointEvery switches from eager mirroring (every applied diff
-	// is forwarded to the replicas immediately) to periodic
-	// checkpointing: homes ship modified pages to their replicas every
-	// CheckpointEvery of simulated time, and writers retain flushed
-	// diffs in a local log until a checkpoint covers them, replaying
-	// them to the new home on recovery. Zero selects eager mirroring.
-	CheckpointEvery sim.Time
 }
 
-// Enabled reports whether home-state replication is requested (possibly
-// inconsistently; Run validates the combination).
-func (r *Recovery) Enabled() bool { return r.Replicas > 0 || r.CheckpointEvery > 0 }
+// Enabled reports whether home-state replication is requested.
+func (r *Recovery) Enabled() bool { return r.Replicas > 0 }
 
 // Options configures a run.
 type Options struct {
@@ -174,10 +168,7 @@ const (
 	kFetchPage               // faulting node -> copy holder / home
 	kDiffFlush               // writer -> home (HLRC), or coproc-to-home (OHLRC)
 	kMakeDiff                // compute -> own coproc (overlapped protocols)
-	kMirror                  // home -> replica: mirrored diff or checkpoint page
-	kCkptNote                // home -> writers: checkpoint coverage (prune diff logs)
-	kRecoverPull             // new home -> writers: replay logged diffs
-	kNodeDead                // recovery -> all: node declared dead, homes moved
+	kMirror                  // home -> replica: mirrored diff or full page image
 	kBarrierUp               // tree barrier: child -> parent subtree report
 	kBarrierDown             // tree barrier: parent -> child subtree release
 	kPrefetch                // reader -> home: asynchronous page prefetch request
@@ -285,12 +276,6 @@ func msgKindName(kind int) string {
 		return "make-diff"
 	case kMirror:
 		return "mirror"
-	case kCkptNote:
-		return "ckpt-note"
-	case kRecoverPull:
-		return "recover-pull"
-	case kNodeDead:
-		return "node-dead"
 	case kBarrierUp:
 		return "barrier-up"
 	case kBarrierDown:

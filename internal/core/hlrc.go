@@ -30,13 +30,9 @@ type hlrcEngine struct {
 	aurc       bool
 	pages      chunked[hlrcPage]
 
-	// Crash-recovery state (see recover.go). mirrors holds this node's
-	// replica copies of other homes' pages; dlog retains flushed diffs
-	// in checkpoint mode until a checkpoint covers them; ckptDirty
-	// tracks home pages modified since the last checkpoint shipped.
-	mirrors   map[int]*mirrorPage
-	dlog      map[int][]*diffFlush
-	ckptDirty map[int]bool
+	// mirrors holds this node's replica copies of other homes' pages
+	// (crash recovery, see recover.go).
+	mirrors map[int]*mirrorPage
 
 	// lateInval holds pages a mid-interval write notice could not
 	// invalidate because they sit in the open interval (only lock
@@ -124,10 +120,8 @@ func newHomeEngine(sys *System, self int, overlapped, aurc bool) *hlrcEngine {
 	e.base.init(sys, self, e)
 	e.pages = newChunked[hlrcPage](sys.Space.NumPages())
 	e.mirrors = make(map[int]*mirrorPage)
-	e.dlog = make(map[int][]*diffFlush)
-	e.ckptDirty = make(map[int]bool)
-	e.node.InstallCompute(e.handleCompute)
-	e.node.InstallCoproc(e.handleCoproc)
+	e.node.InstallCompute(e.handle)
+	e.node.InstallCoproc(e.handle)
 	return e
 }
 
@@ -278,7 +272,7 @@ func (e *hlrcEngine) WriteFault(page int) {
 			p.MakeTwin(e.pool())
 			e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
 		}
-	} else if e.recovering() && !e.aurc {
+	} else if e.replicating() && !e.aurc {
 		// With replication on, the home twins its own pages too: its
 		// writes exist nowhere else, so they must be diffed at interval
 		// end and mirrored to the replicas.
@@ -299,7 +293,7 @@ func (e *hlrcEngine) closeCost() sim.Time {
 	for _, pg := range e.dirty {
 		cost += e.costs().PageProtect
 		if e.home(int(pg)) == e.self || e.aurc {
-			if e.home(int(pg)) == e.self && e.recovering() && !e.aurc {
+			if e.home(int(pg)) == e.self && e.replicating() && !e.aurc {
 				// Replication: the home diffs its own writes for mirroring.
 				if e.overlapped {
 					cost += e.costs().CoprocPost
@@ -336,10 +330,10 @@ func (e *hlrcEngine) closeCommit() {
 		seen := e.seenOf(pg)
 		if e.home(pg) == e.self {
 			seen.Set(e.self, rec.Interval)
-			if e.recovering() && !e.aurc && p.Twin != nil {
+			if e.replicating() && !e.aurc && p.Twin != nil {
 				// The home's own writes must reach the replicas: diff
 				// against the twin and run the self-flush path, which
-				// mirrors eagerly in both recovery modes.
+				// mirrors it.
 				if e.overlapped {
 					m.inflight = true
 					e.node.InjectCoproc(paragon.Msg{
@@ -389,11 +383,9 @@ func (e *hlrcEngine) closeCommit() {
 		e.st().MemFree(int64(e.sys.Space.PageBytes()))
 		e.st().Counts.DiffsCreated++
 		e.emit(trace.DiffCreate, pg, -1, int64(diff.WireSize()))
-		df := &diffFlush{
+		e.sendDiff(&diffFlush{
 			Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: diff,
-		}
-		e.logDiff(df)
-		e.sendDiff(df)
+		})
 	}
 	// Deferred mid-interval invalidations (noticePage): now that the
 	// interval is closed and the pages reprotected, drop the copies.
@@ -480,39 +472,9 @@ func (e *hlrcEngine) protoMem() int64 { return e.st().ProtoMem }
 // ---------------------------------------------------------------------------
 // Message handlers
 
-func (e *hlrcEngine) handleCompute(m paragon.Msg) (sim.Time, func()) {
-	switch m.Kind {
-	case kLockAcq:
-		return e.handleLockAcq(m)
-	case kLockFwd:
-		return e.handleLockFwd(m)
-	case kBarrier:
-		return e.handleBarrier(m)
-	case kBarrierUp:
-		return e.handleBarrierUp(m)
-	case kBarrierDown:
-		return e.handleBarrierDown(m)
-	case kFetchPage:
-		return e.handleFetchPage(m)
-	case kDiffFlush:
-		return e.handleDiffFlush(m)
-	case kPrefetch:
-		return e.handlePrefetch(m)
-	case kPrefetchResp:
-		return e.handlePrefetchResp(m)
-	case kMirror:
-		return e.handleMirror(m)
-	case kMgrMirror:
-		return e.handleMgrMirror(m)
-	case kCkptNote:
-		return e.handleCkptNote(m)
-	case kRecoverPull:
-		return e.handleRecoverPull(m)
-	}
-	return badKind(m.Kind)
-}
-
-func (e *hlrcEngine) handleCoproc(m paragon.Msg) (sim.Time, func()) {
+// handle serves both of the node's dispatchers: which processor runs a
+// kind is the sender's choice of Target, not the receiver's.
+func (e *hlrcEngine) handle(m paragon.Msg) (sim.Time, func()) {
 	switch m.Kind {
 	case kMakeDiff:
 		return e.handleMakeDiff(m)
@@ -526,26 +488,8 @@ func (e *hlrcEngine) handleCoproc(m paragon.Msg) (sim.Time, func()) {
 		return e.handlePrefetchResp(m)
 	case kMirror:
 		return e.handleMirror(m)
-	case kMgrMirror:
-		return e.handleMgrMirror(m)
-	case kCkptNote:
-		return e.handleCkptNote(m)
-	case kRecoverPull:
-		return e.handleRecoverPull(m)
-	// Synchronization service lands here under the OverlapLocks
-	// extension (§4.3's "moved to the co-processor").
-	case kLockAcq:
-		return e.handleLockAcq(m)
-	case kLockFwd:
-		return e.handleLockFwd(m)
-	case kBarrier:
-		return e.handleBarrier(m)
-	case kBarrierUp:
-		return e.handleBarrierUp(m)
-	case kBarrierDown:
-		return e.handleBarrierDown(m)
 	}
-	return badKind(m.Kind)
+	return e.handleSync(m)
 }
 
 // handleMakeDiff runs on the writer's co-processor (OHLRC).
@@ -574,7 +518,6 @@ func (e *hlrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 			e.homeSelfFlush(df)
 			return
 		}
-		e.logDiff(df)
 		e.sendDiff(df)
 	}
 }
@@ -601,13 +544,10 @@ func (e *hlrcEngine) homeReceiveDiff(df *diffFlush) {
 		e.sendDiff(df)
 		return
 	}
-	e.ckptDirty[df.Page] = true
-	if e.sys.rec != nil && e.sys.rec.k > 0 && e.sys.rec.every == 0 {
-		// Eager mirroring happens at receipt, not at apply: a diff parked
-		// on causal predecessors has already been acknowledged to its
-		// writer, so it must be recoverable from the replicas now.
-		e.mirrorDiff(df)
-	}
+	// Mirroring happens at receipt, not at apply: a diff parked on causal
+	// predecessors has already been acknowledged to its writer, so it
+	// must be recoverable from the replicas now.
+	e.mirrorDiff(df)
 	f := e.flushOf(df.Page)
 	if !covers(f, df.Dep) {
 		m := e.pages.at(df.Page)
@@ -628,8 +568,8 @@ func (e *hlrcEngine) homeApply(df *diffFlush) {
 	if e.sys.rec == nil {
 		// Home-based diffs are single-use: once applied at the home the
 		// flush is dead, so its pooled backing can be recycled. With
-		// recovery on, the same diff may still sit in writer-side logs or
-		// be mirrored to replicas — leave those to the garbage collector.
+		// recovery on, the same diff may still be queued on a replica —
+		// leave those to the garbage collector.
 		df.Diff.Release(e.pool())
 	}
 }

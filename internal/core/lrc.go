@@ -89,8 +89,8 @@ func newLRCEngine(sys *System, self int, overlapped bool) *lrcEngine {
 	}
 	e.base.init(sys, self, e)
 	e.pages = newChunked[lrcPage](sys.Space.NumPages())
-	e.node.InstallCompute(e.handleCompute)
-	e.node.InstallCoproc(e.handleCoproc)
+	e.node.InstallCompute(e.handle)
+	e.node.InstallCoproc(e.handle)
 	if self == barrierManager {
 		thr := sys.Opts.GCThreshold
 		sys.gcDecider = func(reports []*barrierReport) bool {
@@ -527,29 +527,9 @@ func (e *lrcEngine) runGC() {
 // ---------------------------------------------------------------------------
 // Message handlers
 
-func (e *lrcEngine) handleCompute(m paragon.Msg) (sim.Time, func()) {
-	switch m.Kind {
-	case kLockAcq:
-		return e.handleLockAcq(m)
-	case kLockFwd:
-		return e.handleLockFwd(m)
-	case kBarrier:
-		return e.handleBarrier(m)
-	case kBarrierUp:
-		return e.handleBarrierUp(m)
-	case kBarrierDown:
-		return e.handleBarrierDown(m)
-	case kGCDone:
-		return e.handleGCDone(m)
-	case kFetchDiffs:
-		return e.handleFetchDiffs(m)
-	case kFetchPage:
-		return e.handleFetchPage(m)
-	}
-	return badKind(m.Kind)
-}
-
-func (e *lrcEngine) handleCoproc(m paragon.Msg) (sim.Time, func()) {
+// handle serves both of the node's dispatchers: which processor runs a
+// kind is the sender's choice of Target, not the receiver's.
+func (e *lrcEngine) handle(m paragon.Msg) (sim.Time, func()) {
 	switch m.Kind {
 	case kMakeDiff:
 		return e.handleMakeDiff(m)
@@ -557,22 +537,8 @@ func (e *lrcEngine) handleCoproc(m paragon.Msg) (sim.Time, func()) {
 		return e.handleFetchDiffs(m)
 	case kFetchPage:
 		return e.handleFetchPage(m)
-	// Synchronization service lands here under the OverlapLocks
-	// extension (§4.3's "moved to the co-processor").
-	case kLockAcq:
-		return e.handleLockAcq(m)
-	case kLockFwd:
-		return e.handleLockFwd(m)
-	case kBarrier:
-		return e.handleBarrier(m)
-	case kBarrierUp:
-		return e.handleBarrierUp(m)
-	case kBarrierDown:
-		return e.handleBarrierDown(m)
-	case kGCDone:
-		return e.handleGCDone(m)
 	}
-	return badKind(m.Kind)
+	return e.handleSync(m)
 }
 
 // handleMakeDiff runs on the writer's co-processor (OLRC): create the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gosvm/internal/fault"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -23,9 +22,11 @@ import (
 //
 // Like adoptPage, promotion runs instantaneously in event context and
 // reads the failed manager's tables directly: the simulation's stand-in
-// for replaying the mirrored shadow on the backup. Mirror-before-grant
-// ordering makes the two provably identical — no mutation becomes
-// visible to any third node before its mirror is on the wire.
+// for a backup replaying the updates mirrored to it. The backups keep
+// no copy of their own — a kMgrMirror costs its wire bytes and its
+// service time, nothing else. Mirror-before-grant ordering is what makes
+// the stand-in sound: no mutation becomes visible to any third node
+// before its mirror is on the wire.
 
 // lockMgrOf returns the node currently holding lock-manager duty for
 // lock: the natural manager (lock % Machine.Nodes) unless a crash promoted a
@@ -49,16 +50,6 @@ func (s *System) engineBase(n int) *base {
 	return &s.Engines[n].(*hlrcEngine).base
 }
 
-// mgrShadow is a backup's replica of mirrored manager state. Promotion
-// reads the failed manager's authoritative tables (see the file
-// comment), so the shadow serves as the cost model and a cross-check.
-type mgrShadow struct {
-	lockOwner   map[int]int
-	barArrived  int
-	barEpisodes int
-	gcDone      int
-}
-
 // mgrMirror is the kMgrMirror payload: one incremental manager-state
 // update, sent to every backup before the dependent grant or release.
 type mgrMirror struct {
@@ -67,12 +58,6 @@ type mgrMirror struct {
 	Rep    *barrierReport // non-nil: one barrier arrival
 	Reset  bool           // barrier released: arrival state cleared
 	GCDone bool           // homeless GC rendezvous arrival
-}
-
-// mirrorEnabled reports whether manager mutations are mirrored: the run
-// has the recovery subsystem and at least one backup per role.
-func (b *base) mirrorEnabled() bool {
-	return b.sys.rec != nil && b.sys.rec.k > 0
 }
 
 func (b *base) sendMgrMirror(mm *mgrMirror, size int) {
@@ -92,7 +77,7 @@ func (b *base) sendMgrMirror(mm *mgrMirror, size int) {
 // backups. Called from mgrSetOwner, which every owner-table mutation
 // goes through — always before the forward or grant it enables.
 func (b *base) mirrorLockOwner(lock, owner int) {
-	if !b.mirrorEnabled() {
+	if !b.replicating() {
 		return
 	}
 	b.sendMgrMirror(&mgrMirror{Lock: lock, Owner: owner}, 12)
@@ -101,7 +86,7 @@ func (b *base) mirrorLockOwner(lock, owner int) {
 // mirrorBarrierArrival replicates one registered arrival (report
 // included) before the arrival can contribute to a release.
 func (b *base) mirrorBarrierArrival(rep *barrierReport) {
-	if !b.mirrorEnabled() {
+	if !b.replicating() {
 		return
 	}
 	b.sendMgrMirror(&mgrMirror{Lock: -1, Rep: rep},
@@ -110,7 +95,7 @@ func (b *base) mirrorBarrierArrival(rep *barrierReport) {
 
 // mirrorBarrierReset tells the backups a barrier episode completed.
 func (b *base) mirrorBarrierReset() {
-	if !b.mirrorEnabled() {
+	if !b.replicating() {
 		return
 	}
 	b.sendMgrMirror(&mgrMirror{Lock: -1, Reset: true}, 8)
@@ -118,43 +103,16 @@ func (b *base) mirrorBarrierReset() {
 
 // mirrorGCDone replicates one homeless GC rendezvous arrival.
 func (b *base) mirrorGCDone() {
-	if !b.mirrorEnabled() {
+	if !b.replicating() {
 		return
 	}
 	b.sendMgrMirror(&mgrMirror{Lock: -1, GCDone: true}, 8)
 }
 
-// handleMgrMirror applies one mirrored update to this backup's shadow.
-// A backup promoted in the meantime drops stragglers: its live tables
-// are already authoritative.
-func (b *base) handleMgrMirror(m paragon.Msg) (sim.Time, func()) {
-	return b.costs().LockHandling, func() {
-		mm := m.Body.(*mgrMirror)
-		sh := &b.mshadow
-		switch {
-		case mm.Lock >= 0:
-			if b.sys.lockMgrOf(mm.Lock) == b.self {
-				return
-			}
-			if sh.lockOwner == nil {
-				sh.lockOwner = make(map[int]int)
-			}
-			sh.lockOwner[mm.Lock] = mm.Owner
-		case mm.Rep != nil:
-			if b.sys.bmgrNode() == b.self {
-				return
-			}
-			sh.barArrived++
-		case mm.Reset:
-			if b.sys.bmgrNode() == b.self {
-				return
-			}
-			sh.barArrived = 0
-			sh.barEpisodes++
-		case mm.GCDone:
-			sh.gcDone++
-		}
-	}
+// handleMgrMirror charges a backup for taking in one mirrored update.
+// The update itself is not stored (see the file comment).
+func (b *base) handleMgrMirror(paragon.Msg) (sim.Time, func()) {
+	return b.costs().LockHandling, nil
 }
 
 // deliverAdoptedRelease hands a barrier release to a node whose arrival
@@ -247,19 +205,7 @@ func (s *System) failoverManagers(dead int, now sim.Time) {
 	r := s.rec
 	slots := s.lockSlotsOf(dead)
 	barRole := s.bmgrNode() == dead && s.Opts.Machine.Nodes > 1
-
-	fail := func(role, reason string) {
-		c, _ := r.crashOf(dead, now)
-		s.fatal = &fault.NodeDeadError{
-			Node:     dead,
-			At:       c.At,
-			Restarts: !c.Permanent(),
-			Role:     role,
-			Reason:   reason,
-		}
-		s.K.Stop()
-	}
-
+	fail := func(role, reason string) { s.unrecoverable(dead, now, role, reason) }
 	c, _ := r.crashOf(dead, now)
 
 	if r.k == 0 {
@@ -346,7 +292,6 @@ func (s *System) promoteLockMgr(dead, succ int, slots []int) {
 	for _, l := range moved {
 		sb.mgrSetOwner(l, db.lockOwner[l])
 		delete(db.lockOwner, l)
-		delete(sb.mshadow.lockOwner, l)
 	}
 	// The token of a moved lock nobody ever materialized — the dead
 	// manager included — still rides with the manager role, and now
@@ -404,7 +349,6 @@ func (s *System) promoteBarrierMgr(dead, succ int) {
 			sb.mirrorBarrierArrival(a.rep)
 		}
 	}
-	sb.mshadow.barArrived = 0
 	sb.st().Counts.MgrsRehomed++
 	s.M.Nodes[succ].CPU.Steal(s.Opts.Machine.Costs.LockHandling * sim.Time(adopted+1))
 }
@@ -424,12 +368,7 @@ func (s *System) reclaimLocks(dead int, now sim.Time) (map[int]bool, bool) {
 	db := s.engineBase(dead)
 	c, _ := r.crashOf(dead, now)
 
-	fatalOwner := func(reason string) {
-		s.fatal = &fault.NodeDeadError{
-			Node: dead, At: c.At, Role: "lock owner", Reason: reason,
-		}
-		s.K.Stop()
-	}
+	fatalOwner := func(reason string) { s.unrecoverable(dead, now, "lock owner", reason) }
 
 	if c.Permanent() {
 		var want []int
@@ -554,10 +493,8 @@ func (b *base) absorbFrom(o *base) {
 	b.node.CPU.Steal(cost)
 }
 
-// redirectSyncTraffic withdraws unacknowledged synchronization requests
-// addressed to the dead node and re-sends them to the role's current
-// holder — the same timeout-resend shortcut rehomePages uses for
-// fetches and flushes. RecallPending returns them oldest-first, so the
+// redirectSyncTraffic re-sends the synchronization requests in flight
+// to the dead node to each role's current holder, oldest first, so the
 // genealogical order of the original sends is preserved.
 //
 // A forwarded acquire (kLockFwd) is the delicate case: it was addressed
@@ -568,26 +505,18 @@ func (b *base) absorbFrom(o *base) {
 // for (or pinned on) the dead node, and the forward is re-sent there —
 // retransmission delivers it after the restart, chain intact.
 func (s *System) redirectSyncTraffic(dead int, revoked map[int]bool) {
-	recalled := s.M.RecallPending(dead, func(m paragon.Msg) bool {
-		return m.Kind == kLockAcq || m.Kind == kLockFwd || m.Kind == kBarrier || m.Kind == kGCDone
-	})
-	for _, msg := range recalled {
-		var to int
-		switch body := msg.Body.(type) {
-		case *lockReq:
-			switch {
-			case msg.Kind == kLockFwd && revoked[body.Lock]:
-				msg.Kind = kLockAcq
-				body.Chase = true
-				to = s.lockMgrOf(body.Lock)
-			case msg.Kind == kLockFwd:
-				to = dead
-			default: // kLockAcq: the manager role moved
-				to = s.lockMgrOf(body.Lock)
-			}
-		default: // kBarrier, kGCDone
-			to = s.bmgrNode()
+	s.redirect(dead, func(msg *paragon.Msg) int {
+		lr, ok := msg.Body.(*lockReq)
+		if !ok {
+			return s.bmgrNode() // kBarrier, kGCDone
 		}
-		s.M.Nodes[msg.From].Send(to, msg)
-	}
+		if msg.Kind == kLockFwd {
+			if !revoked[lr.Lock] {
+				return dead
+			}
+			msg.Kind = kLockAcq
+			lr.Chase = true
+		}
+		return s.lockMgrOf(lr.Lock) // the manager role may have moved
+	}, kLockAcq, kLockFwd, kBarrier, kGCDone)
 }

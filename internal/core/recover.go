@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
@@ -14,10 +14,11 @@ import (
 
 // This file implements crash recovery for the home-based protocols:
 // replication of home-page state onto the K next nodes in home order
-// (eagerly mirrored diffs, or periodic checkpoints plus writer-side
-// diff logs), failure detection through the transport watchdog, and a
-// re-homing protocol that promotes a surviving replica to be the new
-// home and redirects in-flight fetches and diff flushes to it.
+// (every diff is mirrored when its home receives it, before any send
+// that depends on it), failure detection through the transport
+// watchdog, and a re-homing protocol that promotes a surviving replica
+// to be the new home and redirects in-flight fetches and diff flushes
+// to it.
 //
 // Crash semantics: a crashed node loses its volatile protocol state —
 // home-page copies, flush vectors, pending lists, and cached read-only
@@ -29,16 +30,15 @@ import (
 
 // recovery is the per-run recovery configuration and state.
 type recovery struct {
-	k        int      // replicas per home
-	every    sim.Time // checkpoint period; 0 = eager mirroring
+	k        int // replicas per home
 	crashes  []fault.Crash
 	declared map[int]bool
 }
 
 // mirrorPage is a replica's recoverable copy of one page's home state.
 type mirrorPage struct {
-	// seeded is false until an initial image or checkpoint arrives;
-	// diffs arriving earlier are parked rather than applied to nothing.
+	// seeded is false until a page image arrives; diffs arriving
+	// earlier are parked rather than applied to nothing.
 	seeded  bool
 	data    []float64
 	vc      *vc.Sparse
@@ -46,26 +46,12 @@ type mirrorPage struct {
 }
 
 // mirrorMsg is the kMirror payload: either one mirrored diff or a full
-// checkpoint page image.
+// page image (replica reseeding after a promotion or a rejoin).
 type mirrorMsg struct {
 	Diff *diffFlush // non-nil: mirrored diff
-	Page int        // checkpoint form:
+	Page int        // full-image form:
 	Data []float64
 	VC   *vc.Sparse
-}
-
-// ckptEntry tells writers which of their diffs a checkpoint covers.
-type ckptEntry struct {
-	Page int
-	VC   *vc.Sparse
-}
-
-type ckptNote struct {
-	Entries []ckptEntry
-}
-
-type recoverPull struct {
-	Entries []ckptEntry // per re-homed page: the flush vector the new home holds
 }
 
 // initRecovery validates and installs the recovery subsystem. Called
@@ -75,9 +61,6 @@ func (s *System) initRecovery() error {
 	r := &opts.Recovery
 	if !opts.Protocol.HomeBased() {
 		return fmt.Errorf("core: crash recovery requires a home-based protocol (hlrc, ohlrc), got %q", opts.Protocol)
-	}
-	if r.CheckpointEvery > 0 && r.Replicas == 0 {
-		return fmt.Errorf("core: Recovery.CheckpointEvery requires Replicas >= 1")
 	}
 	if r.Replicas >= opts.Machine.Nodes {
 		return fmt.Errorf("core: Recovery.Replicas=%d needs Machine.Nodes >= %d, have %d",
@@ -93,7 +76,6 @@ func (s *System) initRecovery() error {
 	}
 	s.rec = &recovery{
 		k:        r.Replicas,
-		every:    r.CheckpointEvery,
 		crashes:  opts.Fault.Crashes,
 		declared: make(map[int]bool),
 	}
@@ -122,6 +104,35 @@ func (s *System) aliveSuccessor(dead int) int {
 		}
 	}
 	return -1
+}
+
+// unrecoverable ends the run with a NodeDeadError: dead held a role that
+// no survivor can take over.
+func (s *System) unrecoverable(dead int, now sim.Time, role, reason string) {
+	c, _ := s.rec.crashOf(dead, now)
+	s.fatal = &fault.NodeDeadError{
+		Node:     dead,
+		At:       c.At,
+		Restarts: !c.Permanent(),
+		Role:     role,
+		Reason:   reason,
+	}
+	s.K.Stop()
+}
+
+// redirect withdraws the unacknowledged requests of the given kinds
+// addressed to the dead node and re-sends each one, from its original
+// sender, to route(msg) — the simulation's shortcut for the requesters'
+// timeout-resend. RecallPending returns them oldest first, so the order
+// of the original sends is preserved. route may rewrite the message.
+func (s *System) redirect(dead int, route func(*paragon.Msg) int, kinds ...int) {
+	recalled := s.M.RecallPending(dead, func(m paragon.Msg) bool {
+		return slices.Contains(kinds, m.Kind)
+	})
+	for _, msg := range recalled {
+		to := route(&msg) // before msg is read: route may rewrite it
+		s.M.Nodes[msg.From].Send(to, msg)
+	}
 }
 
 // crashOf finds the schedule entry for the node's current (or most
@@ -156,28 +167,6 @@ func (s *System) seedReplicas(staging []float64) {
 			copy(mp.data, staging[pg*words:(pg+1)*words])
 			e.st().MemAlloc(int64(s.Space.PageBytes()))
 		}
-	}
-}
-
-// startCkptTimers arms the periodic checkpoint on every node. The timer
-// stops re-arming once all workers finish so the event queue drains.
-func (s *System) startCkptTimers() {
-	if s.rec.every == 0 {
-		return
-	}
-	for i := range s.Engines {
-		e := s.Engines[i].(*hlrcEngine)
-		var tick func()
-		tick = func() {
-			if s.liveWorkers.Load() == 0 {
-				return
-			}
-			if !s.M.Down(e.self) {
-				e.shipCheckpoint()
-			}
-			s.K.After(s.rec.every, tick)
-		}
-		s.K.After(s.rec.every, tick)
 	}
 }
 
@@ -224,19 +213,11 @@ func (s *System) rehomePages(dead int, now sim.Time) {
 		succ = s.aliveSuccessor(dead)
 	}
 	if succ < 0 {
-		c, _ := r.crashOf(dead, now)
 		reason := "no replica holds its home pages (Recovery.Replicas=0)"
 		if r.k > 0 {
 			reason = "all replicas are down"
 		}
-		s.fatal = &fault.NodeDeadError{
-			Node:     dead,
-			At:       c.At,
-			Restarts: !c.Permanent(),
-			Role:     "home",
-			Reason:   reason,
-		}
-		s.K.Stop()
+		s.unrecoverable(dead, now, "home", reason)
 		return
 	}
 
@@ -252,31 +233,16 @@ func (s *System) rehomePages(dead int, now sim.Time) {
 	// Promotion work competes with whatever the new home was computing.
 	s.M.Nodes[succ].CPU.Steal(promoteCost)
 
-	// Withdraw unacknowledged data-plane requests addressed to the dead
-	// node and re-send them to each page's new home (the requesters'
-	// timeout-resend). Synchronization traffic is redirected separately
-	// once the manager roles have moved (failoverManagers, mgr.go).
-	recalled := s.M.RecallPending(dead, func(m paragon.Msg) bool {
-		return m.Kind == kFetchPage || m.Kind == kDiffFlush
-	})
-	for _, msg := range recalled {
-		var pg int
-		switch b := msg.Body.(type) {
-		case *fetchPageReq:
-			pg = b.Page
-		case *diffFlush:
-			pg = b.Page
-		default:
-			continue
+	// Data-plane requests in flight to the dead node go to each page's
+	// new home. Synchronization traffic is redirected separately once the
+	// manager roles have moved (failoverManagers, mgr.go).
+	s.redirect(dead, func(m *paragon.Msg) int {
+		if fr, ok := m.Body.(*fetchPageReq); ok {
+			return s.homes[fr.Page]
 		}
-		s.M.Nodes[msg.From].Send(s.homes[pg], msg)
-	}
+		return s.homes[m.Body.(*diffFlush).Page]
+	}, kFetchPage, kDiffFlush)
 
-	// Checkpoint mode: ask the surviving writers to replay logged diffs
-	// the promoted checkpoint does not cover.
-	if r.every > 0 {
-		ne.broadcastPull(pages)
-	}
 	// The promoted pages now replicate to the new home's successors.
 	ne.reseedReplicas(pages)
 	for _, pg := range pages {
@@ -350,7 +316,9 @@ func (s *System) rejoin(node int) {
 // ---------------------------------------------------------------------------
 // Engine-side recovery state
 
-func (e *hlrcEngine) recovering() bool { return e.sys.rec != nil && e.sys.rec.k > 0 }
+// replicating reports whether this run mirrors home pages and manager
+// state: it has the recovery subsystem and at least one backup per role.
+func (b *base) replicating() bool { return b.sys.rec != nil && b.sys.rec.k > 0 }
 
 func (e *hlrcEngine) mirrorOf(pg int) *mirrorPage {
 	mp, ok := e.mirrors[pg]
@@ -361,12 +329,10 @@ func (e *hlrcEngine) mirrorOf(pg int) *mirrorPage {
 	return mp
 }
 
-// mirrorDiff forwards a diff just incorporated into home state to every
-// replica of this home. Eager mode mirrors every diff; checkpoint mode
-// only mirrors the home's own writes (remote writers keep their diffs
-// in a local log until a checkpoint covers them).
+// mirrorDiff forwards a diff this home has just received (or made
+// itself) to every replica of this home.
 func (e *hlrcEngine) mirrorDiff(df *diffFlush) {
-	if !e.recovering() {
+	if !e.replicating() {
 		return
 	}
 	size := df.Diff.WireSize() + df.Dep.WireSize()
@@ -405,12 +371,12 @@ func (e *hlrcEngine) handleMirror(m paragon.Msg) (sim.Time, func()) {
 			return
 		}
 		if e.home(mm.Page) == e.self {
-			e.installCkptAsHome(mm)
+			e.installLateImage(mm)
 			return
 		}
 		mp := e.mirrorOf(mm.Page)
 		if mp.seeded && !covers(mm.VC, e.mirrorVC(mp)) {
-			return // stale checkpoint from before a re-homing
+			return // stale image from before a re-homing
 		}
 		if mp.data == nil {
 			mp.data = make([]float64, e.sys.Space.PageWords)
@@ -466,32 +432,39 @@ func (e *hlrcEngine) drainMirror(mp *mirrorPage) {
 	mp.pending = live
 }
 
-// installCkptAsHome merges a straggler full-page checkpoint into live
-// home state (we were promoted and the old home's last checkpoint was
-// still in flight). Only applied if it is ahead of what we hold.
-func (e *hlrcEngine) installCkptAsHome(mm *mirrorMsg) {
+// installLateImage merges a straggler page image into live home state:
+// a reseed image (reseedReplicas, shipFullPagesTo) was still in flight
+// to this replica when its sender died and this node was promoted to
+// home the page. Only applied if it is ahead of what we hold.
+func (e *hlrcEngine) installLateImage(mm *mirrorMsg) {
 	f := e.flushOf(mm.Page)
 	if !covers(mm.VC, f) {
 		return
 	}
-	p := e.pt.Materialize(mm.Page)
-	if p.Twin != nil {
-		local := mem.ComputeDiff(mm.Page, p.Twin, p.Data)
-		copy(p.Data, mm.Data)
-		local.Apply(p.Data)
-		copy(p.Twin, mm.Data)
-	} else {
-		copy(p.Data, mm.Data)
-	}
+	rebase(mm.Page, e.pt.Materialize(mm.Page), mm.Data)
 	f.MaxWith(mm.VC)
 	e.homeDrain(mm.Page)
 }
 
+// rebase replaces a page's contents with image while keeping this node's
+// writes that are not yet diffed (a dirty page, or an OHLRC diff still
+// queued on the coproc): they are layered over the image, and the twin
+// is reset to the image so the eventual diff captures exactly those
+// writes.
+func rebase(pg int, p *mem.Page, image []float64) {
+	if p.Twin == nil {
+		copy(p.Data, image)
+		return
+	}
+	local := mem.ComputeDiff(pg, p.Twin, p.Data)
+	copy(p.Data, image)
+	local.Apply(p.Data)
+	copy(p.Twin, image)
+}
+
 // adoptPage promotes this node's mirror of pg to authoritative home
-// state, merging any local dirty copy: the local working copy becomes
-// mirror data plus this node's own uncommitted writes, and the twin is
-// reset to the mirror image so the eventual diff captures exactly those
-// writes. Parked requests at the old home migrate here.
+// state, merging any local dirty copy (rebase). Parked requests at the
+// old home migrate here.
 func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 	m := e.pages.at(pg)
 	mp := e.mirrorOf(pg)
@@ -502,18 +475,7 @@ func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 		mp.data = nil
 	}
 	if mp.data != nil {
-		if p.Twin != nil {
-			// Local writes not yet diffed (dirty page, or an OHLRC diff
-			// still queued on the coproc): layer them over the mirror
-			// image and reset the twin so the eventual diff captures
-			// exactly those writes.
-			local := mem.ComputeDiff(pg, p.Twin, p.Data)
-			copy(p.Data, mp.data)
-			local.Apply(p.Data)
-			copy(p.Twin, mp.data)
-		} else {
-			copy(p.Data, mp.data)
-		}
+		rebase(pg, p, mp.data)
 		e.st().MemFree(int64(e.sys.Space.PageBytes()))
 	}
 	f := e.flushOf(pg)
@@ -533,14 +495,13 @@ func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 	m.pendingFetch = append(m.pendingFetch, om.pendingFetch...)
 	om.pendingFetch = nil
 	om.pendingDiff = nil
-	e.ckptDirty[pg] = true
 }
 
 // reseedReplicas ships full images of newly adopted pages to this
 // node's own replicas, so the pages stay crash-tolerant after the
 // promotion.
 func (e *hlrcEngine) reseedReplicas(pages []int) {
-	if !e.recovering() {
+	if !e.replicating() {
 		return
 	}
 	for _, pg := range pages {
@@ -548,7 +509,8 @@ func (e *hlrcEngine) reseedReplicas(pages []int) {
 	}
 }
 
-// shipFullPage sends one checkpoint-style page image to the targets.
+// shipFullPage sends one full page image, with the flush vector it
+// reflects, to the targets.
 func (e *hlrcEngine) shipFullPage(pg int, targets []int) {
 	p := e.pt.Page(pg)
 	if p.Data == nil {
@@ -579,129 +541,6 @@ func (e *hlrcEngine) shipFullPagesTo(node int) {
 	for pg, h := range e.sys.homes {
 		if h == e.self {
 			e.shipFullPage(pg, []int{node})
-		}
-	}
-}
-
-// shipCheckpoint ships every page modified since the last checkpoint to
-// this home's replicas and tells the writers what is now covered.
-func (e *hlrcEngine) shipCheckpoint() {
-	if len(e.ckptDirty) == 0 {
-		return
-	}
-	pages := make([]int, 0, len(e.ckptDirty))
-	for pg := range e.ckptDirty {
-		if e.home(pg) == e.self {
-			pages = append(pages, pg)
-		}
-	}
-	e.ckptDirty = make(map[int]bool)
-	if len(pages) == 0 {
-		return
-	}
-	sort.Ints(pages)
-	reps := e.sys.replicasOf(e.self)
-	note := &ckptNote{}
-	var copyCost sim.Time
-	for _, pg := range pages {
-		e.shipFullPage(pg, reps)
-		note.Entries = append(note.Entries, ckptEntry{Page: pg, VC: e.flushOf(pg).Copy()})
-		copyCost += e.costs().TwinCost(e.sys.Space.PageBytes())
-	}
-	e.node.CPU.Steal(copyCost)
-	size := 4
-	for i := range note.Entries {
-		size += 4 + note.Entries[i].VC.WireSize()
-	}
-	for n := 0; n < e.sys.Opts.Machine.Nodes; n++ {
-		if n == e.self {
-			continue
-		}
-		e.node.Send(n, paragon.Msg{
-			Kind:   kCkptNote,
-			Size:   size,
-			Class:  stats.ClassProtocol,
-			Target: e.dataTarget(),
-			Body:   note,
-		})
-	}
-}
-
-// logDiff retains a flushed diff in the writer's local log (checkpoint
-// mode): until a checkpoint note covers it, this node may be asked to
-// replay it for a promoted home.
-func (e *hlrcEngine) logDiff(df *diffFlush) {
-	if e.sys.rec == nil || e.sys.rec.every == 0 || e.aurc {
-		return
-	}
-	e.dlog[df.Page] = append(e.dlog[df.Page], df)
-	e.st().MemAlloc(df.Diff.MemSize())
-}
-
-// handleCkptNote prunes the diff log: everything a checkpoint covers is
-// recoverable from the replicas and need not be replayed by us.
-func (e *hlrcEngine) handleCkptNote(m paragon.Msg) (sim.Time, func()) {
-	return e.costs().LockHandling, func() {
-		note := m.Body.(*ckptNote)
-		for _, ent := range note.Entries {
-			dl := e.dlog[ent.Page]
-			if len(dl) == 0 {
-				continue
-			}
-			keep := dl[:0]
-			for _, df := range dl {
-				if df.Interval > ent.VC.Get(e.self) {
-					keep = append(keep, df)
-				} else {
-					e.st().MemFree(df.Diff.MemSize())
-				}
-			}
-			if len(keep) == 0 {
-				delete(e.dlog, ent.Page)
-			} else {
-				e.dlog[ent.Page] = keep
-			}
-		}
-	}
-}
-
-// broadcastPull (checkpoint mode) asks every surviving writer to replay
-// logged diffs beyond what the promoted checkpoint covers.
-func (e *hlrcEngine) broadcastPull(pages []int) {
-	pull := &recoverPull{}
-	size := 4
-	for _, pg := range pages {
-		f := e.flushOf(pg).Copy()
-		pull.Entries = append(pull.Entries, ckptEntry{Page: pg, VC: f})
-		size += 4 + f.WireSize()
-	}
-	for n := 0; n < e.sys.Opts.Machine.Nodes; n++ {
-		if n == e.self {
-			continue
-		}
-		e.node.Send(n, paragon.Msg{
-			Kind:   kRecoverPull,
-			Size:   size,
-			Class:  stats.ClassProtocol,
-			Target: e.dataTarget(),
-			Body:   pull,
-		})
-	}
-}
-
-// handleRecoverPull replays logged diffs the new home is missing. The
-// replayed flushes travel the normal kDiffFlush path, so causal
-// ordering (Dep gating) and idempotent application make the replay
-// order-independent.
-func (e *hlrcEngine) handleRecoverPull(m paragon.Msg) (sim.Time, func()) {
-	return e.costs().LockHandling, func() {
-		pull := m.Body.(*recoverPull)
-		for _, ent := range pull.Entries {
-			for _, df := range e.dlog[ent.Page] {
-				if df.Interval > ent.VC.Get(e.self) {
-					e.sendDiff(df)
-				}
-			}
 		}
 	}
 }
@@ -739,16 +578,14 @@ func (e *hlrcEngine) wipeVolatile() {
 		}
 		delete(e.mirrors, pg)
 	}
-	e.ckptDirty = make(map[int]bool)
 }
 
 // homeSelfFlush incorporates the home's own writes to a page it homes:
-// the flush vector advances locally and the diff is mirrored eagerly in
-// both recovery modes (the home's writes exist nowhere else).
+// the flush vector advances locally and the diff is mirrored (the home's
+// writes exist nowhere else).
 func (e *hlrcEngine) homeSelfFlush(df *diffFlush) {
 	f := e.flushOf(df.Page)
 	f.RaiseTo(df.Writer, df.Interval)
-	e.ckptDirty[df.Page] = true
 	e.mirrorDiff(df)
 	e.homeDrain(df.Page)
 }

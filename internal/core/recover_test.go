@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
 	"gosvm/internal/sim"
+	"gosvm/internal/vc"
 )
 
 // rehomeApp stresses the crashed node's home role: every node writes one
@@ -106,30 +108,6 @@ func TestCrashRehomingCorrectness(t *testing.T) {
 			}
 			if detect <= 0 {
 				t.Fatal("re-homing happened but no detection latency was recorded")
-			}
-		})
-	}
-}
-
-// The same run under periodic checkpointing instead of eager mirroring:
-// writers must replay their logged diffs to the promoted home.
-func TestCrashRecoveryCheckpointMode(t *testing.T) {
-	const p, rounds = 4, 10
-	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
-		proto := proto
-		t.Run(proto.String(), func(t *testing.T) {
-			opts := testOpts(proto, p)
-			opts.Fault = crashPlan(800*sim.Microsecond, 5*sim.Millisecond)
-			opts.Recovery = Recovery{Replicas: 1, CheckpointEvery: 300 * sim.Microsecond}
-			res := runOrFail(t, opts, rehomeApp(p, rounds))
-			checkRehome(t, p, rounds, res.Data)
-
-			var rehomed int64
-			for _, nd := range res.Stats.Nodes {
-				rehomed += nd.Counts.PagesRehomed
-			}
-			if rehomed == 0 {
-				t.Fatal("crash recovered without re-homing any page")
 			}
 		})
 	}
@@ -261,8 +239,9 @@ func TestCrashOfHomelessNodeSurvivable(t *testing.T) {
 	}
 }
 
-// Recovery option validation: crashes need a home-based protocol,
-// checkpointing needs replicas, and replication needs spare nodes.
+// Recovery option validation: crashes need a home-based protocol, a
+// replica count is not negative (rejected whether or not a crash plan
+// makes the recovery subsystem start), and replication needs spare nodes.
 func TestRecoveryValidation(t *testing.T) {
 	opts := testOpts(ProtoLRC, 2)
 	opts.Fault = crashPlan(sim.Millisecond, 2*sim.Millisecond)
@@ -270,10 +249,15 @@ func TestRecoveryValidation(t *testing.T) {
 		t.Fatal("crash plan accepted under a homeless protocol")
 	}
 
-	opts = testOpts(ProtoHLRC, 2)
-	opts.Recovery = Recovery{CheckpointEvery: sim.Millisecond}
-	if _, err := Run(opts, counterApp(2), false); err == nil {
-		t.Fatal("checkpointing accepted without replicas")
+	for _, plan := range []fault.Plan{{}, crashPlan(sim.Millisecond, 2*sim.Millisecond)} {
+		opts = testOpts(ProtoHLRC, 2)
+		opts.Fault = plan
+		opts.Recovery = Recovery{Replicas: -1}
+		_, err := Run(opts, counterApp(2), false)
+		if err == nil || !strings.Contains(err.Error(), "Recovery.Replicas") {
+			t.Fatalf("negative replica count (crashes: %d): got error %v, want one naming Recovery.Replicas",
+				len(plan.Crashes), err)
+		}
 	}
 
 	opts = testOpts(ProtoHLRC, 2)
@@ -306,5 +290,109 @@ func TestReplicationWithoutCrashIsTransparent(t *testing.T) {
 		if base.Data[i] != rep.Data[i] {
 			t.Fatalf("replication changed word %d: %v vs %v", i, rep.Data[i], base.Data[i])
 		}
+	}
+}
+
+// A reseed image can land after its recipient was promoted to home the
+// page (its sender died with the image in flight). installLateImage is
+// driven directly, from the home's own worker, on a live engine: an image
+// whose vector covers the home's flush vector installs under the node's
+// own undiffed write, resets the twin to the image and releases a fetch
+// parked on the coverage it brings; an image behind the flush vector is
+// dropped.
+func TestLateImageAtPromotedHome(t *testing.T) {
+	const words = 64 // one 512-byte page
+	var addr mem.Addr
+	var got struct {
+		parked, parkedAfter int
+		data, twin, after   []float64
+		flush, flushAfter   int32
+		fetched, fetchedOwn float64
+		fetchedAt           sim.Time
+	}
+	image := func(base float64) []float64 {
+		img := make([]float64, words)
+		for i := range img {
+			img[i] = base + float64(i)
+		}
+		return img
+	}
+	stamp := func(interval int32) *vc.Sparse {
+		v := vc.NewSparse(3)
+		v.RaiseTo(2, interval)
+		return v
+	}
+	app := &testApp{
+		name:  "lateimage",
+		setup: func(s *Setup) { addr = s.Alloc(words) },
+		init: func(w *Init) {
+			for i := 0; i < words; i++ {
+				w.Store(addr+mem.Addr(i), 0)
+			}
+			w.SetHome(addr, words, 0)
+		},
+		worker: func(c *Ctx, id int) {
+			pg := c.sys.Space.PageOf(addr)
+			e := c.sys.Engines[id].(*hlrcEngine)
+			switch id {
+			case 0:
+				c.Store(addr+1, 42) // replication on: the home twins its own page
+				c.Compute(sim.Millisecond)
+				pm := e.pages.at(pg)
+				got.parked = len(pm.pendingFetch)
+				e.installLateImage(&mirrorMsg{Page: pg, Data: image(100), VC: stamp(5)})
+				p := e.pt.Page(pg)
+				got.data = append([]float64(nil), p.Data...)
+				got.twin = append([]float64(nil), p.Twin...)
+				got.flush = pm.flushVC.Get(2)
+				got.parkedAfter = len(pm.pendingFetch)
+				e.installLateImage(&mirrorMsg{Page: pg, Data: image(-500), VC: stamp(4)})
+				got.after = append([]float64(nil), p.Data...)
+				got.flushAfter = pm.flushVC.Get(2)
+			case 1:
+				// As if a write notice for interval 5 of node 2 had arrived:
+				// the fetch parks at the home until its flush vector covers it.
+				e.seenOf(pg).RaiseTo(2, 5)
+				got.fetched = c.Load(addr + 3)
+				got.fetchedOwn = c.Load(addr + 1)
+				got.fetchedAt = c.Now()
+			}
+			c.Barrier(0)
+		},
+		gather: func(c *Ctx) []float64 { return []float64{c.Load(addr + 1), c.Load(addr + 3)} },
+	}
+	opts := testOpts(ProtoHLRC, 3)
+	opts.Recovery = Recovery{Replicas: 1}
+	res := runOrFail(t, opts, app)
+
+	if got.parked != 1 || got.parkedAfter != 0 {
+		t.Fatalf("fetches parked at the home: %d before the image, %d after; want 1, 0", got.parked, got.parkedAfter)
+	}
+	want := image(100)
+	for i := range want {
+		if got.twin[i] != want[i] {
+			t.Fatalf("twin word %d = %v, want the image's %v", i, got.twin[i], want[i])
+		}
+	}
+	want[1] = 42
+	for i := range want {
+		if got.data[i] != want[i] {
+			t.Fatalf("word %d = %v after the covering image, want %v", i, got.data[i], want[i])
+		}
+		if got.after[i] != want[i] {
+			t.Fatalf("word %d = %v after the stale image, want %v (image not dropped)", i, got.after[i], want[i])
+		}
+	}
+	if got.flush != 5 || got.flushAfter != 5 {
+		t.Fatalf("flush vector for writer 2 = %d, then %d; want 5, 5", got.flush, got.flushAfter)
+	}
+	if got.fetched != 103 || got.fetchedOwn != 42 {
+		t.Fatalf("parked fetch returned words %v, %v; want 103, 42", got.fetched, got.fetchedOwn)
+	}
+	if got.fetchedAt < sim.Millisecond {
+		t.Fatalf("fetch returned at %v, before the image arrived", got.fetchedAt)
+	}
+	if res.Data[0] != 42 || res.Data[1] != 103 {
+		t.Fatalf("final words = %v, want [42 103]", res.Data)
 	}
 }

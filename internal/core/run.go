@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
@@ -92,12 +91,9 @@ type System struct {
 
 	// Crash-recovery state (recover.go). rec is nil unless the run has
 	// crashes or replication; fatal is set (with the kernel stopped) when
-	// a crash is unrecoverable; liveWorkers gates the checkpoint timers.
-	// Workers finish on different lanes in a parallel run, so the counter
-	// is atomic (recovery itself always runs sequentially).
-	rec         *recovery
-	fatal       error
-	liveWorkers atomic.Int32
+	// a crash is unrecoverable.
+	rec   *recovery
+	fatal error
 
 	// Synchronization-manager failover state (mgr.go). syncMgr maps each
 	// natural lock-manager slot (node id) to the node currently holding
@@ -133,7 +129,7 @@ type Result struct {
 // kernel. The gated-out configurations all thread some globally ordered
 // state through the event loop — mesh link occupancy, the fault
 // injector's sequential RNG stream, recovery's global watchdog and
-// checkpoint machinery, the shared trace log, and phase capture's
+// re-homing, the shared trace log, and phase capture's
 // cross-node stat snapshots — so they keep the sequential kernel, where
 // byte-identity at any -run-workers value holds trivially.
 func lpParallel(opts *Options, capturePhases bool) bool {
@@ -158,6 +154,9 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	n := opts.Machine.Nodes
 	if opts.Protocol == ProtoSeq && n != 1 {
 		return nil, fmt.Errorf("core: sequential runs require Machine.Nodes=1, got %d", n)
+	}
+	if opts.Recovery.Replicas < 0 {
+		return nil, fmt.Errorf("core: Recovery.Replicas=%d is negative", opts.Recovery.Replicas)
 	}
 
 	k := sim.NewKernel()
@@ -263,7 +262,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	}
 	if sys.rec != nil {
 		sys.seedReplicas(sys.staging)
-		sys.startCkptTimers()
 	}
 	sys.staging = nil
 
@@ -285,7 +283,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 
 	// Phase 5: run workers.
 	sys.appProcs = make([]*sim.Proc, n)
-	sys.liveWorkers.Store(int32(n))
 	perProcEnd := make([]sim.Time, n)
 	endStats := make([]stats.Node, n)
 	var gathered []float64
@@ -296,7 +293,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 			c := newCtx(sys, i, p)
 			app.Worker(c, i)
 			perProcEnd[i] = p.Now()
-			sys.liveWorkers.Add(-1)
 			// Snapshot before the (untimed) gather phase so reported
 			// statistics cover exactly the parallel execution.
 			endStats[i] = machine.Nodes[i].Stats.Snapshot()
