@@ -51,8 +51,12 @@ type base struct {
 
 	// log holds known interval records per processor, ascending by
 	// interval index. Homeless protocols prune it at GC; home-based ones
-	// at every barrier.
-	log [][]*IntervalRec
+	// at every barrier. Records are shared machine-wide (see IntervalRec);
+	// each list starts in a 4-slot run of logRuns and is compacted in place.
+	log     [][]*IntervalRec
+	logRuns slab[*IntervalRec]
+	// vecs backs the per-page vectors newPageVec hands out.
+	vecs slab[vc.Sparse]
 
 	locks map[int]*lockState
 	// lockOwner is the manager-side table: for locks managed by this
@@ -115,6 +119,24 @@ func (b *base) costs() *paragon.Costs { return &b.sys.Opts.Machine.Costs }
 // allocate) regardless of the host representation, so memory-triggered GC
 // behaves identically under vc.ForceDense.
 func (b *base) vecBytes() int64 { return int64(4 * b.sys.Opts.Machine.Nodes) }
+
+// newPageVec returns a zero per-page vector, charged to protocol memory.
+func (b *base) newPageVec() *vc.Sparse {
+	b.st().MemAlloc(b.vecBytes())
+	return b.vecs.take(1)[0].Init(b.sys.Opts.Machine.Nodes)
+}
+
+// wireVC reports whether write notices travel with their vector
+// timestamps. The homeless protocols need them to order diffs; the
+// home-based ones model a smaller wire format without them (a per-page
+// per-writer max interval suffices).
+func (b *base) wireVC() bool { return !b.sys.homeBased }
+
+// logVC reports whether rec's log entry is charged with its vector: a
+// home-based node keeps the one it computed for its own interval and
+// receives everyone else's without.
+func (b *base) logVC(rec *IntervalRec) bool { return b.wireVC() || rec.Proc == b.self }
+
 func (b *base) pool() *mem.Pool { return b.memPool }
 func (b *base) st() *stats.Node { return b.node.Stats }
 func (b *base) app() *sim.Proc  { return b.sys.appProcs[b.self] }
@@ -188,8 +210,12 @@ func (b *base) synthCloseOpen() {
 
 // insertLog stores rec in the interval log with memory accounting.
 func (b *base) insertLog(rec *IntervalRec) {
-	b.log[rec.Proc] = append(b.log[rec.Proc], rec)
-	b.st().MemAlloc(rec.memSize())
+	recs := b.log[rec.Proc]
+	if recs == nil {
+		recs = b.logRuns.take(4)[:0]
+	}
+	b.log[rec.Proc] = append(recs, rec)
+	b.st().MemAlloc(rec.memSize(b.logVC(rec)))
 }
 
 // pruneLogThrough drops all log records with interval index <= upTo[proc],
@@ -200,51 +226,37 @@ func (b *base) pruneLogThrough(upTo vc.VC) {
 		recs := b.log[p]
 		cut := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > upTo[p] })
 		for _, r := range recs[:cut] {
-			b.st().MemFree(r.memSize())
+			b.st().MemFree(r.memSize(b.logVC(r)))
 		}
-		b.log[p] = append([]*IntervalRec(nil), recs[cut:]...)
+		kept := copy(recs, recs[cut:])
+		clear(recs[kept:])
+		b.log[p] = recs[:kept]
 	}
 }
 
 // logSince collects the interval records the holder of knowledge `have`
 // is missing, in log order.
-func (b *base) logSince(have vc.VC) []IntervalRec {
-	var out []IntervalRec
+func (b *base) logSince(have vc.VC) []*IntervalRec {
+	var out []*IntervalRec
 	for p := range b.log {
 		recs := b.log[p]
 		from := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > have[p] })
-		for _, r := range recs[from:] {
-			out = append(out, *r)
-		}
+		out = append(out, recs[from:]...)
 	}
 	return out
 }
 
 // ownRecsAfter returns this node's own interval records with index > after.
-func (b *base) ownRecsAfter(after int32) []IntervalRec {
+func (b *base) ownRecsAfter(after int32) []*IntervalRec {
 	recs := b.log[b.self]
 	from := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > after })
-	out := make([]IntervalRec, 0, len(recs)-from)
-	for _, r := range recs[from:] {
-		out = append(out, *r)
-	}
-	return out
+	return append([]*IntervalRec(nil), recs[from:]...)
 }
 
 // grantPayload builds the coherence payload for a grant to a requester
 // whose clock is reqVC.
 func (b *base) grantPayload(reqVC vc.VC) grantInfo {
-	g := grantInfo{VC: b.clock.Copy(), Intervals: b.logSince(reqVC)}
-	if !b.sys.homeBased {
-		return g
-	}
-	// Home-based protocols do not ship vector timestamps with write
-	// notices (a per-page per-writer max interval suffices); strip them
-	// to model the smaller wire format.
-	for i := range g.Intervals {
-		g.Intervals[i].VC = nil
-	}
-	return g
+	return grantInfo{VC: b.clock.Copy(), Intervals: b.logSince(reqVC)}
 }
 
 // applyGrant merges a grant/release payload on the application proc:
@@ -252,16 +264,14 @@ func (b *base) grantPayload(reqVC vc.VC) grantInfo {
 // advance the clock.
 func (b *base) applyGrant(g grantInfo) {
 	var cost sim.Time
-	for i := range g.Intervals {
-		rec := g.Intervals[i]
+	for _, rec := range g.Intervals {
 		if rec.Interval <= b.clock[rec.Proc] {
 			continue // already known via another path
 		}
-		r := &rec
-		b.insertLog(r)
+		b.insertLog(rec)
 		b.clock[rec.Proc] = rec.Interval
 		for _, pg := range rec.Pages {
-			cost += b.co.noticePage(r, int(pg))
+			cost += b.co.noticePage(rec, int(pg))
 		}
 	}
 	b.clock.MaxWith(g.VC)
@@ -402,7 +412,7 @@ func (b *base) grantTo(req paragon.Msg, lr *lockReq) {
 	g := b.grantPayload(lr.ReqVC)
 	b.node.Respond(req, paragon.Msg{
 		Kind:  kLockFwd,
-		Size:  g.wireSize(),
+		Size:  g.wireSize(b.wireVC()),
 		Class: stats.ClassProtocol,
 		Body:  &g,
 	})
@@ -565,7 +575,7 @@ func newBarrierMgr(nproc int) *barrierMgr {
 type barrierReport struct {
 	Node     int
 	VC       vc.VC
-	Recs     []IntervalRec
+	Recs     []*IntervalRec
 	ProtoMem int64
 }
 
@@ -581,12 +591,6 @@ func (b *base) Barrier(id int) {
 		VC:       b.clock.Copy(),
 		Recs:     b.ownRecsAfter(b.lastReported),
 		ProtoMem: b.co.protoMem(),
-	}
-	if b.sys.homeBased {
-		// Home-based write notices carry no vector timestamps.
-		for i := range rep.Recs {
-			rep.Recs[i].VC = nil
-		}
 	}
 	if len(b.log[b.self]) > 0 {
 		b.lastReported = b.log[b.self][len(b.log[b.self])-1].Interval
@@ -609,7 +613,7 @@ func (b *base) Barrier(id int) {
 	} else {
 		resp := b.node.Call(b.app(), b.sys.bmgrNode(), paragon.Msg{
 			Kind:   kBarrier,
-			Size:   8 + rep.VC.WireSize() + recsWireSize(rep.Recs),
+			Size:   8 + rep.VC.WireSize() + recsWireSize(rep.Recs, b.wireVC()),
 			Class:  stats.ClassProtocol,
 			Target: b.syncTarget(),
 			Body:   rep,
@@ -652,11 +656,9 @@ func (b *base) bmgrComplete() *grantInfo {
 	// Merge every reported interval into the manager's log. Reports carry
 	// each node's *own* intervals, so together they cover everything.
 	for _, a := range mgr.arrivals {
-		for i := range a.rep.Recs {
-			rec := a.rep.Recs[i]
+		for _, rec := range a.rep.Recs {
 			if !b.hasLogRec(rec.Proc, rec.Interval) {
-				r := rec
-				b.insertLog(&r)
+				b.insertLog(rec)
 			}
 		}
 	}
@@ -683,7 +685,7 @@ func (b *base) bmgrComplete() *grantInfo {
 		if a.req.Reply != nil {
 			b.node.Respond(a.req, paragon.Msg{
 				Kind:  kBarrier,
-				Size:  g.wireSize(),
+				Size:  g.wireSize(b.wireVC()),
 				Class: stats.ClassProtocol,
 				Body:  &g,
 			})
@@ -708,22 +710,15 @@ func (b *base) bmgrComplete() *grantInfo {
 }
 
 // releaseRecsFor selects the interval records node rep is missing.
-func (b *base) releaseRecsFor(rep *barrierReport) []IntervalRec {
-	var out []IntervalRec
+func (b *base) releaseRecsFor(rep *barrierReport) []*IntervalRec {
+	var out []*IntervalRec
 	for p := range b.log {
 		if p == rep.Node {
 			continue
 		}
 		recs := b.log[p]
 		from := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > rep.VC[p] })
-		for _, r := range recs[from:] {
-			out = append(out, *r)
-		}
-	}
-	if b.sys.homeBased {
-		for i := range out {
-			out[i].VC = nil
-		}
+		out = append(out, recs[from:]...)
 	}
 	return out
 }

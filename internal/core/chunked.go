@@ -46,3 +46,21 @@ func (c *chunked[T]) each(fn func(pg int, t *T)) {
 
 // len returns the logical (address-space) length.
 func (c *chunked[T]) len() int { return c.n }
+
+// slab carves short runs of zeroed T out of pageChunk-sized blocks, so
+// per-page vectors and the first slots of per-page and per-proc lists cost
+// one allocation a block instead of one each. One live run pins its whole
+// block: use it for state that lives as long as the node, never for
+// per-message objects.
+type slab[T any] struct{ free []T }
+
+// take returns n fresh elements, capped so an append past them reallocates
+// instead of running into the next run.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, pageChunk)
+	}
+	run := s.free[:n:n]
+	s.free = s.free[n:]
+	return run
+}

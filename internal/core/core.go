@@ -183,10 +183,16 @@ const (
 // The timestamp is stored sparsely: at large machine sizes only the
 // active writers have non-zero components, so both the wire and memory
 // cost are O(writers), not O(nodes).
+//
+// There is one record per interval in the whole machine: every grant,
+// barrier report, log and write notice holds the pointer newIntervalRec
+// made, and nothing writes to a record after that. What a protocol ships
+// or stores of it is therefore an argument of the size functions (withVC),
+// not a property of a private copy.
 type IntervalRec struct {
 	Proc     int
 	Interval int32
-	VC       *vc.Sparse // nil on the wire under HLRC/OHLRC
+	VC       *vc.Sparse
 	Pages    []int32
 }
 
@@ -196,27 +202,27 @@ func (r *IntervalRec) Stamp() vc.Stamp {
 }
 
 // wireSize returns the encoded size of the record in bytes.
-func (r *IntervalRec) wireSize() int {
+func (r *IntervalRec) wireSize(withVC bool) int {
 	sz := 8 + 4*len(r.Pages)
-	if r.VC != nil {
+	if withVC {
 		sz += r.VC.WireSize()
 	}
 	return sz
 }
 
 // memSize returns the in-memory footprint for protocol memory accounting.
-func (r *IntervalRec) memSize() int64 {
+func (r *IntervalRec) memSize(withVC bool) int64 {
 	sz := int64(48) + 4*int64(len(r.Pages))
-	if r.VC != nil {
+	if withVC {
 		sz += int64(r.VC.WireSize())
 	}
 	return sz
 }
 
-func recsWireSize(recs []IntervalRec) int {
+func recsWireSize(recs []*IntervalRec, withVC bool) int {
 	sz := 4
-	for i := range recs {
-		sz += recs[i].wireSize()
+	for _, r := range recs {
+		sz += r.wireSize(withVC)
 	}
 	return sz
 }
@@ -225,12 +231,12 @@ func recsWireSize(recs []IntervalRec) int {
 // barrier releases.
 type grantInfo struct {
 	VC        vc.VC // the releaser's / manager's merged vector clock
-	Intervals []IntervalRec
+	Intervals []*IntervalRec
 	GC        bool // homeless protocols: run garbage collection (barrier only)
 }
 
-func (g *grantInfo) wireSize() int {
-	return g.VC.WireSize() + recsWireSize(g.Intervals)
+func (g *grantInfo) wireSize(withVC bool) int {
+	return g.VC.WireSize() + recsWireSize(g.Intervals, withVC)
 }
 
 // Engine is one node's protocol instance. Fault and synchronization entry

@@ -139,8 +139,7 @@ func (e *hlrcEngine) dataTarget() paragon.Target {
 func (e *hlrcEngine) seenOf(page int) *vc.Sparse {
 	m := e.pages.at(page)
 	if m.seen == nil {
-		m.seen = vc.NewSparse(e.sys.Opts.Machine.Nodes)
-		e.st().MemAlloc(e.vecBytes())
+		m.seen = e.newPageVec()
 	}
 	return m.seen
 }
@@ -148,8 +147,7 @@ func (e *hlrcEngine) seenOf(page int) *vc.Sparse {
 func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
 	m := e.pages.at(page)
 	if m.flushVC == nil {
-		m.flushVC = vc.NewSparse(e.sys.Opts.Machine.Nodes)
-		e.st().MemAlloc(e.vecBytes())
+		m.flushVC = e.newPageVec()
 	}
 	return m.flushVC
 }
@@ -431,16 +429,18 @@ func (e *hlrcEngine) sendDiff(df *diffFlush) {
 func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 	seen := e.seenOf(page)
 	seen.RaiseTo(rec.Proc, rec.Interval)
-	p := e.pt.Page(page)
 	if e.home(page) == e.self {
 		// The home never discards its copy; accesses wait for coverage.
-		if !covers(e.pages.at(page).flushVC, seen) && p.State != mem.ReadWrite {
+		if p := e.pt.Page(page); !covers(e.pages.at(page).flushVC, seen) && p.State != mem.ReadWrite {
 			p.State = mem.Invalid
 			return e.costs().PageInval
 		}
 		return 0
 	}
-	if p.State == mem.Invalid {
+	// Most notices are for pages this node never referenced: Peek, so
+	// they do not materialize a page-table chunk each.
+	p := e.pt.Peek(page)
+	if p == nil || p.State == mem.Invalid {
 		return 0
 	}
 	if p.State == mem.ReadWrite {

@@ -27,7 +27,8 @@ type lrcEngine struct {
 	// caches fetched diffs so that, for migratory data, a single request
 	// to the last writer returns the whole chain), keyed by
 	// (writer, page, interval) and retained until garbage collection.
-	diffs map[diffKey]*mem.Diff
+	diffs  map[diffKey]*mem.Diff
+	wnRuns slab[pageWN]
 }
 
 type diffKey struct {
@@ -38,7 +39,9 @@ type diffKey struct {
 
 // lrcPage is per-page protocol state on one node.
 type lrcPage struct {
-	wns []pageWN // write notices not yet reflected in the local copy
+	// wns are the write notices not yet reflected in the local copy. The
+	// list starts in a 4-slot run of wnRuns and is emptied in place.
+	wns []pageWN
 	// appliedVC[j] is the highest interval of writer j incorporated into
 	// the local Data copy. Nil until a copy exists. Homeless protocols
 	// carry these per-page vectors — part of their memory story.
@@ -80,6 +83,13 @@ type lrcFetchPageResp struct {
 }
 
 const wnEntryBytes = 24 // per-page write-notice list entry
+
+// dropWNs empties the notice list, keeping its backing for the next
+// notices and none of the records and diffs it pointed to.
+func (m *lrcPage) dropWNs() {
+	clear(m.wns)
+	m.wns = m.wns[:0]
+}
 
 func newLRCEngine(sys *System, self int, overlapped bool) *lrcEngine {
 	e := &lrcEngine{
@@ -177,6 +187,7 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		}
 		live = append(live, wn)
 	}
+	clear(m.wns[len(live):])
 	m.wns = live
 	if len(m.wns) == 0 {
 		return
@@ -264,7 +275,7 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		e.st().MemFree(wnEntryBytes)
 	}
 	e.use(cost, opCat)
-	m.wns = nil
+	m.dropWNs()
 }
 
 // fetchBaseCopy obtains a full page copy, chasing holder hints.
@@ -307,8 +318,7 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 func (e *lrcEngine) ensureAppliedVC(page int) {
 	m := e.pages.at(page)
 	if m.appliedVC == nil {
-		m.appliedVC = vc.NewSparse(e.sys.Opts.Machine.Nodes)
-		e.st().MemAlloc(e.vecBytes())
+		m.appliedVC = e.newPageVec()
 	}
 }
 
@@ -411,11 +421,16 @@ func (e *lrcEngine) closeCommit() {
 
 func (e *lrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 	m := e.pages.at(page)
+	if m.wns == nil {
+		m.wns = e.wnRuns.take(4)[:0]
+	}
 	m.wns = append(m.wns, pageWN{rec: rec})
 	e.st().MemAlloc(wnEntryBytes)
 	m.holder = int32(rec.Proc) + 1 // last-writer hint
-	p := e.pt.Page(page)
-	if p.State == mem.Invalid {
+	// Most notices are for pages this node never referenced: Peek, so
+	// they do not materialize a page-table chunk each.
+	p := e.pt.Peek(page)
+	if p == nil || p.State == mem.Invalid {
 		return 0
 	}
 	p.State = mem.Invalid
@@ -503,7 +518,7 @@ func (e *lrcEngine) runGC() {
 		for range m.wns {
 			e.st().MemFree(wnEntryBytes)
 		}
-		m.wns = nil
+		m.dropWNs()
 		if w.proc != e.self {
 			p := e.pt.Page(pg)
 			if p.Data != nil {

@@ -90,7 +90,7 @@ func (b *base) mirrorBarrierArrival(rep *barrierReport) {
 		return
 	}
 	b.sendMgrMirror(&mgrMirror{Lock: -1, Rep: rep},
-		8+rep.VC.WireSize()+recsWireSize(rep.Recs))
+		8+rep.VC.WireSize()+recsWireSize(rep.Recs, b.wireVC()))
 }
 
 // mirrorBarrierReset tells the backups a barrier episode completed.
@@ -475,17 +475,12 @@ func (b *base) absorbFrom(o *base) {
 			if r.Interval <= b.clock[r.Proc] || b.hasLogRec(r.Proc, r.Interval) {
 				continue
 			}
-			rec := *r
-			if b.sys.homeBased {
-				rec.VC = nil
+			b.insertLog(r)
+			if r.Interval > b.clock[r.Proc] {
+				b.clock[r.Proc] = r.Interval
 			}
-			rc := &rec
-			b.insertLog(rc)
-			if rec.Interval > b.clock[rec.Proc] {
-				b.clock[rec.Proc] = rec.Interval
-			}
-			for _, pg := range rec.Pages {
-				cost += b.co.noticePage(rc, int(pg))
+			for _, pg := range r.Pages {
+				cost += b.co.noticePage(r, int(pg))
 			}
 		}
 	}

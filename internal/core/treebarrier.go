@@ -34,15 +34,15 @@ import (
 
 // treeUp is one subtree's aggregated barrier arrival.
 type treeUp struct {
-	MinVC    vc.VC         // component-wise min over the subtree's clocks
-	MaxVC    vc.VC         // component-wise max over the subtree's clocks
-	Recs     []IntervalRec // union of new interval records in the subtree
-	ProtoMem int64         // max per-node protocol memory in the subtree
-	Nodes    int           // subtree size
+	MinVC    vc.VC          // component-wise min over the subtree's clocks
+	MaxVC    vc.VC          // component-wise max over the subtree's clocks
+	Recs     []*IntervalRec // union of new interval records in the subtree
+	ProtoMem int64          // max per-node protocol memory in the subtree
+	Nodes    int            // subtree size
 }
 
-func (u *treeUp) wireSize() int {
-	return 16 + u.MinVC.WireSize() + u.MaxVC.WireSize() + recsWireSize(u.Recs)
+func (u *treeUp) wireSize(withVC bool) int {
+	return 16 + u.MinVC.WireSize() + u.MaxVC.WireSize() + recsWireSize(u.Recs, withVC)
 }
 
 // treeBarrier is one node's view of the barrier tree.
@@ -116,7 +116,7 @@ func (b *base) treeSubtreeDone() {
 	up := b.treeAggregate()
 	b.node.Send(b.tree.parent, paragon.Msg{
 		Kind:   kBarrierUp,
-		Size:   up.wireSize(),
+		Size:   up.wireSize(b.wireVC()),
 		Class:  stats.ClassProtocol,
 		Target: b.syncTarget(),
 		Body:   up,
@@ -131,7 +131,7 @@ func (b *base) treeAggregate() *treeUp {
 	up := &treeUp{
 		MinVC:    rep.VC.Copy(),
 		MaxVC:    rep.VC.Copy(),
-		Recs:     append([]IntervalRec(nil), rep.Recs...),
+		Recs:     append([]*IntervalRec(nil), rep.Recs...),
 		ProtoMem: rep.ProtoMem,
 		Nodes:    1,
 	}
@@ -161,11 +161,9 @@ func (b *base) treeRootComplete() {
 	// Reports carry each node's own intervals, so together they cover
 	// everything; the root's own records are already logged.
 	for _, cu := range tb.childUp {
-		for i := range cu.Recs {
-			rec := cu.Recs[i]
+		for _, rec := range cu.Recs {
 			if !b.hasLogRec(rec.Proc, rec.Interval) {
-				r := rec
-				b.insertLog(&r)
+				b.insertLog(rec)
 			}
 		}
 	}
@@ -190,16 +188,16 @@ func (b *base) treeRootComplete() {
 		gc = b.sys.gcDecider(reps)
 	}
 	for i, c := range tb.children {
-		g := grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.releaseRecsSince(tb.childUp[i].MinVC)}
+		g := grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.logSince(tb.childUp[i].MinVC)}
 		b.node.Send(c, paragon.Msg{
 			Kind:   kBarrierDown,
-			Size:   8 + g.wireSize(),
+			Size:   8 + g.wireSize(b.wireVC()),
 			Class:  stats.ClassProtocol,
 			Target: b.syncTarget(),
 			Body:   &g,
 		})
 	}
-	local := &grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.releaseRecsSince(tb.ownRep.VC)}
+	local := &grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.logSince(tb.ownRep.VC)}
 	tb.resetEpisode()
 	tb.episodes++
 	if b.sys.onBarrier != nil {
@@ -213,24 +211,10 @@ func (b *base) treeRootComplete() {
 	}
 }
 
-// releaseRecsSince selects log records beyond the knowledge horizon
-// `have` — the minimum clock of a receiving subtree. Individual members
-// skip records they already know (applyGrant is idempotent), so the
-// per-subtree minimum is sufficient and no per-node filtering is needed.
-func (b *base) releaseRecsSince(have vc.VC) []IntervalRec {
-	out := b.logSince(have)
-	if b.sys.homeBased {
-		for i := range out {
-			out[i].VC = nil
-		}
-	}
-	return out
-}
-
 // filterRecsSince narrows a release to the records a child subtree with
 // minimum clock `have` is missing.
-func filterRecsSince(recs []IntervalRec, have vc.VC) []IntervalRec {
-	out := make([]IntervalRec, 0, len(recs))
+func filterRecsSince(recs []*IntervalRec, have vc.VC) []*IntervalRec {
+	out := make([]*IntervalRec, 0, len(recs))
 	for _, r := range recs {
 		if r.Interval > have[r.Proc] {
 			out = append(out, r)
@@ -263,7 +247,7 @@ func (b *base) handleBarrierDown(m paragon.Msg) (sim.Time, func()) {
 			cg := grantInfo{VC: g.VC.Copy(), GC: g.GC, Intervals: filterRecsSince(g.Intervals, tb.childUp[i].MinVC)}
 			b.node.Send(c, paragon.Msg{
 				Kind:   kBarrierDown,
-				Size:   8 + cg.wireSize(),
+				Size:   8 + cg.wireSize(b.wireVC()),
 				Class:  stats.ClassProtocol,
 				Target: b.syncTarget(),
 				Body:   &cg,

@@ -67,12 +67,21 @@ func TestSpaceBadSizesPanic(t *testing.T) {
 func TestTableGrowth(t *testing.T) {
 	s := NewSpace(64)
 	tb := NewTable(s)
+	if tb.Peek(100) != nil {
+		t.Fatal("Peek found an entry in an empty table")
+	}
 	p := tb.Page(100)
 	if p.State != Invalid || p.Data != nil {
 		t.Fatal("fresh page not invalid/empty")
 	}
-	if tb.Len() != 101 {
-		t.Fatalf("Len = %d, want 101", tb.Len())
+	// Peek sees what Page materialized and materializes nothing itself.
+	if tb.Peek(100) != p || tb.Peek(100+TableChunk) != nil || tb.Peek(100+9*TableChunk) != nil {
+		t.Fatal("Peek disagrees with Page")
+	}
+	entries := 0
+	tb.Each(func(int, *Page) { entries++ })
+	if entries != TableChunk {
+		t.Fatalf("%d entries materialized, want one chunk of %d", entries, TableChunk)
 	}
 	// Returned pointer must be stable enough for immediate use.
 	p.State = ReadWrite

@@ -58,7 +58,6 @@ const TableChunk = 128
 type Table struct {
 	Space  *Space
 	chunks [][]Page
-	limit  int // highest referenced page id + 1
 }
 
 // NewTable returns an empty page table over space.
@@ -79,14 +78,18 @@ func (t *Table) Page(id int) *Page {
 	if t.chunks[c] == nil {
 		t.chunks[c] = make([]Page, TableChunk)
 	}
-	if id >= t.limit {
-		t.limit = id + 1
-	}
 	return &t.chunks[c][id%TableChunk]
 }
 
-// Len returns one past the highest page id ever referenced.
-func (t *Table) Len() int { return t.limit }
+// Peek returns the entry for page id without materializing anything: nil
+// when the page's chunk was never referenced, so the entry is zero
+// (Invalid, no copy).
+func (t *Table) Peek(id int) *Page {
+	if c := id / TableChunk; c < len(t.chunks) && t.chunks[c] != nil {
+		return &t.chunks[c][id%TableChunk]
+	}
+	return nil
+}
 
 // Each visits every entry in every materialized chunk, in page order.
 // Entries in never-referenced chunks are skipped; they are zero (Invalid,

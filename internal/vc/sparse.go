@@ -2,7 +2,7 @@ package vc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ForceDense, when set before simulation starts, makes every Sparse use a
@@ -15,26 +15,41 @@ import (
 var ForceDense = false
 
 // Sparse is a vector timestamp over n processors that stores only its
-// non-zero components, as parallel (proc, value) slices sorted by proc.
-// Per-page vectors in the coherence protocols are touched by O(active
-// writers) processors, not O(n), so at large machine sizes this makes
-// write-notice records and piggybacked timestamps cost O(writers).
+// non-zero components (interval indices, never negative), as one slice of
+// (proc, value) pairs sorted by proc. Per-page vectors in the coherence
+// protocols are touched by O(active writers) processors, not O(n), so at
+// large machine sizes this makes write-notice records and piggybacked
+// timestamps cost O(writers).
 //
-// The zero value is not usable; construct with NewSparse or SparseFrom.
+// The first pair lives inline in the struct, so a single-writer vector is
+// one object. That makes a set Sparse self-referential: never copy one by
+// value (use Copy), or the copy's pair slice aliases the source's slot.
+//
+// Construct with NewSparse or SparseFrom, or Init a zeroed one in place.
 // Read methods (Get, Covers, NNZ, WireSize, Dense) tolerate a nil
 // receiver, which behaves as an all-zero vector of unknown dimension.
 type Sparse struct {
-	n     int     // dimension (number of processors)
-	procs []int32 // sorted processor ids with non-zero components
-	vals  []int32 // vals[i] pairs with procs[i]
-	dense VC      // non-nil when ForceDense was set at creation
+	ents  []pair  // non-zero components by ascending proc; nil or one[:k] until the second
+	one   [1]pair // inline backing for the first component
+	n     int32   // dimension (number of processors)
+	dense bool    // ForceDense was set at creation: ents[p] is component p, zeros included
 }
 
+type pair struct{ p, x int32 }
+
 // NewSparse returns an all-zero sparse vector for n processors.
-func NewSparse(n int) *Sparse {
-	s := &Sparse{n: n}
-	if ForceDense {
-		s.dense = New(n)
+func NewSparse(n int) *Sparse { return new(Sparse).Init(n) }
+
+// Init resets s in place to the all-zero vector for n processors and
+// returns it: the constructor for vectors that live inside a larger
+// allocation.
+func (s *Sparse) Init(n int) *Sparse {
+	*s = Sparse{n: int32(n), dense: ForceDense}
+	if s.dense {
+		s.ents = make([]pair, n)
+		for p := range s.ents {
+			s.ents[p].p = int32(p)
+		}
 	}
 	return s
 }
@@ -42,14 +57,18 @@ func NewSparse(n int) *Sparse {
 // SparseFrom returns a sparse copy of a dense vector.
 func SparseFrom(v VC) *Sparse {
 	s := NewSparse(len(v))
-	if s.dense != nil {
-		copy(s.dense, v)
-		return s
-	}
-	for i, x := range v {
+	nnz := 0
+	for _, x := range v {
 		if x != 0 {
-			s.procs = append(s.procs, int32(i))
-			s.vals = append(s.vals, x)
+			nnz++
+		}
+	}
+	if !s.dense && nnz > 1 {
+		s.ents = make([]pair, 0, nnz)
+	}
+	for p, x := range v {
+		if x != 0 {
+			s.Set(p, x)
 		}
 	}
 	return s
@@ -60,16 +79,22 @@ func (s *Sparse) Dim() int {
 	if s == nil {
 		return 0
 	}
-	return s.n
+	return int(s.n)
 }
 
-// find returns the index of proc p in s.procs, or -1.
-func (s *Sparse) find(p int32) int {
-	i := sort.Search(len(s.procs), func(i int) bool { return s.procs[i] >= p })
-	if i < len(s.procs) && s.procs[i] == p {
-		return i
+// search returns the position of the first pair with proc >= p, and
+// whether that pair is p's. Hand-rolled: it runs twice per write notice,
+// and slices.BinarySearchFunc's indirect compare doubles its cost.
+func (s *Sparse) search(p int) (int, bool) {
+	lo, hi := 0, len(s.ents)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); int(s.ents[m].p) < p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return -1
+	return lo, lo < len(s.ents) && int(s.ents[lo].p) == p
 }
 
 // Get returns component p (0 when absent or s is nil).
@@ -77,41 +102,40 @@ func (s *Sparse) Get(p int) int32 {
 	if s == nil {
 		return 0
 	}
-	if s.dense != nil {
-		return s.dense[p]
+	if s.dense {
+		return s.ents[p].x
 	}
-	if i := s.find(int32(p)); i >= 0 {
-		return s.vals[i]
+	if i, found := s.search(p); found {
+		return s.ents[i].x
 	}
 	return 0
 }
 
 // Set assigns component p. Setting zero removes the entry.
 func (s *Sparse) Set(p int, x int32) {
-	if s.dense != nil {
-		s.dense[p] = x
+	if s.dense {
+		s.ents[p].x = x
 		return
 	}
-	pp := int32(p)
-	i := sort.Search(len(s.procs), func(i int) bool { return s.procs[i] >= pp })
-	if i < len(s.procs) && s.procs[i] == pp {
-		if x == 0 {
-			s.procs = append(s.procs[:i], s.procs[i+1:]...)
-			s.vals = append(s.vals[:i], s.vals[i+1:]...)
-			return
-		}
-		s.vals[i] = x
-		return
+	switch i, found := s.search(p); {
+	case found && x == 0:
+		s.ents = append(s.ents[:i], s.ents[i+1:]...)
+	case found:
+		s.ents[i].x = x
+	case x != 0:
+		s.grow(1)
+		copy(s.ents[i+1:], s.ents[i:])
+		s.ents[i] = pair{int32(p), x}
 	}
-	if x == 0 {
-		return
+}
+
+// grow extends ents by k pairs for the caller to fill, starting out in the
+// inline slot.
+func (s *Sparse) grow(k int) {
+	if s.ents == nil {
+		s.ents = s.one[:0]
 	}
-	s.procs = append(s.procs, 0)
-	copy(s.procs[i+1:], s.procs[i:])
-	s.procs[i] = pp
-	s.vals = append(s.vals, 0)
-	copy(s.vals[i+1:], s.vals[i:])
-	s.vals[i] = x
+	s.ents = slices.Grow(s.ents, k)[:len(s.ents)+k]
 }
 
 // RaiseTo raises component p to at least x.
@@ -122,21 +146,46 @@ func (s *Sparse) RaiseTo(p int, x int32) {
 }
 
 // MaxWith raises each component of s to at least the corresponding
-// component of o (which may be nil).
+// component of o (which may be nil): one two-pointer pass raises the
+// components both hold and counts the ones s lacks, and a second, run from
+// the back, merges those in place.
 func (s *Sparse) MaxWith(o *Sparse) {
 	if o == nil {
 		return
 	}
-	if o.dense != nil {
-		for p, x := range o.dense {
-			if x != 0 {
-				s.RaiseTo(p, x)
-			}
-		}
+	if s.dense || o.dense {
+		o.Each(s.RaiseTo)
 		return
 	}
-	for i, p := range o.procs {
-		s.RaiseTo(int(p), o.vals[i])
+	i, add := 0, 0
+	for _, e := range o.ents {
+		for i < len(s.ents) && s.ents[i].p < e.p {
+			i++
+		}
+		if i == len(s.ents) || s.ents[i].p != e.p {
+			add++
+		} else if s.ents[i].x < e.x {
+			s.ents[i].x = e.x
+		}
+	}
+	if add == 0 {
+		return
+	}
+	i, j := len(s.ents)-1, len(o.ents)-1
+	s.grow(add)
+	// s.ents[i+1..k] is the gap still to fill: k-i components of o[..j]
+	// are missing from s[..i], so j cannot run out before the gap closes.
+	for k := len(s.ents) - 1; k > i; k-- {
+		if i >= 0 && s.ents[i].p >= o.ents[j].p {
+			if s.ents[i].p == o.ents[j].p {
+				j--
+			}
+			s.ents[k] = s.ents[i]
+			i--
+		} else {
+			s.ents[k] = o.ents[j]
+			j--
+		}
 	}
 }
 
@@ -145,16 +194,21 @@ func (s *Sparse) Covers(o *Sparse) bool {
 	if o == nil {
 		return true
 	}
-	if o.dense != nil {
-		for p, x := range o.dense {
-			if x != 0 && s.Get(p) < x {
-				return false
-			}
-		}
-		return true
+	if o.dense || (s != nil && s.dense) {
+		ok := true
+		o.Each(func(p int, x int32) { ok = ok && s.Get(p) >= x })
+		return ok
 	}
-	for i, p := range o.procs {
-		if s.Get(int(p)) < o.vals[i] {
+	var have []pair
+	if s != nil {
+		have = s.ents
+	}
+	i := 0
+	for _, e := range o.ents {
+		for i < len(have) && have[i].p < e.p {
+			i++
+		}
+		if i == len(have) || have[i].p != e.p || have[i].x < e.x {
 			return false
 		}
 	}
@@ -171,14 +225,9 @@ func (s *Sparse) Copy() *Sparse {
 	if s == nil {
 		return nil
 	}
-	c := &Sparse{n: s.n}
-	if s.dense != nil {
-		c.dense = s.dense.Copy()
-		return c
-	}
-	if len(s.procs) > 0 {
-		c.procs = append([]int32(nil), s.procs...)
-		c.vals = append([]int32(nil), s.vals...)
+	c := &Sparse{n: s.n, dense: s.dense}
+	if len(s.ents) > 0 {
+		c.ents = append(c.one[:0], s.ents...)
 	}
 	return c
 }
@@ -188,31 +237,18 @@ func (s *Sparse) NNZ() int {
 	if s == nil {
 		return 0
 	}
-	if s.dense != nil {
-		nnz := 0
-		for _, x := range s.dense {
-			if x != 0 {
-				nnz++
-			}
-		}
-		return nnz
+	if !s.dense {
+		return len(s.ents)
 	}
-	return len(s.procs)
+	nnz := 0
+	s.Each(func(int, int32) { nnz++ })
+	return nnz
 }
 
 // Dense materializes the vector as a dense VC of dimension n.
 func (s *Sparse) Dense(n int) VC {
 	v := New(n)
-	if s == nil {
-		return v
-	}
-	if s.dense != nil {
-		copy(v, s.dense)
-		return v
-	}
-	for i, p := range s.procs {
-		v[p] = s.vals[i]
-	}
+	s.Each(func(p int, x int32) { v[p] = x })
 	return v
 }
 
@@ -221,16 +257,10 @@ func (s *Sparse) Each(f func(p int, x int32)) {
 	if s == nil {
 		return
 	}
-	if s.dense != nil {
-		for p, x := range s.dense {
-			if x != 0 {
-				f(p, x)
-			}
+	for _, e := range s.ents {
+		if e.x != 0 {
+			f(int(e.p), e.x)
 		}
-		return
-	}
-	for i, p := range s.procs {
-		f(int(p), s.vals[i])
 	}
 }
 
@@ -243,7 +273,7 @@ func (s *Sparse) WireSize() int {
 	if s == nil {
 		return 4
 	}
-	return SparseWireSize(s.n, s.NNZ())
+	return SparseWireSize(int(s.n), s.NNZ())
 }
 
 // SparseWireSize is the wire-size model shared by every vector-timestamp

@@ -1,6 +1,7 @@
 package vc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -154,4 +155,202 @@ func TestSparseFromRoundTrip(t *testing.T) {
 	if s.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3", s.NNZ())
 	}
+}
+
+// mkSparse builds a Sparse from a dense image through Set, in descending
+// proc order so every insertion lands at the front; forceDense selects the
+// dense backing for this one vector.
+func mkSparse(v VC, forceDense bool) *Sparse {
+	defer func(old bool) { ForceDense = old }(ForceDense)
+	ForceDense = forceDense
+	s := NewSparse(len(v))
+	for p := len(v) - 1; p >= 0; p-- {
+		s.Set(p, v[p])
+	}
+	return s
+}
+
+// checkAgainstDense compares every observable of s with the dense image d.
+func checkAgainstDense(t *testing.T, what string, s *Sparse, d VC) {
+	t.Helper()
+	if got := s.Dense(len(d)); !got.Equal(d) || !d.Equal(got) {
+		t.Fatalf("%s: sparse %v, dense %v", what, got, d)
+	}
+	nnz, last := 0, -1
+	for p, x := range d {
+		if s.Get(p) != x {
+			t.Fatalf("%s: Get(%d) = %d, want %d", what, p, s.Get(p), x)
+		}
+		if x != 0 {
+			nnz++
+		}
+	}
+	if s.NNZ() != nnz || s.WireSize() != SparseWireSize(len(d), nnz) {
+		t.Fatalf("%s: NNZ %d wire %d, want %d and %d", what, s.NNZ(), s.WireSize(), nnz, SparseWireSize(len(d), nnz))
+	}
+	s.Each(func(p int, x int32) {
+		if p <= last || x != d[p] {
+			t.Fatalf("%s: Each visited (%d, %d) after proc %d; dense %v", what, p, x, last, d)
+		}
+		last = p
+	})
+}
+
+// TestSparseLayoutEdges walks the places where the representation changes
+// shape: the first component (inline), the second (first heap growth), and
+// removals of either.
+func TestSparseLayoutEdges(t *testing.T) {
+	s, d := NewSparse(8), New(8)
+	set := func(p int, x int32) {
+		t.Helper()
+		s.Set(p, x)
+		d[p] = x
+		checkAgainstDense(t, fmt.Sprintf("after Set(%d, %d)", p, x), s, d)
+	}
+	set(5, 1) // inline
+	set(5, 4) // overwrite in place
+	set(2, 3) // second component, inserted in front: inline -> heap
+	set(7, 2) // third, appended
+	set(5, 0) // remove the middle one
+	set(2, 0) // remove the front one
+	set(7, 0) // remove the last one: empty again
+	set(7, 0) // removing an absent component is a no-op
+	set(3, 6) // and the vector is still usable
+	set(3, 0) // remove the only component
+	set(0, 1)
+	set(1, 1)
+
+	// A copy of a one-component vector must not share the source's slot.
+	src, srcD := NewSparse(8), New(8)
+	src.Set(5, 1)
+	srcD[5] = 1
+	c, cD := src.Copy(), srcD.Copy()
+	src.Set(5, 9)
+	srcD[5] = 9
+	checkAgainstDense(t, "copy after source changed", c, cD)
+	c.Set(5, 7)
+	c.Set(1, 2) // growth in the copy
+	cD[5], cD[1] = 7, 2
+	checkAgainstDense(t, "source after copy changed", src, srcD)
+	checkAgainstDense(t, "copy after copy changed", c, cD)
+	if e := NewSparse(8).Copy(); e == nil || e.NNZ() != 0 || e.Dim() != 8 {
+		t.Fatalf("copy of an empty vector = %v", e)
+	}
+	if (*Sparse)(nil).Copy() != nil {
+		t.Fatal("copy of nil is not nil")
+	}
+}
+
+// TestSparseMergesMatchDense checks MaxWith and Covers against the dense
+// algebra for every shape the two-pointer merges distinguish, with each
+// operand in both backings.
+func TestSparseMergesMatchDense(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b VC // b nil: the nil operand
+	}{
+		{"nil operand", VC{0, 2, 0, 0, 5, 0}, nil},
+		{"both empty", VC{0, 0, 0, 0, 0, 0}, VC{0, 0, 0, 0, 0, 0}},
+		{"into empty", VC{0, 0, 0, 0, 0, 0}, VC{0, 3, 0, 1, 0, 0}},
+		{"empty operand", VC{0, 3, 0, 1, 0, 0}, VC{0, 0, 0, 0, 0, 0}},
+		{"one into one, same proc", VC{0, 0, 4, 0, 0, 0}, VC{0, 0, 6, 0, 0, 0}},
+		{"one into one, in front", VC{0, 0, 4, 0, 0, 0}, VC{1, 0, 0, 0, 0, 0}},
+		{"one into one, behind", VC{0, 0, 4, 0, 0, 0}, VC{0, 0, 0, 0, 0, 2}},
+		{"disjoint, all in front", VC{0, 0, 0, 7, 7, 7}, VC{1, 2, 3, 0, 0, 0}},
+		{"disjoint, all behind", VC{1, 2, 3, 0, 0, 0}, VC{0, 0, 0, 7, 7, 7}},
+		{"interleaved", VC{1, 0, 3, 0, 5, 0}, VC{0, 2, 0, 4, 0, 6}},
+		{"interleaved with shared", VC{1, 0, 3, 4, 5, 0}, VC{0, 2, 9, 1, 0, 6}},
+		{"covered", VC{3, 3, 3, 3, 3, 3}, VC{0, 1, 0, 3, 0, 2}},
+		{"covers but for one", VC{3, 3, 3, 3, 3, 3}, VC{0, 1, 0, 4, 0, 2}},
+	}
+	for _, tc := range cases {
+		for mode := 0; mode < 4; mode++ {
+			aDense, bDense := mode&1 != 0, mode&2 != 0
+			name := fmt.Sprintf("%s/a-dense=%v/b-dense=%v", tc.name, aDense, bDense)
+			sa := mkSparse(tc.a, aDense)
+			var sb *Sparse
+			db := New(len(tc.a))
+			if tc.b != nil {
+				sb, db = mkSparse(tc.b, bDense), tc.b.Copy()
+			}
+			da := tc.a.Copy()
+			if got, want := sa.Covers(sb), da.Covers(db); got != want {
+				t.Fatalf("%s: a.Covers(b) = %v, want %v", name, got, want)
+			}
+			if got, want := sb.Covers(sa), db.Covers(da); got != want {
+				t.Fatalf("%s: b.Covers(a) = %v, want %v", name, got, want)
+			}
+			if got, want := sa.Equal(sb), da.Equal(db) && db.Equal(da); got != want {
+				t.Fatalf("%s: Equal = %v, want %v", name, got, want)
+			}
+			sa.MaxWith(sb)
+			da.MaxWith(db)
+			checkAgainstDense(t, name+": a after MaxWith", sa, da)
+			if sb != nil {
+				checkAgainstDense(t, name+": b after a.MaxWith(b)", sb, db)
+				if !sa.Covers(sb) {
+					t.Fatalf("%s: the merge does not cover its operand", name)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSparseVsDense applies an op-sequence byte string to a pair of Sparse
+// vectors and their dense images and compares every observable after each
+// step. Byte 0 picks the dimension and whether the second vector is
+// ForceDense-backed; each following triple is (op, proc, value).
+func FuzzSparseVsDense(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{6, 0, 5, 1, 0, 2, 3, 0, 5, 0, 0, 2, 0}) // inline, grow in front, remove both
+	f.Add([]byte{3, 2, 1, 4, 2, 3, 5, 3, 0, 0, 4, 0, 0}) // interleaved merge, both directions
+	f.Add([]byte{0x86, 0, 2, 7, 2, 5, 1, 3, 0, 0, 5, 0, 0, 0, 2, 1})
+	f.Add([]byte{9, 5, 0, 0, 0, 4, 4, 6, 0, 0, 1, 4, 2, 6, 0, 0, 7, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		n, bDense := 2, false
+		if len(ops) > 0 {
+			n, bDense = 2+int(ops[0]&0x0f), ops[0]&0x80 != 0
+			ops = ops[1:]
+		}
+		da, db := New(n), New(n)
+		sa, sb := NewSparse(n), mkSparse(db, bDense)
+		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
+			p, x := int(ops[1])%n, int32(ops[2]%8)
+			switch ops[0] % 8 {
+			case 0:
+				sa.Set(p, x)
+				da[p] = x
+			case 1:
+				sa.RaiseTo(p, x)
+				da[p] = max(da[p], x)
+			case 2:
+				sb.Set(p, x)
+				db[p] = x
+			case 3:
+				sa.MaxWith(sb)
+				da.MaxWith(db)
+			case 4:
+				sb.MaxWith(sa)
+				db.MaxWith(da)
+			case 5: // carry on with a copy; the original takes a write the copy must not see
+				old := sa
+				sa = sa.Copy()
+				old.Set(p, x+1)
+			case 6:
+				sa.MaxWith(nil)
+				if !sa.Covers(nil) || (*Sparse)(nil).Covers(sa) != New(n).Covers(da) {
+					t.Fatalf("step %d: nil operand mishandled", step)
+				}
+			case 7:
+				sa.Set(p, 0)
+				da[p] = 0
+			}
+			what := fmt.Sprintf("step %d (op %d, proc %d, value %d)", step, ops[0]%8, p, x)
+			checkAgainstDense(t, what+": a", sa, da)
+			checkAgainstDense(t, what+": b", sb, db)
+			if sa.Covers(sb) != da.Covers(db) || sb.Covers(sa) != db.Covers(da) || sa.Equal(sb) != da.Equal(db) {
+				t.Fatalf("%s: Covers/Equal disagree with dense: a=%v b=%v", what, da, db)
+			}
+		}
+	})
 }

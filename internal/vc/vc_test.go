@@ -162,3 +162,20 @@ func TestMaxWithProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSparseInitInPlace: Init is NewSparse for a vector that lives inside
+// a larger allocation (neighbours must not share state), and it resets a
+// used one.
+func TestSparseInitInPlace(t *testing.T) {
+	block := make([]Sparse, 2)
+	a, b := block[0].Init(4), block[1].Init(4)
+	a.Set(1, 5)
+	b.Set(1, 6)
+	b.Set(2, 7)
+	if a.Get(1) != 5 || a.Get(2) != 0 || b.Get(1) != 6 || b.Get(2) != 7 {
+		t.Fatalf("neighbours interfere: a=%v b=%v", a, b)
+	}
+	if b.Init(3); b.NNZ() != 0 || b.Dim() != 3 || a.Get(1) != 5 {
+		t.Fatalf("Init did not reset in place: a=%v b=%v dim %d", a, b, b.Dim())
+	}
+}
