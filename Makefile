@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale
+.PHONY: all build test race vet fmt check ab sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale
 
 all: check
 
@@ -25,6 +25,15 @@ fmt:
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
 check: fmt vet build test
+
+# A/B the repository benchmark: git ref BASE against this checkout on one
+# WORKLOAD, PAIRS alternating pairs over seeds 1-4, with the gain / WORSE
+# verdict per end-to-end metric (scripts/ab.sh).
+BASE ?= HEAD
+WORKLOAD ?= serve_read
+PAIRS ?= 10
+ab:
+	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # The Table-2 speedup grid under every fault profile, with per-cell JSON
 # statistics. Crash cells run the home-based protocols with one replica.

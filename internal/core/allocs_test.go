@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"gosvm/internal/mem"
@@ -101,6 +102,172 @@ func TestSyncOpAllocsFlatInNodeCount(t *testing.T) {
 					t.Logf("%.1f allocs per (node x episode) at p=8, %.1f at p=96", small, large)
 				}
 			})
+		}
+	}
+}
+
+// allocatedBytes returns the bytes f allocates (the whole process's; the
+// callers run nothing beside it).
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// refetchApp has each reader poll one remote 8 KB page with FreshRead,
+// rounds times: node 1 polls node 0's page and, when both is set, node 0
+// polls node 1's. check runs on every node before the closing barrier.
+func refetchApp(rounds int, both bool, check func(c *Ctx, id int)) *testApp {
+	const words = 1024
+	var addr mem.Addr
+	return &testApp{
+		name:  "refetch",
+		setup: func(s *Setup) { addr = s.Alloc(2 * words) },
+		init: func(w *Init) {
+			w.SetHome(addr, words, 0)
+			w.SetHome(addr+words, words, 1)
+		},
+		worker: func(c *Ctx, id int) {
+			if id == 1 || both {
+				remote := addr + mem.Addr(1-id)*words
+				for i := 0; i < rounds; i++ {
+					if !c.FreshRead(remote) || c.Load(remote) != 0 {
+						panic("refetch: fresh read failed")
+					}
+				}
+			}
+			check(c, id)
+			c.Barrier(0)
+		},
+		gather: func(c *Ctx) []float64 { return nil },
+	}
+}
+
+// TestRefetchMovesOneFrame guards the fetch path's host cost. When two
+// nodes poll each other's page, the frame a reader's refetch replaces is
+// the frame its next reply ships, so the loop allocates no page at all
+// (the parent allocated and zeroed 8 KB per refetch at the home, and
+// copied it twice). When only one node polls, frames flow one way: the
+// home allocates one per refetch, and the reader's free list must stop at
+// its cap — the copies it holds — instead of keeping all 2 000.
+func TestRefetchMovesOneFrame(t *testing.T) {
+	const rounds = 2000
+	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			opts := testOpts(proto, 2)
+			opts.PageBytes = 8192
+			run := func(both bool, check func(c *Ctx, id int)) float64 {
+				n := rounds
+				if both {
+					n = 2 * rounds
+				}
+				return float64(allocatedBytes(func() { runOrFail(t, opts, refetchApp(rounds, both, check)) })) / float64(n)
+			}
+			mutual := run(true, func(*Ctx, int) {})
+			if mutual >= 1024 {
+				t.Errorf("two nodes polling each other: %.0f bytes allocated per refetch, want < 1024", mutual)
+			}
+			per := run(false, func(c *Ctx, id int) {
+				b := baseOf(c.eng)
+				free, _ := b.pool().Free()
+				// Node 1 holds its own home page and the polled copy.
+				if want := []int{1, 2}[id]; b.copies != want || free > b.copies {
+					t.Errorf("node %d: %d free frames, %d copies counted; want %d copies and no more frames than that",
+						id, free, b.copies, want)
+				}
+			})
+			if per < 8192 || per >= 8192+1024 {
+				t.Errorf("one node polling: %.0f bytes allocated per refetch, want one 8 KB frame and < 1 KB beside it", per)
+			}
+			if testing.Verbose() {
+				t.Logf("bytes allocated per refetch: %.0f polling each other, %.0f polling one way", mutual, per)
+			}
+		})
+	}
+}
+
+// TestLRCFreeFramesWithinResidentCopies: garbage collection drops page
+// copies, which lowers the cap on the free list they are recycled into.
+// After several collections no node may sit on more free frames than the
+// copies it still holds, and the count the cap works from must be exact.
+func TestLRCFreeFramesWithinResidentCopies(t *testing.T) {
+	for _, proto := range []Protocol{ProtoLRC, ProtoOLRC} {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			const words, rounds = 64 * 12, 4 // twelve 512-byte pages
+			var addr mem.Addr
+			var lists []FrameList
+			app := &testApp{
+				name:  "gc-frames",
+				setup: func(s *Setup) { addr = s.Alloc(words) },
+				init:  func(w *Init) {},
+				worker: func(c *Ctx, id int) {
+					for round := 0; round < rounds; round++ {
+						// Everyone reads every page, then writes a word of
+						// each page of a rotating third of them.
+						for i := 0; i < words; i += 64 {
+							c.Load(addr + mem.Addr(i))
+						}
+						c.Barrier(2 * round)
+						for pg := (id + round) % 3; pg < words/64; pg += 3 {
+							a := addr + mem.Addr(pg*64+id)
+							c.Store(a, c.Load(a)+1)
+						}
+						c.Barrier(2*round + 1)
+					}
+				},
+				gather: func(c *Ctx) []float64 {
+					lists = c.FrameLists()
+					return nil
+				},
+			}
+			opts := testOpts(proto, 4)
+			opts.GCThreshold = 1 // collect at every barrier
+			res := runOrFail(t, opts, app)
+			if gcs := res.Stats.Nodes[0].Counts.GCs; gcs < 2 {
+				t.Fatalf("%d collections, want at least 2", gcs)
+			}
+			recycled := 0
+			for i, l := range lists {
+				if l.Free > l.Resident || l.Counted != l.Resident {
+					t.Errorf("node %d: %d free frames, %d copies counted, %d resident", i, l.Free, l.Counted, l.Resident)
+				}
+				recycled += l.Free
+			}
+			if recycled == 0 {
+				t.Error("no node has a free frame: the collection's drops are not recycled")
+			}
+			if testing.Verbose() {
+				t.Logf("per node {free frames, free backings, resident copies, counted copies}: %v", lists)
+			}
+		})
+	}
+}
+
+// TestSeedImageIsAllocatedOnce: the staging image is the homes' first copy
+// of every page, so a run allocates the shared memory once, not an image
+// and then a frame per page.
+func TestSeedImageIsAllocatedOnce(t *testing.T) {
+	const words = 1 << 20 // 8 MB
+	app := &testApp{
+		name:   "seed-once",
+		setup:  func(s *Setup) { s.Alloc(words) },
+		init:   func(w *Init) {},
+		worker: func(c *Ctx, id int) { c.Barrier(0) },
+		gather: func(c *Ctx) []float64 { return nil },
+	}
+	for _, proto := range []Protocol{ProtoSeq, ProtoHLRC, ProtoLRC} {
+		nodes := 2
+		if proto == ProtoSeq {
+			nodes = 1
+		}
+		opts := testOpts(proto, nodes)
+		opts.PageBytes = 8192
+		if got := allocatedBytes(func() { runOrFail(t, opts, app) }); got >= 8*words*3/2 {
+			t.Errorf("%s: run allocated %d bytes for %d of shared memory, want under 1.5x", proto, got, 8*words)
 		}
 	}
 }

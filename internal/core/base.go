@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gosvm/internal/mem"
@@ -79,8 +80,10 @@ type base struct {
 	// node 0 for the GC rendezvous.
 	tree *treeBarrier
 
-	// memPool recycles page/diff buffers for this node only; see init.
+	// memPool recycles page frames for this node only; see init. copies counts
+	// its page copies (less any recover.go materializes) and caps the free list.
 	memPool *mem.Pool
+	copies  int
 }
 
 type lockState struct {
@@ -106,7 +109,7 @@ func (b *base) init(sys *System, self int, co coherence) {
 	if sys.Opts.Machine.TreeBarrier() {
 		b.tree = newTreeBarrier(self, sys.Opts.Machine.BarrierRadix, sys.Opts.Machine.Nodes)
 	}
-	// Buffer recycling is per node so concurrent lanes never share a free
+	// Frame recycling is per node so concurrent lanes never share a free
 	// list. Pool contents are never observable (every consumer overwrites
 	// the full buffer), so sharding changes no simulated outcome.
 	b.memPool = mem.NewPool(sys.Space.PageWords)
@@ -138,6 +141,44 @@ func (b *base) wireVC() bool { return !b.sys.homeBased }
 func (b *base) logVC(rec *IntervalRec) bool { return b.wireVC() || rec.Proc == b.self }
 
 func (b *base) pool() *mem.Pool { return b.memPool }
+
+// sink is where a frame this node is done with goes: its pool, or nil (the
+// Go GC) once the list holds as many frames as the node holds copies. Frames
+// flow from homes to readers only, so an uncapped list grows with every refetch.
+func (b *base) sink() *mem.Pool {
+	if free, _ := b.memPool.Free(); free >= b.copies {
+		return nil
+	}
+	return b.memPool
+}
+
+// holdCopy counts a page copy installed outside adopt (the seed image).
+func (b *base) holdCopy() { b.copies++ }
+
+// snapshot copies p for exactly one recipient, which adopts the copy. The
+// copy is the snapshot semantics, not overhead: simulated time passes
+// before the reply lands and this node keeps writing the page.
+func (b *base) snapshot(p *mem.Page) []float64 {
+	if free, _ := b.memPool.Free(); free == 0 {
+		return slices.Clone(p.Data) // allocates without zeroing
+	}
+	return append(b.memPool.GetPage()[:0], p.Data...)
+}
+
+// adopt makes *frame, a snapshot shipped to this node alone, its copy of p and
+// recycles the stale one: the page crosses the host once, as it does the wire.
+// *frame is cleared, so a second delivery panics here instead of aliasing.
+func (b *base) adopt(p *mem.Page, frame *[]float64) {
+	if len(*frame) != b.sys.Space.PageWords {
+		panic(fmt.Sprintf("core: node %d adopting a %d-word page frame (delivered twice?)", b.self, len(*frame)))
+	}
+	if p.Data == nil {
+		b.copies++
+	}
+	b.sink().PutPage(p.Data) // nil is not a frame: nothing is put
+	p.Data, *frame = *frame, nil
+}
+
 func (b *base) st() *stats.Node { return b.node.Stats }
 func (b *base) app() *sim.Proc  { return b.sys.appProcs[b.self] }
 

@@ -187,8 +187,8 @@ func (e *hlrcEngine) ReadFault(page int) {
 	})
 	e.st().Add(stats.CatData, e.app().Now()-t0)
 	pr := resp.Body.(*fetchPageResp)
-	p := e.pt.Materialize(page)
-	copy(p.Data, pr.Data)
+	p := e.pt.Page(page)
+	e.adopt(p, &pr.Data)
 	p.State = mem.ReadOnly
 	seen := e.seenOf(page)
 	seen.MaxWith(pr.FlushVC)
@@ -340,8 +340,8 @@ func (e *hlrcEngine) closeCommit() {
 					})
 					continue
 				}
-				diff := mem.ComputeDiffPooled(e.pool(), pg, p.Twin, p.Data)
-				p.DropTwin(e.pool())
+				diff := mem.ComputeDiff(pg, p.Twin, p.Data)
+				p.DropTwin(e.sink())
 				e.st().MemFree(int64(e.sys.Space.PageBytes()))
 				e.st().Counts.DiffsCreated++
 				e.emit(trace.DiffCreate, pg, -1, int64(diff.WireSize()))
@@ -359,10 +359,10 @@ func (e *hlrcEngine) closeCommit() {
 		if e.aurc {
 			// The hardware already streamed the writes home; the message
 			// models their aggregate write-through traffic.
-			diff := mem.ComputeDiffPooled(e.pool(), pg, p.Twin, p.Data)
+			diff := mem.ComputeDiff(pg, p.Twin, p.Data)
 			stores := p.Stores
 			p.Stores = 0
-			p.DropTwin(e.pool())
+			p.DropTwin(e.sink())
 			e.sendAUUpdate(&diffFlush{
 				Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: diff,
 			}, stores)
@@ -376,8 +376,8 @@ func (e *hlrcEngine) closeCommit() {
 			})
 			continue
 		}
-		diff := mem.ComputeDiffPooled(e.pool(), pg, p.Twin, p.Data)
-		p.DropTwin(e.pool())
+		diff := mem.ComputeDiff(pg, p.Twin, p.Data)
+		p.DropTwin(e.sink())
 		e.st().MemFree(int64(e.sys.Space.PageBytes()))
 		e.st().Counts.DiffsCreated++
 		e.emit(trace.DiffCreate, pg, -1, int64(diff.WireSize()))
@@ -497,8 +497,8 @@ func (e *hlrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 	return e.costs().DiffCreateCost(e.sys.Space.PageWords), func() {
 		req := m.Body.(*makeDiffReq)
 		p := e.pt.Page(req.Page)
-		diff := mem.ComputeDiffPooled(e.pool(), req.Page, p.Twin, p.Data)
-		p.DropTwin(e.pool())
+		diff := mem.ComputeDiff(req.Page, p.Twin, p.Data)
+		p.DropTwin(e.sink())
 		e.st().MemFree(int64(e.sys.Space.PageBytes()))
 		e.st().Counts.DiffsCreated++
 		e.emit(trace.DiffCreate, req.Page, -1, int64(diff.WireSize()))
@@ -565,13 +565,6 @@ func (e *hlrcEngine) homeApply(df *diffFlush) {
 	f.RaiseTo(df.Writer, df.Interval)
 	e.st().Counts.DiffsApplied++
 	e.emit(trace.DiffApply, df.Page, df.Writer, int64(df.Diff.Words()))
-	if e.sys.rec == nil {
-		// Home-based diffs are single-use: once applied at the home the
-		// flush is dead, so its pooled backing can be recycled. With
-		// recovery on, the same diff may still be queued on a replica —
-		// leave those to the garbage collector.
-		df.Diff.Release(e.pool())
-	}
 }
 
 // homeDrain retries pending diffs, fetches, and local waiters for a page
@@ -637,15 +630,12 @@ func (e *hlrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 }
 
 func (e *hlrcEngine) respondFetch(req paragon.Msg, fr *fetchPageReq) {
-	p := e.pt.Page(fr.Page)
-	data := make([]float64, len(p.Data))
-	copy(data, p.Data)
 	f := e.flushOf(fr.Page)
 	e.node.Respond(req, paragon.Msg{
 		Kind:  kFetchPage,
 		Size:  e.sys.Space.PageBytes() + f.WireSize(),
 		Class: stats.ClassData,
-		Body:  &fetchPageResp{Data: data, FlushVC: f.Copy()},
+		Body:  &fetchPageResp{Data: e.snapshot(e.pt.Page(fr.Page)), FlushVC: f.Copy()},
 	})
 }
 
@@ -661,16 +651,13 @@ func (e *hlrcEngine) handlePrefetch(m paragon.Msg) (sim.Time, func()) {
 			e.node.Send(e.home(pr.Page), m)
 			return
 		}
-		p := e.pt.Page(pr.Page)
-		data := make([]float64, len(p.Data))
-		copy(data, p.Data)
 		f := e.flushOf(pr.Page)
 		e.node.Send(pr.From, paragon.Msg{
 			Kind:   kPrefetchResp,
 			Size:   e.sys.Space.PageBytes() + f.WireSize(),
 			Class:  stats.ClassData,
 			Target: e.dataTarget(),
-			Body:   &prefetchResp{Page: pr.Page, Data: data, FlushVC: f.Copy()},
+			Body:   &prefetchResp{Page: pr.Page, Data: e.snapshot(e.pt.Page(pr.Page)), FlushVC: f.Copy()},
 		})
 	}
 }
@@ -685,11 +672,12 @@ func (e *hlrcEngine) handlePrefetchResp(m paragon.Msg) (sim.Time, func()) {
 		pm.prefetching = false
 		p := e.pt.Page(resp.Page)
 		if p.State != mem.Invalid || !covers(resp.FlushVC, pm.seen) {
+			e.sink().PutPage(resp.Data)
+			resp.Data = nil
 			return
 		}
-		pp := e.pt.Materialize(resp.Page)
-		copy(pp.Data, resp.Data)
-		pp.State = mem.ReadOnly
+		e.adopt(p, &resp.Data)
+		p.State = mem.ReadOnly
 		seen := e.seenOf(resp.Page)
 		seen.MaxWith(resp.FlushVC)
 		e.st().Counts.PagesFetched++

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
@@ -29,6 +30,9 @@ type lrcEngine struct {
 	// (writer, page, interval) and retained until garbage collection.
 	diffs  map[diffKey]*mem.Diff
 	wnRuns slab[pageWN]
+	// sorter and stamps are bringUpToDate's scratch (application proc only).
+	sorter vc.Sorter
+	stamps []vc.Stamp
 }
 
 type diffKey struct {
@@ -209,12 +213,9 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		if len(missing) == 0 {
 			break
 		}
-		sort.Slice(missing, func(a, b int) bool {
-			ra, rb := m.wns[missing[a]].rec, m.wns[missing[b]].rec
-			if ra.Interval != rb.Interval {
-				return ra.Interval > rb.Interval
-			}
-			return ra.Proc > rb.Proc
+		slices.SortFunc(missing, func(a, b int) int {
+			ra, rb := m.wns[a].rec, m.wns[b].rec
+			return cmp.Or(cmp.Compare(rb.Interval, ra.Interval), cmp.Compare(rb.Proc, ra.Proc))
 		})
 		target := m.wns[missing[0]].rec.Proc
 		req := &fetchDiffsReq{Page: page}
@@ -237,9 +238,8 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 			if !dr.Found[j] {
 				continue
 			}
-			d := dr.Diffs[j]
-			m.wns[i].diff = &d
-			e.cacheDiff(m.wns[i].rec.Proc, page, m.wns[i].rec.Interval, &d)
+			m.wns[i].diff = &dr.Diffs[j]
+			e.cacheDiff(m.wns[i].rec.Proc, page, m.wns[i].rec.Interval, &dr.Diffs[j])
 			got++
 		}
 		if got == 0 {
@@ -249,28 +249,21 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 	}
 
 	// Apply in happens-before order.
-	order := make([]vc.Stamp, len(m.wns))
-	for i, wn := range m.wns {
-		order[i] = wn.rec.Stamp()
+	e.stamps = e.stamps[:0]
+	for _, wn := range m.wns {
+		e.stamps = append(e.stamps, wn.rec.Stamp())
 	}
-	vc.TopoSort(order)
 	opCat := stats.CatProtocol
 	if waitCat == stats.CatGC {
 		opCat = stats.CatGC
 	}
 	var cost sim.Time
-	for _, s := range order {
-		var wn *pageWN
-		for i := range m.wns {
-			if m.wns[i].rec.Proc == s.Proc && m.wns[i].rec.Interval == s.Interval {
-				wn = &m.wns[i]
-				break
-			}
-		}
+	for _, i := range e.sorter.Order(e.stamps) {
+		wn := &m.wns[i]
 		cost += e.costs().DiffApplyCost(wn.diff.Words())
-		e.emit(trace.DiffApply, page, s.Proc, int64(wn.diff.Words()))
+		e.emit(trace.DiffApply, page, wn.rec.Proc, int64(wn.diff.Words()))
 		wn.diff.Apply(p.Data)
-		m.appliedVC.RaiseTo(s.Proc, s.Interval)
+		m.appliedVC.RaiseTo(wn.rec.Proc, wn.rec.Interval)
 		e.st().Counts.DiffsApplied++
 		e.st().MemFree(wnEntryBytes)
 	}
@@ -300,8 +293,7 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 			holder = pr.Hint
 			continue
 		}
-		p := e.pt.Materialize(page)
-		copy(p.Data, pr.Data)
+		e.adopt(e.pt.Page(page), &pr.Data)
 		// appliedVC is nil whenever Data is nil (GC frees them together),
 		// so merging into the fresh zero vector equals replacement.
 		e.ensureAppliedVC(page)
@@ -348,8 +340,8 @@ func (e *lrcEngine) commitOwnDiff(page int, charge bool) {
 // the live twin.
 func (e *lrcEngine) materializeDiff(page int, interval int32) {
 	p := e.pt.Page(page)
-	d := mem.ComputeDiffPooled(e.pool(), page, p.Twin, p.Data)
-	p.DropTwin(e.pool())
+	d := mem.ComputeDiff(page, p.Twin, p.Data)
+	p.DropTwin(e.sink())
 	e.st().MemFree(int64(e.sys.Space.PageBytes()))
 	e.storeDiff(page, interval, &d)
 }
@@ -511,7 +503,7 @@ func (e *lrcEngine) runGC() {
 		if m.pending != nil {
 			// Nobody fetched this diff during validation; it is dead.
 			p := e.pt.Page(pg)
-			p.DropTwin(e.pool())
+			p.DropTwin(e.sink())
 			e.st().MemFree(int64(e.sys.Space.PageBytes()))
 			m.pending = nil
 		}
@@ -523,6 +515,11 @@ func (e *lrcEngine) runGC() {
 			p := e.pt.Page(pg)
 			if p.Data != nil {
 				p.State = mem.Invalid
+				e.copies--
+				if free, _ := e.pool().Free(); free > e.copies {
+					e.pool().GetPage() // the cap fell below the list: let a frame go
+				}
+				e.sink().PutPage(p.Data)
 				p.Data = nil
 				if m.appliedVC != nil {
 					e.st().MemFree(e.vecBytes())
@@ -656,14 +653,12 @@ func (e *lrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 			})
 			return
 		}
-		data := make([]float64, len(p.Data))
-		copy(data, p.Data)
 		avc := pm.appliedVC.Copy()
 		e.node.Respond(m, paragon.Msg{
 			Kind:  kFetchPage,
 			Size:  e.sys.Space.PageBytes() + avc.WireSize(),
 			Class: stats.ClassData,
-			Body:  &lrcFetchPageResp{Data: data, AppliedVC: avc},
+			Body:  &lrcFetchPageResp{Data: e.snapshot(p), AppliedVC: avc},
 		})
 	}
 }

@@ -248,12 +248,14 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		}
 	}
 
-	// Phase 4: seed initial copies at the homes from the staging image.
-	for pg := 0; pg < npages; pg++ {
+	// Phase 4: the staging image, clipped page by page, is the homes' first copy.
+	for pg, w := 0, space.PageWords; pg < npages; pg++ {
 		owner := sys.homes[pg]
-		t := sys.Tables[owner]
-		p := t.Materialize(pg)
-		copy(p.Data, sys.staging[pg*space.PageWords:(pg+1)*space.PageWords])
+		p := sys.Tables[owner].Page(pg)
+		p.Data = sys.staging[pg*w : (pg+1)*w : (pg+1)*w]
+		if e, ok := sys.Engines[owner].(interface{ holdCopy() }); ok {
+			e.holdCopy()
+		}
 		p.State = mem.ReadOnly
 		if opts.Protocol == ProtoSeq {
 			p.State = mem.ReadWrite

@@ -31,8 +31,9 @@ func (s State) String() string {
 // Page is one node's view of a shared page.
 type Page struct {
 	State State
-	// Data is the local copy, nil if the node never materialized one.
-	// When State is Invalid, Data (if present) is a stale base copy.
+	// Data is the local copy, nil if the node holds none; when State is
+	// Invalid, a stale base copy. A page fetch replaces the slice: read it
+	// through the *Page after anything that can block, never from a saved one.
 	Data []float64
 	// Twin is the clean snapshot taken before the first write of the
 	// current interval; nil when the page is not being written.

@@ -1,22 +1,21 @@
 package mem
 
-// Pool recycles the two kinds of float64 buffers the protocols churn
-// through: page-sized twin snapshots and the value backing of diffs. One
-// simulation kernel is single-threaded, so the free lists need no locking;
-// concurrent simulations each own their Space and therefore their Pool.
+// Pool recycles page frames (twins, fetch snapshots, dropped copies) and,
+// for ComputeDiffPooled and Release only, diff value backings: the
+// protocols compute exact-size diffs and never touch that list. A lane is
+// single-threaded and every node owns its Pool (DESIGN §9): no locking.
 //
 // Pooling invariants:
 //   - A buffer handed out by GetPage/getBuf has exactly one owner; it may
 //     be returned at most once, by that owner.
 //   - Returned buffers are never zeroed: every consumer overwrites the
-//     full length it uses (twins are copied over, diff backings are filled
-//     by ComputeDiffPooled before any run aliases them).
-//   - Releasing is optional. A pooled buffer that is still referenced
-//     somewhere (LRC diffs cached on several nodes, recovery logs) is
-//     simply never released and falls to the Go GC like any other slice.
+//     full length it uses (twins and snapshots are copied over, diff
+//     backings are filled by ComputeDiffPooled before any run aliases them).
+//   - Releasing is optional: a buffer that is not returned falls to the Go
+//     GC like any other slice.
 type Pool struct {
 	pageWords int
-	pages     [][]float64 // twin/page buffers, len == pageWords
+	pages     [][]float64 // page frames, len == pageWords
 	bufs      [][]float64 // diff value backings, cap <= pageWords
 }
 
@@ -24,6 +23,10 @@ type Pool struct {
 func NewPool(pageWords int) *Pool {
 	return &Pool{pageWords: pageWords}
 }
+
+// Free returns the lengths of the two free lists; how many frames a node
+// keeps is its owner's policy.
+func (p *Pool) Free() (frames, backings int) { return len(p.pages), len(p.bufs) }
 
 // GetPage returns a page-sized buffer with unspecified contents.
 func (p *Pool) GetPage() []float64 {

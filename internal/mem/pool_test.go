@@ -83,25 +83,25 @@ func TestPooledDiffReuseExactness(t *testing.T) {
 }
 
 func TestTwinPooling(t *testing.T) {
-	s := NewSpace(64) // 8 words
-	tb := NewTable(s)
+	pool := NewPool(8)
+	tb := NewTable(NewSpace(64)) // 8 words
 	p := tb.Materialize(0)
 	p.Data[2] = 7
-	p.MakeTwin(s.Pool)
+	p.MakeTwin(pool)
 	twin0 := p.Twin
 	if twin0[2] != 7 {
 		t.Fatal("pooled twin does not snapshot data")
 	}
-	p.DropTwin(s.Pool)
+	p.DropTwin(pool)
 	p.Data[2] = 9
-	p.MakeTwin(s.Pool)
+	p.MakeTwin(pool)
 	if &p.Twin[0] != &twin0[0] {
 		t.Fatal("dropped twin buffer was not recycled")
 	}
 	if p.Twin[2] != 9 {
 		t.Fatal("recycled twin holds stale contents")
 	}
-	p.DropTwin(s.Pool)
+	p.DropTwin(pool)
 }
 
 // TestComputeDiffPooledAllocs pins the hot-path allocation count: with a

@@ -20,10 +20,7 @@ type Addr int64
 // replicated on every node; a single object serves all simulated nodes.
 type Space struct {
 	PageWords int // words per page (page bytes / 8)
-	// Pool recycles twin and diff buffers for the simulation owning this
-	// space. Single-threaded per kernel; see Pool.
-	Pool *Pool
-	next Addr
+	next      Addr
 }
 
 // NewSpace returns an empty address space with the given page size in
@@ -32,7 +29,7 @@ func NewSpace(pageBytes int) *Space {
 	if pageBytes <= 0 || pageBytes%8 != 0 {
 		panic(fmt.Sprintf("mem: invalid page size %d", pageBytes))
 	}
-	return &Space{PageWords: pageBytes / 8, Pool: NewPool(pageBytes / 8)}
+	return &Space{PageWords: pageBytes / 8}
 }
 
 // PageBytes returns the page size in bytes.

@@ -4,7 +4,11 @@
 // (the order in which diffs must be applied).
 package vc
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // VC is a vector timestamp: VC[i] is the index of the most recent interval
 // of processor i whose updates are known.
@@ -91,33 +95,62 @@ func HappensBefore(a, b Stamp) bool {
 // (the order diffs must be applied in). Concurrent intervals are ordered
 // deterministically by (proc, interval); in a data-race-free program their
 // diffs touch disjoint words, so the tie-break cannot change the merged
-// result. Kahn-style minimal extraction; the per-fault sets are small.
+// result. Repeats of a (proc, interval) must carry one vector and keep
+// their input order.
 func TopoSort(stamps []Stamp) {
-	n := len(stamps)
-	remaining := append([]Stamp(nil), stamps...)
-	out := stamps[:0]
-	for len(remaining) > 0 {
-		best := -1
-		for i, s := range remaining {
-			minimal := true
-			for j, t := range remaining {
-				if j != i && HappensBefore(t, s) {
-					minimal = false
-					break
+	in := slices.Clone(stamps)
+	for k, i := range new(Sorter).Order(in) {
+		stamps[k] = in[i]
+	}
+}
+
+// Sorter computes TopoSort's order as a permutation, keeping its scratch so
+// that sorting on every page miss allocates nothing. The sets are not small
+// (a water-sp miss orders up to 126 notices): Kahn's extraction runs over
+// per-proc chains, not over all pairs.
+type Sorter struct {
+	idx, order []int   // stamp indexes by (proc, interval, index); the result
+	chains     [][]int // idx cut into one run per proc; emitted stamps and empty runs are dropped
+}
+
+// Order returns the indexes of stamps in TopoSort order, valid until the
+// next call. Only a chain's head can be next, and another chain blocks it
+// exactly when that chain's head (its smallest interval) does, so each step
+// emits the first head in proc order that no head happens before — which
+// assumes nothing about happens-before being transitive.
+func (s *Sorter) Order(stamps []Stamp) []int {
+	s.idx, s.order, s.chains = s.idx[:0], s.order[:0], s.chains[:0]
+	for i := range stamps {
+		s.idx = append(s.idx, i)
+	}
+	slices.SortFunc(s.idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(stamps[a].Proc, stamps[b].Proc),
+			cmp.Compare(stamps[a].Interval, stamps[b].Interval), cmp.Compare(a, b))
+	})
+	for lo, hi := 0, 0; lo < len(s.idx); lo = hi {
+		for hi = lo + 1; hi < len(s.idx) && stamps[s.idx[hi]].Proc == stamps[s.idx[lo]].Proc; hi++ {
+		}
+		s.chains = append(s.chains, s.idx[lo:hi])
+	}
+	for len(s.chains) > 0 {
+		pick := -1
+	heads:
+		for c, ch := range s.chains {
+			for _, q := range s.chains {
+				if HappensBefore(stamps[q[0]], stamps[ch[0]]) {
+					continue heads
 				}
 			}
-			if !minimal {
-				continue
-			}
-			if best == -1 || s.Proc < remaining[best].Proc ||
-				(s.Proc == remaining[best].Proc && s.Interval < remaining[best].Interval) {
-				best = i
-			}
+			pick = c
+			break
 		}
-		if best == -1 {
-			panic(fmt.Sprintf("vc: happens-before cycle among %d intervals", n))
+		if pick < 0 {
+			panic(fmt.Sprintf("vc: happens-before cycle among %d intervals", len(stamps)))
 		}
-		out = append(out, remaining[best])
-		remaining = append(remaining[:best], remaining[best+1:]...)
+		s.order = append(s.order, s.chains[pick][0])
+		if s.chains[pick] = s.chains[pick][1:]; len(s.chains[pick]) == 0 {
+			s.chains = slices.Delete(s.chains, pick, pick+1)
+		}
 	}
+	return s.order
 }

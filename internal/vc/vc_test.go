@@ -1,7 +1,9 @@
 package vc
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,4 +180,216 @@ func TestSparseInitInPlace(t *testing.T) {
 	if b.Init(3); b.NNZ() != 0 || b.Dim() != 3 || a.Get(1) != 5 {
 		t.Fatalf("Init did not reset in place: a=%v b=%v dim %d", a, b, b.Dim())
 	}
+}
+
+// topoSortReference is the selection loop TopoSort was until PR 20, kept as
+// the oracle: for every element it emits it re-tests every remaining pair,
+// O(n^3) HappensBefore calls, and assumes nothing about the relation.
+func topoSortReference(stamps []Stamp) {
+	n := len(stamps)
+	remaining := append([]Stamp(nil), stamps...)
+	out := stamps[:0]
+	for len(remaining) > 0 {
+		best := -1
+		for i, s := range remaining {
+			minimal := true
+			for j, t := range remaining {
+				if j != i && HappensBefore(t, s) {
+					minimal = false
+					break
+				}
+			}
+			if !minimal {
+				continue
+			}
+			if best == -1 || s.Proc < remaining[best].Proc ||
+				(s.Proc == remaining[best].Proc && s.Interval < remaining[best].Interval) {
+				best = i
+			}
+		}
+		if best == -1 {
+			panic(fmt.Sprintf("vc: happens-before cycle among %d intervals", n))
+		}
+		out = append(out, remaining[best])
+		remaining = append(remaining[:best], remaining[best+1:]...)
+	}
+}
+
+// sortOutcome runs sort on a copy of stamps and returns the result, or the
+// panic value when it found a cycle.
+func sortOutcome(sort func([]Stamp), stamps []Stamp) (out []Stamp, cycle any) {
+	out = slices.Clone(stamps)
+	defer func() {
+		if cycle = recover(); cycle != nil {
+			out = nil
+		}
+	}()
+	sort(out)
+	return out, nil
+}
+
+// checkAgainstReference fails unless TopoSort and the reference produce the
+// same stamps (same vectors, by pointer) in the same order, or panic with
+// the same message.
+func checkAgainstReference(t *testing.T, stamps []Stamp) {
+	t.Helper()
+	want, wantCycle := sortOutcome(topoSortReference, stamps)
+	got, gotCycle := sortOutcome(TopoSort, stamps)
+	if wantCycle != gotCycle || !slices.Equal(got, want) {
+		t.Fatalf("TopoSort disagrees with the reference on %v:\n got  %v (panic %v)\n want %v (panic %v)",
+			stamps, got, gotCycle, want, wantCycle)
+	}
+}
+
+// causalStamps draws a random causal history (procs advance through
+// intervals and merge each other's clocks) and returns a shuffled random
+// subset of its intervals, the way a page's notices are a subset of the
+// machine's intervals.
+func causalStamps(rng *rand.Rand) []Stamp {
+	nproc := rng.Intn(7) + 1
+	clocks := make([]VC, nproc)
+	for i := range clocks {
+		clocks[i] = New(nproc)
+	}
+	var stamps []Stamp
+	for step, steps := 0, rng.Intn(40); step < steps; step++ {
+		p := rng.Intn(nproc)
+		for k := rng.Intn(3); k > 0; k-- {
+			clocks[p].MaxWith(clocks[rng.Intn(nproc)])
+		}
+		clocks[p][p]++
+		if rng.Intn(3) > 0 {
+			stamps = append(stamps, Stamp{Proc: p, Interval: clocks[p][p], VC: SparseFrom(clocks[p])})
+		}
+	}
+	rng.Shuffle(len(stamps), func(i, j int) { stamps[i], stamps[j] = stamps[j], stamps[i] })
+	return stamps
+}
+
+// vectorOf returns the vector stamps already holds for s's interval, nil if
+// it holds none: one interval has one vector, however often it is named.
+func vectorOf(stamps []Stamp, s Stamp) *Sparse {
+	for _, t := range stamps {
+		if t.Proc == s.Proc && t.Interval == s.Interval {
+			return t.VC
+		}
+	}
+	return nil
+}
+
+// adversarialStamps draws stamps whose vectors come from no history at all:
+// happens-before among them is neither transitive nor acyclic, and stamps
+// repeat (a repeat carries the vector of the first, as the same interval
+// would).
+func adversarialStamps(rng *rand.Rand) []Stamp {
+	nproc := rng.Intn(5) + 1
+	var stamps []Stamp
+	for n := rng.Intn(14); n > 0; n-- {
+		if len(stamps) > 0 && rng.Intn(4) == 0 {
+			stamps = append(stamps, stamps[rng.Intn(len(stamps))])
+			continue
+		}
+		s := Stamp{Proc: rng.Intn(nproc), Interval: int32(rng.Intn(4) + 1)}
+		if s.VC = vectorOf(stamps, s); s.VC == nil {
+			v := New(nproc)
+			for q := range v {
+				v[q] = int32(rng.Intn(4)) // mostly small: sparse enough that some inputs are acyclic
+				if rng.Intn(2) == 0 {
+					v[q] = 0
+				}
+			}
+			s.VC = SparseFrom(v)
+		}
+		stamps = append(stamps, s)
+	}
+	return stamps
+}
+
+// TestTopoSortMatchesReference: the chain-head sorter emits the reference's
+// order bit for bit — on causal histories, and on non-transitive, cyclic
+// and duplicate-stamp inputs, where it must also panic exactly when the
+// reference does.
+func TestTopoSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 12000; i++ {
+		checkAgainstReference(t, causalStamps(rng))
+	}
+	sorted, cycles := 0, 0
+	for i := 0; i < 12000; i++ {
+		stamps := adversarialStamps(rng)
+		checkAgainstReference(t, stamps)
+		if _, cycle := sortOutcome(topoSortReference, stamps); cycle != nil {
+			cycles++
+		} else {
+			sorted++
+		}
+	}
+	if sorted < 1000 || cycles < 1000 {
+		t.Fatalf("adversarial inputs are lopsided: %d sorted, %d cyclic", sorted, cycles)
+	}
+	// Non-transitive by hand: a before b, b before c, yet c's vector does
+	// not cover a — and a duplicate of b.
+	a := Stamp{Proc: 2, Interval: 1, VC: SparseFrom(VC{0, 0, 1})}
+	b := Stamp{Proc: 1, Interval: 1, VC: SparseFrom(VC{0, 1, 1})}
+	c := Stamp{Proc: 0, Interval: 1, VC: SparseFrom(VC{1, 1, 0})}
+	checkAgainstReference(t, []Stamp{c, b, a, b})
+	got, _ := sortOutcome(TopoSort, []Stamp{c, b, a, b})
+	if !slices.Equal(got, []Stamp{a, b, b, c}) {
+		t.Fatalf("hand case sorted to %v", got)
+	}
+}
+
+// TestSorterReusesScratch: one Sorter serves inputs of different shapes
+// back to back, and allocates nothing once its scratch has grown.
+func TestSorterReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var s Sorter
+	var big []Stamp
+	for i := 0; i < 300; i++ {
+		stamps := causalStamps(rng)
+		want, _ := sortOutcome(topoSortReference, stamps)
+		for k, j := range s.Order(stamps) {
+			if stamps[j] != want[k] {
+				t.Fatalf("input %d: Order[%d] = %v, want %v", i, k, stamps[j], want[k])
+			}
+		}
+		if len(stamps) > len(big) {
+			big = stamps
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { s.Order(big) }); allocs != 0 {
+		t.Errorf("warm Sorter.Order = %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// FuzzTopoSortVsReference decodes arbitrary bytes into stamps — first byte
+// the proc count, then per stamp a proc, an interval and one vector entry
+// per proc, a repeated (proc, interval) reusing the first one's vector —
+// and holds TopoSort to the reference. The seeds here and under
+// testdata/fuzz run in plain go test.
+func FuzzTopoSortVsReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 2, 2, 1, 1, 1, 1, 1, 0, 1, 1, 0})       // the chain 0:1 -> 1:1 -> 0:2, reversed
+	f.Add([]byte{3, 2, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1}) // three concurrent intervals
+	f.Add([]byte{2, 0, 1, 1, 1, 1, 1, 1, 1})                   // a two-cycle
+	f.Add([]byte{2, 1, 1, 0, 1, 1, 1, 9, 9, 0, 1, 1, 0})       // a duplicate whose own bytes are ignored
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		nproc := 1 + int(b[0])%6
+		var stamps []Stamp
+		for b = b[1:]; len(b) >= 2+nproc && len(stamps) < 48; b = b[2+nproc:] {
+			s := Stamp{Proc: int(b[0]) % nproc, Interval: int32(b[1]%8) + 1}
+			if s.VC = vectorOf(stamps, s); s.VC == nil {
+				v := New(nproc)
+				for q := range v {
+					v[q] = int32(b[2+q] % 9)
+				}
+				s.VC = SparseFrom(v)
+			}
+			stamps = append(stamps, s)
+		}
+		checkAgainstReference(t, stamps)
+	})
 }
