@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check ab sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale
+.PHONY: all build test race vet fmt check loc ab sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale
 
 all: check
 
@@ -25,6 +25,17 @@ fmt:
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
 check: fmt vet build test
+
+# Non-test Go lines per package, then the total outside benchmark/ by the
+# command ROADMAP's re-anchor uses, so every simplicity PR reports the
+# same number (.bench_build/ is skipped too: scripts/ab.sh exports a
+# whole base tree into it).
+LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*'
+loc:
+	@$(LOC_FILES) | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } \
+			END { for (d in n) printf "%6d  %s\n", n[d], d }' | sort -k2
+	@printf '%6d  total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
 
 # A/B the repository benchmark: git ref BASE against this checkout on one
 # WORKLOAD, PAIRS alternating pairs over seeds 1-4, with the gain / WORSE

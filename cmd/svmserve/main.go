@@ -10,8 +10,8 @@
 //	svmserve -loads 500,1000,2000,4000 -procs 4,8
 //	svmserve -faults crash -window-ms 60       # tail latency under a mid-run crash
 //	svmserve -arrival bursty -zipf 0.99 -mix 50,40,10
-//	svmserve -ablation all                     # fast-path ladder: off,locks,seqlock,batch,all
-//	svmserve -key-locks 8 -seqlock -batch-window 200 -pipeline
+//	svmserve -ablation all                     # fast-path ladder: off,locks,seqlock
+//	svmserve -key-locks 8 -seqlock
 //	svmserve -closed-loop 32,128 -think-ms 1   # closed-loop comparison table
 //	svmserve -json-dir out/serve               # per-cell JSON with full histograms
 //
@@ -49,10 +49,7 @@ func main() {
 		serviceUs = flag.Float64("service-us", 5, "modeled per-op compute time, microseconds")
 		keyLocks  = flag.Int("key-locks", 0, "lock stripes per shard (0 = one lock per shard)")
 		seqlock   = flag.Bool("seqlock", false, "lock-free validated reads (home-based protocols)")
-		batchUs   = flag.Float64("batch-window", 0, "request-batching window, microseconds (0 = off)")
-		maxBatch  = flag.Int("max-batch", 0, "max ops coalesced per critical section (0 = default 16)")
-		pipeline  = flag.Bool("pipeline", false, "prefetch the next shard's page under the current critical section")
-		ablation  = flag.String("ablation", "", "sweep fast-path ablation modes (\"all\" = off,locks,seqlock,batch,all; or a comma list), overriding the individual fast-path flags")
+		ablation  = flag.String("ablation", "", "sweep fast-path ablation modes (\"all\" = off,locks,seqlock; or a comma list), overriding the individual fast-path flags")
 		closed    = flag.String("closed-loop", "", "closed-loop client counts to compare (comma list; empty = open loop only)")
 		thinkMs   = flag.Float64("think-ms", 1, "closed-loop mean think time, milliseconds")
 		ff        = cliflags.AddFaultBasic(flag.CommandLine, "")
@@ -134,9 +131,6 @@ func main() {
 		Seed:        ff.Seed,
 		KeyLocks:    *keyLocks,
 		Seqlock:     *seqlock,
-		BatchWindow: sim.Time(*batchUs * float64(sim.Microsecond)),
-		MaxBatch:    *maxBatch,
-		Pipeline:    *pipeline,
 	}
 
 	var modes []string

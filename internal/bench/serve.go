@@ -129,7 +129,7 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 	}
 	fmt.Fprint(tw, "\tGenerated\tAchieved\tRatio\tUtil\tp50(ms)\tp99(ms)\tp999(ms)\tSkew")
 	if withModes {
-		fmt.Fprint(tw, "\tSeqRd\tFallbk\tAvgB")
+		fmt.Fprint(tw, "\tSeqRd\tFallbk")
 	}
 	fmt.Fprint(tw, "\tSaturated")
 	if plan.Active() {
@@ -155,11 +155,7 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 			s.MaxUtil, ms(s.Latency.P50()), ms(s.Latency.P99()), ms(s.Latency.P999()),
 			homeSkew(res))
 		if withModes {
-			avgB := 0.0
-			if s.Batches > 0 {
-				avgB = float64(s.BatchedOps) / float64(s.Batches)
-			}
-			fmt.Fprintf(tw, "\t%d\t%d\t%.1f", s.SeqlockReads, s.SeqlockFallbacks, avgB)
+			fmt.Fprintf(tw, "\t%d\t%d", s.SeqlockReads, s.SeqlockFallbacks)
 		}
 		fmt.Fprintf(tw, "\t%s", sat)
 		if plan.Active() {

@@ -160,20 +160,18 @@ func (o *Options) Overlapped() bool {
 
 // Message kinds.
 const (
-	kLockAcq      = iota + 1 // requester -> lock manager
-	kLockFwd                 // manager -> current owner
-	kBarrier                 // node -> barrier manager
-	kGCDone                  // node -> barrier manager (homeless GC rendezvous)
-	kFetchDiffs              // faulting node -> writer (LRC/OLRC)
-	kFetchPage               // faulting node -> copy holder / home
-	kDiffFlush               // writer -> home (HLRC), or coproc-to-home (OHLRC)
-	kMakeDiff                // compute -> own coproc (overlapped protocols)
-	kMirror                  // home -> replica: mirrored diff or full page image
-	kBarrierUp               // tree barrier: child -> parent subtree report
-	kBarrierDown             // tree barrier: parent -> child subtree release
-	kPrefetch                // reader -> home: asynchronous page prefetch request
-	kPrefetchResp            // home -> reader: best-effort page snapshot
-	kMgrMirror               // manager -> backup: mirrored lock/barrier manager state
+	kLockAcq     = iota + 1 // requester -> lock manager
+	kLockFwd                // manager -> current owner
+	kBarrier                // node -> barrier manager
+	kGCDone                 // node -> barrier manager (homeless GC rendezvous)
+	kFetchDiffs             // faulting node -> writer (LRC/OLRC)
+	kFetchPage              // faulting node -> copy holder / home
+	kDiffFlush              // writer -> home (HLRC), or coproc-to-home (OHLRC)
+	kMakeDiff               // compute -> own coproc (overlapped protocols)
+	kMirror                 // home -> replica: mirrored diff or full page image
+	kBarrierUp              // tree barrier: child -> parent subtree report
+	kBarrierDown            // tree barrier: parent -> child subtree release
+	kMgrMirror              // manager -> backup: mirrored lock/barrier manager state
 )
 
 // IntervalRec is the write-notice record for one interval: the pages the
@@ -286,10 +284,6 @@ func msgKindName(kind int) string {
 		return "barrier-up"
 	case kBarrierDown:
 		return "barrier-down"
-	case kPrefetch:
-		return "prefetch"
-	case kPrefetchResp:
-		return "prefetch-resp"
 	case kMgrMirror:
 		return "mgr-mirror"
 	}

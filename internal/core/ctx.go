@@ -126,12 +126,6 @@ type fresher interface {
 	FreshRead(page int) bool
 }
 
-// prefetcher is implemented by engines that can pull a page
-// asynchronously, without blocking the application processor.
-type prefetcher interface {
-	Prefetch(page int)
-}
-
 // FreshRead revalidates the page containing a against its authoritative
 // copy before a lock-free read: under the home-based protocols any
 // cached local copy is dropped and the home's current copy is fetched
@@ -149,19 +143,6 @@ func (c *Ctx) FreshRead(a mem.Addr) bool {
 		return false
 	}
 	return f.FreshRead(int(int64(a) / int64(c.pw)))
-}
-
-// Prefetch hints that the page containing a will be read soon: engines
-// that support it issue an asynchronous best-effort fetch from the
-// page's home, so the transfer overlaps whatever the application does
-// next (the serving fast path overlaps it with the previous batch's
-// critical section). Never blocks; a no-op for protocols without a
-// home, for locally valid or self-homed pages, and while a prefetch for
-// the page is already in flight.
-func (c *Ctx) Prefetch(a mem.Addr) {
-	if p, ok := c.eng.(prefetcher); ok {
-		p.Prefetch(int(int64(a) / int64(c.pw)))
-	}
 }
 
 // Lock acquires the given lock (Splash-2 LOCK).

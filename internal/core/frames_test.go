@@ -134,78 +134,6 @@ func TestAdoptClearsTheReply(t *testing.T) {
 	}
 }
 
-// TestPrefetchAdoptsOrRecycles: a prefetch reply that installs is adopted
-// like a fetch; one that arrives too old to install gives its frame to the
-// requester's pool. Node 1 homes a page of its own, so it holds a copy and
-// its free list may keep a frame.
-func TestPrefetchAdoptsOrRecycles(t *testing.T) {
-	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
-		for _, drop := range []bool{false, true} {
-			proto, drop := proto, drop
-			name := string(proto) + "/install"
-			if drop {
-				name = string(proto) + "/drop"
-			}
-			t.Run(name, func(t *testing.T) {
-				const words = 64
-				var addr mem.Addr
-				var resp *prefetchResp
-				var shipped, held, pooled []float64
-				var state mem.State
-				app := &testApp{
-					name:  "prefetch",
-					setup: func(s *Setup) { addr = s.Alloc(2 * words) },
-					init: func(w *Init) {
-						w.SetHome(addr, words, 0)
-						w.SetHome(addr+words, words, 1)
-					},
-					worker: func(c *Ctx, id int) {
-						if id == 1 {
-							e := c.eng.(*hlrcEngine)
-							tap := func(m paragon.Msg) (sim.Time, func()) {
-								if m.Kind == kPrefetchResp {
-									resp = m.Body.(*prefetchResp)
-									shipped = resp.Data
-								}
-								return e.handle(m)
-							}
-							e.node.InstallCompute(tap)
-							e.node.InstallCoproc(tap)
-							pg := c.sys.Space.PageOf(addr)
-							c.Prefetch(addr)
-							if drop {
-								// As if a notice for a later interval had come in.
-								e.seenOf(pg).RaiseTo(0, 9)
-							}
-							c.Compute(2 * sim.Millisecond)
-							held, state = c.pt.Page(pg).Data, c.pt.Page(pg).State
-							if free, _ := e.pool().Free(); free > 0 {
-								pooled = e.pool().GetPage()
-							}
-							if drop {
-								e.seenOf(pg).Set(0, 0) // let the final barrier's bookkeeping see a sane vector
-							}
-						}
-						c.Barrier(0)
-					},
-					gather: func(c *Ctx) []float64 { return nil },
-				}
-				runOrFail(t, testOpts(proto, 2), app)
-				if shipped == nil || resp.Data != nil {
-					t.Fatalf("prefetch reply carried %d words and holds %d after handling; want a page, then nil",
-						len(shipped), len(resp.Data))
-				}
-				switch {
-				case !drop && (state != mem.ReadOnly || held == nil || &held[0] != &shipped[0] || pooled != nil):
-					t.Errorf("installed prefetch: state %v, adopted %v, pooled %v", state, held != nil && &held[0] == &shipped[0], pooled != nil)
-				case drop && (state != mem.Invalid || held != nil || pooled == nil || &pooled[0] != &shipped[0]):
-					t.Errorf("dropped prefetch: state %v, holds a copy %v, frame recycled %v", state, held != nil, pooled != nil && &pooled[0] == &shipped[0])
-				}
-			})
-		}
-	}
-}
-
 // TestFullPageImageIsNotAdopted: shipFullPage sends one image to every
 // replica, so a replica must copy it; two mirrors sharing the buffer would
 // write through to each other.

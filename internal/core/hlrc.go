@@ -59,10 +59,6 @@ type hlrcPage struct {
 	// the twin is in use and the next write must wait.
 	inflight   bool
 	twinWaiter []*sim.Proc
-
-	// prefetching marks an asynchronous prefetch in flight for this page
-	// (suppresses duplicates until the response lands).
-	prefetching bool
 }
 
 type fetchPageReq struct {
@@ -71,23 +67,6 @@ type fetchPageReq struct {
 }
 
 type fetchPageResp struct {
-	Data    []float64
-	FlushVC *vc.Sparse
-}
-
-// prefetchReq/prefetchResp carry the asynchronous best-effort page
-// prefetch (kPrefetch/kPrefetchResp). Unlike the blocking fetch, the
-// home answers immediately with whatever it has; the requester installs
-// the snapshot only if it still needs the page and the snapshot covers
-// its requirement vector.
-type prefetchReq struct {
-	Page int
-	From int
-	Need *vc.Sparse
-}
-
-type prefetchResp struct {
-	Page    int
 	Data    []float64
 	FlushVC *vc.Sparse
 }
@@ -219,29 +198,6 @@ func (e *hlrcEngine) FreshRead(page int) bool {
 	}
 	e.ReadFault(page)
 	return true
-}
-
-// Prefetch implements Ctx.Prefetch: a fire-and-forget page pull from
-// the home, serviced on the co-processor under the overlapped
-// protocols. The response installs the page only if it is still
-// invalid here and the snapshot covers this node's requirement vector;
-// otherwise it is dropped (best effort — correctness never depends on
-// a prefetch landing).
-func (e *hlrcEngine) Prefetch(page int) {
-	p := e.pt.Page(page)
-	m := e.pages.at(page)
-	if p.State != mem.Invalid || e.home(page) == e.self || m.prefetching {
-		return
-	}
-	m.prefetching = true
-	e.st().Counts.Prefetches++
-	e.node.Send(e.home(page), paragon.Msg{
-		Kind:   kPrefetch,
-		Size:   8 + e.clock.WireSize(),
-		Class:  stats.ClassProtocol,
-		Target: e.dataTarget(),
-		Body:   &prefetchReq{Page: page, From: e.self, Need: m.seen.Copy()},
-	})
 }
 
 func (e *hlrcEngine) WriteFault(page int) {
@@ -482,10 +438,6 @@ func (e *hlrcEngine) handle(m paragon.Msg) (sim.Time, func()) {
 		return e.handleFetchPage(m)
 	case kDiffFlush:
 		return e.handleDiffFlush(m)
-	case kPrefetch:
-		return e.handlePrefetch(m)
-	case kPrefetchResp:
-		return e.handlePrefetchResp(m)
 	case kMirror:
 		return e.handleMirror(m)
 	}
@@ -637,52 +589,6 @@ func (e *hlrcEngine) respondFetch(req paragon.Msg, fr *fetchPageReq) {
 		Class: stats.ClassData,
 		Body:  &fetchPageResp{Data: e.snapshot(e.pt.Page(fr.Page)), FlushVC: f.Copy()},
 	})
-}
-
-// handlePrefetch runs at the home: answer immediately with the current
-// copy and flush vector. No parking — if the snapshot is older than the
-// requester needs, the requester drops it and its eventual blocking
-// fetch waits at the home as usual.
-func (e *hlrcEngine) handlePrefetch(m paragon.Msg) (sim.Time, func()) {
-	return 0, func() {
-		pr := m.Body.(*prefetchReq)
-		if e.home(pr.Page) != e.self {
-			// Re-homed while in flight: forward to the current home.
-			e.node.Send(e.home(pr.Page), m)
-			return
-		}
-		f := e.flushOf(pr.Page)
-		e.node.Send(pr.From, paragon.Msg{
-			Kind:   kPrefetchResp,
-			Size:   e.sys.Space.PageBytes() + f.WireSize(),
-			Class:  stats.ClassData,
-			Target: e.dataTarget(),
-			Body:   &prefetchResp{Page: pr.Page, Data: e.snapshot(e.pt.Page(pr.Page)), FlushVC: f.Copy()},
-		})
-	}
-}
-
-// handlePrefetchResp runs at the requester: install the snapshot if the
-// page is still invalid and the snapshot covers everything this node is
-// required to see; otherwise drop it.
-func (e *hlrcEngine) handlePrefetchResp(m paragon.Msg) (sim.Time, func()) {
-	return 0, func() {
-		resp := m.Body.(*prefetchResp)
-		pm := e.pages.at(resp.Page)
-		pm.prefetching = false
-		p := e.pt.Page(resp.Page)
-		if p.State != mem.Invalid || !covers(resp.FlushVC, pm.seen) {
-			e.sink().PutPage(resp.Data)
-			resp.Data = nil
-			return
-		}
-		e.adopt(p, &resp.Data)
-		p.State = mem.ReadOnly
-		seen := e.seenOf(resp.Page)
-		seen.MaxWith(resp.FlushVC)
-		e.st().Counts.PagesFetched++
-		e.emit(trace.PageFetch, resp.Page, m.From, 0)
-	}
 }
 
 // Finish waits out any co-processor diffs still in flight and asserts the

@@ -141,50 +141,48 @@ func TestDeterminismMatrixServe(t *testing.T) {
 }
 
 // TestDeterminismMatrixFastpath holds the serving fast path to the same
-// bar: seqlock lock-free reads, striped locks, batching, and prefetch
-// pipelining are all simulated application behavior, so their stats
-// must stay byte-identical across run-worker counts under every
-// protocol and fault profile.
+// bar: seqlock lock-free reads over striped locks are simulated
+// application behavior, so their stats must stay byte-identical across
+// run-worker counts under every protocol and fault profile.
 func TestDeterminismMatrixFastpath(t *testing.T) {
+	const mode = serve.ModeSeqlock
 	profiles := []string{"none", "lossy", "crash", "crash-mgr"}
-	for _, mode := range []string{serve.ModeSeqlock, serve.ModeAll} {
-		for _, proto := range core.Protocols {
-			for _, profile := range profiles {
-				if crashProfile(profile) && !crashCompatible(proto) {
-					continue
-				}
-				mode, proto, profile := mode, proto, profile
-				t.Run(fmt.Sprintf("%s/%s/%s", mode, proto, profile), func(t *testing.T) {
-					t.Parallel()
-					run := func(workers int) string {
-						opts := matrixOpts(proto, 4, profile, workers)
-						cfg := serve.Config{
-							Keys: 64, OfferedLoad: 4000, Window: 30 * sim.Millisecond,
-							ZipfTheta: 0.9, Seed: 7,
-						}
-						if err := serve.ApplyFastpath(&cfg, mode); err != nil {
-							t.Fatal(err)
-						}
-						kv, err := serve.New(cfg, 4)
-						if err != nil {
-							t.Fatalf("serve.New: %v", err)
-						}
-						res, err := serve.Run(opts, kv)
-						if err != nil {
-							t.Fatalf("fastpath %s workers=%d: %v", mode, workers, err)
-						}
-						var buf bytes.Buffer
-						if err := res.Stats.WriteJSON(&buf); err != nil {
-							t.Fatalf("WriteJSON: %v", err)
-						}
-						return buf.String()
-					}
-					ref := run(1)
-					if got := run(8); got != ref {
-						t.Fatalf("fastpath %s workers=8 diverges:\n--- w=1 ---\n%s\n--- w=8 ---\n%s", mode, ref, got)
-					}
-				})
+	for _, proto := range core.Protocols {
+		for _, profile := range profiles {
+			if crashProfile(profile) && !crashCompatible(proto) {
+				continue
 			}
+			proto, profile := proto, profile
+			t.Run(fmt.Sprintf("%s/%s/%s", mode, proto, profile), func(t *testing.T) {
+				t.Parallel()
+				run := func(workers int) string {
+					opts := matrixOpts(proto, 4, profile, workers)
+					cfg := serve.Config{
+						Keys: 64, OfferedLoad: 4000, Window: 30 * sim.Millisecond,
+						ZipfTheta: 0.9, Seed: 7,
+					}
+					if err := serve.ApplyFastpath(&cfg, mode); err != nil {
+						t.Fatal(err)
+					}
+					kv, err := serve.New(cfg, 4)
+					if err != nil {
+						t.Fatalf("serve.New: %v", err)
+					}
+					res, err := serve.Run(opts, kv)
+					if err != nil {
+						t.Fatalf("fastpath %s workers=%d: %v", mode, workers, err)
+					}
+					var buf bytes.Buffer
+					if err := res.Stats.WriteJSON(&buf); err != nil {
+						t.Fatalf("WriteJSON: %v", err)
+					}
+					return buf.String()
+				}
+				ref := run(1)
+				if got := run(8); got != ref {
+					t.Fatalf("fastpath %s workers=8 diverges:\n--- w=1 ---\n%s\n--- w=8 ---\n%s", mode, ref, got)
+				}
+			})
 		}
 	}
 }

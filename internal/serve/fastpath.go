@@ -18,26 +18,16 @@ const (
 	ModeLocks = "locks"
 	// ModeSeqlock adds seqlock-validated lock-free gets and scans.
 	ModeSeqlock = "seqlock"
-	// ModeBatch adds same-lock request batching (200µs window).
-	ModeBatch = "batch"
-	// ModeAll adds cross-shard prefetch pipelining.
-	ModeAll = "all"
 )
 
 // Modes lists the ablation ladder in cumulative order.
-var Modes = []string{ModeOff, ModeLocks, ModeSeqlock, ModeBatch, ModeAll}
+var Modes = []string{ModeOff, ModeLocks, ModeSeqlock}
 
 // ApplyFastpath overwrites cfg's fast-path knobs according to the named
 // ablation mode. Unknown modes return an error.
 func ApplyFastpath(cfg *Config, mode string) error {
-	cfg.KeyLocks, cfg.Seqlock, cfg.BatchWindow, cfg.Pipeline = 0, false, 0, false
+	cfg.KeyLocks, cfg.Seqlock = 0, false
 	switch mode {
-	case ModeAll:
-		cfg.Pipeline = true
-		fallthrough
-	case ModeBatch:
-		cfg.BatchWindow = 200 * sim.Microsecond
-		fallthrough
 	case ModeSeqlock:
 		cfg.Seqlock = true
 		fallthrough
@@ -221,98 +211,5 @@ func (kv *KV) applyLocked(c *core.Ctx, id int, r *Req, scratch []float64) {
 		}
 		c.Compute(kv.cfg.ServiceNs + sim.Time(n)*kv.cfg.ServiceNs/8)
 		kv.ops[id][2]++
-	}
-}
-
-// batchWorker is the open-loop server with request batching: when the
-// head-of-queue request needs a lock, the server holds BatchWindow open
-// (unless the backlog already fills MaxBatch), then serves every queued
-// request for the same lock in one acquire -> apply-N -> release
-// critical section. FIFO order is preserved for the head; coalesced
-// followers complete early, which is exactly the point. Lock-free
-// eligible requests take no lock, so they are served singly the moment
-// they reach the head.
-func (kv *KV) batchWorker(c *core.Ctx, id int) {
-	h := kv.hists[id]
-	scratch := make([]float64, kv.cfg.ScanLen)
-	trace := kv.traces[id]
-	n := len(trace)
-	done := make([]bool, n)
-	// byLock holds arrived-but-unserved batchable requests, per lock, in
-	// arrival order. admit is the trace cursor: everything before it has
-	// been admitted (or is lock-free and served at the head).
-	byLock := make(map[int][]int32)
-	admit := 0
-	admitUpTo := func(t sim.Time) {
-		for admit < n && trace[admit].At <= t {
-			if !kv.lockFree(trace[admit].Op) {
-				l := kv.lockOf(trace[admit].Key)
-				byLock[l] = append(byLock[l], int32(admit))
-			}
-			admit++
-		}
-	}
-	next := 0 // head of the FIFO: oldest unserved request
-	for served := 0; served < n; {
-		for done[next] {
-			next++
-		}
-		r := &trace[next]
-		c.WaitUntil(r.At)
-		if kv.lockFree(r.Op) {
-			start := c.Now()
-			kv.serveOne(c, id, r, scratch)
-			h.Record(c.Now() - r.At)
-			kv.busy[id] += c.Now() - start
-			kv.lastDone[id] = c.Now()
-			done[next] = true
-			served++
-			continue
-		}
-		l := kv.lockOf(r.Key)
-		t0 := c.Now()
-		admitUpTo(t0)
-		if len(byLock[l]) < kv.cfg.MaxBatch {
-			// The server cannot know whether more same-lock requests are
-			// about to arrive, so it pays the full window (timer
-			// semantics); only an already-full backlog skips the wait.
-			c.WaitUntil(t0 + kv.cfg.BatchWindow)
-			admitUpTo(c.Now())
-		}
-		q := byLock[l]
-		take := len(q)
-		if take > kv.cfg.MaxBatch {
-			take = kv.cfg.MaxBatch
-		}
-		batch := q[:take]
-		byLock[l] = q[take:]
-		if kv.cfg.Pipeline {
-			// Prefetch the oldest waiting request on a different shard, so
-			// its page fetch overlaps this critical section.
-			sh := kv.keyShard[r.Key]
-			for k := next; k < admit; k++ {
-				if !done[k] && !kv.lockFree(trace[k].Op) && kv.keyShard[trace[k].Key] != sh {
-					c.Prefetch(kv.addrOf(trace[k].Key))
-					break
-				}
-			}
-		}
-		svc0 := c.Now()
-		kv.batches[id]++
-		kv.batchedOps[id] += int64(take)
-		if int64(take) > kv.maxBatch[id] {
-			kv.maxBatch[id] = int64(take)
-		}
-		c.Lock(l)
-		for _, idx := range batch {
-			br := &trace[idx]
-			kv.applyLocked(c, id, br, scratch)
-			h.Record(c.Now() - br.At)
-			done[idx] = true
-			served++
-		}
-		c.Unlock(l)
-		kv.busy[id] += c.Now() - svc0
-		kv.lastDone[id] = c.Now()
 	}
 }

@@ -33,55 +33,26 @@ func TestFastpathValidatesAllProtocols(t *testing.T) {
 	}
 }
 
-// TestApplyFastpathModes: the ladder is cumulative and unknown modes
-// are rejected.
+// TestApplyFastpathModes: the ladder is cumulative, its top rung switches
+// on both layers the package has, and anything else — the two rungs PR 21
+// deleted included — is rejected.
 func TestApplyFastpathModes(t *testing.T) {
 	var cfg Config
-	if err := ApplyFastpath(&cfg, ModeAll); err != nil {
+	if err := ApplyFastpath(&cfg, ModeSeqlock); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.KeyLocks == 0 || !cfg.Seqlock || cfg.BatchWindow == 0 || !cfg.Pipeline {
-		t.Errorf("mode all left a layer off: %+v", cfg)
+	if cfg.KeyLocks == 0 || !cfg.Seqlock {
+		t.Errorf("mode seqlock left a layer off: %+v", cfg)
 	}
 	if err := ApplyFastpath(&cfg, ModeOff); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.KeyLocks != 0 || cfg.Seqlock || cfg.BatchWindow != 0 || cfg.Pipeline {
+	if cfg.KeyLocks != 0 || cfg.Seqlock {
 		t.Errorf("mode off left a layer on: %+v", cfg)
 	}
-	if err := ApplyFastpath(&cfg, "turbo"); err == nil {
-		t.Error("ApplyFastpath accepted an unknown mode")
-	}
-}
-
-// TestBatchingPreservesValidation: under sustained backlog the batch
-// worker must actually coalesce (more ops than critical sections) on
-// every protocol, while Run's internal validation proves the store
-// still matches the trace bitwise.
-func TestBatchingPreservesValidation(t *testing.T) {
-	for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoOLRC, core.ProtoHLRC, core.ProtoOHLRC} {
-		cfg := testConfig()
-		cfg.OfferedLoad = 12_000 // overload: the backlog batching feeds on
-		// Write-heavy and skewed: gets ride the lock-free path in this
-		// mode, so coalescing needs hot keys colliding on the same lock.
-		cfg.ReadPct, cfg.WritePct, cfg.ScanPct = 20, 80, 0
-		cfg.ZipfTheta = 0.9
-		if err := ApplyFastpath(&cfg, ModeBatch); err != nil {
-			t.Fatal(err)
-		}
-		kv, res := runServe(t, cfg, proto, 4, core.Options{})
-		s := res.Stats.Serve
-		if s.Completed != kv.Generated() {
-			t.Errorf("%s: completed %d of %d", proto, s.Completed, kv.Generated())
-		}
-		if s.Batches == 0 {
-			t.Errorf("%s: batch mode recorded no batches", proto)
-		}
-		if s.BatchedOps <= s.Batches {
-			t.Errorf("%s: %d ops in %d batches — nothing coalesced", proto, s.BatchedOps, s.Batches)
-		}
-		if s.MaxBatch < 2 {
-			t.Errorf("%s: max batch %d, want >= 2", proto, s.MaxBatch)
+	for _, mode := range []string{"batch", "all", "turbo"} {
+		if err := ApplyFastpath(&cfg, mode); err == nil {
+			t.Errorf("ApplyFastpath accepted unknown mode %q", mode)
 		}
 	}
 }
@@ -149,10 +120,9 @@ func TestClosedLoopFewerClientsThanNodes(t *testing.T) {
 }
 
 // TestAblationOrdering: walking each ablation rung up a load ladder,
-// the sustained load (highest unsaturated offered load) must be
-// monotone along the cumulative ladder: all >= batch >= locks >= off.
-// (seqlock is omitted from the chain: lock-free gets and batched puts
-// optimize different op classes, so their order can legitimately swap.)
+// the sustained load (highest unsaturated offered load) must say what
+// the ladder claims: striped locks never sustain less than the baseline,
+// and seqlock reads sustain strictly more.
 func TestAblationOrdering(t *testing.T) {
 	ladder := []float64{500, 1000, 2000, 4000, 8000}
 	sustained := map[string]float64{}
@@ -172,17 +142,13 @@ func TestAblationOrdering(t *testing.T) {
 		}
 		t.Logf("%s: sustained %.0f req/s", mode, sustained[mode])
 	}
-	chain := []string{ModeOff, ModeLocks, ModeBatch, ModeAll}
-	for i := 1; i < len(chain); i++ {
-		lo, hi := chain[i-1], chain[i]
-		if sustained[hi] < sustained[lo] {
-			t.Errorf("ablation ordering violated: %s sustains %.0f < %s sustains %.0f",
-				hi, sustained[hi], lo, sustained[lo])
-		}
+	if sustained[ModeLocks] < sustained[ModeOff] {
+		t.Errorf("ablation ordering violated: locks sustains %.0f < off sustains %.0f",
+			sustained[ModeLocks], sustained[ModeOff])
 	}
-	if sustained[ModeAll] <= sustained[ModeOff] {
-		t.Errorf("full fast path sustains %.0f, no better than baseline %.0f",
-			sustained[ModeAll], sustained[ModeOff])
+	if sustained[ModeSeqlock] <= sustained[ModeOff] {
+		t.Errorf("seqlock sustains %.0f, no better than baseline %.0f",
+			sustained[ModeSeqlock], sustained[ModeOff])
 	}
 }
 

@@ -13,15 +13,13 @@
 // exercises the real HLRC/OHLRC/LRC protocol paths: lock forwarding,
 // write notices, diffs to homes, and page fetches.
 //
-// The serving fast path (fastpath.go) layers three optimizations on the
-// baseline one-lock-per-shard design: striped per-key locks (KeyLocks),
-// seqlock-validated lock-free reads (Seqlock), and same-lock request
-// batching with cross-shard prefetch pipelining (BatchWindow,
-// Pipeline). All of them preserve the workload's self-validation: put
-// deltas are integers and commutative (read-modify-write addition under
-// the key's lock), so the final store contents are exactly computable
-// from the trace alone and must match bitwise under every protocol and
-// fault plan.
+// The serving fast path (fastpath.go) layers two optimizations on the
+// baseline one-lock-per-shard design: striped per-key locks (KeyLocks)
+// and seqlock-validated lock-free reads (Seqlock). Both preserve the
+// workload's self-validation: put deltas are integers and commutative
+// (read-modify-write addition under the key's lock), so the final store
+// contents are exactly computable from the trace alone and must match
+// bitwise under every protocol and fault plan.
 package serve
 
 import (
@@ -124,25 +122,6 @@ type Config struct {
 	// giving the writer's critical section time to close. Zero means the
 	// default of 20 microseconds.
 	SeqlockBackoff sim.Time
-	// BatchWindow enables request batching: when a locked request
-	// reaches the head of a node's queue, the server holds a window of
-	// this length open and coalesces every queued request for the same
-	// lock into one acquire -> apply-N -> release critical section,
-	// amortizing the lock round trip and page fetch. Latency is still
-	// recorded per request (completion minus arrival). Zero disables
-	// batching. Ignored in closed-loop mode (a closed population never
-	// builds the backlog batching feeds on).
-	BatchWindow sim.Time
-	// MaxBatch caps the operations coalesced into one critical section;
-	// a full backlog skips the window wait entirely. Zero means the
-	// default of 16.
-	MaxBatch int
-	// Pipeline overlaps communication with service: before entering a
-	// critical section the server prefetches the page of the oldest
-	// queued request on a different shard (Ctx.Prefetch), so that page's
-	// fetch rides under the current critical section instead of
-	// stalling the next one.
-	Pipeline bool
 
 	// ClosedClients switches the workload to closed-loop: this many
 	// clients total, distributed round-robin across nodes, each issuing
@@ -196,9 +175,6 @@ func (c *Config) Defaults() {
 	if c.SeqlockBackoff == 0 {
 		c.SeqlockBackoff = 20 * sim.Microsecond
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 16
-	}
 	if c.ThinkTime == 0 {
 		c.ThinkTime = sim.Millisecond
 	}
@@ -248,12 +224,6 @@ func (c *Config) validate(procs int) error {
 	}
 	if c.SeqlockBackoff < 0 {
 		return fmt.Errorf("serve: SeqlockBackoff must be non-negative, got %v", c.SeqlockBackoff)
-	}
-	if c.BatchWindow < 0 {
-		return fmt.Errorf("serve: BatchWindow must be non-negative, got %v", c.BatchWindow)
-	}
-	if c.MaxBatch < 1 {
-		return fmt.Errorf("serve: MaxBatch must be positive, got %d", c.MaxBatch)
 	}
 	if c.ClosedClients < 0 {
 		return fmt.Errorf("serve: ClosedClients must be non-negative, got %d", c.ClosedClients)
@@ -306,9 +276,6 @@ type KV struct {
 	seqReads     []int64
 	seqRetries   []int64
 	seqFallbacks []int64
-	batches      []int64
-	batchedOps   []int64
-	maxBatch     []int64
 }
 
 // New builds the workload for a machine of the given size: key layout,
@@ -394,9 +361,6 @@ func New(cfg Config, procs int) (*KV, error) {
 	kv.seqReads = make([]int64, procs)
 	kv.seqRetries = make([]int64, procs)
 	kv.seqFallbacks = make([]int64, procs)
-	kv.batches = make([]int64, procs)
-	kv.batchedOps = make([]int64, procs)
-	kv.maxBatch = make([]int64, procs)
 	return kv, nil
 }
 
@@ -470,23 +434,20 @@ func (kv *KV) addrOf(key int32) mem.Addr {
 }
 
 // Worker serves node id's client population. Open loop runs a FIFO
-// queue over the pre-generated trace (optionally batching same-lock
-// requests); closed loop multiplexes the node's thinking clients.
-// Either way each operation records completion minus arrival.
+// queue over the pre-generated trace; closed loop multiplexes the node's
+// thinking clients. Either way each operation records completion minus
+// arrival.
 func (kv *KV) Worker(c *core.Ctx, id int) {
-	switch {
-	case kv.cfg.ClosedClients > 0:
+	if kv.cfg.ClosedClients > 0 {
 		kv.closedWorker(c, id)
-	case kv.cfg.BatchWindow > 0:
-		kv.batchWorker(c, id)
-	default:
+	} else {
 		kv.openWorker(c, id)
 	}
 	c.Barrier(0)
 }
 
-// openWorker is the unbatched open-loop server: requests are served
-// one at a time in arrival order (FIFO single-server queue).
+// openWorker is the open-loop server: requests are served one at a time
+// in arrival order (FIFO single-server queue).
 func (kv *KV) openWorker(c *core.Ctx, id int) {
 	h := kv.hists[id]
 	scratch := make([]float64, kv.cfg.ScanLen)
@@ -497,17 +458,6 @@ func (kv *KV) openWorker(c *core.Ctx, id int) {
 		// Service starts now: at the arrival, or when the previous request
 		// finished — whichever is later.
 		start := c.Now()
-		if kv.cfg.Pipeline {
-			// Overlap the next waiting request's page fetch with this
-			// request's service.
-			sh := kv.keyShard[r.Key]
-			for j := i + 1; j < len(trace) && trace[j].At <= start; j++ {
-				if kv.keyShard[trace[j].Key] != sh {
-					c.Prefetch(kv.addrOf(trace[j].Key))
-					break
-				}
-			}
-		}
 		kv.serveOne(c, id, r, scratch)
 		h.Record(c.Now() - r.At)
 		kv.busy[id] += c.Now() - start
@@ -570,11 +520,6 @@ func (kv *KV) Stats() *stats.ServeStats {
 		s.SeqlockReads += kv.seqReads[id]
 		s.SeqlockRetries += kv.seqRetries[id]
 		s.SeqlockFallbacks += kv.seqFallbacks[id]
-		s.Batches += kv.batches[id]
-		s.BatchedOps += kv.batchedOps[id]
-		if kv.maxBatch[id] > s.MaxBatch {
-			s.MaxBatch = kv.maxBatch[id]
-		}
 	}
 	s.Completed = s.Gets + s.Puts + s.Scans
 	if kv.cfg.ClosedClients > 0 {

@@ -288,12 +288,6 @@ type ServeStats struct {
 	SeqlockReads     int64
 	SeqlockRetries   int64
 	SeqlockFallbacks int64
-	// Batches counts coalesced critical sections (one acquire→apply-N→
-	// release); BatchedOps the operations served inside them; MaxBatch
-	// the largest single batch.
-	Batches    int64
-	BatchedOps int64
-	MaxBatch   int64
 	// LockAcquires and LockForwards sum the per-node protocol counters:
 	// remote lock acquisitions and acquire requests forwarded past their
 	// manager to the current token holder. The serving fast path exists
@@ -393,9 +387,6 @@ type serveJSON struct {
 	SeqlockReads     int64 `json:"seqlock_reads,omitempty"`
 	SeqlockRetries   int64 `json:"seqlock_retries,omitempty"`
 	SeqlockFallbacks int64 `json:"seqlock_fallbacks,omitempty"`
-	Batches          int64 `json:"batches,omitempty"`
-	BatchedOps       int64 `json:"batched_ops,omitempty"`
-	MaxBatch         int64 `json:"max_batch,omitempty"`
 	LockAcquires     int64 `json:"lock_acquires,omitempty"`
 	LockForwards     int64 `json:"lock_forwards,omitempty"`
 	Clients          int64 `json:"clients,omitempty"`
@@ -423,9 +414,6 @@ func (s *ServeStats) MarshalJSON() ([]byte, error) {
 		SeqlockReads:     s.SeqlockReads,
 		SeqlockRetries:   s.SeqlockRetries,
 		SeqlockFallbacks: s.SeqlockFallbacks,
-		Batches:          s.Batches,
-		BatchedOps:       s.BatchedOps,
-		MaxBatch:         s.MaxBatch,
 		LockAcquires:     s.LockAcquires,
 		LockForwards:     s.LockForwards,
 		Clients:          s.Clients,
@@ -453,9 +441,6 @@ func (s *ServeStats) UnmarshalJSON(data []byte) error {
 	s.SeqlockReads = j.SeqlockReads
 	s.SeqlockRetries = j.SeqlockRetries
 	s.SeqlockFallbacks = j.SeqlockFallbacks
-	s.Batches = j.Batches
-	s.BatchedOps = j.BatchedOps
-	s.MaxBatch = j.MaxBatch
 	s.LockAcquires = j.LockAcquires
 	s.LockForwards = j.LockForwards
 	s.Clients = j.Clients

@@ -65,7 +65,7 @@ type Counters struct {
 	PagesFetched int64 // full-page transfers received
 	LockAcquires int64 // remote lock acquires
 	LockForwards int64 // acquire requests this node forwarded past itself to the token holder
-	Prefetches   int64 // asynchronous page prefetches issued (serving fast path)
+	Prefetches   int64 // always zero since PR 21; removed with the next digest re-baseline
 	Barriers     int64
 	GCs          int64 // garbage collections participated in
 
