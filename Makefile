@@ -37,9 +37,12 @@ loc:
 			END { for (d in n) printf "%6d  %s\n", n[d], d }' | sort -k2
 	@printf '%6d  total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
 
-# A/B the repository benchmark: git ref BASE against this checkout on one
-# WORKLOAD, PAIRS alternating pairs over seeds 1-4, with the gain / WORSE
-# verdict per end-to-end metric (scripts/ab.sh).
+# A/B the repository benchmark: git ref BASE against this checkout on
+# WORKLOAD (one name, a comma-separated list, or `all`), PAIRS alternating
+# pairs over seeds 1-4 each, with the gain / WORSE / unresolved verdict per
+# end-to-end metric and one workload x metric table at the end; fails on a
+# WORSE or a sim_digest mismatch (scripts/ab.sh). `make ab BASE=HEAD~
+# WORKLOAD=all PAIRS=4` is "the other workloads did not move" in one command.
 BASE ?= HEAD
 WORKLOAD ?= serve_read
 PAIRS ?= 10

@@ -88,18 +88,16 @@ func (a *SOR) rowAddr(base mem.Addr, i int) mem.Addr {
 // are): skipping them keeps every updated point's stencil fully in
 // bounds, so results are identical at any processor count — including
 // machines where a band is a single row and there is no previous loop
-// iteration to have filled the neighbor buffers.
-func (a *SOR) sweep(c *core.Ctx, dst, src mem.Addr, lo, hi int, phase int) {
+// iteration to have filled the neighbor buffers. rows is the worker's
+// scratch, four rows long.
+func (a *SOR) sweep(c *core.Ctx, rows []float64, dst, src mem.Addr, lo, hi int, phase int) {
 	if lo < 1 {
 		lo = 1
 	}
 	if hi > a.H-1 {
 		hi = a.H - 1
 	}
-	up := make([]float64, a.hw)
-	mid := make([]float64, a.hw)
-	down := make([]float64, a.hw)
-	out := make([]float64, a.hw)
+	up, mid, down, out := rows[:a.hw], rows[a.hw:2*a.hw], rows[2*a.hw:3*a.hw], rows[3*a.hw:4*a.hw]
 	for i := lo; i < hi; i++ {
 		c.ReadRange(a.rowAddr(src, i), mid)
 		c.ReadRange(a.rowAddr(src, i-1), up)
@@ -121,12 +119,13 @@ func (a *SOR) sweep(c *core.Ctx, dst, src mem.Addr, lo, hi int, phase int) {
 
 func (a *SOR) Worker(c *core.Ctx, id int) {
 	lo, hi := chunk(a.H, a.p, id)
+	rows := make([]float64, 4*a.hw)
 	bar := 0
 	for it := 0; it < a.Iters; it++ {
-		a.sweep(c, a.red, a.black, lo, hi, 0)
+		a.sweep(c, rows, a.red, a.black, lo, hi, 0)
 		c.Barrier(bar)
 		bar++
-		a.sweep(c, a.black, a.red, lo, hi, 1)
+		a.sweep(c, rows, a.black, a.red, lo, hi, 1)
 		c.Barrier(bar)
 		bar++
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"gosvm/internal/mem"
 )
@@ -269,5 +270,81 @@ func TestSeedImageIsAllocatedOnce(t *testing.T) {
 		if got := allocatedBytes(func() { runOrFail(t, opts, app) }); got >= 8*words*3/2 {
 			t.Errorf("%s: run allocated %d bytes for %d of shared memory, want under 1.5x", proto, got, 8*words)
 		}
+	}
+}
+
+// noticeOnlyApp has node 0 store into each of pages pages before each of
+// barriers barriers; nodes 1 ... n-1 only barrier, so all they ever hold of
+// those pages is the write notices.
+func noticeOnlyApp(pages, barriers int) *testApp {
+	var addr, stride mem.Addr
+	return &testApp{
+		name: "noticeonly",
+		setup: func(s *Setup) {
+			stride = mem.Addr(s.Space.PageWords)
+			addr = s.Alloc(pages * s.Space.PageWords)
+		},
+		init: func(w *Init) { w.SetHome(addr, pages*int(stride), 0) },
+		worker: func(c *Ctx, id int) {
+			for b := 0; b < barriers; b++ {
+				if id == 0 {
+					for pg := 0; pg < pages; pg++ {
+						c.Store(addr+mem.Addr(pg)*stride, float64(b+1))
+					}
+				}
+				c.Barrier(b)
+			}
+		},
+		gather: func(c *Ctx) []float64 { return nil },
+	}
+}
+
+// TestNoticeOnlyPageBytes guards what a write notice costs a node that
+// never touches the page: the protocol-state slot (and, homeless, the
+// notice run), not a record sized for a home's queues or a second vector
+// object. The writer's own cost is the same at every machine size, so the
+// figure is the marginal one: bytes a run on n nodes allocates beyond the
+// same run on 2, per added (node x page): 53 home-based and 116 homeless
+// (a 48-byte slot; a 40-byte slot and a 64-byte run of four notices), where
+// the parent commit read 172 and 180.
+func TestNoticeOnlyPageBytes(t *testing.T) {
+	const pages, barriers = 4096, 3
+	for _, proto := range Protocols {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			total := func(n int) float64 {
+				opts := testOpts(proto, n)
+				opts.GCThreshold = 1 << 30 // a collection's own scratch is not a notice's cost
+				return float64(allocatedBytes(func() { runOrFail(t, opts, noticeOnlyApp(pages, barriers)) }))
+			}
+			two := total(2)
+			perPage := func(n int) float64 { return (total(n) - two) / float64((n-2)*pages) }
+			limit := 64.0
+			if !proto.HomeBased() {
+				limit = 128
+			}
+			small, large := perPage(8), perPage(96)
+			if small > limit || large > limit {
+				t.Errorf("%.0f bytes per notice-only page at p=8, %.0f at p=96; want at most %.0f", small, large, limit)
+			}
+			if large > 1.25*small+8 {
+				t.Errorf("bytes per notice-only page grew with machine size: %.0f at p=8, %.0f at p=96", small, large)
+			}
+			if testing.Verbose() {
+				t.Logf("%.1f bytes per notice-only (node x page) at p=8, %.1f at p=96", small, large)
+			}
+		})
+	}
+}
+
+// TestPageSlotSizes pins the tier every noticed page pays for: a field
+// added to a slot instead of to its use-tier record fails here, not in a
+// benchmark three PRs later.
+func TestPageSlotSizes(t *testing.T) {
+	if got := unsafe.Sizeof(hlrcPage{}); got > 48 {
+		t.Errorf("hlrcPage slot is %d bytes, want at most 48 (one inline vc.Sparse and one pointer)", got)
+	}
+	if got := unsafe.Sizeof(lrcPage{}); got > 40 {
+		t.Errorf("lrcPage slot is %d bytes, want at most 40 (the notice list's header, the holder hint and one pointer)", got)
 	}
 }

@@ -53,10 +53,11 @@ type base struct {
 	// log holds known interval records per processor, ascending by
 	// interval index. Homeless protocols prune it at GC; home-based ones
 	// at every barrier. Records are shared machine-wide (see IntervalRec);
-	// each list starts in a 4-slot run of logRuns and is compacted in place.
+	// each list lives in logRuns (slab.push) and is compacted in place.
 	log     [][]*IntervalRec
 	logRuns slab[*IntervalRec]
-	// vecs backs the per-page vectors newPageVec hands out.
+	// vecs backs the per-page vectors newPageVec hands out: a home's flush
+	// vector, a homeless copy's applied vector.
 	vecs slab[vc.Sparse]
 
 	locks map[int]*lockState
@@ -251,11 +252,7 @@ func (b *base) synthCloseOpen() {
 
 // insertLog stores rec in the interval log with memory accounting.
 func (b *base) insertLog(rec *IntervalRec) {
-	recs := b.log[rec.Proc]
-	if recs == nil {
-		recs = b.logRuns.take(4)[:0]
-	}
-	b.log[rec.Proc] = append(recs, rec)
+	b.log[rec.Proc] = b.logRuns.push(b.log[rec.Proc], rec)
 	b.st().MemAlloc(rec.memSize(b.logVC(rec)))
 }
 

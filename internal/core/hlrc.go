@@ -29,6 +29,7 @@ type hlrcEngine struct {
 	overlapped bool
 	aurc       bool
 	pages      chunked[hlrcPage]
+	uses       slab[hlrcUse]
 
 	// mirrors holds this node's replica copies of other homes' pages
 	// (crash recovery, see recover.go).
@@ -41,14 +42,23 @@ type hlrcEngine struct {
 	lateInval []int32
 }
 
-// hlrcPage is per-page protocol state on one node.
+// hlrcPage is the per-page protocol state of one node, in two tiers. The
+// slot is what every page the node was ever sent a write notice for costs;
+// the rest only a page it uses (faults on, writes, homes) needs, and waits
+// behind use until then.
 type hlrcPage struct {
 	// seen[j] is the highest interval of writer j whose updates this node
 	// is required to observe (from write notices) or has incorporated
-	// (from a home fetch). Nil means all-zero. This is the "vector of
-	// lock timestamps" sent with fetch requests.
-	seen *vc.Sparse
+	// (from a home fetch): the "vector of lock timestamps" sent with fetch
+	// requests. It lives in the slot, which never moves (its first pair is
+	// inline), and is absent — all-zero, Dim() == 0 — until seenOf
+	// initialises it; every other reader goes through seenOrNil.
+	seen vc.Sparse
+	use  *hlrcUse
+}
 
+// hlrcUse is the tier of hlrcPage only a used page pays for (useOf).
+type hlrcUse struct {
 	// Home-side state (only on the page's home node):
 	flushVC      *vc.Sparse    // highest interval applied per writer
 	pendingDiff  []*diffFlush  // diffs awaiting causal predecessors
@@ -114,21 +124,34 @@ func (e *hlrcEngine) dataTarget() paragon.Target {
 	return paragon.ToCompute
 }
 
-// seenOf returns the page's requirement vector, allocating lazily.
-func (e *hlrcEngine) seenOf(page int) *vc.Sparse {
-	m := e.pages.at(page)
-	if m.seen == nil {
-		m.seen = e.newPageVec()
+// seenOf returns m's requirement vector, initialising it (and charging it
+// to protocol memory) on first use.
+func (e *hlrcEngine) seenOf(m *hlrcPage) *vc.Sparse {
+	if m.seen.Dim() == 0 {
+		e.st().MemAlloc(e.vecBytes())
+		m.seen.Init(e.sys.Opts.Machine.Nodes)
 	}
-	return m.seen
+	return &m.seen
 }
 
-func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
-	m := e.pages.at(page)
-	if m.flushVC == nil {
-		m.flushVC = e.newPageVec()
+// seenOrNil reads the requirement vector: nil, the all-zero vector, while
+// it is absent.
+func (m *hlrcPage) seenOrNil() *vc.Sparse {
+	if m.seen.Dim() == 0 {
+		return nil
 	}
-	return m.flushVC
+	return &m.seen
+}
+
+// useOf returns page's use-tier record, materializing it.
+func (e *hlrcEngine) useOf(page int) *hlrcUse { return e.uses.lazy(&e.pages.at(page).use) }
+
+func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
+	u := e.useOf(page)
+	if u.flushVC == nil {
+		u.flushVC = e.newPageVec()
+	}
+	return u.flushVC
 }
 
 func covers(v, need *vc.Sparse) bool { return v.Covers(need) }
@@ -143,16 +166,17 @@ func (e *hlrcEngine) ReadFault(page int) {
 	m := e.pages.at(page)
 	t0 := e.app().Now()
 	for e.home(page) == e.self {
+		u := e.useOf(page)
 		// The home's copy is always present; an "invalid" state here just
 		// means required diffs are still in flight. Wait for coverage.
 		// Re-check the home after every wake-up: if this node crashed and
 		// rejoined, its pages moved and the fault must fetch remotely.
-		if covers(m.flushVC, m.seen) {
+		if covers(u.flushVC, m.seenOrNil()) {
 			e.pt.Page(page).State = mem.ReadOnly
 			e.st().Add(stats.CatData, e.app().Now()-t0)
 			return
 		}
-		m.waiters = append(m.waiters, e.app())
+		u.waiters = append(u.waiters, e.app())
 		e.app().ParkArg("hlrc home wait page", int64(page))
 	}
 	resp := e.node.Call(e.app(), e.home(page), paragon.Msg{
@@ -162,15 +186,14 @@ func (e *hlrcEngine) ReadFault(page int) {
 		Target: e.dataTarget(),
 		// Need must be a snapshot: the live vector can grow while the
 		// request waits on the home's pending list.
-		Body: &fetchPageReq{Page: page, Need: m.seen.Copy()},
+		Body: &fetchPageReq{Page: page, Need: m.seenOrNil().Copy()},
 	})
 	e.st().Add(stats.CatData, e.app().Now()-t0)
 	pr := resp.Body.(*fetchPageResp)
 	p := e.pt.Page(page)
 	e.adopt(p, &pr.Data)
 	p.State = mem.ReadOnly
-	seen := e.seenOf(page)
-	seen.MaxWith(pr.FlushVC)
+	e.seenOf(m).MaxWith(pr.FlushVC)
 	e.st().Counts.PagesFetched++
 	e.emit(trace.PageFetch, page, e.home(page), 0)
 }
@@ -205,10 +228,10 @@ func (e *hlrcEngine) WriteFault(page int) {
 	if p.State == mem.Invalid {
 		e.ReadFault(page)
 	}
-	m := e.pages.at(page)
-	for m.inflight {
+	u := e.useOf(page)
+	for u.inflight {
 		// Overlapped: the twin is still feeding the co-processor's diff.
-		m.twinWaiter = append(m.twinWaiter, e.app())
+		u.twinWaiter = append(u.twinWaiter, e.app())
 		e.app().ParkArg("hlrc twin busy page", int64(page))
 	}
 	e.use(e.costs().PageFault, stats.CatProtocol)
@@ -277,11 +300,11 @@ func (e *hlrcEngine) closeCommit() {
 		p := e.pt.Page(pg)
 		p.State = mem.ReadOnly
 		m := e.pages.at(pg)
-		dep := e.pages.at(pg).seen.Copy() // nil-safe: Copy of nil is nil (all-zero)
+		dep := m.seenOrNil().Copy() // nil-safe: Copy of nil is nil (all-zero)
 		if dep == nil {
 			dep = vc.NewSparse(e.sys.Opts.Machine.Nodes)
 		}
-		seen := e.seenOf(pg)
+		seen := e.seenOf(m)
 		if e.home(pg) == e.self {
 			seen.Set(e.self, rec.Interval)
 			if e.replicating() && !e.aurc && p.Twin != nil {
@@ -289,7 +312,7 @@ func (e *hlrcEngine) closeCommit() {
 				// against the twin and run the self-flush path, which
 				// mirrors it.
 				if e.overlapped {
-					m.inflight = true
+					e.useOf(pg).inflight = true
 					e.node.InjectCoproc(paragon.Msg{
 						Kind: kMakeDiff,
 						Body: &makeDiffReq{Page: pg, Interval: rec.Interval, Dep: dep},
@@ -325,7 +348,7 @@ func (e *hlrcEngine) closeCommit() {
 			continue
 		}
 		if e.overlapped {
-			m.inflight = true
+			e.useOf(pg).inflight = true
 			e.node.InjectCoproc(paragon.Msg{
 				Kind: kMakeDiff,
 				Body: &makeDiffReq{Page: pg, Interval: rec.Interval, Dep: dep},
@@ -383,11 +406,11 @@ func (e *hlrcEngine) sendDiff(df *diffFlush) {
 // Write notices
 
 func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
-	seen := e.seenOf(page)
+	seen := e.seenOf(e.pages.at(page))
 	seen.RaiseTo(rec.Proc, rec.Interval)
 	if e.home(page) == e.self {
 		// The home never discards its copy; accesses wait for coverage.
-		if p := e.pt.Page(page); !covers(e.pages.at(page).flushVC, seen) && p.State != mem.ReadWrite {
+		if p := e.pt.Page(page); !covers(e.useOf(page).flushVC, seen) && p.State != mem.ReadWrite {
 			p.State = mem.Invalid
 			return e.costs().PageInval
 		}
@@ -454,7 +477,7 @@ func (e *hlrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 		e.st().MemFree(int64(e.sys.Space.PageBytes()))
 		e.st().Counts.DiffsCreated++
 		e.emit(trace.DiffCreate, req.Page, -1, int64(diff.WireSize()))
-		pm := e.pages.at(req.Page)
+		pm := e.useOf(req.Page)
 		pm.inflight = false
 		for _, w := range pm.twinWaiter {
 			w.Unpark()
@@ -502,8 +525,8 @@ func (e *hlrcEngine) homeReceiveDiff(df *diffFlush) {
 	e.mirrorDiff(df)
 	f := e.flushOf(df.Page)
 	if !covers(f, df.Dep) {
-		m := e.pages.at(df.Page)
-		m.pendingDiff = append(m.pendingDiff, df)
+		u := e.useOf(df.Page)
+		u.pendingDiff = append(u.pendingDiff, df)
 		return
 	}
 	e.homeApply(df)
@@ -522,7 +545,7 @@ func (e *hlrcEngine) homeApply(df *diffFlush) {
 // homeDrain retries pending diffs, fetches, and local waiters for a page
 // after the flush vector advanced.
 func (e *hlrcEngine) homeDrain(page int) {
-	m := e.pages.at(page)
+	m := e.useOf(page)
 	f := e.flushOf(page)
 	for progress := true; progress; {
 		progress = false
@@ -553,7 +576,7 @@ func (e *hlrcEngine) homeDrain(page int) {
 	}
 	m.pendingFetch = keep
 
-	if len(m.waiters) > 0 && covers(f, m.seen) {
+	if len(m.waiters) > 0 && covers(f, e.pages.at(page).seenOrNil()) {
 		for _, w := range m.waiters {
 			w.Unpark()
 		}
@@ -572,11 +595,11 @@ func (e *hlrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 			e.node.Send(e.home(fr.Page), m)
 			return
 		}
-		if covers(e.pages.at(fr.Page).flushVC, fr.Need) {
+		pm := e.useOf(fr.Page)
+		if covers(pm.flushVC, fr.Need) {
 			e.respondFetch(m, fr)
 			return
 		}
-		pm := e.pages.at(fr.Page)
 		pm.pendingFetch = append(pm.pendingFetch, m)
 	}
 }
@@ -598,8 +621,8 @@ func (e *hlrcEngine) Finish() {
 		panic(fmt.Sprintf("core: node %d finished with %d dirty pages (missing final barrier?)", e.self, len(e.dirty)))
 	}
 	e.pages.each(func(pg int, m *hlrcPage) {
-		for m.inflight {
-			m.twinWaiter = append(m.twinWaiter, e.app())
+		for m.use != nil && m.use.inflight {
+			m.use.twinWaiter = append(m.use.twinWaiter, e.app())
 			e.app().ParkArg("finish: diff in flight page", int64(pg))
 		}
 	})

@@ -24,6 +24,7 @@ type lrcEngine struct {
 	overlapped bool
 	eager      bool
 	pages      chunked[lrcPage]
+	uses       slab[lrcUse]
 	// diffs holds the diffs this node created or fetched (TreadMarks
 	// caches fetched diffs so that, for migratory data, a single request
 	// to the last writer returns the whole chain), keyed by
@@ -41,11 +42,24 @@ type diffKey struct {
 	interval int32
 }
 
-// lrcPage is per-page protocol state on one node.
+// lrcPage is the per-page protocol state of one node, in two tiers. The
+// slot is what every page the node was ever sent a write notice for costs;
+// the rest only a page it uses (faults on, writes, serves a copy of) needs,
+// and waits behind use until then.
 type lrcPage struct {
 	// wns are the write notices not yet reflected in the local copy. The
-	// list starts in a 4-slot run of wnRuns and is emptied in place.
+	// list lives in wnRuns (slab.push) and is emptied in place.
 	wns []pageWN
+	use *lrcUse
+	// holder is the last known node holding a full copy, stored as
+	// node+1. Zero means "never updated", which resolves to the page's
+	// home (where the initial copy is seeded) without having to
+	// materialize per-page state for the whole address space.
+	holder int32
+}
+
+// lrcUse is the tier of lrcPage only a used page pays for (useOf).
+type lrcUse struct {
 	// appliedVC[j] is the highest interval of writer j incorporated into
 	// the local Data copy. Nil until a copy exists. Homeless protocols
 	// carry these per-page vectors — part of their memory story.
@@ -53,11 +67,6 @@ type lrcPage struct {
 	// pending is the own closed interval whose diff has not been created
 	// yet (lazy diffing); the twin is still alive.
 	pending *IntervalRec
-	// holder is the last known node holding a full copy, stored as
-	// node+1. Zero means "never updated", which resolves to the page's
-	// home (where the initial copy is seeded) without having to
-	// materialize per-page state for the whole address space.
-	holder int32
 	// inflight marks an OLRC diff computation in progress on the coproc.
 	inflight   bool
 	twinWaiter []*sim.Proc
@@ -126,6 +135,9 @@ func (e *lrcEngine) dataTarget() paragon.Target {
 	return paragon.ToCompute
 }
 
+// useOf returns page's use-tier record, materializing it.
+func (e *lrcEngine) useOf(page int) *lrcUse { return e.uses.lazy(&e.pages.at(page).use) }
+
 // holderOf resolves the copy-holder hint for page: the recorded holder,
 // or the page's home while no hint has been recorded.
 func (e *lrcEngine) holderOf(page int) int {
@@ -172,7 +184,7 @@ func (e *lrcEngine) WriteFault(page int) {
 // them in causal order. waitCat classifies the stall time (data transfer
 // during normal faults, GC during garbage-collection validation).
 func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
-	m := e.pages.at(page)
+	m, u := e.pages.at(page), e.useOf(page)
 	e.commitOwnDiff(page, true)
 	p := e.pt.Page(page)
 
@@ -185,7 +197,7 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 	// Discard notices already reflected in the base copy.
 	live := m.wns[:0]
 	for _, wn := range m.wns {
-		if wn.rec.Interval <= m.appliedVC.Get(wn.rec.Proc) {
+		if wn.rec.Interval <= u.appliedVC.Get(wn.rec.Proc) {
 			e.st().MemFree(wnEntryBytes)
 			continue
 		}
@@ -263,7 +275,7 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		cost += e.costs().DiffApplyCost(wn.diff.Words())
 		e.emit(trace.DiffApply, page, wn.rec.Proc, int64(wn.diff.Words()))
 		wn.diff.Apply(p.Data)
-		m.appliedVC.RaiseTo(wn.rec.Proc, wn.rec.Interval)
+		u.appliedVC.RaiseTo(wn.rec.Proc, wn.rec.Interval)
 		e.st().Counts.DiffsApplied++
 		e.st().MemFree(wnEntryBytes)
 	}
@@ -297,7 +309,7 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 		// appliedVC is nil whenever Data is nil (GC frees them together),
 		// so merging into the fresh zero vector equals replacement.
 		e.ensureAppliedVC(page)
-		m.appliedVC.MaxWith(pr.AppliedVC)
+		m.use.appliedVC.MaxWith(pr.AppliedVC)
 		m.holder = int32(holder) + 1
 		e.st().Counts.PagesFetched++
 		e.emit(trace.PageFetch, page, holder, 0)
@@ -308,16 +320,16 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 // ensureAppliedVC lazily allocates the page's applied-interval vector
 // (all zeros: the seed image reflects no intervals).
 func (e *lrcEngine) ensureAppliedVC(page int) {
-	m := e.pages.at(page)
-	if m.appliedVC == nil {
-		m.appliedVC = e.newPageVec()
+	u := e.useOf(page)
+	if u.appliedVC == nil {
+		u.appliedVC = e.newPageVec()
 	}
 }
 
 // commitOwnDiff materializes the lazy diff of a previously closed interval
 // (and, under OLRC, waits out an in-flight co-processor diff).
 func (e *lrcEngine) commitOwnDiff(page int, charge bool) {
-	m := e.pages.at(page)
+	m := e.useOf(page)
 	for m.inflight {
 		m.twinWaiter = append(m.twinWaiter, e.app())
 		e.app().ParkArg("lrc twin busy page", int64(page))
@@ -389,7 +401,7 @@ func (e *lrcEngine) closeCommit() {
 		pg := int(pg32)
 		p := e.pt.Page(pg)
 		p.State = mem.ReadOnly
-		m := e.pages.at(pg)
+		m := e.useOf(pg)
 		switch {
 		case e.overlapped:
 			m.inflight = true
@@ -413,10 +425,7 @@ func (e *lrcEngine) closeCommit() {
 
 func (e *lrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 	m := e.pages.at(page)
-	if m.wns == nil {
-		m.wns = e.wnRuns.take(4)[:0]
-	}
-	m.wns = append(m.wns, pageWN{rec: rec})
+	m.wns = e.wnRuns.push(m.wns, pageWN{rec: rec})
 	e.st().MemAlloc(wnEntryBytes)
 	m.holder = int32(rec.Proc) + 1 // last-writer hint
 	// Most notices are for pages this node never referenced: Peek, so
@@ -496,16 +505,17 @@ func (e *lrcEngine) runGC() {
 			continue
 		}
 		m := e.pages.at(pg)
-		for m.inflight {
-			m.twinWaiter = append(m.twinWaiter, e.app())
+		u := m.use
+		for u != nil && u.inflight {
+			u.twinWaiter = append(u.twinWaiter, e.app())
 			e.app().ParkArg("gc twin busy page", int64(pg))
 		}
-		if m.pending != nil {
+		if u != nil && u.pending != nil {
 			// Nobody fetched this diff during validation; it is dead.
 			p := e.pt.Page(pg)
 			p.DropTwin(e.sink())
 			e.st().MemFree(int64(e.sys.Space.PageBytes()))
-			m.pending = nil
+			u.pending = nil
 		}
 		for range m.wns {
 			e.st().MemFree(wnEntryBytes)
@@ -521,9 +531,9 @@ func (e *lrcEngine) runGC() {
 				}
 				e.sink().PutPage(p.Data)
 				p.Data = nil
-				if m.appliedVC != nil {
+				if u != nil && u.appliedVC != nil {
 					e.st().MemFree(e.vecBytes())
-					m.appliedVC = nil
+					u.appliedVC = nil
 				}
 			}
 		}
@@ -559,7 +569,7 @@ func (e *lrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 	return e.costs().DiffCreateCost(e.sys.Space.PageWords), func() {
 		req := m.Body.(*makeDiffReq)
 		e.materializeDiff(req.Page, req.Interval)
-		pm := e.pages.at(req.Page)
+		pm := e.useOf(req.Page)
 		pm.inflight = false
 		for _, w := range pm.twinWaiter {
 			w.Unpark()
@@ -577,11 +587,9 @@ func (e *lrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 // created on demand; OLRC requests for an in-flight diff are queued.
 func (e *lrcEngine) handleFetchDiffs(m paragon.Msg) (sim.Time, func()) {
 	req := m.Body.(*fetchDiffsReq)
-	pm := e.pages.at(req.Page)
+	pm := e.useOf(req.Page)
 	if pm.inflight {
-		return 0, func() {
-			e.pages.at(req.Page).pendingReqs = append(e.pages.at(req.Page).pendingReqs, m)
-		}
+		return 0, func() { pm.pendingReqs = append(pm.pendingReqs, m) }
 	}
 	var work sim.Time
 	if pm.pending != nil {
@@ -592,7 +600,6 @@ func (e *lrcEngine) handleFetchDiffs(m paragon.Msg) (sim.Time, func()) {
 		}
 	}
 	return work, func() {
-		pm := e.pages.at(req.Page)
 		if pm.pending != nil {
 			e.materializeDiff(req.Page, pm.pending.Interval)
 			pm.pending = nil
@@ -643,7 +650,6 @@ func (e *lrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 	return 0, func() {
 		req := m.Body.(*lrcFetchPageReq)
 		p := e.pt.Page(req.Page)
-		pm := e.pages.at(req.Page)
 		if p.Data == nil {
 			e.node.Respond(m, paragon.Msg{
 				Kind:  kFetchPage,
@@ -653,7 +659,7 @@ func (e *lrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 			})
 			return
 		}
-		avc := pm.appliedVC.Copy()
+		avc := e.useOf(req.Page).appliedVC.Copy()
 		e.node.Respond(m, paragon.Msg{
 			Kind:  kFetchPage,
 			Size:  e.sys.Space.PageBytes() + avc.WireSize(),
@@ -670,8 +676,8 @@ func (e *lrcEngine) Finish() {
 		panic(fmt.Sprintf("core: node %d finished with %d dirty pages (missing final barrier?)", e.self, len(e.dirty)))
 	}
 	e.pages.each(func(pg int, m *lrcPage) {
-		for m.inflight {
-			m.twinWaiter = append(m.twinWaiter, e.app())
+		for m.use != nil && m.use.inflight {
+			m.use.twinWaiter = append(m.use.twinWaiter, e.app())
 			e.app().ParkArg("finish: diff in flight page", int64(pg))
 		}
 	})

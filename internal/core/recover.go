@@ -466,7 +466,7 @@ func rebase(pg int, p *mem.Page, image []float64) {
 // state, merging any local dirty copy (rebase). Parked requests at the
 // old home migrate here.
 func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
-	m := e.pages.at(pg)
+	u := e.useOf(pg)
 	mp := e.mirrorOf(pg)
 	p := e.pt.Materialize(pg)
 	if !mp.seeded {
@@ -480,10 +480,10 @@ func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 	}
 	f := e.flushOf(pg)
 	f.MaxWith(e.mirrorVC(mp))
-	m.pendingDiff = append(m.pendingDiff, mp.pending...)
+	u.pendingDiff = append(u.pendingDiff, mp.pending...)
 	delete(e.mirrors, pg)
 	if p.State != mem.ReadWrite {
-		if covers(f, m.seen) {
+		if covers(f, e.pages.at(pg).seenOrNil()) {
 			p.State = mem.ReadOnly
 		} else {
 			p.State = mem.Invalid
@@ -491,10 +491,10 @@ func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 	}
 	// Fetches parked at the dead home move here: the requesters' reply
 	// ports are still live, so answers flow straight back to them.
-	om := old.pages.at(pg)
-	m.pendingFetch = append(m.pendingFetch, om.pendingFetch...)
-	om.pendingFetch = nil
-	om.pendingDiff = nil
+	ou := old.useOf(pg)
+	u.pendingFetch = append(u.pendingFetch, ou.pendingFetch...)
+	ou.pendingFetch = nil
+	ou.pendingDiff = nil
 }
 
 // reseedReplicas ships full images of newly adopted pages to this
@@ -551,18 +551,22 @@ func (e *hlrcEngine) shipFullPagesTo(node int) {
 // current homes at the next interval close.
 func (e *hlrcEngine) wipeVolatile() {
 	e.pages.each(func(pg int, m *hlrcPage) {
-		// No page is homed here anymore (re-homing ran first).
-		if m.flushVC != nil {
-			e.st().MemFree(e.vecBytes())
-			m.flushVC = nil
+		u := m.use
+		if u == nil {
+			return // never homed, faulted on or written here
 		}
-		m.pendingDiff = nil
-		m.pendingFetch = nil
+		// No page is homed here anymore (re-homing ran first).
+		if u.flushVC != nil {
+			e.st().MemFree(e.vecBytes())
+			u.flushVC = nil
+		}
+		u.pendingDiff = nil
+		u.pendingFetch = nil
 		// Home-wait parkers must re-evaluate: the page's home moved.
-		for _, w := range m.waiters {
+		for _, w := range u.waiters {
 			w.Unpark()
 		}
-		m.waiters = nil
+		u.waiters = nil
 	})
 	// Cached read-only copies are gone too. This follows the page table,
 	// not the protocol state: seeded initial copies exist on nodes whose

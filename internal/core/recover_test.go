@@ -338,7 +338,7 @@ func TestLateImageAtPromotedHome(t *testing.T) {
 			case 0:
 				c.Store(addr+1, 42) // replication on: the home twins its own page
 				c.Compute(sim.Millisecond)
-				pm := e.pages.at(pg)
+				pm := e.useOf(pg)
 				got.parked = len(pm.pendingFetch)
 				e.installLateImage(&mirrorMsg{Page: pg, Data: image(100), VC: stamp(5)})
 				p := e.pt.Page(pg)
@@ -352,7 +352,7 @@ func TestLateImageAtPromotedHome(t *testing.T) {
 			case 1:
 				// As if a write notice for interval 5 of node 2 had arrived:
 				// the fetch parks at the home until its flush vector covers it.
-				e.seenOf(pg).RaiseTo(2, 5)
+				e.seenOf(e.pages.at(pg)).RaiseTo(2, 5)
 				got.fetched = c.Load(addr + 3)
 				got.fetchedOwn = c.Load(addr + 1)
 				got.fetchedAt = c.Now()
@@ -394,5 +394,156 @@ func TestLateImageAtPromotedHome(t *testing.T) {
 	}
 	if res.Data[0] != 42 || res.Data[1] != 103 {
 		t.Fatalf("final words = %v, want [42 103]", res.Data)
+	}
+}
+
+// TestRecoveryOnUnusedPages runs recovery over per-page state whose use
+// tier was never materialised. Node 1 homes page X and writes it every
+// round, node 0 homes and writes page W, node 3 reads both; node 2, node
+// 1's replica, touches neither, and node 1 never touches W. Node 1 crashes
+// mid-run: its restart wipes slots that only ever held notices
+// (wipeVolatile), and node 2 is promoted to home X with, at most, a notice's
+// vector for it (adoptPage) — after which it must serve node 3 the right
+// data and node 1's later writes. A late image for a page the node never
+// touched (installLateImage) is TestLateImageOnUntouchedPage.
+func TestRecoveryOnUnusedPages(t *testing.T) {
+	const words, rounds = 64, 6 // 512-byte pages; a round is some 9 ms
+	const crashAt = 14 * sim.Millisecond
+	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+		proto := proto
+		t.Run(proto.String(), func(t *testing.T) {
+			var x, w mem.Addr
+			var victim, heir *hlrcPage
+			var heirSeenBefore *vc.Sparse
+			var heirUsedBefore bool
+			var heirReadAt sim.Time
+			app := &testApp{
+				name: "unused-pages",
+				setup: func(s *Setup) {
+					x = s.Alloc(words)
+					w = s.Alloc(words)
+				},
+				init: func(in *Init) {
+					in.SetHome(x, words, 1)
+					in.SetHome(w, words, 0)
+				},
+				worker: func(c *Ctx, id int) {
+					for r := 1; r <= rounds; r++ {
+						c.Compute(200 * sim.Microsecond)
+						switch id {
+						case 0:
+							c.Store(w+1, float64(r))
+						case 1:
+							c.Store(x+1, float64(10*r))
+						case 2:
+							if r == 2 {
+								m := c.sys.Engines[2].(*hlrcEngine).pages.at(c.sys.Space.PageOf(x))
+								heirSeenBefore, heirUsedBefore, heirReadAt = m.seenOrNil().Copy(), m.use != nil, c.Now()
+							}
+						}
+						c.Barrier(2 * r)
+						if id == 3 {
+							if gx, gw := c.Load(x+1), c.Load(w+1); gx != float64(10*r) || gw != float64(r) {
+								panic(fmt.Sprintf("round %d: node 3 reads x=%v w=%v, want %v %v", r, gx, gw, 10*r, r))
+							}
+						}
+						c.Barrier(2*r + 1) // the homes write in place: not before node 3 has read
+					}
+				},
+				gather: func(c *Ctx) []float64 {
+					victim = c.sys.Engines[1].(*hlrcEngine).pages.at(c.sys.Space.PageOf(w))
+					heir = c.sys.Engines[2].(*hlrcEngine).pages.at(c.sys.Space.PageOf(x))
+					return []float64{c.Load(x + 1), c.Load(w + 1)}
+				},
+			}
+			opts := testOpts(proto, 4)
+			opts.Fault = crashPlan(crashAt, crashAt+10*sim.Millisecond)
+			opts.Recovery = Recovery{Replicas: 1}
+			res := runOrFail(t, opts, app)
+
+			if heirReadAt >= crashAt {
+				t.Fatalf("node 2's slot was read at %v, not before the crash at %v", heirReadAt, crashAt)
+			}
+			if res.Data[0] != 10*rounds || res.Data[1] != rounds {
+				t.Errorf("final x, w = %v, want %d, %d", res.Data, 10*rounds, rounds)
+			}
+			if got := res.Stats.Nodes[2].Counts.PagesRehomed; got != 1 {
+				t.Errorf("node 2 adopted %d pages, want 1", got)
+			}
+			if n := res.Stats.Nodes[2].Counts; n.ReadMisses != 0 || n.WriteFaults != 0 {
+				t.Errorf("node 2 faulted (%d read misses, %d write faults): it was to stay a bystander", n.ReadMisses, n.WriteFaults)
+			}
+			if heirUsedBefore || heirSeenBefore.Get(1) == 0 {
+				t.Errorf("before the crash node 2's slot for x had use tier %v and vector %v; want none and node 1's notices", heirUsedBefore, heirSeenBefore)
+			}
+			if heir.use == nil || heir.use.flushVC.Get(1) < int32(rounds) {
+				t.Errorf("after the run node 2's slot for x: use tier %+v; want the home's, flushed through node 1's interval %d", heir.use, rounds)
+			}
+			if victim.use != nil || victim.seenOrNil().Get(0) < int32(rounds) {
+				t.Errorf("node 1's slot for w: use tier %+v, vector %v; want notices only, through node 0's interval %d", victim.use, victim.seenOrNil(), rounds)
+			}
+		})
+	}
+}
+
+// TestLateImageOnUntouchedPage: a reseed image lands at a home that has no
+// use-tier record for the page and no vector at all — it was promoted over
+// a page it never read, wrote or was noticed of. The image installs over
+// the seed copy, the flush vector it brings is the page's first (one
+// vecBytes charge), and an older image is dropped.
+func TestLateImageOnUntouchedPage(t *testing.T) {
+	const words = 64
+	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+		proto := proto
+		t.Run(proto.String(), func(t *testing.T) {
+			var addr mem.Addr
+			var used bool
+			var charge int64
+			var flush, flushAfter int32
+			image := func(v float64) []float64 {
+				img := make([]float64, words)
+				for i := range img {
+					img[i] = v
+				}
+				return img
+			}
+			stamp := func(interval int32) *vc.Sparse {
+				v := vc.NewSparse(3)
+				v.RaiseTo(2, interval)
+				return v
+			}
+			app := &testApp{
+				name:  "lateimage-untouched",
+				setup: func(s *Setup) { addr = s.Alloc(words) },
+				init:  func(w *Init) { w.SetHome(addr, words, 0) },
+				worker: func(c *Ctx, id int) {
+					if id == 0 {
+						e, pg := c.sys.Engines[0].(*hlrcEngine), c.sys.Space.PageOf(addr)
+						m := e.pages.at(pg)
+						used = m.use != nil || m.seenOrNil() != nil
+						mem0 := e.st().ProtoMem
+						e.installLateImage(&mirrorMsg{Page: pg, Data: image(5), VC: stamp(5)})
+						flush = m.use.flushVC.Get(2)
+						e.installLateImage(&mirrorMsg{Page: pg, Data: image(4), VC: stamp(4)})
+						flushAfter = m.use.flushVC.Get(2)
+						charge = e.st().ProtoMem - mem0
+					}
+					c.Barrier(0)
+				},
+				gather: func(c *Ctx) []float64 { return []float64{c.Load(addr), c.Load(addr + words - 1)} },
+			}
+			opts := testOpts(proto, 3)
+			opts.Recovery = Recovery{Replicas: 1}
+			res := runOrFail(t, opts, app)
+			if used {
+				t.Error("the page had protocol state before the image; the case is not the one meant")
+			}
+			if flush != 5 || flushAfter != 5 || charge != 4*3 {
+				t.Errorf("flush vector for writer 2 = %d, then %d, protocol memory +%d; want 5, 5, +12", flush, flushAfter, charge)
+			}
+			if res.Data[0] != 5 || res.Data[1] != 5 {
+				t.Errorf("page reads %v, want the covering image's 5s", res.Data)
+			}
+		})
 	}
 }

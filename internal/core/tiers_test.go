@@ -1,0 +1,147 @@
+package core
+
+import (
+	"testing"
+
+	"gosvm/internal/mem"
+	"gosvm/internal/paragon"
+	"gosvm/internal/sim"
+	"gosvm/internal/vc"
+)
+
+// tap makes fn see every message e's two processors service.
+func tap(e *hlrcEngine, fn func(paragon.Msg)) {
+	h := func(m paragon.Msg) (sim.Time, func()) {
+		fn(m)
+		return e.handle(m)
+	}
+	e.node.InstallCompute(h)
+	e.node.InstallCoproc(h)
+}
+
+// TestAbsentSeenReadsAsNil drives every reader of a page's requirement
+// vector on a page whose vector was never initialised (the slot's inline
+// vc.Sparse still has Dim() == 0) and checks it behaves as the nil vector
+// the parent's *vc.Sparse field was: a fetch asks for nothing, an interval's
+// dependency is a fresh zero vector, a home is covered and wakes its
+// waiters, and a notice to a home that applied no diff yet invalidates.
+// Beside each, the protocol-memory charge for the vector: made by the first
+// seenOf of a (node, page) and by nothing after it.
+//
+// Four pages homed at node 0 of a 3-node machine with one replica (so the
+// home's own write is diffed and its Dep observable on the mirror stream);
+// simulated time orders the steps, the one barrier closes the run.
+// adoptPage's covers(f, seen) is TestRecoveryOnUnusedPages', under a real
+// promotion.
+func TestAbsentSeenReadsAsNil(t *testing.T) {
+	const words = 64 // one 512-byte page
+	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			var base mem.Addr
+			var got struct {
+				need, dep             *vc.Sparse
+				needSeen, depSeen     bool
+				readCharge, reCharge  int64
+				noticeCost, pageInval sim.Time
+				noticeState           mem.State
+				noticeCharge, renote  int64
+				noticedTo             int32
+				usedBeforeNotice      bool
+				wokeAt                sim.Time
+				readerSeenAfter       *vc.Sparse
+				writerSeenBeforeClose *vc.Sparse
+			}
+			app := &testApp{
+				name:  "absent-seen",
+				setup: func(s *Setup) { base = s.Alloc(4 * words) },
+				init:  func(w *Init) { w.SetHome(base, 4*words, 0) },
+				worker: func(c *Ctx, id int) {
+					e := c.sys.Engines[id].(*hlrcEngine)
+					pg := func(i int) int { return c.sys.Space.PageOf(base + mem.Addr(i*words)) }
+					pgRead, pgWrite, pgWait, pgNote := pg(0), pg(1), pg(2), pg(3)
+					switch id {
+					case 0:
+						tap(e, func(m paragon.Msg) {
+							if fr, ok := m.Body.(*fetchPageReq); ok && fr.Page == pgRead && !got.needSeen {
+								got.need, got.needSeen = fr.Need, true
+							}
+						})
+						// noticePage, home branch, no use tier and no flush vector.
+						got.usedBeforeNotice = e.pages.at(pgNote).use != nil
+						mem0 := e.st().ProtoMem
+						got.noticeCost, got.pageInval = e.noticePage(&IntervalRec{Proc: 2, Interval: 1}, pgNote), e.costs().PageInval
+						got.noticeState = e.pt.Page(pgNote).State
+						got.noticeCharge = e.st().ProtoMem - mem0
+						e.noticePage(&IntervalRec{Proc: 2, Interval: 2}, pgNote)
+						got.renote = e.st().ProtoMem - mem0
+						got.noticedTo = e.pages.at(pgNote).seenOrNil().Get(2)
+						// closeCommit's dep: the home's first write to a page it
+						// never had a notice for; the barrier below closes it.
+						got.writerSeenBeforeClose = e.pages.at(pgWrite).seenOrNil()
+						c.Store(base+mem.Addr(words+1), 7)
+						// homeDrain: wait on a page with no vector until node 1
+						// drains it.
+						u := e.useOf(pgWait)
+						u.waiters = append(u.waiters, e.app())
+						e.app().Park("test: waiting on a never-noticed home page")
+						got.wokeAt = c.Now()
+					case 1:
+						tap(e, func(m paragon.Msg) {
+							if mm, ok := m.Body.(*mirrorMsg); ok && mm.Diff != nil && mm.Diff.Page == pgWrite {
+								got.dep, got.depSeen = mm.Diff.Dep, true
+							}
+						})
+						// ReadFault's Need: a cold read of a page never noticed.
+						c.Compute(100 * sim.Microsecond)
+						mem0 := e.st().ProtoMem
+						c.Load(base)
+						got.readCharge = e.st().ProtoMem - mem0
+						got.readerSeenAfter = e.pages.at(pgRead).seenOrNil()
+						c.FreshRead(base)
+						got.reCharge = e.st().ProtoMem - mem0
+						c.Compute(sim.Millisecond)
+						c.sys.Engines[0].(*hlrcEngine).homeDrain(pgWait)
+					}
+					c.Barrier(0)
+				},
+				gather: func(c *Ctx) []float64 { return []float64{c.Load(base + mem.Addr(words+1))} },
+			}
+			opts := testOpts(proto, 3)
+			opts.Recovery = Recovery{Replicas: 1}
+			res := runOrFail(t, opts, app)
+			vecBytes := int64(4 * 3)
+
+			if !got.needSeen || got.need != nil {
+				t.Errorf("ReadFault: fetch seen by the home %v, Need %v; want a request with a nil Need", got.needSeen, got.need)
+			}
+			if got.readCharge != vecBytes || got.reCharge != vecBytes || got.readerSeenAfter == nil {
+				t.Errorf("ReadFault: protocol memory +%d after the first fetch, +%d after a refetch, vector %v; want +%d once and a vector",
+					got.readCharge, got.reCharge, got.readerSeenAfter, vecBytes)
+			}
+			if got.writerSeenBeforeClose != nil {
+				t.Errorf("closeCommit: the home's vector existed before its first write: %v", got.writerSeenBeforeClose)
+			}
+			if !got.depSeen || got.dep == nil || got.dep.Dim() != 3 || got.dep.NNZ() != 0 {
+				t.Errorf("closeCommit: mirrored diff seen %v, Dep %v; want a fresh all-zero vector of dimension 3", got.depSeen, got.dep)
+			}
+			if got.wokeAt < sim.Millisecond {
+				t.Errorf("homeDrain: the waiter woke at %v, before the drain", got.wokeAt)
+			}
+			if got.usedBeforeNotice {
+				t.Error("noticePage: the page's use tier existed before the notice; the case is not the one meant")
+			}
+			if got.pageInval == 0 || got.noticeCost != got.pageInval || got.noticeState != mem.Invalid {
+				t.Errorf("noticePage at a home with no flush vector: cost %v state %v, want the invalidation (%v, %v)",
+					got.noticeCost, got.noticeState, got.pageInval, mem.Invalid)
+			}
+			if got.noticeCharge != vecBytes || got.renote != vecBytes || got.noticedTo != 2 {
+				t.Errorf("noticePage: protocol memory +%d after one notice, +%d after two, writer 2 at %d; want +%d once and 2",
+					got.noticeCharge, got.renote, got.noticedTo, vecBytes)
+			}
+			if res.Data[0] != 7 {
+				t.Errorf("the home's write reads back %v, want 7", res.Data[0])
+			}
+		})
+	}
+}
