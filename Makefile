@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check loc ab sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale
+.PHONY: all build test race vet fmt check loc paper ab sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale
 
 all: check
 
@@ -36,6 +36,16 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } \
 			END { for (d in n) printf "%6d  %s\n", n[d], d }' | sort -k2
 	@printf '%6d  total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
+
+# Regenerate every paper table and figure at paper size (~90 s on two
+# cores) and require the output to be byte-identical to the checked-in
+# results_paper.txt; CI's e2e job runs this. A PR that moves simulated
+# results (label changes-sim) regenerates the file in the same PR:
+#   go run ./cmd/svmbench -all -size paper -q > results_paper.txt
+paper:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		$(GO) run ./cmd/svmbench -all -size paper -q > "$$tmp" && \
+		cmp "$$tmp" results_paper.txt
 
 # A/B the repository benchmark: git ref BASE against this checkout on
 # WORKLOAD (one name, a comma-separated list, or `all`), PAIRS alternating

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"gosvm/internal/apps"
 	"gosvm/internal/bench"
@@ -33,7 +32,7 @@ func main() {
 		sor0       = flag.Bool("sor0", false, "run the §4.8 zero-initialized SOR experiment")
 		ablations  = flag.Bool("ablations", false, "run the ablation suite")
 		all        = flag.Bool("all", false, "regenerate everything")
-		mf         = cliflags.AddMachineList(flag.CommandLine, "8,32,64", 8192)
+		newRunner  = cliflags.AddRunner(flag.CommandLine, "8,32,64", 8192)
 		scale      = flag.Bool("scale", false, "run the machine-size scaling sweep (fixed-size SOR, speedup/traffic/hot-spot skew vs node count)")
 		scaleNodes = flag.String("scale-nodes", "", "node counts for -scale (default 64,128,256,512,1024)")
 		scaleJSON  = flag.String("scale-json", "", "write the -scale grid to this JSON file")
@@ -41,9 +40,6 @@ func main() {
 		rtoAbl     = flag.String("rto-ablation", "", "run the fixed-vs-adaptive RTO ablation on the mesh for these fault profiles (e.g. lossy,hostile)")
 		seed       = flag.Int64("seed", 1, "seed for the -faults and -rto-ablation plans")
 		jsonDir    = flag.String("json-dir", "", "write per-cell JSON statistics of the -faults / -rto-ablation sweeps here")
-		parallel   = cliflags.AddParallel(flag.CommandLine)
-		runWkrs    = cliflags.AddRunWorkers(flag.CommandLine)
-		quiet      = cliflags.AddQuiet(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -51,23 +47,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	r := bench.NewRunner(apps.Size(*size))
-	r.PageBytes = mf.Page
-	r.Parallel = *parallel
-	r.RunWorkers = *runWkrs
-	if !*quiet {
-		r.Progress = os.Stderr
-	}
-	shape, err := mf.Shape()
+	r, err := newRunner(apps.Size(*size))
 	if err != nil {
 		fail(err)
 	}
-	r.Machine = shape
-	procs, err := mf.ProcsList()
-	if err != nil {
-		fail(err)
-	}
-	r.Procs = procs
 
 	out := os.Stdout
 	any := false
@@ -92,7 +75,7 @@ func main() {
 		if c == (paragon.Costs{}) {
 			c = paragon.DefaultCosts()
 		}
-		bench.Table3For(out, mf.Page, c)
+		bench.Table3For(out, r.PageBytes, c)
 	}
 	if *all || *table == 4 {
 		section()
@@ -124,11 +107,7 @@ func main() {
 	}
 	if *faults != "" {
 		section()
-		var profiles []string
-		for _, s := range strings.Split(*faults, ",") {
-			profiles = append(profiles, strings.TrimSpace(s))
-		}
-		if err := r.FaultSweep(out, profiles, *seed, *jsonDir); err != nil {
+		if err := r.FaultSweep(out, cliflags.Strings(*faults), *seed, *jsonDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -151,11 +130,7 @@ func main() {
 	}
 	if *rtoAbl != "" {
 		section()
-		var profiles []string
-		for _, s := range strings.Split(*rtoAbl, ",") {
-			profiles = append(profiles, strings.TrimSpace(s))
-		}
-		if err := r.RTOSweep(out, profiles, *seed, *jsonDir); err != nil {
+		if err := r.RTOSweep(out, cliflags.Strings(*rtoAbl), *seed, *jsonDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		appName  = flag.String("app", "sor", "application: lu, sor, sor-zero, water-nsq, water-sp, raytrace, fft")
+		appName  = flag.String("app", "sor", "application: lu, sor, sor-zero, water-nsq, water-sp, raytrace")
 		protoStr = flag.String("proto", gosvm.HLRC.String(), "protocol: lrc, olrc, hlrc, ohlrc, aurc")
 		mf       = cliflags.AddMachine(flag.CommandLine, 8, 8192)
 		ff       = cliflags.AddFault(flag.CommandLine, gosvm.FaultNone)
@@ -168,34 +168,23 @@ func main() {
 		tw.Flush()
 	}
 
-	var rehomed, mgrsRehomed, locksReclaimed, replicaBytes, mirrorBytes int64
-	var detect gosvm.Time
-	for _, nd := range res.Stats.Nodes {
-		rehomed += nd.Counts.PagesRehomed
-		mgrsRehomed += nd.Counts.MgrsRehomed
-		locksReclaimed += nd.Counts.LocksReclaimed
-		replicaBytes += nd.ReplicaBytes
-		mirrorBytes += nd.MirrorBytes
-		if nd.Detect > detect {
-			detect = nd.Detect
-		}
-	}
-	if rehomed > 0 || replicaBytes > 0 {
+	sum := res.Stats.Sum()
+	if sum.Counts.PagesRehomed > 0 || sum.ReplicaBytes > 0 {
 		fmt.Printf("\ncrash recovery (replicas %d):\n", *replicas)
 		tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintf(tw, "  pages re-homed\t%d\n", rehomed)
-		fmt.Fprintf(tw, "  replication traffic\t%.2f MB\n", float64(replicaBytes)/(1<<20))
-		if mgrsRehomed > 0 {
-			fmt.Fprintf(tw, "  managers re-homed\t%d\n", mgrsRehomed)
+		fmt.Fprintf(tw, "  pages re-homed\t%d\n", sum.Counts.PagesRehomed)
+		fmt.Fprintf(tw, "  replication traffic\t%.2f MB\n", float64(sum.ReplicaBytes)/(1<<20))
+		if sum.Counts.MgrsRehomed > 0 {
+			fmt.Fprintf(tw, "  managers re-homed\t%d\n", sum.Counts.MgrsRehomed)
 		}
-		if locksReclaimed > 0 {
-			fmt.Fprintf(tw, "  locks reclaimed\t%d\n", locksReclaimed)
+		if sum.Counts.LocksReclaimed > 0 {
+			fmt.Fprintf(tw, "  locks reclaimed\t%d\n", sum.Counts.LocksReclaimed)
 		}
-		if mirrorBytes > 0 {
-			fmt.Fprintf(tw, "  manager mirror traffic\t%.2f KB\n", float64(mirrorBytes)/(1<<10))
+		if sum.MirrorBytes > 0 {
+			fmt.Fprintf(tw, "  manager mirror traffic\t%.2f KB\n", float64(sum.MirrorBytes)/(1<<10))
 		}
-		if detect > 0 {
-			fmt.Fprintf(tw, "  failure detection latency\t%.2f ms\n", detect.Micros()/1e3)
+		if sum.Detect > 0 {
+			fmt.Fprintf(tw, "  failure detection latency\t%.2f ms\n", sum.Detect.Micros()/1e3)
 		}
 		tw.Flush()
 	}

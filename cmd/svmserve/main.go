@@ -22,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"gosvm/internal/apps"
 	"gosvm/internal/bench"
@@ -35,7 +33,7 @@ import (
 
 func main() {
 	var (
-		mf        = cliflags.AddMachineList(flag.CommandLine, "4,8", 4096)
+		newRunner = cliflags.AddRunner(flag.CommandLine, "4,8", 4096)
 		protoFlag = flag.String("protocols", "", "protocol columns (default: lrc,olrc,hlrc,ohlrc; crash profile: hlrc,ohlrc)")
 		loadsFlag = flag.String("loads", "500,1000,2000,4000", "offered loads to sweep, total req/s across the machine")
 		windowMs  = flag.Float64("window-ms", 50, "arrival window in simulated milliseconds")
@@ -53,10 +51,7 @@ func main() {
 		closed    = flag.String("closed-loop", "", "closed-loop client counts to compare (comma list; empty = open loop only)")
 		thinkMs   = flag.Float64("think-ms", 1, "closed-loop mean think time, milliseconds")
 		ff        = cliflags.AddFaultBasic(flag.CommandLine, "")
-		parallel  = cliflags.AddParallel(flag.CommandLine)
-		runWkrs   = cliflags.AddRunWorkers(flag.CommandLine)
 		jsonDir   = flag.String("json-dir", "", "write per-cell JSON statistics (with latency histograms) here")
-		quiet     = cliflags.AddQuiet(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -65,55 +60,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	r := bench.NewRunner(apps.SizeSmall)
-	r.PageBytes = mf.Page
-	r.Parallel = *parallel
-	r.RunWorkers = *runWkrs
-	if !*quiet {
-		r.Progress = os.Stderr
-	}
-	shape, err := mf.Shape()
+	r, err := newRunner(apps.SizeSmall)
 	if err != nil {
 		fail("%v", err)
 	}
-	r.Machine = shape
-	procs, err := mf.ProcsList()
-	if err != nil {
-		fail("%v", err)
-	}
-	r.Procs = procs
 
-	var loads []float64
-	for _, s := range strings.Split(*loadsFlag, ",") {
-		l, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || l <= 0 {
-			fail("bad -loads entry %q", s)
+	loads, err := cliflags.Floats(*loadsFlag)
+	if err != nil {
+		fail("bad -loads: %v", err)
+	}
+	for _, l := range loads {
+		if l <= 0 {
+			fail("bad -loads entry %v", l)
 		}
-		loads = append(loads, l)
 	}
 
 	var protos []core.Protocol
-	if *protoFlag != "" {
-		for _, s := range strings.Split(*protoFlag, ",") {
-			p, err := core.ParseProtocol(strings.TrimSpace(s))
-			if err != nil {
-				fail("%v", err)
-			}
-			protos = append(protos, p)
+	for _, s := range cliflags.Strings(*protoFlag) {
+		p, err := core.ParseProtocol(s)
+		if err != nil {
+			fail("%v", err)
 		}
+		protos = append(protos, p)
 	}
 
-	mixParts := strings.Split(*mix, ",")
-	if len(mixParts) != 3 {
+	pcts, err := cliflags.Ints(*mix)
+	if err != nil || len(pcts) != 3 {
 		fail("bad -mix %q: want read,write,scan percentages", *mix)
-	}
-	var pcts [3]int
-	for i, s := range mixParts {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			fail("bad -mix entry %q", s)
-		}
-		pcts[i] = v
 	}
 
 	cfg := serve.Config{
@@ -133,29 +106,25 @@ func main() {
 		Seqlock:     *seqlock,
 	}
 
-	var modes []string
-	switch *ablation {
-	case "":
-	case "all":
+	modes := cliflags.Strings(*ablation)
+	if *ablation == "all" {
 		modes = serve.Modes
-	default:
-		for _, s := range strings.Split(*ablation, ",") {
-			m := strings.TrimSpace(s)
-			if err := serve.ApplyFastpath(&serve.Config{}, m); err != nil {
-				fail("%v", err)
-			}
-			modes = append(modes, m)
+	}
+	for _, m := range modes {
+		if err := serve.ApplyFastpath(&serve.Config{}, m); err != nil {
+			fail("%v", err)
 		}
 	}
 
 	var clients []int
 	if *closed != "" {
-		for _, s := range strings.Split(*closed, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				fail("bad -closed-loop entry %q", s)
+		if clients, err = cliflags.Ints(*closed); err != nil {
+			fail("bad -closed-loop: %v", err)
+		}
+		for _, n := range clients {
+			if n < 1 {
+				fail("bad -closed-loop entry %d", n)
 			}
-			clients = append(clients, n)
 		}
 	}
 

@@ -46,8 +46,6 @@ func New(name string, size Size) (core.App, error) {
 		return NewWaterSp(size), nil
 	case "raytrace":
 		return NewRaytrace(size), nil
-	case "fft":
-		return NewFFT(size), nil
 	}
 	return nil, fmt.Errorf("apps: unknown application %q", name)
 }

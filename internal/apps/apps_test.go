@@ -302,44 +302,9 @@ func TestNewRegistry(t *testing.T) {
 			t.Fatalf("New(%q).Name() = %q", name, app.Name())
 		}
 	}
-	if _, err := New("nope", SizeTest); err == nil {
-		t.Fatal("unknown app did not error")
-	}
-}
-
-func TestFFTMatchesSequential(t *testing.T) {
-	validateApp(t, func() core.App { return NewFFT(SizeTest) }, 0, []int{2, 4, 8})
-}
-
-// An impulse transforms to a flat spectrum under any output ordering.
-func TestFFTImpulseFlat(t *testing.T) {
-	app := NewFFT(SizeTest)
-	app.Impulse = true
-	res := seqRun(t, app)
-	for i := 0; i < app.n; i++ {
-		re, im := res.Data[2*i], res.Data[2*i+1]
-		if math.Abs(re-1) > 1e-9 || math.Abs(im) > 1e-9 {
-			t.Fatalf("spectrum bin %d = (%v, %v), want (1, 0)", i, re, im)
+	for _, name := range []string{"nope", "fft"} { // fft was deleted in PR 23
+		if _, err := New(name, SizeTest); err == nil {
+			t.Fatalf("unknown app %q did not error", name)
 		}
-	}
-}
-
-// Parseval: the FFT preserves energy up to the scale factor n.
-func TestFFTParseval(t *testing.T) {
-	app := NewFFT(SizeTest)
-	res := seqRun(t, app)
-	// Recompute the input energy with the same generator as Init.
-	rng := newLCG(20021)
-	var ein float64
-	for i := 0; i < app.n; i++ {
-		re, im := rng.float()-0.5, rng.float()-0.5
-		ein += re*re + im*im
-	}
-	var eout float64
-	for i := 0; i < app.n; i++ {
-		eout += res.Data[2*i]*res.Data[2*i] + res.Data[2*i+1]*res.Data[2*i+1]
-	}
-	if math.Abs(eout-float64(app.n)*ein)/(float64(app.n)*ein) > 1e-9 {
-		t.Fatalf("Parseval violated: out %v, want %v", eout, float64(app.n)*ein)
 	}
 }

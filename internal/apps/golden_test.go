@@ -36,12 +36,6 @@ var goldenResults = map[string]string{
 	"sor-zero/hlrc":   "512:c835eaff7536d85f",
 	"sor-zero/ohlrc":  "512:c835eaff7536d85f",
 	"sor-zero/aurc":   "512:c835eaff7536d85f",
-	"fft/seq":         "512:d5986003d8270bb7",
-	"fft/lrc":         "512:d5986003d8270bb7",
-	"fft/olrc":        "512:d5986003d8270bb7",
-	"fft/hlrc":        "512:d5986003d8270bb7",
-	"fft/ohlrc":       "512:d5986003d8270bb7",
-	"fft/aurc":        "512:d5986003d8270bb7",
 	"lu/seq":          "2304:59d081fdbc6576c7",
 	"lu/lrc":          "2304:59d081fdbc6576c7",
 	"lu/olrc":         "2304:59d081fdbc6576c7",
@@ -77,7 +71,7 @@ var goldenResults = map[string]string{
 func TestResultDataMatchesParent(t *testing.T) {
 	protos := append([]core.Protocol{core.ProtoSeq}, core.Protocols...)
 	protos = append(protos, core.ProtoAURC)
-	for _, name := range append([]string{"sor-zero", "fft"}, Names...) {
+	for _, name := range append([]string{"sor-zero"}, Names...) {
 		for _, proto := range protos {
 			app, err := New(name, SizeTest)
 			if err != nil {

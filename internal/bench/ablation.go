@@ -5,35 +5,34 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"gosvm/internal/apps"
 	"gosvm/internal/core"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
 )
 
-// runWith executes one uncached run with custom options.
-func (r *Runner) runWith(app string, opts core.Options) *core.Result {
-	a, err := apps.New(app, r.Size)
-	if err != nil {
-		panic(err)
-	}
-	r.acquire()
-	defer r.release()
-	res, err := core.Run(opts, a, false)
-	if err != nil {
-		panic(fmt.Sprintf("bench: ablation %s/%s: %v", app, opts.Protocol, err))
-	}
-	return res
+// lrcVsHLRC is the protocol pair of the paper's LRC-against-HLRC
+// comparisons (Tables 4-6, Figure 4, the two-protocol ablations).
+var lrcVsHLRC = []core.Protocol{core.ProtoLRC, core.ProtoHLRC}
+
+// versus runs the two arms of a control-against-treatment ablation side
+// by side — the memoized cell as the control, the same cell with tweak
+// applied to its Options as the uncached treatment — and returns their
+// simulated times.
+func (r *Runner) versus(app string, proto core.Protocol, procs int, note string, tweak func(*core.Options)) (control, treatment sim.Time) {
+	opts := r.cellOpts(proto, procs)
+	tweak(&opts)
+	res := must(sweep(r, []bool{false, true}, func(treated bool) (*core.Result, error) {
+		if treated {
+			return r.execApp(app, opts, note)
+		}
+		return r.Run(app, proto, procs), nil
+	}))
+	return res[0].Stats.Elapsed, res[1].Stats.Elapsed
 }
 
 // AblationEagerDiff compares lazy vs eager diff creation under LRC.
 func (r *Runner) AblationEagerDiff(w io.Writer, app string, procs int) (lazy, eager sim.Time) {
-	opts := r.cellOpts(core.ProtoLRC, procs)
-	opts.EagerDiff = true
-	r.inParallel(
-		func() { lazy = r.Run(app, core.ProtoLRC, procs).Stats.Elapsed },
-		func() { eager = r.runWith(app, opts).Stats.Elapsed },
-	)
+	lazy, eager = r.versus(app, core.ProtoLRC, procs, "eager diffs", func(o *core.Options) { o.EagerDiff = true })
 	fmt.Fprintf(w, "Ablation (eager diffs, LRC, %s, %d nodes): lazy %ss, eager %ss\n",
 		app, procs, seconds(lazy), seconds(eager))
 	return lazy, eager
@@ -42,12 +41,7 @@ func (r *Runner) AblationEagerDiff(w io.Writer, app string, procs int) (lazy, ea
 // AblationHomePlacement compares application-directed home placement with
 // blind round-robin under HLRC.
 func (r *Runner) AblationHomePlacement(w io.Writer, app string, procs int) (directed, roundRobin sim.Time) {
-	opts := r.cellOpts(core.ProtoHLRC, procs)
-	opts.HomeRoundRobin = true
-	r.inParallel(
-		func() { directed = r.Run(app, core.ProtoHLRC, procs).Stats.Elapsed },
-		func() { roundRobin = r.runWith(app, opts).Stats.Elapsed },
-	)
+	directed, roundRobin = r.versus(app, core.ProtoHLRC, procs, "round-robin homes", func(o *core.Options) { o.HomeRoundRobin = true })
 	fmt.Fprintf(w, "Ablation (home placement, HLRC, %s, %d nodes): app-directed %ss, round-robin %ss\n",
 		app, procs, seconds(directed), seconds(roundRobin))
 	return directed, roundRobin
@@ -60,22 +54,26 @@ func (r *Runner) AblationInterruptCost(w io.Writer, app string, procs int) {
 	fmt.Fprintf(w, "Ablation (interrupt cost, %s, %d nodes):\n", app, procs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Interrupt (us)\tLRC (s)\tHLRC (s)\tHLRC advantage")
-	intrs := []sim.Time{690, 100, 10}
-	ls := make([]sim.Time, len(intrs))
-	hs := make([]sim.Time, len(intrs))
-	r.forEach(2*len(intrs), func(i int) {
-		proto, out := core.ProtoLRC, ls
-		if i%2 == 1 {
-			proto, out = core.ProtoHLRC, hs
+	type arm struct {
+		intr  sim.Time // receive interrupt, microseconds
+		proto core.Protocol
+	}
+	var arms []arm
+	for _, intr := range []sim.Time{690, 100, 10} {
+		for _, proto := range lrcVsHLRC {
+			arms = append(arms, arm{intr, proto})
 		}
-		opts := r.cellOpts(proto, procs)
+	}
+	ress := must(sweep(r, arms, func(a arm) (*core.Result, error) {
+		opts := r.cellOpts(a.proto, procs)
 		opts.Machine.Defaults() // resolve the cost profile before overriding one entry
-		opts.Machine.Costs.ReceiveInterrupt = intrs[i/2] * sim.Microsecond
-		out[i/2] = r.runWith(app, opts).Stats.Elapsed
-	})
-	for i, intr := range intrs {
+		opts.Machine.Costs.ReceiveInterrupt = a.intr * sim.Microsecond
+		return r.execApp(app, opts, fmt.Sprintf("%dus interrupt", a.intr))
+	}))
+	for i := 0; i < len(arms); i += 2 {
+		l, h := ress[i].Stats.Elapsed, ress[i+1].Stats.Elapsed
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%.1f%%\n",
-			intr, seconds(ls[i]), seconds(hs[i]), (float64(ls[i])/float64(hs[i])-1)*100)
+			arms[i].intr, seconds(l), seconds(h), (float64(l)/float64(h)-1)*100)
 	}
 	tw.Flush()
 }
@@ -85,19 +83,23 @@ func (r *Runner) AblationPageSize(w io.Writer, app string, procs int) {
 	fmt.Fprintf(w, "Ablation (page size, %s, %d nodes):\n", app, procs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Page (B)\tLRC (s)\tHLRC (s)")
-	pbs := []int{4096, 8192}
-	times := make([]sim.Time, 2*len(pbs))
-	r.forEach(len(times), func(i int) {
-		proto := core.ProtoLRC
-		if i%2 == 1 {
-			proto = core.ProtoHLRC
+	type arm struct {
+		page  int
+		proto core.Protocol
+	}
+	var arms []arm
+	for _, page := range []int{4096, 8192} {
+		for _, proto := range lrcVsHLRC {
+			arms = append(arms, arm{page, proto})
 		}
-		opts := r.cellOpts(proto, procs)
-		opts.PageBytes = pbs[i/2]
-		times[i] = r.runWith(app, opts).Stats.Elapsed
-	})
-	for i, pb := range pbs {
-		fmt.Fprintf(tw, "%d\t%s\t%s\n", pb, seconds(times[2*i]), seconds(times[2*i+1]))
+	}
+	ress := must(sweep(r, arms, func(a arm) (*core.Result, error) {
+		opts := r.cellOpts(a.proto, procs)
+		opts.PageBytes = a.page
+		return r.execApp(app, opts, fmt.Sprintf("%d B pages", a.page))
+	}))
+	for i := 0; i < len(arms); i += 2 {
+		fmt.Fprintf(tw, "%d\t%s\t%s\n", arms[i].page, seconds(ress[i].Stats.Elapsed), seconds(ress[i+1].Stats.Elapsed))
 	}
 	tw.Flush()
 }
@@ -109,22 +111,16 @@ func (r *Runner) AblationGCThreshold(w io.Writer, app string, procs int) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Threshold (MB)\tTime (s)\tGC time (s)\tPeak proto mem (MB)\tGCs")
 	thrs := []int64{1 << 20, 8 << 20, 256 << 20}
-	ress := make([]*core.Result, len(thrs))
-	r.forEach(len(thrs), func(i int) {
+	ress := must(sweep(r, thrs, func(thr int64) (*core.Result, error) {
 		opts := r.cellOpts(core.ProtoLRC, procs)
-		opts.GCThreshold = thrs[i]
-		ress[i] = r.runWith(app, opts)
-	})
+		opts.GCThreshold = thr
+		return r.execApp(app, opts, fmt.Sprintf("GC at %d MB", thr>>20))
+	}))
 	for i, thr := range thrs {
-		res := ress[i]
-		avg := res.Stats.AvgNode()
-		var gcs int64
-		for _, nd := range res.Stats.Nodes {
-			gcs += nd.Counts.GCs
-		}
+		st := ress[i].Stats
 		fmt.Fprintf(tw, "%d\t%s\t%.2f\t%s\t%d\n",
-			thr>>20, seconds(res.Stats.Elapsed), avg.Time[stats.CatGC].Micros()/1e6,
-			mb(res.Stats.PeakProtoMem()), gcs)
+			thr>>20, seconds(st.Elapsed), st.AvgNode().Time[stats.CatGC].Micros()/1e6,
+			mb(st.PeakProtoMem()), st.Sum().Counts.GCs)
 	}
 	tw.Flush()
 }
@@ -132,12 +128,7 @@ func (r *Runner) AblationGCThreshold(w io.Writer, app string, procs int) {
 // AblationOverlapLocks measures the §4.3 extension: synchronization
 // serviced by the co-processor under OHLRC.
 func (r *Runner) AblationOverlapLocks(w io.Writer, app string, procs int) (base, overlapped sim.Time) {
-	opts := r.cellOpts(core.ProtoOHLRC, procs)
-	opts.OverlapLocks = true
-	r.inParallel(
-		func() { base = r.Run(app, core.ProtoOHLRC, procs).Stats.Elapsed },
-		func() { overlapped = r.runWith(app, opts).Stats.Elapsed },
-	)
+	base, overlapped = r.versus(app, core.ProtoOHLRC, procs, "co-processor locks", func(o *core.Options) { o.OverlapLocks = true })
 	fmt.Fprintf(w, "Ablation (co-processor lock service, OHLRC, %s, %d nodes): compute-serviced %ss, coproc-serviced %ss\n",
 		app, procs, seconds(base), seconds(overlapped))
 	return base, overlapped
@@ -146,12 +137,7 @@ func (r *Runner) AblationOverlapLocks(w io.Writer, app string, procs int) (base,
 // AblationMesh compares the crossbar network model with the link-level
 // 2-D wormhole mesh under HLRC.
 func (r *Runner) AblationMesh(w io.Writer, app string, procs int) (crossbar, meshTime sim.Time) {
-	opts := r.cellOpts(core.ProtoHLRC, procs)
-	opts.Machine.Topology = core.TopoMesh
-	r.inParallel(
-		func() { crossbar = r.Run(app, core.ProtoHLRC, procs).Stats.Elapsed },
-		func() { meshTime = r.runWith(app, opts).Stats.Elapsed },
-	)
+	crossbar, meshTime = r.versus(app, core.ProtoHLRC, procs, "mesh", func(o *core.Options) { o.Machine.Topology = core.TopoMesh })
 	fmt.Fprintf(w, "Ablation (network model, HLRC, %s, %d nodes): crossbar %ss, 2-D mesh %ss\n",
 		app, procs, seconds(crossbar), seconds(meshTime))
 	return crossbar, meshTime
@@ -165,17 +151,9 @@ func (r *Runner) AblationAURC(w io.Writer, app string, procs int) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Protocol\tTime (s)\tUpdate traffic (MB)")
 	protos := []core.Protocol{core.ProtoLRC, core.ProtoHLRC, core.ProtoAURC}
-	ress := make([]*core.Result, len(protos))
-	r.forEach(len(protos), func(i int) {
-		if protos[i] == core.ProtoAURC {
-			ress[i] = r.runWith(app, r.cellOpts(protos[i], procs))
-		} else {
-			ress[i] = r.Run(app, protos[i], procs)
-		}
-	})
-	for i, proto := range protos {
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", proto, seconds(ress[i].Stats.Elapsed),
-			mb(ress[i].Stats.TotalBytes(stats.ClassData)))
+	for i, res := range r.warm(grid([]string{app}, []int{procs}, protos)) {
+		fmt.Fprintf(tw, "%s\t%s\t%s\n", protos[i], seconds(res.Stats.Elapsed),
+			mb(res.Stats.TotalBytes(stats.ClassData)))
 	}
 	tw.Flush()
 }

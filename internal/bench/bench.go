@@ -10,18 +10,30 @@
 // simulation kernel, so per-cell determinism is free, and all rendering
 // reads completed cells in fixed grid order — tables, figures, and
 // per-cell JSON are byte-identical at any parallelism level.
+//
+// There is one of each moving part. exec is the only place a simulation
+// starts (worker gate, host timer, core.Run or serve.Run, error label,
+// progress line): the memoized Run calls it on a miss, every uncached
+// cell with its own Options. sweep is the only fan-out: it runs a cell
+// slice and returns results in cell order, and the renderer ranges over
+// that same slice. writeCell is the only place a JSON file is written.
+// What differs per table — which cells, which columns — is plain code in
+// the table's own file.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"gosvm/internal/apps"
 	"gosvm/internal/core"
+	"gosvm/internal/fault"
+	"gosvm/internal/serve"
 	"gosvm/internal/sim"
-	"gosvm/internal/stats"
 )
 
 // Runner executes and memoizes benchmark runs.
@@ -48,7 +60,7 @@ type Runner struct {
 	RunWorkers int
 
 	mu       sync.Mutex // guards cache and Progress writes
-	cache    map[runKey]*cacheEntry
+	cache    map[cell]*cacheEntry
 	gateOnce sync.Once
 	gateCh   chan struct{}
 }
@@ -60,12 +72,6 @@ type cacheEntry struct {
 	res  *core.Result
 }
 
-type runKey struct {
-	app   string
-	proto core.Protocol
-	procs int
-}
-
 // NewRunner returns a runner at the given problem size with the paper's
 // machine parameters.
 func NewRunner(size apps.Size) *Runner {
@@ -74,7 +80,7 @@ func NewRunner(size apps.Size) *Runner {
 		PageBytes:   8192,
 		GCThreshold: 8 << 20,
 		Procs:       []int{8, 32, 64},
-		cache:       map[runKey]*cacheEntry{},
+		cache:       map[cell]*cacheEntry{},
 	}
 }
 
@@ -85,13 +91,13 @@ func (r *Runner) Run(app string, proto core.Protocol, procs int) *core.Result {
 	if proto == core.ProtoSeq {
 		procs = 1
 	}
-	key := runKey{app, proto, procs}
+	key := cell{app, proto, procs}
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.mu.Unlock()
 		<-e.done
 		if e.res == nil {
-			panic(fmt.Sprintf("bench: %s/%s/p%d: owning run failed", app, proto, procs))
+			panic(fmt.Sprintf("bench: %v: owning run failed", key))
 		}
 		return e.res
 	}
@@ -99,23 +105,68 @@ func (r *Runner) Run(app string, proto core.Protocol, procs int) *core.Result {
 	r.cache[key] = e
 	r.mu.Unlock()
 	defer close(e.done)
+	e.res = must(r.execApp(app, r.cellOpts(proto, procs), ""))
+	return e.res
+}
 
-	a, err := apps.New(app, r.Size)
+// exec runs one simulation, and is the only place one starts: it alone
+// takes a slot of the worker gate, times the run on the host clock, calls
+// core.Run — or serve.Run for the serving workload, which also validates
+// the store and attaches the latency block — wraps a failure with the
+// cell's label, and writes the progress line. It waits on no other cell
+// while it holds the slot, so fan-outs compose without hold-and-wait
+// deadlocks.
+func (r *Runner) exec(label string, opts core.Options, app core.App, phases bool) (*core.Result, error) {
+	r.acquire()
+	defer r.release()
+	start := time.Now()
+	var (
+		res *core.Result
+		err error
+	)
+	if kv, ok := app.(*serve.KV); ok {
+		res, err = serve.Run(opts, kv)
+	} else {
+		res, err = core.Run(opts, app, phases)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", label, err)
+	}
+	if r.Progress != nil {
+		// Lines interleave across cells in host-timing order; rendered
+		// output is unaffected.
+		r.mu.Lock()
+		fmt.Fprintf(r.Progress, "# ran %s: simulated %.3fs (%.2fs real)\n",
+			label, res.Stats.Elapsed.Micros()/1e6, time.Since(start).Seconds())
+		r.mu.Unlock()
+	}
+	return res, nil
+}
+
+// execApp is exec for a named benchmark application at the Runner's
+// problem size. The label is app/protocol/pN, plus a note saying what
+// sets an uncached cell apart from the memoized one ("faulted", "mesh").
+func (r *Runner) execApp(name string, opts core.Options, note string) (*core.Result, error) {
+	a, err := apps.New(name, r.Size)
+	if err != nil {
+		return nil, err
+	}
+	label := cell{name, opts.Protocol, opts.Machine.Nodes}.String()
+	if note != "" {
+		label += " (" + note + ")"
+	}
+	return r.exec(label, opts, a, false)
+}
+
+// must unwraps a result for the renderers that return no error (the
+// paper's tables and figures, the ablations): every cell there is a
+// fixed, valid configuration, so a failure is a bug and panics, and
+// forEach re-raises the panic on the caller.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	opts := r.cellOpts(proto, procs)
-	r.acquire()
-	start := time.Now()
-	res, err := core.Run(opts, a, false)
-	r.release()
-	if err != nil {
-		panic(fmt.Sprintf("bench: %s/%s/p%d: %v", app, proto, procs, err))
-	}
-	r.progressf("# ran %s/%s/p%d: simulated %.1fs (%.2fs real)\n",
-		app, proto, procs, res.Stats.Elapsed.Micros()/1e6, time.Since(start).Seconds())
-	e.res = res
-	return res
+	return v
 }
 
 // cellOpts returns the run Options for one cell: the Runner's machine
@@ -132,6 +183,17 @@ func (r *Runner) cellOpts(proto core.Protocol, procs int) core.Options {
 	}
 }
 
+// faultOpts is cellOpts under a fault plan; a plan that crashes nodes
+// gets one replica per home, so the crashes are survivable.
+func (r *Runner) faultOpts(proto core.Protocol, procs int, plan fault.Plan) core.Options {
+	opts := r.cellOpts(proto, procs)
+	opts.Fault = plan
+	if len(plan.Crashes) > 0 {
+		opts.Recovery = core.Recovery{Replicas: 1}
+	}
+	return opts
+}
+
 // Seq returns the sequential baseline for app.
 func (r *Runner) Seq(app string) *core.Result { return r.Run(app, core.ProtoSeq, 1) }
 
@@ -145,23 +207,32 @@ func (r *Runner) Speedup(app string, proto core.Protocol, procs int) float64 {
 // AppNames lists the benchmark applications in the paper's order.
 func AppNames() []string { return apps.Names }
 
-// progressf writes one progress line, serialized across workers. Lines
-// may interleave across cells in host-timing order; grid output is
-// unaffected (it renders from the memo cache in fixed order).
-func (r *Runner) progressf(format string, args ...any) {
-	if r.Progress == nil {
-		return
-	}
-	r.mu.Lock()
-	fmt.Fprintf(r.Progress, format, args...)
-	r.mu.Unlock()
-}
-
 // seconds formats simulated time as seconds.
 func seconds(t sim.Time) string { return fmt.Sprintf("%.1f", t.Micros()/1e6) }
 
 // mb formats bytes as megabytes.
 func mb(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
 
-// avgCounts returns the average per-node counters of a run.
-func avgCounts(res *core.Result) stats.Counters { return res.Stats.AvgNode().Counts }
+// ms renders simulated time in milliseconds.
+func ms(t sim.Time) float64 { return t.Micros() / 1e3 }
+
+// writeCell writes one JSON document of a sweep as dir/name, creating
+// dir if it is not there; with no dir the sweep writes no JSON and this
+// is a no-op. It is the only place the package creates a file.
+func writeCell(dir, name string, write func(io.Writer) error) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}

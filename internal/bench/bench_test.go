@@ -205,10 +205,16 @@ func TestTreatmentArmsFollowRunnerMachine(t *testing.T) {
 			return float64(rr)
 		}},
 		{"faulted cell", func(r *Runner) float64 {
-			return elapsed(r.runFaulted("sor", core.ProtoHLRC, 4, lossy))
+			return elapsed(r.execApp("sor", r.faultOpts(core.ProtoHLRC, 4, lossy), "faulted"))
 		}},
-		{"mesh faulted cell", func(r *Runner) float64 {
-			return elapsed(r.runMeshFaulted("sor", core.ProtoHLRC, 4, lossy))
+		{"rto ablation cells", func(r *Runner) float64 {
+			r.Procs = []int{4}
+			var buf bytes.Buffer
+			if err := r.RTOSweep(&buf, []string{"lossy"}, 1, ""); err != nil {
+				t.Fatal(err)
+			}
+			fixed, _ := rtoTotals(t, buf.String())
+			return fixed[2] // recovery, ms
 		}},
 		{"figure 4 rows", func(r *Runner) float64 {
 			var sum float64

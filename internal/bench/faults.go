@@ -3,12 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
-	"time"
 
-	"gosvm/internal/apps"
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
 	"gosvm/internal/sim"
@@ -26,16 +22,18 @@ import (
 // When jsonDir is non-empty every cell's statistics are written there as
 // fault-<profile>-<app>-<proto>-p<procs>.json for machine consumption.
 func (r *Runner) FaultSweep(out io.Writer, profiles []string, seed int64, jsonDir string) error {
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			return err
-		}
-	}
+	return eachProfile(out, profiles, func(profile string) error {
+		return r.faultTable(out, profile, seed, jsonDir)
+	})
+}
+
+// eachProfile renders one table per fault profile, a blank line between.
+func eachProfile(out io.Writer, profiles []string, table func(profile string) error) error {
 	for i, profile := range profiles {
 		if i > 0 {
 			fmt.Fprintln(out)
 		}
-		if err := r.faultTable(out, profile, seed, jsonDir); err != nil {
+		if err := table(profile); err != nil {
 			return err
 		}
 	}
@@ -64,39 +62,20 @@ func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir s
 	protos := faultProtocols(profile)
 	crash := crashProfile(profile)
 
-	// Fan every cell of the grid out across workers, then render the
-	// table and per-cell JSON sequentially in fixed grid order, so the
-	// output is byte-identical at any parallelism level. The injector
-	// only reads the plan, so one plan is safely shared across cells.
-	type fcell struct {
-		app   string
-		proto core.Protocol
-		procs int
-	}
-	var cells []fcell
-	for _, app := range AppNames() {
-		for _, procs := range r.Procs {
-			for _, proto := range protos {
-				cells = append(cells, fcell{app, proto, procs})
-			}
+	// Every cell is a full validated run under the one shared plan (the
+	// injector only reads it), given its application's memoized sequential
+	// baseline so Speedup and the JSON carry it.
+	cells := grid(AppNames(), r.Procs, protos)
+	results, err := sweep(r, cells, func(c cell) (*core.Result, error) {
+		res, err := r.execApp(c.app, r.faultOpts(c.proto, c.procs, plan), "faulted")
+		if err == nil {
+			res.Stats.SeqTime = r.Seq(c.app).Stats.Elapsed
 		}
-	}
-	results := make([]*core.Result, len(cells))
-	errs := make([]error, len(cells))
-	r.forEach(len(cells)+len(AppNames()), func(i int) {
-		if i < len(AppNames()) {
-			r.Seq(AppNames()[i]) // warm the sequential baselines too
-			return
-		}
-		c := cells[i-len(AppNames())]
-		results[i-len(AppNames())], errs[i-len(AppNames())] = r.runFaulted(c.app, c.proto, c.procs, plan)
+		return res, err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	next := 0 // cells[] index, advanced in the same nesting order as below
 
 	fmt.Fprintf(out, "Speedups under fault profile %q (seed %d)\n", profile, seed)
 	switch profile {
@@ -118,64 +97,38 @@ func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir s
 	}
 	fmt.Fprintln(tw)
 
-	for _, app := range AppNames() {
-		seq := r.Seq(app).Stats.Elapsed
-		for _, procs := range r.Procs {
-			fmt.Fprintf(tw, "%s\t%d", app, procs)
-			var rehomed, mgrs, locks int64
-			var detect sim.Time
-			for _, proto := range protos {
-				res := results[next]
-				next++
-				res.Stats.SeqTime = seq
-				fmt.Fprintf(tw, "\t%.2f", res.Stats.Speedup())
-				for _, nd := range res.Stats.Nodes {
-					rehomed += nd.Counts.PagesRehomed
-					mgrs += nd.Counts.MgrsRehomed
-					locks += nd.Counts.LocksReclaimed
-					if nd.Detect > detect {
-						detect = nd.Detect
-					}
-				}
-				if jsonDir != "" {
-					name := fmt.Sprintf("fault-%s-%s-%s-p%d.json", profile, app, proto, procs)
-					if err := writeFile(filepath.Join(jsonDir, name), res.Stats.WriteJSON); err != nil {
-						return err
-					}
-				}
-			}
-			if crash {
-				fmt.Fprintf(tw, "\t%d\t%.2f", rehomed, detect.Micros()/1e3)
-			}
-			if profile == fault.ProfileCrashMgr {
-				fmt.Fprintf(tw, "\t%d\t%d", mgrs, locks)
-			}
-			fmt.Fprintln(tw)
+	// One row per (application, machine size), one speedup column per
+	// protocol; the crash columns total over the row's protocols.
+	var rehomed, mgrs, locks int64
+	var detect sim.Time
+	for i, c := range cells {
+		res := results[i]
+		if i%len(protos) == 0 {
+			fmt.Fprintf(tw, "%s\t%d", c.app, c.procs)
+			rehomed, mgrs, locks, detect = 0, 0, 0, 0
 		}
+		fmt.Fprintf(tw, "\t%.2f", res.Stats.Speedup())
+		sum := res.Stats.Sum()
+		rehomed += sum.Counts.PagesRehomed
+		mgrs += sum.Counts.MgrsRehomed
+		locks += sum.Counts.LocksReclaimed
+		if sum.Detect > detect {
+			detect = sum.Detect
+		}
+		name := fmt.Sprintf("fault-%s-%s-%s-p%d.json", profile, c.app, c.proto, c.procs)
+		if err := writeCell(jsonDir, name, res.Stats.WriteJSON); err != nil {
+			return err
+		}
+		if i%len(protos) < len(protos)-1 {
+			continue
+		}
+		if crash {
+			fmt.Fprintf(tw, "\t%d\t%.2f", rehomed, ms(detect))
+		}
+		if profile == fault.ProfileCrashMgr {
+			fmt.Fprintf(tw, "\t%d\t%d", mgrs, locks)
+		}
+		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
-}
-
-// runFaulted is Run with a fault plan (uncached) and, for crash plans,
-// single-replica home-state recovery.
-func (r *Runner) runFaulted(app string, proto core.Protocol, procs int, plan fault.Plan) (*core.Result, error) {
-	a, err := apps.New(app, r.Size)
-	if err != nil {
-		return nil, err
-	}
-	opts := r.cellOpts(proto, procs)
-	opts.Fault = plan
-	if len(plan.Crashes) > 0 {
-		opts.Recovery = core.Recovery{Replicas: 1}
-	}
-	r.acquire()
-	start := time.Now()
-	res, err := core.Run(opts, a, false)
-	r.release()
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s/%s/p%d: %w", app, proto, procs, err)
-	}
-	r.progressf("# ran %s/%s/p%d (faulted): simulated %.1fs (%.2fs real)\n",
-		app, proto, procs, res.Stats.Elapsed.Micros()/1e6, time.Since(start).Seconds())
-	return res, nil
 }

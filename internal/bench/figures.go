@@ -41,23 +41,10 @@ func breakdownOf(res *core.Result, app string, proto core.Protocol, procs int) B
 // Fig3Data computes the time breakdowns for every app and protocol at the
 // smallest and largest machine size, as in the paper's Figure 3.
 func (r *Runner) Fig3Data() []BreakdownRow {
-	sizes := []int{r.Procs[0], r.Procs[len(r.Procs)-1]}
-	var cells []cell
-	for _, app := range AppNames() {
-		for _, p := range sizes {
-			for _, proto := range core.Protocols {
-				cells = append(cells, cell{app, proto, p})
-			}
-		}
-	}
-	r.warm(cells)
+	cells := grid(AppNames(), []int{r.Procs[0], r.Procs[len(r.Procs)-1]}, core.Protocols)
 	var rows []BreakdownRow
-	for _, app := range AppNames() {
-		for _, p := range sizes {
-			for _, proto := range core.Protocols {
-				rows = append(rows, breakdownOf(r.Run(app, proto, p), app, proto, p))
-			}
-		}
+	for i, res := range r.warm(cells) {
+		rows = append(rows, breakdownOf(res, cells[i].app, cells[i].proto, cells[i].procs))
 	}
 	return rows
 }
@@ -92,59 +79,41 @@ type Fig4Row struct {
 func (r *Runner) Fig4Data() []Fig4Row {
 	// The four phase-captured runs are uncached and independent; compute
 	// them concurrently, then assemble rows in fixed configuration order.
-	type cfg struct {
-		procs int
-		proto core.Protocol
-	}
-	var cfgs []cfg
-	for _, procs := range []int{8, 32} {
-		for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoHLRC} {
-			cfgs = append(cfgs, cfg{procs, proto})
-		}
-	}
-	results := make([]*core.Result, len(cfgs))
-	r.forEach(len(cfgs), func(i int) {
-		a, err := apps.New("water-nsq", r.Size)
+	cells := grid([]string{"water-nsq"}, []int{8, 32}, lrcVsHLRC)
+	results := must(sweep(r, cells, func(c cell) (*core.Result, error) {
+		a, err := apps.New(c.app, r.Size)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		r.acquire()
-		defer r.release()
-		res, err := core.Run(r.cellOpts(cfgs[i].proto, cfgs[i].procs), a, true)
-		if err != nil {
-			panic(err)
-		}
-		results[i] = res
-	})
+		return r.exec(c.String()+" (phases)", r.cellOpts(c.proto, c.procs), a, true)
+	}))
 	var rows []Fig4Row
-	for i, c := range cfgs {
-		procs, proto, res := c.procs, c.proto, results[i]
-		{
-			var phase *stats.Phase
-			var best sim.Time
-			for i := range res.Phases {
-				var activity sim.Time
-				for _, nd := range res.Phases[i].PerNode {
-					activity += nd.Time[stats.CatLock] + nd.Time[stats.CatData]
-				}
-				if phase == nil || activity > best {
-					phase = &res.Phases[i]
-					best = activity
-				}
+	for i, c := range cells {
+		res := results[i]
+		var phase *stats.Phase
+		var best sim.Time
+		for i := range res.Phases {
+			var activity sim.Time
+			for _, nd := range res.Phases[i].PerNode {
+				activity += nd.Time[stats.CatLock] + nd.Time[stats.CatData]
 			}
-			if phase == nil {
-				continue
+			if phase == nil || activity > best {
+				phase = &res.Phases[i]
+				best = activity
 			}
-			for n, nd := range phase.PerNode {
-				s := func(c stats.Category) float64 { return nd.Time[c].Micros() / 1e6 }
-				rows = append(rows, Fig4Row{
-					Proto: proto, Procs: procs, Node: n,
-					Compute:  s(stats.CatCompute),
-					Data:     s(stats.CatData),
-					Lock:     s(stats.CatLock),
-					Protocol: s(stats.CatProtocol),
-				})
-			}
+		}
+		if phase == nil {
+			continue
+		}
+		for n, nd := range phase.PerNode {
+			s := func(cat stats.Category) float64 { return nd.Time[cat].Micros() / 1e6 }
+			rows = append(rows, Fig4Row{
+				Proto: c.proto, Procs: c.procs, Node: n,
+				Compute:  s(stats.CatCompute),
+				Data:     s(stats.CatData),
+				Lock:     s(stats.CatLock),
+				Protocol: s(stats.CatProtocol),
+			})
 		}
 	}
 	return rows

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -117,5 +118,39 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	}
 	if s1.String() != s8.String() {
 		t.Errorf("fault sweep differs between -parallel 1 and -parallel 8:\n--- parallel 1 ---\n%s\n--- parallel 8 ---\n%s", s1.String(), s8.String())
+	}
+}
+
+// TestSweepFirstErrorInCellOrder: a failing cell's error names the cell
+// (exec's label), and when two cells fail, sweep returns the earlier one
+// in cell order at any parallelism — at Parallel 8 the earlier failing
+// cell is held back until the later one has already failed.
+func TestSweepFirstErrorInCellOrder(t *testing.T) {
+	for _, parallel := range []int{1, 8} {
+		r := parallelRunner(parallel)
+		cells := grid([]string{"sor"}, r.Procs, core.Protocols)
+		first, second := cells[2], cells[5]
+		secondFailed := make(chan struct{})
+		results, err := sweep(r, cells, func(c cell) (*core.Result, error) {
+			opts := r.cellOpts(c.proto, c.procs)
+			switch c {
+			case first:
+				if parallel > 1 {
+					<-secondFailed
+				}
+				opts.Recovery.Replicas = -1 // core.Run rejects it
+			case second:
+				defer close(secondFailed)
+				opts.Recovery.Replicas = -1
+			}
+			return r.execApp(c.app, opts, "")
+		})
+		if err == nil || results != nil {
+			t.Fatalf("parallel %d: sweep returned (%v, %v) with two failing cells", parallel, results, err)
+		}
+		want := fmt.Sprintf("bench: %s/%s/p%d: ", first.app, first.proto, first.procs)
+		if !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("parallel %d: error %q does not start with the first failing cell's label %q", parallel, err, want)
+		}
 	}
 }

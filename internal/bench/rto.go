@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
-	"time"
 
-	"gosvm/internal/apps"
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
+	"gosvm/internal/stats"
 )
 
 // rtoApps are the applications used for the RTO ablation: one
@@ -35,20 +32,9 @@ var rtoModes = []string{"fixed", "adaptive"}
 // When jsonDir is non-empty every cell's statistics are written there as
 // rto-<profile>-<mode>-<app>-<proto>-p<procs>.json.
 func (r *Runner) RTOSweep(out io.Writer, profiles []string, seed int64, jsonDir string) error {
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			return err
-		}
-	}
-	for i, profile := range profiles {
-		if i > 0 {
-			fmt.Fprintln(out)
-		}
-		if err := r.rtoTable(out, profile, seed, jsonDir); err != nil {
-			return err
-		}
-	}
-	return nil
+	return eachProfile(out, profiles, func(profile string) error {
+		return r.rtoTable(out, profile, seed, jsonDir)
+	})
 }
 
 func (r *Runner) rtoTable(out io.Writer, profile string, seed int64, jsonDir string) error {
@@ -61,41 +47,49 @@ func (r *Runner) rtoTable(out io.Writer, profile string, seed int64, jsonDir str
 	}
 	protos := faultProtocols(profile)
 
-	// Same fan-out/render split as the fault sweep: run every cell in
-	// parallel, then render in fixed grid order so output is identical at
-	// any -parallel level. The two arms differ only in Plan.AdaptiveRTO.
+	// One cell per arm; the two arms of a row differ only in
+	// Plan.AdaptiveRTO.
 	type rcell struct {
-		app   string
-		proto core.Protocol
-		procs int
-		mode  string
+		cell
+		mode string
 	}
 	var cells []rcell
-	for _, app := range rtoApps {
-		for _, procs := range r.Procs {
-			for _, proto := range protos {
-				for _, mode := range rtoModes {
-					cells = append(cells, rcell{app, proto, procs, mode})
-				}
-			}
+	for _, c := range grid(rtoApps, r.Procs, protos) {
+		for _, mode := range rtoModes {
+			cells = append(cells, rcell{c, mode})
 		}
 	}
-	results := make([]*core.Result, len(cells))
-	errs := make([]error, len(cells))
-	r.forEach(len(cells), func(i int) {
-		c := cells[i]
+	results, err := sweep(r, cells, func(c rcell) (*core.Result, error) {
 		// The profile is rendered at link level for the cell's machine
 		// size: loss and jitter roll per link crossing, so they correlate
 		// with XY routes — the fault structure a per-edge RTT estimator
 		// can exploit and a single fixed timeout cannot.
 		plan := basePlan.AtLinkLevel(c.procs)
 		plan.AdaptiveRTO = c.mode == "adaptive"
-		results[i], errs[i] = r.runMeshFaulted(c.app, c.proto, c.procs, plan)
-	})
-	for _, err := range errs {
+		opts := r.faultOpts(c.proto, c.procs, plan)
+		opts.Machine.Topology = core.TopoMesh
+		res, err := r.execApp(c.app, opts, "mesh, faulted, "+c.mode+" RTO")
 		if err != nil {
-			return err
+			return nil, err
 		}
+		// Faults and the network model perturb timing, never correctness:
+		// the result must match the clean run at the same configuration.
+		// The barrier-structured apps must match bitwise; the water codes
+		// reduce forces under locks whose acquisition order is
+		// timing-dependent, so they carry the same tiny tolerance the apps
+		// tests use. (The clean runs themselves are checked against the
+		// sequential reference by the apps tests.)
+		tol := 0.0
+		if c.app == "water-nsq" || c.app == "water-sp" {
+			tol = 1e-9
+		}
+		if err := validateResult(r.Run(c.app, c.proto, c.procs).Data, res.Data, tol); err != nil {
+			return nil, fmt.Errorf("bench: %v (mesh) differs from the clean run: %w", c.cell, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "Adaptive-RTO ablation under fault profile %q at link level (seed %d, mesh network)\n", profile, seed)
@@ -107,81 +101,37 @@ func (r *Runner) rtoTable(out io.Writer, profile string, seed int64, jsonDir str
 	}
 	fmt.Fprintln(tw)
 
-	next := 0
-	totRetries := make([]int64, len(rtoModes))
-	totDups := make([]int64, len(rtoModes))
-	totRecovery := make([]float64, len(rtoModes))
-	for _, app := range rtoApps {
-		for _, procs := range r.Procs {
-			for _, proto := range protos {
-				fmt.Fprintf(tw, "%s\t%d\t%s", app, procs, proto)
-				for mi, mode := range rtoModes {
-					res := results[next]
-					next++
-					var retries, dups int64
-					var recovery float64
-					for _, nd := range res.Stats.Nodes {
-						retries += nd.Counts.Retries
-						dups += nd.Counts.DupsSuppressed
-						recovery += nd.Recovery.Micros() / 1e3
-					}
-					totRetries[mi] += retries
-					totDups[mi] += dups
-					totRecovery[mi] += recovery
-					fmt.Fprintf(tw, "\t%d\t%d\t%.2f", retries, dups, recovery)
-					if jsonDir != "" {
-						name := fmt.Sprintf("rto-%s-%s-%s-%s-p%d.json", profile, mode, app, proto, procs)
-						if err := writeFile(filepath.Join(jsonDir, name), res.Stats.WriteJSON); err != nil {
-							return err
-						}
-					}
-				}
-				fmt.Fprintln(tw)
-			}
+	// One row per (application, machine size, protocol), one column
+	// group per arm, and a closing row of per-arm totals.
+	totals := make([]stats.Node, len(rtoModes))
+	arm := func(n stats.Node) {
+		fmt.Fprintf(tw, "\t%d\t%d\t%.2f", n.Counts.Retries, n.Counts.DupsSuppressed, ms(n.Recovery))
+	}
+	for i, c := range cells {
+		res := results[i]
+		mi := i % len(rtoModes)
+		if mi == 0 {
+			fmt.Fprintf(tw, "%s\t%d\t%s", c.app, c.procs, c.proto)
+		}
+		sum := res.Stats.Sum()
+		arm(sum)
+		totals[mi].Counts.Retries += sum.Counts.Retries
+		totals[mi].Counts.DupsSuppressed += sum.Counts.DupsSuppressed
+		totals[mi].Recovery += sum.Recovery
+		name := fmt.Sprintf("rto-%s-%s-%s-%s-p%d.json", profile, c.mode, c.app, c.proto, c.procs)
+		if err := writeCell(jsonDir, name, res.Stats.WriteJSON); err != nil {
+			return err
+		}
+		if mi == len(rtoModes)-1 {
+			fmt.Fprintln(tw)
 		}
 	}
 	fmt.Fprint(tw, "total\t\t")
-	for mi := range rtoModes {
-		fmt.Fprintf(tw, "\t%d\t%d\t%.2f", totRetries[mi], totDups[mi], totRecovery[mi])
+	for _, tot := range totals {
+		arm(tot)
 	}
 	fmt.Fprintln(tw)
 	return tw.Flush()
-}
-
-// runMeshFaulted is runFaulted on the link-granularity mesh network
-// model, validated against the sequential result.
-func (r *Runner) runMeshFaulted(app string, proto core.Protocol, procs int, plan fault.Plan) (*core.Result, error) {
-	a, err := apps.New(app, r.Size)
-	if err != nil {
-		return nil, err
-	}
-	opts := r.cellOpts(proto, procs)
-	opts.Fault = plan
-	opts.Machine.Topology = core.TopoMesh
-	r.acquire()
-	start := time.Now()
-	res, err := core.Run(opts, a, false)
-	r.release()
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s/%s/p%d (mesh): %w", app, proto, procs, err)
-	}
-	// Faults and the network model perturb timing, never correctness: the
-	// result must match the clean run at the same configuration. The
-	// barrier-structured apps must match bitwise; the water codes reduce
-	// forces under locks whose acquisition order is timing-dependent, so
-	// they carry the same tiny tolerance the apps tests use. (The clean
-	// runs themselves are checked against the sequential reference by the
-	// apps tests.)
-	tol := 0.0
-	if app == "water-nsq" || app == "water-sp" {
-		tol = 1e-9
-	}
-	if err := validateResult(r.Run(app, proto, procs).Data, res.Data, tol); err != nil {
-		return nil, fmt.Errorf("bench: %s/%s/p%d (mesh): %w", app, proto, procs, err)
-	}
-	r.progressf("# ran %s/%s/p%d (mesh, faulted): simulated %.1fs (%.2fs real)\n",
-		app, proto, procs, res.Stats.Elapsed.Micros()/1e6, time.Since(start).Seconds())
-	return res, nil
 }
 
 // validateResult compares a gathered result image against a reference,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
 	"text/tabwriter"
 
 	"gosvm/internal/apps"
@@ -105,50 +106,40 @@ func (r *Runner) ScaleSweep(out io.Writer, o ScaleOpts, jsonPath string) error {
 		}
 	}
 
-	newApp := func() *apps.SOR {
-		return &apps.SOR{H: o.H, W: o.W, Iters: o.Iters, ElemNs: 9700}
-	}
-	runCell := func(proto core.Protocol, nodes int) *core.Result {
-		opts := r.cellOpts(proto, nodes)
-		r.acquire()
-		res, err := core.Run(opts, newApp(), false)
-		r.release()
-		if err != nil {
-			panic(fmt.Sprintf("bench: scale %s/p%d: %v", proto, nodes, err))
+	// The sequential baseline first, then the grid, fanned out together.
+	cells := []cell{{"sor", core.ProtoSeq, 1}}
+	for _, proto := range o.Protos {
+		for _, n := range o.Nodes {
+			cells = append(cells, cell{"sor", proto, n})
 		}
-		r.progressf("# scale %s/p%d: simulated %.2fs\n", proto, nodes, res.Stats.Elapsed.Micros()/1e6)
-		return res
 	}
-
-	// The sequential baseline plus the full grid, fanned out together.
-	var seq *core.Result
-	grid := make([]*core.Result, len(o.Protos)*len(o.Nodes))
-	r.forEach(len(grid)+1, func(i int) {
-		if i == len(grid) {
-			seq = runCell(core.ProtoSeq, 1)
-			return
-		}
-		grid[i] = runCell(o.Protos[i/len(o.Nodes)], o.Nodes[i%len(o.Nodes)])
+	results, err := sweep(r, cells, func(c cell) (*core.Result, error) {
+		sor := &apps.SOR{H: o.H, W: o.W, Iters: o.Iters, ElemNs: 9700}
+		return r.exec("scale "+c.String(), r.cellOpts(c.proto, c.procs), sor, false)
 	})
+	if err != nil {
+		return err
+	}
+	seq := results[0].Stats.Elapsed
 
 	entry := ScaleEntry{
 		Kind:       "scale",
 		H:          o.H,
 		W:          o.W,
 		Iters:      o.Iters,
-		SeqSeconds: seq.Stats.Elapsed.Micros() / 1e6,
+		SeqSeconds: seq.Micros() / 1e6,
 	}
-	for i, res := range grid {
-		st := res.Stats
+	for i, c := range cells[1:] {
+		st := results[1+i].Stats
 		entry.Cells = append(entry.Cells, ScaleCell{
-			Protocol:    string(o.Protos[i/len(o.Nodes)]),
-			Nodes:       o.Nodes[i%len(o.Nodes)],
+			Protocol:    string(c.proto),
+			Nodes:       c.procs,
 			Seconds:     st.Elapsed.Micros() / 1e6,
-			Speedup:     float64(seq.Stats.Elapsed) / float64(st.Elapsed),
+			Speedup:     float64(seq) / float64(st.Elapsed),
 			Msgs:        st.TotalMsgs(),
 			DataMB:      float64(st.TotalBytes(stats.ClassData)) / (1 << 20),
 			ProtoMB:     float64(st.TotalBytes(stats.ClassProtocol)) / (1 << 20),
-			Skew:        hotSpotSkew(st),
+			Skew:        st.MsgsInSkew(),
 			PeakProtoMB: float64(st.PeakProtoMem()) / (1 << 20),
 		})
 	}
@@ -167,26 +158,9 @@ func (r *Runner) ScaleSweep(out io.Writer, o ScaleOpts, jsonPath string) error {
 	if jsonPath == "" {
 		return nil
 	}
-	return writeFile(jsonPath, func(w io.Writer) error {
+	return writeCell(filepath.Dir(jsonPath), filepath.Base(jsonPath), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(entry)
 	})
-}
-
-// hotSpotSkew returns max/mean of per-node MsgsIn, or 0 when no node
-// serviced any unsolicited message.
-func hotSpotSkew(r *stats.Run) float64 {
-	var max, sum int64
-	for _, nd := range r.Nodes {
-		sum += nd.MsgsIn
-		if nd.MsgsIn > max {
-			max = nd.MsgsIn
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(r.Nodes))
-	return float64(max) / mean
 }

@@ -3,10 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
-	"time"
 
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
@@ -77,44 +74,16 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 	if protos == nil {
 		protos = faultProtocols(profile)
 	}
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			return err
-		}
-	}
-
 	modes := o.Modes
 	withModes := len(modes) > 0
 	if !withModes {
 		modes = []string{""}
 	}
 
-	type scell struct {
-		load  float64
-		procs int
-		proto core.Protocol
-		mode  string
-	}
-	var cells []scell
-	for _, load := range o.Loads {
-		for _, procs := range r.Procs {
-			for _, proto := range protos {
-				for _, mode := range modes {
-					cells = append(cells, scell{load, procs, proto, mode})
-				}
-			}
-		}
-	}
-	results := make([]*core.Result, len(cells))
-	errs := make([]error, len(cells))
-	r.forEach(len(cells), func(i int) {
-		c := cells[i]
-		results[i], errs[i] = r.runServe(o.Base, c.load, c.proto, c.procs, c.mode, 0, o.Think, plan)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	cells := serveCells(o.Loads, nil, r.Procs, protos, modes)
+	results, err := sweep(r, cells, func(c scell) (*core.Result, error) { return r.serveCell(c, o, plan) })
+	if err != nil {
+		return err
 	}
 
 	crash := len(plan.Crashes) > 0
@@ -153,41 +122,28 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 		fmt.Fprintf(tw, "\t%d\t%.0f\t%.3f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f",
 			s.Generated, s.AchievedRate(), s.SaturationRatio(),
 			s.MaxUtil, ms(s.Latency.P50()), ms(s.Latency.P99()), ms(s.Latency.P999()),
-			homeSkew(res))
+			res.Stats.MsgsInSkew())
 		if withModes {
 			fmt.Fprintf(tw, "\t%d\t%d", s.SeqlockReads, s.SeqlockFallbacks)
 		}
 		fmt.Fprintf(tw, "\t%s", sat)
 		if plan.Active() {
-			var retries, rehomed int64
-			var recovery sim.Time
-			for _, nd := range res.Stats.Nodes {
-				retries += nd.Counts.Retries
-				rehomed += nd.Counts.PagesRehomed
-				recovery += nd.Recovery
-			}
-			fmt.Fprintf(tw, "\t%d\t%.2f", retries, ms(recovery))
+			sum := res.Stats.Sum()
+			fmt.Fprintf(tw, "\t%d\t%.2f", sum.Counts.Retries, ms(sum.Recovery))
 			if crash {
-				fmt.Fprintf(tw, "\t%d", rehomed)
+				fmt.Fprintf(tw, "\t%d", sum.Counts.PagesRehomed)
 			}
 		}
 		fmt.Fprintln(tw)
-		if jsonDir != "" {
-			tag := ""
-			if c.mode != "" {
-				tag = "-" + c.mode
-			}
-			name := fmt.Sprintf("serve-%s-%s-p%d-l%.0f%s.json", profile, c.proto, c.procs, c.load, tag)
-			if err := writeFile(filepath.Join(jsonDir, name), res.Stats.WriteJSON); err != nil {
-				return err
-			}
+		if err := writeCell(jsonDir, c.fileName(profile), res.Stats.WriteJSON); err != nil {
+			return err
 		}
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	if len(o.Closed) > 0 {
-		return r.closedSweep(out, o, protos, modes, withModes, plan, jsonDir, profile)
+		return r.closedSweep(out, o, protos, modes, plan, jsonDir, profile)
 	}
 	return nil
 }
@@ -198,33 +154,12 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 // throughput self-limits at capacity instead of building an unbounded
 // backlog, so tail latency stays bounded where the open loop saturates.
 func (r *Runner) closedSweep(out io.Writer, o ServeSweepOpts, protos []core.Protocol,
-	modes []string, withModes bool, plan fault.Plan, jsonDir, profile string) error {
-	type ccell struct {
-		clients int
-		procs   int
-		proto   core.Protocol
-		mode    string
-	}
-	var cells []ccell
-	for _, clients := range o.Closed {
-		for _, procs := range r.Procs {
-			for _, proto := range protos {
-				for _, mode := range modes {
-					cells = append(cells, ccell{clients, procs, proto, mode})
-				}
-			}
-		}
-	}
-	results := make([]*core.Result, len(cells))
-	errs := make([]error, len(cells))
-	r.forEach(len(cells), func(i int) {
-		c := cells[i]
-		results[i], errs[i] = r.runServe(o.Base, 0, c.proto, c.procs, c.mode, c.clients, o.Think, plan)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	modes []string, plan fault.Plan, jsonDir, profile string) error {
+	withModes := len(o.Modes) > 0
+	cells := serveCells(nil, o.Closed, r.Procs, protos, modes)
+	results, err := sweep(r, cells, func(c scell) (*core.Result, error) { return r.serveCell(c, o, plan) })
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintln(out)
@@ -245,94 +180,96 @@ func (r *Runner) closedSweep(out io.Writer, o ServeSweepOpts, protos []core.Prot
 		}
 		fmt.Fprintf(tw, "\t%d\t%.0f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
 			s.Completed, s.AchievedRate(), s.MaxUtil,
-			ms(s.Latency.P50()), ms(s.Latency.P99()), ms(s.Latency.P999()), homeSkew(res))
-		if jsonDir != "" {
-			tag := ""
-			if c.mode != "" {
-				tag = "-" + c.mode
-			}
-			name := fmt.Sprintf("serve-closed-%s-%s-p%d-c%d%s.json", profile, c.proto, c.procs, c.clients, tag)
-			if err := writeFile(filepath.Join(jsonDir, name), res.Stats.WriteJSON); err != nil {
-				return err
-			}
+			ms(s.Latency.P50()), ms(s.Latency.P99()), ms(s.Latency.P999()), res.Stats.MsgsInSkew())
+		if err := writeCell(jsonDir, c.fileName(profile), res.Stats.WriteJSON); err != nil {
+			return err
 		}
 	}
 	return tw.Flush()
 }
 
-// homeSkew is the home hot-spot metric: the hottest node's serviced
-// (unsolicited) message count relative to the mean across nodes. 1.0 is
-// perfectly even; procs-sized values mean one home serves everything.
-func homeSkew(res *core.Result) float64 {
-	var max, sum int64
-	for _, nd := range res.Stats.Nodes {
-		if nd.MsgsIn > max {
-			max = nd.MsgsIn
-		}
-		sum += nd.MsgsIn
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) / (float64(sum) / float64(len(res.Stats.Nodes)))
+// scell is one cell of the serving sweeps: an offered load (open loop)
+// or, when clients > 0, a closed client population, on one machine size
+// under one protocol and — in a fast-path ablation — one mode.
+type scell struct {
+	load    float64
+	clients int
+	procs   int
+	proto   core.Protocol
+	mode    string
 }
 
-// runServe executes one serving cell: build the (cell-local) workload,
-// run it under the protocol and fault plan, validate the store, and
-// attach the serve statistics. mode (non-empty) overwrites the config's
-// fast-path knobs; clients > 0 switches the cell to closed loop.
-func (r *Runner) runServe(base serve.Config, load float64, proto core.Protocol, procs int,
-	mode string, clients int, think sim.Time, plan fault.Plan) (*core.Result, error) {
-	cfg := base
-	if load > 0 {
-		cfg.OfferedLoad = load
+// serveCells crosses the sweep's own axis — offered loads, or closed
+// client counts — with machine size x protocol x mode, in table row
+// order.
+func serveCells(loads []float64, clients []int, procs []int, protos []core.Protocol, modes []string) []scell {
+	var axis, cells []scell
+	for _, load := range loads {
+		axis = append(axis, scell{load: load})
 	}
-	if mode != "" {
-		if err := serve.ApplyFastpath(&cfg, mode); err != nil {
+	for _, n := range clients {
+		axis = append(axis, scell{clients: n})
+	}
+	for _, a := range axis {
+		for _, p := range procs {
+			for _, proto := range protos {
+				for _, mode := range modes {
+					cells = append(cells, scell{a.load, a.clients, p, proto, mode})
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// tag is the cell's coordinate on its own axis, l<load> or c<clients>,
+// with the ablation mode appended when there is one.
+func (c scell) tag() string {
+	tag := fmt.Sprintf("l%.0f", c.load)
+	if c.clients > 0 {
+		tag = fmt.Sprintf("c%d", c.clients)
+	}
+	if c.mode != "" {
+		tag += "-" + c.mode
+	}
+	return tag
+}
+
+// fileName is the cell's per-cell JSON file:
+// serve-[closed-]<profile>-<proto>-p<procs>-<tag>.json.
+func (c scell) fileName(profile string) string {
+	kind := "serve"
+	if c.clients > 0 {
+		kind = "serve-closed"
+	}
+	return fmt.Sprintf("%s-%s-%s-p%d-%s.json", kind, profile, c.proto, c.procs, c.tag())
+}
+
+// serveCell executes one serving cell: build the (cell-local) workload
+// from the sweep's base shape — the cell's load or closed population,
+// and its mode's fast-path knobs if it has one — and run it under the
+// protocol and fault plan. exec validates the store and attaches the
+// serve statistics.
+func (r *Runner) serveCell(c scell, o ServeSweepOpts, plan fault.Plan) (*core.Result, error) {
+	cfg := o.Base
+	if c.load > 0 {
+		cfg.OfferedLoad = c.load
+	}
+	if c.mode != "" {
+		if err := serve.ApplyFastpath(&cfg, c.mode); err != nil {
 			return nil, err
 		}
 	}
-	if clients > 0 {
-		cfg.ClosedClients = clients
-		if think > 0 {
-			cfg.ThinkTime = think
+	if c.clients > 0 {
+		cfg.ClosedClients = c.clients
+		if o.Think > 0 {
+			cfg.ThinkTime = o.Think
 		}
 	}
-	kv, err := serve.New(cfg, procs)
+	kv, err := serve.New(cfg, c.procs)
 	if err != nil {
 		return nil, err
 	}
-	opts := r.cellOpts(proto, procs)
-	opts.Fault = plan
-	if len(plan.Crashes) > 0 {
-		opts.Recovery = core.Recovery{Replicas: 1}
-	}
-	r.acquire()
-	start := time.Now()
-	res, err := serve.Run(opts, kv)
-	r.release()
-	if err != nil {
-		return nil, fmt.Errorf("bench: kv-serve/%s/p%d/l%.0f: %w", proto, procs, load, err)
-	}
-	r.progressf("# ran kv-serve/%s/p%d/l%.0f: %d reqs, simulated %.1fms (%.2fs real)\n",
-		proto, procs, load, res.Stats.Serve.Completed,
-		res.Stats.Elapsed.Micros()/1e3, time.Since(start).Seconds())
-	return res, nil
-}
-
-// ms renders simulated time in milliseconds.
-func ms(t sim.Time) float64 { return t.Micros() / 1e3 }
-
-// writeFile creates path, fills it through write, and closes it,
-// returning the first error.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := write(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
+	label := fmt.Sprintf("kv-serve/%s/p%d/%s", c.proto, c.procs, c.tag())
+	return r.exec(label, r.faultOpts(c.proto, c.procs, plan), kv, false)
 }

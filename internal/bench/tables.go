@@ -11,18 +11,14 @@ import (
 	"gosvm/internal/stats"
 )
 
-// warmSeq computes every sequential baseline concurrently.
-func (r *Runner) warmSeq() {
-	var cells []cell
-	for _, app := range AppNames() {
-		cells = append(cells, cell{app, core.ProtoSeq, 1})
-	}
-	r.warm(cells)
+// seqCells are the sequential baselines, one per application.
+func seqCells() []cell {
+	return grid(AppNames(), []int{1}, []core.Protocol{core.ProtoSeq})
 }
 
 // Table1 reports problem sizes and sequential execution times.
 func (r *Runner) Table1(w io.Writer) {
-	r.warmSeq()
+	r.warm(seqCells())
 	fmt.Fprintln(w, "Table 1: benchmark applications and sequential execution times")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Application\tSequential time (s)")
@@ -43,16 +39,7 @@ type Table2Row struct {
 // baselines plus every app × protocol × machine size — is warmed across
 // host cores first; row assembly is then pure cache reads.
 func (r *Runner) Table2Data() []Table2Row {
-	cells := []cell{}
-	for _, app := range AppNames() {
-		cells = append(cells, cell{app, core.ProtoSeq, 1})
-		for _, p := range r.Procs {
-			for _, proto := range core.Protocols {
-				cells = append(cells, cell{app, proto, p})
-			}
-		}
-	}
-	r.warm(cells)
+	r.warm(append(seqCells(), grid(AppNames(), r.Procs, core.Protocols)...))
 	var rows []Table2Row
 	for _, app := range AppNames() {
 		row := Table2Row{App: app, Speedups: map[int]map[core.Protocol]float64{}}
@@ -143,26 +130,11 @@ type Table4Row struct {
 // Table4Data gathers LRC vs HLRC operation counts at the smallest and
 // largest machine size.
 func (r *Runner) Table4Data() []Table4Row {
-	sizes := []int{r.Procs[0], r.Procs[len(r.Procs)-1]}
-	var cells []cell
-	for _, app := range AppNames() {
-		for _, p := range sizes {
-			for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoHLRC} {
-				cells = append(cells, cell{app, proto, p})
-			}
-		}
-	}
-	r.warm(cells)
+	cells := grid(AppNames(), []int{r.Procs[0], r.Procs[len(r.Procs)-1]}, lrcVsHLRC)
 	var rows []Table4Row
-	for _, app := range AppNames() {
-		for _, p := range sizes {
-			for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoHLRC} {
-				rows = append(rows, Table4Row{
-					App: app, Procs: p, Proto: proto,
-					Counts: avgCounts(r.Run(app, proto, p)),
-				})
-			}
-		}
+	for i, res := range r.warm(cells) {
+		c := cells[i]
+		rows = append(rows, Table4Row{App: c.app, Procs: c.procs, Proto: c.proto, Counts: res.Stats.AvgNode().Counts})
 	}
 	return rows
 }
@@ -198,25 +170,16 @@ type Table5Row struct {
 
 // Table5Data gathers traffic for LRC vs HLRC at the largest size.
 func (r *Runner) Table5Data(procs int) []Table5Row {
-	var cells []cell
-	for _, app := range AppNames() {
-		for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoHLRC} {
-			cells = append(cells, cell{app, proto, procs})
-		}
-	}
-	r.warm(cells)
+	cells := grid(AppNames(), []int{procs}, lrcVsHLRC)
 	var rows []Table5Row
-	for _, app := range AppNames() {
-		for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoHLRC} {
-			res := r.Run(app, proto, procs)
-			rows = append(rows, Table5Row{
-				App:     app,
-				Proto:   proto,
-				Msgs:    res.Stats.TotalMsgs(),
-				DataMB:  float64(res.Stats.TotalBytes(stats.ClassData)) / (1 << 20),
-				ProtoMB: float64(res.Stats.TotalBytes(stats.ClassProtocol)) / (1 << 20),
-			})
-		}
+	for i, res := range r.warm(cells) {
+		rows = append(rows, Table5Row{
+			App:     cells[i].app,
+			Proto:   cells[i].proto,
+			Msgs:    res.Stats.TotalMsgs(),
+			DataMB:  float64(res.Stats.TotalBytes(stats.ClassData)) / (1 << 20),
+			ProtoMB: float64(res.Stats.TotalBytes(stats.ClassProtocol)) / (1 << 20),
+		})
 	}
 	return rows
 }
@@ -245,29 +208,17 @@ type Table6Row struct {
 
 // Table6Data gathers memory requirements for LRC vs HLRC.
 func (r *Runner) Table6Data() []Table6Row {
-	var cells []cell
-	for _, app := range AppNames() {
-		for _, p := range r.Procs {
-			for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoHLRC} {
-				cells = append(cells, cell{app, proto, p})
-			}
-		}
-	}
-	r.warm(cells)
+	cells := grid(AppNames(), r.Procs, lrcVsHLRC)
 	var rows []Table6Row
-	for _, app := range AppNames() {
-		for _, p := range r.Procs {
-			for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoHLRC} {
-				res := r.Run(app, proto, p)
-				appMB := float64(res.Stats.TotalAppMem()) / float64(p) / (1 << 20)
-				protoMB := float64(res.Stats.PeakProtoMem()) / (1 << 20)
-				rows = append(rows, Table6Row{
-					App: app, Proto: proto, Procs: p,
-					AppMB: appMB, ProtoPeakMB: protoMB,
-					RatioPercent: protoMB / appMB * 100,
-				})
-			}
-		}
+	for i, res := range r.warm(cells) {
+		c := cells[i]
+		appMB := float64(res.Stats.TotalAppMem()) / float64(c.procs) / (1 << 20)
+		protoMB := float64(res.Stats.PeakProtoMem()) / (1 << 20)
+		rows = append(rows, Table6Row{
+			App: c.app, Proto: c.proto, Procs: c.procs,
+			AppMB: appMB, ProtoPeakMB: protoMB,
+			RatioPercent: protoMB / appMB * 100,
+		})
 	}
 	return rows
 }

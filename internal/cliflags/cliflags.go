@@ -9,9 +9,12 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
+	"gosvm/internal/apps"
+	"gosvm/internal/bench"
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
 	"gosvm/internal/paragon"
@@ -200,19 +203,51 @@ func AddParallel(fs *flag.FlagSet) *int {
 		"max concurrent simulations (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 }
 
-// AddQuiet registers -q.
-func AddQuiet(fs *flag.FlagSet) *bool {
-	return fs.Bool("q", false, "suppress per-run progress")
+// AddRunner registers the sweep tools' shared flags on fs — the -procs
+// machine-size axis with the machine shape and -page (AddMachineList),
+// -parallel, -run-workers and -q — and returns the constructor to call
+// after fs.Parse: a bench.Runner at the given problem size configured
+// from them, with progress lines on stderr unless -q.
+func AddRunner(fs *flag.FlagSet, defProcs string, defPage int) func(apps.Size) (*bench.Runner, error) {
+	mf := AddMachineList(fs, defProcs, defPage)
+	parallel := AddParallel(fs)
+	runWkrs := AddRunWorkers(fs)
+	quiet := fs.Bool("q", false, "suppress per-run progress")
+	return func(size apps.Size) (*bench.Runner, error) {
+		r := bench.NewRunner(size)
+		r.PageBytes = mf.Page
+		r.Parallel = *parallel
+		r.RunWorkers = *runWkrs
+		if !*quiet {
+			r.Progress = os.Stderr
+		}
+		var err error
+		if r.Machine, err = mf.Shape(); err != nil {
+			return nil, err
+		}
+		if r.Procs, err = mf.ProcsList(); err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+}
+
+// Strings splits a comma-separated list, trimming blanks and dropping
+// empty entries.
+func Strings(csv string) []string {
+	var out []string
+	for _, s := range strings.Split(csv, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // Ints parses a comma-separated integer list.
 func Ints(csv string) ([]int, error) {
 	var out []int
-	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
+	for _, s := range Strings(csv) {
 		v, err := strconv.Atoi(s)
 		if err != nil {
 			return nil, fmt.Errorf("bad list entry %q", s)
@@ -228,11 +263,7 @@ func Ints(csv string) ([]int, error) {
 // Floats parses a comma-separated float list.
 func Floats(csv string) ([]float64, error) {
 	var out []float64
-	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
+	for _, s := range Strings(csv) {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad list entry %q", s)

@@ -8,25 +8,11 @@ import (
 // countsMap renders Counters with stable snake_case keys. Maps marshal
 // with sorted keys, so the JSON output is deterministic.
 func countsMap(c Counters) map[string]int64 {
-	return map[string]int64{
-		"read_misses":     c.ReadMisses,
-		"write_faults":    c.WriteFaults,
-		"diffs_created":   c.DiffsCreated,
-		"diffs_applied":   c.DiffsApplied,
-		"pages_fetched":   c.PagesFetched,
-		"lock_acquires":   c.LockAcquires,
-		"lock_forwards":   c.LockForwards,
-		"prefetches":      c.Prefetches,
-		"barriers":        c.Barriers,
-		"gcs":             c.GCs,
-		"retries":         c.Retries,
-		"dups_suppressed": c.DupsSuppressed,
-		"msgs_dropped":    c.MsgsDropped,
-		"link_drops":      c.LinkDrops,
-		"pages_rehomed":   c.PagesRehomed,
-		"mgrs_rehomed":    c.MgrsRehomed,
-		"locks_reclaimed": c.LocksReclaimed,
+	m := make(map[string]int64, len(counterFields))
+	for _, f := range counterFields {
+		m[f.key] = *f.at(&c)
 	}
+	return m
 }
 
 type jsonNode struct {
@@ -68,6 +54,7 @@ func nodeJSON(n *Node) jsonNode {
 // MarshalJSON emits the run in a stable machine-readable shape for the
 // benchmark trajectory (BENCH_*.json and friends).
 func (r *Run) MarshalJSON() ([]byte, error) {
+	sum := r.Sum()
 	out := struct {
 		App           string      `json:"app"`
 		Protocol      string      `json:"protocol"`
@@ -99,16 +86,12 @@ func (r *Run) MarshalJSON() ([]byte, error) {
 		ProtocolBytes: r.TotalBytes(ClassProtocol),
 		PeakProtoMem:  r.PeakProtoMem(),
 		TotalAppMem:   r.TotalAppMem(),
+		PagesRehomed:  sum.Counts.PagesRehomed,
+		MgrsRehomed:   sum.Counts.MgrsRehomed,
+		ReplicaBytes:  sum.ReplicaBytes,
+		MirrorBytes:   sum.MirrorBytes,
+		DetectNs:      int64(sum.Detect),
 		Serve:         r.Serve,
-	}
-	for _, nd := range r.Nodes {
-		out.PagesRehomed += nd.Counts.PagesRehomed
-		out.MgrsRehomed += nd.Counts.MgrsRehomed
-		out.ReplicaBytes += nd.ReplicaBytes
-		out.MirrorBytes += nd.MirrorBytes
-		if int64(nd.Detect) > out.DetectNs {
-			out.DetectNs = int64(nd.Detect)
-		}
 	}
 	for _, nd := range r.Nodes {
 		out.Nodes = append(out.Nodes, nodeJSON(nd))

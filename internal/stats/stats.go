@@ -89,6 +89,33 @@ type Counters struct {
 	LocksReclaimed int64
 }
 
+// counterFields is the one list of the Counters fields: each one's JSON
+// key and how to reach it. Summing, averaging, subtracting and the JSON
+// encoding all range over it, so a new counter is declared in the struct
+// and named here, nowhere else.
+var counterFields = [...]struct {
+	key string
+	at  func(*Counters) *int64
+}{
+	{"read_misses", func(c *Counters) *int64 { return &c.ReadMisses }},
+	{"write_faults", func(c *Counters) *int64 { return &c.WriteFaults }},
+	{"diffs_created", func(c *Counters) *int64 { return &c.DiffsCreated }},
+	{"diffs_applied", func(c *Counters) *int64 { return &c.DiffsApplied }},
+	{"pages_fetched", func(c *Counters) *int64 { return &c.PagesFetched }},
+	{"lock_acquires", func(c *Counters) *int64 { return &c.LockAcquires }},
+	{"lock_forwards", func(c *Counters) *int64 { return &c.LockForwards }},
+	{"prefetches", func(c *Counters) *int64 { return &c.Prefetches }},
+	{"barriers", func(c *Counters) *int64 { return &c.Barriers }},
+	{"gcs", func(c *Counters) *int64 { return &c.GCs }},
+	{"retries", func(c *Counters) *int64 { return &c.Retries }},
+	{"dups_suppressed", func(c *Counters) *int64 { return &c.DupsSuppressed }},
+	{"msgs_dropped", func(c *Counters) *int64 { return &c.MsgsDropped }},
+	{"link_drops", func(c *Counters) *int64 { return &c.LinkDrops }},
+	{"pages_rehomed", func(c *Counters) *int64 { return &c.PagesRehomed }},
+	{"mgrs_rehomed", func(c *Counters) *int64 { return &c.MgrsRehomed }},
+	{"locks_reclaimed", func(c *Counters) *int64 { return &c.LocksReclaimed }},
+}
+
 // Node accumulates statistics for one simulated node.
 type Node struct {
 	Time    [NumCategories]sim.Time
@@ -173,24 +200,8 @@ func (n Node) Sub(o Node) Node {
 	for i := range n.Time {
 		d.Time[i] = n.Time[i] - o.Time[i]
 	}
-	d.Counts = Counters{
-		ReadMisses:     n.Counts.ReadMisses - o.Counts.ReadMisses,
-		WriteFaults:    n.Counts.WriteFaults - o.Counts.WriteFaults,
-		DiffsCreated:   n.Counts.DiffsCreated - o.Counts.DiffsCreated,
-		DiffsApplied:   n.Counts.DiffsApplied - o.Counts.DiffsApplied,
-		PagesFetched:   n.Counts.PagesFetched - o.Counts.PagesFetched,
-		LockAcquires:   n.Counts.LockAcquires - o.Counts.LockAcquires,
-		LockForwards:   n.Counts.LockForwards - o.Counts.LockForwards,
-		Prefetches:     n.Counts.Prefetches - o.Counts.Prefetches,
-		Barriers:       n.Counts.Barriers - o.Counts.Barriers,
-		GCs:            n.Counts.GCs - o.Counts.GCs,
-		Retries:        n.Counts.Retries - o.Counts.Retries,
-		DupsSuppressed: n.Counts.DupsSuppressed - o.Counts.DupsSuppressed,
-		MsgsDropped:    n.Counts.MsgsDropped - o.Counts.MsgsDropped,
-		LinkDrops:      n.Counts.LinkDrops - o.Counts.LinkDrops,
-		PagesRehomed:   n.Counts.PagesRehomed - o.Counts.PagesRehomed,
-		MgrsRehomed:    n.Counts.MgrsRehomed - o.Counts.MgrsRehomed,
-		LocksReclaimed: n.Counts.LocksReclaimed - o.Counts.LocksReclaimed,
+	for _, f := range counterFields {
+		*f.at(&d.Counts) = *f.at(&n.Counts) - *f.at(&o.Counts)
 	}
 	for i := range n.MsgsOut {
 		d.MsgsOut[i] = n.MsgsOut[i] - o.MsgsOut[i]
@@ -236,35 +247,18 @@ func (r *Run) Speedup() float64 {
 	return float64(r.SeqTime) / float64(r.Elapsed)
 }
 
-// AvgNode returns the mean of the per-node statistics.
-func (r *Run) AvgNode() Node {
-	var avg Node
-	n := int64(len(r.Nodes))
-	if n == 0 {
-		return avg
-	}
+// Sum returns the per-node statistics added up over the run's nodes.
+// Two fields are not sums: Detect is the maximum (the run's detection
+// latency), and ProtoMem — a level, not a count — is left zero.
+func (r *Run) Sum() Node {
 	var sum Node
 	for _, nd := range r.Nodes {
 		for i := range sum.Time {
 			sum.Time[i] += nd.Time[i]
 		}
-		sum.Counts.ReadMisses += nd.Counts.ReadMisses
-		sum.Counts.WriteFaults += nd.Counts.WriteFaults
-		sum.Counts.DiffsCreated += nd.Counts.DiffsCreated
-		sum.Counts.DiffsApplied += nd.Counts.DiffsApplied
-		sum.Counts.PagesFetched += nd.Counts.PagesFetched
-		sum.Counts.LockAcquires += nd.Counts.LockAcquires
-		sum.Counts.LockForwards += nd.Counts.LockForwards
-		sum.Counts.Prefetches += nd.Counts.Prefetches
-		sum.Counts.Barriers += nd.Counts.Barriers
-		sum.Counts.GCs += nd.Counts.GCs
-		sum.Counts.Retries += nd.Counts.Retries
-		sum.Counts.DupsSuppressed += nd.Counts.DupsSuppressed
-		sum.Counts.MsgsDropped += nd.Counts.MsgsDropped
-		sum.Counts.LinkDrops += nd.Counts.LinkDrops
-		sum.Counts.PagesRehomed += nd.Counts.PagesRehomed
-		sum.Counts.MgrsRehomed += nd.Counts.MgrsRehomed
-		sum.Counts.LocksReclaimed += nd.Counts.LocksReclaimed
+		for _, f := range counterFields {
+			*f.at(&sum.Counts) += *f.at(&nd.Counts)
+		}
 		for i := range sum.MsgsOut {
 			sum.MsgsOut[i] += nd.MsgsOut[i]
 			sum.Bytes[i] += nd.Bytes[i]
@@ -279,38 +273,52 @@ func (r *Run) AvgNode() Node {
 			sum.Detect = nd.Detect
 		}
 	}
+	return sum
+}
+
+// AvgNode returns the mean of the per-node statistics: Sum divided by
+// the node count, except Detect, which stays the maximum.
+func (r *Run) AvgNode() Node {
+	n := int64(len(r.Nodes))
+	if n == 0 {
+		return Node{}
+	}
+	avg := r.Sum()
 	for i := range avg.Time {
-		avg.Time[i] = sum.Time[i] / sim.Time(n)
+		avg.Time[i] /= sim.Time(n)
 	}
-	avg.Counts.ReadMisses = sum.Counts.ReadMisses / n
-	avg.Counts.WriteFaults = sum.Counts.WriteFaults / n
-	avg.Counts.DiffsCreated = sum.Counts.DiffsCreated / n
-	avg.Counts.DiffsApplied = sum.Counts.DiffsApplied / n
-	avg.Counts.PagesFetched = sum.Counts.PagesFetched / n
-	avg.Counts.LockAcquires = sum.Counts.LockAcquires / n
-	avg.Counts.LockForwards = sum.Counts.LockForwards / n
-	avg.Counts.Prefetches = sum.Counts.Prefetches / n
-	avg.Counts.Barriers = sum.Counts.Barriers / n
-	avg.Counts.GCs = sum.Counts.GCs / n
-	avg.Counts.Retries = sum.Counts.Retries / n
-	avg.Counts.DupsSuppressed = sum.Counts.DupsSuppressed / n
-	avg.Counts.MsgsDropped = sum.Counts.MsgsDropped / n
-	avg.Counts.LinkDrops = sum.Counts.LinkDrops / n
-	avg.Counts.PagesRehomed = sum.Counts.PagesRehomed / n
-	avg.Counts.MgrsRehomed = sum.Counts.MgrsRehomed / n
-	avg.Counts.LocksReclaimed = sum.Counts.LocksReclaimed / n
+	for _, f := range counterFields {
+		*f.at(&avg.Counts) /= n
+	}
 	for i := range avg.MsgsOut {
-		avg.MsgsOut[i] = sum.MsgsOut[i] / n
-		avg.Bytes[i] = sum.Bytes[i] / n
+		avg.MsgsOut[i] /= n
+		avg.Bytes[i] /= n
 	}
-	avg.MsgsIn = sum.MsgsIn / n
-	avg.ProtoMemPeak = sum.ProtoMemPeak / n
-	avg.AppMem = sum.AppMem / n
-	avg.Recovery = sum.Recovery / sim.Time(n)
-	avg.ReplicaBytes = sum.ReplicaBytes / n
-	avg.MirrorBytes = sum.MirrorBytes / n
-	avg.Detect = sum.Detect // max, not mean: the run's detection latency
+	avg.MsgsIn /= n
+	avg.ProtoMemPeak /= n
+	avg.AppMem /= n
+	avg.Recovery /= sim.Time(n)
+	avg.ReplicaBytes /= n
+	avg.MirrorBytes /= n
 	return avg
+}
+
+// MsgsInSkew is the home hot-spot metric: the hottest node's count of
+// serviced unsolicited messages (MsgsIn) over the mean across nodes. 1.0
+// is a perfectly even machine, a value near the node count means one
+// home serves everything, and 0 means no node serviced any.
+func (r *Run) MsgsInSkew() float64 {
+	var max, sum int64
+	for _, nd := range r.Nodes {
+		sum += nd.MsgsIn
+		if nd.MsgsIn > max {
+			max = nd.MsgsIn
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(max) / (float64(sum) / float64(len(r.Nodes)))
 }
 
 // TotalMsgs returns the total number of messages sent in the run.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +92,8 @@ func TestRunAggregates(t *testing.T) {
 	b.Sent(ClassProtocol, 200)
 	b.MemAlloc(700)
 	b.MemFree(100)
+	a.MsgsIn, b.MsgsIn = 30, 10
+	a.Detect, b.Detect = 5, 9
 	r := &Run{Nodes: []*Node{a, b}, Elapsed: 400, SeqTime: 800}
 
 	if got := r.Speedup(); got != 2 {
@@ -103,6 +106,19 @@ func TestRunAggregates(t *testing.T) {
 	if avg.Counts.DiffsCreated != 6 {
 		t.Fatalf("avg diffs = %d", avg.Counts.DiffsCreated)
 	}
+	sum := r.Sum()
+	if sum.Time[CatCompute] != 400 || sum.Counts.DiffsCreated != 12 || sum.MsgsIn != 40 {
+		t.Fatalf("sum = %+v", sum)
+	}
+	if sum.Detect != 9 || avg.Detect != 9 {
+		t.Fatalf("detect: sum %v, avg %v, want the maximum 9", sum.Detect, avg.Detect)
+	}
+	if got := r.MsgsInSkew(); got != 1.5 {
+		t.Fatalf("msgs-in skew = %v, want 30 / mean 20", got)
+	}
+	if got := (&Run{Nodes: []*Node{{}, {}}}).MsgsInSkew(); got != 0 {
+		t.Fatalf("msgs-in skew of an idle machine = %v", got)
+	}
 	if r.TotalMsgs() != 2 {
 		t.Fatalf("msgs = %d", r.TotalMsgs())
 	}
@@ -111,6 +127,28 @@ func TestRunAggregates(t *testing.T) {
 	}
 	if r.PeakProtoMem() != 700 {
 		t.Fatalf("peak = %d", r.PeakProtoMem())
+	}
+}
+
+// TestCounterFieldsCoverCounters holds the field table to the struct: one
+// entry per Counters field, in declaration order, each reaching its own
+// field — Sum, AvgNode, Sub and the JSON encoding all trust it.
+func TestCounterFieldsCoverCounters(t *testing.T) {
+	typ := reflect.TypeOf(Counters{})
+	if typ.NumField() != len(counterFields) {
+		t.Fatalf("Counters has %d fields, counterFields names %d", typ.NumField(), len(counterFields))
+	}
+	keys := map[string]bool{}
+	for i, f := range counterFields {
+		var c Counters
+		*f.at(&c) = 7
+		if got := reflect.ValueOf(c).Field(i).Int(); got != 7 {
+			t.Errorf("counterFields[%d] (%s) does not reach field %s", i, f.key, typ.Field(i).Name)
+		}
+		if keys[f.key] {
+			t.Errorf("JSON key %q appears twice", f.key)
+		}
+		keys[f.key] = true
 	}
 }
 
