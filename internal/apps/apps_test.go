@@ -3,10 +3,22 @@ package apps
 import (
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"gosvm/internal/core"
+	"gosvm/internal/mem"
 )
+
+// TestMain runs every application test — the golden results, the fault profiles and the
+// 640-cell crash matrix — with the shared-frame
+// immutability check on (mem.CheckFrames): a home-state write that bypasses
+// hlrcEngine.homeWrite, or a reader writing through a frame it shares,
+// panics in the run that did it instead of corrupting another node's copy.
+func TestMain(m *testing.M) {
+	mem.CheckFrames = true
+	os.Exit(m.Run())
+}
 
 func seqRun(t *testing.T, app core.App) *core.Result {
 	t.Helper()

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"os"
 	"runtime"
 	"testing"
 	"unsafe"
 
 	"gosvm/internal/mem"
+	"gosvm/internal/sim"
 )
 
 // oneWriterApp stores into a single page from node 0 each episode, then
@@ -146,13 +149,25 @@ func refetchApp(rounds int, both bool, check func(c *Ctx, id int)) *testApp {
 	}
 }
 
-// TestRefetchMovesOneFrame guards the fetch path's host cost. When two
-// nodes poll each other's page, the frame a reader's refetch replaces is
-// the frame its next reply ships, so the loop allocates no page at all
-// (the parent allocated and zeroed 8 KB per refetch at the home, and
-// copied it twice). When only one node polls, frames flow one way: the
-// home allocates one per refetch, and the reader's free list must stop at
-// its cap — the copies it holds — instead of keeping all 2 000.
+// poolWithinCap fails t if node id's free list holds more frames than the
+// node holds copies, and returns the copies counted.
+func poolWithinCap(t *testing.T, c *Ctx, id int) int {
+	b := baseOf(c.eng)
+	if free, _ := b.pool().Free(); free > b.copies {
+		t.Errorf("node %d: %d free frames for %d copies counted; want no more frames than copies", id, free, b.copies)
+	}
+	return b.copies
+}
+
+// TestRefetchMovesOneFrame guards the fetch path's host cost: a home copies
+// its page once per version, not once per fetch. Polling a page nobody
+// writes — two nodes polling each other's, or one polling the other's —
+// every refetch after the first is answered with the frame already
+// published, so the loop allocates no page at all. With eight readers polling one page while
+// a ninth node writes and flushes it now and then, the frames allocated are
+// bounded by the versions the home published plus one per reader, not by
+// the fetches. Every free list must end within its cap, the copies its node
+// holds.
 func TestRefetchMovesOneFrame(t *testing.T) {
 	const rounds = 2000
 	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
@@ -168,25 +183,114 @@ func TestRefetchMovesOneFrame(t *testing.T) {
 				return float64(allocatedBytes(func() { runOrFail(t, opts, refetchApp(rounds, both, check)) })) / float64(n)
 			}
 			mutual := run(true, func(*Ctx, int) {})
-			if mutual >= 1024 {
-				t.Errorf("two nodes polling each other: %.0f bytes allocated per refetch, want < 1024", mutual)
-			}
-			per := run(false, func(c *Ctx, id int) {
-				b := baseOf(c.eng)
-				free, _ := b.pool().Free()
+			oneWay := run(false, func(c *Ctx, id int) {
 				// Node 1 holds its own home page and the polled copy.
-				if want := []int{1, 2}[id]; b.copies != want || free > b.copies {
-					t.Errorf("node %d: %d free frames, %d copies counted; want %d copies and no more frames than that",
-						id, free, b.copies, want)
+				if got, want := poolWithinCap(t, c, id), []int{1, 2}[id]; got != want {
+					t.Errorf("node %d: %d copies counted, want %d", id, got, want)
 				}
 			})
-			if per < 8192 || per >= 8192+1024 {
-				t.Errorf("one node polling: %.0f bytes allocated per refetch, want one 8 KB frame and < 1 KB beside it", per)
+			if mutual >= 1024 || oneWay >= 1024 {
+				t.Errorf("%.0f bytes allocated per refetch with two nodes polling each other, %.0f with one polling; want < 1024, no 8 KB frame, in both",
+					mutual, oneWay)
+			}
+
+			const readers, polls = 8, 100
+			var addr mem.Addr
+			fanIn := func(versions int) *testApp {
+				return &testApp{
+					name:  "fan-in",
+					setup: func(s *Setup) { addr = s.Alloc(1024) },
+					init:  func(w *Init) { w.SetHome(addr, 1024, 0) },
+					worker: func(c *Ctx, id int) {
+						switch {
+						case id == readers+1:
+							c.Load(addr) // the writer's tables are not what a version costs
+							for v := 1; v < versions; v++ {
+								c.Compute(30 * sim.Millisecond)
+								c.Store(addr, float64(v))
+								baseOf(c.eng).closeIntervalOnApp()
+							}
+						case id > 0:
+							last := 0.0
+							for i := 0; i < polls; i++ {
+								if !c.FreshRead(addr) || c.Load(addr) < last {
+									panic("fan-in: a fresh read went back in time")
+								}
+								last = c.Load(addr)
+							}
+						}
+						poolWithinCap(t, c, id)
+						c.Barrier(0)
+					},
+					gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
+				}
+			}
+			opts.Machine.Nodes = readers + 2
+			const versions = 20
+			var res *Result
+			quiet := float64(allocatedBytes(func() { runOrFail(t, opts, fanIn(1)) }))
+			busy := float64(allocatedBytes(func() { res = runOrFail(t, opts, fanIn(versions)) }))
+			frames := (busy - quiet) / 8192
+			if quiet/(readers*polls) >= 1024 || frames > versions+readers {
+				t.Errorf("%d readers x %d polls: %.0f bytes per refetch of a page nobody writes, %.1f frames more when a writer makes %d versions of it; want < 1024 bytes and at most versions + readers = %d frames",
+					readers, polls, quiet/(readers*polls), frames, versions, versions+readers)
+			}
+			if res.Data[0] != versions-1 {
+				t.Errorf("fan-in page ends at %v, want %d", res.Data[0], versions-1)
 			}
 			if testing.Verbose() {
-				t.Logf("bytes allocated per refetch: %.0f polling each other, %.0f polling one way", mutual, per)
+				t.Logf("bytes allocated per refetch: %.0f polling each other, %.0f polling one way, %.0f with %d readers; %.1f frames more for %d versions",
+					mutual, oneWay, quiet/(readers*polls), readers, frames, versions)
 			}
 		})
+	}
+}
+
+// TestFrameCheckIsOffTheAccessPath: the immutability check (CheckFrames in
+// export_test.go) may cost a checksum per frame published and released when
+// it is on; off it must cost nothing, and on or off it must stay out of
+// Ctx.Load and Ctx.Store. Loads of a shared frame and stores into the copy a
+// write fault made allocate nothing; a polling run allocates the same with
+// the check on as off; and ctx.go, the whole access path, does not mention
+// frames at all — there is no branch to take.
+func TestFrameCheckIsOffTheAccessPath(t *testing.T) {
+	var addr mem.Addr
+	var shared bool
+	var loads, stores float64
+	runOrFail(t, testOpts(ProtoHLRC, 2), litmusApp(&addr, func(c *Ctx, id int) {
+		if id == 1 {
+			c.Load(addr)
+			shared = holding(c, addr).frame != nil
+			loads = testing.AllocsPerRun(100, func() { c.Load(addr + 3) })
+			c.Store(addr+3, 1)
+			stores = testing.AllocsPerRun(100, func() { c.Store(addr+3, 2) })
+		}
+	}))
+	if !shared || loads != 0 || stores != 0 {
+		t.Errorf("reading a shared frame (%v): %.0f allocations per Load, %.0f per Store after the write fault; want a shared frame, 0 and 0", shared, loads, stores)
+	}
+
+	opts := testOpts(ProtoHLRC, 2)
+	opts.PageBytes = 8192
+	poll := func() uint64 {
+		return allocatedBytes(func() { runOrFail(t, opts, refetchApp(500, true, func(*Ctx, int) {})) })
+	}
+	off := poll()
+	t.Run("on", func(t *testing.T) {
+		CheckFrames(t)
+		if on := poll(); on > off+off/50 {
+			t.Errorf("1000 refetches allocate %d bytes with the frame check on, %d with it off; want the same to 2 %%", on, off)
+		}
+	})
+
+	src, err := os.ReadFile("ctx.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, word := range []string{"Frame", "Shared", "Verify"} {
+		if bytes.Contains(src, []byte(word)) {
+			t.Errorf("ctx.go mentions %q: the access path must not know whether a page's copy is shared", word)
+		}
 	}
 }
 
@@ -346,5 +450,8 @@ func TestPageSlotSizes(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(lrcPage{}); got > 40 {
 		t.Errorf("lrcPage slot is %d bytes, want at most 40 (the notice list's header, the holder hint and one pointer)", got)
+	}
+	if got := unsafe.Sizeof(mem.Page{}); got > 72 {
+		t.Errorf("mem.Page is %d bytes, want at most 72 (state and alias flag, two slices, the store count and one frame pointer)", got)
 	}
 }

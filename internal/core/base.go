@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"gosvm/internal/mem"
@@ -156,19 +155,19 @@ func (b *base) sink() *mem.Pool {
 // holdCopy counts a page copy installed outside adopt (the seed image).
 func (b *base) holdCopy() { b.copies++ }
 
-// snapshot copies p for exactly one recipient, which adopts the copy. The
-// copy is the snapshot semantics, not overhead: simulated time passes
-// before the reply lands and this node keeps writing the page.
-func (b *base) snapshot(p *mem.Page) []float64 {
-	if free, _ := b.memPool.Free(); free == 0 {
-		return slices.Clone(p.Data) // allocates without zeroing
-	}
-	return append(b.memPool.GetPage()[:0], p.Data...)
-}
+// snapshot copies p's current bytes out of this node's pool. The copy is
+// the snapshot semantics, not overhead: simulated time passes before a reply
+// lands and this node keeps writing the page. What it becomes is one of two
+// kinds of frame: a one-off, shipped to a single recipient that adopts it as
+// its private copy (the homeless protocols, base.adopt), or the words of a
+// mem.Frame a home publishes once per version of the page and every fetch of
+// that version shares read-only (hlrcEngine.publish).
+func (b *base) snapshot(p *mem.Page) []float64 { return b.memPool.Clone(p.Data) }
 
-// adopt makes *frame, a snapshot shipped to this node alone, its copy of p and
-// recycles the stale one: the page crosses the host once, as it does the wire.
-// *frame is cleared, so a second delivery panics here instead of aliasing.
+// adopt makes *frame, a one-off snapshot shipped to this node alone, its
+// private copy of p and recycles the stale one: the page crosses the host
+// once, as it does the wire. *frame is cleared, so a second delivery panics
+// here instead of aliasing. (A shared frame is adopted by adoptShared.)
 func (b *base) adopt(p *mem.Page, frame *[]float64) {
 	if len(*frame) != b.sys.Space.PageWords {
 		panic(fmt.Sprintf("core: node %d adopting a %d-word page frame (delivered twice?)", b.self, len(*frame)))
@@ -178,6 +177,21 @@ func (b *base) adopt(p *mem.Page, frame *[]float64) {
 	}
 	b.sink().PutPage(p.Data) // nil is not a frame: nothing is put
 	p.Data, *frame = *frame, nil
+}
+
+// adoptShared makes *f, a frame this node was sent one reference to, its
+// read-only copy of p; whatever it replaces goes to the sink — the words of
+// a private copy, or the reference to a shared one, whose words follow if it
+// was the last. *f is cleared, as adopt clears its frame and for its reason.
+func (b *base) adoptShared(p *mem.Page, f **mem.Frame) {
+	if *f == nil {
+		panic(fmt.Sprintf("core: node %d adopting an empty page reply (delivered twice?)", b.self))
+	}
+	if p.Data == nil {
+		b.copies++
+	}
+	p.Adopt(*f, b.sink())
+	*f = nil
 }
 
 func (b *base) st() *stats.Node { return b.node.Stats }

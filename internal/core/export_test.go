@@ -1,6 +1,21 @@
 package core
 
-import "gosvm/internal/mem"
+import (
+	"testing"
+
+	"gosvm/internal/mem"
+)
+
+// CheckFrames switches the shared-frame immutability check (mem.CheckFrames)
+// on until t and its subtests finish: every frame is checksummed as it is
+// published and verified at its last release and at Finish, so a write
+// through a shared frame panics in the run that made it. Off — the
+// default — the check is one untaken branch per frame published or released
+// and nothing on the access path (TestFrameCheckIsOffTheAccessPath).
+func CheckFrames(t testing.TB) {
+	mem.CheckFrames = true
+	t.Cleanup(func() { mem.CheckFrames = false })
+}
 
 // FrameList is one node's page-frame state: the lengths of its pool's two
 // free lists, the page copies its table holds, and the count of them the
@@ -12,15 +27,31 @@ type FrameList struct{ Free, Backings, Resident, Counted int }
 // lane's state from the caller's.
 func (c *Ctx) FrameLists() []FrameList {
 	lists := make([]FrameList, len(c.sys.Engines))
-	for i, e := range c.sys.Engines {
-		l := &lists[i]
-		l.Free, l.Backings = baseOf(e).pool().Free()
-		l.Counted = baseOf(e).copies
-		c.sys.Tables[i].Each(func(_ int, p *mem.Page) {
-			if p.Data != nil {
-				l.Resident++
-			}
-		})
+	for i := range lists {
+		lists[i] = c.sys.frameList(i)
 	}
 	return lists
+}
+
+// OwnFrameList is the calling node's FrameList: its own lane's state, so it
+// is safe on the partitioned kernel too.
+func (c *Ctx) OwnFrameList() FrameList { return c.sys.frameList(c.id) }
+
+func (s *System) frameList(i int) (l FrameList) {
+	b := baseOf(s.Engines[i])
+	l.Free, l.Backings = b.pool().Free()
+	l.Counted = b.copies
+	s.Tables[i].Each(func(_ int, p *mem.Page) {
+		if p.Data != nil {
+			l.Resident++
+		}
+	})
+	return l
+}
+
+// HeldFrame is the shared frame the calling node's copy of a's page
+// aliases, nil if the copy is private.
+func (c *Ctx) HeldFrame(a mem.Addr) *mem.Frame {
+	f, _ := c.pt.Page(c.sys.Space.PageOf(a)).Shared()
+	return f
 }

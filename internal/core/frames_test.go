@@ -1,100 +1,596 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
+	"gosvm/internal/vc"
 )
 
-// Page-frame ownership (DESIGN §9): a snapshot made for one recipient is
-// adopted, an image that fans out is copied, and the home-side copy at
-// reply time is what keeps a reader's page from changing under it.
+// Page-frame ownership (DESIGN §9): a home copies its page once per version
+// into a frame every fetch of that version shares read-only, a fetch that
+// finds the home writing gets a one-off of its own, an image that fans out
+// to mirrors is copied, and no holder of a frame ever sees it change. The
+// litmus tests below run with mem.CheckFrames on, so a write through a
+// shared frame that no assertion happens to look at still fails the run.
 
-// TestFetchAdoptsTheHomesSnapshot: node 0 homes one page and keeps storing
-// into it; node 1 faults it in. The frame node 1 ends up holding must be
-// the very buffer node 0 drew for the reply (a marker frame planted in
-// its pool), it must hold the value of reply time — a store the home made
-// while the reply was in flight is not in it — and it must not move while
-// the home keeps writing.
-func TestFetchAdoptsTheHomesSnapshot(t *testing.T) {
-	forEachProto(t, []int{2}, func(t *testing.T, proto Protocol, p int) {
-		const words = 64 // one 512-byte page
-		var addr mem.Addr
-		marker := make([]float64, words)
-		type store struct {
-			at sim.Time
-			v  float64
-		}
-		var stores []store
-		var got struct {
-			adopted        bool
-			first, later   float64
-			receipt, final sim.Time
-		}
-		app := &testApp{
-			name:  "adopt",
-			setup: func(s *Setup) { addr = s.Alloc(words) },
-			init:  func(w *Init) { w.SetHome(addr, words, 0) },
-			worker: func(c *Ctx, id int) {
-				switch id {
-				case 0:
-					for i := 1; i <= 800; i++ {
-						c.Store(addr, float64(i))
-						stores = append(stores, store{c.Now(), float64(i)})
-						if i == 1 {
-							// After the first store: the homeless protocols
-							// have drawn their twin by now.
-							baseOf(c.eng).pool().PutPage(marker)
-						}
-						c.Compute(5 * sim.Microsecond)
-					}
-				case 1:
-					c.Compute(300 * sim.Microsecond)
-					got.first = c.Load(addr)
-					got.receipt = c.Now()
-					data := c.pt.Page(c.sys.Space.PageOf(addr)).Data
-					got.adopted = &data[0] == &marker[0]
-					c.Compute(sim.Millisecond)
-					got.later = c.Load(addr)
-					got.final = c.Now()
-				}
-				c.Barrier(0)
-			},
-			gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
-		}
-		res := runOrFail(t, testOpts(proto, p), app)
-		if !got.adopted {
-			t.Error("the reader's frame is not the buffer the home put in the reply")
-		}
-		homeAt := func(at sim.Time) (v float64) {
-			for _, s := range stores {
-				if s.at <= at {
-					v = s.v
-				}
-			}
-			return v
-		}
-		if got.first < 1 || got.first >= homeAt(got.receipt) {
-			t.Errorf("reader saw %v; the home held %v when the reply landed: want an earlier, non-zero value",
-				got.first, homeAt(got.receipt))
-		}
-		if got.later != got.first || homeAt(got.final) <= homeAt(got.receipt) {
-			t.Errorf("reader's copy went %v -> %v while the home went %v -> %v: want it still, the home moving",
-				got.first, got.later, homeAt(got.receipt), homeAt(got.final))
-		}
-		if res.Data[0] != 800 {
-			t.Errorf("final value %v, want 800", res.Data[0])
-		}
-	})
+// homeProtocols are the engines that publish frames.
+var homeProtocols = []Protocol{ProtoHLRC, ProtoOHLRC, ProtoAURC}
+
+// litmusWords is the litmus page: one 512-byte page (testOpts) homed at node
+// 0, word 3 seeded with 7.
+const litmusWords = 64
+
+// litmusApp runs worker on every node over the litmus page, then one barrier.
+func litmusApp(addr *mem.Addr, worker func(c *Ctx, id int)) *testApp {
+	return &testApp{
+		name:  "frames",
+		setup: func(s *Setup) { *addr = s.Alloc(litmusWords) },
+		init: func(w *Init) {
+			w.Store(*addr+3, 7)
+			w.SetHome(*addr, litmusWords, 0)
+		},
+		worker: func(c *Ctx, id int) {
+			worker(c, id)
+			c.Barrier(0)
+		},
+		gather: func(c *Ctx) []float64 {
+			out := make([]float64, litmusWords)
+			c.ReadRange(*addr, out)
+			return out
+		},
+	}
 }
 
-// TestAdoptClearsTheReply: adopt takes the frame out of the reply, so the
-// reply cannot install it a second time.
+// held is what a node holds of a page at one instant.
+type held struct {
+	words *float64   // &Data[0]
+	frame *mem.Frame // the shared frame aliased, if any
+	twin  bool       // ... by the twin, not the data
+	w3    float64    // Data[3]
+}
+
+func holding(c *Ctx, addr mem.Addr) held {
+	p := c.pt.Page(c.sys.Space.PageOf(addr))
+	f, twin := p.Shared()
+	return held{&p.Data[0], f, twin, p.Data[3]}
+}
+
+// published is the frame node 0 currently publishes for the page.
+func published(c *Ctx, addr mem.Addr) *mem.Frame {
+	return c.sys.Engines[0].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)).pub
+}
+
+// TestFetchAdoptsTheHomesSnapshot: node 0 homes one page and keeps storing
+// into it; the other nodes (one at p2, two at p3) fault it in a millisecond
+// apart. The home has the page open, so there is no version to share: each
+// reader must end up holding a one-off of its own — the very buffer node 0
+// drew for its reply (marker frames planted in its pool) — with the value of
+// reply time in it: a store the home made while a reply was in flight is in
+// no reader's copy, and no copy moves while the home keeps writing.
+func TestFetchAdoptsTheHomesSnapshot(t *testing.T) {
+	CheckFrames(t)
+	forEachProto(t, []int{2, 3}, fetchAdoptsTheHomesSnapshot)
+	t.Run("aurc/p3", func(t *testing.T) { fetchAdoptsTheHomesSnapshot(t, ProtoAURC, 3) })
+}
+
+func fetchAdoptsTheHomesSnapshot(t *testing.T, proto Protocol, nodes int) {
+	const words = 64 // one 512-byte page
+	var addr mem.Addr
+	markers := make([][]float64, nodes-1)
+	for i := range markers {
+		markers[i] = make([]float64, words)
+	}
+	type store struct {
+		at sim.Time
+		v  float64
+	}
+	var stores []store
+	got := make([]struct {
+		adopted        int  // index of the marker adopted, -1 if none
+		wrapped        bool // in a mem.Frame, as the home-based protocols ship one
+		first, later   float64
+		receipt, final sim.Time
+	}, nodes-1)
+	var pubWhileOpen *mem.Frame
+	app := &testApp{
+		name:  "adopt",
+		setup: func(s *Setup) { addr = s.Alloc(words) },
+		init:  func(w *Init) { w.SetHome(addr, words, 0) },
+		worker: func(c *Ctx, id int) {
+			if id == 0 {
+				for i := 1; i <= 800; i++ {
+					c.Store(addr, float64(i))
+					stores = append(stores, store{c.Now(), float64(i)})
+					if i == 1 {
+						// After the first store: the homeless protocols
+						// have drawn their twin by now.
+						for _, m := range markers {
+							baseOf(c.eng).pool().PutPage(m)
+						}
+					}
+					c.Compute(5 * sim.Microsecond)
+				}
+				if e, ok := c.eng.(*hlrcEngine); ok {
+					pubWhileOpen = e.useOf(c.sys.Space.PageOf(addr)).pub
+				}
+			} else {
+				g := &got[id-1]
+				c.Compute(sim.Time(id)*sim.Millisecond - 700*sim.Microsecond)
+				g.first = c.Load(addr)
+				g.receipt = c.Now()
+				p := c.pt.Page(c.sys.Space.PageOf(addr))
+				g.adopted = -1
+				for i, m := range markers {
+					if &p.Data[0] == &m[0] {
+						g.adopted = i
+					}
+				}
+				f, _ := p.Shared()
+				g.wrapped = f != nil
+				c.Compute(sim.Millisecond)
+				g.later = c.Load(addr)
+				g.final = c.Now()
+			}
+			c.Barrier(0)
+		},
+		gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
+	}
+	res := runOrFail(t, testOpts(proto, nodes), app)
+	homeAt := func(at sim.Time) (v float64) {
+		for _, s := range stores {
+			if s.at <= at {
+				v = s.v
+			}
+		}
+		return v
+	}
+	for i, g := range got {
+		if homeBased := proto.HomeBased() || proto == ProtoAURC; g.adopted < 0 || g.wrapped != homeBased {
+			t.Errorf("reader %d holds marker %d, in a mem.Frame: %v; want a buffer the home put in a reply, framed only by a home-based protocol",
+				i+1, g.adopted, g.wrapped)
+		}
+		if g.first < 1 || g.first >= homeAt(g.receipt) {
+			t.Errorf("reader %d saw %v; the home held %v when the reply landed: want an earlier, non-zero value",
+				i+1, g.first, homeAt(g.receipt))
+		}
+		if g.later != g.first || homeAt(g.final) <= homeAt(g.receipt) {
+			t.Errorf("reader %d's copy went %v -> %v while the home went %v -> %v: want it still, the home moving",
+				i+1, g.first, g.later, homeAt(g.receipt), homeAt(g.final))
+		}
+	}
+	if nodes == 3 && got[0].adopted == got[1].adopted {
+		t.Errorf("both readers hold marker %d: a home with the page open must give each fetch its own copy", got[0].adopted)
+	}
+	if pubWhileOpen != nil {
+		t.Error("the home published a frame while it had the page open")
+	}
+	if res.Data[0] != 800 {
+		t.Errorf("final value %v, want 800", res.Data[0])
+	}
+}
+
+// TestFetchesOfOneVersionShareOneFrame: nodes 1 and 2 read the page while
+// nothing changes it at the home; node 3 then writes a word and flushes;
+// node 4 reads after the home applied that diff. The first three fetches
+// (the writer's too) must hold the same backing array — the frame the home
+// publishes — and node 4 a different one with the diff in it, while the
+// readers of the old version keep theirs unchanged.
+func TestFetchesOfOneVersionShareOneFrame(t *testing.T) {
+	CheckFrames(t)
+	for _, proto := range homeProtocols {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			var addr mem.Addr
+			var early, late [5]held
+			var pubEarly, pubLate *mem.Frame
+			app := litmusApp(&addr, func(c *Ctx, id int) {
+				switch id {
+				case 0:
+					c.Compute(500 * sim.Microsecond)
+					pubEarly = published(c, addr)
+					c.Compute(3 * sim.Millisecond)
+					pubLate = published(c, addr)
+				case 1, 2:
+					c.Compute(100 * sim.Microsecond)
+					c.Load(addr)
+					early[id] = holding(c, addr)
+					c.Compute(4 * sim.Millisecond)
+					late[id] = holding(c, addr)
+				case 3:
+					c.Compute(sim.Millisecond)
+					c.Load(addr)
+					early[id] = holding(c, addr)
+					c.Store(addr+3, 99)
+					baseOf(c.eng).closeIntervalOnApp()
+				case 4:
+					c.Compute(3 * sim.Millisecond)
+					c.Load(addr)
+					late[id] = holding(c, addr)
+				}
+			})
+			res := runOrFail(t, testOpts(proto, 5), app)
+			if pubEarly == nil || pubLate == nil || pubEarly == pubLate {
+				t.Fatalf("the home published %p, then %p after the diff: want two frames", pubEarly, pubLate)
+			}
+			for _, id := range []int{1, 2, 3} {
+				if h := early[id]; h.frame != pubEarly || h.twin || h.words != &pubEarly.Words[0] || h.w3 != 7 {
+					t.Errorf("node %d holds %+v; want the frame the home published for the first version (%p), word 3 = 7", id, h, pubEarly)
+				}
+			}
+			for _, id := range []int{1, 2} {
+				if late[id] != early[id] {
+					t.Errorf("node %d's copy went %+v -> %+v with no fetch in between", id, early[id], late[id])
+				}
+			}
+			if h := late[4]; h.frame != pubLate || h.words == early[1].words || h.w3 != 99 {
+				t.Errorf("node 4, fetching after the diff, holds %+v; want the second version's frame (%p), word 3 = 99", h, pubLate)
+			}
+			if res.Data[3] != 99 {
+				t.Errorf("final word 3 = %v, want 99", res.Data[3])
+			}
+		})
+	}
+}
+
+// TestHomeStoreRetiresThePublishedFrame: nodes 1 and 2 share the published
+// frame; the home then write-faults on the page and stores. From the fault
+// on it publishes nothing — node 3's fetch finds the page open and gets a
+// one-off with the store in it — and when its interval closes, node 4's
+// fetch publishes the next version. Nodes 1 and 2 keep the first.
+func TestHomeStoreRetiresThePublishedFrame(t *testing.T) {
+	CheckFrames(t)
+	for _, proto := range homeProtocols {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			var addr mem.Addr
+			var got [5]held
+			var pubBefore, pubOpen, pubFetched, pubClosed *mem.Frame
+			app := litmusApp(&addr, func(c *Ctx, id int) {
+				switch id {
+				case 0:
+					c.Compute(4 * sim.Millisecond)
+					pubBefore = published(c, addr)
+					c.Store(addr+3, 99)
+					pubOpen = published(c, addr)
+					c.Compute(6 * sim.Millisecond)
+					pubFetched = published(c, addr) // node 3 has fetched meanwhile
+					baseOf(c.eng).closeIntervalOnApp()
+					c.Compute(6 * sim.Millisecond)
+					pubClosed = published(c, addr)
+				case 1, 2:
+					c.Load(addr)
+					c.Compute(20 * sim.Millisecond)
+					got[id] = holding(c, addr)
+				case 3:
+					c.Compute(8 * sim.Millisecond)
+					c.Load(addr)
+					got[id] = holding(c, addr)
+				case 4:
+					c.Compute(15 * sim.Millisecond)
+					c.Load(addr)
+					got[id] = holding(c, addr)
+				}
+			})
+			runOrFail(t, testOpts(proto, 5), app)
+			if pubBefore == nil || pubOpen != nil || pubFetched != nil || pubClosed == nil || pubClosed == pubBefore {
+				t.Errorf("the home published %p before its store, %p and %p with the page open, %p after the close; want a frame, none, none, another frame", pubBefore, pubOpen, pubFetched, pubClosed)
+			}
+			for _, id := range []int{1, 2} {
+				if h := got[id]; h.frame != pubBefore || h.w3 != 7 {
+					t.Errorf("node %d holds %+v after the home's store; want the first version's frame %p, word 3 = 7", id, h, pubBefore)
+				}
+			}
+			if h := got[3]; h.frame == nil || h.frame == pubBefore || h.frame == pubClosed || h.w3 != 99 {
+				t.Errorf("node 3, fetching with the home's page open, holds %+v; want a one-off with word 3 = 99", h)
+			}
+			if h := got[4]; h.frame != pubClosed || h.w3 != 99 {
+				t.Errorf("node 4, fetching after the close, holds %+v; want the second version's frame %p, word 3 = 99", h, pubClosed)
+			}
+		})
+	}
+}
+
+// TestDiffInFlightReachesNoReader: node 1 holds the published frame, node
+// 2's fetch of it is answered, and node 3's diff is applied at the home
+// while that reply is in flight — on a network with a 10 ms latency, so the
+// flight is longer than servicing a diff takes. The reply carries the old
+// version: both readers must see 7, the frame they share must not have
+// moved, and the home must have retired it.
+func TestDiffInFlightReachesNoReader(t *testing.T) {
+	CheckFrames(t)
+	for _, proto := range homeProtocols {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			const latency = 10 * sim.Millisecond
+			var addr mem.Addr
+			var served, applied, landed sim.Time
+			var early, inFlight held
+			var pubAfter *mem.Frame
+			app := litmusApp(&addr, func(c *Ctx, id int) {
+				switch id {
+				case 0:
+					e := c.eng.(*hlrcEngine)
+					h := func(m paragon.Msg) (sim.Time, func()) {
+						cost, effect := e.handle(m)
+						return cost, func() {
+							effect()
+							switch now := e.sys.K.Now(); {
+							case m.Kind == kFetchPage && m.From == 2:
+								served = now
+							case m.Kind == kDiffFlush:
+								applied = now
+							}
+						}
+					}
+					e.node.InstallCompute(h)
+					e.node.InstallCoproc(h)
+					c.Compute(6 * latency)
+					pubAfter = published(c, addr)
+				case 1:
+					c.Load(addr)
+					c.Compute(6 * latency)
+					early = holding(c, addr)
+				case 2:
+					c.Compute(3 * latency)
+					c.Load(addr) // asks at 3, is answered at 4, holds the page at 5
+					landed = c.Now()
+					inFlight = holding(c, addr)
+				case 3:
+					c.Load(addr)
+					c.Compute(7*latency/2 - c.Now())
+					c.Store(addr+3, 99)
+					baseOf(c.eng).closeIntervalOnApp() // applied at 4.5
+				}
+			})
+			opts := testOpts(proto, 4)
+			opts.Machine.Costs = paragon.DefaultCosts()
+			opts.Machine.Costs.MsgLatency = latency
+			runOrFail(t, opts, app)
+			if !(served < applied && applied < landed) {
+				t.Fatalf("the reply left at %v and landed at %v, the diff was applied at %v: not in flight", served, landed, applied)
+			}
+			f := early.frame
+			if f == nil || inFlight.frame != f || early.w3 != 7 || inFlight.w3 != 7 || f.Words[3] != 7 {
+				t.Errorf("after a diff applied in flight node 1 holds %+v and node 2 %+v; want one frame, word 3 = 7 in it", early, inFlight)
+			}
+			if pubAfter != nil {
+				t.Errorf("the home still publishes %p after applying a diff and serving no fetch since", pubAfter)
+			}
+		})
+	}
+}
+
+// TestWriteFaultLeavesTheSharedFrame: nodes 1 and 2 share the published
+// frame; node 1 write-faults and stores two words. The shared frame becomes
+// node 1's twin and its data a private copy, so node 2, the frame the home
+// publishes and node 3, fetching afterwards, still read the old words — and
+// the diff node 1 flushes is exactly its two stores, after which it holds no
+// reference.
+func TestWriteFaultLeavesTheSharedFrame(t *testing.T) {
+	CheckFrames(t)
+	for _, proto := range homeProtocols {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			var addr mem.Addr
+			var before, writing, flushed, other, later held
+			var pubWriting *mem.Frame
+			var diffs []mem.Diff
+			app := litmusApp(&addr, func(c *Ctx, id int) {
+				switch id {
+				case 0:
+					tap(c.eng.(*hlrcEngine), func(m paragon.Msg) {
+						if df, ok := m.Body.(*diffFlush); ok {
+							diffs = append(diffs, df.Diff)
+						}
+					})
+				case 1:
+					c.Load(addr)
+					before = holding(c, addr)
+					c.Compute(sim.Millisecond)
+					c.Store(addr+3, 99)
+					c.Store(addr+9, 5)
+					writing = holding(c, addr)
+					pubWriting = published(c, addr)
+					c.Compute(2 * sim.Millisecond)
+					baseOf(c.eng).closeIntervalOnApp()
+					c.Compute(sim.Millisecond) // OHLRC: the co-processor diffs
+					flushed = holding(c, addr)
+				case 2:
+					c.Load(addr)
+					c.Compute(2 * sim.Millisecond)
+					other = holding(c, addr)
+				case 3:
+					c.Compute(2 * sim.Millisecond)
+					c.Load(addr)
+					later = holding(c, addr)
+				}
+			})
+			res := runOrFail(t, testOpts(proto, 4), app)
+			f := before.frame
+			if f == nil || writing.frame != f || !writing.twin || writing.words == before.words || writing.w3 != 99 {
+				t.Errorf("the writer went %+v -> %+v; want the shared frame to become its twin and its data a private copy", before, writing)
+			}
+			if pubWriting != f || f.Words[3] != 7 || f.Words[9] != 0 {
+				t.Errorf("the home publishes %p (%v, %v) while node 1 writes; want %p still, words 7 and 0", pubWriting, f.Words[3], f.Words[9], f)
+			}
+			for name, h := range map[string]held{"node 2": other, "node 3, fetching later,": later} {
+				if h.frame != f || h.twin || h.w3 != 7 {
+					t.Errorf("%s holds %+v; want the shared frame %p, word 3 = 7", name, h, f)
+				}
+			}
+			if flushed.frame != nil || flushed.words != writing.words {
+				t.Errorf("after its flush the writer holds %+v; want its private data and no reference", flushed)
+			}
+			if len(diffs) != 1 || diffs[0].Words() != 2 {
+				t.Fatalf("the home received %d diffs, the first of %v; want one diff of the writer's two words", len(diffs), diffs)
+			}
+			image := make([]float64, litmusWords)
+			diffs[0].Apply(image)
+			if image[3] != 99 || image[9] != 5 || res.Data[3] != 99 || res.Data[9] != 5 {
+				t.Errorf("the diff carries %v and %v, the run ends with %v and %v; want 99 and 5", image[3], image[9], res.Data[3], res.Data[9])
+			}
+		})
+	}
+}
+
+// TestPromotedReplicaOwnsItsCopy: node 2 mirrors node 1's page and also
+// read it, so its copy — in the twin case, after a write fault, its twin —
+// is the frame node 3 shares. Node 0 flushes a diff (the mirror moves past
+// the frame), node 1 dies, and node 2 is promoted: adoptPage rebases its
+// copy, and its twin, onto the mirror image. That must land in private
+// buffers: node 3's words stay as fetched. And when node 1 comes back,
+// homing nothing, the frame it published before the crash is retired with
+// the rest of its home state.
+func TestPromotedReplicaOwnsItsCopy(t *testing.T) {
+	CheckFrames(t)
+	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+		for _, twinned := range []bool{false, true} {
+			proto, twinned := proto, twinned
+			t.Run(fmt.Sprintf("%s/twin=%v", proto, twinned), func(t *testing.T) {
+				var addr mem.Addr
+				var shared, promoted, other held
+				var homeAfter int
+				var pubAtCrash, pubAfterRejoin *mem.Frame
+				oldHomePub := func(c *Ctx) *mem.Frame {
+					return c.sys.Engines[1].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)).pub
+				}
+				app := &testApp{
+					name:  "promote",
+					setup: func(s *Setup) { addr = s.Alloc(litmusWords) },
+					init: func(w *Init) {
+						w.Store(addr+3, 7)
+						w.SetHome(addr, litmusWords, 1)
+					},
+					worker: func(c *Ctx, id int) {
+						switch id {
+						case 0:
+							c.Store(addr+3, 99)
+							baseOf(c.eng).closeIntervalOnApp()
+						case 2:
+							c.Load(addr)
+							shared = holding(c, addr)
+							if twinned {
+								c.Store(addr+9, 5)
+							}
+							c.Compute(16 * sim.Millisecond)
+							promoted = holding(c, addr)
+							homeAfter = c.sys.homes[c.sys.Space.PageOf(addr)]
+						case 3:
+							c.Load(addr)
+							c.Compute(16 * sim.Millisecond)
+							other = holding(c, addr)
+						case 4:
+							c.Compute(5500 * sim.Microsecond)
+							c.Load(addr) // node 1 publishes the version with node 0's diff in
+							pubAtCrash = oldHomePub(c)
+							c.Compute(8500*sim.Microsecond - c.Now())
+							c.FreshRead(addr) // finds node 1 dead
+						}
+						c.Barrier(0)
+						if id == 4 {
+							c.Compute(31*sim.Millisecond - c.Now()) // node 1 is back at 30
+							pubAfterRejoin = oldHomePub(c)
+						}
+					},
+					gather: func(c *Ctx) []float64 { return []float64{c.Load(addr + 3), c.Load(addr + 9)} },
+				}
+				opts := testOpts(proto, 5)
+				opts.Fault = crashPlan(8*sim.Millisecond, 30*sim.Millisecond)
+				opts.Recovery = Recovery{Replicas: 1}
+				res := runOrFail(t, opts, app)
+				if homeAfter != 2 || shared.frame == nil {
+					t.Fatalf("page homed at node %d after the crash, node 2 first held %+v; want a promotion of a node that shared a frame", homeAfter, shared)
+				}
+				if promoted.frame != nil || promoted.words == shared.words || promoted.w3 != 99 {
+					t.Errorf("the promoted home holds %+v (it fetched %+v); want private data and twin with the mirrored diff in", promoted, shared)
+				}
+				if other.frame != shared.frame || other.w3 != 7 || shared.frame.Words[9] != 0 {
+					t.Errorf("node 3 holds %+v, word 9 = %v, after node 2's promotion; want the frame as fetched: 7 and 0", other, shared.frame.Words[9])
+				}
+				if pubAtCrash == nil || pubAfterRejoin != nil {
+					t.Errorf("node 1 published %p when it crashed and %p after it rejoined; want a frame, then none: it homes nothing", pubAtCrash, pubAfterRejoin)
+				}
+				want := []float64{99, 0}
+				if twinned {
+					want[1] = 5
+				}
+				if res.Data[0] != want[0] || res.Data[1] != want[1] {
+					t.Errorf("the run ends with %v, want %v", res.Data, want)
+				}
+			})
+		}
+	}
+}
+
+// TestRecoveryWritersRetireThePublishedFrame drives the two writers of a
+// home's state that no application access reaches on its own: a reseed image
+// that arrives late (installLateImage replaces the bytes and raises the
+// flush vector) and the home's own mirrored diff (homeSelfFlush raises the
+// vector alone; under OHLRC it runs on the co-processor after the page is
+// read-only again). After either, the reader that fetched before keeps its
+// frame untouched and the next fetch carries the new version.
+func TestRecoveryWritersRetireThePublishedFrame(t *testing.T) {
+	CheckFrames(t)
+	writers := map[string]func(e *hlrcEngine, pg int){
+		"late-image": func(e *hlrcEngine, pg int) {
+			image := make([]float64, litmusWords)
+			image[3] = 42
+			newer := e.flushOf(pg).Copy()
+			newer.RaiseTo(2, 1)
+			e.installLateImage(&mirrorMsg{Page: pg, Data: image, VC: newer})
+		},
+		"self-flush": func(e *hlrcEngine, pg int) {
+			e.homeSelfFlush(&diffFlush{Page: pg, Writer: 2, Interval: 1, Dep: vc.NewSparse(3)})
+		},
+	}
+	for name, write := range writers {
+		for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+			proto, write, wantW3 := proto, write, map[string]float64{"late-image": 42, "self-flush": 7}[name]
+			t.Run(name+"/"+string(proto), func(t *testing.T) {
+				var addr mem.Addr
+				var before, after held
+				var frameW3 float64
+				var seenBefore, seenAfter int32
+				app := litmusApp(&addr, func(c *Ctx, id int) {
+					pg := c.sys.Space.PageOf(addr)
+					switch id {
+					case 0:
+						c.Compute(2 * sim.Millisecond)
+						write(c.eng.(*hlrcEngine), pg)
+					case 1:
+						seen := func() int32 { return c.eng.(*hlrcEngine).pages.at(pg).seenOrNil().Get(2) }
+						c.Load(addr)
+						c.Compute(4 * sim.Millisecond)
+						before, frameW3, seenBefore = holding(c, addr), holding(c, addr).frame.Words[3], seen()
+						c.FreshRead(addr)
+						after, seenAfter = holding(c, addr), seen()
+					}
+				})
+				opts := testOpts(proto, 3)
+				opts.Recovery = Recovery{Replicas: 1}
+				runOrFail(t, opts, app)
+				if before.frame == nil || before.w3 != 7 || frameW3 != 7 || seenBefore != 0 {
+					t.Errorf("the reader holds %+v (frame word 3 = %v, writer 2 seen to %d) after the home's state moved; want what it fetched: 7, 7, 0",
+						before, frameW3, seenBefore)
+				}
+				if after.frame == before.frame || after.w3 != wantW3 || seenAfter != 1 {
+					t.Errorf("the reader's refetch got %+v, writer 2 seen to %d; want a new frame, word 3 = %v, and the raised flush vector (1)",
+						after, seenAfter, wantW3)
+				}
+			})
+		}
+	}
+}
+
+// TestAdoptClearsTheReply: adoptShared takes the frame out of the reply, so
+// the reply cannot install it — and spend its one reference — a second time.
 func TestAdoptClearsTheReply(t *testing.T) {
 	var addr mem.Addr
-	var first, second []float64
+	var first, second *mem.Frame
 	var again any
 	app := &testApp{
 		name:  "adopt-twice",
@@ -108,16 +604,16 @@ func TestAdoptClearsTheReply(t *testing.T) {
 					Body: &fetchPageReq{Page: pg},
 				})
 				pr := resp.Body.(*fetchPageResp)
-				first = pr.Data
+				first = pr.Frame
 				p := c.pt.Page(pg)
-				b.adopt(p, &pr.Data)
-				second = pr.Data
-				if &p.Data[0] != &first[0] {
-					t.Error("adopt installed some other buffer")
+				b.adoptShared(p, &pr.Frame)
+				second = pr.Frame
+				if f, twin := p.Shared(); f != first || twin || &p.Data[0] != &first.Words[0] {
+					t.Error("adoptShared installed some other buffer")
 				}
 				func() {
 					defer func() { again = recover() }()
-					b.adopt(p, &pr.Data)
+					b.adoptShared(p, &pr.Frame)
 				}()
 				p.State = mem.ReadOnly
 			}
@@ -127,7 +623,7 @@ func TestAdoptClearsTheReply(t *testing.T) {
 	}
 	runOrFail(t, testOpts(ProtoHLRC, 2), app)
 	if first == nil || second != nil {
-		t.Errorf("reply carried %d words and still holds %d after adopt; want a page, then nil", len(first), len(second))
+		t.Errorf("reply carried frame %p and still holds %p after adoptShared; want a frame, then nil", first, second)
 	}
 	if again == nil {
 		t.Error("adopting the same reply twice did not panic")

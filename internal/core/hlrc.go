@@ -64,6 +64,11 @@ type hlrcUse struct {
 	pendingDiff  []*diffFlush  // diffs awaiting causal predecessors
 	pendingFetch []paragon.Msg // fetches awaiting flush coverage
 	waiters      []*sim.Proc   // local accesses waiting for coverage
+	// pub is the published snapshot of the current version of the page —
+	// its bytes and, in pubVC, its flush vector — which every fetch shares
+	// until homeWrite retires it; nil until the version's first fetch.
+	pub   *mem.Frame
+	pubVC *vc.Sparse
 
 	// Overlapped: a diff for this page is being computed on the coproc;
 	// the twin is in use and the next write must wait.
@@ -76,8 +81,10 @@ type fetchPageReq struct {
 	Need *vc.Sparse
 }
 
+// fetchPageResp carries one reference to Frame, and FlushVC to read: both
+// may be shared with every other fetch of the same version of the page.
 type fetchPageResp struct {
-	Data    []float64
+	Frame   *mem.Frame
 	FlushVC *vc.Sparse
 }
 
@@ -191,7 +198,7 @@ func (e *hlrcEngine) ReadFault(page int) {
 	e.st().Add(stats.CatData, e.app().Now()-t0)
 	pr := resp.Body.(*fetchPageResp)
 	p := e.pt.Page(page)
-	e.adopt(p, &pr.Data)
+	e.adoptShared(p, &pr.Frame)
 	p.State = mem.ReadOnly
 	e.seenOf(m).MaxWith(pr.FlushVC)
 	e.st().Counts.PagesFetched++
@@ -256,6 +263,12 @@ func (e *hlrcEngine) WriteFault(page int) {
 		e.use(e.costs().TwinCost(e.sys.Space.PageBytes()), stats.CatProtocol)
 		p.MakeTwin(e.pool())
 		e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
+	}
+	if e.home(page) == e.self {
+		// From here this node's stores change the home's bytes with no
+		// fault to announce them. Nothing may block between this and the
+		// state change: a fetch served in the gap would publish again.
+		e.homeWrite(page)
 	}
 	p.Stores = 0
 	p.State = mem.ReadWrite
@@ -329,8 +342,8 @@ func (e *hlrcEngine) closeCommit() {
 				})
 				continue
 			}
-			f := e.flushOf(pg)
-			f.Set(e.self, rec.Interval)
+			e.homeWrite(pg)
+			e.flushOf(pg).Set(e.self, rec.Interval)
 			e.homeDrain(pg)
 			continue
 		}
@@ -534,7 +547,7 @@ func (e *hlrcEngine) homeReceiveDiff(df *diffFlush) {
 }
 
 func (e *hlrcEngine) homeApply(df *diffFlush) {
-	p := e.pt.Page(df.Page)
+	p := e.homeWrite(df.Page)
 	df.Diff.Apply(p.Data)
 	f := e.flushOf(df.Page)
 	f.RaiseTo(df.Writer, df.Interval)
@@ -605,17 +618,54 @@ func (e *hlrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 }
 
 func (e *hlrcEngine) respondFetch(req paragon.Msg, fr *fetchPageReq) {
-	f := e.flushOf(fr.Page)
+	frame, f := e.publish(fr.Page)
 	e.node.Respond(req, paragon.Msg{
 		Kind:  kFetchPage,
 		Size:  e.sys.Space.PageBytes() + f.WireSize(),
 		Class: stats.ClassData,
-		Body:  &fetchPageResp{Data: e.snapshot(e.pt.Page(fr.Page)), FlushVC: f.Copy()},
+		Body:  &fetchPageResp{Frame: frame, FlushVC: f},
 	})
 }
 
+// publish returns what a fetch of page answered now carries: a reference to
+// a snapshot of the page and the flush vector that goes with it. The home
+// copies once per version, not once per fetch: the first fetch of a version
+// makes the snapshot and every later one shares it, until homeWrite retires
+// it. The vector rides along because the reply's wire size and the
+// requester's next Need both come from it. While this node has the page
+// open its stores change the bytes with no fault to announce them, so there
+// is no version to share and each fetch gets a one-off of its own.
+func (e *hlrcEngine) publish(page int) (*mem.Frame, *vc.Sparse) {
+	p := e.pt.Page(page)
+	if p.State == mem.ReadWrite {
+		return mem.NewFrame(e.snapshot(p)), e.flushOf(page).Copy()
+	}
+	u := e.useOf(page)
+	if u.pub == nil {
+		u.pub, u.pubVC = mem.NewFrame(e.snapshot(p)), e.flushOf(page).Copy()
+	}
+	return u.pub.Share(), u.pubVC
+}
+
+// homeWrite must come before every write to the bytes or the flush vector
+// of a page this node homes: it retires the published snapshot, so the next
+// fetch publishes the new version (the holders keep the old one; the home's
+// was one reference among theirs), and it makes this node's own copy and
+// twin private first, in case they alias a frame it adopted as a reader
+// before a promotion made it the home.
+func (e *hlrcEngine) homeWrite(page int) *mem.Page {
+	p := e.pt.Page(page)
+	p.Own(e.pool())
+	if u := e.useOf(page); u.pub != nil {
+		u.pub.Release(e.sink())
+		u.pub, u.pubVC = nil, nil
+	}
+	return p
+}
+
 // Finish waits out any co-processor diffs still in flight and asserts the
-// engine wound down cleanly.
+// engine wound down cleanly — under mem.CheckFrames also that no frame it
+// publishes or holds was written.
 func (e *hlrcEngine) Finish() {
 	if len(e.dirty) > 0 {
 		panic(fmt.Sprintf("core: node %d finished with %d dirty pages (missing final barrier?)", e.self, len(e.dirty)))
@@ -625,7 +675,17 @@ func (e *hlrcEngine) Finish() {
 			m.use.twinWaiter = append(m.use.twinWaiter, e.app())
 			e.app().ParkArg("finish: diff in flight page", int64(pg))
 		}
+		if mem.CheckFrames && m.use != nil && m.use.pub != nil {
+			m.use.pub.Verify()
+		}
 	})
+	if mem.CheckFrames {
+		e.pt.Each(func(_ int, p *mem.Page) {
+			if f, _ := p.Shared(); f != nil {
+				f.Verify()
+			}
+		})
+	}
 	for l, ls := range e.locks {
 		if ls.held {
 			panic(fmt.Sprintf("core: node %d finished holding lock %d", e.self, l))

@@ -8,6 +8,7 @@ import (
 	"gosvm/internal/apps"
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
+	"gosvm/internal/mem"
 	"gosvm/internal/serve"
 	"gosvm/internal/sim"
 )
@@ -63,6 +64,7 @@ func crashProfile(profile string) bool {
 // and result images. Fault profiles exercise the sequential-fallback
 // path, where identity across worker counts must hold trivially.
 func TestDeterminismMatrix(t *testing.T) {
+	core.CheckFrames(t)
 	profiles := []string{"none", "lossy", "hostile", "crash", "crash-mgr"}
 	mkApps := map[string]func() core.App{
 		"sor": func() core.App { return &apps.SOR{H: 48, W: 16, Iters: 2} },
@@ -102,6 +104,7 @@ func TestDeterminismMatrix(t *testing.T) {
 // same byte-identity bar across protocols, fault profiles, and worker
 // counts, on the serve stats report.
 func TestDeterminismMatrixServe(t *testing.T) {
+	core.CheckFrames(t)
 	profiles := []string{"none", "lossy", "hostile", "crash", "crash-mgr"}
 	for _, proto := range core.Protocols {
 		for _, profile := range profiles {
@@ -145,6 +148,7 @@ func TestDeterminismMatrixServe(t *testing.T) {
 // application behavior, so their stats must stay byte-identical across
 // run-worker counts under every protocol and fault profile.
 func TestDeterminismMatrixFastpath(t *testing.T) {
+	core.CheckFrames(t)
 	const mode = serve.ModeSeqlock
 	profiles := []string{"none", "lossy", "crash", "crash-mgr"}
 	for _, proto := range core.Protocols {
@@ -184,5 +188,82 @@ func TestDeterminismMatrixFastpath(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// crossLaneApp has node 0 home one page, the last node write it once a round
+// and every node between read it after the round's barrier: all readers
+// fetch the same version, on lanes of their own.
+type crossLaneApp struct {
+	rounds int
+	addr   mem.Addr
+	// held[r][id] is the frame reader id held in round r; lists[id] its
+	// frame list before the closing barrier. Each slot has one writer.
+	held  [][]*mem.Frame
+	lists []core.FrameList
+}
+
+func (a *crossLaneApp) Name() string        { return "cross-lane" }
+func (a *crossLaneApp) Setup(s *core.Setup) { a.addr = s.Alloc(s.Space.PageWords) }
+func (a *crossLaneApp) Init(w *core.Init)   { w.SetHome(a.addr, 1, 0) }
+func (a *crossLaneApp) Worker(c *core.Ctx, id int) {
+	for r := 1; r <= a.rounds; r++ {
+		if id == c.Nodes()-1 {
+			c.Store(a.addr, float64(r))
+		}
+		c.Barrier(2 * r)
+		if id > 0 && id < c.Nodes()-1 {
+			if got := c.Load(a.addr); got != float64(r) {
+				panic(fmt.Sprintf("cross-lane: node %d read %v in round %d", id, got, r))
+			}
+			a.held[r][id] = c.HeldFrame(a.addr)
+		}
+		c.Barrier(2*r + 1) // the next store must not race with these reads
+	}
+	a.lists[id] = c.OwnFrameList()
+	c.Barrier(0)
+}
+func (a *crossLaneApp) Gather(c *core.Ctx) []float64 { return []float64{c.Load(a.addr)} }
+
+// TestSharedFrameCrossesLanes runs the partitioned kernel with the frame
+// check on (under -race in CI, at GOMAXPROCS 1, 2 and NumCPU): each round
+// four readers on four lanes hold the one frame the home's lane published,
+// and since the home drops its reference when the next diff arrives, the
+// last release of every frame — checksum, then recycling — happens on a
+// reader's lane: some reader must end with the words on its free list.
+func TestSharedFrameCrossesLanes(t *testing.T) {
+	core.CheckFrames(t)
+	const nodes, rounds = 6, 12
+	for _, proto := range []core.Protocol{core.ProtoHLRC, core.ProtoOHLRC, core.ProtoAURC} {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			app := &crossLaneApp{rounds: rounds, lists: make([]core.FrameList, nodes)}
+			for r := 0; r <= rounds; r++ {
+				app.held = append(app.held, make([]*mem.Frame, nodes))
+			}
+			opts := core.Options{Protocol: proto, Machine: core.Machine{Nodes: nodes}, PageBytes: 512, RunWorkers: 2}
+			res, err := core.Run(opts, app, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Data[0] != rounds {
+				t.Errorf("page ends at %v, want %d", res.Data[0], rounds)
+			}
+			for r := 1; r <= rounds; r++ {
+				for id := 1; id < nodes-1; id++ {
+					if f := app.held[r][id]; f == nil || f != app.held[r][1] || f == app.held[r-1][1] {
+						t.Fatalf("round %d: readers hold %v (round before: %v); want one frame for all four, new each round",
+							r, app.held[r][1:nodes-1], app.held[r-1][1:nodes-1])
+					}
+				}
+			}
+			recycled := 0
+			for _, l := range app.lists[1 : nodes-1] {
+				recycled += l.Free
+			}
+			if recycled == 0 || app.lists[0].Free != 0 {
+				t.Errorf("frame lists %+v: want the released frames on the readers' lists, none on the home's", app.lists)
+			}
+		})
 	}
 }

@@ -163,6 +163,7 @@ func checkRandProgram(t *testing.T, label string, rp *randProgram, data []float6
 }
 
 func TestRandomProgramsAllProtocols(t *testing.T) {
+	CheckFrames(t)
 	protocols := append([]Protocol{}, Protocols...)
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
@@ -201,6 +202,7 @@ func TestRandomProgramsAllProtocols(t *testing.T) {
 // fault profiles: the reliability layer may slow the protocols down but
 // must never change what they compute.
 func TestRandomProgramsUnderFaults(t *testing.T) {
+	CheckFrames(t)
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, profile := range []string{fault.ProfileLossy, fault.ProfileHostile} {
 			seed, profile := seed, profile

@@ -379,10 +379,9 @@ func (e *hlrcEngine) handleMirror(m paragon.Msg) (sim.Time, func()) {
 			return // stale image from before a re-homing
 		}
 		if mp.data == nil {
-			mp.data = make([]float64, e.sys.Space.PageWords)
 			e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
 		}
-		copy(mp.data, mm.Data)
+		mp.data = append(mp.data[:0], mm.Data...)
 		mp.vc = mm.VC.Copy()
 		mp.seeded = true
 		e.drainMirror(mp)
@@ -441,7 +440,8 @@ func (e *hlrcEngine) installLateImage(mm *mirrorMsg) {
 	if !covers(mm.VC, f) {
 		return
 	}
-	rebase(mm.Page, e.pt.Materialize(mm.Page), mm.Data)
+	e.pt.Materialize(mm.Page)
+	rebase(mm.Page, e.homeWrite(mm.Page), mm.Data)
 	f.MaxWith(mm.VC)
 	e.homeDrain(mm.Page)
 }
@@ -450,7 +450,8 @@ func (e *hlrcEngine) installLateImage(mm *mirrorMsg) {
 // writes that are not yet diffed (a dirty page, or an OHLRC diff still
 // queued on the coproc): they are layered over the image, and the twin
 // is reset to the image so the eventual diff captures exactly those
-// writes.
+// writes. p.Data and p.Twin must be private (homeWrite): either may have
+// been a frame this node adopted as a reader and shares with others.
 func rebase(pg int, p *mem.Page, image []float64) {
 	if p.Twin == nil {
 		copy(p.Data, image)
@@ -468,7 +469,8 @@ func rebase(pg int, p *mem.Page, image []float64) {
 func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 	u := e.useOf(pg)
 	mp := e.mirrorOf(pg)
-	p := e.pt.Materialize(pg)
+	e.pt.Materialize(pg)
+	p := e.homeWrite(pg)
 	if !mp.seeded {
 		// Should not happen (replicas are seeded at startup), but an
 		// unseeded mirror means we only have our own copy; keep it.
@@ -516,8 +518,7 @@ func (e *hlrcEngine) shipFullPage(pg int, targets []int) {
 	if p.Data == nil {
 		return
 	}
-	data := make([]float64, len(p.Data))
-	copy(data, p.Data)
+	data := slices.Clone(p.Data) // one image for every target: they copy it
 	f := e.flushOf(pg).Copy()
 	size := e.sys.Space.PageBytes() + f.WireSize()
 	for _, rep := range targets {
@@ -557,6 +558,7 @@ func (e *hlrcEngine) wipeVolatile() {
 		}
 		// No page is homed here anymore (re-homing ran first).
 		if u.flushVC != nil {
+			e.homeWrite(pg) // the vector goes, and with it what was published under it
 			e.st().MemFree(e.vecBytes())
 			u.flushVC = nil
 		}
@@ -588,6 +590,7 @@ func (e *hlrcEngine) wipeVolatile() {
 // the flush vector advances locally and the diff is mirrored (the home's
 // writes exist nowhere else).
 func (e *hlrcEngine) homeSelfFlush(df *diffFlush) {
+	e.homeWrite(df.Page)
 	f := e.flushOf(df.Page)
 	f.RaiseTo(df.Writer, df.Interval)
 	e.mirrorDiff(df)

@@ -31,6 +31,10 @@ func (s State) String() string {
 // Page is one node's view of a shared page.
 type Page struct {
 	State State
+	// twinShared says which slice aliases frame's words: Twin when set,
+	// Data otherwise. Never both: a write fault moves the alias from Data to
+	// Twin (MakeTwin), it does not add one.
+	twinShared bool
 	// Data is the local copy, nil if the node holds none; when State is
 	// Invalid, a stale base copy. A page fetch replaces the slice: read it
 	// through the *Page after anything that can block, never from a saved one.
@@ -42,6 +46,10 @@ type Page struct {
 	// writable. Used by the AURC emulation, whose write-through traffic
 	// is proportional to stores rather than to distinct modified words.
 	Stores int
+	// frame is the shared snapshot this node holds a reference to (Adopt),
+	// nil when Data and Twin are both private. The aliasing slice is
+	// read-only: Data while the page is not writable, Twin always.
+	frame *Frame
 }
 
 // HasCopy reports whether a local copy exists (possibly stale).
@@ -117,25 +125,73 @@ func (t *Table) Materialize(id int) *Page {
 	return p
 }
 
-// MakeTwin snapshots the current page contents as the twin, drawing the
-// buffer from pool when one is supplied (nil pool allocates).
-func (p *Page) MakeTwin(pool *Pool) {
-	if p.Data == nil {
-		panic("mem: twin of a page with no copy")
+// Shared returns the frame the page's copy aliases, and whether the alias
+// is its twin rather than its data; nil when both are private.
+func (p *Page) Shared() (f *Frame, twin bool) { return p.frame, p.twinShared }
+
+// Adopt makes f, one reference to which the caller hands over, the page's
+// read-only copy. The copy it replaces is recycled into pool (which may be
+// nil): its words if it was private, its reference if it was shared.
+func (p *Page) Adopt(f *Frame, pool *Pool) {
+	switch {
+	case p.twinShared:
+		panic("mem: page fetched while its twin is a shared frame")
+	case p.frame != nil:
+		p.frame.Release(pool)
+	default:
+		pool.PutPage(p.Data) // nil is not a frame: nothing is put
 	}
-	if p.Twin == nil {
-		if pool != nil {
-			p.Twin = pool.GetPage()
-		} else {
-			p.Twin = make([]float64, len(p.Data))
-		}
-	}
-	copy(p.Twin, p.Data)
+	p.Data, p.frame = f.Words, f
 }
 
-// DropTwin discards the twin, recycling its buffer into pool (which may
-// be nil).
+// Own makes Data and Twin private, for a node about to write bytes the
+// page's write fault did not cover (a home applying a diff, recovery
+// rebasing a copy): whichever aliases a shared frame becomes a copy drawn
+// from pool and the reference is dropped.
+func (p *Page) Own(pool *Pool) {
+	if p.frame == nil {
+		return
+	}
+	if p.twinShared {
+		p.Twin = pool.Clone(p.Twin)
+	} else {
+		p.Data = pool.Clone(p.Data)
+	}
+	// Only recovery gets here. If this was the last reference the words fall
+	// to the Go GC: pool has just been drawn from, and a put on top of the
+	// draw could take its list past the owner's cap.
+	p.frame.Release(nil)
+	p.frame, p.twinShared = nil, false
+}
+
+// MakeTwin snapshots the current page contents as the twin, one page copy
+// either way: a private Data is copied into a twin drawn from pool (nil pool
+// allocates); a shared one becomes the twin as it is, and Data the copy.
+func (p *Page) MakeTwin(pool *Pool) {
+	switch {
+	case p.Data == nil:
+		panic("mem: twin of a page with no copy")
+	case p.frame != nil && !p.twinShared:
+		pool.PutPage(p.Twin)
+		p.Twin, p.twinShared = p.Data, true
+		p.Data = pool.Clone(p.Twin)
+	case p.Twin == nil:
+		p.Twin = pool.Clone(p.Data)
+	case p.twinShared:
+		panic("mem: twin retaken over a shared frame")
+	default:
+		copy(p.Twin, p.Data)
+	}
+}
+
+// DropTwin discards the twin, recycling its buffer (or, if it is a shared
+// frame, this node's reference to it) into pool, which may be nil.
 func (p *Page) DropTwin(pool *Pool) {
-	pool.PutPage(p.Twin)
+	if p.twinShared {
+		p.frame.Release(pool)
+		p.frame, p.twinShared = nil, false
+	} else {
+		pool.PutPage(p.Twin)
+	}
 	p.Twin = nil
 }

@@ -1,13 +1,20 @@
 package mem
 
+import "slices"
+
 // Pool recycles page frames (twins, fetch snapshots, dropped copies) and,
 // for ComputeDiffPooled and Release only, diff value backings: the
 // protocols compute exact-size diffs and never touch that list. A lane is
 // single-threaded and every node owns its Pool (DESIGN §9): no locking.
 //
 // Pooling invariants:
-//   - A buffer handed out by GetPage/getBuf has exactly one owner; it may
-//     be returned at most once, by that owner.
+//   - A buffer handed out by GetPage/Clone/getBuf is one of two kinds. A
+//     private one (a twin, a written copy, a homeless protocol's fetch
+//     snapshot) has exactly one owner, which may return it at most once. A
+//     shared one is wrapped in a Frame and owned by the frame's reference
+//     count: it has any number of read-only holders, and the one whose
+//     Release drops the last reference returns it — to its own pool, which
+//     need not be the pool it was drawn from.
 //   - Returned buffers are never zeroed: every consumer overwrites the
 //     full length it uses (twins and snapshots are copied over, diff
 //     backings are filled by ComputeDiffPooled before any run aliases them).
@@ -37,6 +44,15 @@ func (p *Pool) GetPage() []float64 {
 		return b
 	}
 	return make([]float64, p.pageWords)
+}
+
+// Clone returns a copy of the page src in a recycled buffer, or, when none
+// is free (and for a nil pool), in a new one allocated without zeroing.
+func (p *Pool) Clone(src []float64) []float64 {
+	if p == nil || len(p.pages) == 0 {
+		return slices.Clone(src)
+	}
+	return append(p.GetPage()[:0], src...)
 }
 
 // PutPage returns a page-sized buffer to the pool.

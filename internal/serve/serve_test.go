@@ -1,13 +1,24 @@
 package serve
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
+	"gosvm/internal/mem"
 	"gosvm/internal/sim"
 )
+
+// TestMain runs every serving test with the shared-frame
+// immutability check on (mem.CheckFrames): a home-state write that bypasses
+// hlrcEngine.homeWrite, or a reader writing through a frame it shares,
+// panics in the run that did it instead of corrupting another node's copy.
+func TestMain(m *testing.M) {
+	mem.CheckFrames = true
+	os.Exit(m.Run())
+}
 
 // testConfig is a small, fast workload: ~60 requests on a 4-node machine.
 func testConfig() Config {
