@@ -189,15 +189,6 @@ func BenchmarkSec48_SORZero(b *testing.B) {
 
 // --- Ablation benchmarks for the design choices called out in DESIGN.md.
 
-func BenchmarkAblation_EagerDiff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		lazy, eager := r.AblationEagerDiff(io.Discard, "water-nsq", 8)
-		b.ReportMetric(lazy.Micros()/1e3, "lazy-ms")
-		b.ReportMetric(eager.Micros()/1e3, "eager-ms")
-	}
-}
-
 func BenchmarkAblation_HomePlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
@@ -236,15 +227,6 @@ func BenchmarkAblation_Mesh(b *testing.B) {
 		xb, mesh := r.AblationMesh(io.Discard, "water-nsq", 8)
 		b.ReportMetric(xb.Micros()/1e3, "crossbar-ms")
 		b.ReportMetric(mesh.Micros()/1e3, "mesh-ms")
-	}
-}
-
-// BenchmarkAblation_AURC compares the automatic-update hardware emulation
-// with HLRC and LRC.
-func BenchmarkAblation_AURC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		r.AblationAURC(io.Discard, "water-nsq", 8)
 	}
 }
 

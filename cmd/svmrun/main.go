@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		appName  = flag.String("app", "sor", "application: lu, sor, sor-zero, water-nsq, water-sp, raytrace")
-		protoStr = flag.String("proto", gosvm.HLRC.String(), "protocol: lrc, olrc, hlrc, ohlrc, aurc")
+		protoStr = flag.String("proto", gosvm.HLRC.String(), "protocol: lrc, olrc, hlrc, ohlrc")
 		mf       = cliflags.AddMachine(flag.CommandLine, 8, 8192)
 		ff       = cliflags.AddFault(flag.CommandLine, gosvm.FaultNone)
 		size     = flag.String("size", "small", "problem size: test, small, paper")

@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		appName  = flag.String("app", "sor", "application: lu, sor, sor-zero, water-nsq, water-sp, raytrace")
-		protoStr = flag.String("proto", gosvm.HLRC.String(), "protocol: lrc, olrc, hlrc, ohlrc, aurc")
+		protoStr = flag.String("proto", gosvm.HLRC.String(), "protocol: lrc, olrc, hlrc, ohlrc")
 		mf       = cliflags.AddMachine(flag.CommandLine, 4, 4096)
 		size     = flag.String("size", "test", "problem size: test, small, paper")
 		limit    = flag.Int("limit", 100000, "maximum events to retain")

@@ -55,10 +55,6 @@ const (
 	// OHLRC is HLRC with diff creation, application, and page service
 	// overlapped on the communication co-processors.
 	OHLRC = core.ProtoOHLRC
-	// AURC emulates the hardware-assisted Automatic Update Release
-	// Consistency protocol HLRC was derived from: free update
-	// propagation, write-through traffic proportional to store count.
-	AURC = core.ProtoAURC
 )
 
 // Protocols lists the four SVM protocols in the paper's order.

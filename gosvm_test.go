@@ -38,8 +38,10 @@ func TestParseProtocol(t *testing.T) {
 	if got, err := gosvm.ParseProtocol("seq"); err != nil || got != gosvm.Seq {
 		t.Fatalf("ParseProtocol(seq) = %v, %v", got, err)
 	}
-	if _, err := gosvm.ParseProtocol("mesi"); err == nil {
-		t.Fatal("unknown protocol name accepted")
+	for _, name := range []string{"mesi", "aurc"} {
+		if _, err := gosvm.ParseProtocol(name); err == nil {
+			t.Fatalf("unknown protocol name %q accepted", name)
+		}
 	}
 	if _, err := gosvm.ParseProtocol(""); err == nil {
 		t.Fatal("empty protocol name accepted")

@@ -35,42 +35,35 @@ var goldenResults = map[string]string{
 	"sor-zero/olrc":   "512:c835eaff7536d85f",
 	"sor-zero/hlrc":   "512:c835eaff7536d85f",
 	"sor-zero/ohlrc":  "512:c835eaff7536d85f",
-	"sor-zero/aurc":   "512:c835eaff7536d85f",
 	"lu/seq":          "2304:59d081fdbc6576c7",
 	"lu/lrc":          "2304:59d081fdbc6576c7",
 	"lu/olrc":         "2304:59d081fdbc6576c7",
 	"lu/hlrc":         "2304:59d081fdbc6576c7",
 	"lu/ohlrc":        "2304:59d081fdbc6576c7",
-	"lu/aurc":         "2304:59d081fdbc6576c7",
 	"sor/seq":         "512:c8139af551ac78fd",
 	"sor/lrc":         "512:c8139af551ac78fd",
 	"sor/olrc":        "512:c8139af551ac78fd",
 	"sor/hlrc":        "512:c8139af551ac78fd",
 	"sor/ohlrc":       "512:c8139af551ac78fd",
-	"sor/aurc":        "512:c8139af551ac78fd",
 	"water-nsq/seq":   "432:34c55552b88b1e29",
 	"water-nsq/lrc":   "432:a00686614e208de8",
 	"water-nsq/olrc":  "432:bc56170e3721828c",
 	"water-nsq/hlrc":  "432:a4378ebf3dc5f3b8",
 	"water-nsq/ohlrc": "432:4e9ca65a9c8ed59c",
-	"water-nsq/aurc":  "432:5697bb36057f7267",
 	"water-sp/seq":    "432:243af26d76fe636a",
 	"water-sp/lrc":    "432:dca0a875a33e770e",
 	"water-sp/olrc":   "432:dca0a875a33e770e",
 	"water-sp/hlrc":   "432:dca0a875a33e770e",
 	"water-sp/ohlrc":  "432:dca0a875a33e770e",
-	"water-sp/aurc":   "432:dca0a875a33e770e",
 	"raytrace/seq":    "1024:9258f46bf7e961d6",
 	"raytrace/lrc":    "1024:9258f46bf7e961d6",
 	"raytrace/olrc":   "1024:9258f46bf7e961d6",
 	"raytrace/hlrc":   "1024:9258f46bf7e961d6",
 	"raytrace/ohlrc":  "1024:9258f46bf7e961d6",
-	"raytrace/aurc":   "1024:9258f46bf7e961d6",
 }
 
 func TestResultDataMatchesParent(t *testing.T) {
 	protos := append([]core.Protocol{core.ProtoSeq}, core.Protocols...)
-	protos = append(protos, core.ProtoAURC)
 	for _, name := range append([]string{"sor-zero"}, Names...) {
 		for _, proto := range protos {
 			app, err := New(name, SizeTest)

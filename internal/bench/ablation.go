@@ -30,14 +30,6 @@ func (r *Runner) versus(app string, proto core.Protocol, procs int, note string,
 	return res[0].Stats.Elapsed, res[1].Stats.Elapsed
 }
 
-// AblationEagerDiff compares lazy vs eager diff creation under LRC.
-func (r *Runner) AblationEagerDiff(w io.Writer, app string, procs int) (lazy, eager sim.Time) {
-	lazy, eager = r.versus(app, core.ProtoLRC, procs, "eager diffs", func(o *core.Options) { o.EagerDiff = true })
-	fmt.Fprintf(w, "Ablation (eager diffs, LRC, %s, %d nodes): lazy %ss, eager %ss\n",
-		app, procs, seconds(lazy), seconds(eager))
-	return lazy, eager
-}
-
 // AblationHomePlacement compares application-directed home placement with
 // blind round-robin under HLRC.
 func (r *Runner) AblationHomePlacement(w io.Writer, app string, procs int) (directed, roundRobin sim.Time) {
@@ -143,30 +135,13 @@ func (r *Runner) AblationMesh(w io.Writer, app string, procs int) (crossbar, mes
 	return crossbar, meshTime
 }
 
-// AblationAURC compares the AURC hardware emulation against HLRC and LRC:
-// the comparison that motivated HLRC's design (AURC's update propagation
-// is free but needs hardware; HLRC pays diffing costs in software).
-func (r *Runner) AblationAURC(w io.Writer, app string, procs int) {
-	fmt.Fprintf(w, "Ablation (AURC hardware emulation, %s, %d nodes):\n", app, procs)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Protocol\tTime (s)\tUpdate traffic (MB)")
-	protos := []core.Protocol{core.ProtoLRC, core.ProtoHLRC, core.ProtoAURC}
-	for i, res := range r.warm(grid([]string{app}, []int{procs}, protos)) {
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", protos[i], seconds(res.Stats.Elapsed),
-			mb(res.Stats.TotalBytes(stats.ClassData)))
-	}
-	tw.Flush()
-}
-
 // Ablations runs the full ablation suite on a representative subset.
 func (r *Runner) Ablations(w io.Writer) {
 	procs := r.Procs[len(r.Procs)-1]
-	r.AblationEagerDiff(w, "water-nsq", procs)
 	r.AblationHomePlacement(w, "sor", procs)
 	r.AblationInterruptCost(w, "water-nsq", procs)
 	r.AblationPageSize(w, "water-nsq", procs)
 	r.AblationGCThreshold(w, "water-nsq", procs)
 	r.AblationOverlapLocks(w, "water-nsq", procs)
-	r.AblationAURC(w, "water-nsq", procs)
 	r.AblationMesh(w, "water-nsq", procs)
 }

@@ -170,7 +170,7 @@ func TestAblationsSmoke(t *testing.T) {
 	r := testRunner()
 	var buf bytes.Buffer
 	r.Ablations(&buf)
-	for _, want := range []string{"eager diffs", "home placement", "interrupt cost", "page size", "GC threshold", "lock service", "AURC", "network model"} {
+	for _, want := range []string{"home placement", "interrupt cost", "page size", "GC threshold", "lock service", "network model"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("ablation output missing %q", want)
 		}
@@ -196,10 +196,6 @@ func TestTreatmentArmsFollowRunnerMachine(t *testing.T) {
 		name      string
 		treatment func(r *Runner) float64 // simulated time of the treatment arm
 	}{
-		{"eager diffs", func(r *Runner) float64 {
-			_, eager := r.AblationEagerDiff(io.Discard, "water-nsq", 4)
-			return float64(eager)
-		}},
 		{"round-robin homes", func(r *Runner) float64 {
 			_, rr := r.AblationHomePlacement(io.Discard, "sor", 4)
 			return float64(rr)

@@ -72,7 +72,7 @@ func TestSweepOutputMatchesParent(t *testing.T) {
 			o.Closed = []int{8, 32}
 			return runner().ServeSweep(out, o, dir)
 		}},
-		{"ablations", "1258+0:51f7d7a2c965e520", func(out io.Writer, dir string) error {
+		{"ablations", "1016+0:d57be181cfef8c87", func(out io.Writer, dir string) error {
 			r := runner()
 			r.Ablations(out)
 			r.SORZero(out)

@@ -451,7 +451,7 @@ func TestPageSlotSizes(t *testing.T) {
 	if got := unsafe.Sizeof(lrcPage{}); got > 40 {
 		t.Errorf("lrcPage slot is %d bytes, want at most 40 (the notice list's header, the holder hint and one pointer)", got)
 	}
-	if got := unsafe.Sizeof(mem.Page{}); got > 72 {
-		t.Errorf("mem.Page is %d bytes, want at most 72 (state and alias flag, two slices, the store count and one frame pointer)", got)
+	if got := unsafe.Sizeof(mem.Page{}); got > 64 {
+		t.Errorf("mem.Page is %d bytes, want at most 64 (state and alias flag, two slices and one frame pointer)", got)
 	}
 }

@@ -38,11 +38,6 @@ const (
 	ProtoOLRC  Protocol = "olrc"
 	ProtoHLRC  Protocol = "hlrc"
 	ProtoOHLRC Protocol = "ohlrc"
-	// ProtoAURC emulates Automatic Update Release Consistency (Iftode et
-	// al.), the hardware-assisted protocol HLRC was derived from: write
-	// propagation is free but write-through traffic is proportional to
-	// store count. Not part of the paper's four measured prototypes.
-	ProtoAURC Protocol = "aurc"
 )
 
 // String returns the protocol's canonical name.
@@ -55,10 +50,10 @@ func (p Protocol) HomeBased() bool { return p == ProtoHLRC || p == ProtoOHLRC }
 // ParseProtocol validates a protocol name.
 func ParseProtocol(s string) (Protocol, error) {
 	switch p := Protocol(s); p {
-	case ProtoSeq, ProtoLRC, ProtoOLRC, ProtoHLRC, ProtoOHLRC, ProtoAURC:
+	case ProtoSeq, ProtoLRC, ProtoOLRC, ProtoHLRC, ProtoOHLRC:
 		return p, nil
 	}
-	return "", fmt.Errorf("core: unknown protocol %q (have seq, lrc, olrc, hlrc, ohlrc, aurc)", s)
+	return "", fmt.Errorf("core: unknown protocol %q (have seq, lrc, olrc, hlrc, ohlrc)", s)
 }
 
 // Protocols lists the four SVM protocols in the paper's presentation
@@ -95,11 +90,6 @@ type Options struct {
 	// homeless protocols garbage-collect at the next barrier. Zero means
 	// the TreadMarks-like default.
 	GCThreshold int64
-
-	// EagerDiff makes (non-overlapped) LRC create diffs at interval end
-	// rather than on demand. Overlapped LRC always creates eagerly on the
-	// co-processor, as in the paper.
-	EagerDiff bool
 
 	// HomeRoundRobin ignores the application's home placement and assigns
 	// homes round-robin (ablation).

@@ -540,21 +540,6 @@ func TestPhaseCapture(t *testing.T) {
 	}
 }
 
-// --------------------------------------------------------------------------
-// Eager-diff ablation option still yields correct results.
-
-func TestEagerDiffOption(t *testing.T) {
-	opts := testOpts(ProtoLRC, 4)
-	opts.EagerDiff = true
-	res := runOrFail(t, opts, multiWriterApp())
-	for i, v := range res.Data {
-		want := float64(100*(i%4) + i)
-		if v != want {
-			t.Fatalf("word %d = %v, want %v", i, v, want)
-		}
-	}
-}
-
 // Round-robin home placement ablation.
 func TestHomeRoundRobinOption(t *testing.T) {
 	opts := testOpts(ProtoHLRC, 4)
@@ -600,99 +585,6 @@ func TestOverlapLocksIgnoredWithoutCoproc(t *testing.T) {
 	res := runOrFail(t, opts, counterApp(5))
 	if res.Data[0] != 20 {
 		t.Fatalf("counter = %v", res.Data[0])
-	}
-}
-
-// --------------------------------------------------------------------------
-// AURC emulation.
-
-func TestAURCCorrectness(t *testing.T) {
-	for _, mk := range []func() *testApp{
-		func() *testApp { return counterApp(8) },
-		multiWriterApp,
-		func() *testApp { return migratoryApp(5) },
-		causalChainApp,
-	} {
-		app := mk()
-		t.Run(app.Name(), func(t *testing.T) {
-			p := 4
-			if app.name == "causal" {
-				p = 3
-			}
-			ref := runOrFail(t, testOpts(ProtoHLRC, p), mk())
-			got := runOrFail(t, testOpts(ProtoAURC, p), mk())
-			if len(ref.Data) != len(got.Data) {
-				t.Fatal("result size mismatch")
-			}
-			for i := range ref.Data {
-				if ref.Data[i] != got.Data[i] {
-					t.Fatalf("word %d: aurc %v, hlrc %v", i, got.Data[i], ref.Data[i])
-				}
-			}
-		})
-	}
-}
-
-// AURC must charge no diff-related software cost and create no diffs,
-// while shipping write-through traffic proportional to stores.
-func TestAURCZeroSoftwareOverhead(t *testing.T) {
-	mk := func() *testApp { return migratoryApp(6) }
-	hlrc := runOrFail(t, testOpts(ProtoHLRC, 4), mk())
-	aurc := runOrFail(t, testOpts(ProtoAURC, 4), mk())
-	var aDiffs, hDiffs int64
-	for i := range aurc.Stats.Nodes {
-		aDiffs += aurc.Stats.Nodes[i].Counts.DiffsCreated
-		hDiffs += hlrc.Stats.Nodes[i].Counts.DiffsCreated
-	}
-	if aDiffs != 0 {
-		t.Fatalf("AURC created %d diffs", aDiffs)
-	}
-	if hDiffs == 0 {
-		t.Fatal("HLRC reference created no diffs; test is vacuous")
-	}
-	if aurc.Stats.Elapsed >= hlrc.Stats.Elapsed {
-		t.Errorf("AURC (%v) not faster than HLRC (%v) despite free updates",
-			aurc.Stats.Elapsed, hlrc.Stats.Elapsed)
-	}
-}
-
-// Write-through traffic: a workload that overwrites the same words many
-// times per interval must ship more update bytes under AURC than HLRC.
-func TestAURCWriteThroughTraffic(t *testing.T) {
-	mk := func() *testApp {
-		var addr mem.Addr
-		return &testApp{
-			name:  "rewrites",
-			setup: func(s *Setup) { addr = s.Alloc(16) },
-			init: func(w *Init) {
-				for i := 0; i < 16; i++ {
-					w.Store(addr+mem.Addr(i), 0)
-				}
-				w.SetHome(addr, 16, 0)
-			},
-			worker: func(c *Ctx, id int) {
-				if id == 1 { // non-home writer
-					for rep := 0; rep < 50; rep++ {
-						for i := 0; i < 16; i++ {
-							c.Store(addr+mem.Addr(i), float64(rep+i))
-						}
-					}
-				}
-				c.Barrier(0)
-			},
-			gather: func(c *Ctx) []float64 {
-				out := make([]float64, 16)
-				c.ReadRange(addr, out)
-				return out
-			},
-		}
-	}
-	hlrc := runOrFail(t, testOpts(ProtoHLRC, 2), mk())
-	aurc := runOrFail(t, testOpts(ProtoAURC, 2), mk())
-	hBytes := hlrc.Stats.TotalBytes(stats.ClassData)
-	aBytes := aurc.Stats.TotalBytes(stats.ClassData)
-	if aBytes <= hBytes {
-		t.Fatalf("AURC write-through traffic (%d) not above HLRC diff traffic (%d)", aBytes, hBytes)
 	}
 }
 

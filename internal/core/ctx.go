@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"gosvm/internal/mem"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -64,7 +62,6 @@ func (c *Ctx) Store(a mem.Addr, v float64) {
 		c.eng.WriteFault(pg)
 	}
 	p.Data[int(int64(a)%int64(c.pw))] = v
-	p.Stores++
 }
 
 // LoadI reads an integer-valued shared word.
@@ -100,7 +97,6 @@ func (c *Ctx) WriteRange(a mem.Addr, src []float64) {
 			c.eng.WriteFault(pg)
 		}
 		n := copy(p.Data[off:], src)
-		p.Stores += n
 		src = src[n:]
 		a += mem.Addr(n)
 	}
@@ -153,10 +149,3 @@ func (c *Ctx) Unlock(l int) { c.eng.Release(l) }
 
 // Barrier waits until all processors arrive (Splash-2 BARRIER).
 func (c *Ctx) Barrier(id int) { c.eng.Barrier(id) }
-
-// assertAddr panics on out-of-range addresses (used by tests).
-func (c *Ctx) assertAddr(a mem.Addr) {
-	if int64(a) < 0 || int64(a) >= c.sys.Space.Used() {
-		panic(fmt.Sprintf("core: address %d out of allocated range", a))
-	}
-}

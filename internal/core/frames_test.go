@@ -18,7 +18,7 @@ import (
 // shared frame that no assertion happens to look at still fails the run.
 
 // homeProtocols are the engines that publish frames.
-var homeProtocols = []Protocol{ProtoHLRC, ProtoOHLRC, ProtoAURC}
+var homeProtocols = []Protocol{ProtoHLRC, ProtoOHLRC}
 
 // litmusWords is the litmus page: one 512-byte page (testOpts) homed at node
 // 0, word 3 seeded with 7.
@@ -74,7 +74,6 @@ func published(c *Ctx, addr mem.Addr) *mem.Frame {
 func TestFetchAdoptsTheHomesSnapshot(t *testing.T) {
 	CheckFrames(t)
 	forEachProto(t, []int{2, 3}, fetchAdoptsTheHomesSnapshot)
-	t.Run("aurc/p3", func(t *testing.T) { fetchAdoptsTheHomesSnapshot(t, ProtoAURC, 3) })
 }
 
 func fetchAdoptsTheHomesSnapshot(t *testing.T, proto Protocol, nodes int) {
@@ -149,7 +148,7 @@ func fetchAdoptsTheHomesSnapshot(t *testing.T, proto Protocol, nodes int) {
 		return v
 	}
 	for i, g := range got {
-		if homeBased := proto.HomeBased() || proto == ProtoAURC; g.adopted < 0 || g.wrapped != homeBased {
+		if g.adopted < 0 || g.wrapped != proto.HomeBased() {
 			t.Errorf("reader %d holds marker %d, in a mem.Frame: %v; want a buffer the home put in a reply, framed only by a home-based protocol",
 				i+1, g.adopted, g.wrapped)
 		}

@@ -15,19 +15,9 @@ import (
 // OHLRC. Every page has a home; writers flush diffs to the home at the
 // end of each interval and discard them immediately; faulting nodes fetch
 // whole pages from the home in a single round trip.
-// Under the AURC emulation (aurc flag) the same engine models the
-// Automatic Update Release Consistency protocol HLRC derives from: the
-// SHRIMP automatic-update hardware snoops writes off the memory bus and
-// propagates them to the home with zero software overhead. Twins and
-// diffs become free (the twin is kept purely to identify the words to
-// ship in the simulation), update traffic is proportional to the number
-// of *stores* rather than distinct modified words (no combining), and
-// updates land in home memory through the network interface with no
-// receive interrupt and no apply cost.
 type hlrcEngine struct {
 	base
 	overlapped bool
-	aurc       bool
 	pages      chunked[hlrcPage]
 	uses       slab[hlrcUse]
 
@@ -103,16 +93,7 @@ type makeDiffReq struct {
 }
 
 func newHLRCEngine(sys *System, self int, overlapped bool) *hlrcEngine {
-	return newHomeEngine(sys, self, overlapped, false)
-}
-
-// newAURCEngine returns the automatic-update emulation.
-func newAURCEngine(sys *System, self int) *hlrcEngine {
-	return newHomeEngine(sys, self, false, true)
-}
-
-func newHomeEngine(sys *System, self int, overlapped, aurc bool) *hlrcEngine {
-	e := &hlrcEngine{overlapped: overlapped, aurc: aurc}
+	e := &hlrcEngine{overlapped: overlapped}
 	e.base.init(sys, self, e)
 	e.pages = newChunked[hlrcPage](sys.Space.NumPages())
 	e.mirrors = make(map[int]*mirrorPage)
@@ -244,22 +225,11 @@ func (e *hlrcEngine) WriteFault(page int) {
 	e.use(e.costs().PageFault, stats.CatProtocol)
 	e.st().Counts.WriteFaults++
 	e.emit(trace.WriteFault, page, -1, 0)
-	if e.home(page) != e.self {
-		if e.aurc {
-			// Automatic update: the fault only establishes the AU
-			// mapping. The twin exists solely so the simulation knows
-			// which words the hardware shipped; it costs nothing.
-			e.use(e.costs().PageProtect, stats.CatProtocol)
-			p.MakeTwin(e.pool())
-		} else {
-			e.use(e.costs().TwinCost(e.sys.Space.PageBytes()), stats.CatProtocol)
-			p.MakeTwin(e.pool())
-			e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
-		}
-	} else if e.replicating() && !e.aurc {
-		// With replication on, the home twins its own pages too: its
-		// writes exist nowhere else, so they must be diffed at interval
-		// end and mirrored to the replicas.
+	if e.home(page) != e.self || e.replicating() {
+		// A writer twins to diff at interval end. The home needs no diff
+		// of its own writes unless replication is on: then they exist
+		// nowhere else, so they must be diffed and mirrored to the
+		// replicas.
 		e.use(e.costs().TwinCost(e.sys.Space.PageBytes()), stats.CatProtocol)
 		p.MakeTwin(e.pool())
 		e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
@@ -270,7 +240,6 @@ func (e *hlrcEngine) WriteFault(page int) {
 		// state change: a fetch served in the gap would publish again.
 		e.homeWrite(page)
 	}
-	p.Stores = 0
 	p.State = mem.ReadWrite
 	e.markDirty(page)
 }
@@ -282,16 +251,8 @@ func (e *hlrcEngine) closeCost() sim.Time {
 	var cost sim.Time
 	for _, pg := range e.dirty {
 		cost += e.costs().PageProtect
-		if e.home(int(pg)) == e.self || e.aurc {
-			if e.home(int(pg)) == e.self && e.replicating() && !e.aurc {
-				// Replication: the home diffs its own writes for mirroring.
-				if e.overlapped {
-					cost += e.costs().CoprocPost
-				} else {
-					cost += e.costs().DiffCreateCost(e.sys.Space.PageWords)
-				}
-			}
-			continue // otherwise home pages and automatic update: no diffing work
+		if e.home(int(pg)) == e.self && !e.replicating() {
+			continue // the home diffs its own writes only to mirror them
 		}
 		if e.overlapped {
 			cost += e.costs().CoprocPost
@@ -320,7 +281,7 @@ func (e *hlrcEngine) closeCommit() {
 		seen := e.seenOf(m)
 		if e.home(pg) == e.self {
 			seen.Set(e.self, rec.Interval)
-			if e.replicating() && !e.aurc && p.Twin != nil {
+			if e.replicating() && p.Twin != nil {
 				// The home's own writes must reach the replicas: diff
 				// against the twin and run the self-flush path, which
 				// mirrors it.
@@ -348,18 +309,6 @@ func (e *hlrcEngine) closeCommit() {
 			continue
 		}
 		seen.Set(e.self, rec.Interval)
-		if e.aurc {
-			// The hardware already streamed the writes home; the message
-			// models their aggregate write-through traffic.
-			diff := mem.ComputeDiff(pg, p.Twin, p.Data)
-			stores := p.Stores
-			p.Stores = 0
-			p.DropTwin(e.sink())
-			e.sendAUUpdate(&diffFlush{
-				Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: diff,
-			}, stores)
-			continue
-		}
 		if e.overlapped {
 			e.useOf(pg).inflight = true
 			e.node.InjectCoproc(paragon.Msg{
@@ -387,19 +336,6 @@ func (e *hlrcEngine) closeCommit() {
 		}
 	}
 	e.lateInval = nil
-}
-
-// sendAUUpdate ships an automatic-update flush: sized by store count
-// (write-through, no combining), delivered straight into home memory via
-// the network interface (no interrupt, no software apply).
-func (e *hlrcEngine) sendAUUpdate(df *diffFlush, stores int) {
-	e.node.Send(e.home(df.Page), paragon.Msg{
-		Kind:   kDiffFlush,
-		Size:   8*stores + df.Dep.WireSize(),
-		Class:  stats.ClassData,
-		Target: paragon.ToCoproc,
-		Body:   df,
-	})
 }
 
 // sendDiff transmits a diff to its home (from compute or coproc context;
@@ -514,11 +450,7 @@ func (e *hlrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 // OHLRC): apply the incoming diff once its causal predecessors are in.
 func (e *hlrcEngine) handleDiffFlush(m paragon.Msg) (sim.Time, func()) {
 	df := m.Body.(*diffFlush)
-	work := e.costs().DiffApplyCost(df.Diff.Words())
-	if e.aurc {
-		work = 0 // the network interface writes home memory directly
-	}
-	return work, func() {
+	return e.costs().DiffApplyCost(df.Diff.Words()), func() {
 		e.homeReceiveDiff(df)
 	}
 }

@@ -22,7 +22,6 @@ import (
 type lrcEngine struct {
 	base
 	overlapped bool
-	eager      bool
 	pages      chunked[lrcPage]
 	uses       slab[lrcUse]
 	// diffs holds the diffs this node created or fetched (TreadMarks
@@ -107,7 +106,6 @@ func (m *lrcPage) dropWNs() {
 func newLRCEngine(sys *System, self int, overlapped bool) *lrcEngine {
 	e := &lrcEngine{
 		overlapped: overlapped,
-		eager:      sys.Opts.EagerDiff && !overlapped,
 		diffs:      make(map[diffKey]*mem.Diff),
 	}
 	e.base.init(sys, self, e)
@@ -385,8 +383,6 @@ func (e *lrcEngine) closeCost() sim.Time {
 		cost += e.costs().PageProtect
 		if e.overlapped {
 			cost += e.costs().CoprocPost
-		} else if e.eager {
-			cost += e.costs().DiffCreateCost(e.sys.Space.PageWords)
 		}
 	}
 	return cost
@@ -402,16 +398,13 @@ func (e *lrcEngine) closeCommit() {
 		p := e.pt.Page(pg)
 		p.State = mem.ReadOnly
 		m := e.useOf(pg)
-		switch {
-		case e.overlapped:
+		if e.overlapped {
 			m.inflight = true
 			e.node.InjectCoproc(paragon.Msg{
 				Kind: kMakeDiff,
 				Body: &makeDiffReq{Page: pg, Interval: rec.Interval},
 			})
-		case e.eager:
-			e.materializeDiff(pg, rec.Interval)
-		default:
+		} else {
 			m.pending = rec
 		}
 		// Our copy now reflects our own new interval.

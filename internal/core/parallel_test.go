@@ -234,7 +234,7 @@ func (a *crossLaneApp) Gather(c *core.Ctx) []float64 { return []float64{c.Load(a
 func TestSharedFrameCrossesLanes(t *testing.T) {
 	core.CheckFrames(t)
 	const nodes, rounds = 6, 12
-	for _, proto := range []core.Protocol{core.ProtoHLRC, core.ProtoOHLRC, core.ProtoAURC} {
+	for _, proto := range []core.Protocol{core.ProtoHLRC, core.ProtoOHLRC} {
 		proto := proto
 		t.Run(string(proto), func(t *testing.T) {
 			app := &crossLaneApp{rounds: rounds, lists: make([]core.FrameList, nodes)}

@@ -185,9 +185,6 @@ func TestRandomProgramsAllProtocols(t *testing.T) {
 					Machine:   Machine{Nodes: rp.procs},
 					PageBytes: rp.pageSize,
 				}
-				if rng.Intn(2) == 0 {
-					opts.EagerDiff = true
-				}
 				res, err := Run(opts, rp, false)
 				if err != nil {
 					t.Fatalf("%s: %v", proto, err)

@@ -187,12 +187,11 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	}
 	space := mem.NewSpace(opts.PageBytes)
 	sys := &System{
-		K:     k,
-		M:     machine,
-		Space: space,
-		Opts:  opts,
-		homeBased: opts.Protocol == ProtoHLRC || opts.Protocol == ProtoOHLRC ||
-			opts.Protocol == ProtoAURC || opts.Protocol == ProtoSeq,
+		K:         k,
+		M:         machine,
+		Space:     space,
+		Opts:      opts,
+		homeBased: opts.Protocol.HomeBased() || opts.Protocol == ProtoSeq,
 	}
 	if opts.TraceLimit != 0 {
 		limit := opts.TraceLimit
@@ -241,8 +240,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 			sys.Engines[i] = newLRCEngine(sys, i, opts.Protocol == ProtoOLRC)
 		case ProtoHLRC, ProtoOHLRC:
 			sys.Engines[i] = newHLRCEngine(sys, i, opts.Protocol == ProtoOHLRC)
-		case ProtoAURC:
-			sys.Engines[i] = newAURCEngine(sys, i)
 		default:
 			return nil, fmt.Errorf("core: unknown protocol %q", opts.Protocol)
 		}
@@ -334,6 +331,5 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		nd := endStats[i]
 		run.Nodes = append(run.Nodes, &nd)
 	}
-	run.PhaseCaps = phases
 	return &Result{Stats: run, Data: gathered, Phases: phases, Trace: sys.traceLog}, nil
 }

@@ -42,10 +42,6 @@ type Page struct {
 	// Twin is the clean snapshot taken before the first write of the
 	// current interval; nil when the page is not being written.
 	Twin []float64
-	// Stores counts individual word stores since the page became
-	// writable. Used by the AURC emulation, whose write-through traffic
-	// is proportional to stores rather than to distinct modified words.
-	Stores int
 	// frame is the shared snapshot this node holds a reference to (Adopt),
 	// nil when Data and Twin are both private. The aliasing slice is
 	// read-only: Data while the page is not writable, Twin always.

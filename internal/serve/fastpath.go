@@ -23,6 +23,14 @@ const (
 // Modes lists the ablation ladder in cumulative order.
 var Modes = []string{ModeOff, ModeLocks, ModeSeqlock}
 
+// A seqlock reader retries a torn read seqlockRetries times, pausing
+// seqlockBackoff of simulated time before each retry to let the writer's
+// critical section close, then falls back to the lock.
+const (
+	seqlockRetries = 3
+	seqlockBackoff = 20 * sim.Microsecond
+)
+
 // ApplyFastpath overwrites cfg's fast-path knobs according to the named
 // ablation mode. Unknown modes return an error.
 func ApplyFastpath(cfg *Config, mode string) error {
@@ -115,11 +123,11 @@ func (kv *KV) seqGet(c *core.Ctx, id int, key int32) bool {
 			_ = c.Load(a)
 			return true
 		}
-		if try >= kv.cfg.SeqlockRetries {
+		if try >= seqlockRetries {
 			return false
 		}
 		kv.seqRetries[id]++
-		c.Wait(kv.cfg.SeqlockBackoff)
+		c.Wait(seqlockBackoff)
 	}
 }
 
@@ -159,11 +167,11 @@ func (kv *KV) seqScan(c *core.Ctx, id int, r *Req, scratch []float64) bool {
 			kv.ops[id][2]++
 			return true
 		}
-		if try >= kv.cfg.SeqlockRetries {
+		if try >= seqlockRetries {
 			return false
 		}
 		kv.seqRetries[id]++
-		c.Wait(kv.cfg.SeqlockBackoff)
+		c.Wait(seqlockBackoff)
 	}
 }
 

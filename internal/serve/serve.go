@@ -110,18 +110,11 @@ type Config struct {
 	// value with a version word on the same page; writers cycle the
 	// version odd before and even after mutating, and readers revalidate
 	// the page against its home (Ctx.FreshRead), retry on an odd
-	// version, and fall back to the locked path after SeqlockRetries
-	// torn reads. Only the home-based protocols (HLRC, OHLRC, AURC) have
-	// an authoritative copy to validate against; under the homeless LRC
+	// version, and fall back to the locked path after seqlockRetries
+	// torn reads. Only the home-based protocols (HLRC, OHLRC) have an
+	// authoritative copy to validate against; under the homeless LRC
 	// family every read silently takes the locked path.
 	Seqlock bool
-	// SeqlockRetries is the number of torn-read retries before a reader
-	// falls back to the lock. Zero means the default of 3.
-	SeqlockRetries int
-	// SeqlockBackoff is the simulated pause between torn-read retries,
-	// giving the writer's critical section time to close. Zero means the
-	// default of 20 microseconds.
-	SeqlockBackoff sim.Time
 
 	// ClosedClients switches the workload to closed-loop: this many
 	// clients total, distributed round-robin across nodes, each issuing
@@ -169,12 +162,6 @@ func (c *Config) Defaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.SeqlockRetries == 0 {
-		c.SeqlockRetries = 3
-	}
-	if c.SeqlockBackoff == 0 {
-		c.SeqlockBackoff = 20 * sim.Microsecond
-	}
 	if c.ThinkTime == 0 {
 		c.ThinkTime = sim.Millisecond
 	}
@@ -218,12 +205,6 @@ func (c *Config) validate(procs int) error {
 	}
 	if c.KeyLocks < 0 {
 		return fmt.Errorf("serve: KeyLocks must be non-negative, got %d", c.KeyLocks)
-	}
-	if c.SeqlockRetries < 0 {
-		return fmt.Errorf("serve: SeqlockRetries must be non-negative, got %d", c.SeqlockRetries)
-	}
-	if c.SeqlockBackoff < 0 {
-		return fmt.Errorf("serve: SeqlockBackoff must be non-negative, got %v", c.SeqlockBackoff)
 	}
 	if c.ClosedClients < 0 {
 		return fmt.Errorf("serve: ClosedClients must be non-negative, got %d", c.ClosedClients)

@@ -220,12 +220,11 @@ func (n Node) Sub(o Node) Node {
 
 // Run aggregates a whole execution: per-node stats plus end-to-end times.
 type Run struct {
-	Protocol  string
-	App       string
-	Nodes     []*Node
-	Elapsed   sim.Time // parallel execution time (max over procs)
-	SeqTime   sim.Time // sequential reference time, if measured
-	PhaseCaps []Phase  // optional inter-barrier captures
+	Protocol string
+	App      string
+	Nodes    []*Node
+	Elapsed  sim.Time // parallel execution time (max over procs)
+	SeqTime  sim.Time // sequential reference time, if measured
 
 	// Serve is the open-loop serving workload's latency/throughput block
 	// (offered vs. achieved rate, tail-latency histogram, saturation).
