@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check loc paper ab sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale
+.PHONY: all build test race vet fmt check loc paper ab sweep-faults sweep-serve sweep-serve-scale sweep-scale
 
 all: check
 
@@ -63,11 +63,6 @@ ab:
 # statistics. Crash cells run the home-based protocols with one replica.
 sweep-faults:
 	$(GO) run ./cmd/svmbench -faults lossy,hostile,crash -size small -json-dir out/faults
-
-# Fixed vs adaptive retransmission timeout on the link-granularity mesh,
-# per fault profile, with per-cell JSON statistics.
-sweep-rto:
-	$(GO) run ./cmd/svmbench -rto-ablation lossy,hostile -size small -procs 8,32 -json-dir out/rto
 
 # Open-loop KV serving: offered load x protocol x machine size with tail
 # latency, saturation detection, and per-cell JSON latency histograms.

@@ -37,9 +37,8 @@ func main() {
 		scaleNodes = flag.String("scale-nodes", "", "node counts for -scale (default 64,128,256,512,1024)")
 		scaleJSON  = flag.String("scale-json", "", "write the -scale grid to this JSON file")
 		faults     = flag.String("faults", "", "comma-separated fault profiles to sweep (lossy, hostile, crash, crash-mgr)")
-		rtoAbl     = flag.String("rto-ablation", "", "run the fixed-vs-adaptive RTO ablation on the mesh for these fault profiles (e.g. lossy,hostile)")
-		seed       = flag.Int64("seed", 1, "seed for the -faults and -rto-ablation plans")
-		jsonDir    = flag.String("json-dir", "", "write per-cell JSON statistics of the -faults / -rto-ablation sweeps here")
+		seed       = flag.Int64("seed", 1, "seed for the -faults plans")
+		jsonDir    = flag.String("json-dir", "", "write per-cell JSON statistics of the -faults sweep here")
 	)
 	flag.Parse()
 
@@ -128,15 +127,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *rtoAbl != "" {
-		section()
-		if err := r.RTOSweep(out, cliflags.Strings(*rtoAbl), *seed, *jsonDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	if !any {
-		fmt.Fprintln(os.Stderr, "nothing selected; use -all, -table N, -fig N, -sor0, -ablations, -scale, -faults, or -rto-ablation")
+		fmt.Fprintln(os.Stderr, "nothing selected; use -all, -table N, -fig N, -sor0, -ablations, -scale, or -faults")
 		os.Exit(2)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"gosvm/internal/bench"
-	"gosvm/internal/cliflags"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -19,7 +18,6 @@ import (
 func main() {
 	page := flag.Int("page", 8192, "page size in bytes")
 	costsName := flag.String("costs", "", `cost profile: "paragon" (default; the paper's Table 3) or "modern" (us-scale kernel-bypass messaging)`)
-	runWkrs := cliflags.AddRunWorkers(flag.CommandLine)
 	flag.Parse()
 
 	c, err := paragon.CostProfile(*costsName)
@@ -33,11 +31,6 @@ func main() {
 
 	measure := func(name string, target paragon.Target, respBytes int, extra sim.Time) {
 		k := sim.NewKernel()
-		if *runWkrs >= 2 {
-			// The round trips are real two-node simulations, so they can
-			// run on the partitioned kernel; times are identical either way.
-			k.Partition(2, c.Lookahead(), *runWkrs)
-		}
 		m := paragon.New(k, 2, c)
 		h := func(msg paragon.Msg) (sim.Time, func()) {
 			return extra, func() {
@@ -60,8 +53,8 @@ func main() {
 		fmt.Printf("  %-42s %7.0f us\n", name, rt.Micros())
 	}
 
-	measure(fmt.Sprintf("page fetch via interrupt (HLRC-style)"), paragon.ToCompute, *page, 0)
-	measure(fmt.Sprintf("page fetch via co-processor (OHLRC-style)"), paragon.ToCoproc, *page, 0)
+	measure("page fetch via interrupt (HLRC-style)", paragon.ToCompute, *page, 0)
+	measure("page fetch via co-processor (OHLRC-style)", paragon.ToCoproc, *page, 0)
 	measure("1-word diff fetch via interrupt (LRC-style)", paragon.ToCompute, 8, 0)
 	measure("1-word diff fetch via co-processor (OLRC)", paragon.ToCoproc, 8, 0)
 	fmt.Printf("  (add the %.0f us page fault to obtain the §4.3 miss figures)\n", c.PageFault.Micros())

@@ -46,7 +46,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	plan, err := ff.Plan(machine.Nodes)
+	plan, err := ff.Plan()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -159,9 +159,6 @@ func main() {
 		fmt.Printf("\nfault injection (profile %s, seed %d; per-node average):\n", ff.Profile, ff.Seed)
 		tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "  messages dropped\t%d\n", avg.Counts.MsgsDropped)
-		if avg.Counts.LinkDrops > 0 {
-			fmt.Fprintf(tw, "  eaten by mesh links\t%d\n", avg.Counts.LinkDrops)
-		}
 		fmt.Fprintf(tw, "  retransmissions\t%d\n", avg.Counts.Retries)
 		fmt.Fprintf(tw, "  duplicates suppressed\t%d\n", avg.Counts.DupsSuppressed)
 		fmt.Fprintf(tw, "  recovery time\t%.2f ms\n", avg.Recovery.Micros()/1e3)

@@ -50,7 +50,7 @@ func main() {
 		ablation  = flag.String("ablation", "", "sweep fast-path ablation modes (\"all\" = off,locks,seqlock; or a comma list), overriding the individual fast-path flags")
 		closed    = flag.String("closed-loop", "", "closed-loop client counts to compare (comma list; empty = open loop only)")
 		thinkMs   = flag.Float64("think-ms", 1, "closed-loop mean think time, milliseconds")
-		ff        = cliflags.AddFaultBasic(flag.CommandLine, "")
+		ff        = cliflags.AddFault(flag.CommandLine, "")
 		jsonDir   = flag.String("json-dir", "", "write per-cell JSON statistics (with latency histograms) here")
 	)
 	flag.Parse()

@@ -32,7 +32,6 @@ func main() {
 		nodeFlag = flag.Int("node", -1, "only events of this node")
 		pageFlag = flag.Int("fpage", -1, "only events touching this page")
 		summary  = flag.Bool("summary", false, "print per-kind counts instead of events")
-		runWkrs  = cliflags.AddRunWorkers(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -51,15 +50,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Tracing keeps a globally ordered event log, so traced runs always
-	// fall back to the sequential kernel; the flag is accepted for a
-	// uniform CLI surface and its results are identical at any value.
 	res, err := gosvm.Run(gosvm.Options{
 		Protocol:   proto,
 		Machine:    machine,
 		PageBytes:  mf.Page,
 		TraceLimit: *limit,
-		RunWorkers: *runWkrs,
 	}, app)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -115,9 +115,6 @@ type (
 	// FaultSlowdown is a per-node compute slowdown window
 	// (FaultPlan.Slowdowns).
 	FaultSlowdown = fault.Slowdown
-	// LinkFail is a scheduled transient outage of one directional mesh
-	// link (FaultPlan.LinkFails); it implies the mesh network model.
-	LinkFail = fault.LinkFail
 	// Crash schedules one node outage: the node stops servicing messages
 	// and freezes computation at At, restarting at RestartAt (zero =
 	// never). See FaultPlan.Crashes and Options.Recovery.
@@ -181,7 +178,7 @@ const (
 var FaultProfiles = fault.Profiles
 
 // FaultProfile returns a named preset fault plan ("none", "lossy",
-// "hostile", "crash") seeded with seed.
+// "hostile", "crash", "crash-mgr"; see FaultProfiles) seeded with seed.
 func FaultProfile(name string, seed int64) (FaultPlan, error) {
 	return fault.Profile(name, seed)
 }

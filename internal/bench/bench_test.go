@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -179,8 +180,8 @@ func TestAblationsSmoke(t *testing.T) {
 
 // TestTreatmentArmsFollowRunnerMachine pins the one-machine rule: the
 // Runner's machine shape reaches the treatment arm of every comparison
-// (uncached runs with an ablation knob, a fault plan, the mesh, or phase
-// capture), not only the memoized control arm.
+// (uncached runs with an ablation knob, a fault plan, or phase capture),
+// not only the memoized control arm.
 func TestTreatmentArmsFollowRunnerMachine(t *testing.T) {
 	lossy, err := fault.Profile(fault.ProfileLossy, 1)
 	if err != nil {
@@ -202,15 +203,6 @@ func TestTreatmentArmsFollowRunnerMachine(t *testing.T) {
 		}},
 		{"faulted cell", func(r *Runner) float64 {
 			return elapsed(r.execApp("sor", r.faultOpts(core.ProtoHLRC, 4, lossy), "faulted"))
-		}},
-		{"rto ablation cells", func(r *Runner) float64 {
-			r.Procs = []int{4}
-			var buf bytes.Buffer
-			if err := r.RTOSweep(&buf, []string{"lossy"}, 1, ""); err != nil {
-				t.Fatal(err)
-			}
-			fixed, _ := rtoTotals(t, buf.String())
-			return fixed[2] // recovery, ms
 		}},
 		{"figure 4 rows", func(r *Runner) float64 {
 			var sum float64
@@ -261,5 +253,31 @@ func TestFaultSweepSmoke(t *testing.T) {
 	}
 	if doc["protocol"] == "" || doc["elapsed_ns"] == nil {
 		t.Fatalf("cell JSON missing core fields: %v", doc)
+	}
+}
+
+// A faulted cell whose result differs from the sequential run fails the
+// sweep and names the cell: with one bit of the memoized sor baseline
+// flipped, no sor cell may pass.
+func TestFaultSweepValidatesCells(t *testing.T) {
+	r := testRunner()
+	r.Procs = []int{4}
+	seq := r.Seq("sor").Data
+	i := len(seq) / 2
+	seq[i] = math.Float64frombits(math.Float64bits(seq[i]) ^ 1)
+	err := r.FaultSweep(io.Discard, []string{"lossy"}, 1, "")
+	if err == nil || !strings.Contains(err.Error(), "sor/") {
+		t.Fatalf("FaultSweep over a corrupted sor baseline returned %v, want an error naming a sor/ cell", err)
+	}
+}
+
+// Under a tolerance a NaN word fails, however the comparison is phrased.
+func TestValidateResultRejectsNaN(t *testing.T) {
+	want := []float64{1, 2}
+	if err := validateResult(want, []float64{1, math.NaN()}, 1e-9); err == nil {
+		t.Fatal("a NaN word passed the tolerance check")
+	}
+	if err := validateResult(want, []float64{1, 2 + 1e-12}, 1e-9); err != nil {
+		t.Fatalf("a word within tolerance failed: %v", err)
 	}
 }

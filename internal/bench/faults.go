@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"text/tabwriter"
 
 	"gosvm/internal/core"
@@ -22,18 +23,11 @@ import (
 // When jsonDir is non-empty every cell's statistics are written there as
 // fault-<profile>-<app>-<proto>-p<procs>.json for machine consumption.
 func (r *Runner) FaultSweep(out io.Writer, profiles []string, seed int64, jsonDir string) error {
-	return eachProfile(out, profiles, func(profile string) error {
-		return r.faultTable(out, profile, seed, jsonDir)
-	})
-}
-
-// eachProfile renders one table per fault profile, a blank line between.
-func eachProfile(out io.Writer, profiles []string, table func(profile string) error) error {
 	for i, profile := range profiles {
 		if i > 0 {
 			fmt.Fprintln(out)
 		}
-		if err := table(profile); err != nil {
+		if err := r.faultTable(out, profile, seed, jsonDir); err != nil {
 			return err
 		}
 	}
@@ -62,16 +56,21 @@ func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir s
 	protos := faultProtocols(profile)
 	crash := crashProfile(profile)
 
-	// Every cell is a full validated run under the one shared plan (the
-	// injector only reads it), given its application's memoized sequential
-	// baseline so Speedup and the JSON carry it.
+	// Every cell is a full run under the one shared plan (the injector
+	// only reads it), validated against its application's memoized
+	// sequential baseline, whose time Speedup and the JSON carry.
 	cells := grid(AppNames(), r.Procs, protos)
 	results, err := sweep(r, cells, func(c cell) (*core.Result, error) {
 		res, err := r.execApp(c.app, r.faultOpts(c.proto, c.procs, plan), "faulted")
-		if err == nil {
-			res.Stats.SeqTime = r.Seq(c.app).Stats.Elapsed
+		if err != nil {
+			return nil, err
 		}
-		return res, err
+		seq := r.Seq(c.app)
+		if err := validateResult(seq.Data, res.Data, resultTol(c.app)); err != nil {
+			return nil, fmt.Errorf("bench: %v (faulted) differs from the sequential run: %w", c, err)
+		}
+		res.Stats.SeqTime = seq.Stats.Elapsed
+		return res, nil
 	})
 	if err != nil {
 		return err
@@ -131,4 +130,38 @@ func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir s
 		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
+}
+
+// resultTol is how far a parallel result may stray from the sequential
+// one: faults perturb timing, never the answer, so the barrier-structured
+// apps must match bitwise; the water codes reduce forces under locks
+// whose acquisition order is timing-dependent, so they carry the tiny
+// tolerance the apps tests use.
+func resultTol(app string) float64 {
+	if app == "water-nsq" || app == "water-sp" {
+		return 1e-9
+	}
+	return 0
+}
+
+// validateResult compares a gathered result image against a reference,
+// word for word when tol is zero, else within relative tolerance; a NaN
+// word never passes.
+func validateResult(want, got []float64, tol float64) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("result sizes differ: want %d, got %d", len(want), len(got))
+	}
+	for i := range want {
+		if tol == 0 {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				return fmt.Errorf("result word %d: want %v, got %v", i, want[i], got[i])
+			}
+			continue
+		}
+		d := math.Abs(want[i] - got[i])
+		if rel := d / math.Max(1, math.Abs(want[i])); rel > tol || math.IsNaN(rel) {
+			return fmt.Errorf("result word %d: want %v, got %v (rel %g)", i, want[i], got[i], rel)
+		}
+	}
+	return nil
 }

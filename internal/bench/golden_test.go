@@ -57,9 +57,6 @@ func TestSweepOutputMatchesParent(t *testing.T) {
 		{"faults", "1328+40:c940a9537c675e4f", func(out io.Writer, dir string) error {
 			return runner().FaultSweep(out, []string{"lossy", "crash", "crash-mgr"}, 1, dir)
 		}},
-		{"rto", "1110+16:51e05c3d1e9c0719", func(out io.Writer, dir string) error {
-			return runner().RTOSweep(out, []string{"lossy"}, 1, dir)
-		}},
 		{"scale", "801+1:deb11e9e1f25ba53", func(out io.Writer, dir string) error {
 			var o ScaleOpts
 			o.GridFor(apps.SizeTest)

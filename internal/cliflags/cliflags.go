@@ -2,8 +2,7 @@
 // machine shape, fault injection, execution control, and list parsing —
 // so a configuration means the same thing in every tool: -procs,
 // -topology, -costs, -barrier, -faults, and -seed are spelled and
-// interpreted identically in svmrun, svmbench, svmserve, svmtrace, and
-// svmcosts.
+// interpreted identically in svmrun, svmbench, svmserve, and svmtrace.
 package cliflags
 
 import (
@@ -147,44 +146,22 @@ func parseDims(s string) (rows, cols int, err error) {
 
 // FaultFlags is the fault-injection flag group.
 type FaultFlags struct {
-	Profile     string
-	Seed        int64
-	LinkLevel   bool
-	AdaptiveRTO bool
+	Profile string
+	Seed    int64
 }
 
-// AddFault registers -faults and -seed plus the transport knobs
-// -link-level and -adaptive-rto.
+// AddFault registers -faults and -seed.
 func AddFault(fs *flag.FlagSet, defProfile string) *FaultFlags {
-	f := AddFaultBasic(fs, defProfile)
-	fs.BoolVar(&f.LinkLevel, "link-level", false,
-		"render the fault profile at mesh-link granularity: loss and jitter roll per link crossing and correlate with XY routes (implies -topology mesh)")
-	fs.BoolVar(&f.AdaptiveRTO, "adaptive-rto", false,
-		"per-(src,dst)-edge Jacobson/Karels RTT estimation instead of the plan's fixed retransmission timeout")
-	return f
-}
-
-// AddFaultBasic registers only -faults and -seed (for sweep tools that
-// compose the plan per cell).
-func AddFaultBasic(fs *flag.FlagSet, defProfile string) *FaultFlags {
 	f := &FaultFlags{}
-	fs.StringVar(&f.Profile, "faults", defProfile, "fault profile: none, lossy, hostile, crash")
+	fs.StringVar(&f.Profile, "faults", defProfile, "fault profile: "+strings.Join(fault.Profiles, ", "))
 	fs.Int64Var(&f.Seed, "seed", 1,
 		"seed for the fault plan and any seeded workload (apps initialize deterministically), so runs reproduce by construction")
 	return f
 }
 
-// Plan builds the fault plan for a machine of the given size.
-func (f *FaultFlags) Plan(nodes int) (fault.Plan, error) {
-	plan, err := fault.Profile(f.Profile, f.Seed)
-	if err != nil {
-		return plan, err
-	}
-	if f.LinkLevel {
-		plan = plan.AtLinkLevel(nodes)
-	}
-	plan.AdaptiveRTO = f.AdaptiveRTO
-	return plan, nil
+// Plan builds the fault plan the flags name.
+func (f *FaultFlags) Plan() (fault.Plan, error) {
+	return fault.Profile(f.Profile, f.Seed)
 }
 
 // AddRunWorkers registers -run-workers, the number of host threads

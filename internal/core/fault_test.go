@@ -217,26 +217,21 @@ func TestDroppedReplyWithRetryRecovers(t *testing.T) {
 	}
 }
 
-// Link-level faults: the hostile profile rendered at mesh-link
-// granularity (loss and jitter correlated with XY routes) plus transient
-// link-failure windows across the early protocol traffic. Every protocol
-// must still compute exact results, the mesh model must be engaged
-// implicitly (LinkDrops counted), and the transport must have recovered
-// route-correlated loss.
-func TestLinkLevelFaultsAllProtocols(t *testing.T) {
-	base, err := fault.Profile(fault.ProfileHostile, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+// meshFaultOpts is the benchmark's fault_matrix configuration: the
+// hostile profile, judged per message, on the 2-D mesh network model.
+func meshFaultOpts(t *testing.T, proto Protocol, p int, seed int64) Options {
+	t.Helper()
+	o := faultOpts(t, proto, p, fault.ProfileHostile, seed)
+	o.Machine.Topology = TopoMesh
+	return o
+}
+
+// Message-level faults on the mesh: every protocol must still compute
+// exact results, the transport must have retransmitted, and no copy is
+// ever lost inside the mesh — the injector judges whole messages only.
+func TestMeshHostileFaultsAllProtocols(t *testing.T) {
 	forEachProto(t, []int{4}, func(t *testing.T, proto Protocol, p int) {
-		plan := base.AtLinkLevel(p)
-		plan.Slowdowns = nil
-		plan.LinkFails = []fault.LinkFail{
-			{From: 0, To: 1, Start: 0, End: 2 * sim.Millisecond},
-			{From: 1, To: 0, Start: sim.Millisecond, End: 3 * sim.Millisecond},
-		}
-		o := testOpts(proto, p)
-		o.Fault = plan
+		o := meshFaultOpts(t, proto, p, 5)
 		const n = 6
 		res := runOrFail(t, o, counterApp(n))
 		if want := float64(p * n); res.Data[0] != want {
@@ -247,11 +242,11 @@ func TestLinkLevelFaultsAllProtocols(t *testing.T) {
 			linkDrops += nd.Counts.LinkDrops
 			retries += nd.Counts.Retries
 		}
-		if linkDrops == 0 {
-			t.Fatal("no copies eaten at links: the plan never reached the mesh model")
+		if linkDrops != 0 {
+			t.Fatalf("LinkDrops = %d: a mesh link ate a message", linkDrops)
 		}
 		if retries == 0 {
-			t.Fatal("link-level loss recovered without a single retransmission")
+			t.Fatal("hostile loss on the mesh recovered without a single retransmission")
 		}
 
 		res = runOrFail(t, o, multiWriterApp())
@@ -263,17 +258,11 @@ func TestLinkLevelFaultsAllProtocols(t *testing.T) {
 	})
 }
 
-// The link-level run is still a deterministic function of (plan, seed),
-// adaptive RTO included.
-func TestLinkLevelFaultDeterminism(t *testing.T) {
-	base, err := fault.Profile(fault.ProfileHostile, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := base.AtLinkLevel(4)
-	plan.AdaptiveRTO = true
-	o := testOpts(ProtoHLRC, 4)
-	o.Fault = plan
+// A faulted mesh run is still a deterministic function of (plan, seed):
+// mesh link occupancy and the injector's stream are both consulted in
+// kernel order.
+func TestMeshHostileFaultDeterminism(t *testing.T) {
+	o := meshFaultOpts(t, ProtoHLRC, 4, 3)
 	r1 := runOrFail(t, o, counterApp(6))
 	r2 := runOrFail(t, o, counterApp(6))
 	if r1.Stats.Elapsed != r2.Stats.Elapsed {

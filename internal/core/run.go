@@ -170,9 +170,7 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		k.Partition(n, opts.Machine.Costs.Lookahead(), opts.RunWorkers)
 	}
 	machine := paragon.New(k, n, opts.Machine.Costs)
-	if opts.Machine.Topology == TopoMesh || opts.Fault.LinkLevel() {
-		// Link-level faults are defined on mesh links, so they imply the
-		// link-granularity network model.
+	if opts.Machine.Topology == TopoMesh {
 		if opts.Machine.MeshRows > 0 {
 			machine.EnableMeshDims(0, opts.Machine.MeshRows, opts.Machine.MeshCols)
 		} else {

@@ -18,7 +18,6 @@ package fault
 
 import (
 	"fmt"
-	"math"
 
 	"gosvm/internal/sim"
 )
@@ -60,20 +59,6 @@ type Slowdown struct {
 	Factor   float64
 }
 
-// LinkFail takes the directional mesh link From->To (adjacent node ids
-// on the 2-D grid) out of service during the simulated-time window
-// [Start, End): every message whose XY route crosses the link inside
-// the window is dropped at that link. The two directions of a physical
-// channel fail independently; schedule both to sever the channel.
-// Requires the link-level mesh network model (enabled automatically).
-type LinkFail struct {
-	From, To   int
-	Start, End sim.Time
-}
-
-// Covers reports whether the window is active at time t.
-func (l LinkFail) Covers(t sim.Time) bool { return t >= l.Start && t < l.End }
-
 // Crash takes node Node down at simulated time At: the node stops
 // servicing protocol messages and its local compute freezes. If
 // RestartAt is nonzero the node comes back at that time with its
@@ -104,18 +89,6 @@ type Plan struct {
 	MaxDelay      sim.Time // default 1ms
 	ReorderWindow sim.Time // default 250us
 
-	// Link-level faults. Unlike the per-message probabilities above,
-	// these roll once per link crossing of a message's XY mesh route, so
-	// loss and jitter correlate with routes and congested links: a
-	// message crossing six links faces six chances, neighbors face one,
-	// and everything routed over a failed link dies together. Any
-	// link-level fault implies the mesh network model (core.Run enables
-	// it automatically).
-	LinkDrop      float64    // per-link-crossing drop probability
-	LinkJitter    float64    // per-link-crossing jitter probability
-	LinkJitterMax sim.Time   // jitter magnitude, U(0, LinkJitterMax); default 100us
-	LinkFails     []LinkFail // scheduled transient link outages
-
 	Targets   []Target
 	Slowdowns []Slowdown
 	Crashes   []Crash
@@ -125,18 +98,8 @@ type Plan struct {
 	Backoff     float64  // RTO multiplier per retry; default 2
 	MaxAttempts int      // transmissions before giving a message up; default 10
 
-	// AdaptiveRTO augments the fixed initial RTO with per-(src,dst)-edge
-	// RTT estimation (Jacobson/Karels SRTT/RTTVAR on the simulated
-	// clock, Karn-filtered samples): an edge's timeout is raised to
-	// srtt + 2*rttvar once that exceeds RTO, so edges with long or
-	// congested routes stop retransmitting into their own congestion.
-	// RTO itself acts as the minimum (TCP minRTO style), guarding
-	// against the plan's i.i.d. injected delay tail. Estimates and
-	// retry backoff are both capped at RTOMax.
-	AdaptiveRTO bool
-	// RTOMax caps every retransmission wait — the adaptive estimate and
-	// the exponential backoff alike — so recovery latency after a long
-	// outage is bounded. Default 50ms.
+	// RTOMax caps the exponential backoff, so recovery latency after a
+	// long outage is bounded. Default 50ms.
 	RTOMax sim.Time
 	// NoRetry disables the reliability layer entirely (no sequence
 	// numbers, acks, dedup, or retransmission): a diagnostic mode that
@@ -156,13 +119,7 @@ type Plan struct {
 // (which is also what activates the reliability transport).
 func (p *Plan) Messaging() bool {
 	return p.Drop > 0 || p.Duplicate > 0 || p.Delay > 0 || p.Reorder > 0 ||
-		len(p.Targets) > 0 || len(p.Crashes) > 0 || p.LinkLevel()
-}
-
-// LinkLevel reports whether the plan injects faults at mesh-link
-// granularity, which requires the link-level network model.
-func (p *Plan) LinkLevel() bool {
-	return p.LinkDrop > 0 || p.LinkJitter > 0 || len(p.LinkFails) > 0
+		len(p.Targets) > 0 || len(p.Crashes) > 0
 }
 
 // Active reports whether the plan perturbs the run at all.
@@ -177,9 +134,6 @@ func (p Plan) withDefaults() Plan {
 	}
 	if p.ReorderWindow == 0 {
 		p.ReorderWindow = 250 * sim.Microsecond
-	}
-	if p.LinkJitterMax == 0 {
-		p.LinkJitterMax = 100 * sim.Microsecond
 	}
 	if p.RTO == 0 {
 		p.RTO = 2 * sim.Millisecond
@@ -200,59 +154,6 @@ func (p Plan) withDefaults() Plan {
 		p.SuspectAfter = 3
 	}
 	return p
-}
-
-// AtLinkLevel converts the plan's per-message drop and delay
-// probabilities into per-link-crossing ones for a machine of the given
-// node count, preserving the fault intensity a message on an
-// average-length XY route experiences: a per-message probability p
-// becomes the per-crossing probability q with 1-(1-q)^h = p at the
-// grid's mean route length h. Short routes then see less loss and
-// jitter than before, long routes more, and faults correlate with
-// routes — the link-level rendition of the same profile. Duplicate and
-// reorder injection have no per-link analogue and stay message-level.
-//
-// With Drop moved to the links, transport acknowledgements (which do
-// not traverse the modeled mesh) are no longer dropped.
-func (p Plan) AtLinkLevel(nodes int) Plan {
-	h := meanHops(nodes)
-	perLink := func(prob float64) float64 {
-		if prob <= 0 {
-			return 0
-		}
-		return 1 - math.Pow(1-prob, 1/h)
-	}
-	p.LinkDrop = perLink(p.Drop)
-	p.Drop = 0
-	p.LinkJitter = perLink(p.Delay)
-	p.LinkJitterMax = p.MaxDelay
-	p.Delay = 0
-	return p
-}
-
-// meanHops is the mean XY route length between two uniformly random
-// nodes of the most-square grid of n nodes (the same grid
-// paragon.EnableMesh builds): the sum, per dimension, of the mean
-// absolute difference of two uniform draws from [0, k).
-func meanHops(n int) float64 {
-	rows := 1
-	for d := 1; d*d <= n; d++ {
-		if n%d == 0 {
-			rows = d
-		}
-	}
-	cols := n / rows
-	mean := func(k int) float64 {
-		if k <= 1 {
-			return 0
-		}
-		return float64(k*k-1) / (3 * float64(k))
-	}
-	h := mean(rows) + mean(cols)
-	if h == 0 {
-		return 1 // single node: transform degenerates to identity
-	}
-	return h
 }
 
 // Profile returns a named preset plan seeded with seed.

@@ -96,27 +96,6 @@ func (in *Injector) Judge(from, to, kind int, reply bool) Verdict {
 	return v
 }
 
-// JudgeLink decides the fate of one message crossing the directional
-// mesh link from->to at simulated time t: whether the link eats the
-// message, and any extra per-link jitter. Scheduled LinkFail windows
-// drop deterministically; the probabilistic rolls consume randomness
-// only when the corresponding probability is nonzero, so a plan with
-// only failure windows perturbs nothing else.
-func (in *Injector) JudgeLink(from, to int, t sim.Time) (drop bool, jitter sim.Time) {
-	for _, lf := range in.plan.LinkFails {
-		if lf.From == from && lf.To == to && lf.Covers(t) {
-			drop = true
-		}
-	}
-	if in.plan.LinkDrop > 0 && in.r.float() < in.plan.LinkDrop {
-		drop = true
-	}
-	if in.plan.LinkJitter > 0 && in.r.float() < in.plan.LinkJitter {
-		jitter = in.r.timeIn(in.plan.LinkJitterMax)
-	}
-	return drop, jitter
-}
-
 // JudgeAck decides whether a transport-level acknowledgement is lost.
 // Acks are tiny and carry no payload, so only the drop probability
 // applies; a lost ack simply provokes a (suppressed) retransmission.

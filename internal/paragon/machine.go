@@ -79,9 +79,6 @@ func (m *Machine) EnableFaults(inj *fault.Injector) {
 	if p := inj.Plan(); p.Messaging() {
 		m.faults = newFaultLayer(m, inj)
 	}
-	if m.mesh != nil {
-		m.mesh.installJudge(inj)
-	}
 	for _, c := range inj.Crashes() {
 		c := c
 		m.K.At(c.At, func() {
@@ -230,24 +227,20 @@ func (d *dispatcher) push(msg Msg) {
 // arrivalTime computes when a payload of size bytes sent now arrives at
 // node to. When ordered, the per-(src,dst) FIFO clamp is applied and
 // recorded; unordered copies (fault-delayed or duplicate transmissions)
-// may overtake earlier traffic on the same wire. Under the link-level
-// fault model a mesh link may eat the message: ok is false, nothing
-// arrives, and the FIFO clamp is left untouched.
-func (n *Node) arrivalTime(to, size int, ordered bool) (at sim.Time, ok bool) {
+// may overtake earlier traffic on the same wire.
+func (n *Node) arrivalTime(to, size int, ordered bool) sim.Time {
+	var at sim.Time
 	if ms := n.M.mesh; ms != nil && n.ID != to {
 		// Software latency covers injection; the mesh model adds hop
 		// delay and link contention for the payload.
 		bw := n.M.Costs.BandwidthMBs * 1e6
 		tx := sim.Time(float64(size+n.M.Costs.MsgHeader) / bw * float64(sim.Second))
-		at, ok = ms.deliver(n.M.K.LaneNow(n.ID)+n.M.Costs.MsgLatency, n.ID, to, tx)
-		if !ok {
-			return 0, false
-		}
+		at = ms.deliver(n.M.K.LaneNow(n.ID)+n.M.Costs.MsgLatency, n.ID, to, tx)
 	} else {
 		at = n.M.K.LaneNow(n.ID) + n.M.Costs.Wire(size)
 	}
 	if !ordered {
-		return at, true
+		return at
 	}
 	row := n.M.lastArrival[n.ID]
 	if row == nil {
@@ -258,7 +251,7 @@ func (n *Node) arrivalTime(to, size int, ordered bool) (at sim.Time, ok bool) {
 		at = prev + 1
 	}
 	row[to] = at
-	return at, true
+	return at
 }
 
 // enqueue hands a delivered message to the targeted dispatcher queue.
@@ -286,13 +279,10 @@ func (n *Node) Send(to int, msg Msg) {
 	}
 	n.Stats.Sent(msg.Class, msg.Size+n.M.Costs.MsgHeader)
 	dst := n.M.Nodes[to]
-	// Link-level drops only exist with a fault plan, which routes all
-	// inter-node traffic through the fault layer above — this arrival is
-	// always ok. The delivery is posted from this node's lane to the
-	// destination's: on a partitioned kernel it becomes a window-boundary
-	// handoff, on an unpartitioned one a plain event.
-	at, _ := n.arrivalTime(to, msg.Size, true)
-	n.M.K.Post(n.ID, to, at, func() { dst.enqueue(msg) })
+	// The delivery is posted from this node's lane to the destination's:
+	// on a partitioned kernel it becomes a window-boundary handoff, on an
+	// unpartitioned one a plain event.
+	n.M.K.Post(n.ID, to, n.arrivalTime(to, msg.Size, true), func() { dst.enqueue(msg) })
 }
 
 // Call sends a request and blocks p until the reply arrives. The reply is
@@ -321,8 +311,7 @@ func (n *Node) Respond(req Msg, resp Msg) {
 	}
 	n.Stats.Sent(resp.Class, resp.Size+n.M.Costs.MsgHeader)
 	reply := req.Reply
-	at, _ := n.arrivalTime(to, resp.Size, true)
-	n.M.K.Post(n.ID, to, at, func() { reply.ch.Push(resp) })
+	n.M.K.Post(n.ID, to, n.arrivalTime(to, resp.Size, true), func() { reply.ch.Push(resp) })
 }
 
 // PostCoproc posts a request from the compute processor to the local

@@ -1,9 +1,6 @@
 package paragon
 
-import (
-	"gosvm/internal/fault"
-	"gosvm/internal/sim"
-)
+import "gosvm/internal/sim"
 
 // mesh models the Paragon's 2-D wormhole-routed mesh at link granularity.
 // The default machine model treats the network as a full crossbar (every
@@ -17,12 +14,6 @@ type mesh struct {
 	// linkFree[l] is when link l's tail clears. Links are directional:
 	// 4 per node (N, S, E, W).
 	linkFree map[link]sim.Time
-	// judge, when non-nil, consults the fault injector for every link
-	// crossing (see Machine.EnableFaults): a drop verdict loses the
-	// message at that link, and jitter delays the header there. Faults
-	// therefore correlate with XY routes instead of being i.i.d. per
-	// message.
-	judge func(from, to int, t sim.Time) (drop bool, jitter sim.Time)
 }
 
 type link struct {
@@ -62,18 +53,6 @@ func (m *Machine) EnableMeshDims(hop sim.Time, rows, cols int) {
 		cols:     cols,
 		hop:      hop,
 		linkFree: map[link]sim.Time{},
-	}
-	if m.inj != nil {
-		m.mesh.installJudge(m.inj)
-	}
-}
-
-// installJudge wires the injector's link-level verdicts into delivery
-// when the plan has any. EnableMesh and EnableFaults may run in either
-// order; both call here.
-func (ms *mesh) installJudge(inj *fault.Injector) {
-	if p := inj.Plan(); p.LinkLevel() {
-		ms.judge = inj.JudgeLink
 	}
 }
 
@@ -122,11 +101,8 @@ func (ms *mesh) hops(src, dst int) int {
 // deliver advances the message header across the route, reserving each
 // link for the payload's transmission time, and returns the arrival time
 // of the tail at dst. start is when the message leaves the source's
-// network interface. With link-level faults installed a crossing may eat
-// the message: ok is false, nothing arrives, and the failed link is not
-// reserved (links already crossed keep their reservations — the worm
-// was truncated mid-route).
-func (ms *mesh) deliver(start sim.Time, src, dst int, tx sim.Time) (arrival sim.Time, ok bool) {
+// network interface.
+func (ms *mesh) deliver(start sim.Time, src, dst int, tx sim.Time) sim.Time {
 	t := start
 	cur := src
 	for _, next := range ms.route(src, dst) {
@@ -134,17 +110,10 @@ func (ms *mesh) deliver(start sim.Time, src, dst int, tx sim.Time) (arrival sim.
 		if free := ms.linkFree[l]; free > t {
 			t = free
 		}
-		if ms.judge != nil {
-			drop, jitter := ms.judge(l.from, l.to, t)
-			if drop {
-				return 0, false
-			}
-			t += jitter
-		}
 		t += ms.hop
 		// Wormhole: the link is held until the tail passes.
 		ms.linkFree[l] = t + tx
 		cur = next
 	}
-	return t + tx, true
+	return t + tx
 }

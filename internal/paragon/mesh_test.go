@@ -1,6 +1,7 @@
 package paragon
 
 import (
+	"fmt"
 	"testing"
 
 	"gosvm/internal/sim"
@@ -115,5 +116,92 @@ func TestMeshDisjointPathsParallel(t *testing.T) {
 	k.Shutdown()
 	if len(arrivals) != 2 || arrivals[0] != arrivals[1] {
 		t.Fatalf("disjoint paths interfered: %v", arrivals)
+	}
+}
+
+// A prime node count degenerates to a 1xN grid: routes are the flat
+// column distance and delivery still works end to end.
+func TestMeshPrimeGrid(t *testing.T) {
+	k := sim.NewKernel()
+	m := New(k, 7, testCosts())
+	m.EnableMesh(0)
+	ms := m.mesh
+	if ms.rows != 1 || ms.cols != 7 {
+		t.Fatalf("grid = %dx%d, want 1x7", ms.rows, ms.cols)
+	}
+	path := ms.route(0, 6)
+	if len(path) != 6 || path[0] != 1 || path[5] != 6 {
+		t.Fatalf("route 0->6 = %v", path)
+	}
+	if ms.hops(6, 0) != 6 || ms.hops(3, 3) != 0 {
+		t.Fatalf("hops wrong: %d, %d", ms.hops(6, 0), ms.hops(3, 3))
+	}
+	var arrived sim.Time
+	m.Nodes[6].InstallCoproc(func(msg Msg) (sim.Time, func()) {
+		return 0, func() { arrived = k.Now() }
+	})
+	k.Spawn("send", 0, func(p *sim.Proc) {
+		m.Nodes[0].Send(6, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	c := testCosts()
+	want := c.MsgLatency + 6*DefaultHopLatency + meshTx(c, 4)
+	if arrived != want {
+		t.Fatalf("1x7 end-to-end arrival = %v, want %v", arrived, want)
+	}
+}
+
+// A single-node machine builds a 1x1 mesh and a self-send bypasses it
+// (local delivery pays the plain wire time, no hops).
+func TestMeshSelfSend(t *testing.T) {
+	k := sim.NewKernel()
+	m := New(k, 4, testCosts())
+	m.EnableMesh(0)
+	var arrived sim.Time
+	m.Nodes[2].InstallCoproc(func(msg Msg) (sim.Time, func()) {
+		return 0, func() { arrived = k.Now() }
+	})
+	k.Spawn("send", 0, func(p *sim.Proc) {
+		m.Nodes[2].Send(2, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	c := testCosts()
+	if want := c.Wire(4); arrived != want {
+		t.Fatalf("self-send arrival = %v, want plain wire time %v", arrived, want)
+	}
+	if len(m.mesh.route(2, 2)) != 0 {
+		t.Fatal("self route not empty")
+	}
+}
+
+// XY routes are a pure function of the endpoints: repeated calls and
+// fresh machines agree, which the deterministic fault replay relies on.
+func TestMeshRouteDeterminism(t *testing.T) {
+	mk := func() *mesh {
+		k := sim.NewKernel()
+		m := New(k, 16, testCosts())
+		m.EnableMesh(0)
+		k.Shutdown()
+		return m.mesh
+	}
+	a, b := mk(), mk()
+	for src := 0; src < 16; src++ {
+		for dst := 0; dst < 16; dst++ {
+			p1 := a.route(src, dst)
+			p2 := a.route(src, dst)
+			p3 := b.route(src, dst)
+			if fmt.Sprint(p1) != fmt.Sprint(p2) || fmt.Sprint(p1) != fmt.Sprint(p3) {
+				t.Fatalf("route %d->%d unstable: %v / %v / %v", src, dst, p1, p2, p3)
+			}
+			if len(p1) != a.hops(src, dst) {
+				t.Fatalf("route %d->%d length %d != hops %d", src, dst, len(p1), a.hops(src, dst))
+			}
+		}
 	}
 }

@@ -34,12 +34,6 @@ type faultLayer struct {
 	maxAttempts  int
 	suspectAfter int
 
-	// adaptive switches the initial retransmission timeout from the
-	// plan's fixed RTO to a per-(src,dst)-edge Jacobson/Karels estimate
-	// (see rtoFor); rtt is the estimator state, indexed [src][dst].
-	adaptive bool
-	rtt      [][]edgeRTT
-
 	nextID  uint64
 	pending map[uint64]*netMsg
 	// seen holds, per destination node, the ids already delivered there.
@@ -50,31 +44,6 @@ type faultLayer struct {
 	// suspected marks nodes already reported dead to OnSuspect, cleared
 	// when the node rejoins.
 	suspected []bool
-}
-
-// edgeRTT is one edge's RTT estimator (Jacobson/Karels, on the
-// simulated clock): smoothed RTT with gain 1/8, mean deviation with
-// gain 1/4.
-type edgeRTT struct {
-	srtt, rttvar sim.Time
-	samples      int
-}
-
-// observe folds one round-trip sample in. Only unambiguous samples are
-// offered (Karn's rule, see ackArrived).
-func (e *edgeRTT) observe(rtt sim.Time) {
-	if e.samples == 0 {
-		e.srtt = rtt
-		e.rttvar = rtt / 2
-	} else {
-		dev := e.srtt - rtt
-		if dev < 0 {
-			dev = -dev
-		}
-		e.rttvar += (dev - e.rttvar) / 4
-		e.srtt += (rtt - e.srtt) / 8
-	}
-	e.samples++
 }
 
 // netMsg is one logical message in flight: the transport retransmits the
@@ -117,7 +86,6 @@ func newFaultLayer(m *Machine, inj *fault.Injector) *faultLayer {
 		backoff:      p.Backoff,
 		maxAttempts:  p.MaxAttempts,
 		suspectAfter: p.SuspectAfter,
-		adaptive:     p.AdaptiveRTO,
 		pending:      make(map[uint64]*netMsg),
 		seen:         make([]map[uint64]struct{}, len(m.Nodes)),
 		suspected:    make([]bool, len(m.Nodes)),
@@ -125,45 +93,7 @@ func newFaultLayer(m *Machine, inj *fault.Injector) *faultLayer {
 	for i := range fl.seen {
 		fl.seen[i] = make(map[uint64]struct{})
 	}
-	if fl.adaptive {
-		// Rows materialize on first use (see edgeEstimate): estimator
-		// state is per communicating edge, not per possible edge.
-		fl.rtt = make([][]edgeRTT, len(m.Nodes))
-	}
 	return fl
-}
-
-// rtoFor returns the first retransmission wait for a message on the
-// (src,dst) edge. With AdaptiveRTO the edge's srtt + 2*rttvar estimate
-// raises the timeout above the plan's fixed RTO once the edge has a
-// sample; it never lowers it. The fixed RTO thus plays the role of
-// TCP's minimum RTO: it guards against spurious retransmission on the
-// fault plan's injected delay tail (which is i.i.d. per message, so no
-// per-edge estimate can dodge it), while the estimate adapts to what
-// does differ per edge — route length and link congestion. Every wait,
-// first or backed-off, is capped at RTOMax.
-// edgeEstimate returns the RTT estimator for the (src,dst) edge,
-// materializing the source's row on first touch.
-func (fl *faultLayer) edgeEstimate(src, dst int) *edgeRTT {
-	row := fl.rtt[src]
-	if row == nil {
-		row = make([]edgeRTT, len(fl.m.Nodes))
-		fl.rtt[src] = row
-	}
-	return &row[dst]
-}
-
-func (fl *faultLayer) rtoFor(src, dst int) sim.Time {
-	rto := fl.rto
-	if fl.adaptive {
-		if e := fl.edgeEstimate(src, dst); e.samples > 0 && e.srtt+2*e.rttvar > rto {
-			rto = e.srtt + 2*e.rttvar
-		}
-	}
-	if rto > fl.rtoMax {
-		rto = fl.rtoMax
-	}
-	return rto
 }
 
 // send routes a one-way or request message through the faulty network.
@@ -186,8 +116,8 @@ func (fl *faultLayer) send(n *Node, to int, msg Msg) {
 
 // respond routes a reply through the faulty network to node to, the
 // original requester (whose proc polls reply.ch). Replies cross the
-// same modeled network as requests: hop latency, link contention,
-// link-level faults, and the per-(src,dst) FIFO order all apply.
+// same modeled network as requests: hop latency, link contention, and
+// the per-(src,dst) FIFO order all apply.
 func (fl *faultLayer) respond(n *Node, to int, reply *Reply, resp Msg) {
 	fl.nextID++
 	nm := &netMsg{
@@ -205,8 +135,7 @@ func (fl *faultLayer) respond(n *Node, to int, reply *Reply, resp Msg) {
 }
 
 // putOnWire transmits one (possibly faulty) copy of nm from n: the
-// injector's message-level verdict first, then the network model
-// (crossbar or mesh, where a link-level fault may still eat the copy).
+// injector's verdict first, then the network model (crossbar or mesh).
 func (fl *faultLayer) putOnWire(n *Node, nm *netMsg, size int, v fault.Verdict) {
 	n.Stats.Sent(nm.class, size+fl.m.Costs.MsgHeader)
 	if v.Drop {
@@ -215,25 +144,16 @@ func (fl *faultLayer) putOnWire(n *Node, nm *netMsg, size int, v fault.Verdict) 
 	}
 	// A delayed primary copy leaves the FIFO order, as do duplicates:
 	// both model packets straggling through the mesh.
-	at, ok := n.arrivalTime(nm.dst, size, v.Delay == 0)
-	if !ok {
-		fl.linkDropped(nm)
-	} else {
-		nm.inflight++
-		// Arrivals go through the same src->dst handoff path as fault-free
-		// sends. (Fault runs always execute on an unpartitioned kernel —
-		// the transport's dedup/pending maps are global — so this is the
-		// plain event path; the routing just stays uniform.)
-		fl.m.K.Post(nm.src, nm.dst, at+v.Delay, func() { fl.arrive(nm) })
-	}
+	at := n.arrivalTime(nm.dst, size, v.Delay == 0)
+	nm.inflight++
+	// Arrivals go through the same src->dst handoff path as fault-free
+	// sends. (Fault runs always execute on an unpartitioned kernel — the
+	// transport's dedup/pending maps are global — so this is the plain
+	// event path; the routing just stays uniform.)
+	fl.m.K.Post(nm.src, nm.dst, at+v.Delay, func() { fl.arrive(nm) })
 	if v.Duplicate {
-		at2, ok := n.arrivalTime(nm.dst, size, false)
-		if !ok {
-			fl.linkDropped(nm)
-			return
-		}
 		nm.inflight++
-		fl.m.K.Post(nm.src, nm.dst, at2, func() { fl.arrive(nm) })
+		fl.m.K.Post(nm.src, nm.dst, n.arrivalTime(nm.dst, size, false), func() { fl.arrive(nm) })
 	}
 }
 
@@ -244,14 +164,8 @@ func (fl *faultLayer) launch(nm *netMsg) {
 	nm.transmit(fl.inj.Judge(nm.src, nm.dst, nm.kind, nm.reply))
 	if fl.reliable {
 		fl.pending[nm.id] = nm
-		fl.scheduleRetry(nm, fl.rtoFor(nm.src, nm.dst))
+		fl.scheduleRetry(nm, fl.rto)
 	}
-}
-
-// linkDropped accounts a copy a mesh link ate mid-route.
-func (fl *faultLayer) linkDropped(nm *netMsg) {
-	fl.m.Nodes[nm.src].Stats.Counts.LinkDrops++
-	fl.dropped(nm)
 }
 
 // maybeRetire drops the receiver's dedup entry for nm once no copy can
@@ -330,12 +244,6 @@ func (fl *faultLayer) ackArrived(nm *netMsg) {
 	}
 	nm.acked = true
 	delete(fl.pending, nm.id)
-	if fl.adaptive && nm.attempts == 1 {
-		// Karn's rule: an ack for a retransmitted message is ambiguous
-		// (it may answer any copy), so only first-attempt round trips
-		// feed the estimator.
-		fl.edgeEstimate(nm.src, nm.dst).observe(fl.m.K.Now() - nm.firstSent)
-	}
 	if nm.attempts > 1 {
 		// Recovery time: how long the loss stalled this message beyond a
 		// clean first-attempt round trip.

@@ -161,77 +161,3 @@ func TestSeenMapsBounded(t *testing.T) {
 		t.Fatalf("%d messages still pending after the run", len(fl.pending))
 	}
 }
-
-// The per-edge estimator only ever raises the timeout above the plan's
-// fixed RTO (which plays the minRTO role), and both the estimate and
-// the cap behave per edge.
-func TestAdaptiveRTOPerEdge(t *testing.T) {
-	k := sim.NewKernel()
-	m := New(k, 4, testCosts())
-	m.EnableFaults(fault.NewInjector(fault.Plan{
-		Seed:        1,
-		Drop:        0.01,
-		AdaptiveRTO: true,
-		RTO:         2 * sim.Millisecond,
-		RTOMax:      50 * sim.Millisecond,
-	}))
-	fl := m.faults
-	// No samples: the fixed RTO.
-	if got := fl.rtoFor(0, 1); got != 2*sim.Millisecond {
-		t.Fatalf("unsampled edge RTO = %v, want 2ms", got)
-	}
-	// A slow edge: first sample sets srtt=rtt, rttvar=rtt/2, so the
-	// timeout becomes srtt + 2*rttvar = 2*rtt.
-	fl.edgeEstimate(0, 1).observe(10 * sim.Millisecond)
-	if got := fl.rtoFor(0, 1); got != 20*sim.Millisecond {
-		t.Fatalf("sampled edge RTO = %v, want 20ms", got)
-	}
-	// Other edges are untouched.
-	if got := fl.rtoFor(1, 0); got != 2*sim.Millisecond {
-		t.Fatalf("reverse edge RTO = %v, want the fixed 2ms", got)
-	}
-	// A fast edge never drops below the fixed RTO (minRTO floor).
-	fl.edgeEstimate(2, 3).observe(10 * sim.Microsecond)
-	if got := fl.rtoFor(2, 3); got != 2*sim.Millisecond {
-		t.Fatalf("fast edge RTO = %v, want the 2ms floor", got)
-	}
-	// A pathological edge is capped at RTOMax.
-	fl.edgeEstimate(3, 2).observe(200 * sim.Millisecond)
-	if got := fl.rtoFor(3, 2); got != 50*sim.Millisecond {
-		t.Fatalf("slow edge RTO = %v, want the 50ms cap", got)
-	}
-	k.Shutdown()
-}
-
-// First-attempt acks feed the estimator; acks of retransmitted messages
-// are ambiguous and must be excluded (Karn's rule).
-func TestAdaptiveRTOKarnFilter(t *testing.T) {
-	k := sim.NewKernel()
-	m := New(k, 2, testCosts())
-	m.EnableFaults(fault.NewInjector(fault.Plan{
-		Seed:        1,
-		AdaptiveRTO: true,
-		// Drop exactly the first transmission of kind 7: its ack follows a
-		// retransmission, so it must not be sampled. Kind 8 flows clean.
-		Targets: []fault.Target{{Kind: 7, From: 0, To: 1, Nth: 1}},
-	}))
-	m.Nodes[1].InstallCoproc(func(msg Msg) (sim.Time, func()) { return 0, nil })
-	k.Spawn("send", 0, func(p *sim.Proc) {
-		m.Nodes[0].Send(1, Msg{Kind: 7, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc})
-		p.Sleep(20 * sim.Millisecond) // past the retransmission and its ack
-		m.Nodes[0].Send(1, Msg{Kind: 8, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc})
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	e := m.faults.rtt[0][1]
-	if e.samples != 1 {
-		t.Fatalf("estimator saw %d samples, want 1 (Karn must exclude the retransmitted message)", e.samples)
-	}
-	// The surviving sample is the clean round trip, not the
-	// RTO-inflated one of the dropped-then-retransmitted message.
-	if e.srtt > sim.Millisecond {
-		t.Fatalf("srtt = %v: the ambiguous retransmission round trip leaked in", e.srtt)
-	}
-}

@@ -222,7 +222,7 @@ func (a *tornApp) Gather(c *core.Ctx) []float64 {
 // TestSeqlockTornRead: the mid-interval flush (lock chase past a dirty
 // owner) must expose the odd version word to a lock-free reader, and
 // the locked fallback must then observe the committed value — the
-// mechanism DESIGN.md §14's correctness argument rests on.
+// mechanism DESIGN.md §13's correctness argument rests on.
 func TestSeqlockTornRead(t *testing.T) {
 	app := &tornApp{}
 	res, err := core.Run(core.Options{Protocol: core.ProtoHLRC, Machine: core.Machine{Nodes: 2}}, app, false)

@@ -74,7 +74,7 @@ type Counters struct {
 	Retries        int64 // transport retransmissions issued by this node
 	DupsSuppressed int64 // duplicate deliveries deduped at this node
 	MsgsDropped    int64 // copies the faulty network ate (sent by this node)
-	LinkDrops      int64 // copies eaten mid-route by a mesh link (subset of MsgsDropped)
+	LinkDrops      int64 // always zero (faults are judged per message); removed with the next digest re-baseline
 
 	// PagesRehomed counts pages this node adopted as their new home
 	// after the previous home crashed. Zero without crash recovery.
