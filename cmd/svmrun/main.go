@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"text/tabwriter"
 
 	"gosvm"
@@ -31,7 +30,6 @@ func main() {
 		noSeq    = flag.Bool("noseq", false, "skip the sequential baseline run")
 		replicas = flag.Int("replicas", 0, "home-state replicas per home (required to survive crashes; hlrc/ohlrc only)")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON statistics instead of text")
-		parallel = cliflags.AddParallel(flag.CommandLine)
 		runWkrs  = cliflags.AddRunWorkers(flag.CommandLine)
 	)
 	flag.Parse()
@@ -61,36 +59,28 @@ func main() {
 		return a
 	}
 
-	opts := gosvm.NewOptions(proto,
-		gosvm.WithMachine(machine),
-		gosvm.WithPageBytes(mf.Page),
-		gosvm.WithGCThreshold(*gcThr),
-		gosvm.WithFaults(plan),
-		gosvm.WithReplication(*replicas),
-		gosvm.WithRunWorkers(*runWkrs),
-	)
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	opts := gosvm.Options{
+		Protocol:    proto,
+		Machine:     machine,
+		PageBytes:   mf.Page,
+		GCThreshold: *gcThr,
+		Fault:       plan,
+		Recovery:    gosvm.Recovery{Replicas: *replicas},
+		RunWorkers:  *runWkrs,
 	}
 
-	// The sequential baseline is an independent simulation; overlap it
-	// with the main run when more than one worker is allowed. Each run
-	// owns its kernel, so results are identical either way.
+	// The sequential baseline is an independent simulation with its own
+	// kernel: overlap it with the main run.
 	var (
 		seq    *gosvm.Result
 		seqErr error
-		seqCh  chan struct{}
+		seqCh  = make(chan struct{})
 	)
-	runSeq := func() {
-		s, err := gosvm.Sequential(mk(), mf.Page)
-		seq, seqErr = s, err
-	}
-	if !*noSeq && workers > 1 {
-		seqCh = make(chan struct{})
+	if !*noSeq {
+		app := mk()
 		go func() {
 			defer close(seqCh)
-			runSeq()
+			seq, seqErr = gosvm.Sequential(app, mf.Page)
 		}()
 	}
 
@@ -100,11 +90,7 @@ func main() {
 		os.Exit(1)
 	}
 	if !*noSeq {
-		if seqCh != nil {
-			<-seqCh
-		} else {
-			runSeq()
-		}
+		<-seqCh
 		if seqErr != nil {
 			fmt.Fprintln(os.Stderr, seqErr)
 			os.Exit(1)

@@ -11,7 +11,7 @@
 //	svmserve -faults crash -window-ms 60       # tail latency under a mid-run crash
 //	svmserve -arrival bursty -zipf 0.99 -mix 50,40,10
 //	svmserve -ablation all                     # fast-path ladder: off,locks,seqlock
-//	svmserve -key-locks 8 -seqlock
+//	svmserve -ablation seqlock                 # one fast-path configuration
 //	svmserve -closed-loop 32,128 -think-ms 1   # closed-loop comparison table
 //	svmserve -json-dir out/serve               # per-cell JSON with full histograms
 //
@@ -45,9 +45,7 @@ func main() {
 		arrival   = flag.String("arrival", "poisson", "arrival process: poisson or bursty (MMPP-2)")
 		burst     = flag.Float64("burst", 3, "bursty arrival burst-state rate multiplier")
 		serviceUs = flag.Float64("service-us", 5, "modeled per-op compute time, microseconds")
-		keyLocks  = flag.Int("key-locks", 0, "lock stripes per shard (0 = one lock per shard)")
-		seqlock   = flag.Bool("seqlock", false, "lock-free validated reads (home-based protocols)")
-		ablation  = flag.String("ablation", "", "sweep fast-path ablation modes (\"all\" = off,locks,seqlock; or a comma list), overriding the individual fast-path flags")
+		ablation  = flag.String("ablation", "", "fast-path modes to sweep (\"all\" = off,locks,seqlock; or a comma list)")
 		closed    = flag.String("closed-loop", "", "closed-loop client counts to compare (comma list; empty = open loop only)")
 		thinkMs   = flag.Float64("think-ms", 1, "closed-loop mean think time, milliseconds")
 		ff        = cliflags.AddFault(flag.CommandLine, "")
@@ -102,8 +100,6 @@ func main() {
 		BurstFactor: *burst,
 		ServiceNs:   sim.Time(*serviceUs * float64(sim.Microsecond)),
 		Seed:        ff.Seed,
-		KeyLocks:    *keyLocks,
-		Seqlock:     *seqlock,
 	}
 
 	modes := cliflags.Strings(*ablation)

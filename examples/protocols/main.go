@@ -87,7 +87,7 @@ func main() {
 			app := &falseSharing{words: 4096, rounds: 3}
 			res, err := gosvm.Run(gosvm.Options{
 				Protocol:  proto,
-				Machine:   gosvm.NewMachine(procs),
+				Machine:   gosvm.Machine{Nodes: procs},
 				PageBytes: 4096,
 			}, app)
 			if err != nil {

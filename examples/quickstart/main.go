@@ -66,14 +66,14 @@ func (a *piApp) Gather(c *gosvm.Ctx) []float64 {
 }
 
 func main() {
-	// Functional options over the HLRC protocol (the paper's home-based
-	// protocol); gosvm.Options{...} literal construction works too. The
-	// machine shape (size, topology, costs, barrier) travels as one
-	// gosvm.Machine value — see NewMachine's MachineOptions for the knobs.
-	opts := gosvm.NewOptions(gosvm.HLRC,
-		gosvm.WithMachine(gosvm.NewMachine(8)),
-		gosvm.WithPageBytes(4096),
-	)
+	// The HLRC protocol (the paper's home-based protocol) on 8 nodes. The
+	// machine shape (size, topology, costs) travels as one gosvm.Machine
+	// value; unset fields default to the paper's machine.
+	opts := gosvm.Options{
+		Protocol:  gosvm.HLRC,
+		Machine:   gosvm.Machine{Nodes: 8},
+		PageBytes: 4096,
+	}
 	res, err := gosvm.Run(opts, &piApp{steps: 1 << 20})
 	if err != nil {
 		log.Fatal(err)

@@ -116,7 +116,7 @@ func main() {
 		app := &stencil{h: 256, w: 256, iters: 20}
 		res, err := gosvm.Run(gosvm.Options{
 			Protocol:  proto,
-			Machine:   gosvm.NewMachine(procs),
+			Machine:   gosvm.Machine{Nodes: procs},
 			PageBytes: 4096,
 		}, app)
 		if err != nil {

@@ -114,7 +114,7 @@ func main() {
 	for _, proto := range gosvm.Protocols {
 		res, err := gosvm.Run(gosvm.Options{
 			Protocol:  proto,
-			Machine:   gosvm.NewMachine(procs),
+			Machine:   gosvm.Machine{Nodes: procs},
 			PageBytes: 4096,
 		}, &taskfarm{})
 		if err != nil {

@@ -87,15 +87,11 @@ type (
 	// Costs is the machine cost model (the paper's Table 3).
 	Costs = paragon.Costs
 	// Machine describes the simulated multicomputer independently of the
-	// protocol: size, topology, cost profile, and barrier algorithm.
-	// Build one with NewMachine and install it with WithMachine (or set
-	// Options.Machine directly).
+	// protocol: size, topology, and cost profile. Set it as
+	// Options.Machine.
 	Machine = core.Machine
 	// Topology selects the network model (TopoCrossbar or TopoMesh).
 	Topology = core.Topology
-	// BarrierMode selects the barrier algorithm (BarrierAuto,
-	// BarrierCentral, or BarrierTree).
-	BarrierMode = core.BarrierMode
 	// RunStats aggregates per-node statistics for a run.
 	RunStats = stats.Run
 	// NodeStats holds one node's time breakdown, counters, traffic, and
@@ -120,10 +116,10 @@ type (
 	// never). See FaultPlan.Crashes and Options.Recovery.
 	Crash = fault.Crash
 	// Recovery configures home-state replication and re-homing for the
-	// home-based protocols (see Options.Recovery, WithReplication). The
-	// same backups are also sent each node's synchronization-manager
-	// updates (lock-owner tables, barrier arrivals), so manager roles
-	// fail over with the pages.
+	// home-based protocols (see Options.Recovery). The same backups are
+	// also sent each node's synchronization-manager updates (lock-owner
+	// tables, barrier arrivals), so manager roles fail over with the
+	// pages.
 	Recovery = core.Recovery
 	// ServeConfig parameterizes the open-loop request-serving workload:
 	// key-value store shape (keys, shards, op mix, Zipf skew), arrival
@@ -193,126 +189,12 @@ const (
 	TopoMesh = core.TopoMesh
 )
 
-// Barrier modes.
-const (
-	// BarrierAuto selects the centralized barrier up to BarrierCrossover
-	// nodes and the k-ary combining tree above it.
-	BarrierAuto = core.BarrierAuto
-	// BarrierCentral always uses the paper's single-manager barrier.
-	BarrierCentral = core.BarrierCentral
-	// BarrierTree always uses the hierarchical k-ary tree barrier.
-	BarrierTree = core.BarrierTree
-)
-
-// BarrierCrossover is the machine size above which BarrierAuto switches
-// from the centralized barrier to the tree.
+// BarrierCrossover is the machine size above which the k-ary combining
+// tree replaces the paper's centralized barrier.
 const BarrierCrossover = core.BarrierCrossover
 
 // ParseTopology validates a topology name.
 func ParseTopology(s string) (Topology, error) { return core.ParseTopology(s) }
-
-// ParseBarrierMode validates a barrier mode name.
-func ParseBarrierMode(s string) (BarrierMode, error) { return core.ParseBarrierMode(s) }
-
-// MachineOption is a functional setting for NewMachine.
-type MachineOption func(*Machine)
-
-// NewMachine builds a Machine of the given size, applying opts. Unset
-// fields keep their zero values and are defaulted at run time (crossbar
-// topology, Paragon costs, auto barrier selection).
-func NewMachine(nodes int, opts ...MachineOption) Machine {
-	m := Machine{Nodes: nodes}
-	for _, fn := range opts {
-		fn(&m)
-	}
-	return m
-}
-
-// WithTopology selects the network model.
-func WithTopology(t Topology) MachineOption {
-	return func(m *Machine) { m.Topology = t }
-}
-
-// WithMeshDims selects the mesh topology with an explicit rows x cols
-// grid shape (rows*cols must equal the machine size). WithTopology(
-// TopoMesh) alone uses the most-square factorization.
-func WithMeshDims(rows, cols int) MachineOption {
-	return func(m *Machine) {
-		m.Topology = TopoMesh
-		m.MeshRows, m.MeshCols = rows, cols
-	}
-}
-
-// WithCostProfile sets the machine's basic-operation cost model (see
-// DefaultCosts, ModernCosts).
-func WithCostProfile(c Costs) MachineOption {
-	return func(m *Machine) { m.Costs = c }
-}
-
-// WithBarrier selects the barrier algorithm.
-func WithBarrier(mode BarrierMode) MachineOption {
-	return func(m *Machine) { m.Barrier = mode }
-}
-
-// WithBarrierRadix sets the tree barrier fan-in (default 8).
-func WithBarrierRadix(k int) MachineOption {
-	return func(m *Machine) { m.BarrierRadix = k }
-}
-
-// Option is a functional setting for NewOptions. Options remains a
-// plain struct — the two construction styles are interchangeable.
-type Option func(*Options)
-
-// NewOptions builds an Options for the given protocol, applying opts
-// over the defaults.
-func NewOptions(p Protocol, opts ...Option) Options {
-	o := Options{Protocol: p}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
-// WithMachine installs a Machine configuration (see NewMachine): the
-// one way to size and shape the simulated machine.
-func WithMachine(m Machine) Option { return func(o *Options) { o.Machine = m } }
-
-// WithPageBytes sets the SVM page size in bytes.
-func WithPageBytes(n int) Option { return func(o *Options) { o.PageBytes = n } }
-
-// WithGCThreshold sets the homeless protocols' garbage-collection
-// trigger (bytes of protocol memory per node).
-func WithGCThreshold(bytes int64) Option {
-	return func(o *Options) { o.GCThreshold = bytes }
-}
-
-// WithFaults installs a deterministic fault plan (message loss,
-// duplication, delay, node slowdowns, crashes).
-func WithFaults(p FaultPlan) Option { return func(o *Options) { o.Fault = p } }
-
-// WithReplication mirrors each home's page state onto its k successor
-// nodes so a crashed home's pages can be re-homed (home-based protocols
-// only). The same backups are sent the node's synchronization-manager
-// updates, so its lock-manager and barrier-manager roles fail over too:
-// the lowest-id live backup is promoted, stranded free lock tokens are
-// reclaimed, and in-flight synchronization traffic is redirected.
-// Without replication, a permanent crash of a node whose pages or
-// manager roles are in use is fatal.
-func WithReplication(k int) Option {
-	return func(o *Options) { o.Recovery.Replicas = k }
-}
-
-// WithRunWorkers sets the number of host threads driving one simulation
-// run. At n >= 2 the kernel is partitioned into per-node logical
-// processes advanced in parallel under a conservative lookahead window
-// (the minimum cross-node message latency of the cost model); results
-// are byte-identical at any value. Configurations with globally ordered
-// machinery — mesh link contention, fault injection, crash recovery,
-// tracing — fall back to the classic sequential event loop. 0 or 1
-// selects the sequential loop directly.
-func WithRunWorkers(n int) Option {
-	return func(o *Options) { o.RunWorkers = n }
-}
 
 // Time units.
 const (

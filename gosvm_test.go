@@ -48,34 +48,8 @@ func TestParseProtocol(t *testing.T) {
 	}
 }
 
-func TestNewOptionsFunctional(t *testing.T) {
-	plan, err := gosvm.FaultProfile(gosvm.FaultLossy, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := gosvm.NewOptions(gosvm.HLRC,
-		gosvm.WithMachine(gosvm.NewMachine(8)),
-		gosvm.WithPageBytes(2048),
-		gosvm.WithGCThreshold(1<<20),
-		gosvm.WithFaults(plan),
-		gosvm.WithReplication(2),
-	)
-	if opts.Protocol != gosvm.HLRC || opts.Machine.Nodes != 8 || opts.PageBytes != 2048 {
-		t.Fatalf("basic options not applied: %+v", opts)
-	}
-	if opts.GCThreshold != 1<<20 {
-		t.Fatalf("GC threshold not applied: %d", opts.GCThreshold)
-	}
-	if opts.Fault.Drop == 0 || opts.Fault.Seed != 3 {
-		t.Fatalf("fault plan not applied: %+v", opts.Fault)
-	}
-	if opts.Recovery.Replicas != 2 {
-		t.Fatalf("recovery options not applied: %+v", opts.Recovery)
-	}
-}
-
-// A run built entirely through the functional-options API must work end
-// to end, crash recovery included.
+// A run configured by an Options literal must work end to end, crash
+// recovery included.
 func TestRunWithOptionsAndCrash(t *testing.T) {
 	plan := gosvm.FaultPlan{
 		Seed: 1,
@@ -84,12 +58,13 @@ func TestRunWithOptionsAndCrash(t *testing.T) {
 			{Node: 1, At: 200 * gosvm.Microsecond, RestartAt: 3 * gosvm.Millisecond},
 		},
 	}
-	res, err := gosvm.Run(gosvm.NewOptions(gosvm.OHLRC,
-		gosvm.WithMachine(gosvm.NewMachine(4)),
-		gosvm.WithPageBytes(512),
-		gosvm.WithFaults(plan),
-		gosvm.WithReplication(1),
-	), &counter{})
+	res, err := gosvm.Run(gosvm.Options{
+		Protocol:  gosvm.OHLRC,
+		Machine:   gosvm.Machine{Nodes: 4},
+		PageBytes: 512,
+		Fault:     plan,
+		Recovery:  gosvm.Recovery{Replicas: 1},
+	}, &counter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +81,12 @@ func TestStructuredErrorsExported(t *testing.T) {
 		RTO:     100 * gosvm.Microsecond,
 		Crashes: []gosvm.Crash{{Node: 1, At: 200 * gosvm.Microsecond}},
 	}
-	_, err := gosvm.Run(gosvm.NewOptions(gosvm.HLRC,
-		gosvm.WithMachine(gosvm.NewMachine(4)),
-		gosvm.WithPageBytes(512),
-		gosvm.WithFaults(plan),
-	), &counter{})
+	_, err := gosvm.Run(gosvm.Options{
+		Protocol:  gosvm.HLRC,
+		Machine:   gosvm.Machine{Nodes: 4},
+		PageBytes: 512,
+		Fault:     plan,
+	}, &counter{})
 	if err == nil {
 		t.Fatal("permanent unreplicated crash succeeded")
 	}
@@ -127,16 +103,16 @@ func TestStructuredErrorsExported(t *testing.T) {
 // be exactly the two elapsed times' quotient.
 func TestSpeedupCostModelContract(t *testing.T) {
 	mk := func() gosvm.App { return &counter{} }
-	base := gosvm.NewOptions(gosvm.HLRC, gosvm.WithMachine(gosvm.NewMachine(2)), gosvm.WithPageBytes(512))
-	s0, seq0, par0, err := gosvm.Speedup(base, mk)
+	opts := gosvm.Options{Protocol: gosvm.HLRC, Machine: gosvm.Machine{Nodes: 2}, PageBytes: 512}
+	s0, seq0, par0, err := gosvm.Speedup(opts, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow := gosvm.DefaultCosts()
 	slow.MsgLatency *= 10
 	slow.ReceiveInterrupt *= 10
-	s1, seq1, par1, err := gosvm.Speedup(gosvm.NewOptions(gosvm.HLRC,
-		gosvm.WithMachine(gosvm.NewMachine(2, gosvm.WithCostProfile(slow))), gosvm.WithPageBytes(512)), mk)
+	opts.Machine.Costs = slow
+	s1, seq1, par1, err := gosvm.Speedup(opts, mk)
 	if err != nil {
 		t.Fatal(err)
 	}

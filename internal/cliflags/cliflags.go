@@ -1,8 +1,8 @@
 // Package cliflags factors the cmd/* binaries' shared flag surface —
 // machine shape, fault injection, execution control, and list parsing —
 // so a configuration means the same thing in every tool: -procs,
-// -topology, -costs, -barrier, -faults, and -seed are spelled and
-// interpreted identically in svmrun, svmbench, svmserve, and svmtrace.
+// -topology, -costs, -faults, and -seed are spelled and interpreted
+// identically in svmrun, svmbench, svmserve, and svmtrace.
 package cliflags
 
 import (
@@ -27,16 +27,12 @@ type MachineFlags struct {
 	Procs     int    // single machine size (AddMachine)
 	ProcsCSV  string // machine-size axis (AddMachineList)
 	Topology  string
-	MeshDims  string
 	CostsName string
-	Barrier   string
-	Radix     int
 	Page      int
 }
 
 // AddMachine registers the single-machine flag group on fs: -procs,
-// -page, and the shape flags (-topology, -mesh-dims, -costs, -barrier,
-// -barrier-radix).
+// -page, and the shape flags (-topology, -costs).
 func AddMachine(fs *flag.FlagSet, defProcs, defPage int) *MachineFlags {
 	m := &MachineFlags{}
 	fs.IntVar(&m.Procs, "procs", defProcs, "number of nodes")
@@ -57,19 +53,13 @@ func AddMachineList(fs *flag.FlagSet, defProcs string, defPage int) *MachineFlag
 func (m *MachineFlags) addShape(fs *flag.FlagSet, defPage int) {
 	fs.StringVar(&m.Topology, "topology", "",
 		`network model: "crossbar" (default) or "mesh" (2-D wormhole, XY routing, per-link contention)`)
-	fs.StringVar(&m.MeshDims, "mesh-dims", "",
-		`mesh grid as "RxC", e.g. 8x4 (implies -topology mesh; rows*cols must equal the machine size)`)
 	fs.StringVar(&m.CostsName, "costs", "",
 		`cost profile: "paragon" (default; the paper's Table 3) or "modern" (us-scale kernel-bypass messaging)`)
-	fs.StringVar(&m.Barrier, "barrier", "",
-		`barrier algorithm: "auto" (default; tree above 64 nodes), "central", or "tree"`)
-	fs.IntVar(&m.Radix, "barrier-radix", 0, "tree barrier fan-in (0 = default 8)")
 	fs.IntVar(&m.Page, "page", defPage, "page size in bytes")
 }
 
 // Shape returns the size-independent machine configuration (topology,
-// cost profile, barrier algorithm). Nodes is left zero so sweep tools
-// can stamp it per cell.
+// cost profile). Nodes is left zero so sweep tools can stamp it per cell.
 func (m *MachineFlags) Shape() (core.Machine, error) {
 	var mc core.Machine
 	if m.Topology != "" {
@@ -79,14 +69,6 @@ func (m *MachineFlags) Shape() (core.Machine, error) {
 		}
 		mc.Topology = t
 	}
-	if m.MeshDims != "" {
-		rows, cols, err := parseDims(m.MeshDims)
-		if err != nil {
-			return mc, err
-		}
-		mc.Topology = core.TopoMesh
-		mc.MeshRows, mc.MeshCols = rows, cols
-	}
 	if m.CostsName != "" {
 		costs, err := paragon.CostProfile(m.CostsName)
 		if err != nil {
@@ -94,14 +76,6 @@ func (m *MachineFlags) Shape() (core.Machine, error) {
 		}
 		mc.Costs = costs
 	}
-	if m.Barrier != "" {
-		b, err := core.ParseBarrierMode(m.Barrier)
-		if err != nil {
-			return mc, err
-		}
-		mc.Barrier = b
-	}
-	mc.BarrierRadix = m.Radix
 	return mc, nil
 }
 
@@ -128,20 +102,6 @@ func (m *MachineFlags) ProcsList() ([]int, error) {
 		}
 	}
 	return procs, nil
-}
-
-func parseDims(s string) (rows, cols int, err error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) == 2 {
-		rows, err = strconv.Atoi(strings.TrimSpace(parts[0]))
-		if err == nil {
-			cols, err = strconv.Atoi(strings.TrimSpace(parts[1]))
-		}
-		if err == nil && rows >= 1 && cols >= 1 {
-			return rows, cols, nil
-		}
-	}
-	return 0, 0, fmt.Errorf(`bad -mesh-dims %q: want "RxC", e.g. 8x4`, s)
 }
 
 // FaultFlags is the fault-injection flag group.

@@ -107,7 +107,7 @@ func (b *base) init(sys *System, self int, co coherence) {
 		b.bmgr = newBarrierMgr(sys.Opts.Machine.Nodes)
 	}
 	if sys.Opts.Machine.TreeBarrier() {
-		b.tree = newTreeBarrier(self, sys.Opts.Machine.BarrierRadix, sys.Opts.Machine.Nodes)
+		b.tree = newTreeBarrier(self, sys.Opts.Machine.barrierRadix(), sys.Opts.Machine.Nodes)
 	}
 	// Frame recycling is per node so concurrent lanes never share a free
 	// list. Pool contents are never observable (every consumer overwrites

@@ -112,10 +112,11 @@ func TestFaultCountersVisible(t *testing.T) {
 	}
 }
 
-// Targeted drop of a reply with the reliability layer disabled: the run
-// must hang, the kernel must convert the hang into a DeadlockError
-// naming the blocked proc, and the watchdog must name the lost message.
-func TestDroppedReplyWithoutRetryDiagnosed(t *testing.T) {
+// A reply edge severed for every copy: the transport gives up after
+// MaxAttempts, the run must hang, the kernel must convert the hang into a
+// DeadlockError naming the blocked proc, and the watchdog must name the
+// lost message.
+func TestSeveredReplyGiveUpDiagnosed(t *testing.T) {
 	var addr mem.Addr
 	app := &testApp{
 		name:  "dropreply",
@@ -140,14 +141,14 @@ func TestDroppedReplyWithoutRetryDiagnosed(t *testing.T) {
 	}
 	opts := testOpts(ProtoHLRC, 2)
 	opts.Fault = fault.Plan{
-		Seed:    1,
-		NoRetry: true,
+		Seed:        1,
+		MaxAttempts: 3,
 		Targets: []fault.Target{{
 			Kind:  kFetchPage,
 			From:  fault.AnyNode,
 			To:    0,
 			Reply: true,
-			Nth:   1,
+			Nth:   0,
 		}},
 	}
 	_, err := Run(opts, app, false)
@@ -167,7 +168,7 @@ func TestDroppedReplyWithoutRetryDiagnosed(t *testing.T) {
 	}
 }
 
-// The same drop with the reliability layer on must recover invisibly.
+// One dropped copy of the same reply must recover invisibly.
 func TestDroppedReplyWithRetryRecovers(t *testing.T) {
 	var addr mem.Addr
 	app := &testApp{

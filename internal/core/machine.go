@@ -14,7 +14,7 @@ const (
 	// of nodes has an independent wire.
 	TopoCrossbar Topology = "crossbar"
 	// TopoMesh is the Paragon's 2-D wormhole mesh at link granularity
-	// (XY routing, per-link occupancy).
+	// (XY routing, per-link occupancy, most-square grid).
 	TopoMesh Topology = "mesh"
 )
 
@@ -27,46 +27,22 @@ func ParseTopology(s string) (Topology, error) {
 	return "", fmt.Errorf("core: unknown topology %q (have crossbar, mesh)", s)
 }
 
-// BarrierMode selects the barrier algorithm.
-type BarrierMode string
+// BarrierCrossover is the machine size above which the k-ary combining
+// tree replaces the centralized barrier manager. At 64 nodes the
+// centralized algorithm is what the paper measured; beyond it the
+// manager's serialized O(n) interrupt service dominates barrier time.
+const BarrierCrossover = 64
 
-const (
-	// BarrierAuto picks the centralized manager up to BarrierCrossover
-	// nodes and the k-ary combining tree above it.
-	BarrierAuto BarrierMode = "auto"
-	// BarrierCentral always uses the single-manager algorithm of the
-	// paper's prototypes (every node reports to node 0).
-	BarrierCentral BarrierMode = "central"
-	// BarrierTree always uses the hierarchical k-ary tree barrier.
-	BarrierTree BarrierMode = "tree"
-)
-
-// ParseBarrierMode validates a barrier mode name.
-func ParseBarrierMode(s string) (BarrierMode, error) {
-	switch b := BarrierMode(s); b {
-	case BarrierAuto, BarrierCentral, BarrierTree:
-		return b, nil
-	}
-	return "", fmt.Errorf("core: unknown barrier mode %q (have auto, central, tree)", s)
-}
-
-const (
-	// BarrierCrossover is the machine size above which BarrierAuto
-	// switches from the centralized manager to the tree. At 64 nodes the
-	// centralized algorithm is what the paper measured; beyond it the
-	// manager's serialized O(n) interrupt service dominates barrier time.
-	BarrierCrossover = 64
-	// DefaultBarrierRadix is the tree fan-in. Radix 8 keeps the tree at
-	// most 4 levels deep up to 4096 nodes while bounding any one node's
-	// service burst to 8 arrivals.
-	DefaultBarrierRadix = 8
-)
+// barrierFanIn is the tree barrier's fan-in. Radix 8 keeps the tree at
+// most 4 levels deep up to 4096 nodes while bounding any one node's
+// service burst to 8 arrivals.
+const barrierFanIn = 8
 
 // Machine describes the simulated multicomputer independently of the
-// protocol under test: how many nodes, how they are connected, what the
-// basic operations cost, and which barrier algorithm coordinates them.
-// The zero value means "the paper's machine": 8 crossbar nodes with
-// Paragon costs and the centralized barrier.
+// protocol under test: how many nodes, how they are connected, and what
+// the basic operations cost. The barrier algorithm follows from the size
+// (centralized up to BarrierCrossover nodes, the tree above). The zero
+// value means "the paper's machine": 8 crossbar nodes with Paragon costs.
 type Machine struct {
 	// Nodes is the machine size. Zero means 8 (the paper's prototype).
 	Nodes int
@@ -74,21 +50,14 @@ type Machine struct {
 	// Topology selects the network model. Empty means TopoCrossbar.
 	Topology Topology
 
-	// MeshRows/MeshCols fix the mesh grid shape. Both zero (the default)
-	// selects the most-square factorization of Nodes. Ignored for the
-	// crossbar.
-	MeshRows, MeshCols int
-
 	// Costs is the basic-operation cost model. The zero value means
 	// paragon.DefaultCosts (the paper's Table 3).
 	Costs paragon.Costs
 
-	// Barrier selects the barrier algorithm. Empty means BarrierAuto.
-	Barrier BarrierMode
-
-	// BarrierRadix is the tree barrier fan-in. Zero means
-	// DefaultBarrierRadix. Ignored by the centralized barrier.
-	BarrierRadix int
+	// treeRadix, when non-zero, forces the tree barrier with this fan-in
+	// at any size: the seam this package's tests use to compare the tree
+	// against the centralized barrier on small machines.
+	treeRadix int
 }
 
 // Defaults fills unset fields with the paper's machine.
@@ -102,12 +71,6 @@ func (m *Machine) Defaults() {
 	if m.Costs == (paragon.Costs{}) {
 		m.Costs = paragon.DefaultCosts()
 	}
-	if m.Barrier == "" {
-		m.Barrier = BarrierAuto
-	}
-	if m.BarrierRadix == 0 {
-		m.BarrierRadix = DefaultBarrierRadix
-	}
 }
 
 // Validate checks a defaulted Machine for consistency.
@@ -120,36 +83,17 @@ func (m *Machine) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown topology %q", m.Topology)
 	}
-	if (m.MeshRows != 0 || m.MeshCols != 0) && m.Topology != TopoMesh {
-		return fmt.Errorf("core: mesh dimensions given for topology %q", m.Topology)
-	}
-	if m.MeshRows != 0 || m.MeshCols != 0 {
-		if m.MeshRows <= 0 || m.MeshCols <= 0 {
-			return fmt.Errorf("core: partial mesh dimensions %dx%d", m.MeshRows, m.MeshCols)
-		}
-		if m.MeshRows*m.MeshCols != m.Nodes {
-			return fmt.Errorf("core: mesh %dx%d does not hold %d nodes", m.MeshRows, m.MeshCols, m.Nodes)
-		}
-	}
-	switch m.Barrier {
-	case BarrierAuto, BarrierCentral, BarrierTree:
-	default:
-		return fmt.Errorf("core: unknown barrier mode %q", m.Barrier)
-	}
-	if m.BarrierRadix < 2 {
-		return fmt.Errorf("core: barrier radix must be >= 2, got %d", m.BarrierRadix)
-	}
 	return nil
 }
 
-// TreeBarrier reports whether this machine uses the tree barrier.
-func (m *Machine) TreeBarrier() bool {
-	switch m.Barrier {
-	case BarrierTree:
-		return true
-	case BarrierCentral:
-		return false
-	default:
-		return m.Nodes > BarrierCrossover
+// TreeBarrier reports whether this machine uses the tree barrier: exactly
+// when it has more than BarrierCrossover nodes, unless a test forces it.
+func (m *Machine) TreeBarrier() bool { return m.treeRadix > 0 || m.Nodes > BarrierCrossover }
+
+// barrierRadix returns the tree barrier's fan-in.
+func (m *Machine) barrierRadix() int {
+	if m.treeRadix > 0 {
+		return m.treeRadix
 	}
+	return barrierFanIn
 }

@@ -171,11 +171,7 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	}
 	machine := paragon.New(k, n, opts.Machine.Costs)
 	if opts.Machine.Topology == TopoMesh {
-		if opts.Machine.MeshRows > 0 {
-			machine.EnableMeshDims(0, opts.Machine.MeshRows, opts.Machine.MeshCols)
-		} else {
-			machine.EnableMesh(0)
-		}
+		machine.EnableMesh(0)
 	}
 	var inj *fault.Injector
 	if opts.Fault.Active() {

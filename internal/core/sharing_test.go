@@ -103,13 +103,14 @@ func TestIntervalRecordsAreShared(t *testing.T) {
 		"ohlrc/tree":    {21913715, 31420, 36340},
 	}
 	for _, proto := range Protocols {
-		for _, barrier := range []BarrierMode{BarrierCentral, BarrierTree} {
+		for _, barrier := range []string{"central", "tree"} {
 			proto, barrier := proto, barrier
 			name := fmt.Sprintf("%s/%s", proto, barrier)
 			t.Run(name, func(t *testing.T) {
 				opts := testOpts(proto, 16)
-				opts.Machine.Barrier = barrier
-				opts.Machine.BarrierRadix = 4
+				if barrier == "tree" {
+					opts.Machine.treeRadix = 4
+				}
 				checked := 0
 				res := runOrFail(t, opts, sharingApp(t, &checked))
 				if res.Data[0] != 16 {

@@ -12,9 +12,9 @@ import (
 // The paper's prototypes use a centralized barrier: every node reports to
 // a single manager, which merges the interval records and releases
 // everyone. That is O(n) serialized interrupt service at the manager per
-// episode — fine at 8 nodes, ruinous at 1024. Above Machine.BarrierCrossover
-// (or when explicitly selected) the nodes instead form a k-ary tree in
-// heap layout: node i's parent is (i-1)/k, its children k*i+1 .. k*i+k.
+// episode — fine at 8 nodes, ruinous at 1024. Above BarrierCrossover nodes
+// the nodes instead form a k-ary tree (k = 8) in heap layout: node i's
+// parent is (i-1)/k, its children k*i+1 .. k*i+k.
 //
 // Arrivals climb the tree as aggregated subtree summaries (kBarrierUp):
 // the component-wise min and max of the subtree's vector clocks, the

@@ -8,8 +8,7 @@ import (
 // treeOpts returns options forcing the tree barrier with a given radix.
 func treeOpts(proto Protocol, p, radix int) Options {
 	o := testOpts(proto, p)
-	o.Machine.Barrier = BarrierTree
-	o.Machine.BarrierRadix = radix
+	o.Machine.treeRadix = radix
 	return o
 }
 
@@ -35,9 +34,7 @@ func TestTreeBarrierMatchesCentral(t *testing.T) {
 			tc, proto := tc, proto
 			name := fmt.Sprintf("%s/%s/p%d/r%d", tc.mk().Name(), proto, tc.procs, tc.radix)
 			t.Run(name, func(t *testing.T) {
-				central := testOpts(proto, tc.procs)
-				central.Machine.Barrier = BarrierCentral
-				want := runOrFail(t, central, tc.mk())
+				want := runOrFail(t, testOpts(proto, tc.procs), tc.mk())
 				got := runOrFail(t, treeOpts(proto, tc.procs, tc.radix), tc.mk())
 				if len(got.Data) != len(want.Data) {
 					t.Fatalf("data length %d != %d", len(got.Data), len(want.Data))
@@ -90,7 +87,6 @@ func TestTreeBarrierGC(t *testing.T) {
 				t.Fatal("expected at least one GC under the tree barrier")
 			}
 			central := testOpts(proto, 12)
-			central.Machine.Barrier = BarrierCentral
 			central.GCThreshold = 1
 			want := runOrFail(t, central, multiWriterApp())
 			for i := range want.Data {
@@ -102,22 +98,22 @@ func TestTreeBarrierGC(t *testing.T) {
 	}
 }
 
-// TestBarrierAutoCrossover checks mode resolution: auto is central at and
-// below the crossover, tree above it.
+// TestBarrierAutoCrossover checks the size rule: central at and below the
+// crossover, tree above it, and the test seam forces the tree at any size.
 func TestBarrierAutoCrossover(t *testing.T) {
 	at := Machine{Nodes: BarrierCrossover}
 	at.Defaults()
 	if at.TreeBarrier() {
-		t.Fatalf("auto at %d nodes picked the tree barrier", BarrierCrossover)
+		t.Fatalf("%d nodes picked the tree barrier", BarrierCrossover)
 	}
 	above := Machine{Nodes: BarrierCrossover + 1}
 	above.Defaults()
 	if !above.TreeBarrier() {
-		t.Fatalf("auto at %d nodes did not pick the tree barrier", BarrierCrossover+1)
+		t.Fatalf("%d nodes did not pick the tree barrier", BarrierCrossover+1)
 	}
-	forced := Machine{Nodes: 4, Barrier: BarrierTree}
+	forced := Machine{Nodes: 4, treeRadix: 2}
 	forced.Defaults()
-	if !forced.TreeBarrier() {
-		t.Fatal("explicit tree mode ignored")
+	if !forced.TreeBarrier() || forced.barrierRadix() != 2 {
+		t.Fatal("forced tree barrier ignored")
 	}
 }

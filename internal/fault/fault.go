@@ -101,11 +101,6 @@ type Plan struct {
 	// RTOMax caps the exponential backoff, so recovery latency after a
 	// long outage is bounded. Default 50ms.
 	RTOMax sim.Time
-	// NoRetry disables the reliability layer entirely (no sequence
-	// numbers, acks, dedup, or retransmission): a diagnostic mode that
-	// exposes the protocols' raw behaviour under faults. Drops are then
-	// final and are reported by the watchdog on deadlock.
-	NoRetry bool
 
 	// SuspectAfter is the number of consecutive unacknowledged
 	// transmissions to one destination after which the transport reports

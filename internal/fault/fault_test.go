@@ -125,17 +125,10 @@ func TestDefaultsApplied(t *testing.T) {
 	if p.RTO == 0 || p.Backoff == 0 || p.MaxAttempts == 0 || p.MaxDelay == 0 || p.ReorderWindow == 0 {
 		t.Fatalf("defaults not applied: %+v", p)
 	}
-	if !in.Reliable() {
-		t.Fatal("dropping plan without NoRetry should be reliable")
-	}
-	in = NewInjector(Plan{Drop: 0.5, NoRetry: true})
-	if in.Reliable() {
-		t.Fatal("NoRetry plan reported reliable")
-	}
 }
 
 func TestDiagnose(t *testing.T) {
-	in := NewInjector(Plan{Drop: 1, NoRetry: true})
+	in := NewInjector(Plan{Drop: 1})
 	base := errors.New("deadlock at 5ms")
 	if got := in.Diagnose(base); got != base {
 		t.Fatalf("diagnosis with no losses rewrote the error: %v", got)
@@ -144,7 +137,7 @@ func TestDiagnose(t *testing.T) {
 		t.Fatalf("diagnosis of nil error: %v", got)
 	}
 	in.KindName = func(kind int) string { return "diff-flush" }
-	in.RecordLoss(Loss{At: 3 * sim.Millisecond, From: 2, To: 0, Kind: 7, Reply: true, Attempts: 4, GaveUp: true})
+	in.RecordLoss(Loss{At: 3 * sim.Millisecond, From: 2, To: 0, Kind: 7, Reply: true, Attempts: 4})
 	err := in.Diagnose(base)
 	var he *HangError
 	if !errors.As(err, &he) {
@@ -160,10 +153,10 @@ func TestDiagnose(t *testing.T) {
 		}
 	}
 
-	in2 := NewInjector(Plan{NoRetry: true})
+	in2 := NewInjector(Plan{Drop: 1})
 	in2.RecordLoss(Loss{At: sim.Millisecond, From: 0, To: 1, Kind: 9, Attempts: 1})
 	msg = in2.Diagnose(base).Error()
-	if !strings.Contains(msg, "kind 9") || !strings.Contains(msg, "no retry layer") {
+	if !strings.Contains(msg, "kind 9") || !strings.Contains(msg, "n0->n1 given up") {
 		t.Fatalf("unnamed-kind report wrong: %v", msg)
 	}
 }

@@ -54,10 +54,6 @@ func NewInjector(plan Plan) *Injector {
 // Plan returns the plan with tuning defaults applied.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Reliable reports whether the reliability transport (acks, dedup,
-// retransmission) should run on top of the faulty network.
-func (in *Injector) Reliable() bool { return in.plan.Messaging() && !in.plan.NoRetry }
-
 // Judge decides the fate of one transmission of a protocol message.
 // Every transmission — including retransmissions — rolls independently.
 func (in *Injector) Judge(from, to, kind int, reply bool) Verdict {

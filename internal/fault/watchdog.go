@@ -7,16 +7,14 @@ import (
 	"gosvm/internal/sim"
 )
 
-// Loss records a message the network lost for good: either a drop with
-// the reliability layer disabled, or a message the transport gave up on
-// after exhausting its retransmission budget.
+// Loss records a message the network lost for good: one the transport
+// gave up on after exhausting its retransmission budget.
 type Loss struct {
 	At       sim.Time
 	From, To int
 	Kind     int
 	Reply    bool
 	Attempts int
-	GaveUp   bool // reliability layer exhausted MaxAttempts
 }
 
 // RecordLoss notes a permanently lost message for later diagnosis.
@@ -113,9 +111,5 @@ func (e *HangError) describe(l Loss) string {
 	if l.Reply {
 		kind += " reply"
 	}
-	fate := fmt.Sprintf("dropped at %v with no retry layer", l.At)
-	if l.GaveUp {
-		fate = fmt.Sprintf("given up at %v after %d attempts", l.At, l.Attempts)
-	}
-	return fmt.Sprintf("%s n%d->n%d %s", kind, l.From, l.To, fate)
+	return fmt.Sprintf("%s n%d->n%d given up at %v after %d attempts", kind, l.From, l.To, l.At, l.Attempts)
 }

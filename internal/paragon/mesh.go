@@ -29,6 +29,9 @@ const DefaultHopLatency = 200 * sim.Nanosecond
 // the given per-hop latency (0 selects DefaultHopLatency). Node i sits at
 // position (i/cols, i%cols) of the most-square grid.
 func (m *Machine) EnableMesh(hop sim.Time) {
+	if hop == 0 {
+		hop = DefaultHopLatency
+	}
 	n := len(m.Nodes)
 	rows := 1
 	for d := 1; d*d <= n; d++ {
@@ -36,21 +39,9 @@ func (m *Machine) EnableMesh(hop sim.Time) {
 			rows = d
 		}
 	}
-	m.EnableMeshDims(hop, rows, n/rows)
-}
-
-// EnableMeshDims is EnableMesh with an explicit rows x cols grid shape
-// (which must hold exactly the machine's nodes).
-func (m *Machine) EnableMeshDims(hop sim.Time, rows, cols int) {
-	if hop == 0 {
-		hop = DefaultHopLatency
-	}
-	if rows*cols != len(m.Nodes) {
-		panic("paragon: mesh grid does not match machine size")
-	}
 	m.mesh = &mesh{
 		rows:     rows,
-		cols:     cols,
+		cols:     n / rows,
 		hop:      hop,
 		linkFree: map[link]sim.Time{},
 	}

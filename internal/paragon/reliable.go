@@ -17,9 +17,7 @@ const ackBytes = 12
 // the sender retransmits on an exponential-backoff timer (on the
 // simulated clock) until the receiver's ack lands, and the receiver
 // dedups by id so replayed requests, replies, and injected duplicates
-// are delivered exactly once. With Plan.NoRetry the same machinery
-// delivers raw faulty traffic — no ids on the wire, no acks, no
-// retransmission — to expose the protocols' unprotected behaviour.
+// are delivered exactly once.
 //
 // All state is touched only from the simulation goroutine, so no locking
 // is needed and the execution stays deterministic.
@@ -27,7 +25,6 @@ type faultLayer struct {
 	m   *Machine
 	inj *fault.Injector
 
-	reliable     bool
 	rto          sim.Time
 	rtoMax       sim.Time
 	backoff      float64
@@ -80,7 +77,6 @@ func newFaultLayer(m *Machine, inj *fault.Injector) *faultLayer {
 	fl := &faultLayer{
 		m:            m,
 		inj:          inj,
-		reliable:     inj.Reliable(),
 		rto:          p.RTO,
 		rtoMax:       p.RTOMax,
 		backoff:      p.Backoff,
@@ -157,15 +153,13 @@ func (fl *faultLayer) putOnWire(n *Node, nm *netMsg, size int, v fault.Verdict) 
 	}
 }
 
-// launch puts the first copy on the wire and, when the reliability layer
-// is on, arms the retransmission timer.
+// launch puts the first copy on the wire and arms the retransmission
+// timer.
 func (fl *faultLayer) launch(nm *netMsg) {
 	nm.attempts = 1
 	nm.transmit(fl.inj.Judge(nm.src, nm.dst, nm.kind, nm.reply))
-	if fl.reliable {
-		fl.pending[nm.id] = nm
-		fl.scheduleRetry(nm, fl.rto)
-	}
+	fl.pending[nm.id] = nm
+	fl.scheduleRetry(nm, fl.rto)
 }
 
 // maybeRetire drops the receiver's dedup entry for nm once no copy can
@@ -179,25 +173,15 @@ func (fl *faultLayer) maybeRetire(nm *netMsg) {
 	}
 }
 
-// dropped accounts a copy the network ate. Without the reliability layer
-// that loss is final, so it is recorded for the watchdog right away.
+// dropped accounts a copy the network ate; the retransmission chain
+// decides whether the loss is final.
 func (fl *faultLayer) dropped(nm *netMsg) {
 	fl.m.Nodes[nm.src].Stats.Counts.MsgsDropped++
-	if !fl.reliable {
-		fl.inj.RecordLoss(fault.Loss{
-			At:       fl.m.K.Now(),
-			From:     nm.src,
-			To:       nm.dst,
-			Kind:     nm.kind,
-			Reply:    nm.reply,
-			Attempts: nm.attempts,
-		})
-	}
 }
 
-// arrive runs when a copy reaches the destination. Under the reliability
-// layer the id is deduped (replays and injected duplicates deliver
-// exactly once) and every copy is acknowledged.
+// arrive runs when a copy reaches the destination. The id is deduped
+// (replays and injected duplicates deliver exactly once) and every copy
+// is acknowledged.
 func (fl *faultLayer) arrive(nm *netMsg) {
 	nm.inflight--
 	if fl.m.Down(nm.dst) {
@@ -206,10 +190,6 @@ func (fl *faultLayer) arrive(nm *netMsg) {
 		// succeeds after the restart (or raises suspicion).
 		fl.dropped(nm)
 		fl.maybeRetire(nm)
-		return
-	}
-	if !fl.reliable {
-		nm.deliver()
 		return
 	}
 	if _, dup := fl.seen[nm.dst][nm.id]; dup {
@@ -270,7 +250,6 @@ func (fl *faultLayer) scheduleRetry(nm *netMsg, wait sim.Time) {
 				Kind:     nm.kind,
 				Reply:    nm.reply,
 				Attempts: nm.attempts,
-				GaveUp:   true,
 			})
 			fl.maybeRetire(nm)
 			return
