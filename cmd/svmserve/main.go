@@ -1,18 +1,17 @@
 // Command svmserve runs the open-loop request-serving workload: a
-// key-value store sharded over SVM pages, driven by seeded Poisson (or
-// bursty MMPP) client populations, swept over offered load x protocol x
-// machine size with p50/p99/p999 tail latency, throughput-vs-offered-
-// load, and saturation detection.
+// key-value store sharded over SVM pages, driven by seeded Poisson client
+// populations, swept over offered load x protocol x machine size with
+// p50/p99/p999 tail latency, throughput-vs-offered-load, and saturation
+// detection.
 //
 // Usage:
 //
 //	svmserve                                   # default sweep
 //	svmserve -loads 500,1000,2000,4000 -procs 4,8
 //	svmserve -faults crash -window-ms 60       # tail latency under a mid-run crash
-//	svmserve -arrival bursty -zipf 0.99 -mix 50,40,10
+//	svmserve -zipf 0.99 -mix 50,40,10
 //	svmserve -ablation all                     # fast-path ladder: off,locks,seqlock
 //	svmserve -ablation seqlock                 # one fast-path configuration
-//	svmserve -closed-loop 32,128 -think-ms 1   # closed-loop comparison table
 //	svmserve -json-dir out/serve               # per-cell JSON with full histograms
 //
 // Output is byte-identical at any -parallel level for a fixed seed.
@@ -38,16 +37,9 @@ func main() {
 		loadsFlag = flag.String("loads", "500,1000,2000,4000", "offered loads to sweep, total req/s across the machine")
 		windowMs  = flag.Float64("window-ms", 50, "arrival window in simulated milliseconds")
 		keys      = flag.Int("keys", 4096, "key-space size")
-		shards    = flag.Int("shards", 0, "lock-guarded shards (0 = 4 per node)")
 		mix       = flag.String("mix", "80,15,5", "read,write,scan percentages")
-		scanLen   = flag.Int("scan", 16, "slots per scan")
 		zipf      = flag.Float64("zipf", 0.9, "Zipfian key skew theta in [0,1); 0 = uniform")
-		arrival   = flag.String("arrival", "poisson", "arrival process: poisson or bursty (MMPP-2)")
-		burst     = flag.Float64("burst", 3, "bursty arrival burst-state rate multiplier")
-		serviceUs = flag.Float64("service-us", 5, "modeled per-op compute time, microseconds")
 		ablation  = flag.String("ablation", "", "fast-path modes to sweep (\"all\" = off,locks,seqlock; or a comma list)")
-		closed    = flag.String("closed-loop", "", "closed-loop client counts to compare (comma list; empty = open loop only)")
-		thinkMs   = flag.Float64("think-ms", 1, "closed-loop mean think time, milliseconds")
 		ff        = cliflags.AddFault(flag.CommandLine, "")
 		jsonDir   = flag.String("json-dir", "", "write per-cell JSON statistics (with latency histograms) here")
 	)
@@ -88,18 +80,13 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Keys:        *keys,
-		Shards:      *shards,
-		Window:      sim.Time(*windowMs * float64(sim.Millisecond)),
-		ReadPct:     pcts[0],
-		WritePct:    pcts[1],
-		ScanPct:     pcts[2],
-		ScanLen:     *scanLen,
-		ZipfTheta:   *zipf,
-		Arrival:     *arrival,
-		BurstFactor: *burst,
-		ServiceNs:   sim.Time(*serviceUs * float64(sim.Microsecond)),
-		Seed:        ff.Seed,
+		Keys:      *keys,
+		Window:    sim.Time(*windowMs * float64(sim.Millisecond)),
+		ReadPct:   pcts[0],
+		WritePct:  pcts[1],
+		ScanPct:   pcts[2],
+		ZipfTheta: *zipf,
+		Seed:      ff.Seed,
 	}
 
 	modes := cliflags.Strings(*ablation)
@@ -112,18 +99,6 @@ func main() {
 		}
 	}
 
-	var clients []int
-	if *closed != "" {
-		if clients, err = cliflags.Ints(*closed); err != nil {
-			fail("bad -closed-loop: %v", err)
-		}
-		for _, n := range clients {
-			if n < 1 {
-				fail("bad -closed-loop entry %d", n)
-			}
-		}
-	}
-
 	opts := bench.ServeSweepOpts{
 		Base:    cfg,
 		Loads:   loads,
@@ -131,8 +106,6 @@ func main() {
 		Profile: ff.Profile,
 		Seed:    ff.Seed,
 		Modes:   modes,
-		Closed:  clients,
-		Think:   sim.Time(*thinkMs * float64(sim.Millisecond)),
 	}
 	if err := r.ServeSweep(os.Stdout, opts, *jsonDir); err != nil {
 		fmt.Fprintln(os.Stderr, err)

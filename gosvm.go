@@ -122,9 +122,9 @@ type (
 	// pages.
 	Recovery = core.Recovery
 	// ServeConfig parameterizes the open-loop request-serving workload:
-	// key-value store shape (keys, shards, op mix, Zipf skew), arrival
-	// process (Poisson or bursty MMPP), offered load, and window. See
-	// Serve and NewServeApp.
+	// key-value store shape (keys, op mix, Zipf skew), Poisson offered
+	// load and window, seed, and the fast-path switches (KeyLocks,
+	// Seqlock). See Serve and NewServeApp.
 	ServeConfig = serve.Config
 	// ServeApp is the serving workload as an App, with access to its
 	// request traces, trace-derived expected store contents, and the
@@ -137,12 +137,6 @@ type (
 	// LatencyHist is the HDR-style log-bucketed latency histogram behind
 	// ServeStats.Latency.
 	LatencyHist = stats.Hist
-)
-
-// Arrival process names accepted by ServeConfig.Arrival.
-const (
-	ArrivalPoisson = serve.ArrivalPoisson
-	ArrivalBursty  = serve.ArrivalBursty
 )
 
 // Structured errors. Use errors.As to detect them under the wrapping

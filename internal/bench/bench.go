@@ -42,10 +42,10 @@ type Runner struct {
 	PageBytes   int
 	GCThreshold int64
 	Procs       []int // machine sizes; the paper uses 8, 32, 64
-	// Machine is the size-independent machine shape (topology, cost
-	// profile, barrier algorithm) applied to every cell; the node count
-	// is stamped per cell from the Procs axis. The zero value is the
-	// default crossbar Paragon.
+	// Machine is the size-independent machine shape (topology and
+	// costs) applied to every cell; the node count is stamped per cell
+	// from the Procs axis, and the barrier follows from it. The zero
+	// value is the default crossbar Paragon.
 	Machine  core.Machine
 	Progress io.Writer // optional progress log
 	// Parallel caps how many simulation cells run concurrently on the

@@ -63,10 +63,9 @@ func TestSweepOutputMatchesParent(t *testing.T) {
 			o.Nodes = []int{16, 32}
 			return runner().ScaleSweep(out, o, filepath.Join(dir, "scale.json"))
 		}},
-		{"serve", "5891+48:1a6b24ec49a95e1f", func(out io.Writer, dir string) error {
+		{"serve", "3346+24:246205deb10ee6f4", func(out io.Writer, dir string) error {
 			o := serveSweepOpts()
 			o.Modes = serve.Modes
-			o.Closed = []int{8, 32}
 			return runner().ServeSweep(out, o, dir)
 		}},
 		{"ablations", "1016+0:d57be181cfef8c87", func(out io.Writer, dir string) error {

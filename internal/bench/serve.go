@@ -8,15 +8,14 @@ import (
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
 	"gosvm/internal/serve"
-	"gosvm/internal/sim"
 )
 
 // ServeSweepOpts configures the open-loop serving sweep: the workload
 // shape, the offered-load axis, and an optional fault profile composed
 // over every cell.
 type ServeSweepOpts struct {
-	// Base is the workload shape (key space, mix, skew, arrival process,
-	// window, seed). OfferedLoad is overridden per cell by Loads.
+	// Base is the workload shape (key space, mix, skew, window, seed).
+	// OfferedLoad is overridden per cell by Loads.
 	Base serve.Config
 	// Loads is the offered-load axis in requests per simulated second
 	// (total across the machine).
@@ -34,13 +33,6 @@ type ServeSweepOpts struct {
 	// adds a Mode column. Empty runs Base's knobs as configured, with no
 	// extra column.
 	Modes []string
-	// Closed is an optional closed-loop axis: for each client count a
-	// second table contrasts the closed population's behavior with the
-	// open-loop cells above it (same shape, same protocols, demand
-	// paced by completions instead of a free-running arrival process).
-	Closed []int
-	// Think is the closed-loop mean think time (zero: serve's default).
-	Think sim.Time
 }
 
 // ServeSweep sweeps offered load x machine size x protocol over the
@@ -48,7 +40,7 @@ type ServeSweepOpts struct {
 // offered vs. achieved rate, p50/p99/p999 service latency on the
 // simulated clock, queue utilization, and saturation detection.
 //
-// Cells fan out across host cores exactly like the closed-loop sweeps:
+// Cells fan out across host cores exactly like the batch sweeps:
 // every cell owns its kernel and its (deterministic, protocol- and
 // parallelism-independent) client trace, and rendering reads completed
 // cells in fixed grid order, so the table and any per-cell JSON are
@@ -80,7 +72,7 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 		modes = []string{""}
 	}
 
-	cells := serveCells(o.Loads, nil, r.Procs, protos, modes)
+	cells := serveCells(o.Loads, r.Procs, protos, modes)
 	results, err := sweep(r, cells, func(c scell) (*core.Result, error) { return r.serveCell(c, o, plan) })
 	if err != nil {
 		return err
@@ -139,82 +131,28 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 			return err
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if len(o.Closed) > 0 {
-		return r.closedSweep(out, o, protos, modes, plan, jsonDir, profile)
-	}
-	return nil
-}
-
-// closedSweep renders the closed-loop comparison table: the same store,
-// mix, and protocols as the open-loop sweep above it, but demand is
-// paced by a fixed client population that thinks between completions —
-// throughput self-limits at capacity instead of building an unbounded
-// backlog, so tail latency stays bounded where the open loop saturates.
-func (r *Runner) closedSweep(out io.Writer, o ServeSweepOpts, protos []core.Protocol,
-	modes []string, plan fault.Plan, jsonDir, profile string) error {
-	withModes := len(o.Modes) > 0
-	cells := serveCells(nil, o.Closed, r.Procs, protos, modes)
-	results, err := sweep(r, cells, func(c scell) (*core.Result, error) { return r.serveCell(c, o, plan) })
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, "Closed-loop comparison: a fixed client population (think time between completions)")
-	fmt.Fprintln(out, "self-limits at capacity — contrast achieved rate and tails with the open loop above")
-	tw := tabwriter.NewWriter(out, 4, 8, 2, ' ', 0)
-	fmt.Fprint(tw, "Clients\tProcs\tProtocol")
-	if withModes {
-		fmt.Fprint(tw, "\tMode")
-	}
-	fmt.Fprintln(tw, "\tCompleted\tAchieved\tUtil\tp50(ms)\tp99(ms)\tp999(ms)\tSkew")
-	for i, c := range cells {
-		res := results[i]
-		s := res.Stats.Serve
-		fmt.Fprintf(tw, "%d\t%d\t%s", c.clients, c.procs, c.proto)
-		if withModes {
-			fmt.Fprintf(tw, "\t%s", c.mode)
-		}
-		fmt.Fprintf(tw, "\t%d\t%.0f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
-			s.Completed, s.AchievedRate(), s.MaxUtil,
-			ms(s.Latency.P50()), ms(s.Latency.P99()), ms(s.Latency.P999()), res.Stats.MsgsInSkew())
-		if err := writeCell(jsonDir, c.fileName(profile), res.Stats.WriteJSON); err != nil {
-			return err
-		}
-	}
 	return tw.Flush()
 }
 
-// scell is one cell of the serving sweeps: an offered load (open loop)
-// or, when clients > 0, a closed client population, on one machine size
-// under one protocol and — in a fast-path ablation — one mode.
+// scell is one cell of the serving sweep: an offered load on one
+// machine size under one protocol and — in a fast-path ablation — one
+// mode.
 type scell struct {
-	load    float64
-	clients int
-	procs   int
-	proto   core.Protocol
-	mode    string
+	load  float64
+	procs int
+	proto core.Protocol
+	mode  string
 }
 
-// serveCells crosses the sweep's own axis — offered loads, or closed
-// client counts — with machine size x protocol x mode, in table row
-// order.
-func serveCells(loads []float64, clients []int, procs []int, protos []core.Protocol, modes []string) []scell {
-	var axis, cells []scell
+// serveCells crosses offered load x machine size x protocol x mode, in
+// table row order.
+func serveCells(loads []float64, procs []int, protos []core.Protocol, modes []string) []scell {
+	var cells []scell
 	for _, load := range loads {
-		axis = append(axis, scell{load: load})
-	}
-	for _, n := range clients {
-		axis = append(axis, scell{clients: n})
-	}
-	for _, a := range axis {
 		for _, p := range procs {
 			for _, proto := range protos {
 				for _, mode := range modes {
-					cells = append(cells, scell{a.load, a.clients, p, proto, mode})
+					cells = append(cells, scell{load, p, proto, mode})
 				}
 			}
 		}
@@ -222,13 +160,10 @@ func serveCells(loads []float64, clients []int, procs []int, protos []core.Proto
 	return cells
 }
 
-// tag is the cell's coordinate on its own axis, l<load> or c<clients>,
-// with the ablation mode appended when there is one.
+// tag is the cell's coordinate on the load axis, l<load>, with the
+// ablation mode appended when there is one.
 func (c scell) tag() string {
 	tag := fmt.Sprintf("l%.0f", c.load)
-	if c.clients > 0 {
-		tag = fmt.Sprintf("c%d", c.clients)
-	}
 	if c.mode != "" {
 		tag += "-" + c.mode
 	}
@@ -236,34 +171,22 @@ func (c scell) tag() string {
 }
 
 // fileName is the cell's per-cell JSON file:
-// serve-[closed-]<profile>-<proto>-p<procs>-<tag>.json.
+// serve-<profile>-<proto>-p<procs>-<tag>.json.
 func (c scell) fileName(profile string) string {
-	kind := "serve"
-	if c.clients > 0 {
-		kind = "serve-closed"
-	}
-	return fmt.Sprintf("%s-%s-%s-p%d-%s.json", kind, profile, c.proto, c.procs, c.tag())
+	return fmt.Sprintf("serve-%s-%s-p%d-%s.json", profile, c.proto, c.procs, c.tag())
 }
 
 // serveCell executes one serving cell: build the (cell-local) workload
-// from the sweep's base shape — the cell's load or closed population,
-// and its mode's fast-path knobs if it has one — and run it under the
-// protocol and fault plan. exec validates the store and attaches the
-// serve statistics.
+// from the sweep's base shape — the cell's load, and its mode's
+// fast-path knobs if it has one — and run it under the protocol and
+// fault plan. exec validates the store and attaches the serve
+// statistics.
 func (r *Runner) serveCell(c scell, o ServeSweepOpts, plan fault.Plan) (*core.Result, error) {
 	cfg := o.Base
-	if c.load > 0 {
-		cfg.OfferedLoad = c.load
-	}
+	cfg.OfferedLoad = c.load
 	if c.mode != "" {
 		if err := serve.ApplyFastpath(&cfg, c.mode); err != nil {
 			return nil, err
-		}
-	}
-	if c.clients > 0 {
-		cfg.ClosedClients = c.clients
-		if o.Think > 0 {
-			cfg.ThinkTime = o.Think
 		}
 	}
 	kv, err := serve.New(cfg, c.procs)

@@ -82,8 +82,8 @@ type Options struct {
 	Protocol  Protocol
 	PageBytes int
 
-	// Machine describes the simulated multicomputer: size, topology,
-	// cost profile, and barrier algorithm.
+	// Machine describes the simulated multicomputer: nodes, topology and
+	// costs. The barrier follows from the node count.
 	Machine Machine
 
 	// GCThreshold is the per-node protocol memory (bytes) above which the

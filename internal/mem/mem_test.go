@@ -285,3 +285,84 @@ func TestDiffSizeConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzDiffApply checks ComputeDiff against the pages it encodes. Each
+// page word takes nine fuzz bytes: a control byte choosing how cur's
+// word relates to twin's (equal, sign flipped, low mantissa bit
+// flipped, or high bits flipped), then twin's raw bits, so NaN payloads
+// and signed zeros occur.
+func FuzzDiffApply(f *testing.F) {
+	word := func(control byte, bits uint64) []byte {
+		b := []byte{control, 0, 0, 0, 0, 0, 0, 0, 0}
+		for i := 0; i < 8; i++ {
+			b[1+i] = byte(bits >> (8 * i))
+		}
+		return b
+	}
+	f.Add([]byte{})
+	f.Add(word(1, 0))                  // +0 becomes -0
+	f.Add(word(2, 0x7ff8000000000001)) // a NaN's payload changes
+	f.Add(append(append(word(0, 0x7ff8000000000001), word(3, 1)...), word(0, 2)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/9, 1024)
+		twin := make([]float64, n)
+		cur := make([]float64, n)
+		diffs := 0
+		for i := range twin {
+			control := data[9*i]
+			var bits uint64
+			for j := 0; j < 8; j++ {
+				bits |= uint64(data[9*i+1+j]) << (8 * j)
+			}
+			twin[i] = math.Float64frombits(bits)
+			switch control % 4 {
+			case 1:
+				bits ^= 1 << 63
+			case 2:
+				bits ^= 1
+			case 3:
+				bits ^= uint64(control) << 48
+			}
+			cur[i] = math.Float64frombits(bits)
+			if !sameBits(twin[i], cur[i]) {
+				diffs++
+			}
+		}
+
+		d := ComputeDiff(0, twin, cur)
+		got := append([]float64(nil), twin...)
+		d.Apply(got)
+		for i := range cur {
+			if !sameBits(got[i], cur[i]) {
+				t.Fatalf("word %d: applying the diff to the twin gives %x, want %x",
+					i, math.Float64bits(got[i]), math.Float64bits(cur[i]))
+			}
+		}
+		if d.Empty() != (diffs == 0) {
+			t.Fatalf("Empty() = %v with %d differing words", d.Empty(), diffs)
+		}
+		if d.Words() != diffs {
+			t.Fatalf("Words() = %d, %d words differ", d.Words(), diffs)
+		}
+		wire, end := 16, -1
+		for k, r := range d.Runs {
+			if len(r.Vals) == 0 || r.Off <= end {
+				t.Fatalf("run %d at %d (len %d) is empty, out of order or touches the previous run ending at %d",
+					k, r.Off, len(r.Vals), end)
+			}
+			for i := r.Off; i < r.Off+len(r.Vals); i++ {
+				if sameBits(twin[i], cur[i]) {
+					t.Fatalf("run %d covers unchanged word %d", k, i)
+				}
+			}
+			if after := r.Off + len(r.Vals); after < n && !sameBits(twin[after], cur[after]) {
+				t.Fatalf("run %d stops before changed word %d", k, after)
+			}
+			end = r.Off + len(r.Vals)
+			wire += 8 + 8*len(r.Vals)
+		}
+		if d.WireSize() != wire {
+			t.Fatalf("WireSize() = %d, want %d", d.WireSize(), wire)
+		}
+	})
+}

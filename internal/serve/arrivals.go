@@ -56,78 +56,14 @@ func (r *rng) exp(rate float64) sim.Time {
 	return t
 }
 
-// Arrival process names accepted by Config.Arrival.
-const (
-	// ArrivalPoisson is a homogeneous Poisson process: independent
-	// exponential interarrival gaps at the configured rate.
-	ArrivalPoisson = "poisson"
-	// ArrivalBursty is a two-state Markov-modulated Poisson process
-	// (MMPP-2): the client population alternates between a calm state
-	// and a burst state whose rate is Config.BurstFactor times the
-	// calm-adjusted base, with exponentially distributed dwell times.
-	// The state mix is chosen so the long-run mean rate equals the
-	// configured offered load.
-	ArrivalBursty = "bursty"
-)
-
-// burstHighFraction is the long-run fraction of time an MMPP-2 client
-// population spends in the burst state.
-const burstHighFraction = 0.2
-
-// arrivals generates one node's arrival times on [0, window) at the
-// given mean rate, using the named process. The returned times are
-// strictly increasing.
-func arrivals(r *rng, process string, rate float64, window sim.Time, burstFactor float64) []sim.Time {
+// arrivals generates one node's Poisson arrival times on [0, window) at
+// the given mean rate. The returned times are strictly increasing.
+func arrivals(r *rng, rate float64, window sim.Time) []sim.Time {
 	var out []sim.Time
-	switch process {
-	case ArrivalBursty:
-		// Rates per state, preserving the requested mean:
-		//   f*high + (1-f)*low = rate,  high = burstFactor*rate
-		// => low = rate*(1-f*burstFactor)/(1-f), valid while
-		// burstFactor < 1/f.
-		f := burstHighFraction
-		high := burstFactor * rate
-		low := rate * (1 - f*burstFactor) / (1 - f)
-		// Mean dwell: an eighth of the window in the burst state, scaled
-		// so the calm state's longer dwell matches the f : 1-f time mix.
-		dwellHigh := window / 8
-		if dwellHigh < 1 {
-			dwellHigh = 1
-		}
-		dwellLow := sim.Time(float64(dwellHigh) * (1 - f) / f)
-		inBurst := false
-		var t sim.Time
-		stateEnd := sim.Time(float64(dwellLow) * -math.Log(r.openFloat()))
-		for t < window {
-			cur := low
-			if inBurst {
-				cur = high
-			}
-			next := t + r.exp(cur)
-			if next >= stateEnd {
-				// Switch states at the dwell boundary; the partial gap is
-				// discarded, which thins the boundary slightly — harmless
-				// for a workload generator.
-				t = stateEnd
-				inBurst = !inBurst
-				dwell := dwellLow
-				if inBurst {
-					dwell = dwellHigh
-				}
-				stateEnd = t + sim.Time(float64(dwell)*-math.Log(r.openFloat()))
-				continue
-			}
-			t = next
-			if t < window {
-				out = append(out, t)
-			}
-		}
-	default: // ArrivalPoisson
-		t := r.exp(rate)
-		for t < window {
-			out = append(out, t)
-			t += r.exp(rate)
-		}
+	t := r.exp(rate)
+	for t < window {
+		out = append(out, t)
+		t += r.exp(rate)
 	}
 	return out
 }

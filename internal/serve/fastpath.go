@@ -50,9 +50,9 @@ func ApplyFastpath(cfg *Config, mode string) error {
 
 // lockOf maps a key to its lock id. Without striping every key of a
 // shard shares lock id == shard. With striping the key hashes to one of
-// KeyLocks stripes and the lock id is shard + Shards*stripe — congruent
-// to the shard mod P whenever Shards is a multiple of P, so the stripe
-// manager still lives on the shard's home node.
+// KeyLocks stripes and the lock id is shard + shards*stripe — congruent
+// to the shard mod P because the shard count is a multiple of P, so the
+// stripe manager still lives on the shard's home node.
 func (kv *KV) lockOf(key int32) int {
 	sh := int(kv.keyShard[key])
 	if kv.cfg.KeyLocks <= 1 {
@@ -102,7 +102,7 @@ func (kv *KV) serveLockFree(c *core.Ctx, id int, r *Req, scratch []float64) bool
 	}
 	kv.seqReads[id]++
 	if r.Op == OpGet {
-		c.Compute(kv.cfg.ServiceNs)
+		c.Compute(serviceNs)
 		kv.ops[id][0]++
 	}
 	return true
@@ -142,7 +142,7 @@ func (kv *KV) seqGet(c *core.Ctx, id int, key int32) bool {
 func (kv *KV) seqScan(c *core.Ctx, id int, r *Req, scratch []float64) bool {
 	sh := int(kv.keyShard[r.Key])
 	start := int(kv.keySlot[r.Key])
-	n := kv.cfg.ScanLen
+	n := scanLen
 	if max := int(kv.shardLen[sh]) - start; n > max {
 		n = max
 	}
@@ -163,7 +163,7 @@ func (kv *KV) seqScan(c *core.Ctx, id int, r *Req, scratch []float64) bool {
 			scratch[j] = v
 		}
 		if !torn {
-			c.Compute(kv.cfg.ServiceNs + sim.Time(n)*kv.cfg.ServiceNs/8)
+			c.Compute(serviceNs + sim.Time(n)*serviceNs/8)
 			kv.ops[id][2]++
 			return true
 		}
@@ -185,7 +185,7 @@ func (kv *KV) applyLocked(c *core.Ctx, id int, r *Req, scratch []float64) {
 	switch r.Op {
 	case OpGet:
 		_ = c.Load(kv.addrOf(r.Key))
-		c.Compute(kv.cfg.ServiceNs)
+		c.Compute(serviceNs)
 		kv.ops[id][0]++
 	case OpPut:
 		a := kv.addrOf(r.Key)
@@ -193,17 +193,17 @@ func (kv *KV) applyLocked(c *core.Ctx, id int, r *Req, scratch []float64) {
 			v := c.LoadI(a + 1)
 			c.StoreI(a+1, v+1) // odd: value is in flux
 			c.Store(a, c.Load(a)+float64(r.Delta))
-			c.Compute(kv.cfg.ServiceNs)
+			c.Compute(serviceNs)
 			c.StoreI(a+1, v+2) // even: consistent again
 		} else {
 			c.Store(a, c.Load(a)+float64(r.Delta))
-			c.Compute(kv.cfg.ServiceNs)
+			c.Compute(serviceNs)
 		}
 		kv.ops[id][1]++
 	case OpScan:
 		sh := int(kv.keyShard[r.Key])
 		start := int(kv.keySlot[r.Key])
-		n := kv.cfg.ScanLen
+		n := scanLen
 		if max := int(kv.shardLen[sh]) - start; n > max {
 			n = max
 		}
@@ -217,7 +217,7 @@ func (kv *KV) applyLocked(c *core.Ctx, id int, r *Req, scratch []float64) {
 				c.ReadRange(base, scratch[:n])
 			}
 		}
-		c.Compute(kv.cfg.ServiceNs + sim.Time(n)*kv.cfg.ServiceNs/8)
+		c.Compute(serviceNs + sim.Time(n)*serviceNs/8)
 		kv.ops[id][2]++
 	}
 }

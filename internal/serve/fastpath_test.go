@@ -84,41 +84,6 @@ func TestSeqlockCounters(t *testing.T) {
 	}
 }
 
-// TestClosedLoop: the closed-loop population must validate, complete
-// exactly what it generates, and never trip open-loop saturation.
-func TestClosedLoop(t *testing.T) {
-	cfg := testConfig()
-	cfg.ClosedClients = 8
-	cfg.ThinkTime = 500 * sim.Microsecond
-	for _, proto := range []core.Protocol{core.ProtoLRC, core.ProtoHLRC} {
-		_, res := runServe(t, cfg, proto, 4, core.Options{})
-		s := res.Stats.Serve
-		if s.Completed == 0 {
-			t.Fatalf("%s: closed loop completed nothing", proto)
-		}
-		if s.Generated != s.Completed {
-			t.Errorf("%s: closed loop generated %d != completed %d", proto, s.Generated, s.Completed)
-		}
-		if s.Clients != 8 {
-			t.Errorf("%s: clients = %d, want 8", proto, s.Clients)
-		}
-		if s.Saturated() {
-			t.Errorf("%s: closed loop flagged saturated (ratio %.3f)", proto, s.SaturationRatio())
-		}
-	}
-}
-
-// TestClosedLoopFewerClientsThanNodes: a population smaller than the
-// machine leaves idle nodes; the run must still validate and complete.
-func TestClosedLoopFewerClientsThanNodes(t *testing.T) {
-	cfg := testConfig()
-	cfg.ClosedClients = 2
-	_, res := runServe(t, cfg, core.ProtoOHLRC, 4, core.Options{})
-	if res.Stats.Serve.Completed == 0 {
-		t.Fatal("2-client closed loop completed nothing")
-	}
-}
-
 // TestAblationOrdering: walking each ablation rung up a load ladder,
 // the sustained load (highest unsaturated offered load) must say what
 // the ladder claims: striped locks never sustain less than the baseline,

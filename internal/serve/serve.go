@@ -1,12 +1,11 @@
 // Package serve implements the request-serving workload: a key-value
-// store sharded over SVM pages, driven either by per-node open-loop
-// client populations whose requests arrive on the simulated clock via
-// seeded Poisson (or bursty MMPP) processes, or by a closed-loop client
-// population that thinks between requests.
+// store sharded over SVM pages, driven by per-node open-loop client
+// populations whose requests arrive on the simulated clock via seeded
+// Poisson processes.
 //
 // Unlike the closed-loop batch kernels (SOR, LU, Water), performance
 // here is not a single elapsed time but a latency distribution: every
-// get/put/scan records completion-minus-arrival into an HDR-style
+// get/put/scan records completion minus arrival into an HDR-style
 // histogram (stats.Hist), and the run reports offered vs. achieved
 // throughput with saturation detection. Keys hash to shards, shards lay
 // out on distinct pages with per-shard locks, so every operation
@@ -65,46 +64,31 @@ type Req struct {
 // runnable; Defaults fills every unset field.
 type Config struct {
 	// Keys is the key-space size. Each key owns one value word (plus a
-	// version word when Seqlock is on).
+	// version word when Seqlock is on). Keys hash onto 4 page-aligned
+	// shards per node, so distinct shards never share a page.
 	Keys int
-	// Shards is the number of shards the keys hash onto. Each shard is
-	// page-aligned so distinct shards never share a page. Zero means 4
-	// shards per node.
-	Shards int
 	// OfferedLoad is the total offered request rate across the machine,
 	// in requests per simulated second. Each node's client population
-	// contributes OfferedLoad / procs. Ignored in closed-loop mode.
+	// contributes OfferedLoad / procs.
 	OfferedLoad float64
 	// Window is the arrival window: requests arrive over [0, Window).
 	Window sim.Time
 	// ReadPct, WritePct and ScanPct set the operation mix (must sum to
 	// 100). All-zero selects the default 80/15/5 mix.
 	ReadPct, WritePct, ScanPct int
-	// ScanLen is the number of consecutive slots a scan reads.
-	ScanLen int
 	// ZipfTheta sets key popularity skew in [0, 1): 0 is uniform, 0.99
 	// is heavily skewed. Hot ranks are scrambled across the key space.
 	ZipfTheta float64
-	// Arrival selects the arrival process: ArrivalPoisson (default) or
-	// ArrivalBursty (two-state MMPP).
-	Arrival string
-	// BurstFactor is the bursty process's burst-state rate multiplier
-	// (must be < 5; the burst state is active 20% of the time).
-	BurstFactor float64
-	// ServiceNs is the modeled per-operation application compute time;
-	// scans add ServiceNs/8 per scanned slot.
-	ServiceNs sim.Time
 	// Seed derives every arrival process and key draw.
 	Seed int64
 
 	// KeyLocks enables striped per-key locking: each shard's keys spread
 	// over this many lock stripes, so two puts to different keys of the
 	// same shard no longer serialize on one lock. Lock ids are
-	// shard + Shards*stripe, which keeps every stripe's manager on the
-	// shard's home node whenever Shards is a multiple of the machine
-	// size (the default layout), so a request's lock round trip and page
-	// fetch target the same node. Zero keeps the baseline one lock per
-	// shard.
+	// shard + shards*stripe; the shard count is always a multiple of the
+	// machine size, so every stripe's manager sits on the shard's home
+	// node and a request's lock round trip and page fetch target the same
+	// node. Zero keeps the baseline one lock per shard.
 	KeyLocks int
 	// Seqlock enables lock-free validated reads: each slot pairs its
 	// value with a version word on the same page; writers cycle the
@@ -115,18 +99,14 @@ type Config struct {
 	// authoritative copy to validate against; under the homeless LRC
 	// family every read silently takes the locked path.
 	Seqlock bool
-
-	// ClosedClients switches the workload to closed-loop: this many
-	// clients total, distributed round-robin across nodes, each issuing
-	// one request at a time and thinking (exponential, mean ThinkTime)
-	// between completion and the next issue. OfferedLoad and Arrival are
-	// ignored; the run still ends when no client would issue before
-	// Window. Zero keeps the open-loop traces.
-	ClosedClients int
-	// ThinkTime is the closed-loop mean think time. Zero means the
-	// default of 1 millisecond.
-	ThinkTime sim.Time
 }
+
+// A scan reads scanLen consecutive slots. Every operation models
+// serviceNs of application compute; a scan adds serviceNs/8 per slot.
+const (
+	scanLen   = 16
+	serviceNs = 5 * sim.Microsecond
+)
 
 // Defaults fills unset fields. A request on the modeled Paragon costs
 // ~1-2ms of coherence work (remote lock acquire plus page miss, §4.3 of
@@ -147,23 +127,8 @@ func (c *Config) Defaults() {
 	if c.ReadPct == 0 && c.WritePct == 0 && c.ScanPct == 0 {
 		c.ReadPct, c.WritePct, c.ScanPct = 80, 15, 5
 	}
-	if c.ScanLen == 0 {
-		c.ScanLen = 16
-	}
-	if c.Arrival == "" {
-		c.Arrival = ArrivalPoisson
-	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 3
-	}
-	if c.ServiceNs == 0 {
-		c.ServiceNs = 5 * sim.Microsecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ThinkTime == 0 {
-		c.ThinkTime = sim.Millisecond
 	}
 }
 
@@ -183,34 +148,17 @@ func (c *Config) validate(procs int) error {
 	if c.ZipfTheta < 0 || c.ZipfTheta >= 1 {
 		return fmt.Errorf("serve: ZipfTheta must be in [0,1), got %g", c.ZipfTheta)
 	}
-	if c.Arrival != ArrivalPoisson && c.Arrival != ArrivalBursty {
-		return fmt.Errorf("serve: unknown arrival process %q (have %s, %s)",
-			c.Arrival, ArrivalPoisson, ArrivalBursty)
-	}
-	if c.BurstFactor <= 0 || c.BurstFactor >= 1/burstHighFraction {
-		return fmt.Errorf("serve: BurstFactor must be in (0, %g), got %g",
-			1/burstHighFraction, c.BurstFactor)
-	}
 	if c.OfferedLoad <= 0 {
 		return fmt.Errorf("serve: OfferedLoad must be positive, got %g", c.OfferedLoad)
 	}
 	if c.Window <= 0 {
 		return fmt.Errorf("serve: Window must be positive, got %v", c.Window)
 	}
-	if c.ScanLen < 1 {
-		return fmt.Errorf("serve: ScanLen must be positive, got %d", c.ScanLen)
-	}
 	if procs < 1 {
 		return fmt.Errorf("serve: procs must be positive, got %d", procs)
 	}
 	if c.KeyLocks < 0 {
 		return fmt.Errorf("serve: KeyLocks must be non-negative, got %d", c.KeyLocks)
-	}
-	if c.ClosedClients < 0 {
-		return fmt.Errorf("serve: ClosedClients must be non-negative, got %d", c.ClosedClients)
-	}
-	if c.ThinkTime <= 0 {
-		return fmt.Errorf("serve: ThinkTime must be positive, got %v", c.ThinkTime)
 	}
 	return nil
 }
@@ -233,16 +181,14 @@ type KV struct {
 	shardLen []int32 // slots per shard
 	zipf     *zipfGen
 
-	// Per-node request traces, sorted by arrival time (open loop only).
+	// Per-node request traces, sorted by arrival time.
 	traces    [][]Req
 	generated int64
 
-	// Expected final store contents. Open loop derives them from the
-	// traces at construction; closed loop accumulates executed put
-	// deltas per node and folds them in after the run (finalizeExpected).
-	initVals     []float64
-	expected     []float64
-	closedDeltas [][]float64
+	// Expected final store contents, derived from the traces at
+	// construction.
+	initVals []float64
+	expected []float64
 
 	// Shared-memory layout, filled in Setup.
 	shardBase []mem.Addr
@@ -266,16 +212,10 @@ type KV struct {
 // request stream.
 func New(cfg Config, procs int) (*KV, error) {
 	cfg.Defaults()
-	if cfg.Shards == 0 {
-		cfg.Shards = 4 * procs
-	}
 	if err := cfg.validate(procs); err != nil {
 		return nil, err
 	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("serve: Shards must be positive, got %d", cfg.Shards)
-	}
-	kv := &KV{cfg: cfg, procs: procs, shards: cfg.Shards, slotWords: 1}
+	kv := &KV{cfg: cfg, procs: procs, shards: 4 * procs, slotWords: 1}
 	if cfg.Seqlock {
 		kv.slotWords = 2
 	}
@@ -303,33 +243,23 @@ func New(cfg Config, procs int) (*KV, error) {
 	kv.zipf = newZipf(cfg.Keys, cfg.ZipfTheta)
 	kv.expected = append([]float64(nil), kv.initVals...)
 	kv.traces = make([][]Req, procs)
-	if cfg.ClosedClients > 0 {
-		// Closed loop draws requests on the fly; executed deltas are
-		// accumulated per node and folded into expected after the run.
-		kv.closedDeltas = make([][]float64, procs)
-		for id := range kv.closedDeltas {
-			kv.closedDeltas[id] = make([]float64, cfg.Keys)
-		}
-	} else {
-		// Per-node open-loop client traces. Each node's population is
-		// seeded independently of the others, so traces are reproducible
-		// per node.
-		perNodeRate := cfg.OfferedLoad / float64(procs)
-		for id := 0; id < procs; id++ {
-			r := newRNG(scramble(uint64(cfg.Seed)) ^ scramble(uint64(id)+0xc11e47))
-			ats := arrivals(r, cfg.Arrival, perNodeRate, cfg.Window, cfg.BurstFactor)
-			trace := make([]Req, len(ats))
-			for i, at := range ats {
-				req := kv.drawReq(r)
-				req.At = at
-				if req.Op == OpPut {
-					kv.expected[req.Key] += float64(req.Delta)
-				}
-				trace[i] = req
+	// Per-node client traces. Each node's population is seeded
+	// independently of the others, so traces are reproducible per node.
+	perNodeRate := cfg.OfferedLoad / float64(procs)
+	for id := 0; id < procs; id++ {
+		r := newRNG(scramble(uint64(cfg.Seed)) ^ scramble(uint64(id)+0xc11e47))
+		ats := arrivals(r, perNodeRate, cfg.Window)
+		trace := make([]Req, len(ats))
+		for i, at := range ats {
+			req := kv.drawReq(r)
+			req.At = at
+			if req.Op == OpPut {
+				kv.expected[req.Key] += float64(req.Delta)
 			}
-			kv.traces[id] = trace
-			kv.generated += int64(len(trace))
+			trace[i] = req
 		}
+		kv.traces[id] = trace
+		kv.generated += int64(len(trace))
 	}
 
 	kv.hists = make([]*stats.Hist, procs)
@@ -346,9 +276,7 @@ func New(cfg Config, procs int) (*KV, error) {
 }
 
 // drawReq draws one request (key, op, delta — not the arrival time)
-// from a node or client rng. Both the open-loop trace generator and the
-// closed-loop clients use it, so the two modes sample the identical
-// key-popularity and op-mix distributions.
+// from a node's rng.
 func (kv *KV) drawReq(r *rng) Req {
 	key := int32(scramble(uint64(kv.zipf.rank(r))+0x6b65796d) % uint64(kv.cfg.Keys))
 	req := Req{Key: key}
@@ -367,8 +295,7 @@ func (kv *KV) drawReq(r *rng) Req {
 // Name implements core.App.
 func (kv *KV) Name() string { return "kv-serve" }
 
-// Generated returns the total number of requests across all open-loop
-// traces (zero in closed-loop mode, where demand follows completions).
+// Generated returns the total number of requests across all traces.
 func (kv *KV) Generated() int64 { return kv.generated }
 
 // Trace returns node id's request trace (read-only; used by tests).
@@ -414,24 +341,12 @@ func (kv *KV) addrOf(key int32) mem.Addr {
 	return kv.shardBase[kv.keyShard[key]] + mem.Addr(int(kv.keySlot[key])*kv.slotWords)
 }
 
-// Worker serves node id's client population. Open loop runs a FIFO
-// queue over the pre-generated trace; closed loop multiplexes the node's
-// thinking clients. Either way each operation records completion minus
-// arrival.
+// Worker serves node id's client population: requests from the
+// pre-generated trace are served one at a time in arrival order (FIFO
+// single-server queue), each recording completion minus arrival.
 func (kv *KV) Worker(c *core.Ctx, id int) {
-	if kv.cfg.ClosedClients > 0 {
-		kv.closedWorker(c, id)
-	} else {
-		kv.openWorker(c, id)
-	}
-	c.Barrier(0)
-}
-
-// openWorker is the open-loop server: requests are served one at a time
-// in arrival order (FIFO single-server queue).
-func (kv *KV) openWorker(c *core.Ctx, id int) {
 	h := kv.hists[id]
-	scratch := make([]float64, kv.cfg.ScanLen)
+	scratch := make([]float64, scanLen)
 	trace := kv.traces[id]
 	for i := range trace {
 		r := &trace[i]
@@ -444,6 +359,7 @@ func (kv *KV) openWorker(c *core.Ctx, id int) {
 		kv.busy[id] += c.Now() - start
 		kv.lastDone[id] = c.Now()
 	}
+	c.Barrier(0)
 }
 
 // Gather reads back the whole store through the SVM for validation.
@@ -459,7 +375,6 @@ func (kv *KV) Gather(c *core.Ctx) []float64 {
 // initial values plus every put delta. Deltas are integers and addition
 // under the key's lock is commutative, so the gathered data must match
 // bitwise under every protocol, schedule, and (recoverable) fault plan.
-// In closed-loop mode this is only valid after finalizeExpected.
 func (kv *KV) Expected() []float64 { return kv.expected }
 
 // Validate checks gathered run data against the trace-derived expected
@@ -503,12 +418,6 @@ func (kv *KV) Stats() *stats.ServeStats {
 		s.SeqlockFallbacks += kv.seqFallbacks[id]
 	}
 	s.Completed = s.Gets + s.Puts + s.Scans
-	if kv.cfg.ClosedClients > 0 {
-		// A closed population generates exactly what it completes.
-		s.Generated = s.Completed
-		s.Clients = int64(kv.cfg.ClosedClients)
-		s.Think = kv.cfg.ThinkTime
-	}
 	return s
 }
 
@@ -526,7 +435,6 @@ func Run(opts core.Options, kv *KV) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	kv.finalizeExpected()
 	if err := kv.Validate(res.Data); err != nil {
 		return nil, err
 	}

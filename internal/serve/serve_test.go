@@ -128,27 +128,6 @@ func TestSaturationDetection(t *testing.T) {
 	}
 }
 
-// TestBurstyArrivals: the MMPP process must validate and be mean-
-// preserving within sampling noise (same order of generated requests as
-// Poisson at the same rate).
-func TestBurstyArrivals(t *testing.T) {
-	cfg := testConfig()
-	cfg.Arrival = ArrivalBursty
-	cfg.BurstFactor = 3
-	kv, res := runServe(t, cfg, core.ProtoOHLRC, 4, core.Options{})
-	if res.Stats.Serve.Completed != kv.Generated() {
-		t.Errorf("bursty run completed %d of %d", res.Stats.Serve.Completed, kv.Generated())
-	}
-	pois, err := New(testConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := pois.Generated()/2, pois.Generated()*2
-	if g := kv.Generated(); g < lo || g > hi {
-		t.Errorf("bursty generated %d requests, poisson %d: not mean-preserving", g, pois.Generated())
-	}
-}
-
 // TestZipfSkew: theta 0.9 must concentrate traffic — the most popular
 // key must see far more than the uniform share of requests.
 func TestZipfSkew(t *testing.T) {
@@ -247,8 +226,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.ReadPct, c.WritePct, c.ScanPct = 50, 30, 30 }, // sums to 110
 		func(c *Config) { c.ReadPct, c.WritePct, c.ScanPct = 120, -15, -5 },
 		func(c *Config) { c.ZipfTheta = 1.5 },
-		func(c *Config) { c.Arrival = "lognormal" },
-		func(c *Config) { c.BurstFactor = 9 }, // >= 1/burstHighFraction
 		func(c *Config) { c.Keys = -1 },
 		func(c *Config) { c.OfferedLoad = -3 },
 	}

@@ -220,7 +220,9 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON rebuilds the histogram from its wire shape.
+// UnmarshalJSON rebuilds the histogram from its wire shape. It accepts
+// only what MarshalJSON can emit: strictly ascending bucket indices with
+// positive counts that sum, without overflow, to the header count.
 func (h *Hist) UnmarshalJSON(data []byte) error {
 	var j histJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -228,10 +230,18 @@ func (h *Hist) UnmarshalJSON(data []byte) error {
 	}
 	h.counts = make([]int64, histBuckets)
 	var n int64
+	prev := int64(-1)
 	for _, b := range j.Buckets {
 		if b[0] < 0 || b[0] >= histBuckets {
 			return fmt.Errorf("stats: histogram bucket index %d out of range", b[0])
 		}
+		if b[0] <= prev {
+			return fmt.Errorf("stats: histogram bucket index %d follows %d", b[0], prev)
+		}
+		if b[1] < 1 || b[1] > math.MaxInt64-n {
+			return fmt.Errorf("stats: histogram bucket %d has count %d", b[0], b[1])
+		}
+		prev = b[0]
 		h.counts[b[0]] = b[1]
 		n += b[1]
 	}
@@ -294,13 +304,6 @@ type ServeStats struct {
 	// to drive both toward zero on the get-dominated mix.
 	LockAcquires int64
 	LockForwards int64
-
-	// Closed-loop mode: Clients > 0 marks a closed-loop run, where a
-	// fixed population of clients issues the next request one think time
-	// (mean Think) after the previous response. Closed-loop runs are
-	// self-limiting and never report saturation.
-	Clients int64
-	Think   sim.Time
 }
 
 // saturationFraction is the achieved/offered ratio below which the
@@ -357,13 +360,8 @@ func (s *ServeStats) SaturationRatio() float64 {
 }
 
 // Saturated reports whether the offered load exceeded the serving
-// capacity (offered vs. completed rate divergence). A closed-loop run
-// is self-limiting — clients wait for responses — so it never reports
-// saturation; its throughput is read directly from AchievedRate.
+// capacity (offered vs. completed rate divergence).
 func (s *ServeStats) Saturated() bool {
-	if s.Clients > 0 {
-		return false
-	}
 	return s.SaturationRatio() < saturationFraction
 }
 
@@ -389,8 +387,6 @@ type serveJSON struct {
 	SeqlockFallbacks int64 `json:"seqlock_fallbacks,omitempty"`
 	LockAcquires     int64 `json:"lock_acquires,omitempty"`
 	LockForwards     int64 `json:"lock_forwards,omitempty"`
-	Clients          int64 `json:"clients,omitempty"`
-	ThinkNs          int64 `json:"think_ns,omitempty"`
 }
 
 // MarshalJSON emits the serve block with derived rates included.
@@ -416,17 +412,19 @@ func (s *ServeStats) MarshalJSON() ([]byte, error) {
 		SeqlockFallbacks: s.SeqlockFallbacks,
 		LockAcquires:     s.LockAcquires,
 		LockForwards:     s.LockForwards,
-		Clients:          s.Clients,
-		ThinkNs:          int64(s.Think),
 	})
 }
 
 // UnmarshalJSON rebuilds the serve block; derived rate fields are
-// recomputed from the exact counters on the next marshal.
+// recomputed from the exact counters on the next marshal, which needs a
+// positive window and a non-negative completion time to stay finite.
 func (s *ServeStats) UnmarshalJSON(data []byte) error {
 	var j serveJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
+	}
+	if j.WindowNs <= 0 || j.LastDoneNs < 0 {
+		return fmt.Errorf("stats: serve block has window %d ns, last completion %d ns", j.WindowNs, j.LastDoneNs)
 	}
 	s.Window = sim.Time(j.WindowNs)
 	s.Generated = j.Generated
@@ -443,7 +441,5 @@ func (s *ServeStats) UnmarshalJSON(data []byte) error {
 	s.SeqlockFallbacks = j.SeqlockFallbacks
 	s.LockAcquires = j.LockAcquires
 	s.LockForwards = j.LockForwards
-	s.Clients = j.Clients
-	s.Think = sim.Time(j.ThinkNs)
 	return nil
 }

@@ -205,16 +205,37 @@ func TestHistJSONRoundTripEmpty(t *testing.T) {
 	}
 }
 
+// corruptHistJSON are histogram blobs UnmarshalJSON must refuse.
+var corruptHistJSON = []string{
+	`{"count":1,"buckets":[[99999,1]]}`,                       // index out of range
+	`{"count":2,"buckets":[[10,1]]}`,                          // count mismatch
+	`{"count":1,"buckets":[[-1,1]]}`,                          // negative index
+	`{"count":2,"buckets":[[10,1],[10,1]]}`,                   // repeated index
+	`{"count":2,"buckets":[[11,1],[10,1]]}`,                   // descending
+	`{"count":0,"buckets":[[10,-1],[11,1]]}`,                  // negative count
+	`{"count":1,"buckets":[[10,9223372036854775807],[11,2]]}`, // counts overflow
+}
+
+// corruptServeJSON are serve blocks whose derived rates would not be
+// finite; UnmarshalJSON must refuse them.
+var corruptServeJSON = []string{
+	`{"window_ns":-1,"generated":1,"completed":1,"last_done_ns":5,"latency":{"count":1,"min_ns":5,"max_ns":5,"sum_ns":5,"buckets":[[5,1]]}}`,
+	`{"window_ns":0,"last_done_ns":5}`,
+	`{"window_ns":5,"last_done_ns":-5}`,
+}
+
 // TestHistJSONRejectsCorrupt checks the unmarshal-side validation.
 func TestHistJSONRejectsCorrupt(t *testing.T) {
-	for _, bad := range []string{
-		`{"count":1,"buckets":[[99999,1]]}`, // index out of range
-		`{"count":2,"buckets":[[10,1]]}`,    // count mismatch
-		`{"count":1,"buckets":[[-1,1]]}`,    // negative index
-	} {
+	for _, bad := range corruptHistJSON {
 		var h Hist
 		if err := json.Unmarshal([]byte(bad), &h); err == nil {
 			t.Errorf("unmarshal accepted corrupt input %s", bad)
+		}
+	}
+	for _, bad := range corruptServeJSON {
+		var s ServeStats
+		if err := json.Unmarshal([]byte(bad), &s); err == nil {
+			t.Errorf("unmarshal accepted corrupt serve block %s", bad)
 		}
 	}
 }
@@ -241,8 +262,8 @@ func TestServeStatsSaturation(t *testing.T) {
 	}
 }
 
-// TestServeStatsJSONRoundTrip checks the serve block wire shape.
-func TestServeStatsJSONRoundTrip(t *testing.T) {
+// sampleServeStats is a small but fully populated serve block.
+func sampleServeStats() *ServeStats {
 	s := &ServeStats{
 		Window: 50 * sim.Millisecond, Generated: 100, Completed: 100,
 		Gets: 80, Puts: 15, Scans: 5, LastDone: 60 * sim.Millisecond,
@@ -251,7 +272,12 @@ func TestServeStatsJSONRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Latency.Record(sim.Time(1+i) * sim.Microsecond)
 	}
-	first, err := json.Marshal(s)
+	return s
+}
+
+// TestServeStatsJSONRoundTrip checks the serve block wire shape.
+func TestServeStatsJSONRoundTrip(t *testing.T) {
+	first, err := json.Marshal(sampleServeStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,5 +291,53 @@ func TestServeStatsJSONRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Errorf("serve block round-trip not byte-identical:\n%s\n%s", first, second)
+	}
+}
+
+// FuzzHistJSON feeds arbitrary bytes to the histogram and serve-block
+// decoders, which read result files back from disk. Neither may panic,
+// and anything either accepts must reach a fixed point: marshal,
+// unmarshal, marshal again gives the same bytes.
+func FuzzHistJSON(f *testing.F) {
+	for _, bad := range append(corruptHistJSON, corruptServeJSON...) {
+		f.Add([]byte(bad))
+	}
+	blob, err := json.Marshal(sampleServeStats())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h Hist
+		if h.UnmarshalJSON(data) == nil {
+			jsonFixedPoint(t, "histogram", &h, new(Hist))
+		}
+		var s ServeStats
+		if s.UnmarshalJSON(data) == nil {
+			jsonFixedPoint(t, "serve block", &s, new(ServeStats))
+		}
+	})
+}
+
+// jsonFixedPoint checks that a decoded value marshals, that the result
+// decodes into fresh, and that fresh marshals to the same bytes.
+func jsonFixedPoint(t *testing.T, what string, decoded, fresh interface {
+	json.Marshaler
+	json.Unmarshaler
+}) {
+	t.Helper()
+	first, err := decoded.MarshalJSON()
+	if err != nil {
+		t.Fatalf("accepted %s does not marshal: %v", what, err)
+	}
+	if err := fresh.UnmarshalJSON(first); err != nil {
+		t.Fatalf("%s rejects its own output %s: %v", what, first, err)
+	}
+	second, err := fresh.MarshalJSON()
+	if err != nil {
+		t.Fatalf("re-decoded %s does not marshal: %v", what, err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("%s is not a fixed point:\n%s\n%s", what, first, second)
 	}
 }
