@@ -102,8 +102,10 @@ type (
 	TraceLog = trace.Log
 	// TraceEvent is one protocol event in a TraceLog.
 	TraceEvent = trace.Event
-	// FaultPlan is a deterministic per-run fault schedule plus
-	// reliability-layer tuning (see Options.Fault).
+	// FaultPlan is a deterministic per-run fault schedule (see
+	// Options.Fault). The reliability layer that recovers from it runs a
+	// fixed retransmission schedule: 2 ms first timeout, doubled per
+	// retry, capped at 50 ms, give-up after 10 attempts.
 	FaultPlan = fault.Plan
 	// FaultTarget is a targeted fault: drop transmissions of one message
 	// kind on one edge (FaultPlan.Targets).

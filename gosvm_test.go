@@ -53,7 +53,6 @@ func TestParseProtocol(t *testing.T) {
 func TestRunWithOptionsAndCrash(t *testing.T) {
 	plan := gosvm.FaultPlan{
 		Seed: 1,
-		RTO:  100 * gosvm.Microsecond,
 		Crashes: []gosvm.Crash{
 			{Node: 1, At: 200 * gosvm.Microsecond, RestartAt: 3 * gosvm.Millisecond},
 		},
@@ -78,7 +77,6 @@ func TestRunWithOptionsAndCrash(t *testing.T) {
 func TestStructuredErrorsExported(t *testing.T) {
 	plan := gosvm.FaultPlan{
 		Seed:    1,
-		RTO:     100 * gosvm.Microsecond,
 		Crashes: []gosvm.Crash{{Node: 1, At: 200 * gosvm.Microsecond}},
 	}
 	_, err := gosvm.Run(gosvm.Options{

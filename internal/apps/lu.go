@@ -254,8 +254,3 @@ func (r *lcg) next() uint64 {
 func (r *lcg) float() float64 {
 	return float64(r.next()>>11) / float64(1<<53)
 }
-
-// intn returns a value in [0,n).
-func (r *lcg) intn(n int) int {
-	return int(r.next() % uint64(n))
-}

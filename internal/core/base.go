@@ -30,18 +30,20 @@ type coherence interface {
 	// application proc (GC for the homeless protocols, log pruning for
 	// the home-based ones).
 	onBarrierRelease(g *grantInfo)
-	// protoMem returns current protocol metadata bytes (GC trigger).
-	protoMem() int64
 }
 
-// base carries the state and synchronization algorithms shared by all
-// protocol engines: the vector clock, the interval log, distributed lock
-// management, and the centralized barrier.
+// base carries the state and algorithms shared by all protocol engines:
+// the vector clock, the interval log, the twin-and-diff lifecycle of a
+// written page, distributed lock management, and the barriers.
 type base struct {
 	sys  *System
 	node *paragon.Node
 	self int
 	co   coherence
+
+	// overlapped is set under OLRC and OHLRC: diffs are computed, and
+	// data-plane requests served, on the communication co-processor.
+	overlapped bool
 
 	clock vc.VC
 	pt    *mem.Table
@@ -98,6 +100,7 @@ func (b *base) init(sys *System, self int, co coherence) {
 	b.node = sys.M.Nodes[self]
 	b.self = self
 	b.co = co
+	b.overlapped = sys.Opts.Overlapped()
 	b.clock = vc.New(sys.Opts.Machine.Nodes)
 	b.pt = sys.Tables[self]
 	b.log = make([][]*IntervalRec, sys.Opts.Machine.Nodes)
@@ -116,6 +119,14 @@ func (b *base) init(sys *System, self int, co coherence) {
 }
 
 func (b *base) costs() *paragon.Costs { return &b.sys.Opts.Machine.Costs }
+
+// dataTarget is where data-plane requests (fetches, diff flushes) go.
+func (b *base) dataTarget() paragon.Target {
+	if b.overlapped {
+		return paragon.ToCoproc
+	}
+	return paragon.ToCompute
+}
 
 // vecBytes is the protocol-memory charge for one per-page vector. The
 // accounting models the dense reservation (as the paper's prototypes
@@ -214,6 +225,87 @@ func (b *base) emit(k trace.Kind, page, peer int, arg int64) {
 	b.sys.traceLog.Emit(trace.Event{
 		T: b.sys.K.Now(), Node: b.self, Kind: k, Page: page, Peer: peer, Arg: arg,
 	})
+}
+
+// ---------------------------------------------------------------------------
+// Faults and the twin-and-diff lifecycle
+//
+// Both families diff a written page against its twin at interval end (on
+// the co-processor under OLRC and OHLRC, while the page waits); they differ
+// only in where the diff goes (DESIGN §3.4).
+
+// readMiss charges and records a fault on an invalid page.
+func (b *base) readMiss(page int) {
+	b.use(b.costs().PageFault, stats.CatData)
+	b.st().Counts.ReadMisses++
+	b.emit(trace.ReadMiss, page, -1, 0)
+}
+
+// diffTwin diffs page against its twin and drops the twin.
+func (b *base) diffTwin(page int) mem.Diff {
+	p := b.pt.Page(page)
+	d := mem.ComputeDiff(page, p.Twin, p.Data)
+	p.DropTwin(b.sink())
+	b.st().MemFree(int64(b.sys.Space.PageBytes()))
+	b.st().Counts.DiffsCreated++
+	b.emit(trace.DiffCreate, page, -1, int64(d.WireSize()))
+	return d
+}
+
+// inflightDiff marks a page whose twin is feeding a diff on the
+// co-processor; the application procs that need the twin wait on it.
+type inflightDiff struct {
+	busy    bool
+	waiters []*sim.Proc
+}
+
+// wait parks p until the page's diff is done; reason and page name the
+// wait in deadlock reports.
+func (d *inflightDiff) wait(p *sim.Proc, reason string, page int) {
+	for d.busy {
+		d.waiters = append(d.waiters, p)
+		p.ParkArg(reason, int64(page))
+	}
+}
+
+// done clears the mark and wakes every waiter.
+func (d *inflightDiff) done() {
+	d.busy = false
+	for _, w := range d.waiters {
+		w.Unpark()
+	}
+	d.waiters = nil
+}
+
+type makeDiffReq struct {
+	Page     int
+	Interval int32
+	Dep      *vc.Sparse // HLRC: the diff's per-page dependency
+}
+
+// postDiff hands a page's diff to this node's co-processor, whose kMakeDiff
+// handler diffs the twin and calls d.done. The post's cost is part of the
+// engine's closeCost.
+func (b *base) postDiff(d *inflightDiff, req *makeDiffReq) {
+	d.busy = true
+	b.node.InjectCoproc(paragon.Msg{Kind: kMakeDiff, Body: req})
+}
+
+// finish is the wind-down both engines run after the worker: it waits out
+// every diff still on the co-processor and asserts that no page is dirty
+// and no lock held. inflight visits each used page's in-flight mark.
+func (b *base) finish(inflight func(visit func(page int, d *inflightDiff))) {
+	if len(b.dirty) > 0 {
+		panic(fmt.Sprintf("core: node %d finished with %d dirty pages (missing final barrier?)", b.self, len(b.dirty)))
+	}
+	inflight(func(page int, d *inflightDiff) {
+		d.wait(b.app(), "finish: diff in flight page", page)
+	})
+	for l, ls := range b.locks {
+		if ls.held {
+			panic(fmt.Sprintf("core: node %d finished holding lock %d", b.self, l))
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -642,7 +734,7 @@ func (b *base) Barrier(id int) {
 		Node:     b.self,
 		VC:       b.clock.Copy(),
 		Recs:     b.ownRecsAfter(b.lastReported),
-		ProtoMem: b.co.protoMem(),
+		ProtoMem: b.st().ProtoMem,
 	}
 	if len(b.log[b.self]) > 0 {
 		b.lastReported = b.log[b.self][len(b.log[b.self])-1].Interval
@@ -705,32 +797,11 @@ func (b *base) bmgrArrive(rep *barrierReport, req paragon.Msg) *grantInfo {
 // local node's release payload.
 func (b *base) bmgrComplete() *grantInfo {
 	mgr := b.bmgr
-	// Merge every reported interval into the manager's log. Reports carry
-	// each node's *own* intervals, so together they cover everything.
-	for _, a := range mgr.arrivals {
-		for _, rec := range a.rep.Recs {
-			if !b.hasLogRec(rec.Proc, rec.Interval) {
-				b.insertLog(rec)
-			}
-		}
+	reports := make([]*barrierReport, len(mgr.arrivals))
+	for i, a := range mgr.arrivals {
+		reports[i] = a.rep
 	}
-	merged := b.clock.Copy()
-	for _, a := range mgr.arrivals {
-		merged.MaxWith(a.rep.VC)
-	}
-	for p := range b.log {
-		if n := len(b.log[p]); n > 0 && b.log[p][n-1].Interval > merged[p] {
-			merged[p] = b.log[p][n-1].Interval
-		}
-	}
-	var gc bool
-	if b.sys.gcDecider != nil {
-		reports := make([]*barrierReport, len(mgr.arrivals))
-		for i, a := range mgr.arrivals {
-			reports[i] = a.rep
-		}
-		gc = b.sys.gcDecider(reports)
-	}
+	merged, gc := b.mergeReports(reports)
 	var local *grantInfo
 	for _, a := range mgr.arrivals {
 		g := grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.releaseRecsFor(a.rep)}
@@ -759,6 +830,42 @@ func (b *base) bmgrComplete() *grantInfo {
 		b.sys.onBarrier(mgr.episodes)
 	}
 	return local
+}
+
+// mergeReports is the merge both barrier algorithms complete an episode
+// with (bmgrComplete, treeRootComplete). It logs every reported interval
+// record this node lacks — reports carry each node's *own* intervals, so
+// together they cover everything — and returns the merged clock (this
+// node's, raised by every report's and to every log tail) with the GC
+// decision on the reports' protocol memory.
+func (b *base) mergeReports(reps []*barrierReport) (vc.VC, bool) {
+	for _, rep := range reps {
+		for _, rec := range rep.Recs {
+			if !b.hasLogRec(rec.Proc, rec.Interval) {
+				b.insertLog(rec)
+			}
+		}
+	}
+	merged := b.clock.Copy()
+	for _, rep := range reps {
+		merged.MaxWith(rep.VC)
+	}
+	for p := range b.log {
+		if n := len(b.log[p]); n > 0 && b.log[p][n-1].Interval > merged[p] {
+			merged[p] = b.log[p][n-1].Interval
+		}
+	}
+	return merged, b.sys.gcDecider != nil && b.sys.gcDecider(reps)
+}
+
+// wake unparks the application proc parked on *w, if any, and clears the
+// slot: the hand-off of a barrier release or GC rendezvous from dispatcher
+// context.
+func wake(w **sim.Proc) {
+	if p := *w; p != nil {
+		*w = nil
+		p.Unpark()
+	}
 }
 
 // releaseRecsFor selects the interval records node rep is missing.
@@ -796,11 +903,7 @@ func (b *base) handleBarrier(m paragon.Msg) (sim.Time, func()) {
 			// The remote arrival completed the barrier and the local
 			// node's release is pending: hand it over and wake the app.
 			b.bmgr.localRelease = g
-			if b.bmgr.localWait != nil {
-				w := b.bmgr.localWait
-				b.bmgr.localWait = nil
-				w.Unpark()
-			}
+			wake(&b.bmgr.localWait)
 		}
 	}
 }
@@ -842,11 +945,7 @@ func (b *base) gcMaybeComplete() bool {
 	}
 	mgr.gcWaiters = nil
 	mgr.gcDone = 0
-	if mgr.localWait != nil {
-		w := mgr.localWait
-		mgr.localWait = nil
-		w.Unpark()
-	}
+	wake(&mgr.localWait)
 	return true
 }
 

@@ -823,6 +823,53 @@ func TestTraceGCEvents(t *testing.T) {
 	}
 }
 
+// noGather runs an app but gathers nothing, so every fault of the run
+// happens before the end-of-worker statistics snapshot.
+type noGather struct{ App }
+
+func (noGather) Gather(*Ctx) []float64 { return nil }
+
+// Every counted protocol event is traced once: per kind, the trace holds
+// exactly as many events as the nodes' summed counter. multiWriterApp
+// stores to pages it never loaded — HLRC takes that as a read fault, then
+// a write fault; LRC inside its write fault — and counterApp acquires
+// locks. Diff events are left out: dispatcher work can land after the
+// snapshot.
+func TestTraceAgreesWithCounters(t *testing.T) {
+	counters := []struct {
+		kind  trace.Kind
+		count func(c *stats.Counters) int64
+	}{
+		{trace.ReadMiss, func(c *stats.Counters) int64 { return c.ReadMisses }},
+		{trace.WriteFault, func(c *stats.Counters) int64 { return c.WriteFaults }},
+		{trace.PageFetch, func(c *stats.Counters) int64 { return c.PagesFetched }},
+		{trace.LockAcquire, func(c *stats.Counters) int64 { return c.LockAcquires }},
+		{trace.BarrierEnter, func(c *stats.Counters) int64 { return c.Barriers }},
+		{trace.GCStart, func(c *stats.Counters) int64 { return c.GCs }},
+	}
+	forEachProto(t, []int{4}, func(t *testing.T, proto Protocol, p int) {
+		for _, app := range []*testApp{multiWriterApp(), counterApp(4)} {
+			opts := testOpts(proto, p)
+			opts.TraceLimit = -1
+			opts.GCThreshold = 1 // the homeless protocols collect at every barrier
+			res := runOrFail(t, opts, noGather{app})
+			traced := res.Trace.Counts()
+			for _, c := range counters {
+				var counted int64
+				for _, nd := range res.Stats.Nodes {
+					counted += c.count(&nd.Counts)
+				}
+				if int64(traced[c.kind]) != counted {
+					t.Errorf("%s: %d %v events traced, %d counted", app.name, traced[c.kind], c.kind, counted)
+				}
+			}
+			if !proto.HomeBased() && traced[trace.GCStart] == 0 {
+				t.Errorf("%s: no garbage collection ran", app.name)
+			}
+		}
+	})
+}
+
 func TestTraceDisabledByDefault(t *testing.T) {
 	res := runOrFail(t, testOpts(ProtoHLRC, 2), counterApp(3))
 	if res.Trace.Len() != 0 {

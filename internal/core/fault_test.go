@@ -112,8 +112,8 @@ func TestFaultCountersVisible(t *testing.T) {
 	}
 }
 
-// A reply edge severed for every copy: the transport gives up after
-// MaxAttempts, the run must hang, the kernel must convert the hang into a
+// A reply edge severed for every copy: the transport gives up after ten
+// attempts, the run must hang, the kernel must convert the hang into a
 // DeadlockError naming the blocked proc, and the watchdog must name the
 // lost message.
 func TestSeveredReplyGiveUpDiagnosed(t *testing.T) {
@@ -141,8 +141,7 @@ func TestSeveredReplyGiveUpDiagnosed(t *testing.T) {
 	}
 	opts := testOpts(ProtoHLRC, 2)
 	opts.Fault = fault.Plan{
-		Seed:        1,
-		MaxAttempts: 3,
+		Seed: 1,
 		Targets: []fault.Target{{
 			Kind:  kFetchPage,
 			From:  fault.AnyNode,
@@ -163,7 +162,8 @@ func TestSeveredReplyGiveUpDiagnosed(t *testing.T) {
 	if !strings.Contains(msg, "app0") {
 		t.Fatalf("report does not name the blocked proc app0: %v", msg)
 	}
-	if !strings.Contains(msg, "fetch-page reply") || !strings.Contains(msg, "n1->n0") {
+	if !strings.Contains(msg, "fetch-page reply") || !strings.Contains(msg, "n1->n0") ||
+		!strings.Contains(msg, "after 10 attempts") {
 		t.Fatalf("watchdog did not name the lost message: %v", msg)
 	}
 }
@@ -277,13 +277,11 @@ func TestMeshHostileFaultDeterminism(t *testing.T) {
 }
 
 // Severing every copy of one edge's requests while retries are on: the
-// transport gives up after MaxAttempts and the watchdog reports it.
+// transport gives up after ten attempts and the watchdog reports it.
 func TestRetryGiveUpDiagnosed(t *testing.T) {
 	opts := testOpts(ProtoHLRC, 2)
 	opts.Fault = fault.Plan{
-		Seed:        1,
-		MaxAttempts: 3,
-		RTO:         200 * sim.Microsecond,
+		Seed: 1,
 		// Sever all barrier requests from node 1 to the manager.
 		Targets: []fault.Target{{Kind: kBarrier, From: 1, To: fault.AnyNode}},
 	}
@@ -292,7 +290,7 @@ func TestRetryGiveUpDiagnosed(t *testing.T) {
 		t.Fatal("run with a severed barrier edge succeeded")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "given up") || !strings.Contains(msg, "after 3 attempts") {
+	if !strings.Contains(msg, "given up") || !strings.Contains(msg, "after 10 attempts") {
 		t.Fatalf("watchdog did not report retry exhaustion: %v", msg)
 	}
 	if !strings.Contains(msg, "barrier") {

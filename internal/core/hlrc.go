@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
@@ -17,9 +15,8 @@ import (
 // whole pages from the home in a single round trip.
 type hlrcEngine struct {
 	base
-	overlapped bool
-	pages      chunked[hlrcPage]
-	uses       slab[hlrcUse]
+	pages chunked[hlrcPage]
+	uses  slab[hlrcUse]
 
 	// mirrors holds this node's replica copies of other homes' pages
 	// (crash recovery, see recover.go).
@@ -62,8 +59,7 @@ type hlrcUse struct {
 
 	// Overlapped: a diff for this page is being computed on the coproc;
 	// the twin is in use and the next write must wait.
-	inflight   bool
-	twinWaiter []*sim.Proc
+	inflight inflightDiff
 }
 
 type fetchPageReq struct {
@@ -86,14 +82,8 @@ type diffFlush struct {
 	Diff     mem.Diff
 }
 
-type makeDiffReq struct {
-	Page     int
-	Interval int32
-	Dep      *vc.Sparse
-}
-
-func newHLRCEngine(sys *System, self int, overlapped bool) *hlrcEngine {
-	e := &hlrcEngine{overlapped: overlapped}
+func newHLRCEngine(sys *System, self int) *hlrcEngine {
+	e := &hlrcEngine{}
 	e.base.init(sys, self, e)
 	e.pages = newChunked[hlrcPage](sys.Space.NumPages())
 	e.mirrors = make(map[int]*mirrorPage)
@@ -103,14 +93,6 @@ func newHLRCEngine(sys *System, self int, overlapped bool) *hlrcEngine {
 }
 
 func (e *hlrcEngine) home(page int) int { return e.sys.homes[page] }
-
-// dataTarget is where data-plane requests (fetches, diff flushes) go.
-func (e *hlrcEngine) dataTarget() paragon.Target {
-	if e.overlapped {
-		return paragon.ToCoproc
-	}
-	return paragon.ToCompute
-}
 
 // seenOf returns m's requirement vector, initialising it (and charging it
 // to protocol memory) on first use.
@@ -148,9 +130,7 @@ func covers(v, need *vc.Sparse) bool { return v.Covers(need) }
 // Faults
 
 func (e *hlrcEngine) ReadFault(page int) {
-	e.use(e.costs().PageFault, stats.CatData)
-	e.st().Counts.ReadMisses++
-	e.emit(trace.ReadMiss, page, -1, 0)
+	e.readMiss(page)
 	m := e.pages.at(page)
 	t0 := e.app().Now()
 	for e.home(page) == e.self {
@@ -216,12 +196,8 @@ func (e *hlrcEngine) WriteFault(page int) {
 	if p.State == mem.Invalid {
 		e.ReadFault(page)
 	}
-	u := e.useOf(page)
-	for u.inflight {
-		// Overlapped: the twin is still feeding the co-processor's diff.
-		u.twinWaiter = append(u.twinWaiter, e.app())
-		e.app().ParkArg("hlrc twin busy page", int64(page))
-	}
+	// Overlapped: the twin may still be feeding the co-processor's diff.
+	e.useOf(page).inflight.wait(e.app(), "hlrc twin busy page", page)
 	e.use(e.costs().PageFault, stats.CatProtocol)
 	e.st().Counts.WriteFaults++
 	e.emit(trace.WriteFault, page, -1, 0)
@@ -278,53 +254,21 @@ func (e *hlrcEngine) closeCommit() {
 		if dep == nil {
 			dep = vc.NewSparse(e.sys.Opts.Machine.Nodes)
 		}
-		seen := e.seenOf(m)
-		if e.home(pg) == e.self {
-			seen.Set(e.self, rec.Interval)
-			if e.replicating() && p.Twin != nil {
-				// The home's own writes must reach the replicas: diff
-				// against the twin and run the self-flush path, which
-				// mirrors it.
-				if e.overlapped {
-					e.useOf(pg).inflight = true
-					e.node.InjectCoproc(paragon.Msg{
-						Kind: kMakeDiff,
-						Body: &makeDiffReq{Page: pg, Interval: rec.Interval, Dep: dep},
-					})
-					continue
-				}
-				diff := mem.ComputeDiff(pg, p.Twin, p.Data)
-				p.DropTwin(e.sink())
-				e.st().MemFree(int64(e.sys.Space.PageBytes()))
-				e.st().Counts.DiffsCreated++
-				e.emit(trace.DiffCreate, pg, -1, int64(diff.WireSize()))
-				e.homeSelfFlush(&diffFlush{
-					Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: diff,
-				})
-				continue
-			}
+		e.seenOf(m).Set(e.self, rec.Interval)
+		// The home diffs its own writes only to mirror them: with
+		// replication on they exist nowhere else, so they take the
+		// self-flush path, which mirrors the diff to the replicas.
+		if e.home(pg) == e.self && !(e.replicating() && p.Twin != nil) {
 			e.homeWrite(pg)
 			e.flushOf(pg).Set(e.self, rec.Interval)
 			e.homeDrain(pg)
 			continue
 		}
-		seen.Set(e.self, rec.Interval)
 		if e.overlapped {
-			e.useOf(pg).inflight = true
-			e.node.InjectCoproc(paragon.Msg{
-				Kind: kMakeDiff,
-				Body: &makeDiffReq{Page: pg, Interval: rec.Interval, Dep: dep},
-			})
+			e.postDiff(&e.useOf(pg).inflight, &makeDiffReq{Page: pg, Interval: rec.Interval, Dep: dep})
 			continue
 		}
-		diff := mem.ComputeDiff(pg, p.Twin, p.Data)
-		p.DropTwin(e.sink())
-		e.st().MemFree(int64(e.sys.Space.PageBytes()))
-		e.st().Counts.DiffsCreated++
-		e.emit(trace.DiffCreate, pg, -1, int64(diff.WireSize()))
-		e.sendDiff(&diffFlush{
-			Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: diff,
-		})
+		e.flushOwn(&diffFlush{Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: e.diffTwin(pg)})
 	}
 	// Deferred mid-interval invalidations (noticePage): now that the
 	// interval is closed and the pages reprotected, drop the copies.
@@ -336,6 +280,17 @@ func (e *hlrcEngine) closeCommit() {
 		}
 	}
 	e.lateInval = nil
+}
+
+// flushOwn routes a diff this node made: into the home copy when this node
+// homes the page (or became its home, via a promotion, while an OHLRC diff
+// was in flight), to the home otherwise.
+func (e *hlrcEngine) flushOwn(df *diffFlush) {
+	if e.home(df.Page) == e.self {
+		e.homeSelfFlush(df)
+		return
+	}
+	e.sendDiff(df)
 }
 
 // sendDiff transmits a diff to its home (from compute or coproc context;
@@ -395,8 +350,6 @@ func (e *hlrcEngine) onBarrierRelease(g *grantInfo) {
 	e.pruneLogThrough(g.VC)
 }
 
-func (e *hlrcEngine) protoMem() int64 { return e.st().ProtoMem }
-
 // ---------------------------------------------------------------------------
 // Message handlers
 
@@ -420,29 +373,9 @@ func (e *hlrcEngine) handle(m paragon.Msg) (sim.Time, func()) {
 func (e *hlrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 	return e.costs().DiffCreateCost(e.sys.Space.PageWords), func() {
 		req := m.Body.(*makeDiffReq)
-		p := e.pt.Page(req.Page)
-		diff := mem.ComputeDiff(req.Page, p.Twin, p.Data)
-		p.DropTwin(e.sink())
-		e.st().MemFree(int64(e.sys.Space.PageBytes()))
-		e.st().Counts.DiffsCreated++
-		e.emit(trace.DiffCreate, req.Page, -1, int64(diff.WireSize()))
-		pm := e.useOf(req.Page)
-		pm.inflight = false
-		for _, w := range pm.twinWaiter {
-			w.Unpark()
-		}
-		pm.twinWaiter = nil
-		df := &diffFlush{
-			Page: req.Page, Writer: e.self, Interval: req.Interval,
-			Dep: req.Dep, Diff: diff,
-		}
-		if e.home(req.Page) == e.self {
-			// The page is (or became, via a promotion) self-homed: the
-			// flush is local and the diff mirrors to the replicas.
-			e.homeSelfFlush(df)
-			return
-		}
-		e.sendDiff(df)
+		diff := e.diffTwin(req.Page)
+		e.useOf(req.Page).inflight.done()
+		e.flushOwn(&diffFlush{Page: req.Page, Writer: e.self, Interval: req.Interval, Dep: req.Dep, Diff: diff})
 	}
 }
 
@@ -595,32 +528,28 @@ func (e *hlrcEngine) homeWrite(page int) *mem.Page {
 	return p
 }
 
-// Finish waits out any co-processor diffs still in flight and asserts the
-// engine wound down cleanly — under mem.CheckFrames also that no frame it
-// publishes or holds was written.
+// Finish runs the shared wind-down (base.finish) and, under
+// mem.CheckFrames, verifies that no frame this node publishes or holds was
+// written.
 func (e *hlrcEngine) Finish() {
-	if len(e.dirty) > 0 {
-		panic(fmt.Sprintf("core: node %d finished with %d dirty pages (missing final barrier?)", e.self, len(e.dirty)))
+	e.finish(func(visit func(int, *inflightDiff)) {
+		e.pages.each(func(pg int, m *hlrcPage) {
+			if m.use != nil {
+				visit(pg, &m.use.inflight)
+			}
+		})
+	})
+	if !mem.CheckFrames {
+		return
 	}
-	e.pages.each(func(pg int, m *hlrcPage) {
-		for m.use != nil && m.use.inflight {
-			m.use.twinWaiter = append(m.use.twinWaiter, e.app())
-			e.app().ParkArg("finish: diff in flight page", int64(pg))
-		}
-		if mem.CheckFrames && m.use != nil && m.use.pub != nil {
+	e.pages.each(func(_ int, m *hlrcPage) {
+		if m.use != nil && m.use.pub != nil {
 			m.use.pub.Verify()
 		}
 	})
-	if mem.CheckFrames {
-		e.pt.Each(func(_ int, p *mem.Page) {
-			if f, _ := p.Shared(); f != nil {
-				f.Verify()
-			}
-		})
-	}
-	for l, ls := range e.locks {
-		if ls.held {
-			panic(fmt.Sprintf("core: node %d finished holding lock %d", e.self, l))
+	e.pt.Each(func(_ int, p *mem.Page) {
+		if f, _ := p.Shared(); f != nil {
+			f.Verify()
 		}
-	}
+	})
 }

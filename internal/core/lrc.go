@@ -21,9 +21,8 @@ import (
 // triggered at a barrier when protocol memory exceeds a threshold.
 type lrcEngine struct {
 	base
-	overlapped bool
-	pages      chunked[lrcPage]
-	uses       slab[lrcUse]
+	pages chunked[lrcPage]
+	uses  slab[lrcUse]
 	// diffs holds the diffs this node created or fetched (TreadMarks
 	// caches fetched diffs so that, for migratory data, a single request
 	// to the last writer returns the whole chain), keyed by
@@ -67,8 +66,7 @@ type lrcUse struct {
 	// yet (lazy diffing); the twin is still alive.
 	pending *IntervalRec
 	// inflight marks an OLRC diff computation in progress on the coproc.
-	inflight   bool
-	twinWaiter []*sim.Proc
+	inflight inflightDiff
 	// pendingReqs are fetch-diff requests waiting for the inflight diff.
 	pendingReqs []paragon.Msg
 }
@@ -103,11 +101,8 @@ func (m *lrcPage) dropWNs() {
 	m.wns = m.wns[:0]
 }
 
-func newLRCEngine(sys *System, self int, overlapped bool) *lrcEngine {
-	e := &lrcEngine{
-		overlapped: overlapped,
-		diffs:      make(map[diffKey]*mem.Diff),
-	}
+func newLRCEngine(sys *System, self int) *lrcEngine {
+	e := &lrcEngine{diffs: make(map[diffKey]*mem.Diff)}
 	e.base.init(sys, self, e)
 	e.pages = newChunked[lrcPage](sys.Space.NumPages())
 	e.node.InstallCompute(e.handle)
@@ -126,13 +121,6 @@ func newLRCEngine(sys *System, self int, overlapped bool) *lrcEngine {
 	return e
 }
 
-func (e *lrcEngine) dataTarget() paragon.Target {
-	if e.overlapped {
-		return paragon.ToCoproc
-	}
-	return paragon.ToCompute
-}
-
 // useOf returns page's use-tier record, materializing it.
 func (e *lrcEngine) useOf(page int) *lrcUse { return e.uses.lazy(&e.pages.at(page).use) }
 
@@ -149,18 +137,18 @@ func (e *lrcEngine) holderOf(page int) int {
 // Faults
 
 func (e *lrcEngine) ReadFault(page int) {
-	e.use(e.costs().PageFault, stats.CatData)
-	e.st().Counts.ReadMisses++
-	e.emit(trace.ReadMiss, page, -1, 0)
+	e.readMiss(page)
 	e.bringUpToDate(page, stats.CatData)
 	e.pt.Page(page).State = mem.ReadOnly
 }
 
+// WriteFault charges one fault either way: a write to an invalid page is
+// the read miss that brings it up to date, where HLRC takes that read
+// fault and then the write fault (DESIGN §3).
 func (e *lrcEngine) WriteFault(page int) {
 	p := e.pt.Page(page)
 	if p.State == mem.Invalid {
-		e.use(e.costs().PageFault, stats.CatData)
-		e.st().Counts.ReadMisses++
+		e.readMiss(page)
 		e.bringUpToDate(page, stats.CatData)
 	} else {
 		e.use(e.costs().PageFault, stats.CatProtocol)
@@ -328,10 +316,7 @@ func (e *lrcEngine) ensureAppliedVC(page int) {
 // (and, under OLRC, waits out an in-flight co-processor diff).
 func (e *lrcEngine) commitOwnDiff(page int, charge bool) {
 	m := e.useOf(page)
-	for m.inflight {
-		m.twinWaiter = append(m.twinWaiter, e.app())
-		e.app().ParkArg("lrc twin busy page", int64(page))
-	}
+	m.inflight.wait(e.app(), "lrc twin busy page", page)
 	if m.pending == nil {
 		return
 	}
@@ -346,21 +331,12 @@ func (e *lrcEngine) commitOwnDiff(page int, charge bool) {
 	m.pending = nil
 }
 
-// materializeDiff computes and stores the diff for (page, interval) from
-// the live twin.
+// materializeDiff computes the diff for (page, interval) from the live
+// twin and stores it until garbage collection.
 func (e *lrcEngine) materializeDiff(page int, interval int32) {
-	p := e.pt.Page(page)
-	d := mem.ComputeDiff(page, p.Twin, p.Data)
-	p.DropTwin(e.sink())
-	e.st().MemFree(int64(e.sys.Space.PageBytes()))
-	e.storeDiff(page, interval, &d)
-}
-
-func (e *lrcEngine) storeDiff(page int, interval int32, d *mem.Diff) {
-	e.diffs[diffKey{int32(e.self), int32(page), interval}] = d
+	d := e.diffTwin(page)
+	e.diffs[diffKey{int32(e.self), int32(page), interval}] = &d
 	e.st().MemAlloc(d.MemSize())
-	e.st().Counts.DiffsCreated++
-	e.emit(trace.DiffCreate, page, -1, int64(d.WireSize()))
 }
 
 // cacheDiff retains a fetched diff so later faulting nodes can obtain the
@@ -399,11 +375,7 @@ func (e *lrcEngine) closeCommit() {
 		p.State = mem.ReadOnly
 		m := e.useOf(pg)
 		if e.overlapped {
-			m.inflight = true
-			e.node.InjectCoproc(paragon.Msg{
-				Kind: kMakeDiff,
-				Body: &makeDiffReq{Page: pg, Interval: rec.Interval},
-			})
+			e.postDiff(&m.inflight, &makeDiffReq{Page: pg, Interval: rec.Interval})
 		} else {
 			m.pending = rec
 		}
@@ -437,8 +409,6 @@ func (e *lrcEngine) onBarrierRelease(g *grantInfo) {
 		e.runGC()
 	}
 }
-
-func (e *lrcEngine) protoMem() int64 { return e.st().ProtoMem }
 
 // ---------------------------------------------------------------------------
 // Garbage collection
@@ -499,16 +469,15 @@ func (e *lrcEngine) runGC() {
 		}
 		m := e.pages.at(pg)
 		u := m.use
-		for u != nil && u.inflight {
-			u.twinWaiter = append(u.twinWaiter, e.app())
-			e.app().ParkArg("gc twin busy page", int64(pg))
-		}
-		if u != nil && u.pending != nil {
-			// Nobody fetched this diff during validation; it is dead.
-			p := e.pt.Page(pg)
-			p.DropTwin(e.sink())
-			e.st().MemFree(int64(e.sys.Space.PageBytes()))
-			u.pending = nil
+		if u != nil {
+			u.inflight.wait(e.app(), "gc twin busy page", pg)
+			if u.pending != nil {
+				// Nobody fetched this diff during validation; it is dead.
+				p := e.pt.Page(pg)
+				p.DropTwin(e.sink())
+				e.st().MemFree(int64(e.sys.Space.PageBytes()))
+				u.pending = nil
+			}
 		}
 		for range m.wns {
 			e.st().MemFree(wnEntryBytes)
@@ -563,11 +532,7 @@ func (e *lrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 		req := m.Body.(*makeDiffReq)
 		e.materializeDiff(req.Page, req.Interval)
 		pm := e.useOf(req.Page)
-		pm.inflight = false
-		for _, w := range pm.twinWaiter {
-			w.Unpark()
-		}
-		pm.twinWaiter = nil
+		pm.inflight.done()
 		reqs := pm.pendingReqs
 		pm.pendingReqs = nil
 		for _, r := range reqs {
@@ -581,7 +546,7 @@ func (e *lrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 func (e *lrcEngine) handleFetchDiffs(m paragon.Msg) (sim.Time, func()) {
 	req := m.Body.(*fetchDiffsReq)
 	pm := e.useOf(req.Page)
-	if pm.inflight {
+	if pm.inflight.busy {
 		return 0, func() { pm.pendingReqs = append(pm.pendingReqs, m) }
 	}
 	var work sim.Time
@@ -662,22 +627,17 @@ func (e *lrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 	}
 }
 
-// Finish waits out any co-processor diffs still in flight and asserts the
-// engine wound down cleanly.
+// Finish runs the shared wind-down (base.finish) and asserts that no lock
+// request is left queued here.
 func (e *lrcEngine) Finish() {
-	if len(e.dirty) > 0 {
-		panic(fmt.Sprintf("core: node %d finished with %d dirty pages (missing final barrier?)", e.self, len(e.dirty)))
-	}
-	e.pages.each(func(pg int, m *lrcPage) {
-		for m.use != nil && m.use.inflight {
-			m.use.twinWaiter = append(m.use.twinWaiter, e.app())
-			e.app().ParkArg("finish: diff in flight page", int64(pg))
-		}
+	e.finish(func(visit func(int, *inflightDiff)) {
+		e.pages.each(func(pg int, m *lrcPage) {
+			if m.use != nil {
+				visit(pg, &m.use.inflight)
+			}
+		})
 	})
 	for l, ls := range e.locks {
-		if ls.held {
-			panic(fmt.Sprintf("core: node %d finished holding lock %d", e.self, l))
-		}
 		if len(ls.queue) > 0 {
 			panic(fmt.Sprintf("core: node %d finished with %d queued requests on lock %d", e.self, len(ls.queue), l))
 		}

@@ -116,7 +116,6 @@ func TestBarrierMgrCrashMidBarrier(t *testing.T) {
 			// barrier holds a strict subset of the arrivals.
 			opts.Fault = fault.Plan{
 				Seed:    1,
-				RTO:     100 * sim.Microsecond,
 				Crashes: []fault.Crash{{Node: 0, At: 2100 * sim.Microsecond, RestartAt: 9 * sim.Millisecond}},
 			}
 			opts.Recovery = Recovery{Replicas: 1}
@@ -177,7 +176,6 @@ func TestDeadLockOwnerReclaim(t *testing.T) {
 	const restart = 40 * sim.Millisecond
 	opts.Fault = fault.Plan{
 		Seed: 1,
-		RTO:  100 * sim.Microsecond,
 		// 2.5ms: after node 1's unlock, before node 0's acquire.
 		Crashes: []fault.Crash{{Node: 1, At: 2500 * sim.Microsecond, RestartAt: restart}},
 	}
@@ -230,7 +228,6 @@ func TestLockMgrCrashFailFastWithoutReplicas(t *testing.T) {
 	opts := testOpts(ProtoHLRC, 2)
 	opts.Fault = fault.Plan{
 		Seed:    1,
-		RTO:     100 * sim.Microsecond,
 		Crashes: []fault.Crash{{Node: 1, At: sim.Millisecond}}, // permanent
 	}
 	_, err := Run(opts, app, false)
@@ -271,7 +268,6 @@ func TestBarrierMgrCrashFailFastWithoutReplicas(t *testing.T) {
 	opts := testOpts(ProtoHLRC, 2)
 	opts.Fault = fault.Plan{
 		Seed:    1,
-		RTO:     100 * sim.Microsecond,
 		Crashes: []fault.Crash{{Node: 0, At: sim.Millisecond}}, // permanent
 	}
 	_, err := Run(opts, app, false)
@@ -315,7 +311,6 @@ func TestPermanentCrashInsideCriticalSection(t *testing.T) {
 	opts := testOpts(ProtoHLRC, 2)
 	opts.Fault = fault.Plan{
 		Seed:    1,
-		RTO:     100 * sim.Microsecond,
 		Crashes: []fault.Crash{{Node: 1, At: sim.Millisecond}}, // permanent
 	}
 	opts.Recovery = Recovery{Replicas: 1}

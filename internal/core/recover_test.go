@@ -71,12 +71,10 @@ func checkRehome(t *testing.T, p, rounds int, data []float64) {
 	}
 }
 
-// crashPlan schedules one outage of node 1 with a short RTO so the
-// transport suspects the dead node quickly.
+// crashPlan schedules one outage of node 1.
 func crashPlan(at, restart sim.Time) fault.Plan {
 	return fault.Plan{
 		Seed:    1,
-		RTO:     100 * sim.Microsecond,
 		Crashes: []fault.Crash{{Node: 1, At: at, RestartAt: restart}},
 	}
 }
@@ -185,7 +183,6 @@ func TestCrashWithoutReplicasIsNodeDead(t *testing.T) {
 	opts := testOpts(ProtoHLRC, 2)
 	opts.Fault = fault.Plan{
 		Seed:    1,
-		RTO:     100 * sim.Microsecond,
 		Crashes: []fault.Crash{{Node: 1, At: sim.Millisecond}}, // permanent
 	}
 	_, err := Run(opts, app, false)

@@ -231,9 +231,9 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		case ProtoSeq:
 			sys.Engines[i] = newSeqEngine(sys, i)
 		case ProtoLRC, ProtoOLRC:
-			sys.Engines[i] = newLRCEngine(sys, i, opts.Protocol == ProtoOLRC)
+			sys.Engines[i] = newLRCEngine(sys, i)
 		case ProtoHLRC, ProtoOHLRC:
-			sys.Engines[i] = newHLRCEngine(sys, i, opts.Protocol == ProtoOHLRC)
+			sys.Engines[i] = newHLRCEngine(sys, i)
 		default:
 			return nil, fmt.Errorf("core: unknown protocol %q", opts.Protocol)
 		}

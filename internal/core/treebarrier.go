@@ -157,36 +157,14 @@ func (b *base) treeAggregate() *treeUp {
 // releases every subtree — the tree counterpart of bmgrComplete.
 func (b *base) treeRootComplete() {
 	tb := b.tree
-	// Merge every interval record that climbed the tree into the log.
-	// Reports carry each node's own intervals, so together they cover
-	// everything; the root's own records are already logged.
+	// The centralized merge, over the root's own report and one synthetic
+	// report per child subtree: its records, its highest clock and its
+	// peak protocol memory. (The root's own records are already logged.)
+	reps := append(make([]*barrierReport, 0, 1+len(tb.childUp)), tb.ownRep)
 	for _, cu := range tb.childUp {
-		for _, rec := range cu.Recs {
-			if !b.hasLogRec(rec.Proc, rec.Interval) {
-				b.insertLog(rec)
-			}
-		}
+		reps = append(reps, &barrierReport{VC: cu.MaxVC, Recs: cu.Recs, ProtoMem: cu.ProtoMem})
 	}
-	merged := b.clock.Copy()
-	merged.MaxWith(tb.ownRep.VC)
-	for _, cu := range tb.childUp {
-		merged.MaxWith(cu.MaxVC)
-	}
-	for p := range b.log {
-		if n := len(b.log[p]); n > 0 && b.log[p][n-1].Interval > merged[p] {
-			merged[p] = b.log[p][n-1].Interval
-		}
-	}
-	// GC decision: one synthetic report per subtree carrying its peak
-	// protocol memory feeds the same decider the centralized manager uses.
-	gc := false
-	if b.sys.gcDecider != nil {
-		reps := []*barrierReport{tb.ownRep}
-		for _, cu := range tb.childUp {
-			reps = append(reps, &barrierReport{ProtoMem: cu.ProtoMem})
-		}
-		gc = b.sys.gcDecider(reps)
-	}
+	merged, gc := b.mergeReports(reps)
 	for i, c := range tb.children {
 		g := grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.logSince(tb.childUp[i].MinVC)}
 		b.node.Send(c, paragon.Msg{
@@ -204,11 +182,7 @@ func (b *base) treeRootComplete() {
 		b.sys.onBarrier(tb.episodes)
 	}
 	tb.release = local
-	if tb.localWait != nil {
-		w := tb.localWait
-		tb.localWait = nil
-		w.Unpark()
-	}
+	wake(&tb.localWait)
 }
 
 // filterRecsSince narrows a release to the records a child subtree with
@@ -255,10 +229,6 @@ func (b *base) handleBarrierDown(m paragon.Msg) (sim.Time, func()) {
 		}
 		tb.resetEpisode()
 		tb.release = g
-		if tb.localWait != nil {
-			w := tb.localWait
-			tb.localWait = nil
-			w.Unpark()
-		}
+		wake(&tb.localWait)
 	}
 }

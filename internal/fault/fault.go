@@ -1,6 +1,6 @@
 // Package fault implements deterministic, seeded fault injection for the
-// simulated Paragon network, plus the configuration of the reliability
-// layer that recovers from the injected faults.
+// simulated Paragon network. The reliability layer that recovers from the
+// injected faults lives in internal/paragon.
 //
 // A Plan describes what goes wrong during a run: per-transmission message
 // drop/duplicate/delay/reorder probabilities, targeted one-shot faults
@@ -74,9 +74,10 @@ type Crash struct {
 // Permanent reports whether the node never comes back.
 func (c Crash) Permanent() bool { return c.RestartAt == 0 }
 
-// Plan is a complete per-run fault schedule plus reliability tuning.
-// Probabilities apply independently to every message transmission
-// (including retransmissions).
+// Plan is a complete per-run fault schedule. Probabilities apply
+// independently to every message transmission (including
+// retransmissions). The reliability transport that recovers from the
+// faults runs a fixed retransmission schedule (paragon/reliable.go).
 type Plan struct {
 	Seed int64
 
@@ -84,30 +85,13 @@ type Plan struct {
 	Drop      float64
 	Duplicate float64
 	Delay     float64 // extra latency drawn from U(0, MaxDelay)
-	Reorder   float64 // small jitter from U(0, ReorderWindow), FIFO clamp skipped
+	Reorder   float64 // small jitter from U(0, reorderWindow), FIFO clamp skipped
 
-	MaxDelay      sim.Time // default 1ms
-	ReorderWindow sim.Time // default 250us
+	MaxDelay sim.Time // default 1ms
 
 	Targets   []Target
 	Slowdowns []Slowdown
 	Crashes   []Crash
-
-	// Reliability layer tuning (acknowledgement + timeout/retry).
-	RTO         sim.Time // initial retransmit timeout; default 2ms
-	Backoff     float64  // RTO multiplier per retry; default 2
-	MaxAttempts int      // transmissions before giving a message up; default 10
-
-	// RTOMax caps the exponential backoff, so recovery latency after a
-	// long outage is bounded. Default 50ms.
-	RTOMax sim.Time
-
-	// SuspectAfter is the number of consecutive unacknowledged
-	// transmissions to one destination after which the transport reports
-	// the destination as suspected dead (default 3). Suspicion is only
-	// raised for nodes the plan actually crashes, so lossy networks
-	// cannot produce false positives.
-	SuspectAfter int
 }
 
 // Messaging reports whether the plan injects any message-level fault
@@ -122,31 +106,10 @@ func (p *Plan) Active() bool {
 	return p.Messaging() || len(p.Slowdowns) > 0
 }
 
-// withDefaults fills unset tuning fields.
+// withDefaults fills an unset MaxDelay.
 func (p Plan) withDefaults() Plan {
 	if p.MaxDelay == 0 {
 		p.MaxDelay = sim.Millisecond
-	}
-	if p.ReorderWindow == 0 {
-		p.ReorderWindow = 250 * sim.Microsecond
-	}
-	if p.RTO == 0 {
-		p.RTO = 2 * sim.Millisecond
-	}
-	if p.RTOMax == 0 {
-		p.RTOMax = 50 * sim.Millisecond
-	}
-	if p.RTOMax < p.RTO {
-		p.RTOMax = p.RTO
-	}
-	if p.Backoff == 0 {
-		p.Backoff = 2
-	}
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 10
-	}
-	if p.SuspectAfter == 0 {
-		p.SuspectAfter = 3
 	}
 	return p
 }

@@ -122,8 +122,11 @@ func TestSlowdownWindows(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	in := NewInjector(Plan{Drop: 0.5})
 	p := in.Plan()
-	if p.RTO == 0 || p.Backoff == 0 || p.MaxAttempts == 0 || p.MaxDelay == 0 || p.ReorderWindow == 0 {
-		t.Fatalf("defaults not applied: %+v", p)
+	if p.MaxDelay != sim.Millisecond {
+		t.Fatalf("MaxDelay default not applied: %+v", p)
+	}
+	if p := NewInjector(Plan{MaxDelay: 7}).Plan(); p.MaxDelay != 7 {
+		t.Fatalf("set MaxDelay overwritten: %+v", p)
 	}
 }
 

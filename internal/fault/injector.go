@@ -6,6 +6,9 @@ import (
 	"gosvm/internal/sim"
 )
 
+// reorderWindow bounds the jitter a Reorder verdict adds to a message.
+const reorderWindow = 250 * sim.Microsecond
+
 // Verdict is the injector's decision about one message transmission.
 type Verdict struct {
 	Drop      bool
@@ -32,7 +35,7 @@ type Injector struct {
 	KindName func(kind int) string
 }
 
-// NewInjector builds an injector for plan, filling tuning defaults.
+// NewInjector builds an injector for plan, filling the MaxDelay default.
 func NewInjector(plan Plan) *Injector {
 	plan = plan.withDefaults()
 	in := &Injector{
@@ -51,7 +54,7 @@ func NewInjector(plan Plan) *Injector {
 	return in
 }
 
-// Plan returns the plan with tuning defaults applied.
+// Plan returns the plan with the MaxDelay default applied.
 func (in *Injector) Plan() Plan { return in.plan }
 
 // Judge decides the fate of one transmission of a protocol message.
@@ -87,7 +90,7 @@ func (in *Injector) Judge(from, to, kind int, reply bool) Verdict {
 		v.Delay += in.r.timeIn(in.plan.MaxDelay)
 	}
 	if in.r.float() < in.plan.Reorder {
-		v.Delay += in.r.timeIn(in.plan.ReorderWindow)
+		v.Delay += in.r.timeIn(reorderWindow)
 	}
 	return v
 }

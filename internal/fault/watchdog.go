@@ -20,9 +20,6 @@ type Loss struct {
 // RecordLoss notes a permanently lost message for later diagnosis.
 func (in *Injector) RecordLoss(l Loss) { in.losses = append(in.losses, l) }
 
-// Losses returns the permanently lost messages, in loss order.
-func (in *Injector) Losses() []Loss { return in.losses }
-
 // HangError wraps a run failure (typically a *sim.DeadlockError) with
 // the watchdog's diagnosis: the messages whose loss explains the hang.
 // Unwrap exposes the underlying error, so errors.As still finds the

@@ -48,9 +48,6 @@ type Page struct {
 	frame *Frame
 }
 
-// HasCopy reports whether a local copy exists (possibly stale).
-func (p *Page) HasCopy() bool { return p.Data != nil }
-
 // TableChunk is the page-table allocation granule: entries materialize a
 // chunk at a time on first touch, so a node's table costs memory
 // proportional to the pages it actually references, not to the address

@@ -62,9 +62,6 @@ func (s *Space) AllocUnaligned(n int) Addr {
 	return base
 }
 
-// Used returns the number of words allocated so far.
-func (s *Space) Used() int64 { return int64(s.next) }
-
 // NumPages returns the number of pages spanned by the allocations so far.
 func (s *Space) NumPages() int {
 	return int((int64(s.next) + int64(s.PageWords) - 1) / int64(s.PageWords))

@@ -227,9 +227,8 @@ func TestDispatcherRoundTripAllocFree(t *testing.T) {
 		effect := func() { served++ }
 		n.InstallCoproc(func(Msg) (sim.Time, func()) { return sim.Microsecond, effect })
 		k.Spawn("app", 0, func(p *sim.Proc) {
-			n.CPU.Bind(p)
 			for i := 0; i < iters; i++ {
-				n.PostCoproc(p, Msg{Kind: 1})
+				n.InjectCoproc(Msg{Kind: 1})
 				p.Sleep(2 * sim.Microsecond) // the co-processor is idle again
 			}
 		})

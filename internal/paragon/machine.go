@@ -67,9 +67,6 @@ func New(k *sim.Kernel, n int, costs Costs) *Machine {
 	return m
 }
 
-// NumNodes returns the machine size.
-func (m *Machine) NumNodes() int { return len(m.Nodes) }
-
 // EnableFaults wires a fault injector into the machine: compute work is
 // scaled by the plan's slowdown windows, and if the plan injects message
 // faults all inter-node traffic is routed through the fault transport
@@ -312,14 +309,6 @@ func (n *Node) Respond(req Msg, resp Msg) {
 	n.Stats.Sent(resp.Class, resp.Size+n.M.Costs.MsgHeader)
 	reply := req.Reply
 	n.M.K.Post(n.ID, to, n.arrivalTime(to, resp.Size, true), func() { reply.ch.Push(resp) })
-}
-
-// PostCoproc posts a request from the compute processor to the local
-// co-processor through the post page, charging the post cost to p.
-func (n *Node) PostCoproc(p *sim.Proc, msg Msg) {
-	msg.From = n.ID
-	n.CPU.Use(p, n.M.Costs.CoprocPost, stats.CatProtocol)
-	n.coproc.push(msg)
 }
 
 // InjectCoproc queues a message on the local co-processor from a handler

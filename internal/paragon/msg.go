@@ -58,10 +58,5 @@ func (r *Reply) dest(from int) int {
 	return from
 }
 
-// Owner returns the node whose proc waits on this port, or -1 when it
-// was never recorded. Recovery code uses it to re-address parked
-// requests after a home migrates.
-func (r *Reply) Owner() int { return r.owner }
-
 // Wait blocks p until the response arrives.
 func (r *Reply) Wait(p *sim.Proc) Msg { return r.ch.Recv(p) }

@@ -194,28 +194,6 @@ func TestDispatcherSerializesHotSpot(t *testing.T) {
 	}
 }
 
-func TestPostCoproc(t *testing.T) {
-	k := sim.NewKernel()
-	m := New(k, 1, testCosts())
-	var handled sim.Time
-	m.Nodes[0].InstallCoproc(func(msg Msg) (sim.Time, func()) {
-		return 7 * sim.Microsecond, func() { handled = k.Now() }
-	})
-	k.Spawn("app", 0, func(p *sim.Proc) {
-		m.Nodes[0].CPU.Bind(p)
-		m.Nodes[0].PostCoproc(p, Msg{Kind: 9})
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	c := testCosts()
-	want := c.CoprocPost + 7*sim.Microsecond
-	if handled != want {
-		t.Fatalf("coproc handled at %v, want %v", handled, want)
-	}
-}
-
 func TestTrafficAccounting(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, 2, testCosts())

@@ -12,6 +12,19 @@ import (
 // message id plus a small header, in the spirit of NX-level flow control.
 const ackBytes = 12
 
+// The retransmission schedule: the first retry fires rto after a send and
+// each later wait is backoff times the previous one, capped at rtoMax so
+// recovery after a long outage stays bounded. A message is given up after
+// maxAttempts transmissions. suspectAfter unacknowledged transmissions to a
+// node the plan has crashed report it as suspected dead.
+const (
+	rto          = 2 * sim.Millisecond
+	backoff      = 2
+	rtoMax       = 50 * sim.Millisecond
+	maxAttempts  = 10
+	suspectAfter = 3
+)
+
 // faultLayer is the faulty network plus the reliability transport that
 // recovers from it. Every inter-node transmission receives a unique id;
 // the sender retransmits on an exponential-backoff timer (on the
@@ -24,12 +37,6 @@ const ackBytes = 12
 type faultLayer struct {
 	m   *Machine
 	inj *fault.Injector
-
-	rto          sim.Time
-	rtoMax       sim.Time
-	backoff      float64
-	maxAttempts  int
-	suspectAfter int
 
 	nextID  uint64
 	pending map[uint64]*netMsg
@@ -73,18 +80,12 @@ type netMsg struct {
 }
 
 func newFaultLayer(m *Machine, inj *fault.Injector) *faultLayer {
-	p := inj.Plan()
 	fl := &faultLayer{
-		m:            m,
-		inj:          inj,
-		rto:          p.RTO,
-		rtoMax:       p.RTOMax,
-		backoff:      p.Backoff,
-		maxAttempts:  p.MaxAttempts,
-		suspectAfter: p.SuspectAfter,
-		pending:      make(map[uint64]*netMsg),
-		seen:         make([]map[uint64]struct{}, len(m.Nodes)),
-		suspected:    make([]bool, len(m.Nodes)),
+		m:         m,
+		inj:       inj,
+		pending:   make(map[uint64]*netMsg),
+		seen:      make([]map[uint64]struct{}, len(m.Nodes)),
+		suspected: make([]bool, len(m.Nodes)),
 	}
 	for i := range fl.seen {
 		fl.seen[i] = make(map[uint64]struct{})
@@ -159,7 +160,7 @@ func (fl *faultLayer) launch(nm *netMsg) {
 	nm.attempts = 1
 	nm.transmit(fl.inj.Judge(nm.src, nm.dst, nm.kind, nm.reply))
 	fl.pending[nm.id] = nm
-	fl.scheduleRetry(nm, fl.rto)
+	fl.scheduleRetry(nm, rto)
 }
 
 // maybeRetire drops the receiver's dedup entry for nm once no copy can
@@ -240,7 +241,7 @@ func (fl *faultLayer) scheduleRetry(nm *netMsg, wait sim.Time) {
 		if nm.acked || nm.lost {
 			return
 		}
-		if nm.attempts >= fl.maxAttempts {
+		if nm.attempts >= maxAttempts {
 			nm.lost = true
 			delete(fl.pending, nm.id)
 			fl.inj.RecordLoss(fault.Loss{
@@ -260,7 +261,7 @@ func (fl *faultLayer) scheduleRetry(nm *netMsg, wait sim.Time) {
 		// really is down (the plan is ground truth, so lossy networks
 		// cannot produce false positives) raises suspicion exactly once
 		// per outage.
-		if nm.attempts >= fl.suspectAfter && !fl.suspected[nm.dst] &&
+		if nm.attempts >= suspectAfter && !fl.suspected[nm.dst] &&
 			fl.m.Down(nm.dst) && fl.m.OnSuspect != nil {
 			fl.suspected[nm.dst] = true
 			fl.m.OnSuspect(nm.dst, nm.src)
@@ -270,9 +271,9 @@ func (fl *faultLayer) scheduleRetry(nm *netMsg, wait sim.Time) {
 			return
 		}
 		nm.transmit(fl.inj.Judge(nm.src, nm.dst, nm.kind, nm.reply))
-		next := sim.Time(float64(wait) * fl.backoff)
-		if next > fl.rtoMax {
-			next = fl.rtoMax
+		next := sim.Time(float64(wait) * backoff)
+		if next > rtoMax {
+			next = rtoMax
 		}
 		fl.scheduleRetry(nm, next)
 	})

@@ -225,9 +225,6 @@ func (k *Kernel) Partition(n int, lookahead Time, workers int) {
 	k.workers = workers
 }
 
-// NumLanes reports the number of lanes (1 unless partitioned).
-func (k *Kernel) NumLanes() int { return len(k.lanes) }
-
 // laneFor maps a caller-supplied lane index to a lane. Unpartitioned
 // kernels own everything on lane 0, so any index is accepted there.
 func (k *Kernel) laneFor(i int) *lane {
