@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check loc paper ab sweep-faults sweep-serve sweep-serve-scale sweep-scale
+.PHONY: all build test race vet fmt check loc paper ab lrc-scale sweep-faults sweep-serve sweep-serve-scale sweep-scale
 
 all: check
 
@@ -58,6 +58,23 @@ WORKLOAD ?= serve_read
 PAIRS ?= 10
 ab:
 	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
+
+# Host wall time of paper-size water-sp under LRC at 16, 32 and 64 nodes,
+# one svmrun build, with the ratio to the previous size: ROADMAP item 5's
+# homeless-scaling row in one command. Report-only (the 64-node run takes
+# seconds); no CI job runs it.
+lrc-scale:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) build -o "$$tmp/svmrun" ./cmd/svmrun && \
+		prev= && for p in 16 32 64; do \
+			t0=$$(date +%s.%N) && \
+			"$$tmp/svmrun" -app water-sp -proto lrc -procs $$p -size paper -noseq > /dev/null && \
+			t=$$(awk -v a=$$t0 -v b=$$(date +%s.%N) 'BEGIN { printf "%.2f", b - a }') && \
+			awk -v p=$$p -v t=$$t -v prev=$$prev 'BEGIN { \
+				printf "water-sp/lrc %2d nodes %7.2f s", p, t; \
+				if (prev != "") printf "   %.2fx per doubling", t / prev; print "" }' && \
+			prev=$$t || exit 1; \
+		done
 
 # The Table-2 speedup grid under every fault profile, with per-cell JSON
 # statistics. Crash cells run the home-based protocols with one replica.

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -449,9 +452,133 @@ func TestPageSlotSizes(t *testing.T) {
 		t.Errorf("hlrcPage slot is %d bytes, want at most 48 (one inline vc.Sparse and one pointer)", got)
 	}
 	if got := unsafe.Sizeof(lrcPage{}); got > 40 {
-		t.Errorf("lrcPage slot is %d bytes, want at most 40 (the notice list's header, the holder hint and one pointer)", got)
+		t.Errorf("lrcPage slot is %d bytes, want at most 40 (the notice list's header, one pointer, the holder hint and the collection's mark)", got)
 	}
 	if got := unsafe.Sizeof(mem.Page{}); got > 64 {
 		t.Errorf("mem.Page is %d bytes, want at most 64 (state and alias flag, two slices and one frame pointer)", got)
 	}
+}
+
+// lockChainApp has k writers (nodes 1 ... k) each write their own word of
+// one page in turn under one lock, then node 0 takes the lock and reads
+// the page: it holds k write notices, and the last writer, which fetched
+// and cached every earlier diff, answers them all in one request. Each of
+// epochs epochs starts with nodes 0 ... k reading the page, so every
+// writer's fault fetches diffs rather than a page, and ends with a
+// collection (GCThreshold 1). misses[e] is the allocations of node 0's read
+// in epoch e.
+func lockChainApp(k, epochs int, misses []uint64) *testApp {
+	const step = 20 * sim.Millisecond // far longer than a lock hand-off and a miss
+	var addr mem.Addr
+	return &testApp{
+		name:  "lockchain",
+		setup: func(s *Setup) { addr = s.Alloc(s.Space.PageWords) },
+		init:  func(w *Init) { w.SetHome(addr, 1, 0) },
+		worker: func(c *Ctx, id int) {
+			for e := 0; e < epochs; e++ {
+				if id <= k {
+					c.Load(addr)
+				}
+				c.Barrier(2 * e)
+				switch {
+				case id == 0:
+					c.Wait(sim.Time(k+1) * step)
+					c.Lock(0)
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					c.Load(addr)
+					runtime.ReadMemStats(&after)
+					misses[e] = after.Mallocs - before.Mallocs
+					c.Unlock(0)
+				case id <= k:
+					c.Wait(sim.Time(id) * step)
+					c.Lock(0)
+					c.Store(addr+mem.Addr(id), float64(e+1))
+					c.Unlock(0)
+				}
+				c.Barrier(2*e + 1)
+			}
+		},
+		gather: func(c *Ctx) []float64 { return nil },
+	}
+}
+
+// TestLRCMissAllocsFlatInNotices guards the homeless miss path's host
+// cost: a read miss that brings k write notices' diffs in one request
+// allocates the same number of objects at k = 32 as at k = 2 — the request,
+// the reply and the messages, never a list that grows per notice. The
+// machine is the same size for both, and the miss measured is the last
+// epoch's, when the reader's scratch and diff store have their size.
+func TestLRCMissAllocsFlatInNotices(t *testing.T) {
+	const nodes, epochs, slack = 33, 3, 4
+	for _, proto := range []Protocol{ProtoLRC, ProtoOLRC} {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			perMiss := func(k int) uint64 {
+				misses := make([]uint64, epochs)
+				opts := testOpts(proto, nodes)
+				opts.GCThreshold = 1
+				res := runOrFail(t, opts, lockChainApp(k, epochs, misses))
+				// Node 0 homes the page, so only its reads after a
+				// collection miss beside the measured ones.
+				if c := res.Stats.Nodes[0].Counts; c.ReadMisses != 2*epochs-1 || c.DiffsApplied != int64(k*epochs) {
+					t.Fatalf("k=%d: node 0 took %d read misses and applied %d diffs, want %d and %d",
+						k, c.ReadMisses, c.DiffsApplied, 2*epochs-1, k*epochs)
+				}
+				return misses[epochs-1]
+			}
+			few, many := perMiss(2), perMiss(32)
+			if many > few+slack {
+				t.Errorf("a miss on 32 notices allocates %d objects, on 2 notices %d; want at most %d more", many, few, slack)
+			}
+			if testing.Verbose() {
+				t.Logf("allocations per miss: %d on 2 notices, %d on 32", few, many)
+			}
+		})
+	}
+}
+
+// TestDiffKeysNeverCollide: the diff store's one-word key keeps triples at
+// the fields' maxima apart, a field out of range panics naming the field
+// instead of sharing a key, and a machine whose (node, page) pairs do not
+// fit in 32 bits is refused when the keys are made.
+func TestDiffKeysNeverCollide(t *testing.T) {
+	const nodes, pages = 64, 1000
+	k := newDiffKeys(nodes, pages)
+	seen := map[uint64][3]int{}
+	for _, w := range []int{0, 1, nodes - 2, nodes - 1} {
+		for _, p := range []int{0, 1, pages - 2, pages - 1} {
+			for _, iv := range []int32{0, 1, math.MaxInt32 - 1, math.MaxInt32} {
+				key := k.of(w, p, iv)
+				if prev, ok := seen[key]; ok {
+					t.Fatalf("%v and %v share key %#x", prev, [3]int{w, p, int(iv)}, key)
+				}
+				seen[key] = [3]int{w, p, int(iv)}
+			}
+		}
+	}
+	wantPanic := func(what, field string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, field) {
+				t.Errorf("%s panicked with %q, want a panic naming the %s", what, msg, field)
+			}
+		}()
+		f()
+	}
+	for _, bad := range []struct {
+		field string
+		w, p  int
+		iv    int32
+	}{
+		{"writer", nodes, 0, 1},
+		{"writer", -1, 0, 1},
+		{"page", 0, pages, 1},
+		{"page", 0, -1, 1},
+		{"interval", 0, 0, -1},
+	} {
+		wantPanic(fmt.Sprintf("key of (%d, %d, %d)", bad.w, bad.p, bad.iv), bad.field, func() { k.of(bad.w, bad.p, bad.iv) })
+	}
+	wantPanic("keys for 2^20 nodes x 2^20 pages", "pages", func() { newDiffKeys(1<<20, 1<<20) })
 }

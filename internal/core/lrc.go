@@ -25,20 +25,54 @@ type lrcEngine struct {
 	uses  slab[lrcUse]
 	// diffs holds the diffs this node created or fetched (TreadMarks
 	// caches fetched diffs so that, for migratory data, a single request
-	// to the last writer returns the whole chain), keyed by
-	// (writer, page, interval) and retained until garbage collection.
-	diffs  map[diffKey]*mem.Diff
+	// to the last writer returns the whole chain), keyed by keys.of(writer,
+	// page, interval) and retained until garbage collection. A fetched diff
+	// is the holder's own pointer: a diff is never written once made.
+	diffs  map[uint64]*mem.Diff
+	keys   diffKeys
 	wnRuns slab[pageWN]
-	// sorter and stamps are bringUpToDate's scratch (application proc only).
-	sorter vc.Sorter
-	stamps []vc.Stamp
+	// sorter, stamps and missing are bringUpToDate's scratch, lastWrites
+	// runGC's (application proc only).
+	sorter     vc.Sorter
+	stamps     []vc.Stamp
+	missing    []int
+	lastWrites []pageWrite
 }
 
-type diffKey struct {
-	proc     int32
-	page     int32
-	interval int32
+// diffKeys packs (writer, page, interval) into the diff store's one-word
+// key, which takes the map's 64-bit fast path where a struct key is hashed
+// byte by byte. Writer and page share the high 32 bits as writer*pages+page,
+// the interval has the low 32. A field out of range panics naming it: two
+// triples never share a key.
+type diffKeys struct{ nodes, pages uint64 }
+
+func newDiffKeys(nodes, pages int) diffKeys {
+	if uint64(nodes)*uint64(pages) > 1<<32 {
+		panic(fmt.Sprintf("core: diff key: %d nodes x %d pages do not fit in 32 bits", nodes, pages))
+	}
+	return diffKeys{nodes: uint64(nodes), pages: uint64(pages)}
 }
+
+func (k diffKeys) of(writer, page int, interval int32) uint64 {
+	w, p, iv := uint64(writer), uint64(page), uint64(interval)
+	if w >= k.nodes || p >= k.pages || iv >= 1<<32 {
+		panic(k.overflow(writer, page, interval))
+	}
+	return (w*k.pages+p)<<32 | iv
+}
+
+func (k diffKeys) overflow(writer, page int, interval int32) string {
+	switch {
+	case uint64(writer) >= k.nodes:
+		return fmt.Sprintf("core: diff key: writer %d is outside the %d nodes", writer, k.nodes)
+	case uint64(page) >= k.pages:
+		return fmt.Sprintf("core: diff key: page %d is outside the %d pages", page, k.pages)
+	}
+	return fmt.Sprintf("core: diff key: interval %d is negative", interval)
+}
+
+// pageWrite is a page's last write in the interval log, runGC's scratch.
+type pageWrite struct{ page, interval, proc int32 }
 
 // lrcPage is the per-page protocol state of one node, in two tiers. The
 // slot is what every page the node was ever sent a write notice for costs;
@@ -54,6 +88,10 @@ type lrcPage struct {
 	// home (where the initial copy is seeded) without having to
 	// materialize per-page state for the whole address space.
 	holder int32
+	// lastWrite is runGC's mark while it scans the log: 1 + the index of
+	// the page's entry in lastWrites, zero otherwise. It sits in what
+	// would be the slot's padding.
+	lastWrite int32
 }
 
 // lrcUse is the tier of lrcPage only a used page pays for (useOf).
@@ -71,15 +109,18 @@ type lrcUse struct {
 	pendingReqs []paragon.Msg
 }
 
+// fetchDiffsReq names the requested diffs by their intervals' records,
+// which are shared machine-wide (IntervalRec); on the wire each is a
+// (writer, interval) pair.
 type fetchDiffsReq struct {
-	Page      int
-	Procs     []int32 // writer of each requested diff
-	Intervals []int32
+	Page int
+	Recs []*IntervalRec
 }
 
+// fetchDiffsResp returns the holder's own diff pointers, aligned with the
+// request; nil where the holder has none.
 type fetchDiffsResp struct {
-	Found []bool     // whether the holder had each requested diff
-	Diffs []mem.Diff // aligned with the request; zero value when !Found
+	Diffs []*mem.Diff
 }
 
 type lrcFetchPageReq struct {
@@ -102,7 +143,10 @@ func (m *lrcPage) dropWNs() {
 }
 
 func newLRCEngine(sys *System, self int) *lrcEngine {
-	e := &lrcEngine{diffs: make(map[diffKey]*mem.Diff)}
+	e := &lrcEngine{
+		diffs: make(map[uint64]*mem.Diff),
+		keys:  newDiffKeys(sys.Opts.Machine.Nodes, sys.Space.NumPages()),
+	}
 	e.base.init(sys, self, e)
 	e.pages = newChunked[lrcPage](sys.Space.NumPages())
 	e.node.InstallCompute(e.handle)
@@ -200,54 +244,56 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 	// fetched and cached every earlier diff, so one round trip suffices.
 	// Anything it lacks is requested from the next most recent writer,
 	// and so on — each round is guaranteed to obtain at least the
-	// target's own diffs.
+	// target's own diffs. One pass per round lists the missing notices in
+	// notice order and picks the target, the largest (interval, proc);
+	// nothing observable depends on the order inside the request.
 	for {
-		var missing []int // indexes into m.wns
-		for i := range m.wns {
-			if m.wns[i].diff == nil {
-				missing = append(missing, i)
+		e.missing = slices.Grow(e.missing[:0], len(m.wns))
+		var target *IntervalRec
+		for i, wn := range m.wns {
+			if wn.diff != nil {
+				continue
+			}
+			e.missing = append(e.missing, i)
+			if r := wn.rec; target == nil || r.Interval > target.Interval ||
+				(r.Interval == target.Interval && r.Proc > target.Proc) {
+				target = r
 			}
 		}
-		if len(missing) == 0 {
+		if target == nil {
 			break
 		}
-		slices.SortFunc(missing, func(a, b int) int {
-			ra, rb := m.wns[a].rec, m.wns[b].rec
-			return cmp.Or(cmp.Compare(rb.Interval, ra.Interval), cmp.Compare(rb.Proc, ra.Proc))
-		})
-		target := m.wns[missing[0]].rec.Proc
-		req := &fetchDiffsReq{Page: page}
-		for _, i := range missing {
-			req.Procs = append(req.Procs, int32(m.wns[i].rec.Proc))
-			req.Intervals = append(req.Intervals, m.wns[i].rec.Interval)
+		req := &fetchDiffsReq{Page: page, Recs: make([]*IntervalRec, len(e.missing))}
+		for j, i := range e.missing {
+			req.Recs[j] = m.wns[i].rec
 		}
 		t0 := e.app().Now()
-		resp := e.node.Call(e.app(), target, paragon.Msg{
+		resp := e.node.Call(e.app(), target.Proc, paragon.Msg{
 			Kind:   kFetchDiffs,
-			Size:   12 + 8*len(req.Intervals),
+			Size:   12 + 8*len(req.Recs),
 			Class:  stats.ClassProtocol,
 			Target: e.dataTarget(),
 			Body:   req,
 		})
 		e.st().Add(waitCat, e.app().Now()-t0)
-		dr := resp.Body.(*fetchDiffsResp)
 		got := 0
-		for j, i := range missing {
-			if !dr.Found[j] {
+		for j, d := range resp.Body.(*fetchDiffsResp).Diffs {
+			if d == nil {
 				continue
 			}
-			m.wns[i].diff = &dr.Diffs[j]
-			e.cacheDiff(m.wns[i].rec.Proc, page, m.wns[i].rec.Interval, &dr.Diffs[j])
+			wn := &m.wns[e.missing[j]]
+			wn.diff = d
+			e.cacheDiff(wn.rec.Proc, page, wn.rec.Interval, d)
 			got++
 		}
 		if got == 0 {
 			panic(fmt.Sprintf("core: node %d got no diffs for page %d from writer %d",
-				e.self, page, target))
+				e.self, page, target.Proc))
 		}
 	}
 
 	// Apply in happens-before order.
-	e.stamps = e.stamps[:0]
+	e.stamps = slices.Grow(e.stamps[:0], len(m.wns))
 	for _, wn := range m.wns {
 		e.stamps = append(e.stamps, wn.rec.Stamp())
 	}
@@ -335,19 +381,20 @@ func (e *lrcEngine) commitOwnDiff(page int, charge bool) {
 // twin and stores it until garbage collection.
 func (e *lrcEngine) materializeDiff(page int, interval int32) {
 	d := e.diffTwin(page)
-	e.diffs[diffKey{int32(e.self), int32(page), interval}] = &d
+	e.diffs[e.keys.of(e.self, page, interval)] = &d
 	e.st().MemAlloc(d.MemSize())
 }
 
 // cacheDiff retains a fetched diff so later faulting nodes can obtain the
-// whole chain from this node.
+// whole chain from this node. An interval's diff is one object wherever it
+// is held, so storing it where it is already held changes nothing; only a
+// new entry is charged.
 func (e *lrcEngine) cacheDiff(proc, page int, interval int32, d *mem.Diff) {
-	key := diffKey{int32(proc), int32(page), interval}
-	if _, ok := e.diffs[key]; ok {
-		return
+	n := len(e.diffs)
+	e.diffs[e.keys.of(proc, page, interval)] = d
+	if len(e.diffs) > n {
+		e.st().MemAlloc(d.MemSize())
 	}
-	e.diffs[key] = d
-	e.st().MemAlloc(d.MemSize())
 }
 
 // ---------------------------------------------------------------------------
@@ -422,38 +469,43 @@ func (e *lrcEngine) runGC() {
 	e.emit(trace.GCStart, -1, -1, 0)
 
 	// All nodes share an identical interval log after the barrier, so
-	// they agree on each page's last writer without communication.
-	type lw struct {
-		proc     int
-		interval int32
-	}
-	last := map[int]lw{}
+	// they agree on each page's last writer, the largest (interval, proc),
+	// without communication. One pass over the log keeps one entry per
+	// written page, found through the page's mark; the sort then puts the
+	// pages in ascending order.
+	last := e.lastWrites[:0]
 	for proc := range e.log {
 		for _, rec := range e.log[proc] {
+			w := pageWrite{interval: rec.Interval, proc: int32(rec.Proc)}
 			for _, pg := range rec.Pages {
-				cur, ok := last[int(pg)]
-				if !ok || rec.Interval > cur.interval ||
-					(rec.Interval == cur.interval && rec.Proc > cur.proc) {
-					last[int(pg)] = lw{proc: rec.Proc, interval: rec.Interval}
+				m := e.pages.at(int(pg))
+				if m.lastWrite == 0 {
+					w.page = pg
+					last = append(last, w)
+					m.lastWrite = int32(len(last))
+				} else if cur := &last[m.lastWrite-1]; w.interval > cur.interval ||
+					(w.interval == cur.interval && w.proc > cur.proc) {
+					cur.interval, cur.proc = w.interval, w.proc
 				}
 			}
 		}
 	}
+	slices.SortFunc(last, func(a, b pageWrite) int { return cmp.Compare(a.page, b.page) })
+	e.lastWrites = last
 
-	for pg := 0; pg < e.pages.len(); pg++ {
-		w, ok := last[pg]
-		if !ok {
-			continue // untouched since the previous collection
-		}
+	// Pages untouched since the previous collection are not in last.
+	for _, lw := range last {
+		pg := int(lw.page)
 		m := e.pages.at(pg)
-		if w.proc == e.self {
+		m.lastWrite = 0
+		if int(lw.proc) == e.self {
 			// Validate: bring our copy fully up to date.
 			e.bringUpToDate(pg, stats.CatGC)
 			if e.pt.Page(pg).State == mem.Invalid {
 				e.pt.Page(pg).State = mem.ReadOnly
 			}
 		}
-		m.holder = int32(w.proc) + 1
+		m.holder = lw.proc + 1
 	}
 
 	// Wait until every node finished validating before discarding diffs.
@@ -462,11 +514,8 @@ func (e *lrcEngine) runGC() {
 	e.st().Add(stats.CatGC, e.app().Now()-t0)
 
 	// Discard protocol data.
-	for pg := 0; pg < e.pages.len(); pg++ {
-		w, ok := last[pg]
-		if !ok {
-			continue
-		}
+	for _, lw := range last {
+		pg := int(lw.page)
 		m := e.pages.at(pg)
 		u := m.use
 		if u != nil {
@@ -483,7 +532,7 @@ func (e *lrcEngine) runGC() {
 			e.st().MemFree(wnEntryBytes)
 		}
 		m.dropWNs()
-		if w.proc != e.self {
+		if int(lw.proc) != e.self {
 			p := e.pt.Page(pg)
 			if p.Data != nil {
 				p.State = mem.Invalid
@@ -500,10 +549,10 @@ func (e *lrcEngine) runGC() {
 			}
 		}
 	}
-	for k, d := range e.diffs {
+	for _, d := range e.diffs {
 		e.st().MemFree(d.MemSize())
-		delete(e.diffs, k)
 	}
+	clear(e.diffs) // keeps the table: the next interval's diffs refill it without growing
 	e.pruneLogThrough(e.clock)
 	e.emit(trace.GCEnd, -1, -1, 0)
 }
@@ -551,8 +600,8 @@ func (e *lrcEngine) handleFetchDiffs(m paragon.Msg) (sim.Time, func()) {
 	}
 	var work sim.Time
 	if pm.pending != nil {
-		for j, iv := range req.Intervals {
-			if int(req.Procs[j]) == e.self && iv == pm.pending.Interval {
+		for _, r := range req.Recs {
+			if r.Proc == e.self && r.Interval == pm.pending.Interval {
 				work += e.costs().DiffCreateCost(e.sys.Space.PageWords)
 			}
 		}
@@ -570,29 +619,21 @@ func (e *lrcEngine) handleFetchDiffs(m paragon.Msg) (sim.Time, func()) {
 // cached; the requester chases the rest elsewhere.
 func (e *lrcEngine) serveDiffs(m paragon.Msg) {
 	req := m.Body.(*fetchDiffsReq)
-	resp := &fetchDiffsResp{
-		Found: make([]bool, len(req.Intervals)),
-		Diffs: make([]mem.Diff, len(req.Intervals)),
-	}
+	resp := &fetchDiffsResp{Diffs: make([]*mem.Diff, len(req.Recs))}
 	size := 0
-	served := 0
-	for j, iv := range req.Intervals {
-		d, ok := e.diffs[diffKey{req.Procs[j], int32(req.Page), iv}]
-		if !ok {
+	for j, r := range req.Recs {
+		d := e.diffs[e.keys.of(r.Proc, req.Page, r.Interval)]
+		if d == nil {
+			// A writer always holds its own diffs until GC; a request routed
+			// here by a write notice must be at least partially servable.
+			if r.Proc == e.self {
+				panic(fmt.Sprintf("core: node %d lost its own diff for page %d interval %d",
+					e.self, req.Page, r.Interval))
+			}
 			continue
 		}
-		resp.Found[j] = true
-		resp.Diffs[j] = *d
+		resp.Diffs[j] = d
 		size += d.WireSize()
-		served++
-	}
-	// A writer always holds its own diffs until GC; a request routed here
-	// by a write notice must be at least partially servable.
-	for j := range req.Procs {
-		if int(req.Procs[j]) == e.self && !resp.Found[j] {
-			panic(fmt.Sprintf("core: node %d lost its own diff for page %d interval %d",
-				e.self, req.Page, req.Intervals[j]))
-		}
 	}
 	e.node.Respond(m, paragon.Msg{
 		Kind:  kFetchDiffs,

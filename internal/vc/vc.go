@@ -106,11 +106,17 @@ func TopoSort(stamps []Stamp) {
 
 // Sorter computes TopoSort's order as a permutation, keeping its scratch so
 // that sorting on every page miss allocates nothing. The sets are not small
-// (a water-sp miss orders up to 126 notices): Kahn's extraction runs over
-// per-proc chains, not over all pairs.
+// (a paper-size water-sp miss at 64 nodes orders up to 574 notices from 63
+// writers, 54 from 28 in the mean), so Kahn's extraction runs over per-proc
+// chains, reads each vector once, and touches per emission only the counts
+// that emission changes: O(n·C) for n stamps in C chains, plus the sort
+// that cuts the chains.
 type Sorter struct {
 	idx, order []int   // stamp indexes by (proc, interval, index); the result
-	chains     [][]int // idx cut into one run per proc; emitted stamps and empty runs are dropped
+	chains     [][]int // idx cut into one run per proc, emitted from the front
+	procs      []int   // procs[c] is chain c's processor, ascending
+	comp       []int32 // comp[i*C+c] is stamp i's vector component for procs[c]
+	blocked    []int   // blocked[c] counts the other live heads that happen before chain c's; -1 once c is empty
 }
 
 // Order returns the indexes of stamps in TopoSort order, valid until the
@@ -119,7 +125,9 @@ type Sorter struct {
 // emits the first head in proc order that no head happens before — which
 // assumes nothing about happens-before being transitive.
 func (s *Sorter) Order(stamps []Stamp) []int {
-	s.idx, s.order, s.chains = s.idx[:0], s.order[:0], s.chains[:0]
+	n := len(stamps)
+	s.idx, s.order = slices.Grow(s.idx[:0], n), slices.Grow(s.order[:0], n)
+	s.chains, s.procs = s.chains[:0], s.procs[:0]
 	for i := range stamps {
 		s.idx = append(s.idx, i)
 	}
@@ -127,30 +135,92 @@ func (s *Sorter) Order(stamps []Stamp) []int {
 		return cmp.Or(cmp.Compare(stamps[a].Proc, stamps[b].Proc),
 			cmp.Compare(stamps[a].Interval, stamps[b].Interval), cmp.Compare(a, b))
 	})
-	for lo, hi := 0, 0; lo < len(s.idx); lo = hi {
-		for hi = lo + 1; hi < len(s.idx) && stamps[s.idx[hi]].Proc == stamps[s.idx[lo]].Proc; hi++ {
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		p := stamps[s.idx[lo]].Proc
+		for hi = lo + 1; hi < n && stamps[s.idx[hi]].Proc == p; hi++ {
 		}
 		s.chains = append(s.chains, s.idx[lo:hi])
+		s.procs = append(s.procs, p)
 	}
-	for len(s.chains) > 0 {
-		pick := -1
-	heads:
-		for c, ch := range s.chains {
-			for _, q := range s.chains {
-				if HappensBefore(stamps[q[0]], stamps[ch[0]]) {
-					continue heads
-				}
-			}
-			pick = c
-			break
-		}
+	C := len(s.chains)
+	s.comp = slices.Grow(s.comp[:0], n*C)[:n*C]
+	for i := range stamps {
+		s.gather(stamps[i].VC, s.comp[i*C:(i+1)*C])
+	}
+	s.blocked = slices.Grow(s.blocked[:0], C)[:C]
+	for c := range s.chains {
+		s.blocked[c] = s.blockers(stamps, c)
+	}
+	for len(s.order) < n {
+		pick := slices.Index(s.blocked, 0)
 		if pick < 0 {
-			panic(fmt.Sprintf("vc: happens-before cycle among %d intervals", len(stamps)))
+			panic(fmt.Sprintf("vc: happens-before cycle among %d intervals", n))
 		}
-		s.order = append(s.order, s.chains[pick][0])
-		if s.chains[pick] = s.chains[pick][1:]; len(s.chains[pick]) == 0 {
-			s.chains = slices.Delete(s.chains, pick, pick+1)
+		ch := s.chains[pick]
+		gone := stamps[ch[0]].Interval
+		s.order = append(s.order, ch[0])
+		ch = ch[1:]
+		s.chains[pick] = ch
+		// Chain pick's head is the only one that moved: every other live
+		// head loses the old head as a blocker and may gain the new one.
+		for c, h := range s.chains {
+			if c == pick || len(h) == 0 {
+				continue
+			}
+			x := s.comp[h[0]*C+pick]
+			if x >= gone {
+				s.blocked[c]--
+			}
+			if len(ch) > 0 && x >= stamps[ch[0]].Interval {
+				s.blocked[c]++
+			}
+		}
+		if len(ch) > 0 {
+			s.blocked[pick] = s.blockers(stamps, pick)
+		} else {
+			s.blocked[pick] = -1
 		}
 	}
 	return s.order
+}
+
+// gather writes v's components for the chain processors into row, in one
+// two-pointer walk of v's pairs against the ascending procs (v == nil is
+// the zero vector). HappensBefore(a, b) across chains is then
+// row_b[chain of a] >= a.Interval.
+func (s *Sorter) gather(v *Sparse, row []int32) {
+	switch {
+	case v == nil:
+		clear(row)
+	case v.dense:
+		for c, p := range s.procs {
+			row[c] = v.ents[p].x
+		}
+	default:
+		j := 0
+		for c, p := range s.procs {
+			for j < len(v.ents) && int(v.ents[j].p) < p {
+				j++
+			}
+			if j < len(v.ents) && int(v.ents[j].p) == p {
+				row[c] = v.ents[j].x
+			} else {
+				row[c] = 0
+			}
+		}
+	}
+}
+
+// blockers counts the other live chains whose head happens before chain
+// c's head.
+func (s *Sorter) blockers(stamps []Stamp, c int) int {
+	C := len(s.chains)
+	row := s.comp[s.chains[c][0]*C:][:C]
+	k := 0
+	for q, h := range s.chains {
+		if q != c && len(h) > 0 && row[q] >= stamps[h[0]].Interval {
+			k++
+		}
+	}
+	return k
 }

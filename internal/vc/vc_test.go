@@ -241,18 +241,25 @@ func checkAgainstReference(t *testing.T, stamps []Stamp) {
 	}
 }
 
-// causalStamps draws a random causal history (procs advance through
-// intervals and merge each other's clocks) and returns a shuffled random
-// subset of its intervals, the way a page's notices are a subset of the
-// machine's intervals.
-func causalStamps(rng *rand.Rand) []Stamp {
-	nproc := rng.Intn(7) + 1
+// causalStamps draws a random causal history of up to maxProcs procs and
+// fewer than maxSteps steps and returns a shuffled random subset of its
+// intervals, the way a page's notices are a subset of the machine's
+// intervals.
+func causalStamps(rng *rand.Rand, maxProcs, maxSteps int) []Stamp {
+	nproc := rng.Intn(maxProcs) + 1
+	return causalHistory(rng, nproc, rng.Intn(maxSteps))
+}
+
+// causalHistory runs steps steps of nproc procs advancing through intervals
+// and merging each other's clocks, keeps about two intervals in three, and
+// shuffles them.
+func causalHistory(rng *rand.Rand, nproc, steps int) []Stamp {
 	clocks := make([]VC, nproc)
 	for i := range clocks {
 		clocks[i] = New(nproc)
 	}
 	var stamps []Stamp
-	for step, steps := 0, rng.Intn(40); step < steps; step++ {
+	for step := 0; step < steps; step++ {
 		p := rng.Intn(nproc)
 		for k := rng.Intn(3); k > 0; k-- {
 			clocks[p].MaxWith(clocks[rng.Intn(nproc)])
@@ -264,6 +271,32 @@ func causalStamps(rng *rand.Rand) []Stamp {
 	}
 	rng.Shuffle(len(stamps), func(i, j int) { stamps[i], stamps[j] = stamps[j], stamps[i] })
 	return stamps
+}
+
+// chainCount is the number of distinct procs among stamps: the chains a
+// Sorter cuts them into.
+func chainCount(stamps []Stamp) int {
+	procs := map[int]bool{}
+	for _, s := range stamps {
+		procs[s.Proc] = true
+	}
+	return len(procs)
+}
+
+// withBacking runs f once per Sparse backing, with ForceDense off and on:
+// vectors made inside f take that backing, and the sorter reads the two
+// differently.
+func withBacking(t *testing.T, f func(t *testing.T)) {
+	for _, b := range []struct {
+		name  string
+		dense bool
+	}{{"sparse", false}, {"dense", true}} {
+		t.Run(b.name, func(t *testing.T) {
+			defer func(old bool) { ForceDense = old }(ForceDense)
+			ForceDense = b.dense
+			f(t)
+		})
+	}
 }
 
 // vectorOf returns the vector stamps already holds for s's interval, nil if
@@ -306,67 +339,87 @@ func adversarialStamps(rng *rand.Rand) []Stamp {
 }
 
 // TestTopoSortMatchesReference: the chain-head sorter emits the reference's
-// order bit for bit — on causal histories, and on non-transitive, cyclic
-// and duplicate-stamp inputs, where it must also panic exactly when the
-// reference does.
+// order bit for bit — on causal histories of up to 7 and of up to 64 procs
+// (as many chains as a 64-node miss has writers), and on non-transitive,
+// cyclic and duplicate-stamp inputs, where it must also panic exactly when
+// the reference does — under both Sparse backings.
 func TestTopoSortMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for i := 0; i < 12000; i++ {
-		checkAgainstReference(t, causalStamps(rng))
-	}
-	sorted, cycles := 0, 0
-	for i := 0; i < 12000; i++ {
-		stamps := adversarialStamps(rng)
-		checkAgainstReference(t, stamps)
-		if _, cycle := sortOutcome(topoSortReference, stamps); cycle != nil {
-			cycles++
-		} else {
-			sorted++
+	withBacking(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(20))
+		for i := 0; i < 12000; i++ {
+			checkAgainstReference(t, causalStamps(rng, 7, 40))
 		}
-	}
-	if sorted < 1000 || cycles < 1000 {
-		t.Fatalf("adversarial inputs are lopsided: %d sorted, %d cyclic", sorted, cycles)
-	}
-	// Non-transitive by hand: a before b, b before c, yet c's vector does
-	// not cover a — and a duplicate of b.
-	a := Stamp{Proc: 2, Interval: 1, VC: SparseFrom(VC{0, 0, 1})}
-	b := Stamp{Proc: 1, Interval: 1, VC: SparseFrom(VC{0, 1, 1})}
-	c := Stamp{Proc: 0, Interval: 1, VC: SparseFrom(VC{1, 1, 0})}
-	checkAgainstReference(t, []Stamp{c, b, a, b})
-	got, _ := sortOutcome(TopoSort, []Stamp{c, b, a, b})
-	if !slices.Equal(got, []Stamp{a, b, b, c}) {
-		t.Fatalf("hand case sorted to %v", got)
-	}
+		wide := 0
+		for i := 0; i < 400; i++ {
+			stamps := causalStamps(rng, 64, 300)
+			checkAgainstReference(t, stamps)
+			if chainCount(stamps) >= 32 {
+				wide++
+			}
+		}
+		if wide < 100 {
+			t.Fatalf("only %d of 400 wide histories have 32 chains or more", wide)
+		}
+		sorted, cycles := 0, 0
+		for i := 0; i < 12000; i++ {
+			stamps := adversarialStamps(rng)
+			checkAgainstReference(t, stamps)
+			if _, cycle := sortOutcome(topoSortReference, stamps); cycle != nil {
+				cycles++
+			} else {
+				sorted++
+			}
+		}
+		if sorted < 1000 || cycles < 1000 {
+			t.Fatalf("adversarial inputs are lopsided: %d sorted, %d cyclic", sorted, cycles)
+		}
+		// Non-transitive by hand: a before b, b before c, yet c's vector
+		// does not cover a — and a duplicate of b.
+		a := Stamp{Proc: 2, Interval: 1, VC: SparseFrom(VC{0, 0, 1})}
+		b := Stamp{Proc: 1, Interval: 1, VC: SparseFrom(VC{0, 1, 1})}
+		c := Stamp{Proc: 0, Interval: 1, VC: SparseFrom(VC{1, 1, 0})}
+		checkAgainstReference(t, []Stamp{c, b, a, b})
+		got, _ := sortOutcome(TopoSort, []Stamp{c, b, a, b})
+		if !slices.Equal(got, []Stamp{a, b, b, c}) {
+			t.Fatalf("hand case sorted to %v", got)
+		}
+	})
 }
 
 // TestSorterReusesScratch: one Sorter serves inputs of different shapes
-// back to back, and allocates nothing once its scratch has grown.
+// back to back, and allocates nothing once its scratch has grown — on a
+// 64-chain input, the width of a 64-node miss.
 func TestSorterReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s Sorter
-	var big []Stamp
-	for i := 0; i < 300; i++ {
-		stamps := causalStamps(rng)
+	check := func(i int, stamps []Stamp) {
 		want, _ := sortOutcome(topoSortReference, stamps)
 		for k, j := range s.Order(stamps) {
 			if stamps[j] != want[k] {
 				t.Fatalf("input %d: Order[%d] = %v, want %v", i, k, stamps[j], want[k])
 			}
 		}
-		if len(stamps) > len(big) {
-			big = stamps
-		}
 	}
+	for i := 0; i < 300; i++ {
+		check(i, causalStamps(rng, 7, 40))
+	}
+	big := causalHistory(rng, 64, 400)
+	if n := chainCount(big); n != 64 {
+		t.Fatalf("the wide input has %d chains, want 64", n)
+	}
+	check(300, big)
+	check(301, causalStamps(rng, 7, 40))
 	if allocs := testing.AllocsPerRun(50, func() { s.Order(big) }); allocs != 0 {
-		t.Errorf("warm Sorter.Order = %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm Sorter.Order on %d stamps in 64 chains = %.1f allocs/op, want 0", len(big), allocs)
 	}
 }
 
 // FuzzTopoSortVsReference decodes arbitrary bytes into stamps — first byte
-// the proc count, then per stamp a proc, an interval and one vector entry
-// per proc, a repeated (proc, interval) reusing the first one's vector —
-// and holds TopoSort to the reference. The seeds here and under
-// testdata/fuzz run in plain go test.
+// the proc count (up to 64), then per stamp a proc, an interval and one
+// vector entry per proc, a repeated (proc, interval) reusing the first one's
+// vector, up to 96 stamps — and holds TopoSort to the reference. The seeds
+// here and under testdata/fuzz (causal-forty-procs has 32 chains) run in
+// plain go test.
 func FuzzTopoSortVsReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 2, 2, 1, 1, 1, 1, 1, 0, 1, 1, 0})       // the chain 0:1 -> 1:1 -> 0:2, reversed
@@ -377,9 +430,9 @@ func FuzzTopoSortVsReference(f *testing.F) {
 		if len(b) == 0 {
 			return
 		}
-		nproc := 1 + int(b[0])%6
+		nproc := 1 + int(b[0])%64
 		var stamps []Stamp
-		for b = b[1:]; len(b) >= 2+nproc && len(stamps) < 48; b = b[2+nproc:] {
+		for b = b[1:]; len(b) >= 2+nproc && len(stamps) < 96; b = b[2+nproc:] {
 			s := Stamp{Proc: int(b[0]) % nproc, Interval: int32(b[1]%8) + 1}
 			if s.VC = vectorOf(stamps, s); s.VC == nil {
 				v := New(nproc)
