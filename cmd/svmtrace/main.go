@@ -65,13 +65,9 @@ func main() {
 	if *summary {
 		counts := log.Counts()
 		fmt.Printf("%d events over %.2f simulated seconds:\n", log.Len(), res.Stats.Elapsed.Micros()/1e6)
-		for k := trace.Kind(0); ; k++ {
-			name := k.String()
-			if name == fmt.Sprintf("kind(%d)", uint8(k)) {
-				break
-			}
+		for k := trace.Kind(0); k < trace.NumKinds; k++ {
 			if counts[k] > 0 {
-				fmt.Printf("  %-14s %8d\n", name, counts[k])
+				fmt.Printf("  %-14s %8d\n", k, counts[k])
 			}
 		}
 		return

@@ -215,11 +215,31 @@ func (b *base) use(d sim.Time, cat stats.Category) {
 	}
 }
 
-// emit records a protocol trace event (no-op unless tracing is enabled).
-// The guard comes first so a parallel run never touches lane 0's clock
-// from another lane (tracing itself forces the sequential kernel).
-func (b *base) emit(k trace.Kind, page, peer int, arg int64) {
-	if b.sys.traceLog == nil {
+// eventCounters is the one map from a protocol event to the statistics
+// counter it increments (Table 4's columns). The trace-only kinds —
+// Invalidate, DiffFlush, LockGrant, BarrierExit, GCEnd — count nothing.
+var eventCounters = [trace.NumKinds]func(*stats.Counters) *int64{
+	trace.ReadMiss:     func(c *stats.Counters) *int64 { return &c.ReadMisses },
+	trace.WriteFault:   func(c *stats.Counters) *int64 { return &c.WriteFaults },
+	trace.PageFetch:    func(c *stats.Counters) *int64 { return &c.PagesFetched },
+	trace.DiffCreate:   func(c *stats.Counters) *int64 { return &c.DiffsCreated },
+	trace.DiffApply:    func(c *stats.Counters) *int64 { return &c.DiffsApplied },
+	trace.LockAcquire:  func(c *stats.Counters) *int64 { return &c.LockAcquires },
+	trace.BarrierEnter: func(c *stats.Counters) *int64 { return &c.Barriers },
+	trace.GCStart:      func(c *stats.Counters) *int64 { return &c.GCs },
+}
+
+// event is one protocol action: it increments the counter its kind maps to
+// and, while tracing is on and this node's statistics are not yet
+// snapshotted, appends it to the trace, so the two views cover the same
+// events. The tracing guard comes before the clock read so a parallel run
+// never touches lane 0's clock from another lane (tracing itself forces the
+// sequential kernel).
+func (b *base) event(k trace.Kind, page, peer int, arg int64) {
+	if at := eventCounters[k]; at != nil {
+		*at(&b.st().Counts)++
+	}
+	if b.sys.traceLog == nil || b.sys.untraced[b.self] {
 		return
 	}
 	b.sys.traceLog.Emit(trace.Event{
@@ -237,8 +257,7 @@ func (b *base) emit(k trace.Kind, page, peer int, arg int64) {
 // readMiss charges and records a fault on an invalid page.
 func (b *base) readMiss(page int) {
 	b.use(b.costs().PageFault, stats.CatData)
-	b.st().Counts.ReadMisses++
-	b.emit(trace.ReadMiss, page, -1, 0)
+	b.event(trace.ReadMiss, page, -1, 0)
 }
 
 // diffTwin diffs page against its twin and drops the twin.
@@ -247,8 +266,7 @@ func (b *base) diffTwin(page int) mem.Diff {
 	d := mem.ComputeDiff(page, p.Twin, p.Data)
 	p.DropTwin(b.sink())
 	b.st().MemFree(int64(b.sys.Space.PageBytes()))
-	b.st().Counts.DiffsCreated++
-	b.emit(trace.DiffCreate, page, -1, int64(d.WireSize()))
+	b.event(trace.DiffCreate, page, -1, int64(d.WireSize()))
 	return d
 }
 
@@ -488,8 +506,7 @@ func (b *base) Acquire(lock int) {
 	}
 	// Remote acquire: an interval boundary.
 	b.closeIntervalOnApp()
-	b.st().Counts.LockAcquires++
-	b.emit(trace.LockAcquire, -1, -1, int64(lock))
+	b.event(trace.LockAcquire, -1, -1, int64(lock))
 	req := paragon.Msg{
 		Kind:   kLockAcq,
 		Size:   8 + b.clock.WireSize(),
@@ -518,7 +535,7 @@ func (b *base) Acquire(lock int) {
 		b.st().Add(stats.CatLock, b.app().Now()-t0)
 	}
 	g := resp.Body.(*grantInfo)
-	b.emit(trace.LockGrant, -1, resp.From, int64(lock))
+	b.event(trace.LockGrant, -1, resp.From, int64(lock))
 	b.applyGrant(*g)
 	ls.owner = true
 	ls.held = true
@@ -728,8 +745,7 @@ type barrierReport struct {
 // redistributes the merged knowledge.
 func (b *base) Barrier(id int) {
 	b.closeIntervalOnApp()
-	b.st().Counts.Barriers++
-	b.emit(trace.BarrierEnter, -1, -1, int64(id))
+	b.event(trace.BarrierEnter, -1, -1, int64(id))
 	rep := &barrierReport{
 		Node:     b.self,
 		VC:       b.clock.Copy(),
@@ -765,7 +781,7 @@ func (b *base) Barrier(id int) {
 		g = resp.Body.(*grantInfo)
 	}
 	b.st().Add(stats.CatBarrier, b.app().Now()-t0)
-	b.emit(trace.BarrierExit, -1, -1, int64(id))
+	b.event(trace.BarrierExit, -1, -1, int64(id))
 	b.applyGrant(*g)
 	b.co.onBarrierRelease(g)
 }

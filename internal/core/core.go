@@ -249,33 +249,18 @@ func badKind(kind int) (sim.Time, func()) {
 	panic(fmt.Sprintf("core: unexpected message kind %d", kind))
 }
 
+// msgKindNames names each message kind, indexed by kind.
+var msgKindNames = [...]string{
+	kLockAcq: "lock-acquire", kLockFwd: "lock-forward", kBarrier: "barrier",
+	kGCDone: "gc-done", kFetchDiffs: "fetch-diffs", kFetchPage: "fetch-page",
+	kDiffFlush: "diff-flush", kMakeDiff: "make-diff", kMirror: "mirror",
+	kBarrierUp: "barrier-up", kBarrierDown: "barrier-down", kMgrMirror: "mgr-mirror",
+}
+
 // msgKindName renders protocol message kinds for fault watchdog reports.
 func msgKindName(kind int) string {
-	switch kind {
-	case kLockAcq:
-		return "lock-acquire"
-	case kLockFwd:
-		return "lock-forward"
-	case kBarrier:
-		return "barrier"
-	case kGCDone:
-		return "gc-done"
-	case kFetchDiffs:
-		return "fetch-diffs"
-	case kFetchPage:
-		return "fetch-page"
-	case kDiffFlush:
-		return "diff-flush"
-	case kMakeDiff:
-		return "make-diff"
-	case kMirror:
-		return "mirror"
-	case kBarrierUp:
-		return "barrier-up"
-	case kBarrierDown:
-		return "barrier-down"
-	case kMgrMirror:
-		return "mgr-mirror"
+	if kind > 0 && kind < len(msgKindNames) {
+		return msgKindNames[kind]
 	}
 	return fmt.Sprintf("kind-%d", kind)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gosvm/internal/fault"
 	"gosvm/internal/mem"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -823,18 +824,16 @@ func TestTraceGCEvents(t *testing.T) {
 	}
 }
 
-// noGather runs an app but gathers nothing, so every fault of the run
-// happens before the end-of-worker statistics snapshot.
-type noGather struct{ App }
-
-func (noGather) Gather(*Ctx) []float64 { return nil }
-
 // Every counted protocol event is traced once: per kind, the trace holds
-// exactly as many events as the nodes' summed counter. multiWriterApp
-// stores to pages it never loaded — HLRC takes that as a read fault, then
-// a write fault; LRC inside its write fault — and counterApp acquires
-// locks. Diff events are left out: dispatcher work can land after the
-// snapshot.
+// exactly as many events as the nodes' summed counter, gather phase
+// included — a node's trace stops where its statistics snapshot does. The
+// kind/counter list is the test's own, not the engines' table, so a swapped
+// table entry fails here. multiWriterApp stores to pages it never loaded —
+// HLRC takes that as a read fault, then a write fault; LRC inside its
+// write fault — and counterApp acquires locks; multiWriterApp runs once
+// more under the hostile fault profile, whose retries and duplicates must
+// not count or trace an event twice. Last, with tracing off an event is a
+// counter increment and nothing else: no allocation.
 func TestTraceAgreesWithCounters(t *testing.T) {
 	counters := []struct {
 		kind  trace.Kind
@@ -843,16 +842,27 @@ func TestTraceAgreesWithCounters(t *testing.T) {
 		{trace.ReadMiss, func(c *stats.Counters) int64 { return c.ReadMisses }},
 		{trace.WriteFault, func(c *stats.Counters) int64 { return c.WriteFaults }},
 		{trace.PageFetch, func(c *stats.Counters) int64 { return c.PagesFetched }},
+		{trace.DiffCreate, func(c *stats.Counters) int64 { return c.DiffsCreated }},
+		{trace.DiffApply, func(c *stats.Counters) int64 { return c.DiffsApplied }},
 		{trace.LockAcquire, func(c *stats.Counters) int64 { return c.LockAcquires }},
 		{trace.BarrierEnter, func(c *stats.Counters) int64 { return c.Barriers }},
 		{trace.GCStart, func(c *stats.Counters) int64 { return c.GCs }},
 	}
 	forEachProto(t, []int{4}, func(t *testing.T, proto Protocol, p int) {
-		for _, app := range []*testApp{multiWriterApp(), counterApp(4)} {
-			opts := testOpts(proto, p)
+		cells := []struct {
+			name string
+			app  *testApp
+			opts Options
+		}{
+			{"multiwriter", multiWriterApp(), testOpts(proto, p)},
+			{"counter", counterApp(4), testOpts(proto, p)},
+			{"multiwriter/hostile", multiWriterApp(), faultOpts(t, proto, p, fault.ProfileHostile, 1)},
+		}
+		for _, cell := range cells {
+			opts := cell.opts
 			opts.TraceLimit = -1
 			opts.GCThreshold = 1 // the homeless protocols collect at every barrier
-			res := runOrFail(t, opts, noGather{app})
+			res := runOrFail(t, opts, cell.app)
 			traced := res.Trace.Counts()
 			for _, c := range counters {
 				var counted int64
@@ -860,14 +870,32 @@ func TestTraceAgreesWithCounters(t *testing.T) {
 					counted += c.count(&nd.Counts)
 				}
 				if int64(traced[c.kind]) != counted {
-					t.Errorf("%s: %d %v events traced, %d counted", app.name, traced[c.kind], c.kind, counted)
+					t.Errorf("%s: %d %v events traced, %d counted", cell.name, traced[c.kind], c.kind, counted)
 				}
 			}
+			if traced[trace.DiffCreate] == 0 || traced[trace.DiffApply] == 0 {
+				t.Errorf("%s: no diff created or applied", cell.name)
+			}
 			if !proto.HomeBased() && traced[trace.GCStart] == 0 {
-				t.Errorf("%s: no garbage collection ran", app.name)
+				t.Errorf("%s: no garbage collection ran", cell.name)
 			}
 		}
 	})
+
+	var allocs float64
+	var applied int64
+	var addr mem.Addr
+	runOrFail(t, testOpts(ProtoHLRC, 2), litmusApp(&addr, func(c *Ctx, id int) {
+		if id == 1 {
+			b := baseOf(c.sys.Engines[id])
+			before := b.st().Counts.DiffsApplied
+			allocs = testing.AllocsPerRun(100, func() { b.event(trace.DiffApply, 0, 0, 8) })
+			applied = b.st().Counts.DiffsApplied - before
+		}
+	}))
+	if allocs != 0 || applied != 101 {
+		t.Errorf("an untraced event allocates %.0f times and counts %d of 101 calls; want 0 and 101", allocs, applied)
+	}
 }
 
 func TestTraceDisabledByDefault(t *testing.T) {

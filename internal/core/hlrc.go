@@ -162,8 +162,7 @@ func (e *hlrcEngine) ReadFault(page int) {
 	e.adoptShared(p, &pr.Frame)
 	p.State = mem.ReadOnly
 	e.seenOf(m).MaxWith(pr.FlushVC)
-	e.st().Counts.PagesFetched++
-	e.emit(trace.PageFetch, page, e.home(page), 0)
+	e.event(trace.PageFetch, page, e.home(page), 0)
 }
 
 // FreshRead implements the serving fast path's lock-free read
@@ -199,8 +198,7 @@ func (e *hlrcEngine) WriteFault(page int) {
 	// Overlapped: the twin may still be feeding the co-processor's diff.
 	e.useOf(page).inflight.wait(e.app(), "hlrc twin busy page", page)
 	e.use(e.costs().PageFault, stats.CatProtocol)
-	e.st().Counts.WriteFaults++
-	e.emit(trace.WriteFault, page, -1, 0)
+	e.event(trace.WriteFault, page, -1, 0)
 	if e.home(page) != e.self || e.replicating() {
 		// A writer twins to diff at interval end. The home needs no diff
 		// of its own writes unless replication is on: then they exist
@@ -276,7 +274,7 @@ func (e *hlrcEngine) closeCommit() {
 		p := e.pt.Page(int(pg32))
 		if p.State == mem.ReadOnly {
 			p.State = mem.Invalid
-			e.emit(trace.Invalidate, int(pg32), -1, 0)
+			e.event(trace.Invalidate, int(pg32), -1, 0)
 		}
 	}
 	e.lateInval = nil
@@ -296,7 +294,7 @@ func (e *hlrcEngine) flushOwn(df *diffFlush) {
 // sendDiff transmits a diff to its home (from compute or coproc context;
 // traffic is charged to this node either way).
 func (e *hlrcEngine) sendDiff(df *diffFlush) {
-	e.emit(trace.DiffFlush, df.Page, e.home(df.Page), int64(df.Diff.WireSize()))
+	e.event(trace.DiffFlush, df.Page, e.home(df.Page), int64(df.Diff.WireSize()))
 	e.node.Send(e.home(df.Page), paragon.Msg{
 		Kind:   kDiffFlush,
 		Size:   df.Diff.WireSize() + df.Dep.WireSize(),
@@ -338,7 +336,7 @@ func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 		return 0
 	}
 	p.State = mem.Invalid
-	e.emit(trace.Invalidate, page, rec.Proc, 0)
+	e.event(trace.Invalidate, page, rec.Proc, 0)
 	return e.costs().PageInval
 }
 
@@ -416,8 +414,7 @@ func (e *hlrcEngine) homeApply(df *diffFlush) {
 	df.Diff.Apply(p.Data)
 	f := e.flushOf(df.Page)
 	f.RaiseTo(df.Writer, df.Interval)
-	e.st().Counts.DiffsApplied++
-	e.emit(trace.DiffApply, df.Page, df.Writer, int64(df.Diff.Words()))
+	e.event(trace.DiffApply, df.Page, df.Writer, int64(df.Diff.Words()))
 }
 
 // homeDrain retries pending diffs, fetches, and local waiters for a page

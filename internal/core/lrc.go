@@ -197,8 +197,7 @@ func (e *lrcEngine) WriteFault(page int) {
 	} else {
 		e.use(e.costs().PageFault, stats.CatProtocol)
 	}
-	e.st().Counts.WriteFaults++
-	e.emit(trace.WriteFault, page, -1, 0)
+	e.event(trace.WriteFault, page, -1, 0)
 	// A previous interval's lazy diff still owns the twin: materialize it
 	// before re-twinning.
 	e.commitOwnDiff(page, true)
@@ -305,10 +304,9 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 	for _, i := range e.sorter.Order(e.stamps) {
 		wn := &m.wns[i]
 		cost += e.costs().DiffApplyCost(wn.diff.Words())
-		e.emit(trace.DiffApply, page, wn.rec.Proc, int64(wn.diff.Words()))
+		e.event(trace.DiffApply, page, wn.rec.Proc, int64(wn.diff.Words()))
 		wn.diff.Apply(p.Data)
 		u.appliedVC.RaiseTo(wn.rec.Proc, wn.rec.Interval)
-		e.st().Counts.DiffsApplied++
 		e.st().MemFree(wnEntryBytes)
 	}
 	e.use(cost, opCat)
@@ -343,8 +341,7 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 		e.ensureAppliedVC(page)
 		m.use.appliedVC.MaxWith(pr.AppliedVC)
 		m.holder = int32(holder) + 1
-		e.st().Counts.PagesFetched++
-		e.emit(trace.PageFetch, page, holder, 0)
+		e.event(trace.PageFetch, page, holder, 0)
 		return
 	}
 }
@@ -447,7 +444,7 @@ func (e *lrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 		return 0
 	}
 	p.State = mem.Invalid
-	e.emit(trace.Invalidate, page, rec.Proc, 0)
+	e.event(trace.Invalidate, page, rec.Proc, 0)
 	return e.costs().PageInval
 }
 
@@ -465,8 +462,7 @@ func (e *lrcEngine) onBarrierRelease(g *grantInfo) {
 // outstanding diffs; everyone else invalidates their copy; then all
 // protocol data — diffs, write notices, interval records — is discarded.
 func (e *lrcEngine) runGC() {
-	e.st().Counts.GCs++
-	e.emit(trace.GCStart, -1, -1, 0)
+	e.event(trace.GCStart, -1, -1, 0)
 
 	// All nodes share an identical interval log after the barrier, so
 	// they agree on each page's last writer, the largest (interval, proc),
@@ -554,7 +550,7 @@ func (e *lrcEngine) runGC() {
 	}
 	clear(e.diffs) // keeps the table: the next interval's diffs refill it without growing
 	e.pruneLogThrough(e.clock)
-	e.emit(trace.GCEnd, -1, -1, 0)
+	e.event(trace.GCEnd, -1, -1, 0)
 }
 
 // ---------------------------------------------------------------------------

@@ -103,8 +103,12 @@ type System struct {
 	syncMgr []int
 	bmNode  int
 
-	// traceLog, when non-nil, captures protocol events.
+	// traceLog, when non-nil, captures protocol events. untraced[i] is set
+	// once node i's statistics are snapshotted: from then on its events
+	// still count but are no longer traced, so the trace spans exactly what
+	// the reported counters do.
 	traceLog *trace.Log
+	untraced []bool
 
 	// gcDecider, when non-nil, inspects barrier reports and decides
 	// whether this barrier triggers garbage collection.
@@ -193,6 +197,7 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 			limit = 0
 		}
 		sys.traceLog = trace.NewLog(limit)
+		sys.untraced = make([]bool, n)
 	}
 	if len(opts.Fault.Crashes) > 0 || opts.Recovery.Enabled() {
 		if err := sys.initRecovery(); err != nil {
@@ -289,6 +294,9 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 			// Snapshot before the (untimed) gather phase so reported
 			// statistics cover exactly the parallel execution.
 			endStats[i] = machine.Nodes[i].Stats.Snapshot()
+			if sys.traceLog != nil {
+				sys.untraced[i] = true
+			}
 			if i == 0 {
 				gathered = app.Gather(c)
 			}

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"gosvm/internal/sim"
 )
@@ -43,10 +42,11 @@ const (
 	GCStart
 	GCEnd
 
-	numKinds
+	// NumKinds is the number of event kinds; every Kind below it is named.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"read-miss", "write-fault", "page-fetch", "diff-create", "diff-apply",
 	"diff-flush", "invalidate", "lock-acquire", "lock-grant",
 	"barrier-enter", "barrier-exit", "gc-start", "gc-end",
@@ -137,40 +137,15 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// Filter returns the events accepted by keep.
-func (l *Log) Filter(keep func(Event) bool) []Event {
+// ByKind returns the events of one kind.
+func (l *Log) ByKind(k Kind) []Event {
 	var out []Event
 	for _, e := range l.Events() {
-		if keep(e) {
+		if e.Kind == k {
 			out = append(out, e)
 		}
 	}
 	return out
-}
-
-// ByKind returns the events of one kind.
-func (l *Log) ByKind(k Kind) []Event {
-	return l.Filter(func(e Event) bool { return e.Kind == k })
-}
-
-// ByPage returns the events touching one page.
-func (l *Log) ByPage(page int) []Event {
-	return l.Filter(func(e Event) bool { return e.Page == page })
-}
-
-// ByNode returns the events of one node.
-func (l *Log) ByNode(node int) []Event {
-	return l.Filter(func(e Event) bool { return e.Node == node })
-}
-
-// WriteText dumps the log one event per line.
-func (l *Log) WriteText(w io.Writer) error {
-	for _, e := range l.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Counts summarizes events per kind.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -35,14 +34,11 @@ func TestFilters(t *testing.T) {
 	l.Emit(Event{Node: 0, Kind: ReadMiss, Page: 7, Peer: -1})
 	l.Emit(Event{Node: 1, Kind: DiffApply, Page: 7, Peer: 0, Arg: 12})
 	l.Emit(Event{Node: 1, Kind: LockAcquire, Page: -1, Peer: -1, Arg: 3})
-	if len(l.ByKind(ReadMiss)) != 1 {
-		t.Fatal("ByKind wrong")
+	if got := l.ByKind(DiffApply); len(got) != 1 || got[0].Arg != 12 {
+		t.Fatalf("ByKind(DiffApply) = %v", got)
 	}
-	if len(l.ByPage(7)) != 2 {
-		t.Fatal("ByPage wrong")
-	}
-	if len(l.ByNode(1)) != 2 {
-		t.Fatal("ByNode wrong")
+	if got := l.ByKind(GCStart); got != nil {
+		t.Fatalf("ByKind of an absent kind = %v", got)
 	}
 	c := l.Counts()
 	if c[ReadMiss] != 1 || c[DiffApply] != 1 || c[LockAcquire] != 1 {
@@ -51,7 +47,7 @@ func TestFilters(t *testing.T) {
 }
 
 func TestKindNamesRoundTrip(t *testing.T) {
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Fatalf("round trip %v: %v, %v", k, got, err)
@@ -62,15 +58,9 @@ func TestKindNamesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteText(t *testing.T) {
-	l := NewLog(0)
-	l.Emit(Event{T: 1500000, Node: 2, Kind: LockAcquire, Page: -1, Peer: -1, Arg: 9})
-	l.Emit(Event{T: 2500000, Node: 3, Kind: DiffFlush, Page: 4, Peer: 1, Arg: 128})
-	var buf bytes.Buffer
-	if err := l.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+func TestEventString(t *testing.T) {
+	out := Event{T: 1500000, Node: 2, Kind: LockAcquire, Page: -1, Peer: -1, Arg: 9}.String() + "\n" +
+		Event{T: 2500000, Node: 3, Kind: DiffFlush, Page: 4, Peer: 1, Arg: 128}.String()
 	for _, want := range []string{"lock-acquire", "lock=9", "diff-flush", "page=4", "peer=1", "bytes=128"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
