@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gosvm/internal/paragon"
@@ -125,10 +126,8 @@ func (b *base) deliverAdoptedRelease(node int, g *grantInfo) {
 		return
 	}
 	ob.bmgr.localRelease = g
-	if ob.bmgr.localWait != nil && !b.sys.M.Down(node) {
-		w := ob.bmgr.localWait
-		ob.bmgr.localWait = nil
-		w.Unpark()
+	if !b.sys.M.Down(node) {
+		wake(&ob.bmgr.localWait)
 	}
 }
 
@@ -465,27 +464,10 @@ func (s *System) reclaimLocks(dead int, now sim.Time) (map[int]bool, bool) {
 }
 
 // absorbFrom merges another engine's interval knowledge into this one,
-// exactly as a lock grant from that node would: unknown records are
-// logged, their write notices invalidate local copies, and the clock
-// advances. Event context; invalidation work is stolen from compute.
+// exactly as a lock grant from that node would. Event context;
+// invalidation work is stolen from compute.
 func (b *base) absorbFrom(o *base) {
-	var cost sim.Time
-	for p := range o.log {
-		for _, r := range o.log[p] {
-			if r.Interval <= b.clock[r.Proc] || b.hasLogRec(r.Proc, r.Interval) {
-				continue
-			}
-			b.insertLog(r)
-			if r.Interval > b.clock[r.Proc] {
-				b.clock[r.Proc] = r.Interval
-			}
-			for _, pg := range r.Pages {
-				cost += b.co.noticePage(r, int(pg))
-			}
-		}
-	}
-	b.clock.MaxWith(o.clock)
-	b.node.CPU.Steal(cost)
+	b.node.CPU.Steal(b.learn(slices.Concat(o.log...), o.clock))
 }
 
 // redirectSyncTraffic re-sends the synchronization requests in flight

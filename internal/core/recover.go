@@ -292,10 +292,8 @@ func (s *System) rejoin(node int) {
 	// A barrier release that completed on the promoted manager while
 	// this ex-manager was down is parked in its local-release slot;
 	// deliver it now that the app proc may run again.
-	if b := &e.base; b.bmgr != nil && b.bmgr.localRelease != nil && b.bmgr.localWait != nil {
-		w := b.bmgr.localWait
-		b.bmgr.localWait = nil
-		w.Unpark()
+	if b := &e.base; b.bmgr != nil && b.bmgr.localRelease != nil {
+		wake(&b.bmgr.localWait)
 	}
 	// Resync this node's replica mirrors from the current homes.
 	if r.k > 0 {

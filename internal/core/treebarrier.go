@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -23,7 +25,7 @@ import (
 // manager — merges exactly as the centralized algorithm does, then pushes
 // releases down (kBarrierDown). Each edge carries only the records the
 // receiving subtree's minimum clock shows missing; individual nodes skip
-// records they already know because applyGrant is idempotent. Service
+// records they already know because learn is idempotent. Service
 // cost per node is O(radix) messages instead of O(n), and root ingress
 // bytes are O(radix * (n + new records)) instead of O(n^2).
 //
@@ -32,17 +34,17 @@ import (
 // itself stays centralized — GC is rare and correctness-critical, not a
 // barrier-rate hot path.
 
-// treeUp is one subtree's aggregated barrier arrival.
+// treeUp is one subtree's aggregated barrier arrival: its root's report,
+// with VC raised to the component-wise max over the subtree's clocks, Recs
+// the union of its new interval records and ProtoMem its per-node maximum;
+// MinVC is the component-wise min.
 type treeUp struct {
-	MinVC    vc.VC          // component-wise min over the subtree's clocks
-	MaxVC    vc.VC          // component-wise max over the subtree's clocks
-	Recs     []*IntervalRec // union of new interval records in the subtree
-	ProtoMem int64          // max per-node protocol memory in the subtree
-	Nodes    int            // subtree size
+	barrierReport
+	MinVC vc.VC
 }
 
 func (u *treeUp) wireSize(withVC bool) int {
-	return 16 + u.MinVC.WireSize() + u.MaxVC.WireSize() + recsWireSize(u.Recs, withVC)
+	return 16 + u.MinVC.WireSize() + u.VC.WireSize() + recsWireSize(u.Recs, withVC)
 }
 
 // treeBarrier is one node's view of the barrier tree.
@@ -128,27 +130,21 @@ func (b *base) treeSubtreeDone() {
 func (b *base) treeAggregate() *treeUp {
 	tb := b.tree
 	rep := tb.ownRep
-	up := &treeUp{
-		MinVC:    rep.VC.Copy(),
-		MaxVC:    rep.VC.Copy(),
-		Recs:     append([]*IntervalRec(nil), rep.Recs...),
-		ProtoMem: rep.ProtoMem,
-		Nodes:    1,
-	}
+	up := &treeUp{barrierReport: *rep, MinVC: rep.VC.Copy()}
+	up.VC, up.Recs = rep.VC.Copy(), slices.Clone(rep.Recs)
 	for _, cu := range tb.childUp {
 		for p := range up.MinVC {
 			if cu.MinVC[p] < up.MinVC[p] {
 				up.MinVC[p] = cu.MinVC[p]
 			}
-			if cu.MaxVC[p] > up.MaxVC[p] {
-				up.MaxVC[p] = cu.MaxVC[p]
+			if cu.VC[p] > up.VC[p] {
+				up.VC[p] = cu.VC[p]
 			}
 		}
 		up.Recs = append(up.Recs, cu.Recs...)
 		if cu.ProtoMem > up.ProtoMem {
 			up.ProtoMem = cu.ProtoMem
 		}
-		up.Nodes += cu.Nodes
 	}
 	return up
 }
@@ -157,12 +153,11 @@ func (b *base) treeAggregate() *treeUp {
 // releases every subtree — the tree counterpart of bmgrComplete.
 func (b *base) treeRootComplete() {
 	tb := b.tree
-	// The centralized merge, over the root's own report and one synthetic
-	// report per child subtree: its records, its highest clock and its
-	// peak protocol memory. (The root's own records are already logged.)
+	// The centralized merge, over the root's own report and each child
+	// subtree's summary report. (The root's own records are already logged.)
 	reps := append(make([]*barrierReport, 0, 1+len(tb.childUp)), tb.ownRep)
 	for _, cu := range tb.childUp {
-		reps = append(reps, &barrierReport{VC: cu.MaxVC, Recs: cu.Recs, ProtoMem: cu.ProtoMem})
+		reps = append(reps, &cu.barrierReport)
 	}
 	merged, gc := b.mergeReports(reps)
 	for i, c := range tb.children {
