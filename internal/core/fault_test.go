@@ -238,13 +238,9 @@ func TestMeshHostileFaultsAllProtocols(t *testing.T) {
 		if want := float64(p * n); res.Data[0] != want {
 			t.Fatalf("counter = %v, want %v", res.Data[0], want)
 		}
-		var linkDrops, retries int64
+		var retries int64
 		for _, nd := range res.Stats.Nodes {
-			linkDrops += nd.Counts.LinkDrops
 			retries += nd.Counts.Retries
-		}
-		if linkDrops != 0 {
-			t.Fatalf("LinkDrops = %d: a mesh link ate a message", linkDrops)
 		}
 		if retries == 0 {
 			t.Fatal("hostile loss on the mesh recovered without a single retransmission")

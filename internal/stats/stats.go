@@ -65,7 +65,6 @@ type Counters struct {
 	PagesFetched int64 // full-page transfers received
 	LockAcquires int64 // remote lock acquires
 	LockForwards int64 // acquire requests this node forwarded past itself to the token holder
-	Prefetches   int64 // always zero since PR 21; removed with the next digest re-baseline
 	Barriers     int64
 	GCs          int64 // garbage collections participated in
 
@@ -74,7 +73,6 @@ type Counters struct {
 	Retries        int64 // transport retransmissions issued by this node
 	DupsSuppressed int64 // duplicate deliveries deduped at this node
 	MsgsDropped    int64 // copies the faulty network ate (sent by this node)
-	LinkDrops      int64 // always zero (faults are judged per message); removed with the next digest re-baseline
 
 	// PagesRehomed counts pages this node adopted as their new home
 	// after the previous home crashed. Zero without crash recovery.
@@ -104,13 +102,11 @@ var counterFields = [...]struct {
 	{"pages_fetched", func(c *Counters) *int64 { return &c.PagesFetched }},
 	{"lock_acquires", func(c *Counters) *int64 { return &c.LockAcquires }},
 	{"lock_forwards", func(c *Counters) *int64 { return &c.LockForwards }},
-	{"prefetches", func(c *Counters) *int64 { return &c.Prefetches }},
 	{"barriers", func(c *Counters) *int64 { return &c.Barriers }},
 	{"gcs", func(c *Counters) *int64 { return &c.GCs }},
 	{"retries", func(c *Counters) *int64 { return &c.Retries }},
 	{"dups_suppressed", func(c *Counters) *int64 { return &c.DupsSuppressed }},
 	{"msgs_dropped", func(c *Counters) *int64 { return &c.MsgsDropped }},
-	{"link_drops", func(c *Counters) *int64 { return &c.LinkDrops }},
 	{"pages_rehomed", func(c *Counters) *int64 { return &c.PagesRehomed }},
 	{"mgrs_rehomed", func(c *Counters) *int64 { return &c.MgrsRehomed }},
 	{"locks_reclaimed", func(c *Counters) *int64 { return &c.LocksReclaimed }},
