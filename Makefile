@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check loc paper ab lrc-scale sweep-faults sweep-serve sweep-serve-scale sweep-scale
+.PHONY: all build test race vet fmt check loc allocs paper ab lrc-scale sweep-faults sweep-serve sweep-serve-scale sweep-scale
 
 all: check
 
@@ -36,6 +36,14 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } \
 			END { for (d in n) printf "%6d  %s\n", n[d], d }' | sort -k2
 	@printf '%6d  total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
+
+# Heap allocations per operation from the benchmark's probe suite: one
+# traced serve_read run (~7 s on two cores), then the seven *_allocs* rows
+# (per Call, page miss, lock acquire, barrier episode and diff flush).
+# Report-only, like loc.
+allocs:
+	@out=$$(bash benchmark/run.sh --workload serve_read --seed 1 --seconds 1 --trace 1) && \
+		printf '%s\n' "$$out" | grep -E '^ +[a-z0-9_.]+_allocs'
 
 # Regenerate every paper table and figure at paper size (~90 s on two
 # cores) and require the output to be byte-identical to the checked-in

@@ -1,0 +1,152 @@
+package paragon
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"gosvm/internal/fault"
+	"gosvm/internal/sim"
+	"gosvm/internal/stats"
+)
+
+func mustProfile(t *testing.T, name string) *fault.Injector {
+	t.Helper()
+	plan, err := fault.Profile(name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fault.NewInjector(plan)
+}
+
+// A message in flight is one heap object, and every event posted for it
+// fires that object: a Call's steady-state cost is its reply port, the
+// request, the response and the handler's effect closure, on any network
+// and through the reliable transport alike (retransmissions, duplicates
+// and acks allocate nothing).
+func TestCallAllocs(t *testing.T) {
+	const warm, calls = 500, 2000
+	const ceiling = 4.0
+	for _, tc := range []struct {
+		name   string
+		enable func(t *testing.T, m *Machine)
+	}{
+		{"crossbar", func(*testing.T, *Machine) {}},
+		{"mesh", func(_ *testing.T, m *Machine) { m.EnableMesh(0) }},
+		{"lossy", func(t *testing.T, m *Machine) { m.EnableFaults(mustProfile(t, fault.ProfileLossy)) }},
+		{"hostile+mesh", func(t *testing.T, m *Machine) {
+			m.EnableMesh(0)
+			m.EnableFaults(mustProfile(t, fault.ProfileHostile))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			m := New(k, 16, testCosts())
+			tc.enable(t, m)
+			srv := m.Nodes[15]
+			srv.InstallCompute(func(req Msg) (sim.Time, func()) {
+				return 0, func() { srv.Respond(req, Msg{Kind: 2, Size: 4, Class: stats.ClassProtocol}) }
+			})
+			var before, after runtime.MemStats
+			k.Spawn("app0", 0, func(p *sim.Proc) {
+				m.Nodes[0].CPU.Bind(p)
+				for i := 0; i < warm+calls; i++ {
+					if i == warm {
+						runtime.ReadMemStats(&before)
+					}
+					m.Nodes[0].Call(p, 15, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCompute})
+				}
+				runtime.ReadMemStats(&after)
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+			// A few one-off allocations (map and event-heap growth) may
+			// still land in the measured calls; they stay far below 1 %.
+			per := float64(after.Mallocs-before.Mallocs) / calls
+			t.Logf("%.3f allocations per Call", per)
+			if per > ceiling+0.01 {
+				t.Errorf("%.3f allocations per Call, want at most %.0f", per, ceiling)
+			}
+		})
+	}
+}
+
+// A handler that answers one request twice: the waiter gets the first
+// answer to arrive, the later one is dropped, and the next Call from the
+// same proc gets its own answer — on the local path, across the network,
+// and through the reliable transport. Without faults the answers arrive in
+// the order they were sent; the lossy network's jitter may swap them.
+func TestReplyAnsweredTwice(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		to     int
+		faults bool
+	}{
+		{"local", 0, false},
+		{"remote", 1, false},
+		{"lossy", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			m := New(k, 2, testCosts())
+			if tc.faults {
+				m.EnableFaults(mustProfile(t, fault.ProfileLossy))
+			}
+			srv := m.Nodes[tc.to]
+			srv.InstallCoproc(func(req Msg) (sim.Time, func()) {
+				return 0, func() {
+					seq := req.Body.(int)
+					srv.Respond(req, Msg{Kind: 2, Size: 4, Class: stats.ClassProtocol, Body: 10*seq + 1})
+					srv.Respond(req, Msg{Kind: 2, Size: 4, Class: stats.ClassProtocol, Body: 10*seq + 2})
+				}
+			})
+			var got []any
+			k.Spawn("app0", 0, func(p *sim.Proc) {
+				for seq := 1; seq <= 3; seq++ {
+					resp := m.Nodes[0].Call(p, tc.to, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc, Body: seq})
+					got = append(got, resp.Body)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+			if len(got) != 3 {
+				t.Fatalf("answers = %v, want one per Call", got)
+			}
+			for i, v := range got {
+				seq := i + 1
+				if v, _ := v.(int); v/10 != seq || (!tc.faults && v != 10*seq+1) {
+					t.Fatalf("Call %d got %v of answers %v, want its own first answer", seq, got[i], got)
+				}
+			}
+		})
+	}
+}
+
+// The deadlock report must name both the blocked proc and what it waits
+// on: the fault watchdog composes its lost-message diagnosis with this
+// text, so "who is stuck, on which reply" has to survive verbatim.
+func TestDeadlockReportNamesProcAndChannel(t *testing.T) {
+	k := sim.NewKernel()
+	m := New(k, 2, testCosts())
+	m.Nodes[1].InstallCoproc(func(Msg) (sim.Time, func()) { return 0, nil }) // never answers
+	k.Spawn("app0", 0, func(p *sim.Proc) {
+		m.Nodes[0].Call(p, 1, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc})
+	})
+	err := k.Run()
+	k.Shutdown()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if len(de.Blocked) != 1 {
+		t.Fatalf("blocked = %v, want 1 proc", de.Blocked)
+	}
+	if msg := de.Error(); !strings.Contains(msg, "app0") || !strings.Contains(msg, "recv reply") {
+		t.Fatalf("report does not name the blocked proc and its reply port: %v", msg)
+	}
+}

@@ -165,7 +165,7 @@ type dispatcher struct {
 	n      *Node
 	h      Handler
 	intr   bool // compute processor: pay the receive interrupt, steal from the app
-	queue  sim.Chan[Msg]
+	queue  sim.Queue[Msg]
 	busy   bool   // a serve or complete event is pending, or the node died mid-service
 	effect func() // of the message in service
 	// serve and complete are built once so posting them allocates nothing.
@@ -175,7 +175,7 @@ type dispatcher struct {
 func (d *dispatcher) init(n *Node, intr bool) {
 	d.n, d.intr = n, intr
 	d.serve = func() {
-		msg, _ := d.queue.TryRecv()
+		msg, _ := d.queue.TryPop()
 		work, effect := d.h(msg)
 		if d.intr {
 			work += n.M.Costs.ReceiveInterrupt
@@ -271,7 +271,7 @@ func (n *Node) enqueue(msg Msg) {
 func (n *Node) Send(to int, msg Msg) {
 	msg.From = n.ID
 	if fl := n.M.faults; fl != nil && to != n.ID {
-		fl.send(n, to, msg)
+		fl.send(n, to, msg, nil)
 		return
 	}
 	n.Stats.Sent(msg.Class, msg.Size+n.M.Costs.MsgHeader)
@@ -282,12 +282,11 @@ func (n *Node) Send(to int, msg Msg) {
 	n.M.K.Post(n.ID, to, n.arrivalTime(to, msg.Size, true), func() { dst.enqueue(msg) })
 }
 
-// Call sends a request and blocks p until the reply arrives. The reply is
-// delivered directly to the waiting requester (it polls), so no receive
+// Call sends a request and blocks p on a fresh reply port until the first
+// answer arrives. The requester polls for its reply, so no receive
 // interrupt is charged on this node.
 func (n *Node) Call(p *sim.Proc, to int, msg Msg) Msg {
-	msg.Reply = NewReply()
-	msg.Reply.owner = n.ID
+	msg.Reply = &Reply{owner: n.ID}
 	n.Send(to, msg)
 	return msg.Reply.Wait(p)
 }
@@ -301,14 +300,13 @@ func (n *Node) Respond(req Msg, resp Msg) {
 		panic("paragon: Respond to a message with no reply port")
 	}
 	resp.From = n.ID
-	to := req.Reply.dest(req.From)
+	to := req.Reply.owner
 	if fl := n.M.faults; fl != nil && to != n.ID {
-		fl.respond(n, to, req.Reply, resp)
+		fl.send(n, to, resp, req.Reply)
 		return
 	}
 	n.Stats.Sent(resp.Class, resp.Size+n.M.Costs.MsgHeader)
-	reply := req.Reply
-	n.M.K.Post(n.ID, to, n.arrivalTime(to, resp.Size, true), func() { reply.ch.Push(resp) })
+	n.M.K.Post(n.ID, to, n.arrivalTime(to, resp.Size, true), &response{port: req.Reply, msg: resp})
 }
 
 // InjectCoproc queues a message on the local co-processor from a handler

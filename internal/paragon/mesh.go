@@ -47,46 +47,19 @@ func (m *Machine) EnableMesh(hop sim.Time) {
 	}
 }
 
-// pos returns the grid coordinates of node id.
-func (ms *mesh) pos(id int) (r, c int) { return id / ms.cols, id % ms.cols }
-
-func (ms *mesh) id(r, c int) int { return r*ms.cols + c }
-
-// route returns the XY path from src to dst, excluding src.
-func (ms *mesh) route(src, dst int) []int {
-	var path []int
-	r, c := ms.pos(src)
-	dr, dc := ms.pos(dst)
-	for c != dc {
-		if c < dc {
-			c++
-		} else {
-			c--
-		}
-		path = append(path, ms.id(r, c))
+// nextHop returns the node after cur on the dimension-ordered (XY) route
+// to dst: along the row to dst's column first, then along the column.
+func (ms *mesh) nextHop(cur, dst int) int {
+	switch c, dc := cur%ms.cols, dst%ms.cols; {
+	case c < dc:
+		return cur + 1
+	case c > dc:
+		return cur - 1
+	case cur < dst:
+		return cur + ms.cols
+	default:
+		return cur - ms.cols
 	}
-	for r != dr {
-		if r < dr {
-			r++
-		} else {
-			r--
-		}
-		path = append(path, ms.id(r, c))
-	}
-	return path
-}
-
-// Hops returns the XY route length between two nodes.
-func (ms *mesh) hops(src, dst int) int {
-	r, c := ms.pos(src)
-	dr, dc := ms.pos(dst)
-	abs := func(x int) int {
-		if x < 0 {
-			return -x
-		}
-		return x
-	}
-	return abs(r-dr) + abs(c-dc)
 }
 
 // deliver advances the message header across the route, reserving each
@@ -95,8 +68,8 @@ func (ms *mesh) hops(src, dst int) int {
 // network interface.
 func (ms *mesh) deliver(start sim.Time, src, dst int, tx sim.Time) sim.Time {
 	t := start
-	cur := src
-	for _, next := range ms.route(src, dst) {
+	for cur := src; cur != dst; {
+		next := ms.nextHop(cur, dst)
 		l := link{cur, next}
 		if free := ms.linkFree[l]; free > t {
 			t = free

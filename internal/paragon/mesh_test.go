@@ -8,6 +8,17 @@ import (
 	"gosvm/internal/stats"
 )
 
+// route lists the XY path from src to dst, excluding src, as deliver
+// walks it.
+func (ms *mesh) route(src, dst int) []int {
+	var path []int
+	for cur := src; cur != dst; {
+		cur = ms.nextHop(cur, dst)
+		path = append(path, cur)
+	}
+	return path
+}
+
 func TestMeshRouting(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, 16, testCosts()) // 4x4 grid
@@ -26,9 +37,6 @@ func TestMeshRouting(t *testing.T) {
 		if path[i] != want[i] {
 			t.Fatalf("route = %v, want %v", path, want)
 		}
-	}
-	if ms.hops(0, 15) != 6 {
-		t.Fatalf("hops = %d", ms.hops(0, 15))
 	}
 	if len(ms.route(5, 5)) != 0 {
 		t.Fatal("self route not empty")
@@ -133,8 +141,8 @@ func TestMeshPrimeGrid(t *testing.T) {
 	if len(path) != 6 || path[0] != 1 || path[5] != 6 {
 		t.Fatalf("route 0->6 = %v", path)
 	}
-	if ms.hops(6, 0) != 6 || ms.hops(3, 3) != 0 {
-		t.Fatalf("hops wrong: %d, %d", ms.hops(6, 0), ms.hops(3, 3))
+	if len(ms.route(6, 0)) != 6 || len(ms.route(3, 3)) != 0 {
+		t.Fatalf("route lengths wrong: %d, %d", len(ms.route(6, 0)), len(ms.route(3, 3)))
 	}
 	var arrived sim.Time
 	m.Nodes[6].InstallCoproc(func(msg Msg) (sim.Time, func()) {
@@ -199,9 +207,18 @@ func TestMeshRouteDeterminism(t *testing.T) {
 			if fmt.Sprint(p1) != fmt.Sprint(p2) || fmt.Sprint(p1) != fmt.Sprint(p3) {
 				t.Fatalf("route %d->%d unstable: %v / %v / %v", src, dst, p1, p2, p3)
 			}
-			if len(p1) != a.hops(src, dst) {
-				t.Fatalf("route %d->%d length %d != hops %d", src, dst, len(p1), a.hops(src, dst))
+			sr, sc := src/a.cols, src%a.cols
+			dr, dc := dst/a.cols, dst%a.cols
+			if hops := abs(sr-dr) + abs(sc-dc); len(p1) != hops {
+				t.Fatalf("route %d->%d length %d != Manhattan distance %d", src, dst, len(p1), hops)
 			}
 		}
 	}
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

@@ -34,29 +34,45 @@ type Msg struct {
 	Reply *Reply
 }
 
-// Reply is a one-shot response port for request/response exchanges.
+// Reply is a one-shot response port for request/response exchanges: the
+// requester's proc parks in Wait until the first answer is delivered.
 type Reply struct {
-	ch *sim.Chan[Msg]
-	// owner is the node whose proc waits on this port, or -1 when unknown.
-	// Call records it so the fault layer can address the reply wire: the
-	// request's From field is overwritten at every forwarding hop and may
-	// no longer name the original requester.
+	msg    Msg
+	got    bool
+	waiter *sim.Proc // parked in Wait, until the answer wakes it
+	// owner is the node whose proc waits on this port. The fault layer
+	// addresses the reply wire by it: the request's From field is
+	// overwritten at every forwarding hop and may no longer name the
+	// original requester.
 	owner int
 }
 
-// NewReply returns a fresh response port.
-func NewReply() *Reply {
-	return &Reply{ch: sim.NewChan[Msg]("reply"), owner: -1}
-}
-
-// dest resolves the node the response travels to, falling back to the
-// request's From field when the owner was never recorded.
-func (r *Reply) dest(from int) int {
-	if r.owner >= 0 {
-		return r.owner
+// deliver stores the answer and wakes the waiter. A port answers once: a
+// later answer to the same request (a handler that responds twice) is
+// dropped, and the waiter is not woken again.
+func (r *Reply) deliver(m Msg) {
+	if r.got {
+		return
 	}
-	return from
+	r.msg, r.got = m, true
+	if r.waiter != nil {
+		r.waiter.Unpark()
+	}
 }
 
 // Wait blocks p until the response arrives.
-func (r *Reply) Wait(p *sim.Proc) Msg { return r.ch.Recv(p) }
+func (r *Reply) Wait(p *sim.Proc) Msg {
+	for !r.got {
+		r.waiter = p
+		p.Park("recv reply")
+	}
+	return r.msg
+}
+
+// response is a fault-free answer in flight to its port.
+type response struct {
+	port *Reply
+	msg  Msg
+}
+
+func (r *response) Fire() { r.port.deliver(r.msg) }

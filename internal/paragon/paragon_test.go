@@ -139,18 +139,17 @@ func TestInterruptDuringWaitIsFree(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, 2, testCosts())
 	m.Nodes[1].InstallCompute(func(msg Msg) (sim.Time, func()) { return 0, nil })
-	wake := sim.NewChan[int]("wake")
 	var elapsed sim.Time
-	k.Spawn("app1", 0, func(p *sim.Proc) {
+	app1 := k.Spawn("app1", 0, func(p *sim.Proc) {
 		m.Nodes[1].CPU.Bind(p)
-		wake.Recv(p) // blocked, not computing
+		p.Park("wake") // blocked, not computing
 		m.Nodes[1].CPU.Use(p, sim.Millisecond, stats.CatCompute)
 		elapsed = p.Now()
 	})
 	k.Spawn("app0", 0, func(p *sim.Proc) {
 		m.Nodes[0].Send(1, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCompute})
 		p.Sleep(5 * sim.Millisecond) // interrupt fully serviced by now
-		wake.Push(1)
+		app1.Unpark()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -51,33 +51,44 @@ type faultLayer struct {
 }
 
 // netMsg is one logical message in flight: the transport retransmits the
-// same id until it is acked or given up on.
+// same id until it is acked or given up on. It is the only object the
+// transport allocates per message; every event it posts fires the netMsg
+// itself, through arrival, ackArrival or retryTimer.
 type netMsg struct {
+	fl        *faultLayer
 	id        uint64
 	src, dst  int
-	kind      int
-	class     stats.Class
-	reply     bool
 	attempts  int
 	firstSent sim.Time
-	acked     bool
-	lost      bool
+	// wait is the retry timer's current wait. At most one timer per
+	// message is armed, so one field holds the whole backoff chain.
+	wait  sim.Time
+	acked bool
+	lost  bool
 	// inflight counts copies on the wire (scheduled arrivals not yet
 	// processed). Once the sender is done with the id (acked or lost)
 	// and inflight hits zero, no copy can ever arrive again and the
 	// receiver's dedup entry is retired.
 	inflight int
 
-	// msg is the original payload of a non-reply message, kept so the
-	// recovery layer can recall and re-address it when its destination
-	// dies (zero Msg for replies).
-	msg Msg
-
-	// transmit puts one (possibly faulty) copy on the wire; deliver hands
-	// the payload to the destination exactly once.
-	transmit func(fault.Verdict)
-	deliver  func()
+	// msg is the payload. A request is kept whole so the recovery layer
+	// can recall and re-address it when its destination dies; a response
+	// travels to port, the requester's reply port (nil for a request).
+	msg  Msg
+	port *Reply
 }
+
+// arrival, ackArrival and retryTimer are the events posted for a netMsg:
+// a copy reaching dst, its ack reaching src, and the retry timer.
+type (
+	arrival    netMsg
+	ackArrival netMsg
+	retryTimer netMsg
+)
+
+func (a *arrival) Fire()    { nm := (*netMsg)(a); nm.fl.arrive(nm) }
+func (a *ackArrival) Fire() { nm := (*netMsg)(a); nm.fl.ackArrived(nm) }
+func (r *retryTimer) Fire() { nm := (*netMsg)(r); nm.fl.retry(nm) }
 
 func newFaultLayer(m *Machine, inj *fault.Injector) *faultLayer {
 	fl := &faultLayer{
@@ -93,48 +104,13 @@ func newFaultLayer(m *Machine, inj *fault.Injector) *faultLayer {
 	return fl
 }
 
-// send routes a one-way or request message through the faulty network.
-func (fl *faultLayer) send(n *Node, to int, msg Msg) {
-	fl.nextID++
-	nm := &netMsg{
-		id:        fl.nextID,
-		src:       n.ID,
-		dst:       to,
-		kind:      msg.Kind,
-		class:     msg.Class,
-		firstSent: fl.m.K.Now(),
-		msg:       msg,
-	}
-	dst := fl.m.Nodes[to]
-	nm.deliver = func() { dst.enqueue(msg) }
-	nm.transmit = func(v fault.Verdict) { fl.putOnWire(n, nm, msg.Size, v) }
-	fl.launch(nm)
-}
-
-// respond routes a reply through the faulty network to node to, the
-// original requester (whose proc polls reply.ch). Replies cross the
-// same modeled network as requests: hop latency, link contention, and
-// the per-(src,dst) FIFO order all apply.
-func (fl *faultLayer) respond(n *Node, to int, reply *Reply, resp Msg) {
-	fl.nextID++
-	nm := &netMsg{
-		id:        fl.nextID,
-		src:       n.ID,
-		dst:       to,
-		kind:      resp.Kind,
-		class:     resp.Class,
-		reply:     true,
-		firstSent: fl.m.K.Now(),
-	}
-	nm.deliver = func() { reply.ch.Push(resp) }
-	nm.transmit = func(v fault.Verdict) { fl.putOnWire(n, nm, resp.Size, v) }
-	fl.launch(nm)
-}
-
-// putOnWire transmits one (possibly faulty) copy of nm from n: the
+// transmit puts one (possibly faulty) copy of nm on the wire: the
 // injector's verdict first, then the network model (crossbar or mesh).
-func (fl *faultLayer) putOnWire(n *Node, nm *netMsg, size int, v fault.Verdict) {
-	n.Stats.Sent(nm.class, size+fl.m.Costs.MsgHeader)
+func (fl *faultLayer) transmit(nm *netMsg) {
+	v := fl.inj.Judge(nm.src, nm.dst, nm.msg.Kind, nm.port != nil)
+	n := fl.m.Nodes[nm.src]
+	size := nm.msg.Size
+	n.Stats.Sent(nm.msg.Class, size+fl.m.Costs.MsgHeader)
 	if v.Drop {
 		fl.dropped(nm)
 		return
@@ -147,20 +123,42 @@ func (fl *faultLayer) putOnWire(n *Node, nm *netMsg, size int, v fault.Verdict) 
 	// sends. (Fault runs always execute on an unpartitioned kernel — the
 	// transport's dedup/pending maps are global — so this is the plain
 	// event path; the routing just stays uniform.)
-	fl.m.K.Post(nm.src, nm.dst, at+v.Delay, func() { fl.arrive(nm) })
+	fl.m.K.Post(nm.src, nm.dst, at+v.Delay, (*arrival)(nm))
 	if v.Duplicate {
 		nm.inflight++
-		fl.m.K.Post(nm.src, nm.dst, n.arrivalTime(nm.dst, size, false), func() { fl.arrive(nm) })
+		fl.m.K.Post(nm.src, nm.dst, n.arrivalTime(nm.dst, size, false), (*arrival)(nm))
 	}
 }
 
-// launch puts the first copy on the wire and arms the retransmission
-// timer.
-func (fl *faultLayer) launch(nm *netMsg) {
-	nm.attempts = 1
-	nm.transmit(fl.inj.Judge(nm.src, nm.dst, nm.kind, nm.reply))
+// deliver hands nm's payload to its destination: a request to the
+// targeted dispatcher, a response to the waiting reply port.
+func (fl *faultLayer) deliver(nm *netMsg) {
+	if nm.port != nil {
+		nm.port.deliver(nm.msg)
+		return
+	}
+	fl.m.Nodes[nm.dst].enqueue(nm.msg)
+}
+
+// send routes msg from n to node to through the faulty network — a
+// one-way message or request when port is nil, otherwise a response to
+// the requester's port: it mints the netMsg, puts the first copy on the
+// wire and arms the retransmission timer.
+func (fl *faultLayer) send(n *Node, to int, msg Msg, port *Reply) {
+	fl.nextID++
+	nm := &netMsg{
+		fl:        fl,
+		id:        fl.nextID,
+		src:       n.ID,
+		dst:       to,
+		attempts:  1,
+		firstSent: fl.m.K.Now(),
+		msg:       msg,
+		port:      port,
+	}
+	fl.transmit(nm)
 	fl.pending[nm.id] = nm
-	fl.scheduleRetry(nm, rto)
+	fl.armRetry(nm, rto)
 }
 
 // maybeRetire drops the receiver's dedup entry for nm once no copy can
@@ -201,7 +199,7 @@ func (fl *faultLayer) arrive(nm *netMsg) {
 	}
 	fl.seen[nm.dst][nm.id] = struct{}{}
 	fl.sendAck(nm)
-	nm.deliver()
+	fl.deliver(nm)
 	fl.maybeRetire(nm)
 }
 
@@ -214,9 +212,7 @@ func (fl *faultLayer) sendAck(nm *netMsg) {
 		fl.m.Nodes[nm.dst].Stats.Counts.MsgsDropped++
 		return
 	}
-	fl.m.K.Post(nm.dst, nm.src,
-		fl.m.K.LaneNow(nm.dst)+fl.m.Costs.Wire(ackBytes),
-		func() { fl.ackArrived(nm) })
+	fl.m.K.Post(nm.dst, nm.src, fl.m.K.LaneNow(nm.dst)+fl.m.Costs.Wire(ackBytes), (*ackArrival)(nm))
 }
 
 func (fl *faultLayer) ackArrived(nm *netMsg) {
@@ -233,50 +229,51 @@ func (fl *faultLayer) ackArrived(nm *netMsg) {
 	fl.maybeRetire(nm)
 }
 
-// scheduleRetry arms one retransmission timer. At most one timer per
-// message is outstanding; the chain ends on ack, on give-up, or with a
-// final no-op firing after the ack lands.
-func (fl *faultLayer) scheduleRetry(nm *netMsg, wait sim.Time) {
-	fl.m.K.After(wait, func() {
-		if nm.acked || nm.lost {
-			return
-		}
-		if nm.attempts >= maxAttempts {
-			nm.lost = true
-			delete(fl.pending, nm.id)
-			fl.inj.RecordLoss(fault.Loss{
-				At:       fl.m.K.Now(),
-				From:     nm.src,
-				To:       nm.dst,
-				Kind:     nm.kind,
-				Reply:    nm.reply,
-				Attempts: nm.attempts,
-			})
-			fl.maybeRetire(nm)
-			return
-		}
-		nm.attempts++
-		fl.m.Nodes[nm.src].Stats.Counts.Retries++
-		// Failure detection: enough unanswered attempts to a node that
-		// really is down (the plan is ground truth, so lossy networks
-		// cannot produce false positives) raises suspicion exactly once
-		// per outage.
-		if nm.attempts >= suspectAfter && !fl.suspected[nm.dst] &&
-			fl.m.Down(nm.dst) && fl.m.OnSuspect != nil {
-			fl.suspected[nm.dst] = true
-			fl.m.OnSuspect(nm.dst, nm.src)
-		}
-		if nm.acked || nm.lost {
-			// The suspicion handler may have recalled this message.
-			return
-		}
-		nm.transmit(fl.inj.Judge(nm.src, nm.dst, nm.kind, nm.reply))
-		next := sim.Time(float64(wait) * backoff)
-		if next > rtoMax {
-			next = rtoMax
-		}
-		fl.scheduleRetry(nm, next)
-	})
+// armRetry arms nm's retransmission timer to fire wait from now. At most
+// one timer per message is outstanding; the chain ends on ack, on give-up,
+// or with a final no-op firing after the ack lands.
+func (fl *faultLayer) armRetry(nm *netMsg, wait sim.Time) {
+	nm.wait = wait
+	fl.m.K.Post(nm.src, nm.src, fl.m.K.LaneNow(nm.src)+wait, (*retryTimer)(nm))
+}
+
+// retry is nm's retransmission timer firing: give up after maxAttempts,
+// otherwise raise suspicion if due, retransmit and back off.
+func (fl *faultLayer) retry(nm *netMsg) {
+	if nm.acked || nm.lost {
+		return
+	}
+	if nm.attempts >= maxAttempts {
+		nm.lost = true
+		delete(fl.pending, nm.id)
+		fl.inj.RecordLoss(fault.Loss{
+			At:       fl.m.K.Now(),
+			From:     nm.src,
+			To:       nm.dst,
+			Kind:     nm.msg.Kind,
+			Reply:    nm.port != nil,
+			Attempts: nm.attempts,
+		})
+		fl.maybeRetire(nm)
+		return
+	}
+	nm.attempts++
+	fl.m.Nodes[nm.src].Stats.Counts.Retries++
+	// Failure detection: enough unanswered attempts to a node that
+	// really is down (the plan is ground truth, so lossy networks
+	// cannot produce false positives) raises suspicion exactly once
+	// per outage.
+	if nm.attempts >= suspectAfter && !fl.suspected[nm.dst] &&
+		fl.m.Down(nm.dst) && fl.m.OnSuspect != nil {
+		fl.suspected[nm.dst] = true
+		fl.m.OnSuspect(nm.dst, nm.src)
+	}
+	if nm.acked || nm.lost {
+		// The suspicion handler may have recalled this message.
+		return
+	}
+	fl.transmit(nm)
+	fl.armRetry(nm, min(sim.Time(float64(nm.wait)*backoff), rtoMax))
 }
 
 // clearSuspect re-arms failure detection for a node that rejoined.
@@ -289,7 +286,7 @@ func (fl *faultLayer) clearSuspect(node int) { fl.suspected[node] = false }
 func (fl *faultLayer) recall(dead int, match func(Msg) bool) []Msg {
 	var picked []*netMsg
 	for _, nm := range fl.pending {
-		if nm.dst == dead && !nm.reply && !nm.acked && !nm.lost && match(nm.msg) {
+		if nm.dst == dead && nm.port == nil && !nm.acked && !nm.lost && match(nm.msg) {
 			picked = append(picked, nm)
 		}
 	}

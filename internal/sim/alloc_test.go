@@ -33,26 +33,58 @@ func TestSleepAllocFree(t *testing.T) {
 	}
 }
 
+// ticker is a prebuilt Task that posts itself again until it has fired
+// allocIters times.
+type ticker struct {
+	k *Kernel
+	n int
+}
+
+func (tk *ticker) Fire() {
+	if tk.n++; tk.n < allocIters {
+		tk.k.Post(0, 0, tk.k.Now()+1, tk)
+	}
+}
+
 func TestEventSchedulingAllocFree(t *testing.T) {
-	allocs := testing.AllocsPerRun(1, func() {
-		k := NewKernel()
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < allocIters {
-				k.After(1, tick)
+	t.Run("After", func(t *testing.T) {
+		allocs := testing.AllocsPerRun(1, func() {
+			k := NewKernel()
+			n := 0
+			var tick func()
+			tick = func() {
+				n++
+				if n < allocIters {
+					k.After(1, tick)
+				}
 			}
-		}
-		k.After(1, tick)
-		if err := k.Run(); err != nil {
-			t.Error(err)
+			k.After(1, tick)
+			if err := k.Run(); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs > allocBudget {
+			t.Errorf("%d events cost %.0f allocs, want < %.0f total (0 per op)",
+				allocIters, allocs, allocBudget)
 		}
 	})
-	if allocs > allocBudget {
-		t.Errorf("%d events cost %.0f allocs, want < %.0f total (0 per op)",
-			allocIters, allocs, allocBudget)
-	}
+	t.Run("Post", func(t *testing.T) {
+		allocs := testing.AllocsPerRun(1, func() {
+			k := NewKernel()
+			tk := &ticker{k: k}
+			k.Post(0, 0, 1, tk)
+			if err := k.Run(); err != nil {
+				t.Error(err)
+			}
+			if tk.n != allocIters {
+				t.Errorf("task fired %d times, want %d", tk.n, allocIters)
+			}
+		})
+		if allocs > allocBudget {
+			t.Errorf("%d posts of one Task cost %.0f allocs, want < %.0f total (0 per op)",
+				allocIters, allocs, allocBudget)
+		}
+	})
 }
 
 func TestParkUnparkAllocFree(t *testing.T) {
@@ -81,30 +113,21 @@ func TestParkUnparkAllocFree(t *testing.T) {
 	}
 }
 
-// A Chan in its steady state — pushed to, received from, drained — keeps
-// its backing arrays: neither the value queue nor the waiter list may
-// reallocate once per message.
-func TestChanPushRecvAllocFree(t *testing.T) {
+// A Queue in its steady state — pushed to, popped from, drained — keeps
+// its backing array: it may not reallocate once per value.
+func TestQueuePushPopAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
-		k := NewKernel()
-		c := NewChan[[4]int64]("c")
-		k.Spawn("recv", 0, func(p *Proc) {
-			for i := 0; i < allocIters; i++ {
-				c.Recv(p)
+		var q Queue[[4]int64]
+		for i := 0; i < allocIters; i++ {
+			q.Push([4]int64{int64(i)})
+			q.Push([4]int64{int64(i) + 1})
+			for q.Len() > 0 {
+				q.TryPop()
 			}
-		})
-		k.Spawn("send", 0, func(p *Proc) {
-			for i := 0; i < allocIters; i++ {
-				c.Push([4]int64{int64(i)})
-				p.Sleep(1) // the receiver drains the queue and blocks again
-			}
-		})
-		if err := k.Run(); err != nil {
-			t.Error(err)
 		}
 	})
 	if allocs > allocBudget {
-		t.Errorf("%d Push/Recv pairs cost %.0f allocs, want < %.0f total (0 per op)",
+		t.Errorf("%d Push/TryPop rounds cost %.0f allocs, want < %.0f total (0 per op)",
 			allocIters, allocs, allocBudget)
 	}
 }

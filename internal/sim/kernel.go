@@ -3,10 +3,10 @@
 //
 // A Kernel owns a virtual clock and an event queue. Simulated processes
 // (Proc) are coroutines that run one at a time under the kernel's control:
-// a process runs until it blocks on a kernel primitive (Sleep, Park, or a
-// Chan receive), at which point control returns to the scheduler. Events
-// with equal timestamps fire in the order they were scheduled, so a given
-// program produces a byte-identical execution every run.
+// a process runs until it blocks on a kernel primitive (Sleep or Park), at
+// which point control returns to the scheduler. Events with equal
+// timestamps fire in the order they were scheduled, so a given program
+// produces a byte-identical execution every run.
 //
 // A kernel can additionally be partitioned into lanes — per-node logical
 // processes with independent clocks and event queues — and run under a
@@ -43,14 +43,32 @@ func (t Time) String() string {
 // Micros reports t in microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Event kinds. The common cases — resuming a proc after a sleep, and the
-// conditional resume behind Unpark — are encoded as a kind plus a *Proc
-// instead of a closure, so the hot scheduling paths allocate nothing.
-const (
-	evFn     uint8 = iota // run fn
-	evRun                 // resume proc
-	evUnpark              // resume proc if its Unpark permit is still set
+// Task is what an event does when it fires. An implementation that is a
+// pointer (or a func value, through funcTask) fits in the interface
+// without boxing, so an event posted for an object that already exists —
+// a proc to resume, a message in flight — allocates nothing.
+type Task interface{ Fire() }
+
+// funcTask runs a plain callback as a Task.
+type funcTask func()
+
+func (f funcTask) Fire() { f() }
+
+// runTask resumes the proc it converts from; unparkTask resumes it only if
+// its Unpark permit is still set.
+type (
+	runTask    Proc
+	unparkTask Proc
 )
+
+func (t *runTask) Fire() { (*Proc)(t).run() }
+
+func (t *unparkTask) Fire() {
+	if p := (*Proc)(t); p.permit {
+		p.permit = false
+		p.run()
+	}
+}
 
 // pendRank encodes a not-yet-assigned creator rank during a window:
 // pendRank+i refers to the i-th event the creating lane executed in the
@@ -65,9 +83,7 @@ type event struct {
 	at    Time
 	prank int64 // creator's global execution rank (or pendRank+idx)
 	cidx  int64 // index among the creator's scheduled events
-	kind  uint8
-	fn    func()
-	proc  *Proc
+	task  Task
 }
 
 // before orders events genealogically: by time, then by the creator's
@@ -150,7 +166,7 @@ func (l *lane) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release fn/proc references
+	h[n] = event{} // release the task
 	h = h[:n]
 	// Sift down.
 	i := 0
@@ -248,7 +264,7 @@ func (k *Kernel) LaneNow(i int) Time { return k.laneFor(i).now }
 // lane dst, at absolute time t. Scheduling in the creator's past panics:
 // it is always a logic error in a DES. Cross-lane events created during
 // a parallel run become handoffs and must respect the lookahead window.
-func (k *Kernel) schedule(src, dst *lane, t Time, kind uint8, fn func(), p *Proc) {
+func (k *Kernel) schedule(src, dst *lane, t Time, task Task) {
 	if t < src.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", t, src.now))
 	}
@@ -256,10 +272,10 @@ func (k *Kernel) schedule(src, dst *lane, t Time, kind uint8, fn func(), p *Proc
 	if !k.started {
 		// Setup runs single-threaded before the clock moves: creation
 		// order across the whole kernel, ranked before every runtime event.
-		ev = event{at: t, prank: -1, cidx: k.setup, kind: kind, fn: fn, proc: p}
+		ev = event{at: t, prank: -1, cidx: k.setup, task: task}
 		k.setup++
 	} else {
-		ev = event{at: t, prank: src.curPrank, cidx: src.curCidx, kind: kind, fn: fn, proc: p}
+		ev = event{at: t, prank: src.curPrank, cidx: src.curCidx, task: task}
 		src.curCidx++
 	}
 	if src == dst || !k.running {
@@ -281,26 +297,39 @@ func (k *Kernel) At(t Time, fn func()) {
 		panic("sim: At during a partitioned run; use Post")
 	}
 	l := k.lanes[0]
-	k.schedule(l, l, t, evFn, fn, nil)
+	k.schedule(l, l, t, funcTask(fn))
 }
 
 // After schedules fn to run d from lane 0's now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.lanes[0].now+d, fn) }
 
-// Post schedules fn at absolute time t on lane dst, created by (and
+// Post schedules task at absolute time t on lane dst, created by (and
 // timed against) lane src. It is the cross-lane communication primitive:
 // message deliveries are posted from the sending node's lane to the
 // receiving node's lane. On an unpartitioned kernel src and dst collapse
 // to lane 0 and Post is equivalent to At.
-func (k *Kernel) Post(src, dst int, t Time, fn func()) {
-	k.schedule(k.laneFor(src), k.laneFor(dst), t, evFn, fn, nil)
+//
+// task is a Task or a plain func(), which runs as one; neither form
+// allocates beyond what the caller built. Anything else is a programming
+// error and panics.
+func (k *Kernel) Post(src, dst int, t Time, task any) {
+	var tk Task
+	switch x := task.(type) {
+	case func():
+		tk = funcTask(x)
+	case Task:
+		tk = x
+	default:
+		panic(fmt.Sprintf("sim: Post of %T, want a Task or a func()", task))
+	}
+	k.schedule(k.laneFor(src), k.laneFor(dst), t, tk)
 }
 
-// atRun schedules proc resumption at t without allocating a closure.
-func (k *Kernel) atRun(t Time, p *Proc) { k.schedule(p.ln, p.ln, t, evRun, nil, p) }
+// atRun schedules proc resumption at t.
+func (k *Kernel) atRun(t Time, p *Proc) { k.schedule(p.ln, p.ln, t, (*runTask)(p)) }
 
 // atUnpark schedules the permit-guarded resume behind Unpark.
-func (k *Kernel) atUnpark(t Time, p *Proc) { k.schedule(p.ln, p.ln, t, evUnpark, nil, p) }
+func (k *Kernel) atUnpark(t Time, p *Proc) { k.schedule(p.ln, p.ln, t, (*unparkTask)(p)) }
 
 // Stop makes Run return. Pending events are discarded; on a parallel run
 // the current window completes first (deterministically) before the
@@ -321,21 +350,6 @@ func (e *DeadlockError) Error() string {
 		e.Time, len(e.Blocked), strings.Join(e.Blocked, "; "))
 }
 
-// dispatch executes one event on its owning lane.
-func (k *Kernel) dispatch(ev *event) {
-	switch ev.kind {
-	case evFn:
-		ev.fn()
-	case evRun:
-		ev.proc.run()
-	case evUnpark:
-		if ev.proc.permit {
-			ev.proc.permit = false
-			ev.proc.run()
-		}
-	}
-}
-
 // Run executes events until the queue is empty or Stop is called. It
 // returns a *DeadlockError if processes remain blocked when the event
 // queue drains, and propagates any panic raised inside process code. On
@@ -353,7 +367,7 @@ func (k *Kernel) Run() error {
 		l.curPrank = k.rank
 		k.rank++
 		l.curCidx = 0
-		k.dispatch(&ev)
+		ev.task.Fire()
 	}
 	return k.drainCheck(l.now)
 }

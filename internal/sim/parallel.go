@@ -260,6 +260,6 @@ func (k *Kernel) runLane(l *lane, horizon Time) {
 		l.curPrank = pendRank + int64(len(l.execLog))
 		l.curCidx = 0
 		l.execLog = append(l.execLog, execRec{at: ev.at, prank: ev.prank, cidx: ev.cidx})
-		k.dispatch(&ev)
+		ev.task.Fire()
 	}
 }

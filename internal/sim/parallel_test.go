@@ -63,7 +63,7 @@ func TestWindowMergeOrder(t *testing.T) {
 					// Setup-style seeding: rank -1 creators with kernel-wide
 					// creation indices, exactly what schedule stamps pre-Run.
 					k.lanes[i].push(event{at: Time(mix(trial, i, hops+1) % 30), prank: -1,
-						cidx: int64(i), kind: evFn, fn: chain(i, i, 0)})
+						cidx: int64(i), task: funcTask(chain(i, i, 0))})
 				}
 				if err := k.Run(); err != nil {
 					t.Fatalf("run: %v", err)

@@ -163,16 +163,16 @@ func TestProcsMigrateAcrossWindowWorkers(t *testing.T) {
 // A queue that never quite drains must not grow with the number of values
 // that have passed through it.
 func TestFifoBoundedWhenNeverDrained(t *testing.T) {
-	var q fifo[int]
-	q.push(0)
-	q.push(1)
+	var q Queue[int]
+	q.Push(0)
+	q.Push(1)
 	for i := 2; i < 10000; i++ {
-		q.push(i)
-		if got := q.pop(); got != i-2 {
+		q.Push(i)
+		if got, _ := q.TryPop(); got != i-2 {
 			t.Fatalf("pop = %d, want %d", got, i-2)
 		}
 	}
-	if q.len() != 2 || cap(q.buf) > 16 {
-		t.Fatalf("len %d, cap %d after 10000 values with a backlog of 2", q.len(), cap(q.buf))
+	if q.Len() != 2 || cap(q.buf) > 16 {
+		t.Fatalf("len %d, cap %d after 10000 values with a backlog of 2", q.Len(), cap(q.buf))
 	}
 }

