@@ -114,8 +114,8 @@ type (
 	// (FaultPlan.Slowdowns).
 	FaultSlowdown = fault.Slowdown
 	// Crash schedules one node outage: the node stops servicing messages
-	// and freezes computation at At, restarting at RestartAt (zero =
-	// never). See FaultPlan.Crashes and Options.Recovery.
+	// and freezes computation at At, and restarts at RestartAt, which must
+	// come after At. See FaultPlan.Crashes and Options.Recovery.
 	Crash = fault.Crash
 	// Recovery configures home-state replication and re-homing for the
 	// home-based protocols (see Options.Recovery). The same backups are
@@ -151,10 +151,9 @@ type (
 	// lost messages, listing the lost messages that explain the hang.
 	HangError = fault.HangError
 	// NodeDeadError reports an unrecoverable node crash: the node held a
-	// role — page home, lock manager, barrier manager, lock owner — that
-	// no replica could take over (Recovery.Replicas too small), or the
-	// node never restarts and its computation is lost. The Role field
-	// names the lost role.
+	// role — page home, lock manager, barrier manager — that no replica
+	// could take over (Recovery.Replicas too small, or every backup down
+	// at once). The Role field names the lost role.
 	NodeDeadError = fault.NodeDeadError
 )
 

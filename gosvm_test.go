@@ -73,11 +73,13 @@ func TestRunWithOptionsAndCrash(t *testing.T) {
 }
 
 // The exported error types must surface through errors.As on a failed
-// run: a crash with no replicas yields a NodeDeadError.
+// run: a crash of a home with no replicas yields a NodeDeadError.
 func TestStructuredErrorsExported(t *testing.T) {
 	plan := gosvm.FaultPlan{
-		Seed:    1,
-		Crashes: []gosvm.Crash{{Node: 1, At: 200 * gosvm.Microsecond}},
+		Seed: 1,
+		// Node 0 homes the counter's page and nothing replicates it: its
+		// home copy is gone when it restarts.
+		Crashes: []gosvm.Crash{{Node: 0, At: 200 * gosvm.Microsecond, RestartAt: 50 * gosvm.Millisecond}},
 	}
 	_, err := gosvm.Run(gosvm.Options{
 		Protocol:  gosvm.HLRC,
@@ -86,11 +88,14 @@ func TestStructuredErrorsExported(t *testing.T) {
 		Fault:     plan,
 	}, &counter{})
 	if err == nil {
-		t.Fatal("permanent unreplicated crash succeeded")
+		t.Fatal("unreplicated crash of a home succeeded")
 	}
 	var nde *gosvm.NodeDeadError
 	if !errors.As(err, &nde) {
 		t.Fatalf("error is not a NodeDeadError: %v", err)
+	}
+	if nde.Node != 0 || nde.Role != "home" {
+		t.Fatalf("NodeDeadError blames node %d role %q, want node 0 role \"home\"", nde.Node, nde.Role)
 	}
 }
 

@@ -156,3 +156,40 @@ func TestAppsUnderFaultProfiles(t *testing.T) {
 		}
 	}
 }
+
+// Above 64 nodes the barrier is a tree whose root (node 0) is not failed
+// over: the crash-mgr profile takes the root down for 20 ms, and it
+// replays its frozen combine state when it restarts, while node 1's later
+// crash moves its lock-manager role to a backup. The result still matches
+// the sequential run bitwise.
+func TestTreeRootCrashRecovers(t *testing.T) {
+	plan, err := fault.Profile(fault.ProfileCrashMgr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.Machine{Nodes: 96}
+	if !m.TreeBarrier() {
+		t.Fatalf("%d nodes run the central barrier; the cell needs the tree", m.Nodes)
+	}
+	seq, err := core.Run(core.Options{Protocol: core.ProtoSeq, Machine: core.Machine{Nodes: 1}}, NewSOR(SizeSmall, false), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(core.Options{
+		Protocol: core.ProtoHLRC,
+		Machine:  m,
+		Fault:    plan,
+		Recovery: core.Recovery{Replicas: 1},
+	}, NewSOR(SizeSmall, false), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMatch(t, "sor/hlrc/n96/crash-mgr", seq.Data, res.Data, 0)
+	var rehomed int64
+	for _, nd := range res.Stats.Nodes {
+		rehomed += nd.Counts.MgrsRehomed
+	}
+	if rehomed == 0 {
+		t.Fatal("no manager role moved")
+	}
+}

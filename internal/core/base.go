@@ -612,7 +612,7 @@ func (b *base) mgrOwner(lock int) int {
 
 func (b *base) mgrSetOwner(lock, owner int) {
 	b.lockOwner[lock] = owner
-	b.mirrorLockOwner(lock, owner)
+	b.mirrorMgr(12) // before the forward or grant the update enables
 }
 
 // handleLockAcq services a kLockAcq at the manager (dispatcher context).
@@ -750,6 +750,10 @@ type barrierReport struct {
 	ProtoMem int64
 }
 
+func (r *barrierReport) wireSize(withVC bool) int {
+	return 8 + r.VC.WireSize() + recsWireSize(r.Recs, withVC)
+}
+
 // Barrier implements BARRIER. Every node ends its interval, reports its
 // new own intervals to the manager, and blocks until the manager
 // redistributes the merged knowledge.
@@ -783,7 +787,7 @@ func (b *base) Barrier(id int) {
 	} else {
 		resp := b.node.Call(b.app(), b.sys.bmgrNode(), paragon.Msg{
 			Kind:   kBarrier,
-			Size:   8 + rep.VC.WireSize() + recsWireSize(rep.Recs, b.wireVC()),
+			Size:   rep.wireSize(b.wireVC()),
 			Class:  stats.ClassProtocol,
 			Target: b.syncTarget(),
 			Body:   rep,
@@ -812,7 +816,7 @@ func (b *base) bmgrArrive(rep *barrierReport, req paragon.Msg) *grantInfo {
 	}
 	mgr.arrivals = append(mgr.arrivals, bmgrArrival{rep: rep, req: req})
 	// Mirror the arrival to the backups before any release can be sent.
-	b.mirrorBarrierArrival(rep)
+	b.mirrorMgr(rep.wireSize(b.wireVC()))
 	if len(mgr.arrivals) < mgr.nproc {
 		return nil
 	}
@@ -851,7 +855,7 @@ func (b *base) bmgrComplete() *grantInfo {
 	}
 	mgr.arrivals = nil
 	mgr.episodes++
-	b.mirrorBarrierReset()
+	b.mirrorMgr(8)
 	if b.sys.onBarrier != nil {
 		b.sys.onBarrier(mgr.episodes)
 	}
@@ -919,7 +923,6 @@ func (b *base) gcRendezvous() {
 	if b.self == b.sys.bmgrNode() {
 		mgr := b.bmgr
 		mgr.gcDone++
-		b.mirrorGCDone()
 		if b.gcMaybeComplete() {
 			return
 		}
@@ -957,7 +960,6 @@ func (b *base) gcMaybeComplete() bool {
 func (b *base) handleGCDone(m paragon.Msg) (sim.Time, func()) {
 	return 0, func() {
 		b.bmgr.gcDone++
-		b.mirrorGCDone()
 		b.bmgr.gcWaiters = append(b.bmgr.gcWaiters, m)
 		b.gcMaybeComplete()
 	}

@@ -44,9 +44,6 @@ func (c *chunked[T]) each(fn func(pg int, t *T)) {
 	}
 }
 
-// len returns the logical (address-space) length.
-func (c *chunked[T]) len() int { return c.n }
-
 // slab carves short runs of zeroed T out of pageChunk-sized blocks, so
 // per-page vectors, use-tier page records and per-page and per-proc lists
 // cost one allocation a block instead of one each. One live run pins its

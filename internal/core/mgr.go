@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -12,7 +11,7 @@ import (
 
 // This file fails over the synchronization-manager roles the way
 // recover.go fails over the home role: each manager's state (the
-// lock-owner table, barrier arrivals, GC-done counts) is mirrored to its
+// lock-owner table and the barrier arrivals) is mirrored to its
 // K backups — the same replicasOf set that mirrors its home pages —
 // before any grant or release that depends on the mutation is sent. On
 // a watchdog-declared failure a deterministic promotion rule (the
@@ -51,17 +50,15 @@ func (s *System) engineBase(n int) *base {
 	return &s.Engines[n].(*hlrcEngine).base
 }
 
-// mgrMirror is the kMgrMirror payload: one incremental manager-state
-// update, sent to every backup before the dependent grant or release.
-type mgrMirror struct {
-	Lock   int            // >= 0: owner-table update for this lock
-	Owner  int            // new owner (owner-table update)
-	Rep    *barrierReport // non-nil: one barrier arrival
-	Reset  bool           // barrier released: arrival state cleared
-	GCDone bool           // homeless GC rendezvous arrival
-}
-
-func (b *base) sendMgrMirror(mm *mgrMirror, size int) {
+// mirrorMgr sends one manager-state update of size bytes to each of this
+// manager's backups, before the forward, grant or release that depends on
+// it: 12 bytes for an owner-table update, a barrier report's size for an
+// arrival, 8 for a barrier reset. The message carries no payload (see the
+// file comment).
+func (b *base) mirrorMgr(size int) {
+	if !b.replicating() {
+		return
+	}
 	for _, rep := range b.sys.replicasOf(b.self) {
 		b.st().MirrorBytes += int64(size)
 		b.node.Send(rep, paragon.Msg{
@@ -69,45 +66,8 @@ func (b *base) sendMgrMirror(mm *mgrMirror, size int) {
 			Size:   size,
 			Class:  stats.ClassProtocol,
 			Target: b.syncTarget(),
-			Body:   mm,
 		})
 	}
-}
-
-// mirrorLockOwner replicates one owner-table update to this manager's
-// backups. Called from mgrSetOwner, which every owner-table mutation
-// goes through — always before the forward or grant it enables.
-func (b *base) mirrorLockOwner(lock, owner int) {
-	if !b.replicating() {
-		return
-	}
-	b.sendMgrMirror(&mgrMirror{Lock: lock, Owner: owner}, 12)
-}
-
-// mirrorBarrierArrival replicates one registered arrival (report
-// included) before the arrival can contribute to a release.
-func (b *base) mirrorBarrierArrival(rep *barrierReport) {
-	if !b.replicating() {
-		return
-	}
-	b.sendMgrMirror(&mgrMirror{Lock: -1, Rep: rep},
-		8+rep.VC.WireSize()+recsWireSize(rep.Recs, b.wireVC()))
-}
-
-// mirrorBarrierReset tells the backups a barrier episode completed.
-func (b *base) mirrorBarrierReset() {
-	if !b.replicating() {
-		return
-	}
-	b.sendMgrMirror(&mgrMirror{Lock: -1, Reset: true}, 8)
-}
-
-// mirrorGCDone replicates one homeless GC rendezvous arrival.
-func (b *base) mirrorGCDone() {
-	if !b.replicating() {
-		return
-	}
-	b.sendMgrMirror(&mgrMirror{Lock: -1, GCDone: true}, 8)
 }
 
 // handleMgrMirror charges a backup for taking in one mirrored update.
@@ -143,41 +103,6 @@ func (s *System) lockSlotsOf(node int) []int {
 	return slots
 }
 
-// lockRoleInUse reports whether any lock managed by dead has been
-// touched by another node — materialized state or an owner-table entry
-// — and returns one such lock for the error message. Locks only the
-// dead node itself ever used are private surviving state, not a
-// dependency of the rest of the machine.
-func (s *System) lockRoleInUse(dead int) (int, bool) {
-	var locks []int
-	seen := make(map[int]bool)
-	for n := range s.Engines {
-		if n == dead {
-			continue
-		}
-		nb := s.engineBase(n)
-		for l := range nb.locks {
-			if !seen[l] {
-				seen[l] = true
-				locks = append(locks, l)
-			}
-		}
-		for l := range nb.lockOwner {
-			if !seen[l] {
-				seen[l] = true
-				locks = append(locks, l)
-			}
-		}
-	}
-	sort.Ints(locks)
-	for _, l := range locks {
-		if s.lockMgrOf(l) == dead {
-			return l, true
-		}
-	}
-	return 0, false
-}
-
 // aliveMgrSuccessor elects the new holder of the dead node's manager
 // roles: the lowest-id live backup. Deliberately distinct from
 // aliveSuccessor's ring order — the promotion rule is protocol-visible
@@ -196,61 +121,22 @@ func (s *System) aliveMgrSuccessor(dead int) int {
 }
 
 // failoverManagers moves the dead node's synchronization-manager roles
-// to the elected backup, reclaims stranded lock tokens, and redirects
-// in-flight synchronization traffic. With no backups (K=0) an in-use
-// role is unrecoverable and the run fails fast, at detection time, with
-// an error naming the manager — not a generic watchdog timeout.
+// to the elected backup, then reclaims stranded lock tokens and redirects
+// in-flight synchronization traffic. Without backups (K=0) no role moves:
+// requests to the dead manager wait out the restart in retransmission.
+// The tree barrier's root is structural and not failed over either; a
+// restarting root replays its frozen combine state.
 func (s *System) failoverManagers(dead int, now sim.Time) {
-	r := s.rec
 	slots := s.lockSlotsOf(dead)
-	barRole := s.bmgrNode() == dead && s.Opts.Machine.Nodes > 1
-	fail := func(role, reason string) { s.unrecoverable(dead, now, role, reason) }
-	c, _ := r.crashOf(dead, now)
-
-	if r.k == 0 {
-		// Without backups a manager role cannot move. A transient
-		// outage heals by retransmission — requests wait out the
-		// restart, as they always did — but a permanent crash of an
-		// in-use role is unrecoverable: fail fast, at detection time,
-		// naming the manager.
-		if c.Permanent() {
-			if barRole {
-				fail("barrier manager", "no backup holds the barrier arrival state (Recovery.Replicas=0)")
-				return
-			}
-			if len(slots) > 0 {
-				if l, used := s.lockRoleInUse(dead); used {
-					fail("lock manager",
-						fmt.Sprintf("no backup holds the owner table for lock %d (Recovery.Replicas=0)", l))
-					return
-				}
-			}
-		}
-		// The dead node may still strand lock tokens it acquired as an
-		// ordinary owner.
-		if revoked, ok := s.reclaimLocks(dead, now); ok {
-			s.redirectSyncTraffic(dead, revoked)
-		}
-		return
-	}
-
-	if barRole && s.Opts.Machine.TreeBarrier() {
-		// The tree barrier's root is structural and not failed over; a
-		// restarting root replays its frozen combine state instead.
-		if c.Permanent() {
-			fail("barrier manager", "the tree-barrier root is not failed over")
-			return
-		}
-		barRole = false
-	}
-	if barRole || len(slots) > 0 {
+	barRole := s.bmgrNode() == dead && s.Opts.Machine.Nodes > 1 && !s.Opts.Machine.TreeBarrier()
+	if s.rec.k > 0 && (barRole || len(slots) > 0) {
 		succ := s.aliveMgrSuccessor(dead)
 		if succ < 0 {
 			role := "lock manager"
 			if barRole {
 				role = "barrier manager"
 			}
-			fail(role, "all manager backups are down")
+			s.unrecoverable(dead, now, role, "all manager backups are down")
 			return
 		}
 		if len(slots) > 0 {
@@ -260,9 +146,7 @@ func (s *System) failoverManagers(dead int, now sim.Time) {
 			s.promoteBarrierMgr(dead, succ)
 		}
 	}
-	if revoked, ok := s.reclaimLocks(dead, now); ok {
-		s.redirectSyncTraffic(dead, revoked)
-	}
+	s.redirectSyncTraffic(dead, s.reclaimLocks(dead))
 }
 
 // promoteLockMgr moves the dead node's lock-manager slots to succ and
@@ -339,13 +223,10 @@ func (s *System) promoteBarrierMgr(dead, succ int) {
 	if db.bmgr != nil {
 		sb.bmgr.arrivals = append(sb.bmgr.arrivals, db.bmgr.arrivals...)
 		sb.bmgr.episodes = db.bmgr.episodes
-		sb.bmgr.gcDone = db.bmgr.gcDone
-		sb.bmgr.gcWaiters = append(sb.bmgr.gcWaiters, db.bmgr.gcWaiters...)
 		db.bmgr.arrivals = nil
-		db.bmgr.gcWaiters = nil
 		adopted = len(sb.bmgr.arrivals)
 		for _, a := range sb.bmgr.arrivals {
-			sb.mirrorBarrierArrival(a.rep)
+			sb.mirrorMgr(a.rep.wireSize(sb.wireVC()))
 		}
 	}
 	sb.st().Counts.MgrsRehomed++
@@ -358,31 +239,10 @@ func (s *System) promoteBarrierMgr(dead, succ int) {
 // and absorbs the dead node's coherence knowledge, so the next grant
 // carries its write notices and acquirers proceed at detection time
 // instead of waiting out the outage. Held tokens stay pinned — mutual
-// exclusion forbids revoking a critical section — which is fatal if the
-// holder never restarts, as is dying permanently mid-acquire (the grant
-// in flight would deliver the token to a corpse). Returns the set of
-// revoked locks, and false when the run was declared dead.
-func (s *System) reclaimLocks(dead int, now sim.Time) (map[int]bool, bool) {
-	r := s.rec
+// exclusion forbids revoking a critical section — until the holder
+// restarts. Returns the set of revoked locks.
+func (s *System) reclaimLocks(dead int) map[int]bool {
 	db := s.engineBase(dead)
-	c, _ := r.crashOf(dead, now)
-
-	fatalOwner := func(reason string) { s.unrecoverable(dead, now, "lock owner", reason) }
-
-	if c.Permanent() {
-		var want []int
-		for l, ls := range db.locks {
-			if ls.wanted {
-				want = append(want, l)
-			}
-		}
-		sort.Ints(want)
-		if len(want) > 0 {
-			fatalOwner(fmt.Sprintf(
-				"died permanently while acquiring lock %d; the token grant bound for it is lost", want[0]))
-			return nil, false
-		}
-	}
 
 	// Candidate locks, deterministically ordered: manager tables that
 	// record dead as owner, plus tokens materialized on dead itself
@@ -412,7 +272,7 @@ func (s *System) reclaimLocks(dead int, now sim.Time) (map[int]bool, bool) {
 	for _, l := range locks {
 		mgr := s.lockMgrOf(l)
 		if mgr == dead {
-			continue // unpromoted dead manager's own locks (K=0, role unused)
+			continue // K=0: the manager role stays with the restarting node
 		}
 		mb := s.engineBase(mgr)
 		dls := db.locks[l]
@@ -422,12 +282,8 @@ func (s *System) reclaimLocks(dead int, now sim.Time) (map[int]bool, bool) {
 			continue
 		}
 		if dls.held {
-			if c.Permanent() {
-				fatalOwner(fmt.Sprintf("died holding lock %d inside a critical section", l))
-				return nil, false
-			}
-			// Transient: acquirers must wait for the restart anyway; pin
-			// the owner so new acquires keep chasing the restarting node.
+			// Acquirers must wait for the restart anyway; pin the owner
+			// so new acquires keep chasing the restarting node.
 			if _, ok := mb.lockOwner[l]; !ok {
 				mb.mgrSetOwner(l, dead)
 			}
@@ -446,12 +302,10 @@ func (s *System) reclaimLocks(dead int, now sim.Time) (map[int]bool, bool) {
 		mls.owner = true
 		mb.st().Counts.LocksReclaimed++
 		revoked[l] = true
-		if !synthed && !c.Permanent() {
+		if !synthed {
 			// Writes made under the revoked token may still sit in
 			// dead's open interval: close it on paper so the notices
-			// travel with the token. (A permanent corpse never
-			// restarts to flush the data, so there is nothing to
-			// promise dependents.)
+			// travel with the token.
 			synthed = true
 			db.synthCloseOpen()
 		}
@@ -460,7 +314,7 @@ func (s *System) reclaimLocks(dead int, now sim.Time) (map[int]bool, bool) {
 			mb.absorbFrom(db)
 		}
 	}
-	return revoked, true
+	return revoked
 }
 
 // absorbFrom merges another engine's interval knowledge into this one,
@@ -485,7 +339,7 @@ func (s *System) redirectSyncTraffic(dead int, revoked map[int]bool) {
 	s.redirect(dead, func(msg *paragon.Msg) int {
 		lr, ok := msg.Body.(*lockReq)
 		if !ok {
-			return s.bmgrNode() // kBarrier, kGCDone
+			return s.bmgrNode() // kBarrier
 		}
 		if msg.Kind == kLockFwd {
 			if !revoked[lr.Lock] {
@@ -495,5 +349,5 @@ func (s *System) redirectSyncTraffic(dead int, revoked map[int]bool) {
 			lr.Chase = true
 		}
 		return s.lockMgrOf(lr.Lock) // the manager role may have moved
-	}, kLockAcq, kLockFwd, kBarrier, kGCDone)
+	}, kLockAcq, kLockFwd, kBarrier)
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"testing"
 
 	"gosvm/internal/fault"
@@ -199,128 +199,64 @@ func TestDeadLockOwnerReclaim(t *testing.T) {
 	}
 }
 
-// Without backups, a permanent crash of a node whose lock-manager role
-// is in use by others must fail fast with a structured error naming the
-// node and the role — not an opaque hang.
-func TestLockMgrCrashFailFastWithoutReplicas(t *testing.T) {
-	var addr mem.Addr
-	const lock = 1 // managed by node 1 (1 % 2)
-	app := &testApp{
-		name:  "deadlockmgr",
-		setup: func(s *Setup) { addr = s.Alloc(64) },
-		init: func(w *Init) {
-			for i := 0; i < 64; i++ {
-				w.Store(addr+mem.Addr(i), 0)
-			}
-			w.SetHome(addr, 64, 0) // node 1 homes nothing: the lock role is the casualty
-		},
-		worker: func(c *Ctx, id int) {
-			for r := 0; r < 12; r++ {
-				c.Compute(300 * sim.Microsecond)
-				c.Lock(lock)
-				c.Store(addr, c.Load(addr)+1)
-				c.Unlock(lock)
-			}
-			c.Barrier(0)
-		},
-		gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
-	}
-	opts := testOpts(ProtoHLRC, 2)
-	opts.Fault = fault.Plan{
-		Seed:    1,
-		Crashes: []fault.Crash{{Node: 1, At: sim.Millisecond}}, // permanent
-	}
-	_, err := Run(opts, app, false)
-	var nde *fault.NodeDeadError
-	if !errors.As(err, &nde) {
-		t.Fatalf("error is not a NodeDeadError: %v", err)
-	}
-	if nde.Node != 1 || nde.Role != "lock manager" {
-		t.Fatalf("NodeDeadError blames node %d role %q, want node 1 role \"lock manager\"", nde.Node, nde.Role)
-	}
-	if nde.Restarts {
-		t.Fatal("permanent crash reported as restarting")
-	}
-}
-
-// The same fail-fast contract for the barrier manager: a permanent
-// crash of node 0 with no backups names the barrier-manager role.
-func TestBarrierMgrCrashFailFastWithoutReplicas(t *testing.T) {
-	var addr mem.Addr
-	app := &testApp{
-		name:  "deadbarriermgr",
-		setup: func(s *Setup) { addr = s.Alloc(64) },
-		init: func(w *Init) {
-			for i := 0; i < 64; i++ {
-				w.Store(addr+mem.Addr(i), 0)
-			}
-			w.SetHome(addr, 64, 1) // node 0 homes nothing: the barrier role is the casualty
-		},
-		worker: func(c *Ctx, id int) {
-			for r := 1; r <= 12; r++ {
-				c.Compute(300 * sim.Microsecond)
-				c.Store(addr+mem.Addr(id), float64(r))
-				c.Barrier(r)
-			}
-		},
-		gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
-	}
-	opts := testOpts(ProtoHLRC, 2)
-	opts.Fault = fault.Plan{
-		Seed:    1,
-		Crashes: []fault.Crash{{Node: 0, At: sim.Millisecond}}, // permanent
-	}
-	_, err := Run(opts, app, false)
-	var nde *fault.NodeDeadError
-	if !errors.As(err, &nde) {
-		t.Fatalf("error is not a NodeDeadError: %v", err)
-	}
-	if nde.Node != 0 || nde.Role != "barrier manager" {
-		t.Fatalf("NodeDeadError blames node %d role %q, want node 0 role \"barrier manager\"", nde.Node, nde.Role)
-	}
-}
-
-// A node that dies permanently inside a critical section pins the token
-// forever: the run must fail naming the lock owner, not hang.
-func TestPermanentCrashInsideCriticalSection(t *testing.T) {
-	var addr mem.Addr
-	const lock = 2 // managed by node 0, held by node 1 at death
-	app := &testApp{
-		name:  "deadholder",
-		setup: func(s *Setup) { addr = s.Alloc(64) },
-		init: func(w *Init) {
-			for i := 0; i < 64; i++ {
-				w.Store(addr+mem.Addr(i), 0)
-			}
-			w.SetHome(addr, 64, 0)
-		},
-		worker: func(c *Ctx, id int) {
-			if id == 1 {
-				c.Lock(lock)
-				c.Compute(10 * sim.Millisecond) // dies in here
-				c.Unlock(lock)
-			} else {
-				c.Compute(2 * sim.Millisecond)
-				c.Lock(lock)
-				c.Unlock(lock)
-			}
-			c.Barrier(0)
-		},
-		gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
-	}
-	opts := testOpts(ProtoHLRC, 2)
-	opts.Fault = fault.Plan{
-		Seed:    1,
-		Crashes: []fault.Crash{{Node: 1, At: sim.Millisecond}}, // permanent
-	}
-	opts.Recovery = Recovery{Replicas: 1}
-	_, err := Run(opts, app, false)
-	var nde *fault.NodeDeadError
-	if !errors.As(err, &nde) {
-		t.Fatalf("error is not a NodeDeadError: %v", err)
-	}
-	if nde.Node != 1 || nde.Role != "lock owner" {
-		t.Fatalf("NodeDeadError blames node %d role %q, want node 1 role \"lock owner\"", nde.Node, nde.Role)
+// A node that crashes inside a critical section keeps its token: mutual
+// exclusion forbids revoking a held lock, so the token stays pinned, the
+// other acquirer waits out the whole outage, and both increments land.
+func TestCrashInsideCriticalSection(t *testing.T) {
+	const at = sim.Millisecond
+	for _, k := range []int{0, 1} {
+		for _, restart := range []sim.Time{4 * sim.Millisecond, 8 * sim.Millisecond, 20 * sim.Millisecond} {
+			k, restart := k, restart
+			t.Run(fmt.Sprintf("k%d/restart%dms", k, restart/sim.Millisecond), func(t *testing.T) {
+				var addr mem.Addr
+				const lock = 2 // managed by node 0, held by node 1 at the crash
+				app := &testApp{
+					name:  "heldcrash",
+					setup: func(s *Setup) { addr = s.Alloc(64) },
+					init: func(w *Init) {
+						for i := 0; i < 64; i++ {
+							w.Store(addr+mem.Addr(i), 0)
+						}
+						w.SetHome(addr, 64, 0)
+					},
+					worker: func(c *Ctx, id int) {
+						if id == 1 {
+							c.Lock(lock)
+							c.Compute(10 * sim.Millisecond) // crashes in here
+							c.Store(addr, c.Load(addr)+1)
+							c.Unlock(lock)
+						} else {
+							c.Compute(2 * sim.Millisecond)
+							c.Lock(lock)
+							c.Store(addr, c.Load(addr)+1)
+							c.Unlock(lock)
+						}
+						c.Barrier(0)
+					},
+					gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
+				}
+				opts := testOpts(ProtoHLRC, 2)
+				opts.Fault = fault.Plan{
+					Seed:    1,
+					Crashes: []fault.Crash{{Node: 1, At: at, RestartAt: restart}},
+				}
+				opts.Recovery = Recovery{Replicas: k}
+				res := runOrFail(t, opts, app)
+				if res.Data[0] != 2 {
+					t.Fatalf("counter = %v, want 2", res.Data[0])
+				}
+				var reclaimed int64
+				for _, nd := range res.Stats.Nodes {
+					reclaimed += nd.Counts.LocksReclaimed
+				}
+				if reclaimed != 0 {
+					t.Fatalf("a held token was reclaimed %d times", reclaimed)
+				}
+				if wait := res.Stats.Nodes[0].Time[stats.CatLock]; wait < restart-at {
+					t.Fatalf("acquirer waited %v, less than the %v outage", wait, restart-at)
+				}
+			})
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func (s *System) initRecovery() error {
 		if c.Node < 0 || c.Node >= opts.Machine.Nodes {
 			return fmt.Errorf("core: crash of node %d outside Machine.Nodes=%d", c.Node, opts.Machine.Nodes)
 		}
-		if c.At <= 0 || (!c.Permanent() && c.RestartAt <= c.At) {
+		if c.At <= 0 || c.RestartAt <= c.At {
 			return fmt.Errorf("core: crash of node %d has invalid schedule [%v, %v)", c.Node, c.At, c.RestartAt)
 		}
 	}
@@ -111,11 +111,10 @@ func (s *System) aliveSuccessor(dead int) int {
 func (s *System) unrecoverable(dead int, now sim.Time, role, reason string) {
 	c, _ := s.rec.crashOf(dead, now)
 	s.fatal = &fault.NodeDeadError{
-		Node:     dead,
-		At:       c.At,
-		Restarts: !c.Permanent(),
-		Role:     role,
-		Reason:   reason,
+		Node:   dead,
+		At:     c.At,
+		Role:   role,
+		Reason: reason,
 	}
 	s.K.Stop()
 }

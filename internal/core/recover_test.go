@@ -154,8 +154,9 @@ func TestCrashRunDeterminism(t *testing.T) {
 }
 
 // Without replication, the crash of a node that homes pages is
-// unrecoverable: the run must fail with a structured NodeDeadError, not
-// an opaque deadlock.
+// unrecoverable even though the node restarts (its home copies are
+// volatile): the run must fail with a structured NodeDeadError, not an
+// opaque deadlock.
 func TestCrashWithoutReplicasIsNodeDead(t *testing.T) {
 	var addr mem.Addr
 	app := &testApp{
@@ -181,10 +182,7 @@ func TestCrashWithoutReplicasIsNodeDead(t *testing.T) {
 		gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
 	}
 	opts := testOpts(ProtoHLRC, 2)
-	opts.Fault = fault.Plan{
-		Seed:    1,
-		Crashes: []fault.Crash{{Node: 1, At: sim.Millisecond}}, // permanent
-	}
+	opts.Fault = crashPlan(sim.Millisecond, 50*sim.Millisecond)
 	_, err := Run(opts, app, false)
 	if err == nil {
 		t.Fatal("run with an unrecoverable dead home succeeded")
@@ -193,8 +191,8 @@ func TestCrashWithoutReplicasIsNodeDead(t *testing.T) {
 	if !errors.As(err, &nde) {
 		t.Fatalf("error is not a NodeDeadError: %v", err)
 	}
-	if nde.Node != 1 {
-		t.Fatalf("NodeDeadError blames node %d, want 1", nde.Node)
+	if nde.Node != 1 || nde.Role != "home" {
+		t.Fatalf("NodeDeadError blames node %d role %q, want node 1 role \"home\"", nde.Node, nde.Role)
 	}
 }
 
@@ -238,7 +236,8 @@ func TestCrashOfHomelessNodeSurvivable(t *testing.T) {
 
 // Recovery option validation: crashes need a home-based protocol, a
 // replica count is not negative (rejected whether or not a crash plan
-// makes the recovery subsystem start), and replication needs spare nodes.
+// makes the recovery subsystem start), replication needs spare nodes, and
+// every crash is an outage of a real node that ends after it begins.
 func TestRecoveryValidation(t *testing.T) {
 	opts := testOpts(ProtoLRC, 2)
 	opts.Fault = crashPlan(sim.Millisecond, 2*sim.Millisecond)
@@ -261,6 +260,22 @@ func TestRecoveryValidation(t *testing.T) {
 	opts.Recovery = Recovery{Replicas: 2}
 	if _, err := Run(opts, counterApp(2), false); err == nil {
 		t.Fatal("as many replicas as nodes accepted")
+	}
+
+	ms := sim.Millisecond
+	for _, c := range []fault.Crash{
+		{Node: 1, At: ms},                    // never restarts
+		{Node: 1, At: ms, RestartAt: ms},     // empty outage
+		{Node: 1, At: 2 * ms, RestartAt: ms}, // restarts before it crashes
+		{Node: 1, RestartAt: ms},             // crashes at time zero
+		{Node: 2, At: ms, RestartAt: 2 * ms}, // no such node
+	} {
+		opts = testOpts(ProtoHLRC, 2)
+		opts.Fault = fault.Plan{Seed: 1, Crashes: []fault.Crash{c}}
+		_, err := Run(opts, counterApp(2), false)
+		if want := fmt.Sprintf("node %d", c.Node); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("crash %+v: got error %v, want one naming %s", c, err, want)
+		}
 	}
 }
 

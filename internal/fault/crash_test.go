@@ -12,7 +12,6 @@ func TestCrashDownWindows(t *testing.T) {
 	in := NewInjector(Plan{Crashes: []Crash{
 		{Node: 1, At: 100, RestartAt: 200},
 		{Node: 1, At: 400, RestartAt: 500},
-		{Node: 2, At: 300}, // permanent
 	}})
 	cases := []struct {
 		node int
@@ -26,8 +25,6 @@ func TestCrashDownWindows(t *testing.T) {
 		{1, 200, false}, // restart instant is up again
 		{1, 450, true},  // second outage
 		{1, 600, false}, // after both
-		{2, 299, false},
-		{2, 1 << 40, true}, // permanent: down forever
 	}
 	for _, c := range cases {
 		if got := in.Down(c.node, c.t); got != c.down {
@@ -39,25 +36,20 @@ func TestCrashDownWindows(t *testing.T) {
 func TestCrashStallStretchesCompute(t *testing.T) {
 	in := NewInjector(Plan{Crashes: []Crash{
 		{Node: 1, At: 100, RestartAt: 200},
-		{Node: 2, At: 100}, // permanent
 	}})
-	if d, dead := in.Stall(0, 50, 100); d != 100 || dead {
-		t.Fatalf("uncrashed node stalled: (%v, %v)", d, dead)
+	if d := in.Stall(0, 50, 100); d != 100 {
+		t.Fatalf("uncrashed node stalled: %v", d)
 	}
-	if d, dead := in.Stall(1, 250, 100); d != 100 || dead {
-		t.Fatalf("compute after restart stalled: (%v, %v)", d, dead)
+	if d := in.Stall(1, 250, 100); d != 100 {
+		t.Fatalf("compute after restart stalled: %v", d)
+	}
+	if d := in.Stall(1, 0, 50); d != 50 {
+		t.Fatalf("compute ending before the crash stalled: %v", d)
 	}
 	// Work starts at 50, the outage [100, 200) freezes it, the last 50
 	// units finish at 250: total duration 200.
-	if d, dead := in.Stall(1, 50, 100); d != 200 || dead {
-		t.Fatalf("overlapping compute: (%v, %v), want (200, false)", d, dead)
-	}
-	// Compute running into a permanent crash never finishes.
-	if _, dead := in.Stall(2, 50, 100); !dead {
-		t.Fatal("compute into a permanent crash finished")
-	}
-	if d, dead := in.Stall(2, 0, 50); d != 50 || dead {
-		t.Fatalf("compute ending before the crash stalled: (%v, %v)", d, dead)
+	if d := in.Stall(1, 50, 100); d != 200 {
+		t.Fatalf("overlapping compute: %v, want 200", d)
 	}
 }
 
@@ -73,9 +65,6 @@ func TestCrashProfile(t *testing.T) {
 		t.Fatal("crash profile schedules no crash")
 	}
 	c := p.Crashes[0]
-	if c.Permanent() {
-		t.Fatal("the built-in crash profile must restart the node (a permanently dead worker can never finish its share)")
-	}
 	if c.RestartAt <= c.At {
 		t.Fatalf("restart %v not after crash %v", c.RestartAt, c.At)
 	}

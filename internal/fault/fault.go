@@ -59,20 +59,17 @@ type Slowdown struct {
 	Factor   float64
 }
 
-// Crash takes node Node down at simulated time At: the node stops
-// servicing protocol messages and its local compute freezes. If
-// RestartAt is nonzero the node comes back at that time with its
-// volatile protocol state (home copies, cached pages) lost; a zero
-// RestartAt is a permanent failure. Recovery of home-page state is the
-// job of the core re-homing protocol (see core.Recovery).
+// Crash is an outage of node Node over the simulated-time window
+// [At, RestartAt): the node stops servicing protocol messages and its
+// local compute freezes, then it comes back at RestartAt with its
+// volatile protocol state (home copies, cached pages) lost. RestartAt
+// must come after At; every crash restarts. Recovery of home-page state
+// is the job of the core re-homing protocol (see core.Recovery).
 type Crash struct {
 	Node      int
 	At        sim.Time
-	RestartAt sim.Time // 0 = never restarts
+	RestartAt sim.Time
 }
-
-// Permanent reports whether the node never comes back.
-func (c Crash) Permanent() bool { return c.RestartAt == 0 }
 
 // Plan is a complete per-run fault schedule. Probabilities apply
 // independently to every message transmission (including

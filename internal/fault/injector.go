@@ -120,7 +120,7 @@ func (in *Injector) Down(node int, t sim.Time) bool {
 		if t < c.At {
 			return false
 		}
-		if c.Permanent() || t < c.RestartAt {
+		if t < c.RestartAt {
 			return true
 		}
 	}
@@ -129,20 +129,12 @@ func (in *Injector) Down(node int, t sim.Time) bool {
 
 // Stall stretches a compute duration d started at now on node across any
 // crash outage it overlaps: the processor freezes for the outage and the
-// remaining work completes after the restart. The second result is true
-// when the node never comes back, in which case the caller should park
-// its proc forever.
-func (in *Injector) Stall(node int, now, d sim.Time) (sim.Time, bool) {
+// remaining work completes after the restart.
+func (in *Injector) Stall(node int, now, d sim.Time) sim.Time {
 	end := now + d
 	for _, c := range in.crashes[node] {
 		if c.At >= end && c.At > now {
 			break
-		}
-		if c.Permanent() {
-			if c.At <= end {
-				return d, true
-			}
-			continue
 		}
 		if c.RestartAt <= now {
 			continue
@@ -158,7 +150,7 @@ func (in *Injector) Stall(node int, now, d sim.Time) (sim.Time, bool) {
 			end = now + d
 		}
 	}
-	return d, false
+	return d
 }
 
 // Crashes returns the plan's crash schedule (possibly empty).

@@ -32,16 +32,14 @@ type HangError struct {
 }
 
 // NodeDeadError reports a run that could not complete because a crashed
-// node took needed state down with it: either no replica existed to
-// re-home its pages, or the node held an unrecoverable role (lock or
-// barrier management, or its own worker on a permanent crash). Unwrap
-// exposes the underlying failure (typically a *sim.DeadlockError).
+// node took needed state down with it: no replica existed to re-home
+// its pages, or no backup to take over its manager role. Unwrap exposes
+// the underlying failure (typically a *sim.DeadlockError), if any.
 type NodeDeadError struct {
-	Node     int
-	At       sim.Time // when the node crashed
-	Restarts bool     // whether the crash schedule ever revives it
+	Node int
+	At   sim.Time // when the node crashed
 	// Role names the unrecoverable role the node held, when known:
-	// "home", "lock manager", "barrier manager", or "lock owner".
+	// "home", "lock manager" or "barrier manager".
 	Role   string
 	Reason string
 	Err    error
@@ -64,26 +62,10 @@ func (e *NodeDeadError) Error() string {
 	return s
 }
 
-// Diagnose annotates a run failure with any permanently lost messages,
-// and attributes failures of crash runs to the dead node: a plan with a
-// permanent crash that ends in deadlock is reported as a NodeDeadError
-// rather than a bare hang.
+// Diagnose annotates a run failure with any permanently lost messages.
 func (in *Injector) Diagnose(err error) error {
-	if err == nil {
-		return err
-	}
-	if len(in.losses) > 0 {
+	if err != nil && len(in.losses) > 0 {
 		err = &HangError{Err: err, Lost: in.losses, name: in.KindName}
-	}
-	for _, c := range in.plan.Crashes {
-		if c.Permanent() {
-			return &NodeDeadError{
-				Node:   c.Node,
-				At:     c.At,
-				Reason: "node never restarts",
-				Err:    err,
-			}
-		}
 	}
 	return err
 }

@@ -161,44 +161,58 @@ func TestDispatcherSteal(t *testing.T) {
 	}
 }
 
-// A service that would still be running when the node dies for good never
-// applies its effect, and the processor never serves again: later
-// messages are counted in but stay queued.
-func TestDispatcherPermanentCrashFreezes(t *testing.T) {
+// A crash in the middle of a service freezes the processor: the service
+// resumes after the restart, its effect lands only then, and the messages
+// that queued up meanwhile are served in order behind it.
+func TestDispatcherCrashStretchesService(t *testing.T) {
 	bothTargets(t, func(t *testing.T, target Target, overhead sim.Time) {
 		const us = sim.Microsecond
+		const work = 10 * us
 		crashAt := 3*overhead + 100*us
+		restart := crashAt + sim.Millisecond
 		k := sim.NewKernel()
 		m := New(k, 1, testCosts())
-		m.EnableFaults(fault.NewInjector(fault.Plan{Crashes: []fault.Crash{{Node: 0, At: crashAt}}}))
+		m.EnableFaults(fault.NewInjector(fault.Plan{Crashes: []fault.Crash{{Node: 0, At: crashAt, RestartAt: restart}}}))
 		n := m.Nodes[0]
 		d := &n.coproc
 		if target == ToCompute {
 			d = &n.compute
 		}
-		var handled, effects []int
+		var effects []int
+		var fired []sim.Time
 		install(n, target, func(msg Msg) (sim.Time, func()) {
-			handled = append(handled, msg.Kind)
-			return 10 * us, func() { effects = append(effects, msg.Kind) }
+			return work, func() {
+				effects = append(effects, msg.Kind)
+				fired = append(fired, k.Now())
+			}
 		})
-		for i, at := range []sim.Time{0, crashAt - 5*us, crashAt + 50*us, crashAt + 60*us} {
+		arrivals := []sim.Time{0, crashAt - 5*us, crashAt + 50*us, crashAt + 60*us}
+		for i, at := range arrivals {
 			i := i
 			k.At(at, func() { n.enqueue(Msg{Kind: i, Target: target}) })
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(effects) != 1 || effects[0] != 0 {
-			t.Errorf("effects applied = %v, want only message 0 (served before the crash)", effects)
+		s := overhead + work
+		// Message 0 is served before the crash; message 1 starts 5 µs
+		// before it and finishes the rest of its service after the
+		// restart; 2 and 3 follow back to back.
+		e1 := arrivals[1] + s + (restart - crashAt)
+		want := []sim.Time{s, e1, e1 + s, e1 + 2*s}
+		if len(effects) != 4 || effects[0] != 0 || effects[1] != 1 || effects[2] != 2 || effects[3] != 3 {
+			t.Fatalf("effects applied = %v, want [0 1 2 3]", effects)
 		}
-		if len(handled) != 2 || handled[1] != 1 {
-			t.Errorf("handler saw %v, want [0 1]: message 1 dies mid-service, 2 and 3 are never picked up", handled)
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Errorf("message %d: effect at %v, want %v", i, fired[i], want[i])
+			}
 		}
-		if d.queue.Len() != 2 || !d.busy {
-			t.Errorf("after the crash: %d queued, busy=%v; want 2 queued behind a frozen service", d.queue.Len(), d.busy)
+		if fired[1] <= restart {
+			t.Errorf("message 1's effect at %v, not after the restart at %v", fired[1], restart)
 		}
-		if n.Stats.MsgsIn != 4 {
-			t.Errorf("MsgsIn = %d, want 4", n.Stats.MsgsIn)
+		if d.queue.Len() != 0 || d.busy {
+			t.Errorf("after the run: %d queued, busy=%v; want an idle, empty dispatcher", d.queue.Len(), d.busy)
 		}
 	})
 }

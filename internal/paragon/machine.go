@@ -1,8 +1,6 @@
 package paragon
 
 import (
-	"fmt"
-
 	"gosvm/internal/fault"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -38,13 +36,11 @@ type Machine struct {
 	inj    *fault.Injector
 	faults *faultLayer
 
-	// Crash/recovery hooks, installed by the protocol layer. OnCrash and
-	// OnRejoin fire (event context) when a planned crash takes a node
-	// down or brings it back. OnSuspect fires when the transport's
-	// retransmission chain to a genuinely-down node exceeds the plan's
-	// suspicion threshold; it may fire more than once per death, so
-	// handlers must be idempotent.
-	OnCrash   func(node int)
+	// Crash/recovery hooks, installed by the protocol layer. OnRejoin
+	// fires (event context) when a planned crash brings a node back.
+	// OnSuspect fires when the transport's retransmission chain to a
+	// genuinely-down node exceeds the plan's suspicion threshold; it may
+	// fire more than once per death, so handlers must be idempotent.
 	OnRejoin  func(node int)
 	OnSuspect func(dead, reporter int)
 }
@@ -55,7 +51,6 @@ func New(k *sim.Kernel, n int, costs Costs) *Machine {
 	m := &Machine{K: k, Costs: costs}
 	for i := 0; i < n; i++ {
 		nd := &Node{ID: i, M: m, Stats: &stats.Node{}}
-		nd.crashReason = fmt.Sprintf("n%d crashed", i)
 		nd.CPU = &CPU{node: nd}
 		nd.compute.init(nd, true)
 		nd.coproc.init(nd, false)
@@ -78,21 +73,14 @@ func (m *Machine) EnableFaults(inj *fault.Injector) {
 	}
 	for _, c := range inj.Crashes() {
 		c := c
-		m.K.At(c.At, func() {
-			if m.OnCrash != nil {
-				m.OnCrash(c.Node)
+		m.K.At(c.RestartAt, func() {
+			if m.faults != nil {
+				m.faults.clearSuspect(c.Node)
+			}
+			if m.OnRejoin != nil {
+				m.OnRejoin(c.Node)
 			}
 		})
-		if !c.Permanent() {
-			m.K.At(c.RestartAt, func() {
-				if m.faults != nil {
-					m.faults.clearSuspect(c.Node)
-				}
-				if m.OnRejoin != nil {
-					m.OnRejoin(c.Node)
-				}
-			})
-		}
 	}
 }
 
@@ -103,11 +91,10 @@ func (m *Machine) Down(node int) bool {
 }
 
 // outage stretches compute work d on node across any crash window it
-// overlaps. The second result is true when the node is permanently dead
-// and the caller's proc should freeze forever.
-func (m *Machine) outage(node int, d sim.Time) (sim.Time, bool) {
+// overlaps.
+func (m *Machine) outage(node int, d sim.Time) sim.Time {
 	if m.inj == nil {
-		return d, false
+		return d
 	}
 	return m.inj.Stall(node, m.K.LaneNow(node), d)
 }
@@ -141,10 +128,6 @@ type Node struct {
 
 	compute dispatcher // requests serviced under a receive interrupt
 	coproc  dispatcher // the co-processor's polling dispatch loop
-
-	// crashReason is prebuilt: a crashed application proc parks in a loop
-	// and must not allocate a fresh reason string per wakeup.
-	crashReason string
 }
 
 // InstallCompute sets the handler for messages targeted at the compute
@@ -166,7 +149,7 @@ type dispatcher struct {
 	h      Handler
 	intr   bool // compute processor: pay the receive interrupt, steal from the app
 	queue  sim.Queue[Msg]
-	busy   bool   // a serve or complete event is pending, or the node died mid-service
+	busy   bool   // a serve or complete event is pending
 	effect func() // of the message in service
 	// serve and complete are built once so posting them allocates nothing.
 	serve, complete func()
@@ -181,13 +164,9 @@ func (d *dispatcher) init(n *Node, intr bool) {
 			work += n.M.Costs.ReceiveInterrupt
 		}
 		// A crash freezes the processor mid-service: the work resumes
-		// after the restart (its effect — already-acknowledged state —
-		// still applies), or never on a permanent failure, which leaves
-		// the dispatcher busy forever and later messages queued.
-		service, dead := n.M.outage(n.ID, n.M.scale(n.ID, work))
-		if dead {
-			return
-		}
+		// after the restart, and its effect — already-acknowledged
+		// state — still applies.
+		service := n.M.outage(n.ID, n.M.scale(n.ID, work))
 		if d.intr {
 			// The interrupt runs on the compute processor: it both
 			// occupies this dispatcher (serializing back-to-back requests
@@ -333,11 +312,7 @@ func (c *CPU) Bind(p *sim.Proc) { c.proc = p }
 // interrupts steal time while the work is in progress, the work is
 // extended and the stolen time is accounted as protocol overhead.
 func (c *CPU) Use(p *sim.Proc, d sim.Time, cat stats.Category) {
-	d = c.node.M.scale(c.node.ID, d)
-	d, dead := c.node.M.outage(c.node.ID, d)
-	for dead {
-		p.Park(c.node.crashReason)
-	}
+	d = c.node.M.outage(c.node.ID, c.node.M.scale(c.node.ID, d))
 	c.busy = true
 	p.Sleep(d)
 	c.node.Stats.Add(cat, d)
