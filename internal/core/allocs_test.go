@@ -538,6 +538,83 @@ func TestLRCMissAllocsFlatInNotices(t *testing.T) {
 	}
 }
 
+// noticeChainApp has k writers (nodes 1 ... k) each write their own word of
+// the same pages pages in turn under one lock, then node 0 takes the lock:
+// its grant brings k interval records naming those pages, so each page's
+// requirement vector on node 0 grows to k writers inside that one acquire.
+// Node 0 homes the pages and never reads them. Every epoch writes fresh
+// pages, so every epoch's acquire grows new vectors; acquires[e] is the
+// allocations of node 0's acquire in epoch e.
+func noticeChainApp(k, pages, epochs int, acquires []uint64) *testApp {
+	const step = 20 * sim.Millisecond // far longer than a lock hand-off and a flush
+	var addr, stride mem.Addr
+	return &testApp{
+		name: "noticechain",
+		setup: func(s *Setup) {
+			stride = mem.Addr(s.Space.PageWords)
+			addr = s.Alloc(epochs * pages * s.Space.PageWords)
+		},
+		init: func(w *Init) { w.SetHome(addr, epochs*pages*int(stride), 0) },
+		worker: func(c *Ctx, id int) {
+			for e := 0; e < epochs; e++ {
+				switch {
+				case id == 0:
+					c.Wait(sim.Time(k+1) * step)
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					c.Lock(0)
+					runtime.ReadMemStats(&after)
+					acquires[e] = after.Mallocs - before.Mallocs
+					c.Unlock(0)
+				case id <= k:
+					c.Wait(sim.Time(id) * step)
+					c.Lock(0)
+					for pg := e * pages; pg < (e+1)*pages; pg++ {
+						c.Store(addr+mem.Addr(pg)*stride+mem.Addr(id), float64(e+1))
+					}
+					c.Unlock(0)
+				}
+				c.Barrier(e)
+			}
+		},
+		gather: func(c *Ctx) []float64 { return nil },
+	}
+}
+
+// TestHLRCAcquireAllocsFlatInNotices is TestLRCMissAllocsFlatInNotices'
+// counterpart for the home-based write-notice path: an acquire whose grant
+// names the same pages for k writers allocates the same number of objects
+// at k = 32 as at k = 2 — the grant, its one record list and the messages,
+// never a step of growth per requirement vector, whose pairs come from the
+// node's slab blocks. The machine is the same size for both, and the
+// acquire measured is the last epoch's, when node 0's log lists have their
+// size.
+func TestHLRCAcquireAllocsFlatInNotices(t *testing.T) {
+	const nodes, pages, epochs, slack = 33, 4, 3, 4
+	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			perAcquire := func(k int) uint64 {
+				acquires := make([]uint64, epochs)
+				res := runOrFail(t, testOpts(proto, nodes), noticeChainApp(k, pages, epochs, acquires))
+				if c := res.Stats.Nodes[0].Counts; c.LockAcquires != epochs || c.DiffsApplied != int64(k*pages*epochs) {
+					t.Fatalf("k=%d: node 0 took %d remote acquires and applied %d diffs, want %d and %d",
+						k, c.LockAcquires, c.DiffsApplied, epochs, k*pages*epochs)
+				}
+				return acquires[epochs-1]
+			}
+			few, many := perAcquire(2), perAcquire(32)
+			if many > few+slack {
+				t.Errorf("an acquire bringing 32 writers' notices on %d pages allocates %d objects, 2 writers' %d; want at most %d more",
+					pages, many, few, slack)
+			}
+			if testing.Verbose() {
+				t.Logf("allocations per acquire: %d on 2 writers' notices, %d on 32", few, many)
+			}
+		})
+	}
+}
+
 // TestDiffKeysNeverCollide: the diff store's one-word key keeps triples at
 // the fields' maxima apart, a field out of range panics naming the field
 // instead of sharing a key, and a machine whose (node, page) pairs do not

@@ -7,6 +7,7 @@ import (
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
+	"gosvm/internal/slab"
 	"gosvm/internal/stats"
 	"gosvm/internal/trace"
 	"gosvm/internal/vc"
@@ -54,12 +55,12 @@ type base struct {
 	// log holds known interval records per processor, ascending by
 	// interval index. Homeless protocols prune it at GC; home-based ones
 	// at every barrier. Records are shared machine-wide (see IntervalRec);
-	// each list lives in logRuns (slab.push) and is compacted in place.
+	// each list lives in logRuns (slab.Slab.Push) and is compacted in place.
 	log     [][]*IntervalRec
-	logRuns slab[*IntervalRec]
-	// vecs backs the per-page vectors newPageVec hands out: a home's flush
-	// vector, a homeless copy's applied vector.
-	vecs slab[vc.Sparse]
+	logRuns slab.Slab[*IntervalRec]
+	// pairs is where this node's per-page vectors grow: HLRC's seen and
+	// flush vectors, LRC's applied vectors (vc.Arena).
+	pairs vc.Arena
 
 	locks map[int]*lockState
 	// lockOwner is the manager-side table: for locks managed by this
@@ -133,12 +134,6 @@ func (b *base) dataTarget() paragon.Target {
 // allocate) regardless of the host representation, so memory-triggered GC
 // behaves identically under vc.ForceDense.
 func (b *base) vecBytes() int64 { return int64(4 * b.sys.Opts.Machine.Nodes) }
-
-// newPageVec returns a zero per-page vector, charged to protocol memory.
-func (b *base) newPageVec() *vc.Sparse {
-	b.st().MemAlloc(b.vecBytes())
-	return b.vecs.take(1)[0].Init(b.sys.Opts.Machine.Nodes)
-}
 
 // wireVC reports whether write notices travel with their vector
 // timestamps. The homeless protocols need them to order diffs; the
@@ -375,12 +370,14 @@ func (b *base) synthCloseOpen() {
 }
 
 // insertLog stores rec in the interval log with memory accounting. A record
-// the log already holds is neither logged nor charged a second time.
+// the log already holds is neither logged nor charged a second time; one
+// newer than its list's tail, the usual case, needs no search to tell.
 func (b *base) insertLog(rec *IntervalRec) {
-	if b.hasLogRec(rec.Proc, rec.Interval) {
+	if recs := b.log[rec.Proc]; len(recs) > 0 && recs[len(recs)-1].Interval >= rec.Interval &&
+		b.hasLogRec(rec.Proc, rec.Interval) {
 		return
 	}
-	b.log[rec.Proc] = b.logRuns.push(b.log[rec.Proc], rec)
+	b.log[rec.Proc] = b.logRuns.Push(b.log[rec.Proc], rec)
 	b.st().MemAlloc(rec.memSize(b.logVC(rec)))
 }
 
@@ -396,7 +393,7 @@ func (b *base) hasLogRec(proc int, interval int32) bool {
 func (b *base) pruneLogThrough(upTo vc.VC) {
 	for p := range b.log {
 		recs := b.log[p]
-		cut := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > upTo[p] })
+		cut := recsAfter(recs, upTo[p])
 		for _, r := range recs[:cut] {
 			b.st().MemFree(r.memSize(b.logVC(r)))
 		}
@@ -407,22 +404,32 @@ func (b *base) pruneLogThrough(upTo vc.VC) {
 }
 
 // logSince collects the interval records the holder of knowledge `have`
-// is missing, in log order.
+// is missing, in log order, into a slice allocated once at its length.
 func (b *base) logSince(have vc.VC) []*IntervalRec {
-	var out []*IntervalRec
-	for p := range b.log {
-		recs := b.log[p]
-		from := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > have[p] })
-		out = append(out, recs[from:]...)
+	n := 0
+	for p, recs := range b.log {
+		n += len(recs) - recsAfter(recs, have[p])
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*IntervalRec, 0, n)
+	for p, recs := range b.log {
+		out = append(out, recs[recsAfter(recs, have[p]):]...)
 	}
 	return out
+}
+
+// recsAfter returns the index of the first record in recs (one proc's log
+// list) with interval index > after.
+func recsAfter(recs []*IntervalRec, after int32) int {
+	return sort.Search(len(recs), func(i int) bool { return recs[i].Interval > after })
 }
 
 // ownRecsAfter returns this node's own interval records with index > after.
 func (b *base) ownRecsAfter(after int32) []*IntervalRec {
 	recs := b.log[b.self]
-	from := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > after })
-	return append([]*IntervalRec(nil), recs[from:]...)
+	return append([]*IntervalRec(nil), recs[recsAfter(recs, after):]...)
 }
 
 // learn is the one way a node takes in interval records — a lock grant, a

@@ -4,6 +4,7 @@ import (
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
+	"gosvm/internal/slab"
 	"gosvm/internal/stats"
 	"gosvm/internal/trace"
 	"gosvm/internal/vc"
@@ -16,7 +17,9 @@ import (
 type hlrcEngine struct {
 	base
 	pages chunked[hlrcPage]
-	uses  slab[hlrcUse]
+	uses  slab.Slab[hlrcUse]
+	// flushVecs backs the flush vectors flushOf hands out.
+	flushVecs slab.Slab[vc.Sparse]
 
 	// mirrors holds this node's replica copies of other homes' pages
 	// (crash recovery, see recover.go).
@@ -38,8 +41,9 @@ type hlrcPage struct {
 	// is required to observe (from write notices) or has incorporated
 	// (from a home fetch): the "vector of lock timestamps" sent with fetch
 	// requests. It lives in the slot, which never moves (its first pair is
-	// inline), and is absent — all-zero, Dim() == 0 — until seenOf
-	// initialises it; every other reader goes through seenOrNil.
+	// inline, the rest grow in the node's pairs), and is absent — all-zero,
+	// Dim() == 0 — until seenOf initialises it; every other reader goes
+	// through seenOrNil.
 	seen vc.Sparse
 	use  *hlrcUse
 }
@@ -47,7 +51,7 @@ type hlrcPage struct {
 // hlrcUse is the tier of hlrcPage only a used page pays for (useOf).
 type hlrcUse struct {
 	// Home-side state (only on the page's home node):
-	flushVC      *vc.Sparse    // highest interval applied per writer
+	flushVC      *vc.Sparse    // highest interval applied per writer (flushOf)
 	pendingDiff  []*diffFlush  // diffs awaiting causal predecessors
 	pendingFetch []paragon.Msg // fetches awaiting flush coverage
 	waiters      []*sim.Proc   // local accesses waiting for coverage
@@ -62,9 +66,12 @@ type hlrcUse struct {
 	inflight inflightDiff
 }
 
+// fetchPageReq holds its Need by value, filled in place (vc.Sparse.CopyFrom):
+// a snapshot, since the live vector can grow while the request waits on the
+// home's pending list. Read it through &Need.
 type fetchPageReq struct {
 	Page int
-	Need *vc.Sparse
+	Need vc.Sparse
 }
 
 // fetchPageResp carries one reference to Frame, and FlushVC to read: both
@@ -114,12 +121,15 @@ func (m *hlrcPage) seenOrNil() *vc.Sparse {
 }
 
 // useOf returns page's use-tier record, materializing it.
-func (e *hlrcEngine) useOf(page int) *hlrcUse { return e.uses.lazy(&e.pages.at(page).use) }
+func (e *hlrcEngine) useOf(page int) *hlrcUse { return e.uses.Lazy(&e.pages.at(page).use) }
 
+// flushOf returns page's flush vector, creating it (and charging it to
+// protocol memory) on first use. It grows in the node's pairs.
 func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
 	u := e.useOf(page)
 	if u.flushVC == nil {
-		u.flushVC = e.newPageVec()
+		e.st().MemAlloc(e.vecBytes())
+		u.flushVC = e.flushVecs.Take(1)[0].Init(e.sys.Opts.Machine.Nodes)
 	}
 	return u.flushVC
 }
@@ -147,21 +157,21 @@ func (e *hlrcEngine) ReadFault(page int) {
 		u.waiters = append(u.waiters, e.app())
 		e.app().ParkArg("hlrc home wait page", int64(page))
 	}
+	req := &fetchPageReq{Page: page}
+	req.Need.CopyFrom(m.seenOrNil())
 	resp := e.node.Call(e.app(), e.home(page), paragon.Msg{
 		Kind:   kFetchPage,
 		Size:   8 + e.clock.WireSize(),
 		Class:  stats.ClassProtocol,
 		Target: e.dataTarget(),
-		// Need must be a snapshot: the live vector can grow while the
-		// request waits on the home's pending list.
-		Body: &fetchPageReq{Page: page, Need: m.seenOrNil().Copy()},
+		Body:   req,
 	})
 	e.st().Add(stats.CatData, e.app().Now()-t0)
 	pr := resp.Body.(*fetchPageResp)
 	p := e.pt.Page(page)
 	e.adoptShared(p, &pr.Frame)
 	p.State = mem.ReadOnly
-	e.seenOf(m).MaxWith(pr.FlushVC)
+	e.pairs.MaxWith(e.seenOf(m), pr.FlushVC)
 	e.event(trace.PageFetch, page, e.home(page), 0)
 }
 
@@ -252,13 +262,13 @@ func (e *hlrcEngine) closeCommit() {
 		if dep == nil {
 			dep = vc.NewSparse(e.sys.Opts.Machine.Nodes)
 		}
-		e.seenOf(m).Set(e.self, rec.Interval)
+		e.pairs.Set(e.seenOf(m), e.self, rec.Interval)
 		// The home diffs its own writes only to mirror them: with
 		// replication on they exist nowhere else, so they take the
 		// self-flush path, which mirrors the diff to the replicas.
 		if e.home(pg) == e.self && !(e.replicating() && p.Twin != nil) {
 			e.homeWrite(pg)
-			e.flushOf(pg).Set(e.self, rec.Interval)
+			e.pairs.Set(e.flushOf(pg), e.self, rec.Interval)
 			e.homeDrain(pg)
 			continue
 		}
@@ -309,11 +319,18 @@ func (e *hlrcEngine) sendDiff(df *diffFlush) {
 
 func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 	seen := e.seenOf(e.pages.at(page))
-	seen.RaiseTo(rec.Proc, rec.Interval)
+	e.pairs.RaiseTo(seen, rec.Proc, rec.Interval)
 	if e.home(page) == e.self {
 		// The home never discards its copy; accesses wait for coverage.
+		// A page already Invalid is charged PageInval again, unlike in
+		// the branch below (a known cost-model deviation, kept so
+		// simulated time does not move); only the first invalidation is
+		// traced.
 		if p := e.pt.Page(page); !covers(e.useOf(page).flushVC, seen) && p.State != mem.ReadWrite {
-			p.State = mem.Invalid
+			if p.State != mem.Invalid {
+				p.State = mem.Invalid
+				e.event(trace.Invalidate, page, rec.Proc, 0)
+			}
 			return e.costs().PageInval
 		}
 		return 0
@@ -412,8 +429,7 @@ func (e *hlrcEngine) homeReceiveDiff(df *diffFlush) {
 func (e *hlrcEngine) homeApply(df *diffFlush) {
 	p := e.homeWrite(df.Page)
 	df.Diff.Apply(p.Data)
-	f := e.flushOf(df.Page)
-	f.RaiseTo(df.Writer, df.Interval)
+	e.pairs.RaiseTo(e.flushOf(df.Page), df.Writer, df.Interval)
 	e.event(trace.DiffApply, df.Page, df.Writer, int64(df.Diff.Words()))
 }
 
@@ -443,7 +459,7 @@ func (e *hlrcEngine) homeDrain(page int) {
 	keep := m.pendingFetch[:0]
 	for _, req := range m.pendingFetch {
 		fr := req.Body.(*fetchPageReq)
-		if covers(f, fr.Need) {
+		if covers(f, &fr.Need) {
 			e.respondFetch(req, fr)
 		} else {
 			keep = append(keep, req)
@@ -471,7 +487,7 @@ func (e *hlrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 			return
 		}
 		pm := e.useOf(fr.Page)
-		if covers(pm.flushVC, fr.Need) {
+		if covers(pm.flushVC, &fr.Need) {
 			e.respondFetch(m, fr)
 			return
 		}

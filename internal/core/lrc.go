@@ -8,6 +8,7 @@ import (
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
+	"gosvm/internal/slab"
 	"gosvm/internal/stats"
 	"gosvm/internal/trace"
 	"gosvm/internal/vc"
@@ -22,7 +23,7 @@ import (
 type lrcEngine struct {
 	base
 	pages chunked[lrcPage]
-	uses  slab[lrcUse]
+	uses  slab.Slab[lrcUse]
 	// diffs holds the diffs this node created or fetched (TreadMarks
 	// caches fetched diffs so that, for migratory data, a single request
 	// to the last writer returns the whole chain), keyed by keys.of(writer,
@@ -30,7 +31,7 @@ type lrcEngine struct {
 	// is the holder's own pointer: a diff is never written once made.
 	diffs  map[uint64]*mem.Diff
 	keys   diffKeys
-	wnRuns slab[pageWN]
+	wnRuns slab.Slab[pageWN]
 	// sorter, stamps and missing are bringUpToDate's scratch, lastWrites
 	// runGC's (application proc only).
 	sorter     vc.Sorter
@@ -80,7 +81,7 @@ type pageWrite struct{ page, interval, proc int32 }
 // and waits behind use until then.
 type lrcPage struct {
 	// wns are the write notices not yet reflected in the local copy. The
-	// list lives in wnRuns (slab.push) and is emptied in place.
+	// list lives in wnRuns (slab.Slab.Push) and is emptied in place.
 	wns []pageWN
 	use *lrcUse
 	// holder is the last known node holding a full copy, stored as
@@ -97,9 +98,12 @@ type lrcPage struct {
 // lrcUse is the tier of lrcPage only a used page pays for (useOf).
 type lrcUse struct {
 	// appliedVC[j] is the highest interval of writer j incorporated into
-	// the local Data copy. Nil until a copy exists. Homeless protocols
-	// carry these per-page vectors — part of their memory story.
-	appliedVC *vc.Sparse
+	// the local Data copy. Absent (Dim() == 0) until a copy exists, and
+	// again once a collection drops the copy; appliedOf initialises it, in
+	// place, so its pairs grow in the node's pairs once however often the
+	// copy comes back. Homeless protocols carry these per-page vectors —
+	// part of their memory story.
+	appliedVC vc.Sparse
 	// pending is the own closed interval whose diff has not been created
 	// yet (lazy diffing); the twin is still alive.
 	pending *IntervalRec
@@ -166,7 +170,7 @@ func newLRCEngine(sys *System, self int) *lrcEngine {
 }
 
 // useOf returns page's use-tier record, materializing it.
-func (e *lrcEngine) useOf(page int) *lrcUse { return e.uses.lazy(&e.pages.at(page).use) }
+func (e *lrcEngine) useOf(page int) *lrcUse { return e.uses.Lazy(&e.pages.at(page).use) }
 
 // holderOf resolves the copy-holder hint for page: the recorded holder,
 // or the page's home while no hint has been recorded.
@@ -221,12 +225,12 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		e.fetchBaseCopy(page, waitCat)
 		p = e.pt.Page(page)
 	}
-	e.ensureAppliedVC(page)
+	applied := e.appliedOf(u)
 
 	// Discard notices already reflected in the base copy.
 	live := m.wns[:0]
 	for _, wn := range m.wns {
-		if wn.rec.Interval <= u.appliedVC.Get(wn.rec.Proc) {
+		if wn.rec.Interval <= applied.Get(wn.rec.Proc) {
 			e.st().MemFree(wnEntryBytes)
 			continue
 		}
@@ -306,7 +310,7 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		cost += e.costs().DiffApplyCost(wn.diff.Words())
 		e.event(trace.DiffApply, page, wn.rec.Proc, int64(wn.diff.Words()))
 		wn.diff.Apply(p.Data)
-		u.appliedVC.RaiseTo(wn.rec.Proc, wn.rec.Interval)
+		e.pairs.RaiseTo(applied, wn.rec.Proc, wn.rec.Interval)
 		e.st().MemFree(wnEntryBytes)
 	}
 	e.use(cost, opCat)
@@ -336,23 +340,33 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 			continue
 		}
 		e.adopt(e.pt.Page(page), &pr.Data)
-		// appliedVC is nil whenever Data is nil (GC frees them together),
-		// so merging into the fresh zero vector equals replacement.
-		e.ensureAppliedVC(page)
-		m.use.appliedVC.MaxWith(pr.AppliedVC)
+		// appliedVC is absent whenever Data is nil (GC drops them
+		// together), so merging into the zero vector equals replacement.
+		e.pairs.MaxWith(e.appliedOf(m.use), pr.AppliedVC)
 		m.holder = int32(holder) + 1
 		e.event(trace.PageFetch, page, holder, 0)
 		return
 	}
 }
 
-// ensureAppliedVC lazily allocates the page's applied-interval vector
-// (all zeros: the seed image reflects no intervals).
-func (e *lrcEngine) ensureAppliedVC(page int) {
-	u := e.useOf(page)
-	if u.appliedVC == nil {
-		u.appliedVC = e.newPageVec()
+// appliedOf returns u's applied-interval vector, initialising it (all
+// zeros: the seed image reflects no intervals) and charging it to protocol
+// memory while it is absent.
+func (e *lrcEngine) appliedOf(u *lrcUse) *vc.Sparse {
+	if u.appliedVC.Dim() == 0 {
+		e.st().MemAlloc(e.vecBytes())
+		u.appliedVC.Init(e.sys.Opts.Machine.Nodes)
 	}
+	return &u.appliedVC
+}
+
+// appliedOrNil reads the applied vector: nil, the all-zero vector, while it
+// is absent.
+func (u *lrcUse) appliedOrNil() *vc.Sparse {
+	if u.appliedVC.Dim() == 0 {
+		return nil
+	}
+	return &u.appliedVC
 }
 
 // commitOwnDiff materializes the lazy diff of a previously closed interval
@@ -424,8 +438,7 @@ func (e *lrcEngine) closeCommit() {
 			m.pending = rec
 		}
 		// Our copy now reflects our own new interval.
-		e.ensureAppliedVC(pg)
-		m.appliedVC.Set(e.self, rec.Interval)
+		e.pairs.Set(e.appliedOf(m), e.self, rec.Interval)
 	}
 }
 
@@ -434,7 +447,7 @@ func (e *lrcEngine) closeCommit() {
 
 func (e *lrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 	m := e.pages.at(page)
-	m.wns = e.wnRuns.push(m.wns, pageWN{rec: rec})
+	m.wns = e.wnRuns.Push(m.wns, pageWN{rec: rec})
 	e.st().MemAlloc(wnEntryBytes)
 	m.holder = int32(rec.Proc) + 1 // last-writer hint
 	// Most notices are for pages this node never referenced: Peek, so
@@ -538,9 +551,9 @@ func (e *lrcEngine) runGC() {
 				}
 				e.sink().PutPage(p.Data)
 				p.Data = nil
-				if u != nil && u.appliedVC != nil {
+				if u != nil && u.appliedVC.Dim() != 0 {
 					e.st().MemFree(e.vecBytes())
-					u.appliedVC = nil
+					u.appliedVC.Init(0) // absent; its run is kept for the next copy
 				}
 			}
 		}
@@ -654,7 +667,7 @@ func (e *lrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 			})
 			return
 		}
-		avc := e.useOf(req.Page).appliedVC.Copy()
+		avc := e.useOf(req.Page).appliedOrNil().Copy()
 		e.node.Respond(m, paragon.Msg{
 			Kind:  kFetchPage,
 			Size:  e.sys.Space.PageBytes() + avc.WireSize(),

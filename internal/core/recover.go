@@ -439,7 +439,7 @@ func (e *hlrcEngine) installLateImage(mm *mirrorMsg) {
 	}
 	e.pt.Materialize(mm.Page)
 	rebase(mm.Page, e.homeWrite(mm.Page), mm.Data)
-	f.MaxWith(mm.VC)
+	e.pairs.MaxWith(f, mm.VC)
 	e.homeDrain(mm.Page)
 }
 
@@ -478,7 +478,7 @@ func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 		e.st().MemFree(int64(e.sys.Space.PageBytes()))
 	}
 	f := e.flushOf(pg)
-	f.MaxWith(e.mirrorVC(mp))
+	e.pairs.MaxWith(f, e.mirrorVC(mp))
 	u.pendingDiff = append(u.pendingDiff, mp.pending...)
 	delete(e.mirrors, pg)
 	if p.State != mem.ReadWrite {
@@ -588,8 +588,7 @@ func (e *hlrcEngine) wipeVolatile() {
 // writes exist nowhere else).
 func (e *hlrcEngine) homeSelfFlush(df *diffFlush) {
 	e.homeWrite(df.Page)
-	f := e.flushOf(df.Page)
-	f.RaiseTo(df.Writer, df.Interval)
+	e.pairs.RaiseTo(e.flushOf(df.Page), df.Writer, df.Interval)
 	e.mirrorDiff(df)
 	e.homeDrain(df.Page)
 }

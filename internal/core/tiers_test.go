@@ -6,6 +6,7 @@ import (
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
+	"gosvm/internal/trace"
 	"gosvm/internal/vc"
 )
 
@@ -24,7 +25,8 @@ func tap(e *hlrcEngine, fn func(paragon.Msg)) {
 // vc.Sparse still has Dim() == 0) and checks it behaves as the nil vector
 // the parent's *vc.Sparse field was: a fetch asks for nothing, an interval's
 // dependency is a fresh zero vector, a home is covered and wakes its
-// waiters, and a notice to a home that applied no diff yet invalidates.
+// waiters, and a notice to a home that applied no diff yet invalidates
+// (traced once: a second notice finds the page already Invalid).
 // Beside each, the protocol-memory charge for the vector: made by the first
 // seenOf of a (node, page) and by nothing after it.
 //
@@ -47,6 +49,7 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 				noticeState           mem.State
 				noticeCharge, renote  int64
 				noticedTo             int32
+				notePage              int
 				usedBeforeNotice      bool
 				wokeAt                sim.Time
 				readerSeenAfter       *vc.Sparse
@@ -64,12 +67,13 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 					case 0:
 						tap(e, func(m paragon.Msg) {
 							if fr, ok := m.Body.(*fetchPageReq); ok && fr.Page == pgRead && !got.needSeen {
-								got.need, got.needSeen = fr.Need, true
+								got.need, got.needSeen = &fr.Need, true
 							}
 						})
 						// noticePage, home branch, no use tier and no flush vector.
 						got.usedBeforeNotice = e.pages.at(pgNote).use != nil
 						mem0 := e.st().ProtoMem
+						got.notePage = pgNote
 						got.noticeCost, got.pageInval = e.noticePage(&IntervalRec{Proc: 2, Interval: 1}, pgNote), e.costs().PageInval
 						got.noticeState = e.pt.Page(pgNote).State
 						got.noticeCharge = e.st().ProtoMem - mem0
@@ -109,11 +113,13 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 			}
 			opts := testOpts(proto, 3)
 			opts.Recovery = Recovery{Replicas: 1}
+			opts.TraceLimit = -1
 			res := runOrFail(t, opts, app)
 			vecBytes := int64(4 * 3)
 
-			if !got.needSeen || got.need != nil {
-				t.Errorf("ReadFault: fetch seen by the home %v, Need %v; want a request with a nil Need", got.needSeen, got.need)
+			if !got.needSeen || got.need.Dim() != 0 || got.need.NNZ() != 0 {
+				t.Errorf("ReadFault: fetch seen by the home %v, Need %v of dimension %d; want a request with an absent Need (dimension 0)",
+					got.needSeen, got.need, got.need.Dim())
 			}
 			if got.readCharge != vecBytes || got.reCharge != vecBytes || got.readerSeenAfter == nil {
 				t.Errorf("ReadFault: protocol memory +%d after the first fetch, +%d after a refetch, vector %v; want +%d once and a vector",
@@ -134,6 +140,15 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 			if got.pageInval == 0 || got.noticeCost != got.pageInval || got.noticeState != mem.Invalid {
 				t.Errorf("noticePage at a home with no flush vector: cost %v state %v, want the invalidation (%v, %v)",
 					got.noticeCost, got.noticeState, got.pageInval, mem.Invalid)
+			}
+			var inval []trace.Event
+			for _, ev := range res.Trace.ByKind(trace.Invalidate) {
+				if ev.Node == 0 && ev.Page == got.notePage {
+					inval = append(inval, ev)
+				}
+			}
+			if len(inval) != 1 || inval[0].Peer != 2 {
+				t.Errorf("noticePage at the home: invalidations traced %v, want one, from writer 2", inval)
 			}
 			if got.noticeCharge != vecBytes || got.renote != vecBytes || got.noticedTo != 2 {
 				t.Errorf("noticePage: protocol memory +%d after one notice, +%d after two, writer 2 at %d; want +%d once and 2",

@@ -2,7 +2,8 @@ package vc
 
 import (
 	"fmt"
-	"slices"
+
+	"gosvm/internal/slab"
 )
 
 // ForceDense, when set before simulation starts, makes every Sparse use a
@@ -23,13 +24,19 @@ var ForceDense = false
 //
 // The first pair lives inline in the struct, so a single-writer vector is
 // one object. That makes a set Sparse self-referential: never copy one by
-// value (use Copy), or the copy's pair slice aliases the source's slot.
+// value, or the copy's pair slice aliases the source's slot. That holds for
+// a vector held by value inside a message too: fill it in place with
+// CopyFrom, and read it through a pointer. Copy returns a copy of its own.
+//
+// Pairs past the first grow on the heap (Set, RaiseTo, MaxWith) or, for a
+// vector that lives as long as its owner, in the owner's Arena (the same
+// three methods on Arena): one growth rule, whose nil arena is the heap.
 //
 // Construct with NewSparse or SparseFrom, or Init a zeroed one in place.
 // Read methods (Get, Covers, NNZ, WireSize, Dense) tolerate a nil
 // receiver, which behaves as an all-zero vector of unknown dimension.
 type Sparse struct {
-	ents  []pair  // non-zero components by ascending proc; nil or one[:k] until the second
+	ents  []pair  // non-zero components by ascending proc: nil, one[:k], or a grown run
 	one   [1]pair // inline backing for the first component
 	n     int32   // dimension (number of processors)
 	dense bool    // ForceDense was set at creation: ents[p] is component p, zeros included
@@ -42,9 +49,11 @@ func NewSparse(n int) *Sparse { return new(Sparse).Init(n) }
 
 // Init resets s in place to the all-zero vector for n processors and
 // returns it: the constructor for vectors that live inside a larger
-// allocation.
+// allocation. A run s's pairs grew into is kept for them to grow into
+// again, so a vector its owner drops and reinitialises (Init(0) is the
+// absent vector, Dim 0) pins no second run in an Arena.
 func (s *Sparse) Init(n int) *Sparse {
-	*s = Sparse{n: int32(n), dense: ForceDense}
+	*s = Sparse{ents: s.ents[:0], n: int32(n), dense: ForceDense}
 	if s.dense {
 		s.ents = make([]pair, n)
 		for p := range s.ents {
@@ -83,7 +92,7 @@ func (s *Sparse) Dim() int {
 }
 
 // search returns the position of the first pair with proc >= p, and
-// whether that pair is p's. Hand-rolled: it runs twice per write notice,
+// whether that pair is p's. Hand-rolled: it runs once per write notice,
 // and slices.BinarySearchFunc's indirect compare doubles its cost.
 func (s *Sparse) search(p int) (int, bool) {
 	lo, hi := 0, len(s.ents)
@@ -111,8 +120,34 @@ func (s *Sparse) Get(p int) int32 {
 	return 0
 }
 
-// Set assigns component p. Setting zero removes the entry.
-func (s *Sparse) Set(p int, x int32) {
+// Arena is the storage the long-lived vectors of one owner grow their pairs
+// in: a vector's pairs past the inline first move to runs carved from
+// shared blocks, doubling as slab.Slab.Grow does, so growing a vector costs
+// no allocation of its own. A run is never handed back: an owner that drops
+// a vector reinitialises it in place (Init) rather than making a new one.
+// The nil *Arena is the heap; Sparse's own Set, RaiseTo and MaxWith grow
+// there.
+type Arena slab.Slab[pair]
+
+// grow extends s.ents by k pairs for the caller to fill, starting out in
+// the inline slot.
+func (a *Arena) grow(s *Sparse, k int) {
+	if s.ents == nil {
+		s.ents = s.one[:0]
+	}
+	s.ents = (*slab.Slab[pair])(a).Grow(s.ents, k)
+}
+
+// insert puts component p, absent from s, at position i (search's).
+func (a *Arena) insert(s *Sparse, i, p int, x int32) {
+	a.grow(s, 1)
+	copy(s.ents[i+1:], s.ents[i:])
+	s.ents[i] = pair{int32(p), x}
+}
+
+// Set assigns component p of s, growing s in a. Setting zero removes the
+// entry.
+func (a *Arena) Set(s *Sparse, p int, x int32) {
 	if s.dense {
 		s.ents[p].x = x
 		return
@@ -123,38 +158,35 @@ func (s *Sparse) Set(p int, x int32) {
 	case found:
 		s.ents[i].x = x
 	case x != 0:
-		s.grow(1)
-		copy(s.ents[i+1:], s.ents[i:])
-		s.ents[i] = pair{int32(p), x}
+		a.insert(s, i, p, x)
 	}
 }
 
-// grow extends ents by k pairs for the caller to fill, starting out in the
-// inline slot.
-func (s *Sparse) grow(k int) {
-	if s.ents == nil {
-		s.ents = s.one[:0]
+// RaiseTo raises component p of s to at least x, growing s in a, with one
+// search.
+func (a *Arena) RaiseTo(s *Sparse, p int, x int32) {
+	if s.dense {
+		s.ents[p].x = max(s.ents[p].x, x)
+		return
 	}
-	s.ents = slices.Grow(s.ents, k)[:len(s.ents)+k]
-}
-
-// RaiseTo raises component p to at least x.
-func (s *Sparse) RaiseTo(p int, x int32) {
-	if s.Get(p) < x {
-		s.Set(p, x)
+	switch i, found := s.search(p); {
+	case found:
+		s.ents[i].x = max(s.ents[i].x, x)
+	case x > 0:
+		a.insert(s, i, p, x)
 	}
 }
 
 // MaxWith raises each component of s to at least the corresponding
-// component of o (which may be nil): one two-pointer pass raises the
-// components both hold and counts the ones s lacks, and a second, run from
-// the back, merges those in place.
-func (s *Sparse) MaxWith(o *Sparse) {
+// component of o (which may be nil), growing s in a: one two-pointer pass
+// raises the components both hold and counts the ones s lacks, and a
+// second, run from the back, merges those in place.
+func (a *Arena) MaxWith(s, o *Sparse) {
 	if o == nil {
 		return
 	}
 	if s.dense || o.dense {
-		o.Each(s.RaiseTo)
+		o.Each(func(p int, x int32) { a.RaiseTo(s, p, x) })
 		return
 	}
 	i, add := 0, 0
@@ -172,7 +204,7 @@ func (s *Sparse) MaxWith(o *Sparse) {
 		return
 	}
 	i, j := len(s.ents)-1, len(o.ents)-1
-	s.grow(add)
+	a.grow(s, add)
 	// s.ents[i+1..k] is the gap still to fill: k-i components of o[..j]
 	// are missing from s[..i], so j cannot run out before the gap closes.
 	for k := len(s.ents) - 1; k > i; k-- {
@@ -188,6 +220,17 @@ func (s *Sparse) MaxWith(o *Sparse) {
 		}
 	}
 }
+
+// Set assigns component p, growing on the heap. Setting zero removes the
+// entry.
+func (s *Sparse) Set(p int, x int32) { (*Arena)(nil).Set(s, p, x) }
+
+// RaiseTo raises component p to at least x, growing on the heap.
+func (s *Sparse) RaiseTo(p int, x int32) { (*Arena)(nil).RaiseTo(s, p, x) }
+
+// MaxWith raises each component of s to at least the corresponding
+// component of o (which may be nil), growing on the heap.
+func (s *Sparse) MaxWith(o *Sparse) { (*Arena)(nil).MaxWith(s, o) }
 
 // Covers reports whether s[i] >= o[i] for all i. Both sides may be nil.
 func (s *Sparse) Covers(o *Sparse) bool {
@@ -225,11 +268,24 @@ func (s *Sparse) Copy() *Sparse {
 	if s == nil {
 		return nil
 	}
-	c := &Sparse{n: s.n, dense: s.dense}
-	if len(s.ents) > 0 {
-		c.ents = append(c.one[:0], s.ents...)
-	}
+	c := new(Sparse)
+	c.CopyFrom(s)
 	return c
+}
+
+// CopyFrom makes s an independent copy of o, in place: the snapshot a
+// message holds by value takes no object of its own, and a one-writer
+// vector no storage beyond s. A nil o leaves s the all-zero vector of
+// unknown dimension (Dim 0), which reads as nil does.
+func (s *Sparse) CopyFrom(o *Sparse) {
+	*s = Sparse{}
+	if o == nil {
+		return
+	}
+	s.n, s.dense = o.n, o.dense
+	if len(o.ents) > 0 {
+		s.ents = append(s.one[:0], o.ents...)
+	}
 }
 
 // NNZ returns the number of non-zero components.

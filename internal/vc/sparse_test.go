@@ -298,18 +298,29 @@ func TestSparseMergesMatchDense(t *testing.T) {
 
 // FuzzSparseVsDense applies an op-sequence byte string to a pair of Sparse
 // vectors and their dense images and compares every observable after each
-// step. Byte 0 picks the dimension and whether the second vector is
-// ForceDense-backed; each following triple is (op, proc, value).
+// step. Byte 0 picks the dimension, whether the second vector is
+// ForceDense-backed, and whether both grow in one shared Arena (else on the
+// heap, the nil arena): there a run that spilled into its neighbour's pairs
+// shows as the other vector changing. Each following triple is (op, proc,
+// value).
 func FuzzSparseVsDense(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 0, 5, 1, 0, 2, 3, 0, 5, 0, 0, 2, 0}) // inline, grow in front, remove both
 	f.Add([]byte{3, 2, 1, 4, 2, 3, 5, 3, 0, 0, 4, 0, 0}) // interleaved merge, both directions
 	f.Add([]byte{0x86, 0, 2, 7, 2, 5, 1, 3, 0, 0, 5, 0, 0, 0, 2, 1})
 	f.Add([]byte{9, 5, 0, 0, 0, 4, 4, 6, 0, 0, 1, 4, 2, 6, 0, 0, 7, 0, 0})
+	// One arena: a and b grow 1 -> 4 -> 8 pairs in turn, so their runs
+	// alternate in the block, then each merges the other in.
+	f.Add([]byte{0x46, 0, 0, 1, 2, 1, 1, 0, 2, 1, 2, 3, 1, 0, 4, 1, 2, 5, 1, 1, 6, 2, 2, 7, 1,
+		0, 7, 3, 2, 0, 2, 3, 0, 0, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		n, bDense := 2, false
+		var in *Arena // nil: the heap
 		if len(ops) > 0 {
 			n, bDense = 2+int(ops[0]&0x0f), ops[0]&0x80 != 0
+			if ops[0]&0x40 != 0 {
+				in = new(Arena)
+			}
 			ops = ops[1:]
 		}
 		da, db := New(n), New(n)
@@ -318,31 +329,31 @@ func FuzzSparseVsDense(f *testing.F) {
 			p, x := int(ops[1])%n, int32(ops[2]%8)
 			switch ops[0] % 8 {
 			case 0:
-				sa.Set(p, x)
+				in.Set(sa, p, x)
 				da[p] = x
 			case 1:
-				sa.RaiseTo(p, x)
+				in.RaiseTo(sa, p, x)
 				da[p] = max(da[p], x)
 			case 2:
-				sb.Set(p, x)
+				in.Set(sb, p, x)
 				db[p] = x
 			case 3:
-				sa.MaxWith(sb)
+				in.MaxWith(sa, sb)
 				da.MaxWith(db)
 			case 4:
-				sb.MaxWith(sa)
+				in.MaxWith(sb, sa)
 				db.MaxWith(da)
 			case 5: // carry on with a copy; the original takes a write the copy must not see
 				old := sa
 				sa = sa.Copy()
 				old.Set(p, x+1)
 			case 6:
-				sa.MaxWith(nil)
+				in.MaxWith(sa, nil)
 				if !sa.Covers(nil) || (*Sparse)(nil).Covers(sa) != New(n).Covers(da) {
 					t.Fatalf("step %d: nil operand mishandled", step)
 				}
 			case 7:
-				sa.Set(p, 0)
+				in.Set(sa, p, 0)
 				da[p] = 0
 			}
 			what := fmt.Sprintf("step %d (op %d, proc %d, value %d)", step, ops[0]%8, p, x)
