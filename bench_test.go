@@ -230,17 +230,6 @@ func BenchmarkAblation_Mesh(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_OverlapLocks measures the §4.3 extension: lock and
-// barrier service moved to the co-processor.
-func BenchmarkAblation_OverlapLocks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		base, ol := r.AblationOverlapLocks(io.Discard, "water-nsq", 8)
-		b.ReportMetric(base.Micros()/1e3, "compute-locks-ms")
-		b.ReportMetric(ol.Micros()/1e3, "coproc-locks-ms")
-	}
-}
-
 // TestBenchmarkHarness smoke-tests the full table/figure generation at
 // test scale, so `go test` exercises the same code paths the paper-size
 // reproduction uses.

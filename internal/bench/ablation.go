@@ -117,15 +117,6 @@ func (r *Runner) AblationGCThreshold(w io.Writer, app string, procs int) {
 	tw.Flush()
 }
 
-// AblationOverlapLocks measures the §4.3 extension: synchronization
-// serviced by the co-processor under OHLRC.
-func (r *Runner) AblationOverlapLocks(w io.Writer, app string, procs int) (base, overlapped sim.Time) {
-	base, overlapped = r.versus(app, core.ProtoOHLRC, procs, "co-processor locks", func(o *core.Options) { o.OverlapLocks = true })
-	fmt.Fprintf(w, "Ablation (co-processor lock service, OHLRC, %s, %d nodes): compute-serviced %ss, coproc-serviced %ss\n",
-		app, procs, seconds(base), seconds(overlapped))
-	return base, overlapped
-}
-
 // AblationMesh compares the crossbar network model with the link-level
 // 2-D wormhole mesh under HLRC.
 func (r *Runner) AblationMesh(w io.Writer, app string, procs int) (crossbar, meshTime sim.Time) {
@@ -142,6 +133,5 @@ func (r *Runner) Ablations(w io.Writer) {
 	r.AblationInterruptCost(w, "water-nsq", procs)
 	r.AblationPageSize(w, "water-nsq", procs)
 	r.AblationGCThreshold(w, "water-nsq", procs)
-	r.AblationOverlapLocks(w, "water-nsq", procs)
 	r.AblationMesh(w, "water-nsq", procs)
 }

@@ -171,7 +171,7 @@ func TestAblationsSmoke(t *testing.T) {
 	r := testRunner()
 	var buf bytes.Buffer
 	r.Ablations(&buf)
-	for _, want := range []string{"home placement", "interrupt cost", "page size", "GC threshold", "lock service", "network model"} {
+	for _, want := range []string{"home placement", "interrupt cost", "page size", "GC threshold", "network model"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("ablation output missing %q", want)
 		}

@@ -68,7 +68,7 @@ func TestSweepOutputMatchesParent(t *testing.T) {
 			o.Modes = serve.Modes
 			return runner().ServeSweep(out, o, dir)
 		}},
-		{"ablations", "1016+0:d57be181cfef8c87", func(out io.Writer, dir string) error {
+		{"ablations", "907+0:08957503bd5d10e0", func(out io.Writer, dir string) error {
 			r := runner()
 			r.Ablations(out)
 			r.SORZero(out)

@@ -160,12 +160,11 @@ func (r *Runner) Table4(w io.Writer) {
 
 // Table5Row is one app's communication traffic under one protocol.
 type Table5Row struct {
-	App       string
-	Proto     core.Protocol
-	Msgs      int64
-	DataMB    float64
-	ProtoMB   float64
-	PageFetch int64
+	App     string
+	Proto   core.Protocol
+	Msgs    int64
+	DataMB  float64
+	ProtoMB float64
 }
 
 // Table5Data gathers traffic for LRC vs HLRC at the largest size.

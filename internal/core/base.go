@@ -458,9 +458,7 @@ func (b *base) applyGrant(g *grantInfo) {
 }
 
 // handleSync dispatches the message kinds every engine serves the same
-// way: synchronization requests (on the compute processor, or on the
-// co-processor under the OverlapLocks extension, §4.3's "moved to the
-// co-processor") and mirrored manager state.
+// way: synchronization requests and mirrored manager state.
 func (b *base) handleSync(m paragon.Msg) (sim.Time, func()) {
 	switch m.Kind {
 	case kLockAcq:
@@ -489,16 +487,6 @@ func (b *base) handleSync(m paragon.Msg) (sim.Time, func()) {
 // its backups (see mgr.go).
 func (b *base) lockMgrNode(lock int) int { return b.sys.lockMgrOf(lock) }
 
-// syncTarget is where synchronization messages (lock, barrier, GC
-// rendezvous) are serviced: the compute processor in the paper's four
-// protocols, or the co-processor under the OverlapLocks extension.
-func (b *base) syncTarget() paragon.Target {
-	if b.sys.Opts.OverlapLocks && b.sys.Opts.Overlapped() {
-		return paragon.ToCoproc
-	}
-	return paragon.ToCompute
-}
-
 func (b *base) lockState(lock int) *lockState {
 	ls, ok := b.locks[lock]
 	if !ok {
@@ -525,11 +513,10 @@ func (b *base) Acquire(lock int) {
 	b.closeIntervalOnApp()
 	b.event(trace.LockAcquire, -1, -1, int64(lock))
 	req := paragon.Msg{
-		Kind:   kLockAcq,
-		Size:   8 + b.clock.WireSize(),
-		Class:  stats.ClassProtocol,
-		Target: b.syncTarget(),
-		Body:   &lockReq{Lock: lock, Requester: b.self, ReqVC: b.clock.Copy()},
+		Kind:  kLockAcq,
+		Size:  8 + b.clock.WireSize(),
+		Class: stats.ClassProtocol,
+		Body:  &lockReq{Lock: lock, Requester: b.self, ReqVC: b.clock.Copy()},
 	}
 	var resp paragon.Msg
 	ls.wanted = true
@@ -793,11 +780,10 @@ func (b *base) Barrier(id int) {
 		g = release
 	} else {
 		resp := b.node.Call(b.app(), b.sys.bmgrNode(), paragon.Msg{
-			Kind:   kBarrier,
-			Size:   rep.wireSize(b.wireVC()),
-			Class:  stats.ClassProtocol,
-			Target: b.syncTarget(),
-			Body:   rep,
+			Kind:  kBarrier,
+			Size:  rep.wireSize(b.wireVC()),
+			Class: stats.ClassProtocol,
+			Body:  rep,
 		})
 		g = resp.Body.(*grantInfo)
 	}
@@ -938,11 +924,10 @@ func (b *base) gcRendezvous() {
 		return
 	}
 	b.node.Call(b.app(), b.sys.bmgrNode(), paragon.Msg{
-		Kind:   kGCDone,
-		Size:   8,
-		Class:  stats.ClassProtocol,
-		Target: b.syncTarget(),
-		Body:   b.self,
+		Kind:  kGCDone,
+		Size:  8,
+		Class: stats.ClassProtocol,
+		Body:  b.self,
 	})
 }
 

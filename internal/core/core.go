@@ -95,13 +95,6 @@ type Options struct {
 	// homes round-robin (ablation).
 	HomeRoundRobin bool
 
-	// OverlapLocks moves lock and barrier service onto the communication
-	// co-processor in the overlapped protocols — the extension the paper
-	// suggests in §4.3 ("this could be reduced to only 150us if this
-	// service were moved to the co-processor") but did not implement.
-	// Ignored for the non-overlapped protocols.
-	OverlapLocks bool
-
 	// TraceLimit enables protocol event tracing, retaining up to this
 	// many events (negative = unlimited). Zero disables tracing.
 	TraceLimit int

@@ -553,42 +553,6 @@ func TestHomeRoundRobinOption(t *testing.T) {
 	}
 }
 
-// OverlapLocks (the §4.3 extension: synchronization serviced by the
-// co-processor) must preserve correctness and cut lock-bound runtime.
-func TestOverlapLocksCorrectAndFaster(t *testing.T) {
-	for _, proto := range []Protocol{ProtoOLRC, ProtoOHLRC} {
-		proto := proto
-		t.Run(proto.String(), func(t *testing.T) {
-			base := testOpts(proto, 6)
-			withOL := base
-			withOL.OverlapLocks = true
-
-			r1 := runOrFail(t, base, migratoryApp(5))
-			r2 := runOrFail(t, withOL, migratoryApp(5))
-			want := float64(5 * 6)
-			for i := range r2.Data {
-				if r2.Data[i] != want {
-					t.Fatalf("OverlapLocks broke coherence: word %d = %v, want %v", i, r2.Data[i], want)
-				}
-			}
-			if r2.Stats.Elapsed >= r1.Stats.Elapsed {
-				t.Errorf("OverlapLocks did not speed up a lock-bound run: %v vs %v",
-					r2.Stats.Elapsed, r1.Stats.Elapsed)
-			}
-		})
-	}
-}
-
-// OverlapLocks is ignored for non-overlapped protocols.
-func TestOverlapLocksIgnoredWithoutCoproc(t *testing.T) {
-	opts := testOpts(ProtoHLRC, 4)
-	opts.OverlapLocks = true
-	res := runOrFail(t, opts, counterApp(5))
-	if res.Data[0] != 20 {
-		t.Fatalf("counter = %v", res.Data[0])
-	}
-}
-
 // The mesh network model must preserve coherence while adding link-level
 // contention.
 func TestMeshOptionCorrectness(t *testing.T) {
@@ -652,12 +616,11 @@ func TestOHLRCFetchWaitsForDiff(t *testing.T) {
 	}
 }
 
-// Homeless GC with synchronization serviced on the co-processor
-// (OverlapLocks): the kGCDone rendezvous must route correctly.
-func TestGCWithOverlapLocks(t *testing.T) {
+// Homeless GC under OLRC, with diffs made on the co-processor: the
+// kGCDone rendezvous must still complete.
+func TestGCUnderOLRC(t *testing.T) {
 	opts := testOpts(ProtoOLRC, 4)
 	opts.GCThreshold = 1
-	opts.OverlapLocks = true
 	res := runOrFail(t, opts, migratoryApp(6))
 	for i, v := range res.Data {
 		if v != 24 {

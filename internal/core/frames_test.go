@@ -561,7 +561,7 @@ func TestRecoveryWritersRetireThePublishedFrame(t *testing.T) {
 						c.Compute(2 * sim.Millisecond)
 						write(c.eng.(*hlrcEngine), pg)
 					case 1:
-						seen := func() int32 { return c.eng.(*hlrcEngine).pages.at(pg).seenOrNil().Get(2) }
+						seen := func() int32 { return c.eng.(*hlrcEngine).pages.At(pg).seenOrNil().Get(2) }
 						c.Load(addr)
 						c.Compute(4 * sim.Millisecond)
 						before, frameW3, seenBefore = holding(c, addr), holding(c, addr).frame.Words[3], seen()

@@ -16,7 +16,7 @@ import (
 // whole pages from the home in a single round trip.
 type hlrcEngine struct {
 	base
-	pages chunked[hlrcPage]
+	pages slab.Chunks[hlrcPage]
 	uses  slab.Slab[hlrcUse]
 	// flushVecs backs the flush vectors flushOf hands out.
 	flushVecs slab.Slab[vc.Sparse]
@@ -92,7 +92,7 @@ type diffFlush struct {
 func newHLRCEngine(sys *System, self int) *hlrcEngine {
 	e := &hlrcEngine{}
 	e.base.init(sys, self, e)
-	e.pages = newChunked[hlrcPage](sys.Space.NumPages())
+	e.pages = slab.NewChunks[hlrcPage](sys.Space.NumPages())
 	e.mirrors = make(map[int]*mirrorPage)
 	e.node.InstallCompute(e.handle)
 	e.node.InstallCoproc(e.handle)
@@ -121,7 +121,7 @@ func (m *hlrcPage) seenOrNil() *vc.Sparse {
 }
 
 // useOf returns page's use-tier record, materializing it.
-func (e *hlrcEngine) useOf(page int) *hlrcUse { return e.uses.Lazy(&e.pages.at(page).use) }
+func (e *hlrcEngine) useOf(page int) *hlrcUse { return e.uses.Lazy(&e.pages.At(page).use) }
 
 // flushOf returns page's flush vector, creating it (and charging it to
 // protocol memory) on first use. It grows in the node's pairs.
@@ -141,7 +141,7 @@ func covers(v, need *vc.Sparse) bool { return v.Covers(need) }
 
 func (e *hlrcEngine) ReadFault(page int) {
 	e.readMiss(page)
-	m := e.pages.at(page)
+	m := e.pages.At(page)
 	t0 := e.app().Now()
 	for e.home(page) == e.self {
 		u := e.useOf(page)
@@ -257,7 +257,7 @@ func (e *hlrcEngine) closeCommit() {
 		pg := int(pg32)
 		p := e.pt.Page(pg)
 		p.State = mem.ReadOnly
-		m := e.pages.at(pg)
+		m := e.pages.At(pg)
 		dep := m.seenOrNil().Copy() // nil-safe: Copy of nil is nil (all-zero)
 		if dep == nil {
 			dep = vc.NewSparse(e.sys.Opts.Machine.Nodes)
@@ -318,7 +318,7 @@ func (e *hlrcEngine) sendDiff(df *diffFlush) {
 // Write notices
 
 func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
-	seen := e.seenOf(e.pages.at(page))
+	seen := e.seenOf(e.pages.At(page))
 	e.pairs.RaiseTo(seen, rec.Proc, rec.Interval)
 	if e.home(page) == e.self {
 		// The home never discards its copy; accesses wait for coverage.
@@ -467,7 +467,7 @@ func (e *hlrcEngine) homeDrain(page int) {
 	}
 	m.pendingFetch = keep
 
-	if len(m.waiters) > 0 && covers(f, e.pages.at(page).seenOrNil()) {
+	if len(m.waiters) > 0 && covers(f, e.pages.At(page).seenOrNil()) {
 		for _, w := range m.waiters {
 			w.Unpark()
 		}
@@ -546,7 +546,7 @@ func (e *hlrcEngine) homeWrite(page int) *mem.Page {
 // written.
 func (e *hlrcEngine) Finish() {
 	e.finish(func(visit func(int, *inflightDiff)) {
-		e.pages.each(func(pg int, m *hlrcPage) {
+		e.pages.Each(func(pg int, m *hlrcPage) {
 			if m.use != nil {
 				visit(pg, &m.use.inflight)
 			}
@@ -555,7 +555,7 @@ func (e *hlrcEngine) Finish() {
 	if !mem.CheckFrames {
 		return
 	}
-	e.pages.each(func(_ int, m *hlrcPage) {
+	e.pages.Each(func(_ int, m *hlrcPage) {
 		if m.use != nil && m.use.pub != nil {
 			m.use.pub.Verify()
 		}

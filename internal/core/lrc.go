@@ -22,7 +22,7 @@ import (
 // triggered at a barrier when protocol memory exceeds a threshold.
 type lrcEngine struct {
 	base
-	pages chunked[lrcPage]
+	pages slab.Chunks[lrcPage]
 	uses  slab.Slab[lrcUse]
 	// diffs holds the diffs this node created or fetched (TreadMarks
 	// caches fetched diffs so that, for migratory data, a single request
@@ -152,7 +152,7 @@ func newLRCEngine(sys *System, self int) *lrcEngine {
 		keys:  newDiffKeys(sys.Opts.Machine.Nodes, sys.Space.NumPages()),
 	}
 	e.base.init(sys, self, e)
-	e.pages = newChunked[lrcPage](sys.Space.NumPages())
+	e.pages = slab.NewChunks[lrcPage](sys.Space.NumPages())
 	e.node.InstallCompute(e.handle)
 	e.node.InstallCoproc(e.handle)
 	if self == barrierManager {
@@ -170,12 +170,12 @@ func newLRCEngine(sys *System, self int) *lrcEngine {
 }
 
 // useOf returns page's use-tier record, materializing it.
-func (e *lrcEngine) useOf(page int) *lrcUse { return e.uses.Lazy(&e.pages.at(page).use) }
+func (e *lrcEngine) useOf(page int) *lrcUse { return e.uses.Lazy(&e.pages.At(page).use) }
 
 // holderOf resolves the copy-holder hint for page: the recorded holder,
 // or the page's home while no hint has been recorded.
 func (e *lrcEngine) holderOf(page int) int {
-	if h := e.pages.at(page).holder; h != 0 {
+	if h := e.pages.At(page).holder; h != 0 {
 		return int(h) - 1
 	}
 	return e.sys.homes[page]
@@ -217,7 +217,7 @@ func (e *lrcEngine) WriteFault(page int) {
 // them in causal order. waitCat classifies the stall time (data transfer
 // during normal faults, GC during garbage-collection validation).
 func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
-	m, u := e.pages.at(page), e.useOf(page)
+	m, u := e.pages.At(page), e.useOf(page)
 	e.commitOwnDiff(page, true)
 	p := e.pt.Page(page)
 
@@ -319,7 +319,7 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 
 // fetchBaseCopy obtains a full page copy, chasing holder hints.
 func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
-	m := e.pages.at(page)
+	m := e.pages.At(page)
 	holder := e.holderOf(page)
 	for tries := 0; ; tries++ {
 		if tries > 2*e.sys.Opts.Machine.Nodes {
@@ -446,7 +446,7 @@ func (e *lrcEngine) closeCommit() {
 // Write notices
 
 func (e *lrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
-	m := e.pages.at(page)
+	m := e.pages.At(page)
 	m.wns = e.wnRuns.Push(m.wns, pageWN{rec: rec})
 	e.st().MemAlloc(wnEntryBytes)
 	m.holder = int32(rec.Proc) + 1 // last-writer hint
@@ -487,7 +487,7 @@ func (e *lrcEngine) runGC() {
 		for _, rec := range e.log[proc] {
 			w := pageWrite{interval: rec.Interval, proc: int32(rec.Proc)}
 			for _, pg := range rec.Pages {
-				m := e.pages.at(int(pg))
+				m := e.pages.At(int(pg))
 				if m.lastWrite == 0 {
 					w.page = pg
 					last = append(last, w)
@@ -505,7 +505,7 @@ func (e *lrcEngine) runGC() {
 	// Pages untouched since the previous collection are not in last.
 	for _, lw := range last {
 		pg := int(lw.page)
-		m := e.pages.at(pg)
+		m := e.pages.At(pg)
 		m.lastWrite = 0
 		if int(lw.proc) == e.self {
 			// Validate: bring our copy fully up to date.
@@ -525,7 +525,7 @@ func (e *lrcEngine) runGC() {
 	// Discard protocol data.
 	for _, lw := range last {
 		pg := int(lw.page)
-		m := e.pages.at(pg)
+		m := e.pages.At(pg)
 		u := m.use
 		if u != nil {
 			u.inflight.wait(e.app(), "gc twin busy page", pg)
@@ -681,7 +681,7 @@ func (e *lrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 // request is left queued here.
 func (e *lrcEngine) Finish() {
 	e.finish(func(visit func(int, *inflightDiff)) {
-		e.pages.each(func(pg int, m *lrcPage) {
+		e.pages.Each(func(pg int, m *lrcPage) {
 			if m.use != nil {
 				visit(pg, &m.use.inflight)
 			}

@@ -62,10 +62,9 @@ func (b *base) mirrorMgr(size int) {
 	for _, rep := range b.sys.replicasOf(b.self) {
 		b.st().MirrorBytes += int64(size)
 		b.node.Send(rep, paragon.Msg{
-			Kind:   kMgrMirror,
-			Size:   size,
-			Class:  stats.ClassProtocol,
-			Target: b.syncTarget(),
+			Kind:  kMgrMirror,
+			Size:  size,
+			Class: stats.ClassProtocol,
 		})
 	}
 }

@@ -482,7 +482,7 @@ func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 	u.pendingDiff = append(u.pendingDiff, mp.pending...)
 	delete(e.mirrors, pg)
 	if p.State != mem.ReadWrite {
-		if covers(f, e.pages.at(pg).seenOrNil()) {
+		if covers(f, e.pages.At(pg).seenOrNil()) {
 			p.State = mem.ReadOnly
 		} else {
 			p.State = mem.Invalid
@@ -548,7 +548,7 @@ func (e *hlrcEngine) shipFullPagesTo(node int) {
 // their twins) survive as private worker state and flush to the pages'
 // current homes at the next interval close.
 func (e *hlrcEngine) wipeVolatile() {
-	e.pages.each(func(pg int, m *hlrcPage) {
+	e.pages.Each(func(pg int, m *hlrcPage) {
 		u := m.use
 		if u == nil {
 			return // never homed, faulted on or written here

@@ -364,7 +364,7 @@ func TestLateImageAtPromotedHome(t *testing.T) {
 			case 1:
 				// As if a write notice for interval 5 of node 2 had arrived:
 				// the fetch parks at the home until its flush vector covers it.
-				e.seenOf(e.pages.at(pg)).RaiseTo(2, 5)
+				e.seenOf(e.pages.At(pg)).RaiseTo(2, 5)
 				got.fetched = c.Load(addr + 3)
 				got.fetchedOwn = c.Load(addr + 1)
 				got.fetchedAt = c.Now()
@@ -449,7 +449,7 @@ func TestRecoveryOnUnusedPages(t *testing.T) {
 							c.Store(x+1, float64(10*r))
 						case 2:
 							if r == 2 {
-								m := c.sys.Engines[2].(*hlrcEngine).pages.at(c.sys.Space.PageOf(x))
+								m := c.sys.Engines[2].(*hlrcEngine).pages.At(c.sys.Space.PageOf(x))
 								heirSeenBefore, heirUsedBefore, heirReadAt = m.seenOrNil().Copy(), m.use != nil, c.Now()
 							}
 						}
@@ -463,8 +463,8 @@ func TestRecoveryOnUnusedPages(t *testing.T) {
 					}
 				},
 				gather: func(c *Ctx) []float64 {
-					victim = c.sys.Engines[1].(*hlrcEngine).pages.at(c.sys.Space.PageOf(w))
-					heir = c.sys.Engines[2].(*hlrcEngine).pages.at(c.sys.Space.PageOf(x))
+					victim = c.sys.Engines[1].(*hlrcEngine).pages.At(c.sys.Space.PageOf(w))
+					heir = c.sys.Engines[2].(*hlrcEngine).pages.At(c.sys.Space.PageOf(x))
 					return []float64{c.Load(x + 1), c.Load(w + 1)}
 				},
 			}
@@ -531,7 +531,7 @@ func TestLateImageOnUntouchedPage(t *testing.T) {
 				worker: func(c *Ctx, id int) {
 					if id == 0 {
 						e, pg := c.sys.Engines[0].(*hlrcEngine), c.sys.Space.PageOf(addr)
-						m := e.pages.at(pg)
+						m := e.pages.At(pg)
 						used = m.use != nil || m.seenOrNil() != nil
 						mem0 := e.st().ProtoMem
 						e.installLateImage(&mirrorMsg{Page: pg, Data: image(5), VC: stamp(5)})

@@ -223,7 +223,7 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 
 	// Phase 3: page tables and engines.
 	// Page tables and protocol state materialize lazily on first touch
-	// (chunked storage, stable entry pointers): at 1024 nodes each node
+	// (slab.Chunks, stable entry pointers): at 1024 nodes each node
 	// references only its sliver of the address space, and allocating
 	// n_nodes * n_pages entries eagerly would dominate host memory.
 	sys.Tables = make([]*mem.Table, n)

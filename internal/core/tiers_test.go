@@ -71,7 +71,7 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 							}
 						})
 						// noticePage, home branch, no use tier and no flush vector.
-						got.usedBeforeNotice = e.pages.at(pgNote).use != nil
+						got.usedBeforeNotice = e.pages.At(pgNote).use != nil
 						mem0 := e.st().ProtoMem
 						got.notePage = pgNote
 						got.noticeCost, got.pageInval = e.noticePage(&IntervalRec{Proc: 2, Interval: 1}, pgNote), e.costs().PageInval
@@ -79,10 +79,10 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 						got.noticeCharge = e.st().ProtoMem - mem0
 						e.noticePage(&IntervalRec{Proc: 2, Interval: 2}, pgNote)
 						got.renote = e.st().ProtoMem - mem0
-						got.noticedTo = e.pages.at(pgNote).seenOrNil().Get(2)
+						got.noticedTo = e.pages.At(pgNote).seenOrNil().Get(2)
 						// closeCommit's dep: the home's first write to a page it
 						// never had a notice for; the barrier below closes it.
-						got.writerSeenBeforeClose = e.pages.at(pgWrite).seenOrNil()
+						got.writerSeenBeforeClose = e.pages.At(pgWrite).seenOrNil()
 						c.Store(base+mem.Addr(words+1), 7)
 						// homeDrain: wait on a page with no vector until node 1
 						// drains it.
@@ -101,7 +101,7 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 						mem0 := e.st().ProtoMem
 						c.Load(base)
 						got.readCharge = e.st().ProtoMem - mem0
-						got.readerSeenAfter = e.pages.at(pgRead).seenOrNil()
+						got.readerSeenAfter = e.pages.At(pgRead).seenOrNil()
 						c.FreshRead(base)
 						got.reCharge = e.st().ProtoMem - mem0
 						c.Compute(sim.Millisecond)

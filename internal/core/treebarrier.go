@@ -117,11 +117,10 @@ func (b *base) treeSubtreeDone() {
 	}
 	up := b.treeAggregate()
 	b.node.Send(b.tree.parent, paragon.Msg{
-		Kind:   kBarrierUp,
-		Size:   up.wireSize(b.wireVC()),
-		Class:  stats.ClassProtocol,
-		Target: b.syncTarget(),
-		Body:   up,
+		Kind:  kBarrierUp,
+		Size:  up.wireSize(b.wireVC()),
+		Class: stats.ClassProtocol,
+		Body:  up,
 	})
 }
 
@@ -163,11 +162,10 @@ func (b *base) treeRootComplete() {
 	for i, c := range tb.children {
 		g := grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.logSince(tb.childUp[i].MinVC)}
 		b.node.Send(c, paragon.Msg{
-			Kind:   kBarrierDown,
-			Size:   8 + g.wireSize(b.wireVC()),
-			Class:  stats.ClassProtocol,
-			Target: b.syncTarget(),
-			Body:   &g,
+			Kind:  kBarrierDown,
+			Size:  8 + g.wireSize(b.wireVC()),
+			Class: stats.ClassProtocol,
+			Body:  &g,
 		})
 	}
 	local := &grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.logSince(tb.ownRep.VC)}
@@ -215,11 +213,10 @@ func (b *base) handleBarrierDown(m paragon.Msg) (sim.Time, func()) {
 		for i, c := range tb.children {
 			cg := grantInfo{VC: g.VC.Copy(), GC: g.GC, Intervals: filterRecsSince(g.Intervals, tb.childUp[i].MinVC)}
 			b.node.Send(c, paragon.Msg{
-				Kind:   kBarrierDown,
-				Size:   8 + cg.wireSize(b.wireVC()),
-				Class:  stats.ClassProtocol,
-				Target: b.syncTarget(),
-				Body:   &cg,
+				Kind:  kBarrierDown,
+				Size:  8 + cg.wireSize(b.wireVC()),
+				Class: stats.ClassProtocol,
+				Body:  &cg,
 			})
 		}
 		tb.resetEpisode()

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"gosvm/internal/slab"
 )
 
 func TestSpaceAllocAlignment(t *testing.T) {
@@ -75,13 +77,13 @@ func TestTableGrowth(t *testing.T) {
 		t.Fatal("fresh page not invalid/empty")
 	}
 	// Peek sees what Page materialized and materializes nothing itself.
-	if tb.Peek(100) != p || tb.Peek(100+TableChunk) != nil || tb.Peek(100+9*TableChunk) != nil {
+	if tb.Peek(100) != p || tb.Peek(100+slab.Block) != nil || tb.Peek(100+9*slab.Block) != nil {
 		t.Fatal("Peek disagrees with Page")
 	}
 	entries := 0
 	tb.Each(func(int, *Page) { entries++ })
-	if entries != TableChunk {
-		t.Fatalf("%d entries materialized, want one chunk of %d", entries, TableChunk)
+	if entries != slab.Block {
+		t.Fatalf("%d entries materialized, want one block of %d", entries, slab.Block)
 	}
 	// Returned pointer must be stable enough for immediate use.
 	p.State = ReadWrite

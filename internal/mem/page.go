@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"gosvm/internal/slab"
+)
 
 // State is the protection state of a page in one node's page table.
 type State uint8
@@ -48,65 +52,29 @@ type Page struct {
 	frame *Frame
 }
 
-// TableChunk is the page-table allocation granule: entries materialize a
-// chunk at a time on first touch, so a node's table costs memory
-// proportional to the pages it actually references, not to the address
-// space — the difference between feasible and not at 1024 nodes.
-// Chunking also makes entry pointers stable with no pre-sizing: growing
-// the outer chunk list never moves an allocated chunk.
-const TableChunk = 128
-
-// Table is one node's page table.
+// Table is one node's page table. Entries materialize a slab.Block of pages
+// at a time on first touch (slab.Chunks), so a node's table costs memory
+// proportional to the pages it references, not to the address space — the
+// difference between feasible and not at 1024 nodes. Peek and Each are the
+// embedded array's.
 type Table struct {
-	Space  *Space
-	chunks [][]Page
+	slab.Chunks[Page]
+	Space *Space
 }
 
-// NewTable returns an empty page table over space.
+// NewTable returns an empty page table over space, its block index sized
+// for the pages allocated so far.
 func NewTable(space *Space) *Table {
-	return &Table{Space: space}
+	return &Table{Chunks: slab.NewChunks[Page](space.NumPages()), Space: space}
 }
 
-// Page returns the entry for page id, materializing its chunk. The
+// Page returns the entry for page id, materializing its block. The
 // returned pointer is stable for the table's lifetime.
 func (t *Table) Page(id int) *Page {
 	if id < 0 {
 		panic(fmt.Sprintf("mem: page %d", id))
 	}
-	c := id / TableChunk
-	for c >= len(t.chunks) {
-		t.chunks = append(t.chunks, nil)
-	}
-	if t.chunks[c] == nil {
-		t.chunks[c] = make([]Page, TableChunk)
-	}
-	return &t.chunks[c][id%TableChunk]
-}
-
-// Peek returns the entry for page id without materializing anything: nil
-// when the page's chunk was never referenced, so the entry is zero
-// (Invalid, no copy).
-func (t *Table) Peek(id int) *Page {
-	if c := id / TableChunk; c < len(t.chunks) && t.chunks[c] != nil {
-		return &t.chunks[c][id%TableChunk]
-	}
-	return nil
-}
-
-// Each visits every entry in every materialized chunk, in page order.
-// Entries in never-referenced chunks are skipped; they are zero (Invalid,
-// no copy), so callers that would ignore zero entries anyway see the
-// same behavior as a dense scan.
-func (t *Table) Each(fn func(id int, p *Page)) {
-	for ci, ch := range t.chunks {
-		if ch == nil {
-			continue
-		}
-		base := ci * TableChunk
-		for i := range ch {
-			fn(base+i, &ch[i])
-		}
-	}
+	return t.At(id)
 }
 
 // Materialize ensures the page has a zeroed local copy, returning it.

@@ -1,12 +1,13 @@
 // Package slab carves short runs of zeroed elements out of shared blocks, so
 // many small, long-lived lists and vectors cost one allocation a block
 // instead of one each, and gives them one growth rule: a run doubles inside
-// the slab while it fits a block, and past that grows on the heap.
+// the slab while it fits a block, and past that grows on the heap. Chunks
+// uses the same block as the granule of a sparse per-page array.
 package slab
 
 import "slices"
 
-// Block is the slab's allocation granule, in elements.
+// Block is the slab's and the Chunks' allocation granule, in elements.
 const Block = 128
 
 // Slab is the zero-value-ready run allocator. One live run pins its whole
@@ -61,4 +62,49 @@ func (s *Slab[T]) Push(run []T, v T) []T {
 	run = s.Grow(run, 1)
 	run[len(run)-1] = v
 	return run
+}
+
+// Chunks is a sparse array indexed from 0 whose elements materialize a Block
+// at a time on first touch, so an owner that references a sliver of a large
+// index space (a node's pages at 1024 nodes) pays for that sliver. A pointer
+// At returns stays valid for the array's lifetime: growing the block index
+// never moves a block. The zero value is empty and grows on demand.
+type Chunks[T any] struct{ blocks [][]T }
+
+// NewChunks returns an array whose block index is sized for n elements up
+// front; At still grows it past n.
+func NewChunks[T any](n int) Chunks[T] {
+	return Chunks[T]{blocks: make([][]T, (n+Block-1)/Block)}
+}
+
+// At returns a stable pointer to element i, materializing its block.
+func (c *Chunks[T]) At(i int) *T {
+	b := i / Block
+	for b >= len(c.blocks) {
+		c.blocks = append(c.blocks, nil)
+	}
+	if c.blocks[b] == nil {
+		c.blocks[b] = make([]T, Block)
+	}
+	return &c.blocks[b][i%Block]
+}
+
+// Peek returns element i without materializing anything: nil when its block
+// was never touched, so the element is T's zero value.
+func (c *Chunks[T]) Peek(i int) *T {
+	if b := i / Block; b < len(c.blocks) && c.blocks[b] != nil {
+		return &c.blocks[b][i%Block]
+	}
+	return nil
+}
+
+// Each visits every element of every materialized block in index order.
+// Untouched blocks are skipped; their elements are zero values, so a caller
+// that ignores zero elements sees what a dense scan would show it.
+func (c *Chunks[T]) Each(fn func(i int, t *T)) {
+	for b, blk := range c.blocks {
+		for j := range blk {
+			fn(b*Block+j, &blk[j])
+		}
+	}
 }

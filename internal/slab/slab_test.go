@@ -103,3 +103,75 @@ func TestSlabGrow(t *testing.T) {
 		t.Fatalf("nil slab: len %d, and the slab's block moved from %d to %d used", len(h), used, Block-len(s.free))
 	}
 }
+
+// TestChunksPointersSurviveGrowth: a pointer At returned still reads and
+// writes the element after later calls grow the block index many times over.
+func TestChunksPointersSurviveGrowth(t *testing.T) {
+	var c Chunks[int]
+	p := c.At(5)
+	*p = 42
+	for i := 1; i <= 64; i++ {
+		*c.At(i * Block) = i
+	}
+	if c.At(5) != p || *p != 42 {
+		t.Fatalf("At(5) moved or lost its value after growth: %d", *c.At(5))
+	}
+	*p = 43
+	if *c.Peek(5) != 43 {
+		t.Fatal("a write through the old pointer is not seen by Peek")
+	}
+}
+
+// TestChunksPeekMaterializesNothing: Peek is nil for an element whose block
+// was never touched, inside or beyond the index, and leaves it untouched.
+func TestChunksPeekMaterializesNothing(t *testing.T) {
+	c := NewChunks[int](4 * Block)
+	for _, i := range []int{0, 3 * Block, 100 * Block} {
+		if c.Peek(i) != nil {
+			t.Fatalf("Peek(%d) of an empty array is not nil", i)
+		}
+	}
+	c.Each(func(i int, _ *int) { t.Fatalf("Peek materialized element %d", i) })
+	p := c.At(Block + 1)
+	if c.Peek(Block+1) != p || c.Peek(Block) == nil || c.Peek(0) != nil || c.Peek(2*Block) != nil {
+		t.Fatal("Peek disagrees with At about which block is materialized")
+	}
+}
+
+// TestChunksEachInIndexOrder: Each visits every element of the touched
+// blocks, ascending, and none of the untouched ones.
+func TestChunksEachInIndexOrder(t *testing.T) {
+	var c Chunks[int]
+	*c.At(3*Block + 7) = 1
+	*c.At(Block) = 2
+	var got []int
+	c.Each(func(i int, v *int) {
+		if v != c.Peek(i) {
+			t.Fatalf("Each hands element %d a pointer Peek does not return", i)
+		}
+		got = append(got, i)
+	})
+	if len(got) != 2*Block {
+		t.Fatalf("Each visited %d elements, want the %d of two blocks", len(got), 2*Block)
+	}
+	for k, i := range got {
+		want := Block + k
+		if k >= Block {
+			want = 3*Block + k - Block
+		}
+		if i != want {
+			t.Fatalf("visit %d is element %d, want %d", k, i, want)
+		}
+	}
+}
+
+// TestChunksGrowPastPresize: an array sized for n elements still takes
+// indices beyond n, and keeps what it held below n.
+func TestChunksGrowPastPresize(t *testing.T) {
+	c := NewChunks[int](10)
+	*c.At(9) = 9
+	*c.At(10*Block + 3) = 7
+	if *c.At(9) != 9 || *c.Peek(10*Block + 3) != 7 {
+		t.Fatal("growth past the presized index lost an element")
+	}
+}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -186,7 +185,8 @@ func (h *Hist) P999() sim.Time { return h.Quantile(0.999) }
 
 // histJSON is the stable wire shape: exact aggregates, derived
 // percentiles for human consumption, and the sparse non-zero buckets
-// (ascending [index, count] pairs) for lossless round-trips.
+// (ascending [index, count] pairs), from which the whole histogram can be
+// rebuilt.
 type histJSON struct {
 	Count   int64      `json:"count"`
 	MinNs   int64      `json:"min_ns"`
@@ -199,8 +199,7 @@ type histJSON struct {
 }
 
 // MarshalJSON emits the histogram in a stable machine-readable shape.
-// Percentile fields are derived; UnmarshalJSON recomputes them from the
-// buckets, so marshal → unmarshal → marshal is byte-identical.
+// Percentile fields are derived from the buckets.
 func (h *Hist) MarshalJSON() ([]byte, error) {
 	j := histJSON{
 		Count:   h.count,
@@ -218,45 +217,6 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(j)
-}
-
-// UnmarshalJSON rebuilds the histogram from its wire shape. It accepts
-// only what MarshalJSON can emit: strictly ascending bucket indices with
-// positive counts that sum, without overflow, to the header count.
-func (h *Hist) UnmarshalJSON(data []byte) error {
-	var j histJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	h.counts = make([]int64, histBuckets)
-	var n int64
-	prev := int64(-1)
-	for _, b := range j.Buckets {
-		if b[0] < 0 || b[0] >= histBuckets {
-			return fmt.Errorf("stats: histogram bucket index %d out of range", b[0])
-		}
-		if b[0] <= prev {
-			return fmt.Errorf("stats: histogram bucket index %d follows %d", b[0], prev)
-		}
-		if b[1] < 1 || b[1] > math.MaxInt64-n {
-			return fmt.Errorf("stats: histogram bucket %d has count %d", b[0], b[1])
-		}
-		prev = b[0]
-		h.counts[b[0]] = b[1]
-		n += b[1]
-	}
-	if n != j.Count {
-		return fmt.Errorf("stats: histogram bucket counts sum to %d, header says %d", n, j.Count)
-	}
-	h.count = j.Count
-	h.sum = j.SumNs
-	h.max = j.MaxNs
-	if j.Count == 0 {
-		h.min = -1
-	} else {
-		h.min = j.MinNs
-	}
-	return nil
 }
 
 // ServeStats is the open-loop serving workload's result block: offered
@@ -413,33 +373,4 @@ func (s *ServeStats) MarshalJSON() ([]byte, error) {
 		LockAcquires:     s.LockAcquires,
 		LockForwards:     s.LockForwards,
 	})
-}
-
-// UnmarshalJSON rebuilds the serve block; derived rate fields are
-// recomputed from the exact counters on the next marshal, which needs a
-// positive window and a non-negative completion time to stay finite.
-func (s *ServeStats) UnmarshalJSON(data []byte) error {
-	var j serveJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if j.WindowNs <= 0 || j.LastDoneNs < 0 {
-		return fmt.Errorf("stats: serve block has window %d ns, last completion %d ns", j.WindowNs, j.LastDoneNs)
-	}
-	s.Window = sim.Time(j.WindowNs)
-	s.Generated = j.Generated
-	s.Completed = j.Completed
-	s.Gets = j.Gets
-	s.Puts = j.Puts
-	s.Scans = j.Scans
-	s.LastDone = sim.Time(j.LastDoneNs)
-	s.Busy = sim.Time(j.BusyNs)
-	s.MaxUtil = j.MaxUtil
-	s.Latency = j.Latency
-	s.SeqlockReads = j.SeqlockReads
-	s.SeqlockRetries = j.SeqlockRetries
-	s.SeqlockFallbacks = j.SeqlockFallbacks
-	s.LockAcquires = j.LockAcquires
-	s.LockForwards = j.LockForwards
-	return nil
 }
