@@ -118,10 +118,9 @@ type (
 	// come after At. See FaultPlan.Crashes and Options.Recovery.
 	Crash = fault.Crash
 	// Recovery configures home-state replication and re-homing for the
-	// home-based protocols (see Options.Recovery). The same backups are
-	// also sent each node's synchronization-manager updates (lock-owner
-	// tables, barrier arrivals), so manager roles fail over with the
-	// pages.
+	// home-based protocols (see Options.Recovery). Only the page home
+	// moves: a crashed lock or barrier manager keeps its tables, and
+	// requests to it wait out its restart.
 	Recovery = core.Recovery
 	// ServeConfig parameterizes the open-loop request-serving workload:
 	// key-value store shape (keys, op mix, Zipf skew), Poisson offered
@@ -150,10 +149,10 @@ type (
 	// HangError wraps a DeadlockError when fault injection permanently
 	// lost messages, listing the lost messages that explain the hang.
 	HangError = fault.HangError
-	// NodeDeadError reports an unrecoverable node crash: the node held a
-	// role — page home, lock manager, barrier manager — that no replica
-	// could take over (Recovery.Replicas too small, or every backup down
-	// at once). The Role field names the lost role.
+	// NodeDeadError reports an unrecoverable node crash: the node homed
+	// pages that no replica could take over (Recovery.Replicas zero, or
+	// every replica down at once). The Role field names the lost role,
+	// always "home".
 	NodeDeadError = fault.NodeDeadError
 )
 

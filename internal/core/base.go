@@ -73,11 +73,6 @@ type base struct {
 
 	bmgr *barrierMgr // non-nil on the barrier manager node
 
-	// synthClosed is set when lock reclamation closed this crashed
-	// node's open interval on paper (synthCloseOpen); the restart makes
-	// the close real so parked fetches waiting on its writes can drain.
-	synthClosed bool
-
 	// tree is non-nil when the machine uses the k-ary tree barrier
 	// (treebarrier.go). The centralized manager above still exists on
 	// node 0 for the GC rendezvous.
@@ -90,10 +85,9 @@ type base struct {
 }
 
 type lockState struct {
-	owner  bool          // this node holds the lock token
-	held   bool          // the application is inside the critical section
-	wanted bool          // this node's own remote acquire is in flight
-	queue  []paragon.Msg // forwarded acquire requests awaiting our release
+	owner bool          // this node holds the lock token
+	held  bool          // the application is inside the critical section
+	queue []paragon.Msg // forwarded acquire requests awaiting our release
 }
 
 func (b *base) init(sys *System, self int, co coherence) {
@@ -352,23 +346,6 @@ func (b *base) newIntervalRec() *IntervalRec {
 	return rec
 }
 
-// synthCloseOpen closes this node's open interval on paper only: the
-// record enters the log and the clock advances, so reclamation can hand
-// a revoked token's next holder the write notices it depends on. The
-// data itself stays private — the dirty list and twins are kept intact,
-// and the restart turns the close into a real one (rejoin, recover.go),
-// flushing diffs whose interval index is at least this record's, which
-// is what the homes' flush vectors park dependent fetches on.
-func (b *base) synthCloseOpen() {
-	if len(b.dirty) == 0 {
-		return
-	}
-	saved := b.dirty
-	b.newIntervalRec()
-	b.dirty = saved
-	b.synthClosed = true
-}
-
 // insertLog stores rec in the interval log with memory accounting. A record
 // the log already holds is neither logged nor charged a second time; one
 // newer than its list's tail, the usual case, needs no search to tell.
@@ -432,8 +409,8 @@ func (b *base) ownRecsAfter(after int32) []*IntervalRec {
 	return append([]*IntervalRec(nil), recs[recsAfter(recs, after):]...)
 }
 
-// learn is the one way a node takes in interval records — a lock grant, a
-// barrier release, a crashed owner's log at reclamation: records the clock
+// learn is the one way a node takes in interval records — a lock grant or a
+// barrier release: records the clock
 // covers are skipped, the rest logged and their write notices delivered, and
 // the clock raised past them and to v. It returns the invalidation cost.
 func (b *base) learn(recs []*IntervalRec, v vc.VC) sim.Time {
@@ -458,7 +435,7 @@ func (b *base) applyGrant(g *grantInfo) {
 }
 
 // handleSync dispatches the message kinds every engine serves the same
-// way: synchronization requests and mirrored manager state.
+// way: the synchronization requests.
 func (b *base) handleSync(m paragon.Msg) (sim.Time, func()) {
 	switch m.Kind {
 	case kLockAcq:
@@ -473,8 +450,6 @@ func (b *base) handleSync(m paragon.Msg) (sim.Time, func()) {
 		return b.handleBarrierDown(m)
 	case kGCDone:
 		return b.handleGCDone(m)
-	case kMgrMirror:
-		return b.handleMgrMirror(m)
 	}
 	return badKind(m.Kind)
 }
@@ -482,16 +457,17 @@ func (b *base) handleSync(m paragon.Msg) (sim.Time, func()) {
 // ---------------------------------------------------------------------------
 // Locks
 
-// lockMgrNode is the node currently serving lock-manager duty for lock:
-// the natural manager (lock % Machine.Nodes) unless a crash promoted one of
-// its backups (see mgr.go).
-func (b *base) lockMgrNode(lock int) int { return b.sys.lockMgrOf(lock) }
+// lockMgrOf is the node serving lock-manager duty for lock. Locks are
+// managed round-robin, and the role never moves: a crashed manager keeps
+// its owner table, and requests to it wait out its restart in
+// retransmission.
+func (s *System) lockMgrOf(lock int) int { return lock % s.Opts.Machine.Nodes }
 
 func (b *base) lockState(lock int) *lockState {
 	ls, ok := b.locks[lock]
 	if !ok {
 		// The manager starts out owning every lock it manages.
-		ls = &lockState{owner: b.lockMgrNode(lock) == b.self}
+		ls = &lockState{owner: b.sys.lockMgrOf(lock) == b.self}
 		b.locks[lock] = ls
 	}
 	return ls
@@ -519,8 +495,7 @@ func (b *base) Acquire(lock int) {
 		Body:  &lockReq{Lock: lock, Requester: b.self, ReqVC: b.clock.Copy()},
 	}
 	var resp paragon.Msg
-	ls.wanted = true
-	mgr := b.lockMgrNode(lock)
+	mgr := b.sys.lockMgrOf(lock)
 	if mgr == b.self {
 		// We are the manager: forward straight to the owner.
 		b.use(b.costs().LockHandling, stats.CatProtocol)
@@ -543,7 +518,6 @@ func (b *base) Acquire(lock int) {
 	b.applyGrant(g)
 	ls.owner = true
 	ls.held = true
-	ls.wanted = false
 }
 
 // Release implements UNLOCK. If remote requests are queued, the release is
@@ -587,48 +561,21 @@ type lockReq struct {
 	Lock      int
 	Requester int
 	ReqVC     vc.VC
-
-	// Chase marks a request whose forward died with a crashed owner
-	// after the token was reclaimed: it must reconnect straight to the
-	// reclaimed token at the manager, without re-entering the
-	// genealogical chain (the owner table's tail already records it).
-	Chase bool
 }
 
 func (b *base) mgrOwner(lock int) int {
 	if o, ok := b.lockOwner[lock]; ok {
 		return o
 	}
-	// An untouched lock's token rides with the manager role, so a
-	// promoted manager owns the unmaterialized locks it adopted.
-	return b.sys.lockMgrOf(lock)
+	return b.self // an untouched lock's token is still with its manager
 }
 
-func (b *base) mgrSetOwner(lock, owner int) {
-	b.lockOwner[lock] = owner
-	b.mirrorMgr(12) // before the forward or grant the update enables
-}
+func (b *base) mgrSetOwner(lock, owner int) { b.lockOwner[lock] = owner }
 
 // handleLockAcq services a kLockAcq at the manager (dispatcher context).
 func (b *base) handleLockAcq(m paragon.Msg) (sim.Time, func()) {
 	return b.costs().LockHandling, func() {
 		lr := m.Body.(*lockReq)
-		if mgr := b.sys.lockMgrOf(lr.Lock); mgr != b.self {
-			// Stale delivery: the manager role moved to a backup while
-			// this request was in flight or frozen on the crashed
-			// manager. Forward to the current manager.
-			b.st().Counts.LockForwards++
-			b.node.Send(mgr, m)
-			return
-		}
-		if lr.Chase {
-			// The requester's forward was severed by a crash and the
-			// token was reclaimed here. Hand it the token (or queue for
-			// our release) without touching the owner table: the tail
-			// still correctly records the youngest requester.
-			b.ownerReceives(m, lr)
-			return
-		}
 		owner := b.mgrOwner(lr.Lock)
 		b.mgrSetOwner(lr.Lock, lr.Requester)
 		m.Kind = kLockFwd // from here on the message is a forwarded request
@@ -657,18 +604,6 @@ func (b *base) handleLockFwd(m paragon.Msg) (sim.Time, func()) {
 	return work, func() {
 		ls := b.lockState(lr.Lock)
 		if !ls.owner || ls.held {
-			if !ls.owner && !ls.held && !ls.wanted {
-				// Neither owning, holding, nor acquiring: the token was
-				// revoked from this node by crash reclamation while this
-				// forward was frozen in flight. Re-route to the current
-				// manager as a chase, which reconnects the requester to
-				// the reclaimed token.
-				b.st().Counts.LockForwards++
-				m.Kind = kLockAcq
-				lr.Chase = true
-				b.node.Send(b.sys.lockMgrOf(lr.Lock), m)
-				return
-			}
 			// Busy, or ownership still in flight: queue for our release.
 			ls.queue = append(ls.queue, m)
 			return
@@ -704,15 +639,14 @@ func (b *base) ownerReceives(m paragon.Msg, lr *lockReq) {
 // ---------------------------------------------------------------------------
 // Barriers
 
-// barrierManager is the node that initially runs the centralized barrier
-// algorithm. Under crash recovery the role can move to a backup; route
-// through System.bmgrNode, not this constant.
+// barrierManager is the node that runs the centralized barrier algorithm
+// (and the homeless GC rendezvous). The role never moves: a crashed
+// manager keeps its arrivals, and arrivals sent to it wait out its restart
+// in retransmission.
 const barrierManager = 0
 
 // bmgrArrival pairs one registered barrier arrival with the request that
-// delivered it. req is the zero Msg for the manager's own local arrival
-// (and for arrivals adopted from a crashed manager whose own app proc is
-// parked at the barrier).
+// delivered it. req is the zero Msg for the manager's own local arrival.
 type bmgrArrival struct {
 	rep *barrierReport
 	req paragon.Msg
@@ -767,7 +701,7 @@ func (b *base) Barrier(id int) {
 	t0 := b.app().Now()
 	if b.tree != nil {
 		g = b.treeArrive(id, rep)
-	} else if b.self == b.sys.bmgrNode() {
+	} else if b.self == barrierManager {
 		release := b.bmgrArrive(rep, paragon.Msg{})
 		if release == nil {
 			// Wait for the stragglers; the dispatcher completes the
@@ -779,7 +713,7 @@ func (b *base) Barrier(id int) {
 		}
 		g = release
 	} else {
-		resp := b.node.Call(b.app(), b.sys.bmgrNode(), paragon.Msg{
+		resp := b.node.Call(b.app(), barrierManager, paragon.Msg{
 			Kind:  kBarrier,
 			Size:  rep.wireSize(b.wireVC()),
 			Class: stats.ClassProtocol,
@@ -799,17 +733,7 @@ func (b *base) Barrier(id int) {
 // is the local node; remote completions are sent from dispatcher context.
 func (b *base) bmgrArrive(rep *barrierReport, req paragon.Msg) *grantInfo {
 	mgr := b.bmgr
-	for _, a := range mgr.arrivals {
-		if a.rep.Node == rep.Node {
-			// Duplicate delivery: the arrival was already adopted from a
-			// crashed manager and the in-flight copy caught up. Drop it;
-			// the registered arrival holds a live reply path.
-			return nil
-		}
-	}
 	mgr.arrivals = append(mgr.arrivals, bmgrArrival{rep: rep, req: req})
-	// Mirror the arrival to the backups before any release can be sent.
-	b.mirrorMgr(rep.wireSize(b.wireVC()))
 	if len(mgr.arrivals) < mgr.nproc {
 		return nil
 	}
@@ -837,18 +761,10 @@ func (b *base) bmgrComplete() *grantInfo {
 			})
 			continue
 		}
-		if a.rep.Node == b.self {
-			local = &g
-			continue
-		}
-		// An arrival adopted from a crashed manager: its node's app proc
-		// is parked locally at the barrier over there. Hand the release
-		// to that engine and wake it (or let rejoin deliver it).
-		b.deliverAdoptedRelease(a.rep.Node, &g)
+		local = &g
 	}
 	mgr.arrivals = nil
 	mgr.episodes++
-	b.mirrorMgr(8)
 	if b.sys.onBarrier != nil {
 		b.sys.onBarrier(mgr.episodes)
 	}
@@ -892,13 +808,6 @@ func wake(w **sim.Proc) {
 // handleBarrier services a remote barrier arrival at the manager.
 func (b *base) handleBarrier(m paragon.Msg) (sim.Time, func()) {
 	return b.costs().LockHandling, func() {
-		if mgr := b.sys.bmgrNode(); mgr != b.self {
-			// Stale delivery after a manager failover (the arrival was
-			// frozen on this node's crashed dispatcher, or in flight when
-			// the role moved). Forward; arrival registration dedups.
-			b.node.Send(mgr, m)
-			return
-		}
 		rep := m.Body.(*barrierReport)
 		if g := b.bmgrArrive(rep, m); g != nil {
 			// The remote arrival completed the barrier and the local
@@ -913,7 +822,7 @@ func (b *base) handleBarrier(m paragon.Msg) (sim.Time, func()) {
 // manager (used by the homeless protocols after GC validation, so nobody
 // discards diffs another node may still need).
 func (b *base) gcRendezvous() {
-	if b.self == b.sys.bmgrNode() {
+	if b.self == barrierManager {
 		mgr := b.bmgr
 		mgr.gcDone++
 		if b.gcMaybeComplete() {
@@ -923,7 +832,7 @@ func (b *base) gcRendezvous() {
 		b.app().Park("gc rendezvous")
 		return
 	}
-	b.node.Call(b.app(), b.sys.bmgrNode(), paragon.Msg{
+	b.node.Call(b.app(), barrierManager, paragon.Msg{
 		Kind:  kGCDone,
 		Size:  8,
 		Class: stats.ClassProtocol,

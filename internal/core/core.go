@@ -65,12 +65,13 @@ var Protocols = []Protocol{ProtoLRC, ProtoOLRC, ProtoHLRC, ProtoOHLRC}
 // can be re-homed onto a survivor.
 type Recovery struct {
 	// Replicas is the number of mirror nodes (the K next nodes in home
-	// order) holding a recoverable copy of each home's page state and of
-	// its synchronization-manager state: every diff and every manager
-	// update is forwarded to them on receipt, before any send that
-	// depends on it. Zero disables replication: a crash of a node that
-	// homes pages is then unrecoverable and the run fails with a
-	// NodeDeadError.
+	// order) holding a recoverable copy of each home's page state: every
+	// diff is forwarded to them on receipt, before any send that depends
+	// on it. Zero disables replication: a crash of a node that homes
+	// pages is then unrecoverable and the run fails with a NodeDeadError.
+	// Synchronization managers are never replicated: a crashed lock or
+	// barrier manager keeps its tables, and requests to it wait out its
+	// restart in retransmission.
 	Replicas int
 }
 
@@ -154,7 +155,6 @@ const (
 	kMirror                 // home -> replica: mirrored diff or full page image
 	kBarrierUp              // tree barrier: child -> parent subtree report
 	kBarrierDown            // tree barrier: parent -> child subtree release
-	kMgrMirror              // manager -> backup: mirrored lock/barrier manager state
 )
 
 // IntervalRec is the write-notice record for one interval: the pages the
@@ -247,7 +247,7 @@ var msgKindNames = [...]string{
 	kLockAcq: "lock-acquire", kLockFwd: "lock-forward", kBarrier: "barrier",
 	kGCDone: "gc-done", kFetchDiffs: "fetch-diffs", kFetchPage: "fetch-page",
 	kDiffFlush: "diff-flush", kMakeDiff: "make-diff", kMirror: "mirror",
-	kBarrierUp: "barrier-up", kBarrierDown: "barrier-down", kMgrMirror: "mgr-mirror",
+	kBarrierUp: "barrier-up", kBarrierDown: "barrier-down",
 }
 
 // msgKindName renders protocol message kinds for fault watchdog reports.

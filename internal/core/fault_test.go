@@ -298,12 +298,12 @@ func TestRetryGiveUpDiagnosed(t *testing.T) {
 // msgKindName, so every declared kind needs a real name and the range
 // must have no hole a renumbering left behind.
 func TestMessageKindsDenseAndNamed(t *testing.T) {
-	for k := kLockAcq; k <= kMgrMirror; k++ {
+	for k := kLockAcq; k <= kBarrierDown; k++ {
 		if name := msgKindName(k); strings.HasPrefix(name, "kind-") {
 			t.Errorf("message kind %d has no name (%q)", k, name)
 		}
 	}
-	if name := msgKindName(kMgrMirror + 1); !strings.HasPrefix(name, "kind-") {
-		t.Errorf("kind %d past the last declared one is named %q", kMgrMirror+1, name)
+	if name := msgKindName(kBarrierDown + 1); !strings.HasPrefix(name, "kind-") {
+		t.Errorf("kind %d past the last declared one is named %q", kBarrierDown+1, name)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
@@ -24,12 +26,6 @@ type hlrcEngine struct {
 	// mirrors holds this node's replica copies of other homes' pages
 	// (crash recovery, see recover.go).
 	mirrors map[int]*mirrorPage
-
-	// lateInval holds pages a mid-interval write notice could not
-	// invalidate because they sit in the open interval (only lock
-	// reclamation's absorbFrom delivers notices mid-interval); the next
-	// closeCommit invalidates them right after reprotection.
-	lateInval []int32
 }
 
 // hlrcPage is the per-page protocol state of one node, in two tiers. The
@@ -244,7 +240,6 @@ func (e *hlrcEngine) closeCost() sim.Time {
 			cost += e.costs().DiffCreateCost(e.sys.Space.PageWords)
 		}
 	}
-	cost += sim.Time(len(e.lateInval)) * e.costs().PageInval
 	return cost
 }
 
@@ -278,16 +273,6 @@ func (e *hlrcEngine) closeCommit() {
 		}
 		e.flushOwn(&diffFlush{Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: e.diffTwin(pg)})
 	}
-	// Deferred mid-interval invalidations (noticePage): now that the
-	// interval is closed and the pages reprotected, drop the copies.
-	for _, pg32 := range e.lateInval {
-		p := e.pt.Page(int(pg32))
-		if p.State == mem.ReadOnly {
-			p.State = mem.Invalid
-			e.event(trace.Invalidate, int(pg32), -1, 0)
-		}
-	}
-	e.lateInval = nil
 }
 
 // flushOwn routes a diff this node made: into the home copy when this node
@@ -342,15 +327,7 @@ func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 		return 0
 	}
 	if p.State == mem.ReadWrite {
-		// Mid-interval notice: only reclamation's absorbFrom can apply
-		// one (a grant's notices always follow closeIntervalOnApp).
-		// Invalidating now would sever the open interval's twin/dirty
-		// bookkeeping — a re-write would fault, refetch over the local
-		// writes, and re-enter the dirty list. Defer until the close
-		// reprotects the page; seen is already raised, so the eventual
-		// refetch waits out the noticed writer's flush.
-		e.lateInval = append(e.lateInval, int32(page))
-		return 0
+		panic(fmt.Sprintf("core: node %d noticed page %d mid-interval (notices arrive only at interval boundaries)", e.self, page))
 	}
 	p.State = mem.Invalid
 	e.event(trace.Invalidate, page, rec.Proc, 0)

@@ -95,14 +95,6 @@ type System struct {
 	rec   *recovery
 	fatal error
 
-	// Synchronization-manager failover state (mgr.go). syncMgr maps each
-	// natural lock-manager slot (node id) to the node currently holding
-	// that role; nil means the identity mapping and is only materialized
-	// when a crash promotes a backup, so fault-free parallel runs read
-	// immutable state. bmNode is the current barrier-manager node.
-	syncMgr []int
-	bmNode  int
-
 	// traceLog, when non-nil, captures protocol events. untraced[i] is set
 	// once node i's statistics are snapshotted: from then on its events
 	// still count but are no longer traced, so the trace spans exactly what

@@ -155,10 +155,10 @@ func Profile(name string, seed int64) (Plan, error) {
 		}, nil
 	case ProfileCrashMgr:
 		// One synchronization manager dies per interval: first the
-		// barrier manager (node 0), then — after its promoted successor
-		// has taken over — node 1, the natural manager of lock 1 and the
-		// usual first backup. Exercises manager failover and chained
-		// promotions; requires Recovery.Replicas >= 1.
+		// barrier manager (node 0), then node 1, the manager of lock 1.
+		// Requests to a crashed manager wait out its restart; the pages
+		// both nodes home are re-homed, so this needs
+		// Recovery.Replicas >= 1.
 		return Plan{
 			Seed: seed,
 			Crashes: []Crash{

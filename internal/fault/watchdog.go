@@ -33,13 +33,13 @@ type HangError struct {
 
 // NodeDeadError reports a run that could not complete because a crashed
 // node took needed state down with it: no replica existed to re-home
-// its pages, or no backup to take over its manager role. Unwrap exposes
-// the underlying failure (typically a *sim.DeadlockError), if any.
+// its pages. Unwrap exposes the underlying failure (typically a
+// *sim.DeadlockError), if any.
 type NodeDeadError struct {
 	Node int
 	At   sim.Time // when the node crashed
 	// Role names the unrecoverable role the node held, when known:
-	// "home", "lock manager" or "barrier manager".
+	// "home", the only role that moves to a survivor.
 	Role   string
 	Reason string
 	Err    error
