@@ -157,15 +157,6 @@ func main() {
 		tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "  pages re-homed\t%d\n", sum.Counts.PagesRehomed)
 		fmt.Fprintf(tw, "  replication traffic\t%.2f MB\n", float64(sum.ReplicaBytes)/(1<<20))
-		if sum.Counts.MgrsRehomed > 0 {
-			fmt.Fprintf(tw, "  managers re-homed\t%d\n", sum.Counts.MgrsRehomed)
-		}
-		if sum.Counts.LocksReclaimed > 0 {
-			fmt.Fprintf(tw, "  locks reclaimed\t%d\n", sum.Counts.LocksReclaimed)
-		}
-		if sum.MirrorBytes > 0 {
-			fmt.Fprintf(tw, "  manager mirror traffic\t%.2f KB\n", float64(sum.MirrorBytes)/(1<<10))
-		}
 		if sum.Detect > 0 {
 			fmt.Fprintf(tw, "  failure detection latency\t%.2f ms\n", sum.Detect.Micros()/1e3)
 		}

@@ -24,7 +24,6 @@ type jsonNode struct {
 	AppMem       int64            `json:"app_mem"`
 	RecoveryNs   int64            `json:"recovery_ns"`
 	ReplicaBytes int64            `json:"replica_bytes"`
-	MirrorBytes  int64            `json:"mirror_bytes"`
 	DetectNs     int64            `json:"detect_ns"`
 }
 
@@ -38,7 +37,6 @@ func nodeJSON(n *Node) jsonNode {
 		AppMem:       n.AppMem,
 		RecoveryNs:   int64(n.Recovery),
 		ReplicaBytes: n.ReplicaBytes,
-		MirrorBytes:  n.MirrorBytes,
 		DetectNs:     int64(n.Detect),
 	}
 	for c := Category(0); c < NumCategories; c++ {
@@ -68,9 +66,7 @@ func (r *Run) MarshalJSON() ([]byte, error) {
 		PeakProtoMem  int64       `json:"peak_proto_mem"`
 		TotalAppMem   int64       `json:"total_app_mem"`
 		PagesRehomed  int64       `json:"pages_rehomed,omitempty"`
-		MgrsRehomed   int64       `json:"mgrs_rehomed,omitempty"`
 		ReplicaBytes  int64       `json:"replica_bytes,omitempty"`
-		MirrorBytes   int64       `json:"mirror_bytes,omitempty"`
 		DetectNs      int64       `json:"detect_ns,omitempty"`
 		Serve         *ServeStats `json:"serve,omitempty"`
 		Nodes         []jsonNode  `json:"nodes"`
@@ -87,9 +83,7 @@ func (r *Run) MarshalJSON() ([]byte, error) {
 		PeakProtoMem:  r.PeakProtoMem(),
 		TotalAppMem:   r.TotalAppMem(),
 		PagesRehomed:  sum.Counts.PagesRehomed,
-		MgrsRehomed:   sum.Counts.MgrsRehomed,
 		ReplicaBytes:  sum.ReplicaBytes,
-		MirrorBytes:   sum.MirrorBytes,
 		DetectNs:      int64(sum.Detect),
 		Serve:         r.Serve,
 	}

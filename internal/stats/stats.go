@@ -77,14 +77,6 @@ type Counters struct {
 	// PagesRehomed counts pages this node adopted as their new home
 	// after the previous home crashed. Zero without crash recovery.
 	PagesRehomed int64
-	// MgrsRehomed counts synchronization-manager roles (lock-manager
-	// slots, the barrier manager) this node adopted after the previous
-	// holder crashed. Zero without crash recovery.
-	MgrsRehomed int64
-	// LocksReclaimed counts free lock tokens a manager revoked from a
-	// crashed owner so waiting acquirers could proceed at detection time
-	// instead of waiting out the outage.
-	LocksReclaimed int64
 }
 
 // counterFields is the one list of the Counters fields: each one's JSON
@@ -108,8 +100,6 @@ var counterFields = [...]struct {
 	{"dups_suppressed", func(c *Counters) *int64 { return &c.DupsSuppressed }},
 	{"msgs_dropped", func(c *Counters) *int64 { return &c.MsgsDropped }},
 	{"pages_rehomed", func(c *Counters) *int64 { return &c.PagesRehomed }},
-	{"mgrs_rehomed", func(c *Counters) *int64 { return &c.MgrsRehomed }},
-	{"locks_reclaimed", func(c *Counters) *int64 { return &c.LocksReclaimed }},
 }
 
 // Node accumulates statistics for one simulated node.
@@ -142,10 +132,6 @@ type Node struct {
 	// ReplicaBytes counts home-state replication traffic sent by this
 	// node (mirrored diffs, checkpoint pages). Zero without recovery.
 	ReplicaBytes int64
-	// MirrorBytes counts synchronization-manager replication traffic
-	// sent by this node (lock-owner updates, barrier arrivals mirrored
-	// to manager backups). Zero without recovery.
-	MirrorBytes int64
 	// Detect is the failure-detection latency observed by this node:
 	// crash time to the moment this node declared the victim dead. Zero
 	// unless this node was the reporter.
@@ -209,7 +195,6 @@ func (n Node) Sub(o Node) Node {
 	d.AppMem = n.AppMem
 	d.Recovery = n.Recovery - o.Recovery
 	d.ReplicaBytes = n.ReplicaBytes - o.ReplicaBytes
-	d.MirrorBytes = n.MirrorBytes - o.MirrorBytes
 	d.Detect = n.Detect
 	return d
 }
@@ -263,7 +248,6 @@ func (r *Run) Sum() Node {
 		sum.AppMem += nd.AppMem
 		sum.Recovery += nd.Recovery
 		sum.ReplicaBytes += nd.ReplicaBytes
-		sum.MirrorBytes += nd.MirrorBytes
 		if nd.Detect > sum.Detect {
 			sum.Detect = nd.Detect
 		}
@@ -294,7 +278,6 @@ func (r *Run) AvgNode() Node {
 	avg.AppMem /= n
 	avg.Recovery /= sim.Time(n)
 	avg.ReplicaBytes /= n
-	avg.MirrorBytes /= n
 	return avg
 }
 
