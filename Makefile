@@ -40,13 +40,16 @@ loc:
 # Heap allocations per operation from the benchmark's probe suite: one
 # traced serve_read run (~7 s on two cores), then the seven *_allocs* rows
 # (per Call, page miss, lock acquire, barrier episode and diff flush); then
-# serve_write's host_mallocs_k, the write-notice path end to end, from one
-# untraced 1-second seed-1 run (~4 s). Report-only, like loc.
+# host_mallocs_k end to end from one untraced 1-second seed-1 run each of
+# serve_read (the fetch path) and serve_write (the write-notice path), ~4 s
+# apiece. Report-only, like loc.
 allocs:
 	@out=$$(bash benchmark/run.sh --workload serve_read --seed 1 --seconds 1 --trace 1) && \
 		printf '%s\n' "$$out" | grep -E '^ +[a-z0-9_.]+_allocs' && \
-		out=$$(bash benchmark/run.sh --workload serve_write --seed 1 --seconds 1 --trace 0) && \
-		printf '%s\n' "$$out" | awk '$$1 == "host_mallocs_k" { printf "  %-33s%s %s\n", "serve_write.host_mallocs_k", $$2, $$3 }'
+		for w in serve_read serve_write; do \
+			out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) && \
+			printf '%s\n' "$$out" | awk -v w=$$w '$$1 == "host_mallocs_k" { printf "  %-33s%s %s\n", w ".host_mallocs_k", $$2, $$3 }' || exit 1; \
+		done
 
 # Regenerate every paper table and figure at paper size (~90 s on two
 # cores) and require the output to be byte-identical to the checked-in

@@ -47,7 +47,12 @@ type hlrcPage struct {
 // hlrcUse is the tier of hlrcPage only a used page pays for (useOf).
 type hlrcUse struct {
 	// Home-side state (only on the page's home node):
-	flushVC      *vc.Sparse    // highest interval applied per writer (flushOf)
+	// flushVC[j] is the highest interval of writer j applied here. Its
+	// header comes from the node's flushVecs once and is kept: a crash
+	// restart reinitialises it to absent (Dim() == 0), so it grows in the
+	// node's pairs once however often the page is homed here. flushOf
+	// initialises it; every other reader goes through flushOrNil.
+	flushVC      *vc.Sparse
 	pendingDiff  []*diffFlush  // diffs awaiting causal predecessors
 	pendingFetch []paragon.Msg // fetches awaiting flush coverage
 	waiters      []*sim.Proc   // local accesses waiting for coverage
@@ -119,13 +124,25 @@ func (m *hlrcPage) seenOrNil() *vc.Sparse {
 // useOf returns page's use-tier record, materializing it.
 func (e *hlrcEngine) useOf(page int) *hlrcUse { return e.uses.Lazy(&e.pages.At(page).use) }
 
-// flushOf returns page's flush vector, creating it (and charging it to
-// protocol memory) on first use. It grows in the node's pairs.
+// flushOf returns page's flush vector, initialising it (and charging it to
+// protocol memory) while it is absent. It grows in the node's pairs.
 func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
 	u := e.useOf(page)
 	if u.flushVC == nil {
+		u.flushVC = &e.flushVecs.Take(1)[0]
+	}
+	if u.flushVC.Dim() == 0 {
 		e.st().MemAlloc(e.vecBytes())
-		u.flushVC = e.flushVecs.Take(1)[0].Init(e.sys.Opts.Machine.Nodes)
+		u.flushVC.Init(e.sys.Opts.Machine.Nodes)
+	}
+	return u.flushVC
+}
+
+// flushOrNil reads the flush vector: nil, the all-zero vector, while it is
+// absent.
+func (u *hlrcUse) flushOrNil() *vc.Sparse {
+	if u.flushVC.Dim() == 0 {
+		return nil
 	}
 	return u.flushVC
 }
@@ -145,7 +162,7 @@ func (e *hlrcEngine) ReadFault(page int) {
 		// means required diffs are still in flight. Wait for coverage.
 		// Re-check the home after every wake-up: if this node crashed and
 		// rejoined, its pages moved and the fault must fetch remotely.
-		if covers(u.flushVC, m.seenOrNil()) {
+		if covers(u.flushOrNil(), m.seenOrNil()) {
 			e.pt.Page(page).State = mem.ReadOnly
 			e.st().Add(stats.CatData, e.app().Now()-t0)
 			return
@@ -311,7 +328,7 @@ func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 		// the branch below (a known cost-model deviation, kept so
 		// simulated time does not move); only the first invalidation is
 		// traced.
-		if p := e.pt.Page(page); !covers(e.useOf(page).flushVC, seen) && p.State != mem.ReadWrite {
+		if p := e.pt.Page(page); !covers(e.useOf(page).flushOrNil(), seen) && p.State != mem.ReadWrite {
 			if p.State != mem.Invalid {
 				p.State = mem.Invalid
 				e.event(trace.Invalidate, page, rec.Proc, 0)
@@ -464,7 +481,7 @@ func (e *hlrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
 			return
 		}
 		pm := e.useOf(fr.Page)
-		if covers(pm.flushVC, &fr.Need) {
+		if covers(pm.flushOrNil(), &fr.Need) {
 			e.respondFetch(m, fr)
 			return
 		}

@@ -532,10 +532,10 @@ func (e *hlrcEngine) wipeVolatile() {
 			return // never homed, faulted on or written here
 		}
 		// No page is homed here anymore (re-homing ran first).
-		if u.flushVC != nil {
+		if u.flushVC.Dim() != 0 {
 			e.homeWrite(pg) // the vector goes, and with it what was published under it
 			e.st().MemFree(e.vecBytes())
-			u.flushVC = nil
+			u.flushVC.Init(0) // absent; its header and run are kept for the next homing
 		}
 		u.pendingDiff = nil
 		u.pendingFetch = nil

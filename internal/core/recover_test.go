@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -356,11 +357,11 @@ func TestLateImageAtPromotedHome(t *testing.T) {
 				p := e.pt.Page(pg)
 				got.data = append([]float64(nil), p.Data...)
 				got.twin = append([]float64(nil), p.Twin...)
-				got.flush = pm.flushVC.Get(2)
+				got.flush = pm.flushOrNil().Get(2)
 				got.parkedAfter = len(pm.pendingFetch)
 				e.installLateImage(&mirrorMsg{Page: pg, Data: image(-500), VC: stamp(4)})
 				got.after = append([]float64(nil), p.Data...)
-				got.flushAfter = pm.flushVC.Get(2)
+				got.flushAfter = pm.flushOrNil().Get(2)
 			case 1:
 				// As if a write notice for interval 5 of node 2 had arrived:
 				// the fetch parks at the home until its flush vector covers it.
@@ -488,7 +489,7 @@ func TestRecoveryOnUnusedPages(t *testing.T) {
 			if heirUsedBefore || heirSeenBefore.Get(1) == 0 {
 				t.Errorf("before the crash node 2's slot for x had use tier %v and vector %v; want none and node 1's notices", heirUsedBefore, heirSeenBefore)
 			}
-			if heir.use == nil || heir.use.flushVC.Get(1) < int32(rounds) {
+			if heir.use == nil || heir.use.flushOrNil().Get(1) < int32(rounds) {
 				t.Errorf("after the run node 2's slot for x: use tier %+v; want the home's, flushed through node 1's interval %d", heir.use, rounds)
 			}
 			if victim.use != nil || victim.seenOrNil().Get(0) < int32(rounds) {
@@ -535,9 +536,9 @@ func TestLateImageOnUntouchedPage(t *testing.T) {
 						used = m.use != nil || m.seenOrNil() != nil
 						mem0 := e.st().ProtoMem
 						e.installLateImage(&mirrorMsg{Page: pg, Data: image(5), VC: stamp(5)})
-						flush = m.use.flushVC.Get(2)
+						flush = m.use.flushOrNil().Get(2)
 						e.installLateImage(&mirrorMsg{Page: pg, Data: image(4), VC: stamp(4)})
-						flushAfter = m.use.flushVC.Get(2)
+						flushAfter = m.use.flushOrNil().Get(2)
 						charge = e.st().ProtoMem - mem0
 					}
 					c.Barrier(0)
@@ -555,6 +556,67 @@ func TestLateImageOnUntouchedPage(t *testing.T) {
 			}
 			if res.Data[0] != 5 || res.Data[1] != 5 {
 				t.Errorf("page reads %v, want the covering image's 5s", res.Data)
+			}
+		})
+	}
+}
+
+// TestRestartKeepsFlushVectorRun: a home that crashes and restarts drops
+// its flush vectors (wipeVolatile), and a page homed here again grows its
+// vector anew. The vector's header and pair run survive the restart, so k
+// restarts grow the node's pairs once, not once per restart. Under
+// vc.ForceDense the dropped vector is a Dim-0 dense one, which the readers
+// (here noticePage's coverage check) must see as absent, not index.
+func TestRestartKeepsFlushVectorRun(t *testing.T) {
+	const words, restarts, writers = 64, 8, 3
+	for _, dense := range []bool{false, true} {
+		dense := dense
+		t.Run(fmt.Sprintf("dense=%v", dense), func(t *testing.T) {
+			defer func(old bool) { vc.ForceDense = old }(vc.ForceDense)
+			vc.ForceDense = dense
+			var addr mem.Addr
+			grew, mem0, memAfter := 0, int64(0), int64(0)
+			app := &testApp{
+				name:  "restart-flush",
+				setup: func(s *Setup) { addr = s.Alloc(words) },
+				init:  func(w *Init) { w.SetHome(addr, words, 0) },
+				worker: func(c *Ctx, id int) {
+					if id == 0 {
+						e, pg := c.sys.Engines[0].(*hlrcEngine), c.sys.Space.PageOf(addr)
+						// vc.Arena is a slab.Slab of pairs, whose one field is
+						// its current block's untaken tail.
+						free := reflect.ValueOf(&e.pairs).Elem().Field(0)
+						mem0 = e.st().ProtoMem
+						for r := 1; r <= restarts; r++ {
+							at, left := free.Pointer(), free.Len()
+							f := e.flushOf(pg)
+							for w := 1; w <= writers; w++ {
+								e.pairs.RaiseTo(f, w, int32(r))
+							}
+							if free.Pointer() != at || free.Len() != left {
+								grew++
+							}
+							e.wipeVolatile()
+							e.noticePage(&IntervalRec{Proc: 1, Interval: int32(r)}, pg)
+						}
+						memAfter = e.st().ProtoMem
+					}
+					c.Barrier(0)
+				},
+				gather: func(c *Ctx) []float64 { return nil },
+			}
+			runOrFail(t, testOpts(ProtoHLRC, writers+1), app)
+			want := 1
+			if dense {
+				want = 0 // dense vectors never grow in an arena
+			}
+			if grew != want {
+				t.Errorf("%d restarts grew the home's pairs %d times, want %d", restarts, grew, want)
+			}
+			// Each restart frees the flush vector its homing charged; only
+			// the requirement vector the first notice made stays.
+			if vecBytes := int64(4 * (writers + 1)); memAfter-mem0 != vecBytes {
+				t.Errorf("protocol memory +%d after %d restarts, want +%d (the seen vector)", memAfter-mem0, restarts, vecBytes)
 			}
 		})
 	}

@@ -20,22 +20,23 @@ func mustProfile(t *testing.T, name string) *fault.Injector {
 	return fault.NewInjector(plan)
 }
 
-// A message in flight is one heap object, and every event posted for it
-// fires that object: a Call's steady-state cost is its reply port, the
-// request, the response and the handler's effect closure, on any network
-// and through the reliable transport alike (retransmissions, duplicates
-// and acks allocate nothing).
+// A fault-free Call allocates only what the handler's effect closure
+// captures: the request waits on the node's own reply port, and the
+// request and its answer each travel in a flight recycled through the
+// nodes' free lists. Through the reliable transport each leg adds its
+// netMsg, the one object the transport allocates per message (its
+// retransmissions, duplicates and acks allocate nothing).
 func TestCallAllocs(t *testing.T) {
 	const warm, calls = 500, 2000
-	const ceiling = 4.0
 	for _, tc := range []struct {
-		name   string
-		enable func(t *testing.T, m *Machine)
+		name    string
+		ceiling float64
+		enable  func(t *testing.T, m *Machine)
 	}{
-		{"crossbar", func(*testing.T, *Machine) {}},
-		{"mesh", func(_ *testing.T, m *Machine) { m.EnableMesh(0) }},
-		{"lossy", func(t *testing.T, m *Machine) { m.EnableFaults(mustProfile(t, fault.ProfileLossy)) }},
-		{"hostile+mesh", func(t *testing.T, m *Machine) {
+		{"crossbar", 1, func(*testing.T, *Machine) {}},
+		{"mesh", 1, func(_ *testing.T, m *Machine) { m.EnableMesh(0) }},
+		{"lossy", 3, func(t *testing.T, m *Machine) { m.EnableFaults(mustProfile(t, fault.ProfileLossy)) }},
+		{"hostile+mesh", 3, func(t *testing.T, m *Machine) {
 			m.EnableMesh(0)
 			m.EnableFaults(mustProfile(t, fault.ProfileHostile))
 		}},
@@ -67,8 +68,8 @@ func TestCallAllocs(t *testing.T) {
 			// still land in the measured calls; they stay far below 1 %.
 			per := float64(after.Mallocs-before.Mallocs) / calls
 			t.Logf("%.3f allocations per Call", per)
-			if per > ceiling+0.01 {
-				t.Errorf("%.3f allocations per Call, want at most %.0f", per, ceiling)
+			if per > tc.ceiling+0.01 {
+				t.Errorf("%.3f allocations per Call, want at most %.0f", per, tc.ceiling)
 			}
 		})
 	}
@@ -79,6 +80,9 @@ func TestCallAllocs(t *testing.T) {
 // same proc gets its own answer — on the local path, across the network,
 // and through the reliable transport. Without faults the answers arrive in
 // the order they were sent; the lossy network's jitter may swap them.
+// Every Call waits on the node's one reply port, so this is also the test
+// of its generation check: without it, the second answer to Call 1 lands
+// as Call 2's (Call 2 gets 12).
 func TestReplyAnsweredTwice(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -148,5 +152,63 @@ func TestDeadlockReportNamesProcAndChannel(t *testing.T) {
 	}
 	if msg := de.Error(); !strings.Contains(msg, "app0") || !strings.Contains(msg, "recv reply") {
 		t.Fatalf("report does not name the blocked proc and its reply port: %v", msg)
+	}
+}
+
+// A node that only receives one-way messages keeps at most maxFlights of
+// the flights they arrived in.
+func TestOneWayFlightsBounded(t *testing.T) {
+	const sends = 10000
+	k := sim.NewKernel()
+	m := New(k, 2, testCosts())
+	got := 0
+	m.Nodes[1].InstallCoproc(func(Msg) (sim.Time, func()) { got++; return 0, nil })
+	k.Spawn("app0", 0, func(p *sim.Proc) {
+		for i := 0; i < sends; i++ {
+			m.Nodes[0].Send(1, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc})
+			p.Sleep(sim.Microsecond)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	if got != sends {
+		t.Fatalf("receiver serviced %d messages, want %d", got, sends)
+	}
+	n := 0
+	for f := m.Nodes[1].flights; f != nil; f = f.next {
+		n++
+	}
+	if n != m.Nodes[1].nflights || n != maxFlights {
+		t.Fatalf("receiver holds %d flights (counted %d) after %d sends, want the bound %d",
+			n, m.Nodes[1].nflights, sends, maxFlights)
+	}
+}
+
+// Only a node's application proc calls Call, so the node has one reply
+// port: a second proc that calls while the first waits panics, naming the
+// node.
+func TestConcurrentCallPanics(t *testing.T) {
+	k := sim.NewKernel()
+	m := New(k, 2, testCosts())
+	srv := m.Nodes[1]
+	srv.InstallCoproc(func(req Msg) (sim.Time, func()) {
+		return 0, func() { srv.Respond(req, Msg{Kind: 2, Size: 4, Class: stats.ClassProtocol}) }
+	})
+	req := Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc}
+	k.Spawn("app0", 0, func(p *sim.Proc) { m.Nodes[0].Call(p, 1, req) })
+	var got any
+	k.Spawn("intruder", 1, func(p *sim.Proc) {
+		defer func() { got = recover() }()
+		m.Nodes[0].Call(p, 1, req)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "node 0") {
+		t.Fatalf("second concurrent Call recovered %v, want a panic naming node 0", got)
 	}
 }

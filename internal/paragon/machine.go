@@ -1,6 +1,8 @@
 package paragon
 
 import (
+	"fmt"
+
 	"gosvm/internal/fault"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -52,6 +54,7 @@ func New(k *sim.Kernel, n int, costs Costs) *Machine {
 	for i := 0; i < n; i++ {
 		nd := &Node{ID: i, M: m, Stats: &stats.Node{}}
 		nd.CPU = &CPU{node: nd}
+		nd.reply.owner = i
 		nd.compute.init(nd, true)
 		nd.coproc.init(nd, false)
 		m.Nodes = append(m.Nodes, nd)
@@ -128,6 +131,10 @@ type Node struct {
 
 	compute dispatcher // requests serviced under a receive interrupt
 	coproc  dispatcher // the co-processor's polling dispatch loop
+
+	reply    Reply   // the port every Call on this node waits on
+	flights  *flight // free list of fired flights, for this node's sends
+	nflights int     // its length, at most maxFlights
 }
 
 // InstallCompute sets the handler for messages targeted at the compute
@@ -254,20 +261,29 @@ func (n *Node) Send(to int, msg Msg) {
 		return
 	}
 	n.Stats.Sent(msg.Class, msg.Size+n.M.Costs.MsgHeader)
-	dst := n.M.Nodes[to]
-	// The delivery is posted from this node's lane to the destination's:
-	// on a partitioned kernel it becomes a window-boundary handoff, on an
-	// unpartitioned one a plain event.
-	n.M.K.Post(n.ID, to, n.arrivalTime(to, msg.Size, true), func() { dst.enqueue(msg) })
+	n.post(to, nil, msg)
 }
 
-// Call sends a request and blocks p on a fresh reply port until the first
-// answer arrives. The requester polls for its reply, so no receive
-// interrupt is charged on this node.
+// Call sends a request and blocks p on the node's reply port until the
+// first answer to this request arrives. The requester polls for its
+// reply, so no receive interrupt is charged on this node. Only one proc
+// per node may call: a Call while another waits on the port panics.
 func (n *Node) Call(p *sim.Proc, to int, msg Msg) Msg {
-	msg.Reply = &Reply{owner: n.ID}
+	r := &n.reply
+	if r.waiter != nil {
+		panic(fmt.Sprintf("paragon: node %d: Call from %s while %s waits on the node's reply port",
+			n.ID, p.Name(), r.waiter.Name()))
+	}
+	r.gen++
+	r.got, r.waiter = false, p
+	msg.Reply, msg.gen = r, r.gen
 	n.Send(to, msg)
-	return msg.Reply.Wait(p)
+	for !r.got {
+		p.Park("recv reply")
+	}
+	resp := r.msg
+	r.msg, r.waiter = Msg{}, nil
+	return resp
 }
 
 // Respond sends resp as the answer to req. It may be called from handler
@@ -275,17 +291,18 @@ func (n *Node) Call(p *sim.Proc, to int, msg Msg) Msg {
 // same modeled network as requests — hop latency, link contention, and
 // the per-(src,dst) FIFO order all apply on the way back.
 func (n *Node) Respond(req Msg, resp Msg) {
-	if req.Reply == nil {
+	port := req.Reply
+	if port == nil {
 		panic("paragon: Respond to a message with no reply port")
 	}
-	resp.From = n.ID
-	to := req.Reply.owner
+	resp.From, resp.gen = n.ID, req.gen
+	to := port.owner
 	if fl := n.M.faults; fl != nil && to != n.ID {
-		fl.send(n, to, resp, req.Reply)
+		fl.send(n, to, resp, port)
 		return
 	}
 	n.Stats.Sent(resp.Class, resp.Size+n.M.Costs.MsgHeader)
-	n.M.K.Post(n.ID, to, n.arrivalTime(to, resp.Size, true), &response{port: req.Reply, msg: resp})
+	n.post(to, port, resp)
 }
 
 // InjectCoproc queues a message on the local co-processor from a handler

@@ -32,14 +32,20 @@ type Msg struct {
 	// requester blocked on a Reply polls for the message, so delivery
 	// needs no receive interrupt.
 	Reply *Reply
+	// gen is the Call a request belongs to: Call stamps it with its
+	// port's generation and Respond copies it into the answer.
+	gen uint64
 }
 
-// Reply is a one-shot response port for request/response exchanges: the
-// requester's proc parks in Wait until the first answer is delivered.
+// Reply is a node's response port. Only the node's application proc calls
+// Call, so one port per node serves every exchange: each Call opens a new
+// generation, and the requester's proc parks until the first answer of
+// that generation is delivered.
 type Reply struct {
 	msg    Msg
+	gen    uint64 // the current Call's
 	got    bool
-	waiter *sim.Proc // parked in Wait, until the answer wakes it
+	waiter *sim.Proc // the proc in Call, nil between Calls
 	// owner is the node whose proc waits on this port. The fault layer
 	// addresses the reply wire by it: the request's From field is
 	// overwritten at every forwarding hop and may no longer name the
@@ -47,32 +53,63 @@ type Reply struct {
 	owner int
 }
 
-// deliver stores the answer and wakes the waiter. A port answers once: a
-// later answer to the same request (a handler that responds twice) is
-// dropped, and the waiter is not woken again.
+// deliver stores the answer and wakes the waiter. A port keeps one answer
+// per Call: an answer to an earlier Call (a handler that responds twice,
+// or a crash replay) and a second answer to the current one are dropped,
+// and the waiter is not woken again.
 func (r *Reply) deliver(m Msg) {
-	if r.got {
+	if m.gen != r.gen || r.got {
 		return
 	}
 	r.msg, r.got = m, true
-	if r.waiter != nil {
-		r.waiter.Unpark()
-	}
+	r.waiter.Unpark()
 }
 
-// Wait blocks p until the response arrives.
-func (r *Reply) Wait(p *sim.Proc) Msg {
-	for !r.got {
-		r.waiter = p
-		p.Park("recv reply")
-	}
-	return r.msg
-}
+// maxFlights bounds each node's free list of flights. Requests and their
+// answers keep the lists balanced; the bound only caps what a node that
+// mostly receives one-way traffic (diff flushes) holds on to.
+const maxFlights = 64
 
-// response is a fault-free answer in flight to its port.
-type response struct {
+// flight is a fault-free message in flight: a request or one-way message
+// to node to's dispatchers when port is nil, otherwise an answer to port.
+// It comes off the sending node's free list and, once it fires, goes onto
+// the receiving node's: each list is touched only from its own node's
+// lane.
+type flight struct {
+	to   *Node
 	port *Reply
 	msg  Msg
+	next *flight
 }
 
-func (r *response) Fire() { r.port.deliver(r.msg) }
+// Fire delivers the message, and puts f on the receiving node's free list
+// unless that is full.
+func (f *flight) Fire() {
+	to, port, msg := f.to, f.port, f.msg
+	if to.nflights < maxFlights {
+		*f = flight{next: to.flights} // drop the payload's references
+		to.flights, to.nflights = f, to.nflights+1
+	}
+	if port != nil {
+		port.deliver(msg)
+	} else {
+		to.enqueue(msg)
+	}
+}
+
+// post puts msg on the wire from n to node to, in a flight from n's free
+// list, for delivery after the wire time (FIFO per source/destination
+// pair).
+func (n *Node) post(to int, port *Reply, msg Msg) {
+	f := n.flights
+	if f != nil {
+		n.flights, n.nflights = f.next, n.nflights-1
+	} else {
+		f = new(flight)
+	}
+	*f = flight{to: n.M.Nodes[to], port: port, msg: msg}
+	// The delivery is posted from this node's lane to the destination's:
+	// on a partitioned kernel it becomes a window-boundary handoff, on an
+	// unpartitioned one a plain event.
+	n.M.K.Post(n.ID, to, n.arrivalTime(to, msg.Size, true), f)
+}
