@@ -659,3 +659,91 @@ func TestDiffKeysNeverCollide(t *testing.T) {
 	}
 	wantPanic("keys for 2^20 nodes x 2^20 pages", "pages", func() { newDiffKeys(1<<20, 1<<20) })
 }
+
+// writersPollApp has nodes 2 ... 1+k each store a word of one page homed at
+// node 0, and after a barrier node 1 polls the page with FreshRead rounds
+// times: its requirement vector, and the Need of every fetch, names k
+// writers.
+func writersPollApp(k, rounds int) *testApp {
+	var addr mem.Addr
+	return &testApp{
+		name:  "writers-poll",
+		setup: func(s *Setup) { addr = s.Alloc(s.Space.PageWords) },
+		init:  func(w *Init) { w.SetHome(addr, 1, 0) },
+		worker: func(c *Ctx, id int) {
+			if id >= 2 && id <= 1+k {
+				c.Store(addr+mem.Addr(id), float64(id))
+			}
+			c.Barrier(0)
+			for i := 0; id == 1 && i < rounds; i++ {
+				if !c.FreshRead(addr) || c.Load(addr+2) != 2 {
+					panic("writers-poll: fresh read failed")
+				}
+			}
+			c.Barrier(1)
+		},
+		gather: func(c *Ctx) []float64 { return nil },
+	}
+}
+
+// lockPassApp has nodes 1 and 2 take lock 0, which node 0 manages, in turn,
+// rounds times each: every acquire is remote, asks the manager and is
+// granted by the other node.
+func lockPassApp(rounds int) *testApp {
+	const step = sim.Millisecond // far longer than a lock hand-off
+	return &testApp{
+		name:  "lock-pass",
+		setup: func(s *Setup) { s.Alloc(1) },
+		init:  func(w *Init) {},
+		worker: func(c *Ctx, id int) {
+			for i := 0; id > 0 && i < rounds; i++ {
+				c.Wait(sim.Time(2*i+id) * step)
+				c.Lock(0)
+				c.Unlock(0)
+			}
+			c.Barrier(0)
+		},
+		gather: func(c *Ctx) []float64 { return nil },
+	}
+}
+
+// perOp is the objects one more op allocates: the whole run's allocations
+// with 2n ops less those with n, over n, so setting up and winding down
+// cancel out.
+func perOp(t *testing.T, opts Options, n int, app func(n int) *testApp) float64 {
+	run := func(n int) float64 { return testing.AllocsPerRun(1, func() { runOrFail(t, opts, app(n)) }) }
+	return (run(2*n) - run(n)) / float64(n)
+}
+
+// TestHLRCFetchAllocs puts ceilings on the host objects of a remote page
+// fetch and a remote lock acquire. Servicing a message allocates nothing
+// (no effect closure), the fetch request is the requester's own body and
+// the answer the home's published record, so a fetch of a page nobody
+// writes allocates next to nothing, and one whose Need names several
+// writers no more: the Need refills its grown pairs. An acquire allocates
+// its request and its grant, each with a vector, and nothing per message
+// serviced.
+func TestHLRCFetchAllocs(t *testing.T) {
+	const rounds = 400
+	for _, proto := range homeProtocols {
+		proto := proto
+		t.Run(string(proto), func(t *testing.T) {
+			quiet := perOp(t, testOpts(proto, 2), rounds, func(n int) *testApp {
+				return refetchApp(n, false, func(*Ctx, int) {})
+			})
+			writers := perOp(t, testOpts(proto, 6), rounds, func(n int) *testApp { return writersPollApp(4, n) })
+			acquire := perOp(t, testOpts(proto, 3), rounds, lockPassApp) / 2
+			if quiet > 0.25 || writers > 0.25 {
+				t.Errorf("a remote fetch allocates %.2f objects of a quiet page, %.2f naming 4 writers; want at most 0.25",
+					quiet, writers)
+			}
+			if acquire > 4.25 {
+				t.Errorf("a remote acquire allocates %.2f objects, want at most 4.25", acquire)
+			}
+			if testing.Verbose() {
+				t.Logf("objects allocated: %.2f per fetch of a quiet page, %.2f per fetch naming 4 writers, %.2f per remote acquire",
+					quiet, writers, acquire)
+			}
+		})
+	}
+}

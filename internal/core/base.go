@@ -31,6 +31,10 @@ type coherence interface {
 	// application proc (GC for the homeless protocols, log pruning for
 	// the home-based ones).
 	onBarrierRelease(g *grantInfo)
+	// work and apply service the message in s through the engine's
+	// handler for its kind (handler).
+	work(s *service) sim.Time
+	apply(s *service)
 }
 
 // base carries the state and algorithms shared by all protocol engines:
@@ -82,6 +86,10 @@ type base struct {
 	// its page copies (less any recover.go materializes) and caps the free list.
 	memPool *mem.Pool
 	copies  int
+
+	// compute and coproc hold the message each of the node's dispatchers
+	// is servicing (service).
+	compute, coproc service
 }
 
 type lockState struct {
@@ -111,7 +119,51 @@ func (b *base) init(sys *System, self int, co coherence) {
 	// list. Pool contents are never observable (every consumer overwrites
 	// the full buffer), so sharding changes no simulated outcome.
 	b.memPool = mem.NewPool(sys.Space.PageWords)
+	b.compute.init(b)
+	b.coproc.init(b)
+	b.node.InstallCompute(b.compute.serve)
+	b.node.InstallCoproc(b.coproc.serve)
 }
+
+// service is one dispatcher's message in service. The dispatcher's entry,
+// serve, stores the message here and returns the engine's work for it with
+// the slot's effect, built once at init, which applies it: servicing a
+// message allocates nothing. A dispatcher takes no message before the
+// previous effect has fired, so one slot per dispatcher suffices, and the
+// message is valid until its effect returns.
+type service struct {
+	b *base
+	m paragon.Msg
+	// park is a decision taken with the work, when the message was taken,
+	// which the effect must not re-derive: the same-instant event order
+	// would change (lrc fetchDiffs: the diff was in flight, so the request
+	// waits for it).
+	park   bool
+	effect func()
+}
+
+func (s *service) init(b *base) {
+	s.b = b
+	s.effect = s.apply
+}
+
+// serve is the dispatcher's handler.
+func (s *service) serve(m paragon.Msg) (sim.Time, func()) {
+	s.m = m
+	return s.b.co.work(s), s.effect
+}
+
+// apply is the effect of the message in service. It then drops the
+// message, and with it the references its body holds.
+func (s *service) apply() {
+	s.b.co.apply(s)
+	s.m, s.park = paragon.Msg{}, false
+}
+
+// noWork and lockHandling are the work of the kinds whose service time does
+// not depend on the message.
+func (b *base) noWork(*service) sim.Time       { return 0 }
+func (b *base) lockHandling(*service) sim.Time { return b.costs().LockHandling }
 
 func (b *base) costs() *paragon.Costs { return &b.sys.Opts.Machine.Costs }
 
@@ -179,19 +231,17 @@ func (b *base) adopt(p *mem.Page, frame *[]float64) {
 	p.Data, *frame = *frame, nil
 }
 
-// adoptShared makes *f, a frame this node was sent one reference to, its
+// adoptShared makes f, a frame this node was sent one reference to, its
 // read-only copy of p; whatever it replaces goes to the sink — the words of
 // a private copy, or the reference to a shared one, whose words follow if it
-// was the last. *f is cleared, as adopt clears its frame and for its reason.
-func (b *base) adoptShared(p *mem.Page, f **mem.Frame) {
-	if *f == nil {
-		panic(fmt.Sprintf("core: node %d adopting an empty page reply (delivered twice?)", b.self))
-	}
+// was the last. The reply that carried f is a record other fetches share,
+// so nothing in it is cleared: an answer is adopted at most once because
+// the node's reply port keeps only the first answer to each Call.
+func (b *base) adoptShared(p *mem.Page, f *mem.Frame) {
 	if p.Data == nil {
 		b.copies++
 	}
-	p.Adopt(*f, b.sink())
-	*f = nil
+	p.Adopt(f, b.sink())
 }
 
 func (b *base) st() *stats.Node { return b.node.Stats }
@@ -434,26 +484,6 @@ func (b *base) applyGrant(g *grantInfo) {
 	b.use(b.learn(g.Intervals, g.VC), stats.CatProtocol)
 }
 
-// handleSync dispatches the message kinds every engine serves the same
-// way: the synchronization requests.
-func (b *base) handleSync(m paragon.Msg) (sim.Time, func()) {
-	switch m.Kind {
-	case kLockAcq:
-		return b.handleLockAcq(m)
-	case kLockFwd:
-		return b.handleLockFwd(m)
-	case kBarrier:
-		return b.handleBarrier(m)
-	case kBarrierUp:
-		return b.handleBarrierUp(m)
-	case kBarrierDown:
-		return b.handleBarrierDown(m)
-	case kGCDone:
-		return b.handleGCDone(m)
-	}
-	return badKind(m.Kind)
-}
-
 // ---------------------------------------------------------------------------
 // Locks
 
@@ -572,47 +602,50 @@ func (b *base) mgrOwner(lock int) int {
 
 func (b *base) mgrSetOwner(lock, owner int) { b.lockOwner[lock] = owner }
 
-// handleLockAcq services a kLockAcq at the manager (dispatcher context).
-func (b *base) handleLockAcq(m paragon.Msg) (sim.Time, func()) {
-	return b.costs().LockHandling, func() {
-		lr := m.Body.(*lockReq)
-		owner := b.mgrOwner(lr.Lock)
-		b.mgrSetOwner(lr.Lock, lr.Requester)
-		m.Kind = kLockFwd // from here on the message is a forwarded request
-		if owner == b.self {
-			// Manager owns the token: behave as the owner.
-			b.ownerReceives(m, lr)
-			return
-		}
-		b.st().Counts.LockForwards++
-		b.node.Send(owner, m)
+// applyLockAcq services a kLockAcq at the manager (dispatcher context);
+// its work is lockHandling.
+func (b *base) applyLockAcq(s *service) {
+	m := s.m
+	lr := m.Body.(*lockReq)
+	owner := b.mgrOwner(lr.Lock)
+	b.mgrSetOwner(lr.Lock, lr.Requester)
+	m.Kind = kLockFwd // from here on the message is a forwarded request
+	if owner == b.self {
+		// Manager owns the token: behave as the owner.
+		b.ownerReceives(m, lr)
+		return
 	}
+	b.st().Counts.LockForwards++
+	b.node.Send(owner, m)
 }
 
-// handleLockFwd services a forwarded acquire at the (supposed) owner.
-// The grant/queue decision is made in the effect: between the message's
-// arrival and the end of its service time the application may locally
-// re-acquire the lock, and granting anyway would break mutual exclusion.
-func (b *base) handleLockFwd(m paragon.Msg) (sim.Time, func()) {
-	lr := m.Body.(*lockReq)
-	ls := b.lockState(lr.Lock)
+// workLockFwd and applyLockFwd service a forwarded acquire at the
+// (supposed) owner. The grant/queue decision is made in the effect:
+// between the message's arrival and the end of its service time the
+// application may locally re-acquire the lock, and granting anyway would
+// break mutual exclusion.
+func (b *base) workLockFwd(s *service) sim.Time {
+	ls := b.lockState(s.m.Body.(*lockReq).Lock)
 	work := b.costs().LockHandling
 	if ls.owner && !ls.held && len(b.dirty) > 0 {
 		// Likely a free grant with an interval to close; charge for it.
 		work += b.co.closeCost()
 	}
-	return work, func() {
-		ls := b.lockState(lr.Lock)
-		if !ls.owner || ls.held {
-			// Busy, or ownership still in flight: queue for our release.
-			ls.queue = append(ls.queue, m)
-			return
-		}
-		// Free: receiving a remote lock request ends the current interval.
-		b.co.closeCommit()
-		ls.owner = false
-		b.grantTo(m, lr)
+	return work
+}
+
+func (b *base) applyLockFwd(s *service) {
+	lr := s.m.Body.(*lockReq)
+	ls := b.lockState(lr.Lock)
+	if !ls.owner || ls.held {
+		// Busy, or ownership still in flight: queue for our release.
+		ls.queue = append(ls.queue, s.m)
+		return
 	}
+	// Free: receiving a remote lock request ends the current interval.
+	b.co.closeCommit()
+	ls.owner = false
+	b.grantTo(s.m, lr)
 }
 
 // ownerReceives handles an acquire landing on the manager when its table
@@ -805,16 +838,14 @@ func wake(w **sim.Proc) {
 	}
 }
 
-// handleBarrier services a remote barrier arrival at the manager.
-func (b *base) handleBarrier(m paragon.Msg) (sim.Time, func()) {
-	return b.costs().LockHandling, func() {
-		rep := m.Body.(*barrierReport)
-		if g := b.bmgrArrive(rep, m); g != nil {
-			// The remote arrival completed the barrier and the local
-			// node's release is pending: hand it over and wake the app.
-			b.bmgr.localRelease = g
-			wake(&b.bmgr.localWait)
-		}
+// applyBarrier services a remote barrier arrival at the manager; its work
+// is lockHandling.
+func (b *base) applyBarrier(s *service) {
+	if g := b.bmgrArrive(s.m.Body.(*barrierReport), s.m); g != nil {
+		// The remote arrival completed the barrier and the local node's
+		// release is pending: hand it over and wake the app.
+		b.bmgr.localRelease = g
+		wake(&b.bmgr.localWait)
 	}
 }
 
@@ -857,11 +888,9 @@ func (b *base) gcMaybeComplete() bool {
 	return true
 }
 
-// handleGCDone counts GC completions at the manager.
-func (b *base) handleGCDone(m paragon.Msg) (sim.Time, func()) {
-	return 0, func() {
-		b.bmgr.gcDone++
-		b.bmgr.gcWaiters = append(b.bmgr.gcWaiters, m)
-		b.gcMaybeComplete()
-	}
+// applyGCDone counts a GC completion at the manager; it takes no work.
+func (b *base) applyGCDone(s *service) {
+	b.bmgr.gcDone++
+	b.bmgr.gcWaiters = append(b.bmgr.gcWaiters, s.m)
+	b.gcMaybeComplete()
 }

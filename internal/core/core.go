@@ -155,6 +155,8 @@ const (
 	kMirror                 // home -> replica: mirrored diff or full page image
 	kBarrierUp              // tree barrier: child -> parent subtree report
 	kBarrierDown            // tree barrier: parent -> child subtree release
+
+	numKinds = kBarrierDown + 1
 )
 
 // IntervalRec is the write-notice record for one interval: the pages the
@@ -238,7 +240,26 @@ type Engine interface {
 	Finish()
 }
 
-func badKind(kind int) (sim.Time, func()) {
+// handler is how an engine of type E services one message kind: work
+// returns the service time, taken when the dispatcher takes the message,
+// and apply is the effect, run once that time has elapsed. Each engine has
+// one table of them, indexed by kind, for both of its dispatchers: which
+// processor runs a kind is the sender's choice of Target, not the
+// receiver's.
+type handler[E any] struct {
+	work  func(E, *service) sim.Time
+	apply func(E, *service)
+}
+
+// handlerOf returns t's handler for kind; a kind t does not serve panics.
+func handlerOf[E any](t *[numKinds]handler[E], kind int) *handler[E] {
+	if kind <= 0 || kind >= numKinds || t[kind].work == nil {
+		badKind(kind)
+	}
+	return &t[kind]
+}
+
+func badKind(kind int) {
 	panic(fmt.Sprintf("core: unexpected message kind %d", kind))
 }
 

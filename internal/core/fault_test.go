@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,7 +297,10 @@ func TestRetryGiveUpDiagnosed(t *testing.T) {
 
 // TestMessageKindsDenseAndNamed: the watchdog's HangError prints
 // msgKindName, so every declared kind needs a real name and the range
-// must have no hole a renumbering left behind.
+// must have no hole a renumbering left behind. Every kind an engine serves
+// must dispatch to a work/apply pair, and every other kind to badKind: a
+// kind its table forgot would otherwise panic only on the rare path that
+// sends it (kMirror with replication on, kGCDone at a homeless collection).
 func TestMessageKindsDenseAndNamed(t *testing.T) {
 	for k := kLockAcq; k <= kBarrierDown; k++ {
 		if name := msgKindName(k); strings.HasPrefix(name, "kind-") {
@@ -306,4 +310,31 @@ func TestMessageKindsDenseAndNamed(t *testing.T) {
 	if name := msgKindName(kBarrierDown + 1); !strings.HasPrefix(name, "kind-") {
 		t.Errorf("kind %d past the last declared one is named %q", kBarrierDown+1, name)
 	}
+	for _, eng := range []struct {
+		name      string
+		dispatch  func(kind int) bool
+		notServed []int
+	}{
+		{"hlrc", func(k int) bool { return dispatches(&hlrcHandlers, k) }, []int{kFetchDiffs}},
+		{"lrc", func(k int) bool { return dispatches(&lrcHandlers, k) }, []int{kDiffFlush, kMirror}},
+	} {
+		for k := kLockAcq - 1; k <= kBarrierDown+1; k++ {
+			want := k >= kLockAcq && k <= kBarrierDown && !slices.Contains(eng.notServed, k)
+			if got := eng.dispatch(k); got != want {
+				t.Errorf("%s: kind %d (%s) reaches a work/apply pair: %v, want %v", eng.name, k, msgKindName(k), got, want)
+			}
+		}
+	}
+}
+
+// dispatches reports whether kind reaches a work/apply pair in t rather
+// than badKind.
+func dispatches[E any](t *[numKinds]handler[E], kind int) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	h := handlerOf(t, kind)
+	return h.work != nil && h.apply != nil
 }

@@ -7,6 +7,7 @@ import (
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
+	"gosvm/internal/stats"
 	"gosvm/internal/vc"
 )
 
@@ -61,7 +62,16 @@ func holding(c *Ctx, addr mem.Addr) held {
 
 // published is the frame node 0 currently publishes for the page.
 func published(c *Ctx, addr mem.Addr) *mem.Frame {
-	return c.sys.Engines[0].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)).pub
+	return pubFrame(c.sys.Engines[0].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)))
+}
+
+// pubFrame is the frame of the record u publishes, nil while it publishes
+// none.
+func pubFrame(u *hlrcUse) *mem.Frame {
+	if u.pub == nil {
+		return nil
+	}
+	return u.pub.Frame
 }
 
 // TestFetchAdoptsTheHomesSnapshot: node 0 homes one page and keeps storing
@@ -114,7 +124,7 @@ func fetchAdoptsTheHomesSnapshot(t *testing.T, proto Protocol, nodes int) {
 					c.Compute(5 * sim.Microsecond)
 				}
 				if e, ok := c.eng.(*hlrcEngine); ok {
-					pubWhileOpen = e.useOf(c.sys.Space.PageOf(addr)).pub
+					pubWhileOpen = pubFrame(e.useOf(c.sys.Space.PageOf(addr)))
 				}
 			} else {
 				g := &got[id-1]
@@ -313,20 +323,14 @@ func TestDiffInFlightReachesNoReader(t *testing.T) {
 				switch id {
 				case 0:
 					e := c.eng.(*hlrcEngine)
-					h := func(m paragon.Msg) (sim.Time, func()) {
-						cost, effect := e.handle(m)
-						return cost, func() {
-							effect()
-							switch now := e.sys.K.Now(); {
-							case m.Kind == kFetchPage && m.From == 2:
-								served = now
-							case m.Kind == kDiffFlush:
-								applied = now
-							}
+					wrap(e, func(m paragon.Msg) {
+						switch now := e.sys.K.Now(); {
+						case m.Kind == kFetchPage && m.From == 2:
+							served = now
+						case m.Kind == kDiffFlush:
+							applied = now
 						}
-					}
-					e.node.InstallCompute(h)
-					e.node.InstallCoproc(h)
+					})
 					c.Compute(6 * latency)
 					pubAfter = published(c, addr)
 				case 1:
@@ -455,7 +459,7 @@ func TestPromotedReplicaOwnsItsCopy(t *testing.T) {
 				var homeAfter int
 				var pubAtCrash, pubAfterRejoin *mem.Frame
 				oldHomePub := func(c *Ctx) *mem.Frame {
-					return c.sys.Engines[1].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)).pub
+					return pubFrame(c.sys.Engines[1].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)))
 				}
 				app := &testApp{
 					name:  "promote",
@@ -585,47 +589,84 @@ func TestRecoveryWritersRetireThePublishedFrame(t *testing.T) {
 	}
 }
 
-// TestAdoptClearsTheReply: adoptShared takes the frame out of the reply, so
-// the reply cannot install it — and spend its one reference — a second time.
-func TestAdoptClearsTheReply(t *testing.T) {
+// TestSecondFetchAnswerIsDropped: the published record is shared, so
+// nothing in a reply can be cleared to keep it from being adopted twice;
+// the node's reply port is the guard. Node 1 fetches page A, then page B,
+// both homed at node 0, on a network with a 10 ms latency. Node 0 answers
+// the fetch of A a second time, 15 ms after the first, so the second answer
+// lands while node 1 waits for B: it must be dropped before adoption, or
+// node 1 would install A's frame as its copy of B. The references balance:
+// each answer to A carried one of its own, so A's frame ends with three —
+// the home's, node 1's and the dropped answer's, lost with it.
+func TestSecondFetchAnswerIsDropped(t *testing.T) {
+	CheckFrames(t)
+	const latency = 10 * sim.Millisecond
 	var addr mem.Addr
-	var first, second *mem.Frame
-	var again any
+	var words int
+	var pubA, heldA *mem.Frame
+	var sentAgain, askedB, gotB sim.Time
 	app := &testApp{
-		name:  "adopt-twice",
-		setup: func(s *Setup) { addr = s.Alloc(1) },
-		init:  func(w *Init) { w.SetHome(addr, 1, 0) },
+		name: "answer-twice",
+		setup: func(s *Setup) {
+			words = s.Space.PageWords
+			addr = s.Alloc(2 * words)
+		},
+		init: func(w *Init) {
+			w.Store(addr, 7)
+			w.Store(addr+mem.Addr(words), 5)
+			w.SetHome(addr, 2*words, 0)
+		},
 		worker: func(c *Ctx, id int) {
-			if id == 1 {
-				b, pg := baseOf(c.eng), c.sys.Space.PageOf(addr)
-				resp := b.node.Call(b.app(), 0, paragon.Msg{
-					Kind: kFetchPage, Size: 8, Target: paragon.ToCompute,
-					Body: &fetchPageReq{Page: pg},
+			e := c.eng.(*hlrcEngine)
+			pgA := c.sys.Space.PageOf(addr)
+			switch id {
+			case 0:
+				wrap(e, func(m paragon.Msg) {
+					if m.Kind != kFetchPage || m.Body.(*fetchPageReq).Page != pgA || sentAgain != 0 {
+						return
+					}
+					again := e.publish(pgA) // its own reference, as respondFetch adds
+					sentAgain = e.sys.K.Now() + 3*latency/2
+					e.sys.K.Post(0, 0, sentAgain, func() {
+						e.node.Respond(m, paragon.Msg{Kind: kFetchPage, Size: 8, Class: stats.ClassData, Body: again})
+					})
 				})
-				pr := resp.Body.(*fetchPageResp)
-				first = pr.Frame
-				p := c.pt.Page(pg)
-				b.adoptShared(p, &pr.Frame)
-				second = pr.Frame
-				if f, twin := p.Shared(); f != first || twin || &p.Data[0] != &first.Words[0] {
-					t.Error("adoptShared installed some other buffer")
+				c.Compute(6 * latency)
+				pubA = published(c, addr)
+			case 1:
+				c.Load(addr)
+				heldA, _ = c.pt.Page(pgA).Shared()
+				askedB = c.Now()
+				if v := c.Load(addr + mem.Addr(words)); v != 5 {
+					t.Errorf("node 1 reads %v from page B, want 5", v)
 				}
-				func() {
-					defer func() { again = recover() }()
-					b.adoptShared(p, &pr.Frame)
-				}()
-				p.State = mem.ReadOnly
+				gotB = c.Now()
 			}
 			c.Barrier(0)
 		},
 		gather: func(c *Ctx) []float64 { return nil },
 	}
-	runOrFail(t, testOpts(ProtoHLRC, 2), app)
-	if first == nil || second != nil {
-		t.Errorf("reply carried frame %p and still holds %p after adoptShared; want a frame, then nil", first, second)
+	opts := testOpts(ProtoHLRC, 2)
+	opts.Machine.Costs = paragon.DefaultCosts()
+	opts.Machine.Costs.MsgLatency = latency
+	res := runOrFail(t, opts, app)
+	if landed := sentAgain + latency; !(askedB < landed && landed < gotB) {
+		t.Fatalf("the second answer to A landed at %v, node 1 waited for B from %v to %v: not during the wait", landed, askedB, gotB)
 	}
-	if again == nil {
-		t.Error("adopting the same reply twice did not panic")
+	if n := res.Stats.Nodes[1].Counts.PagesFetched; n != 2 {
+		t.Errorf("node 1 fetched %d pages, want 2", n)
+	}
+	if pubA == nil || heldA != pubA {
+		t.Fatalf("node 1 holds frame %p of page A, the home publishes %p; want the published frame", heldA, pubA)
+	}
+	// Count the references by releasing them: the frame is dead after.
+	refs := 0
+	for pubA.Words != nil {
+		pubA.Release(nil)
+		refs++
+	}
+	if refs != 3 {
+		t.Errorf("page A's frame held %d references, want 3: the home's, node 1's and the dropped answer's", refs)
 	}
 }
 

@@ -26,6 +26,10 @@ type hlrcEngine struct {
 	// mirrors holds this node's replica copies of other homes' pages
 	// (crash recovery, see recover.go).
 	mirrors map[int]*mirrorPage
+
+	// fetch is the body of this node's page-fetch request, filled in place
+	// by ReadFault (fetchPageReq).
+	fetch fetchPageReq
 }
 
 // hlrcPage is the per-page protocol state of one node, in two tiers. The
@@ -56,27 +60,35 @@ type hlrcUse struct {
 	pendingDiff  []*diffFlush  // diffs awaiting causal predecessors
 	pendingFetch []paragon.Msg // fetches awaiting flush coverage
 	waiters      []*sim.Proc   // local accesses waiting for coverage
-	// pub is the published snapshot of the current version of the page —
-	// its bytes and, in pubVC, its flush vector — which every fetch shares
-	// until homeWrite retires it; nil until the version's first fetch.
-	pub   *mem.Frame
-	pubVC *vc.Sparse
+	// pub is the published record of the current version of the page —
+	// a snapshot of its bytes and its flush vector — which every fetch
+	// answers with until homeWrite retires it; nil until the version's
+	// first fetch.
+	pub *fetchPageResp
 
 	// Overlapped: a diff for this page is being computed on the coproc;
 	// the twin is in use and the next write must wait.
 	inflight inflightDiff
 }
 
-// fetchPageReq holds its Need by value, filled in place (vc.Sparse.CopyFrom):
-// a snapshot, since the live vector can grow while the request waits on the
-// home's pending list. Read it through &Need.
+// fetchPageReq is a page-fetch request. Each node sends its one request
+// body, hlrcEngine.fetch, refilled by every ReadFault: a node has at most
+// one Call waiting, so the body is valid, and the node's live vector free to
+// grow, for as long as the request waits — on the home's pending list,
+// recalled from a dead home or forwarded past a stale one. Need is held by
+// value, filled in place (vc.Sparse.CopyFrom), so once its pairs have grown
+// it takes no allocation; read it through &Need.
 type fetchPageReq struct {
 	Page int
 	Need vc.Sparse
 }
 
-// fetchPageResp carries one reference to Frame, and FlushVC to read: both
-// may be shared with every other fetch of the same version of the page.
+// fetchPageResp is the record of one version of a home's page: the frame
+// holding its bytes and the flush vector they reflect. The home publishes
+// one per version (hlrcEngine.publish) and answers every fetch of that
+// version with a pointer to it, so a record is immutable once published.
+// Frame's reference count, not the record, tracks the holders: each answer
+// adds one reference, which its requester adopts.
 type fetchPageResp struct {
 	Frame   *mem.Frame
 	FlushVC *vc.Sparse
@@ -95,8 +107,6 @@ func newHLRCEngine(sys *System, self int) *hlrcEngine {
 	e.base.init(sys, self, e)
 	e.pages = slab.NewChunks[hlrcPage](sys.Space.NumPages())
 	e.mirrors = make(map[int]*mirrorPage)
-	e.node.InstallCompute(e.handle)
-	e.node.InstallCoproc(e.handle)
 	return e
 }
 
@@ -170,7 +180,8 @@ func (e *hlrcEngine) ReadFault(page int) {
 		u.waiters = append(u.waiters, e.app())
 		e.app().ParkArg("hlrc home wait page", int64(page))
 	}
-	req := &fetchPageReq{Page: page}
+	req := &e.fetch
+	req.Page = page
 	req.Need.CopyFrom(m.seenOrNil())
 	resp := e.node.Call(e.app(), e.home(page), paragon.Msg{
 		Kind:   kFetchPage,
@@ -182,7 +193,7 @@ func (e *hlrcEngine) ReadFault(page int) {
 	e.st().Add(stats.CatData, e.app().Now()-t0)
 	pr := resp.Body.(*fetchPageResp)
 	p := e.pt.Page(page)
-	e.adoptShared(p, &pr.Frame)
+	e.adoptShared(p, pr.Frame)
 	p.State = mem.ReadOnly
 	e.pairs.MaxWith(e.seenOf(m), pr.FlushVC)
 	e.event(trace.PageFetch, page, e.home(page), 0)
@@ -362,40 +373,46 @@ func (e *hlrcEngine) onBarrierRelease(g *grantInfo) {
 // ---------------------------------------------------------------------------
 // Message handlers
 
-// handle serves both of the node's dispatchers: which processor runs a
-// kind is the sender's choice of Target, not the receiver's.
-func (e *hlrcEngine) handle(m paragon.Msg) (sim.Time, func()) {
-	switch m.Kind {
-	case kMakeDiff:
-		return e.handleMakeDiff(m)
-	case kFetchPage:
-		return e.handleFetchPage(m)
-	case kDiffFlush:
-		return e.handleDiffFlush(m)
-	case kMirror:
-		return e.handleMirror(m)
-	}
-	return e.handleSync(m)
+// hlrcHandlers is every kind an HLRC or OHLRC node serves.
+var hlrcHandlers = [numKinds]handler[*hlrcEngine]{
+	kLockAcq:     {(*hlrcEngine).lockHandling, (*hlrcEngine).applyLockAcq},
+	kLockFwd:     {(*hlrcEngine).workLockFwd, (*hlrcEngine).applyLockFwd},
+	kBarrier:     {(*hlrcEngine).lockHandling, (*hlrcEngine).applyBarrier},
+	kGCDone:      {(*hlrcEngine).noWork, (*hlrcEngine).applyGCDone},
+	kBarrierUp:   {(*hlrcEngine).lockHandling, (*hlrcEngine).applyBarrierUp},
+	kBarrierDown: {(*hlrcEngine).lockHandling, (*hlrcEngine).applyBarrierDown},
+	kMakeDiff:    {(*hlrcEngine).workMakeDiff, (*hlrcEngine).applyMakeDiff},
+	kFetchPage:   {(*hlrcEngine).noWork, (*hlrcEngine).applyFetchPage},
+	kDiffFlush:   {(*hlrcEngine).workDiffFlush, (*hlrcEngine).applyDiffFlush},
+	kMirror:      {(*hlrcEngine).workMirror, (*hlrcEngine).applyMirror},
 }
 
-// handleMakeDiff runs on the writer's co-processor (OHLRC).
-func (e *hlrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
-	return e.costs().DiffCreateCost(e.sys.Space.PageWords), func() {
-		req := m.Body.(*makeDiffReq)
-		diff := e.diffTwin(req.Page)
-		e.useOf(req.Page).inflight.done()
-		e.flushOwn(&diffFlush{Page: req.Page, Writer: e.self, Interval: req.Interval, Dep: req.Dep, Diff: diff})
-	}
+func (e *hlrcEngine) work(s *service) sim.Time {
+	return handlerOf(&hlrcHandlers, s.m.Kind).work(e, s)
 }
 
-// handleDiffFlush runs at the home (compute under HLRC, coproc under
-// OHLRC): apply the incoming diff once its causal predecessors are in.
-func (e *hlrcEngine) handleDiffFlush(m paragon.Msg) (sim.Time, func()) {
-	df := m.Body.(*diffFlush)
-	return e.costs().DiffApplyCost(df.Diff.Words()), func() {
-		e.homeReceiveDiff(df)
-	}
+func (e *hlrcEngine) apply(s *service) { handlerOf(&hlrcHandlers, s.m.Kind).apply(e, s) }
+
+// workMakeDiff and applyMakeDiff run on the writer's co-processor (OHLRC).
+func (e *hlrcEngine) workMakeDiff(*service) sim.Time {
+	return e.costs().DiffCreateCost(e.sys.Space.PageWords)
 }
+
+func (e *hlrcEngine) applyMakeDiff(s *service) {
+	req := s.m.Body.(*makeDiffReq)
+	diff := e.diffTwin(req.Page)
+	e.useOf(req.Page).inflight.done()
+	e.flushOwn(&diffFlush{Page: req.Page, Writer: e.self, Interval: req.Interval, Dep: req.Dep, Diff: diff})
+}
+
+// workDiffFlush and applyDiffFlush run at the home (compute under HLRC,
+// coproc under OHLRC): apply the incoming diff once its causal
+// predecessors are in.
+func (e *hlrcEngine) workDiffFlush(s *service) sim.Time {
+	return e.costs().DiffApplyCost(s.m.Body.(*diffFlush).Diff.Words())
+}
+
+func (e *hlrcEngine) applyDiffFlush(s *service) { e.homeReceiveDiff(s.m.Body.(*diffFlush)) }
 
 func (e *hlrcEngine) homeReceiveDiff(df *diffFlush) {
 	if e.home(df.Page) != e.self {
@@ -469,68 +486,68 @@ func (e *hlrcEngine) homeDrain(page int) {
 	}
 }
 
-// handleFetchPage runs at the home.
-func (e *hlrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
-	return 0, func() {
-		fr := m.Body.(*fetchPageReq)
-		if e.home(fr.Page) != e.self {
-			// Stale delivery after a re-homing: forward the request. The
-			// reply port records the original requester, so the current
-			// home answers it directly.
-			e.node.Send(e.home(fr.Page), m)
-			return
-		}
-		pm := e.useOf(fr.Page)
-		if covers(pm.flushOrNil(), &fr.Need) {
-			e.respondFetch(m, fr)
-			return
-		}
-		pm.pendingFetch = append(pm.pendingFetch, m)
+// applyFetchPage runs at the home; it takes no work.
+func (e *hlrcEngine) applyFetchPage(s *service) {
+	fr := s.m.Body.(*fetchPageReq)
+	if e.home(fr.Page) != e.self {
+		// Stale delivery after a re-homing: forward the request. The reply
+		// port records the original requester, so the current home answers
+		// it directly.
+		e.node.Send(e.home(fr.Page), s.m)
+		return
 	}
+	pm := e.useOf(fr.Page)
+	if covers(pm.flushOrNil(), &fr.Need) {
+		e.respondFetch(s.m, fr)
+		return
+	}
+	pm.pendingFetch = append(pm.pendingFetch, s.m)
 }
 
 func (e *hlrcEngine) respondFetch(req paragon.Msg, fr *fetchPageReq) {
-	frame, f := e.publish(fr.Page)
+	pub := e.publish(fr.Page)
 	e.node.Respond(req, paragon.Msg{
 		Kind:  kFetchPage,
-		Size:  e.sys.Space.PageBytes() + f.WireSize(),
+		Size:  e.sys.Space.PageBytes() + pub.FlushVC.WireSize(),
 		Class: stats.ClassData,
-		Body:  &fetchPageResp{Frame: frame, FlushVC: f},
+		Body:  pub,
 	})
 }
 
-// publish returns what a fetch of page answered now carries: a reference to
-// a snapshot of the page and the flush vector that goes with it. The home
-// copies once per version, not once per fetch: the first fetch of a version
-// makes the snapshot and every later one shares it, until homeWrite retires
-// it. The vector rides along because the reply's wire size and the
+// publish returns the record a fetch of page answered now carries, with one
+// reference to its frame added for the requester. The home copies once per
+// version, not once per fetch: the first fetch of a version publishes the
+// record and every later one shares it, until homeWrite retires it. The
+// flush vector rides along because the reply's wire size and the
 // requester's next Need both come from it. While this node has the page
-// open its stores change the bytes with no fault to announce them, so there
-// is no version to share and each fetch gets a one-off of its own.
-func (e *hlrcEngine) publish(page int) (*mem.Frame, *vc.Sparse) {
+// open its stores change the bytes with no fault to announce them, so
+// there is no version to share and each fetch gets a one-off record of its
+// own.
+func (e *hlrcEngine) publish(page int) *fetchPageResp {
 	p := e.pt.Page(page)
 	if p.State == mem.ReadWrite {
-		return mem.NewFrame(e.snapshot(p)), e.flushOf(page).Copy()
+		return &fetchPageResp{Frame: mem.NewFrame(e.snapshot(p)), FlushVC: e.flushOf(page).Copy()}
 	}
 	u := e.useOf(page)
 	if u.pub == nil {
-		u.pub, u.pubVC = mem.NewFrame(e.snapshot(p)), e.flushOf(page).Copy()
+		u.pub = &fetchPageResp{Frame: mem.NewFrame(e.snapshot(p)), FlushVC: e.flushOf(page).Copy()}
 	}
-	return u.pub.Share(), u.pubVC
+	u.pub.Frame.Share()
+	return u.pub
 }
 
 // homeWrite must come before every write to the bytes or the flush vector
-// of a page this node homes: it retires the published snapshot, so the next
-// fetch publishes the new version (the holders keep the old one; the home's
-// was one reference among theirs), and it makes this node's own copy and
+// of a page this node homes: it retires the published record, so the next
+// fetch publishes the new version (the holders keep the old frame; the
+// home's was one reference among theirs), and it makes this node's own copy and
 // twin private first, in case they alias a frame it adopted as a reader
 // before a promotion made it the home.
 func (e *hlrcEngine) homeWrite(page int) *mem.Page {
 	p := e.pt.Page(page)
 	p.Own(e.pool())
 	if u := e.useOf(page); u.pub != nil {
-		u.pub.Release(e.sink())
-		u.pub, u.pubVC = nil, nil
+		u.pub.Frame.Release(e.sink())
+		u.pub = nil
 	}
 	return p
 }
@@ -551,7 +568,7 @@ func (e *hlrcEngine) Finish() {
 	}
 	e.pages.Each(func(_ int, m *hlrcPage) {
 		if m.use != nil && m.use.pub != nil {
-			m.use.pub.Verify()
+			m.use.pub.Frame.Verify()
 		}
 	})
 	e.pt.Each(func(_ int, p *mem.Page) {

@@ -153,8 +153,6 @@ func newLRCEngine(sys *System, self int) *lrcEngine {
 	}
 	e.base.init(sys, self, e)
 	e.pages = slab.NewChunks[lrcPage](sys.Space.NumPages())
-	e.node.InstallCompute(e.handle)
-	e.node.InstallCoproc(e.handle)
 	if self == barrierManager {
 		thr := sys.Opts.GCThreshold
 		sys.gcDecider = func(reports []*barrierReport) bool {
@@ -569,43 +567,52 @@ func (e *lrcEngine) runGC() {
 // ---------------------------------------------------------------------------
 // Message handlers
 
-// handle serves both of the node's dispatchers: which processor runs a
-// kind is the sender's choice of Target, not the receiver's.
-func (e *lrcEngine) handle(m paragon.Msg) (sim.Time, func()) {
-	switch m.Kind {
-	case kMakeDiff:
-		return e.handleMakeDiff(m)
-	case kFetchDiffs:
-		return e.handleFetchDiffs(m)
-	case kFetchPage:
-		return e.handleFetchPage(m)
-	}
-	return e.handleSync(m)
+// lrcHandlers is every kind an LRC or OLRC node serves.
+var lrcHandlers = [numKinds]handler[*lrcEngine]{
+	kLockAcq:     {(*lrcEngine).lockHandling, (*lrcEngine).applyLockAcq},
+	kLockFwd:     {(*lrcEngine).workLockFwd, (*lrcEngine).applyLockFwd},
+	kBarrier:     {(*lrcEngine).lockHandling, (*lrcEngine).applyBarrier},
+	kGCDone:      {(*lrcEngine).noWork, (*lrcEngine).applyGCDone},
+	kBarrierUp:   {(*lrcEngine).lockHandling, (*lrcEngine).applyBarrierUp},
+	kBarrierDown: {(*lrcEngine).lockHandling, (*lrcEngine).applyBarrierDown},
+	kMakeDiff:    {(*lrcEngine).workMakeDiff, (*lrcEngine).applyMakeDiff},
+	kFetchDiffs:  {(*lrcEngine).workFetchDiffs, (*lrcEngine).applyFetchDiffs},
+	kFetchPage:   {(*lrcEngine).noWork, (*lrcEngine).applyFetchPage},
 }
 
-// handleMakeDiff runs on the writer's co-processor (OLRC): create the
-// diff, then serve any queued requests for it.
-func (e *lrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
-	return e.costs().DiffCreateCost(e.sys.Space.PageWords), func() {
-		req := m.Body.(*makeDiffReq)
-		e.materializeDiff(req.Page, req.Interval)
-		pm := e.useOf(req.Page)
-		pm.inflight.done()
-		reqs := pm.pendingReqs
-		pm.pendingReqs = nil
-		for _, r := range reqs {
-			e.serveDiffs(r)
-		}
-	}
+func (e *lrcEngine) work(s *service) sim.Time {
+	return handlerOf(&lrcHandlers, s.m.Kind).work(e, s)
 }
 
-// handleFetchDiffs serves a diff request at the writer. Lazy diffs are
-// created on demand; OLRC requests for an in-flight diff are queued.
-func (e *lrcEngine) handleFetchDiffs(m paragon.Msg) (sim.Time, func()) {
-	req := m.Body.(*fetchDiffsReq)
+func (e *lrcEngine) apply(s *service) { handlerOf(&lrcHandlers, s.m.Kind).apply(e, s) }
+
+// workMakeDiff and applyMakeDiff run on the writer's co-processor (OLRC):
+// create the diff, then serve any queued requests for it.
+func (e *lrcEngine) workMakeDiff(*service) sim.Time {
+	return e.costs().DiffCreateCost(e.sys.Space.PageWords)
+}
+
+func (e *lrcEngine) applyMakeDiff(s *service) {
+	req := s.m.Body.(*makeDiffReq)
+	e.materializeDiff(req.Page, req.Interval)
 	pm := e.useOf(req.Page)
-	if pm.inflight.busy {
-		return 0, func() { pm.pendingReqs = append(pm.pendingReqs, m) }
+	pm.inflight.done()
+	reqs := pm.pendingReqs
+	pm.pendingReqs = nil
+	for _, r := range reqs {
+		e.serveDiffs(r)
+	}
+}
+
+// workFetchDiffs and applyFetchDiffs serve a diff request at the writer.
+// Lazy diffs are created on demand; an OLRC request for a diff in flight
+// when the request is taken is parked (service.park) until the diff is
+// made.
+func (e *lrcEngine) workFetchDiffs(s *service) sim.Time {
+	req := s.m.Body.(*fetchDiffsReq)
+	pm := e.useOf(req.Page)
+	if s.park = pm.inflight.busy; s.park {
+		return 0
 	}
 	var work sim.Time
 	if pm.pending != nil {
@@ -615,13 +622,21 @@ func (e *lrcEngine) handleFetchDiffs(m paragon.Msg) (sim.Time, func()) {
 			}
 		}
 	}
-	return work, func() {
-		if pm.pending != nil {
-			e.materializeDiff(req.Page, pm.pending.Interval)
-			pm.pending = nil
-		}
-		e.serveDiffs(m)
+	return work
+}
+
+func (e *lrcEngine) applyFetchDiffs(s *service) {
+	req := s.m.Body.(*fetchDiffsReq)
+	pm := e.useOf(req.Page)
+	if s.park {
+		pm.pendingReqs = append(pm.pendingReqs, s.m)
+		return
 	}
+	if pm.pending != nil {
+		e.materializeDiff(req.Page, pm.pending.Interval)
+		pm.pending = nil
+	}
+	e.serveDiffs(s.m)
 }
 
 // serveDiffs answers with every requested diff this node created or has
@@ -652,29 +667,27 @@ func (e *lrcEngine) serveDiffs(m paragon.Msg) {
 	})
 }
 
-// handleFetchPage serves a full-copy request, or redirects to a better
-// holder when this node dropped its copy at GC.
-func (e *lrcEngine) handleFetchPage(m paragon.Msg) (sim.Time, func()) {
-	return 0, func() {
-		req := m.Body.(*lrcFetchPageReq)
-		p := e.pt.Page(req.Page)
-		if p.Data == nil {
-			e.node.Respond(m, paragon.Msg{
-				Kind:  kFetchPage,
-				Size:  12,
-				Class: stats.ClassProtocol,
-				Body:  &lrcFetchPageResp{Hint: e.holderOf(req.Page)},
-			})
-			return
-		}
-		avc := e.useOf(req.Page).appliedOrNil().Copy()
-		e.node.Respond(m, paragon.Msg{
+// applyFetchPage serves a full-copy request, or redirects to a better
+// holder when this node dropped its copy at GC. It takes no work.
+func (e *lrcEngine) applyFetchPage(s *service) {
+	req := s.m.Body.(*lrcFetchPageReq)
+	p := e.pt.Page(req.Page)
+	if p.Data == nil {
+		e.node.Respond(s.m, paragon.Msg{
 			Kind:  kFetchPage,
-			Size:  e.sys.Space.PageBytes() + avc.WireSize(),
-			Class: stats.ClassData,
-			Body:  &lrcFetchPageResp{Data: e.snapshot(p), AppliedVC: avc},
+			Size:  12,
+			Class: stats.ClassProtocol,
+			Body:  &lrcFetchPageResp{Hint: e.holderOf(req.Page)},
 		})
+		return
 	}
+	avc := e.useOf(req.Page).appliedOrNil().Copy()
+	e.node.Respond(s.m, paragon.Msg{
+		Kind:  kFetchPage,
+		Size:  e.sys.Space.PageBytes() + avc.WireSize(),
+		Class: stats.ClassData,
+		Body:  &lrcFetchPageResp{Data: e.snapshot(p), AppliedVC: avc},
+	})
 }
 
 // Finish runs the shared wind-down (base.finish) and asserts that no lock

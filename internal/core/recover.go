@@ -323,44 +323,43 @@ func (e *hlrcEngine) mirrorDiff(df *diffFlush) {
 	}
 }
 
-// handleMirror runs on a replica (or on a just-promoted home receiving
-// stragglers from before the crash).
-func (e *hlrcEngine) handleMirror(m paragon.Msg) (sim.Time, func()) {
-	mm := m.Body.(*mirrorMsg)
-	var work sim.Time
+// workMirror and applyMirror run on a replica (or on a just-promoted home
+// receiving stragglers from before the crash).
+func (e *hlrcEngine) workMirror(s *service) sim.Time {
+	if mm := s.m.Body.(*mirrorMsg); mm.Diff != nil {
+		return e.costs().DiffApplyCost(mm.Diff.Diff.Words())
+	}
+	return e.costs().TwinCost(e.sys.Space.PageBytes())
+}
+
+func (e *hlrcEngine) applyMirror(s *service) {
+	mm := s.m.Body.(*mirrorMsg)
 	if mm.Diff != nil {
-		work = e.costs().DiffApplyCost(mm.Diff.Diff.Words())
-	} else {
-		work = e.costs().TwinCost(e.sys.Space.PageBytes())
-	}
-	return work, func() {
-		if mm.Diff != nil {
-			df := mm.Diff
-			if e.home(df.Page) == e.self {
-				// We were promoted meanwhile: the mirror stream merges
-				// into live home state (diff application is idempotent).
-				e.homeReceiveDiff(df)
-				return
-			}
-			e.mirrorApply(df)
+		df := mm.Diff
+		if e.home(df.Page) == e.self {
+			// We were promoted meanwhile: the mirror stream merges into
+			// live home state (diff application is idempotent).
+			e.homeReceiveDiff(df)
 			return
 		}
-		if e.home(mm.Page) == e.self {
-			e.installLateImage(mm)
-			return
-		}
-		mp := e.mirrorOf(mm.Page)
-		if mp.seeded && !covers(mm.VC, e.mirrorVC(mp)) {
-			return // stale image from before a re-homing
-		}
-		if mp.data == nil {
-			e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
-		}
-		mp.data = append(mp.data[:0], mm.Data...)
-		mp.vc = mm.VC.Copy()
-		mp.seeded = true
-		e.drainMirror(mp)
+		e.mirrorApply(df)
+		return
 	}
+	if e.home(mm.Page) == e.self {
+		e.installLateImage(mm)
+		return
+	}
+	mp := e.mirrorOf(mm.Page)
+	if mp.seeded && !covers(mm.VC, e.mirrorVC(mp)) {
+		return // stale image from before a re-homing
+	}
+	if mp.data == nil {
+		e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
+	}
+	mp.data = append(mp.data[:0], mm.Data...)
+	mp.vc = mm.VC.Copy()
+	mp.seeded = true
+	e.drainMirror(mp)
 }
 
 func (e *hlrcEngine) mirrorVC(mp *mirrorPage) *vc.Sparse {

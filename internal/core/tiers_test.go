@@ -10,14 +10,36 @@ import (
 	"gosvm/internal/vc"
 )
 
-// tap makes fn see every message e's two processors service.
+// tap makes fn see every message e's two processors service, as each
+// dispatcher takes it.
 func tap(e *hlrcEngine, fn func(paragon.Msg)) {
-	h := func(m paragon.Msg) (sim.Time, func()) {
-		fn(m)
-		return e.handle(m)
-	}
-	e.node.InstallCompute(h)
-	e.node.InstallCoproc(h)
+	install(e, func(s *service) paragon.Handler {
+		return func(m paragon.Msg) (sim.Time, func()) {
+			fn(m)
+			return s.serve(m)
+		}
+	})
+}
+
+// wrap makes fn see every message e's two processors service, once its
+// effect has run.
+func wrap(e *hlrcEngine, fn func(paragon.Msg)) {
+	install(e, func(s *service) paragon.Handler {
+		return func(m paragon.Msg) (sim.Time, func()) {
+			work, effect := s.serve(m)
+			return work, func() {
+				effect()
+				fn(m)
+			}
+		}
+	})
+}
+
+// install replaces the entries of e's dispatchers with what h makes of
+// each one's service slot.
+func install(e *hlrcEngine, h func(*service) paragon.Handler) {
+	e.node.InstallCompute(h(&e.compute))
+	e.node.InstallCoproc(h(&e.coproc))
 }
 
 // TestAbsentSeenReadsAsNil drives every reader of a page's requirement
@@ -67,7 +89,9 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 					case 0:
 						tap(e, func(m paragon.Msg) {
 							if fr, ok := m.Body.(*fetchPageReq); ok && fr.Page == pgRead && !got.needSeen {
-								got.need, got.needSeen = &fr.Need, true
+								// A snapshot: the body is the requester's
+								// one, refilled by its next fetch.
+								got.need, got.needSeen = fr.Need.Copy(), true
 							}
 						})
 						// noticePage, home branch, no use tier and no flush vector.

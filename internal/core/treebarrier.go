@@ -190,37 +190,33 @@ func filterRecsSince(recs []*IntervalRec, have vc.VC) []*IntervalRec {
 	return out
 }
 
-// handleBarrierUp services a child subtree's arrival (dispatcher
-// context on the parent).
-func (b *base) handleBarrierUp(m paragon.Msg) (sim.Time, func()) {
-	return b.costs().LockHandling, func() {
-		up := m.Body.(*treeUp)
-		tb := b.tree
-		tb.childUp[m.From-(tb.radix*b.self+1)] = up
-		tb.arrived++
-		if tb.selfIn && tb.arrived == len(tb.children) {
-			b.treeSubtreeDone()
-		}
+// applyBarrierUp services a child subtree's arrival (dispatcher context on
+// the parent); its work is lockHandling.
+func (b *base) applyBarrierUp(s *service) {
+	tb := b.tree
+	tb.childUp[s.m.From-(tb.radix*b.self+1)] = s.m.Body.(*treeUp)
+	tb.arrived++
+	if tb.selfIn && tb.arrived == len(tb.children) {
+		b.treeSubtreeDone()
 	}
 }
 
-// handleBarrierDown services the parent's release (dispatcher context):
+// applyBarrierDown services the parent's release (dispatcher context):
 // forward each child subtree its slice, then wake the local application.
-func (b *base) handleBarrierDown(m paragon.Msg) (sim.Time, func()) {
-	return b.costs().LockHandling, func() {
-		g := m.Body.(*grantInfo)
-		tb := b.tree
-		for i, c := range tb.children {
-			cg := grantInfo{VC: g.VC.Copy(), GC: g.GC, Intervals: filterRecsSince(g.Intervals, tb.childUp[i].MinVC)}
-			b.node.Send(c, paragon.Msg{
-				Kind:  kBarrierDown,
-				Size:  8 + cg.wireSize(b.wireVC()),
-				Class: stats.ClassProtocol,
-				Body:  &cg,
-			})
-		}
-		tb.resetEpisode()
-		tb.release = g
-		wake(&tb.localWait)
+// Its work is lockHandling.
+func (b *base) applyBarrierDown(s *service) {
+	g := s.m.Body.(*grantInfo)
+	tb := b.tree
+	for i, c := range tb.children {
+		cg := grantInfo{VC: g.VC.Copy(), GC: g.GC, Intervals: filterRecsSince(g.Intervals, tb.childUp[i].MinVC)}
+		b.node.Send(c, paragon.Msg{
+			Kind:  kBarrierDown,
+			Size:  8 + cg.wireSize(b.wireVC()),
+			Class: stats.ClassProtocol,
+			Body:  &cg,
+		})
 	}
+	tb.resetEpisode()
+	tb.release = g
+	wake(&tb.localWait)
 }

@@ -12,7 +12,12 @@ import (
 // requires and an effect to apply once that time has elapsed (typically
 // state mutation plus sending replies). Handlers must not block; requests
 // that cannot be satisfied yet are parked on protocol pending lists and
-// answered from a later handler's effect.
+// answered from a later handler's effect. A dispatcher calls its handler
+// again only after the previous effect has fired, so a handler may keep
+// the message in a slot of its own and return the same effect every time,
+// built once, that applies whatever the slot holds: the protocol engines
+// do, and allocate nothing per message serviced. A closure per message
+// works too.
 type Handler func(m Msg) (work sim.Time, effect func())
 
 // Machine is a multicomputer: a set of nodes connected by a

@@ -275,16 +275,22 @@ func (s *Sparse) Copy() *Sparse {
 
 // CopyFrom makes s an independent copy of o, in place: the snapshot a
 // message holds by value takes no object of its own, and a one-writer
-// vector no storage beyond s. A nil o leaves s the all-zero vector of
-// unknown dimension (Dim 0), which reads as nil does.
+// vector no storage beyond s. As Init does, it keeps the run s's pairs grew
+// into and copies o's pairs into it, so a vector refilled by CopyFrom
+// allocates only when o has more pairs than s ever held; no pair of s is
+// left aliased to o. A nil o leaves s the all-zero vector of unknown
+// dimension (Dim 0), which reads as nil does.
 func (s *Sparse) CopyFrom(o *Sparse) {
-	*s = Sparse{}
+	*s = Sparse{ents: s.ents[:0]}
 	if o == nil {
 		return
 	}
 	s.n, s.dense = o.n, o.dense
 	if len(o.ents) > 0 {
-		s.ents = append(s.one[:0], o.ents...)
+		if s.ents == nil {
+			s.ents = s.one[:0]
+		}
+		s.ents = append(s.ents, o.ents...)
 	}
 }
 

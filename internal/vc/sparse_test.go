@@ -241,6 +241,48 @@ func TestSparseLayoutEdges(t *testing.T) {
 	}
 }
 
+// TestCopyFromKeepsTheRun: CopyFrom refills a destination in the run its
+// pairs grew into, so copying a vector of as many pairs or fewer into the
+// same destination again allocates nothing, and the copy holds pairs of its
+// own: writing the source afterwards leaves it unchanged. It holds in both
+// backings.
+func TestCopyFromKeepsTheRun(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sparse", true: "dense"}[dense], func(t *testing.T) {
+			const n = 16
+			big, small := New(n), New(n)
+			for p := 0; p < n; p += 3 {
+				big[p] = int32(p + 1)
+			}
+			small[4] = 2
+			small[9] = 5
+			sBig, sSmall := mkSparse(big, dense), mkSparse(small, dense)
+			dst := new(Sparse)
+			dst.CopyFrom(sBig) // grows dst's run once
+			for name, src := range map[string]*Sparse{"an equal-size": sBig, "a smaller": sSmall} {
+				if a := testing.AllocsPerRun(100, func() { dst.CopyFrom(src) }); a != 0 {
+					t.Errorf("copying %s vector into a grown destination allocates %v times, want 0", name, a)
+				}
+			}
+			for _, c := range []struct {
+				src *Sparse
+				d   VC
+			}{{sSmall, small}, {sBig, big}} {
+				dst.CopyFrom(c.src)
+				want := c.d.Copy()
+				for p := 0; p < n; p++ {
+					c.src.Set(p, int32(p+7))
+				}
+				checkAgainstDense(t, "copy after its source was rewritten", dst, want)
+			}
+			dst.CopyFrom(nil)
+			if dst.Dim() != 0 || dst.NNZ() != 0 {
+				t.Errorf("copy of nil reads %v of dimension %d, want the absent vector", dst, dst.Dim())
+			}
+		})
+	}
+}
+
 // TestSparseMergesMatchDense checks MaxWith and Covers against the dense
 // algebra for every shape the two-pointer merges distinguish, with each
 // operand in both backings.
@@ -313,6 +355,9 @@ func FuzzSparseVsDense(f *testing.F) {
 	// alternate in the block, then each merges the other in.
 	f.Add([]byte{0x46, 0, 0, 1, 2, 1, 1, 0, 2, 1, 2, 3, 1, 0, 4, 1, 2, 5, 1, 1, 6, 2, 2, 7, 1,
 		0, 7, 3, 2, 0, 2, 3, 0, 0, 4, 0, 0})
+	// Copies into a reused destination, which grows, then takes a smaller
+	// vector and grows again.
+	f.Add([]byte{7, 0, 1, 3, 0, 4, 2, 0, 6, 1, 8, 2, 0, 8, 0, 0, 7, 4, 0, 8, 3, 0, 0, 5, 5, 8, 1, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		n, bDense := 2, false
 		var in *Arena // nil: the heap
@@ -325,9 +370,10 @@ func FuzzSparseVsDense(f *testing.F) {
 		}
 		da, db := New(n), New(n)
 		sa, sb := NewSparse(n), mkSparse(db, bDense)
+		spare := new(Sparse)
 		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
 			p, x := int(ops[1])%n, int32(ops[2]%8)
-			switch ops[0] % 8 {
+			switch ops[0] % 9 {
 			case 0:
 				in.Set(sa, p, x)
 				da[p] = x
@@ -347,6 +393,10 @@ func FuzzSparseVsDense(f *testing.F) {
 				old := sa
 				sa = sa.Copy()
 				old.Set(p, x+1)
+			case 8: // the same, copying into a reused destination: the previous a
+				spare.CopyFrom(sa)
+				sa, spare = spare, sa
+				spare.Set(p, x+1)
 			case 6:
 				in.MaxWith(sa, nil)
 				if !sa.Covers(nil) || (*Sparse)(nil).Covers(sa) != New(n).Covers(da) {
@@ -356,7 +406,7 @@ func FuzzSparseVsDense(f *testing.F) {
 				in.Set(sa, p, 0)
 				da[p] = 0
 			}
-			what := fmt.Sprintf("step %d (op %d, proc %d, value %d)", step, ops[0]%8, p, x)
+			what := fmt.Sprintf("step %d (op %d, proc %d, value %d)", step, ops[0]%9, p, x)
 			checkAgainstDense(t, what+": a", sa, da)
 			checkAgainstDense(t, what+": b", sb, db)
 			if sa.Covers(sb) != da.Covers(db) || sb.Covers(sa) != db.Covers(da) || sa.Equal(sb) != da.Equal(db) {
