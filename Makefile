@@ -91,7 +91,8 @@ lrc-scale:
 		done
 
 # The Table-2 speedup grid under every fault profile, with per-cell JSON
-# statistics. Crash cells run the home-based protocols with one replica.
+# statistics. Crash cells run all four protocols; a crashed node keeps its
+# state and every request to it waits out the restart.
 sweep-faults:
 	$(GO) run ./cmd/svmbench -faults lossy,hostile,crash -size small -json-dir out/faults
 

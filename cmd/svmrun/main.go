@@ -28,7 +28,6 @@ func main() {
 		size     = flag.String("size", "small", "problem size: test, small, paper")
 		gcThr    = flag.Int64("gc-threshold", 8<<20, "homeless GC trigger, bytes of protocol memory per node")
 		noSeq    = flag.Bool("noseq", false, "skip the sequential baseline run")
-		replicas = flag.Int("replicas", 0, "home-state replicas per home (required to survive crashes; hlrc/ohlrc only)")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON statistics instead of text")
 		runWkrs  = cliflags.AddRunWorkers(flag.CommandLine)
 	)
@@ -65,7 +64,6 @@ func main() {
 		PageBytes:   mf.Page,
 		GCThreshold: *gcThr,
 		Fault:       plan,
-		Recovery:    gosvm.Recovery{Replicas: *replicas},
 		RunWorkers:  *runWkrs,
 	}
 
@@ -148,18 +146,6 @@ func main() {
 		fmt.Fprintf(tw, "  retransmissions\t%d\n", avg.Counts.Retries)
 		fmt.Fprintf(tw, "  duplicates suppressed\t%d\n", avg.Counts.DupsSuppressed)
 		fmt.Fprintf(tw, "  recovery time\t%.2f ms\n", avg.Recovery.Micros()/1e3)
-		tw.Flush()
-	}
-
-	sum := res.Stats.Sum()
-	if sum.Counts.PagesRehomed > 0 || sum.ReplicaBytes > 0 {
-		fmt.Printf("\ncrash recovery (replicas %d):\n", *replicas)
-		tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintf(tw, "  pages re-homed\t%d\n", sum.Counts.PagesRehomed)
-		fmt.Fprintf(tw, "  replication traffic\t%.2f MB\n", float64(sum.ReplicaBytes)/(1<<20))
-		if sum.Detect > 0 {
-			fmt.Fprintf(tw, "  failure detection latency\t%.2f ms\n", sum.Detect.Micros()/1e3)
-		}
 		tw.Flush()
 	}
 }

@@ -33,7 +33,7 @@ import (
 func main() {
 	var (
 		newRunner = cliflags.AddRunner(flag.CommandLine, "4,8", 4096)
-		protoFlag = flag.String("protocols", "", "protocol columns (default: lrc,olrc,hlrc,ohlrc; crash profile: hlrc,ohlrc)")
+		protoFlag = flag.String("protocols", "", "protocol columns (default: lrc,olrc,hlrc,ohlrc)")
 		loadsFlag = flag.String("loads", "500,1000,2000,4000", "offered loads to sweep, total req/s across the machine")
 		windowMs  = flag.Float64("window-ms", 50, "arrival window in simulated milliseconds")
 		keys      = flag.Int("keys", 4096, "key-space size")

@@ -115,13 +115,11 @@ type (
 	FaultSlowdown = fault.Slowdown
 	// Crash schedules one node outage: the node stops servicing messages
 	// and freezes computation at At, and restarts at RestartAt, which must
-	// come after At. See FaultPlan.Crashes and Options.Recovery.
+	// come after At. The node keeps all its state, and requests to any
+	// role it holds — page home, lock or barrier manager — wait out the
+	// outage in retransmission, under every protocol. See
+	// FaultPlan.Crashes.
 	Crash = fault.Crash
-	// Recovery configures home-state replication and re-homing for the
-	// home-based protocols (see Options.Recovery). Only the page home
-	// moves: a crashed lock or barrier manager keeps its tables, and
-	// requests to it wait out its restart.
-	Recovery = core.Recovery
 	// ServeConfig parameterizes the open-loop request-serving workload:
 	// key-value store shape (keys, op mix, Zipf skew), Poisson offered
 	// load and window, seed, and the fast-path switches (KeyLocks,
@@ -149,11 +147,6 @@ type (
 	// HangError wraps a DeadlockError when fault injection permanently
 	// lost messages, listing the lost messages that explain the hang.
 	HangError = fault.HangError
-	// NodeDeadError reports an unrecoverable node crash: the node homed
-	// pages that no replica could take over (Recovery.Replicas zero, or
-	// every replica down at once). The Role field names the lost role,
-	// always "home".
-	NodeDeadError = fault.NodeDeadError
 )
 
 // Fault profile names accepted by FaultProfile.

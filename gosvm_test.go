@@ -48,8 +48,8 @@ func TestParseProtocol(t *testing.T) {
 	}
 }
 
-// A run configured by an Options literal must work end to end, crash
-// recovery included.
+// A run configured by an Options literal must work end to end, a crash
+// included.
 func TestRunWithOptionsAndCrash(t *testing.T) {
 	plan := gosvm.FaultPlan{
 		Seed: 1,
@@ -62,7 +62,6 @@ func TestRunWithOptionsAndCrash(t *testing.T) {
 		Machine:   gosvm.Machine{Nodes: 4},
 		PageBytes: 512,
 		Fault:     plan,
-		Recovery:  gosvm.Recovery{Replicas: 1},
 	}, &counter{})
 	if err != nil {
 		t.Fatal(err)
@@ -73,13 +72,12 @@ func TestRunWithOptionsAndCrash(t *testing.T) {
 }
 
 // The exported error types must surface through errors.As on a failed
-// run: a crash of a home with no replicas yields a NodeDeadError.
+// run: an edge into node 0 severed for every message loses them for good,
+// and the hang is a HangError around a DeadlockError.
 func TestStructuredErrorsExported(t *testing.T) {
 	plan := gosvm.FaultPlan{
-		Seed: 1,
-		// Node 0 homes the counter's page and nothing replicates it: its
-		// home copy is gone when it restarts.
-		Crashes: []gosvm.Crash{{Node: 0, At: 200 * gosvm.Microsecond, RestartAt: 50 * gosvm.Millisecond}},
+		Seed:    1,
+		Targets: []gosvm.FaultTarget{{From: 1, To: 0}},
 	}
 	_, err := gosvm.Run(gosvm.Options{
 		Protocol:  gosvm.HLRC,
@@ -88,14 +86,15 @@ func TestStructuredErrorsExported(t *testing.T) {
 		Fault:     plan,
 	}, &counter{})
 	if err == nil {
-		t.Fatal("unreplicated crash of a home succeeded")
+		t.Fatal("run over a severed edge succeeded")
 	}
-	var nde *gosvm.NodeDeadError
-	if !errors.As(err, &nde) {
-		t.Fatalf("error is not a NodeDeadError: %v", err)
+	var he *gosvm.HangError
+	if !errors.As(err, &he) || len(he.Lost) == 0 {
+		t.Fatalf("error is not a HangError naming lost messages: %v", err)
 	}
-	if nde.Node != 0 || nde.Role != "home" {
-		t.Fatalf("NodeDeadError blames node %d role %q, want node 0 role \"home\"", nde.Node, nde.Role)
+	var de *gosvm.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("HangError does not wrap a DeadlockError: %v", err)
 	}
 }
 

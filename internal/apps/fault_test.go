@@ -9,32 +9,27 @@ import (
 	"gosvm/internal/sim"
 )
 
-// crashRun runs app on n nodes with k replicas per home while victim is
-// down for 5 ms from at.
+// crashRun runs app on n nodes while k nodes, victim and the k-1 after it,
+// are down for 5 ms from at. The outage stays far inside the retry
+// layer's give-up horizon, so every message to a crashed node survives it.
 func crashRun(app core.App, proto core.Protocol, n, k, victim int, at sim.Time) (*core.Result, error) {
+	plan := fault.Plan{Seed: 1}
+	for i := 0; i < k; i++ {
+		plan.Crashes = append(plan.Crashes, fault.Crash{Node: (victim + i) % n, At: at, RestartAt: at + 5*sim.Millisecond})
+	}
 	return core.Run(core.Options{
 		Protocol:  proto,
 		Machine:   core.Machine{Nodes: n},
 		PageBytes: 1024,
-		Fault: fault.Plan{
-			Seed: 1,
-			// Suspicion (3 attempts, 6 ms after a first send) fires inside
-			// the outage for messages sent shortly before the crash; a
-			// victim nobody was talking to is re-homed when it rejoins.
-			// The outage stays shorter than the retry layer's give-up
-			// horizon so traffic still chasing the restarting node (e.g. a
-			// pinned held lock token) survives it.
-			Crashes: []fault.Crash{{Node: victim, At: at, RestartAt: at + 5*sim.Millisecond}},
-		},
-		Recovery: core.Recovery{Replicas: k},
+		Fault:     plan,
 	}, app, false)
 }
 
-// Every application must survive a mid-run crash of a node that homes
-// pages (and manages locks and, for node 0, the barrier) under the
-// home-based protocols when replication is on: the victim's pages move to
-// a replica, requests to its manager roles wait out its restart, and the
-// result still matches the sequential reference —
+// Every application must survive a mid-run crash of one node (k1) or of
+// two neighbours at once (k2) under every protocol. The crashed nodes home
+// pages and manage locks (and node 0 the barrier); they keep all their
+// state, every request to them waits out the restart, and the result
+// still matches the sequential reference —
 // bitwise, or to 1e-9 for the two water codes, whose lock-ordered
 // floating-point sums legitimately reassociate. The crash times are
 // fractions of the fault-free run, so they land wherever that app's
@@ -59,35 +54,41 @@ func TestAppsSurviveHomeCrash(t *testing.T) {
 	// their subtest names, and the assertion that a crash costs time.
 	legacy := map[string]string{"1/3": "mid-interval", "2/3": "at-barrier"}
 
+	// Every cell, and every (app, protocol) group's fault-free runs, is its
+	// own simulation: they run in parallel.
 	for _, a := range apps {
 		seq := seqRun(t, a.mk())
-		for _, proto := range []core.Protocol{core.ProtoHLRC, core.ProtoOHLRC} {
-			for _, n := range []int{4, 8, 16} {
-				elapsed := parRun(t, a.mk(), proto, n).Stats.Elapsed
-				for _, k := range []int{1, 2} {
-					for _, victim := range []int{0, 1, n - 2, n - 1} {
-						for _, f := range fractions {
-							at := elapsed * f.num / f.den
-							name := fmt.Sprintf("%s/%s/n%d/k%d/node%d@%s", a.name, proto, n, k, victim, f.label)
-							old := (a.name == "sor" || a.name == "lu") && n == 4 && k == 1 && victim == 1 && legacy[f.label] != ""
-							if old {
-								name = fmt.Sprintf("%s/%s/%s", a.name, proto, legacy[f.label])
+		for _, proto := range core.Protocols {
+			t.Run(fmt.Sprintf("%s/%s", a.name, proto), func(t *testing.T) {
+				t.Parallel()
+				for _, n := range []int{4, 8, 16} {
+					elapsed := parRun(t, a.mk(), proto, n).Stats.Elapsed
+					for _, k := range []int{1, 2} {
+						for _, victim := range []int{0, 1, n - 2, n - 1} {
+							for _, f := range fractions {
+								at := elapsed * f.num / f.den
+								name := fmt.Sprintf("n%d/k%d/node%d@%s", n, k, victim, f.label)
+								old := (a.name == "sor" || a.name == "lu") && n == 4 && k == 1 && victim == 1 && legacy[f.label] != ""
+								if old {
+									name = legacy[f.label]
+								}
+								t.Run(name, func(t *testing.T) {
+									t.Parallel()
+									res, err := crashRun(a.mk(), proto, n, k, victim, at)
+									if err != nil {
+										t.Fatal(err)
+									}
+									checkMatch(t, fmt.Sprintf("%s/%s/%s", a.name, proto, name), seq.Data, res.Data, a.tol)
+									if old && res.Stats.Elapsed <= elapsed {
+										t.Fatalf("crash run finished in %v, not slower than fault-free %v",
+											res.Stats.Elapsed, elapsed)
+									}
+								})
 							}
-							t.Run(name, func(t *testing.T) {
-								res, err := crashRun(a.mk(), proto, n, k, victim, at)
-								if err != nil {
-									t.Fatal(err)
-								}
-								checkMatch(t, name, seq.Data, res.Data, a.tol)
-								if old && res.Stats.Elapsed <= elapsed {
-									t.Fatalf("crash run finished in %v, not slower than fault-free %v",
-										res.Stats.Elapsed, elapsed)
-								}
-							})
 						}
 					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -153,7 +154,6 @@ func TestTreeRootCrashRecovers(t *testing.T) {
 		Protocol: core.ProtoHLRC,
 		Machine:  m,
 		Fault:    plan,
-		Recovery: core.Recovery{Replicas: 1},
 	}, NewSOR(SizeSmall, false), false)
 	if err != nil {
 		t.Fatal(err)

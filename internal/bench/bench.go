@@ -183,14 +183,10 @@ func (r *Runner) cellOpts(proto core.Protocol, procs int) core.Options {
 	}
 }
 
-// faultOpts is cellOpts under a fault plan; a plan that crashes nodes
-// gets one replica per home, so the crashes are survivable.
+// faultOpts is cellOpts under a fault plan.
 func (r *Runner) faultOpts(proto core.Protocol, procs int, plan fault.Plan) core.Options {
 	opts := r.cellOpts(proto, procs)
 	opts.Fault = plan
-	if len(plan.Crashes) > 0 {
-		opts.Recovery = core.Recovery{Replicas: 1}
-	}
 	return opts
 }
 

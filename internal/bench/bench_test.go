@@ -235,12 +235,12 @@ func TestFaultSweepSmoke(t *testing.T) {
 			t.Fatalf("output missing %q", want)
 		}
 	}
-	// One JSON file per cell: 4 protocols for lossy, 2 for crash.
+	// One JSON file per cell: 4 protocols for each profile.
 	files, err := filepath.Glob(filepath.Join(dir, "fault-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(AppNames()) * (4 + 2); len(files) != want {
+	if want := len(AppNames()) * (4 + 4); len(files) != want {
 		t.Fatalf("wrote %d JSON cells, want %d", len(files), want)
 	}
 	raw, err := os.ReadFile(files[0])

@@ -12,13 +12,11 @@ import (
 )
 
 // FaultSweep reruns the Table-2 speedup grid under fault injection: one
-// sub-table per profile, every cell a full validated run. The lossy and
-// hostile profiles exercise all four protocols; the crash profiles only
-// the home-based ones (re-homing needs a home), with one replica per
-// home so the mid-run crashes are survivable. The crash-mgr profile
-// kills the synchronization managers instead, whose requests wait out
-// each restart. Faulted runs are not memoized —
-// the plan is part of the cell.
+// sub-table per profile, every cell a full validated run under all four
+// protocols. The crash profile takes node 1 down mid-run and the crash-mgr
+// profile the synchronization managers; a crashed node keeps its state,
+// and requests to it wait out each restart. Faulted runs are not
+// memoized — the plan is part of the cell.
 //
 // When jsonDir is non-empty every cell's statistics are written there as
 // fault-<profile>-<app>-<proto>-p<procs>.json for machine consumption.
@@ -34,27 +32,13 @@ func (r *Runner) FaultSweep(out io.Writer, profiles []string, seed int64, jsonDi
 	return nil
 }
 
-// faultProtocols returns the protocol columns for one profile.
-func faultProtocols(profile string) []core.Protocol {
-	if crashProfile(profile) {
-		return []core.Protocol{core.ProtoHLRC, core.ProtoOHLRC}
-	}
-	return []core.Protocol{core.ProtoLRC, core.ProtoOLRC, core.ProtoHLRC, core.ProtoOHLRC}
-}
-
-// crashProfile reports whether profile kills nodes (and so requires the
-// home-based protocols plus replication).
-func crashProfile(profile string) bool {
-	return profile == fault.ProfileCrash || profile == fault.ProfileCrashMgr
-}
-
 func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir string) error {
 	plan, err := fault.Profile(profile, seed)
 	if err != nil {
 		return err
 	}
-	protos := faultProtocols(profile)
-	crash := crashProfile(profile)
+	protos := core.Protocols
+	crash := len(plan.Crashes) > 0
 
 	// Every cell is a full run under the one shared plan (the injector
 	// only reads it), validated against its application's memoized
@@ -79,9 +63,9 @@ func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir s
 	fmt.Fprintf(out, "Speedups under fault profile %q (seed %d)\n", profile, seed)
 	switch profile {
 	case fault.ProfileCrash:
-		fmt.Fprintln(out, "home-based protocols with Recovery.Replicas=1; node 1 crashes mid-run and its pages are re-homed")
+		fmt.Fprintln(out, "node 1 crashes mid-run; requests to it wait out its restart")
 	case fault.ProfileCrashMgr:
-		fmt.Fprintln(out, "home-based protocols with Recovery.Replicas=1; the barrier manager (node 0) and a lock manager (node 1) crash in turn; their pages are re-homed and requests to them wait out each restart")
+		fmt.Fprintln(out, "the barrier manager (node 0) and a lock manager (node 1) crash in turn; requests to them wait out each restart")
 	}
 	tw := tabwriter.NewWriter(out, 4, 8, 2, ' ', 0)
 	fmt.Fprint(tw, "Application\tProcs")

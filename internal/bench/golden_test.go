@@ -54,7 +54,7 @@ func TestSweepOutputMatchesParent(t *testing.T) {
 		want string
 		run  func(out io.Writer, dir string) error
 	}{
-		{"faults", "1269+40:aace3c24ff2fd7e1", func(out io.Writer, dir string) error {
+		{"faults", "1294+60:7afac887dea99c49", func(out io.Writer, dir string) error {
 			return runner().FaultSweep(out, []string{"lossy", "crash", "crash-mgr"}, 1, dir)
 		}},
 		{"scale", "801+1:4dda6b161edd7ed3", func(out io.Writer, dir string) error {

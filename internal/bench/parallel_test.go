@@ -9,6 +9,7 @@ import (
 
 	"gosvm/internal/apps"
 	"gosvm/internal/core"
+	"gosvm/internal/fault"
 )
 
 // parallelRunner returns a runner on the fast test grid.
@@ -138,10 +139,10 @@ func TestSweepFirstErrorInCellOrder(t *testing.T) {
 				if parallel > 1 {
 					<-secondFailed
 				}
-				opts.Recovery.Replicas = -1 // core.Run rejects it
+				opts.Fault = fault.Plan{Crashes: []fault.Crash{{Node: 1}}} // core.Run rejects it
 			case second:
 				defer close(secondFailed)
-				opts.Recovery.Replicas = -1
+				opts.Fault = fault.Plan{Crashes: []fault.Crash{{Node: 1}}}
 			}
 			return r.execApp(c.app, opts, "")
 		})

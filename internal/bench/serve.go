@@ -20,12 +20,10 @@ type ServeSweepOpts struct {
 	// Loads is the offered-load axis in requests per simulated second
 	// (total across the machine).
 	Loads []float64
-	// Protos are the protocol columns; nil means the paper's four (or
-	// the home-based pair under a crash profile).
+	// Protos are the protocol columns; nil means the paper's four.
 	Protos []core.Protocol
 	// Profile is an optional fault profile name ("", "lossy", "hostile",
-	// "crash") composed over every cell; Seed seeds its plan. Crash
-	// cells run with one home-state replica, as the fault sweep does.
+	// "crash") composed over every cell; Seed seeds its plan.
 	Profile string
 	Seed    int64
 	// Modes is an optional fast-path ablation axis (serve.Modes values);
@@ -64,7 +62,7 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 	}
 	protos := o.Protos
 	if protos == nil {
-		protos = faultProtocols(profile)
+		protos = core.Protocols
 	}
 	modes := o.Modes
 	withModes := len(modes) > 0

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gosvm/internal/apps"
+	"gosvm/internal/core"
 	"gosvm/internal/serve"
 	"gosvm/internal/sim"
 )
@@ -109,8 +110,8 @@ func TestServeSweepSaturationColumns(t *testing.T) {
 	}
 }
 
-// TestServeSweepCrashProfile: composing the crash profile narrows the
-// protocol columns to the home-based pair and reports recovery columns.
+// TestServeSweepCrashProfile: composing the crash profile keeps all four
+// protocol columns and reports the retransmission columns.
 func TestServeSweepCrashProfile(t *testing.T) {
 	o := serveSweepOpts()
 	o.Loads = []float64{400}
@@ -123,13 +124,15 @@ func TestServeSweepCrashProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, col := range []string{"Rehomed", "Recovery(ms)", "Retries"} {
+	for _, col := range []string{"Recovery(ms)", "Retries"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("crash sweep table missing %q column:\n%s", col, out)
 		}
 	}
-	if strings.Contains(out, "\tlrc\t") || strings.Contains(out, " lrc ") {
-		t.Errorf("crash sweep ran the homeless protocols:\n%s", out)
+	for _, proto := range core.Protocols {
+		if !strings.Contains(out, " "+string(proto)+" ") {
+			t.Errorf("crash sweep has no %s row:\n%s", proto, out)
+		}
 	}
 }
 

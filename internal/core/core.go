@@ -44,7 +44,7 @@ const (
 func (p Protocol) String() string { return string(p) }
 
 // HomeBased reports whether the protocol keeps per-page state at a home
-// node (and therefore supports home-state replication and re-homing).
+// node.
 func (p Protocol) HomeBased() bool { return p == ProtoHLRC || p == ProtoOHLRC }
 
 // ParseProtocol validates a protocol name.
@@ -60,23 +60,15 @@ func ParseProtocol(s string) (Protocol, error) {
 // order.
 var Protocols = []Protocol{ProtoLRC, ProtoOLRC, ProtoHLRC, ProtoOHLRC}
 
-// Recovery configures crash tolerance for the home-based protocols:
-// how home-page state is kept recoverable, so a crashed home's pages
-// can be re-homed onto a survivor.
+// Recovery once configured home-page replication. A crashed node now
+// keeps all its state and every role it holds is waited out, so nothing
+// reads it.
+//
+// Deprecated: Recovery is inert. It remains only because the repository
+// benchmark still sets Options.Recovery; delete both once it stops.
 type Recovery struct {
-	// Replicas is the number of mirror nodes (the K next nodes in home
-	// order) holding a recoverable copy of each home's page state: every
-	// diff is forwarded to them on receipt, before any send that depends
-	// on it. Zero disables replication: a crash of a node that homes
-	// pages is then unrecoverable and the run fails with a NodeDeadError.
-	// Synchronization managers are never replicated: a crashed lock or
-	// barrier manager keeps its tables, and requests to it wait out its
-	// restart in retransmission.
 	Replicas int
 }
-
-// Enabled reports whether home-state replication is requested.
-func (r *Recovery) Enabled() bool { return r.Replicas > 0 }
 
 // Options configures a run.
 type Options struct {
@@ -107,9 +99,9 @@ type Options struct {
 	// statistic — is exactly the fault-free one.
 	Fault fault.Plan
 
-	// Recovery configures home-state replication and re-homing for the
-	// home-based protocols (required to survive Fault.Crashes of nodes
-	// that home pages). The zero value disables it.
+	// Recovery is ignored.
+	//
+	// Deprecated: see Recovery.
 	Recovery Recovery
 
 	// RunWorkers is the number of host threads driving one simulation:
@@ -117,7 +109,7 @@ type Options struct {
 	// advanced in parallel under a conservative lookahead window (see
 	// sim.Kernel.Partition). Results are byte-identical at any value.
 	// Configurations whose machinery is inherently cross-node-ordered
-	// (mesh link contention, fault injection, crash recovery, tracing,
+	// (mesh link contention, fault injection, tracing,
 	// phase capture) fall back to the sequential kernel. 0 or 1 means
 	// the classic sequential event loop.
 	RunWorkers int
@@ -152,7 +144,6 @@ const (
 	kFetchPage              // faulting node -> copy holder / home
 	kDiffFlush              // writer -> home (HLRC), or coproc-to-home (OHLRC)
 	kMakeDiff               // compute -> own coproc (overlapped protocols)
-	kMirror                 // home -> replica: mirrored diff or full page image
 	kBarrierUp              // tree barrier: child -> parent subtree report
 	kBarrierDown            // tree barrier: parent -> child subtree release
 
@@ -267,8 +258,7 @@ func badKind(kind int) {
 var msgKindNames = [...]string{
 	kLockAcq: "lock-acquire", kLockFwd: "lock-forward", kBarrier: "barrier",
 	kGCDone: "gc-done", kFetchDiffs: "fetch-diffs", kFetchPage: "fetch-page",
-	kDiffFlush: "diff-flush", kMakeDiff: "make-diff", kMirror: "mirror",
-	kBarrierUp: "barrier-up", kBarrierDown: "barrier-down",
+	kDiffFlush: "diff-flush", kMakeDiff: "make-diff", kBarrierUp: "barrier-up", kBarrierDown: "barrier-down",
 }
 
 // msgKindName renders protocol message kinds for fault watchdog reports.

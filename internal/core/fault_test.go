@@ -300,7 +300,7 @@ func TestRetryGiveUpDiagnosed(t *testing.T) {
 // must have no hole a renumbering left behind. Every kind an engine serves
 // must dispatch to a work/apply pair, and every other kind to badKind: a
 // kind its table forgot would otherwise panic only on the rare path that
-// sends it (kMirror with replication on, kGCDone at a homeless collection).
+// sends it (kGCDone at a homeless collection).
 func TestMessageKindsDenseAndNamed(t *testing.T) {
 	for k := kLockAcq; k <= kBarrierDown; k++ {
 		if name := msgKindName(k); strings.HasPrefix(name, "kind-") {
@@ -316,7 +316,7 @@ func TestMessageKindsDenseAndNamed(t *testing.T) {
 		notServed []int
 	}{
 		{"hlrc", func(k int) bool { return dispatches(&hlrcHandlers, k) }, []int{kFetchDiffs}},
-		{"lrc", func(k int) bool { return dispatches(&lrcHandlers, k) }, []int{kDiffFlush, kMirror}},
+		{"lrc", func(k int) bool { return dispatches(&lrcHandlers, k) }, []int{kDiffFlush}},
 	} {
 		for k := kLockAcq - 1; k <= kBarrierDown+1; k++ {
 			want := k >= kLockAcq && k <= kBarrierDown && !slices.Contains(eng.notServed, k)

@@ -1,20 +1,18 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
-	"gosvm/internal/vc"
 )
 
 // Page-frame ownership (DESIGN §9): a home copies its page once per version
 // into a frame every fetch of that version shares read-only, a fetch that
-// finds the home writing gets a one-off of its own, an image that fans out
-// to mirrors is copied, and no holder of a frame ever sees it change. The
+// finds the home writing gets a one-off of its own, and no holder of a frame
+// ever sees it change. The
 // litmus tests below run with mem.CheckFrames on, so a write through a
 // shared frame that no assertion happens to look at still fails the run.
 
@@ -440,155 +438,6 @@ func TestWriteFaultLeavesTheSharedFrame(t *testing.T) {
 	}
 }
 
-// TestPromotedReplicaOwnsItsCopy: node 2 mirrors node 1's page and also
-// read it, so its copy — in the twin case, after a write fault, its twin —
-// is the frame node 3 shares. Node 0 flushes a diff (the mirror moves past
-// the frame), node 1 dies, and node 2 is promoted: adoptPage rebases its
-// copy, and its twin, onto the mirror image. That must land in private
-// buffers: node 3's words stay as fetched. And when node 1 comes back,
-// homing nothing, the frame it published before the crash is retired with
-// the rest of its home state.
-func TestPromotedReplicaOwnsItsCopy(t *testing.T) {
-	CheckFrames(t)
-	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
-		for _, twinned := range []bool{false, true} {
-			proto, twinned := proto, twinned
-			t.Run(fmt.Sprintf("%s/twin=%v", proto, twinned), func(t *testing.T) {
-				var addr mem.Addr
-				var shared, promoted, other held
-				var homeAfter int
-				var pubAtCrash, pubAfterRejoin *mem.Frame
-				oldHomePub := func(c *Ctx) *mem.Frame {
-					return pubFrame(c.sys.Engines[1].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)))
-				}
-				app := &testApp{
-					name:  "promote",
-					setup: func(s *Setup) { addr = s.Alloc(litmusWords) },
-					init: func(w *Init) {
-						w.Store(addr+3, 7)
-						w.SetHome(addr, litmusWords, 1)
-					},
-					worker: func(c *Ctx, id int) {
-						switch id {
-						case 0:
-							c.Store(addr+3, 99)
-							baseOf(c.eng).closeIntervalOnApp()
-						case 2:
-							c.Load(addr)
-							shared = holding(c, addr)
-							if twinned {
-								c.Store(addr+9, 5)
-							}
-							c.Compute(16 * sim.Millisecond)
-							promoted = holding(c, addr)
-							homeAfter = c.sys.homes[c.sys.Space.PageOf(addr)]
-						case 3:
-							c.Load(addr)
-							c.Compute(16 * sim.Millisecond)
-							other = holding(c, addr)
-						case 4:
-							c.Compute(5500 * sim.Microsecond)
-							c.Load(addr) // node 1 publishes the version with node 0's diff in
-							pubAtCrash = oldHomePub(c)
-							c.Compute(8500*sim.Microsecond - c.Now())
-							c.FreshRead(addr) // finds node 1 dead
-						}
-						c.Barrier(0)
-						if id == 4 {
-							c.Compute(31*sim.Millisecond - c.Now()) // node 1 is back at 30
-							pubAfterRejoin = oldHomePub(c)
-						}
-					},
-					gather: func(c *Ctx) []float64 { return []float64{c.Load(addr + 3), c.Load(addr + 9)} },
-				}
-				opts := testOpts(proto, 5)
-				opts.Fault = crashPlan(8*sim.Millisecond, 30*sim.Millisecond)
-				opts.Recovery = Recovery{Replicas: 1}
-				res := runOrFail(t, opts, app)
-				if homeAfter != 2 || shared.frame == nil {
-					t.Fatalf("page homed at node %d after the crash, node 2 first held %+v; want a promotion of a node that shared a frame", homeAfter, shared)
-				}
-				if promoted.frame != nil || promoted.words == shared.words || promoted.w3 != 99 {
-					t.Errorf("the promoted home holds %+v (it fetched %+v); want private data and twin with the mirrored diff in", promoted, shared)
-				}
-				if other.frame != shared.frame || other.w3 != 7 || shared.frame.Words[9] != 0 {
-					t.Errorf("node 3 holds %+v, word 9 = %v, after node 2's promotion; want the frame as fetched: 7 and 0", other, shared.frame.Words[9])
-				}
-				if pubAtCrash == nil || pubAfterRejoin != nil {
-					t.Errorf("node 1 published %p when it crashed and %p after it rejoined; want a frame, then none: it homes nothing", pubAtCrash, pubAfterRejoin)
-				}
-				want := []float64{99, 0}
-				if twinned {
-					want[1] = 5
-				}
-				if res.Data[0] != want[0] || res.Data[1] != want[1] {
-					t.Errorf("the run ends with %v, want %v", res.Data, want)
-				}
-			})
-		}
-	}
-}
-
-// TestRecoveryWritersRetireThePublishedFrame drives the two writers of a
-// home's state that no application access reaches on its own: a reseed image
-// that arrives late (installLateImage replaces the bytes and raises the
-// flush vector) and the home's own mirrored diff (homeSelfFlush raises the
-// vector alone; under OHLRC it runs on the co-processor after the page is
-// read-only again). After either, the reader that fetched before keeps its
-// frame untouched and the next fetch carries the new version.
-func TestRecoveryWritersRetireThePublishedFrame(t *testing.T) {
-	CheckFrames(t)
-	writers := map[string]func(e *hlrcEngine, pg int){
-		"late-image": func(e *hlrcEngine, pg int) {
-			image := make([]float64, litmusWords)
-			image[3] = 42
-			newer := e.flushOf(pg).Copy()
-			newer.RaiseTo(2, 1)
-			e.installLateImage(&mirrorMsg{Page: pg, Data: image, VC: newer})
-		},
-		"self-flush": func(e *hlrcEngine, pg int) {
-			e.homeSelfFlush(&diffFlush{Page: pg, Writer: 2, Interval: 1, Dep: vc.NewSparse(3)})
-		},
-	}
-	for name, write := range writers {
-		for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
-			proto, write, wantW3 := proto, write, map[string]float64{"late-image": 42, "self-flush": 7}[name]
-			t.Run(name+"/"+string(proto), func(t *testing.T) {
-				var addr mem.Addr
-				var before, after held
-				var frameW3 float64
-				var seenBefore, seenAfter int32
-				app := litmusApp(&addr, func(c *Ctx, id int) {
-					pg := c.sys.Space.PageOf(addr)
-					switch id {
-					case 0:
-						c.Compute(2 * sim.Millisecond)
-						write(c.eng.(*hlrcEngine), pg)
-					case 1:
-						seen := func() int32 { return c.eng.(*hlrcEngine).pages.At(pg).seenOrNil().Get(2) }
-						c.Load(addr)
-						c.Compute(4 * sim.Millisecond)
-						before, frameW3, seenBefore = holding(c, addr), holding(c, addr).frame.Words[3], seen()
-						c.FreshRead(addr)
-						after, seenAfter = holding(c, addr), seen()
-					}
-				})
-				opts := testOpts(proto, 3)
-				opts.Recovery = Recovery{Replicas: 1}
-				runOrFail(t, opts, app)
-				if before.frame == nil || before.w3 != 7 || frameW3 != 7 || seenBefore != 0 {
-					t.Errorf("the reader holds %+v (frame word 3 = %v, writer 2 seen to %d) after the home's state moved; want what it fetched: 7, 7, 0",
-						before, frameW3, seenBefore)
-				}
-				if after.frame == before.frame || after.w3 != wantW3 || seenAfter != 1 {
-					t.Errorf("the reader's refetch got %+v, writer 2 seen to %d; want a new frame, word 3 = %v, and the raised flush vector (1)",
-						after, seenAfter, wantW3)
-				}
-			})
-		}
-	}
-}
-
 // TestSecondFetchAnswerIsDropped: the published record is shared, so
 // nothing in a reply can be cleared to keep it from being adopted twice;
 // the node's reply port is the guard. Node 1 fetches page A, then page B,
@@ -667,47 +516,6 @@ func TestSecondFetchAnswerIsDropped(t *testing.T) {
 	}
 	if refs != 3 {
 		t.Errorf("page A's frame held %d references, want 3: the home's, node 1's and the dropped answer's", refs)
-	}
-}
-
-// TestFullPageImageIsNotAdopted: shipFullPage sends one image to every
-// replica, so a replica must copy it; two mirrors sharing the buffer would
-// write through to each other.
-func TestFullPageImageIsNotAdopted(t *testing.T) {
-	const words = 64
-	var addr mem.Addr
-	var m1, m2, home []float64
-	app := &testApp{
-		name:  "fanout",
-		setup: func(s *Setup) { addr = s.Alloc(words) },
-		init: func(w *Init) {
-			w.Store(addr+3, 7)
-			w.SetHome(addr, words, 0)
-		},
-		worker: func(c *Ctx, id int) {
-			if id == 0 {
-				pg := c.sys.Space.PageOf(addr)
-				e := c.eng.(*hlrcEngine)
-				e.shipFullPage(pg, c.sys.replicasOf(0))
-				c.Compute(2 * sim.Millisecond)
-				m1 = c.sys.Engines[1].(*hlrcEngine).mirrorOf(pg).data
-				m2 = c.sys.Engines[2].(*hlrcEngine).mirrorOf(pg).data
-				home = e.pt.Page(pg).Data
-				m1[3] = 99
-			}
-			c.Barrier(0)
-		},
-		gather: func(c *Ctx) []float64 { return []float64{c.Load(addr + 3)} },
-	}
-	opts := testOpts(ProtoHLRC, 4)
-	opts.Recovery = Recovery{Replicas: 2}
-	res := runOrFail(t, opts, app)
-	if len(m1) != words || len(m2) != words {
-		t.Fatalf("mirrors hold %d and %d words, want %d", len(m1), len(m2), words)
-	}
-	if m1[3] != 99 || m2[3] != 7 || home[3] != 7 || res.Data[0] != 7 {
-		t.Errorf("after writing mirror 1: mirror 1 %v, mirror 2 %v, home %v, gathered %v; want 99, 7, 7, 7",
-			m1[3], m2[3], home[3], res.Data[0])
 	}
 }
 

@@ -23,10 +23,6 @@ type hlrcEngine struct {
 	// flushVecs backs the flush vectors flushOf hands out.
 	flushVecs slab.Slab[vc.Sparse]
 
-	// mirrors holds this node's replica copies of other homes' pages
-	// (crash recovery, see recover.go).
-	mirrors map[int]*mirrorPage
-
 	// fetch is the body of this node's page-fetch request, filled in place
 	// by ReadFault (fetchPageReq).
 	fetch fetchPageReq
@@ -51,11 +47,9 @@ type hlrcPage struct {
 // hlrcUse is the tier of hlrcPage only a used page pays for (useOf).
 type hlrcUse struct {
 	// Home-side state (only on the page's home node):
-	// flushVC[j] is the highest interval of writer j applied here. Its
-	// header comes from the node's flushVecs once and is kept: a crash
-	// restart reinitialises it to absent (Dim() == 0), so it grows in the
-	// node's pairs once however often the page is homed here. flushOf
-	// initialises it; every other reader goes through flushOrNil.
+	// flushVC[j] is the highest interval of writer j applied here: nil, the
+	// all-zero vector, until flushOf takes it from the node's flushVecs. It
+	// lives as long as the node, through any crash restart.
 	flushVC      *vc.Sparse
 	pendingDiff  []*diffFlush  // diffs awaiting causal predecessors
 	pendingFetch []paragon.Msg // fetches awaiting flush coverage
@@ -74,8 +68,8 @@ type hlrcUse struct {
 // fetchPageReq is a page-fetch request. Each node sends its one request
 // body, hlrcEngine.fetch, refilled by every ReadFault: a node has at most
 // one Call waiting, so the body is valid, and the node's live vector free to
-// grow, for as long as the request waits — on the home's pending list,
-// recalled from a dead home or forwarded past a stale one. Need is held by
+// grow, for as long as the request waits on the home's pending list or in
+// retransmission to a crashed home. Need is held by
 // value, filled in place (vc.Sparse.CopyFrom), so once its pairs have grown
 // it takes no allocation; read it through &Need.
 type fetchPageReq struct {
@@ -106,7 +100,6 @@ func newHLRCEngine(sys *System, self int) *hlrcEngine {
 	e := &hlrcEngine{}
 	e.base.init(sys, self, e)
 	e.pages = slab.NewChunks[hlrcPage](sys.Space.NumPages())
-	e.mirrors = make(map[int]*mirrorPage)
 	return e
 }
 
@@ -139,20 +132,9 @@ func (e *hlrcEngine) useOf(page int) *hlrcUse { return e.uses.Lazy(&e.pages.At(p
 func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
 	u := e.useOf(page)
 	if u.flushVC == nil {
-		u.flushVC = &e.flushVecs.Take(1)[0]
-	}
-	if u.flushVC.Dim() == 0 {
 		e.st().MemAlloc(e.vecBytes())
+		u.flushVC = &e.flushVecs.Take(1)[0]
 		u.flushVC.Init(e.sys.Opts.Machine.Nodes)
-	}
-	return u.flushVC
-}
-
-// flushOrNil reads the flush vector: nil, the all-zero vector, while it is
-// absent.
-func (u *hlrcUse) flushOrNil() *vc.Sparse {
-	if u.flushVC.Dim() == 0 {
-		return nil
 	}
 	return u.flushVC
 }
@@ -166,19 +148,17 @@ func (e *hlrcEngine) ReadFault(page int) {
 	e.readMiss(page)
 	m := e.pages.At(page)
 	t0 := e.app().Now()
-	for e.home(page) == e.self {
-		u := e.useOf(page)
+	if e.home(page) == e.self {
 		// The home's copy is always present; an "invalid" state here just
 		// means required diffs are still in flight. Wait for coverage.
-		// Re-check the home after every wake-up: if this node crashed and
-		// rejoined, its pages moved and the fault must fetch remotely.
-		if covers(u.flushOrNil(), m.seenOrNil()) {
-			e.pt.Page(page).State = mem.ReadOnly
-			e.st().Add(stats.CatData, e.app().Now()-t0)
-			return
+		u := e.useOf(page)
+		for !covers(u.flushVC, m.seenOrNil()) {
+			u.waiters = append(u.waiters, e.app())
+			e.app().ParkArg("hlrc home wait page", int64(page))
 		}
-		u.waiters = append(u.waiters, e.app())
-		e.app().ParkArg("hlrc home wait page", int64(page))
+		e.pt.Page(page).State = mem.ReadOnly
+		e.st().Add(stats.CatData, e.app().Now()-t0)
+		return
 	}
 	req := &e.fetch
 	req.Page = page
@@ -233,20 +213,17 @@ func (e *hlrcEngine) WriteFault(page int) {
 	e.useOf(page).inflight.wait(e.app(), "hlrc twin busy page", page)
 	e.use(e.costs().PageFault, stats.CatProtocol)
 	e.event(trace.WriteFault, page, -1, 0)
-	if e.home(page) != e.self || e.replicating() {
-		// A writer twins to diff at interval end. The home needs no diff
-		// of its own writes unless replication is on: then they exist
-		// nowhere else, so they must be diffed and mirrored to the
-		// replicas.
+	if e.home(page) == e.self {
+		// The home writes its copy in place and needs no diff of its own
+		// writes. From here this node's stores change the home's bytes with
+		// no fault to announce them. Nothing may block between this and the
+		// state change: a fetch served in the gap would publish again.
+		e.homeWrite(page)
+	} else {
+		// A writer twins to diff at interval end.
 		e.use(e.costs().TwinCost(e.sys.Space.PageBytes()), stats.CatProtocol)
 		p.MakeTwin(e.pool())
 		e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
-	}
-	if e.home(page) == e.self {
-		// From here this node's stores change the home's bytes with no
-		// fault to announce them. Nothing may block between this and the
-		// state change: a fetch served in the gap would publish again.
-		e.homeWrite(page)
 	}
 	p.State = mem.ReadWrite
 	e.markDirty(page)
@@ -259,8 +236,8 @@ func (e *hlrcEngine) closeCost() sim.Time {
 	var cost sim.Time
 	for _, pg := range e.dirty {
 		cost += e.costs().PageProtect
-		if e.home(int(pg)) == e.self && !e.replicating() {
-			continue // the home diffs its own writes only to mirror them
+		if e.home(int(pg)) == e.self {
+			continue // the home makes no diff of its own writes
 		}
 		if e.overlapped {
 			cost += e.costs().CoprocPost
@@ -278,23 +255,19 @@ func (e *hlrcEngine) closeCommit() {
 	rec := e.newIntervalRec()
 	for _, pg32 := range rec.Pages {
 		pg := int(pg32)
-		p := e.pt.Page(pg)
-		p.State = mem.ReadOnly
+		e.pt.Page(pg).State = mem.ReadOnly
 		m := e.pages.At(pg)
-		dep := m.seenOrNil().Copy() // nil-safe: Copy of nil is nil (all-zero)
-		if dep == nil {
-			dep = vc.NewSparse(e.sys.Opts.Machine.Nodes)
-		}
-		e.pairs.Set(e.seenOf(m), e.self, rec.Interval)
-		// The home diffs its own writes only to mirror them: with
-		// replication on they exist nowhere else, so they take the
-		// self-flush path, which mirrors the diff to the replicas.
-		if e.home(pg) == e.self && !(e.replicating() && p.Twin != nil) {
+		if e.home(pg) == e.self {
+			e.pairs.Set(e.seenOf(m), e.self, rec.Interval)
 			e.homeWrite(pg)
 			e.pairs.Set(e.flushOf(pg), e.self, rec.Interval)
 			e.homeDrain(pg)
 			continue
 		}
+		// A writer that is not the home fetched the page first, so its
+		// requirement vector exists.
+		dep := m.seen.Copy()
+		e.pairs.Set(e.seenOf(m), e.self, rec.Interval)
 		if e.overlapped {
 			e.postDiff(&e.useOf(pg).inflight, &makeDiffReq{Page: pg, Interval: rec.Interval, Dep: dep})
 			continue
@@ -303,20 +276,9 @@ func (e *hlrcEngine) closeCommit() {
 	}
 }
 
-// flushOwn routes a diff this node made: into the home copy when this node
-// homes the page (or became its home, via a promotion, while an OHLRC diff
-// was in flight), to the home otherwise.
+// flushOwn transmits a diff this node made to the page's home (from compute
+// or coproc context; traffic is charged to this node either way).
 func (e *hlrcEngine) flushOwn(df *diffFlush) {
-	if e.home(df.Page) == e.self {
-		e.homeSelfFlush(df)
-		return
-	}
-	e.sendDiff(df)
-}
-
-// sendDiff transmits a diff to its home (from compute or coproc context;
-// traffic is charged to this node either way).
-func (e *hlrcEngine) sendDiff(df *diffFlush) {
 	e.event(trace.DiffFlush, df.Page, e.home(df.Page), int64(df.Diff.WireSize()))
 	e.node.Send(e.home(df.Page), paragon.Msg{
 		Kind:   kDiffFlush,
@@ -339,7 +301,7 @@ func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 		// the branch below (a known cost-model deviation, kept so
 		// simulated time does not move); only the first invalidation is
 		// traced.
-		if p := e.pt.Page(page); !covers(e.useOf(page).flushOrNil(), seen) && p.State != mem.ReadWrite {
+		if p := e.pt.Page(page); !covers(e.useOf(page).flushVC, seen) && p.State != mem.ReadWrite {
 			if p.State != mem.Invalid {
 				p.State = mem.Invalid
 				e.event(trace.Invalidate, page, rec.Proc, 0)
@@ -384,7 +346,6 @@ var hlrcHandlers = [numKinds]handler[*hlrcEngine]{
 	kMakeDiff:    {(*hlrcEngine).workMakeDiff, (*hlrcEngine).applyMakeDiff},
 	kFetchPage:   {(*hlrcEngine).noWork, (*hlrcEngine).applyFetchPage},
 	kDiffFlush:   {(*hlrcEngine).workDiffFlush, (*hlrcEngine).applyDiffFlush},
-	kMirror:      {(*hlrcEngine).workMirror, (*hlrcEngine).applyMirror},
 }
 
 func (e *hlrcEngine) work(s *service) sim.Time {
@@ -412,21 +373,8 @@ func (e *hlrcEngine) workDiffFlush(s *service) sim.Time {
 	return e.costs().DiffApplyCost(s.m.Body.(*diffFlush).Diff.Words())
 }
 
-func (e *hlrcEngine) applyDiffFlush(s *service) { e.homeReceiveDiff(s.m.Body.(*diffFlush)) }
-
-func (e *hlrcEngine) homeReceiveDiff(df *diffFlush) {
-	if e.home(df.Page) != e.self {
-		// Stale delivery: the page was re-homed (or this node restarted
-		// and lost its home role) while the flush was in flight. Forward
-		// to the current home; application is idempotent, so a duplicate
-		// arrival there is harmless.
-		e.sendDiff(df)
-		return
-	}
-	// Mirroring happens at receipt, not at apply: a diff parked on causal
-	// predecessors has already been acknowledged to its writer, so it
-	// must be recoverable from the replicas now.
-	e.mirrorDiff(df)
+func (e *hlrcEngine) applyDiffFlush(s *service) {
+	df := s.m.Body.(*diffFlush)
 	f := e.flushOf(df.Page)
 	if !covers(f, df.Dep) {
 		u := e.useOf(df.Page)
@@ -489,15 +437,8 @@ func (e *hlrcEngine) homeDrain(page int) {
 // applyFetchPage runs at the home; it takes no work.
 func (e *hlrcEngine) applyFetchPage(s *service) {
 	fr := s.m.Body.(*fetchPageReq)
-	if e.home(fr.Page) != e.self {
-		// Stale delivery after a re-homing: forward the request. The reply
-		// port records the original requester, so the current home answers
-		// it directly.
-		e.node.Send(e.home(fr.Page), s.m)
-		return
-	}
 	pm := e.useOf(fr.Page)
-	if covers(pm.flushOrNil(), &fr.Need) {
+	if covers(pm.flushVC, &fr.Need) {
 		e.respondFetch(s.m, fr)
 		return
 	}
@@ -539,12 +480,10 @@ func (e *hlrcEngine) publish(page int) *fetchPageResp {
 // homeWrite must come before every write to the bytes or the flush vector
 // of a page this node homes: it retires the published record, so the next
 // fetch publishes the new version (the holders keep the old frame; the
-// home's was one reference among theirs), and it makes this node's own copy and
-// twin private first, in case they alias a frame it adopted as a reader
-// before a promotion made it the home.
+// home's was one reference among theirs). The home's own copy is always
+// private: a page's home never fetches it.
 func (e *hlrcEngine) homeWrite(page int) *mem.Page {
 	p := e.pt.Page(page)
-	p.Own(e.pool())
 	if u := e.useOf(page); u.pub != nil {
 		u.pub.Frame.Release(e.sink())
 		u.pub = nil

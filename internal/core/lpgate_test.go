@@ -25,7 +25,6 @@ func TestLPParallelGate(t *testing.T) {
 		"seq proto":  func(o *Options) bool { o.Protocol = ProtoSeq; return lpParallel(o, false) },
 		"mesh":       func(o *Options) bool { o.Machine.Topology = TopoMesh; return lpParallel(o, false) },
 		"faults":     func(o *Options) bool { p, _ := fault.Profile("lossy", 1); o.Fault = p; return lpParallel(o, false) },
-		"recovery":   func(o *Options) bool { o.Recovery.Replicas = 1; return lpParallel(o, false) },
 		"tracing":    func(o *Options) bool { o.TraceLimit = 100; return lpParallel(o, false) },
 		"phase caps": func(o *Options) bool { return lpParallel(o, true) },
 	}

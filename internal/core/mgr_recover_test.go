@@ -50,9 +50,9 @@ func mgrStressApp(p, rounds int, step sim.Time) *testApp {
 }
 
 // TestMgrCrashBitwise is the headline property: crash windows that take
-// out a lock-manager node and the barrier-manager node (node 0), with one
-// replica per home, must complete with results bitwise identical to the
-// failure-free run, for both home-based protocols. The managers are
+// out a lock-manager node and the barrier-manager node (node 0) must
+// complete with results bitwise identical to the failure-free run, for
+// both home-based protocols. The managers and the pages they home are
 // waited out, so the crash run is slower.
 func TestMgrCrashBitwise(t *testing.T) {
 	const p, rounds = 4, 100
@@ -68,7 +68,6 @@ func TestMgrCrashBitwise(t *testing.T) {
 
 			opts := testOpts(proto, p)
 			opts.Fault = plan
-			opts.Recovery = Recovery{Replicas: 1}
 			res := runOrFail(t, opts, app())
 
 			if len(res.Data) != len(base.Data) {
@@ -107,7 +106,6 @@ func TestBarrierMgrCrashMidBarrier(t *testing.T) {
 				Seed:    1,
 				Crashes: []fault.Crash{{Node: 0, At: 2100 * sim.Microsecond, RestartAt: 9 * sim.Millisecond}},
 			}
-			opts.Recovery = Recovery{Replicas: 1}
 			res := runOrFail(t, opts, app())
 
 			for i := range base.Data {
@@ -123,78 +121,87 @@ func TestBarrierMgrCrashMidBarrier(t *testing.T) {
 // A node that crashes with a lock token keeps it, whether it is inside the
 // critical section or holds the token free and cached: no token is ever
 // revoked, so the other acquirer waits out the outage and both increments
-// land.
+// land. In the k0 rows the counter page lives at node 0, the acquirer; in
+// the k1 rows at node 1, the crashed holder, so the acquirer's read of the
+// counter waits out the outage too. Every row runs under all four
+// protocols.
 func TestCrashInsideCriticalSection(t *testing.T) {
 	type row struct {
 		name                 string
-		k                    int
+		home                 int
 		at, restart          sim.Time
 		hold, acquire, floor sim.Time // node 1's critical section, node 0's Lock time, its least lock wait
 	}
 	var rows []row
 	const at, acquire = sim.Millisecond, 2 * sim.Millisecond
-	for _, k := range []int{0, 1} {
+	for _, home := range []int{0, 1} {
 		for _, restart := range []sim.Time{4 * sim.Millisecond, 8 * sim.Millisecond, 20 * sim.Millisecond} {
 			// Node 1 crashes inside its 10 ms critical section.
-			rows = append(rows, row{fmt.Sprintf("k%d/restart%dms", k, restart/sim.Millisecond),
-				k, at, restart, 10 * sim.Millisecond, acquire, restart - at})
+			rows = append(rows, row{fmt.Sprintf("k%d/restart%dms", home, restart/sim.Millisecond),
+				home, at, restart, 10 * sim.Millisecond, acquire, restart - at})
 		}
 	}
 	// Node 1 has unlocked by 2.5 ms, so the token sits free in its cache
 	// when it crashes, before node 0 asks for it at 4 ms.
 	const restart = 40 * sim.Millisecond
-	rows = append(rows, row{"free/k1/restart40ms", 1, 2500 * sim.Microsecond, restart, 0,
-		4 * sim.Millisecond, restart - 4*sim.Millisecond})
+	for _, home := range []int{0, 1} {
+		rows = append(rows, row{fmt.Sprintf("free/k%d/restart40ms", home), home, 2500 * sim.Microsecond, restart, 0,
+			4 * sim.Millisecond, restart - 4*sim.Millisecond})
+	}
 	for _, r := range rows {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
-			var addr mem.Addr
-			const lock = 2 // managed by node 0, cached or held by node 1 at the crash
-			app := &testApp{
-				name:  "heldcrash",
-				setup: func(s *Setup) { addr = s.Alloc(64) },
-				init: func(w *Init) {
-					for i := 0; i < 64; i++ {
-						w.Store(addr+mem.Addr(i), 0)
+			for _, proto := range Protocols {
+				proto := proto
+				t.Run(proto.String(), func(t *testing.T) {
+					var addr mem.Addr
+					const lock = 2 // managed by node 0, cached or held by node 1 at the crash
+					app := &testApp{
+						name:  "heldcrash",
+						setup: func(s *Setup) { addr = s.Alloc(64) },
+						init: func(w *Init) {
+							for i := 0; i < 64; i++ {
+								w.Store(addr+mem.Addr(i), 0)
+							}
+							w.SetHome(addr, 64, r.home)
+						},
+						worker: func(c *Ctx, id int) {
+							if id == 1 {
+								c.Lock(lock)
+								c.Compute(r.hold)
+								c.Store(addr, c.Load(addr)+1)
+								c.Unlock(lock)
+							} else {
+								c.Compute(r.acquire)
+								c.Lock(lock)
+								c.Store(addr, c.Load(addr)+1)
+								c.Unlock(lock)
+							}
+							c.Barrier(0)
+						},
+						gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
 					}
-					w.SetHome(addr, 64, 0) // keep the crashed node homeless
-				},
-				worker: func(c *Ctx, id int) {
-					if id == 1 {
-						c.Lock(lock)
-						c.Compute(r.hold)
-						c.Store(addr, c.Load(addr)+1)
-						c.Unlock(lock)
-					} else {
-						c.Compute(r.acquire)
-						c.Lock(lock)
-						c.Store(addr, c.Load(addr)+1)
-						c.Unlock(lock)
+					opts := testOpts(proto, 2)
+					opts.Fault = fault.Plan{
+						Seed:    1,
+						Crashes: []fault.Crash{{Node: 1, At: r.at, RestartAt: r.restart}},
 					}
-					c.Barrier(0)
-				},
-				gather: func(c *Ctx) []float64 { return []float64{c.Load(addr)} },
-			}
-			opts := testOpts(ProtoHLRC, 2)
-			opts.Fault = fault.Plan{
-				Seed:    1,
-				Crashes: []fault.Crash{{Node: 1, At: r.at, RestartAt: r.restart}},
-			}
-			opts.Recovery = Recovery{Replicas: r.k}
-			res := runOrFail(t, opts, app)
-			if res.Data[0] != 2 {
-				t.Fatalf("counter = %v, want 2", res.Data[0])
-			}
-			if wait := res.Stats.Nodes[0].Time[stats.CatLock]; wait < r.floor {
-				t.Fatalf("acquirer waited %v, less than the %v left of the outage", wait, r.floor)
+					res := runOrFail(t, opts, app)
+					if res.Data[0] != 2 {
+						t.Fatalf("counter = %v, want 2", res.Data[0])
+					}
+					if wait := res.Stats.Nodes[0].Time[stats.CatLock]; wait < r.floor {
+						t.Fatalf("acquirer waited %v, less than the %v left of the outage", wait, r.floor)
+					}
+				})
 			}
 		})
 	}
 }
 
-// Chained crashes: the crash-mgr profile kills node 0 and then node 1,
-// node 0's first replica, which may still home the pages it adopted. The
-// run must stay deterministic: two identical runs, byte-identical stats.
+// Chained crashes: the crash-mgr profile kills node 0 and then node 1, each
+// a manager and a home. The run must stay deterministic: two identical
+// runs, byte-identical stats.
 func TestMgrCrashChainedDeterminism(t *testing.T) {
 	plan, err := fault.Profile(fault.ProfileCrashMgr, 9)
 	if err != nil {
@@ -203,7 +210,6 @@ func TestMgrCrashChainedDeterminism(t *testing.T) {
 	run := func() *Result {
 		opts := testOpts(ProtoOHLRC, 4)
 		opts.Fault = plan
-		opts.Recovery = Recovery{Replicas: 2}
 		return runOrFail(t, opts, mgrStressApp(4, 100, 400*sim.Microsecond))
 	}
 	r1, r2 := run(), run()
@@ -219,28 +225,5 @@ func TestMgrCrashChainedDeterminism(t *testing.T) {
 		if r1.Data[i] != r2.Data[i] {
 			t.Fatalf("data word %d differs: %v vs %v", i, r1.Data[i], r2.Data[i])
 		}
-	}
-}
-
-// Replication without any crash must not change what a lock-heavy run
-// computes (TestReplicationWithoutCrashIsTransparent is the barrier-only
-// case): it only adds kMirror traffic, which is counted.
-func TestReplicationTransparent(t *testing.T) {
-	const p, rounds = 3, 20
-	base := runOrFail(t, testOpts(ProtoHLRC, p), mgrStressApp(p, rounds, 200*sim.Microsecond))
-	opts := testOpts(ProtoHLRC, p)
-	opts.Recovery = Recovery{Replicas: 1}
-	rep := runOrFail(t, opts, mgrStressApp(p, rounds, 200*sim.Microsecond))
-	for i := range base.Data {
-		if base.Data[i] != rep.Data[i] {
-			t.Fatalf("replication changed word %d: %v vs %v", i, rep.Data[i], base.Data[i])
-		}
-	}
-	var replica int64
-	for _, nd := range rep.Stats.Nodes {
-		replica += nd.ReplicaBytes
-	}
-	if replica == 0 {
-		t.Fatal("replication enabled but no replica traffic recorded")
 	}
 }

@@ -39,23 +39,7 @@ func matrixOpts(proto core.Protocol, procs int, profile string, workers int) cor
 		}
 		opts.Fault = plan
 	}
-	if crashProfile(profile) {
-		opts.Recovery = core.Recovery{Replicas: 1}
-	}
 	return opts
-}
-
-// protoFor filters the matrix: the crash profiles need the home-based
-// recovery machinery, which only the HLRC family implements.
-func crashCompatible(proto core.Protocol) bool {
-	return proto == core.ProtoHLRC || proto == core.ProtoOHLRC
-}
-
-// crashProfile reports whether the fault profile schedules node crashes
-// (and so needs Recovery replicas): "crash" kills an ordinary node,
-// "crash-mgr" kills the barrier-manager node and then a lock manager.
-func crashProfile(profile string) bool {
-	return profile == "crash" || profile == "crash-mgr"
 }
 
 // TestDeterminismMatrix is the bitwise-determinism matrix of the parallel
@@ -72,9 +56,6 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 	for _, proto := range core.Protocols {
 		for _, profile := range profiles {
-			if crashProfile(profile) && !crashCompatible(proto) {
-				continue
-			}
 			for name, mk := range mkApps {
 				t.Run(fmt.Sprintf("%s/%s/%s", name, proto, profile), func(t *testing.T) {
 					t.Parallel()
@@ -108,9 +89,6 @@ func TestDeterminismMatrixServe(t *testing.T) {
 	profiles := []string{"none", "lossy", "hostile", "crash", "crash-mgr"}
 	for _, proto := range core.Protocols {
 		for _, profile := range profiles {
-			if crashProfile(profile) && !crashCompatible(proto) {
-				continue
-			}
 			proto, profile := proto, profile
 			t.Run(fmt.Sprintf("serve/%s/%s", proto, profile), func(t *testing.T) {
 				t.Parallel()
@@ -153,9 +131,6 @@ func TestDeterminismMatrixFastpath(t *testing.T) {
 	profiles := []string{"none", "lossy", "crash", "crash-mgr"}
 	for _, proto := range core.Protocols {
 		for _, profile := range profiles {
-			if crashProfile(profile) && !crashCompatible(proto) {
-				continue
-			}
 			proto, profile := proto, profile
 			t.Run(fmt.Sprintf("%s/%s/%s", mode, proto, profile), func(t *testing.T) {
 				t.Parallel()

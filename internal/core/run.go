@@ -89,12 +89,6 @@ type System struct {
 	appProcs  []*sim.Proc
 	homeBased bool
 
-	// Crash-recovery state (recover.go). rec is nil unless the run has
-	// crashes or replication; fatal is set (with the kernel stopped) when
-	// a crash is unrecoverable.
-	rec   *recovery
-	fatal error
-
 	// traceLog, when non-nil, captures protocol events. untraced[i] is set
 	// once node i's statistics are snapshotted: from then on its events
 	// still count but are no longer traced, so the trace spans exactly what
@@ -124,8 +118,8 @@ type Result struct {
 // lpParallel decides whether this run can use the partitioned parallel
 // kernel. The gated-out configurations all thread some globally ordered
 // state through the event loop — mesh link occupancy, the fault
-// injector's sequential RNG stream, recovery's global watchdog and
-// re-homing, the shared trace log, and phase capture's
+// injector's sequential RNG stream and the transport's dedup maps, the
+// shared trace log, and phase capture's
 // cross-node stat snapshots — so they keep the sequential kernel, where
 // byte-identity at any -run-workers value holds trivially.
 func lpParallel(opts *Options, capturePhases bool) bool {
@@ -134,7 +128,6 @@ func lpParallel(opts *Options, capturePhases bool) bool {
 		opts.Protocol != ProtoSeq &&
 		opts.Machine.Topology != TopoMesh &&
 		!opts.Fault.Active() &&
-		!opts.Recovery.Enabled() &&
 		opts.TraceLimit == 0 &&
 		!capturePhases &&
 		opts.Machine.Costs.Lookahead() > 0
@@ -151,8 +144,13 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	if opts.Protocol == ProtoSeq && n != 1 {
 		return nil, fmt.Errorf("core: sequential runs require Machine.Nodes=1, got %d", n)
 	}
-	if opts.Recovery.Replicas < 0 {
-		return nil, fmt.Errorf("core: Recovery.Replicas=%d is negative", opts.Recovery.Replicas)
+	for _, c := range opts.Fault.Crashes {
+		if c.Node < 0 || c.Node >= n {
+			return nil, fmt.Errorf("core: crash of node %d outside Machine.Nodes=%d", c.Node, n)
+		}
+		if c.At <= 0 || c.RestartAt <= c.At {
+			return nil, fmt.Errorf("core: crash of node %d has invalid schedule [%v, %v)", c.Node, c.At, c.RestartAt)
+		}
 	}
 
 	k := sim.NewKernel()
@@ -190,11 +188,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		}
 		sys.traceLog = trace.NewLog(limit)
 		sys.untraced = make([]bool, n)
-	}
-	if len(opts.Fault.Crashes) > 0 || opts.Recovery.Enabled() {
-		if err := sys.initRecovery(); err != nil {
-			return nil, err
-		}
 	}
 
 	// Phase 1: allocation.
@@ -250,9 +243,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		}
 		machine.Nodes[owner].Stats.AppMem += int64(space.PageBytes())
 	}
-	if sys.rec != nil {
-		sys.seedReplicas(sys.staging)
-	}
 	sys.staging = nil
 
 	// Phase capture.
@@ -295,14 +285,8 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 			sys.Engines[i].Finish()
 		})
 	}
-	err := k.Run()
-	if sys.fatal != nil {
-		// An unrecoverable crash stopped the kernel deliberately; report
-		// that rather than the secondary deadlock it would decay into.
-		err = sys.fatal
-	}
-	if err != nil {
-		if inj != nil && sys.fatal == nil {
+	if err := k.Run(); err != nil {
+		if inj != nil {
 			// Attribute the hang to any permanently lost messages before
 			// surfacing it.
 			err = inj.Diagnose(err)

@@ -100,7 +100,8 @@ func sharingApp(t *testing.T, checked *int, lead sim.Time) *testApp {
 // where a record logged twice, or the "writer's entry is charged with its
 // vector, a receiver's is not" rule, would show. In the crash-mgr cell
 // node 0, the barrier manager, takes the lock first and dies with the token
-// cached; the next acquirer's forward waits out its restart.
+// cached; the next acquirer's forward, and every fetch of a page it homes,
+// waits out its restart.
 func TestIntervalRecordsAreShared(t *testing.T) {
 	type totals struct{ elapsed, bytes, memPeak int64 }
 	want := map[string]totals{
@@ -112,7 +113,7 @@ func TestIntervalRecordsAreShared(t *testing.T) {
 		"hlrc/tree":      {48018970, 31420, 35612},
 		"ohlrc/central":  {35476207, 28720, 35612},
 		"ohlrc/tree":     {21913715, 31420, 35612},
-		"hlrc/crash-mgr": {114000027, 41208, 44584},
+		"hlrc/crash-mgr": {124592344, 36092, 35612},
 	}
 	cell := func(name string, opts Options, lead sim.Time) {
 		t.Run(name, func(t *testing.T) {
@@ -145,6 +146,5 @@ func TestIntervalRecordsAreShared(t *testing.T) {
 	}
 	opts := testOpts(ProtoHLRC, 16)
 	opts.Fault = fault.Plan{Crashes: []fault.Crash{{Node: 0, At: 16 * sim.Millisecond, RestartAt: 56 * sim.Millisecond}}}
-	opts.Recovery = Recovery{Replicas: 1}
 	cell("hlrc/crash-mgr", opts, 10*sim.Millisecond)
 }

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"gosvm/internal/sim"
@@ -67,24 +65,5 @@ func TestCrashProfile(t *testing.T) {
 	c := p.Crashes[0]
 	if c.RestartAt <= c.At {
 		t.Fatalf("restart %v not after crash %v", c.RestartAt, c.At)
-	}
-}
-
-func TestNodeDeadErrorReport(t *testing.T) {
-	base := errors.New("deadlock: everyone waits")
-	err := error(&NodeDeadError{
-		Node:   3,
-		At:     5 * sim.Millisecond,
-		Reason: "no replica holds its home pages",
-		Err:    base,
-	})
-	msg := err.Error()
-	for _, want := range []string{"node 3", "unrecoverable", "no replica holds its home pages", "deadlock: everyone waits"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("report missing %q: %v", want, msg)
-		}
-	}
-	if !errors.Is(err, base) {
-		t.Fatal("NodeDeadError does not unwrap to the underlying error")
 	}
 }

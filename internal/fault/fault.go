@@ -61,10 +61,12 @@ type Slowdown struct {
 
 // Crash is an outage of node Node over the simulated-time window
 // [At, RestartAt): the node stops servicing protocol messages and its
-// local compute freezes, then it comes back at RestartAt with its
-// volatile protocol state (home copies, cached pages) lost. RestartAt
-// must come after At; every crash restarts. Recovery of home-page state
-// is the job of the core re-homing protocol (see core.Recovery).
+// local compute freezes, then it comes back at RestartAt with all its
+// state — home copies, cached pages, twins, clock, tokens, manager
+// tables. RestartAt must come after At; every crash restarts. Messages to
+// the node during the outage are dropped and retransmitted, so every role
+// it holds is waited out: the simulator does not model the loss of a
+// node's memory.
 type Crash struct {
 	Node      int
 	At        sim.Time
@@ -144,9 +146,8 @@ func Profile(name string, seed int64) (Plan, error) {
 			},
 		}, nil
 	case ProfileCrash:
-		// Node 1 dies mid-run and reboots 20ms later with its volatile
-		// protocol state lost. With home-state replication enabled the
-		// home-based protocols re-home its pages and finish correctly.
+		// Node 1 dies mid-run and reboots 20ms later with its state
+		// intact; requests to it wait out the outage.
 		return Plan{
 			Seed: seed,
 			Crashes: []Crash{
@@ -156,9 +157,8 @@ func Profile(name string, seed int64) (Plan, error) {
 	case ProfileCrashMgr:
 		// One synchronization manager dies per interval: first the
 		// barrier manager (node 0), then node 1, the manager of lock 1.
-		// Requests to a crashed manager wait out its restart; the pages
-		// both nodes home are re-homed, so this needs
-		// Recovery.Replicas >= 1.
+		// Requests to a crashed manager, and to the pages it homes, wait
+		// out its restart.
 		return Plan{
 			Seed: seed,
 			Crashes: []Crash{

@@ -152,6 +152,3 @@ func (in *Injector) Stall(node int, now, d sim.Time) sim.Time {
 	}
 	return d
 }
-
-// Crashes returns the plan's crash schedule (possibly empty).
-func (in *Injector) Crashes() []Crash { return in.plan.Crashes }

@@ -31,37 +31,6 @@ type HangError struct {
 	name func(kind int) string
 }
 
-// NodeDeadError reports a run that could not complete because a crashed
-// node took needed state down with it: no replica existed to re-home
-// its pages. Unwrap exposes the underlying failure (typically a
-// *sim.DeadlockError), if any.
-type NodeDeadError struct {
-	Node int
-	At   sim.Time // when the node crashed
-	// Role names the unrecoverable role the node held, when known:
-	// "home", the only role that moves to a survivor.
-	Role   string
-	Reason string
-	Err    error
-}
-
-func (e *NodeDeadError) Unwrap() error { return e.Err }
-
-func (e *NodeDeadError) Error() string {
-	who := fmt.Sprintf("node %d", e.Node)
-	if e.Role != "" {
-		who += " (" + e.Role + ")"
-	}
-	s := fmt.Sprintf("%s crashed at %v and its state is unrecoverable", who, e.At)
-	if e.Reason != "" {
-		s += ": " + e.Reason
-	}
-	if e.Err != nil {
-		s += " (" + e.Err.Error() + ")"
-	}
-	return s
-}
-
 // Diagnose annotates a run failure with any permanently lost messages.
 func (in *Injector) Diagnose(err error) error {
 	if err != nil && len(in.losses) > 0 {

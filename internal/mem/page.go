@@ -105,26 +105,6 @@ func (p *Page) Adopt(f *Frame, pool *Pool) {
 	p.Data, p.frame = f.Words, f
 }
 
-// Own makes Data and Twin private, for a node about to write bytes the
-// page's write fault did not cover (a home applying a diff, recovery
-// rebasing a copy): whichever aliases a shared frame becomes a copy drawn
-// from pool and the reference is dropped.
-func (p *Page) Own(pool *Pool) {
-	if p.frame == nil {
-		return
-	}
-	if p.twinShared {
-		p.Twin = pool.Clone(p.Twin)
-	} else {
-		p.Data = pool.Clone(p.Data)
-	}
-	// Only recovery gets here. If this was the last reference the words fall
-	// to the Go GC: pool has just been drawn from, and a put on top of the
-	// draw could take its list past the owner's cap.
-	p.frame.Release(nil)
-	p.frame, p.twinShared = nil, false
-}
-
 // MakeTwin snapshots the current page contents as the twin, one page copy
 // either way: a private Data is copied into a twin drawn from pool (nil pool
 // allocates); a shared one becomes the twin as it is, and Data the copy.

@@ -42,14 +42,6 @@ type Machine struct {
 	// fault-free run, leaving every code path untouched.
 	inj    *fault.Injector
 	faults *faultLayer
-
-	// Crash/recovery hooks, installed by the protocol layer. OnRejoin
-	// fires (event context) when a planned crash brings a node back.
-	// OnSuspect fires when the transport's retransmission chain to a
-	// genuinely-down node exceeds the plan's suspicion threshold; it may
-	// fire more than once per death, so handlers must be idempotent.
-	OnRejoin  func(node int)
-	OnSuspect func(dead, reporter int)
 }
 
 // New builds an n-node machine on kernel k. It spawns no procs: each
@@ -71,24 +63,16 @@ func New(k *sim.Kernel, n int, costs Costs) *Machine {
 }
 
 // EnableFaults wires a fault injector into the machine: compute work is
-// scaled by the plan's slowdown windows, and if the plan injects message
-// faults all inter-node traffic is routed through the fault transport
-// (see reliable.go). Must be called before the simulation starts.
+// scaled by the plan's slowdown windows and stalled across its crash
+// outages, and if the plan injects message faults (crashes included) all
+// inter-node traffic is routed through the fault transport (see
+// reliable.go). A crash needs nothing else: the node keeps all its state,
+// so its restart is only the end of the outage. Must be called before the
+// simulation starts.
 func (m *Machine) EnableFaults(inj *fault.Injector) {
 	m.inj = inj
 	if p := inj.Plan(); p.Messaging() {
 		m.faults = newFaultLayer(m, inj)
-	}
-	for _, c := range inj.Crashes() {
-		c := c
-		m.K.At(c.RestartAt, func() {
-			if m.faults != nil {
-				m.faults.clearSuspect(c.Node)
-			}
-			if m.OnRejoin != nil {
-				m.OnRejoin(c.Node)
-			}
-		})
 	}
 }
 
@@ -105,16 +89,6 @@ func (m *Machine) outage(node int, d sim.Time) sim.Time {
 		return d
 	}
 	return m.inj.Stall(node, m.K.LaneNow(node), d)
-}
-
-// RecallPending withdraws every unacknowledged request to the dead node
-// whose payload matches the filter, returning the payloads oldest
-// first. The recovery layer re-sends them to the successor node.
-func (m *Machine) RecallPending(dead int, match func(Msg) bool) []Msg {
-	if m.faults == nil {
-		return nil
-	}
-	return m.faults.recall(dead, match)
 }
 
 // scale applies any active slowdown window on node to work d.

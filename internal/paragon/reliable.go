@@ -1,8 +1,6 @@
 package paragon
 
 import (
-	"sort"
-
 	"gosvm/internal/fault"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -15,14 +13,12 @@ const ackBytes = 12
 // The retransmission schedule: the first retry fires rto after a send and
 // each later wait is backoff times the previous one, capped at rtoMax so
 // recovery after a long outage stays bounded. A message is given up after
-// maxAttempts transmissions. suspectAfter unacknowledged transmissions to a
-// node the plan has crashed report it as suspected dead.
+// maxAttempts transmissions.
 const (
-	rto          = 2 * sim.Millisecond
-	backoff      = 2
-	rtoMax       = 50 * sim.Millisecond
-	maxAttempts  = 10
-	suspectAfter = 3
+	rto         = 2 * sim.Millisecond
+	backoff     = 2
+	rtoMax      = 50 * sim.Millisecond
+	maxAttempts = 10
 )
 
 // faultLayer is the faulty network plus the reliability transport that
@@ -38,16 +34,12 @@ type faultLayer struct {
 	m   *Machine
 	inj *fault.Injector
 
-	nextID  uint64
-	pending map[uint64]*netMsg
+	nextID uint64
 	// seen holds, per destination node, the ids already delivered there.
 	// Entries are retired as soon as no copy of the id can still be in
 	// flight (see maybeRetire), so the maps stay bounded by the number
 	// of concurrently outstanding messages, not by run length.
 	seen []map[uint64]struct{}
-	// suspected marks nodes already reported dead to OnSuspect, cleared
-	// when the node rejoins.
-	suspected []bool
 }
 
 // netMsg is one logical message in flight: the transport retransmits the
@@ -71,9 +63,8 @@ type netMsg struct {
 	// receiver's dedup entry is retired.
 	inflight int
 
-	// msg is the payload. A request is kept whole so the recovery layer
-	// can recall and re-address it when its destination dies; a response
-	// travels to port, the requester's reply port (nil for a request).
+	// msg is the payload, retransmitted whole; a response travels to port,
+	// the requester's reply port (nil for a request).
 	msg  Msg
 	port *Reply
 }
@@ -92,11 +83,9 @@ func (r *retryTimer) Fire() { nm := (*netMsg)(r); nm.fl.retry(nm) }
 
 func newFaultLayer(m *Machine, inj *fault.Injector) *faultLayer {
 	fl := &faultLayer{
-		m:         m,
-		inj:       inj,
-		pending:   make(map[uint64]*netMsg),
-		seen:      make([]map[uint64]struct{}, len(m.Nodes)),
-		suspected: make([]bool, len(m.Nodes)),
+		m:    m,
+		inj:  inj,
+		seen: make([]map[uint64]struct{}, len(m.Nodes)),
 	}
 	for i := range fl.seen {
 		fl.seen[i] = make(map[uint64]struct{})
@@ -157,7 +146,6 @@ func (fl *faultLayer) send(n *Node, to int, msg Msg, port *Reply) {
 		port:      port,
 	}
 	fl.transmit(nm)
-	fl.pending[nm.id] = nm
 	fl.armRetry(nm, rto)
 }
 
@@ -186,7 +174,7 @@ func (fl *faultLayer) arrive(nm *netMsg) {
 	if fl.m.Down(nm.dst) {
 		// The destination is crashed: the copy falls on the floor — no
 		// delivery, no ack. The retransmission chain keeps trying and
-		// succeeds after the restart (or raises suspicion).
+		// succeeds after the restart.
 		fl.dropped(nm)
 		fl.maybeRetire(nm)
 		return
@@ -220,7 +208,6 @@ func (fl *faultLayer) ackArrived(nm *netMsg) {
 		return
 	}
 	nm.acked = true
-	delete(fl.pending, nm.id)
 	if nm.attempts > 1 {
 		// Recovery time: how long the loss stalled this message beyond a
 		// clean first-attempt round trip.
@@ -238,14 +225,13 @@ func (fl *faultLayer) armRetry(nm *netMsg, wait sim.Time) {
 }
 
 // retry is nm's retransmission timer firing: give up after maxAttempts,
-// otherwise raise suspicion if due, retransmit and back off.
+// otherwise retransmit and back off.
 func (fl *faultLayer) retry(nm *netMsg) {
 	if nm.acked || nm.lost {
 		return
 	}
 	if nm.attempts >= maxAttempts {
 		nm.lost = true
-		delete(fl.pending, nm.id)
 		fl.inj.RecordLoss(fault.Loss{
 			At:       fl.m.K.Now(),
 			From:     nm.src,
@@ -259,45 +245,6 @@ func (fl *faultLayer) retry(nm *netMsg) {
 	}
 	nm.attempts++
 	fl.m.Nodes[nm.src].Stats.Counts.Retries++
-	// Failure detection: enough unanswered attempts to a node that
-	// really is down (the plan is ground truth, so lossy networks
-	// cannot produce false positives) raises suspicion exactly once
-	// per outage.
-	if nm.attempts >= suspectAfter && !fl.suspected[nm.dst] &&
-		fl.m.Down(nm.dst) && fl.m.OnSuspect != nil {
-		fl.suspected[nm.dst] = true
-		fl.m.OnSuspect(nm.dst, nm.src)
-	}
-	if nm.acked || nm.lost {
-		// The suspicion handler may have recalled this message.
-		return
-	}
 	fl.transmit(nm)
 	fl.armRetry(nm, min(sim.Time(float64(nm.wait)*backoff), rtoMax))
-}
-
-// clearSuspect re-arms failure detection for a node that rejoined.
-func (fl *faultLayer) clearSuspect(node int) { fl.suspected[node] = false }
-
-// recall cancels every pending non-reply message to dead whose payload
-// matches the filter and returns the payloads, oldest first. The
-// recovery layer re-addresses them (e.g. to a page's new home); copies
-// already in flight are eaten by the dead node or deduped on delivery.
-func (fl *faultLayer) recall(dead int, match func(Msg) bool) []Msg {
-	var picked []*netMsg
-	for _, nm := range fl.pending {
-		if nm.dst == dead && nm.port == nil && !nm.acked && !nm.lost && match(nm.msg) {
-			picked = append(picked, nm)
-		}
-	}
-	// Map iteration order is random; restore send order for determinism.
-	sort.Slice(picked, func(i, j int) bool { return picked[i].id < picked[j].id })
-	out := make([]Msg, 0, len(picked))
-	for _, nm := range picked {
-		nm.lost = true
-		delete(fl.pending, nm.id)
-		fl.maybeRetire(nm)
-		out = append(out, nm.msg)
-	}
-	return out
 }

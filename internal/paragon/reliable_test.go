@@ -153,7 +153,4 @@ func TestSeenMapsBounded(t *testing.T) {
 			t.Fatalf("dedup map for node %d holds %d unretired ids after the run", dst, len(seen))
 		}
 	}
-	if len(fl.pending) != 0 {
-		t.Fatalf("%d messages still pending after the run", len(fl.pending))
-	}
 }

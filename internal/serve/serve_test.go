@@ -183,9 +183,9 @@ func TestServeUnderLossyFaults(t *testing.T) {
 	}
 }
 
-// TestServeUnderCrashFaults: a mid-run node crash with one home-state
-// replica must recover, complete the full trace, validate the store, and
-// report recovery time and rehomed pages.
+// TestServeUnderCrashFaults: a mid-run node crash is waited out under every
+// protocol: the run completes the full trace, validates the store, and
+// reports the retransmissions and the recovery time the outage cost.
 func TestServeUnderCrashFaults(t *testing.T) {
 	plan, err := fault.Profile(fault.ProfileCrash, 7)
 	if err != nil {
@@ -193,11 +193,8 @@ func TestServeUnderCrashFaults(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Window = 40 * sim.Millisecond // span the crash (5ms) and revival (25ms)
-	for _, proto := range []core.Protocol{core.ProtoHLRC, core.ProtoOHLRC} {
-		kv, res := runServe(t, cfg, proto, 4, core.Options{
-			Fault:    plan,
-			Recovery: core.Recovery{Replicas: 1},
-		})
+	for _, proto := range core.Protocols {
+		kv, res := runServe(t, cfg, proto, 4, core.Options{Fault: plan})
 		s := res.Stats.Serve
 		if s.Completed != kv.Generated() {
 			t.Errorf("%s: crash run completed %d of %d", proto, s.Completed, kv.Generated())
@@ -205,14 +202,14 @@ func TestServeUnderCrashFaults(t *testing.T) {
 		if s.Latency.P999() == 0 {
 			t.Errorf("%s: crash run reports zero p999", proto)
 		}
-		var rehomed int64
+		var retries int64
 		var recovery sim.Time
 		for _, nd := range res.Stats.Nodes {
-			rehomed += nd.Counts.PagesRehomed
+			retries += nd.Counts.Retries
 			recovery += nd.Recovery
 		}
-		if rehomed == 0 {
-			t.Errorf("%s: crash recovered no pages", proto)
+		if retries == 0 {
+			t.Errorf("%s: crash cost no retransmission", proto)
 		}
 		if recovery == 0 {
 			t.Errorf("%s: crash reports zero recovery time", proto)
