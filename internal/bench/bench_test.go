@@ -230,7 +230,7 @@ func TestFaultSweepSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`fault profile "lossy"`, `fault profile "crash"`, "rehomed", "detect(ms)"} {
+	for _, want := range []string{`fault profile "lossy"`, `fault profile "crash"`, "wait out its restart"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
 		}

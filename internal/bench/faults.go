@@ -8,7 +8,6 @@ import (
 
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
-	"gosvm/internal/sim"
 )
 
 // FaultSweep reruns the Table-2 speedup grid under fault injection: one
@@ -38,7 +37,6 @@ func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir s
 		return err
 	}
 	protos := core.Protocols
-	crash := len(plan.Crashes) > 0
 
 	// Every cell is a full run under the one shared plan (the injector
 	// only reads it), validated against its application's memoized
@@ -72,38 +70,23 @@ func (r *Runner) faultTable(out io.Writer, profile string, seed int64, jsonDir s
 	for _, proto := range protos {
 		fmt.Fprintf(tw, "\t%s", proto)
 	}
-	if crash {
-		fmt.Fprint(tw, "\trehomed\tdetect(ms)")
-	}
 	fmt.Fprintln(tw)
 
 	// One row per (application, machine size), one speedup column per
-	// protocol; the crash columns total over the row's protocols.
-	var rehomed int64
-	var detect sim.Time
+	// protocol.
 	for i, c := range cells {
 		res := results[i]
 		if i%len(protos) == 0 {
 			fmt.Fprintf(tw, "%s\t%d", c.app, c.procs)
-			rehomed, detect = 0, 0
 		}
 		fmt.Fprintf(tw, "\t%.2f", res.Stats.Speedup())
-		sum := res.Stats.Sum()
-		rehomed += sum.Counts.PagesRehomed
-		if sum.Detect > detect {
-			detect = sum.Detect
-		}
 		name := fmt.Sprintf("fault-%s-%s-%s-p%d.json", profile, c.app, c.proto, c.procs)
 		if err := writeCell(jsonDir, name, res.Stats.WriteJSON); err != nil {
 			return err
 		}
-		if i%len(protos) < len(protos)-1 {
-			continue
+		if i%len(protos) == len(protos)-1 {
+			fmt.Fprintln(tw)
 		}
-		if crash {
-			fmt.Fprintf(tw, "\t%d\t%.2f", rehomed, ms(detect))
-		}
-		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }

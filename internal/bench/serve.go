@@ -76,7 +76,6 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 		return err
 	}
 
-	crash := len(plan.Crashes) > 0
 	fmt.Fprintf(out, "Open-loop KV serving sweep: offered load vs. tail latency (fault profile %q, seed %d)\n",
 		profile, o.Seed)
 	fmt.Fprintln(out, "rates in requests per simulated second; latencies on the simulated clock")
@@ -93,9 +92,6 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 	fmt.Fprint(tw, "\tSaturated")
 	if plan.Active() {
 		fmt.Fprint(tw, "\tRetries\tRecovery(ms)")
-	}
-	if crash {
-		fmt.Fprint(tw, "\tRehomed")
 	}
 	fmt.Fprintln(tw)
 	for i, c := range cells {
@@ -120,9 +116,6 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 		if plan.Active() {
 			sum := res.Stats.Sum()
 			fmt.Fprintf(tw, "\t%d\t%.2f", sum.Counts.Retries, ms(sum.Recovery))
-			if crash {
-				fmt.Fprintf(tw, "\t%d", sum.Counts.PagesRehomed)
-			}
 		}
 		fmt.Fprintln(tw)
 		if err := writeCell(jsonDir, c.fileName(profile), res.Stats.WriteJSON); err != nil {

@@ -23,8 +23,6 @@ type jsonNode struct {
 	ProtoMemPeak int64            `json:"proto_mem_peak"`
 	AppMem       int64            `json:"app_mem"`
 	RecoveryNs   int64            `json:"recovery_ns"`
-	ReplicaBytes int64            `json:"replica_bytes"`
-	DetectNs     int64            `json:"detect_ns"`
 }
 
 func nodeJSON(n *Node) jsonNode {
@@ -36,8 +34,6 @@ func nodeJSON(n *Node) jsonNode {
 		ProtoMemPeak: n.ProtoMemPeak,
 		AppMem:       n.AppMem,
 		RecoveryNs:   int64(n.Recovery),
-		ReplicaBytes: n.ReplicaBytes,
-		DetectNs:     int64(n.Detect),
 	}
 	for c := Category(0); c < NumCategories; c++ {
 		jn.TimeNs[c.String()] = int64(n.Time[c])
@@ -52,7 +48,6 @@ func nodeJSON(n *Node) jsonNode {
 // MarshalJSON emits the run in a stable machine-readable shape for the
 // benchmark trajectory (BENCH_*.json and friends).
 func (r *Run) MarshalJSON() ([]byte, error) {
-	sum := r.Sum()
 	out := struct {
 		App           string      `json:"app"`
 		Protocol      string      `json:"protocol"`
@@ -65,9 +60,6 @@ func (r *Run) MarshalJSON() ([]byte, error) {
 		ProtocolBytes int64       `json:"protocol_bytes"`
 		PeakProtoMem  int64       `json:"peak_proto_mem"`
 		TotalAppMem   int64       `json:"total_app_mem"`
-		PagesRehomed  int64       `json:"pages_rehomed,omitempty"`
-		ReplicaBytes  int64       `json:"replica_bytes,omitempty"`
-		DetectNs      int64       `json:"detect_ns,omitempty"`
 		Serve         *ServeStats `json:"serve,omitempty"`
 		Nodes         []jsonNode  `json:"nodes"`
 	}{
@@ -82,9 +74,6 @@ func (r *Run) MarshalJSON() ([]byte, error) {
 		ProtocolBytes: r.TotalBytes(ClassProtocol),
 		PeakProtoMem:  r.PeakProtoMem(),
 		TotalAppMem:   r.TotalAppMem(),
-		PagesRehomed:  sum.Counts.PagesRehomed,
-		ReplicaBytes:  sum.ReplicaBytes,
-		DetectNs:      int64(sum.Detect),
 		Serve:         r.Serve,
 	}
 	for _, nd := range r.Nodes {

@@ -73,10 +73,6 @@ type Counters struct {
 	Retries        int64 // transport retransmissions issued by this node
 	DupsSuppressed int64 // duplicate deliveries deduped at this node
 	MsgsDropped    int64 // copies the faulty network ate (sent by this node)
-
-	// PagesRehomed counts pages this node adopted as their new home
-	// after the previous home crashed. Zero without crash recovery.
-	PagesRehomed int64
 }
 
 // counterFields is the one list of the Counters fields: each one's JSON
@@ -99,7 +95,6 @@ var counterFields = [...]struct {
 	{"retries", func(c *Counters) *int64 { return &c.Retries }},
 	{"dups_suppressed", func(c *Counters) *int64 { return &c.DupsSuppressed }},
 	{"msgs_dropped", func(c *Counters) *int64 { return &c.MsgsDropped }},
-	{"pages_rehomed", func(c *Counters) *int64 { return &c.PagesRehomed }},
 }
 
 // Node accumulates statistics for one simulated node.
@@ -128,14 +123,6 @@ type Node struct {
 	// message that needed retransmission, the span from first send to
 	// final acknowledgement. Zero in a fault-free run.
 	Recovery sim.Time
-
-	// ReplicaBytes counts home-state replication traffic sent by this
-	// node (mirrored diffs, checkpoint pages). Zero without recovery.
-	ReplicaBytes int64
-	// Detect is the failure-detection latency observed by this node:
-	// crash time to the moment this node declared the victim dead. Zero
-	// unless this node was the reporter.
-	Detect sim.Time
 }
 
 // Add charges d to category c.
@@ -194,8 +181,6 @@ func (n Node) Sub(o Node) Node {
 	d.ProtoMemPeak = n.ProtoMemPeak
 	d.AppMem = n.AppMem
 	d.Recovery = n.Recovery - o.Recovery
-	d.ReplicaBytes = n.ReplicaBytes - o.ReplicaBytes
-	d.Detect = n.Detect
 	return d
 }
 
@@ -228,8 +213,7 @@ func (r *Run) Speedup() float64 {
 }
 
 // Sum returns the per-node statistics added up over the run's nodes.
-// Two fields are not sums: Detect is the maximum (the run's detection
-// latency), and ProtoMem — a level, not a count — is left zero.
+// ProtoMem — a level, not a count — is left zero.
 func (r *Run) Sum() Node {
 	var sum Node
 	for _, nd := range r.Nodes {
@@ -247,16 +231,12 @@ func (r *Run) Sum() Node {
 		sum.ProtoMemPeak += nd.ProtoMemPeak
 		sum.AppMem += nd.AppMem
 		sum.Recovery += nd.Recovery
-		sum.ReplicaBytes += nd.ReplicaBytes
-		if nd.Detect > sum.Detect {
-			sum.Detect = nd.Detect
-		}
 	}
 	return sum
 }
 
 // AvgNode returns the mean of the per-node statistics: Sum divided by
-// the node count, except Detect, which stays the maximum.
+// the node count.
 func (r *Run) AvgNode() Node {
 	n := int64(len(r.Nodes))
 	if n == 0 {
@@ -277,7 +257,6 @@ func (r *Run) AvgNode() Node {
 	avg.ProtoMemPeak /= n
 	avg.AppMem /= n
 	avg.Recovery /= sim.Time(n)
-	avg.ReplicaBytes /= n
 	return avg
 }
 

@@ -93,7 +93,6 @@ func TestRunAggregates(t *testing.T) {
 	b.MemAlloc(700)
 	b.MemFree(100)
 	a.MsgsIn, b.MsgsIn = 30, 10
-	a.Detect, b.Detect = 5, 9
 	r := &Run{Nodes: []*Node{a, b}, Elapsed: 400, SeqTime: 800}
 
 	if got := r.Speedup(); got != 2 {
@@ -109,9 +108,6 @@ func TestRunAggregates(t *testing.T) {
 	sum := r.Sum()
 	if sum.Time[CatCompute] != 400 || sum.Counts.DiffsCreated != 12 || sum.MsgsIn != 40 {
 		t.Fatalf("sum = %+v", sum)
-	}
-	if sum.Detect != 9 || avg.Detect != 9 {
-		t.Fatalf("detect: sum %v, avg %v, want the maximum 9", sum.Detect, avg.Detect)
 	}
 	if got := r.MsgsInSkew(); got != 1.5 {
 		t.Fatalf("msgs-in skew = %v, want 30 / mean 20", got)
