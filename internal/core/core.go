@@ -60,12 +60,12 @@ func ParseProtocol(s string) (Protocol, error) {
 // order.
 var Protocols = []Protocol{ProtoLRC, ProtoOLRC, ProtoHLRC, ProtoOHLRC}
 
-// Recovery once configured home-page replication. A crashed node now
-// keeps all its state and every role it holds is waited out, so nothing
+// Recovery is inert: a crashed node keeps all its state and every role it
+// holds is waited out, so there is no page state to replicate and nothing
 // reads it.
 //
-// Deprecated: Recovery is inert. It remains only because the repository
-// benchmark still sets Options.Recovery; delete both once it stops.
+// Deprecated: it remains only because the repository benchmark still sets
+// Options.Recovery; delete both once it stops.
 type Recovery struct {
 	Replicas int
 }
@@ -258,7 +258,8 @@ func badKind(kind int) {
 var msgKindNames = [...]string{
 	kLockAcq: "lock-acquire", kLockFwd: "lock-forward", kBarrier: "barrier",
 	kGCDone: "gc-done", kFetchDiffs: "fetch-diffs", kFetchPage: "fetch-page",
-	kDiffFlush: "diff-flush", kMakeDiff: "make-diff", kBarrierUp: "barrier-up", kBarrierDown: "barrier-down",
+	kDiffFlush: "diff-flush", kMakeDiff: "make-diff",
+	kBarrierUp: "barrier-up", kBarrierDown: "barrier-down",
 }
 
 // msgKindName renders protocol message kinds for fault watchdog reports.
