@@ -90,6 +90,15 @@ type base struct {
 	// compute and coproc hold the message each of the node's dispatchers
 	// is servicing (service).
 	compute, coproc service
+
+	// lock and rep are this node's lock-acquire request and barrier
+	// arrival: its one body of each kind, refilled by every remote Acquire
+	// and every Barrier. The server writes its answer into their Grant
+	// (DESIGN §9 "No object per serviced message").
+	lock lockReq
+	rep  barrierReport
+	// merged is mergeReports' merged clock, valid until its next call.
+	merged vc.VC
 }
 
 type lockState struct {
@@ -430,21 +439,13 @@ func (b *base) pruneLogThrough(upTo vc.VC) {
 	}
 }
 
-// logSince collects the interval records the holder of knowledge `have`
-// is missing, in log order, into a slice allocated once at its length.
-func (b *base) logSince(have vc.VC) []*IntervalRec {
-	n := 0
+// logSinceInto appends to dst the interval records the holder of
+// knowledge `have` is missing, in log order.
+func (b *base) logSinceInto(dst []*IntervalRec, have vc.VC) []*IntervalRec {
 	for p, recs := range b.log {
-		n += len(recs) - recsAfter(recs, have[p])
+		dst = append(dst, recs[recsAfter(recs, have[p]):]...)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]*IntervalRec, 0, n)
-	for p, recs := range b.log {
-		out = append(out, recs[recsAfter(recs, have[p]):]...)
-	}
-	return out
+	return dst
 }
 
 // recsAfter returns the index of the first record in recs (one proc's log
@@ -453,10 +454,11 @@ func recsAfter(recs []*IntervalRec, after int32) int {
 	return sort.Search(len(recs), func(i int) bool { return recs[i].Interval > after })
 }
 
-// ownRecsAfter returns this node's own interval records with index > after.
-func (b *base) ownRecsAfter(after int32) []*IntervalRec {
+// ownRecsAfterInto appends to dst this node's own interval records with
+// index > after.
+func (b *base) ownRecsAfterInto(dst []*IntervalRec, after int32) []*IntervalRec {
 	recs := b.log[b.self]
-	return append([]*IntervalRec(nil), recs[recsAfter(recs, after):]...)
+	return append(dst, recs[recsAfter(recs, after):]...)
 }
 
 // learn is the one way a node takes in interval records — a lock grant or a
@@ -518,11 +520,14 @@ func (b *base) Acquire(lock int) {
 	// Remote acquire: an interval boundary.
 	b.closeIntervalOnApp()
 	b.event(trace.LockAcquire, -1, -1, int64(lock))
+	lr := &b.lock
+	lr.Lock, lr.Requester = lock, b.self
+	lr.ReqVC = append(lr.ReqVC[:0], b.clock...)
 	req := paragon.Msg{
 		Kind:  kLockAcq,
 		Size:  8 + b.clock.WireSize(),
 		Class: stats.ClassProtocol,
-		Body:  &lockReq{Lock: lock, Requester: b.self, ReqVC: b.clock.Copy()},
+		Body:  lr,
 	}
 	var resp paragon.Msg
 	mgr := b.sys.lockMgrOf(lock)
@@ -576,9 +581,12 @@ func (b *base) Release(lock int) {
 	}
 }
 
-// grantTo sends the lock token plus coherence payload to the requester.
+// grantTo sends the lock token plus coherence payload to the requester,
+// written into its request's Grant.
 func (b *base) grantTo(req paragon.Msg, lr *lockReq) {
-	g := &grantInfo{VC: b.clock.Copy(), Intervals: b.logSince(lr.ReqVC)}
+	b.claimBody(req)
+	g := &lr.Grant
+	b.fillGrant(g, b.clock, false, lr.ReqVC)
 	b.node.Respond(req, paragon.Msg{
 		Kind:  kLockFwd,
 		Size:  g.wireSize(b.wireVC()),
@@ -587,10 +595,43 @@ func (b *base) grantTo(req paragon.Msg, lr *lockReq) {
 	})
 }
 
+// fillGrant writes a grant or release into g, in place: the clock v, the GC
+// decision and the log records the holder of knowledge `have` is missing.
+func (b *base) fillGrant(g *grantInfo, v vc.VC, gc bool, have vc.VC) {
+	g.VC = append(g.VC[:0], v...)
+	g.GC = gc
+	g.Intervals = b.logSinceInto(g.Intervals[:0], have)
+}
+
+// lockReq is a remote lock acquire: the requester's one body, base.lock.
+// It travels through the manager to the owner, possibly waits in the
+// owner's queue, and the owner that grants the lock writes the grant into
+// Grant and answers with a pointer to it.
 type lockReq struct {
 	Lock      int
 	Requester int
 	ReqVC     vc.VC
+	Grant     grantInfo
+}
+
+// checkAnswers, switched on by tests (CheckAnswers), makes claimBody
+// verify its premise.
+var checkAnswers bool
+
+// claimBody marks a server about to write its answer into the body of
+// req, whose requester blocks in Call until the answer lands. The body is
+// the requester's one body of its kind, so the write is sound only while
+// that Call waits. It relies on the transport delivering each request
+// exactly once (DESIGN §7): a request serviced again after its answer
+// would overwrite the body of the requester's next exchange, and the reply
+// port's generation check drops only the stale answer, not the write.
+// Under checkAnswers a write into the body of a Call that no longer waits
+// panics.
+func (b *base) claimBody(req paragon.Msg) {
+	if checkAnswers && !req.Waiting() {
+		panic(fmt.Sprintf("core: node %d answering into the body of a %s request whose Call no longer waits (serviced twice?)",
+			b.self, msgKindName(req.Kind)))
+	}
 }
 
 func (b *base) mgrOwner(lock int) int {
@@ -688,6 +729,7 @@ type bmgrArrival struct {
 type barrierMgr struct {
 	nproc    int
 	arrivals []bmgrArrival // registered arrivals, in genealogical order
+	reports  []*barrierReport
 	episodes int
 
 	// localWait/localRelease hand the manager's own release from
@@ -704,11 +746,15 @@ func newBarrierMgr(nproc int) *barrierMgr {
 	return &barrierMgr{nproc: nproc}
 }
 
+// barrierReport is a barrier arrival: the arriving node's one body,
+// base.rep, refilled by every Barrier. The manager writes the node's
+// release into Grant and answers with a pointer to it.
 type barrierReport struct {
 	Node     int
 	VC       vc.VC
 	Recs     []*IntervalRec
 	ProtoMem int64
+	Grant    grantInfo
 }
 
 func (r *barrierReport) wireSize(withVC bool) int {
@@ -721,12 +767,11 @@ func (r *barrierReport) wireSize(withVC bool) int {
 func (b *base) Barrier(id int) {
 	b.closeIntervalOnApp()
 	b.event(trace.BarrierEnter, -1, -1, int64(id))
-	rep := &barrierReport{
-		Node:     b.self,
-		VC:       b.clock.Copy(),
-		Recs:     b.ownRecsAfter(b.lastReported),
-		ProtoMem: b.st().ProtoMem,
-	}
+	rep := &b.rep
+	rep.Node = b.self
+	rep.VC = append(rep.VC[:0], b.clock...)
+	rep.Recs = b.ownRecsAfterInto(rep.Recs[:0], b.lastReported)
+	rep.ProtoMem = b.st().ProtoMem
 	if len(b.log[b.self]) > 0 {
 		b.lastReported = b.log[b.self][len(b.log[b.self])-1].Interval
 	}
@@ -773,30 +818,36 @@ func (b *base) bmgrArrive(rep *barrierReport, req paragon.Msg) *grantInfo {
 	return b.bmgrComplete()
 }
 
-// bmgrComplete merges all reports and releases every waiter. Returns the
-// local node's release payload.
+// bmgrComplete merges all reports and releases every waiter, each release
+// written into its arrival's report. Returns the local node's release
+// payload.
 func (b *base) bmgrComplete() *grantInfo {
 	mgr := b.bmgr
-	reports := make([]*barrierReport, len(mgr.arrivals))
-	for i, a := range mgr.arrivals {
-		reports[i] = a.rep
+	for _, a := range mgr.arrivals {
+		mgr.reports = append(mgr.reports, a.rep)
 	}
-	merged, gc := b.mergeReports(reports)
+	merged, gc := b.mergeReports(mgr.reports)
 	var local *grantInfo
 	for _, a := range mgr.arrivals {
-		g := grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.logSince(a.rep.VC)}
-		if a.req.Reply != nil {
-			b.node.Respond(a.req, paragon.Msg{
-				Kind:  kBarrier,
-				Size:  g.wireSize(b.wireVC()),
-				Class: stats.ClassProtocol,
-				Body:  &g,
-			})
+		g := &a.rep.Grant
+		if a.req.Reply == nil {
+			b.fillGrant(g, merged, gc, a.rep.VC)
+			local = g
 			continue
 		}
-		local = &g
+		b.claimBody(a.req)
+		b.fillGrant(g, merged, gc, a.rep.VC)
+		b.node.Respond(a.req, paragon.Msg{
+			Kind:  kBarrier,
+			Size:  g.wireSize(b.wireVC()),
+			Class: stats.ClassProtocol,
+			Body:  g,
+		})
 	}
-	mgr.arrivals = nil
+	clear(mgr.arrivals)
+	mgr.arrivals = mgr.arrivals[:0]
+	clear(mgr.reports)
+	mgr.reports = mgr.reports[:0]
 	mgr.episodes++
 	if b.sys.onBarrier != nil {
 		b.sys.onBarrier(mgr.episodes)
@@ -809,14 +860,16 @@ func (b *base) bmgrComplete() *grantInfo {
 // record (reports carry each node's *own* intervals, so together they
 // cover everything; their notices reach this node with its own release)
 // and returns the merged clock (this node's, raised by every report's and
-// to every log tail) with the GC decision on the reports' protocol memory.
+// to every log tail; valid until the next call) with the GC decision on the
+// reports' protocol memory.
 func (b *base) mergeReports(reps []*barrierReport) (vc.VC, bool) {
 	for _, rep := range reps {
 		for _, rec := range rep.Recs {
 			b.insertLog(rec)
 		}
 	}
-	merged := b.clock.Copy()
+	b.merged = append(b.merged[:0], b.clock...)
+	merged := b.merged
 	for _, rep := range reps {
 		merged.MaxWith(rep.VC)
 	}
@@ -867,7 +920,6 @@ func (b *base) gcRendezvous() {
 		Kind:  kGCDone,
 		Size:  8,
 		Class: stats.ClassProtocol,
-		Body:  b.self,
 	})
 }
 

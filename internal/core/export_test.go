@@ -17,6 +17,15 @@ func CheckFrames(t testing.TB) {
 	t.Cleanup(func() { mem.CheckFrames = false })
 }
 
+// CheckAnswers switches the answer-in-body check on until t and its
+// subtests finish: every server that writes its answer into a requester's
+// body first verifies that the requester still waits in the Call the body
+// belongs to (base.claimBody), and panics if not.
+func CheckAnswers(t testing.TB) {
+	checkAnswers = true
+	t.Cleanup(func() { checkAnswers = false })
+}
+
 // FrameList is one node's page-frame state: the lengths of its pool's two
 // free lists, the page copies its table holds, and the count of them the
 // free-list cap works from.

@@ -2,12 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
+	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 )
 
@@ -337,4 +340,127 @@ func dispatches[E any](t *[numKinds]handler[E], kind int) (ok bool) {
 	}()
 	h := handlerOf(t, kind)
 	return h.work != nil && h.apply != nil
+}
+
+// lockTasksApp runs tasks critical sections, task i on node i mod P: it
+// adds i+1 to word i mod 2 under lock i mod 2. The sums are exact, so the
+// result is the same bits on any machine size and in any grant order.
+func lockTasksApp(tasks int) *testApp {
+	var addr mem.Addr
+	return &testApp{
+		name:  "lock-tasks",
+		setup: func(s *Setup) { addr = s.Alloc(2) },
+		init:  func(w *Init) {},
+		worker: func(c *Ctx, id int) {
+			for i := id; i < tasks; i += c.Nodes() {
+				w := addr + mem.Addr(i%2)
+				c.Lock(i % 2)
+				v := c.Load(w)
+				c.Compute(10 * sim.Microsecond)
+				c.Store(w, v+float64(i+1))
+				c.Unlock(i % 2)
+			}
+			c.Barrier(0)
+		},
+		gather: func(c *Ctx) []float64 {
+			out := make([]float64, 2)
+			c.ReadRange(addr, out)
+			return out
+		},
+	}
+}
+
+// fetchRoundsApp has every node add j+r to each word j of four pages it
+// owns by j mod P in round r — every page has P writers — and then read
+// every word back and check it. Under the homeless protocols each read
+// round fetches diffs from every writer of a page, and page copies after
+// the collections a small threshold forces. The result is the same bits on
+// any machine size.
+func fetchRoundsApp(rounds int) *testApp {
+	var addr mem.Addr
+	var words int
+	return &testApp{
+		name: "fetch-rounds",
+		setup: func(s *Setup) {
+			words = 4 * s.Space.PageWords
+			addr = s.Alloc(words)
+		},
+		init: func(w *Init) {},
+		worker: func(c *Ctx, id int) {
+			for r := 0; r < rounds; r++ {
+				for j := id; j < words; j += c.Nodes() {
+					a := addr + mem.Addr(j)
+					c.Store(a, c.Load(a)+float64(j+r))
+				}
+				c.Barrier(2 * r)
+				for j := 0; j < words; j++ {
+					if got, want := c.Load(addr+mem.Addr(j)), float64((r+1)*j+r*(r+1)/2); got != want {
+						panic(fmt.Sprintf("node %d round %d: word %d = %v, want %v", id, r, j, got, want))
+					}
+				}
+				c.Barrier(2*r + 1)
+			}
+		},
+		gather: func(c *Ctx) []float64 {
+			out := make([]float64, words)
+			c.ReadRange(addr, out)
+			return out
+		},
+	}
+}
+
+// TestAnswersInBodiesSurviveDuplicates: a server writes its answer into the
+// requester's body (a lock grant, a barrier release, a diff or page fetch
+// answer), which is sound only because the transport delivers each request
+// exactly once — a request serviced a second time would overwrite the body
+// of the requester's next exchange, and the reply port's generation check
+// drops only the stale answer, not that write. Under the hostile profile,
+// whose duplicated and retransmitted copies the transport suppresses, a
+// lock-passing app and a fetch-heavy one compute the sequential run's bits
+// under every protocol, and no server writes into a body whose Call no
+// longer waits (CheckAnswers).
+func TestAnswersInBodiesSurviveDuplicates(t *testing.T) {
+	CheckAnswers(t)
+	for _, app := range []func() *testApp{
+		func() *testApp { return lockTasksApp(60) },
+		func() *testApp { return fetchRoundsApp(4) },
+	} {
+		name := app().Name()
+		seq := runOrFail(t, testOpts(ProtoSeq, 1), app())
+		for _, proto := range Protocols {
+			opts := faultOpts(t, proto, 4, fault.ProfileHostile, 9)
+			opts.GCThreshold = 2048
+			res := runOrFail(t, opts, app())
+			var dups, retries int64
+			for _, nd := range res.Stats.Nodes {
+				dups += nd.Counts.DupsSuppressed
+				retries += nd.Counts.Retries
+			}
+			if dups == 0 || retries == 0 {
+				t.Errorf("%s/%s: %d duplicates suppressed, %d retransmissions; want both above zero",
+					name, proto, dups, retries)
+			}
+			if !slices.EqualFunc(res.Data, seq.Data, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Errorf("%s/%s: result %v, want the sequential run's %v", name, proto, res.Data, seq.Data)
+			}
+			if testing.Verbose() {
+				t.Logf("%s/%s: %d duplicates suppressed, %d retransmissions, %d collections on node 0",
+					name, proto, dups, retries, res.Stats.Nodes[0].Counts.GCs)
+			}
+		}
+	}
+}
+
+// The answer-in-body check fires: a server about to answer into the body of
+// a Call that no longer waits panics under CheckAnswers, naming the kind.
+func TestClaimBodyRefusesAnsweredCall(t *testing.T) {
+	CheckAnswers(t)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "no longer waits") || !strings.Contains(msg, msgKindName(kLockFwd)) {
+			t.Errorf("claimBody on an answered Call panicked with %q, want a panic naming %s and the Call that no longer waits",
+				msg, msgKindName(kLockFwd))
+		}
+	}()
+	b := &base{self: 1}
+	b.claimBody(paragon.Msg{Kind: kLockFwd, Reply: new(paragon.Reply)})
 }

@@ -38,6 +38,13 @@ type lrcEngine struct {
 	stamps     []vc.Stamp
 	missing    []int
 	lastWrites []pageWrite
+
+	// diffReq and pageReq are this node's diff and page fetch requests:
+	// its one body of each kind, refilled by every request. The server
+	// writes its answer into them (DESIGN §9 "No object per serviced
+	// message").
+	diffReq fetchDiffsReq
+	pageReq lrcFetchPageReq
 }
 
 // diffKeys packs (writer, page, interval) into the diff store's one-word
@@ -113,28 +120,28 @@ type lrcUse struct {
 	pendingReqs []paragon.Msg
 }
 
-// fetchDiffsReq names the requested diffs by their intervals' records,
-// which are shared machine-wide (IntervalRec); on the wire each is a
-// (writer, interval) pair.
+// fetchDiffsReq is a diff request, the requester's lrcEngine.diffReq. It
+// names the requested diffs by their intervals' records, which are shared
+// machine-wide (IntervalRec); on the wire each is a (writer, interval)
+// pair. The holder answers in Diffs, aligned with Recs: its own diff
+// pointers, nil where it has none.
 type fetchDiffsReq struct {
-	Page int
-	Recs []*IntervalRec
-}
-
-// fetchDiffsResp returns the holder's own diff pointers, aligned with the
-// request; nil where the holder has none.
-type fetchDiffsResp struct {
+	Page  int
+	Recs  []*IntervalRec
 	Diffs []*mem.Diff
 }
 
+// lrcFetchPageReq is a full-copy request, the requester's
+// lrcEngine.pageReq. The holder answers with a snapshot of its copy in
+// Data, which the requester adopts (clearing it), and the intervals the
+// copy reflects in AppliedVC, filled in place (vc.Sparse.CopyFrom) and read
+// through &AppliedVC; or, holding no copy, with Data nil and Hint, where
+// to retry.
 type lrcFetchPageReq struct {
-	Page int
-}
-
-type lrcFetchPageResp struct {
-	Data      []float64 // nil if the holder has no copy
-	AppliedVC *vc.Sparse
-	Hint      int // where to retry when Data is nil
+	Page      int
+	Data      []float64
+	Hint      int
+	AppliedVC vc.Sparse
 }
 
 const wnEntryBytes = 24 // per-page write-notice list entry
@@ -264,9 +271,10 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		if target == nil {
 			break
 		}
-		req := &fetchDiffsReq{Page: page, Recs: make([]*IntervalRec, len(e.missing))}
-		for j, i := range e.missing {
-			req.Recs[j] = m.wns[i].rec
+		req := &e.diffReq
+		req.Page, req.Recs = page, req.Recs[:0]
+		for _, i := range e.missing {
+			req.Recs = append(req.Recs, m.wns[i].rec)
 		}
 		t0 := e.app().Now()
 		resp := e.node.Call(e.app(), target.Proc, paragon.Msg{
@@ -278,7 +286,7 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		})
 		e.st().Add(waitCat, e.app().Now()-t0)
 		got := 0
-		for j, d := range resp.Body.(*fetchDiffsResp).Diffs {
+		for j, d := range resp.Body.(*fetchDiffsReq).Diffs {
 			if d == nil {
 				continue
 			}
@@ -319,20 +327,22 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 	m := e.pages.At(page)
 	holder := e.holderOf(page)
+	req := &e.pageReq
 	for tries := 0; ; tries++ {
 		if tries > 2*e.sys.Opts.Machine.Nodes {
 			panic(fmt.Sprintf("core: node %d cannot locate a copy of page %d", e.self, page))
 		}
+		req.Page = page
 		t0 := e.app().Now()
 		resp := e.node.Call(e.app(), holder, paragon.Msg{
 			Kind:   kFetchPage,
 			Size:   8,
 			Class:  stats.ClassProtocol,
 			Target: e.dataTarget(),
-			Body:   &lrcFetchPageReq{Page: page},
+			Body:   req,
 		})
 		e.st().Add(waitCat, e.app().Now()-t0)
-		pr := resp.Body.(*lrcFetchPageResp)
+		pr := resp.Body.(*lrcFetchPageReq)
 		if pr.Data == nil {
 			holder = pr.Hint
 			continue
@@ -340,7 +350,7 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 		e.adopt(e.pt.Page(page), &pr.Data)
 		// appliedVC is absent whenever Data is nil (GC drops them
 		// together), so merging into the zero vector equals replacement.
-		e.pairs.MaxWith(e.appliedOf(m.use), pr.AppliedVC)
+		e.pairs.MaxWith(e.appliedOf(m.use), &pr.AppliedVC)
 		m.holder = int32(holder) + 1
 		e.event(trace.PageFetch, page, holder, 0)
 		return
@@ -639,54 +649,60 @@ func (e *lrcEngine) applyFetchDiffs(s *service) {
 	e.serveDiffs(s.m)
 }
 
-// serveDiffs answers with every requested diff this node created or has
-// cached; the requester chases the rest elsewhere.
+// serveDiffs answers, in the request's Diffs, with every requested diff
+// this node created or has cached; the requester chases the rest
+// elsewhere.
 func (e *lrcEngine) serveDiffs(m paragon.Msg) {
 	req := m.Body.(*fetchDiffsReq)
-	resp := &fetchDiffsResp{Diffs: make([]*mem.Diff, len(req.Recs))}
+	e.claimBody(m)
+	req.Diffs = req.Diffs[:0]
 	size := 0
-	for j, r := range req.Recs {
+	for _, r := range req.Recs {
 		d := e.diffs[e.keys.of(r.Proc, req.Page, r.Interval)]
-		if d == nil {
+		switch {
+		case d != nil:
+			size += d.WireSize()
+		case r.Proc == e.self:
 			// A writer always holds its own diffs until GC; a request routed
 			// here by a write notice must be at least partially servable.
-			if r.Proc == e.self {
-				panic(fmt.Sprintf("core: node %d lost its own diff for page %d interval %d",
-					e.self, req.Page, r.Interval))
-			}
-			continue
+			panic(fmt.Sprintf("core: node %d lost its own diff for page %d interval %d",
+				e.self, req.Page, r.Interval))
 		}
-		resp.Diffs[j] = d
-		size += d.WireSize()
+		req.Diffs = append(req.Diffs, d)
 	}
 	e.node.Respond(m, paragon.Msg{
 		Kind:  kFetchDiffs,
 		Size:  size,
 		Class: stats.ClassData,
-		Body:  resp,
+		Body:  req,
 	})
 }
 
 // applyFetchPage serves a full-copy request, or redirects to a better
-// holder when this node dropped its copy at GC. It takes no work.
+// holder when this node dropped its copy at GC, in the request's body. It
+// takes no work.
 func (e *lrcEngine) applyFetchPage(s *service) {
 	req := s.m.Body.(*lrcFetchPageReq)
+	e.claimBody(s.m)
 	p := e.pt.Page(req.Page)
 	if p.Data == nil {
+		req.Data, req.Hint = nil, e.holderOf(req.Page)
 		e.node.Respond(s.m, paragon.Msg{
 			Kind:  kFetchPage,
 			Size:  12,
 			Class: stats.ClassProtocol,
-			Body:  &lrcFetchPageResp{Hint: e.holderOf(req.Page)},
+			Body:  req,
 		})
 		return
 	}
-	avc := e.useOf(req.Page).appliedOrNil().Copy()
+	avc := e.useOf(req.Page).appliedOrNil()
+	req.Data = e.snapshot(p)
+	req.AppliedVC.CopyFrom(avc)
 	e.node.Respond(s.m, paragon.Msg{
 		Kind:  kFetchPage,
 		Size:  e.sys.Space.PageBytes() + avc.WireSize(),
 		Class: stats.ClassData,
-		Body:  &lrcFetchPageResp{Data: e.snapshot(p), AppliedVC: avc},
+		Body:  req,
 	})
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -37,7 +35,9 @@ import (
 // treeUp is one subtree's aggregated barrier arrival: its root's report,
 // with VC raised to the component-wise max over the subtree's clocks, Recs
 // the union of its new interval records and ProtoMem its per-node maximum;
-// MinVC is the component-wise min.
+// MinVC is the component-wise min. Each node owns one, treeBarrier.up,
+// refilled by treeAggregate every episode; the parent writes the subtree's
+// release into its Grant and sends a pointer to it down.
 type treeUp struct {
 	barrierReport
 	MinVC vc.VC
@@ -58,6 +58,9 @@ type treeBarrier struct {
 	ownRep  *barrierReport // the local arrival report
 	childUp []*treeUp      // per child slot, nil until its subtree arrives
 	arrived int            // children whose subtree reports are in
+
+	up   treeUp           // this subtree's summary (non-root)
+	reps []*barrierReport // treeRootComplete's reports (root)
 
 	// localWait/release hand the release from dispatcher context back to
 	// the parked application proc (or directly, when the local arrival
@@ -84,9 +87,7 @@ func (tb *treeBarrier) resetEpisode() {
 	tb.selfIn = false
 	tb.ownRep = nil
 	tb.arrived = 0
-	for i := range tb.childUp {
-		tb.childUp[i] = nil
-	}
+	clear(tb.childUp)
 }
 
 // treeArrive runs the local barrier arrival on the application proc and
@@ -124,13 +125,15 @@ func (b *base) treeSubtreeDone() {
 	})
 }
 
-// treeAggregate folds the local report and the child summaries into one
-// subtree summary.
+// treeAggregate folds the local report and the child summaries into the
+// node's subtree summary, tb.up.
 func (b *base) treeAggregate() *treeUp {
 	tb := b.tree
-	rep := tb.ownRep
-	up := &treeUp{barrierReport: *rep, MinVC: rep.VC.Copy()}
-	up.VC, up.Recs = rep.VC.Copy(), slices.Clone(rep.Recs)
+	rep, up := tb.ownRep, &tb.up
+	up.Node, up.ProtoMem = rep.Node, rep.ProtoMem
+	up.VC = append(up.VC[:0], rep.VC...)
+	up.MinVC = append(up.MinVC[:0], rep.VC...)
+	up.Recs = append(up.Recs[:0], rep.Recs...)
 	for _, cu := range tb.childUp {
 		for p := range up.MinVC {
 			if cu.MinVC[p] < up.MinVC[p] {
@@ -149,26 +152,24 @@ func (b *base) treeAggregate() *treeUp {
 }
 
 // treeRootComplete merges the whole machine's arrivals at the root and
-// releases every subtree — the tree counterpart of bmgrComplete.
+// releases every subtree, each release written into its child's summary —
+// the tree counterpart of bmgrComplete.
 func (b *base) treeRootComplete() {
 	tb := b.tree
 	// The centralized merge, over the root's own report and each child
 	// subtree's summary report. (The root's own records are already logged.)
-	reps := append(make([]*barrierReport, 0, 1+len(tb.childUp)), tb.ownRep)
+	tb.reps = append(tb.reps[:0], tb.ownRep)
 	for _, cu := range tb.childUp {
-		reps = append(reps, &cu.barrierReport)
+		tb.reps = append(tb.reps, &cu.barrierReport)
 	}
-	merged, gc := b.mergeReports(reps)
+	merged, gc := b.mergeReports(tb.reps)
 	for i, c := range tb.children {
-		g := grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.logSince(tb.childUp[i].MinVC)}
-		b.node.Send(c, paragon.Msg{
-			Kind:  kBarrierDown,
-			Size:  8 + g.wireSize(b.wireVC()),
-			Class: stats.ClassProtocol,
-			Body:  &g,
-		})
+		cu := tb.childUp[i]
+		b.fillGrant(&cu.Grant, merged, gc, cu.MinVC)
+		b.sendDown(c, &cu.Grant)
 	}
-	local := &grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.logSince(tb.ownRep.VC)}
+	local := &tb.ownRep.Grant
+	b.fillGrant(local, merged, gc, tb.ownRep.VC)
 	tb.resetEpisode()
 	tb.episodes++
 	if b.sys.onBarrier != nil {
@@ -178,16 +179,25 @@ func (b *base) treeRootComplete() {
 	wake(&tb.localWait)
 }
 
-// filterRecsSince narrows a release to the records a child subtree with
-// minimum clock `have` is missing.
-func filterRecsSince(recs []*IntervalRec, have vc.VC) []*IntervalRec {
-	out := make([]*IntervalRec, 0, len(recs))
+// sendDown sends child c its subtree's release, g.
+func (b *base) sendDown(c int, g *grantInfo) {
+	b.node.Send(c, paragon.Msg{
+		Kind:  kBarrierDown,
+		Size:  8 + g.wireSize(b.wireVC()),
+		Class: stats.ClassProtocol,
+		Body:  g,
+	})
+}
+
+// filterRecsSinceInto appends to dst the records of a release a child
+// subtree with minimum clock `have` is missing.
+func filterRecsSinceInto(dst, recs []*IntervalRec, have vc.VC) []*IntervalRec {
 	for _, r := range recs {
 		if r.Interval > have[r.Proc] {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out
+	return dst
 }
 
 // applyBarrierUp services a child subtree's arrival (dispatcher context on
@@ -201,20 +211,19 @@ func (b *base) applyBarrierUp(s *service) {
 	}
 }
 
-// applyBarrierDown services the parent's release (dispatcher context):
-// forward each child subtree its slice, then wake the local application.
-// Its work is lockHandling.
+// applyBarrierDown services the parent's release, written into this
+// node's summary (dispatcher context): write each child subtree its slice
+// into the child's summary, then wake the local application. Its work is
+// lockHandling.
 func (b *base) applyBarrierDown(s *service) {
 	g := s.m.Body.(*grantInfo)
 	tb := b.tree
 	for i, c := range tb.children {
-		cg := grantInfo{VC: g.VC.Copy(), GC: g.GC, Intervals: filterRecsSince(g.Intervals, tb.childUp[i].MinVC)}
-		b.node.Send(c, paragon.Msg{
-			Kind:  kBarrierDown,
-			Size:  8 + cg.wireSize(b.wireVC()),
-			Class: stats.ClassProtocol,
-			Body:  &cg,
-		})
+		cg := &tb.childUp[i].Grant
+		cg.VC = append(cg.VC[:0], g.VC...)
+		cg.GC = g.GC
+		cg.Intervals = filterRecsSinceInto(cg.Intervals[:0], g.Intervals, tb.childUp[i].MinVC)
+		b.sendDown(c, cg)
 	}
 	tb.resetEpisode()
 	tb.release = g

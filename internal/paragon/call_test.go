@@ -131,6 +131,62 @@ func TestReplyAnsweredTwice(t *testing.T) {
 	}
 }
 
+// A request's Call waits from its send until its first answer lands: the
+// server sees it waiting while it services the request, before and after
+// it responds (the answer is still on the wire), and the request kept
+// beyond that no longer is — on the local path, across the network, and
+// through the hostile network, whose duplicates never reach the server a
+// second time.
+func TestWaitingUntilFirstAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		to     int
+		faults bool
+	}{
+		{"local", 0, false},
+		{"remote", 1, false},
+		{"hostile", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			m := New(k, 2, testCosts())
+			if tc.faults {
+				m.EnableFaults(mustProfile(t, fault.ProfileHostile))
+			}
+			srv := m.Nodes[tc.to]
+			var served []Msg
+			srv.InstallCoproc(func(req Msg) (sim.Time, func()) {
+				return 0, func() {
+					if !req.Waiting() {
+						t.Errorf("request %v serviced while its Call does not wait", req.Body)
+					}
+					srv.Respond(req, Msg{Kind: 2, Size: 4, Class: stats.ClassProtocol})
+					if !req.Waiting() {
+						t.Errorf("request %v: its Call stopped waiting before the answer arrived", req.Body)
+					}
+					served = append(served, req)
+				}
+			})
+			const calls = 50
+			k.Spawn("app0", 0, func(p *sim.Proc) {
+				for seq := 0; seq < calls; seq++ {
+					m.Nodes[0].Call(p, tc.to, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc, Body: seq})
+					if last := served[len(served)-1]; last.Waiting() {
+						t.Errorf("request %v: its Call returned but it still reads as waiting", last.Body)
+					}
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+			if len(served) != calls {
+				t.Fatalf("server serviced %d requests for %d Calls, want each once", len(served), calls)
+			}
+		})
+	}
+}
+
 // The deadlock report must name both the blocked proc and what it waits
 // on: the fault watchdog composes its lost-message diagnosis with this
 // text, so "who is stuck, on which reply" has to survive verbatim.

@@ -65,6 +65,17 @@ func (r *Reply) deliver(m Msg) {
 	r.waiter.Unpark()
 }
 
+// Waiting reports whether the Call that sent request m still waits for
+// its first answer. A server that writes its answer into the requester's
+// memory may check it first: once the Call has returned, that memory
+// belongs to the requester's next exchange. It reads the requester's port,
+// so it is for checks that run on the sequential kernel or under the
+// window handoff that delivered m.
+func (m Msg) Waiting() bool {
+	r := m.Reply
+	return r != nil && r.waiter != nil && r.gen == m.gen && !r.got
+}
+
 // maxFlights bounds each node's free list of flights. Requests and their
 // answers keep the lists balanced; the bound only caps what a node that
 // mostly receives one-way traffic (diff flushes) holds on to.

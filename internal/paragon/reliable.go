@@ -26,7 +26,9 @@ const (
 // the sender retransmits on an exponential-backoff timer (on the
 // simulated clock) until the receiver's ack lands, and the receiver
 // dedups by id so replayed requests, replies, and injected duplicates
-// are delivered exactly once.
+// are delivered exactly once. Protocols may rely on that: a server that
+// writes its answer into the requester's request body must never service
+// the same request twice.
 //
 // All state is touched only from the simulation goroutine, so no locking
 // is needed and the execution stays deterministic.
