@@ -772,6 +772,77 @@ func diffFetchApp(epochs int, misses []uint64) *testApp {
 	}
 }
 
+// crossFlushApp has nodes 0 and 1 home pages pages each and, every one of
+// epochs epochs, store a word into each page the other node homes (cross)
+// or each of their own, then barrier. Crossed, every store ends in a diff
+// flushed to the other node, whose records come back to the writer's free
+// list as the other node flushes in turn; uncrossed, in none. The interval
+// records are the same either way, so the difference is the flushes'.
+func crossFlushApp(pages int, cross bool) func(epochs int) *testApp {
+	return func(epochs int) *testApp {
+		var addr, stride mem.Addr
+		return &testApp{
+			name: "cross-flush",
+			setup: func(s *Setup) {
+				stride = mem.Addr(s.Space.PageWords)
+				addr = s.Alloc(2 * pages * s.Space.PageWords)
+			},
+			init: func(w *Init) {
+				w.SetHome(addr, pages*int(stride), 0)
+				w.SetHome(addr+mem.Addr(pages)*stride, pages*int(stride), 1)
+			},
+			worker: func(c *Ctx, id int) {
+				first := id
+				if cross {
+					first = 1 - id
+				}
+				for e := 0; e < epochs; e++ {
+					for pg := first * pages; pg < (first+1)*pages; pg++ {
+						c.Store(addr+mem.Addr(pg)*stride+mem.Addr(id), float64(e+1))
+					}
+					c.Barrier(e)
+				}
+			},
+			gather: func(c *Ctx) []float64 { return nil },
+		}
+	}
+}
+
+// versionFetchApp has node 0 store into the page it homes every epoch; after
+// the barrier node 1 reads the page, a fetch of the new version, and then
+// node 2, a fetch of the version node 1's fetch published. misses[e] is the
+// objects the two reads allocate in epoch e; everyone else is parked at a
+// barrier meanwhile.
+func versionFetchApp(epochs int, misses [][2]uint64) *testApp {
+	const step = 20 * sim.Millisecond // far longer than a miss
+	var addr mem.Addr
+	return &testApp{
+		name:  "version-fetch",
+		setup: func(s *Setup) { addr = s.Alloc(s.Space.PageWords) },
+		init:  func(w *Init) { w.SetHome(addr, 1, 0) },
+		worker: func(c *Ctx, id int) {
+			for e := 0; e < epochs; e++ {
+				if id == 0 {
+					c.Store(addr, float64(e+1))
+				}
+				c.Barrier(2 * e)
+				if id == 1 || id == 2 {
+					c.Wait(sim.Time(id) * step)
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					if c.Load(addr) != float64(e+1) {
+						panic("version-fetch: read an old version")
+					}
+					runtime.ReadMemStats(&after)
+					misses[e][id-1] = after.Mallocs - before.Mallocs
+				}
+				c.Barrier(2*e + 1)
+			}
+		},
+		gather: func(c *Ctx) []float64 { return nil },
+	}
+}
+
 // barrierApp has every node take n barriers with nothing to publish.
 func barrierApp(n int) *testApp {
 	return &testApp{
@@ -789,17 +860,32 @@ func barrierApp(n int) *testApp {
 
 // TestExchangeAllocs puts ceilings on the host objects of every exchange
 // in which a requester blocks, under all four protocols: a remote page
-// fetch (home-based, of a quiet page and of one whose Need names four
-// writers; homeless, of a page copy and of a diff), a remote lock acquire,
-// and a barrier episode per node on the centralized barrier (8 nodes) and
-// the tree (96). Servicing a message allocates nothing (no effect closure),
-// every request is its requester's one body, and the server writes its
-// answer into that body (DESIGN §9), so no exchange allocates a request or
-// a reply object. What an exchange may still allocate is the data it
-// moves: a homeless page fetch copies the page at the holder, whose free
-// list is empty since frames flow to the reader (one frame per fetch,
-// counted out below), and the diff fetched was made before the measured
-// read.
+// fetch (home-based, of a quiet page, of one whose Need names four writers,
+// of a new version and of a version another fetch published; homeless, of
+// a page copy and of a diff), a remote lock acquire, and a barrier episode
+// per node on the centralized barrier (8 nodes) and the tree (96); and on
+// the home-based protocols' one-way exchange, a diff flushed to its home.
+// Servicing a message allocates nothing (no effect closure), every request
+// is its requester's one body, and the server writes its answer into that
+// body (DESIGN §9), so no exchange allocates a request or a reply object.
+// What an exchange may still allocate is the data it moves: a homeless page
+// fetch copies the page at the holder, whose free list is empty since
+// frames flow to the reader (one frame per fetch, counted out below); a
+// home-based fetch of a new version publishes its frame, the frame and its
+// words; and the diff fetched was made before the measured read.
+//
+// A diff record is the writer's from its own free list and goes on the
+// home's once applied (diffFlush), so the flush is measured where two nodes
+// each home pages the other writes: the records come back to each writer as
+// the other flushes, and a warm flush allocates nothing. The flush is the
+// objects of an epoch in which the two write each other's pages less those
+// of one in which each writes its own, per flush. The one-way shape — one
+// writer flushing to a home that never flushes back — stays near 4 objects
+// per flush (make allocs' core.diff_flush_allocs): the writer's list stays
+// empty, so every flush takes a new record with its values backing and
+// runs, and the interval's own objects come on top. The home cannot hand a
+// record back to its writer's list while the partitioned kernel puts the
+// two on different lanes.
 //
 // The diff fetch is the mean over 255 epochs, in which the reader's diff
 // store grows, as it does until a collection: its growth amortizes to
@@ -809,23 +895,47 @@ func barrierApp(n int) *testApp {
 // answer written into the request's body: homeless page fetch 2.03 → 0.03
 // beyond its frame, diff fetch 4.09 → 0.09; remote acquire 4.00 → 0.00,
 // barrier episode per node 4.75 → 0.00 at 8 nodes and 6.99 → 0.00 at 96,
-// under all four protocols. The home-based fetches read 0.00 in both.
+// under all four protocols. The home-based fetches of a quiet page read
+// 0.00 in both. With a reply record per version and a record per flush →
+// with the answer in the requester's body and recycled diff records: a
+// fetch of a new version 4.00 → 2.00, its frame and words; a flush between
+// two homes 4.00 → 0.00.
 func TestExchangeAllocs(t *testing.T) {
 	const rounds, episodes = 400, 100
+	type ceiling struct {
+		what     string
+		got, max float64
+	}
 	for _, proto := range Protocols {
 		proto := proto
 		t.Run(string(proto), func(t *testing.T) {
-			var fetch [2]float64
-			var what [2]string
+			var checks []ceiling
 			if proto.HomeBased() {
-				what = [2]string{"a remote fetch of a quiet page", "a remote fetch naming 4 writers"}
-				fetch[0] = perOp(t, testOpts(proto, 2), rounds, func(n int) *testApp {
+				quiet := perOp(t, testOpts(proto, 2), rounds, func(n int) *testApp {
 					return refetchApp(n, false, func(*Ctx, int) {})
 				})
-				fetch[1] = perOp(t, testOpts(proto, 6), rounds, func(n int) *testApp { return writersPollApp(4, n) })
+				writers := perOp(t, testOpts(proto, 6), rounds, func(n int) *testApp { return writersPollApp(4, n) })
+				const epochs = 100
+				misses := make([][2]uint64, epochs)
+				res := runOrFail(t, testOpts(proto, 3), versionFetchApp(epochs, misses))
+				if c := res.Stats.Nodes[2].Counts; c.PagesFetched != epochs {
+					t.Fatalf("node 2 fetched %d pages, want %d", c.PagesFetched, epochs)
+				}
+				var sum [2]uint64
+				for _, m := range misses[1:] { // epoch 0 makes the readers' page state
+					sum[0] += m[0]
+					sum[1] += m[1]
+				}
+				const pages = 32
+				flush := (perOp(t, testOpts(proto, 2), episodes, crossFlushApp(pages, true)) -
+					perOp(t, testOpts(proto, 2), episodes, crossFlushApp(pages, false))) / (2 * pages)
+				checks = append(checks,
+					ceiling{"a remote fetch of a quiet page", quiet, 0.25},
+					ceiling{"a remote fetch naming 4 writers", writers, 0.25},
+					ceiling{"a fetch of a new version", float64(sum[0]) / (epochs - 1), 2.25},
+					ceiling{"a fetch of a version another fetch published", float64(sum[1]) / (epochs - 1), 0.25},
+					ceiling{"a diff flush between two homes", flush, 0.25})
 			} else {
-				what = [2]string{"a page fetch beyond its frame", "a diff fetch"}
-				fetch[0] = perOp(t, testOpts(proto, 2), rounds, pageFetchApp) - 1
 				const epochs = 256
 				misses := make([]uint64, epochs)
 				res := runOrFail(t, testOpts(proto, 3), diffFetchApp(epochs, misses))
@@ -837,28 +947,22 @@ func TestExchangeAllocs(t *testing.T) {
 				for _, m := range misses[1:] { // epoch 0 fetches the page
 					sum += m
 				}
-				fetch[1] = float64(sum) / float64(epochs-1)
+				checks = append(checks,
+					ceiling{"a page fetch beyond its frame", perOp(t, testOpts(proto, 2), rounds, pageFetchApp) - 1, 0.25},
+					ceiling{"a diff fetch", float64(sum) / float64(epochs-1), 0.25})
 			}
-			acquire := perOp(t, testOpts(proto, 3), rounds, lockPassApp) / 2
-			var barrier [2]float64
-			for i, p := range []int{8, 96} {
-				barrier[i] = perOp(t, testOpts(proto, p), episodes, barrierApp) / float64(p)
+			checks = append(checks, ceiling{"a remote acquire", perOp(t, testOpts(proto, 3), rounds, lockPassApp) / 2, 0.25})
+			for _, p := range []int{8, 96} {
+				checks = append(checks, ceiling{fmt.Sprintf("a barrier episode per node at %d nodes", p),
+					perOp(t, testOpts(proto, p), episodes, barrierApp) / float64(p), 0.25})
 			}
-			for i := range fetch {
-				if fetch[i] > 0.25 {
-					t.Errorf("%s allocates %.2f objects, want at most 0.25", what[i], fetch[i])
+			for _, c := range checks {
+				if c.got > c.max {
+					t.Errorf("%s allocates %.2f objects, want at most %.2f", c.what, c.got, c.max)
 				}
-			}
-			if acquire > 0.25 {
-				t.Errorf("a remote acquire allocates %.2f objects, want at most 0.25", acquire)
-			}
-			if barrier[0] > 0.25 || barrier[1] > 0.25 {
-				t.Errorf("a barrier episode allocates %.2f objects per node at 8 nodes, %.2f at 96; want at most 0.25 at both",
-					barrier[0], barrier[1])
-			}
-			if testing.Verbose() {
-				t.Logf("objects allocated: %.2f per %s, %.2f per %s, %.2f per remote acquire, %.2f per node per barrier episode at 8 nodes, %.2f at 96",
-					fetch[0], what[0], fetch[1], what[1], acquire, barrier[0], barrier[1])
+				if testing.Verbose() {
+					t.Logf("%s: %.2f objects", c.what, c.got)
+				}
 			}
 		})
 	}

@@ -67,6 +67,8 @@ type base struct {
 	pairs vc.Arena
 
 	locks map[int]*lockState
+	// lockStates backs the records locks points to.
+	lockStates slab.Slab[lockState]
 	// lockOwner is the manager-side table: for locks managed by this
 	// node, the last known owner.
 	lockOwner map[int]int
@@ -243,9 +245,9 @@ func (b *base) adopt(p *mem.Page, frame *[]float64) {
 // adoptShared makes f, a frame this node was sent one reference to, its
 // read-only copy of p; whatever it replaces goes to the sink — the words of
 // a private copy, or the reference to a shared one, whose words follow if it
-// was the last. The reply that carried f is a record other fetches share,
-// so nothing in it is cleared: an answer is adopted at most once because
-// the node's reply port keeps only the first answer to each Call.
+// was the last. The home wrote f into this node's fetch body, which the
+// caller clears after; an answer is adopted at most once because the node's
+// reply port keeps only the first answer to each Call.
 func (b *base) adoptShared(p *mem.Page, f *mem.Frame) {
 	if p.Data == nil {
 		b.copies++
@@ -308,14 +310,14 @@ func (b *base) readMiss(page int) {
 	b.event(trace.ReadMiss, page, -1, 0)
 }
 
-// diffTwin diffs page against its twin and drops the twin.
-func (b *base) diffTwin(page int) mem.Diff {
+// diffTwin diffs page against its twin into d, in place (mem.Diff.Recompute),
+// and drops the twin.
+func (b *base) diffTwin(page int, d *mem.Diff) {
 	p := b.pt.Page(page)
-	d := mem.ComputeDiff(page, p.Twin, p.Data)
+	d.Recompute(page, p.Twin, p.Data)
 	p.DropTwin(b.sink())
 	b.st().MemFree(int64(b.sys.Space.PageBytes()))
 	b.event(trace.DiffCreate, page, -1, int64(d.WireSize()))
-	return d
 }
 
 // inflightDiff marks a page whose twin is feeding a diff on the
@@ -343,18 +345,13 @@ func (d *inflightDiff) done() {
 	d.waiters = nil
 }
 
-type makeDiffReq struct {
-	Page     int
-	Interval int32
-	Dep      *vc.Sparse // HLRC: the diff's per-page dependency
-}
-
 // postDiff hands a page's diff to this node's co-processor, whose kMakeDiff
-// handler diffs the twin and calls d.done. The post's cost is part of the
-// engine's closeCost.
-func (b *base) postDiff(d *inflightDiff, req *makeDiffReq) {
+// handler diffs the twin and calls d.done. body names the diff: HLRC's diff
+// record, which goes on to the home, or LRC's use-tier record of the page.
+// The post's cost is part of the engine's closeCost.
+func (b *base) postDiff(d *inflightDiff, body any) {
 	d.busy = true
-	b.node.InjectCoproc(paragon.Msg{Kind: kMakeDiff, Body: req})
+	b.node.InjectCoproc(paragon.Msg{Kind: kMakeDiff, Body: body})
 }
 
 // finish is the wind-down both engines run after the worker: it waits out
@@ -499,7 +496,8 @@ func (b *base) lockState(lock int) *lockState {
 	ls, ok := b.locks[lock]
 	if !ok {
 		// The manager starts out owning every lock it manages.
-		ls = &lockState{owner: b.sys.lockMgrOf(lock) == b.self}
+		ls = &b.lockStates.Take(1)[0]
+		ls.owner = b.sys.lockMgrOf(lock) == b.self
 		b.locks[lock] = ls
 	}
 	return ls

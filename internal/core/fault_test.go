@@ -370,19 +370,27 @@ func lockTasksApp(tasks int) *testApp {
 	}
 }
 
-// fetchRoundsApp has every node add j+r to each word j of four pages it
-// owns by j mod P in round r — every page has P writers — and then read
-// every word back and check it. Under the homeless protocols each read
-// round fetches diffs from every writer of a page, and page copies after
-// the collections a small threshold forces. The result is the same bits on
-// any machine size.
-func fetchRoundsApp(rounds int) *testApp {
+// roundsApp has every node add j+r to each word j of pages pages it owns by
+// j mod P in round r, for rounds rounds: every page has P writers. With
+// check set ("fetch-rounds"), every node then reads every word back and
+// checks it: under the homeless protocols each read round fetches diffs
+// from every writer of a page, and page copies after the collections a
+// small threshold forces. Without ("flush-rounds"), nothing is read until
+// the end: under the home-based protocols every node flushes a diff to
+// every other page's home each round and applies those of the pages it
+// homes, so the diff records circulate between the nodes' free lists. The
+// result is the same bits on any machine size.
+func roundsApp(pages, rounds int, check bool) *testApp {
 	var addr mem.Addr
 	var words int
+	name := "flush-rounds"
+	if check {
+		name = "fetch-rounds"
+	}
 	return &testApp{
-		name: "fetch-rounds",
+		name: name,
 		setup: func(s *Setup) {
-			words = 4 * s.Space.PageWords
+			words = pages * s.Space.PageWords
 			addr = s.Alloc(words)
 		},
 		init: func(w *Init) {},
@@ -393,6 +401,9 @@ func fetchRoundsApp(rounds int) *testApp {
 					c.Store(a, c.Load(a)+float64(j+r))
 				}
 				c.Barrier(2 * r)
+				if !check {
+					continue
+				}
 				for j := 0; j < words; j++ {
 					if got, want := c.Load(addr+mem.Addr(j)), float64((r+1)*j+r*(r+1)/2); got != want {
 						panic(fmt.Sprintf("node %d round %d: word %d = %v, want %v", id, r, j, got, want))
@@ -414,16 +425,20 @@ func fetchRoundsApp(rounds int) *testApp {
 // answer), which is sound only because the transport delivers each request
 // exactly once — a request serviced a second time would overwrite the body
 // of the requester's next exchange, and the reply port's generation check
-// drops only the stale answer, not that write. Under the hostile profile,
-// whose duplicated and retransmitted copies the transport suppresses, a
-// lock-passing app and a fetch-heavy one compute the sequential run's bits
-// under every protocol, and no server writes into a body whose Call no
-// longer waits (CheckAnswers).
+// drops only the stale answer, not that write. A home-based diff record
+// rests on the same premise: the home recycles it once applied, so a flush
+// applied twice would apply whatever the record holds by then. Under the
+// hostile profile, whose duplicated and retransmitted copies the transport
+// suppresses, a lock-passing app, a fetch-heavy one and a diff-heavy one
+// compute the sequential run's bits under every protocol; no server writes
+// into a body whose Call no longer waits, and no home applies a recycled
+// diff record (CheckAnswers).
 func TestAnswersInBodiesSurviveDuplicates(t *testing.T) {
 	CheckAnswers(t)
 	for _, app := range []func() *testApp{
 		func() *testApp { return lockTasksApp(60) },
-		func() *testApp { return fetchRoundsApp(4) },
+		func() *testApp { return roundsApp(4, 4, true) },
+		func() *testApp { return roundsApp(8, 12, false) },
 	} {
 		name := app().Name()
 		seq := runOrFail(t, testOpts(ProtoSeq, 1), app())
@@ -463,4 +478,20 @@ func TestClaimBodyRefusesAnsweredCall(t *testing.T) {
 	}()
 	b := &base{self: 1}
 	b.claimBody(paragon.Msg{Kind: kLockFwd, Reply: new(paragon.Reply)})
+}
+
+// The recycled-record check fires: under CheckAnswers a home applying a
+// diff record it has already put on its free list panics before it touches
+// the page.
+func TestRecycledDiffRecordIsRefused(t *testing.T) {
+	CheckAnswers(t)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "recycled diff record") {
+			t.Errorf("applying a recycled diff record panicked with %q, want a panic naming the recycled record", msg)
+		}
+	}()
+	e := &hlrcEngine{}
+	df := e.takeDiffRec()
+	e.recycle(df)
+	e.homeApply(df)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"gosvm/internal/mem"
@@ -58,18 +59,10 @@ func holding(c *Ctx, addr mem.Addr) held {
 	return held{&p.Data[0], f, twin, p.Data[3]}
 }
 
-// published is the frame node 0 currently publishes for the page.
+// published is the frame node 0 currently publishes for the page, nil while
+// it publishes none.
 func published(c *Ctx, addr mem.Addr) *mem.Frame {
-	return pubFrame(c.sys.Engines[0].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)))
-}
-
-// pubFrame is the frame of the record u publishes, nil while it publishes
-// none.
-func pubFrame(u *hlrcUse) *mem.Frame {
-	if u.pub == nil {
-		return nil
-	}
-	return u.pub.Frame
+	return c.sys.Engines[0].(*hlrcEngine).useOf(c.sys.Space.PageOf(addr)).pub
 }
 
 // TestFetchAdoptsTheHomesSnapshot: node 0 homes one page and keeps storing
@@ -122,7 +115,7 @@ func fetchAdoptsTheHomesSnapshot(t *testing.T, proto Protocol, nodes int) {
 					c.Compute(5 * sim.Microsecond)
 				}
 				if e, ok := c.eng.(*hlrcEngine); ok {
-					pubWhileOpen = pubFrame(e.useOf(c.sys.Space.PageOf(addr)))
+					pubWhileOpen = e.useOf(c.sys.Space.PageOf(addr)).pub
 				}
 			} else {
 				g := &got[id-1]
@@ -385,7 +378,13 @@ func TestWriteFaultLeavesTheSharedFrame(t *testing.T) {
 				case 0:
 					tap(c.eng.(*hlrcEngine), func(m paragon.Msg) {
 						if df, ok := m.Body.(*diffFlush); ok {
-							diffs = append(diffs, df.Diff)
+							// The record is recycled once applied: keep
+							// its runs, not the backing they alias.
+							d := mem.Diff{Page: df.Diff.Page}
+							for _, r := range df.Diff.Runs {
+								d.Runs = append(d.Runs, mem.Run{Off: r.Off, Vals: slices.Clone(r.Vals)})
+							}
+							diffs = append(diffs, d)
 						}
 					})
 				case 1:
@@ -438,15 +437,18 @@ func TestWriteFaultLeavesTheSharedFrame(t *testing.T) {
 	}
 }
 
-// TestSecondFetchAnswerIsDropped: the published record is shared, so
-// nothing in a reply can be cleared to keep it from being adopted twice;
-// the node's reply port is the guard. Node 1 fetches page A, then page B,
-// both homed at node 0, on a network with a 10 ms latency. Node 0 answers
-// the fetch of A a second time, 15 ms after the first, so the second answer
-// lands while node 1 waits for B: it must be dropped before adoption, or
-// node 1 would install A's frame as its copy of B. The references balance:
-// each answer to A carried one of its own, so A's frame ends with three —
-// the home's, node 1's and the dropped answer's, lost with it.
+// TestSecondFetchAnswerIsDropped: the home answers in the requester's one
+// fetch body, which the requester's next fetch refills, so a stale answer
+// must neither write that body nor be adopted; the node's reply port drops
+// it. Node 1 fetches page A, then page B, both homed at node 0, on a
+// network with a 10 ms latency. Node 0 answers the fetch of A a second
+// time, 15 ms after the first, so the second answer lands while node 1
+// waits for B. Forged as a server that did not serve twice would, it takes
+// a reference to A's frame but writes nothing into the body, which by then
+// holds node 1's request for B: the reply port must drop it before
+// adoption, or node 1 would take the answer for B's. The references
+// balance: each answer to A carried one of its own, so A's frame ends with
+// three — the home's, node 1's and the dropped answer's, lost with it.
 func TestSecondFetchAnswerIsDropped(t *testing.T) {
 	CheckFrames(t)
 	const latency = 10 * sim.Millisecond
@@ -474,10 +476,10 @@ func TestSecondFetchAnswerIsDropped(t *testing.T) {
 					if m.Kind != kFetchPage || m.Body.(*fetchPageReq).Page != pgA || sentAgain != 0 {
 						return
 					}
-					again := e.publish(pgA) // its own reference, as respondFetch adds
+					e.publish(pgA) // its own reference, as respondFetch adds
 					sentAgain = e.sys.K.Now() + 3*latency/2
 					e.sys.K.Post(0, 0, sentAgain, func() {
-						e.node.Respond(m, paragon.Msg{Kind: kFetchPage, Size: 8, Class: stats.ClassData, Body: again})
+						e.node.Respond(m, paragon.Msg{Kind: kFetchPage, Size: 8, Class: stats.ClassData, Body: m.Body})
 					})
 				})
 				c.Compute(6 * latency)
@@ -490,6 +492,9 @@ func TestSecondFetchAnswerIsDropped(t *testing.T) {
 					t.Errorf("node 1 reads %v from page B, want 5", v)
 				}
 				gotB = c.Now()
+				if fr := &e.fetch; fr.Page != c.sys.Space.PageOf(addr+mem.Addr(words)) || fr.Frame != nil {
+					t.Errorf("node 1's fetch body ends naming page %d and holding frame %p; want page B's request, its frame adopted", fr.Page, fr.Frame)
+				}
 			}
 			c.Barrier(0)
 		},

@@ -24,9 +24,18 @@ type hlrcEngine struct {
 	flushVecs slab.Slab[vc.Sparse]
 
 	// fetch is the body of this node's page-fetch request, filled in place
-	// by ReadFault (fetchPageReq).
+	// by ReadFault and answered in place by the home (fetchPageReq).
 	fetch fetchPageReq
+	// diffRecs is this node's free list of diff records (diffFlush): the
+	// ones it applied as a home, for its own flushes as a writer.
+	diffRecs []*diffFlush
 }
+
+// maxDiffRecs bounds each node's free list of diff records. Flushes in
+// both directions keep the lists balanced; the bound only caps what a home
+// that mostly receives diffs holds on to, each record with its values
+// backing.
+const maxDiffRecs = 64
 
 // hlrcPage is the per-page protocol state of one node, in two tiers. The
 // slot is what every page the node was ever sent a write notice for costs;
@@ -54,11 +63,10 @@ type hlrcUse struct {
 	pendingDiff  []*diffFlush  // diffs awaiting causal predecessors
 	pendingFetch []paragon.Msg // fetches awaiting flush coverage
 	waiters      []*sim.Proc   // local accesses waiting for coverage
-	// pub is the published record of the current version of the page —
-	// a snapshot of its bytes and its flush vector — which every fetch
-	// answers with until homeWrite retires it; nil until the version's
-	// first fetch.
-	pub *fetchPageResp
+	// pub is the published frame of the current version of the page — a
+	// snapshot of its bytes — which every fetch answers with until
+	// homeWrite retires it; nil until the version's first fetch.
+	pub *mem.Frame
 
 	// Overlapped: a diff for this page is being computed on the coproc;
 	// the twin is in use and the next write must wait.
@@ -69,31 +77,33 @@ type hlrcUse struct {
 // body, hlrcEngine.fetch, refilled by every ReadFault: a node has at most
 // one Call waiting, so the body is valid, and the node's live vector free to
 // grow, for as long as the request waits on the home's pending list or in
-// retransmission to a crashed home. Need is held by
-// value, filled in place (vc.Sparse.CopyFrom), so once its pairs have grown
-// it takes no allocation; read it through &Need.
+// retransmission to a crashed home. The home answers in the same body
+// (respondFetch): Frame is the page's frame with one reference added for
+// the requester, which adopts it and clears the field, and Flush the flush
+// vector its bytes reflect. Need and Flush are held by value, filled in
+// place (vc.Sparse.CopyFrom), so once their pairs have grown they take no
+// allocation; read them through &Need and &Flush.
 type fetchPageReq struct {
-	Page int
-	Need vc.Sparse
+	Page  int
+	Need  vc.Sparse
+	Frame *mem.Frame
+	Flush vc.Sparse
 }
 
-// fetchPageResp is the record of one version of a home's page: the frame
-// holding its bytes and the flush vector they reflect. The home publishes
-// one per version (hlrcEngine.publish) and answers every fetch of that
-// version with a pointer to it, so a record is immutable once published.
-// Frame's reference count, not the record, tracks the holders: each answer
-// adds one reference, which its requester adopts.
-type fetchPageResp struct {
-	Frame   *mem.Frame
-	FlushVC *vc.Sparse
-}
-
+// diffFlush is one diff on its way to the page's home: the one-way body of
+// a kDiffFlush and, under OHLRC, of the kMakeDiff post that computes it. A
+// writer takes the record from its own free list (takeDiffRec) and refills
+// it in place — Dep by vc.Sparse.CopyFrom, Diff by mem.Diff.Recompute — and
+// once sent it belongs to the home, which puts it on its own free list
+// after applying it (homeApply). Read Dep through &Dep.
 type diffFlush struct {
 	Page     int
 	Writer   int
 	Interval int32
-	Dep      *vc.Sparse // per-page dependency: intervals that must be applied first
+	Dep      vc.Sparse // per-page dependency: intervals that must be applied first
 	Diff     mem.Diff
+	// free marks, under checkAnswers, a record on a free list.
+	free bool
 }
 
 func newHLRCEngine(sys *System, self int) *hlrcEngine {
@@ -171,11 +181,12 @@ func (e *hlrcEngine) ReadFault(page int) {
 		Body:   req,
 	})
 	e.st().Add(stats.CatData, e.app().Now()-t0)
-	pr := resp.Body.(*fetchPageResp)
+	pr := resp.Body.(*fetchPageReq)
 	p := e.pt.Page(page)
 	e.adoptShared(p, pr.Frame)
+	pr.Frame = nil
 	p.State = mem.ReadOnly
-	e.pairs.MaxWith(e.seenOf(m), pr.FlushVC)
+	e.pairs.MaxWith(e.seenOf(m), &pr.Flush)
 	e.event(trace.PageFetch, page, e.home(page), 0)
 }
 
@@ -266,13 +277,40 @@ func (e *hlrcEngine) closeCommit() {
 		}
 		// A writer that is not the home fetched the page first, so its
 		// requirement vector exists.
-		dep := m.seen.Copy()
+		df := e.takeDiffRec()
+		df.Page, df.Writer, df.Interval = pg, e.self, rec.Interval
+		df.Dep.CopyFrom(&m.seen)
 		e.pairs.Set(e.seenOf(m), e.self, rec.Interval)
 		if e.overlapped {
-			e.postDiff(&e.useOf(pg).inflight, &makeDiffReq{Page: pg, Interval: rec.Interval, Dep: dep})
+			e.postDiff(&e.useOf(pg).inflight, df)
 			continue
 		}
-		e.flushOwn(&diffFlush{Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: e.diffTwin(pg)})
+		e.diffTwin(pg, &df.Diff)
+		e.flushOwn(df)
+	}
+}
+
+// takeDiffRec returns a diff record from this node's free list, or a new
+// one when the list is empty.
+func (e *hlrcEngine) takeDiffRec() *diffFlush {
+	n := len(e.diffRecs)
+	if n == 0 {
+		return new(diffFlush)
+	}
+	df := e.diffRecs[n-1]
+	e.diffRecs[n-1] = nil
+	e.diffRecs = e.diffRecs[:n-1]
+	df.free = false
+	return df
+}
+
+// recycle puts an applied diff record on this node's free list, unless the
+// list is full; under checkAnswers it is marked, so applying it again
+// panics (homeApply).
+func (e *hlrcEngine) recycle(df *diffFlush) {
+	if len(e.diffRecs) < maxDiffRecs {
+		df.free = checkAnswers
+		e.diffRecs = append(e.diffRecs, df)
 	}
 }
 
@@ -360,10 +398,10 @@ func (e *hlrcEngine) workMakeDiff(*service) sim.Time {
 }
 
 func (e *hlrcEngine) applyMakeDiff(s *service) {
-	req := s.m.Body.(*makeDiffReq)
-	diff := e.diffTwin(req.Page)
-	e.useOf(req.Page).inflight.done()
-	e.flushOwn(&diffFlush{Page: req.Page, Writer: e.self, Interval: req.Interval, Dep: req.Dep, Diff: diff})
+	df := s.m.Body.(*diffFlush)
+	e.diffTwin(df.Page, &df.Diff)
+	e.useOf(df.Page).inflight.done()
+	e.flushOwn(df)
 }
 
 // workDiffFlush and applyDiffFlush run at the home (compute under HLRC,
@@ -375,21 +413,29 @@ func (e *hlrcEngine) workDiffFlush(s *service) sim.Time {
 
 func (e *hlrcEngine) applyDiffFlush(s *service) {
 	df := s.m.Body.(*diffFlush)
-	f := e.flushOf(df.Page)
-	if !covers(f, df.Dep) {
-		u := e.useOf(df.Page)
+	page := df.Page
+	f := e.flushOf(page)
+	if !covers(f, &df.Dep) {
+		u := e.useOf(page)
 		u.pendingDiff = append(u.pendingDiff, df)
 		return
 	}
 	e.homeApply(df)
-	e.homeDrain(df.Page)
+	e.homeDrain(page)
 }
 
+// homeApply applies df to the home's copy and recycles the record: from
+// here it is this node's to refill.
 func (e *hlrcEngine) homeApply(df *diffFlush) {
+	if checkAnswers && df.free {
+		panic(fmt.Sprintf("core: node %d applying a recycled diff record (page %d, writer %d, interval %d)",
+			e.self, df.Page, df.Writer, df.Interval))
+	}
 	p := e.homeWrite(df.Page)
 	df.Diff.Apply(p.Data)
 	e.pairs.RaiseTo(e.flushOf(df.Page), df.Writer, df.Interval)
 	e.event(trace.DiffApply, df.Page, df.Writer, int64(df.Diff.Words()))
+	e.recycle(df)
 }
 
 // homeDrain retries pending diffs, fetches, and local waiters for a page
@@ -400,7 +446,7 @@ func (e *hlrcEngine) homeDrain(page int) {
 	for progress := true; progress; {
 		progress = false
 		for i, df := range m.pendingDiff {
-			if df != nil && covers(f, df.Dep) {
+			if df != nil && covers(f, &df.Dep) {
 				m.pendingDiff[i] = nil
 				e.homeApply(df)
 				progress = true
@@ -445,47 +491,52 @@ func (e *hlrcEngine) applyFetchPage(s *service) {
 	pm.pendingFetch = append(pm.pendingFetch, s.m)
 }
 
+// respondFetch writes the home's answer into the requester's body: the
+// page's frame (publish) and the flush vector its bytes reflect, which the
+// reply's wire size and the requester's next Need both come from. The live
+// flush vector is the published frame's, since homeWrite retires the frame
+// before any write to either.
 func (e *hlrcEngine) respondFetch(req paragon.Msg, fr *fetchPageReq) {
-	pub := e.publish(fr.Page)
+	e.claimBody(req)
+	fr.Frame = e.publish(fr.Page)
+	fr.Flush.CopyFrom(e.flushOf(fr.Page))
 	e.node.Respond(req, paragon.Msg{
 		Kind:  kFetchPage,
-		Size:  e.sys.Space.PageBytes() + pub.FlushVC.WireSize(),
+		Size:  e.sys.Space.PageBytes() + fr.Flush.WireSize(),
 		Class: stats.ClassData,
-		Body:  pub,
+		Body:  fr,
 	})
 }
 
-// publish returns the record a fetch of page answered now carries, with one
-// reference to its frame added for the requester. The home copies once per
-// version, not once per fetch: the first fetch of a version publishes the
-// record and every later one shares it, until homeWrite retires it. The
-// flush vector rides along because the reply's wire size and the
-// requester's next Need both come from it. While this node has the page
-// open its stores change the bytes with no fault to announce them, so
-// there is no version to share and each fetch gets a one-off record of its
+// publish returns the frame a fetch of page answered now carries, with one
+// reference added for the requester. The home copies once per version, not
+// once per fetch: the first fetch of a version publishes the frame and every
+// later one shares it, until homeWrite retires it. While this node has the
+// page open its stores change the bytes with no fault to announce them, so
+// there is no version to share and each fetch gets a one-off frame of its
 // own.
-func (e *hlrcEngine) publish(page int) *fetchPageResp {
+func (e *hlrcEngine) publish(page int) *mem.Frame {
 	p := e.pt.Page(page)
 	if p.State == mem.ReadWrite {
-		return &fetchPageResp{Frame: mem.NewFrame(e.snapshot(p)), FlushVC: e.flushOf(page).Copy()}
+		return mem.NewFrame(e.snapshot(p))
 	}
 	u := e.useOf(page)
 	if u.pub == nil {
-		u.pub = &fetchPageResp{Frame: mem.NewFrame(e.snapshot(p)), FlushVC: e.flushOf(page).Copy()}
+		u.pub = mem.NewFrame(e.snapshot(p))
 	}
-	u.pub.Frame.Share()
+	u.pub.Share()
 	return u.pub
 }
 
 // homeWrite must come before every write to the bytes or the flush vector
-// of a page this node homes: it retires the published record, so the next
+// of a page this node homes: it retires the published frame, so the next
 // fetch publishes the new version (the holders keep the old frame; the
 // home's was one reference among theirs). The home's own copy is always
 // private: a page's home never fetches it.
 func (e *hlrcEngine) homeWrite(page int) *mem.Page {
 	p := e.pt.Page(page)
 	if u := e.useOf(page); u.pub != nil {
-		u.pub.Frame.Release(e.sink())
+		u.pub.Release(e.sink())
 		u.pub = nil
 	}
 	return p
@@ -507,7 +558,7 @@ func (e *hlrcEngine) Finish() {
 	}
 	e.pages.Each(func(_ int, m *hlrcPage) {
 		if m.use != nil && m.use.pub != nil {
-			m.use.pub.Frame.Verify()
+			m.use.pub.Verify()
 		}
 	})
 	e.pt.Each(func(_ int, p *mem.Page) {

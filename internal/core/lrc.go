@@ -115,7 +115,10 @@ type lrcUse struct {
 	// yet (lazy diffing); the twin is still alive.
 	pending *IntervalRec
 	// inflight marks an OLRC diff computation in progress on the coproc.
-	inflight inflightDiff
+	// A page has at most one, so the record itself is the kMakeDiff post's
+	// body, naming the diff in diffPage and diffInterval.
+	inflight               inflightDiff
+	diffPage, diffInterval int32
 	// pendingReqs are fetch-diff requests waiting for the inflight diff.
 	pendingReqs []paragon.Msg
 }
@@ -399,8 +402,9 @@ func (e *lrcEngine) commitOwnDiff(page int, charge bool) {
 // materializeDiff computes the diff for (page, interval) from the live
 // twin and stores it until garbage collection.
 func (e *lrcEngine) materializeDiff(page int, interval int32) {
-	d := e.diffTwin(page)
-	e.diffs[e.keys.of(e.self, page, interval)] = &d
+	d := new(mem.Diff)
+	e.diffTwin(page, d)
+	e.diffs[e.keys.of(e.self, page, interval)] = d
 	e.st().MemAlloc(d.MemSize())
 }
 
@@ -441,7 +445,8 @@ func (e *lrcEngine) closeCommit() {
 		p.State = mem.ReadOnly
 		m := e.useOf(pg)
 		if e.overlapped {
-			e.postDiff(&m.inflight, &makeDiffReq{Page: pg, Interval: rec.Interval})
+			m.diffPage, m.diffInterval = pg32, rec.Interval
+			e.postDiff(&m.inflight, m)
 		} else {
 			m.pending = rec
 		}
@@ -603,9 +608,8 @@ func (e *lrcEngine) workMakeDiff(*service) sim.Time {
 }
 
 func (e *lrcEngine) applyMakeDiff(s *service) {
-	req := s.m.Body.(*makeDiffReq)
-	e.materializeDiff(req.Page, req.Interval)
-	pm := e.useOf(req.Page)
+	pm := s.m.Body.(*lrcUse)
+	e.materializeDiff(int(pm.diffPage), pm.diffInterval)
 	pm.inflight.done()
 	reqs := pm.pendingReqs
 	pm.pendingReqs = nil

@@ -15,8 +15,9 @@ type Diff struct {
 	Page int
 	Runs []Run
 
-	// buf is the pooled backing array all Runs' Vals are sliced from, nil
-	// for unpooled diffs. See ComputeDiffPooled and Release.
+	// buf is the backing array all Runs' Vals are sliced from when it came
+	// from a pool (ComputeDiffPooled) or is kept for the next Recompute; nil
+	// for ComputeDiff's diffs. See Release.
 	buf []float64
 }
 
@@ -33,11 +34,48 @@ func ComputeDiff(page int, twin, cur []float64) Diff {
 // Release returns the backing for reuse; a diff that stays referenced is
 // simply left to the garbage collector.
 func ComputeDiffPooled(pool *Pool, page int, twin, cur []float64) Diff {
+	d := Diff{Page: page}
+	words, runs := countRuns(twin, cur)
+	if runs == 0 {
+		return d
+	}
+	var buf []float64
+	if pool != nil {
+		buf = pool.getBuf(words)
+		d.buf = buf
+	} else {
+		buf = make([]float64, words)
+	}
+	d.Runs = make([]Run, 0, runs)
+	d.fillRuns(twin, cur, buf)
+	return d
+}
+
+// Recompute makes d the diff of cur against twin, in place: the runs and
+// their values go into d's own Runs and values backing, grown to the exact
+// size when too small, so recomputing a Diff that once held a diff as
+// large allocates nothing. Every Run of d's previous contents is
+// overwritten or dropped; none may be used afterwards.
+func (d *Diff) Recompute(page int, twin, cur []float64) {
+	words, runs := countRuns(twin, cur)
+	d.Page = page
+	if cap(d.buf) < words {
+		d.buf = make([]float64, words)
+	}
+	clear(d.Runs) // no stale run keeps a replaced backing alive
+	if cap(d.Runs) < runs {
+		d.Runs = make([]Run, 0, runs)
+	}
+	d.Runs = d.Runs[:0]
+	d.fillRuns(twin, cur, d.buf[:words])
+}
+
+// countRuns is the diff scanner's first pass: the modified words and runs
+// of cur against twin, so the backing can be sized exactly.
+func countRuns(twin, cur []float64) (words, runs int) {
 	if len(twin) != len(cur) {
 		panic("mem: diff of mismatched pages")
 	}
-	// Pass 1: count modified words and runs so the backing is exact.
-	words, runs := 0, 0
 	for i := 0; i < len(cur); {
 		if sameBits(twin[i], cur[i]) {
 			i++
@@ -51,19 +89,12 @@ func ComputeDiffPooled(pool *Pool, page int, twin, cur []float64) Diff {
 		runs++
 		i = j
 	}
-	d := Diff{Page: page}
-	if runs == 0 {
-		return d
-	}
-	var buf []float64
-	if pool != nil {
-		buf = pool.getBuf(words)
-		d.buf = buf
-	} else {
-		buf = make([]float64, words)
-	}
-	d.Runs = make([]Run, 0, runs)
-	// Pass 2: fill the runs, slicing values out of the shared backing.
+	return words, runs
+}
+
+// fillRuns is the scanner's second pass: it appends the runs to d.Runs,
+// slicing their values out of buf, which countRuns sized.
+func (d *Diff) fillRuns(twin, cur, buf []float64) {
 	used := 0
 	for i := 0; i < len(cur); {
 		if sameBits(twin[i], cur[i]) {
@@ -80,13 +111,12 @@ func ComputeDiffPooled(pool *Pool, page int, twin, cur []float64) Diff {
 		d.Runs = append(d.Runs, Run{Off: i, Vals: vals})
 		i = j
 	}
-	return d
 }
 
-// Release returns a pooled diff's backing buffer to pool and empties the
-// diff. It must only be called by the diff's sole owner, after the last
-// Apply; no Run of the diff may be used afterwards. No-op for unpooled
-// diffs (and safe to call twice).
+// Release returns the diff's backing buffer to pool and empties the diff.
+// It must only be called by the diff's sole owner, after the last Apply; no
+// Run of the diff may be used afterwards. No-op for ComputeDiff's diffs
+// (and safe to call twice).
 func (d *Diff) Release(pool *Pool) {
 	if d.buf == nil {
 		return

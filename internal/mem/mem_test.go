@@ -3,6 +3,7 @@ package mem
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -367,4 +368,70 @@ func FuzzDiffApply(f *testing.F) {
 			t.Fatalf("WireSize() = %d, want %d", d.WireSize(), wire)
 		}
 	})
+}
+
+// TestDiffRecomputeMatchesComputeDiff: a diff recomputed into one reused
+// Diff, whose runs and values backing keep every earlier diff's bits, equals
+// ComputeDiff's over random twins with NaN payloads and signed zeros in
+// them, and once its backing has grown to a page-wide diff, recomputing
+// allocates nothing.
+func TestDiffRecomputeMatchesComputeDiff(t *testing.T) {
+	const n = 64
+	nan1 := math.NaN()
+	nan2 := math.Float64frombits(math.Float64bits(nan1) ^ 1)
+	specials := []float64{nan1, nan2, 0, math.Copysign(0, -1), 1e18}
+	word := func(rng *rand.Rand) float64 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64()
+	}
+	rng := rand.New(rand.NewSource(1))
+	pages := func() (twin, cur []float64) {
+		twin, cur = make([]float64, n), make([]float64, n)
+		for i := range twin {
+			twin[i] = word(rng)
+		}
+		copy(cur, twin)
+		for m := rng.Intn(2 * n); m > 0; m-- {
+			cur[rng.Intn(n)] = word(rng)
+		}
+		return twin, cur
+	}
+	var d Diff
+	for round := 0; round < 500; round++ {
+		twin, cur := pages()
+		d.Recompute(round, twin, cur)
+		want := ComputeDiff(round, twin, cur)
+		same := d.Page == want.Page && slices.EqualFunc(d.Runs, want.Runs, func(a, b Run) bool {
+			return a.Off == b.Off && slices.EqualFunc(a.Vals, b.Vals, func(x, y float64) bool {
+				return math.Float64bits(x) == math.Float64bits(y)
+			})
+		})
+		if !same {
+			t.Fatalf("round %d: recomputed %+v, ComputeDiff %+v", round, d, want)
+		}
+	}
+
+	twin, cur := make([]float64, n), make([]float64, n)
+	for i := range cur {
+		cur[i] = float64(i%2 + 1) // every word, in one run
+	}
+	d.Recompute(0, twin, cur)
+	for i := range cur {
+		cur[i] = float64(i % 2) // every other word: the most runs a page has
+	}
+	d.Recompute(0, twin, cur)
+	shapes := make([][2][]float64, 50)
+	for i := range shapes {
+		shapes[i][0], shapes[i][1] = pages()
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(len(shapes), func() {
+		s := shapes[i%len(shapes)]
+		d.Recompute(i, s[0], s[1])
+		i++
+	}); allocs != 0 {
+		t.Errorf("recomputing into a grown Diff allocates %.2f objects, want 0", allocs)
+	}
 }

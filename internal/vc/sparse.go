@@ -263,7 +263,8 @@ func (s *Sparse) Equal(o *Sparse) bool {
 	return s.Covers(o) && o.Covers(s)
 }
 
-// Copy returns an independent copy (nil copies to nil).
+// Copy returns an independent copy (nil copies to nil), an object of its
+// own; the protocols copy into vectors they hold with CopyFrom instead.
 func (s *Sparse) Copy() *Sparse {
 	if s == nil {
 		return nil
