@@ -43,14 +43,15 @@ loc:
 # host_mallocs_k end to end from one untraced 1-second seed-1 run each of
 # serve_read (the fetch path), serve_write (the write-notice path and HLRC's
 # diff flushes), home_batch (the home-based protocols' page fetches and
-# diff flushes on the paper's apps) and homeless_batch (the homeless
-# protocols' diff and page fetches, locks and barriers), ~4 s apiece.
-# Report-only, like loc; the per-exchange ceilings are TestExchangeAllocs in
-# internal/core.
+# diff flushes on the paper's apps), homeless_batch (the homeless
+# protocols' diff and page fetches, locks and barriers) and fault_matrix
+# (every message through the reliable transport), ~4 s apiece, ~30 s in
+# all. Report-only, like loc; the per-exchange ceilings are
+# TestExchangeAllocs in internal/core.
 allocs:
 	@out=$$(bash benchmark/run.sh --workload serve_read --seed 1 --seconds 1 --trace 1) && \
 		printf '%s\n' "$$out" | grep -E '^ +[a-z0-9_.]+_allocs' && \
-		for w in serve_read serve_write home_batch homeless_batch; do \
+		for w in serve_read serve_write home_batch homeless_batch fault_matrix; do \
 			out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) && \
 			printf '%s\n' "$$out" | awk -v w=$$w '$$1 == "host_mallocs_k" { printf "  %-33s%s %s\n", w ".host_mallocs_k", $$2, $$3 }' || exit 1; \
 		done

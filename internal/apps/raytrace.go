@@ -120,6 +120,10 @@ func (a *Raytrace) pop(c *core.Ctx, q int) int {
 }
 
 func (a *Raytrace) Worker(c *core.Ctx, id int) {
+	// The scene copy and the output row are reused by every tile; each
+	// tile still reads the whole scene from shared memory.
+	sph := make([]float64, a.Spheres*sphWords)
+	row := make([]float64, a.Tile)
 	// Fetch tasks from the own queue, then steal round-robin.
 	for probe := 0; probe < a.p; {
 		q := (id + probe) % a.p
@@ -129,17 +133,15 @@ func (a *Raytrace) Worker(c *core.Ctx, id int) {
 			continue
 		}
 		probe = 0
-		a.renderTile(c, task)
+		a.renderTile(c, task, sph, row)
 	}
 	c.Barrier(0)
 }
 
-func (a *Raytrace) renderTile(c *core.Ctx, tile int) {
+func (a *Raytrace) renderTile(c *core.Ctx, tile int, sph, row []float64) {
 	tx := (tile % a.tilesX) * a.Tile
 	ty := (tile / a.tilesX) * a.Tile
-	sph := make([]float64, a.Spheres*sphWords)
 	c.ReadRange(a.scene, sph)
-	row := make([]float64, a.Tile)
 	tests := 0
 	for y := ty; y < ty+a.Tile; y++ {
 		for x := tx; x < tx+a.Tile; x++ {

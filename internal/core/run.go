@@ -118,9 +118,9 @@ type Result struct {
 // lpParallel decides whether this run can use the partitioned parallel
 // kernel. The gated-out configurations all thread some globally ordered
 // state through the event loop — mesh link occupancy, the fault
-// injector's sequential RNG stream and the transport's dedup maps, the
-// shared trace log, and phase capture's
-// cross-node stat snapshots — so they keep the sequential kernel, where
+// injector's sequential RNG stream and the transport's one netMsg free
+// list, the shared trace log, and phase capture's cross-node stat
+// snapshots — so they keep the sequential kernel, where
 // byte-identity at any -run-workers value holds trivially.
 func lpParallel(opts *Options, capturePhases bool) bool {
 	return opts.RunWorkers >= 2 &&

@@ -22,53 +22,53 @@ const (
 )
 
 // faultLayer is the faulty network plus the reliability transport that
-// recovers from it. Every inter-node transmission receives a unique id;
-// the sender retransmits on an exponential-backoff timer (on the
-// simulated clock) until the receiver's ack lands, and the receiver
-// dedups by id so replayed requests, replies, and injected duplicates
-// are delivered exactly once. Protocols may rely on that: a server that
-// writes its answer into the requester's request body must never service
-// the same request twice.
+// recovers from it. The sender retransmits on an exponential-backoff timer
+// (on the simulated clock) until the receiver's ack lands. Every copy of a
+// message, whether a retransmission or an injected duplicate, fires the
+// same netMsg, so the receiver dedups by that identity: replayed requests,
+// replies and duplicates are delivered exactly once. Protocols may rely on
+// that: a server that writes its answer into the requester's request body
+// must never service the same request twice.
 //
-// All state is touched only from the simulation goroutine, so no locking
-// is needed and the execution stays deterministic.
+// All state is touched only from the simulation goroutine: fault runs
+// always execute on the unpartitioned kernel, because the injector's
+// verdicts come from one sequential RNG stream. So no locking is needed,
+// one free list serves every node, and the execution stays deterministic.
 type faultLayer struct {
 	m   *Machine
 	inj *fault.Injector
 
-	nextID uint64
-	// seen holds, per destination node, the ids already delivered there.
-	// Entries are retired as soon as no copy of the id can still be in
-	// flight (see maybeRetire), so the maps stay bounded by the number
-	// of concurrently outstanding messages, not by run length.
-	seen []map[uint64]struct{}
+	// free holds the netMsgs no event names any more (see maybeRetire).
+	// It never holds more than were live at once at the peak.
+	free *netMsg
 }
 
-// netMsg is one logical message in flight: the transport retransmits the
-// same id until it is acked or given up on. It is the only object the
-// transport allocates per message; every event it posts fires the netMsg
-// itself, through arrival, ackArrival or retryTimer.
+// netMsg is one logical message in flight: the transport retransmits it
+// until it is acked or given up on. Every event it posts fires the netMsg
+// itself, through arrival, ackArrival or retryTimer; once no event can
+// name it any more it is zeroed and recycled through faultLayer.free.
 type netMsg struct {
 	fl        *faultLayer
-	id        uint64
 	src, dst  int
 	attempts  int
 	firstSent sim.Time
 	// wait is the retry timer's current wait. At most one timer per
 	// message is armed, so one field holds the whole backoff chain.
-	wait  sim.Time
-	acked bool
-	lost  bool
-	// inflight counts copies on the wire (scheduled arrivals not yet
-	// processed). Once the sender is done with the id (acked or lost)
-	// and inflight hits zero, no copy can ever arrive again and the
-	// receiver's dedup entry is retired.
-	inflight int
+	wait      sim.Time
+	armed     bool
+	acked     bool
+	lost      bool
+	delivered bool
+	// inflight counts copies on the wire and acks counts acks on the wire
+	// (scheduled arrivals not yet processed).
+	inflight, acks int
 
 	// msg is the payload, retransmitted whole; a response travels to port,
 	// the requester's reply port (nil for a request).
 	msg  Msg
 	port *Reply
+
+	next *netMsg // on the free list
 }
 
 // arrival, ackArrival and retryTimer are the events posted for a netMsg:
@@ -84,15 +84,7 @@ func (a *ackArrival) Fire() { nm := (*netMsg)(a); nm.fl.ackArrived(nm) }
 func (r *retryTimer) Fire() { nm := (*netMsg)(r); nm.fl.retry(nm) }
 
 func newFaultLayer(m *Machine, inj *fault.Injector) *faultLayer {
-	fl := &faultLayer{
-		m:    m,
-		inj:  inj,
-		seen: make([]map[uint64]struct{}, len(m.Nodes)),
-	}
-	for i := range fl.seen {
-		fl.seen[i] = make(map[uint64]struct{})
-	}
-	return fl
+	return &faultLayer{m: m, inj: inj}
 }
 
 // transmit puts one (possibly faulty) copy of nm on the wire: the
@@ -111,9 +103,8 @@ func (fl *faultLayer) transmit(nm *netMsg) {
 	at := n.arrivalTime(nm.dst, size, v.Delay == 0)
 	nm.inflight++
 	// Arrivals go through the same src->dst handoff path as fault-free
-	// sends. (Fault runs always execute on an unpartitioned kernel — the
-	// transport's dedup/pending maps are global — so this is the plain
-	// event path; the routing just stays uniform.)
+	// sends. (Fault runs always execute on an unpartitioned kernel, so
+	// this is the plain event path; the routing just stays uniform.)
 	fl.m.K.Post(nm.src, nm.dst, at+v.Delay, (*arrival)(nm))
 	if v.Duplicate {
 		nm.inflight++
@@ -133,13 +124,17 @@ func (fl *faultLayer) deliver(nm *netMsg) {
 
 // send routes msg from n to node to through the faulty network — a
 // one-way message or request when port is nil, otherwise a response to
-// the requester's port: it mints the netMsg, puts the first copy on the
-// wire and arms the retransmission timer.
+// the requester's port: it fills a recycled netMsg, puts the first copy
+// on the wire and arms the retransmission timer.
 func (fl *faultLayer) send(n *Node, to int, msg Msg, port *Reply) {
-	fl.nextID++
-	nm := &netMsg{
+	nm := fl.free
+	if nm != nil {
+		fl.free = nm.next
+	} else {
+		nm = new(netMsg)
+	}
+	*nm = netMsg{
 		fl:        fl,
-		id:        fl.nextID,
 		src:       n.ID,
 		dst:       to,
 		attempts:  1,
@@ -151,14 +146,14 @@ func (fl *faultLayer) send(n *Node, to int, msg Msg, port *Reply) {
 	fl.armRetry(nm, rto)
 }
 
-// maybeRetire drops the receiver's dedup entry for nm once no copy can
-// ever arrive again: the sender is done with the id (acked or given up,
-// so no retransmission will mint new copies) and every copy already on
-// the wire has been processed. This keeps the seen maps bounded by the
-// number of concurrently outstanding messages.
+// maybeRetire recycles nm once no event can name it again: the sender is
+// done with it (acked or given up, so no retransmission will put new
+// copies on the wire), every copy and every ack already on the wire has
+// been processed, and its retry timer has had its last firing.
 func (fl *faultLayer) maybeRetire(nm *netMsg) {
-	if (nm.acked || nm.lost) && nm.inflight == 0 {
-		delete(fl.seen[nm.dst], nm.id)
+	if (nm.acked || nm.lost) && nm.inflight == 0 && nm.acks == 0 && !nm.armed {
+		*nm = netMsg{next: fl.free}
+		fl.free = nm
 	}
 }
 
@@ -168,9 +163,9 @@ func (fl *faultLayer) dropped(nm *netMsg) {
 	fl.m.Nodes[nm.src].Stats.Counts.MsgsDropped++
 }
 
-// arrive runs when a copy reaches the destination. The id is deduped
-// (replays and injected duplicates deliver exactly once) and every copy
-// is acknowledged.
+// arrive runs when a copy reaches the destination. Only the first copy
+// is delivered (replays and injected duplicates deliver exactly once) and
+// every copy is acknowledged.
 func (fl *faultLayer) arrive(nm *netMsg) {
 	nm.inflight--
 	if fl.m.Down(nm.dst) {
@@ -181,13 +176,13 @@ func (fl *faultLayer) arrive(nm *netMsg) {
 		fl.maybeRetire(nm)
 		return
 	}
-	if _, dup := fl.seen[nm.dst][nm.id]; dup {
+	if nm.delivered {
 		fl.m.Nodes[nm.dst].Stats.Counts.DupsSuppressed++
 		fl.sendAck(nm)
 		fl.maybeRetire(nm)
 		return
 	}
-	fl.seen[nm.dst][nm.id] = struct{}{}
+	nm.delivered = true
 	fl.sendAck(nm)
 	fl.deliver(nm)
 	fl.maybeRetire(nm)
@@ -202,11 +197,14 @@ func (fl *faultLayer) sendAck(nm *netMsg) {
 		fl.m.Nodes[nm.dst].Stats.Counts.MsgsDropped++
 		return
 	}
+	nm.acks++
 	fl.m.K.Post(nm.dst, nm.src, fl.m.K.LaneNow(nm.dst)+fl.m.Costs.Wire(ackBytes), (*ackArrival)(nm))
 }
 
 func (fl *faultLayer) ackArrived(nm *netMsg) {
+	nm.acks--
 	if nm.acked || nm.lost {
+		fl.maybeRetire(nm)
 		return
 	}
 	nm.acked = true
@@ -222,14 +220,16 @@ func (fl *faultLayer) ackArrived(nm *netMsg) {
 // one timer per message is outstanding; the chain ends on ack, on give-up,
 // or with a final no-op firing after the ack lands.
 func (fl *faultLayer) armRetry(nm *netMsg, wait sim.Time) {
-	nm.wait = wait
+	nm.wait, nm.armed = wait, true
 	fl.m.K.Post(nm.src, nm.src, fl.m.K.LaneNow(nm.src)+wait, (*retryTimer)(nm))
 }
 
 // retry is nm's retransmission timer firing: give up after maxAttempts,
 // otherwise retransmit and back off.
 func (fl *faultLayer) retry(nm *netMsg) {
+	nm.armed = false
 	if nm.acked || nm.lost {
+		fl.maybeRetire(nm)
 		return
 	}
 	if nm.attempts >= maxAttempts {

@@ -121,36 +121,66 @@ func TestRetryBackoffCappedAtRTOMax(t *testing.T) {
 	}
 }
 
-// The dedup maps must not grow with run length: every id is retired once
-// the sender is done with it and no copy is still in flight, so after a
-// long faulty run with duplicates and lost acks they drain to empty.
-func TestSeenMapsBounded(t *testing.T) {
-	k := sim.NewKernel()
-	m := New(k, 2, testCosts())
-	m.EnableFaults(fault.NewInjector(fault.Plan{
-		Seed:      3,
-		Drop:      0.2,
-		Duplicate: 0.5,
-	}))
-	m.Nodes[1].InstallCoproc(func(msg Msg) (sim.Time, func()) { return 0, nil })
+// Every netMsg goes back on the transport's free list once no event can
+// name it: after a burst of sends through drops, duplicates, delayed
+// copies and lost acks, through a destination that is down while copies
+// arrive, and through one down for longer than the retransmission chain
+// (every message given up after maxAttempts), the free list seeded with
+// one netMsg per send holds every one of them again, zeroed, and the run
+// allocated none.
+func TestNetMsgsRecycled(t *testing.T) {
 	const msgs = 500
-	k.Spawn("send", 0, func(p *sim.Proc) {
-		for i := 0; i < msgs; i++ {
-			m.Nodes[0].Send(1, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc})
-			p.Sleep(20 * sim.Microsecond)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	fl := m.faults
-	if fl.m.Nodes[1].Stats.Counts.DupsSuppressed == 0 {
-		t.Fatal("no duplicates suppressed: the test exercised nothing")
-	}
-	for dst, seen := range fl.seen {
-		if len(seen) != 0 {
-			t.Fatalf("dedup map for node %d holds %d unretired ids after the run", dst, len(seen))
-		}
+	for _, tc := range []struct {
+		name      string
+		plan      fault.Plan
+		delivered int // messages the receiver services
+		// exercised reports whether the run hit what the case names.
+		exercised func(m *Machine) bool
+	}{
+		{"drop+dup+lost-ack", fault.Plan{Seed: 3, Drop: 0.2, Duplicate: 0.5, Delay: 0.3, MaxDelay: 5 * sim.Millisecond}, msgs,
+			func(m *Machine) bool {
+				c := m.Nodes[1].Stats.Counts
+				return c.DupsSuppressed > 0 && c.MsgsDropped > 0 && m.Nodes[0].Stats.Counts.Retries > 0
+			}},
+		{"down-destination", fault.Plan{Seed: 3, Crashes: []fault.Crash{{Node: 1, At: sim.Millisecond, RestartAt: 30 * sim.Millisecond}}}, msgs,
+			func(m *Machine) bool { return m.Nodes[0].Stats.Counts.MsgsDropped > 0 }},
+		{"given-up", fault.Plan{Seed: 3, Duplicate: 0.5, Crashes: []fault.Crash{{Node: 1, At: 1, RestartAt: 10 * sim.Second}}}, 0,
+			func(m *Machine) bool { return m.Nodes[0].Stats.Counts.Retries > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			m := New(k, 2, testCosts())
+			m.EnableFaults(fault.NewInjector(tc.plan))
+			fl := m.faults
+			for i := 0; i < msgs; i++ {
+				fl.free = &netMsg{next: fl.free}
+			}
+			delivered := 0
+			m.Nodes[1].InstallCoproc(func(Msg) (sim.Time, func()) { delivered++; return 0, nil })
+			k.Spawn("send", 0, func(p *sim.Proc) {
+				for i := 0; i < msgs; i++ {
+					m.Nodes[0].Send(1, Msg{Kind: 1, Size: 4, Class: stats.ClassProtocol, Target: ToCoproc})
+					p.Sleep(20 * sim.Microsecond)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+			if delivered != tc.delivered || !tc.exercised(m) {
+				t.Fatalf("receiver serviced %d of %d messages (want %d), or the run missed what the case names",
+					delivered, msgs, tc.delivered)
+			}
+			n := 0
+			for nm := fl.free; nm != nil && n <= msgs; nm = nm.next {
+				if *nm != (netMsg{next: nm.next}) {
+					t.Fatalf("netMsg on the free list is not zeroed: %+v", *nm)
+				}
+				n++
+			}
+			if n != msgs {
+				t.Fatalf("free list holds %d netMsgs after the run, want all %d seeded (and none allocated)", n, msgs)
+			}
+		})
 	}
 }
