@@ -79,9 +79,9 @@ ab:
 	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # Host wall time of paper-size water-sp under LRC at 16, 32 and 64 nodes,
-# one svmrun build, with the ratio to the previous size: ROADMAP item 5's
-# homeless-scaling row in one command. Report-only (the 64-node run takes
-# seconds); no CI job runs it.
+# one svmrun build, with the ratio to the previous size: how the homeless
+# miss path scales (DESIGN §9 "The homeless miss path"). Report-only (the
+# 64-node run takes seconds); no CI job runs it.
 lrc-scale:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) build -o "$$tmp/svmrun" ./cmd/svmrun && \

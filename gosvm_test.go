@@ -2,10 +2,22 @@ package gosvm_test
 
 import (
 	"errors"
+	"os"
 	"testing"
 
 	"gosvm"
+	"gosvm/internal/mem"
 )
+
+// TestMain runs every test of the public API, the examples and the paper
+// table checks included, with the object-lifetime checks on
+// (mem.CheckFrames): a write through a shared frame, an answer written into
+// the body of a Call that no longer waits, or a home applying a recycled
+// diff record panics in the run that did it.
+func TestMain(m *testing.M) {
+	mem.CheckFrames = true
+	os.Exit(m.Run())
+}
 
 // counter is a minimal App for exercising the public API surface.
 type counter struct {

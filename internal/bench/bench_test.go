@@ -13,8 +13,18 @@ import (
 	"gosvm/internal/apps"
 	"gosvm/internal/core"
 	"gosvm/internal/fault"
+	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 )
+
+// TestMain runs every sweep test with the object-lifetime checks on
+// (mem.CheckFrames): a write through a shared frame, an answer written into
+// the body of a Call that no longer waits, or a home applying a recycled
+// diff record panics in the run that did it.
+func TestMain(m *testing.M) {
+	mem.CheckFrames = true
+	os.Exit(m.Run())
+}
 
 func testRunner() *Runner {
 	r := NewRunner(apps.SizeTest)

@@ -84,8 +84,8 @@ type base struct {
 	// node 0 for the GC rendezvous.
 	tree *treeBarrier
 
-	// memPool recycles page frames for this node only; see init. copies counts
-	// its page copies (less any recover.go materializes) and caps the free list.
+	// memPool recycles page frames for this node only; see init. copies
+	// counts its page copies and caps the free list.
 	memPool *mem.Pool
 	copies  int
 
@@ -612,10 +612,6 @@ type lockReq struct {
 	Grant     grantInfo
 }
 
-// checkAnswers, switched on by tests (CheckAnswers), makes claimBody
-// verify its premise.
-var checkAnswers bool
-
 // claimBody marks a server about to write its answer into the body of
 // req, whose requester blocks in Call until the answer lands. The body is
 // the requester's one body of its kind, so the write is sound only while
@@ -623,10 +619,10 @@ var checkAnswers bool
 // exactly once (DESIGN §7): a request serviced again after its answer
 // would overwrite the body of the requester's next exchange, and the reply
 // port's generation check drops only the stale answer, not the write.
-// Under checkAnswers a write into the body of a Call that no longer waits
-// panics.
+// Under mem.CheckFrames a write into the body of a Call that no longer
+// waits panics.
 func (b *base) claimBody(req paragon.Msg) {
-	if checkAnswers && !req.Waiting() {
+	if mem.CheckFrames && !req.Waiting() {
 		panic(fmt.Sprintf("core: node %d answering into the body of a %s request whose Call no longer waits (serviced twice?)",
 			b.self, msgKindName(req.Kind)))
 	}

@@ -6,24 +6,18 @@ import (
 	"gosvm/internal/mem"
 )
 
-// CheckFrames switches the shared-frame immutability check (mem.CheckFrames)
-// on until t and its subtests finish: every frame is checksummed as it is
+// CheckFrames switches the object-lifetime checks (mem.CheckFrames) on
+// until t and its subtests finish: every frame is checksummed as it is
 // published and verified at its last release and at Finish, so a write
-// through a shared frame panics in the run that made it. Off — the
-// default — the check is one untaken branch per frame published or released
-// and nothing on the access path (TestFrameCheckIsOffTheAccessPath).
+// through a shared frame panics in the run that made it; every server that
+// writes its answer into a requester's body first verifies that the
+// requester still waits in the Call the body belongs to (base.claimBody);
+// and a home refuses a diff record that is on its free list (homeApply).
+// Off — the default — each check is one untaken branch, and nothing on the
+// access path (TestFrameCheckIsOffTheAccessPath).
 func CheckFrames(t testing.TB) {
 	mem.CheckFrames = true
 	t.Cleanup(func() { mem.CheckFrames = false })
-}
-
-// CheckAnswers switches the answer-in-body check on until t and its
-// subtests finish: every server that writes its answer into a requester's
-// body first verifies that the requester still waits in the Call the body
-// belongs to (base.claimBody), and panics if not.
-func CheckAnswers(t testing.TB) {
-	checkAnswers = true
-	t.Cleanup(func() { checkAnswers = false })
 }
 
 // FrameList is one node's page-frame state: the lengths of its pool's two

@@ -432,9 +432,9 @@ func roundsApp(pages, rounds int, check bool) *testApp {
 // suppresses, a lock-passing app, a fetch-heavy one and a diff-heavy one
 // compute the sequential run's bits under every protocol; no server writes
 // into a body whose Call no longer waits, and no home applies a recycled
-// diff record (CheckAnswers).
+// diff record (CheckFrames).
 func TestAnswersInBodiesSurviveDuplicates(t *testing.T) {
-	CheckAnswers(t)
+	CheckFrames(t)
 	for _, app := range []func() *testApp{
 		func() *testApp { return lockTasksApp(60) },
 		func() *testApp { return roundsApp(4, 4, true) },
@@ -467,9 +467,9 @@ func TestAnswersInBodiesSurviveDuplicates(t *testing.T) {
 }
 
 // The answer-in-body check fires: a server about to answer into the body of
-// a Call that no longer waits panics under CheckAnswers, naming the kind.
+// a Call that no longer waits panics under CheckFrames, naming the kind.
 func TestClaimBodyRefusesAnsweredCall(t *testing.T) {
-	CheckAnswers(t)
+	CheckFrames(t)
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "no longer waits") || !strings.Contains(msg, msgKindName(kLockFwd)) {
 			t.Errorf("claimBody on an answered Call panicked with %q, want a panic naming %s and the Call that no longer waits",
@@ -480,18 +480,17 @@ func TestClaimBodyRefusesAnsweredCall(t *testing.T) {
 	b.claimBody(paragon.Msg{Kind: kLockFwd, Reply: new(paragon.Reply)})
 }
 
-// The recycled-record check fires: under CheckAnswers a home applying a
-// diff record it has already put on its free list panics before it touches
-// the page.
+// The recycled-record check fires: under CheckFrames a home applying a
+// diff record that is on its free list panics before it touches the page.
 func TestRecycledDiffRecordIsRefused(t *testing.T) {
-	CheckAnswers(t)
+	CheckFrames(t)
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "recycled diff record") {
 			t.Errorf("applying a recycled diff record panicked with %q, want a panic naming the recycled record", msg)
 		}
 	}()
 	e := &hlrcEngine{}
-	df := e.takeDiffRec()
-	e.recycle(df)
+	df := new(diffFlush)
+	e.diffRecs.Put(df)
 	e.homeApply(df)
 }

@@ -26,15 +26,14 @@ type hlrcEngine struct {
 	// fetch is the body of this node's page-fetch request, filled in place
 	// by ReadFault and answered in place by the home (fetchPageReq).
 	fetch fetchPageReq
-	// diffRecs is this node's free list of diff records (diffFlush): the
-	// ones it applied as a home, for its own flushes as a writer.
-	diffRecs []*diffFlush
+	// diffRecs is this node's free list of diff records (diffFlush), kept
+	// with their backings: the ones it applied as a home, for its flushes.
+	diffRecs slab.Free[*diffFlush]
 }
 
 // maxDiffRecs bounds each node's free list of diff records. Flushes in
 // both directions keep the lists balanced; the bound only caps what a home
-// that mostly receives diffs holds on to, each record with its values
-// backing.
+// that mostly receives diffs holds on to, each record with its backings.
 const maxDiffRecs = 64
 
 // hlrcPage is the per-page protocol state of one node, in two tiers. The
@@ -92,7 +91,7 @@ type fetchPageReq struct {
 
 // diffFlush is one diff on its way to the page's home: the one-way body of
 // a kDiffFlush and, under OHLRC, of the kMakeDiff post that computes it. A
-// writer takes the record from its own free list (takeDiffRec) and refills
+// writer takes the record from its own free list (diffRecs) and refills
 // it in place — Dep by vc.Sparse.CopyFrom, Diff by mem.Diff.Recompute — and
 // once sent it belongs to the home, which puts it on its own free list
 // after applying it (homeApply). Read Dep through &Dep.
@@ -102,12 +101,10 @@ type diffFlush struct {
 	Interval int32
 	Dep      vc.Sparse // per-page dependency: intervals that must be applied first
 	Diff     mem.Diff
-	// free marks, under checkAnswers, a record on a free list.
-	free bool
 }
 
 func newHLRCEngine(sys *System, self int) *hlrcEngine {
-	e := &hlrcEngine{}
+	e := &hlrcEngine{diffRecs: slab.NewFree[*diffFlush](maxDiffRecs)}
 	e.base.init(sys, self, e)
 	e.pages = slab.NewChunks[hlrcPage](sys.Space.NumPages())
 	return e
@@ -277,7 +274,10 @@ func (e *hlrcEngine) closeCommit() {
 		}
 		// A writer that is not the home fetched the page first, so its
 		// requirement vector exists.
-		df := e.takeDiffRec()
+		df, ok := e.diffRecs.Take()
+		if !ok {
+			df = new(diffFlush)
+		}
 		df.Page, df.Writer, df.Interval = pg, e.self, rec.Interval
 		df.Dep.CopyFrom(&m.seen)
 		e.pairs.Set(e.seenOf(m), e.self, rec.Interval)
@@ -287,30 +287,6 @@ func (e *hlrcEngine) closeCommit() {
 		}
 		e.diffTwin(pg, &df.Diff)
 		e.flushOwn(df)
-	}
-}
-
-// takeDiffRec returns a diff record from this node's free list, or a new
-// one when the list is empty.
-func (e *hlrcEngine) takeDiffRec() *diffFlush {
-	n := len(e.diffRecs)
-	if n == 0 {
-		return new(diffFlush)
-	}
-	df := e.diffRecs[n-1]
-	e.diffRecs[n-1] = nil
-	e.diffRecs = e.diffRecs[:n-1]
-	df.free = false
-	return df
-}
-
-// recycle puts an applied diff record on this node's free list, unless the
-// list is full; under checkAnswers it is marked, so applying it again
-// panics (homeApply).
-func (e *hlrcEngine) recycle(df *diffFlush) {
-	if len(e.diffRecs) < maxDiffRecs {
-		df.free = checkAnswers
-		e.diffRecs = append(e.diffRecs, df)
 	}
 }
 
@@ -425,9 +401,10 @@ func (e *hlrcEngine) applyDiffFlush(s *service) {
 }
 
 // homeApply applies df to the home's copy and recycles the record: from
-// here it is this node's to refill.
+// here it is this node's to refill. Under mem.CheckFrames a record already
+// on the free list, applied twice or recycled early, panics.
 func (e *hlrcEngine) homeApply(df *diffFlush) {
-	if checkAnswers && df.free {
+	if mem.CheckFrames && slab.Holds(&e.diffRecs, df) {
 		panic(fmt.Sprintf("core: node %d applying a recycled diff record (page %d, writer %d, interval %d)",
 			e.self, df.Page, df.Writer, df.Interval))
 	}
@@ -435,7 +412,7 @@ func (e *hlrcEngine) homeApply(df *diffFlush) {
 	df.Diff.Apply(p.Data)
 	e.pairs.RaiseTo(e.flushOf(df.Page), df.Writer, df.Interval)
 	e.event(trace.DiffApply, df.Page, df.Writer, int64(df.Diff.Words()))
-	e.recycle(df)
+	e.diffRecs.Put(df)
 }
 
 // homeDrain retries pending diffs, fetches, and local waiters for a page

@@ -1,6 +1,10 @@
 package mem
 
-import "slices"
+import (
+	"slices"
+
+	"gosvm/internal/slab"
+)
 
 // Pool recycles page frames (twins, fetch snapshots, dropped copies) and,
 // for ComputeDiffPooled and Release only, diff value backings: the
@@ -22,8 +26,8 @@ import "slices"
 //     GC like any other slice.
 type Pool struct {
 	pageWords int
-	pages     [][]float64 // page frames, len == pageWords
-	bufs      [][]float64 // diff value backings, cap <= pageWords
+	pages     slab.Free[[]float64] // page frames, len == pageWords
+	bufs      slab.Free[[]float64] // diff value backings, cap <= pageWords
 }
 
 // NewPool returns a pool for pages of pageWords words.
@@ -33,14 +37,11 @@ func NewPool(pageWords int) *Pool {
 
 // Free returns the lengths of the two free lists; how many frames a node
 // keeps is its owner's policy.
-func (p *Pool) Free() (frames, backings int) { return len(p.pages), len(p.bufs) }
+func (p *Pool) Free() (frames, backings int) { return p.pages.Len(), p.bufs.Len() }
 
 // GetPage returns a page-sized buffer with unspecified contents.
 func (p *Pool) GetPage() []float64 {
-	if n := len(p.pages); n > 0 {
-		b := p.pages[n-1]
-		p.pages[n-1] = nil
-		p.pages = p.pages[:n-1]
+	if b, ok := p.pages.Take(); ok {
 		return b
 	}
 	return make([]float64, p.pageWords)
@@ -49,7 +50,7 @@ func (p *Pool) GetPage() []float64 {
 // Clone returns a copy of the page src in a recycled buffer, or, when none
 // is free (and for a nil pool), in a new one allocated without zeroing.
 func (p *Pool) Clone(src []float64) []float64 {
-	if p == nil || len(p.pages) == 0 {
+	if p == nil || p.pages.Len() == 0 {
 		return slices.Clone(src)
 	}
 	return append(p.GetPage()[:0], src...)
@@ -60,16 +61,13 @@ func (p *Pool) PutPage(b []float64) {
 	if p == nil || len(b) != p.pageWords {
 		return
 	}
-	p.pages = append(p.pages, b)
+	p.pages.Put(b)
 }
 
 // getBuf returns a buffer of length n (n <= pageWords) with unspecified
 // contents, reusing a previous diff backing when one is free.
 func (p *Pool) getBuf(n int) []float64 {
-	if l := len(p.bufs); l > 0 {
-		b := p.bufs[l-1]
-		p.bufs[l-1] = nil
-		p.bufs = p.bufs[:l-1]
+	if b, ok := p.bufs.Take(); ok {
 		if cap(b) >= n {
 			return b[:n]
 		}
@@ -84,5 +82,5 @@ func (p *Pool) putBuf(b []float64) {
 	if p == nil || cap(b) == 0 || cap(b) > p.pageWords {
 		return
 	}
-	p.bufs = append(p.bufs, b)
+	p.bufs.Put(b)
 }

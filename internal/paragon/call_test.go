@@ -212,7 +212,7 @@ func TestDeadlockReportNamesProcAndChannel(t *testing.T) {
 }
 
 // A node that only receives one-way messages keeps at most maxFlights of
-// the flights they arrived in.
+// the flights they arrived in, each zeroed.
 func TestOneWayFlightsBounded(t *testing.T) {
 	const sends = 10000
 	k := sim.NewKernel()
@@ -232,13 +232,13 @@ func TestOneWayFlightsBounded(t *testing.T) {
 	if got != sends {
 		t.Fatalf("receiver serviced %d messages, want %d", got, sends)
 	}
-	n := 0
-	for f := m.Nodes[1].flights; f != nil; f = f.next {
-		n++
+	if n := m.Nodes[1].flights.Len(); n != maxFlights {
+		t.Fatalf("receiver holds %d flights after %d sends, want the bound %d", n, sends, maxFlights)
 	}
-	if n != m.Nodes[1].nflights || n != maxFlights {
-		t.Fatalf("receiver holds %d flights (counted %d) after %d sends, want the bound %d",
-			n, m.Nodes[1].nflights, sends, maxFlights)
+	for m.Nodes[1].flights.Len() > 0 {
+		if f, _ := m.Nodes[1].flights.Take(); *f != (flight{}) {
+			t.Fatalf("flight on the free list is not zeroed: %+v", *f)
+		}
 	}
 }
 

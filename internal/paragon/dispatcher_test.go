@@ -53,7 +53,7 @@ func TestDispatcherFIFO(t *testing.T) {
 		})
 		for i, mg := range msgs {
 			i := i
-			k.At(mg.at, func() { n.enqueue(Msg{Kind: i, Target: target}) })
+			k.At(mg.at, func() { n.receive(nil, Msg{Kind: i, Target: target}) })
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestDispatcherSteal(t *testing.T) {
 				n.CPU.Use(p, use, stats.CatCompute)
 				end = p.Now()
 			})
-			k.At(sim.Millisecond, func() { n.enqueue(Msg{Target: tc.target}) })
+			k.At(sim.Millisecond, func() { n.receive(nil, Msg{Target: tc.target}) })
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func TestDispatcherCrashStretchesService(t *testing.T) {
 		arrivals := []sim.Time{0, crashAt - 5*us, crashAt + 50*us, crashAt + 60*us}
 		for i, at := range arrivals {
 			i := i
-			k.At(at, func() { n.enqueue(Msg{Kind: i, Target: target}) })
+			k.At(at, func() { n.receive(nil, Msg{Kind: i, Target: target}) })
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"gosvm/internal/fault"
 	"gosvm/internal/sim"
+	"gosvm/internal/slab"
 	"gosvm/internal/stats"
 )
 
@@ -49,7 +50,7 @@ type Machine struct {
 func New(k *sim.Kernel, n int, costs Costs) *Machine {
 	m := &Machine{K: k, Costs: costs}
 	for i := 0; i < n; i++ {
-		nd := &Node{ID: i, M: m, Stats: &stats.Node{}}
+		nd := &Node{ID: i, M: m, Stats: &stats.Node{}, flights: slab.NewFree[*flight](maxFlights)}
 		nd.CPU = &CPU{node: nd}
 		nd.reply.owner = i
 		nd.compute.init(nd, true)
@@ -111,9 +112,8 @@ type Node struct {
 	compute dispatcher // requests serviced under a receive interrupt
 	coproc  dispatcher // the co-processor's polling dispatch loop
 
-	reply    Reply   // the port every Call on this node waits on
-	flights  *flight // free list of fired flights, for this node's sends
-	nflights int     // its length, at most maxFlights
+	reply   Reply              // the port every Call on this node waits on
+	flights slab.Free[*flight] // fired flights, for this node's sends
 }
 
 // InstallCompute sets the handler for messages targeted at the compute
@@ -216,11 +216,15 @@ func (n *Node) arrivalTime(to, size int, ordered bool) sim.Time {
 	return at
 }
 
-// enqueue hands a delivered message to the targeted dispatcher queue.
-// Every enqueued message is an unsolicited request this node must
-// service (replies bypass the dispatchers), so this is where the
-// hot-spot metric MsgsIn is counted.
-func (n *Node) enqueue(msg Msg) {
+// receive hands a message delivered at n to port when it answers a Call,
+// otherwise to the targeted dispatcher queue. Every enqueued message is an
+// unsolicited request this node must service (answers bypass the
+// dispatchers), so this is where the hot-spot metric MsgsIn is counted.
+func (n *Node) receive(port *Reply, msg Msg) {
+	if port != nil {
+		port.deliver(msg)
+		return
+	}
 	n.Stats.MsgsIn++
 	switch msg.Target {
 	case ToCompute:

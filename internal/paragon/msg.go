@@ -90,32 +90,23 @@ type flight struct {
 	to   *Node
 	port *Reply
 	msg  Msg
-	next *flight
 }
 
-// Fire delivers the message, and puts f on the receiving node's free list
-// unless that is full.
+// Fire puts f, zeroed, on the receiving node's free list, unless that is
+// full, and delivers the message.
 func (f *flight) Fire() {
 	to, port, msg := f.to, f.port, f.msg
-	if to.nflights < maxFlights {
-		*f = flight{next: to.flights} // drop the payload's references
-		to.flights, to.nflights = f, to.nflights+1
-	}
-	if port != nil {
-		port.deliver(msg)
-	} else {
-		to.enqueue(msg)
-	}
+	*f = flight{} // drop the payload's references
+	to.flights.Put(f)
+	to.receive(port, msg)
 }
 
 // post puts msg on the wire from n to node to, in a flight from n's free
 // list, for delivery after the wire time (FIFO per source/destination
 // pair).
 func (n *Node) post(to int, port *Reply, msg Msg) {
-	f := n.flights
-	if f != nil {
-		n.flights, n.nflights = f.next, n.nflights-1
-	} else {
+	f, ok := n.flights.Take()
+	if !ok {
 		f = new(flight)
 	}
 	*f = flight{to: n.M.Nodes[to], port: port, msg: msg}

@@ -3,6 +3,7 @@ package paragon
 import (
 	"gosvm/internal/fault"
 	"gosvm/internal/sim"
+	"gosvm/internal/slab"
 	"gosvm/internal/stats"
 )
 
@@ -39,8 +40,9 @@ type faultLayer struct {
 	inj *fault.Injector
 
 	// free holds the netMsgs no event names any more (see maybeRetire).
-	// It never holds more than were live at once at the peak.
-	free *netMsg
+	// It never holds more than were live at once at the peak, so it needs
+	// no bound.
+	free slab.Free[*netMsg]
 }
 
 // netMsg is one logical message in flight: the transport retransmits it
@@ -67,8 +69,6 @@ type netMsg struct {
 	// the requester's reply port (nil for a request).
 	msg  Msg
 	port *Reply
-
-	next *netMsg // on the free list
 }
 
 // arrival, ackArrival and retryTimer are the events posted for a netMsg:
@@ -112,25 +112,13 @@ func (fl *faultLayer) transmit(nm *netMsg) {
 	}
 }
 
-// deliver hands nm's payload to its destination: a request to the
-// targeted dispatcher, a response to the waiting reply port.
-func (fl *faultLayer) deliver(nm *netMsg) {
-	if nm.port != nil {
-		nm.port.deliver(nm.msg)
-		return
-	}
-	fl.m.Nodes[nm.dst].enqueue(nm.msg)
-}
-
 // send routes msg from n to node to through the faulty network — a
 // one-way message or request when port is nil, otherwise a response to
 // the requester's port: it fills a recycled netMsg, puts the first copy
 // on the wire and arms the retransmission timer.
 func (fl *faultLayer) send(n *Node, to int, msg Msg, port *Reply) {
-	nm := fl.free
-	if nm != nil {
-		fl.free = nm.next
-	} else {
+	nm, ok := fl.free.Take()
+	if !ok {
 		nm = new(netMsg)
 	}
 	*nm = netMsg{
@@ -152,8 +140,8 @@ func (fl *faultLayer) send(n *Node, to int, msg Msg, port *Reply) {
 // been processed, and its retry timer has had its last firing.
 func (fl *faultLayer) maybeRetire(nm *netMsg) {
 	if (nm.acked || nm.lost) && nm.inflight == 0 && nm.acks == 0 && !nm.armed {
-		*nm = netMsg{next: fl.free}
-		fl.free = nm
+		*nm = netMsg{}
+		fl.free.Put(nm)
 	}
 }
 
@@ -184,7 +172,7 @@ func (fl *faultLayer) arrive(nm *netMsg) {
 	}
 	nm.delivered = true
 	fl.sendAck(nm)
-	fl.deliver(nm)
+	fl.m.Nodes[nm.dst].receive(nm.port, nm.msg)
 	fl.maybeRetire(nm)
 }
 

@@ -153,7 +153,7 @@ func TestNetMsgsRecycled(t *testing.T) {
 			m.EnableFaults(fault.NewInjector(tc.plan))
 			fl := m.faults
 			for i := 0; i < msgs; i++ {
-				fl.free = &netMsg{next: fl.free}
+				fl.free.Put(new(netMsg))
 			}
 			delivered := 0
 			m.Nodes[1].InstallCoproc(func(Msg) (sim.Time, func()) { delivered++; return 0, nil })
@@ -171,15 +171,13 @@ func TestNetMsgsRecycled(t *testing.T) {
 				t.Fatalf("receiver serviced %d of %d messages (want %d), or the run missed what the case names",
 					delivered, msgs, tc.delivered)
 			}
-			n := 0
-			for nm := fl.free; nm != nil && n <= msgs; nm = nm.next {
-				if *nm != (netMsg{next: nm.next}) {
+			if n := fl.free.Len(); n != msgs {
+				t.Fatalf("free list holds %d netMsgs after the run, want all %d seeded (and none allocated)", n, msgs)
+			}
+			for fl.free.Len() > 0 {
+				if nm, _ := fl.free.Take(); *nm != (netMsg{}) {
 					t.Fatalf("netMsg on the free list is not zeroed: %+v", *nm)
 				}
-				n++
-			}
-			if n != msgs {
-				t.Fatalf("free list holds %d netMsgs after the run, want all %d seeded (and none allocated)", n, msgs)
 			}
 		})
 	}

@@ -11,10 +11,12 @@ import (
 	"gosvm/internal/sim"
 )
 
-// TestMain runs every serving test with the shared-frame
-// immutability check on (mem.CheckFrames): a home-state write that bypasses
-// hlrcEngine.homeWrite, or a reader writing through a frame it shares,
-// panics in the run that did it instead of corrupting another node's copy.
+// TestMain runs every serving test with the object-lifetime checks on
+// (mem.CheckFrames): a home-state write that bypasses hlrcEngine.homeWrite
+// or a reader writing through a frame it shares, an answer written into the
+// body of a Call that no longer waits, or a home applying a recycled diff
+// record panics in the run that did it instead of corrupting another node's
+// state.
 func TestMain(m *testing.M) {
 	mem.CheckFrames = true
 	os.Exit(m.Run())
