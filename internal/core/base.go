@@ -103,10 +103,15 @@ type base struct {
 	merged vc.VC
 }
 
+// lockState is one node's view of one lock. The manager forwards each
+// acquire to the previous requester, and that node asks again only after
+// its own acquire has returned: the forwarding chain is a distributed queue
+// with one waiter per holder, so a node has at most one request to pass the
+// token on to (waitFor).
 type lockState struct {
-	owner bool          // this node holds the lock token
-	held  bool          // the application is inside the critical section
-	queue []paragon.Msg // forwarded acquire requests awaiting our release
+	owner  bool        // this node holds the lock token
+	held   bool        // the application is inside the critical section
+	waiter paragon.Msg // the forwarded acquire awaiting our release; zero if none
 }
 
 func (b *base) init(sys *System, self int, co coherence) {
@@ -191,6 +196,28 @@ func (b *base) dataTarget() paragon.Target {
 // allocate) regardless of the host representation, so memory-triggered GC
 // behaves identically under vc.ForceDense.
 func (b *base) vecBytes() int64 { return int64(4 * b.sys.Opts.Machine.Nodes) }
+
+// vecOf returns v, one of the node's per-page vectors (HLRC's seen and flush
+// vectors, LRC's applied vectors), initialising it — all zeros — and charging
+// it to protocol memory while it is absent (Dim() == 0). It is initialised in
+// place, so its pairs grow in the node's pairs once however often it comes
+// back.
+func (b *base) vecOf(v *vc.Sparse) *vc.Sparse {
+	if v.Dim() == 0 {
+		b.st().MemAlloc(b.vecBytes())
+		v.Init(b.sys.Opts.Machine.Nodes)
+	}
+	return v
+}
+
+// vecOrNil reads a per-page vector: nil, the all-zero vector, while it is
+// absent.
+func vecOrNil(v *vc.Sparse) *vc.Sparse {
+	if v.Dim() == 0 {
+		return nil
+	}
+	return v
+}
 
 // wireVC reports whether write notices travel with their vector
 // timestamps. The homeless protocols need them to order diffs; the
@@ -355,8 +382,9 @@ func (b *base) postDiff(d *inflightDiff, body any) {
 }
 
 // finish is the wind-down both engines run after the worker: it waits out
-// every diff still on the co-processor and asserts that no page is dirty
-// and no lock held. inflight visits each used page's in-flight mark.
+// every diff still on the co-processor and asserts that no page is dirty,
+// no lock held and no lock request waiting. inflight visits each used page's
+// in-flight mark.
 func (b *base) finish(inflight func(visit func(page int, d *inflightDiff))) {
 	if len(b.dirty) > 0 {
 		panic(fmt.Sprintf("core: node %d finished with %d dirty pages (missing final barrier?)", b.self, len(b.dirty)))
@@ -367,6 +395,10 @@ func (b *base) finish(inflight func(visit func(page int, d *inflightDiff))) {
 	for l, ls := range b.locks {
 		if ls.held {
 			panic(fmt.Sprintf("core: node %d finished holding lock %d", b.self, l))
+		}
+		if ls.waiter.Body != nil {
+			panic(fmt.Sprintf("core: node %d finished with node %d's request waiting on lock %d",
+				b.self, ls.waiter.Body.(*lockReq).Requester, l))
 		}
 	}
 }
@@ -478,6 +510,23 @@ func (b *base) learn(recs []*IntervalRec, v vc.VC) sim.Time {
 	return cost
 }
 
+// invalidate delivers rec's write notice for page to this node's copy (under
+// HLRC, of a page it does not home) and returns the cost to charge. Most
+// notices are for pages this node never referenced: Peek, so they do not
+// materialize a page-table chunk each.
+func (b *base) invalidate(rec *IntervalRec, page int) sim.Time {
+	p := b.pt.Peek(page)
+	if p == nil || p.State == mem.Invalid {
+		return 0
+	}
+	if p.State == mem.ReadWrite {
+		panic(fmt.Sprintf("core: node %d noticed page %d mid-interval (notices arrive only at interval boundaries)", b.self, page))
+	}
+	p.State = mem.Invalid
+	b.event(trace.Invalidate, page, rec.Proc, 0)
+	return b.costs().PageInval
+}
+
 // applyGrant merges a grant or release payload on the application proc.
 func (b *base) applyGrant(g *grantInfo) {
 	b.use(b.learn(g.Intervals, g.VC), stats.CatProtocol)
@@ -553,30 +602,35 @@ func (b *base) Acquire(lock int) {
 	ls.held = true
 }
 
-// Release implements UNLOCK. If remote requests are queued, the release is
-// an interval boundary and the token moves to the head of the queue.
+// Release implements UNLOCK. If a remote request waits, the release is an
+// interval boundary and the token moves to the waiter.
 func (b *base) Release(lock int) {
 	ls := b.lockState(lock)
 	if !ls.held {
 		panic(fmt.Sprintf("core: node %d releasing lock %d it does not hold", b.self, lock))
 	}
 	ls.held = false
-	if len(ls.queue) == 0 {
+	if ls.waiter.Body == nil {
 		return // keep the token cached
 	}
 	b.closeIntervalOnApp()
 	b.use(b.costs().LockHandling, stats.CatProtocol)
-	head := ls.queue[0]
-	rest := ls.queue[1:]
-	ls.queue = nil
+	w := ls.waiter
+	ls.waiter = paragon.Msg{}
 	ls.owner = false
-	lr := head.Body.(*lockReq)
-	b.grantTo(head, lr)
-	// Any remaining queued requests chase the new owner.
-	b.st().Counts.LockForwards += int64(len(rest))
-	for _, m := range rest {
-		b.node.Send(lr.Requester, m)
+	b.grantTo(w, w.Body.(*lockReq))
+}
+
+// waitFor queues m, a forwarded acquire, for this node's release. A second
+// waiter means the manager forwarded to a node that is not the previous
+// requester, or a node asked again before its acquire returned.
+func (b *base) waitFor(ls *lockState, m paragon.Msg) {
+	if ls.waiter.Body != nil {
+		lr := m.Body.(*lockReq)
+		panic(fmt.Sprintf("core: node %d got node %d's acquire of lock %d while node %d's waits: the manager forwards each acquire to the previous requester, so a holder has one waiter",
+			b.self, lr.Requester, lr.Lock, ls.waiter.Body.(*lockReq).Requester))
 	}
+	ls.waiter = m
 }
 
 // grantTo sends the lock token plus coherence payload to the requester,
@@ -602,9 +656,9 @@ func (b *base) fillGrant(g *grantInfo, v vc.VC, gc bool, have vc.VC) {
 }
 
 // lockReq is a remote lock acquire: the requester's one body, base.lock.
-// It travels through the manager to the owner, possibly waits in the
-// owner's queue, and the owner that grants the lock writes the grant into
-// Grant and answers with a pointer to it.
+// It travels through the manager to the owner, possibly waits there as the
+// owner's one waiter, and the owner that grants the lock writes the grant
+// into Grant and answers with a pointer to it.
 type lockReq struct {
 	Lock      int
 	Requester int
@@ -673,8 +727,8 @@ func (b *base) applyLockFwd(s *service) {
 	lr := s.m.Body.(*lockReq)
 	ls := b.lockState(lr.Lock)
 	if !ls.owner || ls.held {
-		// Busy, or ownership still in flight: queue for our release.
-		ls.queue = append(ls.queue, s.m)
+		// Busy, or ownership still in flight: wait for our release.
+		b.waitFor(ls, s.m)
 		return
 	}
 	// Free: receiving a remote lock request ends the current interval.
@@ -690,7 +744,7 @@ func (b *base) applyLockFwd(s *service) {
 func (b *base) ownerReceives(m paragon.Msg, lr *lockReq) {
 	ls := b.lockState(lr.Lock)
 	if ls.held || !ls.owner {
-		ls.queue = append(ls.queue, m)
+		b.waitFor(ls, m)
 		return
 	}
 	if len(b.dirty) > 0 {
@@ -853,26 +907,27 @@ func (b *base) bmgrComplete() *grantInfo {
 // with (bmgrComplete, treeRootComplete). It logs every reported interval
 // record (reports carry each node's *own* intervals, so together they
 // cover everything; their notices reach this node with its own release)
-// and returns the merged clock (this node's, raised by every report's and
-// to every log tail; valid until the next call) with the GC decision on the
-// reports' protocol memory.
+// and returns the merged clock, this node's raised by every report's (valid
+// until the next call), with the GC decision: a homeless protocol collects
+// when some report's protocol memory is over Options.GCThreshold. The merged
+// clock covers every logged record: the clock covers those learned or
+// written here, and a report's clock the records it carries, which the
+// merge asserts.
 func (b *base) mergeReports(reps []*barrierReport) (vc.VC, bool) {
+	b.merged = append(b.merged[:0], b.clock...)
+	merged, gc := b.merged, false
 	for _, rep := range reps {
 		for _, rec := range rep.Recs {
+			if rec.Interval > rep.VC[rec.Proc] {
+				panic(fmt.Sprintf("core: node %d merging node %d's report, which carries interval %d of node %d past its clock's %d",
+					b.self, rep.Node, rec.Interval, rec.Proc, rep.VC[rec.Proc]))
+			}
 			b.insertLog(rec)
 		}
-	}
-	b.merged = append(b.merged[:0], b.clock...)
-	merged := b.merged
-	for _, rep := range reps {
 		merged.MaxWith(rep.VC)
+		gc = gc || rep.ProtoMem > b.sys.Opts.GCThreshold
 	}
-	for p := range b.log {
-		if n := len(b.log[p]); n > 0 && b.log[p][n-1].Interval > merged[p] {
-			merged[p] = b.log[p][n-1].Interval
-		}
-	}
-	return merged, b.sys.gcDecider != nil && b.sys.gcDecider(reps)
+	return merged, gc && !b.sys.homeBased
 }
 
 // wake unparks the application proc parked on *w, if any, and clears the

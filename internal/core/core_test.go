@@ -75,9 +75,12 @@ func counterApp(n int) *testApp {
 	}
 }
 
+// The 32- and 96-node inputs start every node's first acquire at the same
+// instant, so the manager forwards each to the previous requester down the
+// longest chains, one waiter per holder; 96 nodes also use the tree barrier.
 func TestLockedCounter(t *testing.T) {
 	const n = 8
-	forEachProto(t, []int{2, 4, 7}, func(t *testing.T, proto Protocol, p int) {
+	forEachProto(t, []int{2, 4, 7, 32, 96}, func(t *testing.T, proto Protocol, p int) {
 		res := runOrFail(t, testOpts(proto, p), counterApp(n))
 		want := float64(p * n)
 		if res.Data[0] != want {
@@ -302,28 +305,48 @@ func TestCausalChain(t *testing.T) {
 // --------------------------------------------------------------------------
 // Garbage collection correctness (homeless protocols).
 
+// Besides the striped pages every node writes each round, one solo page is
+// written each round by a writer that rotates over every node but the
+// page's home, node 0, and read by every node after the collection. The
+// home drops its seed copy at the first one, so every base copy of the solo
+// page comes from a hint. The solo write is an interval of its own, so its
+// writer is the next round's last writer of the striped pages although the
+// notices name a higher-numbered writer last: the fetches after that
+// collection follow hints only runGC set.
 func TestGCPreservesData(t *testing.T) {
 	for _, proto := range []Protocol{ProtoLRC, ProtoOLRC} {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
-			opts := testOpts(proto, 4)
+			const nodes, rounds = 4, 4
+			opts := testOpts(proto, nodes)
 			opts.GCThreshold = 1 // force GC at every barrier
 			app := &testApp{name: "gc"}
-			var addr mem.Addr
-			const words = 256
-			app.setup = func(s *Setup) { addr = s.Alloc(words) }
+			var addr, solo mem.Addr
+			const words, soloWords = 256, 64
+			var soloRead [nodes][rounds]float64 // each node's sum of the solo page, per round
+			app.setup = func(s *Setup) { addr, solo = s.Alloc(words), s.Alloc(soloWords) }
 			app.init = func(w *Init) {
 				for i := 0; i < words; i++ {
 					w.Store(addr+mem.Addr(i), 0)
 				}
+				w.SetHome(solo, soloWords, 0)
 			}
 			app.worker = func(c *Ctx, id int) {
-				for round := 0; round < 4; round++ {
-					c.Barrier(2 * round)
+				for round := 0; round < rounds; round++ {
+					c.Barrier(3 * round)
 					for i := id; i < words; i += c.Nodes() {
 						c.Store(addr+mem.Addr(i), c.Load(addr+mem.Addr(i))+float64(id+1))
 					}
-					c.Barrier(2*round + 1)
+					c.Barrier(3*round + 1)
+					if id == 1+round%(c.Nodes()-1) {
+						for i := 0; i < soloWords; i++ {
+							c.Store(solo+mem.Addr(i), float64(round+1))
+						}
+					}
+					c.Barrier(3*round + 2)
+					for i := 0; i < soloWords; i++ {
+						soloRead[id][round] += c.Load(solo + mem.Addr(i))
+					}
 				}
 				c.Barrier(100)
 			}
@@ -334,9 +357,16 @@ func TestGCPreservesData(t *testing.T) {
 			}
 			res := runOrFail(t, opts, app)
 			for i, v := range res.Data {
-				want := 4 * float64(i%4+1)
+				want := rounds * float64(i%nodes+1)
 				if v != want {
 					t.Fatalf("word %d = %v, want %v", i, v, want)
+				}
+			}
+			for id, sums := range soloRead {
+				for round, sum := range sums {
+					if want := float64(soloWords * (round + 1)); sum != want {
+						t.Fatalf("node %d read the solo page summing to %v after round %d, want %v", id, sum, round, want)
+					}
 				}
 			}
 			// GC must actually have run.

@@ -374,11 +374,11 @@ func TestRecoveryOnUnusedPages(t *testing.T) {
 			if n := res.Stats.Nodes[2].Counts; n.ReadMisses != 0 || n.WriteFaults != 0 {
 				t.Errorf("node 2 faulted (%d read misses, %d write faults): it was to stay a bystander", n.ReadMisses, n.WriteFaults)
 			}
-			if bystander.use != nil || bystander.seenOrNil().Get(1) < int32(rounds) {
-				t.Errorf("node 2's slot for x: use tier %+v, vector %v; want notices only, through node 1's interval %d", bystander.use, bystander.seenOrNil(), rounds)
+			if bystander.use != nil || vecOrNil(&bystander.seen).Get(1) < int32(rounds) {
+				t.Errorf("node 2's slot for x: use tier %+v, vector %v; want notices only, through node 1's interval %d", bystander.use, vecOrNil(&bystander.seen), rounds)
 			}
-			if victim.use != nil || victim.seenOrNil().Get(0) < int32(rounds) {
-				t.Errorf("node 1's slot for w: use tier %+v, vector %v; want notices only, through node 0's interval %d", victim.use, victim.seenOrNil(), rounds)
+			if victim.use != nil || vecOrNil(&victim.seen).Get(0) < int32(rounds) {
+				t.Errorf("node 1's slot for w: use tier %+v, vector %v; want notices only, through node 0's interval %d", victim.use, vecOrNil(&victim.seen), rounds)
 			}
 			if home.use == nil || home.use.flushVC.Get(1) < int32(rounds) {
 				t.Errorf("node 1's slot for x: use tier %+v; want the home's, flushed through its own interval %d", home.use, rounds)

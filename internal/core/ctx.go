@@ -30,9 +30,6 @@ func newCtx(sys *System, id int, p *sim.Proc) *Ctx {
 	}
 }
 
-// ID returns this processor's index.
-func (c *Ctx) ID() int { return c.id }
-
 // Nodes returns the machine size.
 func (c *Ctx) Nodes() int { return c.sys.Opts.Machine.Nodes }
 

@@ -28,12 +28,13 @@ func faultOpts(t *testing.T, proto Protocol, p int, profile string, seed int64) 
 // Every litmus app must still compute the right answer when the network
 // drops, duplicates, delays, and reorders messages: the reliability
 // transport has to make the faulty network indistinguishable from a slow
-// reliable one.
+// reliable one. At 32 and 96 nodes the counter's same-instant lock burst
+// runs down the longest forwarding chains, with the tree barrier at 96.
 func TestProtocolsSurviveFaultProfiles(t *testing.T) {
 	for _, profile := range []string{fault.ProfileLossy, fault.ProfileHostile} {
 		profile := profile
 		t.Run(profile, func(t *testing.T) {
-			forEachProto(t, []int{2, 4}, func(t *testing.T, proto Protocol, p int) {
+			forEachProto(t, []int{2, 4, 32, 96}, func(t *testing.T, proto Protocol, p int) {
 				const n = 6
 				res := runOrFail(t, faultOpts(t, proto, p, profile, 7), counterApp(n))
 				if want := float64(p * n); res.Data[0] != want {

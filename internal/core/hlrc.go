@@ -46,8 +46,8 @@ type hlrcPage struct {
 	// (from a home fetch): the "vector of lock timestamps" sent with fetch
 	// requests. It lives in the slot, which never moves (its first pair is
 	// inline, the rest grow in the node's pairs), and is absent — all-zero,
-	// Dim() == 0 — until seenOf initialises it; every other reader goes
-	// through seenOrNil.
+	// Dim() == 0 — until base.vecOf initialises it; every other reader goes
+	// through vecOrNil.
 	seen vc.Sparse
 	use  *hlrcUse
 }
@@ -112,41 +112,18 @@ func newHLRCEngine(sys *System, self int) *hlrcEngine {
 
 func (e *hlrcEngine) home(page int) int { return e.sys.homes[page] }
 
-// seenOf returns m's requirement vector, initialising it (and charging it
-// to protocol memory) on first use.
-func (e *hlrcEngine) seenOf(m *hlrcPage) *vc.Sparse {
-	if m.seen.Dim() == 0 {
-		e.st().MemAlloc(e.vecBytes())
-		m.seen.Init(e.sys.Opts.Machine.Nodes)
-	}
-	return &m.seen
-}
-
-// seenOrNil reads the requirement vector: nil, the all-zero vector, while
-// it is absent.
-func (m *hlrcPage) seenOrNil() *vc.Sparse {
-	if m.seen.Dim() == 0 {
-		return nil
-	}
-	return &m.seen
-}
-
 // useOf returns page's use-tier record, materializing it.
 func (e *hlrcEngine) useOf(page int) *hlrcUse { return e.uses.Lazy(&e.pages.At(page).use) }
 
-// flushOf returns page's flush vector, initialising it (and charging it to
-// protocol memory) while it is absent. It grows in the node's pairs.
+// flushOf returns page's flush vector, taking it from flushVecs and
+// initialising it (base.vecOf) while it is absent.
 func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
 	u := e.useOf(page)
 	if u.flushVC == nil {
-		e.st().MemAlloc(e.vecBytes())
 		u.flushVC = &e.flushVecs.Take(1)[0]
-		u.flushVC.Init(e.sys.Opts.Machine.Nodes)
 	}
-	return u.flushVC
+	return e.vecOf(u.flushVC)
 }
-
-func covers(v, need *vc.Sparse) bool { return v.Covers(need) }
 
 // ---------------------------------------------------------------------------
 // Faults
@@ -159,7 +136,7 @@ func (e *hlrcEngine) ReadFault(page int) {
 		// The home's copy is always present; an "invalid" state here just
 		// means required diffs are still in flight. Wait for coverage.
 		u := e.useOf(page)
-		for !covers(u.flushVC, m.seenOrNil()) {
+		for !u.flushVC.Covers(vecOrNil(&m.seen)) {
 			u.waiters = append(u.waiters, e.app())
 			e.app().ParkArg("hlrc home wait page", int64(page))
 		}
@@ -169,7 +146,7 @@ func (e *hlrcEngine) ReadFault(page int) {
 	}
 	req := &e.fetch
 	req.Page = page
-	req.Need.CopyFrom(m.seenOrNil())
+	req.Need.CopyFrom(vecOrNil(&m.seen))
 	resp := e.node.Call(e.app(), e.home(page), paragon.Msg{
 		Kind:   kFetchPage,
 		Size:   8 + e.clock.WireSize(),
@@ -183,7 +160,7 @@ func (e *hlrcEngine) ReadFault(page int) {
 	e.adoptShared(p, pr.Frame)
 	pr.Frame = nil
 	p.State = mem.ReadOnly
-	e.pairs.MaxWith(e.seenOf(m), &pr.Flush)
+	e.pairs.MaxWith(e.vecOf(&m.seen), &pr.Flush)
 	e.event(trace.PageFetch, page, e.home(page), 0)
 }
 
@@ -266,7 +243,7 @@ func (e *hlrcEngine) closeCommit() {
 		e.pt.Page(pg).State = mem.ReadOnly
 		m := e.pages.At(pg)
 		if e.home(pg) == e.self {
-			e.pairs.Set(e.seenOf(m), e.self, rec.Interval)
+			e.pairs.Set(e.vecOf(&m.seen), e.self, rec.Interval)
 			e.homeWrite(pg)
 			e.pairs.Set(e.flushOf(pg), e.self, rec.Interval)
 			e.homeDrain(pg)
@@ -280,7 +257,7 @@ func (e *hlrcEngine) closeCommit() {
 		}
 		df.Page, df.Writer, df.Interval = pg, e.self, rec.Interval
 		df.Dep.CopyFrom(&m.seen)
-		e.pairs.Set(e.seenOf(m), e.self, rec.Interval)
+		e.pairs.Set(e.vecOf(&m.seen), e.self, rec.Interval)
 		if e.overlapped {
 			e.postDiff(&e.useOf(pg).inflight, df)
 			continue
@@ -307,7 +284,7 @@ func (e *hlrcEngine) flushOwn(df *diffFlush) {
 // Write notices
 
 func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
-	seen := e.seenOf(e.pages.At(page))
+	seen := e.vecOf(&e.pages.At(page).seen)
 	e.pairs.RaiseTo(seen, rec.Proc, rec.Interval)
 	if e.home(page) == e.self {
 		// The home never discards its copy; accesses wait for coverage.
@@ -315,7 +292,7 @@ func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 		// the branch below (a known cost-model deviation, kept so
 		// simulated time does not move); only the first invalidation is
 		// traced.
-		if p := e.pt.Page(page); !covers(e.useOf(page).flushVC, seen) && p.State != mem.ReadWrite {
+		if p := e.pt.Page(page); !e.useOf(page).flushVC.Covers(seen) && p.State != mem.ReadWrite {
 			if p.State != mem.Invalid {
 				p.State = mem.Invalid
 				e.event(trace.Invalidate, page, rec.Proc, 0)
@@ -324,18 +301,7 @@ func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 		}
 		return 0
 	}
-	// Most notices are for pages this node never referenced: Peek, so
-	// they do not materialize a page-table chunk each.
-	p := e.pt.Peek(page)
-	if p == nil || p.State == mem.Invalid {
-		return 0
-	}
-	if p.State == mem.ReadWrite {
-		panic(fmt.Sprintf("core: node %d noticed page %d mid-interval (notices arrive only at interval boundaries)", e.self, page))
-	}
-	p.State = mem.Invalid
-	e.event(trace.Invalidate, page, rec.Proc, 0)
-	return e.costs().PageInval
+	return e.invalidate(rec, page)
 }
 
 func (e *hlrcEngine) onBarrierRelease(g *grantInfo) {
@@ -391,7 +357,7 @@ func (e *hlrcEngine) applyDiffFlush(s *service) {
 	df := s.m.Body.(*diffFlush)
 	page := df.Page
 	f := e.flushOf(page)
-	if !covers(f, &df.Dep) {
+	if !f.Covers(&df.Dep) {
 		u := e.useOf(page)
 		u.pendingDiff = append(u.pendingDiff, df)
 		return
@@ -423,7 +389,7 @@ func (e *hlrcEngine) homeDrain(page int) {
 	for progress := true; progress; {
 		progress = false
 		for i, df := range m.pendingDiff {
-			if df != nil && covers(f, &df.Dep) {
+			if df != nil && f.Covers(&df.Dep) {
 				m.pendingDiff[i] = nil
 				e.homeApply(df)
 				progress = true
@@ -441,7 +407,7 @@ func (e *hlrcEngine) homeDrain(page int) {
 	keep := m.pendingFetch[:0]
 	for _, req := range m.pendingFetch {
 		fr := req.Body.(*fetchPageReq)
-		if covers(f, &fr.Need) {
+		if f.Covers(&fr.Need) {
 			e.respondFetch(req, fr)
 		} else {
 			keep = append(keep, req)
@@ -449,7 +415,7 @@ func (e *hlrcEngine) homeDrain(page int) {
 	}
 	m.pendingFetch = keep
 
-	if len(m.waiters) > 0 && covers(f, e.pages.At(page).seenOrNil()) {
+	if len(m.waiters) > 0 && f.Covers(vecOrNil(&e.pages.At(page).seen)) {
 		for _, w := range m.waiters {
 			w.Unpark()
 		}
@@ -461,7 +427,7 @@ func (e *hlrcEngine) homeDrain(page int) {
 func (e *hlrcEngine) applyFetchPage(s *service) {
 	fr := s.m.Body.(*fetchPageReq)
 	pm := e.useOf(fr.Page)
-	if covers(pm.flushVC, &fr.Need) {
+	if pm.flushVC.Covers(&fr.Need) {
 		e.respondFetch(s.m, fr)
 		return
 	}

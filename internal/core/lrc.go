@@ -106,10 +106,9 @@ type lrcPage struct {
 type lrcUse struct {
 	// appliedVC[j] is the highest interval of writer j incorporated into
 	// the local Data copy. Absent (Dim() == 0) until a copy exists, and
-	// again once a collection drops the copy; appliedOf initialises it, in
-	// place, so its pairs grow in the node's pairs once however often the
-	// copy comes back. Homeless protocols carry these per-page vectors —
-	// part of their memory story.
+	// again once a collection drops the copy; base.vecOf initialises it.
+	// Homeless protocols carry these per-page vectors — part of their
+	// memory story.
 	appliedVC vc.Sparse
 	// pending is the own closed interval whose diff has not been created
 	// yet (lazy diffing); the twin is still alive.
@@ -135,15 +134,14 @@ type fetchDiffsReq struct {
 }
 
 // lrcFetchPageReq is a full-copy request, the requester's
-// lrcEngine.pageReq. The holder answers with a snapshot of its copy in
-// Data, which the requester adopts (clearing it), and the intervals the
-// copy reflects in AppliedVC, filled in place (vc.Sparse.CopyFrom) and read
-// through &AppliedVC; or, holding no copy, with Data nil and Hint, where
-// to retry.
+// lrcEngine.pageReq, sent to the page's hinted holder (holderOf), which
+// always holds a copy. It answers with a snapshot of its copy in Data, which
+// the requester adopts (clearing it), and the intervals the copy reflects
+// in AppliedVC, filled in place (vc.Sparse.CopyFrom) and read through
+// &AppliedVC.
 type lrcFetchPageReq struct {
 	Page      int
 	Data      []float64
-	Hint      int
 	AppliedVC vc.Sparse
 }
 
@@ -163,17 +161,6 @@ func newLRCEngine(sys *System, self int) *lrcEngine {
 	}
 	e.base.init(sys, self, e)
 	e.pages = slab.NewChunks[lrcPage](sys.Space.NumPages())
-	if self == barrierManager {
-		thr := sys.Opts.GCThreshold
-		sys.gcDecider = func(reports []*barrierReport) bool {
-			for _, rep := range reports {
-				if rep.ProtoMem > thr {
-					return true
-				}
-			}
-			return false
-		}
-	}
 	return e
 }
 
@@ -181,7 +168,12 @@ func newLRCEngine(sys *System, self int) *lrcEngine {
 func (e *lrcEngine) useOf(page int) *lrcUse { return e.uses.Lazy(&e.pages.At(page).use) }
 
 // holderOf resolves the copy-holder hint for page: the recorded holder,
-// or the page's home while no hint has been recorded.
+// or the page's home while no hint has been recorded. The hint always names
+// a node with a copy. A copy is dropped only in runGC, which re-points every
+// node's hint at the page's last writer, the node that keeps its copy;
+// between collections a hint is set only to a writer (noticePage), which
+// keeps its copy until the next collection, or to the node a copy came from
+// (fetchBaseCopy).
 func (e *lrcEngine) holderOf(page int) int {
 	if h := e.pages.At(page).holder; h != 0 {
 		return int(h) - 1
@@ -233,7 +225,7 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 		e.fetchBaseCopy(page, waitCat)
 		p = e.pt.Page(page)
 	}
-	applied := e.appliedOf(u)
+	applied := e.vecOf(&u.appliedVC)
 
 	// Discard notices already reflected in the base copy.
 	live := m.wns[:0]
@@ -326,58 +318,30 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 	m.dropWNs()
 }
 
-// fetchBaseCopy obtains a full page copy, chasing holder hints.
+// fetchBaseCopy obtains a full page copy in one Call to the hinted holder
+// (holderOf).
 func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 	m := e.pages.At(page)
 	holder := e.holderOf(page)
 	req := &e.pageReq
-	for tries := 0; ; tries++ {
-		if tries > 2*e.sys.Opts.Machine.Nodes {
-			panic(fmt.Sprintf("core: node %d cannot locate a copy of page %d", e.self, page))
-		}
-		req.Page = page
-		t0 := e.app().Now()
-		resp := e.node.Call(e.app(), holder, paragon.Msg{
-			Kind:   kFetchPage,
-			Size:   8,
-			Class:  stats.ClassProtocol,
-			Target: e.dataTarget(),
-			Body:   req,
-		})
-		e.st().Add(waitCat, e.app().Now()-t0)
-		pr := resp.Body.(*lrcFetchPageReq)
-		if pr.Data == nil {
-			holder = pr.Hint
-			continue
-		}
-		e.adopt(e.pt.Page(page), &pr.Data)
-		// appliedVC is absent whenever Data is nil (GC drops them
-		// together), so merging into the zero vector equals replacement.
-		e.pairs.MaxWith(e.appliedOf(m.use), &pr.AppliedVC)
-		m.holder = int32(holder) + 1
-		e.event(trace.PageFetch, page, holder, 0)
-		return
-	}
-}
-
-// appliedOf returns u's applied-interval vector, initialising it (all
-// zeros: the seed image reflects no intervals) and charging it to protocol
-// memory while it is absent.
-func (e *lrcEngine) appliedOf(u *lrcUse) *vc.Sparse {
-	if u.appliedVC.Dim() == 0 {
-		e.st().MemAlloc(e.vecBytes())
-		u.appliedVC.Init(e.sys.Opts.Machine.Nodes)
-	}
-	return &u.appliedVC
-}
-
-// appliedOrNil reads the applied vector: nil, the all-zero vector, while it
-// is absent.
-func (u *lrcUse) appliedOrNil() *vc.Sparse {
-	if u.appliedVC.Dim() == 0 {
-		return nil
-	}
-	return &u.appliedVC
+	req.Page = page
+	t0 := e.app().Now()
+	resp := e.node.Call(e.app(), holder, paragon.Msg{
+		Kind:   kFetchPage,
+		Size:   8,
+		Class:  stats.ClassProtocol,
+		Target: e.dataTarget(),
+		Body:   req,
+	})
+	e.st().Add(waitCat, e.app().Now()-t0)
+	pr := resp.Body.(*lrcFetchPageReq)
+	e.adopt(e.pt.Page(page), &pr.Data)
+	// appliedVC is absent whenever Data is nil (GC drops them together), so
+	// merging into the zero vector (the seed image reflects no intervals)
+	// equals replacement.
+	e.pairs.MaxWith(e.vecOf(&m.use.appliedVC), &pr.AppliedVC)
+	m.holder = int32(holder) + 1
+	e.event(trace.PageFetch, page, holder, 0)
 }
 
 // commitOwnDiff materializes the lazy diff of a previously closed interval
@@ -451,7 +415,7 @@ func (e *lrcEngine) closeCommit() {
 			m.pending = rec
 		}
 		// Our copy now reflects our own new interval.
-		e.pairs.Set(e.appliedOf(m), e.self, rec.Interval)
+		e.pairs.Set(e.vecOf(&m.appliedVC), e.self, rec.Interval)
 	}
 }
 
@@ -463,15 +427,7 @@ func (e *lrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 	m.wns = e.wnRuns.Push(m.wns, pageWN{rec: rec})
 	e.st().MemAlloc(wnEntryBytes)
 	m.holder = int32(rec.Proc) + 1 // last-writer hint
-	// Most notices are for pages this node never referenced: Peek, so
-	// they do not materialize a page-table chunk each.
-	p := e.pt.Peek(page)
-	if p == nil || p.State == mem.Invalid {
-		return 0
-	}
-	p.State = mem.Invalid
-	e.event(trace.Invalidate, page, rec.Proc, 0)
-	return e.costs().PageInval
+	return e.invalidate(rec, page)
 }
 
 func (e *lrcEngine) onBarrierRelease(g *grantInfo) {
@@ -682,24 +638,18 @@ func (e *lrcEngine) serveDiffs(m paragon.Msg) {
 	})
 }
 
-// applyFetchPage serves a full-copy request, or redirects to a better
-// holder when this node dropped its copy at GC, in the request's body. It
-// takes no work.
+// applyFetchPage serves a full-copy request in the request's body. A hint
+// names only a node holding a copy (holderOf), so one without a copy
+// panics. It takes no work.
 func (e *lrcEngine) applyFetchPage(s *service) {
 	req := s.m.Body.(*lrcFetchPageReq)
 	e.claimBody(s.m)
 	p := e.pt.Page(req.Page)
 	if p.Data == nil {
-		req.Data, req.Hint = nil, e.holderOf(req.Page)
-		e.node.Respond(s.m, paragon.Msg{
-			Kind:  kFetchPage,
-			Size:  12,
-			Class: stats.ClassProtocol,
-			Body:  req,
-		})
-		return
+		panic(fmt.Sprintf("core: node %d asked for a copy of page %d it does not hold (a hint must name a holder: runGC re-points every hint at the page's last writer)",
+			e.self, req.Page))
 	}
-	avc := e.useOf(req.Page).appliedOrNil()
+	avc := vecOrNil(&e.useOf(req.Page).appliedVC)
 	req.Data = e.snapshot(p)
 	req.AppliedVC.CopyFrom(avc)
 	e.node.Respond(s.m, paragon.Msg{
@@ -710,8 +660,7 @@ func (e *lrcEngine) applyFetchPage(s *service) {
 	})
 }
 
-// Finish runs the shared wind-down (base.finish) and asserts that no lock
-// request is left queued here.
+// Finish runs the shared wind-down (base.finish).
 func (e *lrcEngine) Finish() {
 	e.finish(func(visit func(int, *inflightDiff)) {
 		e.pages.Each(func(pg int, m *lrcPage) {
@@ -720,9 +669,4 @@ func (e *lrcEngine) Finish() {
 			}
 		})
 	})
-	for l, ls := range e.locks {
-		if len(ls.queue) > 0 {
-			panic(fmt.Sprintf("core: node %d finished with %d queued requests on lock %d", e.self, len(ls.queue), l))
-		}
-	}
 }

@@ -96,9 +96,6 @@ type System struct {
 	traceLog *trace.Log
 	untraced []bool
 
-	// gcDecider, when non-nil, inspects barrier reports and decides
-	// whether this barrier triggers garbage collection.
-	gcDecider func(reports []*barrierReport) bool
 	// onBarrier is invoked (scheduler context) after each completed
 	// barrier episode, for phase capture.
 	onBarrier func(episode int)

@@ -50,7 +50,7 @@ func install(e *hlrcEngine, h func(*service) paragon.Handler) {
 // and a notice to a home that applied no diff yet invalidates (traced once:
 // a second notice finds the page already Invalid).
 // Beside each, the protocol-memory charge for the vector: made by the first
-// seenOf of a (node, page) and by nothing after it.
+// vecOf of a (node, page) and by nothing after it.
 //
 // Four pages homed at node 0 of a 3-node machine; simulated time orders the
 // steps, the one barrier closes the run.
@@ -100,10 +100,10 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 						got.noticeCharge = e.st().ProtoMem - mem0
 						e.noticePage(&IntervalRec{Proc: 2, Interval: 2}, pgNote)
 						got.renote = e.st().ProtoMem - mem0
-						got.noticedTo = e.pages.At(pgNote).seenOrNil().Get(2)
+						got.noticedTo = vecOrNil(&e.pages.At(pgNote).seen).Get(2)
 						// closeCommit: the home's first write to a page it never
 						// had a notice for; the barrier below closes it.
-						got.writerSeenBeforeClose = e.pages.At(pgWrite).seenOrNil()
+						got.writerSeenBeforeClose = vecOrNil(&e.pages.At(pgWrite).seen)
 						c.Store(base+mem.Addr(words+1), 7)
 						// homeDrain: wait on a page with no vector until node 1
 						// drains it.
@@ -117,7 +117,7 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 						mem0 := e.st().ProtoMem
 						c.Load(base)
 						got.readCharge = e.st().ProtoMem - mem0
-						got.readerSeenAfter = e.pages.At(pgRead).seenOrNil()
+						got.readerSeenAfter = vecOrNil(&e.pages.At(pgRead).seen)
 						c.FreshRead(base)
 						got.reCharge = e.st().ProtoMem - mem0
 						c.Compute(sim.Millisecond)

@@ -89,6 +89,7 @@ func TestSharedPageLifecycle(t *testing.T) {
 		t.Fatalf("diff of %d words, frame word %v; want exactly the one store and the frame still 5", d.Words(), f2.Words[0])
 	}
 	mustPanic(t, "Adopt over a shared twin", func() { p.Adopt(f2, pool) })
+	mustPanic(t, "MakeTwin over a live twin", func() { p.MakeTwin(pool) })
 	p.DropTwin(pool)
 	if f, _ := p.Shared(); f != nil || p.Twin != nil || p.Data[0] != 50 {
 		t.Fatalf("after DropTwin: frame %p twin %v data %v; want private data only", f, p.Twin, p.Data)

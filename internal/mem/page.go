@@ -107,21 +107,19 @@ func (p *Page) Adopt(f *Frame, pool *Pool) {
 
 // MakeTwin snapshots the current page contents as the twin, one page copy
 // either way: a private Data is copied into a twin drawn from pool (nil pool
-// allocates); a shared one becomes the twin as it is, and Data the copy.
+// allocates); a shared one becomes the twin as it is, and Data the copy. The
+// page has no twin: the diff that closed the previous interval dropped it.
 func (p *Page) MakeTwin(pool *Pool) {
 	switch {
 	case p.Data == nil:
 		panic("mem: twin of a page with no copy")
-	case p.frame != nil && !p.twinShared:
-		pool.PutPage(p.Twin)
+	case p.Twin != nil:
+		panic("mem: twin retaken over a live twin (its interval's diff was never made)")
+	case p.frame != nil:
 		p.Twin, p.twinShared = p.Data, true
 		p.Data = pool.Clone(p.Twin)
-	case p.Twin == nil:
-		p.Twin = pool.Clone(p.Data)
-	case p.twinShared:
-		panic("mem: twin retaken over a shared frame")
 	default:
-		copy(p.Twin, p.Data)
+		p.Twin = pool.Clone(p.Data)
 	}
 }
 
