@@ -43,7 +43,7 @@ loc:
 # count as covered when any package's tests reach them. Report-only, like
 # loc; a branch no test reaches is either a test to write or a path to
 # delete.
-COVER_PKGS = gosvm/internal/core,gosvm/internal/mem,gosvm/internal/paragon,gosvm/internal/sim,gosvm/internal/vc
+COVER_PKGS = gosvm/internal/core,gosvm/internal/fault,gosvm/internal/mem,gosvm/internal/paragon,gosvm/internal/serve,gosvm/internal/sim,gosvm/internal/slab,gosvm/internal/stats,gosvm/internal/trace,gosvm/internal/vc
 cover:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		if ! $(GO) test -count=1 -coverpkg=$(COVER_PKGS) -coverprofile="$$tmp/cover.out" ./... > "$$tmp/test.log" 2>&1; then \

@@ -59,9 +59,14 @@ func (m *MachineFlags) addShape(fs *flag.FlagSet, defPage int) {
 }
 
 // Shape returns the size-independent machine configuration (topology,
-// cost profile). Nodes is left zero so sweep tools can stamp it per cell.
+// cost profile) after checking -page, which must be a positive multiple
+// of 8 (whole words). Nodes is left zero so sweep tools can stamp it per
+// cell.
 func (m *MachineFlags) Shape() (core.Machine, error) {
 	var mc core.Machine
+	if m.Page <= 0 || m.Page%8 != 0 {
+		return mc, fmt.Errorf("bad -page %d: want a positive multiple of 8 bytes", m.Page)
+	}
 	if m.Topology != "" {
 		t, err := core.ParseTopology(m.Topology)
 		if err != nil {
@@ -85,6 +90,9 @@ func (m *MachineFlags) Machine() (core.Machine, error) {
 	mc, err := m.Shape()
 	if err != nil {
 		return mc, err
+	}
+	if m.Procs < 1 {
+		return mc, fmt.Errorf("bad -procs %d: want at least 1 node", m.Procs)
 	}
 	mc.Nodes = m.Procs
 	return mc, nil

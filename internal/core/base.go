@@ -191,10 +191,9 @@ func (b *base) dataTarget() paragon.Target {
 	return paragon.ToCompute
 }
 
-// vecBytes is the protocol-memory charge for one per-page vector. The
-// accounting models the dense reservation (as the paper's prototypes
-// allocate) regardless of the host representation, so memory-triggered GC
-// behaves identically under vc.ForceDense.
+// vecBytes is the protocol-memory charge for one per-page vector: the dense
+// reservation the paper's prototypes allocate, 4 bytes per node, whatever
+// the sparse vector holds.
 func (b *base) vecBytes() int64 { return int64(4 * b.sys.Opts.Machine.Nodes) }
 
 // vecOf returns v, one of the node's per-page vectors (HLRC's seen and flush

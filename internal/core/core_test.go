@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"gosvm/internal/fault"
@@ -763,6 +764,68 @@ func TestMissingFinalBarrierPanics(t *testing.T) {
 		}
 	}()
 	_, _ = Run(testOpts(ProtoHLRC, 2), app, false)
+}
+
+// An access past the allocated shared space panics naming the node, the
+// address and the allocated page count, under every protocol, before the
+// engine sees the fault. The app allocates 16 words, one 64-word page; the
+// range accesses start inside it and run into the next page.
+func TestAccessOutsideSharedSpacePanics(t *testing.T) {
+	accesses := []struct {
+		name  string
+		addr  mem.Addr // the first word outside the allocated page
+		touch func(c *Ctx, base mem.Addr)
+	}{
+		{"load", 100000, func(c *Ctx, base mem.Addr) { c.Load(base + 100000) }},
+		{"store", 100000, func(c *Ctx, base mem.Addr) { c.Store(base+100000, 1) }},
+		{"read-range", 64, func(c *Ctx, base mem.Addr) { c.ReadRange(base+8, make([]float64, 100)) }},
+		{"write-range", 64, func(c *Ctx, base mem.Addr) { c.WriteRange(base+8, make([]float64, 100)) }},
+	}
+	for _, proto := range append([]Protocol{ProtoSeq}, Protocols...) {
+		for _, ac := range accesses {
+			t.Run(fmt.Sprintf("%s/%s", proto, ac.name), func(t *testing.T) {
+				opts := testOpts(proto, 2)
+				if proto == ProtoSeq {
+					opts.Machine.Nodes = 1
+				}
+				last := opts.Machine.Nodes - 1
+				var base mem.Addr
+				app := &testApp{
+					name:  "outside",
+					setup: func(s *Setup) { base = s.Alloc(16) },
+					init:  func(w *Init) {},
+					worker: func(c *Ctx, id int) {
+						if id == last {
+							ac.touch(c, base)
+						}
+						c.Barrier(0)
+					},
+					gather: func(c *Ctx) []float64 { return nil },
+				}
+				want := fmt.Sprintf("core: node %d accessed address %d on page %d, outside the 1 allocated pages",
+					last, base+ac.addr, (base+ac.addr)/64)
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, want) {
+						t.Fatalf("the run panicked with %q, want %q", msg, want)
+					}
+				}()
+				_, _ = Run(opts, app, false)
+			})
+		}
+	}
+}
+
+// A page size that is not a whole number of words is an error from Run,
+// not a panic.
+func TestBadPageBytesIsAnError(t *testing.T) {
+	for _, page := range []int{100, 12, -8} {
+		opts := testOpts(ProtoHLRC, 2)
+		opts.PageBytes = page
+		_, err := Run(opts, counterApp(1), false)
+		if want := fmt.Sprintf("PageBytes=%d", page); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("PageBytes %d: Run returned %v, want an error naming %s", page, err, want)
+		}
+	}
 }
 
 // --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"gosvm/internal/mem"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
@@ -30,6 +32,17 @@ func newCtx(sys *System, id int, p *sim.Proc) *Ctx {
 	}
 }
 
+// allocated panics unless page pg, on which an access to a faulted, is
+// inside the allocated shared space. A page outside it is never valid, so
+// every access there faults and a hit pays nothing for the check; the
+// panic comes before the engine sees the fault.
+func (c *Ctx) allocated(a mem.Addr, pg int) {
+	if n := c.sys.Space.NumPages(); pg >= n {
+		panic(fmt.Sprintf("core: node %d accessed address %d on page %d, outside the %d allocated pages",
+			c.id, a, pg, n))
+	}
+}
+
 // Nodes returns the machine size.
 func (c *Ctx) Nodes() int { return c.sys.Opts.Machine.Nodes }
 
@@ -46,6 +59,7 @@ func (c *Ctx) Load(a mem.Addr) float64 {
 	pg := int(int64(a) / int64(c.pw))
 	p := c.pt.Page(pg)
 	if p.State == mem.Invalid {
+		c.allocated(a, pg)
 		c.eng.ReadFault(pg)
 	}
 	return p.Data[int(int64(a)%int64(c.pw))]
@@ -56,6 +70,7 @@ func (c *Ctx) Store(a mem.Addr, v float64) {
 	pg := int(int64(a) / int64(c.pw))
 	p := c.pt.Page(pg)
 	if p.State != mem.ReadWrite {
+		c.allocated(a, pg)
 		c.eng.WriteFault(pg)
 	}
 	p.Data[int(int64(a)%int64(c.pw))] = v
@@ -76,6 +91,7 @@ func (c *Ctx) ReadRange(a mem.Addr, dst []float64) {
 		off := int(int64(a) % int64(c.pw))
 		p := c.pt.Page(pg)
 		if p.State == mem.Invalid {
+			c.allocated(a, pg)
 			c.eng.ReadFault(pg)
 		}
 		n := copy(dst, p.Data[off:])
@@ -91,6 +107,7 @@ func (c *Ctx) WriteRange(a mem.Addr, src []float64) {
 		off := int(int64(a) % int64(c.pw))
 		p := c.pt.Page(pg)
 		if p.State != mem.ReadWrite {
+			c.allocated(a, pg)
 			c.eng.WriteFault(pg)
 		}
 		n := copy(p.Data[off:], src)

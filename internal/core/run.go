@@ -137,6 +137,9 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	if err := opts.Machine.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.PageBytes <= 0 || opts.PageBytes%8 != 0 {
+		return nil, fmt.Errorf("core: PageBytes=%d is not a positive multiple of 8", opts.PageBytes)
+	}
 	n := opts.Machine.Nodes
 	if opts.Protocol == ProtoSeq && n != 1 {
 		return nil, fmt.Errorf("core: sequential runs require Machine.Nodes=1, got %d", n)

@@ -12,6 +12,16 @@ func treeOpts(proto Protocol, p, radix int) Options {
 	return o
 }
 
+// fingerprint renders every observable of a run — elapsed time, gathered
+// data, and the complete per-node statistics — into one comparable string.
+func fingerprint(res *Result) string {
+	out := fmt.Sprintf("elapsed=%d data=%v\n", res.Stats.Elapsed, res.Data)
+	for i, nd := range res.Stats.Nodes {
+		out += fmt.Sprintf("node%d=%+v\n", i, *nd)
+	}
+	return out
+}
+
 // TestTreeBarrierMatchesCentral runs the same applications under the
 // centralized and the tree barrier. The algorithms exchange the same
 // coherence information over different message patterns, so the gathered

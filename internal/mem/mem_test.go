@@ -93,24 +93,11 @@ func TestTableGrowth(t *testing.T) {
 	}
 }
 
-func TestMaterialize(t *testing.T) {
-	s := NewSpace(64)
-	tb := NewTable(s)
-	p := tb.Materialize(2)
-	if len(p.Data) != 8 {
-		t.Fatalf("data len = %d, want 8", len(p.Data))
-	}
-	p.Data[3] = 7
-	tb.Materialize(2) // idempotent
-	if tb.Page(2).Data[3] != 7 {
-		t.Fatal("Materialize clobbered existing data")
-	}
-}
-
 func TestTwinLifecycle(t *testing.T) {
 	s := NewSpace(64)
 	tb := NewTable(s)
-	p := tb.Materialize(0)
+	p := tb.Page(0)
+	p.Data = make([]float64, s.PageWords)
 	p.Data[1] = 42
 	p.MakeTwin(nil)
 	p.Data[1] = 43

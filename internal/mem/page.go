@@ -77,15 +77,6 @@ func (t *Table) Page(id int) *Page {
 	return t.At(id)
 }
 
-// Materialize ensures the page has a zeroed local copy, returning it.
-func (t *Table) Materialize(id int) *Page {
-	p := t.Page(id)
-	if p.Data == nil {
-		p.Data = make([]float64, t.Space.PageWords)
-	}
-	return p
-}
-
 // Shared returns the frame the page's copy aliases, and whether the alias
 // is its twin rather than its data; nil when both are private.
 func (p *Page) Shared() (f *Frame, twin bool) { return p.frame, p.twinShared }

@@ -85,7 +85,8 @@ func TestPooledDiffReuseExactness(t *testing.T) {
 func TestTwinPooling(t *testing.T) {
 	pool := NewPool(8)
 	tb := NewTable(NewSpace(64)) // 8 words
-	p := tb.Materialize(0)
+	p := tb.Page(0)
+	p.Data = make([]float64, 8)
 	p.Data[2] = 7
 	p.MakeTwin(pool)
 	twin0 := p.Twin

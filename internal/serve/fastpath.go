@@ -140,13 +140,7 @@ func (kv *KV) seqGet(c *core.Ctx, id int, key int32) bool {
 // either). On success the scanned count is charged like the locked
 // path.
 func (kv *KV) seqScan(c *core.Ctx, id int, r *Req, scratch []float64) bool {
-	sh := int(kv.keyShard[r.Key])
-	start := int(kv.keySlot[r.Key])
-	n := scanLen
-	if max := int(kv.shardLen[sh]) - start; n > max {
-		n = max
-	}
-	base := kv.shardBase[sh] + mem.Addr(start*kv.slotWords)
+	base, n := kv.scanSpan(r.Key)
 	for try := 0; ; try++ {
 		if n > 0 {
 			if !c.FreshRead(base) {
@@ -175,6 +169,15 @@ func (kv *KV) seqScan(c *core.Ctx, id int, r *Req, scratch []float64) bool {
 	}
 }
 
+// scanSpan returns the first slot address and the slot count of a scan
+// starting at key: up to scanLen slots, clipped at the end of the key's
+// shard.
+func (kv *KV) scanSpan(key int32) (base mem.Addr, n int) {
+	sh := int(kv.keyShard[key])
+	start := int(kv.keySlot[key])
+	return kv.shardBase[sh] + mem.Addr(start*kv.slotWords), min(scanLen, int(kv.shardLen[sh])-start)
+}
+
 // applyLocked executes one request inside an already-held critical
 // section. With the seqlock layout a put cycles the slot's version word
 // odd before the mutation and even after it, publishing the
@@ -201,14 +204,8 @@ func (kv *KV) applyLocked(c *core.Ctx, id int, r *Req, scratch []float64) {
 		}
 		kv.ops[id][1]++
 	case OpScan:
-		sh := int(kv.keyShard[r.Key])
-		start := int(kv.keySlot[r.Key])
-		n := scanLen
-		if max := int(kv.shardLen[sh]) - start; n > max {
-			n = max
-		}
+		base, n := kv.scanSpan(r.Key)
 		if n > 0 {
-			base := kv.shardBase[sh] + mem.Addr(start*kv.slotWords)
 			if kv.slotWords == 2 {
 				for j := 0; j < n; j++ {
 					scratch[j] = c.Load(base + mem.Addr(2*j))

