@@ -23,10 +23,15 @@ type coherence interface {
 	// write notices, and performs update propagation. It must be called
 	// exactly once per closeCost, after the cost has been charged.
 	closeCommit()
-	// noticePage integrates one incoming write notice: invalidate local
-	// copies and record protocol-specific per-page state. Returns the
+	// noticePage integrates one incoming write notice for a page that
+	// takes notices eagerly (base.eager): charge it, invalidate the local
+	// copy and record protocol-specific per-page state. Returns the
 	// invalidation cost to charge.
 	noticePage(rec *IntervalRec, page int) sim.Time
+	// foldNotice records a deferred notice in the page's slot as noticePage
+	// would have, without its charge (learn made it) or an invalidation
+	// (the page has no copy).
+	foldNotice(rec *IntervalRec, page int)
 	// onBarrierRelease runs protocol-specific end-of-barrier work on the
 	// application proc (GC for the homeless protocols, log pruning for
 	// the home-based ones).
@@ -65,6 +70,23 @@ type base struct {
 	// pairs is where this node's per-page vectors grow: HLRC's seen and
 	// flush vectors, LRC's applied vectors (vc.Arena).
 	pairs vc.Arena
+
+	// eager marks the pages that take write notices as they arrive: the
+	// ones this node homes, from the start, and each page from its first
+	// fault on (resolve). A notice for any other page has nothing to
+	// invalidate, and only the page's first fault reads it, so learn
+	// defers it: the record joins deferred, in delivery order, and the
+	// page's slot is built from it at that fault or at the next fold.
+	// deferredPairs counts the (record, page) pairs in deferred, scanned
+	// those resolve has walked since the last fold (foldEvery).
+	eager         pageSet
+	deferred      recBlocks
+	deferredPairs int
+	scanned       int
+	// charged marks the pages whose requirement vector a deferred notice
+	// has charged (HLRC: base.vecBytes at a page's first notice); nil under
+	// LRC, which charges wnEntryBytes for every notice instead.
+	charged pageSet
 
 	locks map[int]*lockState
 	// lockStates backs the records locks points to.
@@ -122,6 +144,7 @@ func (b *base) init(sys *System, self int, co coherence) {
 	b.overlapped = sys.Opts.Overlapped()
 	b.clock = vc.New(sys.Opts.Machine.Nodes)
 	b.pt = sys.Tables[self]
+	b.eager, b.charged = sys.pageSets(self)
 	b.log = make([][]*IntervalRec, sys.Opts.Machine.Nodes)
 	b.locks = make(map[int]*lockState)
 	b.lockOwner = make(map[int]int)
@@ -490,9 +513,13 @@ func (b *base) ownRecsAfterInto(dst []*IntervalRec, after int32) []*IntervalRec 
 }
 
 // learn is the one way a node takes in interval records — a lock grant or a
-// barrier release: records the clock
-// covers are skipped, the rest logged and their write notices delivered, and
-// the clock raised past them and to v. It returns the invalidation cost.
+// barrier release: records the clock covers are skipped, the rest logged and
+// their write notices delivered, and the clock raised past them and to v. It
+// returns the invalidation cost. A notice for a page that is not eager is
+// deferred: its record joins deferred once, whatever the number of such
+// pages it names, and the protocol memory the notices would have taken is
+// charged now, as arithmetic, so no simulated number depends on the
+// deferral.
 func (b *base) learn(recs []*IntervalRec, v vc.VC) sim.Time {
 	var cost sim.Time
 	for _, rec := range recs {
@@ -501,21 +528,164 @@ func (b *base) learn(recs []*IntervalRec, v vc.VC) sim.Time {
 		}
 		b.insertLog(rec)
 		b.clock[rec.Proc] = rec.Interval
+		deferred, fresh := 0, 0
+		eager, charged := b.eager, b.charged
 		for _, pg := range rec.Pages {
-			cost += b.co.noticePage(rec, int(pg))
+			if eager.has(int(pg)) {
+				cost += b.co.noticePage(rec, int(pg))
+				continue
+			}
+			deferred++
+			if charged != nil && !charged.has(int(pg)) {
+				charged.set(int(pg))
+				fresh++
+			}
+		}
+		if deferred > 0 {
+			b.deferred.push(rec)
+			b.deferredPairs += len(rec.Pages)
+			bytes := int64(deferred) * wnEntryBytes
+			if charged != nil {
+				bytes = int64(fresh) * b.vecBytes()
+			}
+			if bytes > 0 {
+				b.st().MemAlloc(bytes)
+			}
 		}
 	}
 	b.clock.MaxWith(v)
 	return cost
 }
 
-// invalidate delivers rec's write notice for page to this node's copy (under
-// HLRC, of a page it does not home) and returns the cost to charge. Most
-// notices are for pages this node never referenced: Peek, so they do not
-// materialize a page-table chunk each.
+// foldEvery bounds what resolve's scans cost: once the pairs scanned since
+// the last fold exceed foldEvery times the pairs deferred, the next resolve
+// folds the whole list instead. A fold costs what eager delivery of the
+// pairs it folds would have, so a run pays at most foldEvery + 1 times that
+// per pair, and only for pairs still deferred at a fold. A run whose first
+// faults come early (the SPLASH-2 kernels) scans a short list a few times
+// and then folds at most once; one that first-touches pages all run long
+// (the serving workloads) folds often, and a small bound keeps its list, and
+// the records it holds past the log's prune, short.
+const foldEvery = 4
+
+// resolve makes page eager at a fault's entry, before the fault reads the
+// page's slot or anything blocks: the notices deferred for it are folded
+// into the slot in delivery order, and from here on it takes its notices as
+// they arrive.
+func (b *base) resolve(page int) {
+	if b.eager.has(page) {
+		return
+	}
+	if b.scanned += b.deferredPairs; b.scanned > foldEvery*b.deferredPairs {
+		b.foldDeferred()
+	} else {
+		b.deferred.each(func(recs []*IntervalRec) {
+			for _, rec := range recs {
+				for _, pg := range rec.Pages {
+					if int(pg) == page {
+						b.co.foldNotice(rec, page)
+						break
+					}
+				}
+			}
+		})
+	}
+	b.eager.set(page)
+}
+
+// foldDeferred folds every deferred notice into its page's slot and empties
+// the list. The pages stay deferred: their later notices join the list
+// after the ones folded here.
+func (b *base) foldDeferred() {
+	b.deferred.each(func(recs []*IntervalRec) {
+		for _, rec := range recs {
+			for _, pg := range rec.Pages {
+				if !b.eager.has(int(pg)) {
+					b.co.foldNotice(rec, int(pg))
+				}
+			}
+		}
+	})
+	b.deferred.reset()
+	b.deferredPairs, b.scanned = 0, 0
+}
+
+// recBlocks is a list of interval records kept in blocks that double from
+// slab.Block: growing it copies nothing, and reset keeps the blocks for the
+// records that follow. each visits the records in order, a block at a time.
+type recBlocks struct {
+	full [][]*IntervalRec // the blocks filled, in order; past len, blocks reset kept
+	fill []*IntervalRec   // the block being filled
+}
+
+func (l *recBlocks) push(rec *IntervalRec) {
+	if len(l.fill) == cap(l.fill) {
+		if l.fill != nil {
+			l.full = append(l.full, l.fill)
+		}
+		if n := len(l.full); n < cap(l.full) && l.full[:n+1][n] != nil {
+			l.fill = l.full[:n+1][n] // emptied by reset
+		} else {
+			l.fill = make([]*IntervalRec, 0, slab.Block<<n)
+		}
+	}
+	l.fill = append(l.fill, rec)
+}
+
+func (l *recBlocks) each(visit func(recs []*IntervalRec)) {
+	for _, blk := range l.full {
+		visit(blk)
+	}
+	visit(l.fill)
+}
+
+func (l *recBlocks) reset() {
+	l.full = append(l.full, l.fill)
+	for i, blk := range l.full {
+		clear(blk)
+		l.full[i] = blk[:0]
+	}
+	l.full, l.fill = l.full[:0], nil
+}
+
+// pageSet is a set of pages, one bit each.
+type pageSet []uint64
+
+func (s pageSet) has(page int) bool { return s[page>>6]&(1<<(page&63)) != 0 }
+func (s pageSet) set(page int)      { s[page>>6] |= 1 << (page & 63) }
+
+// pageSets returns node self's eager set, its home pages marked, and under
+// HLRC its charged set (nil under LRC). The first node to ask allocates
+// every node's sets at once, in one run the machine shares: a node writes
+// only its own words of it.
+func (s *System) pageSets(self int) (eager, charged pageSet) {
+	words, sets := (s.Space.NumPages()+63)/64, 1
+	if s.homeBased {
+		sets = 2
+	}
+	stride := sets * words
+	if s.pageBits == nil {
+		s.pageBits = make([]uint64, s.Opts.Machine.Nodes*stride)
+		for pg, h := range s.homes {
+			pageSet(s.pageBits[h*stride:]).set(pg)
+		}
+	}
+	own := s.pageBits[self*stride : (self+1)*stride : (self+1)*stride]
+	eager = pageSet(own[:words:words])
+	if sets == 2 {
+		charged = pageSet(own[words:])
+	}
+	return eager, charged
+}
+
+// invalidate delivers rec's write notice for page, an eager one, to this
+// node's copy (under HLRC, of a page it does not home) and returns the cost
+// to charge: nothing if the copy is already invalid. An eager page has a
+// page-table entry: its home's seed copy, or the one its first fault
+// touched.
 func (b *base) invalidate(rec *IntervalRec, page int) sim.Time {
-	p := b.pt.Peek(page)
-	if p == nil || p.State == mem.Invalid {
+	p := b.pt.Page(page)
+	if p.State == mem.Invalid {
 		return 0
 	}
 	if p.State == mem.ReadWrite {

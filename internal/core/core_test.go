@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -807,6 +808,59 @@ func TestAccessOutsideSharedSpacePanics(t *testing.T) {
 				defer func() {
 					if msg, _ := recover().(string); !strings.Contains(msg, want) {
 						t.Fatalf("the run panicked with %q, want %q", msg, want)
+					}
+				}()
+				_, _ = Run(opts, app, false)
+			})
+		}
+	}
+}
+
+// An access at word 2^40, far past the allocated space, panics as
+// TestAccessOutsideSharedSpacePanics's do, and allocates next to nothing
+// first: the page table reads the page as its shared wild entry instead of
+// growing a block index of gigabytes to reach it.
+func TestWildAccessGrowsNothing(t *testing.T) {
+	const addr = mem.Addr(1) << 40
+	for _, proto := range append([]Protocol{ProtoSeq}, Protocols...) {
+		for _, store := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/store=%v", proto, store), func(t *testing.T) {
+				opts := testOpts(proto, 2)
+				if proto == ProtoSeq {
+					opts.Machine.Nodes = 1
+				}
+				last := opts.Machine.Nodes - 1
+				var grew uint64
+				app := &testApp{
+					name:  "wild",
+					setup: func(s *Setup) { s.Alloc(16) },
+					init:  func(w *Init) {},
+					worker: func(c *Ctx, id int) {
+						if id == last {
+							var before, after runtime.MemStats
+							runtime.ReadMemStats(&before)
+							defer func() {
+								runtime.ReadMemStats(&after)
+								grew = after.TotalAlloc - before.TotalAlloc
+							}()
+							if store {
+								c.Store(addr, 1)
+							} else {
+								c.Load(addr)
+							}
+						}
+						c.Barrier(0)
+					},
+					gather: func(c *Ctx) []float64 { return nil },
+				}
+				want := fmt.Sprintf("core: node %d accessed address %d on page %d, outside the 1 allocated pages",
+					last, addr, addr/64)
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, want) {
+						t.Fatalf("the run panicked with %q, want %q", msg, want)
+					}
+					if grew > 1<<20 {
+						t.Errorf("the access allocated %d bytes before it panicked, want under 1 MB", grew)
 					}
 				}()
 				_, _ = Run(opts, app, false)

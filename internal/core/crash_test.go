@@ -312,12 +312,14 @@ func TestReplicationWithoutCrashIsTransparent(t *testing.T) {
 	pinInert(t, testOpts(ProtoOHLRC, 3), func() App { return homeStressApp(3, 5) })
 }
 
-// TestRecoveryOnUnusedPages: a restart leaves per-page state whose use
-// tier was never materialised as it was. Node 1 homes page X and writes it
+// TestRecoveryOnUnusedPages: a restart leaves the notices a node deferred
+// for pages it never used as they were. Node 1 homes page X and writes it
 // every round, node 0 homes and writes page W, node 3 reads both; node 2
 // touches neither, and node 1 never touches W. Node 1 crashes mid-run:
-// node 3 still reads the right data, node 2 stays a bystander whose slot
-// for X holds notices only, and node 1's slot for W holds notices only.
+// node 3 still reads the right data, node 2 stays a bystander that never
+// built a slot for X, and node 1 never built one for W; the requirement
+// either resolves from its deferred notices reaches the writer's last
+// interval.
 func TestRecoveryOnUnusedPages(t *testing.T) {
 	const words, rounds = 64, 6 // 512-byte pages; a round is some 9 ms
 	const crashAt = 14 * sim.Millisecond
@@ -325,7 +327,7 @@ func TestRecoveryOnUnusedPages(t *testing.T) {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
 			var x, w mem.Addr
-			var victim, bystander, home *hlrcPage
+			var sys *System
 			app := &testApp{
 				name: "unused-pages",
 				setup: func(s *Setup) {
@@ -355,9 +357,7 @@ func TestRecoveryOnUnusedPages(t *testing.T) {
 					}
 				},
 				gather: func(c *Ctx) []float64 {
-					victim = c.sys.Engines[1].(*hlrcEngine).pages.At(c.sys.Space.PageOf(w))
-					bystander = c.sys.Engines[2].(*hlrcEngine).pages.At(c.sys.Space.PageOf(x))
-					home = c.sys.Engines[1].(*hlrcEngine).pages.At(c.sys.Space.PageOf(x))
+					sys = c.sys
 					return []float64{c.Load(x + 1), c.Load(w + 1)}
 				},
 			}
@@ -374,12 +374,23 @@ func TestRecoveryOnUnusedPages(t *testing.T) {
 			if n := res.Stats.Nodes[2].Counts; n.ReadMisses != 0 || n.WriteFaults != 0 {
 				t.Errorf("node 2 faulted (%d read misses, %d write faults): it was to stay a bystander", n.ReadMisses, n.WriteFaults)
 			}
-			if bystander.use != nil || vecOrNil(&bystander.seen).Get(1) < int32(rounds) {
-				t.Errorf("node 2's slot for x: use tier %+v, vector %v; want notices only, through node 1's interval %d", bystander.use, vecOrNil(&bystander.seen), rounds)
+			px, pw := sys.Space.PageOf(x), sys.Space.PageOf(w)
+			for _, c := range []struct {
+				node, page, writer int
+				what               string
+			}{{2, px, 1, "node 2's slot for x"}, {1, pw, 0, "node 1's slot for w"}} {
+				e := sys.Engines[c.node].(*hlrcEngine)
+				// Node 1 homes x, the page beside w, so its block of slots
+				// exists; the slot for w must still be untouched.
+				if m := e.pages.Peek(c.page); m != nil && (m.use != nil || m.seen.Dim() != 0) {
+					t.Errorf("%s: use tier %+v, vector %v; want a slot never built", c.what, m.use, vecOrNil(&m.seen))
+				}
+				e.resolve(c.page)
+				if got := vecOrNil(&e.pages.At(c.page).seen).Get(c.writer); got != int32(rounds) {
+					t.Errorf("%s: resolved requirement from node %d reaches interval %d, want %d", c.what, c.writer, got, rounds)
+				}
 			}
-			if victim.use != nil || vecOrNil(&victim.seen).Get(0) < int32(rounds) {
-				t.Errorf("node 1's slot for w: use tier %+v, vector %v; want notices only, through node 0's interval %d", victim.use, vecOrNil(&victim.seen), rounds)
-			}
+			home := sys.Engines[1].(*hlrcEngine).pages.At(px)
 			if home.use == nil || home.use.flushVC.Get(1) < int32(rounds) {
 				t.Errorf("node 1's slot for x: use tier %+v; want the home's, flushed through its own interval %d", home.use, rounds)
 			}

@@ -37,17 +37,18 @@ type hlrcEngine struct {
 const maxDiffRecs = 64
 
 // hlrcPage is the per-page protocol state of one node, in two tiers. The
-// slot is what every page the node was ever sent a write notice for costs;
-// the rest only a page it uses (faults on, writes, homes) needs, and waits
-// behind use until then.
+// slot is what a page the node faulted on or homes costs, and a page whose
+// deferred notices a fold built (base.foldDeferred); a page that was only
+// sent notices costs none. The rest only a page it uses (faults on, writes,
+// homes) needs, and waits behind use until then.
 type hlrcPage struct {
 	// seen[j] is the highest interval of writer j whose updates this node
 	// is required to observe (from write notices) or has incorporated
 	// (from a home fetch): the "vector of lock timestamps" sent with fetch
 	// requests. It lives in the slot, which never moves (its first pair is
 	// inline, the rest grow in the node's pairs), and is absent — all-zero,
-	// Dim() == 0 — until base.vecOf initialises it; every other reader goes
-	// through vecOrNil.
+	// Dim() == 0 — until base.vecOf initialises it, or foldNotice for a page
+	// whose charge learn made; every other reader goes through vecOrNil.
 	seen vc.Sparse
 	use  *hlrcUse
 }
@@ -129,6 +130,7 @@ func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
 // Faults
 
 func (e *hlrcEngine) ReadFault(page int) {
+	e.resolve(page)
 	e.readMiss(page)
 	m := e.pages.At(page)
 	t0 := e.app().Now()
@@ -190,6 +192,7 @@ func (e *hlrcEngine) FreshRead(page int) bool {
 }
 
 func (e *hlrcEngine) WriteFault(page int) {
+	e.resolve(page)
 	p := e.pt.Page(page)
 	if p.State == mem.Invalid {
 		e.ReadFault(page)
@@ -302,6 +305,17 @@ func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 		return 0
 	}
 	return e.invalidate(rec, page)
+}
+
+// foldNotice raises the page's requirement vector to rec's interval,
+// initialising it uncharged: learn charged it at the page's first deferred
+// notice.
+func (e *hlrcEngine) foldNotice(rec *IntervalRec, page int) {
+	seen := &e.pages.At(page).seen
+	if seen.Dim() == 0 {
+		seen.Init(e.sys.Opts.Machine.Nodes)
+	}
+	e.pairs.RaiseTo(seen, rec.Proc, rec.Interval)
 }
 
 func (e *hlrcEngine) onBarrierRelease(g *grantInfo) {

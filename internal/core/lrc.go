@@ -83,9 +83,11 @@ func (k diffKeys) overflow(writer, page int, interval int32) string {
 type pageWrite struct{ page, interval, proc int32 }
 
 // lrcPage is the per-page protocol state of one node, in two tiers. The
-// slot is what every page the node was ever sent a write notice for costs;
-// the rest only a page it uses (faults on, writes, serves a copy of) needs,
-// and waits behind use until then.
+// slot is what a page the node faulted on or homes costs, and a page whose
+// deferred notices a fold built (base.foldDeferred, and every collection's
+// log pass); a page that was only sent notices costs none until then. The
+// rest only a page it uses (faults on, writes, serves a copy of) needs, and
+// waits behind use until then.
 type lrcPage struct {
 	// wns are the write notices not yet reflected in the local copy. The
 	// list lives in wnRuns (slab.Slab.Push) and is emptied in place.
@@ -171,7 +173,7 @@ func (e *lrcEngine) useOf(page int) *lrcUse { return e.uses.Lazy(&e.pages.At(pag
 // or the page's home while no hint has been recorded. The hint always names
 // a node with a copy. A copy is dropped only in runGC, which re-points every
 // node's hint at the page's last writer, the node that keeps its copy;
-// between collections a hint is set only to a writer (noticePage), which
+// between collections a hint is set only to a writer (foldNotice), which
 // keeps its copy until the next collection, or to the node a copy came from
 // (fetchBaseCopy).
 func (e *lrcEngine) holderOf(page int) int {
@@ -185,6 +187,7 @@ func (e *lrcEngine) holderOf(page int) int {
 // Faults
 
 func (e *lrcEngine) ReadFault(page int) {
+	e.resolve(page)
 	e.readMiss(page)
 	e.bringUpToDate(page, stats.CatData)
 	e.pt.Page(page).State = mem.ReadOnly
@@ -194,6 +197,7 @@ func (e *lrcEngine) ReadFault(page int) {
 // the read miss that brings it up to date, where HLRC takes that read
 // fault and then the write fault (DESIGN §3).
 func (e *lrcEngine) WriteFault(page int) {
+	e.resolve(page)
 	p := e.pt.Page(page)
 	if p.State == mem.Invalid {
 		e.readMiss(page)
@@ -423,11 +427,17 @@ func (e *lrcEngine) closeCommit() {
 // Write notices
 
 func (e *lrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
+	e.st().MemAlloc(wnEntryBytes)
+	e.foldNotice(rec, page)
+	return e.invalidate(rec, page)
+}
+
+// foldNotice appends rec to the page's notices and points the holder hint
+// at its writer.
+func (e *lrcEngine) foldNotice(rec *IntervalRec, page int) {
 	m := e.pages.At(page)
 	m.wns = e.wnRuns.Push(m.wns, pageWN{rec: rec})
-	e.st().MemAlloc(wnEntryBytes)
 	m.holder = int32(rec.Proc) + 1 // last-writer hint
-	return e.invalidate(rec, page)
 }
 
 func (e *lrcEngine) onBarrierRelease(g *grantInfo) {
@@ -445,6 +455,10 @@ func (e *lrcEngine) onBarrierRelease(g *grantInfo) {
 // protocol data — diffs, write notices, interval records — is discarded.
 func (e *lrcEngine) runGC() {
 	e.event(trace.GCStart, -1, -1, 0)
+	// The collection drops every page's notices and re-points its hint, the
+	// deferred ones' included: fold them first, so each is freed where it
+	// would have been.
+	e.foldDeferred()
 
 	// All nodes share an identical interval log after the barrier, so
 	// they agree on each page's last writer, the largest (interval, proc),

@@ -88,6 +88,8 @@ type System struct {
 	staging   []float64
 	appProcs  []*sim.Proc
 	homeBased bool
+	// pageBits backs every node's page sets (pageSets).
+	pageBits []uint64
 
 	// traceLog, when non-nil, captures protocol events. untraced[i] is set
 	// once node i's statistics are snapshotted: from then on its events

@@ -12,7 +12,7 @@ import (
 
 // tap makes fn see every message e's two processors service, as each
 // dispatcher takes it.
-func tap(e *hlrcEngine, fn func(paragon.Msg)) {
+func tap(e Engine, fn func(paragon.Msg)) {
 	install(e, func(s *service) paragon.Handler {
 		return func(m paragon.Msg) (sim.Time, func()) {
 			fn(m)
@@ -23,7 +23,7 @@ func tap(e *hlrcEngine, fn func(paragon.Msg)) {
 
 // wrap makes fn see every message e's two processors service, once its
 // effect has run.
-func wrap(e *hlrcEngine, fn func(paragon.Msg)) {
+func wrap(e Engine, fn func(paragon.Msg)) {
 	install(e, func(s *service) paragon.Handler {
 		return func(m paragon.Msg) (sim.Time, func()) {
 			work, effect := s.serve(m)
@@ -37,9 +37,10 @@ func wrap(e *hlrcEngine, fn func(paragon.Msg)) {
 
 // install replaces the entries of e's dispatchers with what h makes of
 // each one's service slot.
-func install(e *hlrcEngine, h func(*service) paragon.Handler) {
-	e.node.InstallCompute(h(&e.compute))
-	e.node.InstallCoproc(h(&e.coproc))
+func install(e Engine, h func(*service) paragon.Handler) {
+	b := baseOf(e)
+	b.node.InstallCompute(h(&b.compute))
+	b.node.InstallCoproc(h(&b.coproc))
 }
 
 // TestAbsentSeenReadsAsNil drives every reader of a page's requirement

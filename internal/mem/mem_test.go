@@ -69,6 +69,7 @@ func TestSpaceBadSizesPanic(t *testing.T) {
 
 func TestTableGrowth(t *testing.T) {
 	s := NewSpace(64)
+	s.Alloc(10 * slab.Block * s.PageWords)
 	tb := NewTable(s)
 	if tb.Peek(100) != nil {
 		t.Fatal("Peek found an entry in an empty table")
@@ -93,8 +94,37 @@ func TestTableGrowth(t *testing.T) {
 	}
 }
 
+// TestTablePastSpace: a page past the space allocated when the table was
+// made reads as one shared Invalid entry with no copy, and materializes
+// nothing, however far past it is: an access there must fail before it
+// grows the table (the 2^40th word would need a block index of GBs).
+func TestTablePastSpace(t *testing.T) {
+	s := NewSpace(64)
+	s.Alloc(3 * s.PageWords)
+	tb := NewTable(s)
+	near, far := tb.Page(3), tb.Page(1<<40/s.PageWords)
+	if near != far || near.State != Invalid || near.Data != nil {
+		t.Fatalf("pages past the space read %p %+v and %p %+v; want one shared Invalid entry with no copy", near, *near, far, *far)
+	}
+	entries := 0
+	tb.Each(func(int, *Page) { entries++ })
+	if entries != 0 || tb.Peek(3) != nil {
+		t.Fatalf("reading past the space materialized %d entries", entries)
+	}
+	if tb.Page(2) == near {
+		t.Fatal("the last allocated page reads as the shared entry")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Page(-1) did not panic")
+		}
+	}()
+	tb.Page(-1)
+}
+
 func TestTwinLifecycle(t *testing.T) {
 	s := NewSpace(64)
+	s.Alloc(s.PageWords)
 	tb := NewTable(s)
 	p := tb.Page(0)
 	p.Data = make([]float64, s.PageWords)

@@ -60,19 +60,35 @@ type Page struct {
 type Table struct {
 	slab.Chunks[Page]
 	Space *Space
+	// pages is the number of pages allocated when the table was made, which
+	// its block index is sized for.
+	pages int
 }
 
 // NewTable returns an empty page table over space, its block index sized
 // for the pages allocated so far.
 func NewTable(space *Space) *Table {
-	return &Table{Chunks: slab.NewChunks[Page](space.NumPages()), Space: space}
+	n := space.NumPages()
+	return &Table{Chunks: slab.NewChunks[Page](n), Space: space, pages: n}
 }
 
+// wild is the entry of every page past a table's pages: Invalid, with no
+// copy. Every table shares it and nothing may write it: an access to it
+// faults, and the fault handler must reject the page before touching the
+// entry (core.Ctx panics naming the address).
+var wild Page
+
 // Page returns the entry for page id, materializing its block. The
-// returned pointer is stable for the table's lifetime.
+// returned pointer is stable for the table's lifetime. A page past the
+// pages allocated when the table was made reads as the shared wild entry,
+// so an access far outside the space grows nothing before it fails; the
+// one compare serves the negative page's panic too.
 func (t *Table) Page(id int) *Page {
-	if id < 0 {
-		panic(fmt.Sprintf("mem: page %d", id))
+	if uint(id) >= uint(t.pages) {
+		if id < 0 {
+			panic(fmt.Sprintf("mem: page %d", id))
+		}
+		return &wild
 	}
 	return t.At(id)
 }

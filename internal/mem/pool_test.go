@@ -84,7 +84,9 @@ func TestPooledDiffReuseExactness(t *testing.T) {
 
 func TestTwinPooling(t *testing.T) {
 	pool := NewPool(8)
-	tb := NewTable(NewSpace(64)) // 8 words
+	s := NewSpace(64) // 8 words
+	s.Alloc(s.PageWords)
+	tb := NewTable(s)
 	p := tb.Page(0)
 	p.Data = make([]float64, 8)
 	p.Data[2] = 7
