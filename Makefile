@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check loc cover allocs paper ab lrc-scale sweep-faults sweep-serve sweep-serve-scale sweep-scale
+.PHONY: all build test race vet fmt check loc cover cover-paper allocs paper ab lrc-scale sweep-faults sweep-serve sweep-serve-scale sweep-scale
 
 all: check
 
@@ -49,6 +49,26 @@ cover:
 		if ! $(GO) test -count=1 -coverpkg=$(COVER_PKGS) -coverprofile="$$tmp/cover.out" ./... > "$$tmp/test.log" 2>&1; then \
 			cat "$$tmp/test.log" >&2; exit 1; fi && \
 		$(GO) tool cover -func="$$tmp/cover.out" | awk '$$NF != "100.0%"'
+
+# make cover's report over the union of two runs: the suite, and an
+# instrumented svmbench regenerating every paper table (whose output must
+# still cmp equal to results_paper.txt). A function is listed only if
+# neither reaches all of it; per block the higher count of the two profiles
+# is kept. Report-only and outside CI (about 3 minutes on two cores). The
+# -coverpkg list names the main package too: without it the binary writes
+# no coverage data.
+cover-paper:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		if ! $(GO) test -count=1 -coverpkg=$(COVER_PKGS) -coverprofile="$$tmp/test.out" ./... > "$$tmp/test.log" 2>&1; then \
+			cat "$$tmp/test.log" >&2; exit 1; fi && \
+		$(GO) build -cover -coverpkg=$(COVER_PKGS),gosvm/cmd/svmbench -o "$$tmp/svmbench" ./cmd/svmbench && \
+		mkdir "$$tmp/covdata" && \
+		GOCOVERDIR="$$tmp/covdata" "$$tmp/svmbench" -all -size paper -q > "$$tmp/paper.txt" && \
+		cmp "$$tmp/paper.txt" results_paper.txt && \
+		$(GO) tool covdata textfmt -pkg=$(COVER_PKGS) -i="$$tmp/covdata" -o "$$tmp/paper.out" && \
+		awk 'FNR == 1 { mode = $$0; next } { k = $$1 " " $$2; if (!(k in n) || $$3 > n[k]) n[k] = $$3 } \
+			END { print mode; for (k in n) print k, n[k] }' "$$tmp/test.out" "$$tmp/paper.out" > "$$tmp/union.out" && \
+		$(GO) tool cover -func="$$tmp/union.out" | awk '$$NF != "100.0%"'
 
 # Heap allocations per operation from the benchmark's probe suite: one
 # traced serve_read run (~7 s on two cores), then the seven *_allocs* rows

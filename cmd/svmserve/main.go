@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"gosvm/internal/apps"
@@ -60,9 +61,12 @@ func main() {
 		fail("bad -loads: %v", err)
 	}
 	for _, l := range loads {
-		if l <= 0 {
-			fail("bad -loads entry %v", l)
+		if !(l > 0) || math.IsInf(l, 1) {
+			fail("bad -loads entry %v: want a positive, finite rate", l)
 		}
+	}
+	if math.IsNaN(*zipf) || math.IsInf(*zipf, 0) {
+		fail("bad -zipf %v: want a finite theta in [0,1)", *zipf)
 	}
 
 	var protos []core.Protocol

@@ -91,15 +91,16 @@ type base struct {
 	locks map[int]*lockState
 	// lockStates backs the records locks points to.
 	lockStates slab.Slab[lockState]
-	// lockOwner is the manager-side table: for locks managed by this
-	// node, the last known owner.
-	lockOwner map[int]int
 
 	// lastReported is the highest own interval index sent to the barrier
 	// manager.
 	lastReported int32
 
 	bmgr *barrierMgr // non-nil on the barrier manager node
+
+	// release hands this node's barrier release from the dispatcher effect
+	// that completes its episode to the application proc parked in Barrier.
+	release handOff
 
 	// tree is non-nil when the machine uses the k-ary tree barrier
 	// (treebarrier.go). The centralized manager above still exists on
@@ -134,6 +135,10 @@ type lockState struct {
 	owner  bool        // this node holds the lock token
 	held   bool        // the application is inside the critical section
 	waiter paragon.Msg // the forwarded acquire awaiting our release; zero if none
+	// last is the manager's record of the lock's previous requester, the
+	// node its next acquire is forwarded to (forward); the manager itself
+	// while the lock is untouched. Only the manager reads it.
+	last int
 }
 
 func (b *base) init(sys *System, self int, co coherence) {
@@ -147,9 +152,8 @@ func (b *base) init(sys *System, self int, co coherence) {
 	b.eager, b.charged = sys.pageSets(self)
 	b.log = make([][]*IntervalRec, sys.Opts.Machine.Nodes)
 	b.locks = make(map[int]*lockState)
-	b.lockOwner = make(map[int]int)
 	if self == barrierManager {
-		b.bmgr = newBarrierMgr(sys.Opts.Machine.Nodes)
+		b.bmgr = &barrierMgr{nproc: sys.Opts.Machine.Nodes}
 	}
 	if sys.Opts.Machine.TreeBarrier() {
 		b.tree = newTreeBarrier(self, sys.Opts.Machine.barrierRadix(), sys.Opts.Machine.Nodes)
@@ -715,7 +719,8 @@ func (b *base) lockState(lock int) *lockState {
 	if !ok {
 		// The manager starts out owning every lock it manages.
 		ls = &b.lockStates.Take(1)[0]
-		ls.owner = b.sys.lockMgrOf(lock) == b.self
+		ls.last = b.sys.lockMgrOf(lock)
+		ls.owner = ls.last == b.self
 		b.locks[lock] = ls
 	}
 	return ls
@@ -745,25 +750,16 @@ func (b *base) Acquire(lock int) {
 		Class: stats.ClassProtocol,
 		Body:  lr,
 	}
-	var resp paragon.Msg
-	mgr := b.sys.lockMgrOf(lock)
-	if mgr == b.self {
-		// We are the manager: forward straight to the owner.
+	to := b.sys.lockMgrOf(lock)
+	if to == b.self {
+		// We are the manager: forward straight to the previous requester.
 		b.use(b.costs().LockHandling, stats.CatProtocol)
-		owner := b.mgrOwner(lock)
-		b.mgrSetOwner(lock, b.self)
+		to = b.forward(ls, b.self)
 		req.Kind = kLockFwd
-		if owner != b.self {
-			b.st().Counts.LockForwards++
-		}
-		t0 := b.app().Now()
-		resp = b.node.Call(b.app(), owner, req)
-		b.st().Add(stats.CatLock, b.app().Now()-t0)
-	} else {
-		t0 := b.app().Now()
-		resp = b.node.Call(b.app(), mgr, req)
-		b.st().Add(stats.CatLock, b.app().Now()-t0)
 	}
+	t0 := b.app().Now()
+	resp := b.node.Call(b.app(), to, req)
+	b.st().Add(stats.CatLock, b.app().Now()-t0)
 	g := resp.Body.(*grantInfo)
 	b.event(trace.LockGrant, -1, resp.From, int64(lock))
 	b.applyGrant(g)
@@ -851,30 +847,33 @@ func (b *base) claimBody(req paragon.Msg) {
 	}
 }
 
-func (b *base) mgrOwner(lock int) int {
-	if o, ok := b.lockOwner[lock]; ok {
-		return o
+// forward is the manager's step of an acquire by requester: it records the
+// requester as the lock's last and returns the previous one, which holds the
+// token or will be the next to hold it.
+func (b *base) forward(ls *lockState, requester int) (owner int) {
+	owner, ls.last = ls.last, requester
+	if owner != b.self {
+		b.st().Counts.LockForwards++
 	}
-	return b.self // an untouched lock's token is still with its manager
+	return owner
 }
-
-func (b *base) mgrSetOwner(lock, owner int) { b.lockOwner[lock] = owner }
 
 // applyLockAcq services a kLockAcq at the manager (dispatcher context);
 // its work is lockHandling.
 func (b *base) applyLockAcq(s *service) {
 	m := s.m
-	lr := m.Body.(*lockReq)
-	owner := b.mgrOwner(lr.Lock)
-	b.mgrSetOwner(lr.Lock, lr.Requester)
 	m.Kind = kLockFwd // from here on the message is a forwarded request
-	if owner == b.self {
-		// Manager owns the token: behave as the owner.
-		b.ownerReceives(m, lr)
+	lr := m.Body.(*lockReq)
+	ls := b.lockState(lr.Lock)
+	if owner := b.forward(ls, lr.Requester); owner != b.self {
+		b.node.Send(owner, m)
 		return
 	}
-	b.st().Counts.LockForwards++
-	b.node.Send(owner, m)
+	// The manager is the previous requester: it decides as the holder. The
+	// token may nonetheless be in flight towards it (its own acquire).
+	// Closing an interval was not part of this handler's declared work, so
+	// the manager steals its cost.
+	b.grantOrWait(ls, m, true)
 }
 
 // workLockFwd and applyLockFwd service a forwarded acquire at the
@@ -893,38 +892,26 @@ func (b *base) workLockFwd(s *service) sim.Time {
 }
 
 func (b *base) applyLockFwd(s *service) {
-	lr := s.m.Body.(*lockReq)
-	ls := b.lockState(lr.Lock)
-	if !ls.owner || ls.held {
-		// Busy, or ownership still in flight: wait for our release.
-		b.waitFor(ls, s.m)
-		return
-	}
-	// Free: receiving a remote lock request ends the current interval.
-	b.co.closeCommit()
-	ls.owner = false
-	b.grantTo(s.m, lr)
+	b.grantOrWait(b.lockState(s.m.Body.(*lockReq).Lock), s.m, false)
 }
 
-// ownerReceives handles an acquire landing on the manager when its table
-// says the manager is the owner, from dispatcher effect context. The
-// token may nonetheless be in flight towards us (our own acquire), so the
-// ls.owner check is essential.
-func (b *base) ownerReceives(m paragon.Msg, lr *lockReq) {
-	ls := b.lockState(lr.Lock)
+// grantOrWait is the holder's decision on m, a forwarded acquire, in a
+// dispatcher effect: while the lock is held, or the token is still on its
+// way here, m waits for this node's release; otherwise receiving it ends
+// the current interval and the token goes to the requester. steal charges
+// the interval's closing cost to the compute processor, for a handler whose
+// declared work did not include it.
+func (b *base) grantOrWait(ls *lockState, m paragon.Msg, steal bool) {
 	if ls.held || !ls.owner {
 		b.waitFor(ls, m)
 		return
 	}
-	if len(b.dirty) > 0 {
-		// Interval boundary in handler context: the closing cost was not
-		// part of this handler's declared work; steal it explicitly so
-		// the compute processor pays for it.
+	if steal {
 		b.node.CPU.Steal(b.co.closeCost())
-		b.co.closeCommit()
 	}
+	b.co.closeCommit()
 	ls.owner = false
-	b.grantTo(m, lr)
+	b.grantTo(m, m.Body.(*lockReq))
 }
 
 // ---------------------------------------------------------------------------
@@ -936,31 +923,19 @@ func (b *base) ownerReceives(m paragon.Msg, lr *lockReq) {
 // in retransmission.
 const barrierManager = 0
 
-// bmgrArrival pairs one registered barrier arrival with the request that
-// delivered it. req is the zero Msg for the manager's own local arrival.
-type bmgrArrival struct {
-	rep *barrierReport
-	req paragon.Msg
-}
-
 type barrierMgr struct {
-	nproc    int
-	arrivals []bmgrArrival // registered arrivals, in genealogical order
-	reports  []*barrierReport
-	episodes int
+	nproc int
+	// reports are the episode's registered arrivals, in genealogical order,
+	// and reqs the requests that delivered them, side by side: the zero Msg
+	// for the manager's own.
+	reports []*barrierReport
+	reqs    []paragon.Msg
 
-	// localWait/localRelease hand the manager's own release from
-	// dispatcher context back to its parked application proc.
-	localWait    *sim.Proc
-	localRelease *grantInfo
-
-	// GC rendezvous state (homeless protocols).
+	// GC rendezvous state (homeless protocols): gcWait is the manager's
+	// application proc while it waits there.
 	gcDone    int
 	gcWaiters []paragon.Msg
-}
-
-func newBarrierMgr(nproc int) *barrierMgr {
-	return &barrierMgr{nproc: nproc}
+	gcWait    *sim.Proc
 }
 
 // barrierReport is a barrier arrival: the arriving node's one body,
@@ -994,20 +969,14 @@ func (b *base) Barrier(id int) {
 	}
 	var g *grantInfo
 	t0 := b.app().Now()
-	if b.tree != nil {
-		g = b.treeArrive(id, rep)
-	} else if b.self == barrierManager {
-		release := b.bmgrArrive(rep, paragon.Msg{})
-		if release == nil {
-			// Wait for the stragglers; the dispatcher completes the
-			// barrier and unparks us via the manager's local release slot.
-			b.bmgr.localWait = b.app()
-			b.app().ParkArg("barrier", int64(id))
-			release = b.bmgr.localRelease
-			b.bmgr.localRelease = nil
-		}
-		g = release
-	} else {
+	switch {
+	case b.tree != nil:
+		b.treeArrive(rep)
+		g = b.release.await(b.app(), "tree barrier", id)
+	case b.self == barrierManager:
+		b.bmgrArrive(rep, paragon.Msg{})
+		g = b.release.await(b.app(), "barrier", id)
+	default:
 		resp := b.node.Call(b.app(), barrierManager, paragon.Msg{
 			Kind:  kBarrier,
 			Size:  rep.wireSize(b.wireVC()),
@@ -1022,54 +991,55 @@ func (b *base) Barrier(id int) {
 	b.co.onBarrierRelease(g)
 }
 
-// bmgrArrive registers an arrival at the barrier manager. For the
-// manager's local arrival req is the zero Msg. It returns the release
-// payload immediately if this arrival completes the barrier and the caller
-// is the local node; remote completions are sent from dispatcher context.
-func (b *base) bmgrArrive(rep *barrierReport, req paragon.Msg) *grantInfo {
+// bmgrArrive registers an arrival at the barrier manager, delivered by req
+// (the zero Msg for the manager's own), and completes the episode with the
+// last one.
+func (b *base) bmgrArrive(rep *barrierReport, req paragon.Msg) {
 	mgr := b.bmgr
-	mgr.arrivals = append(mgr.arrivals, bmgrArrival{rep: rep, req: req})
-	if len(mgr.arrivals) < mgr.nproc {
-		return nil
+	mgr.reports = append(mgr.reports, rep)
+	mgr.reqs = append(mgr.reqs, req)
+	if len(mgr.reports) == mgr.nproc {
+		b.bmgrComplete()
 	}
-	return b.bmgrComplete()
 }
 
-// bmgrComplete merges all reports and releases every waiter, each release
-// written into its arrival's report. Returns the local node's release
-// payload.
-func (b *base) bmgrComplete() *grantInfo {
+// bmgrComplete merges all reports and releases every arrival, each release
+// written into its report: a remote one in its answer, the manager's own
+// through the hand-off.
+func (b *base) bmgrComplete() {
 	mgr := b.bmgr
-	for _, a := range mgr.arrivals {
-		mgr.reports = append(mgr.reports, a.rep)
-	}
 	merged, gc := b.mergeReports(mgr.reports)
 	var local *grantInfo
-	for _, a := range mgr.arrivals {
-		g := &a.rep.Grant
-		if a.req.Reply == nil {
-			b.fillGrant(g, merged, gc, a.rep.VC)
+	for i, rep := range mgr.reports {
+		g, req := &rep.Grant, mgr.reqs[i]
+		if req.Reply == nil {
+			b.fillGrant(g, merged, gc, rep.VC)
 			local = g
 			continue
 		}
-		b.claimBody(a.req)
-		b.fillGrant(g, merged, gc, a.rep.VC)
-		b.node.Respond(a.req, paragon.Msg{
+		b.claimBody(req)
+		b.fillGrant(g, merged, gc, rep.VC)
+		b.node.Respond(req, paragon.Msg{
 			Kind:  kBarrier,
 			Size:  g.wireSize(b.wireVC()),
 			Class: stats.ClassProtocol,
 			Body:  g,
 		})
 	}
-	clear(mgr.arrivals)
-	mgr.arrivals = mgr.arrivals[:0]
 	clear(mgr.reports)
 	mgr.reports = mgr.reports[:0]
-	mgr.episodes++
+	clear(mgr.reqs)
+	mgr.reqs = mgr.reqs[:0]
+	b.episodeDone(local)
+}
+
+// episodeDone ends a barrier episode at the node that merged it: phase
+// capture sees it, and the node's own application proc gets its release.
+func (b *base) episodeDone(local *grantInfo) {
 	if b.sys.onBarrier != nil {
-		b.sys.onBarrier(mgr.episodes)
+		b.sys.onBarrier()
 	}
-	return local
+	b.release.give(local)
 }
 
 // mergeReports is the merge both barrier algorithms complete an episode
@@ -1099,9 +1069,35 @@ func (b *base) mergeReports(reps []*barrierReport) (vc.VC, bool) {
 	return merged, gc && !b.sys.homeBased
 }
 
+// handOff passes a node its own barrier release: give stores it and wakes
+// the application proc if it is parked in await, which takes it, parking
+// first if it has not been given yet (the proc's own arrival may complete
+// the episode).
+type handOff struct {
+	waiting *sim.Proc
+	g       *grantInfo
+}
+
+// await returns the release; reason and id name the park in deadlock
+// reports.
+func (h *handOff) await(p *sim.Proc, reason string, id int) *grantInfo {
+	if h.g == nil {
+		h.waiting = p
+		p.ParkArg(reason, int64(id))
+	}
+	g := h.g
+	h.g = nil
+	return g
+}
+
+// give delivers g and wakes the proc awaiting it, if any.
+func (h *handOff) give(g *grantInfo) {
+	h.g = g
+	wake(&h.waiting)
+}
+
 // wake unparks the application proc parked on *w, if any, and clears the
-// slot: the hand-off of a barrier release or GC rendezvous from dispatcher
-// context.
+// slot.
 func wake(w **sim.Proc) {
 	if p := *w; p != nil {
 		*w = nil
@@ -1111,14 +1107,7 @@ func wake(w **sim.Proc) {
 
 // applyBarrier services a remote barrier arrival at the manager; its work
 // is lockHandling.
-func (b *base) applyBarrier(s *service) {
-	if g := b.bmgrArrive(s.m.Body.(*barrierReport), s.m); g != nil {
-		// The remote arrival completed the barrier and the local node's
-		// release is pending: hand it over and wake the app.
-		b.bmgr.localRelease = g
-		wake(&b.bmgr.localWait)
-	}
-}
+func (b *base) applyBarrier(s *service) { b.bmgrArrive(s.m.Body.(*barrierReport), s.m) }
 
 // gcRendezvous blocks until every node has reported kGCDone to the
 // manager (used by the homeless protocols after GC validation, so nobody
@@ -1130,7 +1119,7 @@ func (b *base) gcRendezvous() {
 		if b.gcMaybeComplete() {
 			return
 		}
-		mgr.localWait = b.app()
+		mgr.gcWait = b.app()
 		b.app().Park("gc rendezvous")
 		return
 	}
@@ -1154,7 +1143,7 @@ func (b *base) gcMaybeComplete() bool {
 	}
 	mgr.gcWaiters = nil
 	mgr.gcDone = 0
-	wake(&mgr.localWait)
+	wake(&mgr.gcWait)
 	return true
 }
 

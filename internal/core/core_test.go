@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
+	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/stats"
 	"gosvm/internal/trace"
@@ -558,18 +560,39 @@ func TestTrafficClassification(t *testing.T) {
 // --------------------------------------------------------------------------
 // Phase capture (Figure 4 machinery).
 
+// TestPhaseCapture: under the centralized and the tree barrier alike, one
+// phase per barrier episode, numbered 1, 2, ... in order, each with every
+// node's delta, and as many as every node counts barriers.
 func TestPhaseCapture(t *testing.T) {
-	res, err := Run(testOpts(ProtoHLRC, 4), barrierVisApp(64), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Phases) < 2 {
-		t.Fatalf("captured %d phases, want >= 2", len(res.Phases))
-	}
-	for _, ph := range res.Phases {
-		if len(ph.PerNode) != 4 {
-			t.Fatalf("phase has %d nodes", len(ph.PerNode))
-		}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"central", testOpts(ProtoHLRC, 4)},
+		{"tree", treeOpts(ProtoHLRC, 4, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.opts, barrierVisApp(64), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Phases) < 2 {
+				t.Fatalf("captured %d phases, want >= 2", len(res.Phases))
+			}
+			for i, ph := range res.Phases {
+				if ph.Barrier != i+1 {
+					t.Errorf("phase %d is numbered %d, want %d", i, ph.Barrier, i+1)
+				}
+				if len(ph.PerNode) != 4 {
+					t.Fatalf("phase has %d nodes", len(ph.PerNode))
+				}
+			}
+			for i, nd := range res.Stats.Nodes {
+				if int(nd.Counts.Barriers) != len(res.Phases) {
+					t.Errorf("node %d counts %d barriers, phase capture %d episodes", i, nd.Counts.Barriers, len(res.Phases))
+				}
+			}
+		})
 	}
 }
 
@@ -666,6 +689,102 @@ func TestGCUnderOLRC(t *testing.T) {
 	if gcs == 0 {
 		t.Fatal("GC never ran")
 	}
+}
+
+// TestOLRCDiffRequestWaitsForDiffInFlight drives the OLRC writer's parked
+// diff request. Node 1 writes pages P and Q; barrier 0 closes the interval
+// and queues both diffs on its co-processor, which takes 5 ms a diff here.
+// Node 0, which held a copy of P, faults on it and asks node 1 for P's diff;
+// the request queues behind Q's. Node 1 writes P again once P's first diff
+// is made, and barrier 1 closes that interval while the request still
+// queues, so when the co-processor takes it P's second diff is in flight: it
+// waits for that diff, and is answered, with every diff it named, only
+// after it is made.
+func TestOLRCDiffRequestWaitsForDiffInFlight(t *testing.T) {
+	const words = 64 // one 512-byte page
+	var p, q, out mem.Addr
+	var parkedAt, madeAt, answeredAt sim.Time
+	var parked, madeBeforePark bool
+	var named, answered int
+	writeFirst := func(c *Ctx) { c.Store(p, 1); c.Store(q, 1) }
+	read := func(c *Ctx) { c.Store(out, c.Load(p)) }
+	writeSecond := func(c *Ctx) { c.Store(p+1, 2) }
+	mk := func() *testApp {
+		return &testApp{
+			name: "olrc-parked-diff-request",
+			setup: func(s *Setup) {
+				p, q, out = s.Alloc(words), s.Alloc(words), s.Alloc(words)
+			},
+			init: func(w *Init) { w.SetHome(p, 3*words, 0) },
+			worker: func(c *Ctx, id int) {
+				if c.Nodes() == 1 { // the sequential reference: each step in turn
+					writeFirst(c)
+					read(c)
+					writeSecond(c)
+					return
+				}
+				pg := c.sys.Space.PageOf(p)
+				switch id {
+				case 0:
+					c.Load(p) // hold a copy: the fault after barrier 0 asks only for diffs
+					c.Barrier(0)
+					read(c)
+					answeredAt = c.Now()
+					req := &c.eng.(*lrcEngine).diffReq
+					named = len(req.Recs)
+					for _, d := range req.Diffs {
+						if d != nil {
+							answered++
+						}
+					}
+				case 1:
+					e := c.eng.(*lrcEngine)
+					wrap(e, func(m paragon.Msg) {
+						switch body := m.Body.(type) {
+						case *fetchDiffsReq:
+							if parkedAt != 0 {
+								return // the gather's fetch
+							}
+							parkedAt = e.sys.K.Now()
+							parked = len(e.useOf(pg).pendingReqs) == 1
+							madeBeforePark = e.diffs[e.keys.of(1, pg, 2)] != nil
+						case *lrcUse:
+							if int(body.diffPage) == pg && body.diffInterval == 2 {
+								madeAt = e.sys.K.Now()
+							}
+						}
+					})
+					writeFirst(c)
+					c.Barrier(0)
+					writeSecond(c) // waits for P's first diff
+				}
+				c.Barrier(1)
+			},
+			gather: func(c *Ctx) []float64 {
+				return []float64{c.Load(p), c.Load(p + 1), c.Load(q), c.Load(out)}
+			},
+		}
+	}
+	seq := runOrFail(t, testOpts(ProtoSeq, 1), mk())
+	opts := testOpts(ProtoOLRC, 2)
+	opts.Machine.Costs = paragon.DefaultCosts()
+	opts.Machine.Costs.DiffCreateBase = 5 * sim.Millisecond
+	res := runOrFail(t, opts, mk())
+	if !parked || madeBeforePark {
+		t.Errorf("the request was taken with P's second diff made %v; parked %v: want it parked behind the diff in flight",
+			madeBeforePark, parked)
+	}
+	if !(parkedAt < madeAt && madeAt < answeredAt) {
+		t.Errorf("the request was taken at %v, P's second diff made at %v and the answer in at %v: want them in that order",
+			parkedAt, madeAt, answeredAt)
+	}
+	if named == 0 || answered != named {
+		t.Errorf("the answer carries %d of the %d diffs the request named", answered, named)
+	}
+	if !slices.Equal(res.Data, seq.Data) {
+		t.Errorf("result %v, want the sequential run's %v", res.Data, seq.Data)
+	}
+	t.Logf("parked %v at %v, diff made at %v, answered at %v; %d/%d diffs; data %v", parked, parkedAt, madeAt, answeredAt, answered, named, res.Data)
 }
 
 // A page whose entire diff chain lives at the last writer must be

@@ -25,6 +25,59 @@ func faultOpts(t *testing.T, proto Protocol, p int, profile string, seed int64) 
 	return o
 }
 
+// TestRunRejectsMeaninglessPlans: a plan value that means nothing on any
+// machine is an error from Run, not a run as if it were absent. A slowdown
+// or target naming a node the machine lacks stays valid (the presets name
+// fixed nodes and run on 2-node machines).
+func TestRunRejectsMeaninglessPlans(t *testing.T) {
+	ms := sim.Millisecond
+	slow := func(s fault.Slowdown) fault.Plan { return fault.Plan{Slowdowns: []fault.Slowdown{s}} }
+	target := func(tg fault.Target) fault.Plan { return fault.Plan{Targets: []fault.Target{tg}} }
+	cases := []struct {
+		name string
+		plan fault.Plan
+		want string // in the error; "" means the plan is valid
+	}{
+		{"crash of a missing node", fault.Plan{Crashes: []fault.Crash{{Node: 4, At: ms, RestartAt: 2 * ms}}}, "crash of node 4"},
+		{"crash that never restarts", fault.Plan{Crashes: []fault.Crash{{Node: 1, At: ms}}}, "invalid schedule"},
+		{"slowdown factor 0", slow(fault.Slowdown{Node: 1, To: ms}), "slowdown of node 1"},
+		{"slowdown factor below 1", slow(fault.Slowdown{Node: 1, To: ms, Factor: 0.5}), "slowdown of node 1"},
+		{"slowdown factor NaN", slow(fault.Slowdown{Node: 1, To: ms, Factor: math.NaN()}), "slowdown of node 1"},
+		{"slowdown factor +Inf", slow(fault.Slowdown{Node: 1, To: ms, Factor: math.Inf(1)}), "slowdown of node 1"},
+		{"slowdown backwards window", slow(fault.Slowdown{Node: 1, From: 2 * ms, To: ms, Factor: 2}), "slowdown of node 1"},
+		{"slowdown empty window", slow(fault.Slowdown{Node: 1, From: ms, To: ms, Factor: 2}), "slowdown of node 1"},
+		{"slowdown negative node", slow(fault.Slowdown{Node: -1, To: ms, Factor: 2}), "slowdown of node -1"},
+		{"target From below AnyNode", target(fault.Target{From: -2, To: 0}), "fault target -2->0"},
+		{"target To below AnyNode", target(fault.Target{From: 0, To: -3}), "fault target 0->-3"},
+		{"target negative Nth", target(fault.Target{From: 0, To: 1, Nth: -1}), "(Nth -1)"},
+		{"drop below 0", fault.Plan{Drop: -0.5}, "Drop probability"},
+		{"duplicate above 1", fault.Plan{Duplicate: 1.5}, "Duplicate probability"},
+		{"delay NaN", fault.Plan{Delay: math.NaN()}, "Delay probability"},
+		{"reorder +Inf", fault.Plan{Reorder: math.Inf(1)}, "Reorder probability"},
+		{"negative MaxDelay", fault.Plan{Delay: 0.5, MaxDelay: -ms}, "MaxDelay"},
+		{"slowdown of a node past the machine", slow(fault.Slowdown{Node: 9, To: ms, Factor: 2}), ""},
+		{"target of nodes past the machine", target(fault.Target{From: 9, To: fault.AnyNode, Nth: 1}), ""},
+		{"probabilities at the bounds", fault.Plan{Seed: 1, Duplicate: 1, Delay: 0}, ""},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			o := testOpts(ProtoHLRC, 4)
+			o.Fault = tc.plan
+			_, err := Run(o, counterApp(1), false)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid plan rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // Every litmus app must still compute the right answer when the network
 // drops, duplicates, delays, and reorders messages: the reliability
 // transport has to make the faulty network indistinguishable from a slow

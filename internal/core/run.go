@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
@@ -100,7 +101,7 @@ type System struct {
 
 	// onBarrier is invoked (scheduler context) after each completed
 	// barrier episode, for phase capture.
-	onBarrier func(episode int)
+	onBarrier func()
 }
 
 // Result is the outcome of a run.
@@ -132,6 +133,41 @@ func lpParallel(opts *Options, capturePhases bool) bool {
 		opts.Machine.Costs.Lookahead() > 0
 }
 
+// checkPlan rejects a fault plan with a value that means nothing on any
+// machine, or a crash of a node the machine of n nodes lacks. A slowdown or
+// target may name a node past n: the presets name fixed nodes, and on a
+// smaller machine such an entry never applies. (A NaN fails every
+// comparison, so each check is written to fail it.)
+func checkPlan(p *fault.Plan, n int) error {
+	for _, c := range p.Crashes {
+		if c.Node < 0 || c.Node >= n {
+			return fmt.Errorf("core: crash of node %d outside Machine.Nodes=%d", c.Node, n)
+		}
+		if c.At <= 0 || c.RestartAt <= c.At {
+			return fmt.Errorf("core: crash of node %d has invalid schedule [%v, %v)", c.Node, c.At, c.RestartAt)
+		}
+	}
+	for _, s := range p.Slowdowns {
+		if s.Node < 0 || s.To <= s.From || !(s.Factor >= 1 && s.Factor < math.Inf(1)) {
+			return fmt.Errorf("core: slowdown of node %d by %g over [%v, %v) needs a node, a non-empty window and a finite factor >= 1", s.Node, s.Factor, s.From, s.To)
+		}
+	}
+	for _, tg := range p.Targets {
+		if tg.From < fault.AnyNode || tg.To < fault.AnyNode || tg.Nth < 0 {
+			return fmt.Errorf("core: fault target %d->%d (Nth %d) needs nodes >= %d and Nth >= 0", tg.From, tg.To, tg.Nth, fault.AnyNode)
+		}
+	}
+	for i, v := range [...]float64{p.Drop, p.Duplicate, p.Delay, p.Reorder} {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("core: fault %s probability %g is outside [0, 1]", [...]string{"Drop", "Duplicate", "Delay", "Reorder"}[i], v)
+		}
+	}
+	if p.MaxDelay < 0 {
+		return fmt.Errorf("core: fault MaxDelay %v is negative", p.MaxDelay)
+	}
+	return nil
+}
+
 // Run executes app under opts and returns the gathered results and
 // statistics.
 func Run(opts Options, app App, capturePhases bool) (*Result, error) {
@@ -146,13 +182,8 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	if opts.Protocol == ProtoSeq && n != 1 {
 		return nil, fmt.Errorf("core: sequential runs require Machine.Nodes=1, got %d", n)
 	}
-	for _, c := range opts.Fault.Crashes {
-		if c.Node < 0 || c.Node >= n {
-			return nil, fmt.Errorf("core: crash of node %d outside Machine.Nodes=%d", c.Node, n)
-		}
-		if c.At <= 0 || c.RestartAt <= c.At {
-			return nil, fmt.Errorf("core: crash of node %d has invalid schedule [%v, %v)", c.Node, c.At, c.RestartAt)
-		}
+	if err := checkPlan(&opts.Fault, n); err != nil {
+		return nil, err
 	}
 
 	k := sim.NewKernel()
@@ -252,8 +283,8 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	var lastSnap []stats.Node
 	if capturePhases {
 		lastSnap = make([]stats.Node, n)
-		sys.onBarrier = func(episode int) {
-			ph := stats.Phase{Barrier: episode, PerNode: make([]stats.Node, n)}
+		sys.onBarrier = func() {
+			ph := stats.Phase{Barrier: len(phases) + 1, PerNode: make([]stats.Node, n)}
 			for i, nd := range machine.Nodes {
 				snap := nd.Stats.Snapshot()
 				ph.PerNode[i] = snap.Sub(lastSnap[i])

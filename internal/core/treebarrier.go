@@ -2,7 +2,6 @@ package core
 
 import (
 	"gosvm/internal/paragon"
-	"gosvm/internal/sim"
 	"gosvm/internal/stats"
 	"gosvm/internal/vc"
 )
@@ -61,14 +60,6 @@ type treeBarrier struct {
 
 	up   treeUp           // this subtree's summary (non-root)
 	reps []*barrierReport // treeRootComplete's reports (root)
-
-	// localWait/release hand the release from dispatcher context back to
-	// the parked application proc (or directly, when the local arrival
-	// completes the subtree at the root).
-	localWait *sim.Proc
-	release   *grantInfo
-
-	episodes int // root only: completed barrier episodes
 }
 
 func newTreeBarrier(self, radix, nproc int) *treeBarrier {
@@ -80,9 +71,7 @@ func newTreeBarrier(self, radix, nproc int) *treeBarrier {
 	return tb
 }
 
-// resetEpisode clears per-episode state. The pending release and waiter
-// are intentionally left alone: they belong to the episode being
-// completed, not the next one.
+// resetEpisode clears per-episode state.
 func (tb *treeBarrier) resetEpisode() {
 	tb.selfIn = false
 	tb.ownRep = nil
@@ -90,23 +79,16 @@ func (tb *treeBarrier) resetEpisode() {
 	clear(tb.childUp)
 }
 
-// treeArrive runs the local barrier arrival on the application proc and
-// returns the release payload once the whole machine has arrived.
-func (b *base) treeArrive(id int, rep *barrierReport) *grantInfo {
+// treeArrive runs the local barrier arrival on the application proc; the
+// release comes through the node's hand-off once the whole machine has
+// arrived.
+func (b *base) treeArrive(rep *barrierReport) {
 	tb := b.tree
 	tb.ownRep = rep
 	tb.selfIn = true
 	if tb.arrived == len(tb.children) {
 		b.treeSubtreeDone()
 	}
-	if tb.release == nil {
-		tb.localWait = b.app()
-		b.app().ParkArg("tree barrier", int64(id))
-	}
-	g := tb.release
-	tb.release = nil
-	tb.localWait = nil
-	return g
 }
 
 // treeSubtreeDone fires when the local node and every child subtree have
@@ -171,12 +153,7 @@ func (b *base) treeRootComplete() {
 	local := &tb.ownRep.Grant
 	b.fillGrant(local, merged, gc, tb.ownRep.VC)
 	tb.resetEpisode()
-	tb.episodes++
-	if b.sys.onBarrier != nil {
-		b.sys.onBarrier(tb.episodes)
-	}
-	tb.release = local
-	wake(&tb.localWait)
+	b.episodeDone(local)
 }
 
 // sendDown sends child c its subtree's release, g.
@@ -226,6 +203,5 @@ func (b *base) applyBarrierDown(s *service) {
 		b.sendDown(c, cg)
 	}
 	tb.resetEpisode()
-	tb.release = g
-	wake(&tb.localWait)
+	b.release.give(g)
 }

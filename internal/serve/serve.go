@@ -23,6 +23,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"gosvm/internal/core"
 	"gosvm/internal/mem"
@@ -145,11 +146,12 @@ func (c *Config) validate(procs int) error {
 		return fmt.Errorf("serve: op mix %d/%d/%d has a negative entry",
 			c.ReadPct, c.WritePct, c.ScanPct)
 	}
-	if c.ZipfTheta < 0 || c.ZipfTheta >= 1 {
+	// Written so that NaN, which fails every comparison, fails the check.
+	if !(c.ZipfTheta >= 0 && c.ZipfTheta < 1) {
 		return fmt.Errorf("serve: ZipfTheta must be in [0,1), got %g", c.ZipfTheta)
 	}
-	if c.OfferedLoad <= 0 {
-		return fmt.Errorf("serve: OfferedLoad must be positive, got %g", c.OfferedLoad)
+	if !(c.OfferedLoad > 0) || math.IsInf(c.OfferedLoad, 1) {
+		return fmt.Errorf("serve: OfferedLoad must be positive and finite, got %g", c.OfferedLoad)
 	}
 	if c.Window <= 0 {
 		return fmt.Errorf("serve: Window must be positive, got %v", c.Window)

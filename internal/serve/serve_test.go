@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"math"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gosvm/internal/core"
@@ -219,21 +221,31 @@ func TestServeUnderCrashFaults(t *testing.T) {
 	}
 }
 
-// TestConfigValidation rejects inconsistent shapes.
+// TestConfigValidation rejects inconsistent shapes, each with an error
+// naming the field. It calls validate itself: New goes on to generate the
+// arrival traces, and there an infinite offered load asks for unbounded
+// memory before anything could fail.
 func TestConfigValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.ReadPct, c.WritePct, c.ScanPct = 50, 30, 30 }, // sums to 110
-		func(c *Config) { c.ReadPct, c.WritePct, c.ScanPct = 120, -15, -5 },
-		func(c *Config) { c.ZipfTheta = 1.5 },
-		func(c *Config) { c.Keys = -1 },
-		func(c *Config) { c.OfferedLoad = -3 },
+	bad := []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"op mix", func(c *Config) { c.ReadPct, c.WritePct, c.ScanPct = 50, 30, 30 }}, // sums to 110
+		{"op mix", func(c *Config) { c.ReadPct, c.WritePct, c.ScanPct = 120, -15, -5 }},
+		{"ZipfTheta", func(c *Config) { c.ZipfTheta = 1.5 }},
+		{"ZipfTheta", func(c *Config) { c.ZipfTheta = math.NaN() }},
+		{"ZipfTheta", func(c *Config) { c.ZipfTheta = math.Inf(-1) }},
+		{"Keys", func(c *Config) { c.Keys = -1 }},
+		{"OfferedLoad", func(c *Config) { c.OfferedLoad = -3 }},
+		{"OfferedLoad", func(c *Config) { c.OfferedLoad = math.Inf(1) }},
+		{"OfferedLoad", func(c *Config) { c.OfferedLoad = math.NaN() }},
 	}
-	for i, mutate := range bad {
+	for i, tc := range bad {
 		cfg := testConfig()
 		cfg.Defaults()
-		mutate(&cfg)
-		if _, err := New(cfg, 4); err == nil {
-			t.Errorf("case %d: New accepted invalid config", i)
+		tc.mutate(&cfg)
+		if err := cfg.validate(4); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("case %d: validate = %v, want an error naming %s", i, err, tc.field)
 		}
 	}
 	if _, err := New(testConfig(), 0); err == nil {
