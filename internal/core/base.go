@@ -175,13 +175,8 @@ func (b *base) init(sys *System, self int, co coherence) {
 // previous effect has fired, so one slot per dispatcher suffices, and the
 // message is valid until its effect returns.
 type service struct {
-	b *base
-	m paragon.Msg
-	// park is a decision taken with the work, when the message was taken,
-	// which the effect must not re-derive: the same-instant event order
-	// would change (lrc fetchDiffs: the diff was in flight, so the request
-	// waits for it).
-	park   bool
+	b      *base
+	m      paragon.Msg
 	effect func()
 }
 
@@ -200,7 +195,7 @@ func (s *service) serve(m paragon.Msg) (sim.Time, func()) {
 // message, and with it the references its body holds.
 func (s *service) apply() {
 	s.b.co.apply(s)
-	s.m, s.park = paragon.Msg{}, false
+	s.m = paragon.Msg{}
 }
 
 // noWork and lockHandling are the work of the kinds whose service time does

@@ -15,7 +15,8 @@
 // All four share the synchronization machinery in this package:
 // round-robin distributed lock managers with request forwarding and a
 // centralized barrier manager, both carrying coherence information
-// (write notices) exactly as the paper describes.
+// (write notices) exactly as the paper describes. Above BarrierCrossover
+// nodes a k-ary combining tree replaces the centralized barrier.
 package core
 
 import (

@@ -691,27 +691,28 @@ func TestGCUnderOLRC(t *testing.T) {
 	}
 }
 
-// TestOLRCDiffRequestWaitsForDiffInFlight drives the OLRC writer's parked
-// diff request. Node 1 writes pages P and Q; barrier 0 closes the interval
-// and queues both diffs on its co-processor, which takes 5 ms a diff here.
-// Node 0, which held a copy of P, faults on it and asks node 1 for P's diff;
-// the request queues behind Q's. Node 1 writes P again once P's first diff
-// is made, and barrier 1 closes that interval while the request still
-// queues, so when the co-processor takes it P's second diff is in flight: it
-// waits for that diff, and is answered, with every diff it named, only
-// after it is made.
-func TestOLRCDiffRequestWaitsForDiffInFlight(t *testing.T) {
+// TestOLRCDiffRequestAnsweredBeforeDiffInFlight drives an OLRC diff request
+// that the writer takes while another diff of the page is in flight. Node 1
+// writes pages P and Q; barrier 0 closes the interval and queues both diffs
+// on its co-processor, which takes 5 ms a diff here. Node 0, which held a
+// copy of P, faults on it and asks node 1 for P's diff; the request queues
+// behind Q's. Node 1 writes P again once P's first diff is made, and barrier
+// 1 closes that interval while the request still queues, so when the
+// co-processor takes it P's second diff is in flight. The request names only
+// the first, which is made, so it is answered at once, with every diff it
+// named, 4.6 ms before the second diff is made.
+func TestOLRCDiffRequestAnsweredBeforeDiffInFlight(t *testing.T) {
 	const words = 64 // one 512-byte page
 	var p, q, out mem.Addr
-	var parkedAt, madeAt, answeredAt sim.Time
-	var parked, madeBeforePark bool
+	var takenAt, madeAt, answeredAt sim.Time
+	var inFlightWhenTaken bool
 	var named, answered int
 	writeFirst := func(c *Ctx) { c.Store(p, 1); c.Store(q, 1) }
 	read := func(c *Ctx) { c.Store(out, c.Load(p)) }
 	writeSecond := func(c *Ctx) { c.Store(p+1, 2) }
 	mk := func() *testApp {
 		return &testApp{
-			name: "olrc-parked-diff-request",
+			name: "olrc-diff-request-past-diff-in-flight",
 			setup: func(s *Setup) {
 				p, q, out = s.Alloc(words), s.Alloc(words), s.Alloc(words)
 			},
@@ -742,12 +743,13 @@ func TestOLRCDiffRequestWaitsForDiffInFlight(t *testing.T) {
 					wrap(e, func(m paragon.Msg) {
 						switch body := m.Body.(type) {
 						case *fetchDiffsReq:
-							if parkedAt != 0 {
+							if takenAt != 0 {
 								return // the gather's fetch
 							}
-							parkedAt = e.sys.K.Now()
-							parked = len(e.useOf(pg).pendingReqs) == 1
-							madeBeforePark = e.diffs[e.keys.of(1, pg, 2)] != nil
+							// The request takes no work: its effect runs as it is taken.
+							takenAt = e.sys.K.Now()
+							u := e.useOf(pg)
+							inFlightWhenTaken = u.inflight.busy && u.diffInterval == 2
 						case *lrcUse:
 							if int(body.diffPage) == pg && body.diffInterval == 2 {
 								madeAt = e.sys.K.Now()
@@ -770,21 +772,41 @@ func TestOLRCDiffRequestWaitsForDiffInFlight(t *testing.T) {
 	opts.Machine.Costs = paragon.DefaultCosts()
 	opts.Machine.Costs.DiffCreateBase = 5 * sim.Millisecond
 	res := runOrFail(t, opts, mk())
-	if !parked || madeBeforePark {
-		t.Errorf("the request was taken with P's second diff made %v; parked %v: want it parked behind the diff in flight",
-			madeBeforePark, parked)
+	if !inFlightWhenTaken {
+		t.Error("the request was taken with P's second diff not in flight; the case is not the one meant")
 	}
-	if !(parkedAt < madeAt && madeAt < answeredAt) {
-		t.Errorf("the request was taken at %v, P's second diff made at %v and the answer in at %v: want them in that order",
-			parkedAt, madeAt, answeredAt)
+	// The answer comes once the request's one diff has crossed the network.
+	const wantAnswer, wantMade sim.Time = 11231849, 15836276
+	if takenAt > answeredAt || answeredAt != wantAnswer || madeAt != wantMade {
+		t.Errorf("the request was taken at %d ns, answered at %d ns and P's second diff made at %d ns: want the answer at %d ns, before the diff at %d ns",
+			takenAt, answeredAt, madeAt, wantAnswer, wantMade)
 	}
 	if named == 0 || answered != named {
 		t.Errorf("the answer carries %d of the %d diffs the request named", answered, named)
 	}
-	if !slices.Equal(res.Data, seq.Data) {
-		t.Errorf("result %v, want the sequential run's %v", res.Data, seq.Data)
+	if want := []float64{1, 2, 1, 1}; !slices.Equal(res.Data, want) || !slices.Equal(seq.Data, want) {
+		t.Errorf("result %v and the sequential run's %v, want both %v", res.Data, seq.Data, want)
 	}
-	t.Logf("parked %v at %v, diff made at %v, answered at %v; %d/%d diffs; data %v", parked, parkedAt, madeAt, answeredAt, answered, named, res.Data)
+	t.Logf("taken at %d, answered at %d, diff made at %d; %d/%d diffs; data %v", takenAt, answeredAt, madeAt, answered, named, res.Data)
+}
+
+// A diff request that names the interval whose diff is in flight breaks the
+// FIFO argument workFetchDiffs rests on; applyFetchDiffs panics naming the
+// node, the page and the interval.
+func TestOLRCDiffRequestForDiffInFlightPanics(t *testing.T) {
+	const page, interval = 3, 7
+	want := fmt.Sprintf("core: node 1 was asked for its diff of page %d interval %d while the diff is in flight", page, interval)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Errorf("a request for the diff in flight panicked with %q, want %q", msg, want)
+		}
+	}()
+	e := &lrcEngine{}
+	e.self = 1
+	u := e.useOf(page)
+	u.inflight.busy, u.diffPage, u.diffInterval = true, page, interval
+	req := &fetchDiffsReq{Page: page, Recs: []*IntervalRec{{Proc: 0, Interval: interval}, {Proc: 1, Interval: interval}}}
+	e.applyFetchDiffs(&service{b: &e.base, m: paragon.Msg{Kind: kFetchDiffs, Body: req}})
 }
 
 // A page whose entire diff chain lives at the last writer must be

@@ -101,9 +101,6 @@ func (k *Kernel) SpawnOn(laneIdx int, name string, at Time, fn func(p *Proc)) *P
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current simulated time of the proc's lane.
 func (p *Proc) Now() Time { return p.ln.now }
 
