@@ -54,7 +54,7 @@ func TestSweepOutputMatchesParent(t *testing.T) {
 		want string
 		run  func(out io.Writer, dir string) error
 	}{
-		{"faults", "1092+60:f07ade1ae54437c1", func(out io.Writer, dir string) error {
+		{"faults", "1092+60:8ab299f62051149b", func(out io.Writer, dir string) error {
 			return runner().FaultSweep(out, []string{"lossy", "crash", "crash-mgr"}, 1, dir)
 		}},
 		{"scale", "801+1:4dda6b161edd7ed3", func(out io.Writer, dir string) error {
@@ -63,7 +63,7 @@ func TestSweepOutputMatchesParent(t *testing.T) {
 			o.Nodes = []int{16, 32}
 			return runner().ScaleSweep(out, o, filepath.Join(dir, "scale.json"))
 		}},
-		{"serve", "3346+24:e477caddef68b3c2", func(out io.Writer, dir string) error {
+		{"serve", "3346+24:c57dea02fd67ee18", func(out io.Writer, dir string) error {
 			o := serveSweepOpts()
 			o.Modes = serve.Modes
 			return runner().ServeSweep(out, o, dir)

@@ -289,19 +289,10 @@ func (e *hlrcEngine) flushOwn(df *diffFlush) {
 func (e *hlrcEngine) noticePage(rec *IntervalRec, page int) sim.Time {
 	seen := e.vecOf(&e.pages.At(page).seen)
 	e.pairs.RaiseTo(seen, rec.Proc, rec.Interval)
-	if e.home(page) == e.self {
-		// The home never discards its copy; accesses wait for coverage.
-		// A page already Invalid is charged PageInval again, unlike in
-		// the branch below (a known cost-model deviation, kept so
-		// simulated time does not move); only the first invalidation is
-		// traced.
-		if p := e.pt.Page(page); !e.useOf(page).flushVC.Covers(seen) && p.State != mem.ReadWrite {
-			if p.State != mem.Invalid {
-				p.State = mem.Invalid
-				e.event(trace.Invalidate, page, rec.Proc, 0)
-			}
-			return e.costs().PageInval
-		}
+	if e.home(page) == e.self && e.useOf(page).flushVC.Covers(seen) {
+		// The home's copy already holds the interval's diff. Otherwise the
+		// home invalidates as any node does, keeping its copy: its next
+		// access waits for the diff (ReadFault).
 		return 0
 	}
 	return e.invalidate(rec, page)

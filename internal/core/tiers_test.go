@@ -48,8 +48,9 @@ func install(e Engine, h func(*service) paragon.Handler) {
 // vc.Sparse still has Dim() == 0) and checks it behaves as the nil vector
 // the parent's *vc.Sparse field was: a fetch asks for nothing, a home's
 // first write makes the vector, a home is covered and wakes its waiters,
-// and a notice to a home that applied no diff yet invalidates (traced once:
-// a second notice finds the page already Invalid).
+// and a notice to a home that applied no diff yet invalidates (traced and
+// charged once: a second notice finds the page already Invalid and costs
+// nothing).
 // Beside each, the protocol-memory charge for the vector: made by the first
 // vecOf of a (node, page) and by nothing after it.
 //
@@ -66,6 +67,7 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 				needSeen              bool
 				readCharge, reCharge  int64
 				noticeCost, pageInval sim.Time
+				renoteCost            sim.Time
 				noticeState           mem.State
 				noticeCharge, renote  int64
 				noticedTo             int32
@@ -99,7 +101,7 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 						got.noticeCost, got.pageInval = e.noticePage(&IntervalRec{Proc: 2, Interval: 1}, pgNote), e.costs().PageInval
 						got.noticeState = e.pt.Page(pgNote).State
 						got.noticeCharge = e.st().ProtoMem - mem0
-						e.noticePage(&IntervalRec{Proc: 2, Interval: 2}, pgNote)
+						got.renoteCost = e.noticePage(&IntervalRec{Proc: 2, Interval: 2}, pgNote)
 						got.renote = e.st().ProtoMem - mem0
 						got.noticedTo = vecOrNil(&e.pages.At(pgNote).seen).Get(2)
 						// closeCommit: the home's first write to a page it never
@@ -153,6 +155,9 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 			if got.pageInval == 0 || got.noticeCost != got.pageInval || got.noticeState != mem.Invalid {
 				t.Errorf("noticePage at a home with no flush vector: cost %v state %v, want the invalidation (%v, %v)",
 					got.noticeCost, got.noticeState, got.pageInval, mem.Invalid)
+			}
+			if got.renoteCost != 0 {
+				t.Errorf("noticePage at the home on a page already Invalid: cost %v, want 0 (one invalidation, charged once)", got.renoteCost)
 			}
 			var inval []trace.Event
 			for _, ev := range res.Trace.ByKind(trace.Invalidate) {
