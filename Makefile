@@ -143,11 +143,10 @@ sweep-serve:
 	$(GO) run ./cmd/svmserve -loads 500,1000,2000,4000 -procs 4,8 -json-dir out/serve
 
 # Serving at scale: the fast-path ablation ladder on 64 -> 1024 nodes
-# under modern (kernel-bypass) costs, with the parallel kernel carrying
-# each run. Home hot-spot skew (max/mean serviced messages) is the
-# per-cell Skew column.
+# under modern (kernel-bypass) costs. Home hot-spot skew (max/mean
+# serviced messages) is the per-cell Skew column.
 sweep-serve-scale:
-	$(GO) run ./cmd/svmserve -procs 64,256,1024 -costs modern -run-workers 8 \
+	$(GO) run ./cmd/svmserve -procs 64,256,1024 -costs modern \
 		-loads 200000,800000 -protocols hlrc,ohlrc -ablation all -q
 
 # Strong-scaling curves 64 -> 1024 nodes on the paper's SOR grid:

@@ -29,7 +29,6 @@ func main() {
 		gcThr    = flag.Int64("gc-threshold", 8<<20, "homeless GC trigger, bytes of protocol memory per node")
 		noSeq    = flag.Bool("noseq", false, "skip the sequential baseline run")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON statistics instead of text")
-		runWkrs  = cliflags.AddRunWorkers(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func main() {
 		PageBytes:   mf.Page,
 		GCThreshold: *gcThr,
 		Fault:       plan,
-		RunWorkers:  *runWkrs,
 	}
 
 	// The sequential baseline is an independent simulation with its own

@@ -99,10 +99,3 @@ func chunk(n, p, id int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

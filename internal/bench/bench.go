@@ -52,12 +52,6 @@ type Runner struct {
 	// host. 0 means GOMAXPROCS; 1 restores fully sequential execution.
 	// Results are independent of the setting (see the package comment).
 	Parallel int
-	// RunWorkers is the number of host threads inside each single
-	// simulation (the partitioned parallel kernel; see core.Options).
-	// Results are byte-identical at any value. It composes with
-	// Parallel: total host threads ~ Parallel * RunWorkers, so sweeps
-	// usually want one of the two at 1.
-	RunWorkers int
 
 	mu       sync.Mutex // guards cache and Progress writes
 	cache    map[cell]*cacheEntry
@@ -179,7 +173,6 @@ func (r *Runner) cellOpts(proto core.Protocol, procs int) core.Options {
 		PageBytes:   r.PageBytes,
 		GCThreshold: r.GCThreshold,
 		Machine:     m,
-		RunWorkers:  r.RunWorkers,
 	}
 }
 

@@ -132,15 +132,6 @@ func (f *FaultFlags) Plan() (fault.Plan, error) {
 	return fault.Profile(f.Profile, f.Seed)
 }
 
-// AddRunWorkers registers -run-workers, the number of host threads
-// driving each single simulation (conservative-window parallel kernel).
-func AddRunWorkers(fs *flag.FlagSet) *int {
-	return fs.Int("run-workers", 1,
-		"host threads per simulation run: >= 2 partitions the kernel into per-node "+
-			"logical processes under a conservative lookahead window; results are "+
-			"byte-identical at any value (1 = classic sequential event loop)")
-}
-
 // AddParallel registers the host-parallelism cap shared by the sweep
 // tools.
 func AddParallel(fs *flag.FlagSet) *int {
@@ -150,19 +141,17 @@ func AddParallel(fs *flag.FlagSet) *int {
 
 // AddRunner registers the sweep tools' shared flags on fs — the -procs
 // machine-size axis with the machine shape and -page (AddMachineList),
-// -parallel, -run-workers and -q — and returns the constructor to call
+// -parallel and -q — and returns the constructor to call
 // after fs.Parse: a bench.Runner at the given problem size configured
 // from them, with progress lines on stderr unless -q.
 func AddRunner(fs *flag.FlagSet, defProcs string, defPage int) func(apps.Size) (*bench.Runner, error) {
 	mf := AddMachineList(fs, defProcs, defPage)
 	parallel := AddParallel(fs)
-	runWkrs := AddRunWorkers(fs)
 	quiet := fs.Bool("q", false, "suppress per-run progress")
 	return func(size apps.Size) (*bench.Runner, error) {
 		r := bench.NewRunner(size)
 		r.PageBytes = mf.Page
 		r.Parallel = *parallel
-		r.RunWorkers = *runWkrs
 		if !*quiet {
 			r.Progress = os.Stderr
 		}

@@ -882,9 +882,8 @@ func barrierApp(n int) *testApp {
 // writer flushing to a home that never flushes back — stays near 4 objects
 // per flush (make allocs' core.diff_flush_allocs): the writer's list stays
 // empty, so every flush takes a new record with its values backing and
-// runs, and the interval's own objects come on top. The home cannot hand a
-// record back to its writer's list while the partitioned kernel puts the
-// two on different lanes.
+// runs, and the interval's own objects come on top: the home does not
+// hand a record back to its writer's list.
 //
 // The diff fetch is the mean over 255 epochs, in which the reader's diff
 // store grows, as it does until a collection: its growth amortizes to

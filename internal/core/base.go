@@ -158,9 +158,9 @@ func (b *base) init(sys *System, self int, co coherence) {
 	if sys.Opts.Machine.TreeBarrier() {
 		b.tree = newTreeBarrier(self, sys.Opts.Machine.barrierRadix(), sys.Opts.Machine.Nodes)
 	}
-	// Frame recycling is per node so concurrent lanes never share a free
-	// list. Pool contents are never observable (every consumer overwrites
-	// the full buffer), so sharding changes no simulated outcome.
+	// Frame recycling is per node. Pool contents are never observable
+	// (every consumer overwrites the full buffer), so sharding changes no
+	// simulated outcome.
 	b.memPool = mem.NewPool(sys.Space.PageWords)
 	b.compute.init(b)
 	b.coproc.init(b)
@@ -330,9 +330,7 @@ var eventCounters = [trace.NumKinds]func(*stats.Counters) *int64{
 // event is one protocol action: it increments the counter its kind maps to
 // and, while tracing is on and this node's statistics are not yet
 // snapshotted, appends it to the trace, so the two views cover the same
-// events. The tracing guard comes before the clock read so a parallel run
-// never touches lane 0's clock from another lane (tracing itself forces the
-// sequential kernel).
+// events.
 func (b *base) event(k trace.Kind, page, peer int, arg int64) {
 	if at := eventCounters[k]; at != nil {
 		*at(&b.st().Counts)++

@@ -105,14 +105,10 @@ type Options struct {
 	// Deprecated: see Recovery.
 	Recovery Recovery
 
-	// RunWorkers is the number of host threads driving one simulation:
-	// at >= 2 the kernel is partitioned into per-node logical processes
-	// advanced in parallel under a conservative lookahead window (see
-	// sim.Kernel.Partition). Results are byte-identical at any value.
-	// Configurations whose machinery is inherently cross-node-ordered
-	// (mesh link contention, fault injection, tracing,
-	// phase capture) fall back to the sequential kernel. 0 or 1 means
-	// the classic sequential event loop.
+	// RunWorkers is ignored: every run executes on one event heap.
+	//
+	// Deprecated: it remains only because the repository benchmark still
+	// sets it; delete it once it stops.
 	RunWorkers int
 }
 

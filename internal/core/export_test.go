@@ -26,8 +26,7 @@ func CheckFrames(t testing.TB) {
 type FrameList struct{ Free, Backings, Resident, Counted int }
 
 // FrameLists reports every node's FrameList. For tests outside the package
-// (a wrapped App's Gather); sequential kernel only, since it reads every
-// lane's state from the caller's.
+// (a wrapped App's Gather).
 func (c *Ctx) FrameLists() []FrameList {
 	lists := make([]FrameList, len(c.sys.Engines))
 	for i := range lists {
@@ -36,8 +35,7 @@ func (c *Ctx) FrameLists() []FrameList {
 	return lists
 }
 
-// OwnFrameList is the calling node's FrameList: its own lane's state, so it
-// is safe on the partitioned kernel too.
+// OwnFrameList is the calling node's FrameList.
 func (c *Ctx) OwnFrameList() FrameList { return c.sys.frameList(c.id) }
 
 func (s *System) frameList(i int) (l FrameList) {

@@ -526,7 +526,7 @@ func TestSecondFetchAnswerIsDropped(t *testing.T) {
 
 // TestSeedFramesAreClipped: the homes' first copies are slices of one
 // staging image, each clipped to its page, so growing one cannot write
-// into its neighbour — and a neighbour on another node's lane at that.
+// into its neighbour, which another node may home.
 func TestSeedFramesAreClipped(t *testing.T) {
 	const words = 64
 	var addr mem.Addr

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -75,33 +74,30 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			},
 		},
 	}
-	for _, workers := range []int{1, 2} {
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
-				opts := testOpts(ProtoHLRC, nodes)
-				opts.RunWorkers = workers
-				runOnce := func() (err error, panicked any) {
-					defer func() { panicked = recover() }()
-					_, err = Run(opts, tc.app, false)
-					return err, nil
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := testOpts(ProtoHLRC, nodes)
+			runOnce := func() (err error, panicked any) {
+				defer func() { panicked = recover() }()
+				_, err = Run(opts, tc.app, false)
+				return err, nil
+			}
+			base := runtime.NumGoroutine()
+			for i := 0; i < runs; i++ {
+				if err, panicked := runOnce(); !tc.check(err, panicked) {
+					t.Fatalf("run %d: err = %v, panic = %v", i, err, panicked)
 				}
-				base := runtime.NumGoroutine()
-				for i := 0; i < runs; i++ {
-					if err, panicked := runOnce(); !tc.check(err, panicked) {
-						t.Fatalf("run %d: err = %v, panic = %v", i, err, panicked)
-					}
-				}
-				deadline := time.Now().Add(2 * time.Second)
-				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond) // an exiting goroutine is uncounted a moment later
-				}
-				// >, not !=: base may include a window worker of an earlier
-				// test that was still on its way out.
-				if got := runtime.NumGoroutine(); got > base {
-					t.Errorf("%d goroutines left behind by %d runs", got-base, runs)
-				}
-			})
-		}
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond) // an exiting goroutine is uncounted a moment later
+			}
+			// >, not !=: base may include a goroutine of an earlier test
+			// that was still on its way out.
+			if got := runtime.NumGoroutine(); got > base {
+				t.Errorf("%d goroutines left behind by %d runs", got-base, runs)
+			}
+		})
 	}
 }
 
@@ -109,8 +105,8 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 // starts exactly n goroutines (the dispatchers are event callbacks).
 func TestRunSpawnsOneProcPerNode(t *testing.T) {
 	const nodes = 8
-	// Let window workers of earlier tests finish exiting, so the baseline
-	// is not one too high.
+	// Let goroutines of earlier tests finish exiting, so the baseline is
+	// not one too high.
 	base := runtime.NumGoroutine()
 	for settled := false; !settled; {
 		time.Sleep(time.Millisecond)

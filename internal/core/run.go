@@ -115,24 +115,6 @@ type Result struct {
 	Trace *trace.Log
 }
 
-// lpParallel decides whether this run can use the partitioned parallel
-// kernel. The gated-out configurations all thread some globally ordered
-// state through the event loop — mesh link occupancy, the fault
-// injector's sequential RNG stream and the transport's one netMsg free
-// list, the shared trace log, and phase capture's cross-node stat
-// snapshots — so they keep the sequential kernel, where
-// byte-identity at any -run-workers value holds trivially.
-func lpParallel(opts *Options, capturePhases bool) bool {
-	return opts.RunWorkers >= 2 &&
-		opts.Machine.Nodes > 1 &&
-		opts.Protocol != ProtoSeq &&
-		opts.Machine.Topology != TopoMesh &&
-		!opts.Fault.Active() &&
-		opts.TraceLimit == 0 &&
-		!capturePhases &&
-		opts.Machine.Costs.Lookahead() > 0
-}
-
 // checkPlan rejects a fault plan with a value that means nothing on any
 // machine, or a crash of a node the machine of n nodes lacks. A slowdown or
 // target may name a node past n: the presets name fixed nodes, and on a
@@ -190,12 +172,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	// One exit for the success, error and panic paths alike: whatever
 	// procs are still parked when Run leaves are unwound, not leaked.
 	defer k.Shutdown()
-	if lpParallel(&opts, capturePhases) {
-		// One lane per node: each node's dispatchers and worker advance
-		// inside a conservative window bounded by the minimum cross-node
-		// message latency. Must happen before anything is scheduled.
-		k.Partition(n, opts.Machine.Costs.Lookahead(), opts.RunWorkers)
-	}
 	machine := paragon.New(k, n, opts.Machine.Costs)
 	if opts.Machine.Topology == TopoMesh {
 		machine.EnableMesh(0)
@@ -301,7 +277,7 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	var gathered []float64
 	for i := 0; i < n; i++ {
 		i := i
-		sys.appProcs[i] = k.SpawnOn(i, fmt.Sprintf("app%d", i), 0, func(p *sim.Proc) {
+		sys.appProcs[i] = k.Spawn(fmt.Sprintf("app%d", i), 0, func(p *sim.Proc) {
 			machine.Nodes[i].CPU.Bind(p)
 			c := newCtx(sys, i, p)
 			app.Worker(c, i)

@@ -3,17 +3,14 @@ package mem
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Frame is one immutable snapshot of a page, shared by reference count: a
 // home publishes one per version of its page and every fetch of that version
-// holds the same Words. The count is atomic because the holders sit on
-// different lanes of the partitioned kernel; the words need no more than
-// that, since nobody writes them between NewFrame and the last Release.
-// A Frame must not be copied (go vet's copylocks check sees the counter).
+// holds the same Words. Nobody writes the words between NewFrame and the
+// last Release.
 type Frame struct {
-	refs atomic.Int32
+	refs int32
 	sum  uint64 // checksum of Words at NewFrame; CheckFrames only
 	// Words is the snapshot. Holders read it; the last one to Release
 	// recycles it.
@@ -29,8 +26,7 @@ var CheckFrames bool
 // NewFrame wraps words, which the caller gives up, in a frame holding one
 // reference.
 func NewFrame(words []float64) *Frame {
-	f := &Frame{Words: words}
-	f.refs.Store(1)
+	f := &Frame{refs: 1, Words: words}
 	if CheckFrames {
 		f.sum = f.checksum()
 	}
@@ -39,7 +35,7 @@ func NewFrame(words []float64) *Frame {
 
 // Share adds a reference for a new holder and returns f.
 func (f *Frame) Share() *Frame {
-	f.refs.Add(1)
+	f.refs++
 	return f
 }
 
@@ -47,10 +43,11 @@ func (f *Frame) Share() *Frame {
 // pool (nil: they fall to the Go GC, as does a frame whose reference was
 // lost with a dropped message or a dead node).
 func (f *Frame) Release(pool *Pool) {
-	switch n := f.refs.Add(-1); {
-	case n < 0:
+	f.refs--
+	switch {
+	case f.refs < 0:
 		panic("mem: frame released more often than it was shared")
-	case n == 0:
+	case f.refs == 0:
 		f.Verify()
 		pool.PutPage(f.Words)
 		f.Words = nil

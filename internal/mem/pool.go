@@ -8,8 +8,8 @@ import (
 
 // Pool recycles page frames (twins, fetch snapshots, dropped copies) and,
 // for ComputeDiffPooled and Release only, diff value backings: the
-// protocols compute exact-size diffs and never touch that list. A lane is
-// single-threaded and every node owns its Pool (DESIGN §9): no locking.
+// protocols compute exact-size diffs and never touch that list. Every node
+// owns its Pool (DESIGN §9), and the kernel is single-threaded: no locking.
 //
 // Pooling invariants:
 //   - A buffer handed out by GetPage/Clone/getBuf is one of two kinds. A

@@ -99,14 +99,6 @@ func CostProfile(name string) (Costs, error) {
 	return Costs{}, fmt.Errorf("paragon: unknown cost profile %q (have paragon, modern)", name)
 }
 
-// Lookahead returns the minimum cross-node interaction delay of this
-// cost model: nodes influence each other only through messages, and no
-// message arrives sooner than MsgLatency after it is sent (Wire adds a
-// non-negative transfer time on top, and the FIFO clamp only pushes
-// arrivals later). This is the safe window width for the conservative
-// parallel kernel — 50us at Paragon costs, 2us for -costs modern.
-func (c *Costs) Lookahead() sim.Time { return c.MsgLatency }
-
 // Wire returns the time a message of the given payload size occupies the
 // network: latency plus size over bandwidth.
 func (c *Costs) Wire(bytes int) sim.Time {

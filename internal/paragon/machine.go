@@ -46,7 +46,7 @@ type Machine struct {
 }
 
 // New builds an n-node machine on kernel k. It spawns no procs: each
-// node's two dispatchers are event callbacks on the node's lane.
+// node's two dispatchers are event callbacks.
 func New(k *sim.Kernel, n int, costs Costs) *Machine {
 	m := &Machine{K: k, Costs: costs}
 	for i := 0; i < n; i++ {
@@ -77,10 +77,9 @@ func (m *Machine) EnableFaults(inj *fault.Injector) {
 	}
 }
 
-// Down reports whether node is inside a crash outage window right now
-// (by node's own lane clock).
+// Down reports whether node is inside a crash outage window right now.
 func (m *Machine) Down(node int) bool {
-	return m.inj != nil && m.inj.Down(node, m.K.LaneNow(node))
+	return m.inj != nil && m.inj.Down(node, m.K.Now())
 }
 
 // outage stretches compute work d on node across any crash window it
@@ -89,7 +88,7 @@ func (m *Machine) outage(node int, d sim.Time) sim.Time {
 	if m.inj == nil {
 		return d
 	}
-	return m.inj.Stall(node, m.K.LaneNow(node), d)
+	return m.inj.Stall(node, m.K.Now(), d)
 }
 
 // scale applies any active slowdown window on node to work d.
@@ -97,7 +96,7 @@ func (m *Machine) scale(node int, d sim.Time) sim.Time {
 	if m.inj == nil {
 		return d
 	}
-	return m.inj.Slow(node, m.K.LaneNow(node), d)
+	return m.inj.Slow(node, m.K.Now(), d)
 }
 
 // Node is one Paragon node: compute processor, communication co-processor,
@@ -126,10 +125,10 @@ func (n *Node) InstallCoproc(h Handler) { n.coproc.h = h }
 // dispatcher serializes one processor's request service: pop a message,
 // call the handler, hold the processor for the service time, apply the
 // effect, repeat. A handler never blocks mid-service, so the loop needs no
-// proc of its own; it runs to completion inside two events on the node's
-// lane — serve when a push finds it idle, complete one service time later —
-// created exactly where a dispatcher proc's unpark and sleep wake-ups
-// would be, which keeps the event order of such a proc bit for bit.
+// proc of its own; it runs to completion inside two events — serve when a
+// push finds it idle, complete one service time later — created exactly
+// where a dispatcher proc's unpark and sleep wake-ups would be, which keeps
+// the event order of such a proc bit for bit.
 type dispatcher struct {
 	n      *Node
 	h      Handler
@@ -137,7 +136,7 @@ type dispatcher struct {
 	queue  sim.Queue[Msg]
 	busy   bool   // a serve or complete event is pending
 	effect func() // of the message in service
-	// serve and complete are built once so posting them allocates nothing.
+	// serve and complete are built once so scheduling them allocates nothing.
 	serve, complete func()
 }
 
@@ -161,7 +160,7 @@ func (d *dispatcher) init(n *Node, intr bool) {
 			n.CPU.Steal(service)
 		}
 		d.effect = effect
-		n.M.K.Post(n.ID, n.ID, n.M.K.LaneNow(n.ID)+service, d.complete)
+		n.M.K.At(n.M.K.Now()+service, d.complete)
 	}
 	d.complete = func() {
 		if effect := d.effect; effect != nil {
@@ -182,7 +181,7 @@ func (d *dispatcher) push(msg Msg) {
 	d.queue.Push(msg)
 	if !d.busy {
 		d.busy = true
-		d.n.M.K.Post(d.n.ID, d.n.ID, d.n.M.K.LaneNow(d.n.ID), d.serve)
+		d.n.M.K.At(d.n.M.K.Now(), d.serve)
 	}
 }
 
@@ -197,9 +196,9 @@ func (n *Node) arrivalTime(to, size int, ordered bool) sim.Time {
 		// delay and link contention for the payload.
 		bw := n.M.Costs.BandwidthMBs * 1e6
 		tx := sim.Time(float64(size+n.M.Costs.MsgHeader) / bw * float64(sim.Second))
-		at = ms.deliver(n.M.K.LaneNow(n.ID)+n.M.Costs.MsgLatency, n.ID, to, tx)
+		at = ms.deliver(n.M.K.Now()+n.M.Costs.MsgLatency, n.ID, to, tx)
 	} else {
-		at = n.M.K.LaneNow(n.ID) + n.M.Costs.Wire(size)
+		at = n.M.K.Now() + n.M.Costs.Wire(size)
 	}
 	if !ordered {
 		return at

@@ -68,9 +68,7 @@ func (r *Reply) deliver(m Msg) {
 // Waiting reports whether the Call that sent request m still waits for
 // its first answer. A server that writes its answer into the requester's
 // memory may check it first: once the Call has returned, that memory
-// belongs to the requester's next exchange. It reads the requester's port,
-// so it is for checks that run on the sequential kernel or under the
-// window handoff that delivered m.
+// belongs to the requester's next exchange.
 func (m Msg) Waiting() bool {
 	r := m.Reply
 	return r != nil && r.waiter != nil && r.gen == m.gen && !r.got
@@ -84,8 +82,7 @@ const maxFlights = 64
 // flight is a fault-free message in flight: a request or one-way message
 // to node to's dispatchers when port is nil, otherwise an answer to port.
 // It comes off the sending node's free list and, once it fires, goes onto
-// the receiving node's: each list is touched only from its own node's
-// lane.
+// the receiving node's.
 type flight struct {
 	to   *Node
 	port *Reply
@@ -110,8 +107,5 @@ func (n *Node) post(to int, port *Reply, msg Msg) {
 		f = new(flight)
 	}
 	*f = flight{to: n.M.Nodes[to], port: port, msg: msg}
-	// The delivery is posted from this node's lane to the destination's:
-	// on a partitioned kernel it becomes a window-boundary handoff, on an
-	// unpartitioned one a plain event.
-	n.M.K.Post(n.ID, to, n.arrivalTime(to, msg.Size, true), f)
+	n.M.K.At(n.arrivalTime(to, msg.Size, true), f)
 }

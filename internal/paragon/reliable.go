@@ -31,10 +31,8 @@ const (
 // that: a server that writes its answer into the requester's request body
 // must never service the same request twice.
 //
-// All state is touched only from the simulation goroutine: fault runs
-// always execute on the unpartitioned kernel, because the injector's
-// verdicts come from one sequential RNG stream. So no locking is needed,
-// one free list serves every node, and the execution stays deterministic.
+// All state is touched only from the simulation goroutine, so no locking
+// is needed and one free list serves every node.
 type faultLayer struct {
 	m   *Machine
 	inj *fault.Injector
@@ -102,13 +100,10 @@ func (fl *faultLayer) transmit(nm *netMsg) {
 	// both model packets straggling through the mesh.
 	at := n.arrivalTime(nm.dst, size, v.Delay == 0)
 	nm.inflight++
-	// Arrivals go through the same src->dst handoff path as fault-free
-	// sends. (Fault runs always execute on an unpartitioned kernel, so
-	// this is the plain event path; the routing just stays uniform.)
-	fl.m.K.Post(nm.src, nm.dst, at+v.Delay, (*arrival)(nm))
+	fl.m.K.At(at+v.Delay, (*arrival)(nm))
 	if v.Duplicate {
 		nm.inflight++
-		fl.m.K.Post(nm.src, nm.dst, n.arrivalTime(nm.dst, size, false), (*arrival)(nm))
+		fl.m.K.At(n.arrivalTime(nm.dst, size, false), (*arrival)(nm))
 	}
 }
 
@@ -186,7 +181,7 @@ func (fl *faultLayer) sendAck(nm *netMsg) {
 		return
 	}
 	nm.acks++
-	fl.m.K.Post(nm.dst, nm.src, fl.m.K.LaneNow(nm.dst)+fl.m.Costs.Wire(ackBytes), (*ackArrival)(nm))
+	fl.m.K.At(fl.m.K.Now()+fl.m.Costs.Wire(ackBytes), (*ackArrival)(nm))
 }
 
 func (fl *faultLayer) ackArrived(nm *netMsg) {
@@ -209,7 +204,7 @@ func (fl *faultLayer) ackArrived(nm *netMsg) {
 // or with a final no-op firing after the ack lands.
 func (fl *faultLayer) armRetry(nm *netMsg, wait sim.Time) {
 	nm.wait, nm.armed = wait, true
-	fl.m.K.Post(nm.src, nm.src, fl.m.K.LaneNow(nm.src)+wait, (*retryTimer)(nm))
+	fl.m.K.At(fl.m.K.Now()+wait, (*retryTimer)(nm))
 }
 
 // retry is nm's retransmission timer firing: give up after maxAttempts,

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,6 +105,31 @@ func TestValidateAcrossProtocols(t *testing.T) {
 		if s.Latency.Count() != s.Completed {
 			t.Errorf("%s: histogram has %d samples for %d completions", proto, s.Latency.Count(), s.Completed)
 		}
+	}
+}
+
+// TestValidateRejectsWrongImage: Validate accepts the expected store and
+// rejects an image one key short, naming both counts, and an image with one
+// wrong word, naming its key.
+func TestValidateRejectsWrongImage(t *testing.T) {
+	kv, err := New(testConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := kv.Expected()
+	if err := kv.Validate(slices.Clone(want)); err != nil {
+		t.Fatalf("the expected image: %v", err)
+	}
+	n := len(want)
+	err = kv.Validate(slices.Clone(want[:n-1]))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("gathered %d keys, expected %d", n-1, n)) {
+		t.Errorf("a short image: err = %v, want one naming %d of %d keys", err, n-1, n)
+	}
+	bad := slices.Clone(want)
+	bad[n/2]++
+	err = kv.Validate(bad)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("key %d = ", n/2)) {
+		t.Errorf("one wrong word: err = %v, want one naming key %d", err, n/2)
 	}
 }
 

@@ -33,8 +33,8 @@ func TestSleepAllocFree(t *testing.T) {
 	}
 }
 
-// ticker is a prebuilt Task that posts itself again until it has fired
-// allocIters times.
+// ticker is a prebuilt Task that schedules itself again until it has
+// fired allocIters times.
 type ticker struct {
 	k *Kernel
 	n int
@@ -42,7 +42,7 @@ type ticker struct {
 
 func (tk *ticker) Fire() {
 	if tk.n++; tk.n < allocIters {
-		tk.k.Post(0, 0, tk.k.Now()+1, tk)
+		tk.k.At(tk.k.Now()+1, tk)
 	}
 }
 
@@ -68,11 +68,11 @@ func TestEventSchedulingAllocFree(t *testing.T) {
 				allocIters, allocs, allocBudget)
 		}
 	})
-	t.Run("Post", func(t *testing.T) {
+	t.Run("Task", func(t *testing.T) {
 		allocs := testing.AllocsPerRun(1, func() {
 			k := NewKernel()
 			tk := &ticker{k: k}
-			k.Post(0, 0, 1, tk)
+			k.At(1, tk)
 			if err := k.Run(); err != nil {
 				t.Error(err)
 			}
@@ -81,7 +81,7 @@ func TestEventSchedulingAllocFree(t *testing.T) {
 			}
 		})
 		if allocs > allocBudget {
-			t.Errorf("%d posts of one Task cost %.0f allocs, want < %.0f total (0 per op)",
+			t.Errorf("%d schedulings of one Task cost %.0f allocs, want < %.0f total (0 per op)",
 				allocIters, allocs, allocBudget)
 		}
 	})

@@ -27,8 +27,7 @@ const sleepReason = "sleep"
 // The coroutine is an iter.Pull: resuming and parking a proc hands the OS
 // thread straight from one goroutine to the other (runtime.coroswitch) —
 // no run queue, no idle-thread wake-up — and carries the race detector's
-// happens-before edge, so a proc may be resumed by a different window
-// worker each window. iter.Pull is why this file needs Go 1.23 (the build
+// happens-before edge. iter.Pull is why this file needs Go 1.23 (the build
 // tag raises its language version; go.mod stays at the line benchmark/
 // shares).
 //
@@ -36,8 +35,7 @@ const sleepReason = "sleep"
 // Unpark, which is called from another proc or an event callback.
 type Proc struct {
 	k    *Kernel
-	ln   *lane // owning lane; the single lane on an unpartitioned kernel
-	id   int   // spawn index, stable across runs; orders deadlock reports
+	id   int // spawn index, stable across runs; orders deadlock reports
 	name string
 
 	next func() (struct{}, bool) // scheduler -> proc: run until it parks or returns
@@ -57,24 +55,11 @@ type Proc struct {
 	panicked any // panic value from the proc body, re-raised by run
 }
 
-// Spawn creates a process executing fn, starting at time at, on lane 0.
-// The name is used in deadlock reports.
+// Spawn creates a process executing fn, starting at time at. The name is
+// used in deadlock reports.
 func (k *Kernel) Spawn(name string, at Time, fn func(p *Proc)) *Proc {
-	return k.SpawnOn(0, name, at, fn)
-}
-
-// SpawnOn creates a process on the given lane. On an unpartitioned
-// kernel every lane index maps to lane 0, so callers can pass their node
-// id unconditionally. Spawning is only legal during setup (or from the
-// owning lane itself on an unpartitioned kernel); the windowed scheduler
-// never spawns mid-run.
-func (k *Kernel) SpawnOn(laneIdx int, name string, at Time, fn func(p *Proc)) *Proc {
-	if k.running {
-		panic("sim: Spawn during a partitioned run")
-	}
 	p := &Proc{
 		k:          k,
-		ln:         k.laneFor(laneIdx),
 		id:         len(k.procs),
 		name:       name,
 		blockedArg: noArg,
@@ -101,8 +86,8 @@ func (k *Kernel) SpawnOn(laneIdx int, name string, at Time, fn func(p *Proc)) *P
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Now returns the current simulated time of the proc's lane.
-func (p *Proc) Now() Time { return p.ln.now }
+// Now returns the current simulated time.
+func (p *Proc) Now() Time { return p.k.now }
 
 // Done reports whether the proc body has returned.
 func (p *Proc) Done() bool { return p.done }
@@ -126,9 +111,9 @@ func (p *Proc) run() {
 		return
 	}
 	p.started = true
-	p.ln.current = p
+	p.k.current = p
 	p.next()
-	p.ln.current = nil
+	p.k.current = nil
 	if p.panicked != nil {
 		r := p.panicked
 		p.panicked = nil
@@ -153,7 +138,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %d", d))
 	}
-	p.k.atRun(p.ln.now+d, p)
+	p.k.atRun(p.k.now+d, p)
 	p.yield(sleepReason, int64(d))
 }
 
@@ -180,21 +165,18 @@ func (p *Proc) ParkArg(reason string, arg int64) {
 	p.yield(reason, arg)
 }
 
-// Unpark makes p runnable at the current simulated time of p's lane. If
-// p is not parked, the permit is remembered and consumed by the next
-// Park. Unpark must not be called from p itself, and on a partitioned
-// kernel only from code executing on p's own lane (all cross-node
-// wakeups in this codebase arrive as messages, which already hop lanes
-// through Post).
+// Unpark makes p runnable at the current simulated time. If p is not
+// parked, the permit is remembered and consumed by the next Park. Unpark
+// must not be called from p itself.
 func (p *Proc) Unpark() {
-	if p.ln.current == p {
+	if p.k.current == p {
 		panic("sim: proc unparked itself")
 	}
 	if p.permit {
 		return // already has a pending permit
 	}
 	p.permit = true
-	p.k.atUnpark(p.ln.now, p)
+	p.k.atUnpark(p.k.now, p)
 }
 
 // Shutdown unwinds every live process so their goroutines exit. Call after

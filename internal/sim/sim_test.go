@@ -60,6 +60,16 @@ func TestSchedulePastPanics(t *testing.T) {
 	}
 }
 
+// At takes a Task or a func(); anything else is a programming error.
+func TestAtRejectsOtherTypes(t *testing.T) {
+	defer func() {
+		if s, _ := recover().(string); !strings.Contains(s, "sim: At of int") {
+			t.Errorf("recovered %q, want a panic naming the type", s)
+		}
+	}()
+	NewKernel().At(1, 42)
+}
+
 func TestProcSleep(t *testing.T) {
 	k := NewKernel()
 	var times []Time

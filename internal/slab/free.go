@@ -5,8 +5,8 @@ import "slices"
 // Free is a LIFO free list of recycled objects: the one recycling rule of
 // the message and page paths. It never zeroes what it holds. An owner that
 // wants a stale reference to fail loudly clears the object before Put; one
-// whose objects keep backings worth reusing leaves them. A list is touched
-// only from its owner's lane. The zero value is an unbounded list.
+// whose objects keep backings worth reusing leaves them. The zero value is
+// an unbounded list.
 type Free[T any] struct {
 	items []T
 	bound int
