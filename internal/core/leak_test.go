@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,7 +26,9 @@ func leakApp(worker func(c *Ctx, id int)) *testApp {
 
 // Run must not leave a goroutine behind however it exits: every proc
 // still parked when the kernel stops — on a deadlock, a set-up error, or
-// a panic out of application code — is unwound on the way out.
+// a panic out of application code — is unwound on the way out. Each case
+// also runs under the RunWorkers values the benchmark still passes: the
+// deprecated option is ignored and must stay so.
 func TestRunLeaksNoGoroutines(t *testing.T) {
 	const nodes, runs = 8, 10
 	cases := []struct {
@@ -74,30 +77,33 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			},
 		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := testOpts(ProtoHLRC, nodes)
-			runOnce := func() (err error, panicked any) {
-				defer func() { panicked = recover() }()
-				_, err = Run(opts, tc.app, false)
-				return err, nil
-			}
-			base := runtime.NumGoroutine()
-			for i := 0; i < runs; i++ {
-				if err, panicked := runOnce(); !tc.check(err, panicked) {
-					t.Fatalf("run %d: err = %v, panic = %v", i, err, panicked)
+	for _, workers := range []int{1, 2} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
+				opts := testOpts(ProtoHLRC, nodes)
+				opts.RunWorkers = workers
+				runOnce := func() (err error, panicked any) {
+					defer func() { panicked = recover() }()
+					_, err = Run(opts, tc.app, false)
+					return err, nil
 				}
-			}
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond) // an exiting goroutine is uncounted a moment later
-			}
-			// >, not !=: base may include a goroutine of an earlier test
-			// that was still on its way out.
-			if got := runtime.NumGoroutine(); got > base {
-				t.Errorf("%d goroutines left behind by %d runs", got-base, runs)
-			}
-		})
+				base := runtime.NumGoroutine()
+				for i := 0; i < runs; i++ {
+					if err, panicked := runOnce(); !tc.check(err, panicked) {
+						t.Fatalf("run %d: err = %v, panic = %v", i, err, panicked)
+					}
+				}
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond) // an exiting goroutine is uncounted a moment later
+				}
+				// >, not !=: base may include a goroutine of an earlier test
+				// that was still on its way out.
+				if got := runtime.NumGoroutine(); got > base {
+					t.Errorf("%d goroutines left behind by %d runs", got-base, runs)
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -20,44 +21,52 @@ func waitGoroutines(want int) int {
 	return runtime.NumGoroutine()
 }
 
-// Shutdown must unwind a proc in each state it can be left in — finished,
+// Shutdown must unwind every proc the kernel stopped with — finished,
 // parked, sleeping, never started — and leave no goroutine behind; a second
-// Shutdown is a no-op.
+// Shutdown is a no-op. It holds with and without a call to the deprecated
+// Partition, which the benchmark still makes and which must stay inert.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	k := NewKernel()
-	unwound := 0
-	finished := k.Spawn("finished", 0, func(p *Proc) { p.Sleep(10) })
-	parked := k.Spawn("parked", 0, func(p *Proc) {
-		defer func() { unwound++ }()
-		p.Park("never")
-	})
-	asleep := k.Spawn("asleep", 0, func(p *Proc) {
-		defer func() { unwound++ }()
-		p.Sleep(1 << 40)
-	})
-	late := k.Spawn("late", 1<<40, func(p *Proc) { t.Error("late proc body ran") })
-	k.At(100, k.Stop)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{0, 1, 2} { // 0: Partition not called
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := NewKernel()
+			if workers > 0 {
+				k.Partition(4, 50, workers)
+			}
+			unwound := 0
+			finished := k.Spawn("finished", 0, func(p *Proc) { p.Sleep(10) })
+			parked := k.Spawn("parked", 0, func(p *Proc) {
+				defer func() { unwound++ }()
+				p.Park("never")
+			})
+			asleep := k.Spawn("asleep", 0, func(p *Proc) {
+				defer func() { unwound++ }()
+				p.Sleep(1 << 40)
+			})
+			late := k.Spawn("late", 1<<40, func(p *Proc) { t.Error("late proc body ran") })
+			k.At(100, k.Stop)
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !finished.Done() || parked.Done() || asleep.Done() || late.Done() {
+				t.Fatalf("before Shutdown: done = %v %v %v %v, want only the first",
+					finished.Done(), parked.Done(), asleep.Done(), late.Done())
+			}
+			k.Shutdown()
+			if got := waitGoroutines(base); got > base {
+				t.Errorf("%d goroutines after Shutdown, want %d", got, base)
+			}
+			if unwound != 2 {
+				t.Errorf("deferred cleanups ran = %d, want 2", unwound)
+			}
+			for _, p := range []*Proc{finished, parked, asleep, late} {
+				if !p.Done() {
+					t.Errorf("proc %s not done after Shutdown", p.Name())
+				}
+			}
+			k.Shutdown()
+		})
 	}
-	if !finished.Done() || parked.Done() || asleep.Done() || late.Done() {
-		t.Fatalf("before Shutdown: done = %v %v %v %v, want only the first",
-			finished.Done(), parked.Done(), asleep.Done(), late.Done())
-	}
-	k.Shutdown()
-	if got := waitGoroutines(base); got > base {
-		t.Errorf("%d goroutines after Shutdown, want %d", got, base)
-	}
-	if unwound != 2 {
-		t.Errorf("deferred cleanups ran = %d, want 2", unwound)
-	}
-	for _, p := range []*Proc{finished, parked, asleep, late} {
-		if !p.Done() {
-			t.Errorf("proc %s not done after Shutdown", p.Name())
-		}
-	}
-	k.Shutdown()
 }
 
 //go:noinline
@@ -66,33 +75,40 @@ func explode(msg string) { panic(msg) }
 // A proc panic surfaces from Run on the caller's goroutine as "proc <name>
 // panicked: ..." with the proc's own stack; when two procs would panic at
 // the same instant, the one whose wake-up was scheduled first does, and
-// Shutdown still unwinds the rest.
-func TestProcPanicKeepsItsStack(t *testing.T) {
-	base := runtime.NumGoroutine()
-	k := NewKernel()
-	k.Spawn("bystander", 0, func(p *Proc) { p.Park("never") })
-	for _, name := range []string{"boom3", "boom1"} {
-		k.Spawn(name, 0, func(p *Proc) {
-			p.Sleep(5)
-			explode("kaboom from " + name)
+// Shutdown still unwinds the rest. Each subtest first calls the deprecated
+// Partition with the worker counts this test once drove the partitioned
+// kernel with: the call must change none of that.
+func TestProcPanicPartitioned(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := NewKernel()
+			k.Partition(4, 50, workers)
+			k.Spawn("bystander", 0, func(p *Proc) { p.Park("never") })
+			for _, name := range []string{"boom3", "boom1"} {
+				k.Spawn(name, 0, func(p *Proc) {
+					p.Sleep(5)
+					explode("kaboom from " + name)
+				})
+			}
+			func() {
+				defer func() {
+					s, _ := recover().(string)
+					if !strings.HasPrefix(s, "proc boom3 panicked: kaboom from boom3\n") {
+						t.Errorf("recovered %q, want the first-spawned proc's wrapped panic", s)
+					}
+					if !strings.Contains(s, "sim.explode") {
+						t.Errorf("panic text lost the proc's own stack:\n%s", s)
+					}
+				}()
+				_ = k.Run()
+				t.Error("Run returned instead of panicking")
+			}()
+			k.Shutdown()
+			if got := waitGoroutines(base); got > base {
+				t.Errorf("%d goroutines after Shutdown, want %d", got, base)
+			}
 		})
-	}
-	func() {
-		defer func() {
-			s, _ := recover().(string)
-			if !strings.HasPrefix(s, "proc boom3 panicked: kaboom from boom3\n") {
-				t.Errorf("recovered %q, want the first-spawned proc's wrapped panic", s)
-			}
-			if !strings.Contains(s, "sim.explode") {
-				t.Errorf("panic text lost the proc's own stack:\n%s", s)
-			}
-		}()
-		_ = k.Run()
-		t.Error("Run returned instead of panicking")
-	}()
-	k.Shutdown()
-	if got := waitGoroutines(base); got > base {
-		t.Errorf("%d goroutines after Shutdown, want %d", got, base)
 	}
 }
 
