@@ -62,7 +62,7 @@ func BenchmarkTable2_Speedups(b *testing.B) {
 func BenchmarkTable3_BasicOps(b *testing.B) {
 	c := gosvm.DefaultCosts()
 	for i := 0; i < b.N; i++ {
-		bench.Table3(io.Discard, 8192)
+		bench.Table3For(io.Discard, 8192, c)
 	}
 	b.ReportMetric((c.PageFault + c.Wire(4) + c.ReceiveInterrupt + c.Wire(8192)).Micros(), "hlrc-miss-us")
 	b.ReportMetric((c.PageFault + c.Wire(4) + c.Wire(8192)).Micros(), "ohlrc-miss-us")
@@ -237,7 +237,7 @@ func TestBenchmarkHarness(t *testing.T) {
 	r := benchRunner()
 	r.Table1(io.Discard)
 	r.Table2(io.Discard)
-	bench.Table3(io.Discard, 8192)
+	bench.Table3For(io.Discard, 8192, gosvm.DefaultCosts())
 	r.Table4(io.Discard)
 	r.Table5(io.Discard)
 	r.Table6(io.Discard)

@@ -26,7 +26,7 @@ func main() {
 		mf       = cliflags.AddMachine(flag.CommandLine, 8, 8192)
 		ff       = cliflags.AddFault(flag.CommandLine, gosvm.FaultNone)
 		size     = flag.String("size", "small", "problem size: test, small, paper")
-		gcThr    = flag.Int64("gc-threshold", 8<<20, "homeless GC trigger, bytes of protocol memory per node")
+		gcThr    = flag.Int64("gc-threshold", 0, "homeless GC trigger, bytes of protocol memory per node (0: the library default, 8 MB)")
 		noSeq    = flag.Bool("noseq", false, "skip the sequential baseline run")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON statistics instead of text")
 	)

@@ -18,7 +18,10 @@ func runScaleSOR(t *testing.T, proto core.Protocol, nodes int) *core.Result {
 	opts := core.Options{
 		Protocol:  proto,
 		PageBytes: 4096,
-		Machine:   core.Machine{Nodes: nodes},
+		// At 1024 nodes LRC's protocol memory passes 4 MB, not the default
+		// 8 MB: this threshold keeps a collection in that run.
+		GCThreshold: 4 << 20,
+		Machine:     core.Machine{Nodes: nodes},
 	}
 	res, err := core.Run(opts, scaleSOR(), false)
 	if err != nil {

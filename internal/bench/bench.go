@@ -38,10 +38,9 @@ import (
 
 // Runner executes and memoizes benchmark runs.
 type Runner struct {
-	Size        apps.Size
-	PageBytes   int
-	GCThreshold int64
-	Procs       []int // machine sizes; the paper uses 8, 32, 64
+	Size      apps.Size
+	PageBytes int
+	Procs     []int // machine sizes; the paper uses 8, 32, 64
 	// Machine is the size-independent machine shape (topology and
 	// costs) applied to every cell; the node count is stamped per cell
 	// from the Procs axis, and the barrier follows from it. The zero
@@ -70,11 +69,10 @@ type cacheEntry struct {
 // machine parameters.
 func NewRunner(size apps.Size) *Runner {
 	return &Runner{
-		Size:        size,
-		PageBytes:   8192,
-		GCThreshold: 8 << 20,
-		Procs:       []int{8, 32, 64},
-		cache:       map[cell]*cacheEntry{},
+		Size:      size,
+		PageBytes: 8192,
+		Procs:     []int{8, 32, 64},
+		cache:     map[cell]*cacheEntry{},
 	}
 }
 
@@ -168,12 +166,7 @@ func must[T any](v T, err error) T {
 func (r *Runner) cellOpts(proto core.Protocol, procs int) core.Options {
 	m := r.Machine
 	m.Nodes = procs
-	return core.Options{
-		Protocol:    proto,
-		PageBytes:   r.PageBytes,
-		GCThreshold: r.GCThreshold,
-		Machine:     m,
-	}
+	return core.Options{Protocol: proto, PageBytes: r.PageBytes, Machine: m}
 }
 
 // faultOpts is cellOpts under a fault plan.

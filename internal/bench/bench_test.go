@@ -155,7 +155,7 @@ func TestTableFormattingSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	r.Table1(&buf)
 	r.Table2(&buf)
-	Table3(&buf, 1024)
+	Table3For(&buf, 1024, paragon.DefaultCosts())
 	r.Table4(&buf)
 	r.Table5(&buf)
 	r.Table6(&buf)

@@ -80,14 +80,9 @@ func (r *Runner) Table2(w io.Writer) {
 	tw.Flush()
 }
 
-// Table3 reports the basic operation cost model and the derived
-// round-trip latencies quoted in §4.3.
-func Table3(w io.Writer, pageBytes int) {
-	Table3For(w, pageBytes, paragon.DefaultCosts())
-}
-
-// Table3For renders the Table-3 report for an arbitrary cost profile
-// (e.g. paragon.ModernCosts).
+// Table3For reports cost profile c's basic operation costs and the derived
+// round-trip latencies quoted in §4.3: Table 3 for paragon.DefaultCosts,
+// or any other profile (e.g. paragon.ModernCosts).
 func Table3For(w io.Writer, pageBytes int, c paragon.Costs) {
 	fmt.Fprintln(w, "Table 3: timings for basic operations (model constants)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

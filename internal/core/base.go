@@ -107,11 +107,6 @@ type base struct {
 	// node 0 for the GC rendezvous.
 	tree *treeBarrier
 
-	// memPool recycles page frames for this node only; see init. copies
-	// counts its page copies and caps the free list.
-	memPool *mem.Pool
-	copies  int
-
 	// compute and coproc hold the message each of the node's dispatchers
 	// is servicing (service).
 	compute, coproc service
@@ -158,10 +153,6 @@ func (b *base) init(sys *System, self int, co coherence) {
 	if sys.Opts.Machine.TreeBarrier() {
 		b.tree = newTreeBarrier(self, sys.Opts.Machine.barrierRadix(), sys.Opts.Machine.Nodes)
 	}
-	// Frame recycling is per node. Pool contents are never observable
-	// (every consumer overwrites the full buffer), so sharding changes no
-	// simulated outcome.
-	b.memPool = mem.NewPool(sys.Space.PageWords)
 	b.compute.init(b)
 	b.coproc.init(b)
 	b.node.InstallCompute(b.compute.serve)
@@ -251,29 +242,14 @@ func (b *base) wireVC() bool { return !b.sys.homeBased }
 // receives everyone else's without.
 func (b *base) logVC(rec *IntervalRec) bool { return b.wireVC() || rec.Proc == b.self }
 
-func (b *base) pool() *mem.Pool { return b.memPool }
-
-// sink is where a frame this node is done with goes: its pool, or nil (the
-// Go GC) once the list holds as many frames as the node holds copies. Frames
-// flow from homes to readers only, so an uncapped list grows with every refetch.
-func (b *base) sink() *mem.Pool {
-	if free, _ := b.memPool.Free(); free >= b.copies {
-		return nil
-	}
-	return b.memPool
-}
-
-// holdCopy counts a page copy installed outside adopt (the seed image).
-func (b *base) holdCopy() { b.copies++ }
-
-// snapshot copies p's current bytes out of this node's pool. The copy is
+// snapshot copies p's current bytes out of the simulation's pool. The copy is
 // the snapshot semantics, not overhead: simulated time passes before a reply
 // lands and this node keeps writing the page. What it becomes is one of two
 // kinds of frame: a one-off, shipped to a single recipient that adopts it as
 // its private copy (the homeless protocols, base.adopt), or the words of a
 // mem.Frame a home publishes once per version of the page and every fetch of
 // that version shares read-only (hlrcEngine.publish).
-func (b *base) snapshot(p *mem.Page) []float64 { return b.memPool.Clone(p.Data) }
+func (b *base) snapshot(p *mem.Page) []float64 { return b.sys.pool.Clone(p.Data) }
 
 // adopt makes *frame, a one-off snapshot shipped to this node alone, its
 // private copy of p and recycles the stale one: the page crosses the host
@@ -283,24 +259,18 @@ func (b *base) adopt(p *mem.Page, frame *[]float64) {
 	if len(*frame) != b.sys.Space.PageWords {
 		panic(fmt.Sprintf("core: node %d adopting a %d-word page frame (delivered twice?)", b.self, len(*frame)))
 	}
-	if p.Data == nil {
-		b.copies++
-	}
-	b.sink().PutPage(p.Data) // nil is not a frame: nothing is put
+	b.sys.pool.PutPage(p.Data) // nil is not a frame: nothing is put
 	p.Data, *frame = *frame, nil
 }
 
 // adoptShared makes f, a frame this node was sent one reference to, its
-// read-only copy of p; whatever it replaces goes to the sink — the words of
+// read-only copy of p; whatever it replaces goes to the pool — the words of
 // a private copy, or the reference to a shared one, whose words follow if it
 // was the last. The home wrote f into this node's fetch body, which the
 // caller clears after; an answer is adopted at most once because the node's
 // reply port keeps only the first answer to each Call.
 func (b *base) adoptShared(p *mem.Page, f *mem.Frame) {
-	if p.Data == nil {
-		b.copies++
-	}
-	p.Adopt(f, b.sink())
+	p.Adopt(f, b.sys.pool)
 }
 
 func (b *base) st() *stats.Node { return b.node.Stats }
@@ -361,7 +331,7 @@ func (b *base) readMiss(page int) {
 func (b *base) diffTwin(page int, d *mem.Diff) {
 	p := b.pt.Page(page)
 	d.Recompute(page, p.Twin, p.Data)
-	p.DropTwin(b.sink())
+	p.DropTwin(b.sys.pool)
 	b.st().MemFree(int64(b.sys.Space.PageBytes()))
 	b.event(trace.DiffCreate, page, -1, int64(d.WireSize()))
 }

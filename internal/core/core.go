@@ -82,7 +82,7 @@ type Options struct {
 
 	// GCThreshold is the per-node protocol memory (bytes) above which the
 	// homeless protocols garbage-collect at the next barrier. Zero means
-	// the TreadMarks-like default.
+	// the TreadMarks-like default, 8 MB.
 	GCThreshold int64
 
 	// HomeRoundRobin ignores the application's home placement and assigns
@@ -122,7 +122,7 @@ func (o *Options) Defaults() {
 		o.PageBytes = 4096
 	}
 	if o.GCThreshold == 0 {
-		o.GCThreshold = 4 << 20
+		o.GCThreshold = 8 << 20
 	}
 }
 

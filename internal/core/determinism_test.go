@@ -152,10 +152,10 @@ func TestDeterminismMatrixFastpath(t *testing.T) {
 type sharedFrameApp struct {
 	rounds int
 	addr   mem.Addr
-	// held[r][id] is the frame reader id held in round r; lists[id] its
-	// frame list before the closing barrier. Each slot has one writer.
+	// held[r][id] is the frame reader id held in round r, and words[r] the
+	// first word of the frame reader 1 held. Each slot has one writer.
 	held  [][]*mem.Frame
-	lists []core.FrameList
+	words []*float64
 }
 
 func (a *sharedFrameApp) Name() string        { return "shared-frame" }
@@ -172,25 +172,29 @@ func (a *sharedFrameApp) Worker(c *core.Ctx, id int) {
 				panic(fmt.Sprintf("shared-frame: node %d read %v in round %d", id, got, r))
 			}
 			a.held[r][id] = c.HeldFrame(a.addr)
+			if id == 1 {
+				a.words[r] = &a.held[r][id].Words[0]
+			}
 		}
 		c.Barrier(2*r + 1) // the next store must not race with these reads
 	}
-	a.lists[id] = c.OwnFrameList()
-	c.Barrier(0)
 }
 func (a *sharedFrameApp) Gather(c *core.Ctx) []float64 { return []float64{c.Load(a.addr)} }
 
 // TestSharedFrameRecycledByReader runs with the frame check on: each round
 // four readers hold the one frame the home published, and since the home
 // drops its reference when the next diff arrives, the last release of
-// every frame — checksum, then recycling — is a reader's: some reader must
-// end with the words on its free list.
+// every frame — checksum, then recycling — is a reader's, as it adopts the
+// next round's frame. The simulation has one free list, so the home's next
+// publish takes the words that reader released and allocates none: from
+// round 3 on, each round's frame holds the words of the frame two rounds
+// before it.
 func TestSharedFrameRecycledByReader(t *testing.T) {
 	core.CheckFrames(t)
 	const nodes, rounds = 6, 12
 	for _, proto := range []core.Protocol{core.ProtoHLRC, core.ProtoOHLRC} {
 		t.Run(string(proto), func(t *testing.T) {
-			app := &sharedFrameApp{rounds: rounds, lists: make([]core.FrameList, nodes)}
+			app := &sharedFrameApp{rounds: rounds, words: make([]*float64, rounds+1)}
 			for r := 0; r <= rounds; r++ {
 				app.held = append(app.held, make([]*mem.Frame, nodes))
 			}
@@ -210,12 +214,11 @@ func TestSharedFrameRecycledByReader(t *testing.T) {
 					}
 				}
 			}
-			recycled := 0
-			for _, l := range app.lists[1 : nodes-1] {
-				recycled += l.Free
-			}
-			if recycled == 0 || app.lists[0].Free != 0 {
-				t.Errorf("frame lists %+v: want the released frames on the readers' lists, none on the home's", app.lists)
+			for r := 3; r <= rounds; r++ {
+				if app.words[r] != app.words[r-2] {
+					t.Errorf("round %d: the published frame's words are %p, want %p, the words the last reader of round %d's frame released",
+						r, app.words[r], app.words[r-2], r-2)
+				}
 			}
 		})
 	}

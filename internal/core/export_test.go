@@ -12,7 +12,7 @@ import (
 // through a shared frame panics in the run that made it; every server that
 // writes its answer into a requester's body first verifies that the
 // requester still waits in the Call the body belongs to (base.claimBody);
-// and a home refuses a diff record that is on its free list (homeApply).
+// and a home refuses a diff record that is on the free list (homeApply).
 // Off — the default — each check is one untaken branch, and nothing on the
 // access path (TestFrameCheckIsOffTheAccessPath).
 func CheckFrames(t testing.TB) {
@@ -20,33 +20,21 @@ func CheckFrames(t testing.TB) {
 	t.Cleanup(func() { mem.CheckFrames = false })
 }
 
-// FrameList is one node's page-frame state: the lengths of its pool's two
-// free lists, the page copies its table holds, and the count of them the
-// free-list cap works from.
-type FrameList struct{ Free, Backings, Resident, Counted int }
+// FrameList is the simulation's page-frame state: the lengths of its one
+// pool's two free lists and the page copies every node's table holds.
+type FrameList struct{ Free, Backings, Resident int }
 
-// FrameLists reports every node's FrameList. For tests outside the package
-// (a wrapped App's Gather).
-func (c *Ctx) FrameLists() []FrameList {
-	lists := make([]FrameList, len(c.sys.Engines))
-	for i := range lists {
-		lists[i] = c.sys.frameList(i)
+// FrameList reports the simulation's FrameList. For tests outside the
+// package (a wrapped App's Gather).
+func (c *Ctx) FrameList() (l FrameList) {
+	l.Free, l.Backings = c.sys.pool.Free()
+	for _, t := range c.sys.Tables {
+		t.Each(func(_ int, p *mem.Page) {
+			if p.Data != nil {
+				l.Resident++
+			}
+		})
 	}
-	return lists
-}
-
-// OwnFrameList is the calling node's FrameList.
-func (c *Ctx) OwnFrameList() FrameList { return c.sys.frameList(c.id) }
-
-func (s *System) frameList(i int) (l FrameList) {
-	b := baseOf(s.Engines[i])
-	l.Free, l.Backings = b.pool().Free()
-	l.Counted = b.copies
-	s.Tables[i].Each(func(_ int, p *mem.Page) {
-		if p.Data != nil {
-			l.Resident++
-		}
-	})
 	return l
 }
 

@@ -432,7 +432,7 @@ func lockTasksApp(tasks int) *testApp {
 // small threshold forces. Without ("flush-rounds"), nothing is read until
 // the end: under the home-based protocols every node flushes a diff to
 // every other page's home each round and applies those of the pages it
-// homes, so the diff records circulate between the nodes' free lists. The
+// homes, so the diff records circulate through the free list. The
 // result is the same bits on any machine size.
 func roundsApp(pages, rounds int, check bool) *testApp {
 	var addr mem.Addr
@@ -535,7 +535,8 @@ func TestClaimBodyRefusesAnsweredCall(t *testing.T) {
 }
 
 // The recycled-record check fires: under CheckFrames a home applying a
-// diff record that is on its free list panics before it touches the page.
+// diff record that is on the simulation's free list panics before it
+// touches the page.
 func TestRecycledDiffRecordIsRefused(t *testing.T) {
 	CheckFrames(t)
 	defer func() {
@@ -544,7 +545,8 @@ func TestRecycledDiffRecordIsRefused(t *testing.T) {
 		}
 	}()
 	e := &hlrcEngine{}
+	e.sys = &System{}
 	df := new(diffFlush)
-	e.diffRecs.Put(df)
+	e.sys.diffRecs.Put(df)
 	e.homeApply(df)
 }

@@ -7,23 +7,22 @@ import (
 	"gosvm/internal/core"
 )
 
-// frameTap wraps an application to read the machine's frame lists at
+// frameTap wraps an application to read the simulation's frame list at
 // gather time, when every worker is past its last barrier.
 type frameTap struct {
 	core.App
-	lists []core.FrameList
+	list core.FrameList
 }
 
 func (a *frameTap) Gather(c *core.Ctx) []float64 {
-	a.lists = c.FrameLists()
+	a.list = c.FrameList()
 	return a.App.Gather(c)
 }
 
 // TestPoolsHoldPageFramesOnly: water-sp diffs a few words of many pages,
 // the case where a page-capacity diff backing wastes the most. The
-// protocols compute exact-size diffs now, so after a run no node's pool
-// holds a diff backing (under HLRC the parent left one per diff on the
-// homes' lists, never drawn again), and its frames stay under the cap.
+// protocols compute exact-size diffs, so after a run the pool holds no diff
+// backing, and no more free frames than the nodes hold copies.
 func TestPoolsHoldPageFramesOnly(t *testing.T) {
 	for _, proto := range core.Protocols {
 		proto := proto
@@ -40,11 +39,9 @@ func TestPoolsHoldPageFramesOnly(t *testing.T) {
 			if diffs == 0 {
 				t.Fatal("the run created no diffs")
 			}
-			for i, l := range tap.lists {
-				if l.Backings != 0 || l.Free > l.Resident {
-					t.Errorf("node %d: %d diff backings and %d frames free, %d copies resident; want no backing, frames within copies",
-						i, l.Backings, l.Free, l.Resident)
-				}
+			if l := tap.list; l.Backings != 0 || l.Free > l.Resident {
+				t.Errorf("%d diff backings and %d frames free, %d copies resident; want no backing, frames within copies",
+					l.Backings, l.Free, l.Resident)
 			}
 		})
 	}

@@ -69,7 +69,7 @@ func published(c *Ctx, addr mem.Addr) *mem.Frame {
 // into it; the other nodes (one at p2, two at p3) fault it in a millisecond
 // apart. The home has the page open, so there is no version to share: each
 // reader must end up holding a one-off of its own — the very buffer node 0
-// drew for its reply (marker frames planted in its pool) — with the value of
+// drew for its reply (marker frames planted in the pool) — with the value of
 // reply time in it: a store the home made while a reply was in flight is in
 // no reader's copy, and no copy moves while the home keeps writing.
 func TestFetchAdoptsTheHomesSnapshot(t *testing.T) {
@@ -109,7 +109,7 @@ func fetchAdoptsTheHomesSnapshot(t *testing.T, proto Protocol, nodes int) {
 						// After the first store: the homeless protocols
 						// have drawn their twin by now.
 						for _, m := range markers {
-							baseOf(c.eng).pool().PutPage(m)
+							c.sys.pool.PutPage(m)
 						}
 					}
 					c.Compute(5 * sim.Microsecond)

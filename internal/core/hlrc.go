@@ -26,15 +26,7 @@ type hlrcEngine struct {
 	// fetch is the body of this node's page-fetch request, filled in place
 	// by ReadFault and answered in place by the home (fetchPageReq).
 	fetch fetchPageReq
-	// diffRecs is this node's free list of diff records (diffFlush), kept
-	// with their backings: the ones it applied as a home, for its flushes.
-	diffRecs slab.Free[*diffFlush]
 }
-
-// maxDiffRecs bounds each node's free list of diff records. Flushes in
-// both directions keep the lists balanced; the bound only caps what a home
-// that mostly receives diffs holds on to, each record with its backings.
-const maxDiffRecs = 64
 
 // hlrcPage is the per-page protocol state of one node, in two tiers. The
 // slot is what a page the node faulted on or homes costs, and a page whose
@@ -92,10 +84,11 @@ type fetchPageReq struct {
 
 // diffFlush is one diff on its way to the page's home: the one-way body of
 // a kDiffFlush and, under OHLRC, of the kMakeDiff post that computes it. A
-// writer takes the record from its own free list (diffRecs) and refills
-// it in place — Dep by vc.Sparse.CopyFrom, Diff by mem.Diff.Recompute — and
-// once sent it belongs to the home, which puts it on its own free list
-// after applying it (homeApply). Read Dep through &Dep.
+// writer takes the record from the simulation's free list (System.diffRecs)
+// and refills it in place — Dep by vc.Sparse.CopyFrom, Diff by
+// mem.Diff.Recompute — and once sent it belongs to the home, which puts it
+// back on that list after applying it (homeApply): the next record any
+// writer takes. Read Dep through &Dep.
 type diffFlush struct {
 	Page     int
 	Writer   int
@@ -105,7 +98,7 @@ type diffFlush struct {
 }
 
 func newHLRCEngine(sys *System, self int) *hlrcEngine {
-	e := &hlrcEngine{diffRecs: slab.NewFree[*diffFlush](maxDiffRecs)}
+	e := &hlrcEngine{}
 	e.base.init(sys, self, e)
 	e.pages = slab.NewChunks[hlrcPage](sys.Space.NumPages())
 	return e
@@ -210,7 +203,7 @@ func (e *hlrcEngine) WriteFault(page int) {
 	} else {
 		// A writer twins to diff at interval end.
 		e.use(e.costs().TwinCost(e.sys.Space.PageBytes()), stats.CatProtocol)
-		p.MakeTwin(e.pool())
+		p.MakeTwin(e.sys.pool)
 		e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
 	}
 	p.State = mem.ReadWrite
@@ -254,7 +247,7 @@ func (e *hlrcEngine) closeCommit() {
 		}
 		// A writer that is not the home fetched the page first, so its
 		// requirement vector exists.
-		df, ok := e.diffRecs.Take()
+		df, ok := e.sys.diffRecs.Take()
 		if !ok {
 			df = new(diffFlush)
 		}
@@ -372,10 +365,10 @@ func (e *hlrcEngine) applyDiffFlush(s *service) {
 }
 
 // homeApply applies df to the home's copy and recycles the record: from
-// here it is this node's to refill. Under mem.CheckFrames a record already
-// on the free list, applied twice or recycled early, panics.
+// here it is the next writer's to refill. Under mem.CheckFrames a record
+// already on the free list, applied twice or recycled early, panics.
 func (e *hlrcEngine) homeApply(df *diffFlush) {
-	if mem.CheckFrames && slab.Holds(&e.diffRecs, df) {
+	if mem.CheckFrames && slab.Holds(&e.sys.diffRecs, df) {
 		panic(fmt.Sprintf("core: node %d applying a recycled diff record (page %d, writer %d, interval %d)",
 			e.self, df.Page, df.Writer, df.Interval))
 	}
@@ -383,7 +376,7 @@ func (e *hlrcEngine) homeApply(df *diffFlush) {
 	df.Diff.Apply(p.Data)
 	e.pairs.RaiseTo(e.flushOf(df.Page), df.Writer, df.Interval)
 	e.event(trace.DiffApply, df.Page, df.Writer, int64(df.Diff.Words()))
-	e.diffRecs.Put(df)
+	e.sys.diffRecs.Put(df)
 }
 
 // homeDrain retries pending diffs, fetches, and local waiters for a page
@@ -484,7 +477,7 @@ func (e *hlrcEngine) publish(page int) *mem.Frame {
 func (e *hlrcEngine) homeWrite(page int) *mem.Page {
 	p := e.pt.Page(page)
 	if u := e.useOf(page); u.pub != nil {
-		u.pub.Release(e.sink())
+		u.pub.Release(e.sys.pool)
 		u.pub = nil
 	}
 	return p

@@ -22,12 +22,11 @@ func TestInvariantPanicsNameTheNode(t *testing.T) {
 		space := mem.NewSpace(512)
 		space.Alloc(space.PageWords)
 		return &base{
-			sys:     &System{Space: space},
-			self:    self,
-			clock:   vc.New(nodes),
-			pt:      mem.NewTable(space),
-			locks:   map[int]*lockState{},
-			memPool: mem.NewPool(space.PageWords),
+			sys:   &System{Space: space, pool: mem.NewPool(space.PageWords)},
+			self:  self,
+			clock: vc.New(nodes),
+			pt:    mem.NewTable(space),
+			locks: map[int]*lockState{},
 		}
 	}
 	waiting := func(requester int) paragon.Msg {

@@ -208,7 +208,7 @@ func (e *lrcEngine) WriteFault(page int) {
 	// before re-twinning.
 	e.commitOwnDiff(page, true)
 	e.use(e.costs().TwinCost(e.sys.Space.PageBytes()), stats.CatProtocol)
-	p.MakeTwin(e.pool())
+	p.MakeTwin(e.sys.pool)
 	e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
 	p.State = mem.ReadWrite
 	e.markDirty(page)
@@ -513,7 +513,7 @@ func (e *lrcEngine) runGC() {
 			if u.pending != nil {
 				// Nobody fetched this diff during validation; it is dead.
 				p := e.pt.Page(pg)
-				p.DropTwin(e.sink())
+				p.DropTwin(e.sys.pool)
 				e.st().MemFree(int64(e.sys.Space.PageBytes()))
 				u.pending = nil
 			}
@@ -526,11 +526,7 @@ func (e *lrcEngine) runGC() {
 			p := e.pt.Page(pg)
 			if p.Data != nil {
 				p.State = mem.Invalid
-				e.copies--
-				if free, _ := e.pool().Free(); free > e.copies {
-					e.pool().GetPage() // the cap fell below the list: let a frame go
-				}
-				e.sink().PutPage(p.Data)
+				e.sys.pool.PutPage(p.Data)
 				p.Data = nil
 				if u != nil && u.appliedVC.Dim() != 0 {
 					e.st().MemFree(e.vecBytes())

@@ -8,6 +8,7 @@ import (
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
+	"gosvm/internal/slab"
 	"gosvm/internal/stats"
 	"gosvm/internal/trace"
 )
@@ -91,6 +92,14 @@ type System struct {
 	homeBased bool
 	// pageBits backs every node's page sets (pageSets).
 	pageBits []uint64
+
+	// pool recycles the page frames and diffRecs the HLRC diff records
+	// (diffFlush) of every node: one free list of each per simulation, so
+	// frames flowing from homes to readers and records flowing from writers
+	// to homes come back to whichever node needs one next. A list never
+	// holds more than were out of it at once.
+	pool     *mem.Pool
+	diffRecs slab.Free[*diffFlush]
 
 	// traceLog, when non-nil, captures protocol events. untraced[i] is set
 	// once node i's statistics are snapshotted: from then on its events
@@ -189,6 +198,7 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		Space:     space,
 		Opts:      opts,
 		homeBased: opts.Protocol.HomeBased() || opts.Protocol == ProtoSeq,
+		pool:      mem.NewPool(space.PageWords),
 	}
 	if opts.TraceLimit != 0 {
 		limit := opts.TraceLimit
@@ -243,9 +253,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		owner := sys.homes[pg]
 		p := sys.Tables[owner].Page(pg)
 		p.Data = sys.staging[pg*w : (pg+1)*w : (pg+1)*w]
-		if e, ok := sys.Engines[owner].(interface{ holdCopy() }); ok {
-			e.holdCopy()
-		}
 		p.State = mem.ReadOnly
 		if opts.Protocol == ProtoSeq {
 			p.State = mem.ReadWrite

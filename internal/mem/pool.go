@@ -8,8 +8,9 @@ import (
 
 // Pool recycles page frames (twins, fetch snapshots, dropped copies) and,
 // for ComputeDiffPooled and Release only, diff value backings: the
-// protocols compute exact-size diffs and never touch that list. Every node
-// owns its Pool (DESIGN §9), and the kernel is single-threaded: no locking.
+// protocols compute exact-size diffs and never touch that list. A
+// simulation owns one Pool, which every node draws from and returns to
+// (DESIGN §9), and its kernel is single-threaded: no locking.
 //
 // Pooling invariants:
 //   - A buffer handed out by GetPage/Clone/getBuf is one of two kinds. A
@@ -17,8 +18,7 @@ import (
 //     snapshot) has exactly one owner, which may return it at most once. A
 //     shared one is wrapped in a Frame and owned by the frame's reference
 //     count: it has any number of read-only holders, and the one whose
-//     Release drops the last reference returns it — to its own pool, which
-//     need not be the pool it was drawn from.
+//     Release drops the last reference returns it.
 //   - Returned buffers are never zeroed: every consumer overwrites the
 //     full length it uses (twins and snapshots are copied over, diff
 //     backings are filled by ComputeDiffPooled before any run aliases them).
@@ -35,8 +35,7 @@ func NewPool(pageWords int) *Pool {
 	return &Pool{pageWords: pageWords}
 }
 
-// Free returns the lengths of the two free lists; how many frames a node
-// keeps is its owner's policy.
+// Free returns the lengths of the two free lists.
 func (p *Pool) Free() (frames, backings int) { return p.pages.Len(), p.bufs.Len() }
 
 // GetPage returns a page-sized buffer with unspecified contents.

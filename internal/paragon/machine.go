@@ -28,6 +28,9 @@ type Machine struct {
 	Costs Costs
 	Nodes []*Node
 
+	// flights holds the fired flights every node's sends draw from.
+	flights slab.Free[*flight]
+
 	// lastArrival enforces per-(src,dst) FIFO delivery, as the Paragon's
 	// wormhole mesh does: a later small message must not overtake an
 	// earlier large one. Indexed [src][dst].
@@ -50,7 +53,7 @@ type Machine struct {
 func New(k *sim.Kernel, n int, costs Costs) *Machine {
 	m := &Machine{K: k, Costs: costs}
 	for i := 0; i < n; i++ {
-		nd := &Node{ID: i, M: m, Stats: &stats.Node{}, flights: slab.NewFree[*flight](maxFlights)}
+		nd := &Node{ID: i, M: m, Stats: &stats.Node{}}
 		nd.CPU = &CPU{node: nd}
 		nd.reply.owner = i
 		nd.compute.init(nd, true)
@@ -111,8 +114,7 @@ type Node struct {
 	compute dispatcher // requests serviced under a receive interrupt
 	coproc  dispatcher // the co-processor's polling dispatch loop
 
-	reply   Reply              // the port every Call on this node waits on
-	flights slab.Free[*flight] // fired flights, for this node's sends
+	reply Reply // the port every Call on this node waits on
 }
 
 // InstallCompute sets the handler for messages targeted at the compute

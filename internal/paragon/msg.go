@@ -74,35 +74,30 @@ func (m Msg) Waiting() bool {
 	return r != nil && r.waiter != nil && r.gen == m.gen && !r.got
 }
 
-// maxFlights bounds each node's free list of flights. Requests and their
-// answers keep the lists balanced; the bound only caps what a node that
-// mostly receives one-way traffic (diff flushes) holds on to.
-const maxFlights = 64
-
 // flight is a fault-free message in flight: a request or one-way message
 // to node to's dispatchers when port is nil, otherwise an answer to port.
-// It comes off the sending node's free list and, once it fires, goes onto
-// the receiving node's.
+// It comes off the machine's free list (Machine.flights) and goes back onto
+// it once it fires, so one-way traffic is balanced by construction.
 type flight struct {
 	to   *Node
 	port *Reply
 	msg  Msg
 }
 
-// Fire puts f, zeroed, on the receiving node's free list, unless that is
-// full, and delivers the message.
+// Fire puts f, zeroed, back on the machine's free list and delivers the
+// message.
 func (f *flight) Fire() {
 	to, port, msg := f.to, f.port, f.msg
 	*f = flight{} // drop the payload's references
-	to.flights.Put(f)
+	to.M.flights.Put(f)
 	to.receive(port, msg)
 }
 
-// post puts msg on the wire from n to node to, in a flight from n's free
-// list, for delivery after the wire time (FIFO per source/destination
-// pair).
+// post puts msg on the wire from n to node to, in a flight from the
+// machine's free list, for delivery after the wire time (FIFO per
+// source/destination pair).
 func (n *Node) post(to int, port *Reply, msg Msg) {
-	f, ok := n.flights.Take()
+	f, ok := n.M.flights.Take()
 	if !ok {
 		f = new(flight)
 	}

@@ -3,18 +3,15 @@ package slab
 import "slices"
 
 // Free is a LIFO free list of recycled objects: the one recycling rule of
-// the message and page paths. It never zeroes what it holds. An owner that
-// wants a stale reference to fail loudly clears the object before Put; one
-// whose objects keep backings worth reusing leaves them. The zero value is
-// an unbounded list.
+// the message and page paths. Each recycled type has one list per
+// simulation, and its owner makes a new object only when the list is empty,
+// so the list never holds more objects than were out of it at once: it needs
+// no bound. It never zeroes what it holds. An owner that wants a stale
+// reference to fail loudly clears the object before Put; one whose objects
+// keep backings worth reusing leaves them. The zero value is an empty list.
 type Free[T any] struct {
 	items []T
-	bound int
 }
-
-// NewFree returns a list that drops every Put past bound objects. Its
-// backing is sized to the bound on the first Put, so it never grows.
-func NewFree[T any](bound int) Free[T] { return Free[T]{bound: bound} }
 
 // Take pops the most recently put object; ok is false on an empty list.
 func (l *Free[T]) Take() (x T, ok bool) {
@@ -27,16 +24,8 @@ func (l *Free[T]) Take() (x T, ok bool) {
 	return x, true
 }
 
-// Put pushes x, unless the list is bounded and full.
-func (l *Free[T]) Put(x T) {
-	if l.bound > 0 && len(l.items) >= l.bound {
-		return
-	}
-	if l.bound > 0 && l.items == nil {
-		l.items = make([]T, 0, l.bound)
-	}
-	l.items = append(l.items, x)
-}
+// Put pushes x.
+func (l *Free[T]) Put(x T) { l.items = append(l.items, x) }
 
 // Len is the number of objects on the list.
 func (l *Free[T]) Len() int { return len(l.items) }

@@ -38,48 +38,25 @@ func TestFreeIsLIFO(t *testing.T) {
 	}
 }
 
-// TestFreeBound: a bounded list drops every Put past its bound and keeps
-// the first ones; the zero value is unbounded.
-func TestFreeBound(t *testing.T) {
-	l := NewFree[int](4)
-	for i := 1; i <= 10; i++ {
-		l.Put(i)
-	}
-	if l.Len() != 4 || cap(l.items) != 4 {
-		t.Fatalf("bound 4 after 10 Puts: len %d cap %d, want 4 and 4", l.Len(), cap(l.items))
-	}
-	if x, _ := l.Take(); x != 4 {
-		t.Fatalf("Take = %d, want 4, the last Put under the bound", x)
-	}
-	var u Free[int]
-	for i := 0; i < 1000; i++ {
-		u.Put(i)
-	}
-	if u.Len() != 1000 {
-		t.Fatalf("unbounded list holds %d of 1000", u.Len())
-	}
-}
-
-// TestFreeCycleAllocatesNothing: a bounded list is sized to its bound on
-// its first Put, so Take/Put cycles up to the bound allocate nothing.
+// TestFreeCycleAllocatesNothing: Take keeps the backing, so once a list has
+// held n objects, Take/Put cycles of up to n objects allocate nothing.
 func TestFreeCycleAllocatesNothing(t *testing.T) {
-	const bound = 64
-	l := NewFree[*int](bound)
-	objs := make([]*int, bound)
+	const n = 64
+	var l Free[*int]
+	objs := make([]*int, n)
 	for i := range objs {
 		objs[i] = new(int)
 	}
-	l.Put(objs[0])
-	l.Take()
-	allocs := testing.AllocsPerRun(100, func() {
+	cycle := func() {
 		for _, p := range objs {
 			l.Put(p)
 		}
 		for l.Len() > 0 {
 			l.Take()
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("a Take/Put cycle of %d objects allocates %.1f times, want 0", bound, allocs)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a Take/Put cycle of %d objects allocates %.1f times, want 0", n, allocs)
 	}
 }
