@@ -176,8 +176,10 @@ const (
 	TopoMesh = core.TopoMesh
 )
 
-// BarrierCrossover is the machine size above which the k-ary combining
-// tree replaces the paper's centralized barrier.
+// BarrierCrossover is the largest machine whose barrier is the paper's
+// centralized one, every node reporting straight to the manager. Above it
+// the barrier tree has fan-in 8: each node reports its subtree to its
+// parent, and each release is the answer to that report.
 const BarrierCrossover = core.BarrierCrossover
 
 // ParseTopology validates a topology name.

@@ -98,8 +98,9 @@ func TestSyncOpAllocsFlatInNodeCount(t *testing.T) {
 					})
 					return total / float64(p*episodes)
 				}
-				// 8 nodes takes the centralized barrier, 96 the tree (auto
-				// crossover at 64), so both implementations are under guard.
+				// 8 nodes reports straight to the manager, 96 through a
+				// radix-8 tree (crossover at 64), so both shapes are under
+				// guard.
 				small := perOp(8)
 				large := perOp(96)
 				if large > 1.6*small+app.slack {
@@ -852,7 +853,7 @@ func barrierApp(n int) *testApp {
 // fetch (home-based, of a quiet page, of one whose Need names four writers,
 // of a new version and of a version another fetch published; homeless, of
 // a page copy and of a diff), a remote lock acquire, and a barrier episode
-// per node on the centralized barrier (8 nodes) and the tree (96); and on
+// per node on the star barrier (8 nodes) and a radix-8 tree (96); and on
 // the home-based protocols' one-way exchange, a diff flushed to its home.
 // Servicing a message allocates nothing (no effect closure), every request
 // is its requester's one body, and the server writes its answer into that

@@ -97,15 +97,12 @@ type base struct {
 	lastReported int32
 
 	bmgr *barrierMgr // non-nil on the barrier manager node
+	bar  barrierNode
 
-	// release hands this node's barrier release from the dispatcher effect
-	// that completes its episode to the application proc parked in Barrier.
+	// release hands the barrier manager its release from the dispatcher
+	// effect that completes its episode to the application proc parked in
+	// Barrier.
 	release handOff
-
-	// tree is non-nil when the machine uses the k-ary tree barrier
-	// (treebarrier.go). The centralized manager above still exists on
-	// node 0 for the GC rendezvous.
-	tree *treeBarrier
 
 	// compute and coproc hold the message each of the node's dispatchers
 	// is servicing (service).
@@ -150,9 +147,7 @@ func (b *base) init(sys *System, self int, co coherence) {
 	if self == barrierManager {
 		b.bmgr = &barrierMgr{nproc: sys.Opts.Machine.Nodes}
 	}
-	if sys.Opts.Machine.TreeBarrier() {
-		b.tree = newTreeBarrier(self, sys.Opts.Machine.barrierRadix(), sys.Opts.Machine.Nodes)
-	}
+	b.bar.init(sys, self)
 	b.compute.init(b)
 	b.coproc.init(b)
 	b.node.InstallCompute(b.compute.serve)
@@ -880,45 +875,110 @@ func (b *base) grantOrWait(ls *lockState, m paragon.Msg, steal bool) {
 // ---------------------------------------------------------------------------
 // Barriers
 
-// barrierManager is the node that runs the centralized barrier algorithm
-// (and the homeless GC rendezvous). The role never moves: a crashed
-// manager keeps its arrivals, and arrivals sent to it wait out its restart
-// in retransmission.
+// barrierManager is the root of the barrier tree and the node that runs
+// the homeless GC rendezvous. The role never moves: a crashed manager
+// keeps its arrivals, and arrivals sent to it wait out its restart in
+// retransmission.
 const barrierManager = 0
 
+// barrierMgr is the GC rendezvous state (homeless protocols), on the
+// barrier manager: gcWait is the manager's application proc while it
+// waits there.
 type barrierMgr struct {
-	nproc int
-	// reports are the episode's registered arrivals, in genealogical order,
-	// and reqs the requests that delivered them, side by side: the zero Msg
-	// for the manager's own.
-	reports []*barrierReport
-	reqs    []paragon.Msg
-
-	// GC rendezvous state (homeless protocols): gcWait is the manager's
-	// application proc while it waits there.
+	nproc     int
 	gcDone    int
 	gcWaiters []paragon.Msg
 	gcWait    *sim.Proc
 }
 
-// barrierReport is a barrier arrival: the arriving node's one body,
-// base.rep, refilled by every Barrier. The manager writes the node's
-// release into Grant and answers with a pointer to it.
+// barrierNode is one node's place in the barrier, a k-ary tree in heap
+// layout rooted at barrierManager: node i reports to (i-1)/k, and its
+// children are k*i+1 .. k*i+k (Machine.barrierRadix). Up to
+// BarrierCrossover nodes k is n-1, so every node but the root is a leaf
+// and the tree is the paper's centralized barrier.
+type barrierNode struct {
+	parent int
+	// arrivals are the episode's registered arrivals, in arrival order. Its
+	// capacity is the number that completes this node's subtree: its own
+	// and one per child.
+	arrivals []arrival
+	// waiting is the application proc of a node with children while its
+	// subtree is still arriving.
+	waiting *sim.Proc
+	// up is the subtree summary a node with children reports.
+	up barrierReport
+}
+
+// arrival is a registered barrier arrival: its report and the request
+// that delivered it, the zero Msg for the node's own.
+type arrival struct {
+	rep *barrierReport
+	req paragon.Msg
+}
+
+// init places node self in the tree, its arrivals a window of
+// System.arrivals: node i's children are k*i+1 .. k*i+k, and the nodes
+// before it have min(k*i, n-1) children between them.
+func (bar *barrierNode) init(s *System, self int) {
+	n, k := s.Opts.Machine.Nodes, s.Opts.Machine.barrierRadix()
+	if self != barrierManager {
+		bar.parent = (self - 1) / k
+	}
+	if s.arrivals == nil {
+		s.arrivals = make([]arrival, 2*n-1)
+	}
+	first := self + min(k*self, n-1)
+	last := first + 1 + min(k*self+k, n-1) - min(k*self, n-1)
+	bar.arrivals = s.arrivals[first:first:last]
+}
+
+// in reports whether the whole subtree has arrived.
+func (bar *barrierNode) in() bool { return len(bar.arrivals) == cap(bar.arrivals) }
+
+// reset clears the episode's arrivals once they are released.
+func (bar *barrierNode) reset() {
+	clear(bar.arrivals)
+	bar.arrivals = bar.arrivals[:0]
+}
+
+// barrierReport is a barrier arrival: a node's own report, base.rep,
+// refilled by every Barrier, or the subtree summary a node with children
+// sends, barrierNode.up: its own report with its children's folded in (VC
+// the component-wise max
+// of the subtree's clocks, MinVC the min, Recs the union of its new
+// interval records, ProtoMem the per-node maximum). The parent writes the
+// arrival's release into Grant and answers with a pointer to it.
 type barrierReport struct {
 	Node     int
 	VC       vc.VC
+	MinVC    vc.VC // nil in a node's own report, whose clock is VC
 	Recs     []*IntervalRec
 	ProtoMem int64
 	Grant    grantInfo
 }
 
 func (r *barrierReport) wireSize(withVC bool) int {
-	return 8 + r.VC.WireSize() + recsWireSize(r.Recs, withVC)
+	sz := 8 + r.VC.WireSize() + recsWireSize(r.Recs, withVC)
+	if r.MinVC != nil {
+		sz += 8 + r.MinVC.WireSize()
+	}
+	return sz
 }
 
-// Barrier implements BARRIER. Every node ends its interval, reports its
-// new own intervals to the manager, and blocks until the manager
-// redistributes the merged knowledge.
+// have is the least knowledge in the arrival's subtree: what its release
+// must bring every node of it past.
+func (r *barrierReport) have() vc.VC {
+	if r.MinVC != nil {
+		return r.MinVC
+	}
+	return r.VC
+}
+
+// Barrier implements BARRIER. Every node ends its interval and reports its
+// new own intervals up the barrier tree, a node with children once its
+// whole subtree has reported, in one summary. The root merges everything
+// and answers each arrival with its release; a node with children answers
+// each of its children with its share of its own release.
 func (b *base) Barrier(id int) {
 	b.closeIntervalOnApp()
 	b.event(trace.BarrierEnter, -1, -1, int64(id))
@@ -930,23 +990,13 @@ func (b *base) Barrier(id int) {
 	if len(b.log[b.self]) > 0 {
 		b.lastReported = b.log[b.self][len(b.log[b.self])-1].Interval
 	}
-	var g *grantInfo
 	t0 := b.app().Now()
-	switch {
-	case b.tree != nil:
-		b.treeArrive(rep)
-		g = b.release.await(b.app(), "tree barrier", id)
-	case b.self == barrierManager:
-		b.bmgrArrive(rep, paragon.Msg{})
+	b.barrierArrive(rep, paragon.Msg{})
+	var g *grantInfo
+	if b.self == barrierManager {
 		g = b.release.await(b.app(), "barrier", id)
-	default:
-		resp := b.node.Call(b.app(), barrierManager, paragon.Msg{
-			Kind:  kBarrier,
-			Size:  rep.wireSize(b.wireVC()),
-			Class: stats.ClassProtocol,
-			Body:  rep,
-		})
-		g = resp.Body.(*grantInfo)
+	} else {
+		g = b.reportUp(id)
 	}
 	b.st().Add(stats.CatBarrier, b.app().Now()-t0)
 	b.event(trace.BarrierExit, -1, -1, int64(id))
@@ -954,71 +1004,144 @@ func (b *base) Barrier(id int) {
 	b.co.onBarrierRelease(g)
 }
 
-// bmgrArrive registers an arrival at the barrier manager, delivered by req
-// (the zero Msg for the manager's own), and completes the episode with the
-// last one.
-func (b *base) bmgrArrive(rep *barrierReport, req paragon.Msg) {
-	mgr := b.bmgr
-	mgr.reports = append(mgr.reports, rep)
-	mgr.reqs = append(mgr.reqs, req)
-	if len(mgr.reports) == mgr.nproc {
-		b.bmgrComplete()
+// barrierArrive registers an arrival, delivered by req (the zero Msg for
+// the node's own). The one that completes the subtree completes the
+// episode at the root and wakes the application proc anywhere else.
+func (b *base) barrierArrive(rep *barrierReport, req paragon.Msg) {
+	bar := &b.bar
+	bar.arrivals = append(bar.arrivals, arrival{rep, req})
+	if !bar.in() {
+		return
+	}
+	if b.self == barrierManager {
+		b.barrierComplete()
+	} else {
+		wake(&bar.waiting)
 	}
 }
 
-// bmgrComplete merges all reports and releases every arrival, each release
-// written into its report: a remote one in its answer, the manager's own
-// through the hand-off.
-func (b *base) bmgrComplete() {
-	mgr := b.bmgr
-	merged, gc := b.mergeReports(mgr.reports)
+// barrierComplete merges all arrivals at the root and releases each, its
+// release written into its report: a remote one in its answer, the root's
+// own through the hand-off once phase capture has seen the episode end.
+func (b *base) barrierComplete() {
+	bar := &b.bar
+	merged, gc := b.mergeReports(bar.arrivals)
 	var local *grantInfo
-	for i, rep := range mgr.reports {
-		g, req := &rep.Grant, mgr.reqs[i]
-		if req.Reply == nil {
-			b.fillGrant(g, merged, gc, rep.VC)
+	for _, a := range bar.arrivals {
+		g := &a.rep.Grant
+		if a.req.Reply == nil {
+			b.fillGrant(g, merged, gc, a.rep.have())
 			local = g
 			continue
 		}
-		b.claimBody(req)
-		b.fillGrant(g, merged, gc, rep.VC)
-		b.node.Respond(req, paragon.Msg{
-			Kind:  kBarrier,
-			Size:  g.wireSize(b.wireVC()),
-			Class: stats.ClassProtocol,
-			Body:  g,
-		})
+		b.claimBody(a.req)
+		b.fillGrant(g, merged, gc, a.rep.have())
+		b.answerBarrier(a.req, g)
 	}
-	clear(mgr.reports)
-	mgr.reports = mgr.reports[:0]
-	clear(mgr.reqs)
-	mgr.reqs = mgr.reqs[:0]
-	b.episodeDone(local)
-}
-
-// episodeDone ends a barrier episode at the node that merged it: phase
-// capture sees it, and the node's own application proc gets its release.
-func (b *base) episodeDone(local *grantInfo) {
+	bar.reset()
 	if b.sys.onBarrier != nil {
 		b.sys.onBarrier()
 	}
 	b.release.give(local)
 }
 
-// mergeReports is the merge both barrier algorithms complete an episode
-// with (bmgrComplete, treeRootComplete). It logs every reported interval
-// record (reports carry each node's *own* intervals, so together they
-// cover everything; their notices reach this node with its own release)
-// and returns the merged clock, this node's raised by every report's (valid
-// until the next call), with the GC decision: a homeless protocol collects
-// when some report's protocol memory is over Options.GCThreshold. The merged
-// clock covers every logged record: the clock covers those learned or
-// written here, and a report's clock the records it carries, which the
-// merge asserts.
-func (b *base) mergeReports(reps []*barrierReport) (vc.VC, bool) {
+// reportUp runs a non-root node's part of an episode on its application
+// proc once its own arrival is registered: it waits for its subtree,
+// reports it to its parent — its own report if it is a leaf, the subtree's
+// summary otherwise — and, on the answer, gives each child the records of
+// that answer its subtree lacks. It returns the node's own release.
+func (b *base) reportUp(id int) *grantInfo {
+	bar := &b.bar
+	if !bar.in() {
+		bar.waiting = b.app()
+		b.app().ParkArg("barrier subtree", int64(id))
+	}
+	body := &b.rep
+	if cap(bar.arrivals) > 1 {
+		body = b.summarize()
+	}
+	resp := b.node.Call(b.app(), bar.parent, paragon.Msg{
+		Kind:  kBarrier,
+		Size:  body.wireSize(b.wireVC()),
+		Class: stats.ClassProtocol,
+		Body:  body,
+	})
+	g := resp.Body.(*grantInfo)
+	for _, a := range bar.arrivals {
+		if a.req.Reply == nil {
+			continue
+		}
+		b.claimBody(a.req)
+		cg := &a.rep.Grant
+		cg.VC = append(cg.VC[:0], g.VC...)
+		cg.GC = g.GC
+		cg.Intervals = filterRecsSinceInto(cg.Intervals[:0], g.Intervals, a.rep.have())
+		b.answerBarrier(a.req, cg)
+	}
+	bar.reset()
+	return g
+}
+
+// summarize folds this node's own report and its children's arrivals into
+// its subtree summary, bar.up.
+func (b *base) summarize() *barrierReport {
+	bar, own := &b.bar, &b.rep
+	up := &bar.up
+	up.Node, up.ProtoMem = own.Node, own.ProtoMem
+	up.VC = append(up.VC[:0], own.VC...)
+	up.MinVC = append(up.MinVC[:0], own.VC...)
+	up.Recs = append(up.Recs[:0], own.Recs...)
+	for _, a := range bar.arrivals {
+		rep := a.rep
+		if rep == own {
+			continue
+		}
+		have := rep.have()
+		for p := range up.MinVC {
+			up.MinVC[p] = min(up.MinVC[p], have[p])
+			up.VC[p] = max(up.VC[p], rep.VC[p])
+		}
+		up.Recs = append(up.Recs, rep.Recs...)
+		up.ProtoMem = max(up.ProtoMem, rep.ProtoMem)
+	}
+	return up
+}
+
+// filterRecsSinceInto appends to dst the records of recs a subtree with
+// least knowledge have is missing.
+func filterRecsSinceInto(dst, recs []*IntervalRec, have vc.VC) []*IntervalRec {
+	for _, r := range recs {
+		if r.Interval > have[r.Proc] {
+			dst = append(dst, r)
+		}
+	}
+	return dst
+}
+
+// answerBarrier answers req, a child's arrival, with its release g.
+func (b *base) answerBarrier(req paragon.Msg, g *grantInfo) {
+	b.node.Respond(req, paragon.Msg{
+		Kind:  kBarrier,
+		Size:  g.wireSize(b.wireVC()),
+		Class: stats.ClassProtocol,
+		Body:  g,
+	})
+}
+
+// mergeReports is the root's merge of an episode's arrivals. It logs every
+// reported interval record (reports carry each node's *own* intervals, so
+// together they cover everything; their notices reach this node with its
+// own release) and returns the merged clock, this node's raised by every
+// report's (valid until the next call), with the GC decision: a homeless
+// protocol collects when some report's protocol memory is over
+// Options.GCThreshold. The merged clock covers every logged record: the
+// clock covers those learned or written here, and a report's clock the
+// records it carries, which the merge asserts.
+func (b *base) mergeReports(arrivals []arrival) (vc.VC, bool) {
 	b.merged = append(b.merged[:0], b.clock...)
 	merged, gc := b.merged, false
-	for _, rep := range reps {
+	for _, a := range arrivals {
+		rep := a.rep
 		for _, rec := range rep.Recs {
 			if rec.Interval > rep.VC[rec.Proc] {
 				panic(fmt.Sprintf("core: node %d merging node %d's report, which carries interval %d of node %d past its clock's %d",
@@ -1068,9 +1191,9 @@ func wake(w **sim.Proc) {
 	}
 }
 
-// applyBarrier services a remote barrier arrival at the manager; its work
-// is lockHandling.
-func (b *base) applyBarrier(s *service) { b.bmgrArrive(s.m.Body.(*barrierReport), s.m) }
+// applyBarrier services a child's barrier arrival; its work is
+// lockHandling.
+func (b *base) applyBarrier(s *service) { b.barrierArrive(s.m.Body.(*barrierReport), s.m) }
 
 // gcRendezvous blocks until every node has reported kGCDone to the
 // manager (used by the homeless protocols after GC validation, so nobody

@@ -14,9 +14,11 @@
 //
 // All four share the synchronization machinery in this package:
 // round-robin distributed lock managers with request forwarding and a
-// centralized barrier manager, both carrying coherence information
-// (write notices) exactly as the paper describes. Above BarrierCrossover
-// nodes a k-ary combining tree replaces the centralized barrier.
+// barrier, both carrying coherence information (write notices) exactly as
+// the paper describes. The barrier is one k-ary tree whose every release
+// answers the arrival it releases: up to BarrierCrossover nodes every node
+// is a child of the manager, the paper's centralized barrier, and above it
+// the tree has fan-in 8.
 package core
 
 import (
@@ -82,7 +84,7 @@ type Options struct {
 
 	// GCThreshold is the per-node protocol memory (bytes) above which the
 	// homeless protocols garbage-collect at the next barrier. Zero means
-	// the TreadMarks-like default, 8 MB.
+	// the TreadMarks-like default, 8 MB; a negative value is an error.
 	GCThreshold int64
 
 	// HomeRoundRobin ignores the application's home placement and assigns
@@ -133,18 +135,16 @@ func (o *Options) Overlapped() bool {
 
 // Message kinds.
 const (
-	kLockAcq     = iota + 1 // requester -> lock manager
-	kLockFwd                // manager -> current owner
-	kBarrier                // node -> barrier manager
-	kGCDone                 // node -> barrier manager (homeless GC rendezvous)
-	kFetchDiffs             // faulting node -> writer (LRC/OLRC)
-	kFetchPage              // faulting node -> copy holder / home
-	kDiffFlush              // writer -> home (HLRC), or coproc-to-home (OHLRC)
-	kMakeDiff               // compute -> own coproc (overlapped protocols)
-	kBarrierUp              // tree barrier: child -> parent subtree report
-	kBarrierDown            // tree barrier: parent -> child subtree release
+	kLockAcq    = iota + 1 // requester -> lock manager
+	kLockFwd               // manager -> current owner
+	kBarrier               // node -> its parent in the barrier tree
+	kGCDone                // node -> barrier manager (homeless GC rendezvous)
+	kFetchDiffs            // faulting node -> writer (LRC/OLRC)
+	kFetchPage             // faulting node -> copy holder / home
+	kDiffFlush             // writer -> home (HLRC), or coproc-to-home (OHLRC)
+	kMakeDiff              // compute -> own coproc (overlapped protocols)
 
-	numKinds = kBarrierDown + 1
+	numKinds = kMakeDiff + 1
 )
 
 // IntervalRec is the write-notice record for one interval: the pages the
@@ -256,7 +256,6 @@ var msgKindNames = [...]string{
 	kLockAcq: "lock-acquire", kLockFwd: "lock-forward", kBarrier: "barrier",
 	kGCDone: "gc-done", kFetchDiffs: "fetch-diffs", kFetchPage: "fetch-page",
 	kDiffFlush: "diff-flush", kMakeDiff: "make-diff",
-	kBarrierUp: "barrier-up", kBarrierDown: "barrier-down",
 }
 
 // msgKindName renders protocol message kinds for fault watchdog reports.

@@ -81,7 +81,8 @@ func counterApp(n int) *testApp {
 
 // The 32- and 96-node inputs start every node's first acquire at the same
 // instant, so the manager forwards each to the previous requester down the
-// longest chains, one waiter per holder; 96 nodes also use the tree barrier.
+// longest chains, one waiter per holder; 96 nodes also use a radix-8
+// barrier tree.
 func TestLockedCounter(t *testing.T) {
 	const n = 8
 	forEachProto(t, []int{2, 4, 7, 32, 96}, func(t *testing.T, proto Protocol, p int) {
@@ -560,7 +561,7 @@ func TestTrafficClassification(t *testing.T) {
 // --------------------------------------------------------------------------
 // Phase capture (Figure 4 machinery).
 
-// TestPhaseCapture: under the centralized and the tree barrier alike, one
+// TestPhaseCapture: with the barrier a star and a deeper tree alike, one
 // phase per barrier episode, numbered 1, 2, ... in order, each with every
 // node's delta, and as many as every node counts barriers.
 func TestPhaseCapture(t *testing.T) {
@@ -1020,6 +1021,17 @@ func TestBadPageBytesIsAnError(t *testing.T) {
 		if want := fmt.Sprintf("PageBytes=%d", page); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("PageBytes %d: Run returned %v, want an error naming %s", page, err, want)
 		}
+	}
+}
+
+// A negative GC threshold is an error from Run: a homeless protocol would
+// otherwise collect at every barrier.
+func TestNegativeGCThresholdIsAnError(t *testing.T) {
+	opts := testOpts(ProtoLRC, 2)
+	opts.GCThreshold = -1
+	_, err := Run(opts, counterApp(1), false)
+	if err == nil || !strings.Contains(err.Error(), "GCThreshold=-1") {
+		t.Errorf("Run returned %v, want an error naming GCThreshold=-1", err)
 	}
 }
 

@@ -82,7 +82,8 @@ func TestRunRejectsMeaninglessPlans(t *testing.T) {
 // drops, duplicates, delays, and reorders messages: the reliability
 // transport has to make the faulty network indistinguishable from a slow
 // reliable one. At 32 and 96 nodes the counter's same-instant lock burst
-// runs down the longest forwarding chains, with the tree barrier at 96.
+// runs down the longest forwarding chains, with a radix-8 barrier tree at
+// 96.
 func TestProtocolsSurviveFaultProfiles(t *testing.T) {
 	for _, profile := range []string{fault.ProfileLossy, fault.ProfileHostile} {
 		profile := profile
@@ -359,13 +360,13 @@ func TestRetryGiveUpDiagnosed(t *testing.T) {
 // kind its table forgot would otherwise panic only on the rare path that
 // sends it (kGCDone at a homeless collection).
 func TestMessageKindsDenseAndNamed(t *testing.T) {
-	for k := kLockAcq; k <= kBarrierDown; k++ {
+	for k := kLockAcq; k <= kMakeDiff; k++ {
 		if name := msgKindName(k); strings.HasPrefix(name, "kind-") {
 			t.Errorf("message kind %d has no name (%q)", k, name)
 		}
 	}
-	if name := msgKindName(kBarrierDown + 1); !strings.HasPrefix(name, "kind-") {
-		t.Errorf("kind %d past the last declared one is named %q", kBarrierDown+1, name)
+	if name := msgKindName(kMakeDiff + 1); !strings.HasPrefix(name, "kind-") {
+		t.Errorf("kind %d past the last declared one is named %q", kMakeDiff+1, name)
 	}
 	for _, eng := range []struct {
 		name      string
@@ -375,8 +376,8 @@ func TestMessageKindsDenseAndNamed(t *testing.T) {
 		{"hlrc", func(k int) bool { return dispatches(&hlrcHandlers, k) }, []int{kFetchDiffs}},
 		{"lrc", func(k int) bool { return dispatches(&lrcHandlers, k) }, []int{kDiffFlush}},
 	} {
-		for k := kLockAcq - 1; k <= kBarrierDown+1; k++ {
-			want := k >= kLockAcq && k <= kBarrierDown && !slices.Contains(eng.notServed, k)
+		for k := kLockAcq - 1; k <= kMakeDiff+1; k++ {
+			want := k >= kLockAcq && k <= kMakeDiff && !slices.Contains(eng.notServed, k)
 			if got := eng.dispatch(k); got != want {
 				t.Errorf("%s: kind %d (%s) reaches a work/apply pair: %v, want %v", eng.name, k, msgKindName(k), got, want)
 			}

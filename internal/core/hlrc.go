@@ -315,15 +315,13 @@ func (e *hlrcEngine) onBarrierRelease(g *grantInfo) {
 
 // hlrcHandlers is every kind an HLRC or OHLRC node serves.
 var hlrcHandlers = [numKinds]handler[*hlrcEngine]{
-	kLockAcq:     {(*hlrcEngine).lockHandling, (*hlrcEngine).applyLockAcq},
-	kLockFwd:     {(*hlrcEngine).workLockFwd, (*hlrcEngine).applyLockFwd},
-	kBarrier:     {(*hlrcEngine).lockHandling, (*hlrcEngine).applyBarrier},
-	kGCDone:      {(*hlrcEngine).noWork, (*hlrcEngine).applyGCDone},
-	kBarrierUp:   {(*hlrcEngine).lockHandling, (*hlrcEngine).applyBarrierUp},
-	kBarrierDown: {(*hlrcEngine).lockHandling, (*hlrcEngine).applyBarrierDown},
-	kMakeDiff:    {(*hlrcEngine).workMakeDiff, (*hlrcEngine).applyMakeDiff},
-	kFetchPage:   {(*hlrcEngine).noWork, (*hlrcEngine).applyFetchPage},
-	kDiffFlush:   {(*hlrcEngine).workDiffFlush, (*hlrcEngine).applyDiffFlush},
+	kLockAcq:   {(*hlrcEngine).lockHandling, (*hlrcEngine).applyLockAcq},
+	kLockFwd:   {(*hlrcEngine).workLockFwd, (*hlrcEngine).applyLockFwd},
+	kBarrier:   {(*hlrcEngine).lockHandling, (*hlrcEngine).applyBarrier},
+	kGCDone:    {(*hlrcEngine).noWork, (*hlrcEngine).applyGCDone},
+	kMakeDiff:  {(*hlrcEngine).workMakeDiff, (*hlrcEngine).applyMakeDiff},
+	kFetchPage: {(*hlrcEngine).noWork, (*hlrcEngine).applyFetchPage},
+	kDiffFlush: {(*hlrcEngine).workDiffFlush, (*hlrcEngine).applyDiffFlush},
 }
 
 func (e *hlrcEngine) work(s *service) sim.Time {

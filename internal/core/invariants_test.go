@@ -47,7 +47,7 @@ func TestInvariantPanicsNameTheNode(t *testing.T) {
 		}},
 		{"mergeReports with a record past its clock", "node 3 merging node 2's report, which carries interval 2 of node 2 past its clock's 1", func(b *base) {
 			rep := &barrierReport{Node: 2, VC: vc.VC{0, 0, 1, 0}, Recs: []*IntervalRec{{Proc: 2, Interval: 2}}}
-			b.mergeReports([]*barrierReport{rep})
+			b.mergeReports([]arrival{{rep: rep}})
 		}},
 		{"invalidate on a ReadWrite page", "node 3 noticed page 0 mid-interval", func(b *base) {
 			b.pt.Page(0).State = mem.ReadWrite

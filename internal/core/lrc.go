@@ -548,15 +548,13 @@ func (e *lrcEngine) runGC() {
 
 // lrcHandlers is every kind an LRC or OLRC node serves.
 var lrcHandlers = [numKinds]handler[*lrcEngine]{
-	kLockAcq:     {(*lrcEngine).lockHandling, (*lrcEngine).applyLockAcq},
-	kLockFwd:     {(*lrcEngine).workLockFwd, (*lrcEngine).applyLockFwd},
-	kBarrier:     {(*lrcEngine).lockHandling, (*lrcEngine).applyBarrier},
-	kGCDone:      {(*lrcEngine).noWork, (*lrcEngine).applyGCDone},
-	kBarrierUp:   {(*lrcEngine).lockHandling, (*lrcEngine).applyBarrierUp},
-	kBarrierDown: {(*lrcEngine).lockHandling, (*lrcEngine).applyBarrierDown},
-	kMakeDiff:    {(*lrcEngine).workMakeDiff, (*lrcEngine).applyMakeDiff},
-	kFetchDiffs:  {(*lrcEngine).workFetchDiffs, (*lrcEngine).applyFetchDiffs},
-	kFetchPage:   {(*lrcEngine).noWork, (*lrcEngine).applyFetchPage},
+	kLockAcq:    {(*lrcEngine).lockHandling, (*lrcEngine).applyLockAcq},
+	kLockFwd:    {(*lrcEngine).workLockFwd, (*lrcEngine).applyLockFwd},
+	kBarrier:    {(*lrcEngine).lockHandling, (*lrcEngine).applyBarrier},
+	kGCDone:     {(*lrcEngine).noWork, (*lrcEngine).applyGCDone},
+	kMakeDiff:   {(*lrcEngine).workMakeDiff, (*lrcEngine).applyMakeDiff},
+	kFetchDiffs: {(*lrcEngine).workFetchDiffs, (*lrcEngine).applyFetchDiffs},
+	kFetchPage:  {(*lrcEngine).noWork, (*lrcEngine).applyFetchPage},
 }
 
 func (e *lrcEngine) work(s *service) sim.Time {

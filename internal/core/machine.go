@@ -27,21 +27,21 @@ func ParseTopology(s string) (Topology, error) {
 	return "", fmt.Errorf("core: unknown topology %q (have crossbar, mesh)", s)
 }
 
-// BarrierCrossover is the machine size above which the k-ary combining
-// tree replaces the centralized barrier manager. At 64 nodes the
-// centralized algorithm is what the paper measured; beyond it the
-// manager's serialized O(n) interrupt service dominates barrier time.
+// BarrierCrossover is the largest machine whose barrier is the paper's
+// centralized one: every node reports straight to the barrier manager.
+// Above it the manager's serialized O(n) interrupt service would dominate
+// barrier time, and the barrier tree gets interior nodes (barrierFanIn).
 const BarrierCrossover = 64
 
-// barrierFanIn is the tree barrier's fan-in. Radix 8 keeps the tree at
-// most 4 levels deep up to 4096 nodes while bounding any one node's
-// service burst to 8 arrivals.
+// barrierFanIn is the barrier tree's fan-in above BarrierCrossover. Radix
+// 8 keeps the tree at most 4 levels deep up to 4096 nodes while bounding
+// any one node's service burst to 8 arrivals.
 const barrierFanIn = 8
 
 // Machine describes the simulated multicomputer independently of the
 // protocol under test: how many nodes, how they are connected, and what
-// the basic operations cost. The barrier algorithm follows from the size
-// (centralized up to BarrierCrossover nodes, the tree above). The zero
+// the basic operations cost. The barrier tree's fan-in follows from the
+// size (barrierRadix). The zero
 // value means "the paper's machine": 8 crossbar nodes with Paragon costs.
 type Machine struct {
 	// Nodes is the machine size. Zero means 8 (the paper's prototype).
@@ -54,9 +54,9 @@ type Machine struct {
 	// paragon.DefaultCosts (the paper's Table 3).
 	Costs paragon.Costs
 
-	// treeRadix, when non-zero, forces the tree barrier with this fan-in
-	// at any size: the seam this package's tests use to compare the tree
-	// against the centralized barrier on small machines.
+	// treeRadix, when non-zero, forces this barrier fan-in at any size:
+	// the seam this package's tests use to give small machines a barrier
+	// tree with interior nodes.
 	treeRadix int
 }
 
@@ -86,14 +86,15 @@ func (m *Machine) Validate() error {
 	return nil
 }
 
-// TreeBarrier reports whether this machine uses the tree barrier: exactly
-// when it has more than BarrierCrossover nodes, unless a test forces it.
-func (m *Machine) TreeBarrier() bool { return m.treeRadix > 0 || m.Nodes > BarrierCrossover }
-
-// barrierRadix returns the tree barrier's fan-in.
+// barrierRadix returns the barrier tree's fan-in: n-1 up to
+// BarrierCrossover nodes, a star around the manager, and barrierFanIn
+// above it, unless a test forces one.
 func (m *Machine) barrierRadix() int {
-	if m.treeRadix > 0 {
+	switch {
+	case m.treeRadix > 0:
 		return m.treeRadix
+	case m.Nodes > BarrierCrossover:
+		return barrierFanIn
 	}
-	return barrierFanIn
+	return m.Nodes - 1
 }

@@ -90,8 +90,10 @@ type System struct {
 	staging   []float64
 	appProcs  []*sim.Proc
 	homeBased bool
-	// pageBits backs every node's page sets (pageSets).
+	// pageBits backs every node's page sets (pageSets), and arrivals every
+	// node's barrier arrivals (barrierNode.init).
 	pageBits []uint64
+	arrivals []arrival
 
 	// pool recycles the page frames and diffRecs the HLRC diff records
 	// (diffFlush) of every node: one free list of each per simulation, so
@@ -168,6 +170,9 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	}
 	if opts.PageBytes <= 0 || opts.PageBytes%8 != 0 {
 		return nil, fmt.Errorf("core: PageBytes=%d is not a positive multiple of 8", opts.PageBytes)
+	}
+	if opts.GCThreshold < 0 {
+		return nil, fmt.Errorf("core: GCThreshold=%d is negative", opts.GCThreshold)
 	}
 	n := opts.Machine.Nodes
 	if opts.Protocol == ProtoSeq && n != 1 {

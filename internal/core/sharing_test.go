@@ -106,13 +106,13 @@ func TestIntervalRecordsAreShared(t *testing.T) {
 	type totals struct{ elapsed, bytes, memPeak int64 }
 	want := map[string]totals{
 		"lrc/central":    {47713351, 44572, 72448},
-		"lrc/tree":       {44014265, 48456, 71824},
+		"lrc/tree":       {51753162, 48160, 71496},
 		"olrc/central":   {35892975, 44572, 60376},
-		"olrc/tree":      {22202408, 49160, 60616},
+		"olrc/tree":      {32243594, 48160, 62856},
 		"hlrc/central":   {61668706, 28720, 35612},
-		"hlrc/tree":      {48018970, 31420, 35612},
+		"hlrc/tree":      {47306814, 29452, 35612},
 		"ohlrc/central":  {35476207, 28720, 35612},
-		"ohlrc/tree":     {21913715, 31420, 35612},
+		"ohlrc/tree":     {29243800, 29452, 35612},
 		"hlrc/crash-mgr": {124592344, 36092, 35612},
 	}
 	cell := func(name string, opts Options, lead sim.Time) {

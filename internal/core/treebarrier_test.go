@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// treeOpts returns options forcing the tree barrier with a given radix.
+// treeOpts returns options forcing the barrier tree's fan-in to radix.
 func treeOpts(proto Protocol, p, radix int) Options {
 	o := testOpts(proto, p)
 	o.Machine.treeRadix = radix
@@ -22,11 +22,11 @@ func fingerprint(res *Result) string {
 	return out
 }
 
-// TestTreeBarrierMatchesCentral runs the same applications under the
-// centralized and the tree barrier. The algorithms exchange the same
-// coherence information over different message patterns, so the gathered
-// application data must be bitwise identical; timing legitimately
-// differs.
+// TestTreeBarrierMatchesCentral runs the same applications with the
+// barrier a star around the manager (the default up to BarrierCrossover)
+// and a deeper tree. Both exchange the same coherence information over
+// different message patterns, so the gathered application data must be
+// bitwise identical; timing legitimately differs.
 func TestTreeBarrierMatchesCentral(t *testing.T) {
 	cases := []struct {
 		procs, radix int
@@ -108,22 +108,60 @@ func TestTreeBarrierGC(t *testing.T) {
 	}
 }
 
-// TestBarrierAutoCrossover checks the size rule: central at and below the
-// crossover, tree above it, and the test seam forces the tree at any size.
+// TestBarrierAutoCrossover checks the fan-in rule: n-1 at and below the
+// crossover, so every node reports straight to the manager; barrierFanIn
+// above it; and the test seam wins at any size.
 func TestBarrierAutoCrossover(t *testing.T) {
-	at := Machine{Nodes: BarrierCrossover}
-	at.Defaults()
-	if at.TreeBarrier() {
-		t.Fatalf("%d nodes picked the tree barrier", BarrierCrossover)
+	for _, n := range []int{2, 8, BarrierCrossover} {
+		m := Machine{Nodes: n}
+		if r := m.barrierRadix(); r != n-1 {
+			t.Errorf("%d nodes: fan-in %d, want %d", n, r, n-1)
+		}
 	}
-	above := Machine{Nodes: BarrierCrossover + 1}
-	above.Defaults()
-	if !above.TreeBarrier() {
-		t.Fatalf("%d nodes did not pick the tree barrier", BarrierCrossover+1)
+	for _, n := range []int{BarrierCrossover + 1, 1024} {
+		m := Machine{Nodes: n}
+		if r := m.barrierRadix(); r != barrierFanIn {
+			t.Errorf("%d nodes: fan-in %d, want %d", n, r, barrierFanIn)
+		}
 	}
-	forced := Machine{Nodes: 4, treeRadix: 2}
-	forced.Defaults()
-	if !forced.TreeBarrier() || forced.barrierRadix() != 2 {
-		t.Fatal("forced tree barrier ignored")
+	for _, n := range []int{4, 1024} {
+		m := Machine{Nodes: n, treeRadix: 2}
+		if r := m.barrierRadix(); r != 2 {
+			t.Errorf("%d nodes forced to fan-in 2: fan-in %d", n, r)
+		}
+	}
+}
+
+// TestBarrierReleasesAreAnswers runs a barrier-only app on an 8-node binary
+// tree: node 0 over 1 and 2, 1 over 3 and 4, 2 over 5 and 6, 3 over 7. Each
+// release is the answer to the Call that reported the subtree, so a node
+// services only its children's arrivals: a leaf no barrier message at all,
+// a node with children exactly one per child per episode.
+func TestBarrierReleasesAreAnswers(t *testing.T) {
+	const procs, radix, episodes = 8, 2, 5
+	app := &testApp{
+		name:  "barriers",
+		setup: func(s *Setup) { s.Alloc(1) },
+		init:  func(*Init) {},
+		worker: func(c *Ctx, id int) {
+			for i := 0; i < episodes; i++ {
+				c.Barrier(i)
+			}
+		},
+		gather: func(*Ctx) []float64 { return nil },
+	}
+	for _, proto := range Protocols {
+		t.Run(string(proto), func(t *testing.T) {
+			res := runOrFail(t, treeOpts(proto, procs, radix), app)
+			for i, nd := range res.Stats.Nodes {
+				if nd.Counts.Barriers != episodes {
+					t.Fatalf("node %d entered %d barriers, want %d", i, nd.Counts.Barriers, episodes)
+				}
+				children := max(0, min(radix*i+radix, procs-1)-radix*i)
+				if want := int64(children * episodes); nd.MsgsIn != want {
+					t.Errorf("node %d (%d children) serviced %d messages, want %d", i, children, nd.MsgsIn, want)
+				}
+			}
+		})
 	}
 }

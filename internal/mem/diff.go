@@ -137,9 +137,6 @@ func (d *Diff) Apply(dst []float64) {
 	}
 }
 
-// Empty reports whether the diff modifies no words.
-func (d *Diff) Empty() bool { return len(d.Runs) == 0 }
-
 // Words returns the number of modified words.
 func (d *Diff) Words() int {
 	n := 0

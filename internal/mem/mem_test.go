@@ -42,8 +42,8 @@ func TestSpacePageMath(t *testing.T) {
 	if s.PageOf(511) != 0 || s.PageOf(512) != 1 {
 		t.Fatal("PageOf boundary wrong")
 	}
-	if s.PageBase(3) != 1536 {
-		t.Fatalf("PageBase(3) = %d", s.PageBase(3))
+	if s.PageOf(Addr(3*s.PageWords)) != 3 || s.PageOf(Addr(3*s.PageWords-1)) != 2 {
+		t.Fatal("page 3 does not start at 3*PageWords")
 	}
 }
 
@@ -165,7 +165,7 @@ func TestDiffBasic(t *testing.T) {
 func TestDiffEmpty(t *testing.T) {
 	v := []float64{1, 2, 3}
 	d := ComputeDiff(0, v, []float64{1, 2, 3})
-	if !d.Empty() || d.Words() != 0 {
+	if d.Words() != 0 || len(d.Runs) != 0 {
 		t.Fatal("identical pages produced a non-empty diff")
 	}
 	if d.WireSize() != 16 {
@@ -357,9 +357,6 @@ func FuzzDiffApply(f *testing.F) {
 				t.Fatalf("word %d: applying the diff to the twin gives %x, want %x",
 					i, math.Float64bits(got[i]), math.Float64bits(cur[i]))
 			}
-		}
-		if d.Empty() != (diffs == 0) {
-			t.Fatalf("Empty() = %v with %d differing words", d.Empty(), diffs)
 		}
 		if d.Words() != diffs {
 			t.Fatalf("Words() = %d, %d words differ", d.Words(), diffs)

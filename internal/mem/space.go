@@ -69,6 +69,3 @@ func (s *Space) NumPages() int {
 
 // PageOf returns the page holding address a.
 func (s *Space) PageOf(a Addr) int { return int(int64(a) / int64(s.PageWords)) }
-
-// PageBase returns the first address of page id.
-func (s *Space) PageBase(id int) Addr { return Addr(id * s.PageWords) }

@@ -85,7 +85,6 @@ type Kernel struct {
 	// event runs.
 	current *Proc
 	procs   []*Proc
-	stopped bool
 }
 
 // NewKernel returns an empty kernel at time zero.
@@ -189,10 +188,6 @@ func (k *Kernel) atRun(t Time, p *Proc) { k.schedule(t, (*runTask)(p)) }
 // atUnpark schedules the permit-guarded resume behind Unpark.
 func (k *Kernel) atUnpark(t Time, p *Proc) { k.schedule(t, (*unparkTask)(p)) }
 
-// Stop makes Run return once the current event finishes. Pending events
-// are discarded.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // DeadlockError reports that runnable work was exhausted while processes
 // were still blocked. Blocked holds one description per blocked proc,
 // ordered by proc id (spawn order).
@@ -206,11 +201,11 @@ func (e *DeadlockError) Error() string {
 		e.Time, len(e.Blocked), strings.Join(e.Blocked, "; "))
 }
 
-// Run executes events until the queue is empty or Stop is called. It
+// Run executes events until the queue is empty. It
 // returns a *DeadlockError if processes remain blocked when the event
 // queue drains, and propagates any panic raised inside process code.
 func (k *Kernel) Run() error {
-	for len(k.events) > 0 && !k.stopped {
+	for len(k.events) > 0 {
 		ev := k.pop()
 		k.now = ev.at
 		ev.task.Fire()
@@ -228,7 +223,7 @@ func (k *Kernel) drainCheck() error {
 			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.blockedDesc()))
 		}
 	}
-	if len(blocked) > 0 && !k.stopped {
+	if len(blocked) > 0 {
 		return &DeadlockError{Time: k.now, Blocked: blocked}
 	}
 	return nil

@@ -44,10 +44,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 				p.Sleep(1 << 40)
 			})
 			late := k.Spawn("late", 1<<40, func(p *Proc) { t.Error("late proc body ran") })
-			k.At(100, k.Stop)
-			if err := k.Run(); err != nil {
-				t.Fatal(err)
-			}
+			runUntil(t, k, 100)
 			if !finished.Done() || parked.Done() || asleep.Done() || late.Done() {
 				t.Fatalf("before Shutdown: done = %v %v %v %v, want only the first",
 					finished.Done(), parked.Done(), asleep.Done(), late.Done())

@@ -171,6 +171,19 @@ func TestDeadlockDetection(t *testing.T) {
 	k.Shutdown()
 }
 
+// runUntil runs k until an event at time at panics, which ends Run with
+// events still pending, as a panic in protocol code ends core.Run.
+func runUntil(t *testing.T, k *Kernel, at Time) {
+	type stop struct{}
+	k.At(at, func() { panic(stop{}) })
+	defer func() {
+		if r := recover(); r != (stop{}) {
+			t.Fatalf("Run ended with %v, want the panic at %v", r, at)
+		}
+	}()
+	k.Run()
+}
+
 func TestShutdownUnwindsProcs(t *testing.T) {
 	k := NewKernel()
 	cleaned := 0
@@ -182,10 +195,7 @@ func TestShutdownUnwindsProcs(t *testing.T) {
 	}
 	// One proc that never even starts before the kernel stops.
 	k.Spawn("late", 1<<40, func(p *Proc) { t.Error("late proc body ran") })
-	k.At(100, k.Stop)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runUntil(t, k, 100)
 	k.Shutdown()
 	if cleaned != 5 {
 		t.Fatalf("deferred cleanups ran = %d, want 5", cleaned)
