@@ -384,68 +384,173 @@ func FuzzDiffApply(f *testing.F) {
 	})
 }
 
-// TestDiffRecomputeMatchesComputeDiff: a diff recomputed into one reused
-// Diff, whose runs and values backing keep every earlier diff's bits, equals
-// ComputeDiff's over random twins with NaN payloads and signed zeros in
-// them, and once its backing has grown to a page-wide diff, recomputing
-// allocates nothing.
-func TestDiffRecomputeMatchesComputeDiff(t *testing.T) {
-	const n = 64
+// naiveDiff is the diff scanner's reference: one word at a time, each run
+// in its own slice.
+func naiveDiff(page int, twin, cur []float64) Diff {
+	d := Diff{Page: page}
+	for i := 0; i < len(cur); i++ {
+		if sameBits(twin[i], cur[i]) {
+			continue
+		}
+		j := i
+		for j < len(cur) && !sameBits(twin[j], cur[j]) {
+			j++
+		}
+		d.Runs = append(d.Runs, Run{Off: i, Vals: slices.Clone(cur[i:j])})
+		i = j
+	}
+	return d
+}
+
+func sameDiff(a, b Diff) bool {
+	return a.Page == b.Page && len(a.Runs) == len(b.Runs) && slices.EqualFunc(a.Runs, b.Runs, func(x, y Run) bool {
+		return x.Off == y.Off && slices.EqualFunc(x.Vals, y.Vals, sameBits)
+	})
+}
+
+// scanPages returns twin/cur pairs for the differential test: random pages
+// of every length the eight-word skip treats differently, drawn from a
+// small palette (NaN payloads, ±0, repeated values, so that two words'
+// XORs can cancel) at every density; runs touching either end of the page;
+// and every-other-word pages, whose 512 runs overflow the scanner's stack.
+func scanPages() [][2][]float64 {
 	nan1 := math.NaN()
 	nan2 := math.Float64frombits(math.Float64bits(nan1) ^ 1)
-	specials := []float64{nan1, nan2, 0, math.Copysign(0, -1), 1e18}
-	word := func(rng *rand.Rand) float64 {
-		if rng.Intn(3) == 0 {
-			return specials[rng.Intn(len(specials))]
-		}
-		return rng.NormFloat64()
-	}
+	palette := []float64{0, math.Copysign(0, -1), 1, 2, 3, nan1, nan2, math.Inf(1), 1e18}
 	rng := rand.New(rand.NewSource(1))
-	pages := func() (twin, cur []float64) {
-		twin, cur = make([]float64, n), make([]float64, n)
-		for i := range twin {
-			twin[i] = word(rng)
+	word := func() float64 {
+		if rng.Intn(4) == 0 {
+			return rng.NormFloat64()
 		}
-		copy(cur, twin)
-		for m := rng.Intn(2 * n); m > 0; m-- {
-			cur[rng.Intn(n)] = word(rng)
-		}
-		return twin, cur
+		return palette[rng.Intn(len(palette))]
 	}
-	var d Diff
-	for round := 0; round < 500; round++ {
-		twin, cur := pages()
-		d.Recompute(round, twin, cur)
-		want := ComputeDiff(round, twin, cur)
-		same := d.Page == want.Page && slices.EqualFunc(d.Runs, want.Runs, func(a, b Run) bool {
-			return a.Off == b.Off && slices.EqualFunc(a.Vals, b.Vals, func(x, y float64) bool {
-				return math.Float64bits(x) == math.Float64bits(y)
-			})
-		})
-		if !same {
-			t.Fatalf("round %d: recomputed %+v, ComputeDiff %+v", round, d, want)
+	var pages [][2][]float64
+	add := func(twin, cur []float64) { pages = append(pages, [2][]float64{twin, cur}) }
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1024} {
+		for round := 0; round < 200; round++ {
+			twin, cur := make([]float64, n), make([]float64, n)
+			if round%2 == 1 { // half the twins are all zero
+				for i := range twin {
+					twin[i] = word()
+				}
+			}
+			copy(cur, twin)
+			if n > 0 {
+				for m := rng.Intn(2*n + 1); m > 0; m-- {
+					cur[rng.Intn(n)] = word()
+				}
+			}
+			add(twin, cur)
+		}
+	}
+	for _, n := range []int{1, 7, 9, 1024} {
+		for _, ends := range [][]int{{0}, {n - 1}, {0, n - 1}} {
+			twin, cur := make([]float64, n), make([]float64, n)
+			for _, i := range ends {
+				cur[i] = math.Copysign(0, -1)
+			}
+			add(twin, cur)
+		}
+	}
+	for _, first := range []int{0, 1} {
+		twin, cur := make([]float64, 1024), make([]float64, 1024)
+		for i := first; i < len(cur); i += 2 {
+			cur[i] = nan2
+		}
+		add(twin, cur)
+	}
+	return pages
+}
+
+// TestDiffRecomputeMatchesComputeDiff: ComputeDiff, ComputeDiffPooled and
+// a diff recomputed into one reused Diff, whose runs and values backing keep
+// every earlier diff's bits, all equal the word-at-a-time reference. Once a
+// Diff has held a diff as large, recomputing into it allocates nothing:
+// below the scanner's stack bound, at it, just past it and far past it, and
+// over varied shapes once it has grown to the most runs a page has.
+func TestDiffRecomputeMatchesComputeDiff(t *testing.T) {
+	pool := NewPool(1024)
+	var reused Diff
+	pages := scanPages()
+	for k, pg := range pages {
+		twin, cur := pg[0], pg[1]
+		want := naiveDiff(k, twin, cur)
+		reused.Recompute(k, twin, cur)
+		pooled := ComputeDiffPooled(pool, k, twin, cur)
+		for _, got := range []struct {
+			name string
+			d    Diff
+		}{{"ComputeDiff", ComputeDiff(k, twin, cur)}, {"ComputeDiffPooled", pooled}, {"Recompute", reused}} {
+			if !sameDiff(got.d, want) {
+				t.Fatalf("page %d (%d words): %s = %+v, want %+v", k, len(cur), got.name, got.d.Runs, want.Runs)
+			}
+		}
+		pooled.Release(pool)
+	}
+
+	for _, runs := range []int{1, 64, 65, 512} {
+		twin, cur := make([]float64, 1024), make([]float64, 1024)
+		for i := 0; i < 2*runs; i += 2 {
+			cur[i] = 1
+		}
+		var d Diff
+		d.Recompute(0, twin, cur)
+		if len(d.Runs) != runs {
+			t.Fatalf("%d runs: the diff has %d", runs, len(d.Runs))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { d.Recompute(0, twin, cur) }); allocs != 0 {
+			t.Errorf("%d runs: Recompute = %.1f allocs/op, want 0", runs, allocs)
 		}
 	}
 
-	twin, cur := make([]float64, n), make([]float64, n)
+	twin, cur := make([]float64, 1024), make([]float64, 1024)
 	for i := range cur {
 		cur[i] = float64(i%2 + 1) // every word, in one run
 	}
-	d.Recompute(0, twin, cur)
+	reused.Recompute(0, twin, cur)
 	for i := range cur {
 		cur[i] = float64(i % 2) // every other word: the most runs a page has
 	}
-	d.Recompute(0, twin, cur)
-	shapes := make([][2][]float64, 50)
-	for i := range shapes {
-		shapes[i][0], shapes[i][1] = pages()
-	}
+	reused.Recompute(0, twin, cur)
 	i := 0
-	if allocs := testing.AllocsPerRun(len(shapes), func() {
-		s := shapes[i%len(shapes)]
-		d.Recompute(i, s[0], s[1])
+	if allocs := testing.AllocsPerRun(len(pages), func() {
+		pg := pages[i%len(pages)]
+		reused.Recompute(i, pg[0], pg[1])
 		i++
 	}); allocs != 0 {
 		t.Errorf("recomputing into a grown Diff allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// BenchmarkDiffRecompute times the scanner on 1024-word pages: an unchanged
+// page, one 2-word run, two dense runs, every 20th word (the benchmark
+// probe's page) and every other word (past the stack bound).
+func BenchmarkDiffRecompute(b *testing.B) {
+	shapes := []struct {
+		name  string
+		dirty func(i int) bool
+	}{
+		{"clean", func(int) bool { return false }},
+		{"two-words", func(i int) bool { return i == 500 || i == 501 }},
+		{"dense-two-runs", func(i int) bool { return i < 400 || i >= 600 }},
+		{"every-20th", func(i int) bool { return i%20 == 0 }},
+		{"every-other", func(i int) bool { return i%2 == 0 }},
+	}
+	for _, sh := range shapes {
+		twin, cur := make([]float64, 1024), make([]float64, 1024)
+		for i := range twin {
+			twin[i], cur[i] = float64(i), float64(i)
+			if sh.dirty(i) {
+				cur[i] = -float64(i) - 1
+			}
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			var d Diff
+			d.Recompute(0, twin, cur)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Recompute(0, twin, cur)
+			}
+		})
 	}
 }
