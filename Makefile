@@ -92,7 +92,7 @@ allocs:
 		done && \
 		$(GO) test -count=1 -run TestNoticeOnlyPageBytes -v ./internal/core | grep 'bytes per'
 
-# Regenerate every paper table and figure at paper size (~90 s on two
+# Regenerate every paper table and figure at paper size (~50 s on two
 # cores) and require the output to be byte-identical to the checked-in
 # results_paper.txt; CI's e2e job runs this. A PR that moves simulated
 # results (label changes-sim) regenerates the file in the same PR:

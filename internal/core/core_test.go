@@ -230,6 +230,7 @@ func migratoryApp(rounds int) *testApp {
 }
 
 func TestMigratoryData(t *testing.T) {
+	CheckFrames(t) // and the homeless protocols' diff apply order
 	const rounds = 5
 	forEachProto(t, []int{3, 6}, func(t *testing.T, proto Protocol, p int) {
 		res := runOrFail(t, testOpts(proto, p), migratoryApp(rounds))
@@ -1011,27 +1012,32 @@ func TestWildAccessGrowsNothing(t *testing.T) {
 	}
 }
 
-// A page size that is not a whole number of words is an error from Run,
-// not a panic.
-func TestBadPageBytesIsAnError(t *testing.T) {
-	for _, page := range []int{100, 12, -8} {
-		opts := testOpts(ProtoHLRC, 2)
-		opts.PageBytes = page
-		_, err := Run(opts, counterApp(1), false)
-		if want := fmt.Sprintf("PageBytes=%d", page); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("PageBytes %d: Run returned %v, want an error naming %s", page, err, want)
-		}
-	}
-}
-
-// A negative GC threshold is an error from Run: a homeless protocol would
-// otherwise collect at every barrier.
-func TestNegativeGCThresholdIsAnError(t *testing.T) {
-	opts := testOpts(ProtoLRC, 2)
-	opts.GCThreshold = -1
-	_, err := Run(opts, counterApp(1), false)
-	if err == nil || !strings.Contains(err.Error(), "GCThreshold=-1") {
-		t.Errorf("Run returned %v, want an error naming GCThreshold=-1", err)
+// Options Run cannot honour are an error from Run, naming the bad value,
+// not a panic: a page size that is not a whole number of words, a negative
+// GC threshold (a homeless protocol would otherwise collect at every
+// barrier), a machine with fewer than one node or an unknown topology, and
+// a sequential run on more than one node.
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+		want string
+	}{
+		{"PageBytes=100", func(o *Options) { o.PageBytes = 100 }, "PageBytes=100"},
+		{"PageBytes=12", func(o *Options) { o.PageBytes = 12 }, "PageBytes=12"},
+		{"PageBytes=-8", func(o *Options) { o.PageBytes = -8 }, "PageBytes=-8"},
+		{"GCThreshold=-1", func(o *Options) { o.Protocol = ProtoLRC; o.GCThreshold = -1 }, "GCThreshold=-1"},
+		{"Nodes=-1", func(o *Options) { o.Machine.Nodes = -1 }, "at least 1 node, got -1"},
+		{"Topology=torus", func(o *Options) { o.Machine.Topology = "torus" }, `unknown topology "torus"`},
+		{"seq-on-2-nodes", func(o *Options) { o.Protocol = ProtoSeq }, "Machine.Nodes=1, got 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := testOpts(ProtoHLRC, 2)
+			tc.edit(&opts)
+			if _, err := Run(opts, counterApp(1), false); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run returned %v, want an error naming %s", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 // through a shared frame panics in the run that made it; every server that
 // writes its answer into a requester's body first verifies that the
 // requester still waits in the Call the body belongs to (base.claimBody);
-// and a home refuses a diff record that is on the free list (homeApply).
+// a home refuses a diff record that is on the free list (homeApply); and a
+// homeless node refuses to apply a page's diffs out of happens-before order
+// (lrcEngine.checkApplyOrder).
 // Off — the default — each check is one untaken branch, and nothing on the
 // access path (TestFrameCheckIsOffTheAccessPath).
 func CheckFrames(t testing.TB) {

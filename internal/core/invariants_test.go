@@ -14,8 +14,9 @@ import (
 // no run reaches into its panic, on a bare node 3 of a 4-node machine: a
 // second waiter on a lock, a second delivery of a one-off frame, a barrier
 // report carrying a record past its own clock, a write notice for a page
-// in the middle of its interval, and a node finishing with a dirty page, a
-// held lock or a request still waiting. Each panic must name node 3.
+// in the middle of its interval, a node finishing with a dirty page, a
+// held lock or a request still waiting, and a homeless node applying a
+// page's diffs out of happens-before order. Each panic must name node 3.
 func TestInvariantPanicsNameTheNode(t *testing.T) {
 	const self, nodes = 3, 4
 	bare := func() *base {
@@ -65,6 +66,16 @@ func TestInvariantPanicsNameTheNode(t *testing.T) {
 			b.locks[5] = &lockState{waiter: waiting(1)}
 			b.finish(noInflight)
 		}},
+		{"apply ahead of a cross-proc predecessor", "node 3 applied page 0's diff of interval 1:1 ahead of 0:1, which happens before it", func(b *base) {
+			applyInOrder(b, []int{1, 0},
+				vc.Stamp{Proc: 0, Interval: 1, VC: vc.SparseFrom(vc.VC{1, 0, 0, 0})},
+				vc.Stamp{Proc: 1, Interval: 1, VC: vc.SparseFrom(vc.VC{1, 1, 0, 0})})
+		}},
+		{"apply ahead of a same-proc predecessor", "node 3 applied page 0's diff of interval 0:2 ahead of 0:1, which happens before it", func(b *base) {
+			applyInOrder(b, []int{1, 0},
+				vc.Stamp{Proc: 0, Interval: 1, VC: vc.SparseFrom(vc.VC{1, 0, 0, 0})},
+				vc.Stamp{Proc: 0, Interval: 2, VC: vc.SparseFrom(vc.VC{2, 0, 0, 0})})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,4 +88,13 @@ func TestInvariantPanicsNameTheNode(t *testing.T) {
 			tc.fire(bare())
 		})
 	}
+}
+
+// applyInOrder runs lrcEngine's apply order check on b's node, for one
+// page's stamps in the given order.
+func applyInOrder(b *base, order []int, stamps ...vc.Stamp) {
+	e := &lrcEngine{stamps: stamps}
+	e.self, e.sys = b.self, b.sys
+	e.sys.Opts.Machine.Nodes = stamps[0].VC.Dim()
+	e.checkApplyOrder(0, order)
 }

@@ -32,11 +32,12 @@ type lrcEngine struct {
 	diffs  map[uint64]*mem.Diff
 	keys   diffKeys
 	wnRuns slab.Slab[pageWN]
-	// sorter, stamps and missing are bringUpToDate's scratch, lastWrites
-	// runGC's (application proc only).
+	// sorter, stamps, missing and later are bringUpToDate's scratch,
+	// lastWrites runGC's (application proc only).
 	sorter     vc.Sorter
 	stamps     []vc.Stamp
 	missing    []int
+	later      []int32
 	lastWrites []pageWrite
 
 	// diffReq and pageReq are this node's diff and page fetch requests:
@@ -307,8 +308,12 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 	if waitCat == stats.CatGC {
 		opCat = stats.CatGC
 	}
+	order := e.sorter.Order(e.stamps)
+	if mem.CheckFrames {
+		e.checkApplyOrder(page, order)
+	}
 	var cost sim.Time
-	for _, i := range e.sorter.Order(e.stamps) {
+	for _, i := range order {
 		wn := &m.wns[i]
 		cost += e.costs().DiffApplyCost(wn.diff.Words())
 		e.event(trace.DiffApply, page, wn.rec.Proc, int64(wn.diff.Words()))
@@ -318,6 +323,38 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 	}
 	e.use(cost, opCat)
 	m.dropWNs()
+}
+
+// checkApplyOrder panics, naming both intervals, if order applies a page's
+// diff ahead of one whose interval happens before its own. One pass from
+// the back keeps later[q], the smallest interval of proc q applied later
+// (0 for none); a stamp is out of order exactly when its vector holds that
+// interval for some other proc, or it is a later interval of its own proc.
+func (e *lrcEngine) checkApplyOrder(page int, order []int) {
+	if e.later == nil {
+		e.later = make([]int32, e.sys.Opts.Machine.Nodes)
+	}
+	fail := func(s vc.Stamp, q int, t int32) {
+		panic(fmt.Sprintf("core: node %d applied page %d's diff of interval %d:%d ahead of %d:%d, which happens before it",
+			e.self, page, s.Proc, s.Interval, q, t))
+	}
+	for k := len(order) - 1; k >= 0; k-- {
+		s := e.stamps[order[k]]
+		if t := e.later[s.Proc]; t > 0 && t < s.Interval {
+			fail(s, s.Proc, t)
+		}
+		s.VC.Each(func(q int, x int32) {
+			if t := e.later[q]; q != s.Proc && t > 0 && t <= x {
+				fail(s, q, t)
+			}
+		})
+		if t := e.later[s.Proc]; t == 0 || s.Interval < t {
+			e.later[s.Proc] = s.Interval
+		}
+	}
+	for _, s := range e.stamps {
+		e.later[s.Proc] = 0
+	}
 }
 
 // fetchBaseCopy obtains a full page copy in one Call to the hinted holder

@@ -124,12 +124,19 @@ func (s *scanner) fill(runs []Run, twin, cur, buf []float64) []Run {
 }
 
 // nextRun returns the bounds [lo, hi) of the first run of cur against twin
-// at or after word i; lo is len(cur) if there is none. It skips equal
-// stretches eight words a step (the OR of the eight words' XORs is zero
-// only if all eight bit patterns are equal), then looks a word at a time.
+// at or after word i; lo is len(cur) if there is none. It looks a word at
+// a time up to the next multiple of eight, so a run that starts just past
+// the last one costs no block; then it skips equal stretches eight words a
+// step (the OR of the eight words' XORs is zero only if all eight bit
+// patterns are equal), and looks a word at a time again.
 func nextRun(twin, cur []float64, i int) (lo, hi int) {
 	n := len(cur)
 	twin = twin[:n]
+	for ; i&7 != 0 && i < n; i++ {
+		if !sameBits(twin[i], cur[i]) {
+			return i, runEnd(twin, cur, i)
+		}
+	}
 	for ; i+8 <= n; i += 8 {
 		t, c := twin[i:i+8:i+8], cur[i:i+8:i+8]
 		if (math.Float64bits(t[0])^math.Float64bits(c[0]))|

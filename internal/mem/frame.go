@@ -20,7 +20,8 @@ type Frame struct {
 // CheckFrames makes every Frame carry a checksum of its words from NewFrame
 // on, verified by the last Release and by Verify. It is for tests, which set
 // it before any run starts; a write through a shared frame then panics
-// instead of corrupting another node's copy silently.
+// instead of corrupting another node's copy silently. The core package
+// hangs its other test-only checks on it too.
 var CheckFrames bool
 
 // NewFrame wraps words, which the caller gives up, in a frame holding one

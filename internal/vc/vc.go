@@ -1,7 +1,7 @@
 // Package vc implements the vector timestamps and happens-before machinery
 // of lazy release consistency: per-processor interval counters, vector
-// clock algebra, and topological ordering of causally related intervals
-// (the order in which diffs must be applied).
+// clock algebra, and the causal order of a set of intervals (the order in
+// which diffs must be applied).
 package vc
 
 import (
@@ -82,10 +82,17 @@ func HappensBefore(a, b Stamp) bool {
 
 // TopoSort orders stamps so that causally earlier intervals come first
 // (the order diffs must be applied in). Concurrent intervals are ordered
-// deterministically by (proc, interval); in a data-race-free program their
-// diffs touch disjoint words, so the tie-break cannot change the merged
-// result. Repeats of a (proc, interval) must carry one vector and keep
-// their input order.
+// deterministically; in a data-race-free program their diffs touch
+// disjoint words, so the tie-break cannot change the merged result.
+// Repeats of a (proc, interval) must carry one vector and keep their input
+// order.
+//
+// The stamps must come from one causal history: an interval's vector
+// covers the vector of every interval that happens before it, and its own
+// component is its interval index. So a predecessor's vector is covered
+// and strictly smaller in the later interval's own component, and its sum
+// is strictly smaller: sorting by the sum of the vector orders every
+// causal pair, with no pair compared.
 func TopoSort(stamps []Stamp) {
 	in := slices.Clone(stamps)
 	for k, i := range new(Sorter).Order(in) {
@@ -94,117 +101,40 @@ func TopoSort(stamps []Stamp) {
 }
 
 // Sorter computes TopoSort's order as a permutation, keeping its scratch so
-// that sorting on every page miss allocates nothing. The sets are not small
-// (a paper-size water-sp miss at 64 nodes orders up to 574 notices from 63
-// writers, 54 from 28 in the mean), so Kahn's extraction runs over per-proc
-// chains, reads each vector once, and touches per emission only the counts
-// that emission changes: O(n·C) for n stamps in C chains, plus the sort
-// that cuts the chains.
+// that sorting on every page miss allocates nothing.
 type Sorter struct {
-	idx, order []int   // stamp indexes by (proc, interval, index); the result
-	chains     [][]int // idx cut into one run per proc, emitted from the front
-	procs      []int   // procs[c] is chain c's processor, ascending
-	comp       []int32 // comp[i*C+c] is stamp i's vector component for procs[c]
-	blocked    []int   // blocked[c] counts the other live heads that happen before chain c's; -1 once c is empty
+	keys  []sortKey
+	order []int
+}
+
+// sortKey is one stamp's place in the order: the sum of its vector, then
+// (proc, interval) among concurrent intervals, then its input index among
+// repeats.
+type sortKey struct {
+	sum      int64
+	proc     int
+	interval int32
+	i        int
 }
 
 // Order returns the indexes of stamps in TopoSort order, valid until the
-// next call. Only a chain's head can be next, and another chain blocks it
-// exactly when that chain's head (its smallest interval) does, so each step
-// emits the first head in proc order that no head happens before — which
-// assumes nothing about happens-before being transitive.
+// next call.
 func (s *Sorter) Order(stamps []Stamp) []int {
-	n := len(stamps)
-	s.idx, s.order = slices.Grow(s.idx[:0], n), slices.Grow(s.order[:0], n)
-	s.chains, s.procs = s.chains[:0], s.procs[:0]
-	for i := range stamps {
-		s.idx = append(s.idx, i)
+	s.keys = slices.Grow(s.keys[:0], len(stamps))
+	for i, st := range stamps {
+		var sum int64
+		for _, e := range st.VC.ents {
+			sum += int64(e.x)
+		}
+		s.keys = append(s.keys, sortKey{sum, st.Proc, st.Interval, i})
 	}
-	slices.SortFunc(s.idx, func(a, b int) int {
-		return cmp.Or(cmp.Compare(stamps[a].Proc, stamps[b].Proc),
-			cmp.Compare(stamps[a].Interval, stamps[b].Interval), cmp.Compare(a, b))
+	slices.SortFunc(s.keys, func(a, b sortKey) int {
+		return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.proc, b.proc),
+			cmp.Compare(a.interval, b.interval), cmp.Compare(a.i, b.i))
 	})
-	for lo, hi := 0, 0; lo < n; lo = hi {
-		p := stamps[s.idx[lo]].Proc
-		for hi = lo + 1; hi < n && stamps[s.idx[hi]].Proc == p; hi++ {
-		}
-		s.chains = append(s.chains, s.idx[lo:hi])
-		s.procs = append(s.procs, p)
-	}
-	C := len(s.chains)
-	s.comp = slices.Grow(s.comp[:0], n*C)[:n*C]
-	for i := range stamps {
-		s.gather(stamps[i].VC, s.comp[i*C:(i+1)*C])
-	}
-	s.blocked = slices.Grow(s.blocked[:0], C)[:C]
-	for c := range s.chains {
-		s.blocked[c] = s.blockers(stamps, c)
-	}
-	for len(s.order) < n {
-		pick := slices.Index(s.blocked, 0)
-		if pick < 0 {
-			panic(fmt.Sprintf("vc: happens-before cycle among %d intervals", n))
-		}
-		ch := s.chains[pick]
-		gone := stamps[ch[0]].Interval
-		s.order = append(s.order, ch[0])
-		ch = ch[1:]
-		s.chains[pick] = ch
-		// Chain pick's head is the only one that moved: every other live
-		// head loses the old head as a blocker and may gain the new one.
-		for c, h := range s.chains {
-			if c == pick || len(h) == 0 {
-				continue
-			}
-			x := s.comp[h[0]*C+pick]
-			if x >= gone {
-				s.blocked[c]--
-			}
-			if len(ch) > 0 && x >= stamps[ch[0]].Interval {
-				s.blocked[c]++
-			}
-		}
-		if len(ch) > 0 {
-			s.blocked[pick] = s.blockers(stamps, pick)
-		} else {
-			s.blocked[pick] = -1
-		}
+	s.order = slices.Grow(s.order[:0], len(stamps))
+	for _, k := range s.keys {
+		s.order = append(s.order, k.i)
 	}
 	return s.order
-}
-
-// gather writes v's components for the chain processors into row, in one
-// two-pointer walk of v's pairs against the ascending procs (v == nil is
-// the zero vector). HappensBefore(a, b) across chains is then
-// row_b[chain of a] >= a.Interval.
-func (s *Sorter) gather(v *Sparse, row []int32) {
-	if v == nil {
-		clear(row)
-		return
-	}
-	j := 0
-	for c, p := range s.procs {
-		for j < len(v.ents) && int(v.ents[j].p) < p {
-			j++
-		}
-		if j < len(v.ents) && int(v.ents[j].p) == p {
-			row[c] = v.ents[j].x
-		} else {
-			row[c] = 0
-		}
-	}
-}
-
-// blockers counts the other live chains whose head happens before chain
-// c's head.
-func (s *Sorter) blockers(stamps []Stamp, c int) int {
-	C := len(s.chains)
-	row := s.comp[s.chains[c][0]*C:][:C]
-	k := 0
-	for q, h := range s.chains {
-		if q != c && len(h) > 0 && row[q] >= stamps[h[0]].Interval {
-			k++
-		}
-	}
-	return k
 }
