@@ -76,11 +76,13 @@ type base struct {
 	// fault on (resolve). A notice for any other page has nothing to
 	// invalidate, and only the page's first fault reads it, so learn
 	// defers it: the record joins deferred, in delivery order, and the
-	// page's slot is built from it at that fault or at the next fold.
-	// deferredPairs counts the (record, page) pairs in deferred, scanned
-	// those resolve has walked since the last fold (foldEvery).
+	// page's slot is built from it at that fault or at the next fold. The
+	// list starts at slab.Block records, and a fold keeps its backing for
+	// the records that follow. deferredPairs counts the (record, page)
+	// pairs in deferred, scanned those resolve has walked since the last
+	// fold (foldEvery).
 	eager         pageSet
-	deferred      recBlocks
+	deferred      []*IntervalRec
 	deferredPairs int
 	scanned       int
 	// charged marks the pages whose requirement vector a deferred notice
@@ -190,14 +192,6 @@ func (b *base) noWork(*service) sim.Time       { return 0 }
 func (b *base) lockHandling(*service) sim.Time { return b.costs().LockHandling }
 
 func (b *base) costs() *paragon.Costs { return &b.sys.Opts.Machine.Costs }
-
-// dataTarget is where data-plane requests (fetches, diff flushes) go.
-func (b *base) dataTarget() paragon.Target {
-	if b.overlapped {
-		return paragon.ToCoproc
-	}
-	return paragon.ToCompute
-}
 
 // vecBytes is the protocol-memory charge for one per-page vector: the dense
 // reservation the paper's prototypes allocate, 4 bytes per node, whatever
@@ -504,7 +498,10 @@ func (b *base) learn(recs []*IntervalRec, v vc.VC) sim.Time {
 			}
 		}
 		if deferred > 0 {
-			b.deferred.push(rec)
+			if b.deferred == nil {
+				b.deferred = make([]*IntervalRec, 0, slab.Block)
+			}
+			b.deferred = append(b.deferred, rec)
 			b.deferredPairs += len(rec.Pages)
 			bytes := int64(deferred) * wnEntryBytes
 			if charged != nil {
@@ -541,16 +538,14 @@ func (b *base) resolve(page int) {
 	if b.scanned += b.deferredPairs; b.scanned > foldEvery*b.deferredPairs {
 		b.foldDeferred()
 	} else {
-		b.deferred.each(func(recs []*IntervalRec) {
-			for _, rec := range recs {
-				for _, pg := range rec.Pages {
-					if int(pg) == page {
-						b.co.foldNotice(rec, page)
-						break
-					}
+		for _, rec := range b.deferred {
+			for _, pg := range rec.Pages {
+				if int(pg) == page {
+					b.co.foldNotice(rec, page)
+					break
 				}
 			}
-		})
+		}
 	}
 	b.eager.set(page)
 }
@@ -559,55 +554,16 @@ func (b *base) resolve(page int) {
 // the list. The pages stay deferred: their later notices join the list
 // after the ones folded here.
 func (b *base) foldDeferred() {
-	b.deferred.each(func(recs []*IntervalRec) {
-		for _, rec := range recs {
-			for _, pg := range rec.Pages {
-				if !b.eager.has(int(pg)) {
-					b.co.foldNotice(rec, int(pg))
-				}
+	for _, rec := range b.deferred {
+		for _, pg := range rec.Pages {
+			if !b.eager.has(int(pg)) {
+				b.co.foldNotice(rec, int(pg))
 			}
 		}
-	})
-	b.deferred.reset()
+	}
+	clear(b.deferred)
+	b.deferred = b.deferred[:0]
 	b.deferredPairs, b.scanned = 0, 0
-}
-
-// recBlocks is a list of interval records kept in blocks that double from
-// slab.Block: growing it copies nothing, and reset keeps the blocks for the
-// records that follow. each visits the records in order, a block at a time.
-type recBlocks struct {
-	full [][]*IntervalRec // the blocks filled, in order; past len, blocks reset kept
-	fill []*IntervalRec   // the block being filled
-}
-
-func (l *recBlocks) push(rec *IntervalRec) {
-	if len(l.fill) == cap(l.fill) {
-		if l.fill != nil {
-			l.full = append(l.full, l.fill)
-		}
-		if n := len(l.full); n < cap(l.full) && l.full[:n+1][n] != nil {
-			l.fill = l.full[:n+1][n] // emptied by reset
-		} else {
-			l.fill = make([]*IntervalRec, 0, slab.Block<<n)
-		}
-	}
-	l.fill = append(l.fill, rec)
-}
-
-func (l *recBlocks) each(visit func(recs []*IntervalRec)) {
-	for _, blk := range l.full {
-		visit(blk)
-	}
-	visit(l.fill)
-}
-
-func (l *recBlocks) reset() {
-	l.full = append(l.full, l.fill)
-	for i, blk := range l.full {
-		clear(blk)
-		l.full[i] = blk[:0]
-	}
-	l.full, l.fill = l.full[:0], nil
 }
 
 // pageSet is a set of pages, one bit each.
@@ -702,21 +658,14 @@ func (b *base) Acquire(lock int) {
 	lr := &b.lock
 	lr.Lock, lr.Requester = lock, b.self
 	lr.ReqVC = append(lr.ReqVC[:0], b.clock...)
-	req := paragon.Msg{
-		Kind:  kLockAcq,
-		Size:  8 + b.clock.WireSize(),
-		Class: stats.ClassProtocol,
-		Body:  lr,
-	}
-	to := b.sys.lockMgrOf(lock)
+	kind, to := kLockAcq, b.sys.lockMgrOf(lock)
 	if to == b.self {
 		// We are the manager: forward straight to the previous requester.
 		b.use(b.costs().LockHandling, stats.CatProtocol)
-		to = b.forward(ls, b.self)
-		req.Kind = kLockFwd
+		kind, to = kLockFwd, b.forward(ls, b.self)
 	}
 	t0 := b.app().Now()
-	resp := b.node.Call(b.app(), to, req)
+	resp := b.call(to, kind, lr)
 	b.st().Add(stats.CatLock, b.app().Now()-t0)
 	g := resp.Body.(*grantInfo)
 	b.event(trace.LockGrant, -1, resp.From, int64(lock))
@@ -759,15 +708,8 @@ func (b *base) waitFor(ls *lockState, m paragon.Msg) {
 // grantTo sends the lock token plus coherence payload to the requester,
 // written into its request's Grant.
 func (b *base) grantTo(req paragon.Msg, lr *lockReq) {
-	b.claimBody(req)
-	g := &lr.Grant
-	b.fillGrant(g, b.clock, false, lr.ReqVC)
-	b.node.Respond(req, paragon.Msg{
-		Kind:  kLockFwd,
-		Size:  g.wireSize(b.wireVC()),
-		Class: stats.ClassProtocol,
-		Body:  g,
-	})
+	b.fillGrant(&lr.Grant, b.clock, false, lr.ReqVC)
+	b.respond(req, &lr.Grant)
 }
 
 // fillGrant writes a grant or release into g, in place: the clock v, the GC
@@ -787,22 +729,6 @@ type lockReq struct {
 	Requester int
 	ReqVC     vc.VC
 	Grant     grantInfo
-}
-
-// claimBody marks a server about to write its answer into the body of
-// req, whose requester blocks in Call until the answer lands. The body is
-// the requester's one body of its kind, so the write is sound only while
-// that Call waits. It relies on the transport delivering each request
-// exactly once (DESIGN §7): a request serviced again after its answer
-// would overwrite the body of the requester's next exchange, and the reply
-// port's generation check drops only the stale answer, not the write.
-// Under mem.CheckFrames a write into the body of a Call that no longer
-// waits panics.
-func (b *base) claimBody(req paragon.Msg) {
-	if mem.CheckFrames && !req.Waiting() {
-		panic(fmt.Sprintf("core: node %d answering into the body of a %s request whose Call no longer waits (serviced twice?)",
-			b.self, msgKindName(req.Kind)))
-	}
 }
 
 // forward is the manager's step of an acquire by requester: it records the
@@ -957,14 +883,6 @@ type barrierReport struct {
 	Grant    grantInfo
 }
 
-func (r *barrierReport) wireSize(withVC bool) int {
-	sz := 8 + r.VC.WireSize() + recsWireSize(r.Recs, withVC)
-	if r.MinVC != nil {
-		sz += 8 + r.MinVC.WireSize()
-	}
-	return sz
-}
-
 // have is the least knowledge in the arrival's subtree: what its release
 // must bring every node of it past.
 func (r *barrierReport) have() vc.VC {
@@ -1034,9 +952,8 @@ func (b *base) barrierComplete() {
 			local = g
 			continue
 		}
-		b.claimBody(a.req)
 		b.fillGrant(g, merged, gc, a.rep.have())
-		b.answerBarrier(a.req, g)
+		b.respond(a.req, g)
 	}
 	bar.reset()
 	if b.sys.onBarrier != nil {
@@ -1060,23 +977,16 @@ func (b *base) reportUp(id int) *grantInfo {
 	if cap(bar.arrivals) > 1 {
 		body = b.summarize()
 	}
-	resp := b.node.Call(b.app(), bar.parent, paragon.Msg{
-		Kind:  kBarrier,
-		Size:  body.wireSize(b.wireVC()),
-		Class: stats.ClassProtocol,
-		Body:  body,
-	})
-	g := resp.Body.(*grantInfo)
+	g := b.call(bar.parent, kBarrier, body).Body.(*grantInfo)
 	for _, a := range bar.arrivals {
 		if a.req.Reply == nil {
 			continue
 		}
-		b.claimBody(a.req)
 		cg := &a.rep.Grant
 		cg.VC = append(cg.VC[:0], g.VC...)
 		cg.GC = g.GC
 		cg.Intervals = filterRecsSinceInto(cg.Intervals[:0], g.Intervals, a.rep.have())
-		b.answerBarrier(a.req, cg)
+		b.respond(a.req, cg)
 	}
 	bar.reset()
 	return g
@@ -1116,16 +1026,6 @@ func filterRecsSinceInto(dst, recs []*IntervalRec, have vc.VC) []*IntervalRec {
 		}
 	}
 	return dst
-}
-
-// answerBarrier answers req, a child's arrival, with its release g.
-func (b *base) answerBarrier(req paragon.Msg, g *grantInfo) {
-	b.node.Respond(req, paragon.Msg{
-		Kind:  kBarrier,
-		Size:  g.wireSize(b.wireVC()),
-		Class: stats.ClassProtocol,
-		Body:  g,
-	})
 }
 
 // mergeReports is the root's merge of an episode's arrivals. It logs every
@@ -1209,11 +1109,7 @@ func (b *base) gcRendezvous() {
 		b.app().Park("gc rendezvous")
 		return
 	}
-	b.node.Call(b.app(), barrierManager, paragon.Msg{
-		Kind:  kGCDone,
-		Size:  8,
-		Class: stats.ClassProtocol,
-	})
+	b.call(barrierManager, kGCDone, nil)
 }
 
 // gcMaybeComplete releases all GC waiters if every node has arrived.
@@ -1223,9 +1119,7 @@ func (b *base) gcMaybeComplete() bool {
 		return false
 	}
 	for _, req := range mgr.gcWaiters {
-		b.node.Respond(req, paragon.Msg{
-			Kind: kGCDone, Size: 4, Class: stats.ClassProtocol,
-		})
+		b.respond(req, nil)
 	}
 	mgr.gcWaiters = nil
 	mgr.gcDone = 0

@@ -133,20 +133,6 @@ func (o *Options) Overlapped() bool {
 	return o.Protocol == ProtoOLRC || o.Protocol == ProtoOHLRC
 }
 
-// Message kinds.
-const (
-	kLockAcq    = iota + 1 // requester -> lock manager
-	kLockFwd               // manager -> current owner
-	kBarrier               // node -> its parent in the barrier tree
-	kGCDone                // node -> barrier manager (homeless GC rendezvous)
-	kFetchDiffs            // faulting node -> writer (LRC/OLRC)
-	kFetchPage             // faulting node -> copy holder / home
-	kDiffFlush             // writer -> home (HLRC), or coproc-to-home (OHLRC)
-	kMakeDiff              // compute -> own coproc (overlapped protocols)
-
-	numKinds = kMakeDiff + 1
-)
-
 // IntervalRec is the write-notice record for one interval: the pages the
 // processor modified. In the homeless protocols the record carries the
 // full vector timestamp (needed to order diffs), which is the paper's
@@ -158,8 +144,8 @@ const (
 // There is one record per interval in the whole machine: every grant,
 // barrier report, log and write notice holds the pointer newIntervalRec
 // made, and nothing writes to a record after that. What a protocol ships
-// or stores of it is therefore an argument of the size functions (withVC),
-// not a property of a private copy.
+// or stores of it is therefore decided where it is sized (base.wireVC,
+// memSize's withVC), not a property of a private copy.
 type IntervalRec struct {
 	Proc     int
 	Interval int32
@@ -172,28 +158,11 @@ func (r *IntervalRec) Stamp() vc.Stamp {
 	return vc.Stamp{Proc: r.Proc, Interval: r.Interval, VC: r.VC}
 }
 
-// wireSize returns the encoded size of the record in bytes.
-func (r *IntervalRec) wireSize(withVC bool) int {
-	sz := 8 + 4*len(r.Pages)
-	if withVC {
-		sz += r.VC.WireSize()
-	}
-	return sz
-}
-
 // memSize returns the in-memory footprint for protocol memory accounting.
 func (r *IntervalRec) memSize(withVC bool) int64 {
 	sz := int64(48) + 4*int64(len(r.Pages))
 	if withVC {
 		sz += int64(r.VC.WireSize())
-	}
-	return sz
-}
-
-func recsWireSize(recs []*IntervalRec, withVC bool) int {
-	sz := 4
-	for _, r := range recs {
-		sz += r.wireSize(withVC)
 	}
 	return sz
 }
@@ -204,10 +173,6 @@ type grantInfo struct {
 	VC        vc.VC // the releaser's / manager's merged vector clock
 	Intervals []*IntervalRec
 	GC        bool // homeless protocols: run garbage collection (barrier only)
-}
-
-func (g *grantInfo) wireSize(withVC bool) int {
-	return g.VC.WireSize() + recsWireSize(g.Intervals, withVC)
 }
 
 // Engine is one node's protocol instance. Fault and synchronization entry
@@ -232,8 +197,8 @@ type Engine interface {
 // returns the service time, taken when the dispatcher takes the message,
 // and apply is the effect, run once that time has elapsed. Each engine has
 // one table of them, indexed by kind, for both of its dispatchers: which
-// processor runs a kind is the sender's choice of Target, not the
-// receiver's.
+// processor runs a kind is set where the request is built, from the
+// kind's row of the wire table (wireKinds), not by the receiver.
 type handler[E any] struct {
 	work  func(E, *service) sim.Time
 	apply func(E, *service)
@@ -249,21 +214,6 @@ func handlerOf[E any](t *[numKinds]handler[E], kind int) *handler[E] {
 
 func badKind(kind int) {
 	panic(fmt.Sprintf("core: unexpected message kind %d", kind))
-}
-
-// msgKindNames names each message kind, indexed by kind.
-var msgKindNames = [...]string{
-	kLockAcq: "lock-acquire", kLockFwd: "lock-forward", kBarrier: "barrier",
-	kGCDone: "gc-done", kFetchDiffs: "fetch-diffs", kFetchPage: "fetch-page",
-	kDiffFlush: "diff-flush", kMakeDiff: "make-diff",
-}
-
-// msgKindName renders protocol message kinds for fault watchdog reports.
-func msgKindName(kind int) string {
-	if kind > 0 && kind < len(msgKindNames) {
-		return msgKindNames[kind]
-	}
-	return fmt.Sprintf("kind-%d", kind)
 }
 
 // pageWN is one write notice attached to a page on a node that has not

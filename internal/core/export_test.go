@@ -9,9 +9,9 @@ import (
 // CheckFrames switches the object-lifetime checks (mem.CheckFrames) on
 // until t and its subtests finish: every frame is checksummed as it is
 // published and verified at its last release and at Finish, so a write
-// through a shared frame panics in the run that made it; every server that
-// writes its answer into a requester's body first verifies that the
-// requester still waits in the Call the body belongs to (base.claimBody);
+// through a shared frame panics in the run that made it; every answer
+// verifies, before it leaves, that the requester still waits in the Call
+// whose body the server wrote it into (base.respond, claimBody);
 // a home refuses a diff record that is on the free list (homeApply); and a
 // homeless node refuses to apply a page's diffs out of happens-before order
 // (lrcEngine.checkApplyOrder).

@@ -12,6 +12,7 @@ import (
 	"gosvm/internal/mem"
 	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
+	"gosvm/internal/stats"
 )
 
 func faultOpts(t *testing.T, proto Protocol, p int, profile string, seed int64) Options {
@@ -354,15 +355,30 @@ func TestRetryGiveUpDiagnosed(t *testing.T) {
 }
 
 // TestMessageKindsDenseAndNamed: the watchdog's HangError prints
-// msgKindName, so every declared kind needs a real name and the range
-// must have no hole a renumbering left behind. Every kind an engine serves
-// must dispatch to a work/apply pair, and every other kind to badKind: a
-// kind its table forgot would otherwise panic only on the rare path that
-// sends it (kGCDone at a homeless collection).
+// msgKindName, so every declared kind needs a real name in the wire table
+// and the range must have no hole a renumbering left behind. Every kind an
+// engine serves must dispatch to a work/apply pair, and every other kind to
+// badKind: a kind its table forgot would otherwise panic only on the rare
+// path that sends it (kGCDone at a homeless collection). Every kind that
+// crosses the wire has its classes in the table (Table 5's split): its
+// request is protocol traffic unless it carries a diff, and its answer is
+// data exactly when it carries page bytes or diffs.
 func TestMessageKindsDenseAndNamed(t *testing.T) {
 	for k := kLockAcq; k <= kMakeDiff; k++ {
-		if name := msgKindName(k); strings.HasPrefix(name, "kind-") {
+		if name := msgKindName(k); strings.HasPrefix(name, "kind-") || wireKinds[k].name == "" {
 			t.Errorf("message kind %d has no name (%q)", k, name)
+		}
+	}
+	for k := kLockAcq; k < kMakeDiff; k++ {
+		req, ans := stats.ClassProtocol, stats.ClassProtocol
+		switch k {
+		case kDiffFlush:
+			req, ans = stats.ClassData, stats.ClassData
+		case kFetchDiffs, kFetchPage:
+			ans = stats.ClassData
+		}
+		if w := wireKinds[k]; w.req != req || w.answer != ans {
+			t.Errorf("kind %s: request %v, answer %v; want %v, %v", w.name, w.req, w.answer, req, ans)
 		}
 	}
 	if name := msgKindName(kMakeDiff + 1); !strings.HasPrefix(name, "kind-") {
@@ -521,18 +537,19 @@ func TestAnswersInBodiesSurviveDuplicates(t *testing.T) {
 	}
 }
 
-// The answer-in-body check fires: a server about to answer into the body of
-// a Call that no longer waits panics under CheckFrames, naming the kind.
+// The answer-in-body check fires: under CheckFrames a server answering
+// (respond) a Call that no longer waits panics before the answer leaves,
+// naming the kind.
 func TestClaimBodyRefusesAnsweredCall(t *testing.T) {
 	CheckFrames(t)
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "no longer waits") || !strings.Contains(msg, msgKindName(kLockFwd)) {
-			t.Errorf("claimBody on an answered Call panicked with %q, want a panic naming %s and the Call that no longer waits",
+			t.Errorf("respond to an answered Call panicked with %q, want a panic naming %s and the Call that no longer waits",
 				msg, msgKindName(kLockFwd))
 		}
 	}()
 	b := &base{self: 1}
-	b.claimBody(paragon.Msg{Kind: kLockFwd, Reply: new(paragon.Reply)})
+	b.respond(paragon.Msg{Kind: kLockFwd, Reply: new(paragon.Reply)}, &grantInfo{})
 }
 
 // The recycled-record check fires: under CheckFrames a home applying a

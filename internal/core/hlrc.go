@@ -142,15 +142,8 @@ func (e *hlrcEngine) ReadFault(page int) {
 	req := &e.fetch
 	req.Page = page
 	req.Need.CopyFrom(vecOrNil(&m.seen))
-	resp := e.node.Call(e.app(), e.home(page), paragon.Msg{
-		Kind:   kFetchPage,
-		Size:   8 + e.clock.WireSize(),
-		Class:  stats.ClassProtocol,
-		Target: e.dataTarget(),
-		Body:   req,
-	})
+	pr := e.call(e.home(page), kFetchPage, req).Body.(*fetchPageReq)
 	e.st().Add(stats.CatData, e.app().Now()-t0)
-	pr := resp.Body.(*fetchPageReq)
 	p := e.pt.Page(page)
 	e.adoptShared(p, pr.Frame)
 	pr.Frame = nil
@@ -267,13 +260,7 @@ func (e *hlrcEngine) closeCommit() {
 // or coproc context; traffic is charged to this node either way).
 func (e *hlrcEngine) flushOwn(df *diffFlush) {
 	e.event(trace.DiffFlush, df.Page, e.home(df.Page), int64(df.Diff.WireSize()))
-	e.node.Send(e.home(df.Page), paragon.Msg{
-		Kind:   kDiffFlush,
-		Size:   df.Diff.WireSize() + df.Dep.WireSize(),
-		Class:  stats.ClassData,
-		Target: e.dataTarget(),
-		Body:   df,
-	})
+	e.node.Send(e.home(df.Page), e.request(kDiffFlush, df))
 }
 
 // ---------------------------------------------------------------------------
@@ -436,15 +423,9 @@ func (e *hlrcEngine) applyFetchPage(s *service) {
 // flush vector is the published frame's, since homeWrite retires the frame
 // before any write to either.
 func (e *hlrcEngine) respondFetch(req paragon.Msg, fr *fetchPageReq) {
-	e.claimBody(req)
 	fr.Frame = e.publish(fr.Page)
 	fr.Flush.CopyFrom(e.flushOf(fr.Page))
-	e.node.Respond(req, paragon.Msg{
-		Kind:  kFetchPage,
-		Size:  e.sys.Space.PageBytes() + fr.Flush.WireSize(),
-		Class: stats.ClassData,
-		Body:  fr,
-	})
+	e.respond(req, fr)
 }
 
 // publish returns the frame a fetch of page answered now carries, with one

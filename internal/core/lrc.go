@@ -275,16 +275,10 @@ func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 			req.Recs = append(req.Recs, m.wns[i].rec)
 		}
 		t0 := e.app().Now()
-		resp := e.node.Call(e.app(), target.Proc, paragon.Msg{
-			Kind:   kFetchDiffs,
-			Size:   12 + 8*len(req.Recs),
-			Class:  stats.ClassProtocol,
-			Target: e.dataTarget(),
-			Body:   req,
-		})
+		resp := e.call(target.Proc, kFetchDiffs, req).Body.(*fetchDiffsReq)
 		e.st().Add(waitCat, e.app().Now()-t0)
 		got := 0
-		for j, d := range resp.Body.(*fetchDiffsReq).Diffs {
+		for j, d := range resp.Diffs {
 			if d == nil {
 				continue
 			}
@@ -365,15 +359,8 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 	req := &e.pageReq
 	req.Page = page
 	t0 := e.app().Now()
-	resp := e.node.Call(e.app(), holder, paragon.Msg{
-		Kind:   kFetchPage,
-		Size:   8,
-		Class:  stats.ClassProtocol,
-		Target: e.dataTarget(),
-		Body:   req,
-	})
+	pr := e.call(holder, kFetchPage, req).Body.(*lrcFetchPageReq)
 	e.st().Add(waitCat, e.app().Now()-t0)
-	pr := resp.Body.(*lrcFetchPageReq)
 	e.adopt(e.pt.Page(page), &pr.Data)
 	// appliedVC is absent whenever Data is nil (GC drops them together), so
 	// merging into the zero vector (the seed image reflects no intervals)
@@ -655,15 +642,10 @@ func (e *lrcEngine) applyFetchDiffs(s *service) {
 // elsewhere.
 func (e *lrcEngine) serveDiffs(m paragon.Msg) {
 	req := m.Body.(*fetchDiffsReq)
-	e.claimBody(m)
 	req.Diffs = req.Diffs[:0]
-	size := 0
 	for _, r := range req.Recs {
 		d := e.diffs[e.keys.of(r.Proc, req.Page, r.Interval)]
-		switch {
-		case d != nil:
-			size += d.WireSize()
-		case r.Proc == e.self:
+		if d == nil && r.Proc == e.self {
 			// A writer always holds its own diffs until GC; a request routed
 			// here by a write notice must be at least partially servable.
 			panic(fmt.Sprintf("core: node %d lost its own diff for page %d interval %d",
@@ -671,12 +653,7 @@ func (e *lrcEngine) serveDiffs(m paragon.Msg) {
 		}
 		req.Diffs = append(req.Diffs, d)
 	}
-	e.node.Respond(m, paragon.Msg{
-		Kind:  kFetchDiffs,
-		Size:  size,
-		Class: stats.ClassData,
-		Body:  req,
-	})
+	e.respond(m, req)
 }
 
 // applyFetchPage serves a full-copy request in the request's body. A hint
@@ -684,21 +661,14 @@ func (e *lrcEngine) serveDiffs(m paragon.Msg) {
 // panics. It takes no work.
 func (e *lrcEngine) applyFetchPage(s *service) {
 	req := s.m.Body.(*lrcFetchPageReq)
-	e.claimBody(s.m)
 	p := e.pt.Page(req.Page)
 	if p.Data == nil {
 		panic(fmt.Sprintf("core: node %d asked for a copy of page %d it does not hold (a hint must name a holder: runGC re-points every hint at the page's last writer)",
 			e.self, req.Page))
 	}
-	avc := vecOrNil(&e.useOf(req.Page).appliedVC)
 	req.Data = e.snapshot(p)
-	req.AppliedVC.CopyFrom(avc)
-	e.node.Respond(s.m, paragon.Msg{
-		Kind:  kFetchPage,
-		Size:  e.sys.Space.PageBytes() + avc.WireSize(),
-		Class: stats.ClassData,
-		Body:  req,
-	})
+	req.AppliedVC.CopyFrom(vecOrNil(&e.useOf(req.Page).appliedVC))
+	e.respond(s.m, req)
 }
 
 // Finish runs the shared wind-down (base.finish).

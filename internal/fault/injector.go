@@ -80,16 +80,16 @@ func (in *Injector) Judge(from, to, kind int, reply bool) Verdict {
 			v.Drop = true
 		}
 	}
-	if in.r.float() < in.plan.Drop {
+	if in.r.Float() < in.plan.Drop {
 		v.Drop = true
 	}
-	if in.r.float() < in.plan.Duplicate {
+	if in.r.Float() < in.plan.Duplicate {
 		v.Duplicate = true
 	}
-	if in.r.float() < in.plan.Delay {
+	if in.r.Float() < in.plan.Delay {
 		v.Delay += in.r.timeIn(in.plan.MaxDelay)
 	}
-	if in.r.float() < in.plan.Reorder {
+	if in.r.Float() < in.plan.Reorder {
 		v.Delay += in.r.timeIn(reorderWindow)
 	}
 	return v
@@ -99,7 +99,7 @@ func (in *Injector) Judge(from, to, kind int, reply bool) Verdict {
 // Acks are tiny and carry no payload, so only the drop probability
 // applies; a lost ack simply provokes a (suppressed) retransmission.
 func (in *Injector) JudgeAck() bool {
-	return in.r.float() < in.plan.Drop
+	return in.r.Float() < in.plan.Drop
 }
 
 // Slow scales compute work d on node at simulated time now according to

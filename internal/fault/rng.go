@@ -2,29 +2,14 @@ package fault
 
 import "gosvm/internal/sim"
 
-// rng is a self-contained splitmix64 generator. The injector must not
-// depend on math/rand: its stream has to be stable across Go releases so
-// a (plan, seed) pair replays the same fault schedule forever.
-type rng struct {
-	state uint64
-}
+// rng is the injector's generator. It must not depend on math/rand: its
+// stream has to be stable across Go releases so a (plan, seed) pair
+// replays the same fault schedule forever.
+type rng struct{ sim.SplitMix }
 
 func newRNG(seed int64) rng {
 	// Avoid the all-zero state and decorrelate small seeds.
-	return rng{state: uint64(seed)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3}
-}
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform value in [0, 1).
-func (r *rng) float() float64 {
-	return float64(r.next()>>11) / (1 << 53)
+	return rng{sim.SplitMix(uint64(seed)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3)}
 }
 
 // timeIn returns a uniform duration in [0, max).
@@ -32,5 +17,5 @@ func (r *rng) timeIn(max sim.Time) sim.Time {
 	if max <= 0 {
 		return 0
 	}
-	return sim.Time(r.next() % uint64(max))
+	return sim.Time(r.Next() % uint64(max))
 }

@@ -6,35 +6,24 @@ import (
 	"gosvm/internal/sim"
 )
 
-// rng is a splitmix64 generator: tiny, fast, and fully deterministic
-// across platforms, so the same seed always yields the same client
-// trace regardless of host parallelism or protocol under test.
-type rng struct{ s uint64 }
+// rng is a client's generator (sim.SplitMix): fully deterministic across
+// platforms, so the same seed always yields the same client trace
+// regardless of host parallelism or protocol under test.
+type rng struct{ sim.SplitMix }
 
-func newRNG(seed uint64) *rng { return &rng{s: seed} }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a value in [0,1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
+func newRNG(seed uint64) *rng { return &rng{sim.SplitMix(seed)} }
 
 // openFloat returns a value in (0,1), safe as a log/division argument.
 func (r *rng) openFloat() float64 {
 	for {
-		if v := r.float(); v > 0 {
+		if v := r.Float(); v > 0 {
 			return v
 		}
 	}
 }
 
 // intn returns a value in [0,n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+func (r *rng) intn(n int) int { return int(r.Next() % uint64(n)) }
 
 // scramble is a 64-bit finalizer used to spread Zipf ranks (and shard
 // assignments) uniformly over the key space, so the popular keys do not
@@ -100,7 +89,7 @@ func (z *zipfGen) rank(r *rng) int {
 	if z.theta == 0 {
 		return r.intn(z.n)
 	}
-	u := r.float()
+	u := r.Float()
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0

@@ -372,3 +372,17 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// SplitMix draws the reference splitmix64 stream: the fault schedules and
+// client traces of every recorded result depend on it.
+func TestSplitMixStream(t *testing.T) {
+	var r SplitMix
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := r.Next(); got != want {
+			t.Fatalf("draw %d from seed 0 = %#x, want %#x", i, got, want)
+		}
+	}
+	if f := r.Float(); f < 0 || f >= 1 {
+		t.Fatalf("Float = %v, outside [0, 1)", f)
+	}
+}
