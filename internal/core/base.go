@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gosvm/internal/mem"
@@ -98,13 +99,7 @@ type base struct {
 	// manager.
 	lastReported int32
 
-	bmgr *barrierMgr // non-nil on the barrier manager node
-	bar  barrierNode
-
-	// release hands the barrier manager its release from the dispatcher
-	// effect that completes its episode to the application proc parked in
-	// Barrier.
-	release handOff
+	bar barrierNode
 
 	// compute and coproc hold the message each of the node's dispatchers
 	// is servicing (service).
@@ -116,8 +111,6 @@ type base struct {
 	// (DESIGN §9 "No object per serviced message").
 	lock lockReq
 	rep  barrierReport
-	// merged is mergeReports' merged clock, valid until its next call.
-	merged vc.VC
 }
 
 // lockState is one node's view of one lock. The manager forwards each
@@ -146,9 +139,6 @@ func (b *base) init(sys *System, self int, co coherence) {
 	b.eager, b.charged = sys.pageSets(self)
 	b.log = make([][]*IntervalRec, sys.Opts.Machine.Nodes)
 	b.locks = make(map[int]*lockState)
-	if self == barrierManager {
-		b.bmgr = &barrierMgr{nproc: sys.Opts.Machine.Nodes}
-	}
 	b.bar.init(sys, self)
 	b.compute.init(b)
 	b.coproc.init(b)
@@ -243,23 +233,13 @@ func (b *base) snapshot(p *mem.Page) []float64 { return b.sys.pool.Clone(p.Data)
 // adopt makes *frame, a one-off snapshot shipped to this node alone, its
 // private copy of p and recycles the stale one: the page crosses the host
 // once, as it does the wire. *frame is cleared, so a second delivery panics
-// here instead of aliasing. (A shared frame is adopted by adoptShared.)
+// here instead of aliasing. (A shared frame is adopted by mem.Page.Adopt.)
 func (b *base) adopt(p *mem.Page, frame *[]float64) {
 	if len(*frame) != b.sys.Space.PageWords {
 		panic(fmt.Sprintf("core: node %d adopting a %d-word page frame (delivered twice?)", b.self, len(*frame)))
 	}
 	b.sys.pool.PutPage(p.Data) // nil is not a frame: nothing is put
 	p.Data, *frame = *frame, nil
-}
-
-// adoptShared makes f, a frame this node was sent one reference to, its
-// read-only copy of p; whatever it replaces goes to the pool — the words of
-// a private copy, or the reference to a shared one, whose words follow if it
-// was the last. The home wrote f into this node's fetch body, which the
-// caller clears after; an answer is adopted at most once because the node's
-// reply port keeps only the first answer to each Call.
-func (b *base) adoptShared(p *mem.Page, f *mem.Frame) {
-	p.Adopt(f, b.sys.pool)
 }
 
 func (b *base) st() *stats.Node { return b.node.Stats }
@@ -326,28 +306,25 @@ func (b *base) diffTwin(page int, d *mem.Diff) {
 }
 
 // inflightDiff marks a page whose twin is feeding a diff on the
-// co-processor; the application procs that need the twin wait on it.
+// co-processor; the application proc waits on it when it needs the twin.
 type inflightDiff struct {
 	busy    bool
-	waiters []*sim.Proc
+	waiting *sim.Proc
 }
 
 // wait parks p until the page's diff is done; reason and page name the
 // wait in deadlock reports.
 func (d *inflightDiff) wait(p *sim.Proc, reason string, page int) {
 	for d.busy {
-		d.waiters = append(d.waiters, p)
+		d.waiting = p
 		p.ParkArg(reason, int64(page))
 	}
 }
 
-// done clears the mark and wakes every waiter.
+// done clears the mark and wakes the waiting proc, if any.
 func (d *inflightDiff) done() {
 	d.busy = false
-	for _, w := range d.waiters {
-		w.Unpark()
-	}
-	d.waiters = nil
+	wake(&d.waiting)
 }
 
 // postDiff hands a page's diff to this node's co-processor, whose kMakeDiff
@@ -706,18 +683,13 @@ func (b *base) waitFor(ls *lockState, m paragon.Msg) {
 }
 
 // grantTo sends the lock token plus coherence payload to the requester,
-// written into its request's Grant.
+// written into its request's Grant, in place: this node's clock and the log
+// records the requester is missing.
 func (b *base) grantTo(req paragon.Msg, lr *lockReq) {
-	b.fillGrant(&lr.Grant, b.clock, false, lr.ReqVC)
-	b.respond(req, &lr.Grant)
-}
-
-// fillGrant writes a grant or release into g, in place: the clock v, the GC
-// decision and the log records the holder of knowledge `have` is missing.
-func (b *base) fillGrant(g *grantInfo, v vc.VC, gc bool, have vc.VC) {
-	g.VC = append(g.VC[:0], v...)
-	g.GC = gc
-	g.Intervals = b.logSinceInto(g.Intervals[:0], have)
+	g := &lr.Grant
+	g.VC = append(g.VC[:0], b.clock...)
+	g.Intervals = b.logSinceInto(g.Intervals[:0], lr.ReqVC)
+	b.respond(req, g)
 }
 
 // lockReq is a remote lock acquire: the requester's one body, base.lock.
@@ -807,16 +779,6 @@ func (b *base) grantOrWait(ls *lockState, m paragon.Msg, steal bool) {
 // retransmission.
 const barrierManager = 0
 
-// barrierMgr is the GC rendezvous state (homeless protocols), on the
-// barrier manager: gcWait is the manager's application proc while it
-// waits there.
-type barrierMgr struct {
-	nproc     int
-	gcDone    int
-	gcWaiters []paragon.Msg
-	gcWait    *sim.Proc
-}
-
 // barrierNode is one node's place in the barrier, a k-ary tree in heap
 // layout rooted at barrierManager: node i reports to (i-1)/k, and its
 // children are k*i+1 .. k*i+k (Machine.barrierRadix). Up to
@@ -828,10 +790,15 @@ type barrierNode struct {
 	// capacity is the number that completes this node's subtree: its own
 	// and one per child.
 	arrivals []arrival
-	// waiting is the application proc of a node with children while its
-	// subtree is still arriving.
+	// gcDone, on the manager, are the GC rendezvous's registered arrivals:
+	// the other nodes' kGCDone requests, in arrival order. Its capacity is
+	// the number that completes the rendezvous, n-1.
+	gcDone []paragon.Msg
+	// waiting is the application proc while it waits for a window,
+	// arrivals or gcDone, to fill.
 	waiting *sim.Proc
-	// up is the subtree summary a node with children reports.
+	// up is the subtree summary a node with children reports; the root
+	// releases its own (rootRelease).
 	up barrierReport
 }
 
@@ -847,7 +814,9 @@ type arrival struct {
 // before it have min(k*i, n-1) children between them.
 func (bar *barrierNode) init(s *System, self int) {
 	n, k := s.Opts.Machine.Nodes, s.Opts.Machine.barrierRadix()
-	if self != barrierManager {
+	if self == barrierManager {
+		bar.gcDone = make([]paragon.Msg, 0, n-1)
+	} else {
 		bar.parent = (self - 1) / k
 	}
 	if s.arrivals == nil {
@@ -861,19 +830,14 @@ func (bar *barrierNode) init(s *System, self int) {
 // in reports whether the whole subtree has arrived.
 func (bar *barrierNode) in() bool { return len(bar.arrivals) == cap(bar.arrivals) }
 
-// reset clears the episode's arrivals once they are released.
-func (bar *barrierNode) reset() {
-	clear(bar.arrivals)
-	bar.arrivals = bar.arrivals[:0]
-}
-
 // barrierReport is a barrier arrival: a node's own report, base.rep,
 // refilled by every Barrier, or the subtree summary a node with children
 // sends, barrierNode.up: its own report with its children's folded in (VC
 // the component-wise max
 // of the subtree's clocks, MinVC the min, Recs the union of its new
 // interval records, ProtoMem the per-node maximum). The parent writes the
-// arrival's release into Grant and answers with a pointer to it.
+// arrival's release into Grant and answers with a pointer to it; the root
+// writes its own summary's release there (rootRelease).
 type barrierReport struct {
 	Node     int
 	VC       vc.VC
@@ -892,11 +856,14 @@ func (r *barrierReport) have() vc.VC {
 	return r.VC
 }
 
-// Barrier implements BARRIER. Every node ends its interval and reports its
-// new own intervals up the barrier tree, a node with children once its
-// whole subtree has reported, in one summary. The root merges everything
-// and answers each arrival with its release; a node with children answers
-// each of its children with its share of its own release.
+// Barrier implements BARRIER, one procedure at every node, on its
+// application proc. The node ends its interval, registers its own report
+// and waits for its subtree's arrivals; a node with children folds them
+// into one summary. The root releases that summary itself (rootRelease);
+// any other node reports it to its parent and takes the answer as its
+// release. The node then answers each child with the records of its
+// release the child's subtree lacks, and only then takes the release
+// itself.
 func (b *base) Barrier(id int) {
 	b.closeIntervalOnApp()
 	b.event(trace.BarrierEnter, -1, -1, int64(id))
@@ -909,78 +876,25 @@ func (b *base) Barrier(id int) {
 		b.lastReported = b.log[b.self][len(b.log[b.self])-1].Interval
 	}
 	t0 := b.app().Now()
-	b.barrierArrive(rep, paragon.Msg{})
-	var g *grantInfo
-	if b.self == barrierManager {
-		g = b.release.await(b.app(), "barrier", id)
-	} else {
-		g = b.reportUp(id)
-	}
-	b.st().Add(stats.CatBarrier, b.app().Now()-t0)
-	b.event(trace.BarrierExit, -1, -1, int64(id))
-	b.applyGrant(g)
-	b.co.onBarrierRelease(g)
-}
-
-// barrierArrive registers an arrival, delivered by req (the zero Msg for
-// the node's own). The one that completes the subtree completes the
-// episode at the root and wakes the application proc anywhere else.
-func (b *base) barrierArrive(rep *barrierReport, req paragon.Msg) {
 	bar := &b.bar
-	bar.arrivals = append(bar.arrivals, arrival{rep, req})
-	if !bar.in() {
-		return
-	}
-	if b.self == barrierManager {
-		b.barrierComplete()
-	} else {
-		wake(&bar.waiting)
-	}
-}
-
-// barrierComplete merges all arrivals at the root and releases each, its
-// release written into its report: a remote one in its answer, the root's
-// own through the hand-off once phase capture has seen the episode end.
-func (b *base) barrierComplete() {
-	bar := &b.bar
-	merged, gc := b.mergeReports(bar.arrivals)
-	var local *grantInfo
-	for _, a := range bar.arrivals {
-		g := &a.rep.Grant
-		if a.req.Reply == nil {
-			b.fillGrant(g, merged, gc, a.rep.have())
-			local = g
-			continue
-		}
-		b.fillGrant(g, merged, gc, a.rep.have())
-		b.respond(a.req, g)
-	}
-	bar.reset()
-	if b.sys.onBarrier != nil {
-		b.sys.onBarrier()
-	}
-	b.release.give(local)
-}
-
-// reportUp runs a non-root node's part of an episode on its application
-// proc once its own arrival is registered: it waits for its subtree,
-// reports it to its parent — its own report if it is a leaf, the subtree's
-// summary otherwise — and, on the answer, gives each child the records of
-// that answer its subtree lacks. It returns the node's own release.
-func (b *base) reportUp(id int) *grantInfo {
-	bar := &b.bar
+	bar.arrivals = append(bar.arrivals, arrival{rep: rep})
 	if !bar.in() {
 		bar.waiting = b.app()
 		b.app().ParkArg("barrier subtree", int64(id))
 	}
-	body := &b.rep
+	up := rep
 	if cap(bar.arrivals) > 1 {
-		body = b.summarize()
+		up = b.summarize()
 	}
-	g := b.call(bar.parent, kBarrier, body).Body.(*grantInfo)
+	var g *grantInfo
+	if b.self == barrierManager {
+		g = b.rootRelease(up)
+	} else {
+		g = b.call(bar.parent, kBarrier, up).Body.(*grantInfo)
+	}
 	for _, a := range bar.arrivals {
 		if a.req.Reply == nil {
-			continue
+			continue // the node's own
 		}
 		cg := &a.rep.Grant
 		cg.VC = append(cg.VC[:0], g.VC...)
@@ -988,12 +902,30 @@ func (b *base) reportUp(id int) *grantInfo {
 		cg.Intervals = filterRecsSinceInto(cg.Intervals[:0], g.Intervals, a.rep.have())
 		b.respond(a.req, cg)
 	}
-	bar.reset()
-	return g
+	clear(bar.arrivals)
+	bar.arrivals = bar.arrivals[:0]
+	if b.self == barrierManager && b.sys.onBarrier != nil {
+		b.sys.onBarrier()
+	}
+	b.st().Add(stats.CatBarrier, b.app().Now()-t0)
+	b.event(trace.BarrierExit, -1, -1, int64(id))
+	b.applyGrant(g)
+	b.co.onBarrierRelease(g)
+}
+
+// applyBarrier registers a child's barrier arrival and wakes the
+// application proc once the subtree is in; its work is lockHandling.
+func (b *base) applyBarrier(s *service) {
+	bar := &b.bar
+	bar.arrivals = append(bar.arrivals, arrival{s.m.Body.(*barrierReport), s.m})
+	if bar.in() {
+		wake(&bar.waiting)
+	}
 }
 
 // summarize folds this node's own report and its children's arrivals into
-// its subtree summary, bar.up.
+// its subtree summary, bar.up. A child's report covers the records it
+// carries, which the fold asserts.
 func (b *base) summarize() *barrierReport {
 	bar, own := &b.bar, &b.rep
 	up := &bar.up
@@ -1011,75 +943,51 @@ func (b *base) summarize() *barrierReport {
 			up.MinVC[p] = min(up.MinVC[p], have[p])
 			up.VC[p] = max(up.VC[p], rep.VC[p])
 		}
+		for _, rec := range rep.Recs {
+			if rec.Interval > rep.VC[rec.Proc] {
+				panic(fmt.Sprintf("core: node %d merging node %d's report, which carries interval %d of node %d past its clock's %d",
+					b.self, rep.Node, rec.Interval, rec.Proc, rep.VC[rec.Proc]))
+			}
+		}
 		up.Recs = append(up.Recs, rep.Recs...)
 		up.ProtoMem = max(up.ProtoMem, rep.ProtoMem)
 	}
 	return up
 }
 
+// rootRelease is the root's release of its subtree summary, the whole
+// machine's, written into up.Grant as a parent would write it. The root
+// logs every record up carries (reports carry each node's *own* intervals,
+// so together they cover everything; their notices reach this node with
+// its release) and releases with its clock raised by the summary's, which
+// covers every logged record; the GC decision, set when some node's
+// protocol memory is over Options.GCThreshold under a homeless protocol;
+// and its log past the summary's least knowledge, one list every child's
+// release is filtered from.
+func (b *base) rootRelease(up *barrierReport) *grantInfo {
+	for _, rec := range up.Recs {
+		b.insertLog(rec)
+	}
+	g := &up.Grant
+	g.VC = append(g.VC[:0], b.clock...)
+	g.VC.MaxWith(up.VC)
+	g.GC = up.ProtoMem > b.sys.Opts.GCThreshold && !b.sys.homeBased
+	g.Intervals = b.logSinceInto(g.Intervals[:0], up.have())
+	return g
+}
+
 // filterRecsSinceInto appends to dst the records of recs a subtree with
-// least knowledge have is missing.
+// least knowledge have is missing. It reserves room for all of recs first:
+// a child's share is most of its parent's release, and growing dst one
+// record at a time would reallocate it once per doubling.
 func filterRecsSinceInto(dst, recs []*IntervalRec, have vc.VC) []*IntervalRec {
+	dst = slices.Grow(dst, len(recs))
 	for _, r := range recs {
 		if r.Interval > have[r.Proc] {
 			dst = append(dst, r)
 		}
 	}
 	return dst
-}
-
-// mergeReports is the root's merge of an episode's arrivals. It logs every
-// reported interval record (reports carry each node's *own* intervals, so
-// together they cover everything; their notices reach this node with its
-// own release) and returns the merged clock, this node's raised by every
-// report's (valid until the next call), with the GC decision: a homeless
-// protocol collects when some report's protocol memory is over
-// Options.GCThreshold. The merged clock covers every logged record: the
-// clock covers those learned or written here, and a report's clock the
-// records it carries, which the merge asserts.
-func (b *base) mergeReports(arrivals []arrival) (vc.VC, bool) {
-	b.merged = append(b.merged[:0], b.clock...)
-	merged, gc := b.merged, false
-	for _, a := range arrivals {
-		rep := a.rep
-		for _, rec := range rep.Recs {
-			if rec.Interval > rep.VC[rec.Proc] {
-				panic(fmt.Sprintf("core: node %d merging node %d's report, which carries interval %d of node %d past its clock's %d",
-					b.self, rep.Node, rec.Interval, rec.Proc, rep.VC[rec.Proc]))
-			}
-			b.insertLog(rec)
-		}
-		merged.MaxWith(rep.VC)
-		gc = gc || rep.ProtoMem > b.sys.Opts.GCThreshold
-	}
-	return merged, gc && !b.sys.homeBased
-}
-
-// handOff passes a node its own barrier release: give stores it and wakes
-// the application proc if it is parked in await, which takes it, parking
-// first if it has not been given yet (the proc's own arrival may complete
-// the episode).
-type handOff struct {
-	waiting *sim.Proc
-	g       *grantInfo
-}
-
-// await returns the release; reason and id name the park in deadlock
-// reports.
-func (h *handOff) await(p *sim.Proc, reason string, id int) *grantInfo {
-	if h.g == nil {
-		h.waiting = p
-		p.ParkArg(reason, int64(id))
-	}
-	g := h.g
-	h.g = nil
-	return g
-}
-
-// give delivers g and wakes the proc awaiting it, if any.
-func (h *handOff) give(g *grantInfo) {
-	h.g = g
-	wake(&h.waiting)
 }
 
 // wake unparks the application proc parked on *w, if any, and clears the
@@ -1091,45 +999,34 @@ func wake(w **sim.Proc) {
 	}
 }
 
-// applyBarrier services a child's barrier arrival; its work is
-// lockHandling.
-func (b *base) applyBarrier(s *service) { b.barrierArrive(s.m.Body.(*barrierReport), s.m) }
-
-// gcRendezvous blocks until every node has reported kGCDone to the
-// manager (used by the homeless protocols after GC validation, so nobody
-// discards diffs another node may still need).
+// gcRendezvous blocks until every node has finished its GC validation
+// (the homeless protocols, lrcEngine.runGC), so nobody discards diffs
+// another node may still need. Every other node reports kGCDone to the
+// manager and waits for the answer; the manager waits until all n-1
+// reports are in and answers them.
 func (b *base) gcRendezvous() {
-	if b.self == barrierManager {
-		mgr := b.bmgr
-		mgr.gcDone++
-		if b.gcMaybeComplete() {
-			return
-		}
-		mgr.gcWait = b.app()
-		b.app().Park("gc rendezvous")
+	if b.self != barrierManager {
+		b.call(barrierManager, kGCDone, nil)
 		return
 	}
-	b.call(barrierManager, kGCDone, nil)
-}
-
-// gcMaybeComplete releases all GC waiters if every node has arrived.
-func (b *base) gcMaybeComplete() bool {
-	mgr := b.bmgr
-	if mgr.gcDone < mgr.nproc {
-		return false
+	bar := &b.bar
+	if len(bar.gcDone) < cap(bar.gcDone) {
+		bar.waiting = b.app()
+		b.app().Park("gc rendezvous")
 	}
-	for _, req := range mgr.gcWaiters {
+	for _, req := range bar.gcDone {
 		b.respond(req, nil)
 	}
-	mgr.gcWaiters = nil
-	mgr.gcDone = 0
-	wake(&mgr.gcWait)
-	return true
+	clear(bar.gcDone)
+	bar.gcDone = bar.gcDone[:0]
 }
 
-// applyGCDone counts a GC completion at the manager; it takes no work.
+// applyGCDone registers a GC completion at the manager and wakes the
+// application proc once every other node's is in; it takes no work.
 func (b *base) applyGCDone(s *service) {
-	b.bmgr.gcDone++
-	b.bmgr.gcWaiters = append(b.bmgr.gcWaiters, s.m)
-	b.gcMaybeComplete()
+	bar := &b.bar
+	bar.gcDone = append(bar.gcDone, s.m)
+	if len(bar.gcDone) == cap(bar.gcDone) {
+		wake(&bar.waiting)
+	}
 }

@@ -18,7 +18,9 @@
 // the paper describes. The barrier is one k-ary tree whose every release
 // answers the arrival it releases: up to BarrierCrossover nodes every node
 // is a child of the manager, the paper's centralized barrier, and above it
-// the tree has fan-in 8.
+// the tree has fan-in 8. Every node, the root included, runs one barrier
+// procedure on its application proc: it waits for its subtree, obtains its
+// summary's release (the root makes its own) and answers each child.
 package core
 
 import (

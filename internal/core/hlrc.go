@@ -54,7 +54,7 @@ type hlrcUse struct {
 	flushVC      *vc.Sparse
 	pendingDiff  []*diffFlush  // diffs awaiting causal predecessors
 	pendingFetch []paragon.Msg // fetches awaiting flush coverage
-	waiters      []*sim.Proc   // local accesses waiting for coverage
+	waiting      *sim.Proc     // the application proc waiting for coverage
 	// pub is the published frame of the current version of the page — a
 	// snapshot of its bytes — which every fetch answers with until
 	// homeWrite retires it; nil until the version's first fetch.
@@ -132,7 +132,7 @@ func (e *hlrcEngine) ReadFault(page int) {
 		// means required diffs are still in flight. Wait for coverage.
 		u := e.useOf(page)
 		for !u.flushVC.Covers(vecOrNil(&m.seen)) {
-			u.waiters = append(u.waiters, e.app())
+			u.waiting = e.app()
 			e.app().ParkArg("hlrc home wait page", int64(page))
 		}
 		e.pt.Page(page).State = mem.ReadOnly
@@ -145,7 +145,9 @@ func (e *hlrcEngine) ReadFault(page int) {
 	pr := e.call(e.home(page), kFetchPage, req).Body.(*fetchPageReq)
 	e.st().Add(stats.CatData, e.app().Now()-t0)
 	p := e.pt.Page(page)
-	e.adoptShared(p, pr.Frame)
+	// The node's reply port keeps only the first answer to each Call, so
+	// the frame is adopted once; what it replaces goes to the pool.
+	p.Adopt(pr.Frame, e.sys.pool)
 	pr.Frame = nil
 	p.State = mem.ReadOnly
 	e.pairs.MaxWith(e.vecOf(&m.seen), &pr.Flush)
@@ -364,8 +366,8 @@ func (e *hlrcEngine) homeApply(df *diffFlush) {
 	e.sys.diffRecs.Put(df)
 }
 
-// homeDrain retries pending diffs, fetches, and local waiters for a page
-// after the flush vector advanced.
+// homeDrain retries pending diffs and fetches for a page after the flush
+// vector advanced, and wakes the local access waiting for coverage.
 func (e *hlrcEngine) homeDrain(page int) {
 	m := e.useOf(page)
 	f := e.flushOf(page)
@@ -398,11 +400,8 @@ func (e *hlrcEngine) homeDrain(page int) {
 	}
 	m.pendingFetch = keep
 
-	if len(m.waiters) > 0 && f.Covers(vecOrNil(&e.pages.At(page).seen)) {
-		for _, w := range m.waiters {
-			w.Unpark()
-		}
-		m.waiters = nil
+	if m.waiting != nil && f.Covers(vecOrNil(&e.pages.At(page).seen)) {
+		wake(&m.waiting)
 	}
 }
 

@@ -46,9 +46,11 @@ func TestInvariantPanicsNameTheNode(t *testing.T) {
 			b.adopt(p, &frame)
 			b.adopt(p, &frame)
 		}},
-		{"mergeReports with a record past its clock", "node 3 merging node 2's report, which carries interval 2 of node 2 past its clock's 1", func(b *base) {
+		{"summarize with a record past its clock", "node 3 merging node 2's report, which carries interval 2 of node 2 past its clock's 1", func(b *base) {
 			rep := &barrierReport{Node: 2, VC: vc.VC{0, 0, 1, 0}, Recs: []*IntervalRec{{Proc: 2, Interval: 2}}}
-			b.mergeReports([]arrival{{rep: rep}})
+			b.rep.VC = vc.New(nodes)
+			b.bar.arrivals = []arrival{{rep: &b.rep}, {rep: rep}}
+			b.summarize()
 		}},
 		{"invalidate on a ReadWrite page", "node 3 noticed page 0 mid-interval", func(b *base) {
 			b.pt.Page(0).State = mem.ReadWrite

@@ -207,7 +207,7 @@ func (e *lrcEngine) WriteFault(page int) {
 	e.event(trace.WriteFault, page, -1, 0)
 	// A previous interval's lazy diff still owns the twin: materialize it
 	// before re-twinning.
-	e.commitOwnDiff(page, true)
+	e.commitOwnDiff(page)
 	e.use(e.costs().TwinCost(e.sys.Space.PageBytes()), stats.CatProtocol)
 	p.MakeTwin(e.sys.pool)
 	e.st().MemAlloc(int64(e.sys.Space.PageBytes()))
@@ -221,7 +221,7 @@ func (e *lrcEngine) WriteFault(page int) {
 // during normal faults, GC during garbage-collection validation).
 func (e *lrcEngine) bringUpToDate(page int, waitCat stats.Category) {
 	m, u := e.pages.At(page), e.useOf(page)
-	e.commitOwnDiff(page, true)
+	e.commitOwnDiff(page)
 	p := e.pt.Page(page)
 
 	if p.Data == nil {
@@ -372,18 +372,16 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 
 // commitOwnDiff materializes the lazy diff of a previously closed interval
 // (and, under OLRC, waits out an in-flight co-processor diff).
-func (e *lrcEngine) commitOwnDiff(page int, charge bool) {
+func (e *lrcEngine) commitOwnDiff(page int) {
 	m := e.useOf(page)
 	m.inflight.wait(e.app(), "lrc twin busy page", page)
 	if m.pending == nil {
 		return
 	}
-	if charge {
-		e.use(e.costs().DiffCreateCost(e.sys.Space.PageWords), stats.CatProtocol)
-		if m.pending == nil {
-			// A remote fetch materialized the diff while we were charging.
-			return
-		}
+	e.use(e.costs().DiffCreateCost(e.sys.Space.PageWords), stats.CatProtocol)
+	if m.pending == nil {
+		// A remote fetch materialized the diff while we were charging.
+		return
 	}
 	e.materializeDiff(page, m.pending.Interval)
 	m.pending = nil

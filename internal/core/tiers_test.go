@@ -47,7 +47,7 @@ func install(e Engine, h func(*service) paragon.Handler) {
 // vector on a page whose vector was never initialised (the slot's inline
 // vc.Sparse still has Dim() == 0) and checks it behaves as the nil vector
 // the parent's *vc.Sparse field was: a fetch asks for nothing, a home's
-// first write makes the vector, a home is covered and wakes its waiters,
+// first write makes the vector, a home is covered and wakes its waiting access,
 // and a notice to a home that applied no diff yet invalidates (traced and
 // charged once: a second notice finds the page already Invalid and costs
 // nothing).
@@ -111,7 +111,7 @@ func TestAbsentSeenReadsAsNil(t *testing.T) {
 						// homeDrain: wait on a page with no vector until node 1
 						// drains it.
 						u := e.useOf(pgWait)
-						u.waiters = append(u.waiters, e.app())
+						u.waiting = e.app()
 						e.app().Park("test: waiting on a never-noticed home page")
 						got.wokeAt = c.Now()
 					case 1:

@@ -2,7 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"gosvm/internal/fault"
+	"gosvm/internal/mem"
+	"gosvm/internal/sim"
+	"gosvm/internal/stats"
 )
 
 // treeOpts returns options forcing the barrier tree's fan-in to radix.
@@ -163,5 +170,97 @@ func TestBarrierReleasesAreAnswers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// rendezvousApp runs episodes barriers over pages pages, each ending an
+// interval in which node j%n writes page j of an n-node machine: a node
+// touches no page but its own, so the collection at each barrier gives node
+// 0 nothing to wait for but the rendezvous itself.
+func rendezvousApp(pages, episodes int) *testApp {
+	const stride = 64 // words per 512-byte page
+	var addr mem.Addr
+	return &testApp{
+		name:  "rendezvous",
+		setup: func(s *Setup) { addr = s.Alloc(pages * stride) },
+		init:  func(*Init) {},
+		worker: func(c *Ctx, id int) {
+			for e := 0; e < episodes; e++ {
+				for j := id; j < pages; j += c.Nodes() {
+					c.Store(addr+mem.Addr(j*stride+e), float64(100*e+j))
+				}
+				c.Compute(100 * sim.Microsecond)
+				c.Barrier(e)
+			}
+		},
+		gather: func(c *Ctx) []float64 {
+			out := make([]float64, pages*stride)
+			c.ReadRange(addr, out)
+			return out
+		},
+	}
+}
+
+// TestRendezvousInBothOrders runs every barrier and GC rendezvous of an
+// LRC run with the manager, node 0, reaching it first and then last, on the
+// central barrier and on a binary tree. A slowdown by 1000 of every other
+// node makes node 0 first: it waits at every episode after the first
+// phase's, both in the barrier and at the rendezvous. A slowdown of node 0
+// alone makes it last: its proc never waits at either. Every node counts
+// the same collections, one per episode, and the result is the sequential
+// run's.
+func TestRendezvousInBothOrders(t *testing.T) {
+	const episodes = 4
+	for _, shape := range []struct {
+		name         string
+		procs, radix int
+	}{{"central", 4, 0}, {"tree", 7, 2}} {
+		for _, first := range []bool{true, false} {
+			order := "manager-last"
+			if first {
+				order = "manager-first"
+			}
+			t.Run(shape.name+"/"+order, func(t *testing.T) {
+				opts := treeOpts(ProtoLRC, shape.procs, shape.radix)
+				opts.GCThreshold = 1
+				for n := range shape.procs {
+					if (n == 0) != first {
+						opts.Fault.Slowdowns = append(opts.Fault.Slowdowns,
+							fault.Slowdown{Node: n, To: sim.Time(math.MaxInt64), Factor: 1000})
+					}
+				}
+				app := func() *testApp { return rendezvousApp(shape.procs, episodes) }
+				seq := runOrFail(t, testOpts(ProtoSeq, 1), app())
+				res, err := Run(opts, app(), true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, nd := range res.Stats.Nodes {
+					if nd.Counts.GCs != episodes {
+						t.Errorf("node %d collected %d times, want %d", i, nd.Counts.GCs, episodes)
+					}
+				}
+				if !slices.EqualFunc(res.Data, seq.Data, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					t.Errorf("result %v, want the sequential run's %v", res.Data, seq.Data)
+				}
+				mgr := res.Stats.Nodes[0].Time
+				if !first {
+					if mgr[stats.CatBarrier] != 0 || mgr[stats.CatGC] != 0 {
+						t.Errorf("node 0 waited %v in barriers and %v at rendezvous, want neither: it arrives last",
+							mgr[stats.CatBarrier], mgr[stats.CatGC])
+					}
+					return
+				}
+				// An episode's waits land in the next phase: its hook runs
+				// at the root before the root's own wait is charged.
+				for _, ph := range res.Phases[1:] {
+					w := ph.PerNode[0].Time
+					if w[stats.CatBarrier] == 0 || w[stats.CatGC] == 0 {
+						t.Errorf("phase %d: node 0 waited %v in the barrier and %v at the rendezvous, want both above zero: it arrives first",
+							ph.Barrier, w[stats.CatBarrier], w[stats.CatGC])
+					}
+				}
+			})
+		}
 	}
 }

@@ -85,21 +85,15 @@ func (m *Machine) Down(node int) bool {
 	return m.inj != nil && m.inj.Down(node, m.K.Now())
 }
 
-// outage stretches compute work d on node across any crash window it
-// overlaps.
-func (m *Machine) outage(node int, d sim.Time) sim.Time {
+// workTime is how long compute work d started now on node keeps its
+// processor busy: scaled by any active slowdown window, then stretched
+// across any crash window it overlaps.
+func (m *Machine) workTime(node int, d sim.Time) sim.Time {
 	if m.inj == nil {
 		return d
 	}
-	return m.inj.Stall(node, m.K.Now(), d)
-}
-
-// scale applies any active slowdown window on node to work d.
-func (m *Machine) scale(node int, d sim.Time) sim.Time {
-	if m.inj == nil {
-		return d
-	}
-	return m.inj.Slow(node, m.K.Now(), d)
+	now := m.K.Now()
+	return m.inj.Stall(node, now, m.inj.Slow(node, now, d))
 }
 
 // Node is one Paragon node: compute processor, communication co-processor,
@@ -153,7 +147,7 @@ func (d *dispatcher) init(n *Node, intr bool) {
 		// A crash freezes the processor mid-service: the work resumes
 		// after the restart, and its effect — already-acknowledged
 		// state — still applies.
-		service := n.M.outage(n.ID, n.M.scale(n.ID, work))
+		service := n.M.workTime(n.ID, work)
 		if d.intr {
 			// The interrupt runs on the compute processor: it both
 			// occupies this dispatcher (serializing back-to-back requests
@@ -313,7 +307,7 @@ func (c *CPU) Bind(p *sim.Proc) { c.proc = p }
 // interrupts steal time while the work is in progress, the work is
 // extended and the stolen time is accounted as protocol overhead.
 func (c *CPU) Use(p *sim.Proc, d sim.Time, cat stats.Category) {
-	d = c.node.M.outage(c.node.ID, c.node.M.scale(c.node.ID, d))
+	d = c.node.M.workTime(c.node.ID, d)
 	c.busy = true
 	p.Sleep(d)
 	c.node.Stats.Add(cat, d)
