@@ -246,25 +246,36 @@ func TestRefetchMovesOneFrame(t *testing.T) {
 // TestFrameCheckIsOffTheAccessPath: the immutability check (CheckFrames in
 // export_test.go) may cost a checksum per frame published and released when
 // it is on; off it must cost nothing, and on or off it must stay out of
-// Ctx.Load and Ctx.Store. Loads of a shared frame and stores into the copy a
-// write fault made allocate nothing; a polling run allocates the same with
-// the check on as off; and ctx.go, the whole access path, does not mention
-// frames at all — there is no branch to take.
+// the Ctx accesses. Loads and ReadRanges of a shared frame and Stores and
+// WriteRanges into the copy a write fault made allocate nothing; building
+// the Ctx materializes no page-table block of a page the node never
+// touches; a polling run allocates the same with the check on as off; and
+// ctx.go, the whole access path, does not mention frames at all — there
+// is no branch to take.
 func TestFrameCheckIsOffTheAccessPath(t *testing.T) {
 	var addr mem.Addr
-	var shared bool
-	var loads, stores float64
+	var shared, untouched bool
+	var loads, reads, stores, writes float64
 	runOrFail(t, testOpts(ProtoHLRC, 2), litmusApp(&addr, func(c *Ctx, id int) {
 		if id == 1 {
+			// Node 0 homes every page; the Ctx is built, nothing is touched.
+			untouched = c.pt.Peek(c.sys.Space.PageOf(addr)) == nil
+			buf := make([]float64, 3)
 			c.Load(addr)
 			shared = holding(c, addr).frame != nil
 			loads = testing.AllocsPerRun(100, func() { c.Load(addr + 3) })
+			reads = testing.AllocsPerRun(100, func() { c.ReadRange(addr+3, buf) })
 			c.Store(addr+3, 1)
 			stores = testing.AllocsPerRun(100, func() { c.Store(addr+3, 2) })
+			writes = testing.AllocsPerRun(100, func() { c.WriteRange(addr+3, buf) })
 		}
 	}))
-	if !shared || loads != 0 || stores != 0 {
-		t.Errorf("reading a shared frame (%v): %.0f allocations per Load, %.0f per Store after the write fault; want a shared frame, 0 and 0", shared, loads, stores)
+	if !shared || loads != 0 || reads != 0 || stores != 0 || writes != 0 {
+		t.Errorf("reading a shared frame (%v): %.0f allocations per Load and %.0f per ReadRange; after the write fault %.0f per Store and %.0f per WriteRange; want a shared frame and 0 for all four",
+			shared, loads, reads, stores, writes)
+	}
+	if !untouched {
+		t.Error("building the Ctx materialized the page-table block of a page its node never touched")
 	}
 
 	opts := testOpts(ProtoHLRC, 2)

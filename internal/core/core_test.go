@@ -912,7 +912,8 @@ func TestMissingFinalBarrierPanics(t *testing.T) {
 
 // An access past the allocated shared space panics naming the node, the
 // address and the allocated page count, under every protocol, before the
-// engine sees the fault. The app allocates 16 words, one 64-word page; the
+// engine sees the fault; so does a FreshRead, also under the protocols that
+// have no copy to revalidate. The app allocates 16 words, one 64-word page; the
 // range accesses start inside it and run into the next page.
 func TestAccessOutsideSharedSpacePanics(t *testing.T) {
 	accesses := []struct {
@@ -924,6 +925,7 @@ func TestAccessOutsideSharedSpacePanics(t *testing.T) {
 		{"store", 100000, func(c *Ctx, base mem.Addr) { c.Store(base+100000, 1) }},
 		{"read-range", 64, func(c *Ctx, base mem.Addr) { c.ReadRange(base+8, make([]float64, 100)) }},
 		{"write-range", 64, func(c *Ctx, base mem.Addr) { c.WriteRange(base+8, make([]float64, 100)) }},
+		{"fresh-read", 100000, func(c *Ctx, base mem.Addr) { c.FreshRead(base + 100000) }},
 	}
 	for _, proto := range append([]Protocol{ProtoSeq}, Protocols...) {
 		for _, ac := range accesses {
