@@ -93,7 +93,8 @@ type ScaleEntry struct {
 // speedup over the sequential baseline, message traffic, home hot-spot
 // skew (max/mean unsolicited messages serviced per node), and peak
 // protocol memory. Cells fan out across host cores like every other
-// sweep; rendering reads completed cells in fixed grid order. When
+// sweep, and each cell's result must be the sequential run's, bit for
+// bit; rendering reads completed cells in fixed grid order. When
 // jsonPath is non-empty the full grid is written there as one ScaleEntry.
 func (r *Runner) ScaleSweep(out io.Writer, o ScaleOpts, jsonPath string) error {
 	o.defaults()
@@ -130,6 +131,9 @@ func (r *Runner) ScaleSweep(out io.Writer, o ScaleOpts, jsonPath string) error {
 		SeqSeconds: seq.Micros() / 1e6,
 	}
 	for i, c := range cells[1:] {
+		if err := validateResult(results[0].Data, results[1+i].Data, resultTol(c.app)); err != nil {
+			return fmt.Errorf("bench: scale %v differs from the sequential run: %w", c, err)
+		}
 		st := results[1+i].Stats
 		entry.Cells = append(entry.Cells, ScaleCell{
 			Protocol:    string(c.proto),

@@ -773,8 +773,8 @@ func (b *base) grantOrWait(ls *lockState, m paragon.Msg, steal bool) {
 // ---------------------------------------------------------------------------
 // Barriers
 
-// barrierManager is the root of the barrier tree and the node that runs
-// the homeless GC rendezvous. The role never moves: a crashed manager
+// barrierManager is the root of the barrier tree, which the homeless GC
+// rendezvous shares. The role never moves: a crashed manager
 // keeps its arrivals, and arrivals sent to it wait out its restart in
 // retransmission.
 const barrierManager = 0
@@ -783,27 +783,24 @@ const barrierManager = 0
 // layout rooted at barrierManager: node i reports to (i-1)/k, and its
 // children are k*i+1 .. k*i+k (Machine.barrierRadix). Up to
 // BarrierCrossover nodes k is n-1, so every node but the root is a leaf
-// and the tree is the paper's centralized barrier.
+// and the tree is the paper's centralized barrier. Both rendezvous run
+// through it: a barrier episode and a homeless GC rendezvous.
 type barrierNode struct {
 	parent int
-	// arrivals are the episode's registered arrivals, in arrival order. Its
-	// capacity is the number that completes this node's subtree: its own
-	// and one per child.
+	// arrivals are the registered arrivals of the rendezvous in progress,
+	// in arrival order. Its capacity is the number that completes this
+	// node's subtree: its own and one per child.
 	arrivals []arrival
-	// gcDone, on the manager, are the GC rendezvous's registered arrivals:
-	// the other nodes' kGCDone requests, in arrival order. Its capacity is
-	// the number that completes the rendezvous, n-1.
-	gcDone []paragon.Msg
-	// waiting is the application proc while it waits for a window,
-	// arrivals or gcDone, to fill.
+	// waiting is the application proc while it waits for arrivals to fill.
 	waiting *sim.Proc
 	// up is the subtree summary a node with children reports; the root
 	// releases its own (rootRelease).
 	up barrierReport
 }
 
-// arrival is a registered barrier arrival: its report and the request
-// that delivered it, the zero Msg for the node's own.
+// arrival is a registered arrival: its barrier report, nil at a GC
+// rendezvous, and the request that delivered it, the zero Msg for the
+// node's own.
 type arrival struct {
 	rep *barrierReport
 	req paragon.Msg
@@ -814,9 +811,7 @@ type arrival struct {
 // before it have min(k*i, n-1) children between them.
 func (bar *barrierNode) init(s *System, self int) {
 	n, k := s.Opts.Machine.Nodes, s.Opts.Machine.barrierRadix()
-	if self == barrierManager {
-		bar.gcDone = make([]paragon.Msg, 0, n-1)
-	} else {
+	if self != barrierManager {
 		bar.parent = (self - 1) / k
 	}
 	if s.arrivals == nil {
@@ -829,6 +824,17 @@ func (bar *barrierNode) init(s *System, self int) {
 
 // in reports whether the whole subtree has arrived.
 func (bar *barrierNode) in() bool { return len(bar.arrivals) == cap(bar.arrivals) }
+
+// gather registers the node's own arrival, rep (nil at a GC rendezvous),
+// and parks the application proc on reason until its subtree is in.
+func (b *base) gather(rep *barrierReport, reason string, arg int64) {
+	bar := &b.bar
+	bar.arrivals = append(bar.arrivals, arrival{rep: rep})
+	if !bar.in() {
+		bar.waiting = b.app()
+		b.app().ParkArg(reason, arg)
+	}
+}
 
 // barrierReport is a barrier arrival: a node's own report, base.rep,
 // refilled by every Barrier, or the subtree summary a node with children
@@ -877,11 +883,7 @@ func (b *base) Barrier(id int) {
 	}
 	t0 := b.app().Now()
 	bar := &b.bar
-	bar.arrivals = append(bar.arrivals, arrival{rep: rep})
-	if !bar.in() {
-		bar.waiting = b.app()
-		b.app().ParkArg("barrier subtree", int64(id))
-	}
+	b.gather(rep, "barrier subtree", int64(id))
 	up := rep
 	if cap(bar.arrivals) > 1 {
 		up = b.summarize()
@@ -913,11 +915,13 @@ func (b *base) Barrier(id int) {
 	b.co.onBarrierRelease(g)
 }
 
-// applyBarrier registers a child's barrier arrival and wakes the
-// application proc once the subtree is in; its work is lockHandling.
+// applyBarrier registers a child's arrival, a kBarrier report or a
+// bodiless kGCDone, and wakes the application proc once the subtree is in;
+// its work is lockHandling for a report and none for a kGCDone.
 func (b *base) applyBarrier(s *service) {
 	bar := &b.bar
-	bar.arrivals = append(bar.arrivals, arrival{s.m.Body.(*barrierReport), s.m})
+	rep, _ := s.m.Body.(*barrierReport)
+	bar.arrivals = append(bar.arrivals, arrival{rep, s.m})
 	if bar.in() {
 		wake(&bar.waiting)
 	}
@@ -1001,32 +1005,21 @@ func wake(w **sim.Proc) {
 
 // gcRendezvous blocks until every node has finished its GC validation
 // (the homeless protocols, lrcEngine.runGC), so nobody discards diffs
-// another node may still need. Every other node reports kGCDone to the
-// manager and waits for the answer; the manager waits until all n-1
-// reports are in and answers them.
+// another node may still need. It runs through the barrier tree: a node
+// waits for its children's kGCDone arrivals, reports its subtree's with a
+// kGCDone to its parent and waits for the answer (the root has none to
+// wait for), then answers its children.
 func (b *base) gcRendezvous() {
+	bar := &b.bar
+	b.gather(nil, "gc rendezvous", b.st().Counts.GCs)
 	if b.self != barrierManager {
-		b.call(barrierManager, kGCDone, nil)
-		return
+		b.call(bar.parent, kGCDone, nil)
 	}
-	bar := &b.bar
-	if len(bar.gcDone) < cap(bar.gcDone) {
-		bar.waiting = b.app()
-		b.app().Park("gc rendezvous")
+	for _, a := range bar.arrivals {
+		if a.req.Reply != nil {
+			b.respond(a.req, nil)
+		}
 	}
-	for _, req := range bar.gcDone {
-		b.respond(req, nil)
-	}
-	clear(bar.gcDone)
-	bar.gcDone = bar.gcDone[:0]
-}
-
-// applyGCDone registers a GC completion at the manager and wakes the
-// application proc once every other node's is in; it takes no work.
-func (b *base) applyGCDone(s *service) {
-	bar := &b.bar
-	bar.gcDone = append(bar.gcDone, s.m)
-	if len(bar.gcDone) == cap(bar.gcDone) {
-		wake(&bar.waiting)
-	}
+	clear(bar.arrivals)
+	bar.arrivals = bar.arrivals[:0]
 }

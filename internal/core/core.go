@@ -20,7 +20,9 @@
 // is a child of the manager, the paper's centralized barrier, and above it
 // the tree has fan-in 8. Every node, the root included, runs one barrier
 // procedure on its application proc: it waits for its subtree, obtains its
-// summary's release (the root makes its own) and answers each child.
+// summary's release (the root makes its own) and answers each child. The
+// homeless protocols' GC rendezvous runs through the same tree the same way,
+// so no node services more than its own children's arrivals.
 package core
 
 import (

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
 	"gosvm/internal/sim"
+	"gosvm/internal/trace"
 	"gosvm/internal/vc"
 )
 
@@ -182,6 +184,59 @@ func TestCrashedHomeIsWaitedOut(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCrashedRendezvousNodeIsWaitedOut: an interior node of the barrier
+// tree that crashes inside a GC rendezvous keeps the kGCDone arrivals it
+// has registered, and its children's arrivals and its parent's answer wait
+// out its restart. Node 1 of a radix-2, 7-node tree (over 3 and 4, under 0)
+// crashes halfway through its second collection of the fault-free run; the
+// crash run's trace shows that collection open at node 1 across the whole
+// outage. The result is the fault-free run's bits, later.
+func TestCrashedRendezvousNodeIsWaitedOut(t *testing.T) {
+	const episodes, outage = 4, 5 * sim.Millisecond
+	for _, proto := range []Protocol{ProtoLRC, ProtoOLRC} {
+		t.Run(proto.String(), func(t *testing.T) {
+			opts := treeOpts(proto, 7, 2)
+			opts.GCThreshold = 1
+			opts.TraceLimit = -1
+			base := runOrFail(t, opts, rendezvousApp(7, episodes))
+			gcs := collections(base, 1)
+			if len(gcs) != episodes {
+				t.Fatalf("node 1 collected %d times in the fault-free run, want %d", len(gcs), episodes)
+			}
+			at := (gcs[1][0] + gcs[1][1]) / 2
+			opts.Fault = crashPlan(at, at+outage)
+			res := runOrFail(t, opts, rendezvousApp(7, episodes))
+			if !slices.ContainsFunc(collections(res, 1), func(gc [2]sim.Time) bool {
+				return gc[0] <= at && gc[1] >= at+outage
+			}) {
+				t.Fatalf("no collection at node 1 spans the outage [%v, %v): %v", at, at+outage, collections(res, 1))
+			}
+			if !slices.EqualFunc(res.Data, base.Data, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Errorf("result %v under the crash, want the fault-free run's %v", res.Data, base.Data)
+			}
+			if res.Stats.Elapsed <= base.Stats.Elapsed {
+				t.Errorf("crash run took %v, not more than the fault-free run's %v", res.Stats.Elapsed, base.Stats.Elapsed)
+			}
+		})
+	}
+}
+
+// collections returns node's collections in res's trace, each its GCStart
+// and GCEnd times.
+func collections(res *Result, node int) [][2]sim.Time {
+	var out [][2]sim.Time
+	for _, e := range res.Trace.Events() {
+		switch {
+		case e.Node != node:
+		case e.Kind == trace.GCStart:
+			out = append(out, [2]sim.Time{e.T, -1})
+		case e.Kind == trace.GCEnd:
+			out[len(out)-1][1] = e.T
+		}
+	}
+	return out
 }
 
 // A crash run is deterministic and correct: same plan, same seed,

@@ -389,7 +389,7 @@ func TestMessageKindsDenseAndNamed(t *testing.T) {
 		dispatch  func(kind int) bool
 		notServed []int
 	}{
-		{"hlrc", func(k int) bool { return dispatches(&hlrcHandlers, k) }, []int{kFetchDiffs}},
+		{"hlrc", func(k int) bool { return dispatches(&hlrcHandlers, k) }, []int{kGCDone, kFetchDiffs}}, // HLRC never collects
 		{"lrc", func(k int) bool { return dispatches(&lrcHandlers, k) }, []int{kDiffFlush}},
 	} {
 		for k := kLockAcq - 1; k <= kMakeDiff+1; k++ {

@@ -307,7 +307,6 @@ var hlrcHandlers = [numKinds]handler[*hlrcEngine]{
 	kLockAcq:   {(*hlrcEngine).lockHandling, (*hlrcEngine).applyLockAcq},
 	kLockFwd:   {(*hlrcEngine).workLockFwd, (*hlrcEngine).applyLockFwd},
 	kBarrier:   {(*hlrcEngine).lockHandling, (*hlrcEngine).applyBarrier},
-	kGCDone:    {(*hlrcEngine).noWork, (*hlrcEngine).applyGCDone},
 	kMakeDiff:  {(*hlrcEngine).workMakeDiff, (*hlrcEngine).applyMakeDiff},
 	kFetchPage: {(*hlrcEngine).noWork, (*hlrcEngine).applyFetchPage},
 	kDiffFlush: {(*hlrcEngine).workDiffFlush, (*hlrcEngine).applyDiffFlush},

@@ -573,7 +573,7 @@ var lrcHandlers = [numKinds]handler[*lrcEngine]{
 	kLockAcq:    {(*lrcEngine).lockHandling, (*lrcEngine).applyLockAcq},
 	kLockFwd:    {(*lrcEngine).workLockFwd, (*lrcEngine).applyLockFwd},
 	kBarrier:    {(*lrcEngine).lockHandling, (*lrcEngine).applyBarrier},
-	kGCDone:     {(*lrcEngine).noWork, (*lrcEngine).applyGCDone},
+	kGCDone:     {(*lrcEngine).noWork, (*lrcEngine).applyBarrier},
 	kMakeDiff:   {(*lrcEngine).workMakeDiff, (*lrcEngine).applyMakeDiff},
 	kFetchDiffs: {(*lrcEngine).workFetchDiffs, (*lrcEngine).applyFetchDiffs},
 	kFetchPage:  {(*lrcEngine).noWork, (*lrcEngine).applyFetchPage},

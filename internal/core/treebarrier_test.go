@@ -87,8 +87,8 @@ func TestTreeBarrierDeterminism(t *testing.T) {
 
 // TestTreeBarrierGC forces garbage collection under the tree barrier: the
 // GC decision is made at the root from aggregated subtree memory maxima,
-// and the rendezvous stays centralized. The homeless protocols must still
-// produce correct data.
+// and the rendezvous runs through the same tree. The homeless protocols
+// must still produce correct data.
 func TestTreeBarrierGC(t *testing.T) {
 	for _, proto := range []Protocol{ProtoLRC, ProtoOLRC} {
 		proto := proto
@@ -139,14 +139,17 @@ func TestBarrierAutoCrossover(t *testing.T) {
 	}
 }
 
-// TestBarrierReleasesAreAnswers runs a barrier-only app on an 8-node binary
-// tree: node 0 over 1 and 2, 1 over 3 and 4, 2 over 5 and 6, 3 over 7. Each
-// release is the answer to the Call that reported the subtree, so a node
-// services only its children's arrivals: a leaf no barrier message at all,
-// a node with children exactly one per child per episode.
+// TestBarrierReleasesAreAnswers runs rendezvous on binary trees. Each
+// barrier release is the answer to the Call that reported the subtree, and
+// each GC rendezvous's release the answer to its kGCDone, so a node services
+// only its children's arrivals: a leaf no message at all, a node with c
+// children exactly c per barrier episode and c per collection. Every
+// protocol runs barriers alone on an 8-node tree (node 0 over 1 and 2, 1
+// over 3 and 4, 2 over 5 and 6, 3 over 7); the homeless ones also run
+// rendezvousApp on a 7-node tree, with a collection at every barrier.
 func TestBarrierReleasesAreAnswers(t *testing.T) {
-	const procs, radix, episodes = 8, 2, 5
-	app := &testApp{
+	const radix, episodes = 2, 4
+	barriers := &testApp{
 		name:  "barriers",
 		setup: func(s *Setup) { s.Alloc(1) },
 		init:  func(*Init) {},
@@ -157,18 +160,31 @@ func TestBarrierReleasesAreAnswers(t *testing.T) {
 		},
 		gather: func(*Ctx) []float64 { return nil },
 	}
+	check := func(t *testing.T, opts Options, app *testApp, gcs int64) {
+		t.Helper()
+		res, n := runOrFail(t, opts, app), opts.Machine.Nodes
+		for i, nd := range res.Stats.Nodes {
+			if nd.Counts.Barriers != episodes || nd.Counts.GCs != gcs {
+				t.Fatalf("node %d entered %d barriers and collected %d times, want %d and %d",
+					i, nd.Counts.Barriers, nd.Counts.GCs, episodes, gcs)
+			}
+			children := max(0, min(radix*i+radix, n-1)-radix*i)
+			if want := int64(children) * (episodes + gcs); nd.MsgsIn != want {
+				t.Errorf("node %d (%d children) serviced %d messages, want %d", i, children, nd.MsgsIn, want)
+			}
+		}
+	}
 	for _, proto := range Protocols {
 		t.Run(string(proto), func(t *testing.T) {
-			res := runOrFail(t, treeOpts(proto, procs, radix), app)
-			for i, nd := range res.Stats.Nodes {
-				if nd.Counts.Barriers != episodes {
-					t.Fatalf("node %d entered %d barriers, want %d", i, nd.Counts.Barriers, episodes)
-				}
-				children := max(0, min(radix*i+radix, procs-1)-radix*i)
-				if want := int64(children * episodes); nd.MsgsIn != want {
-					t.Errorf("node %d (%d children) serviced %d messages, want %d", i, children, nd.MsgsIn, want)
-				}
+			check(t, treeOpts(proto, 8, radix), barriers, 0)
+			if proto.HomeBased() {
+				return
 			}
+			t.Run("gc", func(t *testing.T) {
+				opts := treeOpts(proto, 7, radix)
+				opts.GCThreshold = 1
+				check(t, opts, rendezvousApp(7, episodes), episodes)
+			})
 		})
 	}
 }

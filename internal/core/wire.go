@@ -13,7 +13,7 @@ const (
 	kLockAcq    = iota + 1 // requester -> lock manager
 	kLockFwd               // manager -> current owner
 	kBarrier               // node -> its parent in the barrier tree
-	kGCDone                // node -> barrier manager (homeless GC rendezvous)
+	kGCDone                // node -> its parent in the barrier tree (homeless GC rendezvous)
 	kFetchDiffs            // faulting node -> writer (LRC/OLRC)
 	kFetchPage             // faulting node -> copy holder / home
 	kDiffFlush             // writer -> home (HLRC), or coproc-to-home (OHLRC)
