@@ -142,12 +142,13 @@ sweep-faults:
 sweep-serve:
 	$(GO) run ./cmd/svmserve -loads 500,1000,2000,4000 -procs 4,8 -json-dir out/serve
 
-# Serving at scale: the fast-path ablation ladder on 64 -> 1024 nodes
+# Serving at scale: the striped, seqlock-read store on 64 -> 1024 nodes
 # under modern (kernel-bypass) costs. Home hot-spot skew (max/mean
-# serviced messages) is the per-cell Skew column.
+# serviced messages) is the per-cell Skew column; SeqRd and Fallbk count
+# the lock-free reads and the ones that fell back to the lock.
 sweep-serve-scale:
 	$(GO) run ./cmd/svmserve -procs 64,256,1024 -costs modern \
-		-loads 200000,800000 -protocols hlrc,ohlrc -ablation all -q
+		-loads 200000,800000 -protocols hlrc,ohlrc -q
 
 # Strong-scaling curves 64 -> 1024 nodes on the paper's SOR grid:
 # speedup, traffic split, home hot-spot skew, and protocol memory per

@@ -1,8 +1,9 @@
 // Command svmserve runs the open-loop request-serving workload: a
-// key-value store sharded over SVM pages, driven by seeded Poisson client
+// key-value store sharded over SVM pages, with striped per-key locks and
+// seqlock-validated lock-free reads, driven by seeded Poisson client
 // populations, swept over offered load x protocol x machine size with
-// p50/p99/p999 tail latency, throughput-vs-offered-load, and saturation
-// detection.
+// p50/p99/p999 tail latency, throughput-vs-offered-load, seqlock reads
+// and fallbacks, and saturation detection.
 //
 // Usage:
 //
@@ -10,8 +11,6 @@
 //	svmserve -loads 500,1000,2000,4000 -procs 4,8
 //	svmserve -faults crash -window-ms 60       # tail latency under a mid-run crash
 //	svmserve -zipf 0.99 -mix 50,40,10
-//	svmserve -ablation all                     # fast-path ladder: off,locks,seqlock
-//	svmserve -ablation seqlock                 # one fast-path configuration
 //	svmserve -json-dir out/serve               # per-cell JSON with full histograms
 //
 // Output is byte-identical at any -parallel level for a fixed seed.
@@ -40,7 +39,6 @@ func main() {
 		keys      = flag.Int("keys", 4096, "key-space size")
 		mix       = flag.String("mix", "80,15,5", "read,write,scan percentages")
 		zipf      = flag.Float64("zipf", 0.9, "Zipfian key skew theta in [0,1); 0 = uniform")
-		ablation  = flag.String("ablation", "", "fast-path modes to sweep (\"all\" = off,locks,seqlock; or a comma list)")
 		ff        = cliflags.AddFault(flag.CommandLine, "")
 		jsonDir   = flag.String("json-dir", "", "write per-cell JSON statistics (with latency histograms) here")
 	)
@@ -93,23 +91,12 @@ func main() {
 		Seed:      ff.Seed,
 	}
 
-	modes := cliflags.Strings(*ablation)
-	if *ablation == "all" {
-		modes = serve.Modes
-	}
-	for _, m := range modes {
-		if err := serve.ApplyFastpath(&serve.Config{}, m); err != nil {
-			fail("%v", err)
-		}
-	}
-
 	opts := bench.ServeSweepOpts{
 		Base:    cfg,
 		Loads:   loads,
 		Protos:  protos,
 		Profile: ff.Profile,
 		Seed:    ff.Seed,
-		Modes:   modes,
 	}
 	if err := r.ServeSweep(os.Stdout, opts, *jsonDir); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -122,8 +122,9 @@ type (
 	Crash = fault.Crash
 	// ServeConfig parameterizes the open-loop request-serving workload:
 	// key-value store shape (keys, op mix, Zipf skew), Poisson offered
-	// load and window, seed, and the fast-path switches (KeyLocks,
-	// Seqlock). See Serve and NewServeApp.
+	// load and window, and seed. Every store serves through striped
+	// per-key locks and seqlock-validated lock-free reads. See Serve and
+	// NewServeApp.
 	ServeConfig = serve.Config
 	// ServeApp is the serving workload as an App, with access to its
 	// request traces, trace-derived expected store contents, and the

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"gosvm/internal/apps"
-	"gosvm/internal/serve"
 )
 
 // outputHash is the FNV-1a hash of a sweep's stdout followed by every
@@ -63,10 +62,8 @@ func TestSweepOutputMatchesParent(t *testing.T) {
 			o.Nodes = []int{16, 32}
 			return runner().ScaleSweep(out, o, filepath.Join(dir, "scale.json"))
 		}},
-		{"serve", "3346+24:c57dea02fd67ee18", func(out io.Writer, dir string) error {
-			o := serveSweepOpts()
-			o.Modes = serve.Modes
-			return runner().ServeSweep(out, o, dir)
+		{"serve", "1289+8:0e67a753647be7eb", func(out io.Writer, dir string) error {
+			return runner().ServeSweep(out, serveSweepOpts(), dir)
 		}},
 		{"ablations", "907+0:08957503bd5d10e0", func(out io.Writer, dir string) error {
 			r := runner()

@@ -26,17 +26,13 @@ type ServeSweepOpts struct {
 	// "crash") composed over every cell; Seed seeds its plan.
 	Profile string
 	Seed    int64
-	// Modes is an optional fast-path ablation axis (serve.Modes values);
-	// each entry overwrites Base's fast-path knobs via ApplyFastpath and
-	// adds a Mode column. Empty runs Base's knobs as configured, with no
-	// extra column.
-	Modes []string
 }
 
 // ServeSweep sweeps offered load x machine size x protocol over the
 // open-loop KV serving workload and renders a latency/throughput table:
 // offered vs. achieved rate, p50/p99/p999 service latency on the
-// simulated clock, queue utilization, and saturation detection.
+// simulated clock, queue utilization, seqlock reads and fallbacks, and
+// saturation detection.
 //
 // Cells fan out across host cores exactly like the batch sweeps:
 // every cell owns its kernel and its (deterministic, protocol- and
@@ -64,13 +60,8 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 	if protos == nil {
 		protos = core.Protocols
 	}
-	modes := o.Modes
-	withModes := len(modes) > 0
-	if !withModes {
-		modes = []string{""}
-	}
 
-	cells := serveCells(o.Loads, r.Procs, protos, modes)
+	cells := serveCells(o.Loads, r.Procs, protos)
 	results, err := sweep(r, cells, func(c scell) (*core.Result, error) { return r.serveCell(c, o, plan) })
 	if err != nil {
 		return err
@@ -81,15 +72,7 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 	fmt.Fprintln(out, "rates in requests per simulated second; latencies on the simulated clock")
 	fmt.Fprintln(out, "Skew is the home hot-spot metric: max over nodes of serviced messages, relative to the mean")
 	tw := tabwriter.NewWriter(out, 4, 8, 2, ' ', 0)
-	fmt.Fprint(tw, "Offered\tProcs\tProtocol")
-	if withModes {
-		fmt.Fprint(tw, "\tMode")
-	}
-	fmt.Fprint(tw, "\tGenerated\tAchieved\tRatio\tUtil\tp50(ms)\tp99(ms)\tp999(ms)\tSkew")
-	if withModes {
-		fmt.Fprint(tw, "\tSeqRd\tFallbk")
-	}
-	fmt.Fprint(tw, "\tSaturated")
+	fmt.Fprint(tw, "Offered\tProcs\tProtocol\tGenerated\tAchieved\tRatio\tUtil\tp50(ms)\tp99(ms)\tp999(ms)\tSkew\tSeqRd\tFallbk\tSaturated")
 	if plan.Active() {
 		fmt.Fprint(tw, "\tRetries\tRecovery(ms)")
 	}
@@ -101,18 +84,10 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 		if s.Saturated() {
 			sat = "SATURATED"
 		}
-		fmt.Fprintf(tw, "%.0f\t%d\t%s", c.load, c.procs, c.proto)
-		if withModes {
-			fmt.Fprintf(tw, "\t%s", c.mode)
-		}
-		fmt.Fprintf(tw, "\t%d\t%.0f\t%.3f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f",
-			s.Generated, s.AchievedRate(), s.SaturationRatio(),
+		fmt.Fprintf(tw, "%.0f\t%d\t%s\t%d\t%.0f\t%.3f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%d\t%d\t%s",
+			c.load, c.procs, c.proto, s.Generated, s.AchievedRate(), s.SaturationRatio(),
 			s.MaxUtil, ms(s.Latency.P50()), ms(s.Latency.P99()), ms(s.Latency.P999()),
-			res.Stats.MsgsInSkew())
-		if withModes {
-			fmt.Fprintf(tw, "\t%d\t%d", s.SeqlockReads, s.SeqlockFallbacks)
-		}
-		fmt.Fprintf(tw, "\t%s", sat)
+			res.Stats.MsgsInSkew(), s.SeqlockReads, s.SeqlockFallbacks, sat)
 		if plan.Active() {
 			sum := res.Stats.Sum()
 			fmt.Fprintf(tw, "\t%d\t%.2f", sum.Counts.Retries, ms(sum.Recovery))
@@ -126,40 +101,29 @@ func (r *Runner) ServeSweep(out io.Writer, o ServeSweepOpts, jsonDir string) err
 }
 
 // scell is one cell of the serving sweep: an offered load on one
-// machine size under one protocol and — in a fast-path ablation — one
-// mode.
+// machine size under one protocol.
 type scell struct {
 	load  float64
 	procs int
 	proto core.Protocol
-	mode  string
 }
 
-// serveCells crosses offered load x machine size x protocol x mode, in
-// table row order.
-func serveCells(loads []float64, procs []int, protos []core.Protocol, modes []string) []scell {
+// serveCells crosses offered load x machine size x protocol, in table
+// row order.
+func serveCells(loads []float64, procs []int, protos []core.Protocol) []scell {
 	var cells []scell
 	for _, load := range loads {
 		for _, p := range procs {
 			for _, proto := range protos {
-				for _, mode := range modes {
-					cells = append(cells, scell{load, p, proto, mode})
-				}
+				cells = append(cells, scell{load, p, proto})
 			}
 		}
 	}
 	return cells
 }
 
-// tag is the cell's coordinate on the load axis, l<load>, with the
-// ablation mode appended when there is one.
-func (c scell) tag() string {
-	tag := fmt.Sprintf("l%.0f", c.load)
-	if c.mode != "" {
-		tag += "-" + c.mode
-	}
-	return tag
-}
+// tag is the cell's coordinate on the load axis, l<load>.
+func (c scell) tag() string { return fmt.Sprintf("l%.0f", c.load) }
 
 // fileName is the cell's per-cell JSON file:
 // serve-<profile>-<proto>-p<procs>-<tag>.json.
@@ -168,18 +132,12 @@ func (c scell) fileName(profile string) string {
 }
 
 // serveCell executes one serving cell: build the (cell-local) workload
-// from the sweep's base shape — the cell's load, and its mode's
-// fast-path knobs if it has one — and run it under the protocol and
-// fault plan. exec validates the store and attaches the serve
-// statistics.
+// from the sweep's base shape at the cell's load and run it under the
+// protocol and fault plan. exec validates the store and attaches the
+// serve statistics.
 func (r *Runner) serveCell(c scell, o ServeSweepOpts, plan fault.Plan) (*core.Result, error) {
 	cfg := o.Base
 	cfg.OfferedLoad = c.load
-	if c.mode != "" {
-		if err := serve.ApplyFastpath(&cfg, c.mode); err != nil {
-			return nil, err
-		}
-	}
 	kv, err := serve.New(cfg, c.procs)
 	if err != nil {
 		return nil, err

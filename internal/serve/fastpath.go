@@ -1,27 +1,14 @@
 package serve
 
 import (
-	"fmt"
-
 	"gosvm/internal/core"
 	"gosvm/internal/mem"
 	"gosvm/internal/sim"
 )
 
-// Fast-path ablation modes, cumulative: each mode keeps everything the
-// previous one enabled and adds one optimization, so a sweep over the
-// ladder isolates each layer's contribution.
-const (
-	// ModeOff is the PR-6 baseline: one lock per shard, every op locked.
-	ModeOff = "off"
-	// ModeLocks adds striped per-key locks (KeyLocks = 8).
-	ModeLocks = "locks"
-	// ModeSeqlock adds seqlock-validated lock-free gets and scans.
-	ModeSeqlock = "seqlock"
-)
-
-// Modes lists the ablation ladder in cumulative order.
-var Modes = []string{ModeOff, ModeLocks, ModeSeqlock}
+// Each shard's keys spread over keyLocks lock stripes, so two puts to
+// different keys of one shard do not serialize on one lock.
+const keyLocks = 8
 
 // A seqlock reader retries a torn read seqlockRetries times, pausing
 // seqlockBackoff of simulated time before each retry to let the writer's
@@ -31,52 +18,24 @@ const (
 	seqlockBackoff = 20 * sim.Microsecond
 )
 
-// ApplyFastpath overwrites cfg's fast-path knobs according to the named
-// ablation mode. Unknown modes return an error.
-func ApplyFastpath(cfg *Config, mode string) error {
-	cfg.KeyLocks, cfg.Seqlock = 0, false
-	switch mode {
-	case ModeSeqlock:
-		cfg.Seqlock = true
-		fallthrough
-	case ModeLocks:
-		cfg.KeyLocks = 8
-	case ModeOff, "":
-	default:
-		return fmt.Errorf("serve: unknown fast-path mode %q (have %v)", mode, Modes)
-	}
-	return nil
-}
-
-// lockOf maps a key to its lock id. Without striping every key of a
-// shard shares lock id == shard. With striping the key hashes to one of
-// KeyLocks stripes and the lock id is shard + shards*stripe — congruent
-// to the shard mod P because the shard count is a multiple of P, so the
-// stripe manager still lives on the shard's home node.
+// lockOf maps a key to its lock stripe: the key hashes to one of keyLocks
+// stripes and the lock id is shard + shards*stripe — congruent to the
+// shard mod P because the shard count is a multiple of P, so the stripe
+// manager still lives on the shard's home node.
 func (kv *KV) lockOf(key int32) int {
-	sh := int(kv.keyShard[key])
-	if kv.cfg.KeyLocks <= 1 {
-		return sh
-	}
-	stripe := int(scramble(uint64(key)+0x57a1de) % uint64(kv.cfg.KeyLocks))
-	return sh + kv.shards*stripe
+	stripe := int(scramble(uint64(key)+0x57a1de) % keyLocks)
+	return int(kv.keyShard[key]) + kv.shards*stripe
 }
 
-// lockFree reports whether op is eligible for the seqlock-validated
-// lock-free path. Puts always lock: the lock is what makes the
-// read-modify-write atomic and what cycles the version word.
-func (kv *KV) lockFree(op Op) bool {
-	return kv.cfg.Seqlock && op != OpPut
-}
-
-// serveOne serves a single request: lock-free when eligible and the
-// validation succeeds, otherwise under the key's lock. The locked
-// fallback is also the correctness backstop for torn reads — acquiring
-// the lock chases the writer, which forces the writer's open interval
-// closed (its diffs flush to the home), so the re-read is guaranteed an
-// even version.
+// serveOne serves a single request: a get or scan lock-free when the
+// seqlock validation succeeds, otherwise under the key's lock. Puts
+// always lock: the lock is what makes the read-modify-write atomic and
+// what cycles the version word. The locked fallback is also the
+// correctness backstop for torn reads — acquiring the lock chases the
+// writer, which forces the writer's open interval closed (its diffs
+// flush to the home), so the re-read is guaranteed an even version.
 func (kv *KV) serveOne(c *core.Ctx, id int, r *Req, scratch []float64) {
-	if kv.lockFree(r.Op) && kv.serveLockFree(c, id, r, scratch) {
+	if r.Op != OpPut && kv.serveLockFree(c, id, r, scratch) {
 		return
 	}
 	l := kv.lockOf(r.Key)
@@ -136,9 +95,8 @@ func (kv *KV) seqGet(c *core.Ctx, id int, key int32) bool {
 // crossing into further pages reads whatever consistent copies the
 // protocol supplies (each page copy is still atomic, so per-slot
 // version checks remain sound — the scan is just not a single store
-// snapshot, which the locked path does not promise across locks
-// either). On success the scanned count is charged like the locked
-// path.
+// snapshot, which the locked path does not promise either). On success
+// the scanned count is charged like the locked path.
 func (kv *KV) seqScan(c *core.Ctx, id int, r *Req, scratch []float64) bool {
 	base, n := kv.scanSpan(r.Key)
 	for try := 0; ; try++ {
@@ -149,8 +107,8 @@ func (kv *KV) seqScan(c *core.Ctx, id int, r *Req, scratch []float64) bool {
 		}
 		torn := false
 		for j := 0; j < n; j++ {
-			v := c.Load(base + mem.Addr(2*j))
-			if c.LoadI(base+mem.Addr(2*j)+1)&1 != 0 {
+			v := c.Load(base + mem.Addr(wordsPerSlot*j))
+			if c.LoadI(base+mem.Addr(wordsPerSlot*j)+1)&1 != 0 {
 				torn = true
 				break
 			}
@@ -175,15 +133,17 @@ func (kv *KV) seqScan(c *core.Ctx, id int, r *Req, scratch []float64) bool {
 func (kv *KV) scanSpan(key int32) (base mem.Addr, n int) {
 	sh := int(kv.keyShard[key])
 	start := int(kv.keySlot[key])
-	return kv.shardBase[sh] + mem.Addr(start*kv.slotWords), min(scanLen, int(kv.shardLen[sh])-start)
+	return kv.shardBase[sh] + mem.Addr(start*wordsPerSlot), min(scanLen, int(kv.shardLen[sh])-start)
 }
 
 // applyLocked executes one request inside an already-held critical
-// section. With the seqlock layout a put cycles the slot's version word
-// odd before the mutation and even after it, publishing the
-// inconsistent window to any lock-free reader whose page fetch lands
-// mid-interval (the writer's diffs flush early when a lock acquire
-// chases past it).
+// section. A put cycles the slot's version word odd before the mutation
+// and even after it, publishing the inconsistent window to any lock-free
+// reader whose page fetch lands mid-interval (the writer's diffs flush
+// early when a lock acquire chases past it). A locked scan holds only its
+// first key's stripe: it reads the other slots of its span without their
+// stripe locks and without a version check, racy by design like the
+// seqlock reads.
 func (kv *KV) applyLocked(c *core.Ctx, id int, r *Req, scratch []float64) {
 	switch r.Op {
 	case OpGet:
@@ -192,27 +152,16 @@ func (kv *KV) applyLocked(c *core.Ctx, id int, r *Req, scratch []float64) {
 		kv.ops[id][0]++
 	case OpPut:
 		a := kv.addrOf(r.Key)
-		if kv.slotWords == 2 {
-			v := c.LoadI(a + 1)
-			c.StoreI(a+1, v+1) // odd: value is in flux
-			c.Store(a, c.Load(a)+float64(r.Delta))
-			c.Compute(serviceNs)
-			c.StoreI(a+1, v+2) // even: consistent again
-		} else {
-			c.Store(a, c.Load(a)+float64(r.Delta))
-			c.Compute(serviceNs)
-		}
+		v := c.LoadI(a + 1)
+		c.StoreI(a+1, v+1) // odd: value is in flux
+		c.Store(a, c.Load(a)+float64(r.Delta))
+		c.Compute(serviceNs)
+		c.StoreI(a+1, v+2) // even: consistent again
 		kv.ops[id][1]++
 	case OpScan:
 		base, n := kv.scanSpan(r.Key)
-		if n > 0 {
-			if kv.slotWords == 2 {
-				for j := 0; j < n; j++ {
-					scratch[j] = c.Load(base + mem.Addr(2*j))
-				}
-			} else {
-				c.ReadRange(base, scratch[:n])
-			}
+		for j := 0; j < n; j++ {
+			scratch[j] = c.Load(base + mem.Addr(wordsPerSlot*j))
 		}
 		c.Compute(serviceNs + sim.Time(n)*serviceNs/8)
 		kv.ops[id][2]++

@@ -4,55 +4,23 @@ import (
 	"testing"
 
 	"gosvm/internal/core"
-	"gosvm/internal/mem"
 	"gosvm/internal/sim"
 )
 
-// TestFastpathValidatesAllProtocols: every ablation mode must serve the
-// identical trace to completion with a bitwise-correct store (Run
-// validates internally) under every protocol — including the homeless
-// LRC family, where the seqlock path silently degrades to locks.
+// TestFastpathValidatesAllProtocols: every protocol serves the trace to
+// completion with a bitwise-correct store (Run validates internally), and
+// every get and scan tries the lock-free path exactly once — a seqlock
+// read or a fallback.
 func TestFastpathValidatesAllProtocols(t *testing.T) {
-	protos := []core.Protocol{core.ProtoLRC, core.ProtoOLRC, core.ProtoHLRC, core.ProtoOHLRC}
-	for _, mode := range Modes {
-		for _, proto := range protos {
-			cfg := testConfig()
-			if err := ApplyFastpath(&cfg, mode); err != nil {
-				t.Fatal(err)
-			}
-			kv, res := runServe(t, cfg, proto, 4, core.Options{})
-			s := res.Stats.Serve
-			if s.Completed != kv.Generated() {
-				t.Errorf("%s/%s: completed %d of %d", mode, proto, s.Completed, kv.Generated())
-			}
-			if s.Latency.Count() != s.Completed {
-				t.Errorf("%s/%s: histogram has %d samples for %d completions",
-					mode, proto, s.Latency.Count(), s.Completed)
-			}
+	for _, proto := range core.Protocols {
+		kv, res := runServe(t, testConfig(), proto, 4, core.Options{})
+		s := res.Stats.Serve
+		if s.Completed != kv.Generated() {
+			t.Errorf("%s: completed %d of %d", proto, s.Completed, kv.Generated())
 		}
-	}
-}
-
-// TestApplyFastpathModes: the ladder is cumulative, its top rung switches
-// on both layers the package has, and anything else — the two rungs PR 21
-// deleted included — is rejected.
-func TestApplyFastpathModes(t *testing.T) {
-	var cfg Config
-	if err := ApplyFastpath(&cfg, ModeSeqlock); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.KeyLocks == 0 || !cfg.Seqlock {
-		t.Errorf("mode seqlock left a layer off: %+v", cfg)
-	}
-	if err := ApplyFastpath(&cfg, ModeOff); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.KeyLocks != 0 || cfg.Seqlock {
-		t.Errorf("mode off left a layer on: %+v", cfg)
-	}
-	for _, mode := range []string{"batch", "all", "turbo"} {
-		if err := ApplyFastpath(&cfg, mode); err == nil {
-			t.Errorf("ApplyFastpath accepted unknown mode %q", mode)
+		if got, want := s.SeqlockReads+s.SeqlockFallbacks, s.Gets+s.Scans; got != want {
+			t.Errorf("%s: %d seqlock reads + %d fallbacks for %d gets and scans",
+				proto, s.SeqlockReads, s.SeqlockFallbacks, want)
 		}
 	}
 }
@@ -61,20 +29,16 @@ func TestApplyFastpathModes(t *testing.T) {
 // must carry reads; under homeless LRC it must fall back (FreshRead has
 // no authoritative copy to validate against) without losing requests.
 func TestSeqlockCounters(t *testing.T) {
-	cfg := testConfig()
-	if err := ApplyFastpath(&cfg, ModeSeqlock); err != nil {
-		t.Fatal(err)
-	}
-	_, res := runServe(t, cfg, core.ProtoHLRC, 4, core.Options{})
+	_, res := runServe(t, testConfig(), core.ProtoHLRC, 4, core.Options{})
 	s := res.Stats.Serve
 	if s.SeqlockReads == 0 {
-		t.Error("hlrc: seqlock mode served no lock-free reads")
+		t.Error("hlrc: served no lock-free reads")
 	}
 	if s.LockAcquires == 0 {
 		t.Error("hlrc: no lock acquires recorded (puts still lock)")
 	}
 
-	_, res = runServe(t, cfg, core.ProtoLRC, 4, core.Options{})
+	_, res = runServe(t, testConfig(), core.ProtoLRC, 4, core.Options{})
 	s = res.Stats.Serve
 	if s.SeqlockReads != 0 {
 		t.Errorf("lrc: %d lock-free reads under a homeless protocol", s.SeqlockReads)
@@ -84,129 +48,113 @@ func TestSeqlockCounters(t *testing.T) {
 	}
 }
 
-// TestAblationOrdering: walking each ablation rung up a load ladder,
-// the sustained load (highest unsaturated offered load) must say what
-// the ladder claims: striped locks never sustain less than the baseline,
-// and seqlock reads sustain strictly more.
-func TestAblationOrdering(t *testing.T) {
-	ladder := []float64{500, 1000, 2000, 4000, 8000}
-	sustained := map[string]float64{}
-	for _, mode := range Modes {
-		for _, load := range ladder {
-			cfg := testConfig()
-			cfg.OfferedLoad = load
-			cfg.ZipfTheta = 0.9
-			if err := ApplyFastpath(&cfg, mode); err != nil {
-				t.Fatal(err)
-			}
-			_, res := runServe(t, cfg, core.ProtoHLRC, 4, core.Options{})
-			if res.Stats.Serve.Saturated() {
-				break
-			}
-			sustained[mode] = load
+// TestSustainedLoad walks the store up a load ladder under HLRC on four
+// nodes at Zipf 0.9: the highest unsaturated offered load is what the
+// seqlock reads buy over the locked-only store, which sustained 1000
+// req/s on this ladder.
+func TestSustainedLoad(t *testing.T) {
+	var sustained float64
+	for _, load := range []float64{500, 1000, 2000, 4000, 8000} {
+		cfg := testConfig()
+		cfg.OfferedLoad = load
+		cfg.ZipfTheta = 0.9
+		_, res := runServe(t, cfg, core.ProtoHLRC, 4, core.Options{})
+		if res.Stats.Serve.Saturated() {
+			break
 		}
-		t.Logf("%s: sustained %.0f req/s", mode, sustained[mode])
+		sustained = load
 	}
-	if sustained[ModeLocks] < sustained[ModeOff] {
-		t.Errorf("ablation ordering violated: locks sustains %.0f < off sustains %.0f",
-			sustained[ModeLocks], sustained[ModeOff])
-	}
-	if sustained[ModeSeqlock] <= sustained[ModeOff] {
-		t.Errorf("seqlock sustains %.0f, no better than baseline %.0f",
-			sustained[ModeSeqlock], sustained[ModeOff])
+	t.Logf("sustained %.0f req/s", sustained)
+	if sustained < 2000 {
+		t.Errorf("sustained %.0f req/s, want at least 2000", sustained)
 	}
 }
 
-// tornApp reproduces the seqlock torn-read scenario deterministically:
-// node 1 parks mid-critical-section with an odd version word, node 0
-// forces node 1's open interval to flush by chasing an unrelated lock
-// past it, then reads lock-free. The fresh fetch must observe the odd
-// version; the locked fallback must observe the committed value.
-type tornApp struct {
-	base     mem.Addr
-	sawOdd   bool
-	fellBack bool
+// tornKV runs a real store's read path against a writer parked inside a
+// put's critical section: node 1 takes the key's stripe lock, cycles the
+// version odd, writes the value and waits; node 0 — the shard's home, so
+// a flush lands where it looks — forces node 1's open interval to flush
+// by chasing an unrelated lock past it, then serves one request through
+// serveOne. The lock-free attempt must see the odd version through every
+// retry, and the locked fallback must wait the writer out.
+type tornKV struct {
+	*KV
+	req      Req
+	scratch  []float64
 	finalVal float64
 	finalVer int64
 }
 
-func (a *tornApp) Name() string { return "torn" }
+// tornValue is what the parked writer commits; tornChase is a lock no
+// store request takes, managed by the writer's node.
+const (
+	tornValue = 4242
+	tornChase = 1<<20 + 1
+)
 
-func (a *tornApp) Setup(s *core.Setup) { a.base = s.Alloc(2) }
-
-func (a *tornApp) Init(w *core.Init) {
-	w.Store(a.base, 0)
-	w.StoreI(a.base+1, 0)
-	w.SetHome(a.base, 2, 0) // reader is the home: flushes land where it looks
-}
-
-func (a *tornApp) Worker(c *core.Ctx, id int) {
+func (a *tornKV) Worker(c *core.Ctx, id int) {
+	addr := a.addrOf(a.req.Key)
 	if id == 1 {
-		// Writer: open the seqlock (odd), mutate, and park inside the
-		// critical section long enough for the reader to probe.
-		c.Lock(1)
-		v := c.LoadI(a.base + 1)
-		c.StoreI(a.base+1, v+1)
-		c.Store(a.base, 42)
-		c.Wait(5 * sim.Millisecond)
-		c.StoreI(a.base+1, v+2)
-		c.Unlock(1)
+		l := a.lockOf(a.req.Key)
+		c.Lock(l)
+		v := c.LoadI(addr + 1)
+		c.StoreI(addr+1, v+1)
+		c.Store(addr, tornValue)
+		c.Wait(10 * sim.Millisecond)
+		c.StoreI(addr+1, v+2)
+		c.Unlock(l)
 	} else {
-		// Reader: lock 3's token also starts at node 1, so acquiring it
-		// chases past the writer and forces its dirty interval to flush —
-		// the odd version reaches the home mid-critical-section.
-		c.WaitUntil(sim.Millisecond)
-		c.Lock(3)
-		c.Unlock(3)
-		deadline := c.Now() + 3*sim.Millisecond
-		for c.Now() < deadline {
-			if !c.FreshRead(a.base) {
-				break
-			}
-			if c.LoadI(a.base+1)&1 != 0 {
-				a.sawOdd = true
-				break
-			}
-			c.Wait(50 * sim.Microsecond)
-		}
-		// Retries exhausted: fall back to the lock, which waits out the
-		// writer and guarantees an even version.
-		a.fellBack = true
-		c.Lock(1)
-		a.finalVal = c.Load(a.base)
-		a.finalVer = c.LoadI(a.base + 1)
-		c.Unlock(1)
+		// The writer's remote lock acquire and first page miss put its
+		// store at 2.3 ms; start after it and well before the release.
+		c.WaitUntil(5 * sim.Millisecond)
+		c.Lock(tornChase)
+		c.Unlock(tornChase)
+		a.serveOne(c, id, &a.req, a.scratch)
+		a.finalVal = c.Load(addr)
+		a.finalVer = c.LoadI(addr + 1)
 	}
 	c.Barrier(0)
 }
 
-func (a *tornApp) Gather(c *core.Ctx) []float64 {
-	return []float64{c.Load(a.base), float64(int64(c.Load(a.base + 1)))}
-}
-
-// TestSeqlockTornRead: the mid-interval flush (lock chase past a dirty
-// owner) must expose the odd version word to a lock-free reader, and
-// the locked fallback must then observe the committed value — the
+// TestSeqlockTornRead: the mid-interval flush (a lock chase past a dirty
+// owner) exposes the odd version word to seqGet and seqScan, each retries
+// seqlockRetries times and gives up, one fallback is counted, and the
+// locked read then sees the committed value with an even version — the
 // mechanism DESIGN.md §12's correctness argument rests on.
 func TestSeqlockTornRead(t *testing.T) {
-	app := &tornApp{}
-	res, err := core.Run(core.Options{Protocol: core.ProtoHLRC, Machine: core.Machine{Nodes: 2}}, app, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !app.sawOdd {
-		t.Error("lock-free reader never observed the odd (torn) version")
-	}
-	if !app.fellBack {
-		t.Error("reader did not take the locked fallback")
-	}
-	if app.finalVal != 42 {
-		t.Errorf("locked fallback read %v, want the committed 42", app.finalVal)
-	}
-	if app.finalVer%2 != 0 {
-		t.Errorf("locked fallback saw odd version %d", app.finalVer)
-	}
-	if res.Data[0] != 42 || int64(res.Data[1])%2 != 0 {
-		t.Errorf("gathered (%v, %v), want (42, even)", res.Data[0], res.Data[1])
+	for _, op := range []Op{OpGet, OpScan} {
+		t.Run(op.String(), func(t *testing.T) {
+			kv, err := New(Config{Keys: 64, OfferedLoad: 1, Window: sim.Millisecond}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := int32(0)
+			for kv.keyShard[key]%2 != 0 { // a shard node 0 homes
+				key++
+			}
+			app := &tornKV{KV: kv, req: Req{Key: key, Op: op}, scratch: make([]float64, scanLen)}
+			opts := core.Options{Protocol: core.ProtoHLRC, Machine: core.Machine{Nodes: 2}}
+			if _, err := core.Run(opts, app, false); err != nil {
+				t.Fatal(err)
+			}
+			if kv.seqRetries[0] != seqlockRetries {
+				t.Errorf("%d seqlock retries, want %d", kv.seqRetries[0], seqlockRetries)
+			}
+			if kv.seqReads[0] != 0 || kv.seqFallbacks[0] != 1 {
+				t.Errorf("%d lock-free reads and %d fallbacks, want 0 and 1", kv.seqReads[0], kv.seqFallbacks[0])
+			}
+			if app.finalVal != tornValue {
+				t.Errorf("after the locked fallback the key reads %v, want the committed %v", app.finalVal, float64(tornValue))
+			}
+			if app.finalVer != 2 {
+				t.Errorf("after the locked fallback the version reads %d, want 2", app.finalVer)
+			}
+			if op == OpScan && app.scratch[0] != tornValue {
+				t.Errorf("locked scan read %v, want the committed %v", app.scratch[0], float64(tornValue))
+			}
+			if ops := kv.ops[0]; ops[0]+ops[2] != 1 {
+				t.Errorf("node 0 counted ops %v, want the one %s", ops, op)
+			}
+		})
 	}
 }

@@ -12,9 +12,9 @@
 // exercises the real HLRC/OHLRC/LRC protocol paths: lock forwarding,
 // write notices, diffs to homes, and page fetches.
 //
-// The serving fast path (fastpath.go) layers two optimizations on the
-// baseline one-lock-per-shard design: striped per-key locks (KeyLocks)
-// and seqlock-validated lock-free reads (Seqlock). Both preserve the
+// The store (fastpath.go) locks keys by stripe, eight stripes per shard,
+// and serves gets and scans lock-free, validated by a per-slot version
+// word (a seqlock), falling back to the stripe lock. Both preserve the
 // workload's self-validation: put deltas are integers and commutative
 // (read-modify-write addition under the key's lock), so the final store
 // contents are exactly computable from the trace alone and must match
@@ -64,9 +64,9 @@ type Req struct {
 // Config parameterizes the serving workload. The zero value is not
 // runnable; Defaults fills every unset field.
 type Config struct {
-	// Keys is the key-space size. Each key owns one value word (plus a
-	// version word when Seqlock is on). Keys hash onto 4 page-aligned
-	// shards per node, so distinct shards never share a page.
+	// Keys is the key-space size. Each key owns a value word and a
+	// version word. Keys hash onto 4 page-aligned shards per node, so
+	// distinct shards never share a page.
 	Keys int
 	// OfferedLoad is the total offered request rate across the machine,
 	// in requests per simulated second. Each node's client population
@@ -83,30 +83,27 @@ type Config struct {
 	// Seed derives every arrival process and key draw.
 	Seed int64
 
-	// KeyLocks enables striped per-key locking: each shard's keys spread
-	// over this many lock stripes, so two puts to different keys of the
-	// same shard no longer serialize on one lock. Lock ids are
-	// shard + shards*stripe; the shard count is always a multiple of the
-	// machine size, so every stripe's manager sits on the shard's home
-	// node and a request's lock round trip and page fetch target the same
-	// node. Zero keeps the baseline one lock per shard.
+	// KeyLocks is ignored: every store stripes each shard's lock eight
+	// ways by key.
+	//
+	// Deprecated: it remains only because the repository benchmark still
+	// sets it; delete it once it stops.
 	KeyLocks int
-	// Seqlock enables lock-free validated reads: each slot pairs its
-	// value with a version word on the same page; writers cycle the
-	// version odd before and even after mutating, and readers revalidate
-	// the page against its home (Ctx.FreshRead), retry on an odd
-	// version, and fall back to the locked path after seqlockRetries
-	// torn reads. Only the home-based protocols (HLRC, OHLRC) have an
-	// authoritative copy to validate against; under the homeless LRC
-	// family every read silently takes the locked path.
+	// Seqlock is ignored: every store serves gets and scans lock-free,
+	// validated by a per-slot version word.
+	//
+	// Deprecated: it remains only because the repository benchmark still
+	// sets it; delete it once it stops.
 	Seqlock bool
 }
 
 // A scan reads scanLen consecutive slots. Every operation models
 // serviceNs of application compute; a scan adds serviceNs/8 per slot.
+// A slot is two words on one page: the value, then its version.
 const (
-	scanLen   = 16
-	serviceNs = 5 * sim.Microsecond
+	scanLen      = 16
+	serviceNs    = 5 * sim.Microsecond
+	wordsPerSlot = 2
 )
 
 // Defaults fills unset fields. A request on the modeled Paragon costs
@@ -159,9 +156,6 @@ func (c *Config) validate(procs int) error {
 	if procs < 1 {
 		return fmt.Errorf("serve: procs must be positive, got %d", procs)
 	}
-	if c.KeyLocks < 0 {
-		return fmt.Errorf("serve: KeyLocks must be non-negative, got %d", c.KeyLocks)
-	}
 	return nil
 }
 
@@ -172,10 +166,6 @@ type KV struct {
 	cfg    Config
 	procs  int
 	shards int
-
-	// slotWords is the words per key slot: 1 for the plain layout, 2
-	// when Seqlock pairs each value with a version word.
-	slotWords int
 
 	// Key layout, fixed at construction: key -> (shard, slot).
 	keyShard []int32
@@ -217,10 +207,7 @@ func New(cfg Config, procs int) (*KV, error) {
 	if err := cfg.validate(procs); err != nil {
 		return nil, err
 	}
-	kv := &KV{cfg: cfg, procs: procs, shards: 4 * procs, slotWords: 1}
-	if cfg.Seqlock {
-		kv.slotWords = 2
-	}
+	kv := &KV{cfg: cfg, procs: procs, shards: 4 * procs}
 
 	// Key layout: scramble keys across shards, slots assigned in key
 	// order within each shard.
@@ -305,9 +292,9 @@ func (kv *KV) Trace(id int) []Req { return kv.traces[id] }
 
 // Setup allocates one page-aligned region per shard, so shards never
 // share a page and a key's lock stripe is the only cross-key coupling.
-// With Seqlock on, each slot is two words (value, version) — still
-// within one shard region, so a value and its version always share a
-// page and arrive in the same atomic page copy.
+// Each slot is two words (value, version) within one shard region, so a
+// value and its version always share a page and arrive in the same
+// atomic page copy.
 func (kv *KV) Setup(s *core.Setup) {
 	if s.P != kv.procs {
 		panic(fmt.Sprintf("serve: built for %d procs, run with %d", kv.procs, s.P))
@@ -318,7 +305,7 @@ func (kv *KV) Setup(s *core.Setup) {
 		if n == 0 {
 			n = 1 // keep shard indexing total even if no key hashed here
 		}
-		kv.shardBase[sh] = s.Alloc(n * kv.slotWords)
+		kv.shardBase[sh] = s.Alloc(n * wordsPerSlot)
 	}
 }
 
@@ -334,13 +321,13 @@ func (kv *KV) Init(w *core.Init) {
 		if n == 0 {
 			n = 1
 		}
-		w.SetHome(kv.shardBase[sh], n*kv.slotWords, sh%kv.procs)
+		w.SetHome(kv.shardBase[sh], n*wordsPerSlot, sh%kv.procs)
 	}
 }
 
 // addrOf returns the shared address of a key's value word.
 func (kv *KV) addrOf(key int32) mem.Addr {
-	return kv.shardBase[kv.keyShard[key]] + mem.Addr(int(kv.keySlot[key])*kv.slotWords)
+	return kv.shardBase[kv.keyShard[key]] + mem.Addr(int(kv.keySlot[key])*wordsPerSlot)
 }
 
 // Worker serves node id's client population: requests from the
